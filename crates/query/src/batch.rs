@@ -13,6 +13,7 @@
 //! batches, so batch boundaries carry no meaning — only the row sequence
 //! does.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use tamp_simulator::Value;
@@ -120,6 +121,16 @@ impl RecordBatch {
         }
     }
 
+    /// Lexicographic whole-row comparison of rows `a` and `b` — the order
+    /// of [`crate::row::canonicalize`].
+    pub fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
+        self.cols
+            .iter()
+            .map(|c| c[a].cmp(&c[b]))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
     /// Append this batch's rows `sel` (in order) to a row-major buffer —
     /// the wire layout of [`crate::row::flatten`].
     pub fn flatten_into(&self, sel: &[usize], out: &mut Vec<Value>) {
@@ -157,6 +168,65 @@ pub fn concat(batches: &[RecordBatch], width: usize) -> RecordBatch {
         })
         .collect();
     RecordBatch { cols, rows }
+}
+
+/// The permutation behind [`sort_rows`]. Rows that compare equal are
+/// identical, so the gathered result does not depend on how the sort
+/// places them.
+fn sort_permutation(batch: &RecordBatch, lead: Option<usize>) -> Vec<usize> {
+    if batch.width() == 0 {
+        return (0..batch.num_rows()).collect();
+    }
+    // Carry the leading key next to the index: most comparisons are
+    // decided on it without touching the columns.
+    let mut keyed: Vec<(Value, usize)> = batch
+        .col(lead.unwrap_or(0))
+        .iter()
+        .copied()
+        .zip(0..)
+        .collect();
+    keyed.sort_unstable_by(|x, y| x.0.cmp(&y.0).then_with(|| batch.cmp_rows(x.1, y.1)));
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
+/// A batch list's rows sorted by column `lead` (if any), ties broken by
+/// the whole row — with `None`, the order of [`crate::row::canonicalize`]
+/// — as at most one batch: one index sort, then one gather per column.
+/// `keep` may thin the sorted permutation first (cut it, drop duplicates)
+/// so rows it rejects are never gathered.
+pub fn sort_rows(
+    batches: &[RecordBatch],
+    width: usize,
+    lead: Option<usize>,
+    keep: impl FnOnce(&RecordBatch, &mut Vec<usize>),
+) -> Vec<RecordBatch> {
+    let all = concat(batches, width);
+    let mut perm = sort_permutation(&all, lead);
+    keep(&all, &mut perm);
+    if perm.is_empty() {
+        return Vec::new();
+    }
+    vec![all.gather(&perm)]
+}
+
+/// The first `n` rows of a batch list; batches that fit whole are shared,
+/// not copied.
+pub fn head(batches: &[RecordBatch], n: usize) -> Vec<RecordBatch> {
+    let mut out = Vec::new();
+    let mut left = n;
+    for b in batches {
+        if left == 0 {
+            break;
+        }
+        if b.num_rows() <= left {
+            out.push(b.clone());
+        } else {
+            let first: Vec<usize> = (0..left).collect();
+            out.push(b.gather(&first));
+        }
+        left -= b.num_rows().min(left);
+    }
+    out
 }
 
 /// Chunk `width`-wide rows into batches of at most `batch` rows each.
@@ -277,5 +347,46 @@ mod tests {
         assert_eq!(g.to_rows(), vec![vec![6], vec![1], vec![5]]);
         assert_eq!(flatten_multi(&batches, &[(2, 0), (0, 1)], 1), vec![6, 1]);
         assert_eq!(concat(&batches, 1).to_rows(), rows);
+    }
+
+    #[test]
+    fn sort_permutation_orders_by_lead_then_whole_row() {
+        let mut rows: Vec<Row> = vec![
+            vec![7, 1, 9],
+            vec![2, 1, 9],
+            vec![7, 0, 3],
+            vec![2, 1, 9],
+            vec![0, 1, 0],
+            vec![u64::MAX, 0, 3],
+        ];
+        let batches = rows_to_batches(&rows, 3, 4);
+        // Lead column 1, ties on the whole row — the row sort's order.
+        let by_lead = sort_rows(&batches, 3, Some(1), |_, _| {});
+        rows.sort_by(|x, y| x[1].cmp(&y[1]).then_with(|| x.cmp(y)));
+        assert_eq!(concat(&by_lead, 3).to_rows(), rows);
+        // No lead: canonical order; `keep` thins before the gather.
+        let distinct = sort_rows(&batches, 3, None, |all, perm| {
+            perm.dedup_by(|x, y| all.cmp_rows(*x, *y).is_eq())
+        });
+        crate::row::canonicalize(&mut rows);
+        rows.dedup();
+        assert_eq!(concat(&distinct, 3).to_rows(), rows);
+        assert!(sort_rows(&batches, 3, None, |_, perm| perm.clear()).is_empty());
+        assert!(sort_rows(&[], 3, Some(0), |_, _| {}).is_empty());
+        // Width-0 rows are all equal: any order is sorted.
+        let unit = RecordBatch::from_cols_rows(Vec::new(), 3);
+        assert_eq!(sort_permutation(&unit, None), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn head_cuts_across_batches_and_shares_whole_ones() {
+        let rows: Vec<Row> = (0..7u64).map(|i| vec![i]).collect();
+        let batches = rows_to_batches(&rows, 1, 3);
+        let cut = head(&batches, 5);
+        assert_eq!(cut.len(), 2);
+        assert!(Arc::ptr_eq(cut[0].col_arc(0), batches[0].col_arc(0)));
+        assert_eq!(concat(&cut, 1).to_rows(), rows[..5]);
+        assert!(head(&batches, 0).is_empty());
+        assert_eq!(batch_rows(&head(&batches, 100)), 7);
     }
 }

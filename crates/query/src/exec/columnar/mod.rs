@@ -4,10 +4,22 @@
 //! [`RecordBatch`](crate::batch::RecordBatch)es. Local operators run the
 //! per-operator kernels ([`filter`], [`project`]); communicating
 //! operators hand batch fragments to their chosen strategy's
-//! [`trace_batch`](crate::physical::strategy::PhysicalStrategy::trace_batch)
-//! — columnar-native for the hash-join strategies, a lossless row shim
-//! everywhere else — so the exchange schedule and the metered ledgers
-//! are bit-identical to the tuple engine's.
+//! [`trace_batch`](crate::physical::strategy::PhysicalStrategy::trace_batch),
+//! whose exchange schedule and metered ledgers are bit-identical to the
+//! tuple engine's.
+//!
+//! Every built-in aggregate, sort, distinct and limit strategy and the
+//! hash joins (`weighted-repartition`, `uniform-repartition`,
+//! `broadcast-small`) are columnar-native: groups fold out of the group
+//! and measure columns into one reusable table, sorts are an index
+//! permutation plus one gather per column, shuffles gather `(batch, row)`
+//! picks — no row is materialized between the scan and the
+//! [`QueryResult`](crate::exec::QueryResult)'s row fragments. What still
+//! rides the default row shim (one heap row per input row, then the row
+//! `trace`) is the `tree-partition` join, the three cross-join
+//! strategies, and any third-party strategy that does not override
+//! `trace_batch`: the first two group rows by destination *set* and grid
+//! cell, and no measured workload spends its time in them.
 
 pub(crate) mod eval;
 pub(crate) mod filter;

@@ -13,7 +13,11 @@
 //! - the **columnar batch engine** (the `columnar` module, the default)
 //!   threads [`RecordBatch`](crate::batch::RecordBatch)es through
 //!   vectorized per-operator kernels — one tight loop per expression
-//!   node, no per-row allocation;
+//!   node — and through columnar-native exchanges for every built-in
+//!   aggregate, sort, distinct, limit and hash-join strategy, so there
+//!   is no per-row allocation from scan to result (the `tree-partition`
+//!   join and the cross joins alone fall back to rows; see the
+//!   `columnar` module docs);
 //! - the **tuple engine** (the `tuple` + `local` modules) interprets
 //!   one `Vec<Value>` row at a time, and serves as the oracle the batch
 //!   kernels are tested against.
@@ -407,6 +411,103 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Row-shim conversions made while `f` runs on this thread.
+    fn shim_hits(f: impl FnOnce()) -> usize {
+        use crate::physical::strategy::SHIM_HITS;
+        let before = SHIM_HITS.with(|h| h.get());
+        f();
+        SHIM_HITS.with(|h| h.get()) - before
+    }
+
+    #[test]
+    fn aggregate_sort_limit_and_distinct_never_reach_the_row_shim() {
+        let c = catalog(
+            builders::rack_tree(&[(3, 1.0, 2.0), (2, 2.0, 1.0)], 1.0),
+            300,
+        );
+        let facts = || LogicalPlan::scan("facts");
+        let force = |force: StrategyForce| ExecOptions {
+            force,
+            seed: 5,
+            ..ExecOptions::default()
+        };
+        // The benchmark's `scan-join` plan shapes, then every default
+        // aggregate and sort strategy by name, limit both ways, distinct.
+        let mut runs = vec![
+            (
+                facts()
+                    .filter(col("x").lt(lit(600)))
+                    .project(vec![("g", col("g")), ("y", col("x").div(lit(8)))])
+                    .aggregate("g", AggFunc::Sum, "y"),
+                ExecOptions::default(),
+            ),
+            (
+                facts()
+                    .join_on(LogicalPlan::scan("dims"), "g", "g")
+                    .aggregate("label", AggFunc::Sum, "x"),
+                ExecOptions::default(),
+            ),
+            (
+                facts()
+                    .filter(col("x").lt(lit(640)))
+                    .join_on(LogicalPlan::scan("dims"), "g", "g")
+                    .order_by("id")
+                    .limit(100),
+                ExecOptions::default(),
+            ),
+            (facts().limit(9), ExecOptions::default()),
+            (
+                facts().project(vec![("g", col("g"))]).distinct(),
+                ExecOptions::default(),
+            ),
+        ];
+        for name in [
+            "weighted-repartition",
+            "combining-tree",
+            "uniform-repartition",
+        ] {
+            for agg in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
+                runs.push((
+                    facts().aggregate("g", agg, "x"),
+                    force(StrategyForce {
+                        aggregate: Some(name),
+                        ..StrategyForce::default()
+                    }),
+                ));
+            }
+        }
+        for name in ["weighted-range-shuffle", "uniform-range-shuffle"] {
+            runs.push((
+                facts().order_by("g"),
+                force(StrategyForce {
+                    sort: Some(name),
+                    ..StrategyForce::default()
+                }),
+            ));
+        }
+        for (q, opts) in &runs {
+            let hits = shim_hits(|| {
+                let res = execute(&c, q, *opts).unwrap();
+                let want = reference::evaluate(q, &c).unwrap();
+                assert_eq!(res.rows(reference::preserves_order(q)), want, "plan:\n{q}");
+            });
+            assert_eq!(hits, 0, "row shim reached by plan:\n{q}");
+        }
+        // The counter does count: the strategies documented as shim
+        // riders hit it once per operator.
+        let cross = LogicalPlan::scan("dims").cross(LogicalPlan::scan("dims"));
+        assert_eq!(
+            shim_hits(|| drop(execute(&c, &cross, ExecOptions::default()))),
+            1
+        );
+        let tree_partition = force(StrategyForce {
+            join: Some("tree-partition"),
+            ..StrategyForce::default()
+        });
+        let join = facts().join_on(LogicalPlan::scan("dims"), "g", "g");
+        assert_eq!(shim_hits(|| drop(execute(&c, &join, tree_partition))), 1);
     }
 
     #[test]

@@ -29,18 +29,37 @@ use tamp_core::sorting::valid_order;
 use tamp_simulator::{Placement, Rel};
 use tamp_topology::NodeId;
 
+use crate::batch::{batch_rows, RecordBatch};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    CostEstimate, ExecArgs, Fragments, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
-    TraceBuilder,
+    BatchInput, BatchTrace, CostEstimate, ExecArgs, Fragments, OpInput, OpTrace, OperatorKind,
+    PhysicalStrategy, PlanArgs, TraceBuilder,
 };
 use crate::plan::AggFunc;
 use crate::row::{flatten, Row};
 
+use super::columnar::{
+    batch_frag_weights, empty_batch_frags, flatten_batches, fold_groups, shuffle_batches_by_key,
+    BatchFragments,
+};
+use super::group_table::GroupTable;
 use super::{drain_sorted, empty_frags, frag_weights, unicast_round};
 
 fn agg_input(input: OpInput) -> (Fragments, usize, usize, AggFunc) {
     let OpInput::Aggregate {
+        input,
+        group,
+        measure,
+        agg,
+    } = input
+    else {
+        unreachable!("registered for Aggregate");
+    };
+    (input, group, measure, agg)
+}
+
+fn agg_batch_input(input: BatchInput) -> (BatchFragments, usize, usize, AggFunc) {
+    let BatchInput::Aggregate {
         input,
         group,
         measure,
@@ -95,6 +114,26 @@ impl HashAggregate {
     pub fn uniform() -> Self {
         HashAggregate { weighted: false }
     }
+
+    /// The group → owner map: the hash weighted by `weights` (current
+    /// per-node row counts; `None` when there are no rows to weigh), or
+    /// the uniform hash.
+    fn router(
+        &self,
+        a: &ExecArgs<'_>,
+        weights: impl FnOnce() -> Vec<(NodeId, u64)>,
+    ) -> Option<Box<dyn Fn(u64) -> NodeId>> {
+        if self.weighted {
+            let hash = WeightedHash::new(a.seed, &weights())?;
+            Some(Box::new(move |g| hash.pick(g)))
+        } else {
+            let vc: Vec<NodeId> = a.tree.compute_nodes().to_vec();
+            let seed = a.seed;
+            Some(Box::new(move |g| {
+                vc[(mix64(g ^ seed) % vc.len() as u64) as usize]
+            }))
+        }
+    }
 }
 
 impl PhysicalStrategy for HashAggregate {
@@ -144,21 +183,12 @@ impl PhysicalStrategy for HashAggregate {
         let (frags, gi, mi, agg) = agg_input(input);
         let tree = a.tree;
         let mut trace = TraceBuilder::batched(a.batch);
-        let router: Box<dyn Fn(u64) -> NodeId> = if self.weighted {
-            let weights = frag_weights(tree, &frags, &empty_frags(tree));
-            match WeightedHash::new(a.seed, &weights) {
-                Some(h) => Box::new(move |g| h.pick(g)),
-                None => {
-                    return Ok(OpTrace {
-                        rounds: trace.into_rounds(),
-                        output: empty_frags(tree),
-                    })
-                }
-            }
-        } else {
-            let vc: Vec<NodeId> = tree.compute_nodes().to_vec();
-            let seed = a.seed;
-            Box::new(move |g| vc[(mix64(g ^ seed) % vc.len() as u64) as usize])
+        let weights = || frag_weights(tree, &frags, &empty_frags(tree));
+        let Some(router) = self.router(a, weights) else {
+            return Ok(OpTrace {
+                rounds: trace.into_rounds(),
+                output: empty_frags(tree),
+            });
         };
         let mut owned: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); tree.num_nodes()];
         let mut outgoing: Vec<(NodeId, NodeId, Vec<u64>)> = Vec::new();
@@ -200,6 +230,47 @@ impl PhysicalStrategy for HashAggregate {
                 .into_iter()
                 .map(|m| m.into_iter().map(|(g, v)| vec![g, v]).collect())
                 .collect(),
+        })
+    }
+
+    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
+        let (frags, gi, mi, agg) = agg_batch_input(input);
+        let tree = a.tree;
+        let mut trace = TraceBuilder::batched(a.batch);
+        let weights = || batch_frag_weights(tree, &frags, &empty_batch_frags(tree));
+        let Some(router) = self.router(a, weights) else {
+            return Ok(BatchTrace {
+                rounds: trace.into_rounds(),
+                output: empty_batch_frags(tree),
+            });
+        };
+        // Local pre-aggregation leaves each node one sorted partial
+        // batch; partials then shuffle to their owners like any keyed
+        // rows, and each owner folds what arrived.
+        let mut table = GroupTable::new();
+        let mut partials = empty_batch_frags(tree);
+        for &v in tree.compute_nodes() {
+            partials[v.index()].extend(fold_groups(
+                &mut table,
+                &frags[v.index()],
+                gi,
+                mi,
+                agg,
+                true,
+            ));
+        }
+        let arrived = shuffle_batches_by_key(&mut trace, tree, &partials, 0, 2, Rel::S, &*router);
+        let output = arrived
+            .iter()
+            .map(|batches| {
+                fold_groups(&mut table, batches, 0, 1, agg, false)
+                    .into_iter()
+                    .collect()
+            })
+            .collect();
+        Ok(BatchTrace {
+            rounds: trace.into_rounds(),
+            output,
         })
     }
 }
@@ -306,6 +377,49 @@ impl PhysicalStrategy for CombiningTreeAggregate {
             .map(|(g, m)| vec![g, m])
             .collect();
         Ok(OpTrace {
+            rounds: trace.into_rounds(),
+            output: out,
+        })
+    }
+
+    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
+        let (frags, gi, mi, agg) = agg_batch_input(input);
+        let tree = a.tree;
+        let target = valid_order(tree)[0];
+        let weights: Vec<u64> = frags.iter().map(|b| batch_rows(b) as u64).collect();
+        let schedule = combining_schedule(tree, &weights, target);
+
+        // Each node's running partials: one sorted width-2 batch.
+        let mut table = GroupTable::new();
+        let mut acc: Vec<Option<RecordBatch>> = vec![None; tree.num_nodes()];
+        for &v in tree.compute_nodes() {
+            acc[v.index()] = fold_groups(&mut table, &frags[v.index()], gi, mi, agg, true);
+        }
+
+        let mut trace = TraceBuilder::batched(a.batch);
+        for moves in schedule {
+            trace.round(|round| {
+                for &(src, dst) in &moves {
+                    if let Some(partials) = &acc[src.index()] {
+                        let payload = flatten_batches(std::slice::from_ref(partials), 2);
+                        round.send_rows(src, &[dst], Rel::S, payload, 2);
+                    }
+                }
+            });
+            for (src, dst) in moves {
+                let Some(moved) = acc[src.index()].take() else {
+                    continue;
+                };
+                acc[dst.index()] = match acc[dst.index()].take() {
+                    Some(held) => fold_groups(&mut table, &[held, moved], 0, 1, agg, false),
+                    None => Some(moved),
+                };
+            }
+        }
+
+        let mut out = empty_batch_frags(tree);
+        out[target.index()].extend(acc[target.index()].take());
+        Ok(BatchTrace {
             rounds: trace.into_rounds(),
             output: out,
         })

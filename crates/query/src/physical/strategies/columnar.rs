@@ -1,11 +1,12 @@
-//! Columnar-native exchange kernels for the hash-join strategies.
+//! Columnar-native exchange kernels shared by the built-in strategies.
 //!
 //! These mirror the row helpers in [`super`] (`shuffle_by_key`,
-//! `broadcast_small`, `probe_join`) batch-at-a-time: routing scans one
-//! key column, movement is index gathers over shared column buffers, and
-//! replication is a refcount bump per column. Every helper reproduces the
-//! row helper's fragment order and sends exactly — per destination,
-//! chunks arrive in ascending source order with rows in source scan
+//! `broadcast_small`, `probe_join`) and the row `trace` bodies of the
+//! aggregate, sort, distinct and limit strategies batch-at-a-time:
+//! routing scans columns, movement is index gathers over shared column
+//! buffers, and replication is a refcount bump per column. Every helper
+//! reproduces the row path's fragment order and sends exactly — per
+//! destination, chunks arrive in source order with rows in source scan
 //! order, and the local chunk sits at the source's own position — so the
 //! columnar engine's rows, rounds, and metered ledgers are bit-identical
 //! to the tuple engine's (the `plan_parity` proptests enforce this).
@@ -14,8 +15,12 @@ use tamp_core::hashing::mix64;
 use tamp_simulator::{Rel, Value};
 use tamp_topology::{NodeId, Tree};
 
-use crate::batch::{batch_rows, gather_multi, RecordBatch};
+use crate::batch::{batch_rows, flatten_multi, gather_multi, RecordBatch};
 use crate::physical::strategy::TraceBuilder;
+use crate::plan::AggFunc;
+
+use super::group_table::GroupTable;
+use super::unicast_round;
 
 /// Per-node batch lists, indexed by node id (the columnar `Fragments`).
 pub(crate) type BatchFragments = Vec<Vec<RecordBatch>>;
@@ -53,7 +58,7 @@ pub(crate) fn batch_holders_of(tree: &Tree, frags: &BatchFragments) -> Vec<NodeI
 }
 
 /// Row-major flatten of whole batches, in batch then row order.
-fn flatten_batches(batches: &[RecordBatch], width: usize) -> Vec<Value> {
+pub(crate) fn flatten_batches(batches: &[RecordBatch], width: usize) -> Vec<Value> {
     let mut out = Vec::with_capacity(batch_rows(batches) * width);
     for b in batches {
         for r in 0..b.num_rows() {
@@ -65,21 +70,63 @@ fn flatten_batches(batches: &[RecordBatch], width: usize) -> Vec<Value> {
     out
 }
 
-/// Row-major flatten of `(batch, row)` picks across `batches`.
-fn flatten_picks(batches: &[RecordBatch], picks: &[(u32, u32)], width: usize) -> Vec<Value> {
-    let mut out = Vec::with_capacity(picks.len() * width);
-    for &(bi, ri) in picks {
-        let b = &batches[bi as usize];
-        for c in 0..width {
-            out.push(b.col(c)[ri as usize]);
+/// One-round exchange of batch fragments among destination *slots*.
+///
+/// Each source, in `sources` order, splits its rows by slot — `route`
+/// appends one slot per row of the batch it is shown — and slot `s`
+/// delivers to node `slots[s]`. A source serves its slots in ascending
+/// order: one gather per slot, plus one (chunked) send unless the slot is
+/// the source itself. This is the row path's "bucket, then drain buckets
+/// in key order" loop, whatever the bucket key is: the destination node
+/// for the hash shuffles, the splitter bucket for the range shuffle.
+pub(crate) fn exchange_batches(
+    trace: &mut TraceBuilder,
+    frags: &BatchFragments,
+    width: usize,
+    rel: Rel,
+    sources: &[NodeId],
+    slots: &[NodeId],
+    route: &mut dyn FnMut(&RecordBatch, &mut Vec<u32>),
+) -> BatchFragments {
+    let mut new_frags: BatchFragments = vec![Vec::new(); frags.len()];
+    let mut outgoing: Vec<(NodeId, NodeId, Vec<Value>)> = Vec::new();
+    // Scratch reused across sources and batches.
+    let mut picks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); slots.len()];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut row_slots: Vec<u32> = Vec::new();
+    for &v in sources {
+        let batches = &frags[v.index()];
+        for (bi, b) in batches.iter().enumerate() {
+            row_slots.clear();
+            route(b, &mut row_slots);
+            debug_assert_eq!(row_slots.len(), b.num_rows());
+            for (ri, &slot) in row_slots.iter().enumerate() {
+                let pick = &mut picks[slot as usize];
+                if pick.is_empty() {
+                    touched.push(slot as usize);
+                }
+                pick.push((bi as u32, ri as u32));
+            }
         }
+        touched.sort_unstable();
+        for &slot in &touched {
+            let pick = &mut picks[slot];
+            let dst = slots[slot];
+            if dst != v {
+                outgoing.push((v, dst, flatten_multi(batches, pick, width)));
+            }
+            new_frags[dst.index()].push(gather_multi(batches, pick, width));
+            pick.clear();
+        }
+        touched.clear();
     }
-    out
+    trace.round(|round| unicast_round(round, outgoing, rel, width));
+    new_frags
 }
 
 /// One-round repartition of batch fragments by a key router: one key-column
 /// scan and one gather per destination, one (chunked) send per `(src,
-/// dst)` pair.
+/// dst)` pair, destinations in ascending node order.
 pub(crate) fn shuffle_batches_by_key(
     trace: &mut TraceBuilder,
     tree: &Tree,
@@ -89,47 +136,16 @@ pub(crate) fn shuffle_batches_by_key(
     rel: Rel,
     router: &dyn Fn(u64) -> NodeId,
 ) -> BatchFragments {
-    let mut new_frags = empty_batch_frags(tree);
-    let mut outgoing: Vec<(NodeId, NodeId, Vec<Value>)> = Vec::new();
-    // Scratch reused across sources: per-destination pick lists.
-    let mut picks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); tree.num_nodes()];
-    let mut touched: Vec<usize> = Vec::new();
-    for &v in tree.compute_nodes() {
-        let batches = &frags[v.index()];
-        for (bi, b) in batches.iter().enumerate() {
-            let keys = b.col(key_idx);
-            for (ri, &key) in keys.iter().enumerate() {
-                let dst = router(key).index();
-                if picks[dst].is_empty() {
-                    touched.push(dst);
-                }
-                picks[dst].push((bi as u32, ri as u32));
-            }
-        }
-        // Local rows first (the source's own position in the per-dst
-        // chunk order), then one gather + send per remote destination.
-        touched.sort_unstable();
-        for &dst in &touched {
-            let pick = std::mem::take(&mut picks[dst]);
-            if dst == v.index() {
-                new_frags[dst].push(gather_multi(batches, &pick, width));
-            } else {
-                outgoing.push((
-                    v,
-                    NodeId::from_index(dst),
-                    flatten_picks(batches, &pick, width),
-                ));
-                new_frags[dst].push(gather_multi(batches, &pick, width));
-            }
-        }
-        touched.clear();
-    }
-    trace.round(|round| {
-        for (src, dst, buf) in outgoing {
-            round.send_rows(src, &[dst], rel, buf, width);
-        }
-    });
-    new_frags
+    let by_index: Vec<NodeId> = tree.nodes().collect();
+    exchange_batches(
+        trace,
+        frags,
+        width,
+        rel,
+        tree.compute_nodes(),
+        &by_index,
+        &mut |b, out| out.extend(b.col(key_idx).iter().map(|&key| router(key).index() as u32)),
+    )
 }
 
 /// One-round replication of `small_frags` to every holder: the multicast
@@ -160,56 +176,92 @@ pub(crate) fn broadcast_small_batches(
     small_new
 }
 
-/// An open-addressing multimap from join key to right-row indices,
-/// preserving insertion order per key. Any correct map yields the same
-/// join output as the row helper's `HashMap` build (the output depends
-/// only on key → index-list, probed in left order), so the faster table
-/// does not disturb parity.
-struct KeyMap {
+/// A join build side: an open-addressing multimap from join key to the
+/// `(batch, row)` locations holding it, in scan order per key. Any
+/// correct map yields the same join output as the row helper's `HashMap`
+/// build (the output depends only on key → location list, probed in left
+/// order), so the faster table does not disturb parity.
+///
+/// The lists are CSR — one offsets array over one flat location array,
+/// filled by a counting pass — so a build is a fixed handful of
+/// allocations however many distinct keys there are.
+struct JoinBuild {
     mask: usize,
     slot_key: Vec<u64>,
-    slot_list: Vec<u32>,
-    lists: Vec<Vec<u32>>,
+    /// Slot → dense key id, or [`EMPTY`].
+    slot_id: Vec<u32>,
+    /// Key id `k`'s locations are `locs[offsets[k]..offsets[k + 1]]`.
+    offsets: Vec<u32>,
+    locs: Vec<(u32, u32)>,
 }
 
 const EMPTY: u32 = u32::MAX;
 
-impl KeyMap {
-    fn with_capacity(n: usize) -> Self {
-        let cap = (n * 2).next_power_of_two().max(8);
-        KeyMap {
-            mask: cap - 1,
-            slot_key: vec![0; cap],
-            slot_list: vec![EMPTY; cap],
-            lists: Vec::with_capacity(n),
-        }
-    }
-
-    fn insert(&mut self, key: u64, idx: u32) {
-        let mut slot = mix64(key) as usize & self.mask;
-        loop {
-            match self.slot_list[slot] {
-                EMPTY => {
-                    self.slot_key[slot] = key;
-                    self.slot_list[slot] = self.lists.len() as u32;
-                    self.lists.push(vec![idx]);
-                    return;
-                }
-                li if self.slot_key[slot] == key => {
-                    self.lists[li as usize].push(idx);
-                    return;
-                }
-                _ => slot = (slot + 1) & self.mask,
+impl JoinBuild {
+    fn new(batches: &[RecordBatch], key_idx: usize) -> Self {
+        let rows = batch_rows(batches);
+        let cap = (rows * 2).next_power_of_two().max(8);
+        let mask = cap - 1;
+        let mut slot_key = vec![0u64; cap];
+        let mut slot_id = vec![EMPTY; cap];
+        // Pass 1: give each distinct key a dense id, remember each row's
+        // id, and count rows per id (shifted by one for the prefix sum).
+        let mut row_id: Vec<u32> = Vec::with_capacity(rows);
+        let mut offsets: Vec<u32> = vec![0];
+        for b in batches {
+            for &key in b.col(key_idx) {
+                let mut slot = mix64(key) as usize & mask;
+                let id = loop {
+                    match slot_id[slot] {
+                        EMPTY => {
+                            let id = (offsets.len() - 1) as u32;
+                            slot_key[slot] = key;
+                            slot_id[slot] = id;
+                            offsets.push(0);
+                            break id;
+                        }
+                        id if slot_key[slot] == key => break id,
+                        _ => slot = (slot + 1) & mask,
+                    }
+                };
+                offsets[id as usize + 1] += 1;
+                row_id.push(id);
             }
         }
+        for k in 1..offsets.len() {
+            offsets[k] += offsets[k - 1];
+        }
+        // Pass 2: drop each row's location at its id's cursor — scan
+        // order within a key is preserved.
+        let mut cursor = offsets.clone();
+        let mut locs = vec![(0u32, 0u32); rows];
+        let mut scanned = 0;
+        for (bi, b) in batches.iter().enumerate() {
+            for ri in 0..b.num_rows() {
+                let id = row_id[scanned] as usize;
+                scanned += 1;
+                locs[cursor[id] as usize] = (bi as u32, ri as u32);
+                cursor[id] += 1;
+            }
+        }
+        JoinBuild {
+            mask,
+            slot_key,
+            slot_id,
+            offsets,
+            locs,
+        }
     }
 
-    fn get(&self, key: u64) -> Option<&[u32]> {
+    fn get(&self, key: u64) -> &[(u32, u32)] {
         let mut slot = mix64(key) as usize & self.mask;
         loop {
-            match self.slot_list[slot] {
-                EMPTY => return None,
-                li if self.slot_key[slot] == key => return Some(&self.lists[li as usize]),
+            match self.slot_id[slot] {
+                EMPTY => return &[],
+                id if self.slot_key[slot] == key => {
+                    let id = id as usize;
+                    return &self.locs[self.offsets[id] as usize..self.offsets[id + 1] as usize];
+                }
                 _ => slot = (slot + 1) & self.mask,
             }
         }
@@ -219,6 +271,11 @@ impl KeyMap {
 /// Local probe join of co-located batch fragments: build on the right,
 /// probe in left order, emit one output batch per node as column gathers
 /// — `left ++ right` rows in exactly the row helper's order.
+///
+/// `right_replicated` says every non-empty `r_new[v]` is the same batch
+/// list (a broadcast right side): the build then happens once and every
+/// node probes the shared table.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_join_batches(
     tree: &Tree,
     l_new: &BatchFragments,
@@ -227,35 +284,28 @@ pub(crate) fn probe_join_batches(
     ri: usize,
     lw: usize,
     rw: usize,
+    right_replicated: bool,
 ) -> BatchFragments {
     let mut out = empty_batch_frags(tree);
+    let mut shared: Option<JoinBuild> = None;
     for &v in tree.compute_nodes() {
         let rbatches = &r_new[v.index()];
         let lbatches = &l_new[v.index()];
-        let r_rows = batch_rows(rbatches);
-        if r_rows == 0 || batch_rows(lbatches) == 0 {
+        if batch_rows(rbatches) == 0 || batch_rows(lbatches) == 0 {
             continue;
         }
-        // Build: global right index → (batch, row), keyed map in
-        // insertion (scan) order.
-        let mut map = KeyMap::with_capacity(r_rows);
-        let mut r_loc: Vec<(u32, u32)> = Vec::with_capacity(r_rows);
-        for (bi, b) in rbatches.iter().enumerate() {
-            for (rr, &key) in b.col(ri).iter().enumerate() {
-                map.insert(key, r_loc.len() as u32);
-                r_loc.push((bi as u32, rr as u32));
-            }
+        if !right_replicated {
+            shared = None;
         }
+        let build = shared.get_or_insert_with(|| JoinBuild::new(rbatches, ri));
         // Probe in left scan order.
         let mut l_picks: Vec<(u32, u32)> = Vec::new();
         let mut r_picks: Vec<(u32, u32)> = Vec::new();
         for (bi, b) in lbatches.iter().enumerate() {
             for (lr, &key) in b.col(li).iter().enumerate() {
-                if let Some(matches) = map.get(key) {
-                    for &j in matches {
-                        l_picks.push((bi as u32, lr as u32));
-                        r_picks.push(r_loc[j as usize]);
-                    }
+                for &loc in build.get(key) {
+                    l_picks.push((bi as u32, lr as u32));
+                    r_picks.push(loc);
                 }
             }
         }
@@ -274,4 +324,59 @@ pub(crate) fn probe_join_batches(
         out[v.index()].push(RecordBatch::from_cols_rows(cols, l_picks.len()));
     }
     out
+}
+
+/// Fold the `(group, measure)` column pairs of `batches` into one
+/// width-2 batch of `(group, partial)` rows in ascending group order —
+/// the row path's `BTreeMap` drain — or `None` when there are no rows.
+/// `lift` tells raw measures (local pre-aggregation) from partials that
+/// were lifted already (merging shipped partials).
+pub(crate) fn fold_groups(
+    table: &mut GroupTable,
+    batches: &[RecordBatch],
+    group: usize,
+    measure: usize,
+    agg: AggFunc,
+    lift: bool,
+) -> Option<RecordBatch> {
+    for b in batches {
+        let pairs = b.col(group).iter().zip(b.col(measure));
+        if lift {
+            pairs.for_each(|(&g, &m)| table.merge(agg, g, agg.lift(m)));
+        } else {
+            pairs.for_each(|(&g, &m)| table.merge(agg, g, m));
+        }
+    }
+    table.drain_sorted(|sorted| {
+        (!sorted.is_empty()).then(|| {
+            RecordBatch::from_cols(vec![
+                sorted.iter().map(|e| e.0).collect(),
+                sorted.iter().map(|e| e.1).collect(),
+            ])
+        })
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::rows_to_batches;
+    use crate::row::Row;
+
+    #[test]
+    fn join_build_lists_each_keys_locations_in_scan_order() {
+        let rows: Vec<Row> = [5, 0, 5, u64::MAX, 0, 5, 9]
+            .into_iter()
+            .zip(100..)
+            .map(|(k, payload)| vec![payload, k])
+            .collect();
+        let batches = rows_to_batches(&rows, 2, 3);
+        let build = JoinBuild::new(&batches, 1);
+        assert_eq!(build.get(5), [(0, 0), (0, 2), (1, 2)]);
+        assert_eq!(build.get(0), [(0, 1), (1, 1)]);
+        assert_eq!(build.get(u64::MAX), [(1, 0)]);
+        assert_eq!(build.get(9), [(2, 0)]);
+        assert!(build.get(7).is_empty());
+        assert!(JoinBuild::new(&[], 0).get(0).is_empty());
+    }
 }

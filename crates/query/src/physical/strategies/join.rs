@@ -156,7 +156,7 @@ impl PhysicalStrategy for WeightedRepartitionJoin {
         let r_new = shuffle_batches_by_key(&mut trace, tree, &rfrags, ri, rw, Rel::S, &router);
         Ok(BatchTrace {
             rounds: trace.into_rounds(),
-            output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw),
+            output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw, false),
         })
     }
 }
@@ -221,7 +221,7 @@ impl PhysicalStrategy for UniformRepartitionJoin {
         let r_new = shuffle_batches_by_key(&mut trace, tree, &rfrags, ri, rw, Rel::S, &router);
         Ok(BatchTrace {
             rounds: trace.into_rounds(),
-            output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw),
+            output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw, false),
         })
     }
 }
@@ -324,9 +324,11 @@ impl PhysicalStrategy for BroadcastSmallJoin {
         } else {
             (lfrags, small_new)
         };
+        // A replicated right side is the same batch list at every holder:
+        // one build serves them all.
         Ok(BatchTrace {
             rounds: trace.into_rounds(),
-            output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw),
+            output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw, !left_is_small),
         })
     }
 }

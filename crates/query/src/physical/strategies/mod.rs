@@ -17,6 +17,12 @@
 //! All strategies are pure plan/trace pairs: they never touch an engine,
 //! so every one of them runs on the simulator and the pooled cluster with
 //! bit-identical ledgers through the schedule-replay fabric.
+//!
+//! Every strategy's row `trace` is the tuple engine's path and the oracle
+//! for its columnar `trace_batch`, which shares the kernels in
+//! [`columnar`]. Only `tree-partition` and the cross joins have no native
+//! `trace_batch` and ride the default row shim (see
+//! [`PhysicalStrategy::trace_batch`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,16 +32,22 @@ use tamp_core::sorting::valid_order;
 use tamp_simulator::Rel;
 use tamp_topology::{NodeId, Tree};
 
+use crate::batch::{head, sort_rows, RecordBatch};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    CostEstimate, ExecArgs, Fragments, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
-    RoundSends, TraceBuilder,
+    BatchInput, BatchTrace, CostEstimate, ExecArgs, Fragments, OpInput, OpTrace, OperatorKind,
+    PhysicalStrategy, PlanArgs, RoundSends, TraceBuilder,
 };
 use crate::row::{canonicalize, flatten, Row};
+
+use columnar::{
+    batch_frag_weights, empty_batch_frags, exchange_batches, flatten_batches, BatchFragments,
+};
 
 pub(crate) mod aggregate;
 pub(crate) mod columnar;
 pub(crate) mod cross;
+pub(crate) mod group_table;
 pub(crate) mod join;
 pub(crate) mod sort;
 
@@ -291,6 +303,55 @@ impl PhysicalStrategy for WeightedDistinct {
             output: new_frags,
         })
     }
+
+    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
+        let BatchInput::Distinct { input, width } = input else {
+            unreachable!("registered for Distinct");
+        };
+        let tree = a.tree;
+        let weights = batch_frag_weights(tree, &input, &empty_batch_frags(tree));
+        let mut trace = TraceBuilder::batched(a.batch);
+        let Some(hash) = WeightedHash::new(a.seed ^ 0xD157, &weights) else {
+            return Ok(BatchTrace {
+                rounds: trace.into_rounds(),
+                output: empty_batch_frags(tree),
+            });
+        };
+        // Dedup locally first: duplicates never need to travel twice.
+        let local: BatchFragments = input.iter().map(|b| sorted_distinct(b, width)).collect();
+        let by_index: Vec<NodeId> = tree.nodes().collect();
+        let mut row_keys: Vec<u64> = Vec::new();
+        let shuffled = exchange_batches(
+            &mut trace,
+            &local,
+            width,
+            Rel::R,
+            tree.compute_nodes(),
+            &by_index,
+            // The row path's whole-row hash, folded a column at a time.
+            &mut |b, out| {
+                row_keys.clear();
+                row_keys.resize(b.num_rows(), 0xCBF29CE484222325);
+                for c in 0..width {
+                    for (h, &x) in row_keys.iter_mut().zip(b.col(c)) {
+                        *h = mix64(*h ^ mix64(x));
+                    }
+                }
+                out.extend(row_keys.iter().map(|&h| hash.pick(h).index() as u32));
+            },
+        );
+        Ok(BatchTrace {
+            rounds: trace.into_rounds(),
+            output: shuffled.iter().map(|b| sorted_distinct(b, width)).collect(),
+        })
+    }
+}
+
+/// A batch list's distinct rows in canonical order, as at most one batch.
+fn sorted_distinct(batches: &[RecordBatch], width: usize) -> Vec<RecordBatch> {
+    sort_rows(batches, width, None, |all, perm| {
+        perm.dedup_by(|x, y| all.cmp_rows(*x, *y).is_eq())
+    })
 }
 
 /// Limit: a bounded gather to the first compute node — each node
@@ -371,6 +432,49 @@ impl PhysicalStrategy for GatherLimit {
         let mut out = empty_frags(tree);
         out[target.index()] = all;
         Ok(OpTrace {
+            rounds: trace.into_rounds(),
+            output: out,
+        })
+    }
+
+    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
+        let BatchInput::Limit {
+            input,
+            n,
+            width,
+            order_preserving,
+        } = input
+        else {
+            unreachable!("registered for Limit");
+        };
+        let tree = a.tree;
+        let order = valid_order(tree);
+        let target = order[0];
+        // The first `n` rows of a batch list — in list order when that
+        // order is meaningful, in canonical order otherwise.
+        let first_n = |batches: &[RecordBatch]| {
+            if order_preserving {
+                head(batches, n)
+            } else {
+                sort_rows(batches, width, None, |_, perm| perm.truncate(n))
+            }
+        };
+        // Each node contributes at most n rows; the target cuts the
+        // node-order concatenation of the contributions the same way.
+        let mut trace = TraceBuilder::batched(a.batch);
+        let mut gathered: Vec<RecordBatch> = Vec::new();
+        trace.round(|round| {
+            for &v in &order {
+                let local = first_n(&input[v.index()]);
+                if v != target {
+                    round.send_rows(v, &[target], Rel::R, flatten_batches(&local, width), width);
+                }
+                gathered.extend(local);
+            }
+        });
+        let mut out = empty_batch_frags(tree);
+        out[target.index()] = first_n(&gathered);
+        Ok(BatchTrace {
             rounds: trace.into_rounds(),
             output: out,
         })

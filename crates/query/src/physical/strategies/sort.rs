@@ -17,13 +17,15 @@ use tamp_core::sorting::{
 use tamp_simulator::Rel;
 use tamp_topology::NodeId;
 
+use crate::batch::{batch_rows, sort_rows};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
-    TraceBuilder,
+    BatchInput, BatchTrace, CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind,
+    PhysicalStrategy, PlanArgs, TraceBuilder,
 };
 use crate::row::Row;
 
+use super::columnar::exchange_batches;
 use super::empty_frags;
 
 /// The sample → splitters → shuffle sort, parameterized by splitter
@@ -42,6 +44,27 @@ impl RangeShuffleSort {
     /// Uniform (classic TeraSort) splitters.
     pub fn uniform() -> Self {
         RangeShuffleSort { weighted: false }
+    }
+
+    /// The coordinator's step, the same in both engines: pick splitters
+    /// from the gathered samples under the strategy's policy (`rows(v)`
+    /// is the row count held at `v`) and broadcast them from `order[0]`.
+    fn broadcast_splitters(
+        &self,
+        trace: &mut TraceBuilder,
+        order: &[NodeId],
+        mut samples: Vec<u64>,
+        rows: impl Fn(NodeId) -> usize,
+    ) -> Vec<u64> {
+        samples.sort_unstable();
+        let splitters = if self.weighted {
+            let weights: Vec<u64> = order.iter().map(|&v| rows(v) as u64).collect();
+            proportional_splitters(&samples, &weights)
+        } else {
+            uniform_splitters(&samples, order.len())
+        };
+        trace.round(|round| round.send_rows(order[0], order, Rel::S, &splitters[..], 1));
+        splitters
     }
 }
 
@@ -147,20 +170,9 @@ impl PhysicalStrategy for RangeShuffleSort {
             }
         });
 
-        // Coordinator picks splitters under the strategy's policy.
-        all_samples.sort_unstable();
-        let splitters = if self.weighted {
-            let weights: Vec<u64> = order
-                .iter()
-                .map(|&v| frags[v.index()].len() as u64)
-                .collect();
-            proportional_splitters(&all_samples, &weights)
-        } else {
-            uniform_splitters(&all_samples, order.len())
-        };
-
-        // Round 2: broadcast splitters.
-        trace.round(|round| round.send_rows(coordinator, &order, Rel::S, splitters.clone(), 1));
+        // Round 2: the coordinator picks and broadcasts splitters.
+        let splitters =
+            self.broadcast_splitters(&mut trace, &order, all_samples, |v| frags[v.index()].len());
 
         // Round 3: range shuffle by splitter buckets.
         let mut new_frags = empty_frags(tree);
@@ -187,13 +199,81 @@ impl PhysicalStrategy for RangeShuffleSort {
         }
         trace.round(|round| super::unicast_round(round, outgoing, Rel::R, width));
         for &v in &order {
-            new_frags[v.index()].sort_by_key(|r| (r[ki], r.clone()));
+            new_frags[v.index()].sort_by(|x, y| x[ki].cmp(&y[ki]).then_with(|| x.cmp(y)));
         }
         // Bucket i already lives at order[i], so concatenation by node
         // order yields the global order.
         Ok(OpTrace {
             rounds: trace.into_rounds(),
             output: new_frags,
+        })
+    }
+
+    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
+        let BatchInput::Sort {
+            input: frags,
+            key: ki,
+            width,
+        } = input
+        else {
+            unreachable!("registered for Sort");
+        };
+        let tree = a.tree;
+        let order = valid_order(tree);
+        let total: usize = frags.iter().map(|b| batch_rows(b)).sum();
+        if total == 0 {
+            return Ok(BatchTrace {
+                rounds: Vec::new(),
+                output: frags,
+            });
+        }
+        let mut trace = TraceBuilder::batched(a.batch);
+        let coordinator = order[0];
+        let rho = sample_rate(order.len(), total as u64);
+
+        // Round 1: sample the key column to the coordinator.
+        let mut all_samples: Vec<u64> = Vec::new();
+        trace.round(|round| {
+            for &v in &order {
+                let from = all_samples.len();
+                for b in &frags[v.index()] {
+                    all_samples.extend(b.col(ki).iter().filter(|&&x| coin(a.seed, x, rho)));
+                }
+                round.send_rows(v, &[coordinator], Rel::S, &all_samples[from..], 1);
+            }
+        });
+
+        // Round 2: the coordinator picks and broadcasts splitters.
+        let splitters = self.broadcast_splitters(&mut trace, &order, all_samples, |v| {
+            batch_rows(&frags[v.index()])
+        });
+
+        // Round 3: range shuffle — slot `j` is splitter bucket `j`, which
+        // lives at `order[j]`.
+        let last = order.len() - 1;
+        let shuffled = exchange_batches(
+            &mut trace,
+            &frags,
+            width,
+            Rel::R,
+            &order,
+            &order,
+            &mut |b, out| {
+                out.extend(
+                    b.col(ki)
+                        .iter()
+                        .map(|&x| splitters.partition_point(|&s| s <= x).min(last) as u32),
+                )
+            },
+        );
+        // Local finish: sort by key, then whole row.
+        let output = shuffled
+            .iter()
+            .map(|batches| sort_rows(batches, width, Some(ki), |_, _| {}))
+            .collect();
+        Ok(BatchTrace {
+            rounds: trace.into_rounds(),
+            output,
         })
     }
 }

@@ -432,10 +432,19 @@ pub enum BatchInput {
     },
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Calls to [`BatchInput::into_rows`] made on this thread, so tests
+    /// can assert which strategies still ride the row shim.
+    pub(crate) static SHIM_HITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl BatchInput {
     /// Lossless conversion to row form, plus the operator's *output* row
     /// width (what a row shim must use to re-batch the traced output).
     pub fn into_rows(self) -> (OpInput, usize) {
+        #[cfg(test)]
+        SHIM_HITS.with(|hits| hits.set(hits.get() + 1));
         match self {
             BatchInput::Join {
                 left,
@@ -578,10 +587,14 @@ pub struct RoundSends {
 
 impl RoundSends {
     /// Queue a multicast; the payload is captured as one shared
-    /// allocation. Empty payloads and destination sets are dropped,
-    /// mirroring both engines.
-    pub fn send(&mut self, src: NodeId, dsts: &[NodeId], rel: Rel, values: Vec<Value>) {
-        if dsts.is_empty() || values.is_empty() {
+    /// allocation — copied once from a slice or `Vec`, taken over as-is
+    /// from an `Arc<[Value]>`. Empty payloads and destination sets are
+    /// dropped, mirroring both engines.
+    pub fn send<V>(&mut self, src: NodeId, dsts: &[NodeId], rel: Rel, values: V)
+    where
+        V: AsRef<[Value]> + Into<Arc<[Value]>>,
+    {
+        if dsts.is_empty() || values.as_ref().is_empty() {
             return;
         }
         self.sends.push(ScheduleSend {
@@ -597,24 +610,17 @@ impl RoundSends {
     /// boundaries never change the metered cost — the per-edge charge is
     /// linear in the amount sent for a fixed `(src, dsts)` — so the
     /// ledger is bit-identical for every batch size.
-    pub fn send_rows(
-        &mut self,
-        src: NodeId,
-        dsts: &[NodeId],
-        rel: Rel,
-        values: Vec<Value>,
-        width: usize,
-    ) {
-        if dsts.is_empty() || values.is_empty() {
-            return;
-        }
+    pub fn send_rows<V>(&mut self, src: NodeId, dsts: &[NodeId], rel: Rel, values: V, width: usize)
+    where
+        V: AsRef<[Value]> + Into<Arc<[Value]>>,
+    {
         let chunk = self.batch.saturating_mul(width.max(1));
-        if values.len() <= chunk {
+        if values.as_ref().len() <= chunk {
             self.send(src, dsts, rel, values);
             return;
         }
-        for piece in values.chunks(chunk) {
-            self.send(src, dsts, rel, piece.to_vec());
+        for piece in values.as_ref().chunks(chunk) {
+            self.send(src, dsts, rel, piece);
         }
     }
 }
@@ -665,11 +671,17 @@ pub trait PhysicalStrategy: fmt::Debug + Send + Sync {
     /// Execute on columnar input. The default is a lossless row shim:
     /// convert to rows, run [`trace`](PhysicalStrategy::trace), re-batch
     /// the output at [`ExecArgs::batch`] rows — rows, rounds, and ledger
-    /// identical to the tuple engine by construction. Strategies with a
-    /// columnar-native exchange (the repartition and broadcast joins)
-    /// override this to skip row materialization entirely; overrides must
-    /// reproduce the tuple path's sends and fragment order exactly (the
-    /// `plan_parity` proptests hold them to it).
+    /// identical to the tuple engine by construction, at the price of one
+    /// heap row per input row. It is what a third-party strategy gets
+    /// until it overrides this. Of the built-ins, every aggregate, sort,
+    /// distinct and limit strategy and the hash joins (`*-repartition`,
+    /// `broadcast-small`) override it with a columnar-native exchange
+    /// that materializes no row; the `tree-partition` join and the three
+    /// cross-join strategies stay on the shim — their multicast groupings
+    /// key on per-row destination *sets* and grid cells, and no measured
+    /// workload spends its time there. Overrides must reproduce the tuple
+    /// path's sends and fragment order exactly (the `plan_parity`
+    /// proptests hold them to it, down to the schedule's content hash).
     fn trace_batch(
         &self,
         args: &ExecArgs<'_>,

@@ -7,10 +7,16 @@
 //! rounds, same rows — for random tables, topologies, plans and join
 //! strategies.
 
+use std::cell::Cell;
+
 use proptest::prelude::*;
 use tamp::query::prelude::*;
 use tamp::query::reference;
-use tamp::runtime::{backend_from_spec, PooledClusterBackend};
+use tamp::runtime::{
+    backend_from_spec, ExecBackend, ExecError, ExecJob, ExecOutcome, PooledClusterBackend,
+    SimulatorBackend,
+};
+use tamp::simulator::Placement;
 use tamp::topology::{builders, Tree};
 use tamp::workloads::{GraphSpec, PlacementStrategy, VertexPartition};
 
@@ -113,13 +119,15 @@ proptest! {
     }
 }
 
-/// Every registered strategy name per pluggable operator, with the query
-/// exercising it.
+/// Every registered strategy name per pluggable operator, with the
+/// queries exercising it: all four aggregate functions under every
+/// aggregate strategy, sorts on a near-unique key and on a key with heavy
+/// duplicates (the whole-row tie-break decides), `limit` with and without
+/// a meaningful input order, and `distinct`.
 fn strategy_matrix() -> Vec<(OperatorKind, &'static str, LogicalPlan)> {
-    let join = LogicalPlan::scan("facts").join_on(LogicalPlan::scan("dims"), "g", "g");
+    let facts = || LogicalPlan::scan("facts");
+    let join = facts().join_on(LogicalPlan::scan("dims"), "g", "g");
     let cross = LogicalPlan::scan("dims").cross(LogicalPlan::scan("dims"));
-    let sort = LogicalPlan::scan("facts").order_by("x");
-    let agg = LogicalPlan::scan("facts").aggregate("g", AggFunc::Sum, "x");
     let mut out = Vec::new();
     for name in [
         "weighted-repartition",
@@ -133,16 +141,88 @@ fn strategy_matrix() -> Vec<(OperatorKind, &'static str, LogicalPlan)> {
         out.push((OperatorKind::CrossJoin, name, cross.clone()));
     }
     for name in ["weighted-range-shuffle", "uniform-range-shuffle"] {
-        out.push((OperatorKind::Sort, name, sort.clone()));
+        out.push((OperatorKind::Sort, name, facts().order_by("x")));
+        out.push((OperatorKind::Sort, name, facts().order_by("g")));
     }
     for name in [
         "weighted-repartition",
         "combining-tree",
         "uniform-repartition",
     ] {
-        out.push((OperatorKind::Aggregate, name, agg.clone()));
+        for agg in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
+            out.push((
+                OperatorKind::Aggregate,
+                name,
+                facts().aggregate("g", agg, "x"),
+            ));
+        }
     }
+    out.push((
+        OperatorKind::Limit,
+        "gather",
+        facts().order_by("x").limit(7),
+    ));
+    out.push((OperatorKind::Limit, "gather", facts().limit(7)));
+    let pairs = facts().project(vec![("g", col("g")), ("x", col("x").div(lit(64)))]);
+    out.push((
+        OperatorKind::Distinct,
+        "weighted-repartition",
+        pairs.distinct(),
+    ));
     out
+}
+
+/// `base`'s catalog under `seed` with `op` pinned to strategy `name`.
+/// `distinct` and `limit` have one strategy each, so there is nothing to
+/// pin.
+fn forced(base: &QueryContext, seed: u64, op: OperatorKind, name: &'static str) -> QueryContext {
+    let ctx = QueryContext::with_catalog(base.catalog().clone()).with_seed(seed);
+    match op {
+        OperatorKind::Distinct | OperatorKind::Limit => ctx,
+        _ => ctx.with_strategy(op, name),
+    }
+}
+
+/// A backend that remembers the checkpoint token of the job it ran: for a
+/// prepared query that is the content hash of its whole exchange schedule
+/// — every send's source, destinations, relation and payload, in order.
+struct TokenSpy<B> {
+    inner: B,
+    token: Cell<Option<u64>>,
+}
+
+impl<B: ExecBackend> TokenSpy<B> {
+    fn new(inner: B) -> Self {
+        TokenSpy {
+            inner,
+            token: Cell::new(None),
+        }
+    }
+
+    /// Run `prepared` and return its result with its schedule hash.
+    fn run(&self, prepared: &PreparedQuery<'_>) -> (QueryResult, u64) {
+        let result = prepared.run_on(self).unwrap();
+        (
+            result,
+            self.token.take().expect("schedule jobs have a token"),
+        )
+    }
+}
+
+impl<B: ExecBackend> ExecBackend for TokenSpy<B> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn execute(
+        &self,
+        tree: &Tree,
+        placement: &Placement,
+        job: &dyn ExecJob,
+    ) -> Result<ExecOutcome, ExecError> {
+        self.token.set(job.checkpoint_token());
+        self.inner.execute(tree, placement, job)
+    }
 }
 
 proptest! {
@@ -161,9 +241,7 @@ proptest! {
     ) {
         let base = make_context(tree_pick, fact_rows, groups, skew);
         for (op, name, q) in strategy_matrix() {
-            let ctx = QueryContext::with_catalog(base.catalog().clone())
-                .with_seed(seed)
-                .with_strategy(op, name);
+            let ctx = forced(&base, seed, op, name);
             let prepared = ctx.prepare(&q).unwrap();
             // The forced strategy is the one in the plan.
             let forced_in_plan = plan_uses(prepared.physical_plan(), name);
@@ -300,9 +378,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The columnar batch engine is bit-identical to the tuple
-    /// interpreter — same rows, same `edge_totals`, same round count —
-    /// on both backends, for every registered strategy, at batch sizes
-    /// from one row up to "whole table in one batch".
+    /// interpreter — same rows, same `edge_totals`, same round count,
+    /// and the same schedule content hash (the checkpoint token: every
+    /// send, payload and order) — on both backends, for every registered
+    /// strategy, at batch sizes from one row up to "whole table in one
+    /// batch".
     #[test]
     fn batch_engine_is_bit_identical_to_tuple_engine(
         tree_pick in 0u8..4,
@@ -313,41 +393,53 @@ proptest! {
     ) {
         let base = make_context(tree_pick, fact_rows, groups, skew);
         let sizes = [1, 3, ExecOptions::default().batch_size, usize::MAX];
+        let sim_spy = TokenSpy::new(SimulatorBackend);
+        let cluster_spy = TokenSpy::new(PooledClusterBackend::default());
         for (op, name, q) in strategy_matrix() {
-            // The tuple interpreter at the default granularity is the
-            // reference ledger for every batch size: chunking a fixed
-            // multicast never changes the metered cost.
-            let tuple_ctx = QueryContext::with_catalog(base.catalog().clone())
-                .with_seed(seed)
-                .with_strategy(op, name)
-                .with_exec_mode(ExecMode::Tuple);
-            let tuple = tuple_ctx.prepare(&q).unwrap().run().unwrap();
             let ord = reference::preserves_order(&q);
+            let mut ledger = None;
             for batch_size in sizes {
-                let ctx = QueryContext::with_catalog(base.catalog().clone())
-                    .with_seed(seed)
-                    .with_strategy(op, name)
-                    .with_exec_mode(ExecMode::Columnar)
-                    .with_batch_size(batch_size);
-                let prepared = ctx.prepare(&q).unwrap();
-                let sim = prepared.run().unwrap();
-                let cluster = prepared.run_on(&PooledClusterBackend::default()).unwrap();
+                // Chunking a fixed multicast never changes the metered
+                // cost (one ledger for every batch size), but it does
+                // change the sends: the tuple run at the same granularity
+                // is the reference schedule.
+                let with_mode = |mode: ExecMode| {
+                    forced(&base, seed, op, name)
+                        .with_exec_mode(mode)
+                        .with_batch_size(batch_size)
+                };
+                let tuple_ctx = with_mode(ExecMode::Tuple);
+                let (tuple, tuple_hash) = sim_spy.run(&tuple_ctx.prepare(&q).unwrap());
+                let ledger = ledger.get_or_insert_with(|| tuple.cost.edge_totals.clone());
+                prop_assert_eq!(
+                    &tuple.cost.edge_totals, &*ledger,
+                    "{} {} batch={} moves the ledger\n{}", op, name, batch_size, q
+                );
+                let columnar_ctx = with_mode(ExecMode::Columnar);
+                let prepared = columnar_ctx.prepare(&q).unwrap();
+                let (sim, sim_hash) = sim_spy.run(&prepared);
+                let (cluster, cluster_hash) = cluster_spy.run(&prepared);
                 prop_assert_eq!(
                     &sim.rows(ord), &tuple.rows(ord),
-                    "{} {} batch={} rows differ", op, name, batch_size
+                    "{} {} batch={} rows differ\n{}", op, name, batch_size, q
                 );
                 prop_assert_eq!(
                     &cluster.rows(ord), &tuple.rows(ord),
-                    "{} {} batch={} cluster rows differ", op, name, batch_size
+                    "{} {} batch={} cluster rows differ\n{}", op, name, batch_size, q
                 );
                 prop_assert_eq!(
                     &sim.cost.edge_totals, &tuple.cost.edge_totals,
-                    "{} {} batch={} ledgers differ", op, name, batch_size
+                    "{} {} batch={} ledgers differ\n{}", op, name, batch_size, q
                 );
                 prop_assert_eq!(
                     &cluster.cost.edge_totals, &tuple.cost.edge_totals,
-                    "{} {} batch={} cluster ledgers differ", op, name, batch_size
+                    "{} {} batch={} cluster ledgers differ\n{}", op, name, batch_size, q
                 );
+                prop_assert_eq!(
+                    sim_hash, tuple_hash,
+                    "{} {} batch={} schedules differ\n{}", op, name, batch_size, q
+                );
+                prop_assert_eq!(cluster_hash, tuple_hash);
                 prop_assert_eq!(sim.rounds, tuple.rounds);
                 prop_assert_eq!(cluster.rounds, tuple.rounds);
             }
