@@ -293,7 +293,7 @@ pub fn x_query() -> Vec<Table> {
             .join_on(LogicalPlan::scan("dims"), "g", "g")
             .aggregate("tier", AggFunc::Sum, "x")
             .order_by("tier");
-        let res = execute(&c, &q, ExecOptions::default()).unwrap();
+        let res = QueryContext::with_catalog(c).execute(&q).unwrap();
         for oc in &res.operator_costs {
             t1.row(vec![oc.op.clone(), fnum(oc.estimated), fnum(oc.actual)]);
         }
@@ -330,30 +330,17 @@ pub fn x_query() -> Vec<Table> {
         ))
         .unwrap();
         let q = LogicalPlan::scan("facts").join_on(LogicalPlan::scan("dims"), "g", "g");
-        let uniform = execute(
-            &c,
-            &q,
-            ExecOptions {
-                join: JoinStrategy::Uniform,
-                seed: 1,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap()
-        .cost
-        .tuple_cost();
-        let weighted = execute(
-            &c,
-            &q,
-            ExecOptions {
-                join: JoinStrategy::Weighted,
-                seed: 1,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap()
-        .cost
-        .tuple_cost();
+        let forced = |join| {
+            QueryContext::with_catalog(c.clone())
+                .with_seed(1)
+                .with_strategy(OperatorKind::Join, join)
+                .execute(&q)
+                .unwrap()
+                .cost
+                .tuple_cost()
+        };
+        let uniform = forced("uniform-repartition");
+        let weighted = forced("weighted-repartition");
         t2.row(vec![
             format!("{alpha:.1}"),
             fnum(uniform),
@@ -567,21 +554,14 @@ pub fn x_plan() -> Vec<Table> {
     );
     for (scenario, catalog) in x_plan_scenarios() {
         let q = LogicalPlan::scan("big").join_on(LogicalPlan::scan("small"), "g", "g");
-        let run = |join| {
-            QueryContext::with_catalog(catalog.clone())
-                .with_seed(5)
-                .with_join_strategy(join)
-                .execute(&q)
-                .unwrap()
-                .cost
-                .tuple_cost()
-        };
         let auto_ctx = QueryContext::with_catalog(catalog.clone()).with_seed(5);
+        let run = |ctx: &QueryContext| ctx.execute(&q).unwrap().cost.tuple_cost();
+        let forced = |join| run(&auto_ctx.clone().with_strategy(OperatorKind::Join, join));
         let picked = join_strategy_name(auto_ctx.prepare(&q).unwrap().physical_plan()).unwrap();
-        let auto = run(JoinStrategy::Auto);
-        let weighted = run(JoinStrategy::Weighted);
-        let uniform = run(JoinStrategy::Uniform);
-        let broadcast = run(JoinStrategy::BroadcastSmall);
+        let auto = run(&auto_ctx);
+        let weighted = forced("weighted-repartition");
+        let uniform = forced("uniform-repartition");
+        let broadcast = forced("broadcast-small");
         let best = weighted.min(uniform).min(broadcast);
         t2.row(vec![
             scenario,

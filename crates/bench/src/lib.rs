@@ -13,8 +13,9 @@
 //! or a single experiment by id (`t1-si`, `t1-cp`, `t1-sort`, `f1`–`f5`,
 //! `a1`, `x-mpc`, `x-cross`, `x-agg`, `x-groupby`, `x-general`,
 //! `x-runtime`, `x-query`, `x-scale`, `x-batch`, `x-serve`, `x-tenant`,
-//! `x-chaos`, `x-uneq-tree`, `x-iter`, `x-lint`, `abl-partition`,
-//! `abl-pow2`, `abl-splitters`, `abl-treepack`, `abl-drift`).
+//! `x-chaos`, `x-uneq-tree`, `x-iter`, `x-lint`, `x-size`,
+//! `abl-partition`, `abl-pow2`, `abl-splitters`, `abl-treepack`,
+//! `abl-drift`).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -31,6 +32,7 @@ pub mod xchaos;
 pub mod xiter;
 pub mod xlint;
 pub mod xscale;
+pub mod xsize;
 pub mod xtenant;
 
 pub use table::Table;

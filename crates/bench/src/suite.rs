@@ -815,6 +815,7 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "x-uneq-tree",
     "x-iter",
     "x-lint",
+    "x-size",
 ];
 
 /// Run one experiment by id.
@@ -851,6 +852,7 @@ pub fn run_experiment(id: &str) -> Option<Vec<Table>> {
         "x-uneq-tree" => crate::extensions::x_unequal_tree(),
         "x-iter" => crate::xiter::x_iter(),
         "x-lint" => crate::xlint::x_lint(),
+        "x-size" => crate::xsize::x_size(),
         _ => return None,
     })
 }

@@ -32,6 +32,10 @@
 //!   `BENCH_baseline.json` so the suppression budget's trajectory is
 //!   visible over time.
 //!
+//! The same token stream and test scoping also feed the [`size`]
+//! counters (non-test lines, `pub` items, `unsafe` sites) that the
+//! `x-size` suite tracks per crate.
+//!
 //! The lint itself is regression-tested against a fixture corpus of
 //! known-bad snippets with golden diagnostics (`fixtures/`, exercised
 //! by `tests/fixtures.rs`), and the lexer's span arithmetic is pinned
@@ -43,10 +47,12 @@
 pub mod engine;
 pub mod lexer;
 pub mod rules;
+pub mod size;
 pub mod walk;
 
 pub use engine::{scan_source, scan_workspace, AllowSite, Diagnostic, Report};
 pub use rules::RuleId;
+pub use size::{measure_source, SourceSize};
 
 use std::path::PathBuf;
 

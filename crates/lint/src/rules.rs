@@ -156,7 +156,8 @@ pub struct FileCtx<'a> {
     /// `in_attr[k]` is `true` when significant token `k` sits inside a
     /// `#[…]` / `#![…]` attribute (so `#[doc = "HashMap"]` never fires).
     pub in_attr: Vec<bool>,
-    /// Inclusive line ranges covered by `#[cfg(test)] mod … { … }`.
+    /// Inclusive line ranges covered by `#[cfg(test)] mod … { … }`,
+    /// attribute line included.
     pub test_ranges: Vec<(u32, u32)>,
 }
 
@@ -305,7 +306,9 @@ impl<'a> FileCtx<'a> {
                 }
                 q += 1;
             }
-            let start = self.sig_tok(open).map(|t| t.line).unwrap_or(1);
+            // From the attribute's own line, so "test lines" are exactly
+            // what a reader would delete to drop the tests.
+            let start = self.sig_tok(k).map(|t| t.line).unwrap_or(1);
             let end = self
                 .sig_tok(q.min(n.saturating_sub(1)))
                 .map(|t| t.line)

@@ -1,25 +1,30 @@
-//! Weighted-fair multi-tenant admission: the scheduling core of the
-//! [orchestrator](crate::orchestrator).
+//! Weighted-fair multi-tenant admission: the one admission gate of the
+//! serving stack.
 //!
-//! The plain [`QueryService`](crate::service::QueryService) admits
-//! waiting queries in strict FIFO ticket order — fair for one population,
-//! but a single bursty tenant fills the queue and every other tenant
-//! waits behind the burst. This module replaces the FIFO gate with
-//! **deficit-weighted round-robin (DRR) over tenants**:
+//! Strict FIFO admission is fair for one population, but a single bursty
+//! tenant fills the queue and every other tenant waits behind the burst.
+//! The gate therefore schedules by **deficit-weighted round-robin (DRR)
+//! over tenants**:
 //!
 //! - every tenant is declared up front as a [`TenantSpec`]: a share
 //!   `weight`, a `quota` bounding its in-flight **plus** queued queries
 //!   (submits beyond the quota are rejected with
 //!   [`QueryError::TenantQueueFull`], not queued), and a [`Priority`]
 //!   class;
-//! - admission capacity is a global in-flight bound, like the FIFO
-//!   gate's; when a slot frees, the scheduler picks the next grant by
+//! - admission capacity is a global in-flight bound; when a slot
+//!   frees, the scheduler picks the next grant by
 //!   strict priority across classes and DRR within the class: each visit
 //!   replenishes a tenant's deficit by its weight and grants one query
 //!   per deficit unit, so over any backlogged window tenants receive
 //!   service proportional to weight — and *every* backlogged tenant is
 //!   visited once per rotation, which is the no-starvation guarantee;
 //! - queries within one tenant stay FIFO.
+//!
+//! The [`Orchestrator`](crate::orchestrator::Orchestrator) declares its
+//! tenants; a plain [`QueryService`](crate::service::QueryService)
+//! admits through the same gate with one implicit tenant (weight 1,
+//! unbounded quota) — DRR over a single tenant *is* strict FIFO, so its
+//! tickets are arrival-ordered.
 //!
 //! The fairness telemetry is deliberately structural rather than
 //! wall-clock: every grant records how many *other* grants happened
@@ -31,17 +36,11 @@
 //! wall-clock p99s would flake.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::error::QueryError;
-
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use crate::lock_ok;
 
 /// Strict priority classes: every queued query of a higher class is
 /// granted before any query of a lower class is considered. Weighted
@@ -129,9 +128,10 @@ pub(crate) struct Grant {
     pub queued: Duration,
 }
 
-/// One tenant's scheduler state.
+/// One tenant's scheduler state (its [`TenantSpec`] lives beside the
+/// lock, in [`WeightedAdmission::specs`]).
+#[derive(Default)]
 struct TenantState {
-    spec: TenantSpec,
     /// DRR deficit: grants this tenant may take before the cursor moves
     /// on. Replenished by `weight` when the cursor arrives with the
     /// deficit spent; reset to 0 whenever the tenant has no waiters.
@@ -180,23 +180,41 @@ struct SchedState {
     /// order) and the DRR cursor.
     classes: [(Vec<usize>, usize); 3],
     running_total: usize,
+    /// The highest `running_total` ever reached.
+    running_peak: usize,
     queued_total: usize,
     grants_total: u64,
 }
 
 /// The weighted-fair admission gate (crate-internal: the
-/// [`Orchestrator`](crate::orchestrator::Orchestrator) is its public
-/// face).
+/// [`Orchestrator`](crate::orchestrator::Orchestrator) and
+/// [`QueryService`](crate::service::QueryService) are its public faces).
 pub(crate) struct WeightedAdmission {
     capacity: usize,
+    /// The tenants' contracts, immutable and in declaration order — a
+    /// tenant *is* its index here (see [`tenant_index`](Self::tenant_index)).
+    specs: Vec<TenantSpec>,
     state: Mutex<SchedState>,
     cv: Condvar,
+}
+
+/// Releases a granted slot even if the query errors or the serving
+/// thread panics.
+pub(crate) struct SlotGuard<'a> {
+    pub(crate) admission: &'a WeightedAdmission,
+    pub(crate) tenant: usize,
+}
+
+impl Drop for SlotGuard<'_> {
+    fn drop(&mut self) {
+        self.admission.release(self.tenant);
+    }
 }
 
 impl WeightedAdmission {
     /// A gate admitting at most `capacity` concurrent queries across all
     /// tenants. `capacity` ≥ 1 and tenant specs are validated by the
-    /// orchestrator builder before this is called.
+    /// caller before this is called.
     pub(crate) fn new(capacity: usize, specs: Vec<TenantSpec>) -> Self {
         let mut classes: [(Vec<usize>, usize); 3] = Default::default();
         for (i, spec) in specs.iter().enumerate() {
@@ -206,50 +224,52 @@ impl WeightedAdmission {
                 .expect("every priority is in ALL");
             classes[class].0.push(i);
         }
-        let tenants: Vec<TenantState> = specs
-            .into_iter()
-            .map(|spec| TenantState {
-                spec,
-                deficit: 0,
-                enqueued: 0,
-                granted: 0,
-                running: 0,
-                rejected: 0,
-                pending: VecDeque::new(),
-                waits: HashMap::new(),
-            })
-            .collect();
         WeightedAdmission {
             capacity: capacity.max(1),
             state: Mutex::new(SchedState {
-                tenants,
+                tenants: specs.iter().map(|_| TenantState::default()).collect(),
                 classes,
                 running_total: 0,
+                running_peak: 0,
                 queued_total: 0,
                 grants_total: 0,
             }),
+            specs,
             cv: Condvar::new(),
         }
     }
 
-    fn index_of(s: &SchedState, tenant: &str) -> Result<usize, QueryError> {
-        s.tenants
+    /// The one-tenant gate behind a plain `QueryService`: weight 1,
+    /// unbounded quota, [`Priority::Normal`] — strict FIFO.
+    pub(crate) fn single_tenant(capacity: usize) -> Self {
+        WeightedAdmission::new(capacity, vec![TenantSpec::new("default", 1, usize::MAX)])
+    }
+
+    /// The declared tenants, in declaration order.
+    pub(crate) fn specs(&self) -> &[TenantSpec] {
+        &self.specs
+    }
+
+    /// Resolve a tenant name to its index — once per query; every other
+    /// gate call takes the index.
+    pub(crate) fn tenant_index(&self, tenant: &str) -> Result<usize, QueryError> {
+        self.specs
             .iter()
-            .position(|t| t.spec.name == tenant)
+            .position(|s| s.name == tenant)
             .ok_or_else(|| QueryError::UnknownTenant(tenant.to_string()))
     }
 
-    /// Block until this tenant's next queued query is granted. Rejects
-    /// (without queuing) when the tenant is unknown or at quota.
-    pub(crate) fn acquire(&self, tenant: &str) -> Result<Grant, QueryError> {
+    /// Block until tenant `i`'s next queued query is granted. Rejects
+    /// (without queuing) when the tenant is at quota.
+    pub(crate) fn acquire(&self, i: usize) -> Result<Grant, QueryError> {
         let arrived = Instant::now();
         let mut s = lock_ok(&self.state);
-        let i = Self::index_of(&s, tenant)?;
-        if s.tenants[i].occupancy() >= s.tenants[i].spec.quota {
+        let spec = &self.specs[i];
+        if s.tenants[i].occupancy() >= spec.quota {
             s.tenants[i].rejected += 1;
             return Err(QueryError::TenantQueueFull {
-                tenant: tenant.to_string(),
-                quota: s.tenants[i].spec.quota,
+                tenant: spec.name.clone(),
+                quota: spec.quota,
             });
         }
         let seq = s.tenants[i].enqueued;
@@ -276,13 +296,11 @@ impl WeightedAdmission {
     }
 
     /// Release a finished (or failed) query's slot.
-    pub(crate) fn release(&self, tenant: &str) {
+    pub(crate) fn release(&self, i: usize) {
         let mut s = lock_ok(&self.state);
-        if let Ok(i) = Self::index_of(&s, tenant) {
-            s.tenants[i].running = s.tenants[i].running.saturating_sub(1);
-            s.running_total = s.running_total.saturating_sub(1);
-            self.schedule(&mut s);
-        }
+        s.tenants[i].running = s.tenants[i].running.saturating_sub(1);
+        s.running_total = s.running_total.saturating_sub(1);
+        self.schedule(&mut s);
     }
 
     /// Grant queued queries while capacity allows: strict priority across
@@ -291,7 +309,7 @@ impl WeightedAdmission {
     fn schedule(&self, s: &mut SchedState) {
         let mut granted_any = false;
         while s.running_total < self.capacity && s.queued_total > 0 {
-            let Some(i) = Self::pick(s) else { break };
+            let Some(i) = self.pick(s) else { break };
             let ticket = s.grants_total;
             let t = &mut s.tenants[i];
             let seq = t.granted;
@@ -302,6 +320,7 @@ impl WeightedAdmission {
             s.grants_total += 1;
             s.queued_total -= 1;
             s.running_total += 1;
+            s.running_peak = s.running_peak.max(s.running_total);
             granted_any = true;
         }
         if granted_any {
@@ -311,37 +330,36 @@ impl WeightedAdmission {
 
     /// The DRR pick: the tenant receiving the next grant. `None` only if
     /// no tenant has waiters (callers check `queued_total` first).
-    fn pick(s: &mut SchedState) -> Option<usize> {
-        for class in 0..Priority::ALL.len() {
-            let members = s.classes[class].0.clone();
-            if members.is_empty() {
-                continue;
-            }
-            if !members.iter().any(|&i| s.tenants[i].queued() > 0) {
+    fn pick(&self, s: &mut SchedState) -> Option<usize> {
+        let SchedState {
+            tenants, classes, ..
+        } = s;
+        for (members, cursor) in classes.iter_mut() {
+            if !members.iter().any(|&i| tenants[i].queued() > 0) {
                 continue;
             }
             // One full rotation is guaranteed to land on a backlogged
             // member; idle members spend no deficit.
             loop {
-                let cursor = s.classes[class].1 % members.len();
-                let i = members[cursor];
-                if s.tenants[i].queued() == 0 {
+                let at = *cursor % members.len();
+                let t = &mut tenants[members[at]];
+                if t.queued() == 0 {
                     // Ineligible: reset (DRR's anti-banking rule) and move
                     // on.
-                    s.tenants[i].deficit = 0;
-                    s.classes[class].1 = cursor + 1;
+                    t.deficit = 0;
+                    *cursor = at + 1;
                     continue;
                 }
-                if s.tenants[i].deficit == 0 {
-                    s.tenants[i].deficit = s.tenants[i].spec.weight;
+                if t.deficit == 0 {
+                    t.deficit = self.specs[members[at]].weight;
                 }
-                s.tenants[i].deficit -= 1;
-                if s.tenants[i].deficit == 0 {
+                t.deficit -= 1;
+                if t.deficit == 0 {
                     // Quantum spent: the next pick starts at the next
                     // member.
-                    s.classes[class].1 = cursor + 1;
+                    *cursor = at + 1;
                 }
-                return Some(i);
+                return Some(members[at]);
             }
         }
         None
@@ -363,21 +381,23 @@ impl WeightedAdmission {
         self.capacity
     }
 
-    /// Point-in-time per-tenant counters, in registration order.
-    pub(crate) fn tenant_admission(&self) -> Vec<(String, TenantAdmission)> {
+    /// Queries granted so far, and the highest number ever in flight
+    /// together.
+    pub(crate) fn granted_and_peak(&self) -> (u64, usize) {
+        let s = lock_ok(&self.state);
+        (s.grants_total, s.running_peak)
+    }
+
+    /// Point-in-time per-tenant counters, in declaration order.
+    pub(crate) fn tenant_admission(&self) -> Vec<TenantAdmission> {
         let s = lock_ok(&self.state);
         s.tenants
             .iter()
-            .map(|t| {
-                (
-                    t.spec.name.clone(),
-                    TenantAdmission {
-                        granted: t.granted,
-                        rejected: t.rejected,
-                        queued: t.queued(),
-                        running: t.running,
-                    },
-                )
+            .map(|t| TenantAdmission {
+                granted: t.granted,
+                rejected: t.rejected,
+                queued: t.queued(),
+                running: t.running,
             })
             .collect()
     }
@@ -408,24 +428,25 @@ mod tests {
     fn unknown_tenants_and_quota_overflow_are_rejected() {
         let adm = WeightedAdmission::new(1, vec![TenantSpec::new("a", 1, 2)]);
         assert!(matches!(
-            adm.acquire("nobody"),
+            adm.tenant_index("nobody"),
             Err(QueryError::UnknownTenant(_))
         ));
+        assert_eq!(adm.tenant_index("a").unwrap(), 0);
         // Fill the quota: 1 running + 1 queued... with capacity 1 the
         // second acquire would block, so drive it from a thread.
-        let g = adm.acquire("a").unwrap();
+        let g = adm.acquire(0).unwrap();
         assert_eq!(g.ticket, 0);
         assert_eq!(g.waited_grants, 0);
         let adm = Arc::new(adm);
         let adm2 = Arc::clone(&adm);
-        let waiter = std::thread::spawn(move || adm2.acquire("a").map(|g| g.ticket));
+        let waiter = std::thread::spawn(move || adm2.acquire(0).map(|g| g.ticket));
         // Wait until the waiter is queued, then the quota (2) is full.
         while adm.queue_depth() == 0 {
             std::thread::yield_now();
         }
-        let err = adm.acquire("a").unwrap_err();
+        let err = adm.acquire(0).unwrap_err();
         assert!(matches!(err, QueryError::TenantQueueFull { quota: 2, .. }));
-        adm.release("a");
+        adm.release(0);
         assert_eq!(waiter.join().unwrap().unwrap(), 1);
     }
 
@@ -445,13 +466,14 @@ mod tests {
         let queued = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|scope| {
             for (tenant, n) in [("big", 9usize), ("small", 3usize)] {
+                let ix = adm.tenant_index(tenant).unwrap();
                 for _ in 0..n {
                     let (adm, order, queued) = (&adm, &order, &queued);
                     scope.spawn(move || {
                         queued.fetch_add(1, Ordering::SeqCst);
-                        let g = adm.acquire(tenant).unwrap();
+                        let g = adm.acquire(ix).unwrap();
                         order.lock().unwrap().push((tenant, g.waited_grants));
-                        adm.release(tenant);
+                        adm.release(ix);
                     });
                 }
             }
@@ -479,10 +501,11 @@ mod tests {
                 TenantSpec::new("bg", 8, 8).with_priority(Priority::Batch),
             ],
         ));
-        let _hold = adm.acquire("bg").unwrap();
+        let (fg_ix, bg_ix) = (0, 1);
+        let _hold = adm.acquire(bg_ix).unwrap();
         let adm_bg = Arc::clone(&adm);
         let bg = std::thread::spawn(move || {
-            let g = adm_bg.acquire("bg").unwrap();
+            let g = adm_bg.acquire(bg_ix).unwrap();
             (g.ticket, std::time::Instant::now())
         });
         while adm.queue_depth() < 1 {
@@ -490,17 +513,17 @@ mod tests {
         }
         let adm_fg = Arc::clone(&adm);
         let fg = std::thread::spawn(move || {
-            let g = adm_fg.acquire("fg").unwrap();
+            let g = adm_fg.acquire(fg_ix).unwrap();
             let at = std::time::Instant::now();
-            adm_fg.release("fg");
+            adm_fg.release(fg_ix);
             (g.ticket, at)
         });
         while adm.queue_depth() < 2 {
             std::thread::yield_now();
         }
-        adm.release("bg"); // frees the slot: fg must win it
+        adm.release(bg_ix); // frees the slot: fg must win it
         let (fg_ticket, fg_at) = fg.join().unwrap();
-        adm.release("bg"); // let bg finish
+        adm.release(bg_ix); // let bg finish
         let (bg_ticket, bg_at) = bg.join().unwrap();
         assert!(fg_ticket < bg_ticket, "interactive granted first");
         assert!(fg_at <= bg_at);

@@ -45,12 +45,10 @@ use tamp_runtime::backend::{ExecBackend, SimulatorBackend};
 use tamp_topology::{EdgeId, Tree};
 
 use crate::error::QueryError;
-use crate::exec::{self, ExecMode, ExecOptions, JoinStrategy, QueryResult};
+use crate::exec::{self, ExecMode, ExecOptions, QueryResult};
 use crate::expr::Expr;
-use crate::physical::strategy::{
-    default_registry, OperatorKind, PhysicalStrategy, StrategyRegistry,
-};
-use crate::physical::{lower_full, PhysicalPlan};
+use crate::physical::strategy::{OperatorKind, PhysicalStrategy, StrategyRegistry};
+use crate::physical::{self, PhysicalPlan};
 use crate::plan::{AggFunc, LogicalPlan};
 use crate::reference;
 use crate::schema::Schema;
@@ -88,13 +86,6 @@ impl QueryContext {
     /// Builder-style: set the hashing/sampling seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.options.seed = seed;
-        self
-    }
-
-    /// Builder-style: set the session's join strategy (default
-    /// [`JoinStrategy::Auto`], the cost-based choice).
-    pub fn with_join_strategy(mut self, join: JoinStrategy) -> Self {
-        self.options.join = join;
         self
     }
 
@@ -194,46 +185,25 @@ impl QueryContext {
     }
 
     /// Plan `plan` into a [`PreparedQuery`]: validate, lower to a
-    /// [`PhysicalPlan`], price every exchange and resolve
-    /// [`JoinStrategy::Auto`] cost-based.
+    /// [`PhysicalPlan`], and price every registered strategy candidate
+    /// of every exchange, keeping the cheapest (or the one
+    /// [`with_strategy`](Self::with_strategy) forces).
     pub fn prepare(&self, plan: &LogicalPlan) -> Result<PreparedQuery<'_>, QueryError> {
-        prepare_with_registry(&self.catalog, plan.clone(), self.options, &self.registry)
+        let (physical, schema) =
+            physical::lower(plan, &self.catalog, self.options, &self.registry)?;
+        Ok(PreparedQuery {
+            catalog: &self.catalog,
+            options: self.options,
+            logical: plan.clone(),
+            physical,
+            schema,
+        })
     }
 
     /// Prepare and run `plan` on the default (simulator) backend.
     pub fn execute(&self, plan: &LogicalPlan) -> Result<QueryResult, QueryError> {
         self.prepare(plan)?.run()
     }
-}
-
-/// Prepare a plan against a borrowed catalog — the shared pipeline under
-/// [`QueryContext::prepare`] and the legacy
-/// [`execute`](crate::exec::execute) shim.
-pub(crate) fn prepare_with(
-    catalog: &Catalog,
-    plan: LogicalPlan,
-    options: ExecOptions,
-) -> Result<PreparedQuery<'_>, QueryError> {
-    prepare_with_registry(catalog, plan, options, default_registry())
-}
-
-/// [`prepare_with`] against an explicit strategy registry (the
-/// [`QueryContext`] path, where sessions may have registered custom
-/// strategies).
-pub(crate) fn prepare_with_registry<'c>(
-    catalog: &'c Catalog,
-    plan: LogicalPlan,
-    options: ExecOptions,
-    registry: &StrategyRegistry,
-) -> Result<PreparedQuery<'c>, QueryError> {
-    let (physical, schema) = lower_full(&plan, catalog, options, registry)?;
-    Ok(PreparedQuery {
-        catalog,
-        options,
-        logical: plan,
-        physical,
-        schema,
-    })
 }
 
 /// A planned, cost-estimated, backend-generic query: inspect it with
@@ -400,12 +370,7 @@ impl<'c> DataFrame<'c> {
 
     /// Plan the chain into a [`PreparedQuery`].
     pub fn prepare(&self) -> Result<PreparedQuery<'c>, QueryError> {
-        prepare_with_registry(
-            self.ctx.catalog(),
-            self.plan.clone(),
-            self.ctx.options(),
-            self.ctx.strategies(),
-        )
+        self.ctx.prepare(&self.plan)
     }
 
     /// Render the plan's `EXPLAIN` (prepare + explain).
@@ -518,7 +483,7 @@ mod tests {
     fn session_options_flow_into_planning() {
         let base = ctx();
         let forced = QueryContext::with_catalog(base.catalog().clone())
-            .with_join_strategy(JoinStrategy::Uniform);
+            .with_strategy(OperatorKind::Join, "uniform-repartition");
         let q = LogicalPlan::scan("facts").join_on(LogicalPlan::scan("dims"), "g", "g");
         let p = forced.prepare(&q).unwrap();
         assert!(

@@ -30,9 +30,12 @@
 //! parity tests assert equal rows and `edge_totals` across backends
 //! *and* across engines, for every batch size.
 //!
-//! This module drives the walk, attributes per-round costs to operators,
-//! and keeps the legacy free-function API ([`execute`], [`execute_on`])
-//! as a thin shim over [`QueryContext`](crate::context::QueryContext).
+//! This module drives the walk and attributes per-round costs to
+//! operators. It has no entry point of its own: a plan gets here through
+//! [`QueryContext`](crate::context::QueryContext) →
+//! [`PreparedQuery`](crate::context::PreparedQuery) (directly, or pinned
+//! and cached by the serving layer), which is also where strategies are
+//! registered and forced.
 //!
 //! [`PhysicalStrategy`]: crate::physical::strategy::PhysicalStrategy
 
@@ -42,51 +45,20 @@ mod options;
 mod result;
 pub(crate) mod tuple;
 
-pub use options::{ExecMode, ExecOptions, JoinStrategy, StrategyForce, DEFAULT_BATCH_SIZE};
+pub use options::{ExecMode, ExecOptions, StrategyForce, DEFAULT_BATCH_SIZE};
 pub use result::{OperatorCost, QueryResult};
 
 use tamp_core::sorting::valid_order;
-use tamp_runtime::backend::{ExecBackend, SimulatorBackend};
+use tamp_runtime::backend::ExecBackend;
 use tamp_runtime::jobs::{Schedule, ScheduleJob, ScheduleSend};
 use tamp_simulator::Placement;
 use tamp_topology::Tree;
 
 use crate::batch::batches_to_fragments;
-use crate::context::prepare_with;
 use crate::error::QueryError;
 use crate::physical::strategy::{BatchInput, ExecArgs, OpInput};
 use crate::physical::{Exchange, PhysicalPlan};
 use crate::table::Catalog;
-
-/// Execute `plan` over `catalog` with `options` on the default engine
-/// (the centralized simulator backend).
-///
-/// Thin shim over the [`QueryContext`](crate::context::QueryContext)
-/// pipeline: the plan is lowered to a [`PhysicalPlan`] against the
-/// default strategy registry (resolving every exchange cost-based) and
-/// run.
-pub fn execute(
-    catalog: &Catalog,
-    plan: &crate::plan::LogicalPlan,
-    options: ExecOptions,
-) -> Result<QueryResult, QueryError> {
-    execute_on(catalog, plan, options, &SimulatorBackend)
-}
-
-/// Execute `plan` over `catalog` with `options` on an explicit
-/// [`ExecBackend`].
-///
-/// Prepared queries replay their exchange schedule through the backend,
-/// so both the centralized simulator and the pooled cluster run the same
-/// sends and meter bit-identical ledgers.
-pub fn execute_on(
-    catalog: &Catalog,
-    plan: &crate::plan::LogicalPlan,
-    options: ExecOptions,
-    backend: &dyn ExecBackend,
-) -> Result<QueryResult, QueryError> {
-    prepare_with(catalog, plan.clone(), options)?.run_on(backend)
-}
 
 pub(crate) use crate::physical::strategy::Fragments;
 
@@ -221,7 +193,9 @@ pub(crate) fn run_physical(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::QueryContext;
     use crate::expr::{col, lit};
+    use crate::physical::strategy::OperatorKind::{Aggregate, CrossJoin, Join, Sort};
     use crate::plan::{AggFunc, LogicalPlan};
     use crate::reference;
     use crate::row::Row;
@@ -230,42 +204,39 @@ mod tests {
     use tamp_core::hashing::mix64;
     use tamp_topology::builders;
 
-    fn catalog(tree: Tree, n: u64) -> Catalog {
-        let mut c = Catalog::new(tree);
+    /// A session over `facts` (`n` rows) and a 7-row `dims`.
+    fn session(tree: Tree, n: u64) -> QueryContext {
+        let mut ctx = QueryContext::new(tree);
         let rows: Vec<Row> = (0..n).map(|i| vec![i, i % 7, mix64(i) % 1000]).collect();
         let t = DistributedTable::round_robin(
             "facts",
             Schema::new(vec!["id", "g", "x"]).unwrap(),
             rows,
-            c.tree(),
+            ctx.tree(),
         );
-        c.register(t).unwrap();
+        ctx.register(t).unwrap();
         let dims: Vec<Row> = (0..7).map(|g| vec![g, 100 + g]).collect();
         let d = DistributedTable::round_robin(
             "dims",
             Schema::new(vec!["g", "label"]).unwrap(),
             dims,
-            c.tree(),
+            ctx.tree(),
         );
-        c.register(d).unwrap();
-        c
+        ctx.register(d).unwrap();
+        ctx
     }
 
-    fn check_against_reference(c: &Catalog, q: &LogicalPlan, opts: ExecOptions) -> QueryResult {
-        let res = execute(c, q, opts).unwrap();
+    fn check_against_reference(ctx: &QueryContext, q: &LogicalPlan) -> QueryResult {
+        let res = ctx.execute(q).unwrap();
         let got = res.rows(reference::preserves_order(q));
-        let want = reference::evaluate(q, c).unwrap();
+        let want = reference::evaluate(q, ctx.catalog()).unwrap();
         assert_eq!(got, want, "plan:\n{q}");
         // The tuple reference engine agrees bit-for-bit, rows and ledger.
-        let tup = execute(
-            c,
-            q,
-            ExecOptions {
-                mode: ExecMode::Tuple,
-                ..opts
-            },
-        )
-        .unwrap();
+        let tup = ctx
+            .clone()
+            .with_exec_mode(ExecMode::Tuple)
+            .execute(q)
+            .unwrap();
         assert_eq!(tup.rows(reference::preserves_order(q)), got, "plan:\n{q}");
         assert_eq!(tup.cost.edge_totals, res.cost.edge_totals, "plan:\n{q}");
         res
@@ -273,114 +244,59 @@ mod tests {
 
     #[test]
     fn filter_project_are_free() {
-        let c = catalog(builders::star(4, 1.0), 50);
+        let ctx = session(builders::star(4, 1.0), 50);
         let q = LogicalPlan::scan("facts")
             .filter(col("g").lt(lit(3)))
             .project(vec![("id", col("id")), ("y", col("x").add(lit(1)))]);
-        let res = check_against_reference(&c, &q, ExecOptions::default());
+        let res = check_against_reference(&ctx, &q);
         assert_eq!(res.cost.tuple_cost(), 0.0);
         assert_eq!(res.estimated_cost, 0.0);
     }
 
     #[test]
     fn hash_join_all_strategies_agree() {
-        let c = catalog(
+        let ctx = session(
             builders::rack_tree(&[(3, 1.0, 2.0), (2, 2.0, 1.0)], 1.0),
             80,
-        );
+        )
+        .with_seed(3);
         let q = LogicalPlan::scan("facts").join_on(LogicalPlan::scan("dims"), "g", "g");
-        for join in [
-            JoinStrategy::Auto,
-            JoinStrategy::Weighted,
-            JoinStrategy::Uniform,
-            JoinStrategy::BroadcastSmall,
-        ] {
-            check_against_reference(
-                &c,
-                &q,
-                ExecOptions {
-                    join,
-                    seed: 3,
-                    ..ExecOptions::default()
-                },
-            );
-        }
-        // Every registered join strategy — including the §3 TreeIntersect
-        // routing — produces the same rows.
+        // The cost-based choice, then every registered join strategy —
+        // including the §3 TreeIntersect routing — produces the same rows.
+        check_against_reference(&ctx, &q);
         for name in [
             "weighted-repartition",
             "tree-partition",
             "broadcast-small",
             "uniform-repartition",
         ] {
-            check_against_reference(
-                &c,
-                &q,
-                ExecOptions {
-                    seed: 3,
-                    force: StrategyForce {
-                        join: Some(name),
-                        ..StrategyForce::default()
-                    },
-                    ..ExecOptions::default()
-                },
-            );
+            check_against_reference(&ctx.clone().with_strategy(Join, name), &q);
         }
     }
 
     #[test]
     fn cross_join_matches_reference_under_every_strategy() {
-        let c = catalog(builders::star(3, 1.0), 20);
+        let ctx = session(builders::star(3, 1.0), 20);
         let q = LogicalPlan::scan("dims").cross(LogicalPlan::scan("dims"));
-        let res = check_against_reference(&c, &q, ExecOptions::default());
+        let res = check_against_reference(&ctx, &q);
         assert_eq!(res.num_rows(), 49);
         for name in ["whc-grid", "broadcast-small", "uniform-hypercube"] {
-            let res = check_against_reference(
-                &c,
-                &q,
-                ExecOptions {
-                    force: StrategyForce {
-                        cross: Some(name),
-                        ..StrategyForce::default()
-                    },
-                    ..ExecOptions::default()
-                },
-            );
+            let res = check_against_reference(&ctx.clone().with_strategy(CrossJoin, name), &q);
             assert_eq!(res.num_rows(), 49, "{name}");
         }
         // Unequal sides exercise the A.1 rectangle packing.
         let q = LogicalPlan::scan("facts").cross(LogicalPlan::scan("dims"));
         for name in ["whc-grid", "uniform-hypercube"] {
-            check_against_reference(
-                &c,
-                &q,
-                ExecOptions {
-                    force: StrategyForce {
-                        cross: Some(name),
-                        ..StrategyForce::default()
-                    },
-                    ..ExecOptions::default()
-                },
-            );
+            check_against_reference(&ctx.clone().with_strategy(CrossJoin, name), &q);
         }
     }
 
     #[test]
     fn order_by_produces_global_order_under_both_policies() {
-        let c = catalog(builders::star(4, 1.0), 200);
+        let ctx = session(builders::star(4, 1.0), 200);
         let q = LogicalPlan::scan("facts").order_by("x");
         for name in ["weighted-range-shuffle", "uniform-range-shuffle"] {
-            let res = check_against_reference(
-                &c,
-                &q,
-                ExecOptions {
-                    force: StrategyForce {
-                        sort: Some(name),
-                        ..StrategyForce::default()
-                    },
-                    ..ExecOptions::default()
-                },
-            );
+            let res = check_against_reference(&ctx.clone().with_strategy(Sort, name), &q);
             // Fragment concatenation in node order is globally sorted.
             let rows = res.rows(true);
             assert!(rows.windows(2).all(|w| w[0][2] <= w[1][2]), "{name}");
@@ -389,26 +305,16 @@ mod tests {
 
     #[test]
     fn aggregate_matches_reference_under_every_strategy() {
-        let c = catalog(builders::caterpillar(3, 2, 1.0), 120);
+        let ctx = session(builders::caterpillar(3, 2, 1.0), 120);
         for agg in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
             let q = LogicalPlan::scan("facts").aggregate("g", agg, "x");
-            check_against_reference(&c, &q, ExecOptions::default());
+            check_against_reference(&ctx, &q);
             for name in [
                 "weighted-repartition",
                 "combining-tree",
                 "uniform-repartition",
             ] {
-                check_against_reference(
-                    &c,
-                    &q,
-                    ExecOptions {
-                        force: StrategyForce {
-                            aggregate: Some(name),
-                            ..StrategyForce::default()
-                        },
-                        ..ExecOptions::default()
-                    },
-                );
+                check_against_reference(&ctx.clone().with_strategy(Aggregate, name), &q);
             }
         }
     }
@@ -423,16 +329,12 @@ mod tests {
 
     #[test]
     fn aggregate_sort_limit_and_distinct_never_reach_the_row_shim() {
-        let c = catalog(
+        let auto = session(
             builders::rack_tree(&[(3, 1.0, 2.0), (2, 2.0, 1.0)], 1.0),
             300,
         );
+        let forced = |op, name| auto.clone().with_seed(5).with_strategy(op, name);
         let facts = || LogicalPlan::scan("facts");
-        let force = |force: StrategyForce| ExecOptions {
-            force,
-            seed: 5,
-            ..ExecOptions::default()
-        };
         // The benchmark's `scan-join` plan shapes, then every default
         // aggregate and sort strategy by name, limit both ways, distinct.
         let mut runs = vec![
@@ -441,13 +343,13 @@ mod tests {
                     .filter(col("x").lt(lit(600)))
                     .project(vec![("g", col("g")), ("y", col("x").div(lit(8)))])
                     .aggregate("g", AggFunc::Sum, "y"),
-                ExecOptions::default(),
+                auto.clone(),
             ),
             (
                 facts()
                     .join_on(LogicalPlan::scan("dims"), "g", "g")
                     .aggregate("label", AggFunc::Sum, "x"),
-                ExecOptions::default(),
+                auto.clone(),
             ),
             (
                 facts()
@@ -455,12 +357,12 @@ mod tests {
                     .join_on(LogicalPlan::scan("dims"), "g", "g")
                     .order_by("id")
                     .limit(100),
-                ExecOptions::default(),
+                auto.clone(),
             ),
-            (facts().limit(9), ExecOptions::default()),
+            (facts().limit(9), auto.clone()),
             (
                 facts().project(vec![("g", col("g"))]).distinct(),
-                ExecOptions::default(),
+                auto.clone(),
             ),
         ];
         for name in [
@@ -469,28 +371,16 @@ mod tests {
             "uniform-repartition",
         ] {
             for agg in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
-                runs.push((
-                    facts().aggregate("g", agg, "x"),
-                    force(StrategyForce {
-                        aggregate: Some(name),
-                        ..StrategyForce::default()
-                    }),
-                ));
+                runs.push((facts().aggregate("g", agg, "x"), forced(Aggregate, name)));
             }
         }
         for name in ["weighted-range-shuffle", "uniform-range-shuffle"] {
-            runs.push((
-                facts().order_by("g"),
-                force(StrategyForce {
-                    sort: Some(name),
-                    ..StrategyForce::default()
-                }),
-            ));
+            runs.push((facts().order_by("g"), forced(Sort, name)));
         }
-        for (q, opts) in &runs {
+        for (q, ctx) in &runs {
             let hits = shim_hits(|| {
-                let res = execute(&c, q, *opts).unwrap();
-                let want = reference::evaluate(q, &c).unwrap();
+                let res = ctx.execute(q).unwrap();
+                let want = reference::evaluate(q, ctx.catalog()).unwrap();
                 assert_eq!(res.rows(reference::preserves_order(q)), want, "plan:\n{q}");
             });
             assert_eq!(hits, 0, "row shim reached by plan:\n{q}");
@@ -498,29 +388,23 @@ mod tests {
         // The counter does count: the strategies documented as shim
         // riders hit it once per operator.
         let cross = LogicalPlan::scan("dims").cross(LogicalPlan::scan("dims"));
-        assert_eq!(
-            shim_hits(|| drop(execute(&c, &cross, ExecOptions::default()))),
-            1
-        );
-        let tree_partition = force(StrategyForce {
-            join: Some("tree-partition"),
-            ..StrategyForce::default()
-        });
+        assert_eq!(shim_hits(|| drop(auto.execute(&cross))), 1);
+        let tree_partition = forced(Join, "tree-partition");
         let join = facts().join_on(LogicalPlan::scan("dims"), "g", "g");
-        assert_eq!(shim_hits(|| drop(execute(&c, &join, tree_partition))), 1);
+        assert_eq!(shim_hits(|| drop(tree_partition.execute(&join))), 1);
     }
 
     #[test]
     fn limit_after_order_by() {
-        let c = catalog(builders::star(3, 1.0), 90);
+        let ctx = session(builders::star(3, 1.0), 90);
         let q = LogicalPlan::scan("facts").order_by("x").limit(10);
-        let res = check_against_reference(&c, &q, ExecOptions::default());
+        let res = check_against_reference(&ctx, &q);
         assert_eq!(res.num_rows(), 10);
     }
 
     #[test]
     fn composite_analytics_query() {
-        let c = catalog(
+        let ctx = session(
             builders::rack_tree(&[(2, 1.0, 2.0), (3, 2.0, 4.0)], 1.0),
             150,
         );
@@ -529,7 +413,7 @@ mod tests {
             .join_on(LogicalPlan::scan("dims"), "g", "g")
             .aggregate("label", AggFunc::Count, "id")
             .order_by("label");
-        let res = check_against_reference(&c, &q, ExecOptions::default());
+        let res = check_against_reference(&ctx, &q);
         // Cost attribution covers every operator, in post-order.
         let names: Vec<&str> = res.operator_costs.iter().map(|c| c.op.as_str()).collect();
         assert_eq!(
@@ -562,44 +446,29 @@ mod tests {
         // ships ~everything across the thin link.
         let tree = builders::heterogeneous_star(&[0.5, 4.0, 4.0, 4.0]);
         let heavy = tree.compute_nodes()[0];
-        let mut c = Catalog::new(tree);
+        let mut ctx = QueryContext::new(tree).with_seed(1);
         let rows: Vec<Row> = (0..400).map(|i| vec![i, i % 5, i * 2]).collect();
         let t = DistributedTable::single_node(
             "facts",
             Schema::new(vec!["id", "g", "x"]).unwrap(),
             rows,
-            c.tree(),
+            ctx.tree(),
             heavy,
         );
-        c.register(t).unwrap();
+        ctx.register(t).unwrap();
         let dims: Vec<Row> = (0..5).map(|g| vec![g, g + 50]).collect();
         let d = DistributedTable::round_robin(
             "dims",
             Schema::new(vec!["g", "label"]).unwrap(),
             dims,
-            c.tree(),
+            ctx.tree(),
         );
-        c.register(d).unwrap();
+        ctx.register(d).unwrap();
 
         let q = LogicalPlan::scan("facts").join_on(LogicalPlan::scan("dims"), "g", "g");
-        let weighted = check_against_reference(
-            &c,
-            &q,
-            ExecOptions {
-                join: JoinStrategy::Weighted,
-                seed: 1,
-                ..ExecOptions::default()
-            },
-        );
-        let uniform = check_against_reference(
-            &c,
-            &q,
-            ExecOptions {
-                join: JoinStrategy::Uniform,
-                seed: 1,
-                ..ExecOptions::default()
-            },
-        );
+        let forced = |name| check_against_reference(&ctx.clone().with_strategy(Join, name), &q);
+        let weighted = forced("weighted-repartition");
+        let uniform = forced("uniform-repartition");
         assert!(
             weighted.cost.tuple_cost() * 2.0 < uniform.cost.tuple_cost(),
             "weighted {} vs uniform {}",
@@ -610,24 +479,13 @@ mod tests {
 
     #[test]
     fn errors_surface_cleanly() {
-        let c = catalog(builders::star(2, 1.0), 10);
+        let ctx = session(builders::star(2, 1.0), 10);
         let q = LogicalPlan::scan("nope");
-        assert!(matches!(
-            execute(&c, &q, ExecOptions::default()),
-            Err(QueryError::UnknownTable(_))
-        ));
+        assert!(matches!(ctx.execute(&q), Err(QueryError::UnknownTable(_))));
         let q = LogicalPlan::scan("facts").filter(col("id").div(lit(0)).gt(lit(0)));
         for mode in [ExecMode::Columnar, ExecMode::Tuple] {
             assert_eq!(
-                execute(
-                    &c,
-                    &q,
-                    ExecOptions {
-                        mode,
-                        ..ExecOptions::default()
-                    }
-                )
-                .unwrap_err(),
+                ctx.clone().with_exec_mode(mode).execute(&q).unwrap_err(),
                 QueryError::DivideByZero
             );
         }
@@ -635,66 +493,38 @@ mod tests {
 
     #[test]
     fn zero_batch_size_is_a_typed_plan_error() {
-        let c = catalog(builders::star(2, 1.0), 10);
+        let ctx = session(builders::star(2, 1.0), 10);
         let q = LogicalPlan::scan("facts");
         for mode in [ExecMode::Columnar, ExecMode::Tuple] {
-            assert_eq!(
-                execute(
-                    &c,
-                    &q,
-                    ExecOptions {
-                        batch_size: 0,
-                        mode,
-                        ..ExecOptions::default()
-                    }
-                )
-                .unwrap_err(),
-                QueryError::InvalidBatchSize
-            );
+            let zero = ctx.clone().with_batch_size(0).with_exec_mode(mode);
+            assert_eq!(zero.execute(&q).unwrap_err(), QueryError::InvalidBatchSize);
         }
         // Any positive size runs.
         for batch_size in [1, 3, usize::MAX] {
-            let res = execute(
-                &c,
-                &q,
-                ExecOptions {
-                    batch_size,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
+            let res = ctx.clone().with_batch_size(batch_size).execute(&q).unwrap();
             assert_eq!(res.num_rows(), 10);
         }
     }
 
     #[test]
     fn all_backends_run_the_same_prepared_query() {
-        let c = catalog(builders::star(3, 1.0), 60);
+        let ctx = session(builders::star(3, 1.0), 60);
         let q = LogicalPlan::scan("facts")
             .filter(col("g").lt(lit(5)))
             .aggregate("g", AggFunc::Count, "x");
         // The default engine and an explicitly selected simulator backend
         // are the same path.
-        let a = execute(&c, &q, ExecOptions::default()).unwrap();
-        let b = execute_on(
-            &c,
-            &q,
-            ExecOptions::default(),
-            &tamp_runtime::SimulatorBackend,
-        )
-        .unwrap();
+        let prepared = ctx.prepare(&q).unwrap();
+        let a = ctx.execute(&q).unwrap();
+        let b = prepared.run_on(&tamp_runtime::SimulatorBackend).unwrap();
         assert_eq!(a.rows(false), b.rows(false));
         assert_eq!(a.cost.edge_totals, b.cost.edge_totals);
         assert_eq!(a.rounds, b.rounds);
         // The pooled cluster replays the same exchange schedule and
         // meters a bit-identical ledger — queries are not simulator-only.
-        let d = execute_on(
-            &c,
-            &q,
-            ExecOptions::default(),
-            &tamp_runtime::PooledClusterBackend::default(),
-        )
-        .unwrap();
+        let d = prepared
+            .run_on(&tamp_runtime::PooledClusterBackend::default())
+            .unwrap();
         assert_eq!(a.rows(false), d.rows(false));
         assert_eq!(a.cost.edge_totals, d.cost.edge_totals);
         assert_eq!(a.rounds, d.rounds);
@@ -702,15 +532,14 @@ mod tests {
 
     #[test]
     fn empty_inputs_run_clean() {
-        let tree = builders::star(3, 1.0);
-        let mut c = Catalog::new(tree);
+        let mut ctx = QueryContext::new(builders::star(3, 1.0));
         let t = DistributedTable::round_robin(
             "e",
             Schema::new(vec!["a", "b"]).unwrap(),
             Vec::new(),
-            c.tree(),
+            ctx.tree(),
         );
-        c.register(t).unwrap();
+        ctx.register(t).unwrap();
         for q in [
             LogicalPlan::scan("e").order_by("a"),
             LogicalPlan::scan("e").aggregate("a", AggFunc::Sum, "b"),
@@ -718,7 +547,7 @@ mod tests {
             LogicalPlan::scan("e").limit(5),
             LogicalPlan::scan("e").cross(LogicalPlan::scan("e")),
         ] {
-            let res = execute(&c, &q, ExecOptions::default()).unwrap();
+            let res = ctx.execute(&q).unwrap();
             assert_eq!(res.num_rows(), 0);
             assert_eq!(res.cost.tuple_cost(), 0.0);
         }
@@ -728,6 +557,7 @@ mod tests {
 #[cfg(test)]
 mod distinct_union_tests {
     use super::*;
+    use crate::context::QueryContext;
     use crate::expr::{col, lit};
     use crate::plan::LogicalPlan;
     use crate::reference;
@@ -736,32 +566,31 @@ mod distinct_union_tests {
     use crate::table::DistributedTable;
     use tamp_topology::builders;
 
-    fn dup_catalog() -> Catalog {
+    fn dup_session() -> QueryContext {
         let tree = builders::rack_tree(&[(3, 1.0, 2.0), (2, 2.0, 1.0)], 1.0);
-        let mut c = Catalog::new(tree);
+        let mut ctx = QueryContext::new(tree);
         // Every row appears three times, scattered across nodes.
-        let mut rows: Vec<Row> = Vec::new();
-        for rep in 0..3u64 {
-            rows.extend((0..40).map(|i| vec![i, i % 5]));
-            let _ = rep;
-        }
+        let rows: Vec<Row> = (0..120).map(|i| vec![i % 40, i % 5]).collect();
         let t = DistributedTable::round_robin(
             "d",
             Schema::new(vec!["k", "g"]).unwrap(),
             rows,
-            c.tree(),
+            ctx.tree(),
         );
-        c.register(t).unwrap();
-        c
+        ctx.register(t).unwrap();
+        ctx
     }
 
     #[test]
     fn distinct_removes_scattered_duplicates() {
-        let c = dup_catalog();
+        let ctx = dup_session();
         let q = LogicalPlan::scan("d").distinct();
-        let res = execute(&c, &q, ExecOptions::default()).unwrap();
+        let res = ctx.execute(&q).unwrap();
         assert_eq!(res.num_rows(), 40);
-        assert_eq!(res.rows(false), reference::evaluate(&q, &c).unwrap());
+        assert_eq!(
+            res.rows(false),
+            reference::evaluate(&q, ctx.catalog()).unwrap()
+        );
         // Duplicates of a row co-locate, so at most one copy per row moves
         // beyond local dedup: cost well below shipping all 120 rows.
         assert!(res.cost.tuple_cost() > 0.0);
@@ -769,47 +598,46 @@ mod distinct_union_tests {
 
     #[test]
     fn distinct_composes_with_filter_and_union() {
-        let c = dup_catalog();
+        let ctx = dup_session();
         let q = LogicalPlan::scan("d")
             .filter(col("g").lt(lit(3)))
             .union_all(LogicalPlan::scan("d").filter(col("g").ge(lit(3))))
             .distinct();
-        let res = execute(&c, &q, ExecOptions::default()).unwrap();
-        assert_eq!(res.rows(false), reference::evaluate(&q, &c).unwrap());
+        let res = ctx.execute(&q).unwrap();
+        assert_eq!(
+            res.rows(false),
+            reference::evaluate(&q, ctx.catalog()).unwrap()
+        );
         assert_eq!(res.num_rows(), 40);
     }
 
     #[test]
     fn union_all_is_free_and_keeps_duplicates() {
-        let c = dup_catalog();
+        let ctx = dup_session();
         let q = LogicalPlan::scan("d").union_all(LogicalPlan::scan("d"));
-        let res = execute(&c, &q, ExecOptions::default()).unwrap();
+        let res = ctx.execute(&q).unwrap();
         assert_eq!(res.num_rows(), 240);
         assert_eq!(res.cost.tuple_cost(), 0.0);
-        assert_eq!(res.rows(false), reference::evaluate(&q, &c).unwrap());
+        assert_eq!(
+            res.rows(false),
+            reference::evaluate(&q, ctx.catalog()).unwrap()
+        );
     }
 
     #[test]
     fn union_all_rejects_schema_mismatch() {
-        let mut c = dup_catalog();
+        let mut ctx = dup_session();
         let t = DistributedTable::round_robin(
             "other",
             Schema::new(vec!["a", "b", "c"]).unwrap(),
             vec![vec![1, 2, 3]],
-            c.tree(),
+            ctx.tree(),
         );
-        c.register(t).unwrap();
+        ctx.register(t).unwrap();
         let q = LogicalPlan::scan("d").union_all(LogicalPlan::scan("other"));
         for mode in [ExecMode::Columnar, ExecMode::Tuple] {
             assert!(matches!(
-                execute(
-                    &c,
-                    &q,
-                    ExecOptions {
-                        mode,
-                        ..ExecOptions::default()
-                    }
-                ),
+                ctx.clone().with_exec_mode(mode).execute(&q),
                 Err(QueryError::Plan(_))
             ));
         }
@@ -817,21 +645,15 @@ mod distinct_union_tests {
 
     #[test]
     fn empty_distinct_is_free() {
-        let tree = builders::star(2, 1.0);
-        let mut c = Catalog::new(tree);
-        c.register(DistributedTable::round_robin(
+        let mut ctx = QueryContext::new(builders::star(2, 1.0));
+        let t = DistributedTable::round_robin(
             "e",
             Schema::new(vec!["a"]).unwrap(),
             Vec::new(),
-            c.tree(),
-        ))
-        .unwrap();
-        let res = execute(
-            &c,
-            &LogicalPlan::scan("e").distinct(),
-            ExecOptions::default(),
-        )
-        .unwrap();
+            ctx.tree(),
+        );
+        ctx.register(t).unwrap();
+        let res = ctx.execute(&LogicalPlan::scan("e").distinct()).unwrap();
         assert_eq!(res.num_rows(), 0);
         assert_eq!(res.cost.tuple_cost(), 0.0);
     }

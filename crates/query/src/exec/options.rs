@@ -20,32 +20,13 @@ pub enum ExecMode {
     Tuple,
 }
 
-/// How equi-joins repartition their inputs — the legacy strategy knob,
-/// kept as a shorthand for the common forced choices. Forcing *any*
-/// registered strategy by name (including third-party ones) goes through
-/// [`StrategyForce`] /
-/// [`QueryContext::with_strategy`](crate::context::QueryContext::with_strategy).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub enum JoinStrategy {
-    /// Let the planner price every registered join strategy on the §2
-    /// cost model and keep the cheapest (see [`crate::physical::lower`]).
-    #[default]
-    Auto,
-    /// Force `weighted-repartition` (the distribution-aware choice).
-    Weighted,
-    /// Force `uniform-repartition` (the topology-agnostic MPC baseline).
-    Uniform,
-    /// Force `broadcast-small` (replicate the smaller side).
-    BroadcastSmall,
-}
-
 /// Per-operator forced strategy names (`None` = cost-based choice). The
 /// names resolve against the session's registry at plan time; unknown
 /// names surface as
 /// [`QueryError::UnknownStrategy`](crate::error::QueryError).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct StrategyForce {
-    /// Force the equi-join strategy (overrides [`JoinStrategy`]).
+    /// Force the equi-join strategy.
     pub join: Option<&'static str>,
     /// Force the cross-join strategy.
     pub cross: Option<&'static str>,
@@ -58,8 +39,6 @@ pub struct StrategyForce {
 /// Execution options.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ExecOptions {
-    /// Join strategy shorthand.
-    pub join: JoinStrategy,
     /// Seed for hashing and sampling.
     pub seed: u64,
     /// Per-operator forced strategies (by registry name).
@@ -78,24 +57,10 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            join: JoinStrategy::default(),
             seed: 0,
             force: StrategyForce::default(),
             batch_size: DEFAULT_BATCH_SIZE,
             mode: ExecMode::default(),
         }
-    }
-}
-
-impl ExecOptions {
-    /// The effective forced join-strategy name: an explicit
-    /// [`StrategyForce::join`] wins over the [`JoinStrategy`] shorthand.
-    pub(crate) fn forced_join(&self) -> Option<&'static str> {
-        self.force.join.or(match self.join {
-            JoinStrategy::Auto => None,
-            JoinStrategy::Weighted => Some("weighted-repartition"),
-            JoinStrategy::Uniform => Some("uniform-repartition"),
-            JoinStrategy::BroadcastSmall => Some("broadcast-small"),
-        })
     }
 }

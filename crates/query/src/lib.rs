@@ -72,6 +72,20 @@
 //! assert_eq!(on_sim.cost.edge_totals, on_cluster.cost.edge_totals);
 //! ```
 //!
+//! [`QueryContext`] → [`PreparedQuery`] is the **only way in**, and the
+//! session owns the strategy registry: a strategy registered (or forced,
+//! via [`QueryContext::with_strategy`](context::QueryContext::with_strategy))
+//! on it is seen by every path that plans for it.
+//!
+//! The serving stack on top says each thing once, too. A
+//! [`QueryService`] shares one session across client threads behind a
+//! prepared-plan cache and **one admission gate** ([`admission`]:
+//! deficit-weighted round-robin over tenants — with the service's single
+//! implicit tenant that is plain arrival order); the [`Orchestrator`]
+//! declares real tenants on the same gate and adds autoscaling, fault
+//! injection and replay recovery around **one serve loop** that
+//! relational queries and iterative jobs both run through.
+//!
 //! Results carry per-operator *estimated vs. metered* cost pairs
 //! ([`QueryResult::operator_costs`]), so planning quality is observable
 //! on every run; the `x-plan` experiment suite tracks it across
@@ -102,10 +116,7 @@ pub mod prelude {
     pub use crate::admission::{Priority, TenantSpec};
     pub use crate::batch::RecordBatch;
     pub use crate::context::{DataFrame, PreparedQuery, QueryContext};
-    pub use crate::exec::{
-        execute, execute_on, ExecMode, ExecOptions, JoinStrategy, OperatorCost, QueryResult,
-        StrategyForce,
-    };
+    pub use crate::exec::{ExecMode, ExecOptions, OperatorCost, QueryResult, StrategyForce};
     pub use crate::expr::{col, lit, Expr};
     pub use crate::iterative::{
         IterMode, IterValues, IterationCost, IterativeJob, IterativeOutcome, IterativeSpec,
@@ -118,7 +129,7 @@ pub mod prelude {
     pub use crate::physical::strategy::{
         Candidate, CostEstimate, OperatorKind, PhysicalStrategy, StrategyRegistry,
     };
-    pub use crate::physical::{lower, Exchange, PhysicalPlan};
+    pub use crate::physical::{Exchange, PhysicalPlan};
     pub use crate::plan::{AggFunc, LogicalPlan};
     pub use crate::schema::Schema;
     pub use crate::service::{AdmissionStats, CacheStats, QueryService, ServedQuery, ServiceStats};
@@ -129,10 +140,7 @@ pub use admission::{Priority, TenantSpec};
 pub use batch::RecordBatch;
 pub use context::{DataFrame, PreparedQuery, QueryContext};
 pub use error::QueryError;
-pub use exec::{
-    execute, execute_on, ExecMode, ExecOptions, JoinStrategy, OperatorCost, QueryResult,
-    StrategyForce,
-};
+pub use exec::{ExecMode, ExecOptions, OperatorCost, QueryResult, StrategyForce};
 pub use iterative::{
     IterMode, IterValues, IterationCost, IterativeJob, IterativeOutcome, IterativeSpec,
     PreparedIterative,
@@ -146,3 +154,14 @@ pub use plan::{AggFunc, LogicalPlan};
 pub use schema::Schema;
 pub use service::{AdmissionStats, CacheStats, QueryService, ServedQuery, ServiceStats};
 pub use table::{Catalog, DistributedTable};
+
+/// Recover a guard from a possibly-poisoned mutex: the serving stack must
+/// keep serving after a panicking query thread (the state under these
+/// locks is counters, queues and immutable `Arc`s, never left
+/// half-written).
+pub(crate) fn lock_ok<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    match m.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}

@@ -17,8 +17,7 @@
 //!
 //! The optimizer's second stage — lowering the rewritten logical plan
 //! into a cost-estimated [`PhysicalPlan`](crate::physical::PhysicalPlan)
-//! with explicit exchanges — lives in [`crate::physical`] and is
-//! re-exported here as [`lower`].
+//! with explicit exchanges — lives in [`crate::physical`].
 
 use std::cell::Cell;
 
@@ -26,8 +25,6 @@ use crate::error::QueryError;
 use crate::expr::Expr;
 use crate::plan::LogicalPlan;
 use crate::table::Catalog;
-
-pub use crate::physical::lower;
 
 /// Apply all rewrites until a fixpoint (bounded, defensively).
 ///
@@ -313,8 +310,9 @@ fn map_children(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute, ExecOptions};
+    use crate::context::QueryContext;
     use crate::expr::{col, lit};
+    use crate::physical::strategy::OperatorKind;
     use crate::plan::AggFunc;
     use crate::reference;
     use crate::row::Row;
@@ -344,10 +342,11 @@ mod tests {
         c
     }
 
-    fn assert_equivalent_with(q: &LogicalPlan, c: &Catalog, opts: ExecOptions) -> (f64, f64) {
+    fn assert_equivalent_on(q: &LogicalPlan, ctx: &QueryContext) -> (f64, f64) {
+        let c = ctx.catalog();
         let opt = optimize(q.clone(), c).unwrap();
-        let before = execute(c, q, opts).unwrap();
-        let after = execute(c, &opt, opts).unwrap();
+        let before = ctx.execute(q).unwrap();
+        let after = ctx.execute(&opt).unwrap();
         let ord = reference::preserves_order(q);
         assert_eq!(before.rows(ord), after.rows(ord), "optimized:\n{opt}");
         assert_eq!(after.rows(ord), reference::evaluate(q, c).unwrap());
@@ -355,7 +354,7 @@ mod tests {
     }
 
     fn assert_equivalent(q: &LogicalPlan, c: &Catalog) -> (f64, f64) {
-        assert_equivalent_with(q, c, ExecOptions::default())
+        assert_equivalent_on(q, &QueryContext::with_catalog(c.clone()))
     }
 
     #[test]
@@ -374,14 +373,12 @@ mod tests {
             other => panic!("expected join on top, got:\n{other}"),
         }
         // Under a fixed repartition strategy, dropping rows before the
-        // shuffle is a strict win. (Under `Auto` the comparison can flip:
+        // shuffle is a strict win. (Cost-based, the comparison can flip:
         // filtering shrinks the big side until broadcast loses to
         // repartition — a strategy change, not a pushdown regression.)
-        let opts = ExecOptions {
-            join: crate::exec::JoinStrategy::Weighted,
-            ..ExecOptions::default()
-        };
-        let (before, after) = assert_equivalent_with(&q, &c, opts);
+        let forced = QueryContext::with_catalog(c.clone())
+            .with_strategy(OperatorKind::Join, "weighted-repartition");
+        let (before, after) = assert_equivalent_on(&q, &forced);
         assert!(
             after < before,
             "pushdown saved nothing: {after} vs {before}"

@@ -27,6 +27,13 @@
 //!        ServedQuery + per-tenant stats
 //! ```
 //!
+//! That pipeline exists once: `serve_as` and `serve_iterative` are thin
+//! callers of one private loop and differ only in how they prepare, how
+//! they run one attempt, and what they wrap the result in. The gate at
+//! the top is the serving stack's only one — a plain [`QueryService`]
+//! admits through the same [`crate::admission`] scheduler with a single
+//! implicit tenant.
+//!
 //! The three guarantees, and where they come from:
 //!
 //! - **No starvation.** Admission is deficit-weighted round-robin within
@@ -83,7 +90,7 @@ pub mod scaling;
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tamp_runtime::{
@@ -92,21 +99,16 @@ use tamp_runtime::{
 };
 use tamp_topology::{EdgeId, Tree};
 
-use crate::admission::{Priority, TenantSpec, WeightedAdmission};
+use crate::admission::{Priority, SlotGuard, TenantSpec, WeightedAdmission};
 use crate::context::QueryContext;
 use crate::error::QueryError;
+use crate::exec::QueryResult;
 use crate::iterative::{IterativeJob, IterativeOutcome};
+use crate::lock_ok;
 use crate::plan::LogicalPlan;
-use crate::service::{QueryService, ServedQuery, ServiceStats};
+use crate::service::{QueryService, ServedQuery, ServiceStats, Snapshot};
 
 pub use scaling::{decide, ScaleDecision, ScalingEvent, ScalingObservation, ScalingSpec};
-
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Recent queue waits feeding the rolling-latency scaling signal.
 const ROLLING_WINDOW: usize = 32;
@@ -259,9 +261,11 @@ pub struct TenantStats {
     pub queued_now: usize,
     /// Queries currently executing.
     pub running_now: usize,
-    /// Median queue wait across served queries.
+    /// Median queue wait across served queries (from a log-bucket
+    /// histogram: within 25 % below the exact value).
     pub queue_p50: Duration,
-    /// 99th-percentile queue wait across served queries.
+    /// 99th-percentile queue wait across served queries (same
+    /// resolution; never below `queue_p50`).
     pub queue_p99: Duration,
     /// Total time spent planning (≈0 on cache hits).
     pub plan_total: Duration,
@@ -272,10 +276,69 @@ pub struct TenantStats {
     pub max_waited_grants: u64,
 }
 
+/// Queue waits in a fixed log-bucket histogram: four buckets per power
+/// of two of microseconds (a reported quantile is within 25 % of the
+/// exact one), constant memory however many queries are served.
+struct WaitHistogram {
+    counts: [u64; WaitHistogram::BUCKETS],
+    total: u64,
+}
+
+impl Default for WaitHistogram {
+    fn default() -> Self {
+        WaitHistogram {
+            counts: [0; WaitHistogram::BUCKETS],
+            total: 0,
+        }
+    }
+}
+
+impl WaitHistogram {
+    /// `bucket(u64::MAX) + 1`.
+    const BUCKETS: usize = 252;
+
+    /// 0‥3 µs map to themselves; above, the octave `e = ⌊log2 us⌋` and
+    /// the two bits below its leading one pick the bucket.
+    fn bucket(us: u64) -> usize {
+        if us < 4 {
+            return us as usize;
+        }
+        let e = 63 - us.leading_zeros() as usize;
+        ((e - 1) << 2) | ((us >> (e - 2)) & 3) as usize
+    }
+
+    /// The smallest wait that lands in bucket `b` (inverse of `bucket`).
+    fn floor_of(b: usize) -> u64 {
+        if b < 4 {
+            return b as u64;
+        }
+        (4 | (b as u64 & 3)) << ((b >> 2) - 1)
+    }
+
+    fn record(&mut self, wait: Duration) {
+        self.counts[Self::bucket(wait.as_micros() as u64)] += 1;
+        self.total += 1;
+    }
+
+    /// `p`-th percentile (nearest-rank on the inclusive index scale, as
+    /// the floor of its bucket; zero for an empty histogram).
+    fn percentile(&self, p: u64) -> Duration {
+        let rank = self.total.saturating_sub(1) * p / 100;
+        let mut seen = 0;
+        for (b, &n) in self.counts.iter().enumerate() {
+            seen += n;
+            if seen > rank {
+                return Duration::from_micros(Self::floor_of(b));
+            }
+        }
+        Duration::ZERO
+    }
+}
+
 /// Per-tenant timing accumulators (wall-clock side of [`TenantStats`]).
 #[derive(Default)]
 struct TenantTimings {
-    queue_us: Vec<u64>,
+    queue: WaitHistogram,
     plan: Duration,
     exec: Duration,
     served: u64,
@@ -310,14 +373,13 @@ pub struct Orchestrator {
     /// `ScalingObservation::recent_timeouts`.
     pending_timeouts: AtomicUsize,
     timings: Mutex<Vec<TenantTimings>>,
-    specs: Vec<TenantSpec>,
     recoveries: Mutex<Vec<RecoveryEvent>>,
 }
 
 impl std::fmt::Debug for Orchestrator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Orchestrator")
-            .field("tenants", &self.specs.len())
+            .field("tenants", &self.admission.specs().len())
             .field("capacity", &self.admission.capacity())
             .field("pool_width", &self.pool.width())
             .field("scaling", &self.scaling)
@@ -438,7 +500,7 @@ impl OrchestratorBuilder {
         let n_tenants = self.tenants.len();
         Ok(Orchestrator {
             service: QueryService::new(self.ctx, Arc::new(backend)),
-            admission: WeightedAdmission::new(capacity, self.tenants.clone()),
+            admission: WeightedAdmission::new(capacity, self.tenants),
             pool,
             injector,
             checkpoints: checkpoints.map(|(store, _)| store),
@@ -455,22 +517,8 @@ impl OrchestratorBuilder {
                 events: Vec::new(),
             }),
             timings: Mutex::new((0..n_tenants).map(|_| TenantTimings::default()).collect()),
-            specs: self.tenants,
             recoveries: Mutex::new(Vec::new()),
         })
-    }
-}
-
-/// Releases the tenant's admission slot even if the query errors or the
-/// serving thread panics.
-struct SlotGuard<'a> {
-    admission: &'a WeightedAdmission,
-    tenant: &'a str,
-}
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.admission.release(self.tenant);
     }
 }
 
@@ -496,117 +544,13 @@ impl Orchestrator {
     /// Results are bit-identical (rows **and** metered `edge_totals`) to
     /// a fault-free single-session execution of the same plan.
     pub fn serve_as(&self, tenant: &str, plan: &LogicalPlan) -> Result<ServedQuery, QueryError> {
-        let tenant_ix = self
-            .specs
-            .iter()
-            .position(|s| s.name == tenant)
-            .ok_or_else(|| QueryError::UnknownTenant(tenant.to_string()))?;
-        let grant = self.admission.acquire(tenant)?;
-        let _slot = SlotGuard {
-            admission: &self.admission,
+        let (result, stats) = self.serve_with(
             tenant,
-        };
-        {
-            // The structural fairness metric: grants to other queries
-            // between this one's enqueue and its own grant.
-            let mut timings = lock_ok(&self.timings);
-            let t = &mut timings[tenant_ix];
-            t.max_waited_grants = t.max_waited_grants.max(grant.waited_grants);
-        }
-        self.scale_tick(grant.queued);
-
-        // Pin the plan AND the catalog snapshot once: every recovery
-        // attempt replays the exact same deterministic schedule, so
-        // recovered results are bit-identical even if a concurrent
-        // `register`/`degrade_link` swaps the serving generation
-        // mid-recovery.
-        let pinned = match self.service.prepare_pinned(plan) {
-            Ok(p) => p,
-            Err(e) => {
-                // A plan armed for this query would otherwise leak into
-                // the next, unrelated execution: drop it with the query.
-                self.injector.clear_armed();
-                return Err(e);
-            }
-        };
-        let mut attempt = 1u32;
-        let outcome = loop {
-            match self
-                .service
-                .execute_pinned(&pinned, grant.ticket, grant.queued)
-            {
-                Err(e) if e.is_recoverable() => {
-                    if matches!(e, QueryError::SuperstepTimeout { .. }) {
-                        self.pending_timeouts.fetch_add(1, Ordering::Relaxed);
-                        lock_ok(&self.timings)[tenant_ix].timeouts += 1;
-                    }
-                    lock_ok(&self.recoveries).push(RecoveryEvent {
-                        tenant: tenant.to_string(),
-                        ticket: grant.ticket,
-                        fault: fault_event_of(&e, self.service.context().tree()),
-                        attempt,
-                        resumed_from: None,
-                        replayed_supersteps: None,
-                        skipped_supersteps: 0,
-                    });
-                    if attempt >= self.retry.max_attempts {
-                        // Total loss (or an adversarial re-arming loop):
-                        // give up with a typed error after exactly
-                        // `max_attempts` executions, dropping any
-                        // still-armed chaos plans with the query.
-                        self.injector.clear_armed();
-                        break Err(QueryError::RecoveryExhausted {
-                            attempts: attempt,
-                            last: Box::new(e),
-                        });
-                    }
-                    let delay = self.retry.backoff.delay(attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    // The faulted run consumed its armed plan (FIFO
-                    // one-shot), so this replay sees the next armed plan
-                    // if the chaos schedule re-armed, or a healthy crew.
-                    attempt += 1;
-                    continue;
-                }
-                Err(e) => {
-                    // Non-recoverable: drop any plan armed for this query
-                    // instead of leaking it into the next execution.
-                    self.injector.clear_armed();
-                    break Err(e);
-                }
-                Ok(served) => break Ok(served),
-            }
-        };
-        if let Ok(served) = &outcome {
-            if attempt > 1 {
-                // Patch the replay bookkeeping onto this query's last
-                // fault event, now that the successful attempt is known.
-                let resumed = served.result.resumed_from;
-                let skipped = resumed.unwrap_or(0);
-                let mut recs = lock_ok(&self.recoveries);
-                if let Some(last) = recs
-                    .iter_mut()
-                    .rev()
-                    .find(|r| r.ticket == grant.ticket && r.tenant == tenant)
-                {
-                    last.resumed_from = resumed;
-                    last.replayed_supersteps = Some(served.result.supersteps - skipped);
-                    last.skipped_supersteps = skipped;
-                }
-                lock_ok(&self.timings)[tenant_ix].supersteps_skipped += skipped as u64;
-            }
-            let mut timings = lock_ok(&self.timings);
-            let t = &mut timings[tenant_ix];
-            t.served += 1;
-            t.recovered += u64::from(attempt > 1);
-            t.cache_hits += u64::from(served.stats.cache_hit);
-            t.queue_us.push(served.stats.queued.as_micros() as u64);
-            t.plan += served.stats.plan;
-            t.exec += served.stats.exec;
-        }
-        outcome
+            |pinned| self.service.plan_on(pinned, plan),
+            |pinned, cached| self.service.run_plan(pinned, cached),
+            |result: &QueryResult| (result.supersteps, result.resumed_from),
+        )?;
+        Ok(ServedQuery { result, stats })
     }
 
     /// Serve one iterative fixpoint job (see [`crate::iterative`]) on
@@ -629,119 +573,147 @@ impl Orchestrator {
         tenant: &str,
         job: &IterativeJob,
     ) -> Result<ServedIterative, QueryError> {
-        let tenant_ix = self
-            .specs
-            .iter()
-            .position(|s| s.name == tenant)
-            .ok_or_else(|| QueryError::UnknownTenant(tenant.to_string()))?;
-        let grant = self.admission.acquire(tenant)?;
+        let backend = self.service.backend();
+        let (outcome, stats) = self.serve_with(
+            tenant,
+            // The whole fixpoint is computed locally and deterministically;
+            // iterative plans are never cached.
+            |pinned| Ok((job.prepare(pinned.ctx.tree())?, false)),
+            |pinned, prepared| prepared.run_on(pinned.ctx.tree(), backend),
+            |outcome: &IterativeOutcome| (outcome.supersteps, outcome.resumed_from),
+        )?;
+        Ok(ServedIterative { outcome, stats })
+    }
+
+    /// The one serve loop behind [`serve_as`](Self::serve_as) and
+    /// [`serve_iterative`](Self::serve_iterative) — the module-docs
+    /// diagram, top to bottom: admit → fairness stat → scale tick → pin →
+    /// `prepare` → `attempt` until it succeeds, a non-recoverable error
+    /// ends it, or the [`RetryPolicy`] is exhausted → patch the replay
+    /// bookkeeping (`replay_of` reads `(supersteps, resumed_from)` off the
+    /// result) → roll up timings.
+    ///
+    /// The serving generation is pinned **once**: `prepare` and every
+    /// `attempt` get the same [`Snapshot`], so each retry replays the
+    /// same deterministic schedule on the same tree and catalog — and a
+    /// checkpointed ledger resumes against the weights it was built on —
+    /// even if a concurrent `register` / `degrade_link` swaps the serving
+    /// generation mid-recovery. `prepare` also reports whether its plan
+    /// came from the cache.
+    fn serve_with<P, T>(
+        &self,
+        tenant: &str,
+        prepare: impl FnOnce(&Snapshot) -> Result<(P, bool), QueryError>,
+        mut attempt: impl FnMut(&Snapshot, &P) -> Result<T, QueryError>,
+        replay_of: impl FnOnce(&T) -> (usize, Option<usize>),
+    ) -> Result<(T, ServiceStats), QueryError> {
+        let tenant_ix = self.admission.tenant_index(tenant)?;
+        let grant = self.admission.acquire(tenant_ix)?;
         let _slot = SlotGuard {
             admission: &self.admission,
-            tenant,
+            tenant: tenant_ix,
         };
         {
-            let mut timings = lock_ok(&self.timings);
-            let t = &mut timings[tenant_ix];
+            // The structural fairness metric: grants to other queries
+            // between this one's enqueue and its own grant.
+            let t = &mut lock_ok(&self.timings)[tenant_ix];
             t.max_waited_grants = t.max_waited_grants.max(grant.waited_grants);
         }
         self.scale_tick(grant.queued);
 
-        // Prepare once: the whole fixpoint is computed locally and
-        // deterministically, so every recovery attempt replays the exact
-        // same schedule (the same pinning argument as `serve_as`).
-        let plan_start = Instant::now();
-        let prepared = match job.prepare(self.service.context().tree()) {
+        let pinned = self.service.snapshot();
+        // Whatever ends the query early also drops any fault plan still
+        // armed for it, instead of leaking it into the next, unrelated
+        // execution.
+        let fail = |e: QueryError| {
+            self.injector.clear_armed();
+            Err(e)
+        };
+        let planning = Instant::now();
+        let (prepared, cache_hit) = match prepare(&pinned) {
             Ok(p) => p,
             Err(e) => {
                 if matches!(e, QueryError::IterationLimit { .. }) {
                     lock_ok(&self.timings)[tenant_ix].iteration_limits += 1;
                 }
-                // Drop any chaos plan armed for this job with the job.
-                self.injector.clear_armed();
-                return Err(e);
+                return fail(e);
             }
         };
-        let plan_time = plan_start.elapsed();
+        let plan = planning.elapsed();
 
-        let backend = self.service.backend();
-        let mut attempt = 1u32;
-        let exec_start = Instant::now();
-        let outcome = loop {
-            match prepared.run_on(self.service.context().tree(), backend) {
-                Err(e) if e.is_recoverable() => {
-                    if matches!(e, QueryError::SuperstepTimeout { .. }) {
-                        self.pending_timeouts.fetch_add(1, Ordering::Relaxed);
-                        lock_ok(&self.timings)[tenant_ix].timeouts += 1;
-                    }
-                    lock_ok(&self.recoveries).push(RecoveryEvent {
-                        tenant: tenant.to_string(),
-                        ticket: grant.ticket,
-                        fault: fault_event_of(&e, self.service.context().tree()),
-                        attempt,
-                        resumed_from: None,
-                        replayed_supersteps: None,
-                        skipped_supersteps: 0,
-                    });
-                    if attempt >= self.retry.max_attempts {
-                        self.injector.clear_armed();
-                        break Err(QueryError::RecoveryExhausted {
-                            attempts: attempt,
-                            last: Box::new(e),
-                        });
-                    }
-                    let delay = self.retry.backoff.delay(attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                    attempt += 1;
-                    continue;
-                }
-                Err(e) => {
-                    self.injector.clear_armed();
-                    break Err(e);
-                }
-                Ok(outcome) => break Ok(outcome),
+        let mut attempts = 1u32;
+        let (output, exec) = loop {
+            let executing = Instant::now();
+            let e = match attempt(&pinned, &prepared) {
+                Ok(output) => break (output, executing.elapsed()),
+                Err(e) if e.is_recoverable() => e,
+                Err(e) => return fail(e),
+            };
+            if matches!(e, QueryError::SuperstepTimeout { .. }) {
+                self.pending_timeouts.fetch_add(1, Ordering::Relaxed);
+                lock_ok(&self.timings)[tenant_ix].timeouts += 1;
             }
+            lock_ok(&self.recoveries).push(RecoveryEvent {
+                tenant: tenant.to_string(),
+                ticket: grant.ticket,
+                fault: fault_event_of(&e, pinned.ctx.tree()),
+                attempt: attempts,
+                resumed_from: None,
+                replayed_supersteps: None,
+                skipped_supersteps: 0,
+            });
+            if attempts >= self.retry.max_attempts {
+                // Total loss (or an adversarial re-arming loop): give up
+                // with a typed error after exactly `max_attempts`
+                // executions.
+                return fail(QueryError::RecoveryExhausted {
+                    attempts,
+                    last: Box::new(e),
+                });
+            }
+            let delay = self.retry.backoff.delay(attempts);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
+            // The faulted run consumed its armed plan (FIFO one-shot), so
+            // this replay sees the next armed plan if the chaos schedule
+            // re-armed, or a healthy crew.
+            attempts += 1;
         };
-        let exec_time = exec_start.elapsed();
 
-        match outcome {
-            Ok(outcome) => {
-                if attempt > 1 {
-                    let resumed = outcome.resumed_from;
-                    let skipped = resumed.unwrap_or(0);
-                    let mut recs = lock_ok(&self.recoveries);
-                    if let Some(last) = recs
-                        .iter_mut()
-                        .rev()
-                        .find(|r| r.ticket == grant.ticket && r.tenant == tenant)
-                    {
-                        last.resumed_from = resumed;
-                        last.replayed_supersteps = Some(outcome.supersteps - skipped);
-                        last.skipped_supersteps = skipped;
-                    }
-                    lock_ok(&self.timings)[tenant_ix].supersteps_skipped += skipped as u64;
-                }
-                let mut timings = lock_ok(&self.timings);
-                let t = &mut timings[tenant_ix];
-                t.served += 1;
-                t.recovered += u64::from(attempt > 1);
-                t.queue_us.push(grant.queued.as_micros() as u64);
-                t.plan += plan_time;
-                t.exec += exec_time;
-                Ok(ServedIterative {
-                    outcome,
-                    stats: ServiceStats {
-                        ticket: grant.ticket,
-                        queued: grant.queued,
-                        plan: plan_time,
-                        exec: exec_time,
-                        cache_hit: false,
-                    },
-                })
+        let mut skipped = 0;
+        if attempts > 1 {
+            // Patch the replay bookkeeping onto this query's last fault
+            // event, now that the successful attempt is known.
+            let (supersteps, resumed_from) = replay_of(&output);
+            skipped = resumed_from.unwrap_or(0);
+            let mut recs = lock_ok(&self.recoveries);
+            if let Some(last) = recs
+                .iter_mut()
+                .rev()
+                .find(|r| r.ticket == grant.ticket && r.tenant == tenant)
+            {
+                last.resumed_from = resumed_from;
+                last.replayed_supersteps = Some(supersteps - skipped);
+                last.skipped_supersteps = skipped;
             }
-            Err(e) => Err(e),
         }
+        let t = &mut lock_ok(&self.timings)[tenant_ix];
+        t.served += 1;
+        t.recovered += u64::from(attempts > 1);
+        t.supersteps_skipped += skipped as u64;
+        t.cache_hits += u64::from(cache_hit);
+        t.queue.record(grant.queued);
+        t.plan += plan;
+        t.exec += exec;
+        let stats = ServiceStats {
+            ticket: grant.ticket,
+            queued: grant.queued,
+            plan,
+            exec,
+            cache_hit,
+        };
+        Ok((output, stats))
     }
 
     /// One pass of the autoscaling control loop (runs between a query's
@@ -868,14 +840,13 @@ impl Orchestrator {
     pub fn stats(&self) -> Vec<TenantStats> {
         let admission = self.admission.tenant_admission();
         let timings = lock_ok(&self.timings);
-        self.specs
+        self.admission
+            .specs()
             .iter()
             .enumerate()
             .map(|(i, spec)| {
-                let adm = &admission[i].1;
+                let adm = &admission[i];
                 let t = &timings[i];
-                let mut sorted = t.queue_us.clone();
-                sorted.sort_unstable();
                 TenantStats {
                     tenant: spec.name.clone(),
                     weight: spec.weight,
@@ -889,8 +860,8 @@ impl Orchestrator {
                     iteration_limits: t.iteration_limits,
                     queued_now: adm.queued,
                     running_now: adm.running,
-                    queue_p50: percentile(&sorted, 50),
-                    queue_p99: percentile(&sorted, 99),
+                    queue_p50: t.queue.percentile(50),
+                    queue_p99: t.queue.percentile(99),
                     plan_total: t.plan,
                     exec_total: t.exec,
                     max_waited_grants: t.max_waited_grants,
@@ -926,16 +897,6 @@ fn fault_event_of(e: &QueryError, tree: &Tree) -> FaultEvent {
         },
         _ => unreachable!("fault_event_of is only called on recoverable errors"),
     }
-}
-
-/// `p`-th percentile of an ascending-sorted micros sample (nearest-rank
-/// on the inclusive index scale; zero for an empty sample).
-fn percentile(sorted_us: &[u64], p: u32) -> Duration {
-    if sorted_us.is_empty() {
-        return Duration::ZERO;
-    }
-    let rank = (sorted_us.len() - 1) * p as usize / 100;
-    Duration::from_micros(sorted_us[rank])
 }
 
 #[cfg(test)]
@@ -1250,13 +1211,89 @@ mod tests {
     }
 
     #[test]
-    fn percentile_is_nearest_rank() {
-        assert_eq!(percentile(&[], 99), Duration::ZERO);
-        let us: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&us, 50), Duration::from_micros(50));
-        assert_eq!(percentile(&us, 99), Duration::from_micros(99));
-        assert_eq!(percentile(&us, 100), Duration::from_micros(100));
-        assert_eq!(percentile(&[7], 99), Duration::from_micros(7));
+    fn wait_histogram_is_constant_size_and_within_one_bucket_of_exact() {
+        // Bucket arithmetic: contiguous, monotone, and `floor_of` is the
+        // inverse of `bucket` over the whole `u64` range.
+        assert_eq!(WaitHistogram::bucket(u64::MAX) + 1, WaitHistogram::BUCKETS);
+        for b in 0..WaitHistogram::BUCKETS {
+            let lo = WaitHistogram::floor_of(b);
+            assert_eq!(WaitHistogram::bucket(lo), b);
+            assert!(b == 0 || WaitHistogram::bucket(lo - 1) == b - 1);
+        }
+        let mut h = WaitHistogram::default();
+        assert_eq!(h.percentile(99), Duration::ZERO);
+        // 1M waits from a seeded LCG, log-uniform over ~1 µs‥1 s: the
+        // structure is a fixed array (no heap, same size before and
+        // after), and every reported quantile sits within one bucket of
+        // the exact nearest-rank one.
+        let before = std::mem::size_of_val(&h);
+        let mut exact = Vec::with_capacity(1_000_000);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..1_000_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let us = (x >> 33) >> ((x >> 8) % 30);
+            h.record(Duration::from_micros(us));
+            exact.push(us);
+        }
+        assert_eq!(std::mem::size_of_val(&h), before);
+        assert_eq!(h.total, 1_000_000);
+        exact.sort_unstable();
+        for p in [0, 50, 90, 99, 100] {
+            let want = exact[(exact.len() - 1) * p as usize / 100];
+            let got = h.percentile(p).as_micros() as u64;
+            let (wb, gb) = (WaitHistogram::bucket(want), WaitHistogram::bucket(got));
+            assert!(wb.abs_diff(gb) <= 1, "p{p}: exact {want} vs reported {got}");
+            assert!(got <= want, "a quantile is reported as its bucket's floor");
+        }
+        assert!(h.percentile(50) <= h.percentile(99));
+    }
+
+    #[test]
+    fn every_attempt_runs_on_the_generation_pinned_at_admission() {
+        // Drive the shared loop with an attempt that swaps the serving
+        // generation — a `degrade_link` re-weights the live tree — and
+        // then fails recoverably. The retry must still see the tree the
+        // query was admitted on: re-reading `service.context()` per
+        // attempt would meter the retry against different weights than
+        // the ledger a checkpoint resumes.
+        let orch = Orchestrator::builder(ctx())
+            .tenant(TenantSpec::new("a", 1, 4))
+            .build()
+            .unwrap();
+        let admitted_on = orch.service().context().tree().fingerprint();
+        let victim = orch.service().context().tree().compute_nodes()[0];
+        let mut seen = Vec::new();
+        let (attempts, stats) = orch
+            .serve_with(
+                "a",
+                |pinned| Ok((pinned.ctx.tree().fingerprint(), false)),
+                |pinned, prepared_on| {
+                    seen.push(pinned.ctx.tree().fingerprint());
+                    assert_eq!(seen.last(), Some(prepared_on));
+                    if seen.len() == 1 {
+                        orch.degrade_link(EdgeId(0), 4.0).unwrap();
+                        return Err(QueryError::FaultInjected {
+                            node: victim,
+                            round: 0,
+                        });
+                    }
+                    Ok(seen.len())
+                },
+                |_| (1, None),
+            )
+            .unwrap();
+        assert_eq!(attempts, 2);
+        assert_eq!(seen, vec![admitted_on, admitted_on]);
+        // The swap did land — on the *next* query's generation.
+        assert_ne!(orch.service().context().tree().fingerprint(), admitted_on);
+        assert!(!stats.cache_hit);
+        let recs = orch.recovery_events();
+        assert_eq!(recs.len(), 1);
+        assert_eq!((recs[0].attempt, recs[0].fault.node), (1, victim));
+        assert_eq!(recs[0].replayed_supersteps, Some(1));
+        assert_eq!(orch.stats()[0].recovered, 1);
     }
 
     /// A 6-cycle over the star's leaves (every vertex pair of adjacent

@@ -1,8 +1,10 @@
 //! The physical plan: operators with explicit, strategy-chosen,
 //! cost-estimated exchanges.
 //!
-//! Lowering ([`lower`]) turns a [`LogicalPlan`] into a [`PhysicalPlan`]
-//! in which every communicating operator carries an explicit [`Exchange`]
+//! Lowering
+//! ([`QueryContext::prepare`](crate::context::QueryContext::prepare))
+//! turns a [`LogicalPlan`] into a [`PhysicalPlan`] in which every
+//! communicating operator carries an explicit [`Exchange`]
 //! — *which* [`PhysicalStrategy`] will move the data, what it is
 //! expected to cost on the §2 functional, and how that estimate compares
 //! to the task's **per-edge lower bound** (the paper's Table-1 ratio).
@@ -53,8 +55,7 @@ use crate::table::Catalog;
 
 use cost::{CostModel, NodeCounts};
 use strategy::{
-    default_registry, Candidate, CostEstimate, OperatorKind, PhysicalStrategy, PlanArgs, PlanSide,
-    StrategyRegistry,
+    Candidate, CostEstimate, OperatorKind, PhysicalStrategy, PlanArgs, PlanSide, StrategyRegistry,
 };
 
 /// An explicit data movement step attached to a physical operator: the
@@ -328,24 +329,14 @@ impl fmt::Display for PhysicalPlan {
     }
 }
 
-/// Lower a [`LogicalPlan`] into a [`PhysicalPlan`] against the default
-/// strategy registry, pricing every registered candidate on the §2 cost
-/// model and resolving each operator's exchange cost-based (or as forced
-/// by [`ExecOptions`]).
+/// Lower a [`LogicalPlan`] into a [`PhysicalPlan`] (plus its inferred
+/// output [`Schema`], so callers that need both do one walk): price every
+/// candidate `registry` holds on the §2 cost model and resolve each
+/// operator's exchange cost-based (or as forced by [`ExecOptions`]).
 ///
 /// Lowering validates the plan (schema inference runs as part of the
 /// walk), so a lowered plan is known to execute without name errors.
-pub fn lower(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    options: ExecOptions,
-) -> Result<PhysicalPlan, QueryError> {
-    lower_full(plan, catalog, options, default_registry()).map(|(plan, _)| plan)
-}
-
-/// [`lower`] against an explicit [`StrategyRegistry`], also returning the
-/// inferred output [`Schema`] so callers that need both do one walk.
-pub(crate) fn lower_full(
+pub(crate) fn lower(
     plan: &LogicalPlan,
     catalog: &Catalog,
     options: ExecOptions,
@@ -481,7 +472,7 @@ impl<'c> Planner<'c> {
                 let args = self.args((lc, ls.width()), Some((rc, rs.width())));
                 let exchange =
                     self.registry
-                        .plan(OperatorKind::Join, self.options.forced_join(), &args)?;
+                        .plan(OperatorKind::Join, self.options.force.join, &args)?;
                 // Output estimate: key/foreign-key shape, placed by the
                 // winning strategy.
                 let (l_tot, r_tot) = (
@@ -661,11 +652,20 @@ impl<'c> Planner<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{JoinStrategy, StrategyForce};
+    use crate::exec::StrategyForce;
     use crate::expr::{col, lit};
     use crate::row::Row;
     use crate::table::DistributedTable;
     use tamp_topology::builders;
+
+    /// Lower against the built-in strategies, plan only.
+    fn lower(
+        plan: &LogicalPlan,
+        catalog: &Catalog,
+        options: ExecOptions,
+    ) -> Result<PhysicalPlan, QueryError> {
+        super::lower(plan, catalog, options, &StrategyRegistry::with_defaults()).map(|(p, _)| p)
+    }
 
     fn star_catalog(facts: u64, dims: u64) -> Catalog {
         let tree = builders::star(4, 1.0);
@@ -713,7 +713,7 @@ mod tests {
     #[test]
     fn auto_keeps_colocated_skew_in_place() {
         // Both sides parked on one node: the weighted repartition moves
-        // (almost) nothing, so Auto must not pick the uniform shuffle.
+        // (almost) nothing, so the planner must not pick the uniform shuffle.
         let tree = builders::heterogeneous_star(&[0.5, 4.0, 4.0, 4.0]);
         let heavy = tree.compute_nodes()[0];
         let mut c = Catalog::new(tree);
@@ -748,28 +748,6 @@ mod tests {
             .cost;
         assert!(x.estimate.tuple_cost < 1e-9, "{}", x.estimate.tuple_cost);
         assert!(uniform > 100.0, "{uniform}");
-    }
-
-    #[test]
-    fn forced_strategies_map_directly() {
-        let c = star_catalog(100, 100);
-        let q = LogicalPlan::scan("facts").join_on(LogicalPlan::scan("dims"), "g", "g");
-        for (strategy, name) in [
-            (JoinStrategy::Weighted, "weighted-repartition"),
-            (JoinStrategy::Uniform, "uniform-repartition"),
-            (JoinStrategy::BroadcastSmall, "broadcast-small"),
-        ] {
-            let p = lower(
-                &q,
-                &c,
-                ExecOptions {
-                    join: strategy,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(p.exchange().unwrap().name(), name);
-        }
     }
 
     #[test]

@@ -99,7 +99,7 @@
 //! ```
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use tamp_core::ratio::LowerBound;
 use tamp_runtime::jobs::ScheduleSend;
@@ -824,14 +824,6 @@ impl StrategyRegistry {
             candidates,
         })
     }
-}
-
-/// The process-wide default registry, for the legacy free-function entry
-/// points ([`execute`](crate::exec::execute)) that have no session to
-/// carry one.
-pub(crate) fn default_registry() -> &'static StrategyRegistry {
-    static DEFAULT: OnceLock<StrategyRegistry> = OnceLock::new();
-    DEFAULT.get_or_init(StrategyRegistry::with_defaults)
 }
 
 #[cfg(test)]

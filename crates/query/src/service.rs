@@ -16,10 +16,11 @@
 //!   catalog version and invalidate every entry. Hit/miss/invalidation
 //!   counters are exposed via [`cache_stats`](QueryService::cache_stats).
 //! - **Admission scheduling.** In-flight queries are bounded
-//!   ([`with_max_inflight`](QueryService::with_max_inflight)); waiting
-//!   queries are admitted in strict FIFO ticket order, so a burst cannot
-//!   starve earlier arrivals. Every served query reports queue / plan /
-//!   exec timings in its [`ServiceStats`].
+//!   ([`with_max_inflight`](QueryService::with_max_inflight)) by the
+//!   serving stack's one gate ([`crate::admission`]), here with a single
+//!   implicit tenant: waiting queries are admitted in arrival order, so
+//!   a burst cannot starve earlier arrivals. Every served query reports
+//!   queue / plan / exec timings in its [`ServiceStats`].
 //! - **Shared backend.** The service holds an
 //!   `Arc<dyn ExecBackend + Send + Sync>`; the pooled cluster backend can
 //!   additionally share one persistent worker crew across all queries
@@ -84,37 +85,33 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use tamp_runtime::backend::{ExecBackend, SimulatorBackend};
 use tamp_runtime::backend_from_spec;
-use tamp_topology::{EdgeId, Tree};
+use tamp_topology::EdgeId;
 
+use crate::admission::{SlotGuard, WeightedAdmission};
 use crate::context::{PreparedQuery, QueryContext};
 use crate::error::QueryError;
 use crate::exec::{self, ExecOptions, QueryResult};
+use crate::lock_ok;
 use crate::physical::strategy::PhysicalStrategy;
-use crate::physical::{lower_full, PhysicalPlan};
+use crate::physical::{self, PhysicalPlan};
 use crate::plan::LogicalPlan;
 use crate::schema::Schema;
 use crate::table::DistributedTable;
 
-/// Recover a guard from a possibly-poisoned mutex: the service must keep
-/// serving after a panicking query thread (the state under these locks is
-/// counters and immutable `Arc`s, never left half-written).
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// One immutable generation of the service's session state. Queries
-/// snapshot the `Arc` once and keep planning/executing against it even if
-/// a concurrent `register` swaps in the next generation.
-struct Snapshot {
-    ctx: Arc<QueryContext>,
+/// One immutable generation of the service's session state. A query
+/// takes the snapshot once and plans, executes — and, under the
+/// orchestrator, retries — against it even if a concurrent `register` or
+/// [`degrade_link`](QueryService::degrade_link) swaps in the next
+/// generation: that pinning is what makes recovered results
+/// bit-identical by construction.
+#[derive(Clone)]
+pub(crate) struct Snapshot {
+    pub(crate) ctx: Arc<QueryContext>,
     version: u64,
     /// Fingerprint of the snapshot's topology (weights included): part
     /// of the plan-cache key, so an in-place bandwidth mutation
@@ -125,18 +122,9 @@ struct Snapshot {
 
 /// A cached prepared plan: the lowered physical plan plus its inferred
 /// output schema, shared by every query that hits the entry.
-struct CachedPlan {
+pub(crate) struct CachedPlan {
     physical: PhysicalPlan,
     schema: Schema,
-}
-
-/// A query pinned to one catalog snapshot and one prepared plan — see
-/// [`QueryService::prepare_pinned`].
-pub(crate) struct PinnedQuery {
-    ctx: Arc<QueryContext>,
-    plan: Arc<CachedPlan>,
-    cache_hit: bool,
-    plan_time: Duration,
 }
 
 /// One plan-cache slot. The fingerprint key is 64 bits, so the entry
@@ -191,65 +179,6 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-/// FIFO bounded-admission gate: tickets are issued on arrival and
-/// admitted strictly in ticket order as completions free slots.
-struct Admission {
-    max_inflight: usize,
-    state: Mutex<AdmissionState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct AdmissionState {
-    next_ticket: u64,
-    completed: u64,
-    running: usize,
-    peak_inflight: usize,
-}
-
-impl Admission {
-    fn new(max_inflight: usize) -> Self {
-        Admission {
-            max_inflight: max_inflight.max(1),
-            state: Mutex::new(AdmissionState::default()),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Block until admitted; returns the query's ticket number.
-    fn acquire(&self) -> u64 {
-        let mut s = lock_ok(&self.state);
-        let ticket = s.next_ticket;
-        s.next_ticket += 1;
-        while ticket >= s.completed + self.max_inflight as u64 {
-            s = match self.cv.wait(s) {
-                Ok(s) => s,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
-        s.running += 1;
-        s.peak_inflight = s.peak_inflight.max(s.running);
-        ticket
-    }
-
-    fn release(&self) {
-        let mut s = lock_ok(&self.state);
-        s.running -= 1;
-        s.completed += 1;
-        drop(s);
-        self.cv.notify_all();
-    }
-}
-
-/// Releases the admission slot even if the query errors or panics.
-struct Permit<'a>(&'a Admission);
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        self.0.release();
-    }
-}
-
 /// Admission-gate counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
@@ -265,14 +194,17 @@ pub struct AdmissionStats {
 /// Per-query serving telemetry, returned with every result.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceStats {
-    /// FIFO ticket number (arrival order).
+    /// Grant sequence number — arrival order through a plain
+    /// [`QueryService`], DRR grant order through the orchestrator.
     pub ticket: u64,
     /// Time spent waiting for admission.
     pub queued: Duration,
     /// Time spent planning (≈0 on a cache hit).
     pub plan: Duration,
     /// Time spent computing fragments and replaying the exchange
-    /// schedule on the backend.
+    /// schedule on the backend — the successful attempt only: attempts
+    /// killed by a fault, and the backoff sleeps between them, are not
+    /// counted.
     pub exec: Duration,
     /// Whether the prepared plan came from the cache.
     pub cache_hit: bool,
@@ -288,13 +220,12 @@ pub struct ServedQuery {
 }
 
 /// A thread-safe query-serving layer: shared catalog, shared backend,
-/// prepared-plan cache, FIFO bounded admission. See the [module
-/// docs](self).
+/// prepared-plan cache, bounded admission. See the [module docs](self).
 pub struct QueryService {
     snapshot: RwLock<Snapshot>,
     backend: Arc<dyn ExecBackend + Send + Sync>,
     cache: Mutex<PlanCache>,
-    admission: Admission,
+    admission: WeightedAdmission,
 }
 
 impl std::fmt::Debug for QueryService {
@@ -307,19 +238,12 @@ impl std::fmt::Debug for QueryService {
     }
 }
 
-/// Canonical fingerprint of the topology a snapshot is bound to: node
-/// kinds plus every edge's endpoints and exact bandwidth bits
-/// ([`Tree::fingerprint`]).
-fn tree_fingerprint(tree: &Tree) -> u64 {
-    tree.fingerprint()
-}
-
 impl QueryService {
     /// Wrap a session into a serving layer over `backend`. The context's
     /// catalog, options and strategy registry become the service's
     /// initial (version 0) state.
     pub fn new(ctx: QueryContext, backend: Arc<dyn ExecBackend + Send + Sync>) -> Self {
-        let tree_fp = tree_fingerprint(ctx.tree());
+        let tree_fp = ctx.tree().fingerprint();
         let default_inflight = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
@@ -332,7 +256,7 @@ impl QueryService {
             }),
             backend,
             cache: Mutex::new(PlanCache::default()),
-            admission: Admission::new(default_inflight),
+            admission: WeightedAdmission::single_tenant(default_inflight),
         }
     }
 
@@ -351,8 +275,8 @@ impl QueryService {
         Ok(QueryService::new(ctx, backend))
     }
 
-    /// Builder-style: bound concurrent in-flight queries. Arrivals beyond
-    /// the bound queue in FIFO ticket order.
+    /// Builder-style: bound concurrent in-flight queries (the gate's
+    /// capacity). Arrivals beyond the bound queue in arrival order.
     ///
     /// A bound of 0 is a typed [`QueryError::InvalidAdmissionLimit`]: a
     /// zero-slot gate could never admit a query, so it is rejected here
@@ -361,7 +285,7 @@ impl QueryService {
         if max_inflight == 0 {
             return Err(QueryError::InvalidAdmissionLimit);
         }
-        self.admission = Admission::new(max_inflight);
+        self.admission = WeightedAdmission::single_tenant(max_inflight);
         Ok(self)
     }
 
@@ -374,7 +298,7 @@ impl QueryService {
     /// In-flight queries keep the snapshot they started with; this
     /// returns the newest generation.
     pub fn context(&self) -> Arc<QueryContext> {
-        Arc::clone(&self.read_snapshot().0)
+        self.snapshot().ctx
     }
 
     /// The catalog version: bumped by every
@@ -382,7 +306,7 @@ impl QueryService {
     /// [`register_strategy`](Self::register_strategy), part of the plan
     /// cache key.
     pub fn catalog_version(&self) -> u64 {
-        self.read_snapshot().1
+        self.snapshot().version
     }
 
     /// Point-in-time plan-cache counters.
@@ -398,11 +322,11 @@ impl QueryService {
 
     /// Point-in-time admission counters.
     pub fn admission_stats(&self) -> AdmissionStats {
-        let s = lock_ok(&self.admission.state);
+        let (admitted, peak_inflight) = self.admission.granted_and_peak();
         AdmissionStats {
-            admitted: s.completed + s.running as u64,
-            peak_inflight: s.peak_inflight,
-            max_inflight: self.admission.max_inflight,
+            admitted,
+            peak_inflight,
+            max_inflight: self.admission.capacity(),
         }
     }
 
@@ -448,81 +372,47 @@ impl QueryService {
     /// The result is bit-identical (rows **and** metered `edge_totals`)
     /// to `QueryContext::prepare(plan)?.run_on(backend)` against the same
     /// catalog generation.
-    pub fn serve(&self, plan: &LogicalPlan) -> Result<ServedQuery, QueryError> {
-        let arrived = Instant::now();
-        let ticket = self.admission.acquire();
-        let _permit = Permit(&self.admission);
-        let admitted = Instant::now();
-        self.serve_prepared(plan, ticket, admitted.saturating_duration_since(arrived))
-    }
-
-    /// The plan-and-execute half of [`serve`](Self::serve), with the
-    /// admission already decided by the caller: the FIFO gate (`serve`)
-    /// or the orchestrator's weighted-fair gate, which supplies its own
-    /// ticket and measured queue time.
     ///
     /// The queue → plan → exec timeline is monotone by construction: each
     /// phase boundary is captured once and durations are taken between
     /// consecutive boundaries with `saturating_duration_since`, so a
     /// coarse or non-monotone platform clock can underflow none of them.
-    pub(crate) fn serve_prepared(
-        &self,
-        plan: &LogicalPlan,
-        ticket: u64,
-        queued: Duration,
-    ) -> Result<ServedQuery, QueryError> {
-        let pinned = self.prepare_pinned(plan)?;
-        self.execute_pinned(&pinned, ticket, queued)
-    }
-
-    /// Plan (against the current snapshot, through the cache) and pin the
-    /// result: the returned [`PinnedQuery`] holds the snapshot `Arc` and
-    /// the shared prepared plan, so the caller can execute it any number
-    /// of times — the orchestrator's recovery loop replays the *same*
-    /// plan on the *same* catalog generation even if a concurrent
-    /// `register` or [`degrade_link`](Self::degrade_link) swaps the
-    /// service to a new generation mid-recovery. That pinning is what
-    /// makes recovered results bit-identical by construction.
-    pub(crate) fn prepare_pinned(&self, plan: &LogicalPlan) -> Result<PinnedQuery, QueryError> {
+    pub fn serve(&self, plan: &LogicalPlan) -> Result<ServedQuery, QueryError> {
+        let grant = self.admission.acquire(0)?;
+        let _slot = SlotGuard {
+            admission: &self.admission,
+            tenant: 0,
+        };
         let planning = Instant::now();
-        let (ctx, version, tree_fp) = self.read_snapshot();
-        let (cached, cache_hit) = self.prepare_cached(&ctx, version, tree_fp, plan)?;
-        Ok(PinnedQuery {
-            ctx,
-            plan: cached,
-            cache_hit,
-            plan_time: Instant::now().saturating_duration_since(planning),
-        })
-    }
-
-    /// Execute a pinned plan on the shared backend, stamping the serving
-    /// telemetry. Pure with respect to the service's snapshot: only the
-    /// pinned generation is read.
-    pub(crate) fn execute_pinned(
-        &self,
-        pinned: &PinnedQuery,
-        ticket: u64,
-        queued: Duration,
-    ) -> Result<ServedQuery, QueryError> {
+        let snapshot = self.snapshot();
+        let (cached, cache_hit) = self.plan_on(&snapshot, plan)?;
         let executing = Instant::now();
-        let result = exec::run_physical(
-            pinned.ctx.catalog(),
-            &pinned.plan.physical,
-            pinned.ctx.options(),
-            &self.backend,
-        )?;
+        let result = self.run_plan(&snapshot, &cached)?;
         let done = Instant::now();
-        debug_assert_eq!(result.schema, pinned.plan.schema);
         Ok(ServedQuery {
             result,
             stats: ServiceStats {
-                ticket,
-                queued,
-                plan: pinned.plan_time,
+                ticket: grant.ticket,
+                queued: grant.queued,
+                plan: executing.saturating_duration_since(planning),
                 exec: done.saturating_duration_since(executing),
-                cache_hit: pinned.cache_hit,
+                cache_hit,
             },
         })
+    }
+
+    /// Execute a prepared plan on the shared backend. Pure with respect
+    /// to the service's live state: only the given generation is read.
+    pub(crate) fn run_plan(
+        &self,
+        snapshot: &Snapshot,
+        plan: &CachedPlan,
+    ) -> Result<QueryResult, QueryError> {
+        let ctx = &snapshot.ctx;
+        let result =
+            exec::run_physical(ctx.catalog(), &plan.physical, ctx.options(), &self.backend)?;
+        debug_assert_eq!(result.schema, plan.schema);
+        Ok(result)
     }
 
     /// Serve and return just the result (stats dropped).
@@ -535,24 +425,28 @@ impl QueryService {
     /// was cached under. Uses (and warms) the plan cache; does not
     /// consume an admission slot.
     pub fn explain(&self, plan: &LogicalPlan) -> Result<String, QueryError> {
-        let (ctx, version, tree_fp) = self.read_snapshot();
-        let (cached, _) = self.prepare_cached(&ctx, version, tree_fp, plan)?;
+        let snapshot = self.snapshot();
+        let (cached, _) = self.plan_on(&snapshot, plan)?;
         let prepared = PreparedQuery::from_parts(
-            ctx.catalog(),
-            ctx.options(),
+            snapshot.ctx.catalog(),
+            snapshot.ctx.options(),
             plan.clone(),
             cached.physical.clone(),
             cached.schema.clone(),
         );
-        Ok(format!("catalog v{version}\n{}", prepared.explain()))
+        Ok(format!(
+            "catalog v{}\n{}",
+            snapshot.version,
+            prepared.explain()
+        ))
     }
 
-    fn read_snapshot(&self) -> (Arc<QueryContext>, u64, u64) {
-        let s = match self.snapshot.read() {
-            Ok(s) => s,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        (Arc::clone(&s.ctx), s.version, s.tree_fp)
+    /// The newest generation of the session state.
+    pub(crate) fn snapshot(&self) -> Snapshot {
+        match self.snapshot.read() {
+            Ok(s) => s.clone(),
+            Err(poisoned) => poisoned.into_inner().clone(),
+        }
     }
 
     fn update_snapshot(
@@ -568,7 +462,7 @@ impl QueryService {
             mutate(&mut ctx)?;
             // The mutation may have re-weighted the topology in place
             // (degrade_link): refresh the fingerprint with the version.
-            s.tree_fp = tree_fingerprint(ctx.tree());
+            s.tree_fp = ctx.tree().fingerprint();
             s.ctx = Arc::new(ctx);
             s.version += 1;
             s.version
@@ -590,17 +484,17 @@ impl QueryService {
         h.finish()
     }
 
-    /// Look the plan up in the cache, lowering (and inserting) on a miss.
-    /// Returns the shared prepared plan and whether it was a hit.
-    fn prepare_cached(
+    /// Plan `plan` against `snapshot` through the cache, lowering (and
+    /// inserting) on a miss. Returns the shared prepared plan and whether
+    /// it was a hit.
+    pub(crate) fn plan_on(
         &self,
-        ctx: &QueryContext,
-        version: u64,
-        tree_fp: u64,
+        snapshot: &Snapshot,
         plan: &LogicalPlan,
     ) -> Result<(Arc<CachedPlan>, bool), QueryError> {
+        let (ctx, version) = (&snapshot.ctx, snapshot.version);
         let options = ctx.options();
-        let key = QueryService::fingerprint(tree_fp, plan, version, &options);
+        let key = QueryService::fingerprint(snapshot.tree_fp, plan, version, &options);
         {
             let mut cache = lock_ok(&self.cache);
             // 64-bit keys can collide; the stored plan + options +
@@ -622,14 +516,14 @@ impl QueryService {
         }
         // Lower outside the cache lock: planning can be slow, and
         // concurrent first-time queries should not serialize on it.
-        let (physical, schema) = lower_full(plan, ctx.catalog(), options, ctx.strategies())?;
+        let (physical, schema) = physical::lower(plan, ctx.catalog(), options, ctx.strategies())?;
         let cached = Arc::new(CachedPlan { physical, schema });
         let mut cache = lock_ok(&self.cache);
         // Skip the insert if a register() raced past while we lowered:
         // the plan is still correct for *this* query (it runs on the
         // snapshot it was lowered from), but caching it would strand an
         // unreachable stale-generation entry until the next eviction.
-        if self.read_snapshot().1 == version {
+        if self.catalog_version() == version {
             if cache.entries.len() >= PLAN_CACHE_CAPACITY && !cache.entries.contains_key(&key) {
                 // Evict the least-recently-used slot.
                 if let Some(&lru) = cache
@@ -849,6 +743,90 @@ mod tests {
             .unwrap();
         assert!(service.serve(&queries()[0]).is_ok());
         assert_eq!(service.admission_stats().max_inflight, 1);
+    }
+
+    #[test]
+    fn the_one_tenant_gate_is_a_bounded_fifo() {
+        // Capacity 1, the slot held: N serves enqueue in a forced order
+        // (each is spawned only once the previous one is visibly queued).
+        // DRR over one tenant is FIFO, so tickets come back in arrival
+        // order and the in-flight peak never exceeds the bound.
+        const N: usize = 6;
+        let service = QueryService::with_default_backend(ctx())
+            .with_max_inflight(1)
+            .unwrap();
+        let q = &queries()[0];
+        let hold = service.admission.acquire(0).unwrap();
+        assert_eq!(hold.ticket, 0);
+        let tickets: Vec<u64> = std::thread::scope(|scope| {
+            let waiters: Vec<_> = (0..N)
+                .map(|k| {
+                    let waiter = scope.spawn(|| service.serve(q).unwrap().stats.ticket);
+                    while service.admission.queue_depth() <= k {
+                        std::thread::yield_now();
+                    }
+                    waiter
+                })
+                .collect();
+            assert_eq!(service.admission_stats().admitted, 1, "all N still wait");
+            service.admission.release(0);
+            waiters.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(tickets, (1..=N as u64).collect::<Vec<_>>());
+        let adm = service.admission_stats();
+        assert_eq!(
+            (adm.admitted, adm.peak_inflight, adm.max_inflight),
+            (N as u64 + 1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn a_session_strategy_is_priced_on_every_way_in() {
+        use crate::physical::strategy::{
+            CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PlanArgs,
+        };
+
+        /// A join candidate that is always priced out.
+        #[derive(Debug)]
+        struct NeverWinsJoin;
+
+        impl PhysicalStrategy for NeverWinsJoin {
+            fn name(&self) -> &'static str {
+                "never-wins"
+            }
+            fn operator(&self) -> OperatorKind {
+                OperatorKind::Join
+            }
+            fn estimate(&self, _a: &PlanArgs<'_>) -> CostEstimate {
+                CostEstimate {
+                    tuple_cost: 1e18,
+                    rounds: 1,
+                }
+            }
+            fn trace(&self, _a: &ExecArgs<'_>, _input: OpInput) -> Result<OpTrace, QueryError> {
+                unreachable!("estimate guarantees this candidate never wins")
+            }
+        }
+
+        let priced = |physical: &PhysicalPlan| {
+            let candidates = &physical.exchange().expect("a join").candidates;
+            assert_eq!(candidates.len(), 5, "{candidates:?}");
+            assert!(candidates.iter().any(|c| c.name == "never-wins"));
+        };
+        let mut ctx = ctx();
+        ctx.register_strategy(Arc::new(NeverWinsJoin));
+        let q = queries()[1].clone();
+        // QueryContext::prepare and DataFrame::prepare …
+        priced(ctx.prepare(&q).unwrap().physical_plan());
+        let df = ctx.table("facts").join_on(ctx.table("dims"), "g", "g");
+        assert_eq!(df.logical_plan(), &q);
+        priced(df.prepare().unwrap().physical_plan());
+        // … and the plan QueryService::serve lowered, cached and ran.
+        let service = QueryService::with_default_backend(ctx);
+        assert!(!service.serve(&q).unwrap().stats.cache_hit);
+        let (served_plan, hit) = service.plan_on(&service.snapshot(), &q).unwrap();
+        assert!(hit);
+        priced(&served_plan.physical);
     }
 
     #[test]

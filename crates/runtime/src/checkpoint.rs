@@ -33,19 +33,13 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 use tamp_simulator::metering::TrafficMeter;
 use tamp_simulator::NodeState;
 
+use crate::lock_ok;
 use crate::message::Envelope;
-
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// When to snapshot: every `every`-th superstep boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

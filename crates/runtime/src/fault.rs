@@ -44,19 +44,13 @@
 //! a silent no-op.
 
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use tamp_topology::{EdgeId, NodeId, Tree};
 
 use crate::error::RuntimeError;
-
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use crate::lock_ok;
 
 /// One declared fault.
 ///

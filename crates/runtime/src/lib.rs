@@ -88,3 +88,14 @@ pub use fault::{Fault, FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use jobs::{Schedule, ScheduleJob, ScheduleSend};
 pub use message::{Envelope, Outbox, Step};
 pub use pool::{ElasticPool, WorkerPool};
+
+/// Recover a usable guard from a possibly-poisoned mutex: the runtime
+/// must survive a panicking job (the panic is re-raised on the
+/// dispatching thread; the state under these locks is counters, queues
+/// and pointers, never left half-written).
+pub(crate) fn lock_ok<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    match m.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}

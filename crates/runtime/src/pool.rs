@@ -19,18 +19,10 @@
 //! bit-identical for any worker count and any crew lifetime.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Recover a usable guard from a possibly-poisoned mutex: the pool must
-/// survive a panicking job (the panic is re-raised on the dispatching
-/// thread; the shared state itself is just counters and pointers).
-fn lock_ok<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use crate::lock_ok;
 
 /// The current job, type-erased. The raw pointer launders the caller's
 /// borrow lifetime; soundness is argued at the single place it is set

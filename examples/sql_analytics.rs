@@ -93,23 +93,28 @@ fn main() {
     };
     println!("batch size: {batch_size}");
 
-    for (label, strategy) in [
-        ("distribution-aware (weighted) join", JoinStrategy::Weighted),
-        ("topology-agnostic (uniform) join", JoinStrategy::Uniform),
-        ("auto (cost-based at plan time)", JoinStrategy::Auto),
+    for (label, forced) in [
+        (
+            "distribution-aware (weighted) join",
+            Some("weighted-repartition"),
+        ),
+        (
+            "topology-agnostic (uniform) join",
+            Some("uniform-repartition"),
+        ),
+        ("auto (cost-based at plan time)", None),
     ] {
-        let result = execute_on(
-            &catalog,
-            &optimized,
-            ExecOptions {
-                join: strategy,
-                seed: 7,
-                batch_size,
-                ..ExecOptions::default()
-            },
-            backend.as_ref(),
-        )
-        .unwrap();
+        let mut ctx = QueryContext::with_catalog(catalog.clone())
+            .with_seed(7)
+            .with_batch_size(batch_size);
+        if let Some(name) = forced {
+            ctx = ctx.with_strategy(OperatorKind::Join, name);
+        }
+        let result = ctx
+            .prepare(&optimized)
+            .unwrap()
+            .run_on(backend.as_ref())
+            .unwrap();
         println!(
             "\n== {label}: total cost {:.1} tuples over {} rounds (planner estimate {:.1})",
             result.cost.tuple_cost(),

@@ -1,11 +1,11 @@
 //! Planner correctness across execution paths.
 //!
 //! A prepared query's exchange schedule is derived once from the plan, so
-//! the legacy `execute` shim, `QueryContext` on the simulator backend and
-//! `QueryContext` on the pooled cluster backend must produce **identical
-//! results and bit-identical metered costs** — same `edge_totals`, same
-//! rounds, same rows — for random tables, topologies, plans and join
-//! strategies.
+//! the one-shot `QueryContext::execute`, a prepared query on the
+//! simulator backend and the same prepared query on the pooled cluster
+//! backend must produce **identical results and bit-identical metered
+//! costs** — same `edge_totals`, same rounds, same rows — for random
+//! tables, topologies, plans and join strategies.
 
 use std::cell::Cell;
 
@@ -68,6 +68,14 @@ fn plans(threshold: u64, limit: usize) -> Vec<LogicalPlan> {
     ]
 }
 
+/// The cost-based join choice, then the three commonly forced ones.
+const FORCED_JOINS: [Option<&str>; 4] = [
+    None,
+    Some("weighted-repartition"),
+    Some("uniform-repartition"),
+    Some("broadcast-small"),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -84,21 +92,16 @@ proptest! {
         seed in 0u64..100,
         strat_pick in 0u8..4,
     ) {
-        let join = match strat_pick % 4 {
-            0 => JoinStrategy::Auto,
-            1 => JoinStrategy::Weighted,
-            2 => JoinStrategy::Uniform,
-            _ => JoinStrategy::BroadcastSmall,
-        };
-        let ctx = make_context(tree_pick, fact_rows, groups, skew)
-            .with_seed(seed)
-            .with_join_strategy(join);
+        let mut ctx = make_context(tree_pick, fact_rows, groups, skew).with_seed(seed);
+        if let Some(join) = FORCED_JOINS[usize::from(strat_pick % 4)] {
+            ctx = ctx.with_strategy(OperatorKind::Join, join);
+        }
         for q in plans(threshold, limit) {
             let ord = reference::preserves_order(&q);
             let want = reference::evaluate(&q, ctx.catalog()).unwrap();
 
-            // Path 1: the legacy free-function shim.
-            let legacy = execute(ctx.catalog(), &q, ctx.options()).unwrap();
+            // Path 1: the one-shot session call.
+            let legacy = ctx.execute(&q).unwrap();
             // Path 2: prepared query on the simulator backend.
             let prepared = ctx.prepare(&q).unwrap();
             let sim = prepared.run().unwrap();

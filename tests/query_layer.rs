@@ -72,21 +72,21 @@ proptest! {
         seed in 0u64..100,
         strat_pick in 0u8..4,
     ) {
-        let c = make_catalog(tree_pick, fact_rows, groups, skew);
-        let join = match strat_pick % 4 {
-            0 => JoinStrategy::Auto,
-            1 => JoinStrategy::Weighted,
-            2 => JoinStrategy::Uniform,
-            _ => JoinStrategy::BroadcastSmall,
-        };
-        let opts = ExecOptions {
-            join,
-            seed,
-            ..ExecOptions::default()
-        };
+        let mut ctx = QueryContext::with_catalog(make_catalog(tree_pick, fact_rows, groups, skew))
+            .with_seed(seed);
+        // The cost-based join choice, then the three commonly forced ones.
+        let forced = [
+            None,
+            Some("weighted-repartition"),
+            Some("uniform-repartition"),
+            Some("broadcast-small"),
+        ];
+        if let Some(join) = forced[usize::from(strat_pick % 4)] {
+            ctx = ctx.with_strategy(OperatorKind::Join, join);
+        }
         for q in plans(threshold, limit) {
-            let res = execute(&c, &q, opts).unwrap();
-            let want = reference::evaluate(&q, &c).unwrap();
+            let res = ctx.execute(&q).unwrap();
+            let want = reference::evaluate(&q, ctx.catalog()).unwrap();
             let got = res.rows(reference::preserves_order(&q));
             prop_assert_eq!(got, want, "plan:\n{}", q);
         }
@@ -100,14 +100,14 @@ proptest! {
         threshold in 0u64..255,
         tier in 0u64..5,
     ) {
-        let c = make_catalog(tree_pick, fact_rows, groups, 50);
+        let ctx = QueryContext::with_catalog(make_catalog(tree_pick, fact_rows, groups, 50));
         let q = LogicalPlan::scan("facts")
             .join_on(LogicalPlan::scan("dims"), "g", "g")
             .filter(col("x").gt(lit(threshold)).and(col("tier").eq(lit(tier))))
             .aggregate("tier", AggFunc::Count, "id");
-        let opt = optimize(q.clone(), &c).unwrap();
-        let a = execute(&c, &q, ExecOptions::default()).unwrap();
-        let b = execute(&c, &opt, ExecOptions::default()).unwrap();
+        let opt = optimize(q.clone(), ctx.catalog()).unwrap();
+        let a = ctx.execute(&q).unwrap();
+        let b = ctx.execute(&opt).unwrap();
         prop_assert_eq!(a.rows(false), b.rows(false), "optimized:\n{}", opt);
     }
 }
@@ -117,11 +117,11 @@ fn query_costs_respect_primitive_bounds() {
     // A pure cross join's cost relates to the cartesian-product task; a
     // pure order-by to sorting. Sanity: each operator's metered cost is
     // positive once data actually moves, and attribution sums to total.
-    let c = make_catalog(2, 200, 6, 70);
+    let ctx = QueryContext::with_catalog(make_catalog(2, 200, 6, 70));
     let q = LogicalPlan::scan("facts")
         .join_on(LogicalPlan::scan("dims"), "g", "g")
         .order_by("x");
-    let res = execute(&c, &q, ExecOptions::default()).unwrap();
+    let res = ctx.execute(&q).unwrap();
     let total: f64 = res.operator_costs.iter().map(|c| c.actual).sum();
     assert!((total - res.cost.tuple_cost()).abs() < 1e-9);
     let order_by = res
