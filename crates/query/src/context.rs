@@ -218,29 +218,6 @@ pub struct PreparedQuery<'c> {
     schema: Schema,
 }
 
-impl<'c> PreparedQuery<'c> {
-    /// Assemble a prepared query from already-lowered parts — the
-    /// serving layer's plan-cache path
-    /// ([`QueryService`](crate::service::QueryService)), which skips
-    /// re-lowering on a cache hit but still wants the session-layer
-    /// `explain`/`run_on` surface.
-    pub(crate) fn from_parts(
-        catalog: &'c Catalog,
-        options: ExecOptions,
-        logical: LogicalPlan,
-        physical: PhysicalPlan,
-        schema: Schema,
-    ) -> Self {
-        PreparedQuery {
-            catalog,
-            options,
-            logical,
-            physical,
-            schema,
-        }
-    }
-}
-
 impl PreparedQuery<'_> {
     /// The output schema.
     pub fn schema(&self) -> &Schema {
@@ -266,18 +243,7 @@ impl PreparedQuery<'_> {
     /// `EXPLAIN` of this layer. Works identically on every backend (the
     /// plan, not the engine, decides the exchanges).
     pub fn explain(&self) -> String {
-        format!(
-            "physical plan (seed {}, est cost {:.1} over {} exchange round{}):\n{}",
-            self.options.seed,
-            self.physical.estimated_cost(),
-            self.physical.estimated_rounds(),
-            if self.physical.estimated_rounds() == 1 {
-                ""
-            } else {
-                "s"
-            },
-            self.physical
-        )
+        self.physical.explain(self.options.seed)
     }
 
     /// Whether fragment concatenation in node order is globally

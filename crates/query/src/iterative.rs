@@ -22,12 +22,17 @@
 //!   — the residual the convergecast actually delivers at the target —
 //!   so every backend replays the identical schedule and the fixpoint
 //!   never depends on who executes it.
-//! - [`PreparedIterative::run_on`] replays the schedule on a backend via
-//!   [`ScheduleJob`] (so the cluster's checkpoint/recovery machinery
+//! - A [`PreparedIterative`] is a replay-ready job, not its ingredients:
+//!   `prepare` builds the [`ScheduleJob`] once and
+//!   [`PreparedIterative::run_on`] hands that same job to the backend on
+//!   every replay (so the cluster's checkpoint/recovery machinery
 //!   applies: with [`PreparedIterative::checkpoint_spec`] the snapshot
-//!   cadence lands exactly on iteration barriers), slices the metered
-//!   ledger back into per-iteration costs, and returns an
-//!   [`IterativeOutcome`] whose
+//!   cadence lands exactly on iteration barriers). That is what makes it
+//!   cacheable — the serving layer keys it on the job's fingerprint and
+//!   the tree's (see [`crate::service`]) — and why it replays only on
+//!   the tree it was prepared on: any other tree is a typed error.
+//!   `run_on` slices the metered ledger back into per-iteration costs
+//!   and returns an [`IterativeOutcome`] whose
 //!   [`explain_analyze`](IterativeOutcome::explain_analyze) prints the
 //!   per-iteration table: estimated vs metered vs the per-cut lower
 //!   bound, plus the convergence residual.
@@ -52,7 +57,10 @@
 //! typed [`QueryError::IterationLimit`] from `prepare` — nothing is
 //! scheduled, and the orchestrator rolls the failure up per tenant.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use tamp_core::aggregate::protocols::combining_schedule;
 use tamp_core::sorting::valid_order;
@@ -66,7 +74,7 @@ use crate::error::QueryError;
 use crate::physical::cost::CostModel;
 
 /// How each iteration selects its senders.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum IterMode {
     /// Dense rounds: every vertex contributes every iteration, and every
     /// iteration's exchange has the same shape. The classic synchronous
@@ -131,20 +139,59 @@ enum Algo {
 /// each vertex pinned to an owning compute node, plus the algorithm and
 /// its [`IterativeSpec`].
 ///
-/// The job is plain data — it does not depend on any workload crate, so
-/// edges can come from `tamp_workloads::graphs`, a `DistributedTable`,
-/// or by hand. [`prepare`](Self::prepare) turns it into a replayable
-/// [`PreparedIterative`].
-#[derive(Clone, Debug)]
+/// The job is plain, immutable data — it does not depend on any workload
+/// crate, so edges can come from `tamp_workloads::graphs`, a
+/// `DistributedTable`, or by hand — with an identity (a content
+/// fingerprint and exact equality), which is what lets the serving layer
+/// cache the [`PreparedIterative`] that [`prepare`](Self::prepare) turns
+/// it into.
+#[derive(Clone, Debug, PartialEq)]
 pub struct IterativeJob {
-    name: String,
-    arcs: Vec<(u64, u64)>,
-    owners: Vec<NodeId>,
+    /// Content hash of every other field (floats by bit pattern). First,
+    /// so the derived equality — exact, the cache's collision guard —
+    /// rejects an unequal job before it walks the graph; equal `Arc`
+    /// slices short-cut on the pointer.
+    fingerprint: u64,
+    name: &'static str,
     spec: IterativeSpec,
     algo: Algo,
+    owners: Arc<[NodeId]>,
+    arcs: Arc<[(u64, u64)]>,
+}
+
+/// Hashes the fingerprint, not the graph again.
+impl Hash for IterativeJob {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        self.fingerprint.hash(h);
+    }
 }
 
 impl IterativeJob {
+    fn new(
+        name: &'static str,
+        arcs: Vec<(u64, u64)>,
+        owners: Vec<NodeId>,
+        spec: IterativeSpec,
+        algo: Algo,
+    ) -> Self {
+        let param = match algo {
+            Algo::PageRank { damping } => damping.to_bits(),
+            Algo::Bfs { source } => source,
+            Algo::Components => 0,
+        };
+        let budget = (spec.max_iters, spec.tolerance.to_bits(), spec.mode);
+        let mut h = DefaultHasher::new();
+        (name, budget, param, &owners, &arcs).hash(&mut h);
+        IterativeJob {
+            fingerprint: h.finish(),
+            name,
+            spec,
+            algo,
+            owners: owners.into(),
+            arcs: arcs.into(),
+        }
+    }
+
     /// Damped PageRank. `arcs` are directed `(src, dst)` pairs; a
     /// vertex's rank mass splits evenly over its out-arcs, dangling mass
     /// redistributes uniformly.
@@ -154,13 +201,7 @@ impl IterativeJob {
         damping: f64,
         spec: IterativeSpec,
     ) -> Self {
-        IterativeJob {
-            name: "pagerank".into(),
-            arcs,
-            owners,
-            spec,
-            algo: Algo::PageRank { damping },
-        }
+        IterativeJob::new("pagerank", arcs, owners, spec, Algo::PageRank { damping })
     }
 
     /// Breadth-first hop counts from `source` (unreached vertices keep
@@ -171,13 +212,7 @@ impl IterativeJob {
         source: u64,
         spec: IterativeSpec,
     ) -> Self {
-        IterativeJob {
-            name: "bfs".into(),
-            arcs,
-            owners,
-            spec,
-            algo: Algo::Bfs { source },
-        }
+        IterativeJob::new("bfs", arcs, owners, spec, Algo::Bfs { source })
     }
 
     /// Connected components by min-label propagation (labels are vertex
@@ -187,18 +222,12 @@ impl IterativeJob {
         owners: Vec<NodeId>,
         spec: IterativeSpec,
     ) -> Self {
-        IterativeJob {
-            name: "components".into(),
-            arcs,
-            owners,
-            spec,
-            algo: Algo::Components,
-        }
+        IterativeJob::new("components", arcs, owners, spec, Algo::Components)
     }
 
     /// Job name (`pagerank`, `bfs`, `components`).
     pub fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     /// The fixpoint budget.
@@ -225,14 +254,14 @@ impl IterativeJob {
                 self.spec.tolerance
             )));
         }
-        for &o in &self.owners {
-            if o.index() >= tree.num_nodes() || !tree.is_compute(o) {
+        for &o in self.owners.iter() {
+            if !tree.is_compute(o) {
                 return Err(QueryError::Plan(format!(
                     "vertex owner {o} is not a compute node of the tree"
                 )));
             }
         }
-        for &(u, v) in &self.arcs {
+        for &(u, v) in self.arcs.iter() {
             if u as usize >= n || v as usize >= n {
                 return Err(QueryError::Plan(format!(
                     "arc ({u}, {v}) references a vertex outside 0..{n}"
@@ -270,7 +299,7 @@ impl IterativeJob {
         let model = CostModel::new(tree);
 
         let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(u, v) in &self.arcs {
+        for &(u, v) in self.arcs.iter() {
             adj[u as usize].push(v as usize);
         }
 
@@ -279,7 +308,7 @@ impl IterativeJob {
         // values, which is what keeps the per-iteration plan
         // width-invariant.
         let mut owned = vec![0u64; tree.num_nodes()];
-        for &o in &self.owners {
+        for &o in self.owners.iter() {
             owned[o.index()] += 1;
         }
         let target = valid_order(tree)[0];
@@ -302,11 +331,9 @@ impl IterativeJob {
         // knows before any iteration runs.
         let apriori = {
             let mut load = model.zero_load();
-            for &(u, v) in &self.arcs {
+            for &(u, v) in self.arcs.iter() {
                 let (su, sv) = (self.owners[u as usize], self.owners[v as usize]);
-                if su != sv {
-                    model.add_path(&mut load, su, sv, 2.0);
-                }
+                model.add_path(&mut load, su, sv, 2.0); // free within one owner
             }
             model.round_cost(&load) + combine_est
         };
@@ -330,42 +357,45 @@ impl IterativeJob {
             Algo::Bfs { source } => {
                 let mut init = vec![u64::MAX; n];
                 init[source as usize] = 0;
-                let mut active = vec![false; n];
-                active[source as usize] = true;
-                IterValues::Levels(fx.min_propagation(init, active, 1)?)
+                IterValues::Levels(fx.min_propagation(init, 1)?)
             }
             Algo::Components => {
                 let init: Vec<u64> = (0..n as u64).collect();
-                IterValues::Components(fx.min_propagation(init, vec![true; n], 0)?)
+                IterValues::Components(fx.min_propagation(init, 0)?)
             }
         };
 
         Ok(PreparedIterative {
-            name: self.name.clone(),
-            num_nodes: tree.num_nodes(),
+            job: ScheduleJob::new(self.name, tree.num_nodes(), fx.schedule),
+            tree_fp: tree.fingerprint(),
             rounds_per_iteration,
-            schedule: fx.schedule,
             plans: fx.plans,
             values,
         })
     }
 }
 
-/// Planned per-iteration figures, fixed at prepare time.
-#[derive(Clone, Copy, Debug)]
-struct IterPlan {
-    /// One past this iteration's last schedule round.
-    upto: usize,
-    /// Combined width-2 rows actually scattered.
-    exchanged_rows: u64,
-    /// The planner's estimate for this iteration (a-priori for Jacobi
-    /// and the first frontier round, previous metered cardinalities
-    /// after).
-    estimated: f64,
-    /// The per-cut counting lower bound on this iteration's scatter.
-    lower_bound: f64,
-    /// The convergence residual the convergecast delivered.
-    residual: f64,
+/// One iteration's cross-owner exchange: per owner pair, the combined
+/// value (as bits) bound for each destination vertex; per destination
+/// vertex, its sending owners (the cut bound's input).
+#[derive(Default)]
+struct Scatter {
+    pairs: BTreeMap<(NodeId, NodeId), BTreeMap<u64, u64>>,
+    fanin: BTreeMap<u64, BTreeSet<NodeId>>,
+}
+
+impl Scatter {
+    /// Fold a contribution from owner `su` into the row for vertex `v` on
+    /// owner `sv` (`fold`: current bits, `None` on first touch, to new
+    /// bits). Same-owner arcs never ship.
+    fn add(&mut self, su: NodeId, sv: NodeId, v: usize, fold: impl FnOnce(Option<u64>) -> u64) {
+        if su != sv {
+            let row = self.pairs.entry((su, sv)).or_default();
+            let folded = fold(row.get(&(v as u64)).copied());
+            row.insert(v as u64, folded);
+            self.fanin.entry(v as u64).or_default().insert(su);
+        }
+    }
 }
 
 /// Shared fixpoint-driver state: schedule under construction plus the
@@ -380,7 +410,9 @@ struct Fixpoint<'a> {
     apriori: f64,
     combine_est: f64,
     schedule: Schedule,
-    plans: Vec<IterPlan>,
+    /// Per-iteration rows, planned columns only: the metered ones stay
+    /// zero until a replay fills them in.
+    plans: Vec<IterationCost>,
     prev_price: Option<f64>,
 }
 
@@ -393,17 +425,6 @@ impl Fixpoint<'_> {
             IterMode::Jacobi => self.apriori,
             IterMode::FrontierDelta => self.prev_price.unwrap_or(self.apriori),
         }
-    }
-
-    /// Price a combined pair-exchange on the model's ledger (the figure
-    /// that, fed forward, becomes the next frontier estimate).
-    fn price(&self, pairs: &BTreeMap<(NodeId, NodeId), Vec<u64>>) -> f64 {
-        let mut load = self.model.zero_load();
-        for (&(src, dst), values) in pairs {
-            self.model
-                .add_path(&mut load, src, dst, values.len() as f64);
-        }
-        self.model.round_cost(&load) + self.combine_est
     }
 
     /// Per-cut counting bound: each destination vertex with cross-owner
@@ -425,29 +446,29 @@ impl Fixpoint<'_> {
     /// constant convergecast of `partials`, record the iteration's plan
     /// row, and return the residual the convergecast delivered at the
     /// target — the only value convergence may consult.
-    fn finish_iteration(
-        &mut self,
-        iter: usize,
-        pairs: BTreeMap<(NodeId, NodeId), Vec<u64>>,
-        fanin: &BTreeMap<u64, BTreeSet<NodeId>>,
-        mut partials: Vec<f64>,
-    ) -> f64 {
+    fn finish_iteration(&mut self, iter: usize, scatter: Scatter, mut partials: Vec<f64>) -> f64 {
         let estimated = self.estimate();
-        let lower_bound = self.cut_lower_bound(fanin);
-        self.prev_price = Some(self.price(&pairs));
+        let lower_bound = self.cut_lower_bound(&scatter.fanin);
 
+        // Combined per-destination rows: [dst_vertex, value_bits] —
+        // shipped, and priced on the model's ledger: the figure that,
+        // fed forward, becomes the next frontier estimate.
         let mut rows = 0u64;
-        let mut sends = Vec::with_capacity(pairs.len());
-        for ((src, dst), values) in pairs {
-            rows += values.len() as u64 / 2;
+        let mut load = self.model.zero_load();
+        let mut sends = Vec::with_capacity(scatter.pairs.len());
+        for ((src, dst), row) in scatter.pairs {
+            rows += row.len() as u64;
+            let width2 = (2 * row.len()) as f64;
+            self.model.add_path(&mut load, src, dst, width2);
             sends.push(ScheduleSend {
                 src,
                 dsts: vec![dst],
                 rel: Rel::R,
-                values: values.into(),
+                values: row.into_iter().flat_map(|(v, bits)| [v, bits]).collect(),
             });
         }
         self.schedule.rounds.push(sends);
+        self.prev_price = Some(self.model.round_cost(&load) + self.combine_est);
 
         for moves in self.combine {
             let mut sends = Vec::with_capacity(moves.len());
@@ -466,10 +487,12 @@ impl Fixpoint<'_> {
             }
         }
         let residual = partials[self.target.index()];
-        self.plans.push(IterPlan {
-            upto: self.schedule.rounds.len(),
+        self.plans.push(IterationCost {
+            iter,
             exchanged_rows: rows,
             estimated,
+            metered: 0.0,
+            cumulative: 0.0,
             lower_bound,
             residual,
         });
@@ -507,8 +530,7 @@ impl Fixpoint<'_> {
         for it in 0..self.spec.max_iters {
             let mut incoming = vec![0.0f64; n];
             let mut dangling = 0.0f64;
-            let mut pairs: BTreeMap<(NodeId, NodeId), BTreeMap<u64, f64>> = BTreeMap::new();
-            let mut fanin: BTreeMap<u64, BTreeSet<NodeId>> = BTreeMap::new();
+            let mut scatter = Scatter::default();
             for u in 0..n {
                 let mass = if frontier {
                     if delta[u].abs() <= thresh {
@@ -525,28 +547,11 @@ impl Fixpoint<'_> {
                 let share = mass / outdeg[u];
                 for &v in &self.adj[u] {
                     incoming[v] += share;
-                    let (su, sv) = (self.owners[u], self.owners[v]);
-                    if su != sv {
-                        *pairs
-                            .entry((su, sv))
-                            .or_default()
-                            .entry(v as u64)
-                            .or_insert(0.0) += share;
-                        fanin.entry(v as u64).or_default().insert(su);
-                    }
+                    scatter.add(self.owners[u], self.owners[v], v, |sum| {
+                        (f64::from_bits(sum.unwrap_or(0)) + share).to_bits()
+                    });
                 }
             }
-
-            // Combined per-destination rows: [dst_vertex, share_bits].
-            let flat: BTreeMap<(NodeId, NodeId), Vec<u64>> = pairs
-                .into_iter()
-                .map(|(k, m)| {
-                    (
-                        k,
-                        m.into_iter().flat_map(|(v, s)| [v, s.to_bits()]).collect(),
-                    )
-                })
-                .collect();
 
             // Apply, accumulating per-owner residual partials (vertex
             // order, so the sum order is fixed).
@@ -567,7 +572,7 @@ impl Fixpoint<'_> {
                 }
             }
 
-            let residual = self.finish_iteration(it, flat, &fanin, partials);
+            let residual = self.finish_iteration(it, scatter, partials);
             if residual <= self.spec.tolerance {
                 if frontier {
                     // Absorb the sub-tolerance remainder.
@@ -589,21 +594,16 @@ impl Fixpoint<'_> {
     /// frontier mode ships only productive proposals from the changed
     /// set — the prepared plan holds the whole fixpoint, so it emits
     /// exactly the information-bearing frontier traffic.
-    fn min_propagation(
-        &mut self,
-        init: Vec<u64>,
-        init_active: Vec<bool>,
-        bump: u64,
-    ) -> Result<Vec<u64>, QueryError> {
+    fn min_propagation(&mut self, init: Vec<u64>, bump: u64) -> Result<Vec<u64>, QueryError> {
         let n = self.owners.len();
         let mut val = init;
-        let mut active = init_active;
+        // The first frontier is every vertex that already has a value.
+        let mut active: Vec<bool> = val.iter().map(|&x| x != u64::MAX).collect();
         let frontier = self.spec.mode == IterMode::FrontierDelta;
 
         for it in 0..self.spec.max_iters {
             let mut best: BTreeMap<usize, u64> = BTreeMap::new();
-            let mut pairs: BTreeMap<(NodeId, NodeId), BTreeMap<u64, u64>> = BTreeMap::new();
-            let mut fanin: BTreeMap<u64, BTreeSet<NodeId>> = BTreeMap::new();
+            let mut scatter = Scatter::default();
             for u in 0..n {
                 let sends = if frontier {
                     active[u]
@@ -624,23 +624,11 @@ impl Fixpoint<'_> {
                             .and_modify(|b| *b = (*b).min(cand))
                             .or_insert(cand);
                     }
-                    let (su, sv) = (self.owners[u], self.owners[v]);
-                    if su != sv {
-                        pairs
-                            .entry((su, sv))
-                            .or_default()
-                            .entry(v as u64)
-                            .and_modify(|b| *b = (*b).min(cand))
-                            .or_insert(cand);
-                        fanin.entry(v as u64).or_default().insert(su);
-                    }
+                    scatter.add(self.owners[u], self.owners[v], v, |best| {
+                        best.map_or(cand, |b| b.min(cand))
+                    });
                 }
             }
-
-            let flat: BTreeMap<(NodeId, NodeId), Vec<u64>> = pairs
-                .into_iter()
-                .map(|(k, m)| (k, m.into_iter().flat_map(|(v, c)| [v, c]).collect()))
-                .collect();
 
             let mut partials = vec![0.0f64; self.model.tree().num_nodes()];
             let mut changed = vec![false; n];
@@ -652,7 +640,7 @@ impl Fixpoint<'_> {
                 }
             }
 
-            let residual = self.finish_iteration(it, flat, &fanin, partials);
+            let residual = self.finish_iteration(it, scatter, partials);
             active = changed;
             if residual == 0.0 {
                 return Ok(val);
@@ -706,16 +694,20 @@ impl IterValues {
     }
 }
 
-/// A converged, fully planned fixpoint: the width-invariant schedule
-/// plus the per-iteration plan rows and final values. Replay it on any
-/// backend with [`run`](Self::run) / [`run_on`](Self::run_on).
+/// A converged, fully planned fixpoint, ready to replay: the
+/// [`ScheduleJob`] over its width-invariant schedule (built once — a
+/// replay constructs nothing), the per-iteration plan rows and the final
+/// values. Replay it with [`run`](Self::run) / [`run_on`](Self::run_on)
+/// on any backend, over the tree it was prepared on: its estimates are
+/// priced on that tree's weights and its sends name that tree's nodes.
 #[derive(Clone, Debug)]
 pub struct PreparedIterative {
-    name: String,
-    num_nodes: usize,
+    job: ScheduleJob,
+    /// [`Tree::fingerprint`] of that tree — the plan-cache key's value.
+    tree_fp: u64,
     rounds_per_iteration: usize,
-    schedule: Schedule,
-    plans: Vec<IterPlan>,
+    /// The cost table with its metered columns still zero.
+    plans: Vec<IterationCost>,
     values: IterValues,
 }
 
@@ -758,36 +750,33 @@ impl PreparedIterative {
     /// Replay the prepared schedule on `backend` and slice the metered
     /// ledger into per-iteration costs. Results — values, per-iteration
     /// metered costs, `edge_totals` — are bit-identical across backends
-    /// because the schedule is fixed at prepare time.
+    /// because the schedule is fixed at prepare time. `tree` must be the
+    /// tree this was prepared on (same fingerprint, weights included);
+    /// any other is a [`QueryError::Plan`] and nothing executes.
     pub fn run_on(
         &self,
         tree: &Tree,
         backend: &dyn ExecBackend,
     ) -> Result<IterativeOutcome, QueryError> {
-        let job = ScheduleJob::new(self.name.clone(), self.num_nodes, self.schedule.clone());
-        let outcome = backend.execute(tree, &Placement::empty(tree), &job)?;
-        let mut iterations = Vec::with_capacity(self.plans.len());
-        let mut prev = 0usize;
+        if tree.fingerprint() != self.tree_fp {
+            return Err(QueryError::Plan(
+                "a prepared fixpoint replays only on the tree it was prepared on \
+                 (topology fingerprints differ)"
+                    .into(),
+            ));
+        }
+        let outcome = backend.execute(tree, &Placement::empty(tree), &self.job)?;
+        // Every iteration is `rounds_per_iteration` ledger rounds.
+        let mut iterations = self.plans.clone();
         let mut cumulative = 0.0;
-        for (i, p) in self.plans.iter().enumerate() {
-            let metered: f64 = outcome.cost.per_round[prev..p.upto]
-                .iter()
-                .map(|r| r.tuple_cost)
-                .sum();
-            cumulative += metered;
-            iterations.push(IterationCost {
-                iter: i,
-                exchanged_rows: p.exchanged_rows,
-                estimated: p.estimated,
-                metered,
-                cumulative,
-                lower_bound: p.lower_bound,
-                residual: p.residual,
-            });
-            prev = p.upto;
+        let per_iteration = outcome.cost.per_round.chunks(self.rounds_per_iteration);
+        for (row, rounds) in iterations.iter_mut().zip(per_iteration) {
+            row.metered = rounds.iter().map(|r| r.tuple_cost).sum();
+            cumulative += row.metered;
+            row.cumulative = cumulative;
         }
         Ok(IterativeOutcome {
-            name: self.name.clone(),
+            name: outcome.job,
             values: self.values.clone(),
             iterations,
             rounds_per_iteration: self.rounds_per_iteration,
@@ -1094,6 +1083,44 @@ mod tests {
         owners[0] = NodeId(tree.num_nodes() as u32 - 1); // the root: not a compute node
         let bad = IterativeJob::connected_components(arcs, owners, IterativeSpec::jacobi(5, 0.0));
         assert!(matches!(bad.prepare(&tree), Err(QueryError::Plan(_))));
+    }
+
+    #[test]
+    fn replay_on_another_tree_is_a_typed_error_on_both_backends() {
+        // Regression: the simulator used to index out of bounds and the
+        // scoped cluster used to hang (its coordinator panicked while the
+        // crew was parked). The cluster half runs under a watchdog so a
+        // hang fails here instead of stalling the suite.
+        let big = builders::fat_tree(2, 4, 1.0);
+        let vc = big.compute_nodes().to_vec();
+        let arcs: Vec<(u64, u64)> = (0..16).map(|u| (u, (u + 5) % 16)).collect();
+        let owners: Vec<NodeId> = (0..16).map(|v| vc[v]).collect();
+        let prepared = IterativeJob::pagerank(arcs, owners, 0.5, IterativeSpec::jacobi(50, 1e-6))
+            .prepare(&big)
+            .unwrap();
+        assert!(prepared.run(&big).is_ok());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let small = builders::star(3, 1.0);
+            // Same shape, one re-weighted link: still another tree.
+            let mut degraded = big.clone();
+            degraded
+                .scale_bandwidth(tamp_topology::EdgeId(0), 0.5)
+                .unwrap();
+            for tree in [&small, &degraded] {
+                let sim = prepared.run(tree);
+                let cluster = prepared.run_on(tree, &PooledClusterBackend::default());
+                let _ = tx.send((sim.unwrap_err(), cluster.unwrap_err()));
+            }
+        });
+        for _ in 0..2 {
+            let (sim, cluster) = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("replay on a foreign tree must return, not hang");
+            assert!(matches!(sim, QueryError::Plan(_)), "{sim:?}");
+            assert_eq!(sim, cluster);
+            assert!(sim.to_string().contains("prepared on"), "{sim}");
+        }
     }
 
     #[test]

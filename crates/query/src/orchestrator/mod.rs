@@ -224,8 +224,8 @@ pub struct ServedIterative {
     /// The fixpoint result — bit-identical to a standalone
     /// `PreparedIterative::run_on` of the same job.
     pub outcome: IterativeOutcome,
-    /// Queue/plan/exec timings (`plan` covers the local fixpoint
-    /// preparation; iterative plans are never cached).
+    /// Queue/plan/exec timings and cache provenance: `plan` is the local
+    /// fixpoint preparation on a miss, a plan-cache probe on a hit.
     pub stats: ServiceStats,
 }
 
@@ -250,7 +250,7 @@ pub struct TenantStats {
     /// Supersteps this tenant's replays skipped thanks to checkpoint
     /// resume (0 without checkpointing).
     pub supersteps_skipped: u64,
-    /// Served queries whose plan came from the cache.
+    /// Served queries and fixpoint jobs whose plan came from the cache.
     pub cache_hits: u64,
     /// Iterative jobs rejected because their fixpoint failed to converge
     /// within `max_iters` ([`QueryError::IterationLimit`]). These are
@@ -555,19 +555,20 @@ impl Orchestrator {
 
     /// Serve one iterative fixpoint job (see [`crate::iterative`]) on
     /// behalf of `tenant`, through the same control plane as relational
-    /// queries: weighted-fair admission → scaling tick → local fixpoint
-    /// preparation → schedule replay on the serving backend, with replay
-    /// recovery if an injected fault kills the run. With checkpointing
-    /// enabled (`OrchestratorBuilder::checkpoints` at the job's
-    /// `rounds_per_iteration`), a killed fixpoint resumes from the last
-    /// iteration barrier instead of round 0.
+    /// queries: weighted-fair admission → scaling tick → plan (the local
+    /// fixpoint, cached per job, tree and catalog generation) → schedule
+    /// replay on the serving backend, with replay recovery if an injected
+    /// fault kills the run: every retry replays the one pinned prepared
+    /// job. With checkpointing enabled (`OrchestratorBuilder::checkpoints`
+    /// at the job's `rounds_per_iteration`), a killed fixpoint resumes
+    /// from the last iteration barrier instead of round 0.
     ///
     /// Iterative jobs are multi-round batch work: admit them under a
     /// [`Priority::Batch`] tenant so interactive queries keep jumping
     /// the queue. A fixpoint that does not converge surfaces as
     /// [`QueryError::IterationLimit`] — counted in the tenant's
-    /// [`TenantStats::iteration_limits`], never retried (replay would
-    /// re-diverge identically).
+    /// [`TenantStats::iteration_limits`]; it takes no cache slot and is
+    /// never retried (replay would re-diverge identically).
     pub fn serve_iterative(
         &self,
         tenant: &str,
@@ -576,9 +577,7 @@ impl Orchestrator {
         let backend = self.service.backend();
         let (outcome, stats) = self.serve_with(
             tenant,
-            // The whole fixpoint is computed locally and deterministically;
-            // iterative plans are never cached.
-            |pinned| Ok((job.prepare(pinned.ctx.tree())?, false)),
+            |pinned| self.service.prepare_fixpoint_on(pinned, job),
             |pinned, prepared| prepared.run_on(pinned.ctx.tree(), backend),
             |outcome: &IterativeOutcome| (outcome.supersteps, outcome.resumed_from),
         )?;
@@ -1335,9 +1334,18 @@ mod tests {
         let standalone = want.run(c.tree()).unwrap();
         assert_eq!(served.outcome.values, standalone.values);
         assert_eq!(served.outcome.cost.edge_totals, standalone.cost.edge_totals);
-        assert!(!served.stats.cache_hit, "iterative plans are never cached");
+        // The first serve prepares the fixpoint, the second finds it in
+        // the plan cache — and replays to the same result.
+        assert!(!served.stats.cache_hit, "first serve is the miss");
+        let again = orch.serve_iterative("graphs", &job).unwrap();
+        assert!(again.stats.cache_hit, "second serve is a hit");
+        assert_eq!(again.outcome.values, standalone.values);
+        assert_eq!(again.outcome.iterations, standalone.iterations);
+        assert_eq!(again.outcome.cost.edge_totals, standalone.cost.edge_totals);
+        let cache = orch.service().cache_stats();
+        assert_eq!((cache.hits, cache.misses, cache.entries), (1, 1, 1));
         let stats = orch.stats();
-        assert_eq!(stats[0].served, 1);
+        assert_eq!((stats[0].served, stats[0].cache_hits), (2, 1));
         assert_eq!(stats[0].priority, Priority::Batch);
         assert_eq!(stats[0].iteration_limits, 0);
     }
@@ -1364,6 +1372,12 @@ mod tests {
         let stats = orch.stats();
         assert_eq!(stats[0].iteration_limits, 2);
         assert_eq!(stats[0].served, 0, "non-converged jobs are not served");
+        let cache = orch.service().cache_stats();
+        assert_eq!(
+            (cache.hits, cache.misses, cache.entries),
+            (0, 2, 0),
+            "a failed prepare is redone every time and takes no cache slot"
+        );
         assert_eq!(
             orch.recovery_events().len(),
             0,

@@ -276,6 +276,21 @@ impl PhysicalPlan {
             .sum::<usize>()
     }
 
+    /// Render the plan with per-exchange estimated costs — the text
+    /// behind every `EXPLAIN` of this layer (session and service alike).
+    pub(crate) fn explain(&self, seed: u64) -> String {
+        format!(
+            "physical plan (seed {seed}, est cost {:.1} over {} exchange round{}):\n{self}",
+            self.estimated_cost(),
+            self.estimated_rounds(),
+            if self.estimated_rounds() == 1 {
+                ""
+            } else {
+                "s"
+            },
+        )
+    }
+
     fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
         let pad = "  ".repeat(indent);
         write!(f, "{pad}{}", self.label())?;

@@ -7,14 +7,22 @@
 //! the queries are repeats, and planning cost should be paid once, not
 //! per request. `QueryService` is that layer:
 //!
-//! - **Prepared-plan cache.** Plans are cached under a canonical
-//!   fingerprint of `(logical plan, tree topology, catalog version,
-//!   session options)`. A hit skips validation, lowering and candidate
-//!   pricing entirely and goes straight to execution;
-//!   [`register`](QueryService::register) and
-//!   [`register_strategy`](QueryService::register_strategy) bump the
-//!   catalog version and invalidate every entry. Hit/miss/invalidation
-//!   counters are exposed via [`cache_stats`](QueryService::cache_stats).
+//! - **Prepared-plan cache.** One cache, two kinds of prepared plan. A
+//!   relational plan is keyed on `(tree topology, catalog version,
+//!   session options, logical plan)`; a hit skips validation, lowering
+//!   and candidate pricing. A fixpoint ([`crate::iterative`]) is keyed on
+//!   `(tree topology, catalog version, job fingerprint)` and what is
+//!   cached is the replay-ready job: a hit skips the whole local
+//!   fixpoint, and the entry's footprint is its schedule. Both kinds
+//!   share the hit guard (stored logical form + catalog version), the
+//!   LRU bound and the counters
+//!   ([`cache_stats`](QueryService::cache_stats)). Invalidation is global
+//!   until per-table versions (ROADMAP 5(b)):
+//!   [`register`](QueryService::register),
+//!   [`register_strategy`](QueryService::register_strategy) and
+//!   [`degrade_link`](QueryService::degrade_link) clear every entry, and
+//!   the topology fingerprint in the key guarantees a degrade re-prices
+//!   a fixpoint's `estimated` / `lower_bound` columns.
 //! - **Admission scheduling.** In-flight queries are bounded
 //!   ([`with_max_inflight`](QueryService::with_max_inflight)) by the
 //!   serving stack's one gate ([`crate::admission`]), here with a single
@@ -93,9 +101,10 @@ use tamp_runtime::backend_from_spec;
 use tamp_topology::EdgeId;
 
 use crate::admission::{SlotGuard, WeightedAdmission};
-use crate::context::{PreparedQuery, QueryContext};
+use crate::context::QueryContext;
 use crate::error::QueryError;
 use crate::exec::{self, ExecOptions, QueryResult};
+use crate::iterative::{IterativeJob, PreparedIterative};
 use crate::lock_ok;
 use crate::physical::strategy::PhysicalStrategy;
 use crate::physical::{self, PhysicalPlan};
@@ -127,26 +136,30 @@ pub(crate) struct CachedPlan {
     schema: Schema,
 }
 
-/// One plan-cache slot. The fingerprint key is 64 bits, so the entry
-/// keeps the exact logical plan, options and catalog version to rule
-/// out collisions on lookup.
+/// A prepared plan of either kind, next to the exact logical form it was
+/// prepared from: the fingerprint key is 64 bits, so the stored form
+/// (with the slot's catalog version) rules out collisions on lookup.
+enum Entry {
+    Plan(LogicalPlan, ExecOptions, Arc<CachedPlan>),
+    Fixpoint(IterativeJob, Arc<PreparedIterative>),
+}
+
+/// One plan-cache slot.
 struct CacheSlot {
-    logical: LogicalPlan,
-    options: ExecOptions,
-    /// The catalog version the plan was lowered against — part of the
+    entry: Entry,
+    /// The catalog version the entry was prepared against — part of the
     /// hit guard, so a key collision across versions can never serve a
     /// plan priced on stale statistics.
     version: u64,
     /// Recency tick for eviction at [`PLAN_CACHE_CAPACITY`].
     last_used: u64,
-    plan: Arc<CachedPlan>,
 }
 
-/// Upper bound on cached prepared plans. A serving workload is
-/// repetition-heavy, so steady state is far below this; the cap only
-/// protects a long-lived service against a stream of never-repeating
-/// ad-hoc plans growing memory without bound. On overflow the
-/// least-recently-used entry is evicted.
+/// Upper bound on cached prepared plans, both kinds together. A serving
+/// workload is repetition-heavy, so steady state is far below this; the
+/// cap only protects a long-lived service against a stream of
+/// never-repeating ad-hoc plans growing memory without bound. On
+/// overflow the least-recently-used entry is evicted.
 pub const PLAN_CACHE_CAPACITY: usize = 1024;
 
 #[derive(Default)]
@@ -173,7 +186,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Queries that had to lower and price their plan.
     pub misses: u64,
-    /// Cache invalidation events (`register` / `register_strategy`).
+    /// Cache invalidation events (`register` / `register_strategy` /
+    /// `degrade_link`).
     pub invalidations: u64,
     /// Entries currently cached.
     pub entries: usize,
@@ -427,18 +441,8 @@ impl QueryService {
     pub fn explain(&self, plan: &LogicalPlan) -> Result<String, QueryError> {
         let snapshot = self.snapshot();
         let (cached, _) = self.plan_on(&snapshot, plan)?;
-        let prepared = PreparedQuery::from_parts(
-            snapshot.ctx.catalog(),
-            snapshot.ctx.options(),
-            plan.clone(),
-            cached.physical.clone(),
-            cached.schema.clone(),
-        );
-        Ok(format!(
-            "catalog v{}\n{}",
-            snapshot.version,
-            prepared.explain()
-        ))
+        let text = cached.physical.explain(snapshot.ctx.options().seed);
+        Ok(format!("catalog v{}\n{text}", snapshot.version))
     }
 
     /// The newest generation of the session state.
@@ -473,17 +477,6 @@ impl QueryService {
         Ok(version)
     }
 
-    /// Cache key: topology fingerprint ⊕ catalog version ⊕ session
-    /// options ⊕ the canonical (structural) hash of the logical plan.
-    fn fingerprint(tree_fp: u64, plan: &LogicalPlan, version: u64, options: &ExecOptions) -> u64 {
-        let mut h = DefaultHasher::new();
-        tree_fp.hash(&mut h);
-        version.hash(&mut h);
-        options.hash(&mut h);
-        plan.hash(&mut h);
-        h.finish()
-    }
-
     /// Plan `plan` against `snapshot` through the cache, lowering (and
     /// inserting) on a miss. Returns the shared prepared plan and whether
     /// it was a hit.
@@ -492,37 +485,85 @@ impl QueryService {
         snapshot: &Snapshot,
         plan: &LogicalPlan,
     ) -> Result<(Arc<CachedPlan>, bool), QueryError> {
-        let (ctx, version) = (&snapshot.ctx, snapshot.version);
+        let ctx = &snapshot.ctx;
         let options = ctx.options();
-        let key = QueryService::fingerprint(snapshot.tree_fp, plan, version, &options);
+        self.through_cache(
+            snapshot,
+            &(options, plan),
+            |entry| match entry {
+                Entry::Plan(p, o, cached) if p == plan && *o == options => Some(Arc::clone(cached)),
+                _ => None,
+            },
+            || {
+                let (physical, schema) =
+                    physical::lower(plan, ctx.catalog(), options, ctx.strategies())?;
+                let cached = Arc::new(CachedPlan { physical, schema });
+                Ok(Entry::Plan(plan.clone(), options, cached))
+            },
+        )
+    }
+
+    /// [`plan_on`](Self::plan_on)'s fixpoint counterpart: prepare `job`
+    /// on `snapshot`'s tree through the cache. A job that fails to
+    /// prepare (`IterationLimit`, `Plan`) is never cached.
+    pub(crate) fn prepare_fixpoint_on(
+        &self,
+        snapshot: &Snapshot,
+        job: &IterativeJob,
+    ) -> Result<(Arc<PreparedIterative>, bool), QueryError> {
+        self.through_cache(
+            snapshot,
+            job,
+            |entry| match entry {
+                Entry::Fixpoint(j, prepared) if j == job => Some(Arc::clone(prepared)),
+                _ => None,
+            },
+            || {
+                let prepared = job.prepare(snapshot.ctx.tree())?;
+                Ok(Entry::Fixpoint(job.clone(), Arc::new(prepared)))
+            },
+        )
+    }
+
+    /// The cache protocol, once, for both kinds of entry. The key is
+    /// topology fingerprint ⊕ catalog version ⊕ `form`; `hit` hands out
+    /// the plan of an entry prepared from exactly this logical form;
+    /// `build` prepares the entry on a miss.
+    fn through_cache<T>(
+        &self,
+        snapshot: &Snapshot,
+        form: &impl Hash,
+        hit: impl Fn(&Entry) -> Option<Arc<T>>,
+        build: impl FnOnce() -> Result<Entry, QueryError>,
+    ) -> Result<(Arc<T>, bool), QueryError> {
+        let version = snapshot.version;
+        let mut h = DefaultHasher::new();
+        (snapshot.tree_fp, version, form).hash(&mut h);
+        let key = h.finish();
         {
             let mut cache = lock_ok(&self.cache);
-            // 64-bit keys can collide; the stored plan + options +
-            // catalog version are the ground truth.
             let tick = cache.next_tick();
-            let hit = cache.entries.get_mut(&key).and_then(|slot| {
-                (slot.logical == *plan && slot.options == options && slot.version == version).then(
-                    || {
-                        slot.last_used = tick;
-                        Arc::clone(&slot.plan)
-                    },
-                )
+            let slot = cache.entries.get_mut(&key);
+            let found = slot.filter(|s| s.version == version).and_then(|slot| {
+                let found = hit(&slot.entry)?;
+                slot.last_used = tick;
+                Some(found)
             });
-            if let Some(hit) = hit {
+            if let Some(found) = found {
                 cache.hits += 1;
-                return Ok((hit, true));
+                return Ok((found, true));
             }
             cache.misses += 1;
         }
-        // Lower outside the cache lock: planning can be slow, and
+        // Build outside the cache lock: planning can be slow, and
         // concurrent first-time queries should not serialize on it.
-        let (physical, schema) = physical::lower(plan, ctx.catalog(), options, ctx.strategies())?;
-        let cached = Arc::new(CachedPlan { physical, schema });
+        let entry = build()?;
+        let built = hit(&entry).expect("a built entry matches the form it was built from");
         let mut cache = lock_ok(&self.cache);
-        // Skip the insert if a register() raced past while we lowered:
-        // the plan is still correct for *this* query (it runs on the
-        // snapshot it was lowered from), but caching it would strand an
-        // unreachable stale-generation entry until the next eviction.
+        // Skip the insert if a register() raced past while we built: the
+        // plan is still correct for *this* query (it runs on the snapshot
+        // it was built from), but caching it would strand an unreachable
+        // stale-generation entry until the next eviction.
         if self.catalog_version() == version {
             if cache.entries.len() >= PLAN_CACHE_CAPACITY && !cache.entries.contains_key(&key) {
                 // Evict the least-recently-used slot.
@@ -537,19 +578,17 @@ impl QueryService {
             }
             // A racing miss may have inserted first (or a collision may
             // live here): last writer wins, both plans are correct.
-            let tick = cache.next_tick();
+            let last_used = cache.next_tick();
             cache.entries.insert(
                 key,
                 CacheSlot {
-                    logical: plan.clone(),
-                    options,
+                    entry,
                     version,
-                    last_used: tick,
-                    plan: Arc::clone(&cached),
+                    last_used,
                 },
             );
         }
-        Ok((cached, false))
+        Ok((built, false))
     }
 }
 
@@ -557,10 +596,12 @@ impl QueryService {
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
+    use crate::iterative::{IterationCost, IterativeOutcome, IterativeSpec};
     use crate::plan::AggFunc;
     use crate::schema::Schema;
-    use tamp_runtime::PooledClusterBackend;
-    use tamp_topology::builders;
+    use tamp_runtime::{ExecError, ExecJob, ExecOutcome, PooledClusterBackend};
+    use tamp_simulator::Placement;
+    use tamp_topology::{builders, NodeId, Tree};
 
     fn ctx() -> QueryContext {
         let tree = builders::rack_tree(&[(3, 1.0, 2.0), (2, 2.0, 1.0)], 1.0);
@@ -714,6 +755,199 @@ mod tests {
                 .stats
                 .cache_hit
         );
+    }
+
+    /// A 12-vertex ring with chords, vertex `v` owned by compute node
+    /// `v mod 5` of [`ctx`]'s two-rack tree: every owner pair and the
+    /// core both carry traffic.
+    fn graph() -> (Vec<(u64, u64)>, Vec<NodeId>) {
+        let vc = ctx().tree().compute_nodes().to_vec();
+        let n = 12u64;
+        let arcs = (0..n)
+            .flat_map(|u| [(u, (u + 1) % n), ((u + 1) % n, u), (u, (u * 5 + 3) % n)])
+            .collect();
+        let owners = (0..n).map(|v| vc[(v % 5) as usize]).collect();
+        (arcs, owners)
+    }
+
+    fn pagerank() -> IterativeJob {
+        let (arcs, owners) = graph();
+        IterativeJob::pagerank(arcs, owners, 0.6, IterativeSpec::jacobi(40, 1e-4))
+    }
+
+    /// Forwards to `B`, recording the checkpoint token of every job.
+    struct TokenSpy<B>(B, Mutex<Vec<Option<u64>>>);
+
+    impl<B: ExecBackend> ExecBackend for TokenSpy<B> {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn execute(
+            &self,
+            tree: &Tree,
+            placement: &Placement,
+            job: &dyn ExecJob,
+        ) -> Result<ExecOutcome, ExecError> {
+            lock_ok(&self.1).push(job.checkpoint_token());
+            self.0.execute(tree, placement, job)
+        }
+    }
+
+    #[test]
+    fn a_cached_fixpoint_replays_bit_identically_to_a_fresh_prepare() {
+        let service = QueryService::with_default_backend(ctx());
+        let job = pagerank();
+        let pinned = service.snapshot();
+        let (first, hit) = service.prepare_fixpoint_on(&pinned, &job).unwrap();
+        assert!(!hit);
+        // The same job, its clone, and an equal job built from scratch
+        // (no shared allocation) all hit the one entry.
+        for same in [job.clone(), pagerank()] {
+            let (cached, hit) = service.prepare_fixpoint_on(&pinned, &same).unwrap();
+            assert!(hit);
+            assert!(Arc::ptr_eq(&first, &cached));
+        }
+        let stats = service.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
+
+        fn check(first: &PreparedIterative, job: &IterativeJob, tree: &Tree, b: impl ExecBackend) {
+            let spy = TokenSpy(b, Mutex::new(Vec::new()));
+            let fresh = job.prepare(tree).unwrap().run_on(tree, &spy).unwrap();
+            let cached = first.run_on(tree, &spy).unwrap();
+            assert_eq!(cached.values, fresh.values, "{}", spy.name());
+            assert_eq!(cached.iterations, fresh.iterations, "{}", spy.name());
+            assert_eq!(cached.cost.edge_totals, fresh.cost.edge_totals);
+            assert_eq!(cached.cost.per_round, fresh.cost.per_round);
+            assert_eq!(cached.supersteps, fresh.supersteps);
+            let tokens = lock_ok(&spy.1);
+            assert!(tokens[0].is_some(), "schedule replay is resumable");
+            assert_eq!(tokens[0], tokens[1], "schedule content hashes differ");
+        }
+        let tree = pinned.ctx.tree();
+        check(&first, &job, tree, SimulatorBackend);
+        check(&first, &job, tree, PooledClusterBackend::with_workers(2));
+    }
+
+    #[test]
+    fn fixpoints_differing_in_any_field_get_distinct_entries() {
+        let service = QueryService::with_default_backend(ctx());
+        let (arcs, owners) = graph();
+        let spec = IterativeSpec::jacobi(40, 1e-4);
+        let mut one_arc = arcs.clone();
+        one_arc[0] = (0, 2);
+        let mut one_owner = owners.clone();
+        one_owner[0] = owners[1];
+        let pr = |a: &[(u64, u64)], o: &[NodeId], damping, spec| {
+            IterativeJob::pagerank(a.to_vec(), o.to_vec(), damping, spec)
+        };
+        let jobs = [
+            pagerank(),
+            pr(&one_arc, &owners, 0.6, spec),
+            pr(&arcs, &one_owner, 0.6, spec),
+            pr(&arcs, &owners, 0.61, spec),
+            pr(&arcs, &owners, 0.6, IterativeSpec::jacobi(40, 2e-4)),
+            pr(&arcs, &owners, 0.6, IterativeSpec::jacobi(41, 1e-4)),
+            pr(&arcs, &owners, 0.6, IterativeSpec::frontier(40, 1e-4)),
+            IterativeJob::connected_components(arcs.clone(), owners.clone(), spec),
+        ];
+        let pinned = service.snapshot();
+        for (i, job) in jobs.iter().enumerate() {
+            assert!(jobs[..i].iter().all(|other| other != job), "job {i}");
+            assert!(!service.prepare_fixpoint_on(&pinned, job).unwrap().1, "{i}");
+        }
+        for job in &jobs {
+            assert!(service.prepare_fixpoint_on(&pinned, job).unwrap().1);
+        }
+        let n = jobs.len() as u64;
+        let stats = service.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries as u64), (n, n, n));
+    }
+
+    #[test]
+    fn register_and_degrade_each_turn_the_next_fixpoint_into_a_miss() {
+        let service = QueryService::with_default_backend(ctx());
+        let job = pagerank();
+        let prepare = || {
+            let pinned = service.snapshot();
+            let (prepared, hit) = service.prepare_fixpoint_on(&pinned, &job).unwrap();
+            (prepared.run(pinned.ctx.tree()).unwrap(), hit)
+        };
+        let (healthy, hit) = prepare();
+        assert!(!hit);
+        assert!(prepare().1);
+
+        let dims = DistributedTable::round_robin(
+            "dims",
+            Schema::new(vec!["g", "tier"]).unwrap(),
+            (0..8).map(|g| vec![g, g + 20]).collect(),
+            service.context().tree(),
+        );
+        service.register(dims).unwrap();
+        let (reregistered, hit) = prepare();
+        assert!(
+            !hit,
+            "invalidation is global: a register clears fixpoints too"
+        );
+        assert_eq!(reregistered.iterations, healthy.iterations);
+        assert!(prepare().1);
+
+        // Thin the first rack's core uplink: the next serve is a miss and
+        // its plan is re-priced — same ranks, different estimate and cut
+        // bound columns (the metered cost moves with them).
+        service.degrade_link(EdgeId(0), 8.0).unwrap();
+        assert_eq!(service.cache_stats().invalidations, 2);
+        let (degraded, hit) = prepare();
+        assert!(!hit, "the topology fingerprint is part of the key");
+        assert_eq!(degraded.values, healthy.values);
+        assert_eq!(degraded.cost.edge_totals, healthy.cost.edge_totals);
+        let columns = |o: &IterativeOutcome| -> Vec<(u64, u64)> {
+            let bits = |i: &IterationCost| (i.estimated.to_bits(), i.lower_bound.to_bits());
+            o.iterations.iter().map(bits).collect()
+        };
+        assert_eq!(columns(&healthy).len(), columns(&degraded).len());
+        for (h, d) in columns(&healthy).iter().zip(columns(&degraded)) {
+            assert!(h.0 != d.0 && h.1 != d.1, "{h:?} vs {d:?}");
+        }
+        assert!(prepare().1);
+    }
+
+    #[test]
+    fn fixpoints_and_plans_share_one_lru() {
+        let service = QueryService::with_default_backend(ctx());
+        let job = pagerank();
+        let pinned = service.snapshot();
+        assert!(!service.prepare_fixpoint_on(&pinned, &job).unwrap().1);
+        // The fixpoint is the oldest slot: CAPACITY - 1 plans fit beside
+        // it, one more evicts it like any other entry.
+        for n in 1..PLAN_CACHE_CAPACITY {
+            service
+                .plan_on(&pinned, &LogicalPlan::scan("facts").limit(n))
+                .unwrap();
+        }
+        assert_eq!(service.cache_stats().entries, PLAN_CACHE_CAPACITY);
+        assert!(service.prepare_fixpoint_on(&pinned, &job).unwrap().1);
+        // Touched, it is now the newest; the oldest *plan* goes next.
+        service
+            .plan_on(
+                &pinned,
+                &LogicalPlan::scan("facts").limit(PLAN_CACHE_CAPACITY),
+            )
+            .unwrap();
+        assert!(service.prepare_fixpoint_on(&pinned, &job).unwrap().1);
+        assert!(
+            !service
+                .plan_on(&pinned, &LogicalPlan::scan("facts").limit(1))
+                .unwrap()
+                .1
+        );
+        // Untouched while CAPACITY other slots are used, it is evicted.
+        for n in 1..=PLAN_CACHE_CAPACITY {
+            service
+                .plan_on(&pinned, &LogicalPlan::scan("dims").limit(n))
+                .unwrap();
+        }
+        assert_eq!(service.cache_stats().entries, PLAN_CACHE_CAPACITY);
+        assert!(!service.prepare_fixpoint_on(&pinned, &job).unwrap().1);
     }
 
     #[test]

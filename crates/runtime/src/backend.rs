@@ -387,15 +387,15 @@ impl ExecBackend for PooledClusterBackend {
             Crew::Elastic(p) => Some(p.snapshot()),
         };
         // Checkpointing needs both the backend's store and the job's
-        // opt-in token — resumability is a property of the job.
-        let checkpoint = match (&self.checkpoints, job.checkpoint_token()) {
-            (Some((store, spec)), Some(token)) => Some(CheckpointHook {
+        // opt-in token — resumability is a property of the job. The token
+        // is a content hash: only asked for when there is a store to key.
+        let checkpoint = self.checkpoints.as_ref().and_then(|(store, spec)| {
+            Some(CheckpointHook {
                 store,
                 spec: *spec,
-                token,
-            }),
-            _ => None,
-        };
+                token: job.checkpoint_token()?,
+            })
+        });
         // A job that declares its superstep count gets room for it: the
         // runaway cap protects against non-halting programs, not against
         // legitimately long declared-finite replays. +1 covers the

@@ -195,6 +195,19 @@ struct Gate {
     stop: bool,
 }
 
+/// Raises the gate's stop flag and wakes the crew when dropped. The
+/// coordinator holds one for its whole loop, so every exit — return or
+/// panic — releases the workers parked at the gate; without it a
+/// coordinator panic would leave `thread::scope` joining them forever.
+struct StopOnDrop<'a>(&'a Mutex<Gate>, &'a Condvar);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        crate::lock_ok(self.0).stop = true;
+        self.1.notify_all();
+    }
+}
+
 /// Checkpointing configuration for one run: where snapshots park, how
 /// often they are taken, and the job token they are keyed by.
 pub(crate) struct CheckpointHook<'a> {
@@ -446,9 +459,10 @@ pub(crate) fn run_programs(
     };
 
     // The coordinator: opens supersteps, gathers reports, meters and
-    // delivers, and finally raises the stop flag that releases the crew.
+    // delivers; leaving it tears the crew down (persistent pool workers
+    // go back to sleep, scoped workers exit).
     let mut coordinator = || {
-        // Coordinator loop.
+        let _stop = StopOnDrop(&gate, &gate_cv);
         'steps: for round in resume_round..options.max_supersteps {
             // A planned link degradation fires *before* its superstep
             // executes: the run aborts with the typed error so the
@@ -638,14 +652,6 @@ pub(crate) fn run_programs(
                 }
             }
         }
-
-        // Tear down the crew (persistent pool workers go back to sleep;
-        // scoped workers exit).
-        {
-            let mut g = gate.lock().unwrap();
-            g.stop = true;
-        }
-        gate_cv.notify_all();
     };
 
     match hooks.pool {
@@ -1079,6 +1085,60 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, RuntimeError::SendToRouter(NodeId(2)));
+    }
+
+    #[test]
+    fn sends_to_nodes_the_tree_lacks_are_typed_errors_not_hangs() {
+        // Regression: the destination check indexed the tree's node
+        // kinds, so an out-of-range id panicked the coordinator while
+        // the scoped crew sat parked at the gate and `thread::scope`
+        // joined forever. Run under a watchdog: a hang fails the test.
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let tree = builders::star(2, 1.0);
+            let run = run_cluster(
+                &tree,
+                &Placement::empty(&tree),
+                |_| {
+                    Box::new(|_: &NodeCtx<'_>, _: &mut NodeState, out: &mut Outbox| {
+                        out.send_to(NodeId(99), Rel::R, vec![1]);
+                        Step::Halt
+                    })
+                },
+                ClusterOptions::default(),
+            );
+            let _ = tx.send(run.map(|r| r.supersteps));
+        });
+        let run = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the run must return, not strand its crew");
+        assert_eq!(run, Err(RuntimeError::SendToRouter(NodeId(99))));
+    }
+
+    #[test]
+    fn a_coordinator_that_unwinds_still_releases_its_crew() {
+        // The gate guard alone: a worker parked at the gate wakes up and
+        // sees `stop` when the guard is dropped by a panic.
+        let gate = Mutex::new(Gate {
+            generation: 0,
+            round: 0,
+            stop: false,
+        });
+        let cv = Condvar::new();
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| {
+                let mut g = gate.lock().unwrap();
+                while !g.stop {
+                    g = cv.wait(g).unwrap();
+                }
+            });
+            let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let _stop = StopOnDrop(&gate, &cv);
+                panic!("coordinator bug");
+            }));
+            assert!(unwound.is_err());
+            parked.join().unwrap();
+        });
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub enum RuntimeError {
         /// The last superstep that executed before the run was abandoned.
         round: usize,
     },
-    /// A program addressed a message to a routing-only node.
+    /// A program addressed a message to a routing-only or nonexistent node.
     SendToRouter(NodeId),
     /// A node program panicked; the message is the panic payload.
     WorkerPanic {

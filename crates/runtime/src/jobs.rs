@@ -9,7 +9,9 @@
 //! shared knowledge plus the seed, so their traffic — and therefore their
 //! metered [`Cost`](tamp_simulator::cost::Cost) — is bit-identical.
 
-use std::sync::Arc;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 use tamp_core::aggregate::{Aggregator, CombiningTreeAggregate, HashGroupBy};
 use tamp_core::cartesian::TreeCartesianProduct;
@@ -28,7 +30,7 @@ use crate::programs::{
 use crate::NodeCtx;
 
 /// One multicast of a precomputed communication [`Schedule`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct ScheduleSend {
     /// Sending compute node.
     pub src: NodeId,
@@ -47,7 +49,7 @@ pub struct ScheduleSend {
 /// exchanges as schedule rounds — and [`ScheduleJob`] replays it on any
 /// [`ExecBackend`](crate::backend::ExecBackend) with bit-identical
 /// metered ledgers.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct Schedule {
     /// Rounds in execution order; a round may be empty (silent rounds are
     /// still metered, matching both engines).
@@ -111,50 +113,28 @@ impl SrcIndex {
 /// round, the distributed view hands each node a program emitting exactly
 /// its own sends superstep by superstep. Both views move — and meter —
 /// bit-identical traffic, because they read the same schedule.
+#[derive(Clone, Debug)]
 pub struct ScheduleJob {
     name: String,
+    num_nodes: usize,
     schedule: Arc<Schedule>,
     by_src: Arc<SrcIndex>,
     /// Content hash of the schedule — the checkpoint token (see
-    /// [`ExecJob::checkpoint_token`]).
-    token: u64,
-}
-
-/// Hash a schedule's full content (round structure, sources,
-/// destinations, relation tags, payloads). Two schedules share a token
-/// only if their replays are interchangeable superstep for superstep —
-/// exactly the property checkpoint resume needs.
-fn schedule_token(num_nodes: usize, schedule: &Schedule) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    num_nodes.hash(&mut h);
-    schedule.rounds.len().hash(&mut h);
-    for round in &schedule.rounds {
-        round.len().hash(&mut h);
-        for send in round {
-            send.src.index().hash(&mut h);
-            send.dsts.len().hash(&mut h);
-            for d in &send.dsts {
-                d.index().hash(&mut h);
-            }
-            send.rel.hash(&mut h);
-            send.values.hash(&mut h);
-        }
-    }
-    h.finish()
+    /// [`ExecJob::checkpoint_token`]), hashed on first request: only a
+    /// backend with a checkpoint store ever asks.
+    token: OnceLock<u64>,
 }
 
 impl ScheduleJob {
     /// Wrap `schedule` (over a tree of `num_nodes` nodes) as a job named
     /// `name`.
     pub fn new(name: impl Into<String>, num_nodes: usize, schedule: Schedule) -> Self {
-        let by_src = SrcIndex::build(num_nodes, &schedule);
-        let token = schedule_token(num_nodes, &schedule);
         ScheduleJob {
             name: name.into(),
+            num_nodes,
+            by_src: Arc::new(SrcIndex::build(num_nodes, &schedule)),
             schedule: Arc::new(schedule),
-            by_src: Arc::new(by_src),
-            token,
+            token: OnceLock::new(),
         }
     }
 
@@ -182,10 +162,16 @@ impl ExecJob for ScheduleJob {
     }
 
     /// Schedule replay is stateless per round (the replaying node
-    /// program reads only `ctx.round`), so it is resumable: the token is
-    /// the schedule's content hash.
+    /// program reads only `ctx.round`), so it is resumable. The token
+    /// hashes the schedule's full content (round structure, endpoints,
+    /// relation tags, payloads): two schedules share one only if their
+    /// replays are interchangeable superstep for superstep.
     fn checkpoint_token(&self) -> Option<u64> {
-        Some(self.token)
+        Some(*self.token.get_or_init(|| {
+            let mut h = DefaultHasher::new();
+            (self.num_nodes, &self.schedule).hash(&mut h);
+            h.finish()
+        }))
     }
 
     /// A replay halts after exactly one superstep per schedule round

@@ -290,10 +290,12 @@ impl Tree {
         self.kinds[v.index()]
     }
 
-    /// `true` if `v` is a compute node.
+    /// `true` if `v` is a compute node of this tree (`false` for a
+    /// router and for an id the tree does not have — the engines' send
+    /// checks rely on this being total).
     #[inline]
     pub fn is_compute(&self, v: NodeId) -> bool {
-        self.kinds[v.index()].is_compute()
+        self.kinds.get(v.index()).is_some_and(|k| k.is_compute())
     }
 
     /// Degree of node `v` in the undirected tree.
@@ -624,6 +626,9 @@ mod tests {
         assert_eq!(t.num_compute(), 3);
         assert!(t.is_symmetric());
         assert!(t.compute_nodes_are_leaves());
+        // Total: a router and an id the tree lacks are both "not compute".
+        assert!(t.is_compute(NodeId(4)) && !t.is_compute(NodeId(2)));
+        assert!(!t.is_compute(NodeId(5)) && !t.is_compute(NodeId(u32::MAX)));
     }
 
     #[test]

@@ -206,6 +206,18 @@ fn killed_pagerank_resumes_from_the_last_iteration_checkpoint() {
     );
     let cp = orch.checkpoint_stats().unwrap();
     assert_eq!((cp.saved, cp.resumed, cp.retained), (1, 1, 0));
+
+    // The faulted serve was the cache miss; the retry replayed the same
+    // pinned prepared job. Fault-free, the second serve is a hit on that
+    // job: identical ranks and ledger, no new recovery.
+    assert!(!served.stats.cache_hit);
+    let again = orch.serve_iterative("graphs", &job).unwrap();
+    assert!(again.stats.cache_hit);
+    assert_eq!(again.outcome.values, reference.values);
+    assert_eq!(again.outcome.cost.edge_totals, reference.cost.edge_totals);
+    assert_eq!(again.outcome.iterations, reference.iterations);
+    assert_eq!(again.outcome.resumed_from, None);
+    assert_eq!(orch.recovery_events().len(), 1);
 }
 
 #[test]

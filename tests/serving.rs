@@ -116,6 +116,69 @@ fn eight_threads_of_mixed_queries_are_bit_identical_to_serial_execution() {
 }
 
 #[test]
+fn eight_threads_of_fixpoint_jobs_share_two_cached_plans() {
+    const CALLS_PER_THREAD: usize = 32;
+    // Two distinct jobs over one graph: PageRank and BFS.
+    let tree = serving_context().tree().clone();
+    let vc = tree.compute_nodes().to_vec();
+    let n = 24u64;
+    let arcs: Vec<(u64, u64)> = (0..n)
+        .flat_map(|u| [(u, (u + 1) % n), ((u + 1) % n, u), (u, (u * 7 + 2) % n)])
+        .collect();
+    let owners: Vec<_> = (0..n).map(|v| vc[(v % 6) as usize]).collect();
+    let jobs = [
+        IterativeJob::pagerank(
+            arcs.clone(),
+            owners.clone(),
+            0.5,
+            IterativeSpec::jacobi(40, 1e-5),
+        ),
+        IterativeJob::bfs(arcs, owners, 0, IterativeSpec::frontier(30, 0.0)),
+    ];
+    // Serial ground truth: a fresh prepare, replayed on the simulator.
+    let serial: Vec<IterativeOutcome> = jobs
+        .iter()
+        .map(|j| j.prepare(&tree).unwrap().run(&tree).unwrap())
+        .collect();
+
+    // One orchestrator: its elastic crew is the shared cluster backend.
+    let orch = Orchestrator::builder(serving_context())
+        .tenant(TenantSpec::new("graphs", 1, THREADS).with_priority(Priority::Batch))
+        .scaling(ScalingSpec::new(2, 2))
+        .capacity(THREADS)
+        .build()
+        .unwrap();
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (orch, jobs, serial) = (&orch, &jobs, &serial);
+            scope.spawn(move || {
+                for i in 0..CALLS_PER_THREAD {
+                    let k = (t + i) % jobs.len();
+                    let got = orch.serve_iterative("graphs", &jobs[k]).unwrap().outcome;
+                    let want = &serial[k];
+                    assert_eq!(got.values, want.values, "thread {t} job {k}");
+                    assert_eq!(got.iterations, want.iterations, "thread {t} job {k}");
+                    assert_eq!(got.cost.edge_totals, want.cost.edge_totals);
+                    assert_eq!(got.supersteps, want.supersteps + 1);
+                }
+            });
+        }
+    });
+
+    let calls = (THREADS * CALLS_PER_THREAD) as u64;
+    let cache = orch.service().cache_stats();
+    assert_eq!(cache.hits + cache.misses, calls);
+    // At worst every thread races the cold start of every job.
+    assert!(
+        cache.hits >= calls - (THREADS * jobs.len()) as u64,
+        "{cache:?}"
+    );
+    assert!(cache.entries <= jobs.len(), "{cache:?}");
+    let stats = &orch.stats()[0];
+    assert_eq!((stats.served, stats.cache_hits), (calls, cache.hits));
+}
+
+#[test]
 fn register_mid_service_invalidates_and_replans_consistently() {
     let service = QueryService::with_default_backend(serving_context());
     let q = LogicalPlan::scan("facts").join_on(LogicalPlan::scan("dims"), "g", "g");
