@@ -176,16 +176,13 @@ fn run_cached(
 
 /// The four modes of one scenario, measured. Returns
 /// `(mode label, threads, run)` rows plus the workload's deterministic
-/// total metered cost, and the concurrent-cached vs serial-uncached
-/// speedup.
+/// total metered cost.
 pub struct ServeMeasurement {
     /// `(mode, threads, wall, identical)` in presentation order.
     pub modes: Vec<(&'static str, usize, Duration, bool)>,
     /// Total metered tuple cost of one pass over the workload
     /// (deterministic: the baseline signal).
     pub workload_cost: f64,
-    /// `serial/uncached wall ÷ 8-thread/cached wall` — the headline.
-    pub speedup: f64,
 }
 
 /// Measure one topology's four serving modes.
@@ -214,7 +211,6 @@ pub fn measure(tree: &Tree) -> ServeMeasurement {
     let conc_uncached = run_uncached(&ctx, &backend, &queries, &reference, SERVE_THREADS);
     let conc_cached = run_cached(&service, &queries, &reference, SERVE_THREADS);
 
-    let speedup = serial_uncached.wall.as_secs_f64() / conc_cached.wall.as_secs_f64().max(1e-9);
     ServeMeasurement {
         modes: vec![
             (
@@ -243,7 +239,6 @@ pub fn measure(tree: &Tree) -> ServeMeasurement {
             ),
         ],
         workload_cost,
-        speedup,
     }
 }
 
@@ -284,9 +279,9 @@ pub fn x_serve() -> Vec<Table> {
     }
     t.note(
         "Expected shape: every mode bit-identical to serial single-session execution \
-         (identical = yes); the plan cache and concurrency only move wall/q\u{2044}s. The \
-         release acceptance bar (cached 8-thread \u{2265} 2\u{d7} uncached serial) is \
-         enforced by the ignored release-mode test in this module. `cost` is the \
+         (identical = yes); the plan cache and concurrency only move wall/q\u{2044}s, \
+         which are reported, not gated: a plan-cache miss is measured by \
+         benchmark/'s query.service.miss_us against hit_us. `cost` is the \
          deterministic per-workload metered signal.",
     );
     vec![t]
@@ -309,30 +304,6 @@ mod tests {
             for i in base..base + 4 {
                 assert_eq!(t.cell(i, 4), t.cell(base, 4));
             }
-        }
-    }
-
-    /// The acceptance bar: cached concurrent serving ≥ 2× uncached
-    /// serial on the 8-thread scenario. Wall-clock sensitive, so it is
-    /// `#[ignore]`d here and enforced by CI against the release build
-    /// (same step as the x-scale throughput bar).
-    #[test]
-    #[ignore = "wall-clock acceptance bar; run in release (CI does)"]
-    fn cached_concurrent_is_at_least_2x_uncached_serial() {
-        for (name, tree) in scenarios() {
-            // A second attempt absorbs scheduler noise on busy CI
-            // machines; a clean first pass short-circuits it.
-            let mut best = 0.0f64;
-            for _ in 0..2 {
-                best = best.max(measure(&tree).speedup);
-                if best >= 2.0 {
-                    break;
-                }
-            }
-            assert!(
-                best >= 2.0,
-                "{name}: cached 8-thread speedup {best:.2}\u{d7} < 2\u{d7}"
-            );
         }
     }
 }

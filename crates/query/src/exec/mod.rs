@@ -163,10 +163,10 @@ pub(crate) fn run_physical(
     let mut operator_costs = Vec::with_capacity(ctx.marks.len());
     let mut prev = 0usize;
     for m in ctx.marks {
-        let actual: f64 = outcome.cost.per_round[prev..m.upto]
+        // Folded from `0.0`: `sum()` over no rounds is `-0.0`.
+        let actual = outcome.cost.per_round[prev..m.upto]
             .iter()
-            .map(|r| r.tuple_cost)
-            .sum();
+            .fold(0.0, |sum, r| sum + r.tuple_cost);
         operator_costs.push(OperatorCost {
             op: m.op,
             strategy: m.strategy,
@@ -251,6 +251,12 @@ mod tests {
         let res = check_against_reference(&ctx, &q);
         assert_eq!(res.cost.tuple_cost(), 0.0);
         assert_eq!(res.estimated_cost, 0.0);
+        // Free means `0.0`, never the `-0.0` of an empty `sum()`.
+        assert!(res.cost.tuple_cost().is_sign_positive());
+        assert!(!res.operator_costs.is_empty());
+        for c in &res.operator_costs {
+            assert!(c.actual == 0.0 && c.actual.is_sign_positive(), "{c:?}");
+        }
     }
 
     #[test]

@@ -319,23 +319,23 @@ impl IterativeJob {
         // per level.
         let mut combine_est = 0.0;
         for moves in &combine {
-            let mut load = model.zero_load();
+            let mut round = model.round();
             for &(src, dst) in moves {
-                model.add_path(&mut load, src, dst, 2.0);
+                round.send(src, &[dst], 2.0);
             }
-            combine_est += model.round_cost(&load);
+            combine_est += round.cost();
         }
 
         // The a-priori scatter estimate: every cross-owner arc priced
         // individually (no per-destination combining) — what a planner
         // knows before any iteration runs.
         let apriori = {
-            let mut load = model.zero_load();
+            let mut round = model.round();
             for &(u, v) in self.arcs.iter() {
                 let (su, sv) = (self.owners[u as usize], self.owners[v as usize]);
-                model.add_path(&mut load, su, sv, 2.0); // free within one owner
+                round.send(su, &[sv], 2.0); // free within one owner
             }
-            model.round_cost(&load) + combine_est
+            round.cost() + combine_est
         };
 
         let mut fx = Fixpoint {
@@ -433,13 +433,12 @@ impl Fixpoint<'_> {
     /// multicast, whose union-of-paths charge is exactly that Steiner
     /// tree.
     fn cut_lower_bound(&self, fanin: &BTreeMap<u64, BTreeSet<NodeId>>) -> f64 {
-        let mut load = self.model.zero_load();
+        let mut round = self.model.round();
         for (&v, srcs) in fanin {
             let dsts: Vec<NodeId> = srcs.iter().copied().collect();
-            self.model
-                .add_multicast(&mut load, self.owners[v as usize], &dsts, 2.0);
+            round.send(self.owners[v as usize], &dsts, 2.0);
         }
-        self.model.round_cost(&load)
+        round.cost()
     }
 
     /// Emit one scatter round (sorted owner-pair order) followed by the
@@ -454,12 +453,12 @@ impl Fixpoint<'_> {
         // shipped, and priced on the model's ledger: the figure that,
         // fed forward, becomes the next frontier estimate.
         let mut rows = 0u64;
-        let mut load = self.model.zero_load();
+        let mut round = self.model.round();
         let mut sends = Vec::with_capacity(scatter.pairs.len());
         for ((src, dst), row) in scatter.pairs {
             rows += row.len() as u64;
             let width2 = (2 * row.len()) as f64;
-            self.model.add_path(&mut load, src, dst, width2);
+            round.send(src, &[dst], width2);
             sends.push(ScheduleSend {
                 src,
                 dsts: vec![dst],
@@ -468,7 +467,7 @@ impl Fixpoint<'_> {
             });
         }
         self.schedule.rounds.push(sends);
-        self.prev_price = Some(self.model.round_cost(&load) + self.combine_est);
+        self.prev_price = Some(round.cost() + self.combine_est);
 
         for moves in self.combine {
             let mut sends = Vec::with_capacity(moves.len());

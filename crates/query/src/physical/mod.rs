@@ -667,11 +667,12 @@ impl<'c> Planner<'c> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::QueryContext;
     use crate::exec::StrategyForce;
     use crate::expr::{col, lit};
     use crate::row::Row;
     use crate::table::DistributedTable;
-    use tamp_topology::builders;
+    use tamp_topology::{builders, Tree};
 
     /// Lower against the built-in strategies, plan only.
     fn lower(
@@ -861,11 +862,151 @@ mod tests {
         let dup = Arc::clone(r.get(OperatorKind::Join, "broadcast-small").unwrap());
         r.register(dup);
         assert_eq!(r.candidates(OperatorKind::Join).len(), before);
-        // Position (the tie-break order) is kept too.
+        // Position (the candidate-listing order) is kept too.
         assert_eq!(
             r.candidates(OperatorKind::Join)[1].name(),
             "broadcast-small"
         );
+    }
+
+    /// Pre-order `(operator label, chosen strategy)` of every exchange.
+    fn choices(plan: &PhysicalPlan, out: &mut Vec<(String, &'static str)>) {
+        if let Some(x) = plan.exchange() {
+            out.push((plan.label(), x.name()));
+        }
+        for child in plan.children() {
+            choices(child, out);
+        }
+    }
+
+    /// x-serve's tables (`crates/bench/src/serving.rs`) over `tree`.
+    fn serving_context(tree: Tree, facts: u64) -> QueryContext {
+        let mut ctx = QueryContext::new(tree.clone()).with_seed(17);
+        for (name, columns, rows) in [
+            (
+                "facts",
+                vec!["id", "g", "x"],
+                (0..facts)
+                    .map(|i| vec![i, i % 11, (i * 29) % 1024])
+                    .collect::<Vec<Row>>(),
+            ),
+            (
+                "dims",
+                vec!["g", "tier"],
+                (0..11).map(|g| vec![g, g + 40]).collect(),
+            ),
+            (
+                "grps",
+                vec!["tier", "band"],
+                (40..51).map(|t| vec![t, t % 4]).collect(),
+            ),
+        ] {
+            let schema = Schema::new(columns).unwrap();
+            ctx.register(DistributedTable::round_robin(name, schema, rows, &tree))
+                .unwrap();
+        }
+        ctx
+    }
+
+    /// The schedule of every serving workload — x-serve's two trees and
+    /// the benchmark's — pinned exchange by exchange, so an arithmetic
+    /// change in the pricing cannot flip a plan silently. Mathematically
+    /// tied candidates (weighted vs uniform shares over round-robin data
+    /// on a symmetric tree) must resolve alike everywhere: to the
+    /// baseline.
+    #[test]
+    fn serving_plans_choose_the_pinned_strategies() {
+        let plans = [
+            LogicalPlan::scan("facts")
+                .filter(col("x").lt(lit(700)))
+                .join_on(LogicalPlan::scan("dims"), "g", "g")
+                .join_on(LogicalPlan::scan("grps"), "tier", "tier")
+                .aggregate("band", AggFunc::Sum, "x")
+                .order_by("band"),
+            LogicalPlan::scan("facts")
+                .join_on(LogicalPlan::scan("dims"), "g", "g")
+                .order_by("x")
+                .limit(20),
+            LogicalPlan::scan("facts")
+                .project(vec![("g", col("g")), ("b", col("x").div(lit(128)))])
+                .distinct()
+                .aggregate("g", AggFunc::Count, "b")
+                .order_by("g"),
+        ];
+        const SORT_W: &str = "weighted-range-shuffle";
+        const SORT_U: &str = "uniform-range-shuffle";
+        const HASH_W: &str = "weighted-repartition";
+        const HASH_U: &str = "uniform-repartition";
+        // Per exchange, pre-order over the three plans: the choice on
+        // star(32) / fat_tree(2, 5) with 96 facts and on the benchmark's
+        // fat_tree(2, 8) with 288.
+        let pinned = [
+            ("OrderBy band", [SORT_U; 3]),
+            ("Aggregate sum", [HASH_U; 3]),
+            ("HashJoin tier=tier", [HASH_U; 3]),
+            ("HashJoin g=g", [HASH_U; 3]),
+            ("Limit 20", ["gather"; 3]),
+            ("OrderBy x", [SORT_U; 3]),
+            ("HashJoin g=g", [HASH_U; 3]),
+            ("OrderBy g", [SORT_U, SORT_W, SORT_W]),
+            ("Aggregate count", [HASH_U, HASH_W, HASH_W]),
+            ("Distinct", [HASH_W; 3]),
+        ];
+        for (t, (tree, facts)) in [
+            (builders::star(32, 1.0), 96),
+            (builders::fat_tree(2, 5, 1.0), 96),
+            (builders::fat_tree(2, 8, 1.0), 288),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let ctx = serving_context(tree, facts);
+            let mut got = Vec::new();
+            for plan in &plans {
+                choices(ctx.prepare(plan).unwrap().physical_plan(), &mut got);
+            }
+            let want = pinned.map(|(label, by_tree)| (label.to_string(), by_tree[t]));
+            assert_eq!(got, want, "tree #{t}");
+        }
+    }
+
+    /// `examples/explain.rs`'s first scenario — a heterogeneous star with
+    /// balanced data — prices three join candidates at a mathematical tie
+    /// (916.67) that accumulation order splits by an ulp. Noise must not
+    /// pick the plan: the baseline does, and keeps its own estimate.
+    #[test]
+    fn near_tied_explain_join_goes_to_the_baseline() {
+        let tree = builders::heterogeneous_star(&[0.5, 4.0, 4.0, 4.0, 4.0, 4.0]);
+        let mut ctx = QueryContext::new(tree.clone()).with_seed(7);
+        ctx.register(DistributedTable::round_robin(
+            "orders",
+            Schema::new(vec!["id", "product", "amount"]).unwrap(),
+            (0..900).map(|i| vec![i, i % 12, (i * 97) % 500]).collect(),
+            &tree,
+        ))
+        .unwrap();
+        ctx.register(DistributedTable::round_robin(
+            "products",
+            Schema::new(vec!["product", "category"]).unwrap(),
+            (0..300).map(|p| vec![p % 12, p % 4]).collect(),
+            &tree,
+        ))
+        .unwrap();
+        let q = LogicalPlan::scan("orders").join_on(
+            LogicalPlan::scan("products"),
+            "product",
+            "product",
+        );
+        let prepared = ctx.prepare(&q).unwrap();
+        let x = prepared.physical_plan().exchange().unwrap();
+        assert_eq!(x.name(), "uniform-repartition");
+        let cost_of = |name| x.candidates.iter().find(|c| c.name == name).unwrap().cost;
+        assert_eq!(x.estimate.tuple_cost, cost_of("uniform-repartition"));
+        for tied in ["weighted-repartition", "tree-partition"] {
+            let gap = (cost_of(tied) - x.estimate.tuple_cost).abs();
+            assert!(gap <= 1e-9 * x.estimate.tuple_cost, "{tied}: {gap}");
+        }
+        assert!(cost_of("broadcast-small") > 1.05 * x.estimate.tuple_cost);
     }
 
     #[test]

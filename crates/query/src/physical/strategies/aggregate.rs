@@ -22,11 +22,10 @@
 use std::collections::{BTreeMap, HashMap};
 
 use tamp_core::aggregate::protocols::combining_schedule;
-use tamp_core::aggregate::{encode, groupby_lower_bound};
 use tamp_core::hashing::{mix64, WeightedHash};
 use tamp_core::ratio::LowerBound;
 use tamp_core::sorting::valid_order;
-use tamp_simulator::{Placement, Rel};
+use tamp_simulator::Rel;
 use tamp_topology::NodeId;
 
 use crate::batch::{batch_rows, RecordBatch};
@@ -80,22 +79,31 @@ fn groups_per_node(a: &PlanArgs<'_>) -> Vec<f64> {
 /// synthetic placement spreading `min(n_v, G)` groups per node (nested
 /// prefixes, so an edge's "groups on both sides" is the min of the two
 /// side maxima — the natural estimate when group placement is unknown).
-/// Scaled ×2 because the query layer ships width-2 `(group, partial)`
-/// rows.
+/// That is [`groupby_lower_bound`] in closed form: one max-fold over the
+/// cuts instead of a materialised placement. Scaled ×2 because the query
+/// layer ships width-2 `(group, partial)` rows.
+///
+/// [`groupby_lower_bound`]: tamp_core::aggregate::groupby_lower_bound
 fn agg_lower_bound(a: &PlanArgs<'_>) -> Option<LowerBound> {
     if !a.symmetric() {
         return None;
     }
     let tree = a.model.tree();
-    let mut placement = Placement::empty(tree);
+    let mut groups = vec![0u64; tree.num_nodes()];
     for &v in tree.compute_nodes() {
-        let g_v = a.left.counts[v.index()].min(a.groups).round() as u64;
-        for g in 0..g_v {
-            placement.push(v, Rel::R, encode(g, 1));
+        groups[v.index()] = a.left.counts[v.index()].min(a.groups).round() as u64;
+    }
+    let (inside, outside) = tree.cut_folds(&groups, 0, u64::max);
+    let mut best = LowerBound::zero();
+    for e in tree.edges() {
+        let x = tree.deeper_endpoint(e).index();
+        let both = inside[x].min(outside[x]);
+        let w = tree.sym_bandwidth(e);
+        if both > 0 && !w.is_infinite() {
+            best = best.max(LowerBound::new(both as f64 / (2.0 * w.get()), Some(e)));
         }
     }
-    let lb = groupby_lower_bound(tree, &placement);
-    Some(LowerBound::new(lb.value() * 2.0, lb.witness()))
+    Some(LowerBound::new(best.value() * 2.0, best.witness()))
 }
 
 /// One-round partial shuffle under a weighted or uniform group hash.
@@ -303,11 +311,11 @@ impl PhysicalStrategy for CombiningTreeAggregate {
         let mut cost = 0.0;
         let rounds = schedule.len();
         for moves in schedule {
-            let mut load = a.model.zero_load();
+            let mut round = a.model.round();
             for &(src, dst) in &moves {
-                a.model.add_path(&mut load, src, dst, g[src.index()] * 2.0);
+                round.send(src, &[dst], g[src.index()] * 2.0);
             }
-            cost += a.model.round_cost(&load);
+            cost += round.cost();
             for (src, dst) in moves {
                 let moved = std::mem::take(&mut g[src.index()]);
                 g[dst.index()] = (g[dst.index()] + moved).min(a.groups);
@@ -423,5 +431,63 @@ impl PhysicalStrategy for CombiningTreeAggregate {
             rounds: trace.into_rounds(),
             output: out,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use tamp_core::aggregate::{encode, groupby_lower_bound};
+    use tamp_simulator::Placement;
+
+    use super::*;
+    use crate::physical::cost::oracle::arb_tree;
+    use crate::physical::cost::CostModel;
+    use crate::physical::strategy::PlanSide;
+
+    /// `agg_lower_bound` as it was before the closed form: materialise the
+    /// nested-prefix placement and count groups across every cut.
+    fn materialised_bound(a: &PlanArgs<'_>) -> LowerBound {
+        let tree = a.model.tree();
+        let mut placement = Placement::empty(tree);
+        for &v in tree.compute_nodes() {
+            let g_v = a.left.counts[v.index()].min(a.groups).round() as u64;
+            for g in 0..g_v {
+                placement.push(v, Rel::R, encode(g, 1));
+            }
+        }
+        let lb = groupby_lower_bound(tree, &placement);
+        LowerBound::new(lb.value() * 2.0, lb.witness())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Value bits *and* witness edge, on symmetric trees with compute
+        /// nodes and routers anywhere and some infinite links; routers get
+        /// counts too, which must not matter.
+        #[test]
+        fn closed_form_bound_is_groupby_lower_bound(seed in 0u64..1_000_000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let tree = arb_tree(&mut rng, true);
+            let n = tree.num_nodes();
+            let model = CostModel::new(&tree);
+            let args = PlanArgs {
+                model: &model,
+                seed: 0,
+                left: PlanSide {
+                    counts: (0..n).map(|_| rng.random_range(0.0..9.0)).collect(),
+                    width: 3,
+                },
+                right: None,
+                groups: rng.random_range(0.0..12.0),
+                limit: 0,
+            };
+            let (closed, oracle) = (agg_lower_bound(&args).unwrap(), materialised_bound(&args));
+            prop_assert_eq!(closed.value().to_bits(), oracle.value().to_bits());
+            prop_assert_eq!(closed.witness(), oracle.witness());
+        }
     }
 }

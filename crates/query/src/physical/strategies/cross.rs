@@ -259,7 +259,7 @@ fn rect_cross_estimate(a: &PlanArgs<'_>, rects: &[Rect], left: &PlanSide, right:
     fn col_range(r: &Rect) -> (u64, u64) {
         (r.col, r.col + r.w)
     }
-    let mut load = a.model.zero_load();
+    let mut round = a.model.round();
     for (side, range_of) in [
         (left, row_range as fn(&Rect) -> (u64, u64)),
         (right, col_range),
@@ -270,13 +270,12 @@ fn rect_cross_estimate(a: &PlanArgs<'_>, rects: &[Rect], left: &PlanSide, right:
             for rect in rects {
                 let (lo, hi) = range_of(rect);
                 let overlap = (end.min(hi as f64) - start.max(lo as f64)).max(0.0);
-                a.model
-                    .add_path(&mut load, v, rect.owner, overlap * side.width as f64);
+                round.send(v, &[rect.owner], overlap * side.width as f64);
             }
             start = end;
         }
     }
-    a.model.round_cost(&load)
+    round.cost()
 }
 
 /// The §4 wHC / Appendix A.1 rectangle strategy.

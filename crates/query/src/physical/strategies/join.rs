@@ -388,35 +388,29 @@ impl PhysicalStrategy for TreePartitionJoin {
             small_total,
             a.seed,
         );
-        let mut load = a.model.zero_load();
+        // Both flows are product-shaped. Within a block, node `u` takes
+        // its `n_u / n_block` share of what the block receives.
+        let mut round = a.model.round();
+        let mut shares = a.model.zero_counts();
         for (block, hash) in partition.blocks.iter().zip(&hashes) {
-            if hash.is_none() {
-                continue;
-            }
             let block_n: u64 = block.iter().map(|&v| n[v.index()]).sum();
-            if block_n == 0 {
+            if hash.is_none() || block_n == 0 {
                 continue;
             }
             for &u in block {
-                let share = n[u.index()] as f64 / block_n as f64;
-                if share <= 0.0 {
-                    continue;
-                }
-                // Small rows: every source ships its expected share into
-                // this block (one of k multicast legs).
-                for &v in a.model.tree().compute_nodes() {
-                    let amount = small.counts[v.index()] * small.width as f64 * share;
-                    a.model.add_path(&mut load, v, u, amount);
-                }
-                // Big rows: only sources inside the block reshuffle here.
-                for &v in block {
-                    let amount = big.counts[v.index()] * big.width as f64 * share;
-                    a.model.add_path(&mut load, v, u, amount);
-                }
+                shares[u.index()] = n[u.index()] as f64 / block_n as f64;
+            }
+            // Big rows: only sources inside the block reshuffle here.
+            if block.len() > 1 {
+                round.repartition(block, &big.counts, big.width, &shares);
             }
         }
+        // Small rows: every source ships its expected share into every
+        // block (one of k multicast legs), so the shares sum to k.
+        let everyone = a.model.tree().compute_nodes();
+        round.repartition(everyone, &small.counts, small.width, &shares);
         CostEstimate {
-            tuple_cost: a.model.round_cost(&load),
+            tuple_cost: round.cost(),
             rounds: 1,
         }
     }

@@ -51,14 +51,12 @@ pub(crate) mod group_table;
 pub(crate) mod join;
 pub(crate) mod sort;
 
-/// Every built-in strategy, in registration (tie-break) order:
-/// distribution-aware first.
+/// Every built-in strategy, in registration order — the order EXPLAIN
+/// lists candidates in, distribution-aware first. It does not break
+/// ties: `StrategyRegistry::plan` does, on baseline-then-name.
 pub(crate) fn defaults() -> Vec<Arc<dyn PhysicalStrategy>> {
     vec![
-        // Joins. Tie-break order: the weighted repartition, then the
-        // broadcast (on uniform stars the balanced partition degenerates
-        // to singleton blocks and `tree-partition` ties with it — prefer
-        // the simpler plan), then the §3 routing, then the baseline.
+        // Joins.
         Arc::new(join::WeightedRepartitionJoin),
         Arc::new(join::BroadcastSmallJoin),
         Arc::new(join::TreePartitionJoin),

@@ -25,7 +25,10 @@
 //! # Registering a third-party strategy
 //!
 //! A strategy is ~4 methods; everything else (candidate pricing, EXPLAIN
-//! rendering, backend replay, cost attribution) is inherited. For
+//! rendering, backend replay, cost attribution) is inherited. Price
+//! traffic with [`CostModel`]'s closed forms (`gather_cost`,
+//! `repartition_cost`, `multicast_cost`) or, for anything else, charge it
+//! send by send on the accumulator [`CostModel::round`] returns. For
 //! example, a join strategy that gathers both sides onto one node:
 //!
 //! ```
@@ -696,16 +699,26 @@ pub trait PhysicalStrategy: fmt::Debug + Send + Sync {
     }
 }
 
+/// Relative distance from the cheapest estimate within which a candidate
+/// is tied with it (see [`StrategyRegistry`]): observed accumulation
+/// noise is ≈ `1e-16`, the closest real gap between candidates `4e-5`.
+const TIE_EPSILON: f64 = 1e-9;
+
 /// The set of registered strategies, by operator.
 ///
 /// A fresh registry ([`StrategyRegistry::with_defaults`]) holds every
 /// built-in strategy; sessions clone it and
 /// [`register`](StrategyRegistry::register) third-party implementations
 /// on top. The planner's choice is deterministic: the cheapest estimate
-/// wins, and exact float ties break on the strategy *name* (lexically
-/// smallest), so the winner — and with it EXPLAIN output and the
-/// `x-strategy` tables — is stable across platforms and registration
-/// orders.
+/// wins, and every candidate within a relative `1e-9` (`TIE_EPSILON`)
+/// of it is *tied* with it — estimates that are mathematically equal
+/// differ by accumulation order (≈ `1e-16`), and that noise must not pick
+/// the plan. A tie goes first to a baseline (`algorithm()` is `None`: a
+/// topology-aware plan must *beat* the agnostic one, not match it), then
+/// to the lexically smallest *name*; the winner keeps its own estimate.
+/// So the choice — and with it EXPLAIN output and the `x-strategy`
+/// tables — is stable across platforms, registration orders and
+/// arithmetic changes.
 #[derive(Clone, Debug, Default)]
 pub struct StrategyRegistry {
     strategies: Vec<Arc<dyn PhysicalStrategy>>,
@@ -761,8 +774,8 @@ impl StrategyRegistry {
 
     /// Price every candidate for `op` and resolve the choice: `forced`
     /// selects by name (an unknown name is a typed error listing the
-    /// alternatives), otherwise the cheapest estimate wins, with exact
-    /// float ties broken deterministically on the strategy name.
+    /// alternatives), otherwise the cheapest estimate wins, with ties
+    /// (within `TIE_EPSILON`) going to a baseline, then to the name.
     pub fn plan(
         &self,
         op: OperatorKind,
@@ -792,20 +805,23 @@ impl StrategyRegistry {
                     name: name.to_string(),
                     available: priced.iter().map(|(s, _)| s.name().to_string()).collect(),
                 })?,
-            None => priced
-                .iter()
-                .min_by(|(sa, a), (sb, b)| {
-                    // Deterministic under float ties: equal estimates
-                    // break on the strategy *name*, not on registration
-                    // order or platform-dependent float quirks, so
-                    // EXPLAIN output and the `x-strategy` tables are
-                    // stable everywhere. `total_cmp` (lint rule F1)
-                    // keeps a NaN estimate from panicking mid-plan.
-                    a.tuple_cost
-                        .total_cmp(&b.tuple_cost)
-                        .then_with(|| sa.name().cmp(sb.name()))
-                })
-                .expect("at least one candidate"),
+            None => {
+                // `total_cmp` (lint rule F1) keeps a NaN estimate from
+                // panicking mid-plan; a NaN is tied only with itself.
+                let cheapest = priced
+                    .iter()
+                    .map(|(_, e)| e.tuple_cost)
+                    .min_by(f64::total_cmp)
+                    .expect("at least one candidate");
+                priced
+                    .iter()
+                    .filter(|(_, e)| {
+                        e.tuple_cost - cheapest <= TIE_EPSILON * cheapest.abs()
+                            || e.tuple_cost.total_cmp(&cheapest).is_eq()
+                    })
+                    .min_by_key(|(s, _)| (s.algorithm().is_some(), s.name()))
+                    .expect("the cheapest candidate is tied with itself")
+            }
         };
         let candidates = priced
             .iter()
@@ -836,6 +852,17 @@ mod tests {
     struct FlatCost {
         name: &'static str,
         cost: f64,
+        algorithm: Option<&'static str>,
+    }
+
+    impl FlatCost {
+        fn baseline(name: &'static str, cost: f64) -> Arc<Self> {
+            Arc::new(FlatCost {
+                name,
+                cost,
+                algorithm: None,
+            })
+        }
     }
 
     impl PhysicalStrategy for FlatCost {
@@ -844,6 +871,9 @@ mod tests {
         }
         fn operator(&self) -> OperatorKind {
             OperatorKind::Sort
+        }
+        fn algorithm(&self) -> Option<&'static str> {
+            self.algorithm
         }
         fn estimate(&self, _args: &PlanArgs<'_>) -> CostEstimate {
             CostEstimate {
@@ -871,29 +901,56 @@ mod tests {
             groups: 0.0,
             limit: 0,
         };
-        // Same estimated cost, registered in both orders: the winner must
-        // be the lexically smallest name either way.
-        for names in [["zeta", "alpha"], ["alpha", "zeta"]] {
+        let choose = |candidates: &[Arc<FlatCost>]| {
             let mut r = StrategyRegistry::empty();
-            for name in names {
-                r.register(Arc::new(FlatCost { name, cost: 42.0 }));
+            for c in candidates {
+                r.register(Arc::clone(c) as Arc<dyn PhysicalStrategy>);
             }
             let x = r.plan(OperatorKind::Sort, None, &args).unwrap();
-            assert_eq!(x.name(), "alpha", "registered as {names:?}");
-            assert_eq!(x.candidates.len(), 2);
-        }
-        // A strictly cheaper estimate still beats a lexically smaller
-        // name: the tie-break only applies on exact ties.
-        let mut r = StrategyRegistry::empty();
-        r.register(Arc::new(FlatCost {
-            name: "alpha",
+            assert_eq!(x.candidates.len(), candidates.len());
+            (x.name(), x.estimate.tuple_cost)
+        };
+        // Same estimated cost, registered in both orders: the winner must
+        // be the lexically smallest name either way.
+        let (alpha, zeta) = (
+            FlatCost::baseline("alpha", 42.0),
+            FlatCost::baseline("zeta", 42.0),
+        );
+        assert_eq!(choose(&[zeta.clone(), alpha.clone()]).0, "alpha");
+        assert_eq!(choose(&[alpha.clone(), zeta]).0, "alpha");
+        // So must a *near* tie — accumulation-order noise, far inside
+        // `TIE_EPSILON` — even when the noise favours the other name; the
+        // winner keeps its own estimate.
+        let noisy = 42.0 * (1.0 + 1e-13);
+        let beta = FlatCost::baseline("beta", 42.0);
+        let alpha_noisy = FlatCost::baseline("alpha", noisy);
+        assert_eq!(
+            choose(&[beta.clone(), alpha_noisy.clone()]),
+            ("alpha", noisy)
+        );
+        assert_eq!(choose(&[alpha_noisy, beta.clone()]), ("alpha", noisy));
+        // A tie goes to a baseline before it goes to a name: the paper
+        // algorithm must beat the topology-agnostic plan, not match it.
+        let paper = Arc::new(FlatCost {
+            name: "aardvark",
             cost: 42.0,
-        }));
-        r.register(Arc::new(FlatCost {
-            name: "zeta",
+            algorithm: Some("Alg 0"),
+        });
+        assert_eq!(choose(&[paper.clone(), beta.clone()]).0, "beta");
+        assert_eq!(choose(&[beta, paper.clone()]).0, "beta");
+        // A strictly cheaper estimate still beats a baseline and a
+        // lexically smaller name: ties are the only thing they decide.
+        let cheaper = FlatCost::baseline("zeta", 42.0 * (1.0 - 1e-8));
+        assert_eq!(choose(&[alpha.clone(), cheaper]).0, "zeta");
+        let cheaper_paper = Arc::new(FlatCost {
+            name: "zulu",
             cost: 41.0,
-        }));
-        let x = r.plan(OperatorKind::Sort, None, &args).unwrap();
-        assert_eq!(x.name(), "zeta");
+            algorithm: Some("Alg 0"),
+        });
+        assert_eq!(choose(&[alpha, cheaper_paper]).0, "zulu");
+        // NaN is tied only with itself, and never wins over a number.
+        let nan = FlatCost::baseline("aaa", f64::NAN);
+        assert_eq!(choose(&[nan.clone(), paper]).0, "aardvark");
+        assert_eq!(choose(&[nan]).0, "aaa");
     }
 }

@@ -118,9 +118,10 @@ pub struct Cost {
 }
 
 impl Cost {
-    /// `cost(A) = Σ_i max_e |Y_i(e)| / w_e` in tuples.
+    /// `cost(A) = Σ_i max_e |Y_i(e)| / w_e` in tuples (`0.0`, not `sum()`'s
+    /// `-0.0`, over no rounds).
     pub fn tuple_cost(&self) -> f64 {
-        self.per_round.iter().map(|r| r.tuple_cost).sum()
+        self.per_round.iter().fold(0.0, |sum, r| sum + r.tuple_cost)
     }
 
     /// The same cost in bits, at `bits` bits per tuple.

@@ -25,7 +25,7 @@ impl CutWeights {
     /// Compute side sums for all edges. `weight` is indexed by node id and
     /// must cover every node (router entries are normally `0`).
     pub fn compute(tree: &Tree, weight: &[u64]) -> Self {
-        let (child_side, total) = tree.subtree_sums(weight);
+        let (inside, outside) = tree.cut_folds(weight, 0, |a, b| a + b);
         let ne = tree.num_edges();
         let mut side_u = vec![0u64; ne];
         let mut side_v = vec![0u64; ne];
@@ -33,7 +33,7 @@ impl CutWeights {
             let e = EdgeId(i as u32);
             let (u, _v) = tree.endpoints(e);
             let deeper = tree.deeper_endpoint(e);
-            let (deep, far) = (child_side[i], total - child_side[i]);
+            let (deep, far) = (inside[deeper.index()], outside[deeper.index()]);
             if deeper == u {
                 side_u[i] = deep;
                 side_v[i] = far;
@@ -45,7 +45,7 @@ impl CutWeights {
         CutWeights {
             side_u,
             side_v,
-            total,
+            total: inside[0],
         }
     }
 

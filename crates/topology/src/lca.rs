@@ -18,9 +18,9 @@
 //! consumers (the traffic meter's subtree-delta charging, virtual-tree
 //! Steiner unions) never materialize the path at all — they only need
 //! `lca`, `tin` order and the parent-edge arrays; [`LcaIndex::for_each_path_edge`]
-//! exists for the callers that do walk edges (the query planner's
-//! estimates, test oracles) and costs O(path length) with zero
-//! allocation.
+//! exists for the callers that do walk edges — test oracles and the
+//! benchmark's path probe; the query planner prices on cuts — and costs
+//! O(path length) plus one heap buffer for the downward leg.
 
 use crate::node::NodeId;
 use crate::tree::{DirEdgeId, Tree};
@@ -217,8 +217,8 @@ impl LcaIndex {
     }
 
     /// Visit every directed edge of the unique path `a → b`, in path
-    /// order, without allocating: the `a → lca` leg climbs `up_edge`s,
-    /// the `lca → b` leg descends `down_edge`s.
+    /// order: climb `up_edge`s to the LCA, then descend `down_edge`s (one
+    /// heap buffer reverses that leg). Oracle- and probe-only.
     pub fn for_each_path_edge<F: FnMut(DirEdgeId)>(&self, a: NodeId, b: NodeId, mut f: F) {
         if a == b {
             return;
@@ -232,7 +232,7 @@ impl LcaIndex {
         // Collect the downward leg bottom-up, then emit reversed. The
         // descent is at most the tree depth; a smallvec-style stack
         // buffer would remove even this, but paths are only walked by
-        // estimate/oracle code, never by the aggregate meter.
+        // oracle/probe code, never by the planner or the aggregate meter.
         let mut leg = Vec::with_capacity(self.dist(l, b) as usize);
         let mut y = b;
         while y != l {

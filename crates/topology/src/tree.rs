@@ -575,26 +575,40 @@ impl Tree {
         order
     }
 
-    /// Sum of a per-node value over each edge-cut side, for all edges at
-    /// once, in `O(|V|)`.
-    ///
-    /// Returns `(child_side, total)` where `child_side[e]` is the sum over
-    /// the subtree below `e` (internal rooting) and the far side is
-    /// `total - child_side[e]`.
-    pub fn subtree_sums(&self, value: &[u64]) -> (Vec<u64>, u64) {
+    /// Fold a per-node `value` over both sides of every edge cut at once,
+    /// in `O(|V|)`: `(inside, outside)` by node id, where `inside[x]` folds
+    /// `sub(x)` (the subtree below `x` in the internal rooting) and
+    /// `outside[x]` its complement — the two sides of the cut at edge
+    /// `x — parent(x)`. `op` is associative and commutative with identity
+    /// `zero` and needs no inverse (`outside` is never `total − inside`),
+    /// so float sums cannot cancel and `max` folds like `+`.
+    pub fn cut_folds<T: Copy>(
+        &self,
+        value: &[T],
+        zero: T,
+        op: impl Fn(T, T) -> T,
+    ) -> (Vec<T>, Vec<T>) {
         assert_eq!(value.len(), self.num_nodes());
-        let mut sub = value.to_vec();
-        // Children precede parents in reverse DFS order.
+        let mut inside = value.to_vec();
+        let mut outside = vec![zero; value.len()];
+        // Children first, later siblings before earlier ones: on the way
+        // up, a child sees its parent's value and its later siblings.
         for &x in self.dfs_order.iter().rev() {
             if let Some((p, _)) = self.parent[x.index()] {
-                sub[p.index()] += sub[x.index()];
+                outside[x.index()] = inside[p.index()];
+                inside[p.index()] = op(inside[p.index()], inside[x.index()]);
             }
         }
-        let total = sub[0];
-        let child_side: Vec<u64> = (0..self.num_edges())
-            .map(|e| sub[self.deeper_endpoint(EdgeId(e as u32)).index()])
-            .collect();
-        (child_side, total)
+        // Parents first: add the parent's outside and the earlier siblings.
+        let mut earlier = vec![zero; value.len()];
+        for &x in &self.dfs_order {
+            if let Some((p, _)) = self.parent[x.index()] {
+                let above = op(outside[p.index()], earlier[p.index()]);
+                outside[x.index()] = op(above, outside[x.index()]);
+                earlier[p.index()] = op(earlier[p.index()], inside[x.index()]);
+            }
+        }
+        (inside, outside)
     }
 }
 
@@ -711,19 +725,23 @@ mod tests {
     }
 
     #[test]
-    fn subtree_sums_match_bruteforce() {
+    fn cut_folds_match_bruteforce() {
         let t = tiny_tree();
         let w = vec![3u64, 5, 0, 0, 7];
-        let (child, total) = t.subtree_sums(&w);
-        assert_eq!(total, 15);
-        for e in t.edges() {
-            let c = t.deeper_endpoint(e);
-            let brute: u64 = t
-                .nodes()
-                .filter(|&x| t.in_subtree0(x, c))
-                .map(|x| w[x.index()])
-                .sum();
-            assert_eq!(child[e.index()], brute, "edge {e:?}");
+        let (sum_in, sum_out) = t.cut_folds(&w, 0, |a, b| a + b);
+        let (max_in, max_out) = t.cut_folds(&w, 0, u64::max);
+        assert_eq!((sum_in[0], sum_out[0]), (15, 0), "the root's cut is empty");
+        for x in t.nodes() {
+            let side = |inside: bool| {
+                let (t, w) = (&t, &w);
+                t.nodes()
+                    .filter(move |&y| t.in_subtree0(y, x) == inside)
+                    .map(move |y| w[y.index()])
+            };
+            assert_eq!(sum_in[x.index()], side(true).sum::<u64>(), "{x}");
+            assert_eq!(sum_out[x.index()], side(false).sum::<u64>(), "{x}");
+            assert_eq!(max_in[x.index()], side(true).max().unwrap_or(0), "{x}");
+            assert_eq!(max_out[x.index()], side(false).max().unwrap_or(0), "{x}");
         }
     }
 

@@ -27,20 +27,24 @@ proptest! {
     }
 
     #[test]
-    fn subtree_sums_match_bruteforce(tree in arb_tree(), seed in 0u64..9999) {
+    fn cut_folds_match_bruteforce(tree in arb_tree(), seed in 0u64..9999) {
         let w: Vec<u64> = (0..tree.num_nodes() as u64)
             .map(|i| (i.wrapping_mul(seed + 7)) % 97)
             .collect();
-        let (child, total) = tree.subtree_sums(&w);
-        prop_assert_eq!(total, w.iter().sum::<u64>());
-        for e in tree.edges() {
-            let c = tree.deeper_endpoint(e);
-            let brute: u64 = tree
-                .nodes()
-                .filter(|&x| tree.in_subtree0(x, c))
-                .map(|x| w[x.index()])
-                .sum();
-            prop_assert_eq!(child[e.index()], brute);
+        let (sum_in, sum_out) = tree.cut_folds(&w, 0, |a, b| a + b);
+        let (max_in, max_out) = tree.cut_folds(&w, 0, u64::max);
+        prop_assert_eq!(sum_in[0], w.iter().sum::<u64>());
+        for x in tree.nodes() {
+            let side = |inside: bool| {
+                let (tree, w) = (&tree, &w);
+                tree.nodes()
+                    .filter(move |&y| tree.in_subtree0(y, x) == inside)
+                    .map(move |y| w[y.index()])
+            };
+            prop_assert_eq!(sum_in[x.index()], side(true).sum::<u64>());
+            prop_assert_eq!(sum_out[x.index()], side(false).sum::<u64>());
+            prop_assert_eq!(max_in[x.index()], side(true).max().unwrap_or(0));
+            prop_assert_eq!(max_out[x.index()], side(false).max().unwrap_or(0));
         }
     }
 
