@@ -12,8 +12,8 @@
 //!
 //! or a single experiment by id (`t1-si`, `t1-cp`, `t1-sort`, `f1`–`f5`,
 //! `a1`, `x-mpc`, `x-cross`, `x-agg`, `x-groupby`, `x-general`,
-//! `x-runtime`, `x-query`, `x-scale`, `x-batch`, `x-serve`, `x-tenant`,
-//! `x-chaos`, `x-uneq-tree`, `x-iter`, `x-lint`, `x-size`,
+//! `x-runtime`, `x-query`, `x-scale`, `x-serve`, `x-tenant`, `x-chaos`,
+//! `x-uneq-tree`, `x-iter`, `x-lint`, `x-size`,
 //! `abl-partition`, `abl-pow2`, `abl-splitters`, `abl-treepack`,
 //! `abl-drift`).
 
@@ -27,7 +27,6 @@ pub mod serving;
 pub mod strategies;
 pub mod suite;
 pub mod table;
-pub mod xbatch;
 pub mod xchaos;
 pub mod xiter;
 pub mod xlint;

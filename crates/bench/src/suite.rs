@@ -807,7 +807,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "x-plan",
     "x-strategy",
     "x-scale",
-    "x-batch",
     "x-serve",
     "x-tenant",
     "x-chaos",
@@ -844,7 +843,6 @@ pub fn run_experiment(id: &str) -> Option<Vec<Table>> {
         "x-plan" => crate::extensions::x_plan(),
         "x-strategy" => crate::strategies::x_strategy(),
         "x-scale" => crate::xscale::x_scale(),
-        "x-batch" => crate::xbatch::x_batch(),
         "x-serve" => crate::serving::x_serve(),
         "x-tenant" => crate::xtenant::x_tenant(),
         "x-chaos" => crate::xchaos::x_chaos(),

@@ -115,7 +115,7 @@ impl RuleId {
     pub fn hint(&self) -> &'static str {
         match self {
             RuleId::D1 => {
-                "route through drain_sorted(..) or a sorted collect (BTreeMap / sort before use): \
+                "route through a sorted collect (BTreeMap / sort before use): \
                  RandomState order differs per map, so emitted schedules would not replay"
             }
             RuleId::D2 => {

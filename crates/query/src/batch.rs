@@ -1,24 +1,24 @@
-//! Columnar record batches: the unit of the batch execution engine.
+//! Columnar record batches: the unit of execution.
 //!
 //! A [`RecordBatch`] stores a fixed number of columns as shared
 //! `Arc<[Value]>` allocations — the same zero-copy currency the exchange
 //! fabric ships in `ScheduleSend::values` — so replicating a batch to
 //! another node's fragment list is a reference-count bump, not a copy.
-//! Batches convert losslessly to and from the row representation
-//! ([`Row`]): the batch engine and the tuple engine are two views of the
-//! same data, and the parity suites assert their outputs bit-identical.
+//! Batches convert losslessly to and from rows ([`Row`]), the form tables
+//! are registered in and results are read in.
 //!
-//! A node's fragment under the batch engine is a *list* of batches
-//! ([`BatchFragments`]); the list is read as the concatenation of its
-//! batches, so batch boundaries carry no meaning — only the row sequence
-//! does.
+//! A node's fragment is a *list* of batches ([`BatchFragments`]); the
+//! list is read as the concatenation of its batches, so batch boundaries
+//! carry no meaning — only the row sequence does. On the wire a payload
+//! is row-major: each row's values in column order, rows back to back
+//! ([`flatten_batches`], [`flatten_multi`]).
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 use tamp_simulator::Value;
 
-use crate::row::Row;
+use crate::row::{Fragments, Row};
 
 /// A column-major batch of rows: `width()` columns, each `num_rows()`
 /// values long, individually shared.
@@ -131,8 +131,8 @@ impl RecordBatch {
             .unwrap_or(Ordering::Equal)
     }
 
-    /// Append this batch's rows `sel` (in order) to a row-major buffer —
-    /// the wire layout of [`crate::row::flatten`].
+    /// Append this batch's rows `sel` (in order) to a row-major wire
+    /// buffer.
     pub fn flatten_into(&self, sel: &[usize], out: &mut Vec<Value>) {
         out.reserve(sel.len() * self.cols.len());
         for &i in sel {
@@ -143,8 +143,8 @@ impl RecordBatch {
     }
 }
 
-/// Per-node batch lists, indexed by node id — the batch engine's
-/// counterpart of [`crate::physical::strategy::Fragments`].
+/// Per-node batch lists, indexed by node id: the fragments operators and
+/// strategies exchange.
 pub type BatchFragments = Vec<Vec<RecordBatch>>;
 
 /// Total rows across a node's batch list.
@@ -241,11 +241,7 @@ pub fn rows_to_batches(rows: &[Row], width: usize, batch: usize) -> Vec<RecordBa
 
 /// Convert row fragments into batch fragments, chunking each node's rows
 /// into batches of at most `batch` rows.
-pub fn fragments_to_batches(
-    frags: &crate::physical::strategy::Fragments,
-    width: usize,
-    batch: usize,
-) -> BatchFragments {
+pub fn fragments_to_batches(frags: &Fragments, width: usize, batch: usize) -> BatchFragments {
     frags
         .iter()
         .map(|rows| rows_to_batches(rows, width, batch))
@@ -255,7 +251,7 @@ pub fn fragments_to_batches(
 /// Convert batch fragments back into row fragments (the inverse of
 /// [`fragments_to_batches`] up to batch boundaries, which carry no
 /// meaning).
-pub fn batches_to_fragments(frags: &BatchFragments) -> crate::physical::strategy::Fragments {
+pub fn batches_to_fragments(frags: &BatchFragments) -> Fragments {
     frags
         .iter()
         .map(|batches| {
@@ -284,8 +280,22 @@ pub fn gather_multi(batches: &[RecordBatch], idx: &[(u32, u32)], width: usize) -
     }
 }
 
-/// Row-major flatten of the `(batch, row)` pairs in `idx` — the wire
-/// layout of [`crate::row::flatten`] over the selected rows.
+/// Row-major flatten of whole batches, in batch then row order: the wire
+/// payload of a node's fragment.
+pub fn flatten_batches(batches: &[RecordBatch], width: usize) -> Vec<Value> {
+    let mut out = Vec::with_capacity(batch_rows(batches) * width);
+    for b in batches {
+        for r in 0..b.num_rows() {
+            for c in 0..width {
+                out.push(b.col(c)[r]);
+            }
+        }
+    }
+    out
+}
+
+/// Row-major flatten of the `(batch, row)` pairs in `idx`: the wire
+/// payload of the selected rows.
 pub fn flatten_multi(batches: &[RecordBatch], idx: &[(u32, u32)], width: usize) -> Vec<Value> {
     let mut out = Vec::with_capacity(idx.len() * width);
     for &(b, i) in idx {
@@ -346,6 +356,12 @@ mod tests {
         let g = gather_multi(&batches, &[(2, 0), (0, 1), (1, 2)], 1);
         assert_eq!(g.to_rows(), vec![vec![6], vec![1], vec![5]]);
         assert_eq!(flatten_multi(&batches, &[(2, 0), (0, 1)], 1), vec![6, 1]);
+        // Whole-list flatten is row-major across batch boundaries.
+        let wide: Vec<Row> = (0..5u64).map(|i| vec![i, 10 + i]).collect();
+        assert_eq!(
+            flatten_batches(&rows_to_batches(&wide, 2, 2), 2),
+            vec![0, 10, 1, 11, 2, 12, 3, 13, 4, 14]
+        );
         assert_eq!(concat(&batches, 1).to_rows(), rows);
     }
 

@@ -45,7 +45,7 @@ use tamp_runtime::backend::{ExecBackend, SimulatorBackend};
 use tamp_topology::{EdgeId, Tree};
 
 use crate::error::QueryError;
-use crate::exec::{self, ExecMode, ExecOptions, QueryResult};
+use crate::exec::{self, ExecOptions, QueryResult};
 use crate::expr::Expr;
 use crate::physical::strategy::{OperatorKind, PhysicalStrategy, StrategyRegistry};
 use crate::physical::{self, PhysicalPlan};
@@ -86,14 +86,6 @@ impl QueryContext {
     /// Builder-style: set the hashing/sampling seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.options.seed = seed;
-        self
-    }
-
-    /// Builder-style: set the execution engine (default
-    /// [`ExecMode::Columnar`]; [`ExecMode::Tuple`] keeps the row-at-a-time
-    /// interpreter, bit-identical in rows and metered cost).
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.options.mode = mode;
         self
     }
 

@@ -32,8 +32,8 @@ pub enum QueryError {
     },
     /// Division by zero during expression evaluation.
     DivideByZero,
-    /// `ExecOptions::batch_size` is zero — the batch engine cannot make
-    /// progress on empty batches, so the value is rejected at plan time
+    /// `ExecOptions::batch_size` is zero — an exchange cannot make
+    /// progress in zero-row sends, so the value is rejected at plan time
     /// instead of degenerating into a silent infinite loop.
     InvalidBatchSize,
     /// The underlying simulator rejected the execution.

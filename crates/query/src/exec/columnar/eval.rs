@@ -3,18 +3,19 @@
 //! Evaluates a bound [`Expr`] column-at-a-time over a [`RecordBatch`],
 //! one tight loop per expression node instead of one interpreter
 //! dispatch per row. The selection argument carries the rows a value is
-//! demanded for, which preserves the tuple interpreter's short-circuit
-//! semantics exactly:
+//! demanded for, which keeps the short-circuit semantics of the per-row
+//! interpreter [`Expr::eval`] — the oracle the tests below compare with —
+//! exactly:
 //!
 //! - `And` evaluates its right side only on rows whose left side is
 //!   nonzero (`Or` only where it is zero), so errors in the skipped
 //!   branch stay suppressed — just as `&&` / `||` skip them per row;
 //! - `Div` / `Mod` evaluate the *divisor first* and raise
 //!   [`QueryError::DivideByZero`] iff some selected row's divisor is
-//!   zero, before touching the numerator — mirroring the tuple
-//!   interpreter's evaluation order;
+//!   zero, before touching the numerator — [`Expr::eval`]'s evaluation
+//!   order;
 //! - an empty selection evaluates nothing (a filter over an empty
-//!   fragment cannot error, on either engine).
+//!   fragment cannot error).
 
 use tamp_simulator::Value;
 
@@ -215,7 +216,7 @@ mod tests {
     fn short_circuit_masks_suppress_divide_errors() {
         let (s, b) = batch();
         // `a != 0 AND b % a >= 0` divides by zero only where the guard
-        // already rejected the row (a = 0), so neither engine errors.
+        // already rejected the row (a = 0), so neither evaluator errors.
         let e = col("a").ne(lit(0)).and(col("b").rem(col("a")).ge(lit(0)));
         let bound = e.bind(&s).unwrap();
         let got = eval(&bound, &b, &Sel::All(b.num_rows())).unwrap();
@@ -224,7 +225,7 @@ mod tests {
             .map(Result::unwrap)
             .collect();
         assert_eq!(got, want);
-        // Without the guard, both engines raise the typed error.
+        // Without the guard, both raise the typed error.
         let e = col("b").rem(col("a"));
         let bound = e.bind(&s).unwrap();
         assert_eq!(

@@ -1,25 +1,18 @@
-//! The columnar batch engine: the default plan walker.
+//! The plan walker.
 //!
 //! Fragments flow between operators as per-node lists of
 //! [`RecordBatch`](crate::batch::RecordBatch)es. Local operators run the
 //! per-operator kernels ([`filter`], [`project`]); communicating
-//! operators hand batch fragments to their chosen strategy's
-//! [`trace_batch`](crate::physical::strategy::PhysicalStrategy::trace_batch),
-//! whose exchange schedule and metered ledgers are bit-identical to the
-//! tuple engine's.
+//! operators hand their fragments to the chosen strategy's
+//! [`trace`](crate::physical::strategy::PhysicalStrategy::trace), which
+//! returns the output fragments and the exchange rounds that move them.
 //!
-//! Every built-in aggregate, sort, distinct and limit strategy and the
-//! hash joins (`weighted-repartition`, `uniform-repartition`,
-//! `broadcast-small`) are columnar-native: groups fold out of the group
-//! and measure columns into one reusable table, sorts are an index
+//! Every built-in strategy works on columns — groups fold out of the
+//! group and measure columns into one reusable table, sorts are an index
 //! permutation plus one gather per column, shuffles gather `(batch, row)`
-//! picks — no row is materialized between the scan and the
-//! [`QueryResult`](crate::exec::QueryResult)'s row fragments. What still
-//! rides the default row shim (one heap row per input row, then the row
-//! `trace`) is the `tree-partition` join, the three cross-join
-//! strategies, and any third-party strategy that does not override
-//! `trace_batch`: the first two group rows by destination *set* and grid
-//! cell, and no measured workload spends its time in them.
+//! picks, products repeat and tile column slices — so no row is
+//! materialized between the scan and the
+//! [`QueryResult`](crate::exec::QueryResult)'s row fragments.
 
 pub(crate) mod eval;
 pub(crate) mod filter;
@@ -27,8 +20,8 @@ pub(crate) mod project;
 
 use crate::batch::BatchFragments;
 use crate::error::QueryError;
-use crate::exec::{local, ExecCtx};
-use crate::physical::strategy::BatchInput;
+use crate::exec::ExecCtx;
+use crate::physical::strategy::OpInput;
 use crate::physical::{PhysicalOp, PhysicalPlan};
 use crate::schema::Schema;
 
@@ -69,9 +62,9 @@ pub(crate) fn exec_batches(
             let li = ls.index_of(left_key)?;
             let ri = rs.index_of(right_key)?;
             let out_schema = ls.join(&rs, "r_")?;
-            let frags = ctx.run_strategy_batch(
+            let frags = ctx.run_strategy(
                 exchange,
-                BatchInput::Join {
+                OpInput::Join {
                     left: lfrags,
                     right: rfrags,
                     left_key: li,
@@ -90,9 +83,9 @@ pub(crate) fn exec_batches(
             let (ls, lfrags) = exec_batches(ctx, left)?;
             let (rs, rfrags) = exec_batches(ctx, right)?;
             let out_schema = ls.join(&rs, "r_")?;
-            let frags = ctx.run_strategy_batch(
+            let frags = ctx.run_strategy(
                 exchange,
-                BatchInput::CrossJoin {
+                OpInput::CrossJoin {
                     left: lfrags,
                     right: rfrags,
                     left_width: ls.width(),
@@ -108,9 +101,9 @@ pub(crate) fn exec_batches(
         } => {
             let (schema, frags) = exec_batches(ctx, input)?;
             let ki = schema.index_of(key)?;
-            let frags = ctx.run_strategy_batch(
+            let frags = ctx.run_strategy(
                 exchange,
-                BatchInput::Sort {
+                OpInput::Sort {
                     input: frags,
                     key: ki,
                     width: schema.width(),
@@ -128,9 +121,9 @@ pub(crate) fn exec_batches(
             let (schema, frags) = exec_batches(ctx, input)?;
             let gi = schema.index_of(group_by)?;
             let mi = schema.index_of(measure)?;
-            let frags = ctx.run_strategy_batch(
+            let frags = ctx.run_strategy(
                 exchange,
-                BatchInput::Aggregate {
+                OpInput::Aggregate {
                     input: frags,
                     group: gi,
                     measure: mi,
@@ -150,9 +143,9 @@ pub(crate) fn exec_batches(
             exchange,
         } => {
             let (schema, frags) = exec_batches(ctx, input)?;
-            let frags = ctx.run_strategy_batch(
+            let frags = ctx.run_strategy(
                 exchange,
-                BatchInput::Limit {
+                OpInput::Limit {
                     input: frags,
                     n: *n,
                     width: schema.width(),
@@ -163,9 +156,9 @@ pub(crate) fn exec_batches(
         }
         PhysicalOp::Distinct { input, exchange } => {
             let (schema, frags) = exec_batches(ctx, input)?;
-            let frags = ctx.run_strategy_batch(
+            let frags = ctx.run_strategy(
                 exchange,
-                BatchInput::Distinct {
+                OpInput::Distinct {
                     input: frags,
                     width: schema.width(),
                 },
@@ -175,7 +168,11 @@ pub(crate) fn exec_batches(
         PhysicalOp::UnionAll { left, right } => {
             let (ls, mut lfrags) = exec_batches(ctx, left)?;
             let (rs, mut rfrags) = exec_batches(ctx, right)?;
-            local::check_union(&ls, &rs)?;
+            if ls != rs {
+                return Err(QueryError::Plan(format!(
+                    "UNION ALL schema mismatch: {ls} vs {rs}"
+                )));
+            }
             for (f, r) in lfrags.iter_mut().zip(rfrags.iter_mut()) {
                 f.append(r);
             }

@@ -8,27 +8,20 @@
 //! payload)` sends (see [`crate::physical::strategy`]). Local operators
 //! (`Filter` / `Project` / `UnionAll`) move no data and record no rounds.
 //!
-//! Two engines perform the walk, selected by [`ExecMode`]:
-//!
-//! - the **columnar batch engine** (the `columnar` module, the default)
-//!   threads [`RecordBatch`](crate::batch::RecordBatch)es through
-//!   vectorized per-operator kernels — one tight loop per expression
-//!   node — and through columnar-native exchanges for every built-in
-//!   aggregate, sort, distinct, limit and hash-join strategy, so there
-//!   is no per-row allocation from scan to result (the `tree-partition`
-//!   join and the cross joins alone fall back to rows; see the
-//!   `columnar` module docs);
-//! - the **tuple engine** (the `tuple` + `local` modules) interprets
-//!   one `Vec<Value>` row at a time, and serves as the oracle the batch
-//!   kernels are tested against.
+//! The walk (the `columnar` module) threads
+//! [`RecordBatch`](crate::batch::RecordBatch)es through vectorized
+//! per-operator kernels — one tight loop per expression node — and
+//! through the strategies' columnar exchanges, so there is no per-row
+//! allocation from scan to result; rows are materialized once, for the
+//! [`QueryResult`].
 //!
 //! Then the concatenated schedule replays through any
 //! [`ExecBackend`] as a [`tamp_runtime::ScheduleJob`] — the centralized
 //! simulator or the pooled BSP cluster — which meters it on the shared
 //! per-directed-edge ledger. Because the schedule is derived once from
-//! shared model knowledge, both engines move bit-identical traffic; the
-//! parity tests assert equal rows and `edge_totals` across backends
-//! *and* across engines, for every batch size.
+//! shared model knowledge, every backend moves bit-identical traffic; the
+//! parity tests assert equal rows and `edge_totals` across backends, for
+//! every batch size.
 //!
 //! This module drives the walk and attributes per-round costs to
 //! operators. It has no entry point of its own: a plan gets here through
@@ -40,12 +33,10 @@
 //! [`PhysicalStrategy`]: crate::physical::strategy::PhysicalStrategy
 
 pub(crate) mod columnar;
-pub(crate) mod local;
 mod options;
 mod result;
-pub(crate) mod tuple;
 
-pub use options::{ExecMode, ExecOptions, StrategyForce, DEFAULT_BATCH_SIZE};
+pub use options::{ExecOptions, StrategyForce, DEFAULT_BATCH_SIZE};
 pub use result::{OperatorCost, QueryResult};
 
 use tamp_core::sorting::valid_order;
@@ -54,13 +45,11 @@ use tamp_runtime::jobs::{Schedule, ScheduleJob, ScheduleSend};
 use tamp_simulator::Placement;
 use tamp_topology::Tree;
 
-use crate::batch::batches_to_fragments;
+use crate::batch::{batches_to_fragments, BatchFragments};
 use crate::error::QueryError;
-use crate::physical::strategy::{BatchInput, ExecArgs, OpInput};
+use crate::physical::strategy::{ExecArgs, OpInput};
 use crate::physical::{Exchange, PhysicalPlan};
 use crate::table::Catalog;
-
-pub(crate) use crate::physical::strategy::Fragments;
 
 /// Shared state of one plan walk: the catalog, the options, the schedule
 /// being accumulated, and the operator marks for cost attribution.
@@ -89,26 +78,14 @@ impl ExecCtx<'_> {
         }
     }
 
-    /// Run `exchange`'s strategy on row-form `input`, appending its
-    /// rounds to the query's schedule.
+    /// Run `exchange`'s strategy on `input`, appending its rounds to the
+    /// query's schedule.
     pub(crate) fn run_strategy(
         &mut self,
         exchange: &Exchange,
         input: OpInput,
-    ) -> Result<Fragments, QueryError> {
+    ) -> Result<BatchFragments, QueryError> {
         let traced = exchange.strategy.trace(&self.exec_args(), input)?;
-        self.rounds.extend(traced.rounds);
-        Ok(traced.output)
-    }
-
-    /// Run `exchange`'s strategy on batch-form `input`, appending its
-    /// rounds to the query's schedule.
-    pub(crate) fn run_strategy_batch(
-        &mut self,
-        exchange: &Exchange,
-        input: BatchInput,
-    ) -> Result<crate::batch::BatchFragments, QueryError> {
-        let traced = exchange.strategy.trace_batch(&self.exec_args(), input)?;
         self.rounds.extend(traced.rounds);
         Ok(traced.output)
     }
@@ -127,9 +104,8 @@ impl ExecCtx<'_> {
     }
 }
 
-/// Execute a physical plan: compute fragments and the exchange schedule
-/// on the engine `options.mode` selects, then replay the schedule
-/// through `backend` for metering.
+/// Execute a physical plan: compute fragments and the exchange schedule,
+/// then replay the schedule through `backend` for metering.
 pub(crate) fn run_physical(
     catalog: &Catalog,
     physical: &PhysicalPlan,
@@ -143,13 +119,8 @@ pub(crate) fn run_physical(
         rounds: Vec::new(),
         marks: Vec::new(),
     };
-    let (schema, fragments) = match options.mode {
-        ExecMode::Columnar => {
-            let (schema, batches) = columnar::exec_batches(&mut ctx, physical)?;
-            (schema, batches_to_fragments(&batches))
-        }
-        ExecMode::Tuple => tuple::exec_physical(&mut ctx, physical)?,
-    };
+    let (schema, batches) = columnar::exec_batches(&mut ctx, physical)?;
+    let fragments = batches_to_fragments(&batches);
     let job = ScheduleJob::new(
         "query",
         catalog.tree().num_nodes(),
@@ -231,14 +202,6 @@ mod tests {
         let got = res.rows(reference::preserves_order(q));
         let want = reference::evaluate(q, ctx.catalog()).unwrap();
         assert_eq!(got, want, "plan:\n{q}");
-        // The tuple reference engine agrees bit-for-bit, rows and ledger.
-        let tup = ctx
-            .clone()
-            .with_exec_mode(ExecMode::Tuple)
-            .execute(q)
-            .unwrap();
-        assert_eq!(tup.rows(reference::preserves_order(q)), got, "plan:\n{q}");
-        assert_eq!(tup.cost.edge_totals, res.cost.edge_totals, "plan:\n{q}");
         res
     }
 
@@ -290,10 +253,16 @@ mod tests {
             let res = check_against_reference(&ctx.clone().with_strategy(CrossJoin, name), &q);
             assert_eq!(res.num_rows(), 49, "{name}");
         }
-        // Unequal sides exercise the A.1 rectangle packing.
-        let q = LogicalPlan::scan("facts").cross(LogicalPlan::scan("dims"));
-        for name in ["whc-grid", "uniform-hypercube"] {
-            check_against_reference(&ctx.clone().with_strategy(CrossJoin, name), &q);
+        // Unequal sides exercise the A.1 rectangle packing, and the
+        // broadcast with the big side on either hand.
+        for q in [
+            LogicalPlan::scan("facts").cross(LogicalPlan::scan("dims")),
+            LogicalPlan::scan("dims").cross(LogicalPlan::scan("facts")),
+        ] {
+            for name in ["whc-grid", "broadcast-small", "uniform-hypercube"] {
+                let res = check_against_reference(&ctx.clone().with_strategy(CrossJoin, name), &q);
+                assert_eq!(res.num_rows(), 140, "{name}");
+            }
         }
     }
 
@@ -323,81 +292,6 @@ mod tests {
                 check_against_reference(&ctx.clone().with_strategy(Aggregate, name), &q);
             }
         }
-    }
-
-    /// Row-shim conversions made while `f` runs on this thread.
-    fn shim_hits(f: impl FnOnce()) -> usize {
-        use crate::physical::strategy::SHIM_HITS;
-        let before = SHIM_HITS.with(|h| h.get());
-        f();
-        SHIM_HITS.with(|h| h.get()) - before
-    }
-
-    #[test]
-    fn aggregate_sort_limit_and_distinct_never_reach_the_row_shim() {
-        let auto = session(
-            builders::rack_tree(&[(3, 1.0, 2.0), (2, 2.0, 1.0)], 1.0),
-            300,
-        );
-        let forced = |op, name| auto.clone().with_seed(5).with_strategy(op, name);
-        let facts = || LogicalPlan::scan("facts");
-        // The benchmark's `scan-join` plan shapes, then every default
-        // aggregate and sort strategy by name, limit both ways, distinct.
-        let mut runs = vec![
-            (
-                facts()
-                    .filter(col("x").lt(lit(600)))
-                    .project(vec![("g", col("g")), ("y", col("x").div(lit(8)))])
-                    .aggregate("g", AggFunc::Sum, "y"),
-                auto.clone(),
-            ),
-            (
-                facts()
-                    .join_on(LogicalPlan::scan("dims"), "g", "g")
-                    .aggregate("label", AggFunc::Sum, "x"),
-                auto.clone(),
-            ),
-            (
-                facts()
-                    .filter(col("x").lt(lit(640)))
-                    .join_on(LogicalPlan::scan("dims"), "g", "g")
-                    .order_by("id")
-                    .limit(100),
-                auto.clone(),
-            ),
-            (facts().limit(9), auto.clone()),
-            (
-                facts().project(vec![("g", col("g"))]).distinct(),
-                auto.clone(),
-            ),
-        ];
-        for name in [
-            "weighted-repartition",
-            "combining-tree",
-            "uniform-repartition",
-        ] {
-            for agg in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
-                runs.push((facts().aggregate("g", agg, "x"), forced(Aggregate, name)));
-            }
-        }
-        for name in ["weighted-range-shuffle", "uniform-range-shuffle"] {
-            runs.push((facts().order_by("g"), forced(Sort, name)));
-        }
-        for (q, ctx) in &runs {
-            let hits = shim_hits(|| {
-                let res = ctx.execute(q).unwrap();
-                let want = reference::evaluate(q, ctx.catalog()).unwrap();
-                assert_eq!(res.rows(reference::preserves_order(q)), want, "plan:\n{q}");
-            });
-            assert_eq!(hits, 0, "row shim reached by plan:\n{q}");
-        }
-        // The counter does count: the strategies documented as shim
-        // riders hit it once per operator.
-        let cross = LogicalPlan::scan("dims").cross(LogicalPlan::scan("dims"));
-        assert_eq!(shim_hits(|| drop(auto.execute(&cross))), 1);
-        let tree_partition = forced(Join, "tree-partition");
-        let join = facts().join_on(LogicalPlan::scan("dims"), "g", "g");
-        assert_eq!(shim_hits(|| drop(tree_partition.execute(&join))), 1);
     }
 
     #[test]
@@ -489,22 +383,15 @@ mod tests {
         let q = LogicalPlan::scan("nope");
         assert!(matches!(ctx.execute(&q), Err(QueryError::UnknownTable(_))));
         let q = LogicalPlan::scan("facts").filter(col("id").div(lit(0)).gt(lit(0)));
-        for mode in [ExecMode::Columnar, ExecMode::Tuple] {
-            assert_eq!(
-                ctx.clone().with_exec_mode(mode).execute(&q).unwrap_err(),
-                QueryError::DivideByZero
-            );
-        }
+        assert_eq!(ctx.execute(&q).unwrap_err(), QueryError::DivideByZero);
     }
 
     #[test]
     fn zero_batch_size_is_a_typed_plan_error() {
         let ctx = session(builders::star(2, 1.0), 10);
         let q = LogicalPlan::scan("facts");
-        for mode in [ExecMode::Columnar, ExecMode::Tuple] {
-            let zero = ctx.clone().with_batch_size(0).with_exec_mode(mode);
-            assert_eq!(zero.execute(&q).unwrap_err(), QueryError::InvalidBatchSize);
-        }
+        let zero = ctx.clone().with_batch_size(0);
+        assert_eq!(zero.execute(&q).unwrap_err(), QueryError::InvalidBatchSize);
         // Any positive size runs.
         for batch_size in [1, 3, usize::MAX] {
             let res = ctx.clone().with_batch_size(batch_size).execute(&q).unwrap();
@@ -641,12 +528,7 @@ mod distinct_union_tests {
         );
         ctx.register(t).unwrap();
         let q = LogicalPlan::scan("d").union_all(LogicalPlan::scan("other"));
-        for mode in [ExecMode::Columnar, ExecMode::Tuple] {
-            assert!(matches!(
-                ctx.clone().with_exec_mode(mode).execute(&q),
-                Err(QueryError::Plan(_))
-            ));
-        }
+        assert!(matches!(ctx.execute(&q), Err(QueryError::Plan(_))));
     }
 
     #[test]

@@ -19,8 +19,6 @@
 //! synthetic placement spreading the estimated per-node group counts,
 //! scaled by the width-2 partial rows the query layer ships.
 
-use std::collections::{BTreeMap, HashMap};
-
 use tamp_core::aggregate::protocols::combining_schedule;
 use tamp_core::hashing::{mix64, WeightedHash};
 use tamp_core::ratio::LowerBound;
@@ -28,37 +26,19 @@ use tamp_core::sorting::valid_order;
 use tamp_simulator::Rel;
 use tamp_topology::NodeId;
 
-use crate::batch::{batch_rows, RecordBatch};
+use crate::batch::{batch_rows, flatten_batches, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    BatchInput, BatchTrace, CostEstimate, ExecArgs, Fragments, OpInput, OpTrace, OperatorKind,
-    PhysicalStrategy, PlanArgs, TraceBuilder,
+    CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
+    TraceBuilder,
 };
 use crate::plan::AggFunc;
-use crate::row::{flatten, Row};
 
-use super::columnar::{
-    batch_frag_weights, empty_batch_frags, flatten_batches, fold_groups, shuffle_batches_by_key,
-    BatchFragments,
-};
+use super::columnar::{batch_frag_weights, empty_batch_frags, fold_groups, shuffle_batches_by_key};
 use super::group_table::GroupTable;
-use super::{drain_sorted, empty_frags, frag_weights, unicast_round};
 
-fn agg_input(input: OpInput) -> (Fragments, usize, usize, AggFunc) {
+fn agg_input(input: OpInput) -> (BatchFragments, usize, usize, AggFunc) {
     let OpInput::Aggregate {
-        input,
-        group,
-        measure,
-        agg,
-    } = input
-    else {
-        unreachable!("registered for Aggregate");
-    };
-    (input, group, measure, agg)
-}
-
-fn agg_batch_input(input: BatchInput) -> (BatchFragments, usize, usize, AggFunc) {
-    let BatchInput::Aggregate {
         input,
         group,
         measure,
@@ -191,63 +171,9 @@ impl PhysicalStrategy for HashAggregate {
         let (frags, gi, mi, agg) = agg_input(input);
         let tree = a.tree;
         let mut trace = TraceBuilder::batched(a.batch);
-        let weights = || frag_weights(tree, &frags, &empty_frags(tree));
-        let Some(router) = self.router(a, weights) else {
-            return Ok(OpTrace {
-                rounds: trace.into_rounds(),
-                output: empty_frags(tree),
-            });
-        };
-        let mut owned: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); tree.num_nodes()];
-        let mut outgoing: Vec<(NodeId, NodeId, Vec<u64>)> = Vec::new();
-        for &v in tree.compute_nodes() {
-            let mut partials: BTreeMap<u64, u64> = BTreeMap::new();
-            for row in &frags[v.index()] {
-                let lifted = agg.lift(row[mi]);
-                partials
-                    .entry(row[gi])
-                    .and_modify(|p| *p = agg.combine(*p, lifted))
-                    .or_insert(lifted);
-            }
-            let mut by_owner: HashMap<NodeId, Vec<Row>> = HashMap::new();
-            for (g, m) in partials {
-                let owner = router(g);
-                if owner == v {
-                    owned[v.index()]
-                        .entry(g)
-                        .and_modify(|p| *p = agg.combine(*p, m))
-                        .or_insert(m);
-                } else {
-                    by_owner.entry(owner).or_default().push(vec![g, m]);
-                }
-            }
-            for (owner, rows) in drain_sorted(by_owner) {
-                outgoing.push((v, owner, flatten(&rows, 2)));
-                for row in rows {
-                    owned[owner.index()]
-                        .entry(row[0])
-                        .and_modify(|p| *p = agg.combine(*p, row[1]))
-                        .or_insert(row[1]);
-                }
-            }
-        }
-        trace.round(|round| unicast_round(round, outgoing, Rel::S, 2));
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: owned
-                .into_iter()
-                .map(|m| m.into_iter().map(|(g, v)| vec![g, v]).collect())
-                .collect(),
-        })
-    }
-
-    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
-        let (frags, gi, mi, agg) = agg_batch_input(input);
-        let tree = a.tree;
-        let mut trace = TraceBuilder::batched(a.batch);
         let weights = || batch_frag_weights(tree, &frags, &empty_batch_frags(tree));
         let Some(router) = self.router(a, weights) else {
-            return Ok(BatchTrace {
+            return Ok(OpTrace {
                 rounds: trace.into_rounds(),
                 output: empty_batch_frags(tree),
             });
@@ -276,7 +202,7 @@ impl PhysicalStrategy for HashAggregate {
                     .collect()
             })
             .collect();
-        Ok(BatchTrace {
+        Ok(OpTrace {
             rounds: trace.into_rounds(),
             output,
         })
@@ -342,58 +268,6 @@ impl PhysicalStrategy for CombiningTreeAggregate {
         let (frags, gi, mi, agg) = agg_input(input);
         let tree = a.tree;
         let target = valid_order(tree)[0];
-        let weights: Vec<u64> = frags.iter().map(|f| f.len() as u64).collect();
-        let schedule = combining_schedule(tree, &weights, target);
-
-        // Local pre-aggregation seeds each node's running partials.
-        let mut acc: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); tree.num_nodes()];
-        for &v in tree.compute_nodes() {
-            let node_acc = &mut acc[v.index()];
-            for row in &frags[v.index()] {
-                let lifted = agg.lift(row[mi]);
-                node_acc
-                    .entry(row[gi])
-                    .and_modify(|p| *p = agg.combine(*p, lifted))
-                    .or_insert(lifted);
-            }
-        }
-
-        let mut trace = TraceBuilder::batched(a.batch);
-        for moves in schedule {
-            trace.round(|round| {
-                for &(src, dst) in &moves {
-                    let rows: Vec<Row> =
-                        acc[src.index()].iter().map(|(&g, &m)| vec![g, m]).collect();
-                    round.send_rows(src, &[dst], Rel::S, flatten(&rows, 2), 2);
-                }
-            });
-            for (src, dst) in moves {
-                let moved = std::mem::take(&mut acc[src.index()]);
-                let dst_acc = &mut acc[dst.index()];
-                for (g, m) in moved {
-                    dst_acc
-                        .entry(g)
-                        .and_modify(|p| *p = agg.combine(*p, m))
-                        .or_insert(m);
-                }
-            }
-        }
-
-        let mut out = empty_frags(tree);
-        out[target.index()] = std::mem::take(&mut acc[target.index()])
-            .into_iter()
-            .map(|(g, m)| vec![g, m])
-            .collect();
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: out,
-        })
-    }
-
-    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
-        let (frags, gi, mi, agg) = agg_batch_input(input);
-        let tree = a.tree;
-        let target = valid_order(tree)[0];
         let weights: Vec<u64> = frags.iter().map(|b| batch_rows(b) as u64).collect();
         let schedule = combining_schedule(tree, &weights, target);
 
@@ -427,7 +301,7 @@ impl PhysicalStrategy for CombiningTreeAggregate {
 
         let mut out = empty_batch_frags(tree);
         out[target.index()].extend(acc[target.index()].take());
-        Ok(BatchTrace {
+        Ok(OpTrace {
             rounds: trace.into_rounds(),
             output: out,
         })

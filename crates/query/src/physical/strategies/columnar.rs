@@ -1,37 +1,32 @@
-//! Columnar-native exchange kernels shared by the built-in strategies.
+//! Exchange kernels shared by the built-in strategies.
 //!
-//! These mirror the row helpers in [`super`] (`shuffle_by_key`,
-//! `broadcast_small`, `probe_join`) and the row `trace` bodies of the
-//! aggregate, sort, distinct and limit strategies batch-at-a-time:
-//! routing scans columns, movement is index gathers over shared column
-//! buffers, and replication is a refcount bump per column. Every helper
-//! reproduces the row path's fragment order and sends exactly — per
-//! destination, chunks arrive in source order with rows in source scan
-//! order, and the local chunk sits at the source's own position — so the
-//! columnar engine's rows, rounds, and metered ledgers are bit-identical
-//! to the tuple engine's (the `plan_parity` proptests enforce this).
+//! Routing scans columns, movement is index gathers over shared column
+//! buffers, and replication is a refcount bump per column. The exchanges
+//! all keep one order: per destination, chunks arrive in source order
+//! with rows in the source's scan order, and the chunk a source keeps for
+//! itself sits at that source's own position. Sends leave in the same
+//! source-then-destination order, which the schedule's content hash —
+//! the checkpoint token — covers.
 
 use tamp_core::hashing::mix64;
 use tamp_simulator::{Rel, Value};
 use tamp_topology::{NodeId, Tree};
 
-use crate::batch::{batch_rows, flatten_multi, gather_multi, RecordBatch};
+use crate::batch::{
+    batch_rows, flatten_batches, flatten_multi, gather_multi, BatchFragments, RecordBatch,
+};
 use crate::physical::strategy::TraceBuilder;
 use crate::plan::AggFunc;
 
 use super::group_table::GroupTable;
-use super::unicast_round;
-
-/// Per-node batch lists, indexed by node id (the columnar `Fragments`).
-pub(crate) type BatchFragments = Vec<Vec<RecordBatch>>;
 
 /// Empty batch fragments for `tree`.
 pub(crate) fn empty_batch_frags(tree: &Tree) -> BatchFragments {
     vec![Vec::new(); tree.num_nodes()]
 }
 
-/// Current per-node row counts (identical to the row helper's
-/// `frag_weights`, so weighted hashes route the same).
+/// Current per-node row counts, as weights for distribution-aware
+/// hashing.
 pub(crate) fn batch_frag_weights(
     tree: &Tree,
     frags: &BatchFragments,
@@ -57,27 +52,13 @@ pub(crate) fn batch_holders_of(tree: &Tree, frags: &BatchFragments) -> Vec<NodeI
         .collect()
 }
 
-/// Row-major flatten of whole batches, in batch then row order.
-pub(crate) fn flatten_batches(batches: &[RecordBatch], width: usize) -> Vec<Value> {
-    let mut out = Vec::with_capacity(batch_rows(batches) * width);
-    for b in batches {
-        for r in 0..b.num_rows() {
-            for c in 0..width {
-                out.push(b.col(c)[r]);
-            }
-        }
-    }
-    out
-}
-
 /// One-round exchange of batch fragments among destination *slots*.
 ///
 /// Each source, in `sources` order, splits its rows by slot — `route`
 /// appends one slot per row of the batch it is shown — and slot `s`
 /// delivers to node `slots[s]`. A source serves its slots in ascending
 /// order: one gather per slot, plus one (chunked) send unless the slot is
-/// the source itself. This is the row path's "bucket, then drain buckets
-/// in key order" loop, whatever the bucket key is: the destination node
+/// the source itself — whatever a slot stands for: the destination node
 /// for the hash shuffles, the splitter bucket for the range shuffle.
 pub(crate) fn exchange_batches(
     trace: &mut TraceBuilder,
@@ -120,7 +101,11 @@ pub(crate) fn exchange_batches(
         }
         touched.clear();
     }
-    trace.round(|round| unicast_round(round, outgoing, rel, width));
+    trace.round(|round| {
+        for (src, dst, payload) in outgoing {
+            round.send_rows(src, &[dst], rel, payload, width);
+        }
+    });
     new_frags
 }
 
@@ -177,10 +162,9 @@ pub(crate) fn broadcast_small_batches(
 }
 
 /// A join build side: an open-addressing multimap from join key to the
-/// `(batch, row)` locations holding it, in scan order per key. Any
-/// correct map yields the same join output as the row helper's `HashMap`
-/// build (the output depends only on key → location list, probed in left
-/// order), so the faster table does not disturb parity.
+/// `(batch, row)` locations holding it, in scan order per key. The join
+/// output depends only on key → location list, probed in left order, so
+/// nothing downstream sees the table's slot order.
 ///
 /// The lists are CSR — one offsets array over one flat location array,
 /// filled by a counting pass — so a build is a fixed handful of
@@ -270,7 +254,8 @@ impl JoinBuild {
 
 /// Local probe join of co-located batch fragments: build on the right,
 /// probe in left order, emit one output batch per node as column gathers
-/// — `left ++ right` rows in exactly the row helper's order.
+/// — `left ++ right` rows, left scan order outermost, each left row's
+/// matches in right scan order.
 ///
 /// `right_replicated` says every non-empty `r_new[v]` is the same batch
 /// list (a broadcast right side): the build then happens once and every
@@ -327,8 +312,8 @@ pub(crate) fn probe_join_batches(
 }
 
 /// Fold the `(group, measure)` column pairs of `batches` into one
-/// width-2 batch of `(group, partial)` rows in ascending group order —
-/// the row path's `BTreeMap` drain — or `None` when there are no rows.
+/// width-2 batch of `(group, partial)` rows in ascending group order, or
+/// `None` when there are no rows.
 /// `lift` tells raw measures (local pre-aggregation) from partials that
 /// were lifted already (merging shipped partials).
 pub(crate) fn fold_groups(

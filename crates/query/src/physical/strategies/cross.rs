@@ -18,24 +18,25 @@
 //! placement.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use tamp_core::cartesian::cartesian_lower_bound;
 use tamp_core::cartesian::grid::interval_segments;
 use tamp_core::cartesian::unequal::{plan_unequal, Rect};
 use tamp_core::ratio::LowerBound;
-use tamp_simulator::Rel;
+use tamp_simulator::{Rel, Value};
 use tamp_topology::{DirEdgeId, NodeId, Tree};
 
+use crate::batch::{batch_rows, concat, flatten_batches, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    CostEstimate, ExecArgs, Fragments, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
-    PlanSide, TraceBuilder,
+    CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs, PlanSide,
+    TraceBuilder,
 };
-use crate::row::{flatten, Row};
 
-use super::{broadcast_small, empty_frags, holders_of};
+use super::columnar::{batch_holders_of, broadcast_small_batches, empty_batch_frags};
 
-fn cross_input(input: OpInput) -> (Fragments, Fragments, usize, usize) {
+fn cross_input(input: OpInput) -> (BatchFragments, BatchFragments, usize, usize) {
     let OpInput::CrossJoin {
         left,
         right,
@@ -46,6 +47,41 @@ fn cross_input(input: OpInput) -> (Fragments, Fragments, usize, usize) {
         unreachable!("registered for CrossJoin");
     };
     (left, right, left_width, right_width)
+}
+
+/// The product of `left`'s rows `l` with `right`'s rows `r` as one batch
+/// of `left ++ right` rows, outer side outermost: each outer row repeats
+/// over one full pass of the inner rows. The left side is the outer one
+/// unless `right_outer`.
+fn product(
+    left: &RecordBatch,
+    l: Range<usize>,
+    right: &RecordBatch,
+    r: Range<usize>,
+    right_outer: bool,
+) -> RecordBatch {
+    let rows = l.len() * r.len();
+    let column = |col: &[Value], outer: bool, other: usize| -> Arc<[Value]> {
+        let mut out = Vec::with_capacity(rows);
+        if outer {
+            for &x in col {
+                out.extend(std::iter::repeat_n(x, other));
+            }
+        } else {
+            for _ in 0..other {
+                out.extend_from_slice(col);
+            }
+        }
+        out.into()
+    };
+    let mut cols = Vec::with_capacity(left.width() + right.width());
+    for c in 0..left.width() {
+        cols.push(column(&left.col(c)[l.clone()], !right_outer, r.len()));
+    }
+    for c in 0..right.width() {
+        cols.push(column(&right.col(c)[r.clone()], right_outer, l.len()));
+    }
+    RecordBatch::from_cols_rows(cols, rows)
 }
 
 fn cross_lower_bound(a: &PlanArgs<'_>) -> Option<LowerBound> {
@@ -126,31 +162,35 @@ impl PhysicalStrategy for BroadcastSmallCross {
         let (lfrags, rfrags, lw, rw) = cross_input(input);
         let tree = a.tree;
         let mut trace = TraceBuilder::batched(a.batch);
-        let l_total: usize = lfrags.iter().map(Vec::len).sum();
-        let r_total: usize = rfrags.iter().map(Vec::len).sum();
+        let l_total: usize = lfrags.iter().map(|b| batch_rows(b)).sum();
+        let r_total: usize = rfrags.iter().map(|b| batch_rows(b)).sum();
         let left_is_small = l_total * lw <= r_total * rw;
-        let (small_frags, small_w, big_frags) = if left_is_small {
-            (&lfrags, lw, &rfrags)
+        let (small_frags, small_w, big_frags, big_w) = if left_is_small {
+            (&lfrags, lw, &rfrags, rw)
         } else {
-            (&rfrags, rw, &lfrags)
+            (&rfrags, rw, &lfrags, lw)
         };
-        let holders = holders_of(tree, big_frags);
-        let small_new = broadcast_small(&mut trace, tree, small_frags, small_w, &holders);
-        let mut out = empty_frags(tree);
-        for &h in &holders {
-            for big_row in &big_frags[h.index()] {
-                for small_row in &small_new[h.index()] {
-                    let joined = if left_is_small {
-                        let mut j = small_row.clone();
-                        j.extend_from_slice(big_row);
-                        j
-                    } else {
-                        let mut j = big_row.clone();
-                        j.extend_from_slice(small_row);
-                        j
-                    };
-                    out[h.index()].push(joined);
-                }
+        let holders = batch_holders_of(tree, big_frags);
+        let small_new = broadcast_small_batches(&mut trace, tree, small_frags, small_w, &holders);
+        // Each holder pairs its big rows, outermost, with the whole
+        // small side.
+        let mut out = empty_batch_frags(tree);
+        if l_total.min(r_total) > 0 {
+            for &h in &holders {
+                let small = concat(&small_new[h.index()], small_w);
+                let big = concat(&big_frags[h.index()], big_w);
+                let (l, r) = if left_is_small {
+                    (&small, &big)
+                } else {
+                    (&big, &small)
+                };
+                out[h.index()].push(product(
+                    l,
+                    0..l.num_rows(),
+                    r,
+                    0..r.num_rows(),
+                    left_is_small,
+                ));
             }
         }
         Ok(OpTrace {
@@ -173,18 +213,18 @@ fn clip(rects: &[Rect], l_total: u64, r_total: u64) -> Vec<Rect> {
         .collect()
 }
 
-/// Execute a rectangle cover: one round of interval multicasts, then each
-/// owner enumerates its rectangles' row×column products.
+/// Execute the rectangle cover `plan` lays over the `|L| × |R|` grid: one
+/// round of interval multicasts, then each owner enumerates its
+/// rectangles' row×column products.
 fn rect_cross_trace(
-    tree: &Tree,
-    rects: &[Rect],
-    lfrags: &Fragments,
-    rfrags: &Fragments,
-    lw: usize,
-    rw: usize,
-    batch: usize,
+    a: &ExecArgs<'_>,
+    input: OpInput,
+    plan: fn(&Tree, u64, u64) -> Vec<Rect>,
 ) -> OpTrace {
-    let mut trace = TraceBuilder::batched(batch);
+    let (lfrags, rfrags, lw, rw) = cross_input(input);
+    let (lfrags, rfrags) = (&lfrags, &rfrags);
+    let tree = a.tree;
+    let mut trace = TraceBuilder::batched(a.batch);
     // Global labels: concatenate fragments in compute-node order.
     let order = tree.compute_nodes();
     let mut l_start = vec![0u64; tree.num_nodes()];
@@ -193,9 +233,10 @@ fn rect_cross_trace(
     for &v in order {
         l_start[v.index()] = l_acc;
         r_start[v.index()] = r_acc;
-        l_acc += lfrags[v.index()].len() as u64;
-        r_acc += rfrags[v.index()].len() as u64;
+        l_acc += batch_rows(&lfrags[v.index()]) as u64;
+        r_acc += batch_rows(&rfrags[v.index()]) as u64;
     }
+    let rects = plan(tree, l_acc, r_acc);
     let l_recipients: Vec<(NodeId, Range<u64>)> = rects
         .iter()
         .map(|r| (r.owner, r.row..r.row + r.h))
@@ -211,37 +252,33 @@ fn rect_cross_trace(
                 (rfrags, rw, &r_start, &r_recipients, Rel::S),
             ] {
                 let local = &frags[v.index()];
-                for (mut dsts, sub) in interval_segments(local.len(), start[v.index()], recipients)
+                let flat = flatten_batches(local, width);
+                for (mut dsts, sub) in
+                    interval_segments(batch_rows(local), start[v.index()], recipients)
                 {
                     dsts.sort_unstable();
                     dsts.dedup();
-                    round.send_rows(v, &dsts, rel, flatten(&local[sub], width), width);
+                    let payload = &flat[sub.start * width..sub.end * width];
+                    round.send_rows(v, &dsts, rel, payload, width);
                 }
             }
         }
     });
     // Output from model knowledge: every owner enumerates its rectangles
     // over the globally labelled rows — exactly the data it was sent.
-    let l_global: Vec<&Row> = order
-        .iter()
-        .flat_map(|&v| lfrags[v.index()].iter())
-        .collect();
-    let r_global: Vec<&Row> = order
-        .iter()
-        .flat_map(|&v| rfrags[v.index()].iter())
-        .collect();
-    let mut out = empty_frags(tree);
-    for rect in rects {
-        let rows = &l_global[rect.row as usize..(rect.row + rect.h) as usize];
-        let cols = &r_global[rect.col as usize..(rect.col + rect.w) as usize];
-        let dst = &mut out[rect.owner.index()];
-        for &lrow in rows {
-            for &rrow in cols {
-                let mut j = lrow.clone();
-                j.extend_from_slice(rrow);
-                dst.push(j);
-            }
-        }
+    let global = |frags: &BatchFragments, width| {
+        let all: Vec<RecordBatch> = order
+            .iter()
+            .flat_map(|&v| frags[v.index()].iter().cloned())
+            .collect();
+        concat(&all, width)
+    };
+    let (l_global, r_global) = (global(lfrags, lw), global(rfrags, rw));
+    let mut out = empty_batch_frags(tree);
+    for rect in &rects {
+        let rows = rect.row as usize..(rect.row + rect.h) as usize;
+        let cols = rect.col as usize..(rect.col + rect.w) as usize;
+        out[rect.owner.index()].push(product(&l_global, rows, &r_global, cols, false));
     }
     OpTrace {
         rounds: trace.into_rounds(),
@@ -332,13 +369,7 @@ impl PhysicalStrategy for WhcGridCross {
     }
 
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
-        let (lfrags, rfrags, lw, rw) = cross_input(input);
-        let l_total: usize = lfrags.iter().map(Vec::len).sum();
-        let r_total: usize = rfrags.iter().map(Vec::len).sum();
-        let rects = Self::plan(a.tree, l_total as u64, r_total as u64);
-        Ok(rect_cross_trace(
-            a.tree, &rects, &lfrags, &rfrags, lw, rw, a.batch,
-        ))
+        Ok(rect_cross_trace(a, input, Self::plan))
     }
 }
 
@@ -403,12 +434,6 @@ impl PhysicalStrategy for UniformHyperCubeCross {
     }
 
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
-        let (lfrags, rfrags, lw, rw) = cross_input(input);
-        let l_total: usize = lfrags.iter().map(Vec::len).sum();
-        let r_total: usize = rfrags.iter().map(Vec::len).sum();
-        let rects = Self::plan(a.tree, l_total as u64, r_total as u64);
-        Ok(rect_cross_trace(
-            a.tree, &rects, &lfrags, &rfrags, lw, rw, a.batch,
-        ))
+        Ok(rect_cross_trace(a, input, Self::plan))
     }
 }

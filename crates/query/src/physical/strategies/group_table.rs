@@ -7,9 +7,9 @@
 //! starts small, so a query with a handful of rows per node does not pay
 //! for a large one.
 //!
-//! Groups leave the table in ascending order only
-//! ([`GroupTable::drain_sorted`]) — the order the row path's `BTreeMap`
-//! iterates in — so nothing a strategy emits depends on slot order.
+//! Groups leave the table in ascending key order only
+//! ([`GroupTable::drain_sorted`]), so nothing a strategy emits — and so
+//! nothing the schedule's content hash covers — depends on slot order.
 
 use tamp_core::hashing::mix64;
 
@@ -89,8 +89,8 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    /// Feed `rows` to a table and to a `BTreeMap` the way the row path
-    /// does, and compare the drains.
+    /// Feed `rows` to a table and to a `BTreeMap` oracle, and compare the
+    /// drains.
     fn check(table: &mut GroupTable, agg: AggFunc, rows: &[(u64, u64)]) {
         let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
         for &(g, m) in rows {

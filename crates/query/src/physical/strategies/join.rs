@@ -22,7 +22,7 @@
 //! placement (`tamp_core::intersection::intersection_lower_bound`), so
 //! `EXPLAIN` shows each candidate's Table-1 ratio.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use tamp_core::hashing::{mix64, WeightedHash};
 use tamp_core::intersection::intersection_lower_bound;
@@ -30,40 +30,19 @@ use tamp_core::ratio::LowerBound;
 use tamp_simulator::Rel;
 use tamp_topology::NodeId;
 
+use crate::batch::{batch_rows, flatten_multi, gather_multi, BatchFragments};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    BatchInput, BatchTrace, CostEstimate, ExecArgs, Fragments, OpInput, OpTrace, OperatorKind,
-    PhysicalStrategy, PlanArgs, TraceBuilder,
+    CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
+    TraceBuilder,
 };
-use crate::row::{flatten, Row};
 
 use super::columnar::{
     batch_frag_weights, batch_holders_of, broadcast_small_batches, empty_batch_frags,
-    probe_join_batches, shuffle_batches_by_key, BatchFragments,
-};
-use super::{
-    broadcast_small, drain_sorted, empty_frags, frag_weights, holders_of, probe_join,
-    shuffle_by_key,
+    probe_join_batches, shuffle_batches_by_key,
 };
 
-fn join_batch_input(
-    input: BatchInput,
-) -> (BatchFragments, BatchFragments, usize, usize, usize, usize) {
-    let BatchInput::Join {
-        left,
-        right,
-        left_key,
-        right_key,
-        left_width,
-        right_width,
-    } = input
-    else {
-        unreachable!("registered for Join");
-    };
-    (left, right, left_key, right_key, left_width, right_width)
-}
-
-fn join_input(input: OpInput) -> (Fragments, Fragments, usize, usize, usize, usize) {
+fn join_input(input: OpInput) -> (BatchFragments, BatchFragments, usize, usize, usize, usize) {
     let OpInput::Join {
         left,
         right,
@@ -123,30 +102,9 @@ impl PhysicalStrategy for WeightedRepartitionJoin {
         let (lfrags, rfrags, li, ri, lw, rw) = join_input(input);
         let tree = a.tree;
         let mut trace = TraceBuilder::batched(a.batch);
-        let weights = frag_weights(tree, &lfrags, &rfrags);
-        let Some(hash) = WeightedHash::new(a.seed, &weights) else {
-            // No rows anywhere: the join output is empty.
-            return Ok(OpTrace {
-                rounds: trace.into_rounds(),
-                output: empty_frags(tree),
-            });
-        };
-        let router = |key: u64| hash.pick(key);
-        let l_new = shuffle_by_key(&mut trace, tree, &lfrags, li, lw, Rel::R, &router);
-        let r_new = shuffle_by_key(&mut trace, tree, &rfrags, ri, rw, Rel::S, &router);
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: probe_join(tree, &l_new, &r_new, li, ri),
-        })
-    }
-
-    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
-        let (lfrags, rfrags, li, ri, lw, rw) = join_batch_input(input);
-        let tree = a.tree;
-        let mut trace = TraceBuilder::batched(a.batch);
         let weights = batch_frag_weights(tree, &lfrags, &rfrags);
         let Some(hash) = WeightedHash::new(a.seed, &weights) else {
-            return Ok(BatchTrace {
+            return Ok(OpTrace {
                 rounds: trace.into_rounds(),
                 output: empty_batch_frags(tree),
             });
@@ -154,7 +112,7 @@ impl PhysicalStrategy for WeightedRepartitionJoin {
         let router = |key: u64| hash.pick(key);
         let l_new = shuffle_batches_by_key(&mut trace, tree, &lfrags, li, lw, Rel::R, &router);
         let r_new = shuffle_batches_by_key(&mut trace, tree, &rfrags, ri, rw, Rel::S, &router);
-        Ok(BatchTrace {
+        Ok(OpTrace {
             rounds: trace.into_rounds(),
             output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw, false),
         })
@@ -202,24 +160,9 @@ impl PhysicalStrategy for UniformRepartitionJoin {
         let vc: Vec<NodeId> = tree.compute_nodes().to_vec();
         let seed = a.seed;
         let router = move |key: u64| vc[(mix64(key ^ seed) % vc.len() as u64) as usize];
-        let l_new = shuffle_by_key(&mut trace, tree, &lfrags, li, lw, Rel::R, &router);
-        let r_new = shuffle_by_key(&mut trace, tree, &rfrags, ri, rw, Rel::S, &router);
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: probe_join(tree, &l_new, &r_new, li, ri),
-        })
-    }
-
-    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
-        let (lfrags, rfrags, li, ri, lw, rw) = join_batch_input(input);
-        let tree = a.tree;
-        let mut trace = TraceBuilder::batched(a.batch);
-        let vc: Vec<NodeId> = tree.compute_nodes().to_vec();
-        let seed = a.seed;
-        let router = move |key: u64| vc[(mix64(key ^ seed) % vc.len() as u64) as usize];
         let l_new = shuffle_batches_by_key(&mut trace, tree, &lfrags, li, lw, Rel::R, &router);
         let r_new = shuffle_batches_by_key(&mut trace, tree, &rfrags, ri, rw, Rel::S, &router);
-        Ok(BatchTrace {
+        Ok(OpTrace {
             rounds: trace.into_rounds(),
             output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw, false),
         })
@@ -283,34 +226,8 @@ impl PhysicalStrategy for BroadcastSmallJoin {
         let (lfrags, rfrags, li, ri, lw, rw) = join_input(input);
         let tree = a.tree;
         let mut trace = TraceBuilder::batched(a.batch);
-        let l_total: usize = lfrags.iter().map(Vec::len).sum();
-        let r_total: usize = rfrags.iter().map(Vec::len).sum();
-        let left_is_small = l_total <= r_total;
-        let (small_frags, small_w, big_frags) = if left_is_small {
-            (&lfrags, lw, &rfrags)
-        } else {
-            (&rfrags, rw, &lfrags)
-        };
-        // Replicate the small side to every node holding big rows.
-        let holders = holders_of(tree, big_frags);
-        let small_new = broadcast_small(&mut trace, tree, small_frags, small_w, &holders);
-        let (l_new, r_new) = if left_is_small {
-            (small_new, rfrags)
-        } else {
-            (lfrags, small_new)
-        };
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: probe_join(tree, &l_new, &r_new, li, ri),
-        })
-    }
-
-    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
-        let (lfrags, rfrags, li, ri, lw, rw) = join_batch_input(input);
-        let tree = a.tree;
-        let mut trace = TraceBuilder::batched(a.batch);
-        let l_total: usize = lfrags.iter().map(|b| crate::batch::batch_rows(b)).sum();
-        let r_total: usize = rfrags.iter().map(|b| crate::batch::batch_rows(b)).sum();
+        let l_total: usize = lfrags.iter().map(|b| batch_rows(b)).sum();
+        let r_total: usize = rfrags.iter().map(|b| batch_rows(b)).sum();
         let left_is_small = l_total <= r_total;
         let (small_frags, small_w, big_frags) = if left_is_small {
             (&lfrags, lw, &rfrags)
@@ -326,7 +243,7 @@ impl PhysicalStrategy for BroadcastSmallJoin {
         };
         // A replicated right side is the same batch list at every holder:
         // one build serves them all.
-        Ok(BatchTrace {
+        Ok(OpTrace {
             rounds: trace.into_rounds(),
             output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw, !left_is_small),
         })
@@ -339,16 +256,6 @@ impl PhysicalStrategy for BroadcastSmallJoin {
 /// in the big row's block — so a plain local probe emits the join.
 #[derive(Debug)]
 pub(crate) struct TreePartitionJoin;
-
-impl TreePartitionJoin {
-    /// Per-node value weights (`N_v`), the balanced-partition input.
-    fn weights(l: &Fragments, r: &Fragments) -> Vec<u64> {
-        l.iter()
-            .zip(r)
-            .map(|(a, b)| (a.len() + b.len()) as u64)
-            .collect()
-    }
-}
 
 impl PhysicalStrategy for TreePartitionJoin {
     fn name(&self) -> &'static str {
@@ -423,17 +330,22 @@ impl PhysicalStrategy for TreePartitionJoin {
         let (lfrags, rfrags, li, ri, lw, rw) = join_input(input);
         let tree = a.tree;
         let mut trace = TraceBuilder::batched(a.batch);
-        let l_total: usize = lfrags.iter().map(Vec::len).sum();
-        let r_total: usize = rfrags.iter().map(Vec::len).sum();
+        let l_total: usize = lfrags.iter().map(|b| batch_rows(b)).sum();
+        let r_total: usize = rfrags.iter().map(|b| batch_rows(b)).sum();
         let left_is_small = l_total <= r_total;
         let small_total = l_total.min(r_total) as u64;
         if small_total == 0 {
             return Ok(OpTrace {
                 rounds: trace.into_rounds(),
-                output: empty_frags(tree),
+                output: empty_batch_frags(tree),
             });
         }
-        let n = Self::weights(&lfrags, &rfrags);
+        // Per-node value weights (`N_v`), the balanced-partition input.
+        let n: Vec<u64> = lfrags
+            .iter()
+            .zip(&rfrags)
+            .map(|(l, r)| (batch_rows(l) + batch_rows(r)) as u64)
+            .collect();
         let (partition, hashes) =
             tamp_core::intersection::partition::partition_hashes(tree, &n, small_total, a.seed);
         let block_of = partition.block_of(tree.num_nodes());
@@ -449,47 +361,58 @@ impl PhysicalStrategy for TreePartitionJoin {
             (&lfrags, li, lw, Rel::R)
         };
 
-        let mut small_new = empty_frags(tree);
-        let mut big_new = empty_frags(tree);
+        let mut small_new = empty_batch_frags(tree);
+        let mut big_new = empty_batch_frags(tree);
         trace.round(|round| {
             for &v in tree.compute_nodes() {
                 // Small rows: multicast to {h_i(key)} over all blocks,
-                // one send per distinct destination vector.
-                let mut by_dsts: HashMap<Vec<NodeId>, Vec<Row>> = HashMap::new();
-                for row in &small_frags[v.index()] {
-                    let key = row[small_key];
-                    let mut dsts: Vec<NodeId> =
-                        hashes.iter().flatten().map(|h| h.pick(key)).collect();
-                    dsts.sort_unstable();
-                    dsts.dedup();
-                    by_dsts.entry(dsts).or_default().push(row.clone());
+                // one send per distinct destination vector, vectors in
+                // ascending order.
+                let small = &small_frags[v.index()];
+                let mut by_dsts: BTreeMap<Vec<NodeId>, Vec<(u32, u32)>> = BTreeMap::new();
+                for (bi, b) in small.iter().enumerate() {
+                    for (r, &key) in b.col(small_key).iter().enumerate() {
+                        let mut dsts: Vec<NodeId> =
+                            hashes.iter().flatten().map(|h| h.pick(key)).collect();
+                        dsts.sort_unstable();
+                        dsts.dedup();
+                        by_dsts.entry(dsts).or_default().push((bi as u32, r as u32));
+                    }
                 }
-                for (dsts, rows) in drain_sorted(by_dsts) {
+                for (dsts, picks) in by_dsts {
+                    // One gather per group; every destination shares its
+                    // columns.
+                    let rows = gather_multi(small, &picks, small_w);
                     for &d in &dsts {
-                        small_new[d.index()].extend(rows.iter().cloned());
+                        small_new[d.index()].push(rows.clone());
                     }
                     if dsts != [v] {
-                        round.send_rows(v, &dsts, small_rel, flatten(&rows, small_w), small_w);
+                        let payload = flatten_multi(small, &picks, small_w);
+                        round.send_rows(v, &dsts, small_rel, payload, small_w);
                     }
                 }
                 // Big rows: hash within the owner's block only.
-                let bi = block_of[v.index()];
-                if bi == usize::MAX {
+                let block = block_of[v.index()];
+                if block == usize::MAX {
                     continue;
                 }
-                let Some(h) = &hashes[bi] else { continue };
-                let mut by_dst: HashMap<NodeId, Vec<Row>> = HashMap::new();
-                for row in &big_frags[v.index()] {
-                    let dst = h.pick(row[big_key]);
-                    if dst == v {
-                        big_new[v.index()].push(row.clone());
-                    } else {
-                        by_dst.entry(dst).or_default().push(row.clone());
+                let Some(h) = &hashes[block] else { continue };
+                let big = &big_frags[v.index()];
+                let mut by_dst: BTreeMap<NodeId, Vec<(u32, u32)>> = BTreeMap::new();
+                for (bi, b) in big.iter().enumerate() {
+                    for (r, &key) in b.col(big_key).iter().enumerate() {
+                        by_dst
+                            .entry(h.pick(key))
+                            .or_default()
+                            .push((bi as u32, r as u32));
                     }
                 }
-                for (dst, rows) in drain_sorted(by_dst) {
-                    big_new[dst.index()].extend(rows.iter().cloned());
-                    round.send_rows(v, &[dst], big_rel, flatten(&rows, big_w), big_w);
+                for (dst, picks) in by_dst {
+                    big_new[dst.index()].push(gather_multi(big, &picks, big_w));
+                    if dst != v {
+                        let payload = flatten_multi(big, &picks, big_w);
+                        round.send_rows(v, &[dst], big_rel, payload, big_w);
+                    }
                 }
             }
         });
@@ -501,7 +424,7 @@ impl PhysicalStrategy for TreePartitionJoin {
         };
         Ok(OpTrace {
             rounds: trace.into_rounds(),
-            output: probe_join(tree, l_new, r_new, li, ri),
+            output: probe_join_batches(tree, l_new, r_new, li, ri, lw, rw, false),
         })
     }
 }

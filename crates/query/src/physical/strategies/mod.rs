@@ -16,33 +16,33 @@
 //!
 //! All strategies are pure plan/trace pairs: they never touch an engine,
 //! so every one of them runs on the simulator and the pooled cluster with
-//! bit-identical ledgers through the schedule-replay fabric.
+//! bit-identical ledgers through the schedule-replay fabric. They share
+//! the exchange kernels in [`columnar`].
 //!
-//! Every strategy's row `trace` is the tuple engine's path and the oracle
-//! for its columnar `trace_batch`, which shares the kernels in
-//! [`columnar`]. Only `tree-partition` and the cross joins have no native
-//! `trace_batch` and ride the default row shim (see
-//! [`PhysicalStrategy::trace_batch`]).
+//! Two tests hold every entry of the table to account, whatever it
+//! computes locally. `every_registered_strategy_is_exchange_sound` (the
+//! `soundness` module below, over whatever [`defaults`] registers) checks
+//! that each node's output is made only of values it held or was sent —
+//! a strategy that under-sends is caught even though its rows are right.
+//! `tests/plan_parity.rs` pins each strategy's rounds and `edge_totals`
+//! on a fixed instance (`PINNED_LEDGERS`), so a change to what a
+//! strategy sends is a deliberate edit of that table.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use tamp_core::hashing::{mix64, WeightedHash};
 use tamp_core::sorting::valid_order;
 use tamp_simulator::Rel;
-use tamp_topology::{NodeId, Tree};
+use tamp_topology::NodeId;
 
-use crate::batch::{head, sort_rows, RecordBatch};
+use crate::batch::{flatten_batches, head, sort_rows, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    BatchInput, BatchTrace, CostEstimate, ExecArgs, Fragments, OpInput, OpTrace, OperatorKind,
-    PhysicalStrategy, PlanArgs, RoundSends, TraceBuilder,
+    CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
+    TraceBuilder,
 };
-use crate::row::{canonicalize, flatten, Row};
 
-use columnar::{
-    batch_frag_weights, empty_batch_frags, exchange_batches, flatten_batches, BatchFragments,
-};
+use columnar::{batch_frag_weights, empty_batch_frags, exchange_batches};
 
 pub(crate) mod aggregate;
 pub(crate) mod columnar;
@@ -78,154 +78,6 @@ pub(crate) fn defaults() -> Vec<Arc<dyn PhysicalStrategy>> {
     ]
 }
 
-/// Empty fragments for `tree`.
-pub(crate) fn empty_frags(tree: &Tree) -> Fragments {
-    vec![Vec::new(); tree.num_nodes()]
-}
-
-/// Current per-node row counts, as weights for distribution-aware
-/// hashing.
-pub(crate) fn frag_weights(
-    tree: &Tree,
-    frags: &[Vec<Row>],
-    extra: &[Vec<Row>],
-) -> Vec<(NodeId, u64)> {
-    tree.compute_nodes()
-        .iter()
-        .map(|&v| (v, (frags[v.index()].len() + extra[v.index()].len()) as u64))
-        .collect()
-}
-
-/// The nodes holding rows of `frags` — broadcast destinations.
-pub(crate) fn holders_of(tree: &Tree, frags: &Fragments) -> Vec<NodeId> {
-    tree.compute_nodes()
-        .iter()
-        .copied()
-        .filter(|&v| !frags[v.index()].is_empty())
-        .collect()
-}
-
-/// One-round replication of `small_frags` (rows of `small_w` values) to
-/// every holder: records the multicast round and returns the replicated
-/// fragments (every holder ends up with the full small side).
-pub(crate) fn broadcast_small(
-    trace: &mut TraceBuilder,
-    tree: &Tree,
-    small_frags: &Fragments,
-    small_w: usize,
-    holders: &[NodeId],
-) -> Fragments {
-    trace.round(|round| {
-        for &v in tree.compute_nodes() {
-            let local = &small_frags[v.index()];
-            if local.is_empty() || holders.is_empty() {
-                continue;
-            }
-            round.send_rows(v, holders, Rel::R, flatten(local, small_w), small_w);
-        }
-    });
-    let mut small_new = empty_frags(tree);
-    for &h in holders {
-        for frag in small_frags.iter() {
-            small_new[h.index()].extend(frag.iter().cloned());
-        }
-    }
-    small_new
-}
-
-/// Drain a grouping map in ascending key order.
-///
-/// Exchange emission must be *deterministic*, not merely correct: the
-/// schedule's content hash doubles as the checkpoint-resume token, so
-/// two executions of the same pinned plan must produce byte-identical
-/// schedules — the same sends in the same order — or a faulted run's
-/// parked snapshot can never match its own retry. Iterating the
-/// `HashMap` directly would emit sends in `RandomState` order, which
-/// differs per map instance.
-pub(crate) fn drain_sorted<K: Ord, V>(map: HashMap<K, V>) -> Vec<(K, V)> {
-    // lint: allow(D1) — this IS the sanctioned route: the unordered
-    // drain is re-sorted on the next line, which is the whole contract.
-    let mut entries: Vec<(K, V)> = map.into_iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    entries
-}
-
-/// One-round repartition of row fragments by a key router.
-pub(crate) fn shuffle_by_key(
-    trace: &mut TraceBuilder,
-    tree: &Tree,
-    frags: &Fragments,
-    key_idx: usize,
-    width: usize,
-    rel: Rel,
-    router: &dyn Fn(u64) -> NodeId,
-) -> Fragments {
-    let mut new_frags = empty_frags(tree);
-    let mut outgoing: Vec<(NodeId, NodeId, Vec<u64>)> = Vec::new();
-    for &v in tree.compute_nodes() {
-        let mut by_dst: HashMap<NodeId, Vec<Row>> = HashMap::new();
-        for row in &frags[v.index()] {
-            let dst = router(row[key_idx]);
-            if dst == v {
-                new_frags[v.index()].push(row.clone());
-            } else {
-                by_dst.entry(dst).or_default().push(row.clone());
-            }
-        }
-        for (dst, rows) in drain_sorted(by_dst) {
-            outgoing.push((v, dst, flatten(&rows, width)));
-            new_frags[dst.index()].extend(rows);
-        }
-    }
-    trace.round(|round| {
-        for (src, dst, buf) in outgoing {
-            round.send_rows(src, &[dst], rel, buf, width);
-        }
-    });
-    new_frags
-}
-
-/// Local probe join of co-located fragments: `left ⋈ right` on
-/// `left[li] = right[ri]`, output rows `left ++ right`.
-pub(crate) fn probe_join(
-    tree: &Tree,
-    l_new: &Fragments,
-    r_new: &Fragments,
-    li: usize,
-    ri: usize,
-) -> Fragments {
-    let mut out = empty_frags(tree);
-    for &v in tree.compute_nodes() {
-        let mut by_key: HashMap<u64, Vec<&Row>> = HashMap::new();
-        for row in &r_new[v.index()] {
-            by_key.entry(row[ri]).or_default().push(row);
-        }
-        for lrow in &l_new[v.index()] {
-            if let Some(matches) = by_key.get(&lrow[li]) {
-                for rrow in matches {
-                    let mut joined = lrow.clone();
-                    joined.extend_from_slice(rrow);
-                    out[v.index()].push(joined);
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Send each `(src, dst, rows)` payload of `width`-value rows as
-/// batch-chunked unicasts in a single round.
-pub(crate) fn unicast_round(
-    round: &mut RoundSends,
-    outgoing: Vec<(NodeId, NodeId, Vec<u64>)>,
-    rel: Rel,
-    width: usize,
-) {
-    for (src, dst, buf) in outgoing {
-        round.send_rows(src, &[dst], rel, buf, width);
-    }
-}
-
 /// Duplicate elimination: dedup locally, shuffle under a whole-row hash
 /// weighted by current loads, dedup again at the destination — a
 /// duplicate never travels twice.
@@ -258,59 +110,10 @@ impl PhysicalStrategy for WeightedDistinct {
             unreachable!("registered for Distinct");
         };
         let tree = a.tree;
-        let weights = frag_weights(tree, &input, &empty_frags(tree));
-        let mut trace = TraceBuilder::batched(a.batch);
-        let Some(hash) = WeightedHash::new(a.seed ^ 0xD157, &weights) else {
-            return Ok(OpTrace {
-                rounds: trace.into_rounds(),
-                output: empty_frags(tree),
-            });
-        };
-        let row_key = |row: &Row| {
-            row.iter()
-                .fold(0xCBF29CE484222325u64, |h, &c| mix64(h ^ mix64(c)))
-        };
-        let mut new_frags = empty_frags(tree);
-        let mut outgoing: Vec<(NodeId, NodeId, Vec<u64>)> = Vec::new();
-        for &v in tree.compute_nodes() {
-            let mut by_dst: HashMap<NodeId, Vec<Row>> = HashMap::new();
-            // Dedup locally first: duplicates never need to travel twice.
-            let mut local = input[v.index()].clone();
-            canonicalize(&mut local);
-            local.dedup();
-            for row in local {
-                let dst = hash.pick(row_key(&row));
-                if dst == v {
-                    new_frags[v.index()].push(row);
-                } else {
-                    by_dst.entry(dst).or_default().push(row);
-                }
-            }
-            for (dst, rows) in drain_sorted(by_dst) {
-                outgoing.push((v, dst, flatten(&rows, width)));
-                new_frags[dst.index()].extend(rows);
-            }
-        }
-        trace.round(|round| unicast_round(round, outgoing, Rel::R, width));
-        for frag in &mut new_frags {
-            canonicalize(frag);
-            frag.dedup();
-        }
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: new_frags,
-        })
-    }
-
-    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
-        let BatchInput::Distinct { input, width } = input else {
-            unreachable!("registered for Distinct");
-        };
-        let tree = a.tree;
         let weights = batch_frag_weights(tree, &input, &empty_batch_frags(tree));
         let mut trace = TraceBuilder::batched(a.batch);
         let Some(hash) = WeightedHash::new(a.seed ^ 0xD157, &weights) else {
-            return Ok(BatchTrace {
+            return Ok(OpTrace {
                 rounds: trace.into_rounds(),
                 output: empty_batch_frags(tree),
             });
@@ -326,7 +129,7 @@ impl PhysicalStrategy for WeightedDistinct {
             Rel::R,
             tree.compute_nodes(),
             &by_index,
-            // The row path's whole-row hash, folded a column at a time.
+            // A whole-row hash, folded a column at a time.
             &mut |b, out| {
                 row_keys.clear();
                 row_keys.resize(b.num_rows(), 0xCBF29CE484222325);
@@ -338,7 +141,7 @@ impl PhysicalStrategy for WeightedDistinct {
                 out.extend(row_keys.iter().map(|&h| hash.pick(h).index() as u32));
             },
         );
-        Ok(BatchTrace {
+        Ok(OpTrace {
             rounds: trace.into_rounds(),
             output: shuffled.iter().map(|b| sorted_distinct(b, width)).collect(),
         })
@@ -401,53 +204,6 @@ impl PhysicalStrategy for GatherLimit {
         let tree = a.tree;
         let order = valid_order(tree);
         let target = order[0];
-        // Each node contributes at most n rows (its first n in local
-        // order).
-        let mut contributions: Vec<(NodeId, Vec<Row>)> = Vec::new();
-        for &v in &order {
-            let mut local = input[v.index()].clone();
-            if !order_preserving {
-                canonicalize(&mut local);
-            }
-            local.truncate(n);
-            contributions.push((v, local));
-        }
-        let mut trace = TraceBuilder::batched(a.batch);
-        trace.round(|round| {
-            for (v, rows) in &contributions {
-                if *v != target && !rows.is_empty() {
-                    round.send_rows(*v, &[target], Rel::R, flatten(rows, width), width);
-                }
-            }
-        });
-        // Concatenate in node order (global order for order-preserving
-        // inputs), else canonicalize, then cut.
-        let mut all: Vec<Row> = contributions.into_iter().flat_map(|(_, r)| r).collect();
-        if !order_preserving {
-            canonicalize(&mut all);
-        }
-        all.truncate(n);
-        let mut out = empty_frags(tree);
-        out[target.index()] = all;
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: out,
-        })
-    }
-
-    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
-        let BatchInput::Limit {
-            input,
-            n,
-            width,
-            order_preserving,
-        } = input
-        else {
-            unreachable!("registered for Limit");
-        };
-        let tree = a.tree;
-        let order = valid_order(tree);
-        let target = order[0];
         // The first `n` rows of a batch list — in list order when that
         // order is meaningful, in canonical order otherwise.
         let first_n = |batches: &[RecordBatch]| {
@@ -472,9 +228,233 @@ impl PhysicalStrategy for GatherLimit {
         });
         let mut out = empty_batch_frags(tree);
         out[target.index()] = first_n(&gathered);
-        Ok(BatchTrace {
+        Ok(OpTrace {
             rounds: trace.into_rounds(),
             output: out,
         })
+    }
+}
+
+/// Exchange soundness: a node emits only what it held or was sent.
+///
+/// Strategies compute their output from model knowledge, not from what
+/// their rounds deliver, so one whose exchange under-sends still returns
+/// the right rows — at an under-reported cost — and no comparison with
+/// `reference::evaluate` can tell. This check can: it delivers each
+/// trace's sends by hand and looks every emitted value up in what the
+/// emitting node then knows.
+#[cfg(test)]
+mod soundness {
+    use std::collections::BTreeSet;
+
+    use tamp_runtime::jobs::ScheduleSend;
+    use tamp_simulator::Value;
+    use tamp_topology::{builders, Tree};
+
+    use super::*;
+    use crate::batch::{batches_to_fragments, fragments_to_batches};
+    use crate::physical::strategy::StrategyRegistry;
+    use crate::plan::AggFunc;
+    use crate::row::{Fragments, Row};
+    use crate::schema::Schema;
+    use crate::table::DistributedTable;
+
+    const OPERATORS: [OperatorKind; 6] = [
+        OperatorKind::Join,
+        OperatorKind::CrossJoin,
+        OperatorKind::Sort,
+        OperatorKind::Aggregate,
+        OperatorKind::Distinct,
+        OperatorKind::Limit,
+    ];
+    /// Left rows are `(id, key, x)`, right rows `(key, id)`.
+    const LW: usize = 3;
+    const RW: usize = 2;
+    const L_KEY: usize = 1;
+    const R_KEY: usize = 0;
+
+    /// `rows` placed 60 % on one compute node (which one moves with the
+    /// seed), the rest round-robin, as 5-row batches.
+    fn skewed(tree: &Tree, rows: Vec<Row>, width: usize, seed: u64) -> BatchFragments {
+        let vc = tree.compute_nodes();
+        let heavy = vc[seed as usize % vc.len()];
+        let schema = Schema::new(["a", "b", "c"][..width].to_vec()).unwrap();
+        let table = DistributedTable::skewed("t", schema, rows, tree, heavy, 0.6);
+        fragments_to_batches(&table.fragments, width, 5)
+    }
+
+    /// Every width-`w` chunk of every payload the rounds deliver to `v`.
+    fn delivered(
+        rounds: &[Vec<ScheduleSend>],
+        v: NodeId,
+        w: usize,
+    ) -> impl Iterator<Item = &[Value]> {
+        rounds
+            .iter()
+            .flatten()
+            .filter(move |s| s.dsts.contains(&v))
+            .flat_map(move |s| s.values.chunks_exact(w))
+    }
+
+    /// What `v` knows at width `w`: its own rows plus what it was sent.
+    fn have(own: &[Row], rounds: &[Vec<ScheduleSend>], v: NodeId, w: usize) -> BTreeSet<Row> {
+        let sent = delivered(rounds, v, w).map(<[Value]>::to_vec);
+        own.iter().cloned().chain(sent).collect()
+    }
+
+    /// The inputs `op` is traced on: once, except `limit`, which runs
+    /// with and without a meaningful input order.
+    fn inputs(
+        op: OperatorKind,
+        left: &BatchFragments,
+        right: &BatchFragments,
+        seed: u64,
+    ) -> Vec<OpInput> {
+        let (left, right) = (left.clone(), right.clone());
+        match op {
+            OperatorKind::Join => vec![OpInput::Join {
+                left,
+                right,
+                left_key: L_KEY,
+                right_key: R_KEY,
+                left_width: LW,
+                right_width: RW,
+            }],
+            OperatorKind::CrossJoin => vec![OpInput::CrossJoin {
+                left,
+                right,
+                left_width: LW,
+                right_width: RW,
+            }],
+            OperatorKind::Sort => vec![OpInput::Sort {
+                input: left,
+                key: seed as usize % LW,
+                width: LW,
+            }],
+            OperatorKind::Aggregate => vec![OpInput::Aggregate {
+                input: left,
+                group: L_KEY,
+                measure: 2,
+                agg: [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max][seed as usize % 4],
+            }],
+            OperatorKind::Distinct => vec![OpInput::Distinct {
+                input: left,
+                width: LW,
+            }],
+            OperatorKind::Limit => [false, true]
+                .into_iter()
+                .map(|order_preserving| OpInput::Limit {
+                    input: left.clone(),
+                    n: 7,
+                    width: LW,
+                    order_preserving,
+                })
+                .collect(),
+        }
+    }
+
+    /// Check one trace's output at every node; returns the rows checked.
+    fn check(
+        what: &str,
+        tree: &Tree,
+        op: OperatorKind,
+        (l_own, r_own): (&Fragments, &Fragments),
+        traced: &OpTrace,
+    ) -> usize {
+        let rounds = &traced.rounds;
+        let output = batches_to_fragments(&traced.output);
+        for v in tree.nodes() {
+            let out = &output[v.index()];
+            if out.is_empty() {
+                continue;
+            }
+            let (l_own, r_own) = (&l_own[v.index()], &r_own[v.index()]);
+            match op {
+                OperatorKind::Join | OperatorKind::CrossJoin => {
+                    let l_have = have(l_own, rounds, v, LW);
+                    let r_have = have(r_own, rounds, v, RW);
+                    for row in out {
+                        assert!(
+                            l_have.contains(&row[..LW]) && r_have.contains(&row[LW..]),
+                            "{what}: {v:?} emits {row:?} from rows it never had"
+                        );
+                    }
+                }
+                OperatorKind::Aggregate => {
+                    let groups: BTreeSet<Value> = l_own
+                        .iter()
+                        .map(|r| r[L_KEY])
+                        .chain(delivered(rounds, v, 2).map(|partial| partial[0]))
+                        .collect();
+                    for row in out {
+                        assert!(
+                            groups.contains(&row[0]),
+                            "{what}: {v:?} emits group {}, which it never had",
+                            row[0]
+                        );
+                    }
+                }
+                OperatorKind::Sort | OperatorKind::Distinct | OperatorKind::Limit => {
+                    let l_have = have(l_own, rounds, v, LW);
+                    for row in out {
+                        assert!(
+                            l_have.contains(row),
+                            "{what}: {v:?} emits {row:?}, a row it never had"
+                        );
+                    }
+                }
+            }
+        }
+        output.iter().map(Vec::len).sum()
+    }
+
+    #[test]
+    fn every_registered_strategy_is_exchange_sound() {
+        let registry = StrategyRegistry::with_defaults();
+        let trees = [
+            ("star", builders::star(5, 1.0)),
+            (
+                "rack-tree",
+                builders::rack_tree(&[(3, 1.0, 2.0), (2, 2.0, 1.0)], 1.0),
+            ),
+            ("caterpillar", builders::caterpillar(3, 2, 1.5)),
+            ("fat-tree", builders::fat_tree(2, 3, 1.0)),
+        ];
+        let mut checked = 0;
+        for (tree_name, tree) in &trees {
+            for seed in 0..6u64 {
+                for (l_total, r_total) in [(40, 9), (9, 40), (25, 25), (0, 5)] {
+                    let l_rows = (0..l_total)
+                        .map(|i| vec![i, mix64(i ^ seed) % 7, mix64(i) % 50])
+                        .collect();
+                    let r_rows = (0..r_total).map(|k| vec![k % 7, 100 + k]).collect();
+                    let left = skewed(tree, l_rows, LW, seed);
+                    let right = skewed(tree, r_rows, RW, seed + 1);
+                    let own = (batches_to_fragments(&left), batches_to_fragments(&right));
+                    let args = ExecArgs {
+                        tree,
+                        seed,
+                        batch: 4,
+                    };
+                    for op in OPERATORS {
+                        for strategy in registry.candidates(op) {
+                            for input in inputs(op, &left, &right, seed) {
+                                let what = format!(
+                                    "{op} {} on {tree_name}, seed {seed}, {l_total}×{r_total}",
+                                    strategy.name()
+                                );
+                                let traced = strategy.trace(&args, input).unwrap();
+                                let emitted = check(&what, tree, op, (&own.0, &own.1), &traced);
+                                if op == OperatorKind::CrossJoin {
+                                    assert_eq!(emitted as u64, l_total * r_total, "{what}");
+                                }
+                                checked += emitted;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked >= 10_000, "only {checked} rows checked");
     }
 }

@@ -20,13 +20,11 @@ use tamp_topology::NodeId;
 use crate::batch::{batch_rows, sort_rows};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    BatchInput, BatchTrace, CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind,
-    PhysicalStrategy, PlanArgs, TraceBuilder,
+    CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
+    TraceBuilder,
 };
-use crate::row::Row;
 
 use super::columnar::exchange_batches;
-use super::empty_frags;
 
 /// The sample → splitters → shuffle sort, parameterized by splitter
 /// policy.
@@ -46,7 +44,7 @@ impl RangeShuffleSort {
         RangeShuffleSort { weighted: false }
     }
 
-    /// The coordinator's step, the same in both engines: pick splitters
+    /// The coordinator's step: pick splitters
     /// from the gathered samples under the strategy's policy (`rows(v)`
     /// is the row count held at `v`) and broadcast them from `order[0]`.
     fn broadcast_splitters(
@@ -131,86 +129,6 @@ impl PhysicalStrategy for RangeShuffleSort {
 
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
         let OpInput::Sort {
-            input,
-            key: ki,
-            width,
-        } = input
-        else {
-            unreachable!("registered for Sort");
-        };
-        let tree = a.tree;
-        let frags = input;
-        let order = valid_order(tree);
-        let total: usize = frags.iter().map(Vec::len).sum();
-        if total == 0 {
-            return Ok(OpTrace {
-                rounds: Vec::new(),
-                output: frags,
-            });
-        }
-        let mut trace = TraceBuilder::batched(a.batch);
-        let coordinator = order[0];
-        let rho = sample_rate(order.len(), total as u64);
-
-        // Round 1: sample keys to the coordinator (width-1 messages).
-        let mut all_samples: Vec<u64> = Vec::new();
-        let mut sampled: Vec<(NodeId, Vec<u64>)> = Vec::new();
-        for &v in &order {
-            let samples: Vec<u64> = frags[v.index()]
-                .iter()
-                .map(|r| r[ki])
-                .filter(|&x| coin(a.seed, x, rho))
-                .collect();
-            all_samples.extend_from_slice(&samples);
-            sampled.push((v, samples));
-        }
-        trace.round(|round| {
-            for (v, samples) in sampled {
-                round.send_rows(v, &[coordinator], Rel::S, samples, 1);
-            }
-        });
-
-        // Round 2: the coordinator picks and broadcasts splitters.
-        let splitters =
-            self.broadcast_splitters(&mut trace, &order, all_samples, |v| frags[v.index()].len());
-
-        // Round 3: range shuffle by splitter buckets.
-        let mut new_frags = empty_frags(tree);
-        let mut outgoing: Vec<(NodeId, NodeId, Vec<u64>)> = Vec::new();
-        for &v in &order {
-            let mut buckets: Vec<Vec<Row>> = vec![Vec::new(); order.len()];
-            for row in &frags[v.index()] {
-                let b = splitters
-                    .partition_point(|&s| s <= row[ki])
-                    .min(order.len() - 1);
-                buckets[b].push(row.clone());
-            }
-            for (j, bucket) in buckets.into_iter().enumerate() {
-                if bucket.is_empty() {
-                    continue;
-                }
-                if order[j] == v {
-                    new_frags[v.index()].extend(bucket);
-                } else {
-                    outgoing.push((v, order[j], crate::row::flatten(&bucket, width)));
-                    new_frags[order[j].index()].extend(bucket);
-                }
-            }
-        }
-        trace.round(|round| super::unicast_round(round, outgoing, Rel::R, width));
-        for &v in &order {
-            new_frags[v.index()].sort_by(|x, y| x[ki].cmp(&y[ki]).then_with(|| x.cmp(y)));
-        }
-        // Bucket i already lives at order[i], so concatenation by node
-        // order yields the global order.
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: new_frags,
-        })
-    }
-
-    fn trace_batch(&self, a: &ExecArgs<'_>, input: BatchInput) -> Result<BatchTrace, QueryError> {
-        let BatchInput::Sort {
             input: frags,
             key: ki,
             width,
@@ -222,7 +140,7 @@ impl PhysicalStrategy for RangeShuffleSort {
         let order = valid_order(tree);
         let total: usize = frags.iter().map(|b| batch_rows(b)).sum();
         if total == 0 {
-            return Ok(BatchTrace {
+            return Ok(OpTrace {
                 rounds: Vec::new(),
                 output: frags,
             });
@@ -271,7 +189,7 @@ impl PhysicalStrategy for RangeShuffleSort {
             .iter()
             .map(|batches| sort_rows(batches, width, Some(ki), |_, _| {}))
             .collect();
-        Ok(BatchTrace {
+        Ok(OpTrace {
             rounds: trace.into_rounds(),
             output,
         })

@@ -33,9 +33,11 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use tamp_query::batch::{flatten_batches, rows_to_batches};
 //! use tamp_query::physical::cost::CostModel;
 //! use tamp_query::physical::strategy::*;
 //! use tamp_query::prelude::*;
+//! use tamp_query::row::Row;
 //! use tamp_query::QueryError;
 //! use tamp_simulator::Rel;
 //! use tamp_topology::builders;
@@ -65,30 +67,32 @@
 //!         };
 //!         let target = a.tree.compute_nodes()[0];
 //!         let mut trace = TraceBuilder::default();
-//!         let mut l_all = Vec::new();
-//!         let mut r_all = Vec::new();
+//!         // Fragments are per-node lists of column batches; this strategy
+//!         // thinks in rows, so it transposes what the target gathers.
+//!         let mut l_all: Vec<Row> = Vec::new();
+//!         let mut r_all: Vec<Row> = Vec::new();
 //!         trace.round(|round| {
 //!             for &v in a.tree.compute_nodes() {
 //!                 for (rel, frags, width, all) in [
 //!                     (Rel::R, &left, left_width, &mut l_all),
 //!                     (Rel::S, &right, right_width, &mut r_all),
 //!                 ] {
-//!                     let rows = &frags[v.index()];
-//!                     all.extend(rows.iter().cloned());
-//!                     if v != target && !rows.is_empty() {
-//!                         round.send(v, &[target], rel, tamp_query::row::flatten(rows, width));
+//!                     let batches = &frags[v.index()];
+//!                     batches.iter().for_each(|b| b.append_rows(all));
+//!                     if v != target {
+//!                         round.send(v, &[target], rel, flatten_batches(batches, width));
 //!                     }
 //!                 }
 //!             }
 //!         });
-//!         let mut out = vec![Vec::new(); a.tree.num_nodes()];
+//!         let mut joined: Vec<Row> = Vec::new();
 //!         for l in &l_all {
 //!             for r in r_all.iter().filter(|r| r[right_key] == l[left_key]) {
-//!                 let mut j = l.clone();
-//!                 j.extend_from_slice(r);
-//!                 out[target.index()].push(j);
+//!                 joined.push([&l[..], &r[..]].concat());
 //!             }
 //!         }
+//!         let mut out = vec![Vec::new(); a.tree.num_nodes()];
+//!         out[target.index()] = rows_to_batches(&joined, left_width + right_width, a.batch);
 //!         Ok(OpTrace { rounds: trace.into_rounds(), output: out })
 //!     }
 //! }
@@ -109,14 +113,10 @@ use tamp_runtime::jobs::ScheduleSend;
 use tamp_simulator::{PlacementStats, Rel, Value};
 use tamp_topology::{NodeId, Tree};
 
-use crate::batch::{batches_to_fragments, fragments_to_batches, BatchFragments};
+use crate::batch::BatchFragments;
 use crate::error::QueryError;
 use crate::physical::cost::{CostModel, NodeCounts};
 use crate::plan::AggFunc;
-use crate::row::Row;
-
-/// Output row fragments, indexed by node id.
-pub type Fragments = Vec<Vec<Row>>;
 
 /// The logical operators whose exchanges are strategy-pluggable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -284,16 +284,16 @@ pub struct ExecArgs<'a> {
 }
 
 /// The operator-specific execution input: the materialized child
-/// fragments plus the operator's parameters, all in resolved (index)
-/// form.
+/// fragments — per-node [`RecordBatch`](crate::batch::RecordBatch) lists
+/// — plus the operator's parameters, all in resolved (index) form.
 #[derive(Debug)]
 pub enum OpInput {
     /// Equi-join.
     Join {
         /// Left fragments.
-        left: Fragments,
+        left: BatchFragments,
         /// Right fragments.
-        right: Fragments,
+        right: BatchFragments,
         /// Key column index on the left.
         left_key: usize,
         /// Key column index on the right.
@@ -306,9 +306,9 @@ pub enum OpInput {
     /// Cartesian product.
     CrossJoin {
         /// Left fragments.
-        left: Fragments,
+        left: BatchFragments,
         /// Right fragments.
-        right: Fragments,
+        right: BatchFragments,
         /// Left row width.
         left_width: usize,
         /// Right row width.
@@ -317,7 +317,7 @@ pub enum OpInput {
     /// Global sort.
     Sort {
         /// Input fragments.
-        input: Fragments,
+        input: BatchFragments,
         /// Sort column index.
         key: usize,
         /// Row width.
@@ -326,7 +326,7 @@ pub enum OpInput {
     /// Grouped aggregation.
     Aggregate {
         /// Input fragments.
-        input: Fragments,
+        input: BatchFragments,
         /// Grouping column index.
         group: usize,
         /// Measure column index.
@@ -337,14 +337,14 @@ pub enum OpInput {
     /// Duplicate elimination.
     Distinct {
         /// Input fragments.
-        input: Fragments,
+        input: BatchFragments,
         /// Row width.
         width: usize,
     },
     /// First `n` rows.
     Limit {
         /// Input fragments.
-        input: Fragments,
+        input: BatchFragments,
         /// Row budget.
         n: usize,
         /// Row width.
@@ -358,180 +358,6 @@ pub enum OpInput {
 /// to replay on any backend) and the operator's output fragments.
 #[derive(Debug)]
 pub struct OpTrace {
-    /// The communication rounds, in order.
-    pub rounds: Vec<Vec<ScheduleSend>>,
-    /// Output fragments by node id.
-    pub output: Fragments,
-}
-
-/// The operator-specific execution input in columnar form: per-node
-/// [`RecordBatch`](crate::batch::RecordBatch) lists instead of row
-/// vectors, with the same parameters as [`OpInput`].
-#[derive(Debug)]
-pub enum BatchInput {
-    /// Equi-join.
-    Join {
-        /// Left batch fragments.
-        left: BatchFragments,
-        /// Right batch fragments.
-        right: BatchFragments,
-        /// Key column index on the left.
-        left_key: usize,
-        /// Key column index on the right.
-        right_key: usize,
-        /// Left row width.
-        left_width: usize,
-        /// Right row width.
-        right_width: usize,
-    },
-    /// Cartesian product.
-    CrossJoin {
-        /// Left batch fragments.
-        left: BatchFragments,
-        /// Right batch fragments.
-        right: BatchFragments,
-        /// Left row width.
-        left_width: usize,
-        /// Right row width.
-        right_width: usize,
-    },
-    /// Global sort.
-    Sort {
-        /// Input batch fragments.
-        input: BatchFragments,
-        /// Sort column index.
-        key: usize,
-        /// Row width.
-        width: usize,
-    },
-    /// Grouped aggregation.
-    Aggregate {
-        /// Input batch fragments.
-        input: BatchFragments,
-        /// Grouping column index.
-        group: usize,
-        /// Measure column index.
-        measure: usize,
-        /// Aggregate function.
-        agg: AggFunc,
-    },
-    /// Duplicate elimination.
-    Distinct {
-        /// Input batch fragments.
-        input: BatchFragments,
-        /// Row width.
-        width: usize,
-    },
-    /// First `n` rows.
-    Limit {
-        /// Input batch fragments.
-        input: BatchFragments,
-        /// Row budget.
-        n: usize,
-        /// Row width.
-        width: usize,
-        /// Whether fragment order is globally meaningful.
-        order_preserving: bool,
-    },
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Calls to [`BatchInput::into_rows`] made on this thread, so tests
-    /// can assert which strategies still ride the row shim.
-    pub(crate) static SHIM_HITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-impl BatchInput {
-    /// Lossless conversion to row form, plus the operator's *output* row
-    /// width (what a row shim must use to re-batch the traced output).
-    pub fn into_rows(self) -> (OpInput, usize) {
-        #[cfg(test)]
-        SHIM_HITS.with(|hits| hits.set(hits.get() + 1));
-        match self {
-            BatchInput::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-                left_width,
-                right_width,
-            } => (
-                OpInput::Join {
-                    left: batches_to_fragments(&left),
-                    right: batches_to_fragments(&right),
-                    left_key,
-                    right_key,
-                    left_width,
-                    right_width,
-                },
-                left_width + right_width,
-            ),
-            BatchInput::CrossJoin {
-                left,
-                right,
-                left_width,
-                right_width,
-            } => (
-                OpInput::CrossJoin {
-                    left: batches_to_fragments(&left),
-                    right: batches_to_fragments(&right),
-                    left_width,
-                    right_width,
-                },
-                left_width + right_width,
-            ),
-            BatchInput::Sort { input, key, width } => (
-                OpInput::Sort {
-                    input: batches_to_fragments(&input),
-                    key,
-                    width,
-                },
-                width,
-            ),
-            BatchInput::Aggregate {
-                input,
-                group,
-                measure,
-                agg,
-            } => (
-                OpInput::Aggregate {
-                    input: batches_to_fragments(&input),
-                    group,
-                    measure,
-                    agg,
-                },
-                2,
-            ),
-            BatchInput::Distinct { input, width } => (
-                OpInput::Distinct {
-                    input: batches_to_fragments(&input),
-                    width,
-                },
-                width,
-            ),
-            BatchInput::Limit {
-                input,
-                n,
-                width,
-                order_preserving,
-            } => (
-                OpInput::Limit {
-                    input: batches_to_fragments(&input),
-                    n,
-                    width,
-                    order_preserving,
-                },
-                width,
-            ),
-        }
-    }
-}
-
-/// What a strategy's columnar execution produces: the same replayable
-/// rounds as [`OpTrace`], with the output in batch form.
-#[derive(Debug)]
-pub struct BatchTrace {
     /// The communication rounds, in order.
     pub rounds: Vec<Vec<ScheduleSend>>,
     /// Output batch fragments by node id.
@@ -632,7 +458,12 @@ impl RoundSends {
 ///
 /// See the [module docs](self) for the contract and a worked third-party
 /// example. The estimate/trace pair must price and move traffic on the
-/// same routes: the parity and `x-strategy` suites compare them.
+/// same routes: the `x-strategy` and `x-plan` suites compare them. What
+/// `trace` sends is held to account twice — the built-ins' rounds and
+/// `edge_totals` are pinned on a fixed instance (`PINNED_LEDGERS` in
+/// `tests/plan_parity.rs`), and the soundness test in
+/// `physical::strategies` checks that no node emits a value it neither
+/// held nor was sent.
 pub trait PhysicalStrategy: fmt::Debug + Send + Sync {
     /// Unique (per operator) strategy name; `EXPLAIN` and
     /// [`QueryContext::with_strategy`](crate::context::QueryContext::with_strategy)
@@ -669,34 +500,14 @@ pub trait PhysicalStrategy: fmt::Debug + Send + Sync {
     /// Execute: compute the output fragments and the exchange-trace
     /// rounds that move them. The returned rounds replay through any
     /// backend; their metered cost is the strategy's actual cost.
+    ///
+    /// The sends must carry what the output needs — every value a node
+    /// emits is one it held in its input fragment or was delivered by a
+    /// round of this trace — and must be deterministic, the same sends
+    /// in the same order on every call, because the schedule's content
+    /// hash is the checkpoint token: group with `BTreeMap` or sort
+    /// before emitting.
     fn trace(&self, args: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError>;
-
-    /// Execute on columnar input. The default is a lossless row shim:
-    /// convert to rows, run [`trace`](PhysicalStrategy::trace), re-batch
-    /// the output at [`ExecArgs::batch`] rows — rows, rounds, and ledger
-    /// identical to the tuple engine by construction, at the price of one
-    /// heap row per input row. It is what a third-party strategy gets
-    /// until it overrides this. Of the built-ins, every aggregate, sort,
-    /// distinct and limit strategy and the hash joins (`*-repartition`,
-    /// `broadcast-small`) override it with a columnar-native exchange
-    /// that materializes no row; the `tree-partition` join and the three
-    /// cross-join strategies stay on the shim — their multicast groupings
-    /// key on per-row destination *sets* and grid cells, and no measured
-    /// workload spends its time there. Overrides must reproduce the tuple
-    /// path's sends and fragment order exactly (the `plan_parity`
-    /// proptests hold them to it, down to the schedule's content hash).
-    fn trace_batch(
-        &self,
-        args: &ExecArgs<'_>,
-        input: BatchInput,
-    ) -> Result<BatchTrace, QueryError> {
-        let (rows, out_width) = input.into_rows();
-        let traced = self.trace(args, rows)?;
-        Ok(BatchTrace {
-            output: fragments_to_batches(&traced.output, out_width, args.batch),
-            rounds: traced.rounds,
-        })
-    }
 }
 
 /// Relative distance from the cheapest estimate within which a candidate

@@ -1,7 +1,9 @@
-//! Rows and their wire encoding.
+//! Rows: the result's view of the data.
 //!
-//! A row is a fixed-width vector of `u64` values. The simulator transports
-//! single `u64` elements, so a shipped row is *flattened*: a row of width
+//! A row is a fixed-width vector of `u64` values. Tables are registered
+//! as rows and a [`QueryResult`](crate::exec::QueryResult) hands rows
+//! back; in between, execution runs on columns ([`crate::batch`]). The
+//! simulator transports single `u64` elements, so a shipped row of width
 //! `w` costs `w` transported tuples, which keeps the metered cost
 //! proportional to the actual bytes a real system would move.
 
@@ -10,35 +12,8 @@ use tamp_simulator::Value;
 /// A row: one `u64` per column.
 pub type Row = Vec<Value>;
 
-/// Flatten rows of width `width` into a wire buffer.
-pub fn flatten(rows: &[Row], width: usize) -> Vec<Value> {
-    let mut out = Vec::with_capacity(rows.len() * width);
-    for row in rows {
-        debug_assert_eq!(row.len(), width);
-        out.extend_from_slice(row);
-    }
-    out
-}
-
-/// Rebuild rows of width `width` from a wire buffer.
-///
-/// # Panics
-///
-/// Panics if the buffer length is not a multiple of `width` (corrupt
-/// framing — a protocol bug, not a data condition).
-pub fn unflatten(buf: &[Value], width: usize) -> Vec<Row> {
-    if width == 0 {
-        assert!(buf.is_empty(), "zero-width rows cannot carry data");
-        return Vec::new();
-    }
-    assert_eq!(
-        buf.len() % width,
-        0,
-        "wire buffer length {} is not a multiple of row width {width}",
-        buf.len()
-    );
-    buf.chunks_exact(width).map(|c| c.to_vec()).collect()
-}
+/// Per-node row lists, indexed by node id.
+pub type Fragments = Vec<Vec<Row>>;
 
 /// Sort rows lexicographically — the canonical order used when comparing
 /// result sets.
@@ -49,27 +24,6 @@ pub fn canonicalize(rows: &mut [Row]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip() {
-        let rows = vec![vec![1, 2, 3], vec![4, 5, 6]];
-        let buf = flatten(&rows, 3);
-        assert_eq!(buf, vec![1, 2, 3, 4, 5, 6]);
-        assert_eq!(unflatten(&buf, 3), rows);
-    }
-
-    #[test]
-    fn empty() {
-        let rows: Vec<Row> = Vec::new();
-        assert!(flatten(&rows, 4).is_empty());
-        assert!(unflatten(&[], 4).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn corrupt_framing_panics() {
-        unflatten(&[1, 2, 3], 2);
-    }
 
     #[test]
     fn canonical_order() {

@@ -24,9 +24,9 @@ pub struct DistributedTable {
     /// Row fragments, indexed by node id (router slots stay empty).
     pub fragments: Vec<Vec<Row>>,
     // Columnar mirror of `fragments` — one whole-fragment record batch
-    // per node, (re)built by `Catalog::register` so the batch engine's
-    // scans are refcount bumps, never per-row transposes. Empty until
-    // registration; `scan_batches` falls back to converting on the fly.
+    // per node, (re)built by `Catalog::register` so scans are refcount
+    // bumps, never per-row transposes. Empty until registration;
+    // `scan_batches` falls back to converting on the fly.
     columnar: Vec<Vec<RecordBatch>>,
 }
 

@@ -68,12 +68,13 @@ fn plans(threshold: u64, limit: usize) -> Vec<LogicalPlan> {
     ]
 }
 
-/// The cost-based join choice, then the three commonly forced ones.
-const FORCED_JOINS: [Option<&str>; 4] = [
+/// The cost-based join choice, then every built-in forced.
+const FORCED_JOINS: [Option<&str>; 5] = [
     None,
     Some("weighted-repartition"),
     Some("uniform-repartition"),
     Some("broadcast-small"),
+    Some("tree-partition"),
 ];
 
 proptest! {
@@ -90,10 +91,10 @@ proptest! {
         threshold in 0u64..255,
         limit in 1usize..20,
         seed in 0u64..100,
-        strat_pick in 0u8..4,
+        strat_pick in 0usize..FORCED_JOINS.len(),
     ) {
         let mut ctx = make_context(tree_pick, fact_rows, groups, skew).with_seed(seed);
-        if let Some(join) = FORCED_JOINS[usize::from(strat_pick % 4)] {
+        if let Some(join) = FORCED_JOINS[strat_pick] {
             ctx = ctx.with_strategy(OperatorKind::Join, join);
         }
         for q in plans(threshold, limit) {
@@ -123,14 +124,15 @@ proptest! {
 }
 
 /// Every registered strategy name per pluggable operator, with the
-/// queries exercising it: all four aggregate functions under every
+/// queries exercising it: cross joins with equal sides and with the big
+/// side on either hand, all four aggregate functions under every
 /// aggregate strategy, sorts on a near-unique key and on a key with heavy
 /// duplicates (the whole-row tie-break decides), `limit` with and without
 /// a meaningful input order, and `distinct`.
 fn strategy_matrix() -> Vec<(OperatorKind, &'static str, LogicalPlan)> {
     let facts = || LogicalPlan::scan("facts");
-    let join = facts().join_on(LogicalPlan::scan("dims"), "g", "g");
-    let cross = LogicalPlan::scan("dims").cross(LogicalPlan::scan("dims"));
+    let dims = || LogicalPlan::scan("dims");
+    let join = facts().join_on(dims(), "g", "g");
     let mut out = Vec::new();
     for name in [
         "weighted-repartition",
@@ -140,8 +142,11 @@ fn strategy_matrix() -> Vec<(OperatorKind, &'static str, LogicalPlan)> {
     ] {
         out.push((OperatorKind::Join, name, join.clone()));
     }
+    // Equal sides, then the big side on the left and on the right.
     for name in ["whc-grid", "broadcast-small", "uniform-hypercube"] {
-        out.push((OperatorKind::CrossJoin, name, cross.clone()));
+        out.push((OperatorKind::CrossJoin, name, dims().cross(dims())));
+        out.push((OperatorKind::CrossJoin, name, facts().cross(dims())));
+        out.push((OperatorKind::CrossJoin, name, dims().cross(facts())));
     }
     for name in ["weighted-range-shuffle", "uniform-range-shuffle"] {
         out.push((OperatorKind::Sort, name, facts().order_by("x")));
@@ -380,14 +385,15 @@ fn assert_winner_optimal(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The columnar batch engine is bit-identical to the tuple
-    /// interpreter — same rows, same `edge_totals`, same round count,
-    /// and the same schedule content hash (the checkpoint token: every
-    /// send, payload and order) — on both backends, for every registered
-    /// strategy, at batch sizes from one row up to "whole table in one
-    /// batch".
+    /// Batch-size invariance and determinism, for every registered
+    /// strategy at send granularities from one row up to "whole payload
+    /// in one send": the rows equal the reference, `edge_totals` and the
+    /// round count move with neither the batch size nor the backend, and
+    /// the schedule content hash (the checkpoint token: every send,
+    /// payload and order) is the same for two fresh preparations and on
+    /// both backends.
     #[test]
-    fn batch_engine_is_bit_identical_to_tuple_engine(
+    fn exchanges_are_batch_size_invariant_and_deterministic(
         tree_pick in 0u8..4,
         fact_rows in 1u64..100,
         groups in 1u64..10,
@@ -400,53 +406,268 @@ proptest! {
         let cluster_spy = TokenSpy::new(PooledClusterBackend::default());
         for (op, name, q) in strategy_matrix() {
             let ord = reference::preserves_order(&q);
+            let want = reference::evaluate(&q, base.catalog()).unwrap();
             let mut ledger = None;
             for batch_size in sizes {
-                // Chunking a fixed multicast never changes the metered
-                // cost (one ledger for every batch size), but it does
-                // change the sends: the tuple run at the same granularity
-                // is the reference schedule.
-                let with_mode = |mode: ExecMode| {
-                    forced(&base, seed, op, name)
-                        .with_exec_mode(mode)
-                        .with_batch_size(batch_size)
-                };
-                let tuple_ctx = with_mode(ExecMode::Tuple);
-                let (tuple, tuple_hash) = sim_spy.run(&tuple_ctx.prepare(&q).unwrap());
-                let ledger = ledger.get_or_insert_with(|| tuple.cost.edge_totals.clone());
-                prop_assert_eq!(
-                    &tuple.cost.edge_totals, &*ledger,
-                    "{} {} batch={} moves the ledger\n{}", op, name, batch_size, q
-                );
-                let columnar_ctx = with_mode(ExecMode::Columnar);
-                let prepared = columnar_ctx.prepare(&q).unwrap();
+                let fresh = || forced(&base, seed, op, name).with_batch_size(batch_size);
+                let ctx = fresh();
+                let prepared = ctx.prepare(&q).unwrap();
                 let (sim, sim_hash) = sim_spy.run(&prepared);
                 let (cluster, cluster_hash) = cluster_spy.run(&prepared);
+                let (_, again_hash) = sim_spy.run(&fresh().prepare(&q).unwrap());
                 prop_assert_eq!(
-                    &sim.rows(ord), &tuple.rows(ord),
+                    &sim.rows(ord), &want,
                     "{} {} batch={} rows differ\n{}", op, name, batch_size, q
                 );
                 prop_assert_eq!(
-                    &cluster.rows(ord), &tuple.rows(ord),
+                    &cluster.rows(ord), &want,
                     "{} {} batch={} cluster rows differ\n{}", op, name, batch_size, q
                 );
+                // Chunking a fixed multicast never changes the metered
+                // cost: one ledger for every batch size.
+                let (totals, rounds) =
+                    ledger.get_or_insert_with(|| (sim.cost.edge_totals.clone(), sim.rounds));
                 prop_assert_eq!(
-                    &sim.cost.edge_totals, &tuple.cost.edge_totals,
-                    "{} {} batch={} ledgers differ\n{}", op, name, batch_size, q
+                    &sim.cost.edge_totals, &*totals,
+                    "{} {} batch={} moves the ledger\n{}", op, name, batch_size, q
                 );
                 prop_assert_eq!(
-                    &cluster.cost.edge_totals, &tuple.cost.edge_totals,
+                    &cluster.cost.edge_totals, &*totals,
                     "{} {} batch={} cluster ledgers differ\n{}", op, name, batch_size, q
                 );
+                prop_assert_eq!(sim.rounds, *rounds);
+                prop_assert_eq!(cluster.rounds, *rounds);
                 prop_assert_eq!(
-                    sim_hash, tuple_hash,
-                    "{} {} batch={} schedules differ\n{}", op, name, batch_size, q
+                    sim_hash, again_hash,
+                    "{} {} batch={} schedule is not deterministic\n{}", op, name, batch_size, q
                 );
-                prop_assert_eq!(cluster_hash, tuple_hash);
-                prop_assert_eq!(sim.rounds, tuple.rounds);
-                prop_assert_eq!(cluster.rounds, tuple.rounds);
+                prop_assert_eq!(cluster_hash, sim_hash);
             }
         }
+    }
+}
+
+/// `(operator, strategy, rounds, edge_totals)` of every
+/// [`strategy_matrix`] entry, in its order, on `make_context(2, 90, 6, 60)`
+/// under seed 3 at the default batch size — recorded from the
+/// row-at-a-time engine these strategies were first written for, before
+/// it was deleted. What a strategy sends is its contract: a change that
+/// moves a row here is either deliberate (edit the row in the same
+/// change) or a bug.
+const PINNED_LEDGERS: [(&str, &str, usize, [u64; 14]); 32] = [
+    (
+        "join",
+        "weighted-repartition",
+        2,
+        [36, 72, 56, 81, 38, 20, 0, 29, 72, 36, 45, 27, 45, 27],
+    ),
+    (
+        "join",
+        "tree-partition",
+        1,
+        [4, 8, 8, 4, 10, 2, 10, 2, 8, 4, 10, 2, 10, 2],
+    ),
+    (
+        "join",
+        "broadcast-small",
+        1,
+        [4, 8, 8, 4, 10, 2, 10, 2, 8, 4, 10, 2, 10, 2],
+    ),
+    (
+        "join",
+        "uniform-repartition",
+        2,
+        [49, 38, 60, 85, 0, 29, 85, 20, 38, 49, 38, 20, 0, 29],
+    ),
+    (
+        "cross-join",
+        "whc-grid",
+        1,
+        [0, 16, 0, 8, 0, 4, 0, 4, 16, 0, 20, 0, 0, 4],
+    ),
+    (
+        "cross-join",
+        "whc-grid",
+        1,
+        [58, 200, 86, 166, 0, 29, 0, 29, 200, 58, 202, 29, 0, 29],
+    ),
+    (
+        "cross-join",
+        "whc-grid",
+        1,
+        [58, 200, 56, 166, 40, 29, 0, 29, 200, 58, 106, 29, 106, 29],
+    ),
+    (
+        "cross-join",
+        "broadcast-small",
+        1,
+        [4, 8, 8, 4, 10, 2, 10, 2, 8, 4, 10, 2, 10, 2],
+    ),
+    (
+        "cross-join",
+        "broadcast-small",
+        1,
+        [4, 8, 8, 4, 10, 2, 10, 2, 8, 4, 10, 2, 10, 2],
+    ),
+    (
+        "cross-join",
+        "broadcast-small",
+        1,
+        [4, 8, 8, 4, 10, 2, 10, 2, 8, 4, 10, 2, 10, 2],
+    ),
+    (
+        "cross-join",
+        "uniform-hypercube",
+        1,
+        [8, 4, 4, 8, 10, 4, 10, 4, 4, 8, 8, 4, 0, 4],
+    ),
+    (
+        "cross-join",
+        "uniform-hypercube",
+        1,
+        [58, 83, 2, 166, 141, 29, 114, 29, 83, 58, 112, 29, 0, 29],
+    ),
+    (
+        "cross-join",
+        "uniform-hypercube",
+        1,
+        [58, 83, 2, 166, 112, 29, 139, 29, 83, 58, 112, 29, 0, 29],
+    ),
+    (
+        "sort",
+        "weighted-range-shuffle",
+        3,
+        [54, 43, 96, 67, 31, 36, 31, 36, 43, 54, 28, 33, 28, 30],
+    ),
+    (
+        "sort",
+        "weighted-range-shuffle",
+        3,
+        [54, 76, 90, 85, 49, 36, 4, 36, 76, 54, 40, 27, 40, 27],
+    ),
+    (
+        "sort",
+        "uniform-range-shuffle",
+        3,
+        [42, 85, 54, 133, 58, 36, 55, 33, 85, 42, 46, 24, 46, 21],
+    ),
+    (
+        "sort",
+        "uniform-range-shuffle",
+        3,
+        [45, 112, 54, 139, 49, 36, 49, 36, 112, 45, 49, 36, 85, 27],
+    ),
+    (
+        "aggregate",
+        "weighted-repartition",
+        1,
+        [12, 0, 16, 4, 4, 4, 6, 6, 0, 12, 0, 6, 0, 6],
+    ),
+    (
+        "aggregate",
+        "weighted-repartition",
+        1,
+        [12, 0, 16, 4, 4, 4, 6, 6, 0, 12, 0, 6, 0, 6],
+    ),
+    (
+        "aggregate",
+        "weighted-repartition",
+        1,
+        [12, 0, 16, 4, 4, 4, 6, 6, 0, 12, 0, 6, 0, 6],
+    ),
+    (
+        "aggregate",
+        "weighted-repartition",
+        1,
+        [12, 0, 16, 4, 4, 4, 6, 6, 0, 12, 0, 6, 0, 6],
+    ),
+    (
+        "aggregate",
+        "combining-tree",
+        3,
+        [12, 0, 12, 0, 18, 12, 0, 6, 0, 12, 6, 12, 0, 6],
+    ),
+    (
+        "aggregate",
+        "combining-tree",
+        3,
+        [12, 0, 12, 0, 18, 12, 0, 6, 0, 12, 6, 12, 0, 6],
+    ),
+    (
+        "aggregate",
+        "combining-tree",
+        3,
+        [12, 0, 12, 0, 18, 12, 0, 6, 0, 12, 6, 12, 0, 6],
+    ),
+    (
+        "aggregate",
+        "combining-tree",
+        3,
+        [12, 0, 12, 0, 18, 12, 0, 6, 0, 12, 6, 12, 0, 6],
+    ),
+    (
+        "aggregate",
+        "uniform-repartition",
+        1,
+        [10, 4, 12, 6, 0, 6, 10, 4, 4, 10, 4, 4, 0, 6],
+    ),
+    (
+        "aggregate",
+        "uniform-repartition",
+        1,
+        [10, 4, 12, 6, 0, 6, 10, 4, 4, 10, 4, 4, 0, 6],
+    ),
+    (
+        "aggregate",
+        "uniform-repartition",
+        1,
+        [10, 4, 12, 6, 0, 6, 10, 4, 4, 10, 4, 4, 0, 6],
+    ),
+    (
+        "aggregate",
+        "uniform-repartition",
+        1,
+        [10, 4, 12, 6, 0, 6, 10, 4, 4, 10, 4, 4, 0, 6],
+    ),
+    (
+        "limit",
+        "gather",
+        4,
+        [96, 43, 180, 67, 31, 57, 31, 57, 43, 96, 28, 54, 28, 51],
+    ),
+    (
+        "limit",
+        "gather",
+        1,
+        [42, 0, 84, 0, 0, 21, 0, 21, 0, 42, 0, 21, 0, 21],
+    ),
+    (
+        "distinct",
+        "weighted-repartition",
+        1,
+        [26, 8, 30, 20, 14, 16, 22, 12, 8, 26, 0, 18, 12, 12],
+    ),
+];
+
+#[test]
+fn strategy_ledgers_match_the_pinned_table() {
+    let base = make_context(2, 90, 6, 60);
+    let matrix = strategy_matrix();
+    assert_eq!(matrix.len(), PINNED_LEDGERS.len());
+    for ((op, name, q), (pinned_op, pinned_name, rounds, totals)) in
+        matrix.into_iter().zip(PINNED_LEDGERS)
+    {
+        assert_eq!((op.name(), name), (pinned_op, pinned_name));
+        let res = forced(&base, 3, op, name)
+            .prepare(&q)
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(
+            (res.rounds, &res.cost.edge_totals[..]),
+            (rounds, &totals[..]),
+            "{op} {name} moved its ledger\n{q}"
+        );
     }
 }
 

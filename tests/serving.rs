@@ -307,7 +307,9 @@ fn concurrent_strategy_registration_keeps_inflight_queries_bit_identical() {
 
 #[test]
 fn custom_strategy_registration_invalidates_the_cache() {
+    use tamp::query::batch::{flatten_batches, rows_to_batches};
     use tamp::query::physical::strategy::*;
+    use tamp::query::row::Row;
     use tamp::query::QueryError;
     use tamp::simulator::Rel;
 
@@ -346,30 +348,32 @@ fn custom_strategy_registration_invalidates_the_cache() {
             };
             let target = a.tree.compute_nodes()[0];
             let mut trace = TraceBuilder::default();
-            let mut l_all = Vec::new();
-            let mut r_all = Vec::new();
+            // Fragments are per-node lists of column batches; this strategy
+            // thinks in rows, so it transposes what the target gathers.
+            let mut l_all: Vec<Row> = Vec::new();
+            let mut r_all: Vec<Row> = Vec::new();
             trace.round(|round| {
                 for &v in a.tree.compute_nodes() {
                     for (rel, frags, width, all) in [
                         (Rel::R, &left, left_width, &mut l_all),
                         (Rel::S, &right, right_width, &mut r_all),
                     ] {
-                        let rows = &frags[v.index()];
-                        all.extend(rows.iter().cloned());
-                        if v != target && !rows.is_empty() {
-                            round.send(v, &[target], rel, tamp::query::row::flatten(rows, width));
+                        let batches = &frags[v.index()];
+                        batches.iter().for_each(|b| b.append_rows(all));
+                        if v != target {
+                            round.send(v, &[target], rel, flatten_batches(batches, width));
                         }
                     }
                 }
             });
-            let mut out = vec![Vec::new(); a.tree.num_nodes()];
+            let mut joined: Vec<Row> = Vec::new();
             for l in &l_all {
                 for r in r_all.iter().filter(|r| r[right_key] == l[left_key]) {
-                    let mut j = l.clone();
-                    j.extend_from_slice(r);
-                    out[target.index()].push(j);
+                    joined.push([&l[..], &r[..]].concat());
                 }
             }
+            let mut out = vec![Vec::new(); a.tree.num_nodes()];
+            out[target.index()] = rows_to_batches(&joined, left_width + right_width, a.batch);
             Ok(OpTrace {
                 rounds: trace.into_rounds(),
                 output: out,
@@ -391,4 +395,12 @@ fn custom_strategy_registration_invalidates_the_cache() {
     assert!(!after.stats.cache_hit);
     assert_eq!(after.result.rows(false), want);
     assert!(service.explain(&q).unwrap().contains("all-to-one"));
+
+    // Forced, the example executes: same rows, everything gathered in
+    // one round.
+    let mut forced = serving_context().with_strategy(OperatorKind::Join, "all-to-one");
+    forced.register_strategy(Arc::new(AllToOneJoin));
+    let gathered = forced.prepare(&q).unwrap().run().unwrap();
+    assert_eq!(gathered.rows(false), want);
+    assert_eq!(gathered.rounds, 1);
 }
