@@ -15,7 +15,8 @@ use tamp_core::ratio::ratio;
 use tamp_core::robustness::{perturb_bandwidths, BroadcastStatistics};
 use tamp_core::sorting::WeightedTeraSort;
 use tamp_query::prelude::*;
-use tamp_runtime::{jobs, ExecBackend, PooledClusterBackend, SimulatorBackend};
+use tamp_runtime::programs::DistributedTreeIntersect;
+use tamp_runtime::{run_cluster, ClusterOptions};
 use tamp_simulator::{run_protocol, Placement, Rel};
 use tamp_topology::graph::builders as gb;
 use tamp_topology::{builders, Tree};
@@ -176,13 +177,13 @@ pub fn x_general() -> Vec<Table> {
     vec![t]
 }
 
-/// X-RUNTIME — the pooled message-passing cluster against the
-/// centralized cost simulator, both selected through the one
-/// `ExecBackend` API: identical traffic for the deterministic plans,
-/// never-worse traffic for direct-routed cartesian products.
+/// X-RUNTIME — the §2 premise, witnessed: the one hand-written per-node
+/// program (`DistributedTreeIntersect`, every node deriving the plan
+/// alone) on the pooled cluster against the centralized `TreeIntersect`
+/// protocol on the cost simulator — identical traffic.
 pub fn x_runtime() -> Vec<Table> {
     let mut t = Table::new(
-        "X-RUNTIME: pooled cluster vs cost simulator (same seeds, one ExecBackend API)",
+        "X-RUNTIME: per-node program on the pooled cluster vs centralized protocol (same seed)",
         &[
             "task",
             "topology",
@@ -193,59 +194,24 @@ pub fn x_runtime() -> Vec<Table> {
         ],
     );
     let topo = builders::rack_tree(&[(3, 1.0, 2.0), (3, 2.0, 4.0)], 1.0);
-    let sim_backend = SimulatorBackend;
-    let rt_backend = PooledClusterBackend::default();
-
     let p = scatter(&topo, 200, 600, 5);
-    let job = jobs::tree_intersect(5);
-    let sim = sim_backend.execute(&topo, &p, &job).unwrap();
-    let rt = rt_backend.execute(&topo, &p, &job).unwrap();
+    let sim = run_protocol(&topo, &p, &TreeIntersect::new(5)).unwrap();
+    let rt = run_cluster(
+        &topo,
+        &p,
+        |_| Box::new(DistributedTreeIntersect::new(5)),
+        ClusterOptions::default(),
+    )
+    .unwrap();
+    let rounds = rt.cost.per_round.len();
     t.row(vec![
         "intersection".into(),
         "rack-2x3".into(),
         fnum(sim.cost.tuple_cost()),
         fnum(rt.cost.tuple_cost()),
-        format!("{}+1", rt.rounds),
-        if rt.cost.edge_totals == sim.cost.edge_totals && rt.rounds == sim.rounds {
+        format!("{rounds}+1"),
+        if rt.cost.edge_totals == sim.cost.edge_totals && rounds == sim.rounds {
             "identical traffic".into()
-        } else {
-            "MISMATCH".into()
-        },
-    ]);
-
-    let mut p = Placement::empty(&topo);
-    let vc = topo.compute_nodes();
-    for x in 0..600u64 {
-        p.push(vc[(x % vc.len() as u64) as usize], Rel::R, mix64(x));
-    }
-    let job = jobs::weighted_terasort(3);
-    let sim = sim_backend.execute(&topo, &p, &job).unwrap();
-    let rt = rt_backend.execute(&topo, &p, &job).unwrap();
-    t.row(vec![
-        "sorting".into(),
-        "rack-2x3".into(),
-        fnum(sim.cost.tuple_cost()),
-        fnum(rt.cost.tuple_cost()),
-        format!("{}+1", rt.rounds),
-        if rt.cost.edge_totals == sim.cost.edge_totals && rt.rounds == sim.rounds {
-            "identical traffic".into()
-        } else {
-            "MISMATCH".into()
-        },
-    ]);
-
-    let p = scatter(&topo, 120, 120, 2);
-    let job = jobs::tree_cartesian();
-    let sim = sim_backend.execute(&topo, &p, &job).unwrap();
-    let rt = rt_backend.execute(&topo, &p, &job).unwrap();
-    t.row(vec![
-        "cartesian".into(),
-        "rack-2x3".into(),
-        fnum(sim.cost.tuple_cost()),
-        fnum(rt.cost.tuple_cost()),
-        format!("{}+1", rt.rounds),
-        if rt.cost.tuple_cost() <= sim.cost.tuple_cost() + 1e-9 {
-            "runtime ≤ sim (direct routing)".into()
         } else {
             "MISMATCH".into()
         },
@@ -741,8 +707,10 @@ mod tests {
     #[test]
     fn x_runtime_has_no_mismatch() {
         let t = &x_runtime()[0];
+        let relation = t.headers().iter().position(|h| h == "relation").unwrap();
+        assert!(t.num_rows() > 0);
         for i in 0..t.num_rows() {
-            assert_ne!(t.cell(i, 4), "MISMATCH", "row {i}");
+            assert_eq!(t.cell(i, relation), "identical traffic", "row {i}");
         }
     }
 

@@ -205,7 +205,7 @@ impl CombiningTreeAggregate {
 /// levels omitted), the `(source combiner, destination combiner)` moves.
 /// A deterministic function of `(tree, per-node weights, target)`, so a
 /// distributed node can re-derive it locally from the §2 model knowledge —
-/// the runtime's `DistributedCombiningAggregate` does exactly that.
+/// the query layer's `combining-tree` strategy does exactly that.
 pub fn combining_schedule(
     tree: &Tree,
     weights: &[u64],

@@ -336,12 +336,15 @@ pub fn is_compat_path(path: &str) -> bool {
 /// Schedule-emission and trace-building modules: the code whose output
 /// order feeds checkpoint tokens and cross-backend parity.
 pub fn d1_in_scope(path: &str) -> bool {
-    const SCOPE: [&str; 7] = [
+    const SCOPE: [&str; 8] = [
         "crates/query/src/physical/",
         "crates/query/src/exec/",
         "crates/query/src/iterative.rs",
         "crates/query/src/batch.rs",
         "crates/runtime/src/jobs.rs",
+        // The one hand-written per-node program: its send order is
+        // compared as per-node final state across pool widths.
+        "crates/runtime/src/programs/",
         "crates/runtime/src/checkpoint.rs",
         "crates/simulator/src/trace.rs",
     ];
@@ -776,4 +779,16 @@ pub fn check_f1(f: &FileCtx<'_>) -> Vec<Finding> {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn d1_scope_covers_the_runtime_emitters_and_not_the_engine() {
+        assert!(d1_in_scope("crates/runtime/src/programs/intersect.rs"));
+        assert!(d1_in_scope("crates/runtime/src/jobs.rs"));
+        assert!(!d1_in_scope("crates/runtime/src/cluster.rs"));
+    }
 }

@@ -1,54 +1,39 @@
 //! The engine-agnostic execution layer.
 //!
 //! The repository ships two executors for the same cost model: the
-//! centralized [`Session`] simulator (a protocol closure with a global
-//! view) and the pooled BSP cluster (per-node programs on a bounded
-//! worker pool). [`ExecBackend`] puts one API in front of both, so
-//! protocol drivers, the query layer, the experiment harness and the
-//! cross-validation tests *select* an engine instead of hand-rolling two
-//! call paths.
+//! centralized [`Session`] simulator and the pooled BSP cluster (per-node
+//! programs on a bounded worker pool). Both are interpreters of one
+//! thing, a [`ScheduleJob`] — every send of every round of an algorithm,
+//! fixed before anything runs — and [`ExecBackend`] puts one API in front
+//! of them, so the query layer, the experiment harness and the parity
+//! tests *select* an engine instead of hand-rolling two call paths.
+//! [`SimulatorBackend`] meters one [`Session`] round per schedule round;
+//! [`PooledClusterBackend`] hands each compute node a program that emits
+//! exactly its own sends, superstep by superstep. Because both read the
+//! same schedule and meter on the shared
+//! [`TrafficMeter`](tamp_simulator::TrafficMeter), their [`Cost`] ledgers
+//! are bit-identical.
 //!
-//! An [`ExecJob`] is the unit of work. A job exposes up to two views of
-//! the same algorithm:
+//! # Adding a new algorithm against `ExecBackend`
 //!
-//! - a **centralized** view ([`ExecJob::centralized`]): a
-//!   [`Protocol`]-style closure driving a [`Session`] — what
-//!   [`SimulatorBackend`] runs;
-//! - a **distributed** view ([`ExecJob::distributed`]): one
-//!   [`NodeProgram`] per compute node — what [`PooledClusterBackend`]
-//!   runs.
-//!
-//! Jobs with both views (see [`PairedJob`] and the constructors in
-//! [`jobs`](crate::jobs)) can run on either backend, and because both
-//! engines meter on the shared
-//! [`TrafficMeter`](tamp_simulator::TrafficMeter), the resulting
-//! [`Cost`] ledgers are bit-identical — the cross-validation tests
-//! assert exactly that through this API.
-//!
-//! # Adding a new protocol against `ExecBackend`
-//!
-//! 1. Implement the centralized algorithm as a
-//!    [`Protocol`] (drive a `Session`).
-//! 2. Implement the distributed counterpart as a
-//!    [`NodeProgram`] that derives the *same plan*
-//!    from shared knowledge (topology, cardinalities, seed) so its sends
-//!    match the centralized ones.
-//! 3. Bundle them: `PairedJob::new(name, protocol, make_program)` — or
-//!    `ProtocolJob` / `ProgramJob` if only one view exists.
-//! 4. Cross-validate: run the job on [`SimulatorBackend`] and
-//!    [`PooledClusterBackend`] and assert equal `cost.edge_totals` (and
-//!    round counts), like `tests/runtime_parity.rs` does.
+//! Emit a [`Schedule`](crate::jobs::Schedule): derive the plan from the
+//! shared knowledge §2 grants (topology, cardinalities, seed), push each
+//! round's sends in a deterministic order, wrap it in
+//! [`ScheduleJob::new`] and run it on either backend. That the plan *is*
+//! derivable per node, without coordination, is witnessed once, by
+//! [`programs`](crate::programs).
 
 use std::sync::Arc;
 
 use tamp_simulator::cost::Cost;
-use tamp_simulator::{NodeState, Placement, Protocol, Session, SimError};
-use tamp_topology::{NodeId, Tree};
+use tamp_simulator::{NodeState, Placement, Session, SimError};
+use tamp_topology::Tree;
 
 use crate::checkpoint::{CheckpointSpec, CheckpointStore};
 use crate::cluster::{run_programs, CheckpointHook, ClusterOptions, NodeProgram, RunHooks};
 use crate::error::RuntimeError;
 use crate::fault::FaultInjector;
+use crate::jobs::ScheduleJob;
 use crate::pool::{ElasticPool, WorkerPool};
 
 /// Errors from engine-agnostic execution: either engine's failure mode.
@@ -91,8 +76,6 @@ impl From<RuntimeError> for ExecError {
 pub struct ExecOutcome {
     /// Job name (for reports).
     pub job: String,
-    /// Backend name (for reports).
-    pub backend: String,
     /// Metered cost, on the shared union-of-paths ledger.
     pub cost: Cost,
     /// Metered communication rounds (`cost.per_round.len()`).
@@ -110,55 +93,7 @@ pub struct ExecOutcome {
     pub final_state: Vec<NodeState>,
 }
 
-/// Output-erased centralized view: a protocol whose output is dropped (or
-/// captured internally by the job).
-pub trait CentralizedView {
-    /// Drive the session to completion.
-    fn run(&self, session: &mut Session<'_>) -> Result<(), SimError>;
-}
-
-/// A unit of work executable by any [`ExecBackend`] that supports at
-/// least one of its views.
-pub trait ExecJob {
-    /// Human-readable job name.
-    fn name(&self) -> String;
-
-    /// The centralized view, if the job has one.
-    fn centralized(&self) -> Option<Box<dyn CentralizedView + '_>> {
-        None
-    }
-
-    /// The distributed view: the program for compute node `v`, if the job
-    /// has one. Implementations must be all-or-nothing across nodes.
-    fn distributed(&self, _v: NodeId) -> Option<Box<dyn NodeProgram>> {
-        None
-    }
-
-    /// Superstep-checkpointing opt-in. `Some(token)` declares the job
-    /// **resumable**: its per-node programs are stateless per round
-    /// (behavior a function of `ctx.round`, node state, and arrived
-    /// messages alone), so fresh program instances can continue a run
-    /// restored from a mid-run snapshot. The token must be a content
-    /// hash of the job's deterministic behavior — two jobs share a token
-    /// only if their runs are interchangeable superstep for superstep.
-    /// The default `None` opts out: jobs with hidden program-local state
-    /// are never checkpointed.
-    fn checkpoint_token(&self) -> Option<u64> {
-        None
-    }
-
-    /// The job's statically known superstep count, if it has one.
-    /// Schedule-replay jobs run exactly their schedule's length, so the
-    /// cluster backend raises its runaway cap
-    /// ([`ClusterOptions::max_supersteps`]) to cover the declared replay
-    /// — a long prepared fixpoint is not a non-halting program. The
-    /// default `None` leaves the cap as configured.
-    fn superstep_hint(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// An execution engine for [`ExecJob`]s.
+/// An execution engine for [`ScheduleJob`]s.
 ///
 /// Backends take `&self` and the shipped engines are stateless (or
 /// internally synchronized), so one backend value can serve many threads:
@@ -173,7 +108,7 @@ pub trait ExecBackend {
         &self,
         tree: &Tree,
         placement: &Placement,
-        job: &dyn ExecJob,
+        job: &ScheduleJob,
     ) -> Result<ExecOutcome, ExecError>;
 }
 
@@ -186,21 +121,14 @@ impl<B: ExecBackend + ?Sized> ExecBackend for Arc<B> {
         &self,
         tree: &Tree,
         placement: &Placement,
-        job: &dyn ExecJob,
+        job: &ScheduleJob,
     ) -> Result<ExecOutcome, ExecError> {
         (**self).execute(tree, placement, job)
     }
 }
 
-fn unsupported(backend: &dyn ExecBackend, job: &dyn ExecJob) -> ExecError {
-    ExecError::Runtime(RuntimeError::UnsupportedJob {
-        backend: backend.name(),
-        job: job.name(),
-    })
-}
-
-/// The centralized engine: runs a job's [`CentralizedView`] on a
-/// [`Session`].
+/// The centralized engine: meters one [`Session`] round per schedule
+/// round.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimulatorBackend;
 
@@ -213,16 +141,22 @@ impl ExecBackend for SimulatorBackend {
         &self,
         tree: &Tree,
         placement: &Placement,
-        job: &dyn ExecJob,
+        job: &ScheduleJob,
     ) -> Result<ExecOutcome, ExecError> {
-        let view = job.centralized().ok_or_else(|| unsupported(self, job))?;
+        job.check(tree)?;
         // Session::new validates the placement.
         let mut session = Session::new(tree, placement)?;
-        view.run(&mut session)?;
+        for round in &job.schedule().rounds {
+            session.round(|r| {
+                for s in round {
+                    r.send_shared(s.src, &s.dsts, s.rel, Arc::clone(&s.values))?;
+                }
+                Ok(())
+            })?;
+        }
         let (cost, final_state, rounds) = session.into_parts();
         Ok(ExecOutcome {
-            job: job.name(),
-            backend: self.name(),
+            job: job.name().to_string(),
             rounds,
             supersteps: rounds,
             resumed_from: None,
@@ -245,8 +179,8 @@ enum Crew {
     Elastic(Arc<ElasticPool>),
 }
 
-/// The pooled cluster engine: runs a job's distributed view on a bounded
-/// worker pool (see [`crate::cluster`]).
+/// The pooled cluster engine: each compute node replays its own sends of
+/// the job on a bounded worker pool (see [`crate::cluster`]).
 ///
 /// By default each execution spawns its own scoped thread crew. For
 /// serving workloads that run many jobs back to back, construct the
@@ -268,8 +202,6 @@ pub struct PooledClusterBackend {
     /// Fault-injection arming point shared with an orchestration layer.
     injector: Option<Arc<FaultInjector>>,
     /// Superstep checkpointing: the shared snapshot store and cadence.
-    /// Only attached to runs whose job opts in via
-    /// [`ExecJob::checkpoint_token`].
     checkpoints: Option<(Arc<CheckpointStore>, CheckpointSpec)>,
 }
 
@@ -319,41 +251,13 @@ impl PooledClusterBackend {
     }
 
     /// Attach superstep checkpointing (builder-style; clones share the
-    /// store): runs of jobs that opt in via
-    /// [`ExecJob::checkpoint_token`] snapshot at every `spec.every`
-    /// superstep boundary, park the latest snapshot on a recoverable
-    /// fault, and resume from a parked snapshot on retry.
+    /// store): runs snapshot at every `spec.every` superstep boundary,
+    /// park the latest snapshot under the job's
+    /// [`checkpoint_token`](ScheduleJob::checkpoint_token) on a
+    /// recoverable fault, and resume from a parked snapshot on retry.
     pub fn with_checkpoints(mut self, store: Arc<CheckpointStore>, spec: CheckpointSpec) -> Self {
         self.checkpoints = Some((store, spec));
         self
-    }
-
-    /// The persistent crew, when this backend was built with
-    /// [`with_shared_pool`](Self::with_shared_pool).
-    pub fn shared_pool(&self) -> Option<&Arc<WorkerPool>> {
-        match &self.crew {
-            Crew::Shared(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The elastic pool, when this backend was built with
-    /// [`with_elastic_pool`](Self::with_elastic_pool).
-    pub fn elastic_pool(&self) -> Option<&Arc<ElasticPool>> {
-        match &self.crew {
-            Crew::Elastic(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.injector.as_ref()
-    }
-
-    /// The attached checkpoint store, if any.
-    pub fn checkpoint_store(&self) -> Option<&Arc<CheckpointStore>> {
-        self.checkpoints.as_ref().map(|(store, _)| store)
     }
 }
 
@@ -371,14 +275,14 @@ impl ExecBackend for PooledClusterBackend {
         &self,
         tree: &Tree,
         placement: &Placement,
-        job: &dyn ExecJob,
+        job: &ScheduleJob,
     ) -> Result<ExecOutcome, ExecError> {
-        let programs: Option<Vec<Box<dyn NodeProgram>>> = tree
+        job.check(tree)?;
+        let programs: Vec<Box<dyn NodeProgram>> = tree
             .compute_nodes()
             .iter()
-            .map(|&v| job.distributed(v))
+            .map(|&v| job.replay_program(v))
             .collect();
-        let programs = programs.ok_or_else(|| unsupported(self, job))?;
         // Pin the crew for this run: an elastic resize after this point
         // affects the *next* run, never this one.
         let crew: Option<Arc<WorkerPool>> = match &self.crew {
@@ -386,24 +290,21 @@ impl ExecBackend for PooledClusterBackend {
             Crew::Shared(p) => Some(Arc::clone(p)),
             Crew::Elastic(p) => Some(p.snapshot()),
         };
-        // Checkpointing needs both the backend's store and the job's
-        // opt-in token — resumability is a property of the job. The token
-        // is a content hash: only asked for when there is a store to key.
-        let checkpoint = self.checkpoints.as_ref().and_then(|(store, spec)| {
-            Some(CheckpointHook {
+        // The token is a content hash: only asked for when there is a
+        // store to key.
+        let checkpoint = self
+            .checkpoints
+            .as_ref()
+            .map(|(store, spec)| CheckpointHook {
                 store,
                 spec: *spec,
-                token: job.checkpoint_token()?,
-            })
-        });
-        // A job that declares its superstep count gets room for it: the
-        // runaway cap protects against non-halting programs, not against
-        // legitimately long declared-finite replays. +1 covers the
-        // terminal silent superstep that detects quiescence.
+                token: job.checkpoint_token(),
+            });
+        // The runaway cap protects against non-halting programs, not
+        // against a long replay of known length. +1 covers the terminal
+        // silent superstep that detects quiescence.
         let mut options = self.options;
-        if let Some(hint) = job.superstep_hint() {
-            options.max_supersteps = options.max_supersteps.max(hint + 1);
-        }
+        options.max_supersteps = options.max_supersteps.max(job.rounds() + 1);
         let run = run_programs(
             tree,
             placement,
@@ -416,8 +317,7 @@ impl ExecBackend for PooledClusterBackend {
             },
         )?;
         Ok(ExecOutcome {
-            job: job.name(),
-            backend: self.name(),
+            job: job.name().to_string(),
             rounds: run.cost.per_round.len(),
             supersteps: run.supersteps,
             resumed_from: run.resumed_from,
@@ -425,15 +325,6 @@ impl ExecBackend for PooledClusterBackend {
             final_state: run.final_state,
         })
     }
-}
-
-/// The standard engine pair for cross-validation: the simulator and the
-/// default pooled cluster.
-pub fn standard_backends() -> Vec<Box<dyn ExecBackend>> {
-    vec![
-        Box::new(SimulatorBackend),
-        Box::new(PooledClusterBackend::default()),
-    ]
 }
 
 /// Backend selection hook: resolve a backend from a spec string, so
@@ -481,145 +372,40 @@ pub fn backend_from_spec(spec: &str) -> Result<Box<dyn ExecBackend + Send + Sync
     }
 }
 
-struct ErasedProtocol<'p, P>(&'p P);
-
-impl<'p, P: Protocol> CentralizedView for ErasedProtocol<'p, P> {
-    fn run(&self, session: &mut Session<'_>) -> Result<(), SimError> {
-        self.0.run(session).map(|_output| ())
-    }
-}
-
-/// A centralized-only job wrapping a [`Protocol`].
-pub struct ProtocolJob<P>(pub P);
-
-impl<P: Protocol> ExecJob for ProtocolJob<P> {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn centralized(&self) -> Option<Box<dyn CentralizedView + '_>> {
-        Some(Box::new(ErasedProtocol(&self.0)))
-    }
-}
-
-/// A distributed-only job wrapping a program factory.
-pub struct ProgramJob<F> {
-    name: String,
-    make: F,
-}
-
-impl<F: Fn(NodeId) -> Box<dyn NodeProgram>> ProgramJob<F> {
-    /// A job named `name` whose node `v` runs `make(v)`.
-    pub fn new(name: impl Into<String>, make: F) -> Self {
-        ProgramJob {
-            name: name.into(),
-            make,
-        }
-    }
-}
-
-impl<F: Fn(NodeId) -> Box<dyn NodeProgram>> ExecJob for ProgramJob<F> {
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn distributed(&self, v: NodeId) -> Option<Box<dyn NodeProgram>> {
-        Some((self.make)(v))
-    }
-}
-
-/// A job with both views: the centralized protocol and its distributed
-/// per-node counterpart. Runs on every backend; the cross-validation
-/// tests assert the two views move bit-identical traffic.
-pub struct PairedJob<P, F> {
-    name: String,
-    protocol: P,
-    make: F,
-}
-
-impl<P, F> PairedJob<P, F>
-where
-    P: Protocol,
-    F: Fn(NodeId) -> Box<dyn NodeProgram>,
-{
-    /// Pair `protocol` with the program factory `make` under `name`.
-    pub fn new(name: impl Into<String>, protocol: P, make: F) -> Self {
-        PairedJob {
-            name: name.into(),
-            protocol,
-            make,
-        }
-    }
-}
-
-impl<P, F> ExecJob for PairedJob<P, F>
-where
-    P: Protocol,
-    F: Fn(NodeId) -> Box<dyn NodeProgram>,
-{
-    fn name(&self) -> String {
-        self.name.clone()
-    }
-
-    fn centralized(&self) -> Option<Box<dyn CentralizedView + '_>> {
-        Some(Box::new(ErasedProtocol(&self.protocol)))
-    }
-
-    fn distributed(&self, v: NodeId) -> Option<Box<dyn NodeProgram>> {
-        Some((self.make)(v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Outbox, Step};
-    use crate::NodeCtx;
+    use crate::jobs::{Schedule, ScheduleSend};
     use tamp_simulator::Rel;
-    use tamp_topology::builders;
+    use tamp_topology::{builders, NodeId};
 
-    fn broadcast_job() -> PairedJob<Broadcast, impl Fn(NodeId) -> Box<dyn NodeProgram>> {
-        PairedJob::new("broadcast", Broadcast, |v| {
-            Box::new(
-                move |ctx: &NodeCtx<'_>, state: &mut NodeState, out: &mut Outbox| {
-                    if ctx.round == 0 && v == NodeId(0) {
-                        out.send(ctx.tree.compute_nodes(), Rel::R, state.r.clone());
-                        return Step::Continue;
-                    }
-                    Step::Halt
-                },
-            )
-        })
+    fn send(src: u32, dsts: &[NodeId]) -> ScheduleSend {
+        ScheduleSend {
+            src: NodeId(src),
+            dsts: dsts.to_vec(),
+            rel: Rel::R,
+            values: (0..12).collect(),
+        }
     }
 
-    struct Broadcast;
-
-    impl Protocol for Broadcast {
-        type Output = ();
-        fn name(&self) -> String {
-            "broadcast".into()
-        }
-        fn run(&self, s: &mut Session<'_>) -> Result<(), SimError> {
-            let all: Vec<NodeId> = s.tree().compute_nodes().to_vec();
-            s.round(|r| {
-                let vals = r.state(NodeId(0)).r.clone();
-                r.send(NodeId(0), &all, Rel::R, &vals)
-            })
-        }
+    /// One round, one send: node 0 multicasts twelve values to every
+    /// compute node of `tree`.
+    fn broadcast_job(tree: &Tree) -> ScheduleJob {
+        let rounds = vec![vec![send(0, tree.compute_nodes())]];
+        ScheduleJob::new("broadcast", tree.num_nodes(), Schedule { rounds })
     }
 
     #[test]
     fn paired_job_is_bit_identical_across_backends() {
         let tree = builders::star(5, 1.0);
-        let mut p = Placement::empty(&tree);
-        p.set_r(NodeId(0), (0..12).collect());
-        let job = broadcast_job();
-        let mut outcomes = Vec::new();
-        for backend in standard_backends() {
-            outcomes.push(backend.execute(&tree, &p, &job).unwrap());
-        }
-        let (sim, rt) = (&outcomes[0], &outcomes[1]);
+        let p = Placement::empty(&tree);
+        let job = broadcast_job(&tree);
+        let sim = SimulatorBackend.execute(&tree, &p, &job).unwrap();
+        let rt = PooledClusterBackend::default()
+            .execute(&tree, &p, &job)
+            .unwrap();
         assert_eq!(sim.cost.edge_totals, rt.cost.edge_totals);
+        assert_eq!(sim.cost.tuple_cost(), 12.0);
         assert_eq!(sim.rounds, rt.rounds);
         assert_eq!(rt.supersteps, rt.rounds + 1);
         for v in tree.nodes() {
@@ -627,6 +413,42 @@ mod tests {
                 sim.final_state[v.index()].r,
                 rt.final_state[v.index()].r,
                 "node {v}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_schedule_for_another_tree_is_the_same_typed_error_on_both_backends() {
+        let (small, big) = (builders::star(3, 1.0), builders::star(8, 1.0));
+        let two_sends = |num_nodes: usize, a: u32| {
+            let rounds = vec![vec![send(a, &[NodeId(0)]), send(1, &[NodeId(2)])]];
+            ScheduleJob::new("bad", num_nodes, Schedule { rounds })
+        };
+        let hub = NodeId(small.num_nodes() as u32 - 1);
+        assert!(!small.is_compute(hub));
+        for (tree, job) in [
+            // Built for the big star, run on the small one, and back.
+            (&small, two_sends(big.num_nodes(), 6)),
+            (&big, two_sends(small.num_nodes(), 0)),
+            // Equal node counts: a source out of range, a router source.
+            (&small, two_sends(small.num_nodes(), 6)),
+            (&small, two_sends(small.num_nodes(), hub.0)),
+        ] {
+            let p = Placement::empty(tree);
+            let errs = [
+                SimulatorBackend.execute(tree, &p, &job).unwrap_err(),
+                PooledClusterBackend::with_workers(1)
+                    .execute(tree, &p, &job)
+                    .unwrap_err(),
+            ];
+            assert_eq!(errs[0], errs[1]);
+            assert!(
+                matches!(
+                    &errs[0],
+                    ExecError::Runtime(RuntimeError::ScheduleMismatch { job, .. }) if job == "bad"
+                ),
+                "{}",
+                errs[0]
             );
         }
     }
@@ -683,14 +505,12 @@ mod tests {
     #[test]
     fn shared_pool_backend_is_reusable_and_bit_identical() {
         let tree = builders::star(5, 1.0);
-        let mut p = Placement::empty(&tree);
-        p.set_r(NodeId(0), (0..12).collect());
-        let job = broadcast_job();
+        let p = Placement::empty(&tree);
+        let job = broadcast_job(&tree);
         let fresh = PooledClusterBackend::default()
             .execute(&tree, &p, &job)
             .unwrap();
         let shared = PooledClusterBackend::with_shared_pool(3);
-        assert!(shared.shared_pool().is_some());
         assert_eq!(shared.name(), "pooled-cluster(shared 3)");
         // The same crew executes many jobs — including through an
         // Arc-shared clone — with ledgers identical to a per-run crew.
@@ -702,30 +522,5 @@ mod tests {
                 assert_eq!(run.rounds, fresh.rounds);
             }
         }
-    }
-
-    #[test]
-    fn missing_views_are_typed_errors() {
-        let tree = builders::star(2, 1.0);
-        let p = Placement::empty(&tree);
-        let central_only = ProtocolJob(Broadcast);
-        let err = PooledClusterBackend::default()
-            .execute(&tree, &p, &central_only)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ExecError::Runtime(RuntimeError::UnsupportedJob { .. })
-        ));
-        let distributed_only = ProgramJob::new("halt", |_| {
-            Box::new(|_: &NodeCtx<'_>, _: &mut NodeState, _: &mut Outbox| Step::Halt)
-                as Box<dyn NodeProgram>
-        });
-        let err = SimulatorBackend
-            .execute(&tree, &p, &distributed_only)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            ExecError::Runtime(RuntimeError::UnsupportedJob { .. })
-        ));
     }
 }

@@ -16,13 +16,10 @@
 //!   the gate — it is a consistent cut by construction;
 //! - the meter snapshot is the exact metered prefix, so resumed cost
 //!   accounting continues as if the fault never happened;
-//! - only *resumable* jobs opt in, via
-//!   [`ExecJob::checkpoint_token`](crate::backend::ExecJob::checkpoint_token):
-//!   a job must be stateless-per-round (program behavior a function of
-//!   `ctx.round` and node state alone, like the schedule-replay job) for
-//!   fresh program instances to continue a restored run. Jobs with
-//!   hidden program-local state keep the default `None` and simply never
-//!   checkpoint.
+//! - every job is resumable: a
+//!   [`ScheduleJob`](crate::jobs::ScheduleJob)'s replay programs are
+//!   stateless per round (behavior a function of `ctx.round` alone), so
+//!   fresh program instances can continue a restored run.
 //!
 //! The token is a content hash of the job's deterministic schedule, so a
 //! parked snapshot can only ever be consumed by a retry executing the

@@ -229,8 +229,8 @@ pub(crate) struct RunHooks<'a> {
     /// The fault-injection arming point: the front armed plan is
     /// consumed at run start.
     pub fault: Option<&'a FaultInjector>,
-    /// Superstep checkpointing (only attached for resumable jobs — see
-    /// [`ExecJob::checkpoint_token`](crate::backend::ExecJob::checkpoint_token)).
+    /// Superstep checkpointing, keyed by
+    /// [`ScheduleJob::checkpoint_token`](crate::jobs::ScheduleJob::checkpoint_token).
     pub checkpoint: Option<CheckpointHook<'a>>,
 }
 

@@ -37,13 +37,16 @@ pub enum RuntimeError {
         /// Panic payload rendered to a string.
         message: String,
     },
-    /// The selected backend cannot execute the given job (e.g. a
-    /// centralized-only job handed to the cluster backend).
-    UnsupportedJob {
-        /// The backend that rejected the job.
-        backend: String,
+    /// The job's schedule was not built for the tree it was executed on:
+    /// the node counts differ, or a send originates anywhere but at a
+    /// compute node of this tree. Raised by
+    /// [`ScheduleJob::check`](crate::jobs::ScheduleJob::check) on every
+    /// backend, before anything runs.
+    ScheduleMismatch {
         /// The rejected job.
         job: String,
+        /// What does not fit.
+        reason: String,
     },
     /// A backend spec string (`TAMP_BACKEND`, CLI flags, …) named no known
     /// engine. The error message lists every valid spec.
@@ -136,8 +139,8 @@ impl fmt::Display for RuntimeError {
             Self::WorkerPanic { node, message } => {
                 write!(f, "program on node {node} panicked: {message}")
             }
-            Self::UnsupportedJob { backend, job } => {
-                write!(f, "backend `{backend}` cannot execute job `{job}`")
+            Self::ScheduleMismatch { job, reason } => {
+                write!(f, "job `{job}` does not fit this tree: {reason}")
             }
             Self::UnknownBackend { spec } => {
                 write!(

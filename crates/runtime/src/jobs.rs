@@ -1,32 +1,22 @@
-//! Paired [`ExecJob`]s for the protocols this repository ships in both
-//! centralized and distributed form.
+//! The one unit of work an [`ExecBackend`](crate::backend::ExecBackend)
+//! runs: a [`Schedule`] — every send of every round, fixed before
+//! anything executes — wrapped as a [`ScheduleJob`].
 //!
-//! Each constructor bundles a `tamp-core` protocol with its
-//! [`programs`](crate::programs) counterpart under one name, so drivers
-//! (tests, benches, the experiment harness) run them on any
-//! [`ExecBackend`](crate::backend::ExecBackend) through a single API.
-//! The pairs are plan-deterministic: both views derive the same plan from
-//! shared knowledge plus the seed, so their traffic — and therefore their
+//! Planners (the query layer's physical strategies, the fixpoint driver)
+//! emit schedules; both engines replay them. Because the two replays read
+//! the same sends in the same order, their traffic — and therefore their
 //! metered [`Cost`](tamp_simulator::cost::Cost) — is bit-identical.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
-use tamp_core::aggregate::{Aggregator, CombiningTreeAggregate, HashGroupBy};
-use tamp_core::cartesian::TreeCartesianProduct;
-use tamp_core::intersection::TreeIntersect;
-use tamp_core::sorting::WeightedTeraSort;
-use tamp_simulator::{NodeState, Rel, Session, SimError, Value};
-use tamp_topology::NodeId;
+use tamp_simulator::{NodeState, Rel, Value};
+use tamp_topology::{NodeId, Tree};
 
-use crate::backend::{CentralizedView, ExecJob, PairedJob};
 use crate::cluster::NodeProgram;
+use crate::error::RuntimeError;
 use crate::message::{Outbox, Step};
-use crate::programs::{
-    DistributedCartesian, DistributedCombiningAggregate, DistributedGroupBy,
-    DistributedTreeIntersect, DistributedWts,
-};
 use crate::NodeCtx;
 
 /// One multicast of a precomputed communication [`Schedule`].
@@ -60,8 +50,14 @@ pub struct Schedule {
 /// the sends originating at `node` in that round — two flat arrays and a
 /// single counting-sort pass, so each distributed replay program touches
 /// only its own sends instead of scanning whole rounds every superstep.
+///
+/// The index has one row of cells per node plus one more, row
+/// `num_nodes`, which collects the sends whose source is out of range:
+/// building never fails, and [`ScheduleJob::check`] refuses a job whose
+/// extra row is not empty.
 #[derive(Debug)]
 struct SrcIndex {
+    num_nodes: usize,
     n_rounds: usize,
     /// `offsets[node * n_rounds + round] .. offsets[.. + 1]` bounds the
     /// cell's slice in `items`.
@@ -73,11 +69,11 @@ struct SrcIndex {
 impl SrcIndex {
     fn build(num_nodes: usize, schedule: &Schedule) -> Self {
         let n_rounds = schedule.rounds.len();
-        let cells = num_nodes * n_rounds;
-        let mut offsets = vec![0u32; cells + 1];
+        let cell = |src: NodeId, r: usize| src.index().min(num_nodes) * n_rounds + r;
+        let mut offsets = vec![0u32; (num_nodes + 1) * n_rounds + 1];
         for (r, round) in schedule.rounds.iter().enumerate() {
             for send in round {
-                offsets[send.src.index() * n_rounds + r + 1] += 1;
+                offsets[cell(send.src, r) + 1] += 1;
             }
         }
         for i in 1..offsets.len() {
@@ -87,12 +83,13 @@ impl SrcIndex {
         let mut cursor = offsets.clone();
         for (r, round) in schedule.rounds.iter().enumerate() {
             for (i, send) in round.iter().enumerate() {
-                let cell = send.src.index() * n_rounds + r;
+                let cell = cell(send.src, r);
                 items[cursor[cell] as usize] = i as u32;
                 cursor[cell] += 1;
             }
         }
         SrcIndex {
+            num_nodes,
             n_rounds,
             offsets,
             items,
@@ -106,95 +103,109 @@ impl SrcIndex {
         let (lo, hi) = (self.offsets[cell] as usize, self.offsets[cell + 1] as usize);
         &self.items[lo..hi]
     }
+
+    /// Whether any send of any round falls in `row` (a node index, or
+    /// `num_nodes` for the out-of-range row): O(1) from the offsets.
+    fn originates(&self, row: usize) -> bool {
+        self.offsets[row * self.n_rounds] != self.offsets[(row + 1) * self.n_rounds]
+    }
 }
 
-/// An [`ExecJob`] replaying a [`Schedule`] on either engine: the
-/// centralized view drives one metered [`Session`] round per schedule
-/// round, the distributed view hands each node a program emitting exactly
-/// its own sends superstep by superstep. Both views move — and meter —
-/// bit-identical traffic, because they read the same schedule.
+/// A [`Schedule`] ready to replay on either engine: the simulator meters
+/// one [`Session`](tamp_simulator::Session) round per schedule round, the
+/// cluster hands each node a program emitting exactly its own sends
+/// superstep by superstep. Both move — and meter — bit-identical traffic,
+/// because they read the same schedule.
 #[derive(Clone, Debug)]
 pub struct ScheduleJob {
     name: String,
-    num_nodes: usize,
     schedule: Arc<Schedule>,
     by_src: Arc<SrcIndex>,
-    /// Content hash of the schedule — the checkpoint token (see
-    /// [`ExecJob::checkpoint_token`]), hashed on first request: only a
-    /// backend with a checkpoint store ever asks.
+    /// Content hash of the schedule — the checkpoint token, hashed on
+    /// first request: only a backend with a checkpoint store ever asks.
     token: OnceLock<u64>,
 }
 
 impl ScheduleJob {
     /// Wrap `schedule` (over a tree of `num_nodes` nodes) as a job named
-    /// `name`.
+    /// `name`. Never fails: whether the schedule fits a tree is
+    /// [`check`](Self::check)ed by the backend that is about to run it.
     pub fn new(name: impl Into<String>, num_nodes: usize, schedule: Schedule) -> Self {
         ScheduleJob {
             name: name.into(),
-            num_nodes,
             by_src: Arc::new(SrcIndex::build(num_nodes, &schedule)),
             schedule: Arc::new(schedule),
             token: OnceLock::new(),
         }
     }
 
-    /// Rounds in the underlying schedule.
+    /// Human-readable job name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Rounds in the underlying schedule. A replay halts after exactly
+    /// one superstep per round (plus the cluster's terminal barrier).
     pub fn rounds(&self) -> usize {
         self.schedule.rounds.len()
     }
-}
 
-impl ExecJob for ScheduleJob {
-    fn name(&self) -> String {
-        self.name.clone()
+    /// The key a parked checkpoint is filed under: a content hash of the
+    /// whole schedule (round structure, endpoints, relation tags,
+    /// payloads), so two jobs share a token only if their replays are
+    /// interchangeable superstep for superstep. Every job is resumable —
+    /// a replaying node program reads only `ctx.round`, so fresh program
+    /// instances can continue a run restored from a mid-run snapshot.
+    pub fn checkpoint_token(&self) -> u64 {
+        *self.token.get_or_init(|| {
+            let mut h = DefaultHasher::new();
+            (self.by_src.num_nodes, &self.schedule).hash(&mut h);
+            h.finish()
+        })
     }
 
-    fn centralized(&self) -> Option<Box<dyn CentralizedView + '_>> {
-        Some(Box::new(CentralReplay(&self.schedule)))
+    /// Refuse to run on a tree the schedule was not built for: the node
+    /// counts must agree and every send must originate at a compute node
+    /// of `tree` (destinations are checked by both engines as they
+    /// deliver). O(|V|) from the source index, never a walk over the
+    /// sends. Both backends call this before anything runs, so they
+    /// reject the same jobs with the same error.
+    pub fn check(&self, tree: &Tree) -> Result<(), RuntimeError> {
+        let built_for = self.by_src.num_nodes;
+        let reason = if built_for != tree.num_nodes() {
+            format!(
+                "built for {built_for} nodes, run on a tree of {}",
+                tree.num_nodes()
+            )
+        } else if self.by_src.originates(built_for) {
+            format!("a send originates outside its {built_for} nodes")
+        } else if let Some(v) = tree
+            .nodes()
+            .find(|&v| !tree.is_compute(v) && self.by_src.originates(v.index()))
+        {
+            format!("a send originates at {v}, which is not a compute node")
+        } else {
+            return Ok(());
+        };
+        Err(RuntimeError::ScheduleMismatch {
+            job: self.name.clone(),
+            reason,
+        })
     }
 
-    fn distributed(&self, v: NodeId) -> Option<Box<dyn NodeProgram>> {
-        Some(Box::new(NodeReplay {
+    /// The schedule, for the simulator's round loop.
+    pub(crate) fn schedule(&self) -> &Schedule {
+        &self.schedule
+    }
+
+    /// The cluster's program for compute node `v`: its own sends, round
+    /// by round.
+    pub(crate) fn replay_program(&self, v: NodeId) -> Box<dyn NodeProgram> {
+        Box::new(NodeReplay {
             schedule: Arc::clone(&self.schedule),
             by_src: Arc::clone(&self.by_src),
             node: v,
-        }))
-    }
-
-    /// Schedule replay is stateless per round (the replaying node
-    /// program reads only `ctx.round`), so it is resumable. The token
-    /// hashes the schedule's full content (round structure, endpoints,
-    /// relation tags, payloads): two schedules share one only if their
-    /// replays are interchangeable superstep for superstep.
-    fn checkpoint_token(&self) -> Option<u64> {
-        Some(*self.token.get_or_init(|| {
-            let mut h = DefaultHasher::new();
-            (self.num_nodes, &self.schedule).hash(&mut h);
-            h.finish()
-        }))
-    }
-
-    /// A replay halts after exactly one superstep per schedule round
-    /// (plus the engine's terminal barrier).
-    fn superstep_hint(&self) -> Option<usize> {
-        Some(self.schedule.rounds.len())
-    }
-}
-
-/// Centralized replay: one [`Session`] round per schedule round.
-struct CentralReplay<'t>(&'t Schedule);
-
-impl CentralizedView for CentralReplay<'_> {
-    fn run(&self, session: &mut Session<'_>) -> Result<(), SimError> {
-        for round in &self.0.rounds {
-            session.round(|r| {
-                for s in round {
-                    r.send_shared(s.src, &s.dsts, s.rel, Arc::clone(&s.values))?;
-                }
-                Ok(())
-            })?;
-        }
-        Ok(())
+        })
     }
 }
 
@@ -220,76 +231,12 @@ impl NodeProgram for NodeReplay {
     }
 }
 
-/// The seeded one-round set-intersection pair (Theorem 2).
-pub fn tree_intersect(
-    seed: u64,
-) -> PairedJob<TreeIntersect, impl Fn(NodeId) -> Box<dyn NodeProgram>> {
-    PairedJob::new("tree-intersect", TreeIntersect::new(seed), move |_| {
-        Box::new(DistributedTreeIntersect::new(seed)) as Box<dyn NodeProgram>
-    })
-}
-
-/// The weighted TeraSort pair (§5.2).
-pub fn weighted_terasort(
-    seed: u64,
-) -> PairedJob<WeightedTeraSort, impl Fn(NodeId) -> Box<dyn NodeProgram>> {
-    PairedJob::new(
-        "weighted-terasort",
-        WeightedTeraSort::new(seed),
-        move |_| Box::new(DistributedWts::new(seed)) as Box<dyn NodeProgram>,
-    )
-}
-
-/// The deterministic tree cartesian-product pair (§4.4).
-pub fn tree_cartesian() -> PairedJob<TreeCartesianProduct, impl Fn(NodeId) -> Box<dyn NodeProgram>>
-{
-    PairedJob::new("tree-cartesian", TreeCartesianProduct::new(), move |_| {
-        Box::new(DistributedCartesian::new()) as Box<dyn NodeProgram>
-    })
-}
-
-/// The combining tree-aggregation pair.
-pub fn combining_aggregate(
-    target: NodeId,
-    agg: Aggregator,
-) -> PairedJob<CombiningTreeAggregate, impl Fn(NodeId) -> Box<dyn NodeProgram>> {
-    PairedJob::new(
-        "combining-aggregate",
-        CombiningTreeAggregate::new(target, agg),
-        move |_| Box::new(DistributedCombiningAggregate::new(target, agg)) as Box<dyn NodeProgram>,
-    )
-}
-
-/// The weighted hash group-by pair.
-pub fn hash_groupby(
-    seed: u64,
-    agg: Aggregator,
-) -> PairedJob<HashGroupBy, impl Fn(NodeId) -> Box<dyn NodeProgram>> {
-    PairedJob::new("hash-groupby", HashGroupBy::new(seed, agg), move |_| {
-        Box::new(DistributedGroupBy::new(seed, agg)) as Box<dyn NodeProgram>
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{standard_backends, ExecOutcome};
-    use tamp_simulator::{Placement, Rel};
+    use crate::backend::{ExecBackend, PooledClusterBackend, SimulatorBackend};
+    use tamp_simulator::Placement;
     use tamp_topology::builders;
-
-    fn check_parity(tree: &tamp_topology::Tree, p: &Placement, job: &dyn crate::backend::ExecJob) {
-        let outcomes: Vec<ExecOutcome> = standard_backends()
-            .iter()
-            .map(|b| b.execute(tree, p, job).unwrap())
-            .collect();
-        assert_eq!(
-            outcomes[0].cost.edge_totals,
-            outcomes[1].cost.edge_totals,
-            "job {}",
-            job.name()
-        );
-        assert_eq!(outcomes[0].rounds, outcomes[1].rounds, "job {}", job.name());
-    }
 
     #[test]
     fn src_index_groups_by_node_and_round() {
@@ -308,38 +255,18 @@ mod tests {
         assert_eq!(idx.sends_of(NodeId(1), 0), &[] as &[u32]);
         assert_eq!(idx.sends_of(NodeId(0), 1), &[] as &[u32]);
         assert_eq!(idx.sends_of(NodeId(1), 2), &[0]);
-    }
-
-    #[test]
-    fn shipped_pairs_agree_on_every_backend() {
-        let tree = builders::rack_tree(&[(2, 1.0, 2.0), (3, 2.0, 1.0)], 1.0);
-        let vc = tree.compute_nodes().to_vec();
-
-        // Intersection: two relations, values distinct within each.
-        let mut p = Placement::empty(&tree);
-        for x in 0..120u64 {
-            p.push(vc[(x % vc.len() as u64) as usize], Rel::R, x);
-            p.push(vc[(x % 3) as usize], Rel::S, 60 + x);
-        }
-        check_parity(&tree, &p, &tree_intersect(7));
-
-        // Sorting: one relation of distinct keys.
-        let mut p = Placement::empty(&tree);
-        for x in 0..200u64 {
-            p.push(
-                vc[(x % vc.len() as u64) as usize],
-                Rel::R,
-                tamp_core::hashing::mix64(x),
-            );
-        }
-        check_parity(&tree, &p, &weighted_terasort(7));
+        assert!(idx.originates(1) && !idx.originates(3));
+        // Built for two nodes, node 2's sends land in the extra row.
+        let idx = super::SrcIndex::build(2, &schedule);
+        assert_eq!(idx.sends_of(NodeId(2), 0), &[0, 2]);
+        assert!(idx.originates(2));
     }
 
     #[test]
     fn long_schedule_replay_outlives_the_default_runaway_cap() {
-        // A declared-finite replay longer than the cluster's default
-        // `max_supersteps` (64) must run to completion, not be aborted
-        // as non-halting: `superstep_hint` raises the cap for it.
+        // A replay longer than the cluster's default `max_supersteps`
+        // (64) must run to completion, not be aborted as non-halting:
+        // the backend raises the cap to the job's `rounds() + 1`.
         let tree = builders::star(3, 1.0);
         let vc = tree.compute_nodes().to_vec();
         let rounds: Vec<Vec<ScheduleSend>> = (0..80u64)
@@ -353,7 +280,13 @@ mod tests {
             })
             .collect();
         let job = ScheduleJob::new("long-replay", tree.num_nodes(), Schedule { rounds });
-        assert_eq!(job.superstep_hint(), Some(80));
-        check_parity(&tree, &Placement::empty(&tree), &job);
+        assert_eq!(job.rounds(), 80);
+        let p = Placement::empty(&tree);
+        let sim = SimulatorBackend.execute(&tree, &p, &job).unwrap();
+        let rt = PooledClusterBackend::default()
+            .execute(&tree, &p, &job)
+            .unwrap();
+        assert_eq!(sim.cost.edge_totals, rt.cost.edge_totals);
+        assert_eq!((sim.rounds, rt.rounds, rt.supersteps), (80, 80, 81));
     }
 }

@@ -16,21 +16,21 @@
 //! and meters per-directed-edge traffic on the *same* union-of-paths
 //! ledger as the simulator.
 //!
-//! The [`backend`] module is the engine-agnostic entry point: the
-//! [`ExecBackend`] trait fronts both this cluster
-//! and the centralized simulator, and [`jobs`] bundles the shipped
-//! protocol pairs so drivers select an engine instead of hand-rolling two
-//! call paths. See the `backend` module docs for the recipe for adding a
-//! new protocol against `ExecBackend`.
+//! The [`backend`] module is the engine-agnostic entry point: an
+//! algorithm is shipped as a [`Schedule`] — every send of every round, a
+//! deterministic function of the shared knowledge — and the
+//! [`ExecBackend`] trait fronts the two interpreters of a
+//! [`ScheduleJob`], this cluster and the centralized simulator, with
+//! bit-identical metered ledgers.
 //!
-//! The [`programs`] module ships distributed implementations of the
-//! paper's protocols. Because their plans are deterministic functions of
-//! the shared knowledge plus a seed, the threaded runs are
-//! traffic-identical to the centralized simulator runs — the
-//! cross-validation tests assert equal costs to the bit. This is the
-//! strongest evidence the repository offers that the paper's "simple,
-//! constant-round" protocols really are implementable with no hidden
-//! coordination.
+//! The [`programs`] module keeps one hand-written per-node program,
+//! [`DistributedTreeIntersect`](programs::DistributedTreeIntersect), as
+//! the witness that such a plan really is derivable by every node alone:
+//! its pooled run is traffic-identical to the centralized protocol's run
+//! on the simulator, and the cross-validation tests assert equal costs to
+//! the bit. This is the strongest evidence the repository offers that the
+//! paper's "simple, constant-round" protocols are implementable with no
+//! hidden coordination.
 //!
 //! Programs can be ad-hoc closures, too:
 //!
@@ -78,8 +78,7 @@ pub mod pool;
 pub mod programs;
 
 pub use backend::{
-    backend_from_spec, standard_backends, ExecBackend, ExecError, ExecJob, ExecOutcome, PairedJob,
-    PooledClusterBackend, ProgramJob, ProtocolJob, SimulatorBackend,
+    backend_from_spec, ExecBackend, ExecError, ExecOutcome, PooledClusterBackend, SimulatorBackend,
 };
 pub use checkpoint::{CheckpointSpec, CheckpointStats, CheckpointStore};
 pub use cluster::{run_cluster, ClusterOptions, NodeCtx, NodeProgram, RuntimeRun};

@@ -1,24 +1,28 @@
-//! Distributed, per-node implementations of the paper's protocols.
+//! The one hand-written per-node program: the witness of the §2 premise.
 //!
-//! Each program re-derives the protocol's global plan *locally* from the
-//! knowledge the model grants every node — the topology, the link
-//! bandwidths, and the initial cardinalities `|X_0(v)|` (§2) — plus a
-//! shared seed. Because the plans (balanced partitions, weighted hashes,
-//! square packings, splitter schedules) are deterministic functions of
-//! that shared knowledge, every node computes the *same* plan without any
-//! coordination messages, and the sends a node issues for its own data
-//! match what the centralized simulator protocol would have issued on its
-//! behalf. The cross-validation tests assert exactly that: identical
-//! per-edge traffic, hence identical costs.
+//! §2 of the paper grants every node the topology, the link bandwidths
+//! and the initial cardinalities `|X_0(v)|`, so a constant-round
+//! protocol's plan is a deterministic function of shared knowledge: every
+//! node can derive it alone, with no coordination messages, and the sends
+//! it issues for its own data are the ones a centralized planner would
+//! have issued on its behalf. Everything else in this workspace relies on
+//! that and ships an algorithm as a [`Schedule`](crate::jobs::Schedule)
+//! for the two engines to replay; [`DistributedTreeIntersect`] is kept as
+//! the evidence — a [`NodeProgram`](crate::cluster::NodeProgram) that
+//! re-derives Algorithm 2's plan locally, cross-validated through
+//! [`run_cluster`](crate::cluster::run_cluster) against
+//! `run_protocol(.., &TreeIntersect)` to the bit (per-edge traffic,
+//! rounds, emitted sets: this module's tests, `tests/runtime_parity.rs`,
+//! `tests/pooled_scale.rs`).
+//!
+//! Why this one: its whole plan — the balanced partition plus one weighted
+//! hash per block — needs nothing but `(tree, stats, seed)`, and the
+//! struct's only field is the seed. Weighted TeraSort, the tree cartesian
+//! product and the two aggregations used to have program forms here too;
+//! their cluster-executable form is the query strategy built on the same
+//! `tamp-core` planning pieces (`weighted-range-shuffle`, `whc-grid`,
+//! `combining-tree`, `weighted-repartition`).
 
-pub mod aggregate;
-pub mod cartesian;
-pub mod groupby;
 pub mod intersect;
-pub mod sort;
 
-pub use aggregate::DistributedCombiningAggregate;
-pub use cartesian::DistributedCartesian;
-pub use groupby::DistributedGroupBy;
 pub use intersect::DistributedTreeIntersect;
-pub use sort::DistributedWts;

@@ -16,9 +16,11 @@
 //!   topology-agnostic baselines they generalize.
 //! - [`workloads`] — reproducible input and placement generators, including
 //!   the adversarial instances used in the paper's lower-bound proofs.
-//! - [`runtime`] — a threaded, message-passing BSP executor: one OS thread
-//!   per compute node running a per-node program, cross-validated to move
-//!   bit-identical traffic to the centralized simulator protocols.
+//! - [`runtime`] — a pooled, message-passing BSP executor (a bounded
+//!   worker pool runs the per-node programs) and the `ExecBackend` layer:
+//!   an algorithm is a `Schedule`, replayed by the simulator or the
+//!   cluster with bit-identical ledgers; one hand-written per-node
+//!   program is kept as the cross-validated witness.
 //! - [`query`] — a distributed relational layer (filter / project / join /
 //!   order-by / group-by) whose operators map onto the paper's primitives,
 //!   with per-operator cost attribution.

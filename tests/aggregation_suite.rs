@@ -1,6 +1,6 @@
 //! Integration tests for the aggregation extension: the three all-to-one
-//! protocols, the distributed group-by, the runtime group-by program, and
-//! their lower bounds, under randomized inputs.
+//! protocols, the distributed group-by, and their lower bounds, under
+//! randomized inputs.
 
 use proptest::prelude::*;
 use tamp::core::aggregate::{
@@ -8,8 +8,6 @@ use tamp::core::aggregate::{
     CombiningTreeAggregate, FlatPartialAggregate, HashGroupBy, NaiveAggregate,
 };
 use tamp::core::hashing::mix64;
-use tamp::runtime::programs::groupby::{collect_groupby_output, DistributedGroupBy};
-use tamp::runtime::{run_cluster, ClusterOptions};
 use tamp::simulator::{run_protocol, Placement, Rel};
 use tamp::topology::builders;
 
@@ -72,26 +70,5 @@ proptest! {
         let got: Vec<(u64, u64)> = gb.output.iter().map(|&(g, m, _)| (g, m)).collect();
         prop_assert_eq!(&got, &want);
         prop_assert!(gb.cost.tuple_cost() >= groupby_lower_bound(&tree, &p).value() - 1e-9);
-    }
-
-    #[test]
-    fn runtime_groupby_matches_simulator(
-        groups in 1u64..12,
-        per_node in 0u64..40,
-        seed in 0u64..500,
-    ) {
-        let tree = builders::rack_tree(&[(3, 1.0, 2.0), (2, 2.0, 1.0)], 1.0);
-        let p = grouped(&tree, groups, per_node, seed);
-        let agg = Aggregator::Sum;
-        let sim = run_protocol(&tree, &p, &HashGroupBy::new(seed, agg)).unwrap();
-        let rt = run_cluster(
-            &tree,
-            &p,
-            |_| Box::new(DistributedGroupBy::new(seed, agg)),
-            ClusterOptions::default(),
-        )
-        .unwrap();
-        prop_assert_eq!(&rt.cost.edge_totals, &sim.cost.edge_totals);
-        prop_assert_eq!(collect_groupby_output(&rt.final_state), sim.output);
     }
 }

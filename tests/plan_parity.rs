@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use tamp::query::prelude::*;
 use tamp::query::reference;
 use tamp::runtime::{
-    backend_from_spec, ExecBackend, ExecError, ExecJob, ExecOutcome, PooledClusterBackend,
+    backend_from_spec, ExecBackend, ExecError, ExecOutcome, PooledClusterBackend, ScheduleJob,
     SimulatorBackend,
 };
 use tamp::simulator::Placement;
@@ -226,9 +226,9 @@ impl<B: ExecBackend> ExecBackend for TokenSpy<B> {
         &self,
         tree: &Tree,
         placement: &Placement,
-        job: &dyn ExecJob,
+        job: &ScheduleJob,
     ) -> Result<ExecOutcome, ExecError> {
-        self.token.set(job.checkpoint_token());
+        self.token.set(Some(job.checkpoint_token()));
         self.inner.execute(tree, placement, job)
     }
 }

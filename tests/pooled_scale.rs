@@ -1,18 +1,17 @@
 //! Scale tests for the pooled runtime: topologies with thousands of
 //! compute nodes must execute on a bounded worker pool — at most the
 //! machine's available parallelism worth of OS threads, never a thread
-//! per node — and the engine-agnostic API must hold its cross-validation
-//! guarantees at that scale.
+//! per node — and the per-node witness program must hold its
+//! cross-validation guarantee at that scale.
 
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 use tamp::core::hashing::mix64;
-use tamp::runtime::{
-    jobs, run_cluster, ClusterOptions, ExecBackend, NodeCtx, NodeProgram, Outbox,
-    PooledClusterBackend, SimulatorBackend, Step,
-};
-use tamp::simulator::{NodeState, Placement, Rel};
+use tamp::core::intersection::TreeIntersect;
+use tamp::runtime::programs::DistributedTreeIntersect;
+use tamp::runtime::{run_cluster, ClusterOptions, NodeCtx, NodeProgram, Outbox, Step};
+use tamp::simulator::{run_protocol, NodeState, Placement, Rel};
 use tamp::topology::graph::builders as graph_builders;
 use tamp::topology::{builders, NodeId, Tree};
 
@@ -87,8 +86,8 @@ fn torus_spanning_tree_with_2048_computes_runs_on_a_bounded_pool() {
 #[test]
 fn cross_validation_holds_at_2048_nodes() {
     // The bit-identical-ledger guarantee is not a small-topology artifact:
-    // the same paired job on the simulator and the pooled cluster agrees
-    // at 2048 compute nodes too.
+    // the centralized protocol on the simulator and the per-node program
+    // on the pooled cluster agree at 2048 compute nodes too.
     let tree = builders::random_tree(2048, 256, 0.5, 8.0, 7);
     let mut p = Placement::empty(&tree);
     let vc = tree.compute_nodes();
@@ -100,12 +99,15 @@ fn cross_validation_holds_at_2048_nodes() {
             750 + x,
         );
     }
-    let job = jobs::tree_intersect(11);
-    let sim = SimulatorBackend.execute(&tree, &p, &job).unwrap();
-    let rt = PooledClusterBackend::default()
-        .execute(&tree, &p, &job)
-        .unwrap();
+    let sim = run_protocol(&tree, &p, &TreeIntersect::new(11)).unwrap();
+    let rt = run_cluster(
+        &tree,
+        &p,
+        |_| Box::new(DistributedTreeIntersect::new(11)),
+        ClusterOptions::default(),
+    )
+    .unwrap();
     assert_eq!(rt.cost.edge_totals, sim.cost.edge_totals);
-    assert_eq!(rt.rounds, sim.rounds);
-    assert_eq!(rt.supersteps, rt.rounds + 1);
+    assert_eq!(rt.cost.per_round.len(), sim.rounds);
+    assert_eq!(rt.supersteps, sim.rounds + 1);
 }

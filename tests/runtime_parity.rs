@@ -1,17 +1,17 @@
-//! Cross-validation of the pooled runtime against the cost simulator,
-//! through the engine-agnostic `ExecBackend` API: for any random tree,
-//! placement and seed, the distributed per-node programs must move
-//! exactly the traffic the centralized protocols move — bit-identical
+//! The witness suite for the model's §2 premise: for any random tree,
+//! placement and seed, the one hand-written per-node program
+//! (`DistributedTreeIntersect` on `run_cluster`, every node deriving the
+//! plan alone) must move exactly the traffic the centralized
+//! `TreeIntersect` protocol moves on `run_protocol` — bit-identical
 //! `Cost` ledgers, equal metered round counts, and (for the cluster)
 //! exactly one extra silent superstep in which termination is detected.
 
 use proptest::prelude::*;
 use tamp::core::hashing::mix64;
-use tamp::core::sorting::valid_order;
-use tamp::runtime::{
-    jobs, ClusterOptions, ExecBackend, ExecOutcome, PooledClusterBackend, SimulatorBackend,
-};
-use tamp::simulator::{verify, Placement, Rel};
+use tamp::core::intersection::TreeIntersect;
+use tamp::runtime::programs::DistributedTreeIntersect;
+use tamp::runtime::{run_cluster, ClusterOptions, RuntimeRun};
+use tamp::simulator::{run_protocol, verify, Placement, Rel, Run, Value};
 use tamp::topology::{builders, Tree};
 
 fn random_setup(topo_seed: u64, r: u64, s: u64, data_seed: u64) -> (Tree, Placement) {
@@ -42,28 +42,43 @@ fn random_setup(topo_seed: u64, r: u64, s: u64, data_seed: u64) -> (Tree, Placem
     (tree, p)
 }
 
-/// Run `job` on the simulator and the pooled cluster and assert the
-/// backend-independent invariants: bit-identical ledgers (full per-edge
-/// totals *and* per-round costs), equal metered rounds, and the cluster's
-/// supersteps being rounds + 1 (the silent termination step).
+/// The per-node program on a pool of `options`' width.
+fn witness(
+    tree: &Tree,
+    p: &Placement,
+    seed: u64,
+    options: ClusterOptions,
+) -> Result<RuntimeRun, tamp::runtime::RuntimeError> {
+    run_cluster(
+        tree,
+        p,
+        |_| Box::new(DistributedTreeIntersect::new(seed)),
+        options,
+    )
+}
+
+/// Run the centralized protocol on the simulator and the per-node
+/// program on the pooled cluster and assert the engine-independent
+/// invariants: bit-identical ledgers (full per-edge totals *and*
+/// per-round costs), equal metered rounds, and the cluster's supersteps
+/// being rounds + 1 (the silent termination step).
 fn assert_parity(
     tree: &Tree,
     p: &Placement,
-    job: &dyn tamp::runtime::ExecJob,
-) -> Result<(ExecOutcome, ExecOutcome), TestCaseError> {
-    let sim = SimulatorBackend
-        .execute(tree, p, job)
-        .map_err(TestCaseError::fail)?;
-    let rt = PooledClusterBackend::default()
-        .execute(tree, p, job)
-        .map_err(TestCaseError::fail)?;
+    seed: u64,
+) -> Result<(Run<Vec<Value>>, RuntimeRun), TestCaseError> {
+    let sim = run_protocol(tree, p, &TreeIntersect::new(seed)).map_err(TestCaseError::fail)?;
+    let rt = witness(tree, p, seed, ClusterOptions::default()).map_err(TestCaseError::fail)?;
     prop_assert_eq!(&rt.cost.edge_totals, &sim.cost.edge_totals);
     prop_assert_eq!(rt.cost.tuple_cost(), sim.cost.tuple_cost());
-    prop_assert_eq!(rt.rounds, sim.rounds, "metered rounds must agree");
-    prop_assert_eq!(sim.supersteps, sim.rounds);
+    prop_assert_eq!(
+        rt.cost.per_round.len(),
+        sim.rounds,
+        "metered rounds must agree"
+    );
     prop_assert_eq!(
         rt.supersteps,
-        rt.rounds + 1,
+        sim.rounds + 1,
         "cluster detects termination in exactly one silent superstep"
     );
     for (i, (a, b)) in rt
@@ -91,7 +106,7 @@ proptest! {
         data_seed in 0u64..1_000,
     ) {
         let (tree, p) = random_setup(topo_seed, r, s, data_seed);
-        let (sim, rt) = assert_parity(&tree, &p, &jobs::tree_intersect(hash_seed))?;
+        let (sim, rt) = assert_parity(&tree, &p, hash_seed)?;
         verify::check_intersection(&rt.final_state, &p.all_r(), &p.all_s())
             .map_err(TestCaseError::fail)?;
         // Both executions emit the same intersection.
@@ -99,29 +114,6 @@ proptest! {
             verify::emitted_intersection(&rt.final_state),
             verify::emitted_intersection(&sim.final_state)
         );
-    }
-
-    #[test]
-    fn sorting_traffic_parity(
-        topo_seed in 0u64..200,
-        sample_seed in 0u64..1_000,
-        n in 1u64..500,
-        data_seed in 0u64..1_000,
-    ) {
-        let (tree, _) = random_setup(topo_seed, 0, 0, 0);
-        let mut p = Placement::empty(&tree);
-        let vc = tree.compute_nodes();
-        for x in 0..n {
-            p.push(
-                vc[(mix64(x ^ data_seed) % vc.len() as u64) as usize],
-                Rel::R,
-                mix64(x.wrapping_mul(97) ^ data_seed),
-            );
-        }
-        let (_, rt) = assert_parity(&tree, &p, &jobs::weighted_terasort(sample_seed))?;
-        let order = valid_order(&tree);
-        verify::check_sorted_partition(&order, &rt.final_state, &p.all_r())
-            .map_err(TestCaseError::fail)?;
     }
 
     #[test]
@@ -135,12 +127,9 @@ proptest! {
         // ledgers and final states must be bit-identical — scheduling is
         // not allowed to leak into results.
         let (tree, p) = random_setup(topo_seed, r, s, topo_seed ^ 0x5A);
-        let job = jobs::tree_intersect(hash_seed);
-        let narrow = PooledClusterBackend::new(ClusterOptions::with_workers(1))
-            .execute(&tree, &p, &job)
+        let narrow = witness(&tree, &p, hash_seed, ClusterOptions::with_workers(1))
             .map_err(TestCaseError::fail)?;
-        let wide = PooledClusterBackend::new(ClusterOptions::with_workers(8))
-            .execute(&tree, &p, &job)
+        let wide = witness(&tree, &p, hash_seed, ClusterOptions::with_workers(8))
             .map_err(TestCaseError::fail)?;
         prop_assert_eq!(narrow.supersteps, wide.supersteps);
         prop_assert_eq!(&narrow.cost.edge_totals, &wide.cost.edge_totals);
@@ -172,13 +161,10 @@ fn parity_holds_on_every_standard_topology() {
                 100 + a,
             );
         }
-        let job = jobs::tree_intersect(seed);
-        let sim = SimulatorBackend.execute(&tree, &p, &job).unwrap();
-        let rt = PooledClusterBackend::default()
-            .execute(&tree, &p, &job)
-            .unwrap();
+        let sim = run_protocol(&tree, &p, &TreeIntersect::new(seed)).unwrap();
+        let rt = witness(&tree, &p, seed, ClusterOptions::default()).unwrap();
         assert_eq!(rt.cost.edge_totals, sim.cost.edge_totals, "seed {seed}");
-        assert_eq!(rt.rounds, sim.rounds, "seed {seed}");
-        assert_eq!(rt.supersteps, rt.rounds + 1, "seed {seed}");
+        assert_eq!(rt.cost.per_round.len(), sim.rounds, "seed {seed}");
+        assert_eq!(rt.supersteps, sim.rounds + 1, "seed {seed}");
     }
 }
