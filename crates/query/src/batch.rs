@@ -130,17 +130,6 @@ impl RecordBatch {
             .find(|o| o.is_ne())
             .unwrap_or(Ordering::Equal)
     }
-
-    /// Append this batch's rows `sel` (in order) to a row-major wire
-    /// buffer.
-    pub fn flatten_into(&self, sel: &[usize], out: &mut Vec<Value>) {
-        out.reserve(sel.len() * self.cols.len());
-        for &i in sel {
-            for c in &self.cols {
-                out.push(c[i]);
-            }
-        }
-    }
 }
 
 /// Per-node batch lists, indexed by node id: the fragments operators and
@@ -265,12 +254,21 @@ pub fn batches_to_fragments(frags: &BatchFragments) -> Fragments {
 }
 
 /// Select rows spanning a node's batch list: `idx` holds `(batch, row)`
-/// pairs in output order.
+/// pairs in output order. Column slices are resolved once per column, and
+/// a one-batch list (what a scan leaves on a node) is indexed directly.
 pub fn gather_multi(batches: &[RecordBatch], idx: &[(u32, u32)], width: usize) -> RecordBatch {
+    let mut slices: Vec<&[Value]> = Vec::new();
     let cols = (0..width)
         .map(|c| {
+            if let [only] = batches {
+                debug_assert!(idx.iter().all(|&(b, _)| b == 0));
+                let col = only.col(c);
+                return idx.iter().map(|&(_, i)| col[i as usize]).collect();
+            }
+            slices.clear();
+            slices.extend(batches.iter().map(|b| b.col(c)));
             idx.iter()
-                .map(|&(b, i)| batches[b as usize].col(c)[i as usize])
+                .map(|&(b, i)| slices[b as usize][i as usize])
                 .collect()
         })
         .collect();
@@ -280,31 +278,37 @@ pub fn gather_multi(batches: &[RecordBatch], idx: &[(u32, u32)], width: usize) -
     }
 }
 
-/// Row-major flatten of whole batches, in batch then row order: the wire
-/// payload of a node's fragment.
-pub fn flatten_batches(batches: &[RecordBatch], width: usize) -> Vec<Value> {
-    let mut out = Vec::with_capacity(batch_rows(batches) * width);
-    for b in batches {
-        for r in 0..b.num_rows() {
-            for c in 0..width {
-                out.push(b.col(c)[r]);
-            }
+/// Row-major flatten of `rows` `(batch, row)` places into one zeroed,
+/// then filled allocation — the very one the send will share.
+fn flatten<'a>(
+    rows: usize,
+    places: impl Iterator<Item = (&'a RecordBatch, usize)>,
+    width: usize,
+) -> Arc<[Value]> {
+    let mut out: Arc<[Value]> = std::iter::repeat_n(0, rows * width).collect();
+    let cells = Arc::get_mut(&mut out).expect("not shared yet");
+    for (row, (b, r)) in cells.chunks_exact_mut(width.max(1)).zip(places) {
+        for (cell, c) in row.iter_mut().zip(0..) {
+            *cell = b.col(c)[r];
         }
     }
     out
 }
 
+/// Row-major flatten of whole batches, in batch then row order: the wire
+/// payload of a node's fragment.
+pub fn flatten_batches(batches: &[RecordBatch], width: usize) -> Arc<[Value]> {
+    let places = batches
+        .iter()
+        .flat_map(|b| (0..b.num_rows()).map(move |r| (b, r)));
+    flatten(batch_rows(batches), places, width)
+}
+
 /// Row-major flatten of the `(batch, row)` pairs in `idx`: the wire
 /// payload of the selected rows.
-pub fn flatten_multi(batches: &[RecordBatch], idx: &[(u32, u32)], width: usize) -> Vec<Value> {
-    let mut out = Vec::with_capacity(idx.len() * width);
-    for &(b, i) in idx {
-        let b = &batches[b as usize];
-        for c in 0..width {
-            out.push(b.col(c)[i as usize]);
-        }
-    }
-    out
+pub fn flatten_multi(batches: &[RecordBatch], idx: &[(u32, u32)], width: usize) -> Arc<[Value]> {
+    let places = idx.iter().map(|&(b, i)| (&batches[b as usize], i as usize));
+    flatten(idx.len(), places, width)
 }
 
 #[cfg(test)]
@@ -344,9 +348,6 @@ mod tests {
         let b = RecordBatch::from_rows(&rows, 2);
         let g = b.gather(&[4, 1, 1]);
         assert_eq!(g.to_rows(), vec![vec![4, 14], vec![1, 11], vec![1, 11]]);
-        let mut flat = Vec::new();
-        b.flatten_into(&[2, 0], &mut flat);
-        assert_eq!(flat, vec![2, 12, 0, 10]);
     }
 
     #[test]
@@ -355,12 +356,12 @@ mod tests {
         let batches = rows_to_batches(&rows, 1, 3);
         let g = gather_multi(&batches, &[(2, 0), (0, 1), (1, 2)], 1);
         assert_eq!(g.to_rows(), vec![vec![6], vec![1], vec![5]]);
-        assert_eq!(flatten_multi(&batches, &[(2, 0), (0, 1)], 1), vec![6, 1]);
+        assert_eq!(*flatten_multi(&batches, &[(2, 0), (0, 1)], 1), [6, 1]);
         // Whole-list flatten is row-major across batch boundaries.
         let wide: Vec<Row> = (0..5u64).map(|i| vec![i, 10 + i]).collect();
         assert_eq!(
-            flatten_batches(&rows_to_batches(&wide, 2, 2), 2),
-            vec![0, 10, 1, 11, 2, 12, 3, 13, 4, 14]
+            *flatten_batches(&rows_to_batches(&wide, 2, 2), 2),
+            [0, 10, 1, 11, 2, 12, 3, 13, 4, 14]
         );
         assert_eq!(concat(&batches, 1).to_rows(), rows);
     }

@@ -10,8 +10,8 @@ use crate::exec::columnar::eval::{eval, Sel};
 use crate::expr::Expr;
 use crate::schema::Schema;
 
-/// Evaluate named expressions column-at-a-time: each output column is
-/// one vectorized evaluation over the batch — no per-row allocation.
+/// Evaluate named expressions column-at-a-time: a kept column is a
+/// refcount bump, any other one vectorized evaluation over the batch.
 pub(crate) fn project(
     schema: &Schema,
     frags: &BatchFragments,
@@ -27,7 +27,10 @@ pub(crate) fn project(
         for b in node {
             let cols: Vec<Arc<[Value]>> = bound
                 .iter()
-                .map(|e| eval(e, b, &Sel::All(b.num_rows())).map(Arc::from))
+                .map(|e| match e {
+                    Expr::ColIdx(i) if *i < b.width() => Ok(b.col_arc(*i).clone()),
+                    _ => eval(e, b, &Sel::All(b.num_rows())).map(Arc::from),
+                })
                 .collect::<Result<_, _>>()?;
             batches.push(RecordBatch::from_cols_rows(cols, b.num_rows()));
         }
@@ -35,4 +38,28 @@ pub(crate) fn project(
     }
     let out_schema = Schema::new(exprs.iter().map(|(n, _)| n.clone()).collect())?;
     Ok((out_schema, out))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::{col, lit};
+
+    #[test]
+    fn a_kept_column_is_shared_and_a_computed_one_is_not() {
+        let schema = Schema::new(vec!["a", "b"]).unwrap();
+        let rows: Vec<Vec<Value>> = (0..5u64).map(|i| vec![i, 10 * i]).collect();
+        let frags = vec![vec![RecordBatch::from_rows(&rows, 2)], Vec::new()];
+        let exprs = [
+            ("b".to_string(), col("b")),
+            ("a1".to_string(), col("a").add(lit(1))),
+            ("two".to_string(), lit(2)),
+        ];
+        let (out_schema, out) = project(&schema, &frags, &exprs).unwrap();
+        assert_eq!(out_schema, Schema::new(vec!["b", "a1", "two"]).unwrap());
+        assert!(Arc::ptr_eq(out[0][0].col_arc(0), frags[0][0].col_arc(1)));
+        let want: Vec<Vec<Value>> = (0..5u64).map(|i| vec![10 * i, i + 1, 2]).collect();
+        assert_eq!(out[0][0].to_rows(), want);
+        assert!(out[1].is_empty());
+    }
 }

@@ -8,7 +8,8 @@
 //! source-then-destination order, which the schedule's content hash —
 //! the checkpoint token — covers.
 
-use tamp_core::hashing::mix64;
+use std::sync::Arc;
+
 use tamp_simulator::{Rel, Value};
 use tamp_topology::{NodeId, Tree};
 
@@ -18,7 +19,7 @@ use crate::batch::{
 use crate::physical::strategy::TraceBuilder;
 use crate::plan::AggFunc;
 
-use super::group_table::GroupTable;
+use super::group_table::{GroupTable, KeyTable};
 
 /// Empty batch fragments for `tree`.
 pub(crate) fn empty_batch_frags(tree: &Tree) -> BatchFragments {
@@ -70,7 +71,7 @@ pub(crate) fn exchange_batches(
     route: &mut dyn FnMut(&RecordBatch, &mut Vec<u32>),
 ) -> BatchFragments {
     let mut new_frags: BatchFragments = vec![Vec::new(); frags.len()];
-    let mut outgoing: Vec<(NodeId, NodeId, Vec<Value>)> = Vec::new();
+    let mut outgoing: Vec<(NodeId, NodeId, Arc<[Value]>)> = Vec::new();
     // Scratch reused across sources and batches.
     let mut picks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); slots.len()];
     let mut touched: Vec<usize> = Vec::new();
@@ -161,94 +162,47 @@ pub(crate) fn broadcast_small_batches(
     small_new
 }
 
-/// A join build side: an open-addressing multimap from join key to the
-/// `(batch, row)` locations holding it, in scan order per key. The join
-/// output depends only on key → location list, probed in left order, so
-/// nothing downstream sees the table's slot order.
-///
-/// The lists are CSR — one offsets array over one flat location array,
-/// filled by a counting pass — so a build is a fixed handful of
-/// allocations however many distinct keys there are.
+/// A join build side: a multimap from join key to the `(batch, row)`
+/// locations holding it, in scan order per key — all the join output
+/// depends on, so nothing downstream sees where the table put a key.
 struct JoinBuild {
-    mask: usize,
-    slot_key: Vec<u64>,
-    /// Slot → dense key id, or [`EMPTY`].
-    slot_id: Vec<u32>,
-    /// Key id `k`'s locations are `locs[offsets[k]..offsets[k + 1]]`.
-    offsets: Vec<u32>,
+    /// CSR over `locs`: each key's `(start, end)`.
+    spans: KeyTable<(u32, u32)>,
     locs: Vec<(u32, u32)>,
 }
 
-const EMPTY: u32 = u32::MAX;
-
 impl JoinBuild {
     fn new(batches: &[RecordBatch], key_idx: usize) -> Self {
-        let rows = batch_rows(batches);
-        let cap = (rows * 2).next_power_of_two().max(8);
-        let mask = cap - 1;
-        let mut slot_key = vec![0u64; cap];
-        let mut slot_id = vec![EMPTY; cap];
-        // Pass 1: give each distinct key a dense id, remember each row's
-        // id, and count rows per id (shifted by one for the prefix sum).
-        let mut row_id: Vec<u32> = Vec::with_capacity(rows);
-        let mut offsets: Vec<u32> = vec![0];
+        // Pass 1: count rows per distinct key, in `end`.
+        let mut spans = KeyTable::new();
         for b in batches {
             for &key in b.col(key_idx) {
-                let mut slot = mix64(key) as usize & mask;
-                let id = loop {
-                    match slot_id[slot] {
-                        EMPTY => {
-                            let id = (offsets.len() - 1) as u32;
-                            slot_key[slot] = key;
-                            slot_id[slot] = id;
-                            offsets.push(0);
-                            break id;
-                        }
-                        id if slot_key[slot] == key => break id,
-                        _ => slot = (slot + 1) & mask,
-                    }
-                };
-                offsets[id as usize + 1] += 1;
-                row_id.push(id);
+                spans.upsert(key, (0u32, 1u32), |span| span.1 += 1);
             }
         }
-        for k in 1..offsets.len() {
-            offsets[k] += offsets[k - 1];
+        // Counts become each list's start, and its cursor …
+        let mut rows = 0;
+        for span in spans.values_mut() {
+            let count = std::mem::replace(span, (rows, rows)).1;
+            rows += count;
         }
-        // Pass 2: drop each row's location at its id's cursor — scan
-        // order within a key is preserved.
-        let mut cursor = offsets.clone();
-        let mut locs = vec![(0u32, 0u32); rows];
-        let mut scanned = 0;
+        // … and pass 2 drops each row's location at its key's cursor (no
+        // key is new now), in scan order: cursors stop at their lists' ends.
+        let mut locs = vec![(0u32, 0u32); rows as usize];
         for (bi, b) in batches.iter().enumerate() {
-            for ri in 0..b.num_rows() {
-                let id = row_id[scanned] as usize;
-                scanned += 1;
-                locs[cursor[id] as usize] = (bi as u32, ri as u32);
-                cursor[id] += 1;
+            for (ri, &key) in b.col(key_idx).iter().enumerate() {
+                spans.upsert(key, (0, 0), |span| {
+                    locs[span.1 as usize] = (bi as u32, ri as u32);
+                    span.1 += 1;
+                });
             }
         }
-        JoinBuild {
-            mask,
-            slot_key,
-            slot_id,
-            offsets,
-            locs,
-        }
+        JoinBuild { spans, locs }
     }
 
     fn get(&self, key: u64) -> &[(u32, u32)] {
-        let mut slot = mix64(key) as usize & self.mask;
-        loop {
-            match self.slot_id[slot] {
-                EMPTY => return &[],
-                id if self.slot_key[slot] == key => {
-                    let id = id as usize;
-                    return &self.locs[self.offsets[id] as usize..self.offsets[id + 1] as usize];
-                }
-                _ => slot = (slot + 1) & self.mask,
-            }
-        }
+        let (start, end) = self.spans.find(key).copied().unwrap_or((0, 0));
+        &self.locs[start as usize..end as usize]
     }
 }
 
@@ -284,8 +238,8 @@ pub(crate) fn probe_join_batches(
         }
         let build = shared.get_or_insert_with(|| JoinBuild::new(rbatches, ri));
         // Probe in left scan order.
-        let mut l_picks: Vec<(u32, u32)> = Vec::new();
-        let mut r_picks: Vec<(u32, u32)> = Vec::new();
+        let mut l_picks: Vec<(u32, u32)> = Vec::with_capacity(batch_rows(lbatches));
+        let mut r_picks: Vec<(u32, u32)> = Vec::with_capacity(batch_rows(lbatches));
         for (bi, b) in lbatches.iter().enumerate() {
             for (lr, &key) in b.col(li).iter().enumerate() {
                 for &loc in build.get(key) {
@@ -297,15 +251,16 @@ pub(crate) fn probe_join_batches(
         if l_picks.is_empty() {
             continue;
         }
-        let left_part = gather_multi(lbatches, &l_picks, lw);
+        let left_part = match lbatches.as_slice() {
+            // Every row of the one left batch matched exactly once (a
+            // foreign-key join): its columns are the output's.
+            [only] if l_picks.iter().map(|p| p.1).eq(0..only.num_rows() as u32) => only.clone(),
+            _ => gather_multi(lbatches, &l_picks, lw),
+        };
         let right_part = gather_multi(rbatches, &r_picks, rw);
         let mut cols = Vec::with_capacity(lw + rw);
-        for c in 0..lw {
-            cols.push(left_part.col_arc(c).clone());
-        }
-        for c in 0..rw {
-            cols.push(right_part.col_arc(c).clone());
-        }
+        cols.extend((0..lw).map(|c| left_part.col_arc(c).clone()));
+        cols.extend((0..rw).map(|c| right_part.col_arc(c).clone()));
         out[v.index()].push(RecordBatch::from_cols_rows(cols, l_picks.len()));
     }
     out
@@ -344,6 +299,8 @@ pub(crate) fn fold_groups(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::batch::rows_to_batches;
     use crate::row::Row;
@@ -363,5 +320,70 @@ mod tests {
         assert_eq!(build.get(9), [(2, 0)]);
         assert!(build.get(7).is_empty());
         assert!(JoinBuild::new(&[], 0).get(0).is_empty());
+    }
+
+    #[test]
+    fn join_build_lists_a_wide_build_side_in_scan_order() {
+        let rows: Vec<Row> = (0..100_000u64).map(|i| vec![i % 8, i]).collect();
+        let batches = rows_to_batches(&rows, 2, 30_000);
+        let build = JoinBuild::new(&batches, 0);
+        for key in 0..8u32 {
+            let want: Vec<(u32, u32)> = (key..100_000)
+                .step_by(8)
+                .map(|i| (i / 30_000, i % 30_000))
+                .collect();
+            assert_eq!(build.get(key as u64), want);
+        }
+        assert!(build.get(8).is_empty());
+    }
+
+    /// `left ⋈ right` on column 0 of both, as rows, on a one-compute-node
+    /// tree; `left` arrives chunked into `batch`-row batches.
+    fn probe(left: &[Row], batch: usize, right: &[Row]) -> (Vec<RecordBatch>, Vec<RecordBatch>) {
+        let tree = tamp_topology::builders::star(1, 1.0);
+        let v = tree.compute_nodes()[0].index();
+        let mut l = empty_batch_frags(&tree);
+        let mut r = empty_batch_frags(&tree);
+        l[v] = rows_to_batches(left, 2, batch);
+        r[v] = rows_to_batches(right, 2, usize::MAX);
+        let out = probe_join_batches(&tree, &l, &r, 0, 0, 2, 2, false);
+        (std::mem::take(&mut l[v]), out[v].clone())
+    }
+
+    /// The nested-loop join the kernel must equal, left order outermost.
+    fn nested_loop(left: &[Row], right: &[Row]) -> Vec<Row> {
+        let pairs = left.iter().flat_map(|l| right.iter().map(move |r| (l, r)));
+        pairs
+            .filter(|(l, r)| l[0] == r[0])
+            .map(|(l, r)| [&l[..], &r[..]].concat())
+            .collect()
+    }
+
+    #[test]
+    fn probe_shares_left_columns_on_a_one_batch_foreign_key_join_only() {
+        let left: Vec<Row> = (0..50u64).map(|i| vec![i % 10, 100 + i]).collect();
+        let dims: Vec<Row> = (0..10u64).rev().map(|k| vec![k, k * k]).collect();
+        let shares_left = |(input, out): &(Vec<RecordBatch>, Vec<RecordBatch>)| {
+            (0..2).all(|c| Arc::ptr_eq(out[0].col_arc(c), input[0].col_arc(c)))
+        };
+        // Every left row matches once, one batch: shared, and right.
+        let fk = probe(&left, usize::MAX, &dims);
+        assert!(shares_left(&fk));
+        assert_eq!(fk.1[0].to_rows(), nested_loop(&left, &dims));
+        // (a) a left row without a match, (b) a left row with two, (c) a
+        // two-batch left fragment, (d) as many picks as rows but some
+        // rows twice and some never: gathered, and still right.
+        let mut twice = dims.clone();
+        twice.push(vec![3, 1_000]);
+        for (batch, right) in [
+            (usize::MAX, &dims[1..]),
+            (usize::MAX, &twice[..]),
+            (25, &dims[..]),
+            (usize::MAX, &twice[1..]),
+        ] {
+            let got = probe(&left, batch, right);
+            assert!(!shares_left(&got));
+            assert_eq!(got.1[0].to_rows(), nested_loop(&left, right));
+        }
     }
 }

@@ -1,81 +1,109 @@
-//! The aggregate strategies' `group → partial` table.
+//! The one local hash table under `strategies/`: [`KeyTable`], under the
+//! aggregates' `group → partial` fold ([`GroupTable`]) and the join build
+//! side (`columnar.rs`). Open addressing over a dense entry list: slots
+//! hold entry ids, so every `u64` is an ordinary key; a table starts
+//! small and grows by *distinct keys*, never by rows. Two contracts make
+//! the slot hash a private choice:
 //!
-//! Open addressing over a dense entry list: the slot array holds entry
-//! indices, so vacancy is a slot marker and every `u64` — `0` and
-//! `u64::MAX` included — is an ordinary group. One table serves every
-//! node of a trace: it is emptied between nodes, never reallocated, and
-//! starts small, so a query with a handful of rows per node does not pay
-//! for a large one.
-//!
-//! Groups leave the table in ascending key order only
-//! ([`GroupTable::drain_sorted`]), so nothing a strategy emits — and so
-//! nothing the schedule's content hash covers — depends on slot order.
-
-use tamp_core::hashing::mix64;
+//! - **Slot order is unobservable.** Entries are read in first-seen (id)
+//!   order or drained in ascending key order, so nothing a strategy emits
+//!   — nothing the schedule's content hash covers — depends on it.
+//! - **Routing hashes are not table hashes.** Where a row *goes*
+//!   (`WeightedHash::pick`, the `mix64` routers) fixes the schedule and
+//!   is not decided here; this hash only places keys a node holds.
 
 use crate::plan::AggFunc;
 
 const VACANT: u32 = u32::MAX;
-const MIN_SLOTS: usize = 16;
 
+/// `key → (dense id, V)`: ids count distinct keys in first-seen order.
 #[derive(Debug)]
-pub(crate) struct GroupTable {
-    /// Slot → index into `entries`, or [`VACANT`]. A power of two long,
-    /// at most half full.
+pub(crate) struct KeyTable<V> {
+    /// Slot → entry id or [`VACANT`]; a power of two, at most half full.
     slots: Vec<u32>,
-    /// `(group, partial)` pairs in first-seen order.
-    entries: Vec<(u64, u64)>,
+    /// `(key, value)` pairs in id order.
+    entries: Vec<(u64, V)>,
 }
 
-impl GroupTable {
-    pub fn new() -> Self {
-        GroupTable {
-            slots: vec![VACANT; MIN_SLOTS],
+/// One table serves every node of a trace: it is emptied between nodes,
+/// never reallocated.
+pub(crate) type GroupTable = KeyTable<u64>;
+
+impl<V> KeyTable<V> {
+    pub(crate) fn new() -> Self {
+        KeyTable {
+            slots: vec![VACANT; 16],
             entries: Vec::new(),
         }
     }
 
-    /// Fold `partial` into `group`'s running partial under `agg`.
+    /// Fibonacci multiply-shift on the product's *top* bits, which depend
+    /// on every key bit: dense small integers spread almost perfectly and
+    /// keys differing only in high bits (zero middle bits) still spread.
     #[inline]
-    pub fn merge(&mut self, agg: AggFunc, group: u64, partial: u64) {
-        let mask = self.slots.len() - 1;
-        let mut slot = mix64(group) as usize & mask;
+    fn home(&self, key: u64) -> usize {
+        let shift = 64 - self.slots.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+    }
+
+    /// The slot holding `key`'s id, or the vacant slot where it belongs.
+    #[inline]
+    fn probe(&self, key: u64) -> usize {
+        let mut slot = self.home(key);
         loop {
-            let e = self.slots[slot];
-            if e == VACANT {
-                break;
+            let id = self.slots[slot];
+            if id == VACANT || self.entries[id as usize].0 == key {
+                return slot;
             }
-            let entry = &mut self.entries[e as usize];
-            if entry.0 == group {
-                entry.1 = agg.combine(entry.1, partial);
-                return;
-            }
-            slot = (slot + 1) & mask;
+            slot = (slot + 1) & (self.slots.len() - 1);
         }
-        assert!(self.entries.len() < VACANT as usize, "group table full");
+    }
+
+    /// `key`'s value, if it was inserted.
+    #[inline]
+    pub(super) fn find(&self, key: u64) -> Option<&V> {
+        let id = self.slots[self.probe(key)];
+        (id != VACANT).then(|| &self.entries[id as usize].1)
+    }
+
+    /// `found` updates the value of a key seen before; a new key takes
+    /// the next id with `fresh`.
+    #[inline]
+    pub(super) fn upsert(&mut self, key: u64, fresh: V, found: impl FnOnce(&mut V)) {
+        let slot = self.probe(key);
+        match self.slots[slot] {
+            VACANT => self.insert(slot, key, fresh),
+            id => found(&mut self.entries[id as usize].1),
+        }
+    }
+
+    /// Off the hot path: enter `key` at its vacant `slot`, and at half
+    /// load double the slots.
+    #[inline(never)]
+    fn insert(&mut self, slot: usize, key: u64, fresh: V) {
+        assert!(self.entries.len() < VACANT as usize, "key table full");
         self.slots[slot] = self.entries.len() as u32;
-        self.entries.push((group, partial));
+        self.entries.push((key, fresh));
         if self.entries.len() * 2 > self.slots.len() {
-            self.grow();
-        }
-    }
-
-    fn grow(&mut self) {
-        let mask = self.slots.len() * 2 - 1;
-        self.slots.clear();
-        self.slots.resize(mask + 1, VACANT);
-        for (e, &(group, _)) in self.entries.iter().enumerate() {
-            let mut slot = mix64(group) as usize & mask;
-            while self.slots[slot] != VACANT {
-                slot = (slot + 1) & mask;
+            let doubled = self.slots.len() * 2;
+            self.slots.clear();
+            self.slots.resize(doubled, VACANT);
+            // Distinct keys, so each probe ends on a vacancy.
+            for e in 0..self.entries.len() {
+                let slot = self.probe(self.entries[e].0);
+                self.slots[slot] = e as u32;
             }
-            self.slots[slot] = e as u32;
         }
     }
 
-    /// Hand `f` the `(group, partial)` pairs in ascending group order,
-    /// then empty the table (keeping its allocations) for the next node.
-    pub fn drain_sorted<R>(&mut self, f: impl FnOnce(&[(u64, u64)]) -> R) -> R {
+    /// The values in id order.
+    pub(super) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.entries.iter_mut().map(|e| &mut e.1)
+    }
+
+    /// Hand `f` the entries in ascending key order, then empty the table,
+    /// keeping its allocations for the next node.
+    pub(crate) fn drain_sorted<R>(&mut self, f: impl FnOnce(&[(u64, V)]) -> R) -> R {
         self.entries.sort_unstable_by_key(|e| e.0);
         let out = f(&self.entries);
         self.entries.clear();
@@ -84,10 +112,84 @@ impl GroupTable {
     }
 }
 
+impl GroupTable {
+    /// Fold `partial` into `group`'s running partial under `agg`.
+    #[inline]
+    pub(crate) fn merge(&mut self, agg: AggFunc, group: u64, partial: u64) {
+        self.upsert(group, partial, |p| *p = agg.combine(*p, partial));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use tamp_core::hashing::mix64;
+
+    /// The slots `find(key)` looks at, the hit or the vacancy included.
+    fn probe_steps<V>(table: &KeyTable<V>, key: u64) -> usize {
+        let from_home = table.probe(key).wrapping_sub(table.home(key));
+        (from_home & (table.slots.len() - 1)) + 1
+    }
+
+    /// Ids, values, `find` and reuse after `drain` against a `BTreeMap`,
+    /// on key families built to defeat a weak placement — and the property
+    /// that makes the placement good, whatever its constant: a handful of
+    /// probe steps per operation. (Taking the product's middle bits
+    /// instead of its top ones fails this on `i << 48` by five orders of
+    /// magnitude; `mix64` would pass it.)
+    #[test]
+    fn key_table_matches_btreemap_within_four_probe_steps_on_adversarial_keys() {
+        const KEYS: u64 = 2_000;
+        type Family = (&'static str, fn(u64) -> u64);
+        let families: [Family; 7] = [
+            ("i", |i| i),
+            ("i << 16", |i| i << 16),
+            ("i << 32", |i| i << 32),
+            ("i << 48", |i| i << 48),
+            ("i * 1000", |i| i * 1000),
+            ("u64::MAX - i", |i| u64::MAX - i),
+            ("mix64(i)", mix64),
+        ];
+        // One table for every family, like one table for every node.
+        let mut table: KeyTable<u64> = KeyTable::new();
+        for (name, key) in families {
+            let mut oracle: BTreeMap<u64, (usize, u64)> = BTreeMap::new();
+            let (mut steps, mut ops) = (0, 0);
+            for i in (0..KEYS).chain((0..KEYS).rev().step_by(3)) {
+                let k = key(i);
+                steps += probe_steps(&table, k);
+                ops += 1;
+                let next = oracle.len();
+                let want = oracle
+                    .entry(k)
+                    .and_modify(|e| e.1 += i)
+                    .or_insert((next, i));
+                table.upsert(k, i, |v| *v += i);
+                assert_eq!(table.entries[want.0], (k, want.1), "{name}");
+            }
+            assert_eq!(oracle.len() as u64, KEYS, "{name}: keys are distinct");
+            for i in 0..KEYS {
+                let (present, absent) = (key(i), key(KEYS + i));
+                steps += probe_steps(&table, present) + probe_steps(&table, absent);
+                ops += 2;
+                assert_eq!(table.find(present), Some(&oracle[&present].1), "{name}");
+                assert_eq!(table.find(absent), None, "{name}");
+            }
+            assert!(steps <= 4 * ops, "{name}: {steps} steps / {ops} ops");
+            let mut by_id: Vec<(usize, u64, u64)> =
+                oracle.iter().map(|(&k, &(id, v))| (id, k, v)).collect();
+            by_id.sort_unstable();
+            let want: Vec<(u64, u64)> = by_id.into_iter().map(|(_, k, v)| (k, v)).collect();
+            assert_eq!(table.entries, want, "{name}");
+            let sorted: Vec<(u64, u64)> = oracle.iter().map(|(&k, &(_, v))| (k, v)).collect();
+            assert_eq!(table.drain_sorted(|entries| entries.to_vec()), sorted);
+            assert!(table.entries.is_empty());
+            assert_eq!(table.find(key(0)), None, "{name}");
+        }
+        assert_eq!(table.find(0), None);
+        assert_eq!(table.find(u64::MAX), None);
+    }
 
     /// Feed `rows` to a table and to a `BTreeMap` oracle, and compare the
     /// drains.
@@ -157,6 +259,19 @@ mod tests {
                 check(&mut table, agg, &rows);
             }
         }
+    }
+
+    /// A join build side over 100,000 rows of 8 keys used to take 262,144
+    /// slots; the table is sized by what it holds.
+    #[test]
+    fn slots_grow_with_distinct_keys_not_rows() {
+        let mut table = KeyTable::new();
+        for row in 0..100_000u64 {
+            table.upsert(row % 8, 1u32, |n| *n += 1);
+        }
+        assert!(table.slots.len() <= 32, "{}", table.slots.len());
+        let want: Vec<(u64, u32)> = (0..8).map(|k| (k, 12_500)).collect();
+        assert_eq!(table.entries, want);
     }
 
     #[test]
