@@ -12,14 +12,15 @@
 //! [`groupby_lower_bound`](super::groupby_lower_bound), which charges one
 //! crossing per group split by `e`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use tamp_simulator::{Protocol, Rel, Session, SimError};
 use tamp_topology::NodeId;
 
 use crate::hashing::WeightedHash;
+use crate::send_groups::SendGroups;
 
-use super::{encode, merge_partials, partials_of, Aggregator};
+use super::{decode, encode, partials_of, Aggregator};
 
 /// One-round distributed group-by. The output is the full grouped
 /// aggregate, tagged with the compute node that owns each group.
@@ -59,42 +60,36 @@ impl Protocol for HashGroupBy {
         };
         let agg = self.agg;
 
-        // Local pre-aggregation, then route each partial to its group owner.
+        // Local pre-aggregation, then route each partial to its group
+        // owner, which folds it into the groups it owns.
         let mut owned: Vec<BTreeMap<u64, u64>> = vec![BTreeMap::new(); tree.num_nodes()];
-        let mut outbox: Vec<(NodeId, NodeId, Vec<u64>)> = Vec::new();
-        for &v in tree.compute_nodes() {
-            let partials = partials_of(&session.state(v).r, agg);
-            let mut by_owner: HashMap<NodeId, Vec<u64>> = HashMap::new();
-            for (g, m) in partials {
-                let owner = hash.pick(g);
-                if owner == v {
-                    owned[v.index()]
-                        .entry(g)
-                        .and_modify(|p| *p = agg.combine(*p, m))
-                        .or_insert(m);
-                } else {
-                    by_owner.entry(owner).or_default().push(encode(g, m));
-                }
-            }
-            for (owner, vals) in by_owner {
-                outbox.push((v, owner, vals));
-            }
-        }
+        let mut absorb = |owner: NodeId, g: u64, m: u64| {
+            owned[owner.index()]
+                .entry(g)
+                .and_modify(|p| *p = agg.combine(*p, m))
+                .or_insert(m);
+        };
         session.round(|round| {
-            for (src, dst, vals) in &outbox {
-                round.send(*src, &[*dst], Rel::S, vals)?;
+            let mut groups = SendGroups::default();
+            for &v in tree.compute_nodes() {
+                for (g, m) in partials_of(&round.state(v).r, agg) {
+                    let owner = hash.pick(g);
+                    if owner == v {
+                        absorb(v, g, m);
+                    } else {
+                        groups.push(encode(g, m), [owner]);
+                    }
+                }
+                groups.drain(|owner, partials| {
+                    for &p in partials {
+                        let (g, m) = decode(p);
+                        absorb(owner[0], g, m);
+                    }
+                    round.send(v, owner, Rel::S, partials)
+                })?;
             }
             Ok(())
         })?;
-        for (_, dst, vals) in outbox {
-            let merged = merge_partials(&vals, agg);
-            let acc = &mut owned[dst.index()];
-            for (g, m) in merged {
-                acc.entry(g)
-                    .and_modify(|p| *p = agg.combine(*p, m))
-                    .or_insert(m);
-            }
-        }
 
         let mut out: Vec<(u64, u64, NodeId)> = Vec::new();
         for &v in tree.compute_nodes() {

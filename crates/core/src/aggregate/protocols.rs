@@ -130,8 +130,7 @@ impl Protocol for NaiveAggregate {
                 if v == target {
                     continue;
                 }
-                let vals = round.state(v).r.clone();
-                round.send(v, &[target], Rel::S, &vals)?;
+                round.send(v, &[target], Rel::S, &round.state(v).r)?;
             }
             Ok(())
         })?;

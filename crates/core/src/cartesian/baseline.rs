@@ -56,12 +56,12 @@ impl Protocol for UniformHyperCube {
         }
         session.round(|round| {
             for &v in &computes {
-                let local_r = round.state(v).r.clone();
+                let local_r = &round.state(v).r;
                 let start_r = labels.range(v, Rel::R, &stats).start;
-                distribute_intervals(round, v, Rel::R, &local_r, start_r, &r_recipients, None)?;
-                let local_s = round.state(v).s.clone();
+                distribute_intervals(round, v, Rel::R, local_r, start_r, &r_recipients, None)?;
+                let local_s = &round.state(v).s;
                 let start_s = labels.range(v, Rel::S, &stats).start;
-                distribute_intervals(round, v, Rel::S, &local_s, start_s, &s_recipients, None)?;
+                distribute_intervals(round, v, Rel::S, local_s, start_s, &s_recipients, None)?;
             }
             Ok(())
         })

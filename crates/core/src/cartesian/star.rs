@@ -55,15 +55,12 @@ impl Protocol for StarCartesianProduct {
 /// Route every node's full local data to `target` in one round.
 pub(crate) fn all_to_node(session: &mut Session<'_>, target: NodeId) -> Result<(), SimError> {
     session.round(|round| {
-        let computes: Vec<NodeId> = round.tree().compute_nodes().to_vec();
-        for v in computes {
+        for &v in round.tree().compute_nodes() {
             if v == target {
                 continue;
             }
-            let r = round.state(v).r.clone();
-            round.send(v, &[target], Rel::R, &r)?;
-            let s = round.state(v).s.clone();
-            round.send(v, &[target], Rel::S, &s)?;
+            round.send(v, &[target], Rel::R, &round.state(v).r)?;
+            round.send(v, &[target], Rel::S, &round.state(v).s)?;
         }
         Ok(())
     })

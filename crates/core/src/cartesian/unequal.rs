@@ -487,11 +487,11 @@ impl Protocol for FixedStrategy {
                 session.round(|round| {
                     for &v in &computes {
                         // R (small) tuples → all of V_β.
-                        let small_vals = round.state(v).rel(small).clone();
-                        round.send(v, &v_beta, small, &small_vals)?;
+                        let small_vals = round.state(v).rel(small);
+                        round.send(v, &v_beta, small, small_vals)?;
                         // S (big) tuples of V_α nodes → proportional split.
                         if v_alpha.contains(&v) {
-                            let big_vals = round.state(v).rel(big).clone();
+                            let big_vals = round.state(v).rel(big);
                             let mut start = 0usize;
                             let total = big_vals.len() as f64;
                             let mut acc = 0.0f64;
@@ -543,23 +543,23 @@ impl Protocol for FixedStrategy {
                 }
                 session.round(|round| {
                     for &v in &computes {
-                        let small_vals = round.state(v).rel(small).clone();
+                        let small_vals = round.state(v).rel(small);
                         distribute_intervals(
                             round,
                             v,
                             small,
-                            &small_vals,
+                            small_vals,
                             small_offsets[v.index()],
                             &small_recipients,
                             None,
                         )?;
                         if v_alpha.contains(&v) {
-                            let big_vals = round.state(v).rel(big).clone();
+                            let big_vals = round.state(v).rel(big);
                             distribute_intervals(
                                 round,
                                 v,
                                 big,
-                                &big_vals,
+                                big_vals,
                                 offsets[v.index()],
                                 &big_recipients,
                                 None,

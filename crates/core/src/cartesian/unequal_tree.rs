@@ -222,8 +222,7 @@ impl Protocol for UnequalTreeCartesianProduct {
                 let all: Vec<NodeId> = tree.compute_nodes().to_vec();
                 session.round(|round| {
                     for &v in &all {
-                        let vals = round.state(v).rel(small).clone();
-                        round.send(v, &all, small, &vals)?;
+                        round.send(v, &all, small, round.state(v).rel(small))?;
                     }
                     Ok(())
                 })?;
@@ -250,24 +249,24 @@ impl Protocol for UnequalTreeCartesianProduct {
                         let computes: Vec<NodeId> = tree.compute_nodes().to_vec();
                         session.round(|round| {
                             for &v in &computes {
-                                let r_vals = round.state(v).r.clone();
+                                let r_vals = &round.state(v).r;
                                 let r_start = labels.range(v, Rel::R, &stats).start;
                                 distribute_intervals(
                                     round,
                                     v,
                                     Rel::R,
-                                    &r_vals,
+                                    r_vals,
                                     r_start,
                                     &r_recipients,
                                     Some(root),
                                 )?;
-                                let s_vals = round.state(v).s.clone();
+                                let s_vals = &round.state(v).s;
                                 let s_start = labels.range(v, Rel::S, &stats).start;
                                 distribute_intervals(
                                     round,
                                     v,
                                     Rel::S,
-                                    &s_vals,
+                                    s_vals,
                                     s_start,
                                     &s_recipients,
                                     Some(root),

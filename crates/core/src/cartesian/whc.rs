@@ -140,12 +140,12 @@ pub(crate) fn execute_square_plan(
         .collect();
     session.round(|round| {
         for &v in round.tree().compute_nodes() {
-            let local_r = round.state(v).r.clone();
+            let local_r = &round.state(v).r;
             let start_r = labels.range(v, Rel::R, &stats).start;
-            distribute_intervals(round, v, Rel::R, &local_r, start_r, &r_recipients, relay)?;
-            let local_s = round.state(v).s.clone();
+            distribute_intervals(round, v, Rel::R, local_r, start_r, &r_recipients, relay)?;
+            let local_s = &round.state(v).s;
             let start_s = labels.range(v, Rel::S, &stats).start;
-            distribute_intervals(round, v, Rel::S, &local_s, start_s, &s_recipients, relay)?;
+            distribute_intervals(round, v, Rel::S, local_s, start_s, &s_recipients, relay)?;
         }
         Ok(())
     })

@@ -6,12 +6,11 @@
 //! thin links. `TreeIntersect`'s advantage over this baseline is exactly
 //! the paper's motivation.
 
-use std::collections::HashMap;
-
 use tamp_simulator::{Protocol, Rel, Session, SimError, Value};
 use tamp_topology::NodeId;
 
 use crate::hashing::WeightedHash;
+use crate::send_groups::SendGroups;
 
 use super::tree::emit_intersection;
 
@@ -41,15 +40,13 @@ impl Protocol for UniformHashJoin {
         let weighted: Vec<(NodeId, u64)> = tree.compute_nodes().iter().map(|&v| (v, 1)).collect();
         let hash = WeightedHash::new(self.seed, &weighted).expect("at least one compute node");
         session.round(|round| {
+            let mut groups = SendGroups::default();
             for &v in tree.compute_nodes() {
                 for rel in [Rel::R, Rel::S] {
-                    let mut by_dst: HashMap<NodeId, Vec<Value>> = HashMap::new();
                     for &a in round.state(v).rel(rel) {
-                        by_dst.entry(hash.pick(a)).or_default().push(a);
+                        groups.push(a, [hash.pick(a)]);
                     }
-                    for (dst, vals) in by_dst {
-                        round.send(v, &[dst], rel, &vals)?;
-                    }
+                    groups.drain(|dst, vals| round.send(v, dst, rel, vals))?;
                 }
             }
             Ok(())

@@ -16,10 +16,9 @@
 
 use std::collections::HashMap;
 
-use tamp_simulator::{NodeState, Protocol, Rel, Session, SimError, Value};
-use tamp_topology::NodeId;
+use tamp_simulator::{NodeState, Protocol, Session, SimError, Value};
 
-use super::partition::partition_hashes;
+use super::tree::route_by_partition;
 
 /// One-round distribution-aware equi-join on symmetric trees: the
 /// Algorithm 2 routing, hashed by key. Output: the joined
@@ -55,55 +54,10 @@ impl Protocol for KeyedEquiJoin {
     }
 
     fn run(&self, session: &mut Session<'_>) -> Result<Self::Output, SimError> {
-        let tree = session.tree();
-        tree.require_symmetric()
-            .map_err(|e| SimError::Protocol(e.to_string()))?;
-        let stats = session.stats().clone();
-        let (small, big) = if stats.total_r <= stats.total_s {
-            (Rel::R, Rel::S)
-        } else {
-            (Rel::S, Rel::R)
-        };
-        let small_total = stats.total_rel(small);
-        if small_total == 0 {
-            return Ok(Vec::new());
-        }
-        let (partition, hashes) = partition_hashes(tree, &stats.n, small_total, self.seed);
-        let block_of = partition.block_of(tree.num_nodes());
-        let bits = self.payload_bits;
-        session.round(|round| {
-            for &v in tree.compute_nodes() {
-                // Small-relation tuples: multicast to every block's hash
-                // target for the tuple's *key*.
-                let mut by_dsts: HashMap<Vec<NodeId>, Vec<Value>> = HashMap::new();
-                for &a in round.state(v).rel(small) {
-                    let key = a >> bits;
-                    let mut dsts: Vec<NodeId> =
-                        hashes.iter().flatten().map(|h| h.pick(key)).collect();
-                    dsts.sort_unstable();
-                    dsts.dedup();
-                    by_dsts.entry(dsts).or_default().push(a);
-                }
-                for (dsts, vals) in by_dsts {
-                    round.send(v, &dsts, small, &vals)?;
-                }
-                let bi = block_of[v.index()];
-                if bi == usize::MAX {
-                    continue;
-                }
-                if let Some(h) = &hashes[bi] {
-                    let mut by_dst: HashMap<NodeId, Vec<Value>> = HashMap::new();
-                    for &a in round.state(v).rel(big) {
-                        by_dst.entry(h.pick(a >> bits)).or_default().push(a);
-                    }
-                    for (dst, vals) in by_dst {
-                        round.send(v, &[dst], big, &vals)?;
-                    }
-                }
-            }
-            Ok(())
-        })?;
-        Ok(emit_join(session.states(), bits))
+        // Small-relation tuples go to every block's hash target for the
+        // tuple's *key*, big-relation tuples to their own block's.
+        route_by_partition(session, self.seed, self.payload_bits)?;
+        Ok(emit_join(session.states(), self.payload_bits))
     }
 }
 
@@ -151,8 +105,8 @@ pub fn true_join(r: &[Value], s: &[Value], payload_bits: u32) -> Vec<(Value, Val
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tamp_simulator::{run_protocol, Placement};
-    use tamp_topology::builders;
+    use tamp_simulator::{run_protocol, Placement, Rel};
+    use tamp_topology::{builders, NodeId};
 
     /// Tuple with key `k` and payload `p` under 8 payload bits.
     fn kv(k: u64, p: u64) -> Value {

@@ -9,12 +9,11 @@
 //! (nodes in `V_β` keep their `S` local and join against the full `R` they
 //! receive). Lemma 1: cost is `O(log N · log |V|)` from optimal w.h.p.
 
-use std::collections::HashMap;
-
 use tamp_simulator::{Protocol, Rel, Session, SimError, Value};
 use tamp_topology::NodeId;
 
 use crate::hashing::WeightedHash;
+use crate::send_groups::SendGroups;
 
 use super::tree::emit_intersection;
 
@@ -83,29 +82,27 @@ impl Protocol for StarIntersect {
             .expect("total weight ≥ |R| > 0 by construction");
 
         session.round(|round| {
+            let mut groups = SendGroups::default();
+            let mut dsts = v_beta.clone();
             for &v in &computes {
                 // Small-relation tuples → V_β ∪ {h(a)} (grouped by hash
                 // target so shared path segments are charged once).
-                let mut by_dst: HashMap<NodeId, Vec<Value>> = HashMap::new();
                 for &a in round.state(v).rel(small) {
-                    by_dst.entry(hash.pick(a)).or_default().push(a);
+                    groups.push(a, [hash.pick(a)]);
                 }
-                for (dst, vals) in by_dst {
-                    let mut dsts = v_beta.clone();
-                    if !dsts.contains(&dst) {
-                        dsts.push(dst);
+                groups.drain(|dst, vals| {
+                    dsts.truncate(v_beta.len());
+                    if !v_beta.contains(&dst[0]) {
+                        dsts.push(dst[0]);
                     }
-                    round.send(v, &dsts, small, &vals)?;
-                }
+                    round.send(v, &dsts, small, vals)
+                })?;
                 // Big-relation tuples of V_α nodes → h(a).
                 if v_alpha.contains(&v) {
-                    let mut by_dst: HashMap<NodeId, Vec<Value>> = HashMap::new();
                     for &a in round.state(v).rel(big) {
-                        by_dst.entry(hash.pick(a)).or_default().push(a);
+                        groups.push(a, [hash.pick(a)]);
                     }
-                    for (dst, vals) in by_dst {
-                        round.send(v, &[dst], big, &vals)?;
-                    }
+                    groups.drain(|dst, vals| round.send(v, dst, big, vals))?;
                 }
             }
             Ok(())

@@ -9,10 +9,9 @@
 //! the union over blocks is `R ∩ S`. Theorem 2: cost is
 //! `O(log N · log |V|)` from optimal w.h.p., in a single round.
 
-use std::collections::HashMap;
-
 use tamp_simulator::{Protocol, Rel, Session, SimError, Value};
-use tamp_topology::NodeId;
+
+use crate::send_groups::SendGroups;
 
 use super::partition::partition_hashes;
 
@@ -38,73 +37,92 @@ impl Protocol for TreeIntersect {
     }
 
     fn run(&self, session: &mut Session<'_>) -> Result<Self::Output, SimError> {
-        let tree = session.tree();
-        tree.require_symmetric()
-            .map_err(|e| SimError::Protocol(e.to_string()))?;
-        let stats = session.stats().clone();
-        let (small, big) = if stats.total_r <= stats.total_s {
-            (Rel::R, Rel::S)
-        } else {
-            (Rel::S, Rel::R)
-        };
-        let small_total = stats.total_rel(small);
-        if small_total == 0 {
-            return Ok(Vec::new());
-        }
-
-        // One weighted hash per block, over the block's N_v weights.
-        let (partition, hashes) = partition_hashes(tree, &stats.n, small_total, self.seed);
-        let block_of = partition.block_of(tree.num_nodes());
-
-        session.round(|round| {
-            for &v in tree.compute_nodes() {
-                // Small-relation tuples: multicast to {h_i(a)} over all
-                // blocks with one send per distinct destination vector.
-                let mut by_dsts: HashMap<Vec<NodeId>, Vec<Value>> = HashMap::new();
-                for &a in round.state(v).rel(small) {
-                    let mut dsts: Vec<NodeId> =
-                        hashes.iter().flatten().map(|h| h.pick(a)).collect();
-                    dsts.sort_unstable();
-                    dsts.dedup();
-                    by_dsts.entry(dsts).or_default().push(a);
-                }
-                for (dsts, vals) in by_dsts {
-                    round.send(v, &dsts, small, &vals)?;
-                }
-                // Big-relation tuples: hash within the owner's block only.
-                let bi = block_of[v.index()];
-                if bi == usize::MAX {
-                    continue;
-                }
-                if let Some(h) = &hashes[bi] {
-                    let mut by_dst: HashMap<NodeId, Vec<Value>> = HashMap::new();
-                    for &a in round.state(v).rel(big) {
-                        by_dst.entry(h.pick(a)).or_default().push(a);
-                    }
-                    for (dst, vals) in by_dst {
-                        round.send(v, &[dst], big, &vals)?;
-                    }
-                }
-            }
-            Ok(())
-        })?;
-
+        route_by_partition(session, self.seed, 0)?;
         Ok(emit_intersection(session))
     }
 }
 
-/// Collect the union of all nodes' locally emittable intersections, sorted.
+/// The routing round of Algorithm 2, hashing every tuple `a` by its key
+/// `a >> key_shift` ([`TreeIntersect`] hashes the value itself; the
+/// [`KeyedEquiJoin`](super::KeyedEquiJoin) hashes the bits above the
+/// payload). Silent — no round at all — when the smaller relation is
+/// empty.
+pub(crate) fn route_by_partition(
+    session: &mut Session<'_>,
+    seed: u64,
+    key_shift: u32,
+) -> Result<(), SimError> {
+    let tree = session.tree();
+    tree.require_symmetric()
+        .map_err(|e| SimError::Protocol(e.to_string()))?;
+    let stats = session.stats().clone();
+    let (small, big) = if stats.total_r <= stats.total_s {
+        (Rel::R, Rel::S)
+    } else {
+        (Rel::S, Rel::R)
+    };
+    let small_total = stats.total_rel(small);
+    if small_total == 0 {
+        return Ok(());
+    }
+
+    // One weighted hash per block, over the block's N_v weights.
+    let (partition, hashes) = partition_hashes(tree, &stats.n, small_total, seed);
+    let block_of = partition.block_of(tree.num_nodes());
+
+    session.round(|round| {
+        let mut groups = SendGroups::default();
+        for &v in tree.compute_nodes() {
+            // Small-relation tuples: multicast to {h_i(a)} over all
+            // blocks with one send per distinct destination vector.
+            for &a in round.state(v).rel(small) {
+                let key = a >> key_shift;
+                groups.push(a, hashes.iter().flatten().map(|h| h.pick(key)));
+            }
+            groups.drain(|dsts, vals| round.send(v, dsts, small, vals))?;
+            // Big-relation tuples: hash within the owner's block only.
+            let bi = block_of[v.index()];
+            if bi == usize::MAX {
+                continue;
+            }
+            if let Some(h) = &hashes[bi] {
+                for &a in round.state(v).rel(big) {
+                    groups.push(a, [h.pick(a >> key_shift)]);
+                }
+                groups.drain(|dsts, vals| round.send(v, dsts, big, vals))?;
+            }
+        }
+        Ok(())
+    })
+}
+
+/// Collect the union of all nodes' locally emittable intersections, sorted
+/// ([`verify::emitted_intersection`](tamp_simulator::verify::emitted_intersection)
+/// is the set-based oracle of this).
 pub(crate) fn emit_intersection(session: &Session<'_>) -> Vec<Value> {
-    tamp_simulator::verify::emitted_intersection(session.states())
-        .into_iter()
-        .collect()
+    let mut out = Vec::new();
+    let mut sorted: Vec<Value> = Vec::new();
+    for st in session.states() {
+        let (build, probe) = if st.r.len() <= st.s.len() {
+            (&st.r, &st.s)
+        } else {
+            (&st.s, &st.r)
+        };
+        sorted.clear();
+        sorted.extend_from_slice(build);
+        sorted.sort_unstable();
+        out.extend(probe.iter().filter(|a| sorted.binary_search(a).is_ok()));
+    }
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tamp_simulator::{run_protocol, verify, Placement};
-    use tamp_topology::builders;
+    use tamp_topology::{builders, NodeId};
 
     fn planted_placement(
         tree: &tamp_topology::Tree,

@@ -30,6 +30,7 @@ pub mod hashing;
 pub mod intersection;
 pub mod ratio;
 pub mod robustness;
+mod send_groups;
 pub mod sorting;
 
 pub use ratio::{ratio, LowerBound};

@@ -10,22 +10,27 @@
 /// positive) proportionally, returning per-node counts `N_u^i` with
 /// `Σ_i N_u^i ≥ n_u` and prefix error below one (Lemma 9).
 pub fn proportional_split(heavy: &[u64], n_u: u64) -> Vec<u64> {
+    proportional_split_iter(heavy, n_u).collect()
+}
+
+/// [`proportional_split`], one count at a time: a caller with few items
+/// to place stops as soon as they are placed instead of materialising a
+/// count per heavy node.
+pub(crate) fn proportional_split_iter(heavy: &[u64], n_u: u64) -> impl Iterator<Item = u64> + '_ {
     let total: u64 = heavy.iter().sum();
     assert!(total > 0, "heavy nodes must carry weight");
-    let mut out = Vec::with_capacity(heavy.len());
     let mut delta = 0.0f64;
-    for &w in heavy {
+    heavy.iter().map(move |&w| {
         let x = (w as f64 / total as f64) * n_u as f64;
         let frac = x - x.floor();
         if delta >= frac {
-            out.push(x.floor() as u64);
             delta -= frac;
+            x.floor() as u64
         } else {
-            out.push(x.floor() as u64 + 1);
             delta += 1.0 - frac;
+            x.floor() as u64 + 1
         }
-    }
-    out
+    })
 }
 
 #[cfg(test)]

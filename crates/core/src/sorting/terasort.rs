@@ -12,6 +12,7 @@ use tamp_simulator::{Protocol, Rel, Session, SimError, Value};
 use tamp_topology::NodeId;
 
 use crate::hashing::mix64;
+use crate::send_groups::SendGroups;
 
 /// The classic 3-round sampling sort. Output: the valid compute-node
 /// ordering used (first node = coordinator).
@@ -51,42 +52,49 @@ pub fn valid_order(tree: &tamp_topology::Tree) -> Vec<NodeId> {
     tree.left_to_right_compute_order(root)
 }
 
+/// The bucket of `x`: the number of splitters `≤ x`, capped at the last
+/// bucket (`b_i ≤ x < b_{i+1}`).
+#[inline]
+fn bucket_of(x: Value, splitters: &[Value], buckets: usize) -> usize {
+    splitters.partition_point(|&b| b <= x).min(buckets - 1)
+}
+
 /// Partition `data` into buckets by splitters (`b_i ≤ x < b_{i+1}`).
 pub fn bucketize(data: &[Value], splitters: &[Value], buckets: usize) -> Vec<Vec<Value>> {
     let mut out = vec![Vec::new(); buckets];
     for &x in data {
-        // Number of splitters ≤ x = index of the bucket.
-        let i = splitters.partition_point(|&b| b <= x).min(buckets - 1);
-        out[i].push(x);
+        out[bucket_of(x, splitters, buckets)].push(x);
     }
     out
 }
 
 /// Redistribute by splitters and rebuild local state: bucket `i` goes to
 /// `order[i]`; every node keeps its own bucket and replaces its fragment
-/// with own-bucket + received, sorted.
+/// with own-bucket + received (each in fragment order).
 pub(crate) fn redistribute_and_sort(
     session: &mut Session<'_>,
     order: &[NodeId],
     splitters: &[Value],
 ) -> Result<(), SimError> {
-    let k = order.len();
     let num_nodes = session.tree().num_nodes();
     let mut own_bucket: Vec<Vec<Value>> = vec![Vec::new(); num_nodes];
-    let mut pre_len = vec![0usize; num_nodes];
-    for (i, &v) in order.iter().enumerate() {
-        let mut buckets = bucketize(&session.state(v).r, splitters, k);
-        own_bucket[v.index()] = std::mem::take(&mut buckets[i]);
-        pre_len[v.index()] = session.state(v).r.len();
-    }
+    let pre_len: Vec<usize> = session.states().iter().map(|st| st.r.len()).collect();
     session.round(|round| {
-        for (i, &v) in order.iter().enumerate() {
-            let buckets = bucketize(&round.state(v).r, splitters, k);
-            for (j, bucket) in buckets.iter().enumerate() {
-                if j != i && !bucket.is_empty() {
-                    round.send(v, &[order[j]], Rel::R, bucket)?;
-                }
+        // Each element is tagged with its bucket's owner once; the
+        // grouper hands back one run per non-empty bucket.
+        let mut buckets = SendGroups::default();
+        for &v in order {
+            for &x in &round.state(v).r {
+                buckets.push(x, [order[bucket_of(x, splitters, order.len())]]);
             }
+            buckets.drain(|owner, bucket| {
+                if owner[0] == v {
+                    own_bucket[v.index()] = bucket.to_vec();
+                    Ok(())
+                } else {
+                    round.send(v, owner, Rel::R, bucket)
+                }
+            })?;
         }
         Ok(())
     })?;
@@ -133,16 +141,14 @@ impl Protocol for TeraSort {
             Ok(())
         })?;
         // Round 2: coordinator sorts samples, broadcasts uniform splitters.
-        let mut samples = session.state(coordinator).s.clone();
+        let mut samples = std::mem::take(&mut session.state_mut(coordinator).s);
         samples.sort_unstable();
         let k = order.len();
         let step = samples.len().div_ceil(k).max(1);
         let splitters: Vec<Value> = (1..k)
             .map(|i| samples.get(i * step - 1).copied().unwrap_or(Value::MAX))
             .collect();
-        session.state_mut(coordinator).s.clear();
-        let order_clone = order.clone();
-        session.round(|round| round.send(coordinator, &order_clone, Rel::S, &splitters))?;
+        session.round(|round| round.send(coordinator, &order, Rel::S, &splitters))?;
         // Every node now "knows" the splitters (they sit in its S inbox);
         // use them directly. Round 3: redistribute and sort locally.
         redistribute_and_sort(session, &order, &splitters)?;
@@ -175,6 +181,51 @@ mod tests {
         assert_eq!(buckets[0], vec![1]);
         assert_eq!(buckets[1], vec![5, 5, 9]);
         assert_eq!(buckets[2], vec![20]);
+    }
+
+    /// The one-pass re-ranging against the [`bucketize`] oracle, on
+    /// duplicate-heavy data and splitters that repeat (empty buckets):
+    /// `order[j]` ends with its own bucket `j`, then every other node's
+    /// bucket `j` in `order` order, each in fragment order.
+    #[test]
+    fn redistribution_matches_bucketize() {
+        let t = builders::random_tree(7, 3, 0.5, 4.0, 9);
+        let order = valid_order(&t);
+        let k = order.len();
+        for seed in 0..40u64 {
+            let mut p = Placement::empty(&t);
+            for (i, &v) in order.iter().enumerate() {
+                let len = mix64(seed ^ i as u64) % 60;
+                p.set_r(
+                    v,
+                    (0..len)
+                        .map(|x| mix64(seed ^ (x << 8) ^ i as u64) % 24)
+                        .collect(),
+                );
+            }
+            let mut splitters: Vec<Value> = (1..k as u64).map(|i| mix64(seed + i) % 24).collect();
+            splitters.sort_unstable();
+            let mut want: Vec<Vec<Value>> = order
+                .iter()
+                .enumerate()
+                .map(|(j, &v)| bucketize(&p.node(v).r, &splitters, k).swap_remove(j))
+                .collect();
+            for (i, &v) in order.iter().enumerate() {
+                for (j, bucket) in bucketize(&p.node(v).r, &splitters, k)
+                    .into_iter()
+                    .enumerate()
+                {
+                    if j != i {
+                        want[j].extend(bucket);
+                    }
+                }
+            }
+            let mut session = Session::new(&t, &p).unwrap();
+            redistribute_and_sort(&mut session, &order, &splitters).unwrap();
+            for (j, &v) in order.iter().enumerate() {
+                assert_eq!(session.state(v).r, want[j], "seed {seed}, node {j}");
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use tamp_simulator::{Protocol, Rel, Session, SimError, Value};
 use tamp_topology::NodeId;
 
-use super::proportional::proportional_split;
+use super::proportional::proportional_split_iter;
 use super::terasort::{coin, redistribute_and_sort, sample_rate, valid_order};
 
 /// The 4-round weighted TeraSort protocol. Output: the valid compute-node
@@ -59,32 +59,26 @@ impl Protocol for WeightedTeraSort {
         }
         let k_all = order.len() as u64;
         // Heavy ⇔ 2·N_v·|V_C| ≥ N (exact integer arithmetic).
-        let heavy: Vec<NodeId> = order
-            .iter()
-            .copied()
-            .filter(|&v| 2 * stats.n_v(v) * k_all >= n)
-            .collect();
-        let light: Vec<NodeId> = order
-            .iter()
-            .copied()
-            .filter(|&v| !heavy.contains(&v))
-            .collect();
+        let is_heavy = |v: &NodeId| 2 * stats.n_v(*v) * k_all >= n;
+        let (heavy, light): (Vec<NodeId>, Vec<NodeId>) = order.iter().partition(|v| is_heavy(v));
         debug_assert!(!heavy.is_empty(), "max N_v ≥ N/|V_C| ≥ N/(2|V_C|)");
         let heavy_sizes: Vec<u64> = heavy.iter().map(|&v| stats.n_v(v)).collect();
 
         // Round 1: light → heavy, proportional consecutive chunks.
         session.round(|round| {
             for &u in &light {
-                let local = round.state(u).r.clone();
-                if local.is_empty() {
-                    continue;
-                }
-                let counts = proportional_split(&heavy_sizes, local.len() as u64);
+                let local = &round.state(u).r;
+                let counts = proportional_split_iter(&heavy_sizes, local.len() as u64);
                 let mut start = 0usize;
-                for (i, &c) in counts.iter().enumerate() {
+                for (&v, c) in heavy.iter().zip(counts) {
+                    // The split is consumed lazily: a light node's few
+                    // elements are placed long before the last heavy node.
+                    if start == local.len() {
+                        break;
+                    }
                     let end = (start + c as usize).min(local.len());
                     if end > start {
-                        round.send(u, &[heavy[i]], Rel::R, &local[start..end])?;
+                        round.send(u, &[v], Rel::R, &local[start..end])?;
                     }
                     start = end;
                 }
@@ -98,16 +92,14 @@ impl Protocol for WeightedTeraSort {
         // Round 2: heavy nodes sample → v_1.
         let v1 = heavy[0];
         let rho = sample_rate(order.len(), n);
-        let heavy_clone = heavy.clone();
-        let seed = self.seed;
         session.round(|round| {
-            for &v in &heavy_clone {
+            for &v in &heavy {
                 let samples: Vec<Value> = round
                     .state(v)
                     .r
                     .iter()
                     .copied()
-                    .filter(|&x| coin(seed, x, rho))
+                    .filter(|&x| coin(self.seed, x, rho))
                     .collect();
                 round.send(v, &[v1], Rel::S, &samples)?;
             }
@@ -115,9 +107,8 @@ impl Protocol for WeightedTeraSort {
         })?;
 
         // Round 3: v_1 picks proportional splitters, broadcasts to heavy.
-        let mut samples = session.state(v1).s.clone();
+        let mut samples = std::mem::take(&mut session.state_mut(v1).s);
         samples.sort_unstable();
-        session.state_mut(v1).s.clear();
         let s_len = samples.len();
         let step = s_len.div_ceil(order.len()).max(1);
         // c_j = ⌈(|V_C|/N)·M_j⌉ sample intervals per heavy node, where M_j
@@ -138,8 +129,7 @@ impl Protocol for WeightedTeraSort {
                 samples.get(idx - 1).copied().unwrap_or(Value::MAX)
             });
         }
-        let heavy_clone = heavy.clone();
-        session.round(|round| round.send(v1, &heavy_clone, Rel::S, &splitters))?;
+        session.round(|round| round.send(v1, &heavy, Rel::S, &splitters))?;
 
         // Round 4: heavy nodes re-range by the splitters.
         redistribute_and_sort(session, &heavy, &splitters)?;

@@ -336,7 +336,12 @@ pub fn is_compat_path(path: &str) -> bool {
 /// Schedule-emission and trace-building modules: the code whose output
 /// order feeds checkpoint tokens and cross-backend parity.
 pub fn d1_in_scope(path: &str) -> bool {
-    const SCOPE: [&str; 8] = [
+    const SCOPE: [&str; 11] = [
+        // The hash-routing protocols: their send order is every
+        // receiver's arrival order, hence the ordered final state.
+        "crates/core/src/intersection/",
+        "crates/core/src/aggregate/",
+        "crates/core/src/sorting/",
         "crates/query/src/physical/",
         "crates/query/src/exec/",
         "crates/query/src/iterative.rs",
@@ -790,5 +795,15 @@ mod tests {
         assert!(d1_in_scope("crates/runtime/src/programs/intersect.rs"));
         assert!(d1_in_scope("crates/runtime/src/jobs.rs"));
         assert!(!d1_in_scope("crates/runtime/src/cluster.rs"));
+    }
+
+    #[test]
+    fn d1_scope_covers_the_hash_routing_protocols() {
+        assert!(d1_in_scope("crates/core/src/intersection/tree.rs"));
+        assert!(d1_in_scope("crates/core/src/aggregate/groupby.rs"));
+        assert!(d1_in_scope("crates/core/src/sorting/terasort.rs"));
+        // Interval routing: no hash collection decides a send.
+        assert!(!d1_in_scope("crates/core/src/cartesian/whc.rs"));
+        assert!(!d1_in_scope("crates/core/src/hashing.rs"));
     }
 }

@@ -105,6 +105,24 @@ fn clean_out_of_scope_paths_stay_silent() {
 }
 
 #[test]
+fn protocol_send_loops_fire_inside_the_core_protocol_modules_only() {
+    let dir = fixtures_dir();
+    let src = std::fs::read_to_string(dir.join("d1_protocol_send_loop.rs")).unwrap();
+    for path in [
+        "crates/core/src/intersection/tree.rs",
+        "crates/core/src/aggregate/groupby.rs",
+        "crates/core/src/sorting/terasort.rs",
+    ] {
+        let report = scan_source(path, &src);
+        let got: Vec<u32> = report.diagnostics.iter().map(|d| d.line).collect();
+        assert_eq!(got, [11, 21], "{path}:\n{}", report.render_text());
+    }
+    // The cartesian protocols route by interval, not by hash table.
+    let report = scan_source("crates/core/src/cartesian/whc.rs", &src);
+    assert!(report.is_clean(), "{}", report.render_text());
+}
+
+#[test]
 fn json_rendering_counts_agree() {
     let dir = fixtures_dir();
     let src = std::fs::read_to_string(dir.join("d2_wall_clock.rs")).unwrap();

@@ -12,7 +12,28 @@
 //! how the paper's cartesian-product protocol routes everything through
 //! the root of `G†`). A value multicast to several destinations traverses
 //! each directed link of the union of its routing paths exactly once.
+//!
+//! # Delivery
+//!
+//! A round's sends are not delivered as they are issued: they are logged
+//! in one round-scoped arena (`Pending`) and replayed, in send order,
+//! when the round commits. A borrowed payload ([`RoundCtx::send`],
+//! [`RoundCtx::send_via`]) is copied **once**, into the arena, however
+//! many destinations it has; an owned payload ([`RoundCtx::send_shared`])
+//! is not copied at all — the log keeps the caller's `Arc`, one per
+//! *send*. The only per-destination work is the final
+//! `extend_from_slice` into the receiving fragment, which the model's
+//! copy semantics require anyway; commit first adds up what each
+//! fragment is about to receive and reserves it, so a fragment grows
+//! once per round however many sends reach it. Because the replay walks
+//! the log in order, a node's `r` (and `s`) grows by exactly its
+//! deliveries in the order they were sent — arrival order *is* send
+//! order — so a protocol whose send order is deterministic has a
+//! deterministic final state. An aborted round truncates the log; the
+//! buffers keep their capacity across rounds, so a steady-state round
+//! allocates nothing per send.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use tamp_topology::{NodeId, Tree};
@@ -58,10 +79,9 @@ pub fn run_protocol<P: Protocol>(
     placement: &Placement,
     protocol: &P,
 ) -> Result<Run<P::Output>, SimError> {
-    placement.validate(tree)?;
     let mut session = Session::new(tree, placement)?;
     let output = protocol.run(&mut session)?;
-    let (cost, final_state, rounds) = session.finish();
+    let (cost, final_state, rounds) = session.into_parts();
     Ok(Run {
         output,
         cost,
@@ -79,26 +99,104 @@ pub struct Session<'t> {
     /// The shared union-of-paths accounting, identical to the runtime's.
     /// Also the single source of truth for the round count.
     meter: TrafficMeter,
-    /// Per-node in-flight delivery chunks, reused across rounds so a
-    /// 4096-node session does not reallocate two `Vec`s per node per
-    /// round. Each chunk is a shared payload: a multicast pushes one
-    /// `Arc` clone per destination instead of copying the values.
-    inbox_r: Vec<Vec<Arc<[Value]>>>,
-    inbox_s: Vec<Vec<Arc<[Value]>>>,
+    /// The in-flight deliveries of the round in progress (empty between
+    /// rounds), reused across rounds so its buffers grow once per session.
+    pending: Pending,
+}
+
+/// One round's send log: what [`Session::round`] replays, in order, into
+/// node state on commit (see the module docs).
+#[derive(Default)]
+struct Pending {
+    /// Payloads of the borrowed-slice sends, each appended once.
+    values: Vec<Value>,
+    /// Destination lists of all sends, concatenated.
+    dsts: Vec<NodeId>,
+    /// One entry per send, in send order.
+    sends: Vec<PendingSend>,
+}
+
+struct PendingSend {
+    rel: Rel,
+    /// This send's run of `Pending::dsts`.
+    dsts: Range<usize>,
+    payload: Payload,
+}
+
+enum Payload {
+    /// A run of `Pending::values`.
+    Arena(Range<usize>),
+    /// The caller's own allocation, kept alive until commit.
+    Shared(Arc<[Value]>),
+}
+
+impl Pending {
+    fn push(&mut self, dsts: &[NodeId], rel: Rel, payload: Payload) {
+        let start = self.dsts.len();
+        self.dsts.extend_from_slice(dsts);
+        self.sends.push(PendingSend {
+            rel,
+            dsts: start..self.dsts.len(),
+            payload,
+        });
+    }
+
+    /// Log a borrowed payload: its one copy, into the arena.
+    fn push_copy(&mut self, dsts: &[NodeId], rel: Rel, values: &[Value]) {
+        let start = self.values.len();
+        self.values.extend_from_slice(values);
+        self.push(dsts, rel, Payload::Arena(start..self.values.len()));
+    }
+
+    /// Drop everything logged; capacity stays.
+    fn clear(&mut self) {
+        self.values.clear();
+        self.dsts.clear();
+        self.sends.clear();
+    }
+
+    /// Replay the log into `state` in send order, then clear it.
+    fn deliver(&mut self, state: &mut [NodeState]) {
+        // Size every receiving fragment first (`[R, S]` tuples per node):
+        // grown piecemeal, the fragments of a round interleave on the
+        // heap and each growth step moves one.
+        let mut incoming = vec![[0usize; 2]; state.len()];
+        for (rel, dst, values) in self.deliveries() {
+            incoming[dst.index()][rel as usize] += values.len();
+        }
+        for (node, [r, s]) in state.iter_mut().zip(incoming) {
+            node.r.reserve(r);
+            node.s.reserve(s);
+        }
+        for (rel, dst, values) in self.deliveries() {
+            state[dst.index()].rel_mut(rel).extend_from_slice(values);
+        }
+        self.clear();
+    }
+
+    /// Every `(relation, destination, payload)` logged, in send order.
+    fn deliveries(&self) -> impl Iterator<Item = (Rel, NodeId, &[Value])> {
+        self.sends.iter().flat_map(move |send| {
+            let values = match &send.payload {
+                Payload::Arena(run) => &self.values[run.clone()],
+                Payload::Shared(values) => &values[..],
+            };
+            let dsts = &self.dsts[send.dsts.clone()];
+            dsts.iter().map(move |&dst| (send.rel, dst, values))
+        })
+    }
 }
 
 impl<'t> Session<'t> {
     /// Start a session with the given initial placement.
     pub fn new(tree: &'t Tree, placement: &Placement) -> Result<Self, SimError> {
         placement.validate(tree)?;
-        let n_nodes = tree.num_nodes();
         Ok(Session {
             tree,
             state: placement.fragments().to_vec(),
             initial_stats: placement.stats(),
             meter: TrafficMeter::new(tree),
-            inbox_r: vec![Vec::new(); n_nodes],
-            inbox_s: vec![Vec::new(); n_nodes],
+            pending: Pending::default(),
         })
     }
 
@@ -149,32 +247,18 @@ impl<'t> Session<'t> {
             tree: self.tree,
             state: &self.state,
             meter: &mut self.meter,
-            inbox_r: &mut self.inbox_r,
-            inbox_s: &mut self.inbox_s,
+            pending: &mut self.pending,
         };
         let result = f(&mut ctx);
         if let Err(e) = result {
             // Abandon the failed round entirely: neither its partial
             // charges nor its deliveries may leak into later rounds.
             self.meter.abort_round();
-            for inbox in self.inbox_r.iter_mut().chain(self.inbox_s.iter_mut()) {
-                inbox.clear();
-            }
+            self.pending.clear();
             return Err(e);
         }
         self.meter.commit_round();
-        // Materialize the shared chunks into node state; `clear` keeps
-        // the per-node buffers (and their capacity) for the next round.
-        for (v, chunks) in self.inbox_r.iter_mut().enumerate() {
-            for chunk in chunks.drain(..) {
-                self.state[v].r.extend_from_slice(&chunk);
-            }
-        }
-        for (v, chunks) in self.inbox_s.iter_mut().enumerate() {
-            for chunk in chunks.drain(..) {
-                self.state[v].s.extend_from_slice(&chunk);
-            }
-        }
+        self.pending.deliver(&mut self.state);
         Ok(())
     }
 
@@ -187,11 +271,6 @@ impl<'t> Session<'t> {
         let rounds = self.meter.rounds_committed();
         (self.meter.finish(), self.state, rounds)
     }
-
-    /// Fold the ledger and hand back final state.
-    pub(crate) fn finish(self) -> (Cost, Vec<NodeState>, usize) {
-        self.into_parts()
-    }
 }
 
 /// Send interface available inside a round.
@@ -199,8 +278,7 @@ pub struct RoundCtx<'a, 't> {
     tree: &'t Tree,
     state: &'a [NodeState],
     meter: &'a mut TrafficMeter,
-    inbox_r: &'a mut Vec<Vec<Arc<[Value]>>>,
-    inbox_s: &'a mut Vec<Vec<Arc<[Value]>>>,
+    pending: &'a mut Pending,
 }
 
 impl<'a, 't> RoundCtx<'a, 't> {
@@ -210,9 +288,11 @@ impl<'a, 't> RoundCtx<'a, 't> {
         self.tree
     }
 
-    /// Round-start state of node `v`.
+    /// Round-start state of node `v`. It is frozen for the whole round,
+    /// so the borrow outlives `&self`: a protocol can send a fragment
+    /// (or slices of it) without cloning it first.
     #[inline]
-    pub fn state(&self, v: NodeId) -> &NodeState {
+    pub fn state(&self, v: NodeId) -> &'a NodeState {
         &self.state[v.index()]
     }
 
@@ -229,14 +309,17 @@ impl<'a, 't> RoundCtx<'a, 't> {
         if values.is_empty() || dsts.is_empty() {
             return Ok(());
         }
-        self.send_shared(src, dsts, rel, values.into())
+        self.check_endpoints(src, dsts)?;
+        self.meter.charge_multicast(src, dsts, values.len() as u64);
+        self.pending.push_copy(dsts, rel, values);
+        Ok(())
     }
 
-    /// Zero-copy variant of [`RoundCtx::send`]: the shared payload is
-    /// delivered as one `Arc` clone per destination, so a broadcast costs
-    /// one allocation total — callers that already hold their payload in
-    /// an `Arc` (e.g. the query layer's exchange-trace replay) never copy
-    /// it at all.
+    /// Zero-copy variant of [`RoundCtx::send`]: the round keeps the
+    /// caller's `Arc` until commit and delivers straight out of it, so
+    /// callers that already hold their payload in an `Arc` (e.g. the
+    /// query layer's exchange-trace replay) never copy it before the
+    /// receiving fragments do.
     pub fn send_shared(
         &mut self,
         src: NodeId,
@@ -249,7 +332,7 @@ impl<'a, 't> RoundCtx<'a, 't> {
         }
         self.check_endpoints(src, dsts)?;
         self.meter.charge_multicast(src, dsts, values.len() as u64);
-        self.deliver(dsts, rel, values);
+        self.pending.push(dsts, rel, Payload::Shared(values));
         Ok(())
     }
 
@@ -274,7 +357,7 @@ impl<'a, 't> RoundCtx<'a, 't> {
         // the relay, so they do not union with each other.
         self.meter.charge_via(src, relay, dsts, values.len() as u64);
         if !dsts.is_empty() {
-            self.deliver(dsts, rel, values.into());
+            self.pending.push_copy(dsts, rel, values);
         }
         Ok(())
     }
@@ -288,21 +371,14 @@ impl<'a, 't> RoundCtx<'a, 't> {
         }
         Ok(())
     }
-
-    fn deliver(&mut self, dsts: &[NodeId], rel: Rel, values: Arc<[Value]>) {
-        for &dst in dsts {
-            let inbox = match rel {
-                Rel::R => &mut self.inbox_r[dst.index()],
-                Rel::S => &mut self.inbox_s[dst.index()],
-            };
-            inbox.push(Arc::clone(&values));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use tamp_topology::builders;
 
     struct OneShot;
@@ -478,8 +554,15 @@ mod tests {
         p.set_r(NodeId(0), vec![1, 2, 3]);
         let mut s = Session::new(&t, &p).unwrap();
         let err = s.round(|r| {
-            let vals = r.state(NodeId(0)).r.clone();
-            r.send(NodeId(0), &[NodeId(1)], Rel::R, &vals)?; // charges 3 tuples
+            // One send of each kind is pending when the round fails.
+            r.send(NodeId(0), &[NodeId(1)], Rel::R, &r.state(NodeId(0)).r)?; // charges 3 tuples
+            r.send_shared(
+                NodeId(1),
+                &[NodeId(0), NodeId(1)],
+                Rel::S,
+                vec![4, 5].into(),
+            )?;
+            r.send_via(NodeId(0), NodeId(2), &[NodeId(1)], Rel::S, &[6])?;
             r.send(NodeId(0), &[NodeId(2)], Rel::R, &[9]) // hub: errors
         });
         assert_eq!(err.unwrap_err(), SimError::SendToRouter(NodeId(2)));
@@ -491,7 +574,77 @@ mod tests {
         // Only the second round's single tuple is metered (2 hops).
         assert_eq!(cost.total_tuples(), 2);
         assert_eq!(cost.per_round[0].tuple_cost, 1.0);
-        // The aborted round's delivery never landed.
+        // The aborted round's deliveries never landed.
         assert_eq!(state[1].r, vec![7]);
+        assert_eq!(state[0].r, vec![1, 2, 3]);
+        assert!(state[0].s.is_empty() && state[1].s.is_empty());
+    }
+
+    /// A random two-round mix of `send`, `send_shared` and `send_via` —
+    /// several destinations, repeated destinations, self-delivery, router
+    /// relays — against the definition of delivery: a node's fragment is
+    /// its initial fragment followed by every payload addressed to it,
+    /// once per occurrence in the destination list, in send order.
+    fn delivery_case(seed: u64) -> (Vec<NodeState>, Vec<NodeState>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tree = builders::random_tree(
+            rng.random_range(1..7usize),
+            rng.random_range(1..5usize),
+            0.5,
+            8.0,
+            seed ^ 0x5E,
+        );
+        let vc = tree.compute_nodes();
+        let all: Vec<NodeId> = tree.nodes().collect();
+        let mut p = Placement::empty(&tree);
+        for &v in vc {
+            p.set_r(v, (0..rng.random_range(0..4u64)).collect());
+        }
+        let mut want = p.fragments().to_vec();
+        let mut session = Session::new(&tree, &p).unwrap();
+        let mut next = 100u64;
+        for _ in 0..2 {
+            session
+                .round(|r| {
+                    for _ in 0..rng.random_range(0..12usize) {
+                        let src = vc[rng.random_range(0..vc.len())];
+                        let dsts: Vec<NodeId> = (0..rng.random_range(0..5usize))
+                            .map(|_| vc[rng.random_range(0..vc.len())])
+                            .collect();
+                        let rel = if rng.random_range(0..2u32) == 0 {
+                            Rel::R
+                        } else {
+                            Rel::S
+                        };
+                        let values: Vec<Value> =
+                            (0..rng.random_range(0..4u64)).map(|i| next + i).collect();
+                        next += 10;
+                        match rng.random_range(0..3u32) {
+                            0 => r.send(src, &dsts, rel, &values)?,
+                            1 => r.send_shared(src, &dsts, rel, values.as_slice().into())?,
+                            _ => {
+                                let relay = all[rng.random_range(0..all.len())];
+                                r.send_via(src, relay, &dsts, rel, &values)?
+                            }
+                        }
+                        for d in dsts {
+                            want[d.index()].rel_mut(rel).extend_from_slice(&values);
+                        }
+                    }
+                    Ok(())
+                })
+                .unwrap();
+        }
+        (session.into_parts().1, want)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn fragments_are_deliveries_in_send_order(seed in 0u64..1_000_000) {
+            let (got, want) = delivery_case(seed);
+            prop_assert_eq!(got, want);
+        }
     }
 }

@@ -146,8 +146,12 @@ impl TrafficMeter {
     /// Charge one multicast: `amount` tuples from `src` to every node of
     /// `dsts`, each directed edge of the union of the paths charged once
     /// (duplicate destinations collapse). O(k log k) in the number of
-    /// destinations.
+    /// destinations; exactly one destination is a unicast (with terminals
+    /// `{src, d}` the deltas below reduce to the same four updates).
     pub fn charge_multicast(&mut self, src: NodeId, dsts: &[NodeId], amount: u64) {
+        if let [dst] = dsts {
+            return self.charge_unicast(src, *dst, amount);
+        }
         if amount == 0 {
             return;
         }
@@ -598,6 +602,37 @@ mod tests {
         let cost = m.finish();
         assert_eq!(cost.total_tuples(), 0);
         assert_eq!(cost.per_round[0].bottleneck, None);
+    }
+
+    /// One destination takes the unicast path; the ledger is the one the
+    /// general virtual-tree decomposition gives (reached here by
+    /// repeating the destination, which collapses).
+    #[test]
+    fn one_destination_multicast_is_a_unicast() {
+        let t = builders::rack_tree(&[(2, 1.0, 2.0), (2, 2.0, 4.0)], 1.0);
+        let vc = t.compute_nodes();
+        let router = t.nodes().find(|&v| !t.is_compute(v)).unwrap();
+        // Self-send, router source, same-rack and cross-rack leaf pairs.
+        for (src, dst) in [
+            (vc[0], vc[0]),
+            (router, vc[3]),
+            (vc[0], vc[1]),
+            (vc[0], vc[3]),
+        ] {
+            let ledger = |charge: &dyn Fn(&mut TrafficMeter)| {
+                let mut m = TrafficMeter::new(&t);
+                charge(&mut m);
+                m.commit_round();
+                m.finish()
+            };
+            let uni = ledger(&|m| m.charge_unicast(src, dst, 5));
+            for dsts in [&[dst][..], &[dst, dst]] {
+                let multi = ledger(&|m| m.charge_multicast(src, dsts, 5));
+                assert_eq!(multi.edge_totals, uni.edge_totals, "{src} → {dsts:?}");
+                assert_eq!(multi.per_round, uni.per_round, "{src} → {dsts:?}");
+            }
+            assert_eq!(uni.total_tuples() == 0, src == dst);
+        }
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //! under every placement strategy, must be correct, respect its round
 //! budget, and stay within a generous constant of its lower bound.
 
+use tamp::core::aggregate::{encode, Aggregator, HashGroupBy};
 use tamp::core::cartesian::{
     cartesian_lower_bound, AllToOne, TreeCartesianProduct, UniformHyperCube,
 };
-use tamp::core::intersection::{intersection_lower_bound, TreeIntersect, UniformHashJoin};
+use tamp::core::intersection::{
+    intersection_lower_bound, KeyedEquiJoin, StarIntersect, TreeIntersect, UniformHashJoin,
+};
 use tamp::core::ratio::ratio;
 use tamp::core::sorting::{sorting_lower_bound, TeraSort, WeightedTeraSort};
-use tamp::simulator::{run_protocol, verify};
+use tamp::simulator::{run_protocol, verify, NodeState, Placement, Protocol, Rel};
 use tamp::topology::{builders, Tree};
 use tamp::workloads::{PlacementStrategy, SetSpec, SortSpec};
 
@@ -171,4 +174,48 @@ fn costs_scale_linearly_with_input() {
         (2.0..8.0).contains(&growth),
         "4× input should grow cost ≈ 4×, got {growth}"
     );
+}
+
+/// Two runs of one protocol on one placement end in the same *ordered*
+/// per-node state: a node's fragment is its deliveries in send order,
+/// and the hash-routing protocols emit their sends in a fixed order
+/// (ascending destination vector) rather than in `HashMap` order, which
+/// `RandomState` reshuffled on every run. The multicasting three
+/// (`TreeIntersect`, `KeyedEquiJoin`, `StarIntersect` with a β node)
+/// showed that in their final states; the one-destination two only in
+/// their send order, and are here so that it stays that way.
+#[test]
+fn hash_routed_final_states_repeat_run_to_run() {
+    fn twice<P: Protocol>(tree: &Tree, p: &Placement, protocol: &P) -> [Vec<NodeState>; 2] {
+        [(); 2].map(|()| {
+            run_protocol(tree, p, protocol)
+                .unwrap_or_else(|e| panic!("{}: {e}", protocol.name()))
+                .final_state
+        })
+    }
+    let star = builders::heterogeneous_star(&[0.5, 1.0, 1.0, 2.0, 2.0, 4.0, 4.0, 8.0]);
+    let racks = builders::random_tree(24, 6, 0.5, 8.0, 3);
+    for (tname, tree) in [("het-star", &star), ("rand", &racks)] {
+        let w = SetSpec::new(400, 1_200).with_intersection(100).generate(11);
+        let p = PlacementStrategy::Zipf { alpha: 1.0 }.place(tree, &w, 11);
+        let [a, b] = twice(tree, &p, &TreeIntersect::new(7));
+        assert_eq!(a, b, "{tname}: TreeIntersect");
+        let [a, b] = twice(tree, &p, &KeyedEquiJoin::new(7, 8));
+        assert_eq!(a, b, "{tname}: KeyedEquiJoin");
+        let [a, b] = twice(tree, &p, &UniformHashJoin::new(7));
+        assert_eq!(a, b, "{tname}: UniformHashJoin");
+        // 61 groups on every node, so each node routes to several owners.
+        let mut grouped = Placement::empty(tree);
+        for (i, &v) in tree.compute_nodes().iter().enumerate() {
+            for j in 0..80 {
+                grouped.push(v, Rel::R, encode((i as u64 * 7 + j) % 61, j + 1));
+            }
+        }
+        let [a, b] = twice(tree, &grouped, &HashGroupBy::new(7, Aggregator::Sum));
+        assert_eq!(a, b, "{tname}: HashGroupBy");
+        if tname == "het-star" {
+            let [a, b] = twice(tree, &p, &StarIntersect::new(7));
+            assert_eq!(a, b, "{tname}: StarIntersect");
+        }
+    }
 }
