@@ -4,13 +4,14 @@
 //! send walked its full `src → dst` path (memoized per pair), so one
 //! all-to-all repartition round on `p` nodes cost `O(p² · depth)` stamp
 //! work and `O(p² · depth)` memo memory. The aggregate meter charges the
-//! same ledger through O(1)-LCA subtree deltas and Euler-order virtual
+//! same ledger through O(1)-LCA subtree deltas and preorder virtual
 //! trees (see `tamp_simulator::metering`). This suite drives both
 //! implementations over the same workloads on a 4096-compute fat-tree
-//! and a 65,536-compute fat-tree — the latter's 87 381 nodes put every
-//! `commit_round` on the meter's chunked parallel prefix-sum sweep — and
-//! reports wall time and metering throughput; a smaller fat-tree
-//! cross-checks that the two ledgers are bit-identical.
+//! and a 65,536-compute fat-tree — the latter's 87 381 nodes take the
+//! index and the accumulators out of cache, and every `commit_round` is
+//! the same single reverse scan — and reports wall time and metering
+//! throughput; a smaller fat-tree cross-checks that the two ledgers are
+//! bit-identical.
 //!
 //! The baseline here — `NaivePathMeter`, shared with the simulator's
 //! metering proptest via `tamp_simulator::metering::oracle` — is a
@@ -166,8 +167,8 @@ fn throughput_table() -> Table {
     // keep the suite's wall time in check.
     //
     // Tree 2: 4^8 = 65,536 compute leaves, 87 381 nodes — big enough
-    // that every `commit_round` takes the meter's chunked parallel
-    // prefix-sum sweep. Both meters subsample sources here (the full p²
+    // that the sparse table and the per-position accumulators spill out
+    // of cache. Both meters subsample sources here (the full p²
     // set is 4.3 × 10⁹ sends); the oracle subsamples harder because its
     // per-pair path memo alone would be gigabytes at this scale.
     for (tree, runs) in [
@@ -307,8 +308,7 @@ mod tests {
         // The broadcast union decomposition must also win, if less.
         let bspeed: f64 = a.cell(1, 7).parse().unwrap();
         assert!(bspeed >= 1.0, "broadcast-join speedup only {bspeed}×");
-        // The 65,536-compute rows: deeper paths widen the gap, and the
-        // commit path is the parallel sweep.
+        // The 65,536-compute rows: deeper paths widen the gap.
         assert_eq!(a.cell(2, 0), "all-to-all");
         assert_eq!(a.cell(2, 1), "65536");
         let big: f64 = a.cell(2, 7).parse().unwrap();

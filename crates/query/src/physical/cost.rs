@@ -24,7 +24,7 @@
 //! |---------|----------------------|----------------------|------|
 //! | repartition | `N(V⁻) · S(V⁺)` | `N(V⁺) · S(V⁻)` | O(\|V\|) |
 //! | every source multicasts to `D` (gather: `D = {t}`) | `N(V⁻)` iff `D` meets `V⁺` | `N(V⁺)` iff `D` meets `V⁻` | O(\|V\|) |
-//! | [`RoundLoad::send`] to `k` destinations | ± deltas on the terminals' virtual tree, summed per subtree | (same) | O(k log k) |
+//! | [`RoundLoad::send`] to `k` destinations | ± deltas on the terminals' virtual tree ([`LcaIndex::for_each_union_delta`], the meter's own enumeration), summed per subtree | (same) | O(k log k) |
 //!
 //! Both sides of every cut come from one [`Tree::cut_folds`], which builds
 //! them by addition only — `V⁺` is never `total − V⁻` — so no float sum
@@ -52,7 +52,7 @@ pub struct CostModel<'t> {
 }
 
 impl<'t> CostModel<'t> {
-    /// Build the model for `tree` (one Euler tour + sparse table).
+    /// Build the model for `tree` (one preorder sparse table).
     pub fn new(tree: &'t Tree) -> Self {
         let lca = LcaIndex::new(tree);
         let links = tree
@@ -80,7 +80,7 @@ impl<'t> CostModel<'t> {
     pub fn round(&self) -> RoundLoad<'_, 't> {
         RoundLoad {
             model: self,
-            delta: vec![(0.0, 0.0); self.links.len()],
+            delta: vec![[0.0; 2]; self.links.len()],
             load: vec![(0.0, 0.0); self.links.len()],
             terminals: Vec::new(),
         }
@@ -176,13 +176,14 @@ impl<'t> CostModel<'t> {
 #[derive(Debug)]
 pub struct RoundLoad<'m, 't> {
     model: &'m CostModel<'t>,
-    /// Per-node `(up, down)` deltas of the sends: a parent edge's load is
-    /// the sum over the subtree below it.
-    delta: Vec<(f64, f64)>,
+    /// `[up, down]` deltas of the sends by preorder position
+    /// ([`LcaIndex::tin`]): a parent edge's load is the sum over the
+    /// subtree below it.
+    delta: Vec<[f64; 2]>,
     /// Per-node `(up, down)` parent-edge loads of the repartitions.
     load: Vec<(f64, f64)>,
-    /// Terminals of the send being charged (reused scratch).
-    terminals: Vec<NodeId>,
+    /// Terminal positions of the send being charged (reused scratch).
+    terminals: Vec<u32>,
 }
 
 impl RoundLoad<'_, '_> {
@@ -195,29 +196,22 @@ impl RoundLoad<'_, '_> {
             return;
         }
         let lca = &self.model.lca;
+        let src = lca.tin(src);
         let t = &mut self.terminals;
         t.clear();
         t.push(src);
-        t.extend_from_slice(dsts);
-        t.sort_unstable_by_key(|&v| lca.tin(v));
+        t.extend(dsts.iter().map(|&d| lca.tin(d)));
+        t.sort_unstable();
         t.dedup();
         if t.len() < 2 {
             return;
         }
-        // `TrafficMeter::charge_multicast`'s virtual tree: the union
-        // climbs `src → top` and descends to every other terminal, with
-        // each consecutive-pair LCA cancelling the shared prefix.
-        let top = lca.lca(t[0], t[t.len() - 1]);
-        self.delta[src.index()].0 += amount;
-        self.delta[top.index()].0 -= amount;
-        for (i, &v) in t.iter().enumerate() {
-            if v != src {
-                self.delta[v.index()].1 += amount;
-            }
-            if let Some(&next) = t.get(i + 1) {
-                self.delta[lca.lca(v, next).index()].1 -= amount;
-            }
-        }
+        // `TrafficMeter::charge_multicast`'s virtual tree, delta for
+        // delta.
+        let delta = &mut self.delta;
+        lca.for_each_union_delta(src, t, |pos, leg, add| {
+            delta[pos as usize][leg] += if add { amount } else { -amount };
+        });
     }
 
     /// Charge a repartition among the nodes of `among` only: each ships
@@ -238,19 +232,22 @@ impl RoundLoad<'_, '_> {
         }
     }
 
-    /// The round's `max_e load(e)/w_e`: one reverse-DFS sweep turns the
-    /// send deltas into subtree sums.
+    /// The round's `max_e load(e)/w_e`: one reverse scan over preorder
+    /// positions (children after parents) turns the send deltas into
+    /// subtree sums.
     pub fn cost(mut self) -> f64 {
-        let tree = self.model.tree;
-        for &x in tree.dfs_order().iter().rev() {
-            if let Some((p, _)) = tree.parent0(x) {
-                let below = self.delta[x.index()];
-                let d = &mut self.delta[p.index()];
-                *d = (d.0 + below.0, d.1 + below.1);
-            }
+        let lca = &self.model.lca;
+        let parent_pos = lca.parent_pos();
+        for i in (1..self.delta.len()).rev() {
+            let below = self.delta[i];
+            let d = &mut self.delta[parent_pos[i] as usize];
+            *d = [d[0] + below[0], d[1] + below[1]];
         }
-        let loads = self.delta.iter().zip(&self.load);
-        self.model.price(loads.map(|(d, l)| (d.0 + l.0, d.1 + l.1)))
+        let loads = self.model.tree.nodes().zip(&self.load).map(|(x, l)| {
+            let d = self.delta[lca.tin(x) as usize];
+            (d[0] + l.0, d[1] + l.1)
+        });
+        self.model.price(loads)
     }
 }
 

@@ -13,39 +13,42 @@
 //! The naive implementation walks every send's full `src → dst` path —
 //! `O(p² · depth)` stamp work for one repartition round on `p` nodes,
 //! plus a memo table of every routed pair. This meter instead exploits
-//! the tree structure end to end (cf. `topology::lca`):
+//! the tree structure end to end, and does so in the **preorder
+//! coordinates** of `topology::lca`: one `[up, down]` delta pair per
+//! preorder position, where a parent sits before its children and a
+//! subtree is a contiguous run.
 //!
-//! - a **unicast** `a → b` of `t` tuples is four per-node delta updates:
-//!   `+t` on the up-accumulator at `a` and the down-accumulator at `b`,
-//!   `−t` on both at `lca(a, b)`. A post-order up-sweep at round commit
-//!   turns subtree sums into per-edge charges, splitting the child→parent
-//!   (up) direction from parent→child (down). O(1) per send, O(n) per
-//!   round.
+//! - a **unicast** `a → b` of `t` tuples is two `tin` loads, one
+//!   `lca_pos` and four delta updates: `+t` on the up-delta at `a` and
+//!   the down-delta at `b`, `−t` on both at `lca(a, b)`. O(1) per send.
 //! - a **multicast** `src → dsts` charges each directed edge of the
 //!   Steiner union of its paths once. The union is decomposed through
-//!   the Euler-order **virtual tree** of the terminals: sort the distinct
-//!   terminals by `tin`, add `+t` at every terminal, `−t` at every
-//!   consecutive-pair LCA, and `−t` at `src` (whose upward leg is
-//!   charged as up-edges `src → lca(terminals)` instead). O(k log k) for
-//!   `k` destinations, independent of path lengths.
+//!   the **virtual tree** of the terminals: sort their distinct positions
+//!   (plain `u32`s), then [`LcaIndex::for_each_union_delta`] adds `+t` at
+//!   every terminal and `−t` at every consecutive-pair LCA, with the
+//!   upward leg charged as up-edges `src → lca(terminals)`. O(k log k)
+//!   for `k` destinations, independent of path lengths.
+//! - **round commit** is one reverse linear scan
+//!   `acc[parent_pos[i]] += acc[i]` — children fold into parents, leaving
+//!   every position holding the sum over its subtree, i.e. the charge on
+//!   its parent edge in each direction — followed by a sparse emission in
+//!   ascending edge-id order. O(n) per round, one path at every tree
+//!   size.
 //!
-//! The same commit sweep serves both, so one round of any mix of sends
-//! costs O(n + sends) instead of O(sends · depth). The pre-aggregation
-//! per-path walk survives only as the hidden [`oracle`] reference
-//! implementation (used by a proptest asserting bit-identical ledgers
-//! on random trees and send batches, and as the `x-scale` bench
-//! baseline).
+//! So one round of any mix of sends costs O(n + sends) instead of
+//! O(sends · depth). The meter keeps no copy of the rooting of its own:
+//! the index and the per-edge table are shared (`Arc`), so cloning a
+//! meter — every `stage()`, every cluster checkpoint — copies only the
+//! accumulators and the ledger. The pre-aggregation per-path walk
+//! survives only as the hidden [`oracle`] reference implementation (used
+//! by tests asserting bit-identical ledgers on random trees and send
+//! batches, and as the `x-scale` bench baseline).
 
-use tamp_topology::{LcaIndex, NodeId, Tree};
+use std::sync::Arc;
+
+use tamp_topology::{DirEdgeId, LcaIndex, NodeId, Tree};
 
 use crate::cost::{Cost, Ledger};
-
-const NONE: u32 = u32::MAX;
-
-/// Node count at which [`TrafficMeter::commit_round`] switches from the
-/// sequential post-order fold to the chunked parallel sweep. Below this,
-/// thread spawn overhead dwarfs the O(n) sweep itself.
-const PARALLEL_SWEEP_THRESHOLD: usize = 4096;
 
 /// Union-of-paths, per-directed-edge traffic metering over a sequence of
 /// rounds, charged in aggregate (see the module docs).
@@ -57,31 +60,20 @@ const PARALLEL_SWEEP_THRESHOLD: usize = 4096;
 #[derive(Clone, Debug)]
 pub struct TrafficMeter {
     ledger: Ledger,
-    lca: LcaIndex,
-    /// Nodes in DFS preorder of the rooting at node 0 (parents first).
-    order: Vec<u32>,
-    /// Preorder position of each node (inverse of `order`).
-    pos: Vec<u32>,
-    /// Subtree size of each node under the root-0 rooting; together with
-    /// `pos`, `subtree(v)` is the contiguous preorder range
-    /// `[pos[v], pos[v] + size[v])` — the key to the parallel sweep.
-    size: Vec<u32>,
-    /// Deeper endpoint of each undirected edge (the child side).
-    edge_child: Vec<u32>,
-    /// Per-node delta accumulator for child→parent (up) charges. The
-    /// `−t` entries make intermediate values wrap below zero; u64
-    /// wrapping arithmetic is exact because every subtree sum is a
-    /// mathematically nonnegative total that fits in u64.
-    up: Vec<u64>,
-    /// Per-node delta accumulator for parent→child (down) charges.
-    down: Vec<u64>,
-    /// Distinct terminals of the multicast being charged, then sorted by
-    /// Euler `tin` (reused scratch).
-    terminals: Vec<NodeId>,
-    /// Terminal-dedup stamps: `seen[v] == seen_ctr` marks `v` as already
-    /// collected for the current multicast.
-    seen: Vec<u32>,
-    seen_ctr: u32,
+    lca: Arc<LcaIndex>,
+    /// Per undirected edge `e`: the preorder position of its child-side
+    /// endpoint, and whether the child→parent direction is dir-edge `2e`
+    /// (else `2e + 1`).
+    edges: Arc<[(u32, bool)]>,
+    /// `[up, down]` delta accumulators by preorder position, for
+    /// child→parent and parent→child charges. The `−t` entries make
+    /// intermediate values wrap below zero; u64 wrapping arithmetic is
+    /// exact because every subtree sum is a mathematically nonnegative
+    /// total that fits in u64.
+    acc: Vec<[u64; 2]>,
+    /// Distinct terminal positions of the multicast being charged,
+    /// ascending (reused scratch).
+    terminals: Vec<u32>,
     /// `true` once any charge landed in the round in progress.
     dirty: bool,
 }
@@ -89,32 +81,21 @@ pub struct TrafficMeter {
 impl TrafficMeter {
     /// A meter over `tree`'s directed edges with an empty ledger.
     pub fn new(tree: &Tree) -> Self {
-        let n = tree.num_nodes();
         let lca = LcaIndex::new(tree);
-        let order: Vec<u32> = tree.dfs_order().iter().map(|v| v.0).collect();
-        let mut pos = vec![0u32; n];
-        for (i, &v) in order.iter().enumerate() {
-            pos[v as usize] = i as u32;
-        }
-        let mut size = vec![1u32; n];
-        for &x in order.iter().rev() {
-            if let Some(p) = lca.parent(NodeId(x)) {
-                size[p.index()] += size[x as usize];
-            }
-        }
-        let edge_child = tree.edges().map(|e| tree.deeper_endpoint(e).0).collect();
+        let edges = tree
+            .edges()
+            .map(|e| {
+                let child = tree.deeper_endpoint(e);
+                let up_first = lca.up_edge(child) == Some(DirEdgeId::new(e, false));
+                (lca.tin(child), up_first)
+            })
+            .collect();
         TrafficMeter {
             ledger: Ledger::new(tree),
-            lca,
-            order,
-            pos,
-            size,
-            edge_child,
-            up: vec![0; n],
-            down: vec![0; n],
+            lca: Arc::new(lca),
+            edges,
+            acc: vec![[0; 2]; tree.num_nodes()],
             terminals: Vec::new(),
-            seen: vec![0; n],
-            seen_ctr: 0,
             dirty: false,
         }
     }
@@ -131,23 +112,28 @@ impl TrafficMeter {
 
     /// Charge `amount` tuples on every directed edge of the unique path
     /// `a → b`. O(1).
+    #[inline]
     pub fn charge_unicast(&mut self, a: NodeId, b: NodeId, amount: u64) {
         if a == b || amount == 0 {
             return;
         }
         self.dirty = true;
-        let l = self.lca.lca(a, b);
-        self.bump_up(a, amount);
-        self.dip_up(l, amount);
-        self.bump_down(b, amount);
-        self.dip_down(l, amount);
+        let (i, j) = (self.lca.tin(a), self.lca.tin(b));
+        let l = self.lca.lca_pos(i.min(j), i.max(j)) as usize;
+        let up = &mut self.acc[i as usize][0];
+        *up = up.wrapping_add(amount);
+        let down = &mut self.acc[j as usize][1];
+        *down = down.wrapping_add(amount);
+        let top = &mut self.acc[l];
+        *top = [top[0].wrapping_sub(amount), top[1].wrapping_sub(amount)];
     }
 
     /// Charge one multicast: `amount` tuples from `src` to every node of
     /// `dsts`, each directed edge of the union of the paths charged once
     /// (duplicate destinations collapse). O(k log k) in the number of
     /// destinations; exactly one destination is a unicast (with terminals
-    /// `{src, d}` the deltas below reduce to the same four updates).
+    /// `{src, d}` the virtual-tree deltas reduce to the same four
+    /// updates).
     pub fn charge_multicast(&mut self, src: NodeId, dsts: &[NodeId], amount: u64) {
         if let [dst] = dsts {
             return self.charge_unicast(src, *dst, amount);
@@ -155,54 +141,28 @@ impl TrafficMeter {
         if amount == 0 {
             return;
         }
-        // Distinct terminals: {src} ∪ dsts, deduplicated by stamp.
-        self.seen_ctr = self.seen_ctr.wrapping_add(1);
-        if self.seen_ctr == 0 {
-            self.seen.fill(0);
-            self.seen_ctr = 1;
-        }
-        let mut terminals = std::mem::take(&mut self.terminals);
+        // Distinct terminals: {src} ∪ dsts, as ascending positions.
+        let src = self.lca.tin(src);
+        let terminals = &mut self.terminals;
         terminals.clear();
-        self.seen[src.index()] = self.seen_ctr;
         terminals.push(src);
-        for &d in dsts {
-            let s = &mut self.seen[d.index()];
-            if *s != self.seen_ctr {
-                *s = self.seen_ctr;
-                terminals.push(d);
-            }
-        }
+        terminals.extend(dsts.iter().map(|&d| self.lca.tin(d)));
+        terminals.sort_unstable();
+        terminals.dedup();
         if terminals.len() < 2 {
-            self.terminals = terminals;
             return; // every destination is the source: nothing travels
         }
         self.dirty = true;
-        terminals.sort_unstable_by_key(|&v| self.lca.tin(v));
-
-        // The union's upward leg is exactly `src → L` where `L` is the
-        // LCA of all terminals (the first/last in tin order).
-        let l = self.lca.lca(terminals[0], terminals[terminals.len() - 1]);
-        self.bump_up(src, amount);
-        self.dip_up(l, amount);
-
-        // Every other union edge points away from the root-0 rooting's
-        // parent side, i.e. is a down-edge of its child node `x`, and is
-        // in the union iff some terminal lies in `subtree(x)` (and `x`
-        // is below `L`, and `src` is not in `subtree(x)`). The virtual
-        // tree decomposition charges that indicator additively: `+t` per
-        // terminal, `−t` per consecutive-pair LCA — terminals inside any
-        // subtree are a contiguous tin run, so each union edge nets
-        // exactly `+t` — and `−t` at `src` cancels the upward leg (and,
-        // combined with the pair terms, everything above `L`).
-        for i in 0..terminals.len() {
-            self.bump_down(terminals[i], amount);
-            if i + 1 < terminals.len() {
-                let pl = self.lca.lca(terminals[i], terminals[i + 1]);
-                self.dip_down(pl, amount);
-            }
-        }
-        self.dip_down(src, amount);
-        self.terminals = terminals;
+        let acc = &mut self.acc;
+        self.lca
+            .for_each_union_delta(src, terminals, |pos, leg, add| {
+                let x = &mut acc[pos as usize][leg];
+                *x = if add {
+                    x.wrapping_add(amount)
+                } else {
+                    x.wrapping_sub(amount)
+                };
+            });
     }
 
     /// Charge a relayed multicast: `amount` tuples travel `src → relay`,
@@ -214,178 +174,50 @@ impl TrafficMeter {
         self.charge_multicast(relay, dsts, amount);
     }
 
-    #[inline]
-    fn bump_up(&mut self, v: NodeId, amount: u64) {
-        let x = &mut self.up[v.index()];
-        *x = x.wrapping_add(amount);
-    }
-
-    #[inline]
-    fn dip_up(&mut self, v: NodeId, amount: u64) {
-        let x = &mut self.up[v.index()];
-        *x = x.wrapping_sub(amount);
-    }
-
-    #[inline]
-    fn bump_down(&mut self, v: NodeId, amount: u64) {
-        let x = &mut self.down[v.index()];
-        *x = x.wrapping_add(amount);
-    }
-
-    #[inline]
-    fn dip_down(&mut self, v: NodeId, amount: u64) {
-        let x = &mut self.down[v.index()];
-        *x = x.wrapping_sub(amount);
-    }
-
-    /// Commit the accumulated charges as one finished round: the
-    /// per-node deltas become per-edge subtree sums, emitted sparsely in
-    /// edge-id order. O(n + touched) work; above
-    /// `PARALLEL_SWEEP_THRESHOLD` (4096) nodes the sweep runs chunked across
-    /// threads with a deterministic reduction order, so both paths emit
-    /// the identical pair sequence.
+    /// Commit the accumulated charges as one finished round: one reverse
+    /// scan folds every position into its parent's (children sit after
+    /// their parent in preorder), so each position ends up holding its
+    /// subtree sums — the charges on its parent edge — which are emitted
+    /// sparsely in edge-id order. O(n + touched) work.
     pub fn commit_round(&mut self) {
         if !self.dirty {
             self.ledger.push_round(Vec::new());
             return;
         }
-        let pairs = if self.order.len() >= PARALLEL_SWEEP_THRESHOLD {
-            self.sweep_parallel()
-        } else {
-            self.sweep_sequential()
-        };
-        self.up.fill(0);
-        self.down.fill(0);
+        let parent_pos = self.lca.parent_pos();
+        for i in (1..self.acc.len()).rev() {
+            let [su, sd] = self.acc[i];
+            let p = &mut self.acc[parent_pos[i] as usize];
+            *p = [p[0].wrapping_add(su), p[1].wrapping_add(sd)];
+        }
+        debug_assert_eq!(self.acc[0], [0, 0], "up and down deltas must cancel");
+        let mut pairs: Vec<(u32, u64)> = Vec::new();
+        for (e, &(child, up_first)) in self.edges.iter().enumerate() {
+            let [su, sd] = self.acc[child as usize];
+            if su == 0 && sd == 0 {
+                continue;
+            }
+            debug_assert!(su <= u64::MAX / 2 && sd <= u64::MAX / 2, "negative charge");
+            // Ascending by dir-edge id: `2e`, then `2e + 1`.
+            let d0 = (e as u32) << 1;
+            let (first, second) = if up_first { (su, sd) } else { (sd, su) };
+            if first > 0 {
+                pairs.push((d0, first));
+            }
+            if second > 0 {
+                pairs.push((d0 | 1, second));
+            }
+        }
+        self.acc.fill([0; 2]);
         self.dirty = false;
         self.ledger.push_round(pairs);
-    }
-
-    /// Emit the two directed charges of undirected edge `e` (child side
-    /// `child`, subtree sums `su` up / `sd` down), ascending by dir-edge
-    /// id — shared by both sweep paths so their output is bit-identical.
-    #[inline]
-    fn push_edge_pairs(&self, e: usize, child: u32, su: u64, sd: u64, out: &mut Vec<(u32, u64)>) {
-        if su == 0 && sd == 0 {
-            return;
-        }
-        debug_assert!(su <= u64::MAX / 2 && sd <= u64::MAX / 2, "negative charge");
-        let up_dir = self.lca.up_edge(NodeId(child)).map_or(NONE, |d| d.0);
-        let d0 = (e as u32) << 1;
-        let (first, second) = if up_dir == d0 { (su, sd) } else { (sd, su) };
-        if first > 0 {
-            out.push((d0, first));
-        }
-        if second > 0 {
-            out.push((d0 | 1, second));
-        }
-    }
-
-    /// The sequential post-order fold: children precede parents in
-    /// reverse DFS order, so folding each node into its parent leaves
-    /// every node holding its subtree sum.
-    fn sweep_sequential(&mut self) -> Vec<(u32, u64)> {
-        for &x in self.order.iter().rev() {
-            if let Some(p) = self.lca.parent(NodeId(x)) {
-                let (xi, pi) = (x as usize, p.index());
-                self.up[pi] = self.up[pi].wrapping_add(self.up[xi]);
-                self.down[pi] = self.down[pi].wrapping_add(self.down[xi]);
-            }
-        }
-        debug_assert_eq!(self.up[self.order[0] as usize], 0, "up deltas must cancel");
-        debug_assert_eq!(
-            self.down[self.order[0] as usize], 0,
-            "down deltas must cancel"
-        );
-        let mut pairs: Vec<(u32, u64)> = Vec::new();
-        for (e, &child) in self.edge_child.iter().enumerate() {
-            let x = child as usize;
-            self.push_edge_pairs(e, child, self.up[x], self.down[x], &mut pairs);
-        }
-        pairs
-    }
-
-    /// The parallel sweep: a subtree is a contiguous preorder range, so
-    /// `subtree_sum(v) = P[pos[v] + size[v]] − P[pos[v]]` over the
-    /// wrapping prefix sums `P` of the preorder-permuted deltas — no
-    /// serial parent chain at all. The permutation gather and the
-    /// per-edge emission are chunked over `std::thread::scope`; chunks
-    /// are contiguous index ranges concatenated in order, so the emitted
-    /// pair sequence is deterministic and identical to the fold's.
-    fn sweep_parallel(&self) -> Vec<(u32, u64)> {
-        let n = self.order.len();
-        let threads = std::thread::available_parallelism()
-            .map_or(1, usize::from)
-            .clamp(1, 8);
-        let chunk = n.div_ceil(threads);
-        let mut pu = vec![0u64; n + 1];
-        let mut pd = vec![0u64; n + 1];
-        std::thread::scope(|s| {
-            let order = &self.order;
-            let (up, down) = (&self.up, &self.down);
-            let mut rest_u = &mut pu[1..];
-            let mut rest_d = &mut pd[1..];
-            let mut start = 0usize;
-            while !rest_u.is_empty() {
-                let take = chunk.min(rest_u.len());
-                let (cu, ru) = rest_u.split_at_mut(take);
-                let (cd, rd) = rest_d.split_at_mut(take);
-                (rest_u, rest_d) = (ru, rd);
-                s.spawn(move || {
-                    for (k, (u, d)) in cu.iter_mut().zip(cd.iter_mut()).enumerate() {
-                        let v = order[start + k] as usize;
-                        *u = up[v];
-                        *d = down[v];
-                    }
-                });
-                start += take;
-            }
-        });
-        // Wrapping prefix sums: one cheap serial pass (the fold's serial
-        // part was O(depth)-dependent; this is a flat scan).
-        for i in 0..n {
-            pu[i + 1] = pu[i + 1].wrapping_add(pu[i]);
-            pd[i + 1] = pd[i + 1].wrapping_add(pd[i]);
-        }
-        debug_assert_eq!(pu[n], 0, "up deltas must cancel");
-        debug_assert_eq!(pd[n], 0, "down deltas must cancel");
-        // Per-edge emission, chunked in edge-id order.
-        let e_chunk = self.edge_child.len().div_ceil(threads).max(1);
-        let mut chunks: Vec<Vec<(u32, u64)>> = Vec::new();
-        std::thread::scope(|s| {
-            let (pu, pd) = (&pu, &pd);
-            let handles: Vec<_> = self
-                .edge_child
-                .chunks(e_chunk)
-                .enumerate()
-                .map(|(ci, children)| {
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        for (k, &child) in children.iter().enumerate() {
-                            let p = self.pos[child as usize] as usize;
-                            let sz = self.size[child as usize] as usize;
-                            let su = pu[p + sz].wrapping_sub(pu[p]);
-                            let sd = pd[p + sz].wrapping_sub(pd[p]);
-                            self.push_edge_pairs(ci * e_chunk + k, child, su, sd, &mut out);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            chunks = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        });
-        let mut pairs = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
-        for c in chunks {
-            pairs.extend(c);
-        }
-        pairs
     }
 
     /// Discard the accumulated charges of the round in progress — for
     /// callers abandoning a failed round so its partial sends don't leak
     /// into the next committed round.
     pub fn abort_round(&mut self) {
-        self.up.fill(0);
-        self.down.fill(0);
+        self.acc.fill([0; 2]);
         self.dirty = false;
     }
 
@@ -404,8 +236,6 @@ impl TrafficMeter {
 #[doc(hidden)]
 pub mod oracle {
     use std::collections::HashMap;
-
-    use tamp_topology::DirEdgeId;
 
     use super::*;
 
@@ -540,7 +370,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use tamp_topology::builders;
+    use tamp_topology::{builders, NodeKind};
 
     #[test]
     fn multicast_unions_paths() {
@@ -648,14 +478,16 @@ mod tests {
         assert_eq!(cost.total_tuples(), 2); // 1 tuple × 2 hops
     }
 
-    /// Above [`PARALLEL_SWEEP_THRESHOLD`] nodes `commit_round` takes the
-    /// chunked prefix-sum sweep; it must emit the *identical* pair
-    /// sequence as the sequential fold, not merely the same totals.
+    /// The big-tree regime (≥ 4,096 nodes, where the sparse table has a
+    /// dozen rows and subtree runs span thousands of positions) against
+    /// the per-path oracle, debug asserts on: equal ledgers, not merely
+    /// equal totals.
     #[test]
-    fn parallel_sweep_matches_sequential_fold() {
+    fn big_tree_multicasts_match_per_path_oracle() {
         let tree = builders::random_tree(3000, 2500, 0.5, 16.0, 42);
-        assert!(tree.nodes().count() >= PARALLEL_SWEEP_THRESHOLD);
+        assert!(tree.num_nodes() >= 4096);
         let mut m = TrafficMeter::new(&tree);
+        let mut naive = oracle::NaivePathMeter::new(&tree);
         let all: Vec<NodeId> = tree.nodes().collect();
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..2_000 {
@@ -664,14 +496,32 @@ mod tests {
             for _ in 0..rng.random_range(1..4usize) {
                 dsts.push(all[rng.random_range(0..all.len())]);
             }
-            m.charge_multicast(src, &dsts, rng.random_range(0..50u64));
+            let amount = rng.random_range(0..50u64);
+            m.charge_multicast(src, &dsts, amount);
+            naive.charge_multicast(&tree, src, &dsts, amount);
         }
-        // Parallel reads the raw deltas (`&self`); sequential folds them
-        // in place, so it must run second.
-        let par = m.sweep_parallel();
-        let seq = m.sweep_sequential();
-        assert_eq!(par, seq);
-        assert!(!par.is_empty());
+        m.commit_round();
+        naive.commit_round();
+        let (agg, naive) = (m.finish(), naive.finish());
+        assert!(agg.total_tuples() > 0);
+        assert_eq!(agg.edge_totals, naive.edge_totals);
+        assert_eq!(agg.per_round, naive.per_round);
+    }
+
+    /// One node, no edges: nothing can be charged and a commit is an
+    /// empty round.
+    #[test]
+    fn single_node_tree_commits_an_empty_round() {
+        let t = Tree::from_parts(vec![NodeKind::Compute], Vec::new()).unwrap();
+        let mut m = TrafficMeter::new(&t);
+        let v = t.compute_nodes()[0];
+        m.charge_unicast(v, v, 3);
+        m.charge_multicast(v, &[v, v], 3);
+        m.commit_round();
+        assert_eq!(m.num_dir_edges(), 0);
+        let cost = m.finish();
+        assert_eq!(cost.per_round.len(), 1);
+        assert_eq!(cost.total_tuples(), 0);
     }
 
     /// Drive identical random batches — unicasts, multicasts with

@@ -4,20 +4,37 @@
 //! `PathCache` memo table. Instead of memoizing every `(src, dst)` path —
 //! `O(p² · depth)` memory on an all-to-all workload, plus a hash lookup
 //! on every send — it stores `O(n log n)` flat arrays from which **any**
-//! path decomposes in constant time:
+//! path decomposes in constant time. There is no Euler tour and no depth
+//! comparison; everything lives in **preorder coordinates**:
 //!
-//! - an **Euler tour** of the internal rooting at node 0 (`2n − 1`
-//!   entries) with each node's first occurrence;
-//! - a **sparse table** of range-minimum-by-depth queries over the tour,
-//!   giving `lca(a, b)` in O(1) with no hashing;
+//! - `tin(v)` is `v`'s index in [`Tree::dfs_order`] (the rooting at node
+//!   0), so every subtree is a contiguous run of positions and a parent
+//!   sits at a smaller position than its children;
+//! - `parent_pos[i]` is the position of the parent of the node at
+//!   position `i` (the root, position 0, points at itself);
+//! - a **sparse table** of plain `u32` range minima over `parent_pos`,
+//!   `n` columns, all rows in one flat vector;
 //! - per-node `depth`, `parent`, and the two directed **parent-edge ids**
 //!   (`up_edge(v)` = `v → parent(v)`, `down_edge(v)` = `parent(v) → v`).
 //!
+//! # Why a range minimum of parent positions is the LCA
+//!
+//! Take positions `i < j` of nodes `u`, `v` and let `l = lca(u, v)`.
+//! Every position in `(i, j]` lies inside `l`'s subtree run and is not
+//! `l` itself (`pos(l) ≤ i`), so the parents of those nodes are in
+//! `subtree(l)` too and every `parent_pos` in the range is `≥ pos(l)`.
+//! And one of them *is* `pos(l)`: the child `c` of `l` on the path to
+//! `v` has `i < pos(c) ≤ j` — when `u = l` is itself an ancestor of `v`
+//! because `c` is a proper descendant of `u`, otherwise because `u` sits
+//! in an earlier child subtree of `l` than `c`. Hence
+//! `pos(l) = min parent_pos(i, j]`: two table loads and an integer `min`.
+//!
 //! The unique tree path `a → b` is then `a → lca(a, b) → b`: the first
 //! leg climbs `up_edge`s, the second descends `down_edge`s. Aggregate
-//! consumers (the traffic meter's subtree-delta charging, virtual-tree
-//! Steiner unions) never materialize the path at all — they only need
-//! `lca`, `tin` order and the parent-edge arrays; [`LcaIndex::for_each_path_edge`]
+//! consumers (the traffic meter's subtree-delta charging, the planner's
+//! `RoundLoad`) never materialize the path at all — they work on
+//! positions through [`LcaIndex::lca_pos`], [`LcaIndex::parent_pos`] and
+//! [`LcaIndex::for_each_union_delta`]; [`LcaIndex::for_each_path_edge`]
 //! exists for the callers that do walk edges — test oracles and the
 //! benchmark's path probe; the query planner prices on cuts — and costs
 //! O(path length) plus one heap buffer for the downward leg.
@@ -27,20 +44,21 @@ use crate::tree::{DirEdgeId, Tree};
 
 const NONE: u32 = u32::MAX;
 
-/// Euler-tour + sparse-table LCA index with flat path-decomposition
-/// arrays. Build once per [`Tree`] in `O(n log n)`; query forever in
-/// O(1).
+/// Preorder sparse-table LCA index with flat path-decomposition arrays.
+/// Build once per [`Tree`] in `O(n log n)`; query forever in O(1).
 #[derive(Clone, Debug)]
 pub struct LcaIndex {
-    /// Euler tour of the rooting at node 0: node ids, `2n − 1` entries.
-    euler: Vec<u32>,
-    /// Depth of `euler[i]` (kept alongside to make range-min cache-local).
-    euler_depth: Vec<u32>,
-    /// First occurrence of each node in `euler`.
-    first: Vec<u32>,
-    /// `table[k]` holds, for each tour position `i`, the position of the
-    /// minimum-depth entry in `euler[i .. i + 2^k]`.
-    table: Vec<Vec<u32>>,
+    /// Preorder position of each node: its index in [`Tree::dfs_order`].
+    tin: Vec<u32>,
+    /// Node id at each preorder position (inverse of `tin`).
+    order: Vec<u32>,
+    /// Row `k` (at `table[row_start[k]..]`, `n − 2^k + 1` entries) holds
+    /// at `i` the minimum of `parent_pos[i .. i + 2^k]`; row 0 *is*
+    /// `parent_pos`.
+    table: Vec<u32>,
+    /// Offset of each row in `table` (a `u32` position space has at most
+    /// 32 rows; unused entries stay 0).
+    row_start: [usize; 32],
     /// Per-node depth in the rooting at node 0.
     depth: Vec<u32>,
     /// Parent node id (`NONE` for the root).
@@ -55,93 +73,52 @@ impl LcaIndex {
     /// Build the index for `tree`'s internal rooting at node 0.
     pub fn new(tree: &Tree) -> Self {
         let n = tree.num_nodes();
+        let order: Vec<u32> = tree.dfs_order().iter().map(|v| v.0).collect();
+        let mut tin = vec![0u32; n];
+        for (i, &v) in order.iter().enumerate() {
+            tin[v as usize] = i as u32;
+        }
         let mut depth = vec![0u32; n];
         let mut parent = vec![NONE; n];
         let mut up = vec![NONE; n];
         let mut down = vec![NONE; n];
-        for v in tree.nodes() {
+        // Rows k = 0 .. ⌊log2 n⌋, row k holding n − 2^k + 1 minima.
+        let mut row_start = [0usize; 32];
+        let mut total = 0;
+        let mut levels = 0;
+        while (1usize << levels) <= n {
+            row_start[levels] = total;
+            total += n - (1 << levels) + 1;
+            levels += 1;
+        }
+        let mut table = vec![0u32; total];
+        // Parents precede children in DFS order, so one forward pass
+        // fills every depth (and row 0: the root keeps position 0).
+        for (i, &v) in tree.dfs_order().iter().enumerate() {
             if let Some((p, e)) = tree.parent0(v) {
                 parent[v.index()] = p.0;
+                depth[v.index()] = depth[p.index()] + 1;
+                table[i] = tin[p.index()];
                 let (eu, _) = tree.endpoints(e);
                 // Direction 0 of `e` is `eu → ev` as stored.
                 up[v.index()] = DirEdgeId::new(e, eu != v).0;
                 down[v.index()] = DirEdgeId::new(e, eu == v).0;
             }
         }
-        // Parents precede children in DFS order, so one forward pass
-        // fills every depth.
-        for &v in tree.dfs_order() {
-            if let Some((p, _)) = tree.parent0(v) {
-                depth[v.index()] = depth[p.index()] + 1;
-            }
-        }
-
-        // Euler tour: enter a node, and re-enter it after each child.
-        let mut euler = Vec::with_capacity(2 * n - 1);
-        let mut euler_depth = Vec::with_capacity(2 * n - 1);
-        let mut first = vec![NONE; n];
-        // Iterative DFS emitting (node, visit) events; children in
-        // adjacency order to match the Tree's own traversals.
-        enum Ev {
-            Enter(NodeId),
-            Emit(NodeId),
-        }
-        let mut stack = vec![Ev::Enter(NodeId(0))];
-        while let Some(ev) = stack.pop() {
-            let x = match ev {
-                Ev::Enter(x) => {
-                    // Children first-to-last ⇒ push their enter events in
-                    // reverse, interleaved with re-emissions of `x`.
-                    let children: Vec<NodeId> = tree
-                        .neighbors(x)
-                        .iter()
-                        .filter(|&&(y, _)| parent[y.index()] == x.0)
-                        .map(|&(y, _)| y)
-                        .collect();
-                    for &c in children.iter().rev() {
-                        stack.push(Ev::Emit(x));
-                        stack.push(Ev::Enter(c));
-                    }
-                    x
-                }
-                Ev::Emit(x) => x,
-            };
-            if first[x.index()] == NONE {
-                first[x.index()] = euler.len() as u32;
-            }
-            euler.push(x.0);
-            euler_depth.push(depth[x.index()]);
-        }
-        debug_assert_eq!(euler.len(), 2 * n - 1);
-
-        // Sparse table over the tour (range-min by depth).
-        let m = euler.len();
-        let levels = (usize::BITS - m.leading_zeros()) as usize; // ⌈log2 m⌉ + 1
-        let mut table: Vec<Vec<u32>> = Vec::with_capacity(levels);
-        table.push((0..m as u32).collect());
-        let mut k = 1usize;
-        while (1 << k) <= m {
+        for k in 1..levels {
             let half = 1 << (k - 1);
-            let prev = &table[k - 1];
-            let mut row = Vec::with_capacity(m - (1 << k) + 1);
-            for i in 0..=(m - (1 << k)) {
-                let a = prev[i];
-                let b = prev[i + half];
-                row.push(if euler_depth[a as usize] <= euler_depth[b as usize] {
-                    a
-                } else {
-                    b
-                });
+            let (below, row) = table.split_at_mut(row_start[k]);
+            let prev = &below[row_start[k - 1]..];
+            for (out, (&a, &b)) in row.iter_mut().zip(prev.iter().zip(&prev[half..])) {
+                *out = a.min(b);
             }
-            table.push(row);
-            k += 1;
         }
 
         LcaIndex {
-            euler,
-            euler_depth,
-            first,
+            tin,
+            order,
             table,
+            row_start,
             depth,
             parent,
             up,
@@ -152,7 +129,7 @@ impl LcaIndex {
     /// Number of nodes indexed.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.first.len()
+        self.tin.len()
     }
 
     /// Depth of `v` in the rooting at node 0.
@@ -161,12 +138,12 @@ impl LcaIndex {
         self.depth[v.index()]
     }
 
-    /// DFS preorder key of `v` (its first Euler-tour position). Sorting
-    /// nodes by `tin` yields the order virtual-tree constructions need:
-    /// every subtree is a contiguous run.
+    /// DFS preorder position of `v`: its index in [`Tree::dfs_order`].
+    /// Sorting nodes by `tin` yields the order virtual-tree constructions
+    /// need: every subtree is a contiguous run.
     #[inline]
     pub fn tin(&self, v: NodeId) -> u32 {
-        self.first[v.index()]
+        self.tin[v.index()]
     }
 
     /// Parent of `v` in the rooting at node 0 (`None` for the root).
@@ -190,23 +167,37 @@ impl LcaIndex {
         (d != NONE).then_some(DirEdgeId(d))
     }
 
+    /// Position of the parent of the node at each preorder position (the
+    /// root's entry is its own position, 0). Exposed because a reverse
+    /// scan `acc[parent_pos[i]] += acc[i]` is the whole subtree-sum sweep
+    /// of the traffic meter and of the planner's `RoundLoad`.
+    #[inline]
+    pub fn parent_pos(&self) -> &[u32] {
+        &self.table[..self.tin.len()]
+    }
+
+    /// Position of the LCA of the nodes at positions `i ≤ j`, in O(1) —
+    /// [`LcaIndex::lca`] without the node-id translation, for callers that
+    /// already hold (sorted) positions.
+    #[inline]
+    pub fn lca_pos(&self, i: u32, j: u32) -> u32 {
+        debug_assert!(i <= j, "lca_pos takes ordered positions");
+        if i == j {
+            return i;
+        }
+        // min parent_pos over (i, j]: two overlapping 2^k-wide windows
+        // of row k, one starting at i + 1 and one ending at j.
+        let k = (j - i).ilog2() as usize;
+        let lo = self.row_start[k] + i as usize + 1;
+        let hi = self.row_start[k] + j as usize + 1 - (1 << k);
+        self.table[lo].min(self.table[hi])
+    }
+
     /// The lowest common ancestor of `a` and `b`, in O(1).
     #[inline]
     pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        let (mut i, mut j) = (self.first[a.index()], self.first[b.index()]);
-        if i > j {
-            std::mem::swap(&mut i, &mut j);
-        }
-        let (i, j) = (i as usize, j as usize + 1); // half-open [i, j)
-        let k = (usize::BITS - 1 - (j - i).leading_zeros()) as usize; // ⌊log2 len⌋
-        let x = self.table[k][i];
-        let y = self.table[k][j - (1 << k)];
-        let pos = if self.euler_depth[x as usize] <= self.euler_depth[y as usize] {
-            x
-        } else {
-            y
-        };
-        NodeId(self.euler[pos as usize])
+        let (i, j) = (self.tin[a.index()], self.tin[b.index()]);
+        NodeId(self.order[self.lca_pos(i.min(j), i.max(j)) as usize])
     }
 
     /// Number of hops on the unique path `a → b`, in O(1).
@@ -214,6 +205,43 @@ impl LcaIndex {
     pub fn dist(&self, a: NodeId, b: NodeId) -> u32 {
         let l = self.lca(a, b);
         self.depth(a) + self.depth(b) - 2 * self.depth(l)
+    }
+
+    /// Decompose the Steiner union of the paths from the node at position
+    /// `src` to every node of `terminals` — ascending distinct positions,
+    /// `src` among them, at least two — through the terminals' virtual
+    /// tree: `f(pos, leg, add)` asks for one unit to be added to
+    /// (`add`) or subtracted from accumulator `leg` (`0` = child→parent,
+    /// `1` = parent→child) at position `pos`, after which the sum over
+    /// the subtree below each parent edge is `1` iff the union crosses
+    /// that edge in that direction. The one enumeration the traffic meter
+    /// (exact `u64`s) and the planner's `RoundLoad` (`f64` estimates,
+    /// whose sums depend on this call order) both charge through.
+    ///
+    /// The union climbs `src → top`, the LCA of all terminals (the first
+    /// and last in preorder). Every other union edge is the down-edge of
+    /// its child node `x` and is in the union iff some terminal lies in
+    /// `subtree(x)` while `src` does not: `+1` per terminal but `src`,
+    /// `−1` per consecutive-pair LCA — terminals inside any subtree are
+    /// a contiguous run, so each such edge nets exactly `+1`, and
+    /// everything from `src` or `top` upward nets 0.
+    #[inline]
+    pub fn for_each_union_delta<F>(&self, src: u32, terminals: &[u32], mut f: F)
+    where
+        F: FnMut(u32, usize, bool),
+    {
+        debug_assert!(terminals.len() >= 2 && terminals.windows(2).all(|w| w[0] < w[1]));
+        let top = self.lca_pos(terminals[0], terminals[terminals.len() - 1]);
+        f(src, 0, true);
+        f(top, 0, false);
+        for (i, &t) in terminals.iter().enumerate() {
+            if t != src {
+                f(t, 1, true);
+            }
+            if let Some(&next) = terminals.get(i + 1) {
+                f(self.lca_pos(t, next), 1, false);
+            }
+        }
     }
 
     /// Visit every directed edge of the unique path `a → b`, in path
@@ -249,6 +277,7 @@ impl LcaIndex {
 mod tests {
     use super::*;
     use crate::builders;
+    use crate::node::NodeKind;
 
     fn all_trees() -> Vec<Tree> {
         vec![
@@ -257,7 +286,13 @@ mod tests {
             builders::fat_tree(3, 2, 1.0),
             builders::caterpillar(5, 2, 1.0),
             builders::random_tree(9, 6, 0.5, 8.0, 7),
+            // Two nodes: the smallest tree with a query range.
             builders::random_tree(1, 1, 1.0, 1.0, 0),
+            // One node: a single table row and no query range at all.
+            Tree::from_parts(vec![NodeKind::Compute], Vec::new()).unwrap(),
+            // Deep: ancestor / descendant pairs at every distance.
+            builders::caterpillar(200, 1, 1.0),
+            builders::random_tree(40, 30, 0.5, 8.0, 11),
         ]
     }
 
@@ -299,6 +334,28 @@ mod tests {
                         "lca({a}, {b}) on {} nodes",
                         tree.num_nodes()
                     );
+                }
+            }
+        }
+    }
+
+    /// The contract the meter and the planner's `RoundLoad` rely on:
+    /// `tin` is the index in `Tree::dfs_order`, and `parent_pos` /
+    /// `lca_pos` speak the same coordinates.
+    #[test]
+    fn positions_are_dfs_order_indices() {
+        for tree in all_trees() {
+            let idx = LcaIndex::new(&tree);
+            let order = tree.dfs_order();
+            assert_eq!(idx.parent_pos().len(), order.len());
+            assert_eq!(idx.parent_pos()[0], 0);
+            for (i, &v) in order.iter().enumerate() {
+                assert_eq!(idx.tin(v) as usize, i);
+                if let Some((p, _)) = tree.parent0(v) {
+                    assert_eq!(idx.parent_pos()[i], idx.tin(p));
+                }
+                for (j, &w) in order.iter().enumerate().skip(i) {
+                    assert_eq!(idx.lca_pos(i as u32, j as u32), idx.tin(idx.lca(v, w)));
                 }
             }
         }

@@ -11,7 +11,7 @@
 //!
 //! - [`Tree`] — a validated tree topology with per-direction bandwidths,
 //!   unique-path routing, rootings, traversal orders and edge cuts;
-//! - [`lca`] — Euler-tour + sparse-table O(1) lowest-common-ancestor
+//! - [`lca`] — preorder sparse-table O(1) lowest-common-ancestor
 //!   queries with flat path-decomposition arrays, the routing substrate
 //!   of the aggregate traffic meter;
 //! - [`cut`] — O(|V|) computation of the `(V⁻_e, V⁺_e)` side-weights for
