@@ -1,24 +1,26 @@
-//! Columnar record batches: the unit of execution.
+//! Columnar record batches: the storage, the wire and the result.
 //!
 //! A [`RecordBatch`] stores a fixed number of columns as shared
 //! `Arc<[Value]>` allocations — the same zero-copy currency the exchange
 //! fabric ships in `ScheduleSend::values` — so replicating a batch to
 //! another node's fragment list is a reference-count bump, not a copy.
-//! Batches convert losslessly to and from rows ([`Row`]), the form tables
-//! are registered in and results are read in.
+//! A registered table holds one batch per node, operators and strategies
+//! pass batch lists, and a query result keeps the batches its last
+//! operator produced; rows ([`Row`]) are built from them only when asked
+//! for ([`RecordBatch::append_rows`]).
 //!
 //! A node's fragment is a *list* of batches ([`BatchFragments`]); the
 //! list is read as the concatenation of its batches, so batch boundaries
 //! carry no meaning — only the row sequence does. On the wire a payload
 //! is row-major: each row's values in column order, rows back to back
-//! ([`flatten_batches`], [`flatten_multi`]).
+//! ([`flatten_batches`], [`flatten_multi`]), and one payload is one send.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 use tamp_simulator::Value;
 
-use crate::row::{Fragments, Row};
+use crate::row::Row;
 
 /// A column-major batch of rows: `width()` columns, each `num_rows()`
 /// values long, individually shared.
@@ -218,41 +220,6 @@ pub fn head(batches: &[RecordBatch], n: usize) -> Vec<RecordBatch> {
     out
 }
 
-/// Chunk `width`-wide rows into batches of at most `batch` rows each.
-pub fn rows_to_batches(rows: &[Row], width: usize, batch: usize) -> Vec<RecordBatch> {
-    if rows.is_empty() {
-        return Vec::new();
-    }
-    rows.chunks(batch.max(1))
-        .map(|chunk| RecordBatch::from_rows(chunk, width))
-        .collect()
-}
-
-/// Convert row fragments into batch fragments, chunking each node's rows
-/// into batches of at most `batch` rows.
-pub fn fragments_to_batches(frags: &Fragments, width: usize, batch: usize) -> BatchFragments {
-    frags
-        .iter()
-        .map(|rows| rows_to_batches(rows, width, batch))
-        .collect()
-}
-
-/// Convert batch fragments back into row fragments (the inverse of
-/// [`fragments_to_batches`] up to batch boundaries, which carry no
-/// meaning).
-pub fn batches_to_fragments(frags: &BatchFragments) -> Fragments {
-    frags
-        .iter()
-        .map(|batches| {
-            let mut rows = Vec::with_capacity(batch_rows(batches));
-            for b in batches {
-                b.append_rows(&mut rows);
-            }
-            rows
-        })
-        .collect()
-}
-
 /// Select rows spanning a node's batch list: `idx` holds `(batch, row)`
 /// pairs in output order. Column slices are resolved once per column, and
 /// a one-batch list (what a scan leaves on a node) is indexed directly.
@@ -311,8 +278,32 @@ pub fn flatten_multi(batches: &[RecordBatch], idx: &[(u32, u32)], width: usize) 
     flatten(idx.len(), places, width)
 }
 
+/// Row ↔ batch conversions for tests, which state inputs and expected
+/// outputs as rows.
+#[cfg(test)]
+pub(crate) mod convert {
+    use super::{BatchFragments, RecordBatch};
+    use crate::row::Row;
+
+    /// Chunk `width`-wide rows into batches of at most `batch` rows each.
+    pub(crate) fn rows_to_batches(rows: &[Row], width: usize, batch: usize) -> Vec<RecordBatch> {
+        rows.chunks(batch.max(1))
+            .map(|chunk| RecordBatch::from_rows(chunk, width))
+            .collect()
+    }
+
+    /// Each node's rows, in batch then row order.
+    pub(crate) fn batches_to_rows(frags: &BatchFragments) -> Vec<Vec<Row>> {
+        frags
+            .iter()
+            .map(|batches| batches.iter().flat_map(RecordBatch::to_rows).collect())
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::convert::rows_to_batches;
     use super::*;
 
     #[test]

@@ -89,15 +89,6 @@ impl QueryContext {
         self
     }
 
-    /// Builder-style: set the record-batch granularity (rows per batch
-    /// and per metered send). Zero is rejected at plan time with
-    /// [`QueryError::InvalidBatchSize`](crate::error::QueryError); the
-    /// metered cost is invariant in any valid value.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.options.batch_size = batch_size;
-        self
-    }
-
     /// Builder-style: force a named strategy for one operator. The name
     /// resolves against the session's registry at plan time; unknown
     /// names surface as

@@ -32,10 +32,6 @@ pub enum QueryError {
     },
     /// Division by zero during expression evaluation.
     DivideByZero,
-    /// `ExecOptions::batch_size` is zero — an exchange cannot make
-    /// progress in zero-row sends, so the value is rejected at plan time
-    /// instead of degenerating into a silent infinite loop.
-    InvalidBatchSize,
     /// The underlying simulator rejected the execution.
     Simulator(String),
     /// The selected execution backend failed or cannot run queries.
@@ -155,9 +151,6 @@ impl fmt::Display for QueryError {
                 write!(f, "column index {index} out of range for width-{width} row")
             }
             Self::DivideByZero => write!(f, "division by zero"),
-            Self::InvalidBatchSize => {
-                write!(f, "batch_size must be at least 1 (got 0)")
-            }
             Self::Simulator(msg) => write!(f, "simulator error: {msg}"),
             Self::Backend(msg) => write!(f, "execution backend error: {msg}"),
             Self::Plan(msg) => write!(f, "plan error: {msg}"),

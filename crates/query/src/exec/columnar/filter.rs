@@ -45,7 +45,8 @@ pub(crate) fn filter(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{batches_to_fragments, RecordBatch};
+    use crate::batch::convert::batches_to_rows;
+    use crate::batch::RecordBatch;
     use crate::expr::col;
     use crate::row::Row;
 
@@ -62,7 +63,7 @@ mod tests {
             let frags = vec![vec![batch.clone()], Vec::new()];
             let out = filter(&schema, frags, &col("keep")).unwrap();
             let want: Vec<Row> = rows.iter().filter(|r| r[1] != 0).cloned().collect();
-            assert_eq!(batches_to_fragments(&out), vec![want.clone(), Vec::new()]);
+            assert_eq!(batches_to_rows(&out), vec![want.clone(), Vec::new()]);
             assert_eq!(out[0].len(), !want.is_empty() as usize);
             if want.len() == rows.len() {
                 assert!(std::sync::Arc::ptr_eq(

@@ -12,7 +12,7 @@
 //! permutation plus one gather per column, shuffles gather `(batch, row)`
 //! picks, products repeat and tile column slices — so no row is
 //! materialized between the scan and the
-//! [`QueryResult`](crate::exec::QueryResult)'s row fragments.
+//! [`QueryResult`](crate::exec::QueryResult), which keeps batches too.
 
 pub(crate) mod eval;
 pub(crate) mod filter;
@@ -34,11 +34,6 @@ pub(crate) fn exec_batches(
     let result = match &plan.op {
         PhysicalOp::TableScan { table } => {
             let t = ctx.catalog.table(table)?;
-            // One whole-fragment batch per node, prebuilt at catalog
-            // registration: the scan is a per-node `Arc` clone. Batch
-            // granularity governs *exchange* chunking (`TraceBuilder`
-            // splits every send at `batch_size` rows), not the in-memory
-            // batch extent, so the ledgers are unaffected.
             (t.schema.clone(), t.scan_batches())
         }
         PhysicalOp::Filter { input, predicate } => {

@@ -12,16 +12,16 @@
 //! [`RecordBatch`](crate::batch::RecordBatch)es through vectorized
 //! per-operator kernels — one tight loop per expression node — and
 //! through the strategies' columnar exchanges, so there is no per-row
-//! allocation from scan to result; rows are materialized once, for the
-//! [`QueryResult`].
+//! allocation from scan to result: the [`QueryResult`] keeps the last
+//! operator's batches, and rows are built only if
+//! [`QueryResult::rows`] is called.
 //!
 //! Then the concatenated schedule replays through any
 //! [`ExecBackend`] as a [`tamp_runtime::ScheduleJob`] — the centralized
 //! simulator or the pooled BSP cluster — which meters it on the shared
 //! per-directed-edge ledger. Because the schedule is derived once from
 //! shared model knowledge, every backend moves bit-identical traffic; the
-//! parity tests assert equal rows and `edge_totals` across backends, for
-//! every batch size.
+//! parity tests assert equal rows and `edge_totals` across backends.
 //!
 //! This module drives the walk and attributes per-round costs to
 //! operators. It has no entry point of its own: a plan gets here through
@@ -36,7 +36,7 @@ pub(crate) mod columnar;
 mod options;
 mod result;
 
-pub use options::{ExecOptions, StrategyForce, DEFAULT_BATCH_SIZE};
+pub use options::{ExecOptions, StrategyForce};
 pub use result::{OperatorCost, QueryResult};
 
 use tamp_core::sorting::valid_order;
@@ -45,7 +45,7 @@ use tamp_runtime::jobs::{Schedule, ScheduleJob, ScheduleSend};
 use tamp_simulator::Placement;
 use tamp_topology::Tree;
 
-use crate::batch::{batches_to_fragments, BatchFragments};
+use crate::batch::BatchFragments;
 use crate::error::QueryError;
 use crate::physical::strategy::{ExecArgs, OpInput};
 use crate::physical::{Exchange, PhysicalPlan};
@@ -74,7 +74,6 @@ impl ExecCtx<'_> {
         ExecArgs {
             tree: self.tree,
             seed: self.options.seed,
-            batch: self.options.batch_size,
         }
     }
 
@@ -119,8 +118,7 @@ pub(crate) fn run_physical(
         rounds: Vec::new(),
         marks: Vec::new(),
     };
-    let (schema, batches) = columnar::exec_batches(&mut ctx, physical)?;
-    let fragments = batches_to_fragments(&batches);
+    let (schema, fragments) = columnar::exec_batches(&mut ctx, physical)?;
     let job = ScheduleJob::new(
         "query",
         catalog.tree().num_nodes(),
@@ -384,19 +382,6 @@ mod tests {
         assert!(matches!(ctx.execute(&q), Err(QueryError::UnknownTable(_))));
         let q = LogicalPlan::scan("facts").filter(col("id").div(lit(0)).gt(lit(0)));
         assert_eq!(ctx.execute(&q).unwrap_err(), QueryError::DivideByZero);
-    }
-
-    #[test]
-    fn zero_batch_size_is_a_typed_plan_error() {
-        let ctx = session(builders::star(2, 1.0), 10);
-        let q = LogicalPlan::scan("facts");
-        let zero = ctx.clone().with_batch_size(0);
-        assert_eq!(zero.execute(&q).unwrap_err(), QueryError::InvalidBatchSize);
-        // Any positive size runs.
-        for batch_size in [1, 3, usize::MAX] {
-            let res = ctx.clone().with_batch_size(batch_size).execute(&q).unwrap();
-            assert_eq!(res.num_rows(), 10);
-        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Query results: output fragments plus the metered cost breakdown.
+//! Query results: output batch fragments plus the metered cost breakdown.
 
 use tamp_simulator::cost::Cost;
 use tamp_topology::NodeId;
 
+use crate::batch::{batch_rows, BatchFragments};
 use crate::row::{canonicalize, Row};
 use crate::schema::Schema;
 
@@ -31,8 +32,9 @@ pub struct OperatorCost {
 pub struct QueryResult {
     /// Output schema.
     pub schema: Schema,
-    /// Output row fragments, indexed by node id.
-    pub fragments: Vec<Vec<Row>>,
+    /// Output batch fragments, indexed by node id — what the plan's last
+    /// operator produced; [`rows`](Self::rows) builds rows from them.
+    pub fragments: BatchFragments,
     /// Total metered cost.
     pub cost: Cost,
     /// Per-operator estimated-vs-actual cost, in execution order
@@ -59,15 +61,16 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// All output rows. Order-preserving plans (`OrderBy`, `Limit` above
-    /// one) concatenate fragments in execution order; anything else is
-    /// canonicalized for stable comparisons.
+    /// All output rows, built on each call. Order-preserving plans
+    /// (`OrderBy`, `Limit` above one) concatenate fragments in execution
+    /// order; anything else is canonicalized for stable comparisons.
     pub fn rows(&self, order_preserving: bool) -> Vec<Row> {
-        let mut rows: Vec<Row> = self
-            .node_order
-            .iter()
-            .flat_map(|&v| self.fragments[v.index()].iter().cloned())
-            .collect();
+        let mut rows = Vec::with_capacity(self.num_rows());
+        for &v in &self.node_order {
+            for b in &self.fragments[v.index()] {
+                b.append_rows(&mut rows);
+            }
+        }
         if !order_preserving {
             canonicalize(&mut rows);
         }
@@ -76,6 +79,6 @@ impl QueryResult {
 
     /// Total number of output rows.
     pub fn num_rows(&self) -> usize {
-        self.fragments.iter().map(Vec::len).sum()
+        self.fragments.iter().map(|b| batch_rows(b)).sum()
     }
 }

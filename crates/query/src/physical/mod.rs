@@ -359,9 +359,6 @@ pub(crate) fn lower(
 ) -> Result<(PhysicalPlan, Schema), QueryError> {
     // Validate up front (expression binding included) so lowering can
     // assume well-formed inputs.
-    if options.batch_size == 0 {
-        return Err(QueryError::InvalidBatchSize);
-    }
     plan.schema(catalog)?;
     let mut planner = Planner::new(catalog, options, registry);
     let (plan, _, schema) = planner.lower_node(plan)?;

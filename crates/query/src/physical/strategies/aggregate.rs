@@ -170,7 +170,7 @@ impl PhysicalStrategy for HashAggregate {
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
         let (frags, gi, mi, agg) = agg_input(input);
         let tree = a.tree;
-        let mut trace = TraceBuilder::batched(a.batch);
+        let mut trace = TraceBuilder::default();
         let weights = || batch_frag_weights(tree, &frags, &empty_batch_frags(tree));
         let Some(router) = self.router(a, weights) else {
             return Ok(OpTrace {
@@ -278,13 +278,13 @@ impl PhysicalStrategy for CombiningTreeAggregate {
             acc[v.index()] = fold_groups(&mut table, &frags[v.index()], gi, mi, agg, true);
         }
 
-        let mut trace = TraceBuilder::batched(a.batch);
+        let mut trace = TraceBuilder::default();
         for moves in schedule {
             trace.round(|round| {
                 for &(src, dst) in &moves {
                     if let Some(partials) = &acc[src.index()] {
                         let payload = flatten_batches(std::slice::from_ref(partials), 2);
-                        round.send_rows(src, &[dst], Rel::S, payload, 2);
+                        round.send(src, &[dst], Rel::S, payload);
                     }
                 }
             });

@@ -58,7 +58,7 @@ pub(crate) fn batch_holders_of(tree: &Tree, frags: &BatchFragments) -> Vec<NodeI
 /// Each source, in `sources` order, splits its rows by slot — `route`
 /// appends one slot per row of the batch it is shown — and slot `s`
 /// delivers to node `slots[s]`. A source serves its slots in ascending
-/// order: one gather per slot, plus one (chunked) send unless the slot is
+/// order: one gather per slot, plus one send unless the slot is
 /// the source itself — whatever a slot stands for: the destination node
 /// for the hash shuffles, the splitter bucket for the range shuffle.
 pub(crate) fn exchange_batches(
@@ -104,14 +104,14 @@ pub(crate) fn exchange_batches(
     }
     trace.round(|round| {
         for (src, dst, payload) in outgoing {
-            round.send_rows(src, &[dst], rel, payload, width);
+            round.send(src, &[dst], rel, payload);
         }
     });
     new_frags
 }
 
 /// One-round repartition of batch fragments by a key router: one key-column
-/// scan and one gather per destination, one (chunked) send per `(src,
+/// scan and one gather per destination, one send per `(src,
 /// dst)` pair, destinations in ascending node order.
 pub(crate) fn shuffle_batches_by_key(
     trace: &mut TraceBuilder,
@@ -150,7 +150,7 @@ pub(crate) fn broadcast_small_batches(
             if batch_rows(local) == 0 || holders.is_empty() {
                 continue;
             }
-            round.send_rows(v, holders, Rel::R, flatten_batches(local, small_w), small_w);
+            round.send(v, holders, Rel::R, flatten_batches(local, small_w));
         }
     });
     let mut small_new = empty_batch_frags(tree);
@@ -302,7 +302,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::batch::rows_to_batches;
+    use crate::batch::convert::rows_to_batches;
     use crate::row::Row;
 
     #[test]

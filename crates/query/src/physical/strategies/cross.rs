@@ -161,7 +161,7 @@ impl PhysicalStrategy for BroadcastSmallCross {
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
         let (lfrags, rfrags, lw, rw) = cross_input(input);
         let tree = a.tree;
-        let mut trace = TraceBuilder::batched(a.batch);
+        let mut trace = TraceBuilder::default();
         let l_total: usize = lfrags.iter().map(|b| batch_rows(b)).sum();
         let r_total: usize = rfrags.iter().map(|b| batch_rows(b)).sum();
         let left_is_small = l_total * lw <= r_total * rw;
@@ -224,7 +224,7 @@ fn rect_cross_trace(
     let (lfrags, rfrags, lw, rw) = cross_input(input);
     let (lfrags, rfrags) = (&lfrags, &rfrags);
     let tree = a.tree;
-    let mut trace = TraceBuilder::batched(a.batch);
+    let mut trace = TraceBuilder::default();
     // Global labels: concatenate fragments in compute-node order.
     let order = tree.compute_nodes();
     let mut l_start = vec![0u64; tree.num_nodes()];
@@ -259,7 +259,7 @@ fn rect_cross_trace(
                     dsts.sort_unstable();
                     dsts.dedup();
                     let payload = &flat[sub.start * width..sub.end * width];
-                    round.send_rows(v, &dsts, rel, payload, width);
+                    round.send(v, &dsts, rel, payload);
                 }
             }
         }

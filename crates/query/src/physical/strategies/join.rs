@@ -101,7 +101,7 @@ impl PhysicalStrategy for WeightedRepartitionJoin {
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
         let (lfrags, rfrags, li, ri, lw, rw) = join_input(input);
         let tree = a.tree;
-        let mut trace = TraceBuilder::batched(a.batch);
+        let mut trace = TraceBuilder::default();
         let weights = batch_frag_weights(tree, &lfrags, &rfrags);
         let Some(hash) = WeightedHash::new(a.seed, &weights) else {
             return Ok(OpTrace {
@@ -156,7 +156,7 @@ impl PhysicalStrategy for UniformRepartitionJoin {
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
         let (lfrags, rfrags, li, ri, lw, rw) = join_input(input);
         let tree = a.tree;
-        let mut trace = TraceBuilder::batched(a.batch);
+        let mut trace = TraceBuilder::default();
         let vc: Vec<NodeId> = tree.compute_nodes().to_vec();
         let seed = a.seed;
         let router = move |key: u64| vc[(mix64(key ^ seed) % vc.len() as u64) as usize];
@@ -225,7 +225,7 @@ impl PhysicalStrategy for BroadcastSmallJoin {
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
         let (lfrags, rfrags, li, ri, lw, rw) = join_input(input);
         let tree = a.tree;
-        let mut trace = TraceBuilder::batched(a.batch);
+        let mut trace = TraceBuilder::default();
         let l_total: usize = lfrags.iter().map(|b| batch_rows(b)).sum();
         let r_total: usize = rfrags.iter().map(|b| batch_rows(b)).sum();
         let left_is_small = l_total <= r_total;
@@ -329,7 +329,7 @@ impl PhysicalStrategy for TreePartitionJoin {
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
         let (lfrags, rfrags, li, ri, lw, rw) = join_input(input);
         let tree = a.tree;
-        let mut trace = TraceBuilder::batched(a.batch);
+        let mut trace = TraceBuilder::default();
         let l_total: usize = lfrags.iter().map(|b| batch_rows(b)).sum();
         let r_total: usize = rfrags.iter().map(|b| batch_rows(b)).sum();
         let left_is_small = l_total <= r_total;
@@ -388,7 +388,7 @@ impl PhysicalStrategy for TreePartitionJoin {
                     }
                     if dsts != [v] {
                         let payload = flatten_multi(small, &picks, small_w);
-                        round.send_rows(v, &dsts, small_rel, payload, small_w);
+                        round.send(v, &dsts, small_rel, payload);
                     }
                 }
                 // Big rows: hash within the owner's block only.
@@ -411,7 +411,7 @@ impl PhysicalStrategy for TreePartitionJoin {
                     big_new[dst.index()].push(gather_multi(big, &picks, big_w));
                     if dst != v {
                         let payload = flatten_multi(big, &picks, big_w);
-                        round.send_rows(v, &[dst], big_rel, payload, big_w);
+                        round.send(v, &[dst], big_rel, payload);
                     }
                 }
             }

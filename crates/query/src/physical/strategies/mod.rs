@@ -111,7 +111,7 @@ impl PhysicalStrategy for WeightedDistinct {
         };
         let tree = a.tree;
         let weights = batch_frag_weights(tree, &input, &empty_batch_frags(tree));
-        let mut trace = TraceBuilder::batched(a.batch);
+        let mut trace = TraceBuilder::default();
         let Some(hash) = WeightedHash::new(a.seed ^ 0xD157, &weights) else {
             return Ok(OpTrace {
                 rounds: trace.into_rounds(),
@@ -215,13 +215,13 @@ impl PhysicalStrategy for GatherLimit {
         };
         // Each node contributes at most n rows; the target cuts the
         // node-order concatenation of the contributions the same way.
-        let mut trace = TraceBuilder::batched(a.batch);
+        let mut trace = TraceBuilder::default();
         let mut gathered: Vec<RecordBatch> = Vec::new();
         trace.round(|round| {
             for &v in &order {
                 let local = first_n(&input[v.index()]);
                 if v != target {
-                    round.send_rows(v, &[target], Rel::R, flatten_batches(&local, width), width);
+                    round.send(v, &[target], Rel::R, flatten_batches(&local, width));
                 }
                 gathered.extend(local);
             }
@@ -232,6 +232,52 @@ impl PhysicalStrategy for GatherLimit {
             rounds: trace.into_rounds(),
             output: out,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use tamp_topology::builders;
+
+    use super::*;
+    use crate::batch::convert::{batches_to_rows, rows_to_batches};
+    use crate::row::Row;
+
+    /// One payload is one send, however many rows it carries: a gather
+    /// whose only source holds 5,000 rows (in five batches) ships them to
+    /// the target as one send carrying every row, row-major, in order.
+    #[test]
+    fn a_payload_is_one_send() {
+        let tree = builders::star(3, 1.0);
+        let target = valid_order(&tree)[0];
+        let source = *tree.compute_nodes().iter().find(|&&v| v != target).unwrap();
+        let rows: Vec<Row> = (0..5_000u64).map(|i| vec![i, i * 7]).collect();
+        let mut input = empty_batch_frags(&tree);
+        input[source.index()] = rows_to_batches(&rows, 2, 1_000);
+        let args = ExecArgs {
+            tree: &tree,
+            seed: 0,
+        };
+        let traced = GatherLimit
+            .trace(
+                &args,
+                OpInput::Limit {
+                    input,
+                    n: rows.len(),
+                    width: 2,
+                    order_preserving: true,
+                },
+            )
+            .unwrap();
+        let [round] = &traced.rounds[..] else {
+            panic!("{} rounds", traced.rounds.len());
+        };
+        let [send] = &round[..] else {
+            panic!("{} sends", round.len());
+        };
+        assert_eq!((send.src, &send.dsts[..]), (source, &[target][..]));
+        assert_eq!(*send.values, *rows.concat());
+        assert_eq!(batches_to_rows(&traced.output)[target.index()], rows);
     }
 }
 
@@ -252,10 +298,10 @@ mod soundness {
     use tamp_topology::{builders, Tree};
 
     use super::*;
-    use crate::batch::{batches_to_fragments, fragments_to_batches};
+    use crate::batch::convert::{batches_to_rows, rows_to_batches};
     use crate::physical::strategy::StrategyRegistry;
     use crate::plan::AggFunc;
-    use crate::row::{Fragments, Row};
+    use crate::row::Row;
     use crate::schema::Schema;
     use crate::table::DistributedTable;
 
@@ -280,7 +326,10 @@ mod soundness {
         let heavy = vc[seed as usize % vc.len()];
         let schema = Schema::new(["a", "b", "c"][..width].to_vec()).unwrap();
         let table = DistributedTable::skewed("t", schema, rows, tree, heavy, 0.6);
-        fragments_to_batches(&table.fragments, width, 5)
+        let own = batches_to_rows(&table.scan_batches());
+        own.iter()
+            .map(|rows| rows_to_batches(rows, width, 5))
+            .collect()
     }
 
     /// Every width-`w` chunk of every payload the rounds deliver to `v`.
@@ -358,11 +407,11 @@ mod soundness {
         what: &str,
         tree: &Tree,
         op: OperatorKind,
-        (l_own, r_own): (&Fragments, &Fragments),
+        (l_own, r_own): (&[Vec<Row>], &[Vec<Row>]),
         traced: &OpTrace,
     ) -> usize {
         let rounds = &traced.rounds;
-        let output = batches_to_fragments(&traced.output);
+        let output = batches_to_rows(&traced.output);
         for v in tree.nodes() {
             let out = &output[v.index()];
             if out.is_empty() {
@@ -430,12 +479,8 @@ mod soundness {
                     let r_rows = (0..r_total).map(|k| vec![k % 7, 100 + k]).collect();
                     let left = skewed(tree, l_rows, LW, seed);
                     let right = skewed(tree, r_rows, RW, seed + 1);
-                    let own = (batches_to_fragments(&left), batches_to_fragments(&right));
-                    let args = ExecArgs {
-                        tree,
-                        seed,
-                        batch: 4,
-                    };
+                    let own = (batches_to_rows(&left), batches_to_rows(&right));
+                    let args = ExecArgs { tree, seed };
                     for op in OPERATORS {
                         for strategy in registry.candidates(op) {
                             for input in inputs(op, &left, &right, seed) {

@@ -61,7 +61,7 @@ impl RangeShuffleSort {
         } else {
             uniform_splitters(&samples, order.len())
         };
-        trace.round(|round| round.send_rows(order[0], order, Rel::S, &splitters[..], 1));
+        trace.round(|round| round.send(order[0], order, Rel::S, &splitters[..]));
         splitters
     }
 }
@@ -145,7 +145,7 @@ impl PhysicalStrategy for RangeShuffleSort {
                 output: frags,
             });
         }
-        let mut trace = TraceBuilder::batched(a.batch);
+        let mut trace = TraceBuilder::default();
         let coordinator = order[0];
         let rho = sample_rate(order.len(), total as u64);
 
@@ -157,7 +157,7 @@ impl PhysicalStrategy for RangeShuffleSort {
                 for b in &frags[v.index()] {
                     all_samples.extend(b.col(ki).iter().filter(|&&x| coin(a.seed, x, rho)));
                 }
-                round.send_rows(v, &[coordinator], Rel::S, &all_samples[from..], 1);
+                round.send(v, &[coordinator], Rel::S, &all_samples[from..]);
             }
         });
 

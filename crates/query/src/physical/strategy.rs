@@ -33,7 +33,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tamp_query::batch::{flatten_batches, rows_to_batches};
+//! use tamp_query::batch::flatten_batches;
 //! use tamp_query::physical::cost::CostModel;
 //! use tamp_query::physical::strategy::*;
 //! use tamp_query::prelude::*;
@@ -92,7 +92,7 @@
 //!             }
 //!         }
 //!         let mut out = vec![Vec::new(); a.tree.num_nodes()];
-//!         out[target.index()] = rows_to_batches(&joined, left_width + right_width, a.batch);
+//!         out[target.index()] = vec![RecordBatch::from_rows(&joined, left_width + right_width)];
 //!         Ok(OpTrace { rounds: trace.into_rounds(), output: out })
 //!     }
 //! }
@@ -275,12 +275,6 @@ pub struct ExecArgs<'a> {
     pub tree: &'a Tree,
     /// The session's hashing/sampling seed.
     pub seed: u64,
-    /// Rows per emitted send: every exchange payload is chunked into
-    /// sends of at most `batch` rows (`usize::MAX` disables chunking).
-    /// Chunking a fixed `(src, dsts)` multicast never changes its metered
-    /// cost — the §2 charge is linear in the amount sent over each edge —
-    /// so `edge_totals` and per-round costs are invariant in this knob.
-    pub batch: usize,
 }
 
 /// The operator-specific execution input: the materialized child
@@ -365,38 +359,17 @@ pub struct OpTrace {
 }
 
 /// Records the rounds of one operator's exchange.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TraceBuilder {
     rounds: Vec<Vec<ScheduleSend>>,
-    batch: usize,
-}
-
-impl Default for TraceBuilder {
-    /// An unchunked builder ([`RoundSends::send_rows`] emits one send per
-    /// payload), for strategies that size their sends themselves.
-    fn default() -> Self {
-        TraceBuilder::batched(usize::MAX)
-    }
 }
 
 impl TraceBuilder {
-    /// A builder that chunks every [`RoundSends::send_rows`] payload into
-    /// sends of at most `batch` rows ([`ExecArgs::batch`]).
-    pub fn batched(batch: usize) -> Self {
-        TraceBuilder {
-            rounds: Vec::new(),
-            batch,
-        }
-    }
-
     /// Record one communication round; `f` queues the round's sends.
     /// Rounds with no sends are still recorded (silent rounds are
     /// metered, matching both engines).
     pub fn round<F: FnOnce(&mut RoundSends)>(&mut self, f: F) {
-        let mut rec = RoundSends {
-            sends: Vec::new(),
-            batch: self.batch,
-        };
+        let mut rec = RoundSends { sends: Vec::new() };
         f(&mut rec);
         self.rounds.push(rec.sends);
     }
@@ -411,14 +384,14 @@ impl TraceBuilder {
 #[derive(Debug)]
 pub struct RoundSends {
     sends: Vec<ScheduleSend>,
-    batch: usize,
 }
 
 impl RoundSends {
-    /// Queue a multicast; the payload is captured as one shared
-    /// allocation — copied once from a slice or `Vec`, taken over as-is
-    /// from an `Arc<[Value]>`. Empty payloads and destination sets are
-    /// dropped, mirroring both engines.
+    /// Queue a multicast: one payload is one send, however many rows it
+    /// carries. The payload is captured as one shared allocation — copied
+    /// once from a slice or `Vec`, taken over as-is from an
+    /// `Arc<[Value]>`. Empty payloads and destination sets are dropped,
+    /// mirroring both engines.
     pub fn send<V>(&mut self, src: NodeId, dsts: &[NodeId], rel: Rel, values: V)
     where
         V: AsRef<[Value]> + Into<Arc<[Value]>>,
@@ -432,25 +405,6 @@ impl RoundSends {
             rel,
             values: values.into(),
         });
-    }
-
-    /// Queue a row-major payload of `width`-value rows, chunked into
-    /// sends of at most the builder's batch size (in rows). Chunk
-    /// boundaries never change the metered cost — the per-edge charge is
-    /// linear in the amount sent for a fixed `(src, dsts)` — so the
-    /// ledger is bit-identical for every batch size.
-    pub fn send_rows<V>(&mut self, src: NodeId, dsts: &[NodeId], rel: Rel, values: V, width: usize)
-    where
-        V: AsRef<[Value]> + Into<Arc<[Value]>>,
-    {
-        let chunk = self.batch.saturating_mul(width.max(1));
-        if values.as_ref().len() <= chunk {
-            self.send(src, dsts, rel, values);
-            return;
-        }
-        for piece in values.as_ref().chunks(chunk) {
-            self.send(src, dsts, rel, piece);
-        }
     }
 }
 

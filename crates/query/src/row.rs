@@ -1,19 +1,17 @@
-//! Rows: the result's view of the data.
+//! Rows: a view of the data, built on demand.
 //!
-//! A row is a fixed-width vector of `u64` values. Tables are registered
-//! as rows and a [`QueryResult`](crate::exec::QueryResult) hands rows
-//! back; in between, execution runs on columns ([`crate::batch`]). The
-//! simulator transports single `u64` elements, so a shipped row of width
-//! `w` costs `w` transported tuples, which keeps the metered cost
-//! proportional to the actual bytes a real system would move.
+//! A row is a fixed-width vector of `u64` values. Tables are built from
+//! rows and a [`QueryResult`](crate::exec::QueryResult) builds rows when
+//! asked, but nothing in between holds one: tables store, exchanges ship
+//! and results keep columns ([`crate::batch`]). The simulator transports
+//! single `u64` elements, so a shipped row of width `w` costs `w`
+//! transported tuples, which keeps the metered cost proportional to the
+//! actual bytes a real system would move.
 
 use tamp_simulator::Value;
 
 /// A row: one `u64` per column.
 pub type Row = Vec<Value>;
-
-/// Per-node row lists, indexed by node id.
-pub type Fragments = Vec<Vec<Row>>;
 
 /// Sort rows lexicographically — the canonical order used when comparing
 /// result sets.

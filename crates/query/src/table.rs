@@ -1,15 +1,19 @@
 //! Distributed base tables and the catalog.
 //!
-//! A [`DistributedTable`] holds per-compute-node row fragments — the
-//! `{X_0(v)}` partition of §2, at row granularity. Partitioning helpers
-//! cover the placements the experiments need: round-robin (uniform),
-//! hash-by-column (co-location), skewed (one node holds a share `α`), and
-//! single-node (maximally lopsided).
+//! A [`DistributedTable`] holds one [`RecordBatch`] per node — the
+//! `{X_0(v)}` partition of §2 — and nothing else: a scan, or a clone of
+//! the catalog, is a refcount bump per column. Partitioning helpers write
+//! rows straight into those columns, for the placements the experiments
+//! need: round-robin (uniform), hash-by-column (co-location), skewed (one
+//! node holds a share `α`), and single-node (maximally lopsided).
+
+use std::sync::Arc;
 
 use tamp_core::hashing::mix64;
+use tamp_simulator::Value;
 use tamp_topology::{EdgeId, NodeId, Tree};
 
-use crate::batch::{fragments_to_batches, RecordBatch};
+use crate::batch::{BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::row::Row;
 use crate::schema::Schema;
@@ -21,63 +25,85 @@ pub struct DistributedTable {
     pub name: String,
     /// Column schema.
     pub schema: Schema,
-    /// Row fragments, indexed by node id (router slots stay empty).
-    pub fragments: Vec<Vec<Row>>,
-    // Columnar mirror of `fragments` — one whole-fragment record batch
-    // per node, (re)built by `Catalog::register` so scans are refcount
-    // bumps, never per-row transposes. Empty until registration;
-    // `scan_batches` falls back to converting on the fly.
-    columnar: Vec<Vec<RecordBatch>>,
+    // One batch per node id; router batches stay empty.
+    batches: Vec<RecordBatch>,
 }
 
 impl DistributedTable {
-    fn empty_fragments(tree: &Tree) -> Vec<Vec<Row>> {
-        vec![Vec::new(); tree.num_nodes()]
-    }
-
-    /// (Re)build the columnar mirror from the row fragments.
-    pub(crate) fn build_columnar(&mut self) {
-        self.columnar = fragments_to_batches(&self.fragments, self.schema.width(), usize::MAX);
-    }
-
-    /// The table as batch fragments: the prebuilt columnar mirror when
-    /// registration has built one (a per-node `Arc` clone), otherwise a
-    /// fresh conversion.
-    pub(crate) fn scan_batches(&self) -> Vec<Vec<RecordBatch>> {
-        if self.columnar.len() == self.fragments.len() {
-            self.columnar.clone()
-        } else {
-            fragments_to_batches(&self.fragments, self.schema.width(), usize::MAX)
-        }
-    }
-
-    fn validated(name: &str, schema: Schema, rows: &[Row]) -> Result<(String, Schema), QueryError> {
-        for row in rows {
-            if row.len() != schema.width() {
+    /// Place row `i` of `rows` on node `place(i, row)`, writing the rows
+    /// straight into per-node columns: one pass checks every row's width
+    /// and counts each node's rows, the second moves each row into its
+    /// node's preallocated columns and drops it.
+    fn partitioned(
+        name: &str,
+        schema: Schema,
+        rows: Vec<Row>,
+        tree: &Tree,
+        place: impl Fn(usize, &Row) -> NodeId,
+    ) -> Result<Self, QueryError> {
+        let width = schema.width();
+        let mut counts = vec![0usize; tree.num_nodes()];
+        for (i, row) in rows.iter().enumerate() {
+            if row.len() != width {
                 return Err(QueryError::WidthMismatch {
-                    expected: schema.width(),
+                    expected: width,
                     actual: row.len(),
                 });
             }
+            counts[place(i, row).index()] += 1;
         }
-        Ok((name.to_string(), schema))
+        let mut cols: Vec<Vec<Arc<[Value]>>> = counts
+            .iter()
+            .map(|&n| {
+                (0..width)
+                    .map(|_| std::iter::repeat_n(0, n).collect())
+                    .collect()
+            })
+            .collect();
+        let mut cells: Vec<Vec<&mut [Value]>> = cols
+            .iter_mut()
+            .map(|node| {
+                node.iter_mut()
+                    .map(|c| Arc::get_mut(c).expect("not shared yet"))
+                    .collect()
+            })
+            .collect();
+        let mut filled = vec![0usize; counts.len()];
+        for (i, row) in rows.into_iter().enumerate() {
+            let v = place(i, &row).index();
+            for (col, x) in cells[v].iter_mut().zip(row) {
+                col[filled[v]] = x;
+            }
+            filled[v] += 1;
+        }
+        let batches = cols
+            .into_iter()
+            .zip(counts)
+            .map(|(cols, n)| RecordBatch::from_cols_rows(cols, n))
+            .collect();
+        Ok(DistributedTable {
+            name: name.to_string(),
+            schema,
+            batches,
+        })
+    }
+
+    /// The table as batch fragments: each non-empty node's batch, shared.
+    pub(crate) fn scan_batches(&self) -> BatchFragments {
+        self.batches
+            .iter()
+            .map(|b| match b.num_rows() {
+                0 => Vec::new(),
+                _ => vec![b.clone()],
+            })
+            .collect()
     }
 
     /// Partition `rows` round-robin over the compute nodes.
     pub fn round_robin(name: &str, schema: Schema, rows: Vec<Row>, tree: &Tree) -> Self {
-        let (name, schema) =
-            Self::validated(name, schema, &rows).expect("rows must match the schema");
-        let mut fragments = Self::empty_fragments(tree);
         let vc = tree.compute_nodes();
-        for (i, row) in rows.into_iter().enumerate() {
-            fragments[vc[i % vc.len()].index()].push(row);
-        }
-        DistributedTable {
-            name,
-            schema,
-            fragments,
-            columnar: Vec::new(),
-        }
+        Self::partitioned(name, schema, rows, tree, |i, _| vc[i % vc.len()])
+            .expect("rows must match the schema")
     }
 
     /// Partition `rows` by hashing the named column — co-locates equal
@@ -91,18 +117,9 @@ impl DistributedTable {
         seed: u64,
     ) -> Result<Self, QueryError> {
         let idx = schema.index_of(column)?;
-        let (name, schema) = Self::validated(name, schema, &rows)?;
-        let mut fragments = Self::empty_fragments(tree);
         let vc = tree.compute_nodes();
-        for row in rows {
-            let h = mix64(row[idx] ^ seed) % vc.len() as u64;
-            fragments[vc[h as usize].index()].push(row);
-        }
-        Ok(DistributedTable {
-            name,
-            schema,
-            fragments,
-            columnar: Vec::new(),
+        Self::partitioned(name, schema, rows, tree, |_, row| {
+            vc[(mix64(row[idx] ^ seed) % vc.len() as u64) as usize]
         })
     }
 
@@ -117,9 +134,6 @@ impl DistributedTable {
         alpha: f64,
     ) -> Self {
         assert!((0.0..=1.0).contains(&alpha), "alpha must be in [0, 1]");
-        let (name, schema) =
-            Self::validated(name, schema, &rows).expect("rows must match the schema");
-        let mut fragments = Self::empty_fragments(tree);
         let others: Vec<NodeId> = tree
             .compute_nodes()
             .iter()
@@ -127,19 +141,14 @@ impl DistributedTable {
             .filter(|&v| v != heavy)
             .collect();
         let cut = (rows.len() as f64 * alpha).round() as usize;
-        for (i, row) in rows.into_iter().enumerate() {
+        Self::partitioned(name, schema, rows, tree, |i, _| {
             if i < cut || others.is_empty() {
-                fragments[heavy.index()].push(row);
+                heavy
             } else {
-                fragments[others[(i - cut) % others.len()].index()].push(row);
+                others[(i - cut) % others.len()]
             }
-        }
-        DistributedTable {
-            name,
-            schema,
-            fragments,
-            columnar: Vec::new(),
-        }
+        })
+        .expect("rows must match the schema")
     }
 
     /// All rows on a single node.
@@ -149,17 +158,21 @@ impl DistributedTable {
 
     /// Total number of rows.
     pub fn num_rows(&self) -> usize {
-        self.fragments.iter().map(Vec::len).sum()
+        self.batches.iter().map(RecordBatch::num_rows).sum()
     }
 
     /// All rows, concatenated in node-id order.
     pub fn all_rows(&self) -> Vec<Row> {
-        self.fragments.iter().flatten().cloned().collect()
+        let mut rows = Vec::with_capacity(self.num_rows());
+        for b in &self.batches {
+            b.append_rows(&mut rows);
+        }
+        rows
     }
 
     /// Per-node row counts (the `|X_0(v)|` statistics).
     pub fn row_counts(&self) -> Vec<u64> {
-        self.fragments.iter().map(|f| f.len() as u64).collect()
+        self.batches.iter().map(|b| b.num_rows() as u64).collect()
     }
 }
 
@@ -198,16 +211,16 @@ impl Catalog {
 
     /// Register a table. Replaces any table with the same name.
     pub fn register(&mut self, table: DistributedTable) -> Result<(), QueryError> {
-        if table.fragments.len() != self.tree.num_nodes() {
+        if table.batches.len() != self.tree.num_nodes() {
             return Err(QueryError::Plan(format!(
                 "table `{}` has {} fragments for a {}-node topology",
                 table.name,
-                table.fragments.len(),
+                table.batches.len(),
                 self.tree.num_nodes()
             )));
         }
-        for (i, frag) in table.fragments.iter().enumerate() {
-            if !frag.is_empty() && !self.tree.is_compute(NodeId(i as u32)) {
+        for (i, b) in table.batches.iter().enumerate() {
+            if b.num_rows() > 0 && !self.tree.is_compute(NodeId(i as u32)) {
                 return Err(QueryError::Plan(format!(
                     "table `{}` places rows on router node {i}",
                     table.name
@@ -215,8 +228,6 @@ impl Catalog {
             }
         }
         self.tables.retain(|t| t.name != table.name);
-        let mut table = table;
-        table.build_columnar();
         self.tables.push(table);
         Ok(())
     }
@@ -238,7 +249,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tamp_topology::builders;
+    use tamp_topology::{builders, TreeBuilder};
 
     fn rows(n: u64) -> Vec<Row> {
         (0..n).map(|i| vec![i, i * 10]).collect()
@@ -254,8 +265,14 @@ mod tests {
         let t = DistributedTable::round_robin("t", schema(), rows(40), &tree);
         assert_eq!(t.num_rows(), 40);
         for &v in tree.compute_nodes() {
-            assert_eq!(t.fragments[v.index()].len(), 10);
+            assert_eq!(t.row_counts()[v.index()], 10);
         }
+        // Columns keep each node's rows in input order.
+        let first = tree.compute_nodes()[0].index();
+        assert_eq!(
+            t.batches[first].col(0),
+            [0, 4, 8, 12, 16, 20, 24, 28, 32, 36]
+        );
     }
 
     #[test]
@@ -264,18 +281,13 @@ mod tests {
         let mut dup = rows(20);
         dup.extend(rows(20)); // every key twice
         let t = DistributedTable::hash_partitioned("t", schema(), dup, "k", &tree, 7).unwrap();
+        assert_eq!(t.num_rows(), 40);
         // Equal keys land on equal nodes.
-        for frag_a in &t.fragments {
-            for row in frag_a {
-                let home: Vec<usize> = t
-                    .fragments
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, f)| f.iter().any(|r| r[0] == row[0]))
-                    .map(|(i, _)| i)
-                    .collect();
-                assert_eq!(home.len(), 1, "key {} on nodes {home:?}", row[0]);
-            }
+        for key in 0..20 {
+            let home: Vec<usize> = (0..t.batches.len())
+                .filter(|&i| t.batches[i].col(0).contains(&key))
+                .collect();
+            assert_eq!(home.len(), 1, "key {key} on nodes {home:?}");
         }
     }
 
@@ -284,7 +296,7 @@ mod tests {
         let tree = builders::star(4, 1.0);
         let heavy = tree.compute_nodes()[1];
         let t = DistributedTable::skewed("t", schema(), rows(100), &tree, heavy, 0.7);
-        assert_eq!(t.fragments[heavy.index()].len(), 70);
+        assert_eq!(t.row_counts()[heavy.index()], 70);
         assert_eq!(t.num_rows(), 100);
     }
 
@@ -293,7 +305,8 @@ mod tests {
         let tree = builders::star(3, 1.0);
         let v = tree.compute_nodes()[2];
         let t = DistributedTable::single_node("t", schema(), rows(10), &tree, v);
-        assert_eq!(t.fragments[v.index()].len(), 10);
+        assert_eq!(t.row_counts()[v.index()], 10);
+        assert_eq!(t.all_rows(), rows(10));
     }
 
     #[test]
@@ -313,11 +326,36 @@ mod tests {
 
     #[test]
     fn catalog_rejects_rows_on_routers() {
-        let tree = builders::star(2, 1.0); // node 2 is the hub
-        let mut c = Catalog::new(tree.clone());
-        let mut t = DistributedTable::round_robin("t", schema(), rows(2), &tree);
-        t.fragments[2].push(vec![1, 2]);
+        let star = builders::star(2, 1.0); // node 2 is the hub
+        let mut c = Catalog::new(star);
+        // Same node count, but node 2 computes here.
+        let mut b = TreeBuilder::new();
+        let hub = b.router();
+        for v in b.computes(2) {
+            b.link(hub, v, 1.0).unwrap();
+        }
+        let other = b.build().unwrap();
+        let t = DistributedTable::single_node("t", schema(), rows(2), &other, NodeId(2));
         assert!(matches!(c.register(t), Err(QueryError::Plan(_))));
+        // A table built for another node count is rejected too.
+        let t = DistributedTable::round_robin("t", schema(), rows(2), &builders::star(3, 1.0));
+        assert!(matches!(c.register(t), Err(QueryError::Plan(_))));
+        assert!(c.table_names().is_empty());
+    }
+
+    #[test]
+    fn a_cloned_context_shares_every_table_column() {
+        let tree = builders::rack_tree(&[(3, 1.0, 2.0), (2, 2.0, 1.0)], 1.0);
+        let mut ctx = crate::context::QueryContext::new(tree);
+        let t = DistributedTable::round_robin("t", schema(), rows(50), ctx.tree());
+        ctx.register(t).unwrap();
+        let copy = ctx.clone();
+        let (a, b) = (ctx.catalog().table("t"), copy.catalog().table("t"));
+        let (a, b) = (&a.unwrap().batches, &b.unwrap().batches);
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert!((0..x.width()).all(|c| Arc::ptr_eq(x.col_arc(c), y.col_arc(c))));
+        }
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod bandwidth;
 pub mod builders;
 pub mod cut;
 pub mod dagger;
-pub mod dot;
 pub mod error;
 pub mod graph;
 pub mod lca;

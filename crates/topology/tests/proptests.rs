@@ -117,16 +117,4 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn dot_export_mentions_every_node(tree in arb_tree()) {
-        let dot = tamp_topology::dot::to_dot(&tree);
-        let starts = dot.starts_with("graph tamp {");
-        let ends = dot.ends_with("}\n");
-        prop_assert!(starts && ends);
-        for v in tree.nodes() {
-            let mentioned = dot.contains(&format!("  {} [", v.index()));
-            prop_assert!(mentioned);
-        }
-    }
 }

@@ -75,24 +75,6 @@ fn main() {
     };
     println!("backend: {}", backend.name());
 
-    // The columnar engine's batch granularity is tunable the same way:
-    // `TAMP_BATCH_SIZE=256` shrinks each shipped record batch (and each
-    // metered send) to 256 rows. The metered cost is invariant in the
-    // batch size — only trace granularity changes. A non-numeric value is
-    // rejected here; `0` flows through to the planner's typed
-    // `QueryError::InvalidBatchSize`.
-    let batch_size = match std::env::var("TAMP_BATCH_SIZE") {
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("TAMP_BATCH_SIZE: {e} (got {raw:?})");
-                std::process::exit(2);
-            }
-        },
-        Err(_) => ExecOptions::default().batch_size,
-    };
-    println!("batch size: {batch_size}");
-
     for (label, forced) in [
         (
             "distribution-aware (weighted) join",
@@ -104,9 +86,7 @@ fn main() {
         ),
         ("auto (cost-based at plan time)", None),
     ] {
-        let mut ctx = QueryContext::with_catalog(catalog.clone())
-            .with_seed(7)
-            .with_batch_size(batch_size);
+        let mut ctx = QueryContext::with_catalog(catalog.clone()).with_seed(7);
         if let Some(name) = forced {
             ctx = ctx.with_strategy(OperatorKind::Join, name);
         }

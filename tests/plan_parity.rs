@@ -385,15 +385,13 @@ fn assert_winner_optimal(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Batch-size invariance and determinism, for every registered
-    /// strategy at send granularities from one row up to "whole payload
-    /// in one send": the rows equal the reference, `edge_totals` and the
-    /// round count move with neither the batch size nor the backend, and
-    /// the schedule content hash (the checkpoint token: every send,
-    /// payload and order) is the same for two fresh preparations and on
-    /// both backends.
+    /// Determinism, for every registered strategy: the rows equal the
+    /// reference, `edge_totals` and the round count do not move with the
+    /// backend, and the schedule content hash (the checkpoint token: every
+    /// send, payload and order) is the same for two fresh preparations
+    /// and on both backends.
     #[test]
-    fn exchanges_are_batch_size_invariant_and_deterministic(
+    fn exchanges_are_deterministic_and_backend_identical(
         tree_pick in 0u8..4,
         fact_rows in 1u64..100,
         groups in 1u64..10,
@@ -401,57 +399,41 @@ proptest! {
         seed in 0u64..50,
     ) {
         let base = make_context(tree_pick, fact_rows, groups, skew);
-        let sizes = [1, 3, ExecOptions::default().batch_size, usize::MAX];
         let sim_spy = TokenSpy::new(SimulatorBackend);
         let cluster_spy = TokenSpy::new(PooledClusterBackend::default());
         for (op, name, q) in strategy_matrix() {
             let ord = reference::preserves_order(&q);
             let want = reference::evaluate(&q, base.catalog()).unwrap();
-            let mut ledger = None;
-            for batch_size in sizes {
-                let fresh = || forced(&base, seed, op, name).with_batch_size(batch_size);
-                let ctx = fresh();
-                let prepared = ctx.prepare(&q).unwrap();
-                let (sim, sim_hash) = sim_spy.run(&prepared);
-                let (cluster, cluster_hash) = cluster_spy.run(&prepared);
-                let (_, again_hash) = sim_spy.run(&fresh().prepare(&q).unwrap());
-                prop_assert_eq!(
-                    &sim.rows(ord), &want,
-                    "{} {} batch={} rows differ\n{}", op, name, batch_size, q
-                );
-                prop_assert_eq!(
-                    &cluster.rows(ord), &want,
-                    "{} {} batch={} cluster rows differ\n{}", op, name, batch_size, q
-                );
-                // Chunking a fixed multicast never changes the metered
-                // cost: one ledger for every batch size.
-                let (totals, rounds) =
-                    ledger.get_or_insert_with(|| (sim.cost.edge_totals.clone(), sim.rounds));
-                prop_assert_eq!(
-                    &sim.cost.edge_totals, &*totals,
-                    "{} {} batch={} moves the ledger\n{}", op, name, batch_size, q
-                );
-                prop_assert_eq!(
-                    &cluster.cost.edge_totals, &*totals,
-                    "{} {} batch={} cluster ledgers differ\n{}", op, name, batch_size, q
-                );
-                prop_assert_eq!(sim.rounds, *rounds);
-                prop_assert_eq!(cluster.rounds, *rounds);
-                prop_assert_eq!(
-                    sim_hash, again_hash,
-                    "{} {} batch={} schedule is not deterministic\n{}", op, name, batch_size, q
-                );
-                prop_assert_eq!(cluster_hash, sim_hash);
-            }
+            let fresh = || forced(&base, seed, op, name);
+            let ctx = fresh();
+            let prepared = ctx.prepare(&q).unwrap();
+            let (sim, sim_hash) = sim_spy.run(&prepared);
+            let (cluster, cluster_hash) = cluster_spy.run(&prepared);
+            let (_, again_hash) = sim_spy.run(&fresh().prepare(&q).unwrap());
+            prop_assert_eq!(&sim.rows(ord), &want, "{} {} rows differ\n{}", op, name, q);
+            prop_assert_eq!(
+                &cluster.rows(ord), &want,
+                "{} {} cluster rows differ\n{}", op, name, q
+            );
+            prop_assert_eq!(
+                &cluster.cost.edge_totals, &sim.cost.edge_totals,
+                "{} {} cluster ledgers differ\n{}", op, name, q
+            );
+            prop_assert_eq!(cluster.rounds, sim.rounds);
+            prop_assert_eq!(
+                sim_hash, again_hash,
+                "{} {} schedule is not deterministic\n{}", op, name, q
+            );
+            prop_assert_eq!(cluster_hash, sim_hash);
         }
     }
 }
 
 /// `(operator, strategy, rounds, edge_totals)` of every
 /// [`strategy_matrix`] entry, in its order, on `make_context(2, 90, 6, 60)`
-/// under seed 3 at the default batch size — recorded from the
-/// row-at-a-time engine these strategies were first written for, before
-/// it was deleted. What a strategy sends is its contract: a change that
+/// under seed 3 — recorded from the row-at-a-time engine these strategies
+/// were first written for, before it was deleted. What a strategy sends
+/// is its contract: a change that
 /// moves a row here is either deliberate (edit the row in the same
 /// change) or a bug.
 const PINNED_LEDGERS: [(&str, &str, usize, [u64; 14]); 32] = [

@@ -307,7 +307,7 @@ fn concurrent_strategy_registration_keeps_inflight_queries_bit_identical() {
 
 #[test]
 fn custom_strategy_registration_invalidates_the_cache() {
-    use tamp::query::batch::{flatten_batches, rows_to_batches};
+    use tamp::query::batch::flatten_batches;
     use tamp::query::physical::strategy::*;
     use tamp::query::row::Row;
     use tamp::query::QueryError;
@@ -373,7 +373,7 @@ fn custom_strategy_registration_invalidates_the_cache() {
                 }
             }
             let mut out = vec![Vec::new(); a.tree.num_nodes()];
-            out[target.index()] = rows_to_batches(&joined, left_width + right_width, a.batch);
+            out[target.index()] = vec![RecordBatch::from_rows(&joined, left_width + right_width)];
             Ok(OpTrace {
                 rounds: trace.into_rounds(),
                 output: out,
