@@ -191,6 +191,9 @@ pub fn sort_rows(
     lead: Option<usize>,
     keep: impl FnOnce(&RecordBatch, &mut Vec<usize>),
 ) -> Vec<RecordBatch> {
+    if batch_rows(batches) == 0 {
+        return Vec::new();
+    }
     let all = concat(batches, width);
     let mut perm = sort_permutation(&all, lead);
     keep(&all, &mut perm);
@@ -247,7 +250,7 @@ pub fn gather_multi(batches: &[RecordBatch], idx: &[(u32, u32)], width: usize) -
 
 /// Row-major flatten of `rows` `(batch, row)` places into one zeroed,
 /// then filled allocation — the very one the send will share.
-fn flatten<'a>(
+pub(crate) fn flatten<'a>(
     rows: usize,
     places: impl Iterator<Item = (&'a RecordBatch, usize)>,
     width: usize,

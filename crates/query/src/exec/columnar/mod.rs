@@ -9,8 +9,9 @@
 //!
 //! Every built-in strategy works on columns — groups fold out of the
 //! group and measure columns into one reusable table, sorts are an index
-//! permutation plus one gather per column, shuffles gather `(batch, row)`
-//! picks, products repeat and tile column slices — so no row is
+//! permutation plus one gather per column, shuffles scatter each column
+//! into one batch per destination, products repeat and tile column
+//! slices — so no row is
 //! materialized between the scan and the
 //! [`QueryResult`](crate::exec::QueryResult), which keeps batches too.
 

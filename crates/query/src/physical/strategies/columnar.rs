@@ -1,20 +1,21 @@
 //! Exchange kernels shared by the built-in strategies.
 //!
-//! Routing scans columns, movement is index gathers over shared column
-//! buffers, and replication is a refcount bump per column. The exchanges
-//! all keep one order: per destination, chunks arrive in source order
-//! with rows in the source's scan order, and the chunk a source keeps for
-//! itself sits at that source's own position. Sends leave in the same
+//! Routing scans columns, a shuffle is one counting scatter into one batch
+//! per destination, and replication is a refcount bump per column. The
+//! exchanges all keep one order: per destination, rows arrive in source
+//! order, each source's in its scan order, and the rows a source keeps
+//! for itself sit at that source's own position. Sends leave in the same
 //! source-then-destination order, which the schedule's content hash —
 //! the checkpoint token — covers.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use tamp_simulator::{Rel, Value};
 use tamp_topology::{NodeId, Tree};
 
 use crate::batch::{
-    batch_rows, flatten_batches, flatten_multi, gather_multi, BatchFragments, RecordBatch,
+    batch_rows, flatten, flatten_batches, gather_multi, BatchFragments, RecordBatch,
 };
 use crate::physical::strategy::TraceBuilder;
 use crate::plan::AggFunc;
@@ -57,10 +58,14 @@ pub(crate) fn batch_holders_of(tree: &Tree, frags: &BatchFragments) -> Vec<NodeI
 ///
 /// Each source, in `sources` order, splits its rows by slot — `route`
 /// appends one slot per row of the batch it is shown — and slot `s`
-/// delivers to node `slots[s]`. A source serves its slots in ascending
-/// order: one gather per slot, plus one send unless the slot is
-/// the source itself — whatever a slot stands for: the destination node
-/// for the hash shuffles, the splitter bucket for the range shuffle.
+/// delivers to node `slots[s]`, no two slots to one node — whatever a
+/// slot stands for: the destination node for the hash shuffles, the
+/// splitter bucket for the range shuffle.
+///
+/// One counting scatter: a slot's one output batch holds, source after
+/// source, one contiguous run of each source's rows in scan order, filled
+/// a column at a time. A source sends each of its runs but the one it
+/// keeps, in ascending slot order, cut from the run.
 pub(crate) fn exchange_batches(
     trace: &mut TraceBuilder,
     frags: &BatchFragments,
@@ -70,49 +75,73 @@ pub(crate) fn exchange_batches(
     slots: &[NodeId],
     route: &mut dyn FnMut(&RecordBatch, &mut Vec<u32>),
 ) -> BatchFragments {
-    let mut new_frags: BatchFragments = vec![Vec::new(); frags.len()];
-    let mut outgoing: Vec<(NodeId, NodeId, Arc<[Value]>)> = Vec::new();
-    // Scratch reused across sources and batches.
-    let mut picks: Vec<Vec<(u32, u32)>> = vec![Vec::new(); slots.len()];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut row_slots: Vec<u32> = Vec::new();
-    for &v in sources {
-        let batches = &frags[v.index()];
-        for (bi, b) in batches.iter().enumerate() {
-            row_slots.clear();
+    // Route and count: each row's `(slot, position)` and each source's
+    // `(src, slot, rows)` runs; `seen[s]` is the last source to touch `s`.
+    let (mut counts, mut seen) = (vec![0; slots.len()], vec![usize::MAX; slots.len()]);
+    let total = sources.iter().map(|v| batch_rows(&frags[v.index()])).sum();
+    let (mut row_slots, mut place) = (Vec::new(), Vec::<(u32, u32)>::with_capacity(total));
+    let mut runs: Vec<(NodeId, usize, Range<usize>)> = Vec::new();
+    for (i, &v) in sources.iter().enumerate() {
+        let first = runs.len();
+        row_slots.clear();
+        for b in &frags[v.index()] {
             route(b, &mut row_slots);
-            debug_assert_eq!(row_slots.len(), b.num_rows());
-            for (ri, &slot) in row_slots.iter().enumerate() {
-                let pick = &mut picks[slot as usize];
-                if pick.is_empty() {
-                    touched.push(slot as usize);
-                }
-                pick.push((bi as u32, ri as u32));
-            }
         }
-        touched.sort_unstable();
-        for &slot in &touched {
-            let pick = &mut picks[slot];
-            let dst = slots[slot];
-            if dst != v {
-                outgoing.push((v, dst, flatten_multi(batches, pick, width)));
+        debug_assert_eq!(row_slots.len(), batch_rows(&frags[v.index()]));
+        for &s in &row_slots {
+            let s = s as usize;
+            if std::mem::replace(&mut seen[s], i) != i {
+                runs.push((v, s, counts[s]..counts[s]));
             }
-            new_frags[dst.index()].push(gather_multi(batches, pick, width));
-            pick.clear();
+            place.push((s as u32, counts[s] as u32));
+            counts[s] += 1;
         }
-        touched.clear();
+        for run in &mut runs[first..] {
+            run.2.end = counts[run.1];
+        }
+        runs[first..].sort_unstable_by_key(|run| run.1);
+    }
+    // One zero-filled column set per slot (none for an empty slot), then
+    // one mutable view per slot and column.
+    let zeroed = |n| std::iter::repeat_n(0, n).collect::<Arc<[Value]>>();
+    let mut cols: Vec<Vec<Arc<[Value]>>> = (counts.iter())
+        .map(|&n| (0..width).filter(|_| n > 0).map(|_| zeroed(n)).collect())
+        .collect();
+    for c in 0..width {
+        let mut views: Vec<&mut [Value]> = (cols.iter_mut())
+            .map(|set| {
+                set.get_mut(c).map_or(&mut [][..], |col| {
+                    Arc::get_mut(col).expect("not shared yet")
+                })
+            })
+            .collect();
+        let mut at = 0;
+        for b in sources.iter().flat_map(|v| &frags[v.index()]) {
+            for (&x, &(s, p)) in b.col(c).iter().zip(&place[at..]) {
+                views[s as usize][p as usize] = x;
+            }
+            at += b.num_rows();
+        }
+    }
+    let mut new_frags: BatchFragments = vec![Vec::new(); frags.len()];
+    for ((&dst, set), n) in slots.iter().zip(cols).zip(counts) {
+        if n > 0 {
+            new_frags[dst.index()].push(RecordBatch::from_cols_rows(set, n));
+        }
     }
     trace.round(|round| {
-        for (src, dst, payload) in outgoing {
-            round.send(src, &[dst], rel, payload);
+        for (src, s, rows) in runs.into_iter().filter(|run| slots[run.1] != run.0) {
+            let batch = &new_frags[slots[s].index()][0];
+            let payload = flatten(rows.len(), rows.map(|r| (batch, r)), width);
+            round.send(src, &[slots[s]], rel, payload);
         }
     });
     new_frags
 }
 
 /// One-round repartition of batch fragments by a key router: one key-column
-/// scan and one gather per destination, one send per `(src,
-/// dst)` pair, destinations in ascending node order.
+/// scan, one batch per destination, one send per `(src, dst)` pair,
+/// destinations in ascending node order.
 pub(crate) fn shuffle_batches_by_key(
     trace: &mut TraceBuilder,
     tree: &Tree,
@@ -227,6 +256,7 @@ pub(crate) fn probe_join_batches(
 ) -> BatchFragments {
     let mut out = empty_batch_frags(tree);
     let mut shared: Option<JoinBuild> = None;
+    let (mut l_picks, mut r_picks) = (Vec::new(), Vec::new());
     for &v in tree.compute_nodes() {
         let rbatches = &r_new[v.index()];
         let lbatches = &l_new[v.index()];
@@ -238,8 +268,8 @@ pub(crate) fn probe_join_batches(
         }
         let build = shared.get_or_insert_with(|| JoinBuild::new(rbatches, ri));
         // Probe in left scan order.
-        let mut l_picks: Vec<(u32, u32)> = Vec::with_capacity(batch_rows(lbatches));
-        let mut r_picks: Vec<(u32, u32)> = Vec::with_capacity(batch_rows(lbatches));
+        l_picks.clear();
+        r_picks.clear();
         for (bi, b) in lbatches.iter().enumerate() {
             for (lr, &key) in b.col(li).iter().enumerate() {
                 for &loc in build.get(key) {
@@ -301,9 +331,119 @@ pub(crate) fn fold_groups(
 mod tests {
     use std::sync::Arc;
 
+    use tamp_core::hashing::mix64;
+    use tamp_core::sorting::valid_order;
+
     use super::*;
-    use crate::batch::convert::rows_to_batches;
+    use crate::batch::convert::{batches_to_rows, rows_to_batches};
     use crate::row::Row;
+
+    /// `exchange_batches` on seeded inputs against its row-level
+    /// definition: each node ends with one batch holding, in `sources`
+    /// order, each source's rows routed to it in scan order, and each
+    /// source sends, slots ascending, the row-major rows of every
+    /// non-empty slot but its own. A third of the nodes hold nothing, the
+    /// rest up to 19 rows in 1–4-row batches; a quarter of the rows stay
+    /// on their source.
+    fn check_exchange(tree: &Tree, sources: &[NodeId], slots: &[NodeId], width: usize, seed: u64) {
+        let rnd = |x: u64| mix64(seed.wrapping_mul(0x9E37_79B9) ^ x);
+        let rows: Vec<Vec<Row>> = tree
+            .nodes()
+            .map(|v| {
+                let h = rnd(v.index() as u64);
+                let n = if h % 3 == 0 { 0 } else { (h >> 8) % 20 };
+                let cell = |i, c| rnd((v.index() * 1_000 + i * 8 + c) as u64) % 100;
+                (0..n as usize)
+                    .map(|i| (0..width).map(|c| cell(i, c)).collect())
+                    .collect()
+            })
+            .collect();
+        let frags: BatchFragments = (rows.iter().zip(0..))
+            .map(|(rows, i)| rows_to_batches(rows, width, 1 + rnd(i) as usize % 4))
+            .collect();
+        let mut row_slots: Vec<u32> = Vec::new();
+        for &v in sources {
+            let stay = slots.iter().position(|&s| s == v).unwrap() as u64;
+            let k = row_slots.len();
+            row_slots.extend((k..k + rows[v.index()].len()).map(|k| {
+                let h = rnd(1 << 20 | k as u64);
+                (if h % 4 == 0 {
+                    stay
+                } else {
+                    h % slots.len() as u64
+                }) as u32
+            }));
+        }
+
+        // The definition, row by row.
+        let mut want_rows: Vec<Vec<Row>> = vec![Vec::new(); tree.num_nodes()];
+        let mut want_sends: Vec<(NodeId, Vec<NodeId>, Vec<Value>)> = Vec::new();
+        let mut picked = row_slots.iter();
+        for &v in sources {
+            let own: Vec<(&Row, u32)> = rows[v.index()]
+                .iter()
+                .zip(picked.by_ref().copied())
+                .collect();
+            for (s, &dst) in slots.iter().enumerate() {
+                let run: Vec<Row> = own
+                    .iter()
+                    .filter(|p| p.1 as usize == s)
+                    .map(|p| p.0.clone())
+                    .collect();
+                // Width-0 payloads are empty, and empty sends are dropped.
+                if dst != v && width > 0 && !run.is_empty() {
+                    want_sends.push((v, vec![dst], run.concat()));
+                }
+                want_rows[dst.index()].extend(run);
+            }
+        }
+
+        let mut trace = TraceBuilder::default();
+        let mut at = 0;
+        let got = exchange_batches(
+            &mut trace,
+            &frags,
+            width,
+            Rel::S,
+            sources,
+            slots,
+            &mut |b, out| {
+                out.extend(&row_slots[at..at + b.num_rows()]);
+                at += b.num_rows();
+            },
+        );
+        let what = format!("seed {seed}, width {width}, {} slots", slots.len());
+        for v in tree.nodes() {
+            let one = usize::from(!want_rows[v.index()].is_empty());
+            assert_eq!(got[v.index()].len(), one, "{what}: {v:?}'s batches");
+        }
+        assert_eq!(batches_to_rows(&got), want_rows, "{what}");
+        let [round] = &trace.into_rounds()[..] else {
+            panic!("{what}: not one round");
+        };
+        assert!(round
+            .iter()
+            .all(|s| s.rel == Rel::S && !s.dsts.contains(&s.src)));
+        let got_sends: Vec<_> = round
+            .iter()
+            .map(|s| (s.src, s.dsts.clone(), s.values.to_vec()))
+            .collect();
+        assert_eq!(got_sends, want_sends, "{what}");
+    }
+
+    #[test]
+    fn exchange_is_one_scatter_into_one_batch_per_destination() {
+        let tree = tamp_topology::builders::fat_tree(2, 3, 1.0);
+        // The hash shuffles' identity slot map, and the sort's `order`.
+        let identity: Vec<NodeId> = tree.nodes().collect();
+        let order = valid_order(&tree);
+        for seed in 0..8 {
+            for width in 0..4 {
+                check_exchange(&tree, tree.compute_nodes(), &identity, width, seed);
+                check_exchange(&tree, &order, &order, width, seed);
+            }
+        }
+    }
 
     #[test]
     fn join_build_lists_each_keys_locations_in_scan_order() {
