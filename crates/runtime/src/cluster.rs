@@ -13,15 +13,21 @@
 //! nodes are decoupled from OS-level resources; only the superstep
 //! barrier is global.
 //!
-//! Supersteps are synchronized scatter/gather style: the coordinator
-//! publishes each node's inbox, workers execute claimed programs in
-//! parallel, and the coordinator meters the returned outboxes on the
+//! A superstep is one wake and one barrier. The coordinator wakes the
+//! crew; a worker runs each node it claims against that node's slot —
+//! inbox in, outbox and report (ran, panicked or killed) out, all left
+//! in the slot — and sends one "drained" token when the queue is empty.
+//! Once every worker's token is in, the coordinator walks the slots in
+//! node-id order: it reads the reports, then meters each outbox on the
 //! *same* per-directed-edge, union-of-paths [`TrafficMeter`] the
-//! simulator uses — so a distributed program whose sends match a
-//! centralized protocol produces bit-identical [`Cost`]s, which the
-//! cross-validation tests assert. Because metering and delivery order are
-//! functions of the (deterministically sorted) send set alone, results
-//! are bit-identical for *any* worker count.
+//! simulator uses and delivers it into the destination inboxes — so a
+//! distributed program whose sends match a centralized protocol produces
+//! bit-identical [`Cost`]s, which the cross-validation tests assert.
+//! Because reports, metering and delivery follow node-id order (each
+//! node's sends in issue order), results are bit-identical for *any*
+//! worker count. The inboxes and outboxes live as long as the run and
+//! are cleared, not dropped, so a superstep allocates nothing per node
+//! once they have grown.
 //!
 //! Termination: the run ends at the first superstep in which every
 //! program votes [`Step::Halt`] and sends nothing. That final silent
@@ -32,19 +38,19 @@
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::channel;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tamp_simulator::cost::Cost;
 use tamp_simulator::metering::TrafficMeter;
-use tamp_simulator::{NodeState, Placement, PlacementStats, Rel};
+use tamp_simulator::{NodeState, Placement, PlacementStats};
 use tamp_topology::{NodeId, Tree};
 
 use crate::checkpoint::{Checkpoint, CheckpointSpec, CheckpointStore};
 use crate::error::RuntimeError;
 use crate::fault::{FaultEvent, FaultInjector, FaultKind, ResolvedFaults};
-use crate::message::{Envelope, OutMsg, Outbox, Step};
+use crate::message::{Envelope, Outbox, Step};
 use crate::pool::WorkerPool;
 
 /// Read-only per-round context handed to a program.
@@ -156,33 +162,31 @@ impl ClusterOptions {
     }
 }
 
-/// One compute node's slot in the pool: its program, state and pending
-/// inbox. Workers claim slots by index; each slot is touched by exactly
-/// one worker per superstep.
+/// One compute node's slot in the pool: its program, state, buffers and
+/// this superstep's report. Workers claim slots by index; each slot is
+/// touched by exactly one worker per superstep, and by the coordinator
+/// only between supersteps.
 struct Slot {
     node: NodeId,
     program: Box<dyn NodeProgram>,
     state: NodeState,
+    /// Messages delivered for the next superstep; cleared once absorbed.
     inbox: Vec<Envelope>,
+    /// The sends of the last superstep; cleared before the program runs.
+    outbox: Outbox,
+    /// `None` until the node has run this superstep; the coordinator
+    /// takes it after the barrier.
+    report: Option<Report>,
 }
 
-/// What a worker reports back during a superstep.
-enum WorkerOut {
-    /// One executed node-superstep.
-    Round {
-        node: NodeId,
-        outbox: Outbox,
-        step: Step,
-    },
-    /// A node program panicked.
-    Panicked { node: NodeId, message: String },
-    /// An injected fault killed this node's program this superstep.
-    Failed { node: NodeId, round: usize },
-    /// This worker observed the claim queue exhausted and went back to
-    /// the gate. The coordinator must collect one per worker before
-    /// reopening the queue for the next superstep — otherwise a straggler
-    /// could re-claim nodes from the fresh queue under a stale round.
-    Drained,
+/// How one node's superstep ended.
+enum Report {
+    /// The program ran and voted; its sends are in the slot's outbox.
+    Ran(Step),
+    /// The program panicked with this message.
+    Panicked(String),
+    /// An injected fault killed this node's program.
+    Failed,
 }
 
 /// The superstep gate: workers sleep on it between rounds.
@@ -302,6 +306,8 @@ pub(crate) fn run_programs(
                 program,
                 state: placement.node(v).clone(),
                 inbox: Vec::new(),
+                outbox: Outbox::default(),
+                report: None,
             })
         })
         .collect();
@@ -358,7 +364,12 @@ pub(crate) fn run_programs(
         stop: false,
     });
     let gate_cv = Condvar::new();
-    let (out_tx, out_rx): (Sender<WorkerOut>, Receiver<WorkerOut>) = channel();
+    // One token per worker per superstep: the worker found the claim
+    // queue exhausted and went back to the gate. The coordinator collects
+    // every worker's before reading the slots or reopening the queue —
+    // otherwise a straggler could re-claim nodes from the fresh queue
+    // under a stale round.
+    let (drained_tx, drained_rx) = channel::<()>();
 
     let mut fired_events: Vec<FaultEvent> = Vec::new();
     let mut supersteps_done = 0usize;
@@ -372,7 +383,7 @@ pub(crate) fn run_programs(
     // scoped per-run crew and the persistent pool — each pool thread runs
     // this same closure.
     let worker_body = |_idx: usize| {
-        let out_tx = out_tx.clone();
+        let drained_tx = drained_tx.clone();
         let mut seen_generation = 0u64;
         loop {
             // Sleep until the coordinator opens a new superstep.
@@ -400,6 +411,8 @@ pub(crate) fn run_programs(
                         program,
                         state,
                         inbox,
+                        outbox,
+                        report,
                     } = &mut *slot;
                     // An injected fault: from its fail round on, this
                     // node's program is dead and executes nothing. A
@@ -408,7 +421,7 @@ pub(crate) fn run_programs(
                     // watchdog deadline, fatal with one.
                     if let Some(res) = &resolved {
                         if round >= res.fail[node.index()] {
-                            let _ = out_tx.send(WorkerOut::Failed { node: *node, round });
+                            *report = Some(Report::Failed);
                             continue;
                         }
                         if let Some((stall_round, delay)) = res.stall[node.index()] {
@@ -417,44 +430,37 @@ pub(crate) fn run_programs(
                             }
                         }
                     }
-                    // Commit deliveries into local state first
-                    // (BSP: data sent in round i is state in i+1).
-                    let arrived = std::mem::take(inbox);
-                    for env in &arrived {
-                        match env.rel {
-                            Rel::R => state.r.extend_from_slice(&env.values),
-                            Rel::S => state.s.extend_from_slice(&env.values),
-                        }
+                    // Commit deliveries into local state first (BSP:
+                    // data sent in round i is state in i+1), growing each
+                    // fragment once.
+                    let mut incoming = [0usize; 2];
+                    for env in inbox.iter() {
+                        incoming[env.rel as usize] += env.values.len();
+                    }
+                    state.r.reserve(incoming[0]);
+                    state.s.reserve(incoming[1]);
+                    for env in inbox.iter() {
+                        state.rel_mut(env.rel).extend_from_slice(&env.values);
                     }
                     let ctx = NodeCtx {
                         node: *node,
                         round,
                         tree,
                         stats: &stats,
-                        arrived: &arrived,
+                        arrived: inbox,
                     };
-                    let mut out = Outbox::default();
+                    outbox.clear();
                     let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        program.round(&ctx, state, &mut out)
+                        program.round(&ctx, state, outbox)
                     }));
-                    let report = match step {
-                        Ok(step) => WorkerOut::Round {
-                            node: *node,
-                            outbox: out,
-                            step,
-                        },
-                        Err(payload) => {
-                            let message = crate::error::panic_message(&*payload);
-                            WorkerOut::Panicked {
-                                node: *node,
-                                message,
-                            }
-                        }
-                    };
-                    let _ = out_tx.send(report);
+                    inbox.clear();
+                    *report = Some(match step {
+                        Ok(step) => Report::Ran(step),
+                        Err(payload) => Report::Panicked(crate::error::panic_message(&*payload)),
+                    });
                 }
             }
-            let _ = out_tx.send(WorkerOut::Drained);
+            let _ = drained_tx.send(());
         }
     };
 
@@ -497,43 +503,33 @@ pub(crate) fn run_programs(
             }
             gate_cv.notify_all();
 
-            // Gather: one report per compute node, plus one Drained per
-            // worker (the barrier that makes reopening the queue safe).
-            // With a watchdog deadline, the whole gather must land within
-            // it — a straggler turns into the typed timeout error.
+            // The barrier: one drained token per worker. With a watchdog
+            // deadline, every token must land within it — a straggler
+            // turns into the typed timeout error.
             // lint: allow(D2) — the straggler watchdog is the one clock in
             // the runtime: it only ever produces the *recoverable*
             // SuperstepTimeout fault, and recovery replays the pinned
             // schedule, so answers stay bit-identical across replays.
             let round_started = Instant::now();
-            let mut all_halt = true;
-            let mut round_sends: Vec<(NodeId, OutMsg)> = Vec::new();
-            let mut panic_err: Option<RuntimeError> = None;
-            let mut failed: Vec<FaultEvent> = Vec::new();
-            let mut reported_slots = vec![false; n];
-            let mut reported = 0usize;
-            let mut drained = 0usize;
-            let mut timed_out = false;
-            while reported < n || drained < workers {
+            for _ in 0..workers {
                 let received = match options.superstep_deadline {
-                    None => out_rx.recv().ok(),
+                    None => drained_rx.recv().ok(),
                     Some(deadline) => deadline
                         .checked_sub(round_started.elapsed())
-                        .and_then(|remaining| out_rx.recv_timeout(remaining).ok()),
+                        .and_then(|remaining| drained_rx.recv_timeout(remaining).ok()),
                 };
-                let Some(out) = received else {
+                if received.is_none() {
                     // The watchdog fired. The straggler is attributed
-                    // deterministically: the lowest-indexed node that had
-                    // not reported when the deadline expired.
+                    // deterministically: the lowest-indexed node whose
+                    // slot held no report when the deadline expired (a
+                    // slot its worker still locks has none yet).
                     let deadline = options
                         .superstep_deadline
                         .expect("timeouts require a deadline");
-                    let straggler = computes
+                    let straggler = slots
                         .iter()
-                        .enumerate()
-                        .find(|&(i, _)| !reported_slots[i])
-                        .map(|(_, &v)| v)
-                        .unwrap_or(computes[0]);
+                        .position(|s| !matches!(s.try_lock(), Ok(s) if s.report.is_some()))
+                        .map_or(computes[0], |i| computes[i]);
                     fired_events.push(FaultEvent {
                         node: straggler,
                         round,
@@ -544,51 +540,40 @@ pub(crate) fn run_programs(
                         round,
                         deadline,
                     });
-                    timed_out = true;
-                    break;
-                };
-                match out {
-                    WorkerOut::Round { node, outbox, step } => {
-                        reported += 1;
-                        reported_slots[slot_of[node.index()]] = true;
-                        if step == Step::Continue {
-                            all_halt = false;
-                        }
-                        for msg in outbox.sends {
-                            round_sends.push((node, msg));
-                        }
-                    }
-                    WorkerOut::Panicked { node, message } => {
-                        reported += 1;
-                        reported_slots[slot_of[node.index()]] = true;
-                        panic_err = Some(RuntimeError::WorkerPanic { node, message });
-                    }
-                    WorkerOut::Failed { node, round } => {
-                        reported += 1;
-                        reported_slots[slot_of[node.index()]] = true;
-                        failed.push(FaultEvent {
-                            node,
-                            round,
-                            kind: FaultKind::WorkerKilled,
-                        });
-                    }
-                    WorkerOut::Drained => drained += 1,
+                    break 'steps;
                 }
             }
-            if timed_out {
-                break 'steps;
-            }
             supersteps_done = round + 1;
-            if !failed.is_empty() {
-                // Deterministic error: the lowest-indexed failed node
-                // names the run's outcome regardless of claim order, and
-                // the event log is sorted the same way.
-                failed.sort_by_key(|e| e.node.index());
-                let first = failed[0];
-                fired_events.extend(failed);
+
+            // Read the reports in node-id order, so the lowest-indexed
+            // killed (or else panicked) node names the run's outcome
+            // regardless of claim order, and the event log is sorted the
+            // same way.
+            let mut all_halt = true;
+            let mut any_send = false;
+            let mut panic_err: Option<RuntimeError> = None;
+            let first_killed = fired_events.len();
+            for (slot, &node) in slots.iter().zip(&computes) {
+                let mut s = slot.lock().unwrap();
+                match s.report.take().expect("a drained crew ran every node") {
+                    Report::Ran(step) => {
+                        all_halt &= step == Step::Halt;
+                        any_send |= !s.outbox.is_empty();
+                    }
+                    Report::Panicked(message) => {
+                        panic_err.get_or_insert(RuntimeError::WorkerPanic { node, message });
+                    }
+                    Report::Failed => fired_events.push(FaultEvent {
+                        node,
+                        round,
+                        kind: FaultKind::WorkerKilled,
+                    }),
+                }
+            }
+            if let Some(first) = fired_events.get(first_killed) {
                 outcome = Err(RuntimeError::InjectedFault {
                     node: first.node,
-                    round: first.round,
+                    round,
                 });
                 break 'steps;
             }
@@ -596,8 +581,6 @@ pub(crate) fn run_programs(
                 outcome = Err(e);
                 break 'steps;
             }
-
-            let any_send = !round_sends.is_empty();
             if all_halt && !any_send {
                 // Quiesced: the terminal silent superstep is counted but
                 // not metered (it moves no data).
@@ -605,34 +588,43 @@ pub(crate) fn run_programs(
                 break 'steps;
             }
 
-            // Deterministic delivery: order sends by source node (each
-            // node's own sends stay in issue order), so metering and
-            // state are reproducible for any worker count or schedule.
-            round_sends.sort_by_key(|(src, _)| src.index());
-            for (src, msg) in round_sends {
-                if let Some(&bad) = msg.dsts.iter().find(|&&d| !tree.is_compute(d)) {
-                    outcome = Err(RuntimeError::SendToRouter(bad));
-                    break 'steps;
-                }
-                meter.charge_multicast(src, &msg.dsts, msg.values.len() as u64);
-                // The payload is already shared: destinations get `Arc`
-                // clones of the sender's single allocation.
-                for &dst in &msg.dsts {
-                    slots[slot_of[dst.index()]]
-                        .lock()
-                        .unwrap()
-                        .inbox
-                        .push(Envelope {
-                            src,
+            // Deterministic delivery: sources in node-id order, each
+            // source's sends in issue order, so metering and state are
+            // reproducible for any worker count or schedule.
+            for (i, slot) in slots.iter().enumerate() {
+                let mut held = slot.lock().unwrap();
+                let Slot {
+                    node: src,
+                    inbox,
+                    outbox,
+                    ..
+                } = &mut *held;
+                for msg in &outbox.sends {
+                    let dsts = &outbox.dsts[msg.dsts.clone()];
+                    if let Some(&bad) = dsts.iter().find(|&&d| !tree.is_compute(d)) {
+                        outcome = Err(RuntimeError::SendToRouter(bad));
+                        break 'steps;
+                    }
+                    meter.charge_multicast(*src, dsts, msg.values.len() as u64);
+                    // The payload is already shared: destinations get
+                    // `Arc` clones of the sender's single allocation.
+                    for &dst in dsts {
+                        let env = Envelope {
+                            src: *src,
                             rel: msg.rel,
                             values: msg.values.clone(),
-                        });
+                        };
+                        match slot_of[dst.index()] {
+                            j if j == i => inbox.push(env),
+                            j => slots[j].lock().unwrap().inbox.push(env),
+                        }
+                    }
                 }
             }
             meter.commit_round();
 
-            // Superstep boundary: every worker is parked at the gate
-            // (one Drained per worker was gathered), so the slots form a
+            // Superstep boundary: every worker is parked at the gate (one
+            // drained token per worker was gathered), so the slots form a
             // consistent cut — snapshot them if the cadence says so.
             if let Some(h) = &hooks.checkpoint {
                 if (round + 1) % h.spec.every == 0 {
@@ -702,6 +694,7 @@ pub(crate) fn run_programs(
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use tamp_simulator::Rel;
     use tamp_topology::builders;
 
     fn opts(max: usize) -> ClusterOptions {
@@ -1165,6 +1158,48 @@ mod tests {
                 assert!(message.contains("injected fault"));
             }
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn panics_name_the_lowest_node_at_every_width() {
+        // Nodes 1 and 5 both panic in superstep 0; whichever worker
+        // reports first, the run names node 1.
+        let tree = builders::star(8, 1.0);
+        let p = Placement::empty(&tree);
+        let programs = || -> Vec<Box<dyn NodeProgram>> {
+            (0..8u32)
+                .map(|v| {
+                    Box::new(move |_: &NodeCtx<'_>, _: &mut NodeState, _: &mut Outbox| {
+                        if v == 1 || v == 5 {
+                            panic!("node {v} fails");
+                        }
+                        Step::Halt
+                    }) as Box<dyn NodeProgram>
+                })
+                .collect()
+        };
+        let shared = WorkerPool::new(2);
+        for (options, pool) in [
+            (ClusterOptions::with_workers(1), None),
+            (ClusterOptions::with_workers(2), None),
+            (ClusterOptions::with_workers(8), None),
+            (ClusterOptions::default(), Some(&shared)),
+        ] {
+            for _ in 0..20 {
+                let hooks = RunHooks {
+                    pool,
+                    ..RunHooks::default()
+                };
+                let err = run_programs(&tree, &p, programs(), options, hooks).unwrap_err();
+                assert_eq!(
+                    err,
+                    RuntimeError::WorkerPanic {
+                        node: NodeId(1),
+                        message: "node 1 fails".into()
+                    }
+                );
+            }
         }
     }
 

@@ -30,7 +30,10 @@ pub enum RuntimeError {
     },
     /// A program addressed a message to a routing-only or nonexistent node.
     SendToRouter(NodeId),
-    /// A node program panicked; the message is the panic payload.
+    /// A node program panicked; the message is the panic payload. When
+    /// several programs panic in one superstep, the lowest-indexed node
+    /// is named, at every worker count (the rule
+    /// [`InjectedFault`](Self::InjectedFault) follows too).
     WorkerPanic {
         /// The panicking node.
         node: NodeId,

@@ -235,6 +235,9 @@ impl NodeProgram for NodeReplay {
 mod tests {
     use super::*;
     use crate::backend::{ExecBackend, PooledClusterBackend, SimulatorBackend};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use tamp_simulator::Placement;
     use tamp_topology::builders;
 
@@ -288,5 +291,102 @@ mod tests {
             .unwrap();
         assert_eq!(sim.cost.edge_totals, rt.cost.edge_totals);
         assert_eq!((sim.rounds, rt.rounds, rt.supersteps), (80, 80, 81));
+    }
+
+    /// A random job of 2–4 rounds on a random tree: up to 12 sends per
+    /// round, sources in random order, 0–4 destinations drawn with
+    /// repetition (the source included), about one round in four empty.
+    fn random_job(seed: u64) -> (Tree, Placement, ScheduleJob) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tree = builders::random_tree(
+            rng.random_range(2..8usize),
+            rng.random_range(1..4usize),
+            0.5,
+            8.0,
+            seed ^ 0xC1,
+        );
+        let vc = tree.compute_nodes();
+        let mut p = Placement::empty(&tree);
+        for &v in vc {
+            p.set_r(v, (0..rng.random_range(0..3u64)).collect());
+        }
+        let mut next = 100u64;
+        let rounds = (0..rng.random_range(2..5usize))
+            .map(|_| {
+                let sends = match rng.random_range(0..4u32) {
+                    0 => 0,
+                    _ => rng.random_range(1..13usize),
+                };
+                (0..sends)
+                    .map(|_| {
+                        let dsts = (0..rng.random_range(0..5usize))
+                            .map(|_| vc[rng.random_range(0..vc.len())])
+                            .collect();
+                        next += 10;
+                        ScheduleSend {
+                            src: vc[rng.random_range(0..vc.len())],
+                            dsts,
+                            rel: if rng.random_bool(0.5) { Rel::R } else { Rel::S },
+                            values: (next..next + rng.random_range(0..4u64)).collect(),
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let job = ScheduleJob::new("random", tree.num_nodes(), Schedule { rounds });
+        (tree, p, job)
+    }
+
+    /// The cluster's delivery, by definition: per round, sources
+    /// ascending, each source's sends in issue order, one payload per
+    /// destination occurrence.
+    fn delivered(p: &Placement, schedule: &Schedule) -> Vec<NodeState> {
+        let mut want = p.fragments().to_vec();
+        for round in &schedule.rounds {
+            let mut sends: Vec<&ScheduleSend> = round.iter().collect();
+            sends.sort_by_key(|s| s.src.index()); // stable: issue order stays
+            for s in sends {
+                for d in &s.dsts {
+                    want[d.index()].rel_mut(s.rel).extend_from_slice(&s.values);
+                }
+            }
+        }
+        want
+    }
+
+    fn sorted(state: &NodeState) -> (Vec<Value>, Vec<Value>) {
+        let (mut r, mut s) = (state.r.clone(), state.s.clone());
+        r.sort_unstable();
+        s.sort_unstable();
+        (r, s)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Widths 1 and 3, and twice on one shared pool of 2: an inbox
+        /// or outbox that kept a previous superstep's contents delivers
+        /// twice and breaks the ordered comparison.
+        #[test]
+        fn cluster_delivery_matches_its_definition_at_every_width(seed in 0u64..1_000_000) {
+            let (tree, p, job) = random_job(seed);
+            let want = delivered(&p, job.schedule());
+            let sim = SimulatorBackend.execute(&tree, &p, &job).unwrap();
+            let shared = PooledClusterBackend::with_shared_pool(2);
+            for backend in [
+                PooledClusterBackend::with_workers(1),
+                PooledClusterBackend::with_workers(3),
+                shared.clone(),
+                shared,
+            ] {
+                let run = backend.execute(&tree, &p, &job).unwrap();
+                prop_assert_eq!(run.final_state, want);
+                prop_assert_eq!(run.cost.edge_totals, sim.cost.edge_totals);
+                prop_assert_eq!(run.cost.per_round, sim.cost.per_round);
+                for (got, sim) in run.final_state.iter().zip(&sim.final_state) {
+                    prop_assert_eq!(sorted(got), sorted(sim));
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Messages exchanged between node programs.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use tamp_simulator::{Rel, Value};
@@ -37,17 +38,22 @@ pub enum Step {
 /// [`RoundCtx::send`](tamp_simulator::RoundCtx::send)).
 #[derive(Clone, Debug)]
 pub(crate) struct OutMsg {
-    pub dsts: Vec<NodeId>,
+    /// The destinations: a range into the owning [`Outbox`]'s `dsts`.
+    pub dsts: Range<usize>,
     pub rel: Rel,
     /// Shared payload: queued once, delivered to every destination's
     /// envelope as an `Arc` clone — the zero-copy fabric end to end.
     pub values: Arc<[Value]>,
 }
 
-/// Collects a node's outgoing messages during one superstep.
+/// Collects a node's outgoing messages during one superstep. The cluster
+/// keeps one per node and clears it before each superstep, so the send
+/// list and the one destination arena keep their capacity.
 #[derive(Clone, Debug, Default)]
 pub struct Outbox {
     pub(crate) sends: Vec<OutMsg>,
+    /// Every send's destinations, back to back.
+    pub(crate) dsts: Vec<NodeId>,
 }
 
 impl Outbox {
@@ -62,8 +68,10 @@ impl Outbox {
         if values.is_empty() || dsts.is_empty() {
             return;
         }
+        let start = self.dsts.len();
+        self.dsts.extend_from_slice(dsts);
         self.sends.push(OutMsg {
-            dsts: dsts.to_vec(),
+            dsts: start..self.dsts.len(),
             rel,
             values,
         });
@@ -83,6 +91,12 @@ impl Outbox {
     pub fn is_empty(&self) -> bool {
         self.sends.is_empty()
     }
+
+    /// Drop every queued send, keeping both buffers' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.sends.clear();
+        self.dsts.clear();
+    }
 }
 
 #[cfg(test)]
@@ -97,5 +111,22 @@ mod tests {
         assert!(out.is_empty());
         out.send_to(NodeId(1), Rel::S, vec![3]);
         assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn destinations_share_one_arena_that_clear_keeps() {
+        let mut out = Outbox::default();
+        out.send(&[NodeId(1), NodeId(2)], Rel::R, vec![1]);
+        out.send_to(NodeId(3), Rel::S, vec![2]);
+        let dsts: Vec<&[NodeId]> = out
+            .sends
+            .iter()
+            .map(|m| &out.dsts[m.dsts.clone()])
+            .collect();
+        assert_eq!(dsts, [&[NodeId(1), NodeId(2)][..], &[NodeId(3)]]);
+        let capacity = out.dsts.capacity();
+        out.clear();
+        assert!(out.is_empty() && out.dsts.is_empty());
+        assert_eq!(out.dsts.capacity(), capacity);
     }
 }
