@@ -16,7 +16,7 @@ use tamp_core::robustness::{perturb_bandwidths, BroadcastStatistics};
 use tamp_core::sorting::WeightedTeraSort;
 use tamp_query::prelude::*;
 use tamp_runtime::programs::DistributedTreeIntersect;
-use tamp_runtime::{run_cluster, ClusterOptions};
+use tamp_runtime::{ExecBackend, PooledClusterBackend};
 use tamp_simulator::{run_protocol, Placement, Rel};
 use tamp_topology::graph::builders as gb;
 use tamp_topology::{builders, Tree};
@@ -178,12 +178,12 @@ pub fn x_general() -> Vec<Table> {
 }
 
 /// X-RUNTIME — the §2 premise, witnessed: the one hand-written per-node
-/// program (`DistributedTreeIntersect`, every node deriving the plan
-/// alone) on the pooled cluster against the centralized `TreeIntersect`
-/// protocol on the cost simulator — identical traffic.
+/// derivation (`DistributedTreeIntersect`, every node deriving its sends
+/// alone) replayed on the pooled cluster against the centralized
+/// `TreeIntersect` protocol on the cost simulator — identical traffic.
 pub fn x_runtime() -> Vec<Table> {
     let mut t = Table::new(
-        "X-RUNTIME: per-node program on the pooled cluster vs centralized protocol (same seed)",
+        "X-RUNTIME: per-node derivation on the pooled cluster vs centralized protocol (same seed)",
         &[
             "task",
             "topology",
@@ -196,13 +196,9 @@ pub fn x_runtime() -> Vec<Table> {
     let topo = builders::rack_tree(&[(3, 1.0, 2.0), (3, 2.0, 4.0)], 1.0);
     let p = scatter(&topo, 200, 600, 5);
     let sim = run_protocol(&topo, &p, &TreeIntersect::new(5)).unwrap();
-    let rt = run_cluster(
-        &topo,
-        &p,
-        |_| Box::new(DistributedTreeIntersect::new(5)),
-        ClusterOptions::default(),
-    )
-    .unwrap();
+    let rt = PooledClusterBackend::default()
+        .execute(&topo, &p, &DistributedTreeIntersect::new(5).job(&topo, &p))
+        .unwrap();
     let rounds = rt.cost.per_round.len();
     t.row(vec![
         "intersection".into(),
@@ -219,7 +215,7 @@ pub fn x_runtime() -> Vec<Table> {
     t.note(
         "Expected shape: distributed per-node plan derivation reproduces the \
          centralized sends exactly; no hidden coordination is required. \
-         Supersteps are the metered rounds plus the silent termination step.",
+         Supersteps are the metered rounds plus the one that absorbs the last round.",
     );
     vec![t]
 }

@@ -347,7 +347,7 @@ pub fn d1_in_scope(path: &str) -> bool {
         "crates/query/src/iterative.rs",
         "crates/query/src/batch.rs",
         "crates/runtime/src/jobs.rs",
-        // The one hand-written per-node program: its send order is
+        // The one hand-written per-node derivation: its send order is
         // compared as per-node final state across pool widths.
         "crates/runtime/src/programs/",
         "crates/runtime/src/checkpoint.rs",

@@ -822,7 +822,8 @@ pub struct IterativeOutcome {
     pub cost: Cost,
     /// Metered communication rounds.
     pub rounds: usize,
-    /// BSP supersteps executed (cluster adds the terminal silent one).
+    /// BSP supersteps executed (the cluster adds one that absorbs the last
+    /// round's deliveries).
     pub supersteps: usize,
     /// `Some(r)` when the cluster resumed from a checkpoint at superstep
     /// `r`.
@@ -998,7 +999,7 @@ mod tests {
         for (a, b) in sim.iterations.iter().zip(&cluster.iterations) {
             assert_eq!(a, b, "per-iteration tables match to the bit");
         }
-        // The cluster's terminal silent superstep is the only delta.
+        // The cluster's absorbing superstep is the only delta.
         assert_eq!(cluster.supersteps, sim.supersteps + 1);
     }
 

@@ -1010,7 +1010,7 @@ mod tests {
             .tenant(TenantSpec::new("a", 1, 4))
             .build()
             .unwrap();
-        // star(4): node 4 is the hub — a router with no program to kill.
+        // star(4): node 4 is the hub — a router with no worker to kill.
         let hub = tamp_topology::NodeId(4);
         let err = orch
             .inject_faults(FaultPlan::new().kill_worker(hub, 0))

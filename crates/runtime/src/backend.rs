@@ -1,15 +1,16 @@
 //! The engine-agnostic execution layer.
 //!
 //! The repository ships two executors for the same cost model: the
-//! centralized [`Session`] simulator and the pooled BSP cluster (per-node
-//! programs on a bounded worker pool). Both are interpreters of one
+//! centralized [`Session`] simulator and the pooled BSP cluster (compute
+//! nodes' states on a bounded worker pool). Both are interpreters of one
 //! thing, a [`ScheduleJob`] — every send of every round of an algorithm,
 //! fixed before anything runs — and [`ExecBackend`] puts one API in front
 //! of them, so the query layer, the experiment harness and the parity
 //! tests *select* an engine instead of hand-rolling two call paths.
 //! [`SimulatorBackend`] meters one [`Session`] round per schedule round;
-//! [`PooledClusterBackend`] hands each compute node a program that emits
-//! exactly its own sends, superstep by superstep. Because both read the
+//! [`PooledClusterBackend`] replays one round per superstep: its workers
+//! absorb deliveries into node states, its coordinator meters and
+//! delivers the round. Because both read the
 //! same schedule and meter on the shared
 //! [`TrafficMeter`](tamp_simulator::TrafficMeter), their [`Cost`] ledgers
 //! are bit-identical.
@@ -30,7 +31,7 @@ use tamp_simulator::{NodeState, Placement, Session, SimError};
 use tamp_topology::Tree;
 
 use crate::checkpoint::{CheckpointSpec, CheckpointStore};
-use crate::cluster::{run_programs, CheckpointHook, ClusterOptions, NodeProgram, RunHooks};
+use crate::cluster::{replay, CheckpointHook, ClusterOptions, RunHooks};
 use crate::error::RuntimeError;
 use crate::fault::FaultInjector;
 use crate::jobs::ScheduleJob;
@@ -81,9 +82,11 @@ pub struct ExecOutcome {
     /// Metered communication rounds (`cost.per_round.len()`).
     pub rounds: usize,
     /// BSP supersteps executed. For the simulator this equals `rounds`;
-    /// the cluster adds the terminal silent superstep in which
-    /// termination was detected. A checkpoint-resumed run counts from
-    /// superstep 0, so the total stays comparable with a fault-free run.
+    /// the cluster runs `rounds + 1`, the extra superstep absorbing the
+    /// last round's deliveries into the nodes' states (the job's length
+    /// is fixed, so nothing is detected there). A checkpoint-resumed run
+    /// counts from superstep 0, so the total stays comparable with a
+    /// fault-free run.
     pub supersteps: usize,
     /// `Some(r)` when the cluster resumed this run from a parked
     /// checkpoint at superstep `r` (supersteps `0..r` were skipped, not
@@ -179,8 +182,8 @@ enum Crew {
     Elastic(Arc<ElasticPool>),
 }
 
-/// The pooled cluster engine: each compute node replays its own sends of
-/// the job on a bounded worker pool (see [`crate::cluster`]).
+/// The pooled cluster engine: the job's rounds replayed superstep by
+/// superstep on a bounded worker pool (see [`crate::cluster`]).
 ///
 /// By default each execution spawns its own scoped thread crew. For
 /// serving workloads that run many jobs back to back, construct the
@@ -278,11 +281,6 @@ impl ExecBackend for PooledClusterBackend {
         job: &ScheduleJob,
     ) -> Result<ExecOutcome, ExecError> {
         job.check(tree)?;
-        let programs: Vec<Box<dyn NodeProgram>> = tree
-            .compute_nodes()
-            .iter()
-            .map(|&v| job.replay_program(v))
-            .collect();
         // Pin the crew for this run: an elastic resize after this point
         // affects the *next* run, never this one.
         let crew: Option<Arc<WorkerPool>> = match &self.crew {
@@ -300,30 +298,12 @@ impl ExecBackend for PooledClusterBackend {
                 spec: *spec,
                 token: job.checkpoint_token(),
             });
-        // The runaway cap protects against non-halting programs, not
-        // against a long replay of known length. +1 covers the terminal
-        // silent superstep that detects quiescence.
-        let mut options = self.options;
-        options.max_supersteps = options.max_supersteps.max(job.rounds() + 1);
-        let run = run_programs(
-            tree,
-            placement,
-            programs,
-            options,
-            RunHooks {
-                pool: crew.as_deref(),
-                fault: self.injector.as_deref(),
-                checkpoint,
-            },
-        )?;
-        Ok(ExecOutcome {
-            job: job.name().to_string(),
-            rounds: run.cost.per_round.len(),
-            supersteps: run.supersteps,
-            resumed_from: run.resumed_from,
-            cost: run.cost,
-            final_state: run.final_state,
-        })
+        let hooks = RunHooks {
+            pool: crew.as_deref(),
+            fault: self.injector.as_deref(),
+            checkpoint,
+        };
+        Ok(replay(tree, placement, job, self.options, hooks)?)
     }
 }
 
@@ -420,19 +400,22 @@ mod tests {
     #[test]
     fn a_schedule_for_another_tree_is_the_same_typed_error_on_both_backends() {
         let (small, big) = (builders::star(3, 1.0), builders::star(8, 1.0));
-        let two_sends = |num_nodes: usize, a: u32| {
-            let rounds = vec![vec![send(a, &[NodeId(0)]), send(1, &[NodeId(2)])]];
+        let two_sends = |num_nodes: usize, a: u32, d: u32| {
+            let rounds = vec![vec![send(a, &[NodeId(d)]), send(1, &[NodeId(2)])]];
             ScheduleJob::new("bad", num_nodes, Schedule { rounds })
         };
         let hub = NodeId(small.num_nodes() as u32 - 1);
         assert!(!small.is_compute(hub));
         for (tree, job) in [
             // Built for the big star, run on the small one, and back.
-            (&small, two_sends(big.num_nodes(), 6)),
-            (&big, two_sends(small.num_nodes(), 0)),
+            (&small, two_sends(big.num_nodes(), 6, 0)),
+            (&big, two_sends(small.num_nodes(), 0, 0)),
             // Equal node counts: a source out of range, a router source.
-            (&small, two_sends(small.num_nodes(), 6)),
-            (&small, two_sends(small.num_nodes(), hub.0)),
+            (&small, two_sends(small.num_nodes(), 6, 0)),
+            (&small, two_sends(small.num_nodes(), hub.0, 0)),
+            // A router destination, a destination out of range.
+            (&small, two_sends(small.num_nodes(), 0, hub.0)),
+            (&small, two_sends(small.num_nodes(), 0, 6)),
         ] {
             let p = Placement::empty(tree);
             let errs = [

@@ -4,7 +4,7 @@
 //! aborted the run and the orchestrator replayed the *entire* schedule
 //! on a healthy crew. This module makes recovery incremental. At
 //! configurable superstep boundaries (every `k`-th barrier) the
-//! coordinator snapshots the whole cluster — per-node program state,
+//! coordinator snapshots the whole cluster — per-node state,
 //! delivered-but-unabsorbed inboxes, and the traffic meter — into a
 //! checkpoint. If the run later aborts with a *recoverable* fault,
 //! the snapshot is parked in the shared [`CheckpointStore`] under the
@@ -17,9 +17,8 @@
 //! - the meter snapshot is the exact metered prefix, so resumed cost
 //!   accounting continues as if the fault never happened;
 //! - every job is resumable: a
-//!   [`ScheduleJob`](crate::jobs::ScheduleJob)'s replay programs are
-//!   stateless per round (behavior a function of `ctx.round` alone), so
-//!   fresh program instances can continue a restored run.
+//!   [`ScheduleJob`](crate::jobs::ScheduleJob) fixes each round's sends
+//!   up front, so a restored run simply continues with the next round.
 //!
 //! The token is a content hash of the job's deterministic schedule, so a
 //! parked snapshot can only ever be consumed by a retry executing the
@@ -35,8 +34,8 @@ use std::sync::Mutex;
 use tamp_simulator::metering::TrafficMeter;
 use tamp_simulator::NodeState;
 
+use crate::cluster::Envelope;
 use crate::lock_ok;
-use crate::message::Envelope;
 
 /// When to snapshot: every `every`-th superstep boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,7 +71,7 @@ pub(crate) struct Checkpoint {
     /// The superstep the restored run resumes at (one past the last
     /// completed superstep).
     pub resume_round: usize,
-    /// Per-slot program state, aligned with `tree.compute_nodes()`.
+    /// Per-slot node state, aligned with `tree.compute_nodes()`.
     pub states: Vec<NodeState>,
     /// Per-slot delivered-but-unabsorbed inboxes (messages sent in
     /// superstep `resume_round - 1`, absorbed in `resume_round`).

@@ -1,117 +1,68 @@
-//! The pooled BSP cluster.
+//! The pooled BSP cluster: a [`ScheduleJob`] replayed superstep by
+//! superstep on a bounded worker pool.
 //!
-//! Where [`tamp_simulator`] executes a *centralized* protocol closure with
-//! a global view, this module runs a [`NodeProgram`] per compute node,
-//! each seeing only its own state, the shared model knowledge (topology +
-//! initial cardinalities, which §2 grants every algorithm), and the
-//! messages delivered to it.
-//!
-//! Execution is a **bounded worker pool**, not a thread per node: a fixed
-//! crew of OS threads (default: available parallelism) claims per-node
-//! programs from a shared queue each superstep, so a 2048-node — or
-//! 100k-node — topology runs on a laptop without 2048 stacks. Logical
-//! nodes are decoupled from OS-level resources; only the superstep
-//! barrier is global.
+//! A job fixes every send of every round before anything runs — the plan
+//! is a function of the shared knowledge §2 grants every node — so the
+//! cluster runs no per-node code: it only moves the job's data. Execution
+//! is a **bounded worker pool**, not a thread per node: a fixed crew of OS
+//! threads (default: available parallelism) claims compute-node slots
+//! from a shared queue each superstep, so a 2048-node — or 100k-node —
+//! topology runs on a laptop without 2048 stacks. Logical nodes are
+//! decoupled from OS-level resources; only the superstep barrier is
+//! global.
 //!
 //! A superstep is one wake and one barrier. The coordinator wakes the
-//! crew; a worker runs each node it claims against that node's slot —
-//! inbox in, outbox and report (ran, panicked or killed) out, all left
-//! in the slot — and sends one "drained" token when the queue is empty.
-//! Once every worker's token is in, the coordinator walks the slots in
-//! node-id order: it reads the reports, then meters each outbox on the
-//! *same* per-directed-edge, union-of-paths [`TrafficMeter`] the
-//! simulator uses and delivers it into the destination inboxes — so a
-//! distributed program whose sends match a centralized protocol produces
-//! bit-identical [`Cost`]s, which the cross-validation tests assert.
-//! Because reports, metering and delivery follow node-id order (each
-//! node's sends in issue order), results are bit-identical for *any*
-//! worker count. The inboxes and outboxes live as long as the run and
-//! are cleared, not dropped, so a superstep allocates nothing per node
-//! once they have grown.
+//! crew; a worker absorbs each slot it claims — appends the inbox to the
+//! node's state and leaves a report (absorbed or killed) in the slot —
+//! and sends one "drained" token when the queue is empty. Once every
+//! worker's token is in, the coordinator walks the slots in node-id
+//! order: it reads the reports, then charges each node's sends of the
+//! round (in issue order) on the *same* per-directed-edge, union-of-paths
+//! [`TrafficMeter`] the simulator uses and delivers them into the
+//! destination inboxes. Because reports, metering and delivery follow
+//! node-id order, results are bit-identical for *any* worker count, and
+//! the ledger is bit-identical to the simulator's. The inboxes live as
+//! long as the run and are cleared, not dropped, so a superstep allocates
+//! nothing per node once they have grown.
 //!
-//! Termination: the run ends at the first superstep in which every
-//! program votes [`Step::Halt`] and sends nothing. That final silent
-//! superstep is counted in [`RuntimeRun::supersteps`] but adds no round
-//! to the cost ledger (it moves no data), keeping the metered round count
-//! aligned with the equivalent centralized protocol. A superstep limit
-//! guards against livelock.
+//! A job of `R` rounds takes `R + 1` supersteps. Superstep `i` absorbs
+//! what round `i − 1` delivered and then delivers round `i`; the last
+//! one, superstep `R`, only absorbs, because round `R − 1`'s data must
+//! land in the nodes' states before the run can hand them back. It moves
+//! no data, so it adds no round to the ledger. It is not termination
+//! detection: the job's length is known before the run starts.
 
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::channel;
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use tamp_simulator::cost::Cost;
 use tamp_simulator::metering::TrafficMeter;
-use tamp_simulator::{NodeState, Placement, PlacementStats};
-use tamp_topology::{NodeId, Tree};
+use tamp_simulator::{NodeState, Placement, Rel, Value};
+use tamp_topology::Tree;
 
+use crate::backend::ExecOutcome;
 use crate::checkpoint::{Checkpoint, CheckpointSpec, CheckpointStore};
 use crate::error::RuntimeError;
 use crate::fault::{FaultEvent, FaultInjector, FaultKind, ResolvedFaults};
-use crate::message::{Envelope, Outbox, Step};
+use crate::jobs::ScheduleJob;
 use crate::pool::WorkerPool;
 
-/// Read-only per-round context handed to a program.
-pub struct NodeCtx<'a> {
-    /// The node this program runs on.
-    pub node: NodeId,
-    /// Superstep number, starting at 0.
-    pub round: usize,
-    /// The shared topology (model knowledge).
-    pub tree: &'a Tree,
-    /// Initial cardinalities `|X_0(v)|` of every node (model knowledge).
-    pub stats: &'a PlacementStats,
-    /// Messages delivered at the start of this superstep. Their values
-    /// have already been appended to the node's state.
-    pub arrived: &'a [Envelope],
-}
-
-/// A distributed algorithm, from one node's point of view.
-///
-/// `round` is called once per superstep with the node's mutable state and
-/// an [`Outbox`]; messages queued there are delivered — and charged —
-/// before the next superstep.
-pub trait NodeProgram: Send {
-    /// Execute one superstep.
-    fn round(&mut self, ctx: &NodeCtx<'_>, state: &mut NodeState, out: &mut Outbox) -> Step;
-}
-
-impl<F> NodeProgram for F
-where
-    F: FnMut(&NodeCtx<'_>, &mut NodeState, &mut Outbox) -> Step + Send,
-{
-    fn round(&mut self, ctx: &NodeCtx<'_>, state: &mut NodeState, out: &mut Outbox) -> Step {
-        self(ctx, state, out)
-    }
-}
-
-/// The result of a cluster execution.
+/// A delivered payload, waiting in its destination's inbox for the next
+/// superstep to absorb it.
 #[derive(Clone, Debug)]
-pub struct RuntimeRun {
-    /// Final per-node states, indexed by node id.
-    pub final_state: Vec<NodeState>,
-    /// Metered cost, on the same ledger as the simulator. One round per
-    /// superstep that was given the chance to move data; the terminal
-    /// all-silent superstep is not metered.
-    pub cost: Cost,
-    /// Number of supersteps executed (including the final silent one).
-    /// A run resumed from a checkpoint still counts from superstep 0, so
-    /// the total is comparable with a fault-free run's.
-    pub supersteps: usize,
-    /// `Some(r)`: the run resumed from a checkpoint at superstep `r`
-    /// (supersteps `0..r` were *skipped*, not replayed). `None`: the run
-    /// started from superstep 0.
-    pub resumed_from: Option<usize>,
+pub(crate) struct Envelope {
+    /// Which relation fragment the payload extends.
+    pub rel: Rel,
+    /// The payload values, in send order. Shared (`Arc`) so a multicast
+    /// to thousands of destinations costs one allocation, not one per
+    /// destination.
+    pub values: Arc<[Value]>,
 }
 
 /// Execution options.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ClusterOptions {
-    /// Abort if the programs have not all halted after this many
-    /// supersteps.
-    pub max_supersteps: usize,
     /// Worker threads in the pool. `None` (the default) uses the
     /// machine's available parallelism. The pool never exceeds the number
     /// of compute nodes.
@@ -122,16 +73,6 @@ pub struct ClusterOptions {
     /// forever — results are then bit-identical no matter how slow a
     /// worker is.
     pub superstep_deadline: Option<Duration>,
-}
-
-impl Default for ClusterOptions {
-    fn default() -> Self {
-        ClusterOptions {
-            max_supersteps: 64,
-            workers: None,
-            superstep_deadline: None,
-        }
-    }
 }
 
 impl ClusterOptions {
@@ -162,31 +103,25 @@ impl ClusterOptions {
     }
 }
 
-/// One compute node's slot in the pool: its program, state, buffers and
-/// this superstep's report. Workers claim slots by index; each slot is
-/// touched by exactly one worker per superstep, and by the coordinator
-/// only between supersteps.
+/// One compute node's slot in the pool: its state, its inbox and this
+/// superstep's report. Workers claim slots by index; each slot is touched
+/// by exactly one worker per superstep, and by the coordinator only
+/// between supersteps.
 struct Slot {
-    node: NodeId,
-    program: Box<dyn NodeProgram>,
     state: NodeState,
-    /// Messages delivered for the next superstep; cleared once absorbed.
+    /// Payloads delivered for the next superstep; cleared once absorbed.
     inbox: Vec<Envelope>,
-    /// The sends of the last superstep; cleared before the program runs.
-    outbox: Outbox,
-    /// `None` until the node has run this superstep; the coordinator
-    /// takes it after the barrier.
+    /// `None` until the node's superstep is done; the coordinator takes
+    /// it after the barrier.
     report: Option<Report>,
 }
 
 /// How one node's superstep ended.
 enum Report {
-    /// The program ran and voted; its sends are in the slot's outbox.
-    Ran(Step),
-    /// The program panicked with this message.
-    Panicked(String),
-    /// An injected fault killed this node's program.
-    Failed,
+    /// The inbox landed in the node's state.
+    Absorbed,
+    /// An injected fault killed this node.
+    Killed,
 }
 
 /// The superstep gate: workers sleep on it between rounds.
@@ -212,6 +147,19 @@ impl Drop for StopOnDrop<'_> {
     }
 }
 
+/// Sends a worker's drained token when dropped. A worker holds one while
+/// it claims slots, so it reports in even if it unwinds mid-superstep;
+/// the coordinator then finds a slot without a report, panics on it, and
+/// releases the crew through [`StopOnDrop`] instead of waiting at the
+/// barrier forever.
+struct DrainedOnDrop<'a>(&'a Sender<()>);
+
+impl Drop for DrainedOnDrop<'_> {
+    fn drop(&mut self) {
+        let _ = self.0.send(());
+    }
+}
+
 /// Checkpointing configuration for one run: where snapshots park, how
 /// often they are taken, and the job token they are keyed by.
 pub(crate) struct CheckpointHook<'a> {
@@ -234,32 +182,14 @@ pub(crate) struct RunHooks<'a> {
     /// consumed at run start.
     pub fault: Option<&'a FaultInjector>,
     /// Superstep checkpointing, keyed by
-    /// [`ScheduleJob::checkpoint_token`](crate::jobs::ScheduleJob::checkpoint_token).
+    /// [`ScheduleJob::checkpoint_token`].
     pub checkpoint: Option<CheckpointHook<'a>>,
 }
 
-/// Run `make_program(v)` on every compute node `v` of `tree`, starting
-/// from `placement`, until all programs halt.
-///
-/// This is the pooled engine: see the module docs. The closure-based
-/// signature is kept for convenience; [`ExecBackend`](crate::backend::ExecBackend)
-/// is the engine-agnostic entry point.
-pub fn run_cluster<F>(
-    tree: &Tree,
-    placement: &Placement,
-    make_program: F,
-    options: ClusterOptions,
-) -> Result<RuntimeRun, RuntimeError>
-where
-    F: Fn(NodeId) -> Box<dyn NodeProgram>,
-{
-    let computes: Vec<NodeId> = tree.compute_nodes().to_vec();
-    let programs: Vec<Box<dyn NodeProgram>> = computes.iter().map(|&v| make_program(v)).collect();
-    run_programs(tree, placement, programs, options, RunHooks::default())
-}
-
-/// Run pre-instantiated per-node programs (aligned with
-/// `tree.compute_nodes()`) on the pool.
+/// Replay `job` from `placement` on the pool: supersteps `0..=rounds`
+/// (see the module docs). The caller has
+/// [`check`](ScheduleJob::check)ed the job against `tree`, so every
+/// endpoint is a compute node.
 ///
 /// `hooks` attaches the optional machinery of the serving layer:
 ///
@@ -270,7 +200,7 @@ where
 /// - [`RunHooks::fault`]: the [`FaultInjector`] arming point. The front
 ///   armed [`FaultPlan`](crate::fault::FaultPlan) is consumed at run
 ///   start (validated against `tree` first); planned kills stop the
-///   affected node programs and abort the run with
+///   affected nodes and abort the run with
 ///   [`RuntimeError::InjectedFault`], planned degradations abort with
 ///   [`RuntimeError::LinkDegraded`], planned stalls delay a worker (and
 ///   trip the watchdog when a deadline is configured). Fired faults are
@@ -279,17 +209,16 @@ where
 ///   superstep boundary; on a *recoverable* abort the latest snapshot is
 ///   parked in the store, and the next run with the same token resumes
 ///   from it instead of superstep 0.
-pub(crate) fn run_programs(
+pub(crate) fn replay(
     tree: &Tree,
     placement: &Placement,
-    programs: Vec<Box<dyn NodeProgram>>,
+    job: &ScheduleJob,
     options: ClusterOptions,
     hooks: RunHooks<'_>,
-) -> Result<RuntimeRun, RuntimeError> {
-    let stats = placement.stats();
-    let computes: Vec<NodeId> = tree.compute_nodes().to_vec();
+) -> Result<ExecOutcome, RuntimeError> {
+    let computes = tree.compute_nodes();
     let n = computes.len();
-    assert_eq!(programs.len(), n, "one program per compute node");
+    let rounds = job.rounds();
 
     // node id → slot index, for inbox delivery.
     let mut slot_of = vec![usize::MAX; tree.num_nodes()];
@@ -299,14 +228,10 @@ pub(crate) fn run_programs(
 
     let mut slots: Vec<Mutex<Slot>> = computes
         .iter()
-        .zip(programs)
-        .map(|(&v, program)| {
+        .map(|&v| {
             Mutex::new(Slot {
-                node: v,
-                program,
                 state: placement.node(v).clone(),
                 inbox: Vec::new(),
-                outbox: Outbox::default(),
                 report: None,
             })
         })
@@ -372,18 +297,13 @@ pub(crate) fn run_programs(
     let (drained_tx, drained_rx) = channel::<()>();
 
     let mut fired_events: Vec<FaultEvent> = Vec::new();
-    let mut supersteps_done = 0usize;
-    let mut outcome: Result<usize, RuntimeError> = Err(RuntimeError::SuperstepLimit {
-        limit: options.max_supersteps,
-        round: options.max_supersteps.saturating_sub(1),
-    });
+    let mut outcome: Result<(), RuntimeError> = Ok(());
 
-    // One worker's whole run: claim node programs superstep by superstep
-    // until the coordinator raises the stop flag. Shared between the
-    // scoped per-run crew and the persistent pool — each pool thread runs
-    // this same closure.
+    // One worker's whole run: absorb claimed slots superstep by
+    // superstep until the coordinator raises the stop flag. Shared
+    // between the scoped per-run crew and the persistent pool — each pool
+    // thread runs this same closure.
     let worker_body = |_idx: usize| {
-        let drained_tx = drained_tx.clone();
         let mut seen_generation = 0u64;
         loop {
             // Sleep until the coordinator opens a new superstep.
@@ -398,30 +318,29 @@ pub(crate) fn run_programs(
                 seen_generation = g.generation;
                 g.round
             };
-            // Claim and run node programs until the queue drains.
+            let _drained = DrainedOnDrop(&drained_tx);
+            // Claim and absorb slots until the queue drains.
             loop {
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                 if start >= n {
                     break;
                 }
-                for claimed in &slots[start..(start + chunk).min(n)] {
+                let end = (start + chunk).min(n);
+                for (claimed, node) in slots[start..end].iter().zip(&computes[start..end]) {
                     let mut slot = claimed.lock().unwrap();
                     let Slot {
-                        node,
-                        program,
                         state,
                         inbox,
-                        outbox,
                         report,
                     } = &mut *slot;
                     // An injected fault: from its fail round on, this
-                    // node's program is dead and executes nothing. A
-                    // stalled (straggling) program sleeps through its
-                    // stall round before executing — harmless without a
-                    // watchdog deadline, fatal with one.
+                    // node is dead and absorbs nothing. A stalled
+                    // (straggling) node sleeps through its stall round
+                    // first — harmless without a watchdog deadline, fatal
+                    // with one.
                     if let Some(res) = &resolved {
                         if round >= res.fail[node.index()] {
-                            *report = Some(Report::Failed);
+                            *report = Some(Report::Killed);
                             continue;
                         }
                         if let Some((stall_round, delay)) = res.stall[node.index()] {
@@ -430,8 +349,7 @@ pub(crate) fn run_programs(
                             }
                         }
                     }
-                    // Commit deliveries into local state first (BSP:
-                    // data sent in round i is state in i+1), growing each
+                    // BSP: data sent in round i is state in i+1. Grow each
                     // fragment once.
                     let mut incoming = [0usize; 2];
                     for env in inbox.iter() {
@@ -442,25 +360,10 @@ pub(crate) fn run_programs(
                     for env in inbox.iter() {
                         state.rel_mut(env.rel).extend_from_slice(&env.values);
                     }
-                    let ctx = NodeCtx {
-                        node: *node,
-                        round,
-                        tree,
-                        stats: &stats,
-                        arrived: inbox,
-                    };
-                    outbox.clear();
-                    let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        program.round(&ctx, state, outbox)
-                    }));
                     inbox.clear();
-                    *report = Some(match step {
-                        Ok(step) => Report::Ran(step),
-                        Err(payload) => Report::Panicked(crate::error::panic_message(&*payload)),
-                    });
+                    *report = Some(Report::Absorbed);
                 }
             }
-            let _ = drained_tx.send(());
         }
     };
 
@@ -469,7 +372,7 @@ pub(crate) fn run_programs(
     // go back to sleep, scoped workers exit).
     let mut coordinator = || {
         let _stop = StopOnDrop(&gate, &gate_cv);
-        'steps: for round in resume_round..options.max_supersteps {
+        for round in resume_round..=rounds {
             // A planned link degradation fires *before* its superstep
             // executes: the run aborts with the typed error so the
             // serving layer can re-weight the topology and re-price,
@@ -489,7 +392,7 @@ pub(crate) fn run_programs(
                         round: fault_round,
                         factor,
                     });
-                    break 'steps;
+                    return;
                 }
             }
 
@@ -540,34 +443,22 @@ pub(crate) fn run_programs(
                         round,
                         deadline,
                     });
-                    break 'steps;
+                    return;
                 }
             }
-            supersteps_done = round + 1;
 
             // Read the reports in node-id order, so the lowest-indexed
-            // killed (or else panicked) node names the run's outcome
-            // regardless of claim order, and the event log is sorted the
-            // same way.
-            let mut all_halt = true;
-            let mut any_send = false;
-            let mut panic_err: Option<RuntimeError> = None;
+            // killed node names the run's outcome regardless of claim
+            // order, and the event log is sorted the same way.
             let first_killed = fired_events.len();
-            for (slot, &node) in slots.iter().zip(&computes) {
-                let mut s = slot.lock().unwrap();
-                match s.report.take().expect("a drained crew ran every node") {
-                    Report::Ran(step) => {
-                        all_halt &= step == Step::Halt;
-                        any_send |= !s.outbox.is_empty();
-                    }
-                    Report::Panicked(message) => {
-                        panic_err.get_or_insert(RuntimeError::WorkerPanic { node, message });
-                    }
-                    Report::Failed => fired_events.push(FaultEvent {
+            for (slot, &node) in slots.iter().zip(computes) {
+                let report = slot.lock().unwrap().report.take();
+                if let Report::Killed = report.expect("a drained crew absorbed every node") {
+                    fired_events.push(FaultEvent {
                         node,
                         round,
                         kind: FaultKind::WorkerKilled,
-                    }),
+                    });
                 }
             }
             if let Some(first) = fired_events.get(first_killed) {
@@ -575,49 +466,32 @@ pub(crate) fn run_programs(
                     node: first.node,
                     round,
                 });
-                break 'steps;
+                return;
             }
-            if let Some(e) = panic_err {
-                outcome = Err(e);
-                break 'steps;
-            }
-            if all_halt && !any_send {
-                // Quiesced: the terminal silent superstep is counted but
-                // not metered (it moves no data).
-                outcome = Ok(supersteps_done);
-                break 'steps;
+            if round == rounds {
+                return; // the absorbing superstep: nothing left to deliver
             }
 
             // Deterministic delivery: sources in node-id order, each
             // source's sends in issue order, so metering and state are
-            // reproducible for any worker count or schedule.
-            for (i, slot) in slots.iter().enumerate() {
-                let mut held = slot.lock().unwrap();
-                let Slot {
-                    node: src,
-                    inbox,
-                    outbox,
-                    ..
-                } = &mut *held;
-                for msg in &outbox.sends {
-                    let dsts = &outbox.dsts[msg.dsts.clone()];
-                    if let Some(&bad) = dsts.iter().find(|&&d| !tree.is_compute(d)) {
-                        outcome = Err(RuntimeError::SendToRouter(bad));
-                        break 'steps;
+            // reproducible for any worker count.
+            for &src in computes {
+                for send in job.sends_of(src, round) {
+                    if send.values.is_empty() || send.dsts.is_empty() {
+                        continue;
                     }
-                    meter.charge_multicast(*src, dsts, msg.values.len() as u64);
+                    meter.charge_multicast(src, &send.dsts, send.values.len() as u64);
                     // The payload is already shared: destinations get
-                    // `Arc` clones of the sender's single allocation.
-                    for &dst in dsts {
-                        let env = Envelope {
-                            src: *src,
-                            rel: msg.rel,
-                            values: msg.values.clone(),
-                        };
-                        match slot_of[dst.index()] {
-                            j if j == i => inbox.push(env),
-                            j => slots[j].lock().unwrap().inbox.push(env),
-                        }
+                    // `Arc` clones of the schedule's single allocation.
+                    for dst in &send.dsts {
+                        slots[slot_of[dst.index()]]
+                            .lock()
+                            .unwrap()
+                            .inbox
+                            .push(Envelope {
+                                rel: send.rel,
+                                values: Arc::clone(&send.values),
+                            });
                     }
                 }
             }
@@ -673,73 +547,63 @@ pub(crate) fn run_programs(
         }
     }
 
-    let supersteps = outcome?;
-    let final_state = {
-        let mut finals: Vec<NodeState> = vec![NodeState::default(); tree.num_nodes()];
-        for slot in slots {
-            let slot = slot.into_inner().unwrap();
-            finals[slot.node.index()] = slot.state;
-        }
-        finals
-    };
-    Ok(RuntimeRun {
-        final_state,
+    outcome?;
+    let mut final_state = vec![NodeState::default(); tree.num_nodes()];
+    for (slot, &v) in slots.into_iter().zip(computes) {
+        final_state[v.index()] = slot.into_inner().unwrap().state;
+    }
+    Ok(ExecOutcome {
+        job: job.name().to_string(),
         cost: meter.finish(),
-        supersteps,
+        rounds,
+        supersteps: rounds + 1,
         resumed_from,
+        final_state,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{ExecBackend, ExecError, PooledClusterBackend, SimulatorBackend};
     use crate::fault::FaultPlan;
-    use tamp_simulator::Rel;
-    use tamp_topology::builders;
+    use crate::jobs::{Schedule, ScheduleSend};
+    use std::panic::AssertUnwindSafe;
+    use tamp_topology::{builders, NodeId};
 
-    fn opts(max: usize) -> ClusterOptions {
-        ClusterOptions {
-            max_supersteps: max,
-            ..ClusterOptions::default()
-        }
+    /// A ring schedule: in each of `rounds` rounds, compute node `v` sends
+    /// `[v*100 + round]` to its ring successor.
+    fn ring_job(tree: &Tree, rounds: usize) -> ScheduleJob {
+        let vc = tree.compute_nodes();
+        let rounds = (0..rounds)
+            .map(|r| {
+                (0..vc.len())
+                    .map(|i| ScheduleSend {
+                        src: vc[i],
+                        dsts: vec![vc[(i + 1) % vc.len()]],
+                        rel: Rel::R,
+                        values: vec![u64::from(vc[i].0) * 100 + r as u64].into(),
+                    })
+                    .collect()
+            })
+            .collect();
+        ScheduleJob::new("ring", tree.num_nodes(), Schedule { rounds })
     }
 
-    /// Stateless-per-round ring programs (the shape checkpoint resume
-    /// requires): node `v` sends `[v*100 + round]` to its ring successor
-    /// for `rounds` supersteps, then halts.
-    fn ring_programs(n: u32, rounds: usize) -> Vec<Box<dyn NodeProgram>> {
-        (0..n)
-            .map(|v| {
-                Box::new(
-                    move |ctx: &NodeCtx<'_>, _state: &mut NodeState, out: &mut Outbox| {
-                        if ctx.round < rounds {
-                            out.send_to(
-                                NodeId((v + 1) % n),
-                                Rel::R,
-                                vec![u64::from(v) * 100 + ctx.round as u64],
-                            );
-                            Step::Continue
-                        } else {
-                            Step::Halt
-                        }
-                    },
-                ) as Box<dyn NodeProgram>
-            })
-            .collect()
+    fn run(
+        tree: &Tree,
+        job: &ScheduleJob,
+        options: ClusterOptions,
+        hooks: RunHooks<'_>,
+    ) -> Result<ExecOutcome, RuntimeError> {
+        replay(tree, &Placement::empty(tree), job, options, hooks)
     }
 
     #[test]
     fn checkpointed_recovery_resumes_and_is_bit_identical() {
         let tree = builders::star(4, 1.0);
-        let p = Placement::empty(&tree);
-        let healthy = run_programs(
-            &tree,
-            &p,
-            ring_programs(4, 6),
-            ClusterOptions::default(),
-            RunHooks::default(),
-        )
-        .unwrap();
+        let job = ring_job(&tree, 6);
+        let healthy = run(&tree, &job, ClusterOptions::default(), RunHooks::default()).unwrap();
         assert_eq!(healthy.supersteps, 7);
         assert_eq!(healthy.resumed_from, None);
 
@@ -757,14 +621,7 @@ mod tests {
                 token: 42,
             }),
         };
-        let err = run_programs(
-            &tree,
-            &p,
-            ring_programs(4, 6),
-            ClusterOptions::default(),
-            mk_hooks(),
-        )
-        .unwrap_err();
+        let err = run(&tree, &job, ClusterOptions::default(), mk_hooks()).unwrap_err();
         assert_eq!(
             err,
             RuntimeError::InjectedFault {
@@ -777,14 +634,7 @@ mod tests {
 
         // Retry (injector now empty): resumes from superstep 4, skipping
         // 0..4, and reproduces the healthy run bit for bit.
-        let resumed = run_programs(
-            &tree,
-            &p,
-            ring_programs(4, 6),
-            ClusterOptions::default(),
-            mk_hooks(),
-        )
-        .unwrap();
+        let resumed = run(&tree, &job, ClusterOptions::default(), mk_hooks()).unwrap();
         assert_eq!(resumed.resumed_from, Some(4));
         assert_eq!(resumed.supersteps, healthy.supersteps);
         assert_eq!(resumed.cost.edge_totals, healthy.cost.edge_totals);
@@ -803,15 +653,8 @@ mod tests {
     #[test]
     fn degrade_fault_aborts_typed_and_recovers_from_checkpoint() {
         let tree = builders::star(4, 1.0);
-        let p = Placement::empty(&tree);
-        let healthy = run_programs(
-            &tree,
-            &p,
-            ring_programs(4, 4),
-            ClusterOptions::default(),
-            RunHooks::default(),
-        )
-        .unwrap();
+        let job = ring_job(&tree, 4);
+        let healthy = run(&tree, &job, ClusterOptions::default(), RunHooks::default()).unwrap();
 
         let store = CheckpointStore::new();
         let inj = FaultInjector::new();
@@ -826,14 +669,7 @@ mod tests {
                 token: 7,
             }),
         };
-        let err = run_programs(
-            &tree,
-            &p,
-            ring_programs(4, 4),
-            ClusterOptions::default(),
-            mk_hooks(),
-        )
-        .unwrap_err();
+        let err = run(&tree, &job, ClusterOptions::default(), mk_hooks()).unwrap_err();
         assert_eq!(
             err,
             RuntimeError::LinkDegraded {
@@ -857,14 +693,7 @@ mod tests {
 
         // The degradation fired before superstep 2 executed, so the
         // parked snapshot resumes exactly there.
-        let resumed = run_programs(
-            &tree,
-            &p,
-            ring_programs(4, 4),
-            ClusterOptions::default(),
-            mk_hooks(),
-        )
-        .unwrap();
+        let resumed = run(&tree, &job, ClusterOptions::default(), mk_hooks()).unwrap();
         assert_eq!(resumed.resumed_from, Some(2));
         assert_eq!(resumed.cost.edge_totals, healthy.cost.edge_totals);
         for v in tree.nodes() {
@@ -878,30 +707,17 @@ mod tests {
     #[test]
     fn stalls_are_harmless_without_a_deadline_and_typed_with_one() {
         let tree = builders::star(2, 1.0);
-        let p = Placement::empty(&tree);
-        let healthy = run_programs(
-            &tree,
-            &p,
-            ring_programs(2, 2),
-            ClusterOptions::default(),
-            RunHooks::default(),
-        )
-        .unwrap();
+        let job = ring_job(&tree, 2);
+        let healthy = run(&tree, &job, ClusterOptions::default(), RunHooks::default()).unwrap();
 
         // Stall without a watchdog: slower, but bit-identical.
         let inj = FaultInjector::new();
         inj.arm(FaultPlan::new().stall_worker(NodeId(1), 0, Duration::from_millis(20)));
-        let slow = run_programs(
-            &tree,
-            &p,
-            ring_programs(2, 2),
-            ClusterOptions::default(),
-            RunHooks {
-                fault: Some(&inj),
-                ..RunHooks::default()
-            },
-        )
-        .unwrap();
+        let hooks = || RunHooks {
+            fault: Some(&inj),
+            ..RunHooks::default()
+        };
+        let slow = run(&tree, &job, ClusterOptions::default(), hooks()).unwrap();
         assert_eq!(slow.cost.edge_totals, healthy.cost.edge_totals);
         assert!(inj.fired().is_empty(), "a mere slowdown is not a fault");
 
@@ -909,17 +725,8 @@ mod tests {
         // watchdog, which attributes the straggler deterministically.
         inj.arm(FaultPlan::new().stall_worker(NodeId(1), 1, Duration::from_millis(500)));
         let deadline = Duration::from_millis(40);
-        let err = run_programs(
-            &tree,
-            &p,
-            ring_programs(2, 2),
-            ClusterOptions::default().with_superstep_deadline(deadline),
-            RunHooks {
-                fault: Some(&inj),
-                ..RunHooks::default()
-            },
-        )
-        .unwrap_err();
+        let options = ClusterOptions::default().with_superstep_deadline(deadline);
+        let err = run(&tree, &job, options, hooks()).unwrap_err();
         assert_eq!(
             err,
             RuntimeError::SuperstepTimeout {
@@ -938,55 +745,15 @@ mod tests {
     #[test]
     fn invalid_fault_plans_error_instead_of_silently_running() {
         let tree = builders::star(2, 1.0); // node 2 is the hub (a router)
-        let p = Placement::empty(&tree);
         let inj = FaultInjector::new();
         inj.arm(FaultPlan::new().kill_worker(NodeId(2), 0));
-        let err = run_programs(
-            &tree,
-            &p,
-            ring_programs(2, 2),
-            ClusterOptions::default(),
-            RunHooks {
-                fault: Some(&inj),
-                ..RunHooks::default()
-            },
-        )
-        .unwrap_err();
+        let hooks = RunHooks {
+            fault: Some(&inj),
+            ..RunHooks::default()
+        };
+        let err = run(&tree, &ring_job(&tree, 2), ClusterOptions::default(), hooks).unwrap_err();
         assert!(matches!(err, RuntimeError::InvalidFaultTarget { .. }));
         assert!(!err.is_recoverable());
-    }
-
-    #[test]
-    fn closure_programs_run_and_halt() {
-        // Node 0 sends its data to node 1 in round 0; everyone halts in 1.
-        let tree = builders::star(2, 2.0);
-        let mut p = Placement::empty(&tree);
-        p.set_r(NodeId(0), vec![1, 2, 3, 4]);
-        let run = run_cluster(
-            &tree,
-            &p,
-            |v| {
-                Box::new(
-                    move |ctx: &NodeCtx<'_>, state: &mut NodeState, out: &mut Outbox| {
-                        if ctx.round == 0 && v == NodeId(0) {
-                            out.send_to(NodeId(1), Rel::R, state.r.clone());
-                            return Step::Continue;
-                        }
-                        Step::Halt
-                    },
-                )
-            },
-            ClusterOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(run.final_state[1].r, vec![1, 2, 3, 4]);
-        // Same accounting as the simulator: 4 tuples over two bw-2 hops.
-        assert_eq!(run.cost.tuple_cost(), 2.0);
-        assert_eq!(run.cost.total_tuples(), 8);
-        assert_eq!(run.supersteps, 2);
-        // The terminal silent superstep is not metered: one cost round,
-        // exactly like the equivalent centralized protocol.
-        assert_eq!(run.cost.per_round.len(), 1);
     }
 
     #[test]
@@ -994,22 +761,19 @@ mod tests {
         let tree = builders::star(4, 1.0);
         let mut p = Placement::empty(&tree);
         p.set_s(NodeId(0), (0..10).collect());
-        let run = run_cluster(
+        let rounds = vec![vec![ScheduleSend {
+            src: NodeId(0),
+            dsts: tree.compute_nodes().to_vec(),
+            rel: Rel::S,
+            values: (0..10).collect(),
+        }]];
+        let job = ScheduleJob::new("multicast", tree.num_nodes(), Schedule { rounds });
+        let run = replay(
             &tree,
             &p,
-            |v| {
-                Box::new(
-                    move |ctx: &NodeCtx<'_>, state: &mut NodeState, out: &mut Outbox| {
-                        if ctx.round == 0 && v == NodeId(0) {
-                            let all: Vec<NodeId> = ctx.tree.compute_nodes().to_vec();
-                            out.send(&all, Rel::S, state.s.clone());
-                            return Step::Continue;
-                        }
-                        Step::Halt
-                    },
-                )
-            },
+            &job,
             ClusterOptions::default(),
+            RunHooks::default(),
         )
         .unwrap();
         // Uplink charged once (10), three downlinks (30): total 40.
@@ -1017,95 +781,66 @@ mod tests {
         assert_eq!(run.cost.tuple_cost(), 10.0);
         // Self-delivery lands too.
         assert_eq!(run.final_state[0].s.len(), 20);
-    }
-
-    #[test]
-    fn round_limit_is_enforced_with_offending_round() {
-        let tree = builders::star(2, 1.0);
-        let p = Placement::empty(&tree);
-        let err = run_cluster(
-            &tree,
-            &p,
-            |_| Box::new(|_: &NodeCtx<'_>, _: &mut NodeState, _: &mut Outbox| Step::Continue),
-            opts(5),
-        )
-        .unwrap_err();
-        assert_eq!(err, RuntimeError::SuperstepLimit { limit: 5, round: 4 });
-    }
-
-    #[test]
-    fn halt_votes_with_pending_sends_keep_running() {
-        // A node that halts while still sending must be kept alive until
-        // the message settles.
-        let tree = builders::star(2, 1.0);
-        let mut p = Placement::empty(&tree);
-        p.set_r(NodeId(0), vec![7]);
-        let run = run_cluster(
-            &tree,
-            &p,
-            |v| {
-                Box::new(
-                    move |ctx: &NodeCtx<'_>, state: &mut NodeState, out: &mut Outbox| {
-                        if ctx.round == 0 && v == NodeId(0) {
-                            out.send_to(NodeId(1), Rel::R, state.r.clone());
-                        }
-                        Step::Halt // everyone votes halt from the start
-                    },
-                )
-            },
-            ClusterOptions::default(),
-        )
-        .unwrap();
-        // Two supersteps: one with the send, one silent to settle.
-        assert_eq!(run.supersteps, 2);
-        assert_eq!(run.final_state[1].r, vec![7]);
+        // One metered round; the absorbing superstep is not metered.
+        assert_eq!((run.rounds, run.supersteps), (1, 2));
     }
 
     #[test]
     fn sends_to_routers_are_rejected() {
+        // A router destination is refused before anything runs, with the
+        // same typed error on both engines.
         let tree = builders::star(2, 1.0); // node 2 is the hub
+        let rounds = vec![vec![ScheduleSend {
+            src: NodeId(0),
+            dsts: vec![NodeId(2)],
+            rel: Rel::R,
+            values: vec![1].into(),
+        }]];
+        let job = ScheduleJob::new("to-router", tree.num_nodes(), Schedule { rounds });
         let p = Placement::empty(&tree);
-        let err = run_cluster(
-            &tree,
-            &p,
-            |_| {
-                Box::new(|_: &NodeCtx<'_>, _: &mut NodeState, out: &mut Outbox| {
-                    out.send_to(NodeId(2), Rel::R, vec![1]);
-                    Step::Halt
-                })
-            },
-            ClusterOptions::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err, RuntimeError::SendToRouter(NodeId(2)));
+        let err = PooledClusterBackend::default()
+            .execute(&tree, &p, &job)
+            .unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ExecError::Runtime(RuntimeError::ScheduleMismatch { .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(SimulatorBackend.execute(&tree, &p, &job).unwrap_err(), err);
     }
 
     #[test]
     fn sends_to_nodes_the_tree_lacks_are_typed_errors_not_hangs() {
-        // Regression: the destination check indexed the tree's node
-        // kinds, so an out-of-range id panicked the coordinator while
-        // the scoped crew sat parked at the gate and `thread::scope`
-        // joined forever. Run under a watchdog: a hang fails the test.
+        // An out-of-range destination must come back as a typed error,
+        // never strand a scoped crew parked at the gate while
+        // `thread::scope` joins it forever. Run under a watchdog: a hang
+        // fails the test.
         let (tx, rx) = channel();
         std::thread::spawn(move || {
             let tree = builders::star(2, 1.0);
-            let run = run_cluster(
-                &tree,
-                &Placement::empty(&tree),
-                |_| {
-                    Box::new(|_: &NodeCtx<'_>, _: &mut NodeState, out: &mut Outbox| {
-                        out.send_to(NodeId(99), Rel::R, vec![1]);
-                        Step::Halt
-                    })
-                },
-                ClusterOptions::default(),
-            );
+            let rounds = vec![vec![ScheduleSend {
+                src: NodeId(0),
+                dsts: vec![NodeId(99)],
+                rel: Rel::R,
+                values: vec![1].into(),
+            }]];
+            let job = ScheduleJob::new("out-of-range", tree.num_nodes(), Schedule { rounds });
+            let run =
+                PooledClusterBackend::default().execute(&tree, &Placement::empty(&tree), &job);
             let _ = tx.send(run.map(|r| r.supersteps));
         });
         let run = rx
             .recv_timeout(Duration::from_secs(30))
             .expect("the run must return, not strand its crew");
-        assert_eq!(run, Err(RuntimeError::SendToRouter(NodeId(99))));
+        assert!(
+            matches!(
+                run,
+                Err(ExecError::Runtime(RuntimeError::ScheduleMismatch { .. }))
+            ),
+            "{run:?}"
+        );
     }
 
     #[test]
@@ -1135,140 +870,59 @@ mod tests {
     }
 
     #[test]
-    fn panics_surface_as_errors_with_node_id() {
-        let tree = builders::star(3, 1.0);
-        let p = Placement::empty(&tree);
-        let err = run_cluster(
-            &tree,
-            &p,
-            |v| {
-                Box::new(move |_: &NodeCtx<'_>, _: &mut NodeState, _: &mut Outbox| {
-                    if v == NodeId(1) {
-                        panic!("injected fault");
-                    }
-                    Step::Halt
-                })
-            },
-            ClusterOptions::default(),
-        )
-        .unwrap_err();
-        match err {
-            RuntimeError::WorkerPanic { node, message } => {
-                assert_eq!(node, NodeId(1));
-                assert!(message.contains("injected fault"));
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
+    fn a_worker_that_unwinds_still_reports_in() {
+        // The drained guard alone: a worker that panics mid-superstep
+        // still sends its token, so the barrier completes.
+        let (tx, rx) = channel::<()>();
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _drained = DrainedOnDrop(&tx);
+            panic!("worker bug");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(rx.try_recv(), Ok(()));
     }
 
     #[test]
-    fn panics_name_the_lowest_node_at_every_width() {
-        // Nodes 1 and 5 both panic in superstep 0; whichever worker
-        // reports first, the run names node 1.
-        let tree = builders::star(8, 1.0);
-        let p = Placement::empty(&tree);
-        let programs = || -> Vec<Box<dyn NodeProgram>> {
-            (0..8u32)
-                .map(|v| {
-                    Box::new(move |_: &NodeCtx<'_>, _: &mut NodeState, _: &mut Outbox| {
-                        if v == 1 || v == 5 {
-                            panic!("node {v} fails");
-                        }
-                        Step::Halt
-                    }) as Box<dyn NodeProgram>
-                })
-                .collect()
-        };
-        let shared = WorkerPool::new(2);
-        for (options, pool) in [
-            (ClusterOptions::with_workers(1), None),
-            (ClusterOptions::with_workers(2), None),
-            (ClusterOptions::with_workers(8), None),
-            (ClusterOptions::default(), Some(&shared)),
-        ] {
-            for _ in 0..20 {
-                let hooks = RunHooks {
-                    pool,
-                    ..RunHooks::default()
-                };
-                let err = run_programs(&tree, &p, programs(), options, hooks).unwrap_err();
-                assert_eq!(
-                    err,
-                    RuntimeError::WorkerPanic {
-                        node: NodeId(1),
-                        message: "node 1 fails".into()
-                    }
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn arrived_envelopes_report_sources() {
-        let tree = builders::star(3, 1.0);
-        let mut p = Placement::empty(&tree);
-        p.set_r(NodeId(0), vec![1]);
-        p.set_r(NodeId(1), vec![2]);
-        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let seen2 = seen.clone();
-        let run = run_cluster(
-            &tree,
-            &p,
-            move |v| {
-                let seen = seen2.clone();
-                Box::new(
-                    move |ctx: &NodeCtx<'_>, state: &mut NodeState, out: &mut Outbox| {
-                        if ctx.round == 0 && v != NodeId(2) {
-                            out.send_to(NodeId(2), Rel::R, state.r.clone());
-                            return Step::Continue;
-                        }
-                        if ctx.round == 1 && v == NodeId(2) {
-                            let mut srcs: Vec<NodeId> = ctx.arrived.iter().map(|e| e.src).collect();
-                            srcs.sort_unstable();
-                            *seen.lock().unwrap() = srcs;
-                        }
-                        Step::Halt
-                    },
-                )
-            },
-            ClusterOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(run.final_state[2].r, vec![1, 2]);
-        assert_eq!(*seen.lock().unwrap(), vec![NodeId(0), NodeId(1)]);
+    fn resolved_workers_is_clamped_to_one_through_the_node_count() {
+        // The crew spawns exactly this many threads and runs no caller
+        // code, so this bound is the pool's bound.
+        assert_eq!(ClusterOptions::with_workers(2).resolved_workers(64), 2);
+        assert_eq!(ClusterOptions::with_workers(8).resolved_workers(3), 3);
+        assert_eq!(ClusterOptions::with_workers(0).resolved_workers(3), 1);
+        assert_eq!(ClusterOptions::with_workers(4).resolved_workers(0), 1);
+        assert_eq!(ClusterOptions::default().resolved_workers(1), 1);
     }
 
     #[test]
     fn pool_is_bounded_and_results_are_worker_count_invariant() {
-        // 64 nodes, 2-worker pool: at most 2 distinct program threads,
-        // and the run is bit-identical to a wide pool's.
+        // 64 nodes: a 2-worker crew, a wide crew and a shared pool replay
+        // the same job bit-identically.
         let tree = builders::star(64, 1.0);
         let mut p = Placement::empty(&tree);
         for v in tree.compute_nodes() {
             p.set_r(*v, vec![v.0 as u64]);
         }
-        let ids = std::sync::Arc::new(std::sync::Mutex::new(std::collections::HashSet::new()));
-        let ids2 = ids.clone();
-        let make = move |v: NodeId| -> Box<dyn NodeProgram> {
-            let ids = ids2.clone();
-            Box::new(
-                move |ctx: &NodeCtx<'_>, state: &mut NodeState, out: &mut Outbox| {
-                    ids.lock().unwrap().insert(std::thread::current().id());
-                    if ctx.round == 0 {
-                        out.send_to(NodeId((v.0 + 1) % 64), Rel::R, state.r.clone());
-                        return Step::Continue;
-                    }
-                    Step::Halt
-                },
-            )
-        };
-        let narrow = run_cluster(&tree, &p, &make, ClusterOptions::with_workers(2)).unwrap();
-        assert!(ids.lock().unwrap().len() <= 2, "pool exceeded 2 threads");
-        let wide = run_cluster(&tree, &p, &make, ClusterOptions::with_workers(8)).unwrap();
-        assert_eq!(narrow.cost.edge_totals, wide.cost.edge_totals);
-        assert_eq!(narrow.supersteps, wide.supersteps);
-        for v in tree.nodes() {
-            assert_eq!(narrow.final_state[v.index()], wide.final_state[v.index()]);
+        let job = ring_job(&tree, 3);
+        let shared = WorkerPool::new(2);
+        let runs: Vec<ExecOutcome> = [
+            (ClusterOptions::with_workers(2), None),
+            (ClusterOptions::with_workers(8), None),
+            (ClusterOptions::default(), Some(&shared)),
+        ]
+        .into_iter()
+        .map(|(options, pool)| {
+            let hooks = RunHooks {
+                pool,
+                ..RunHooks::default()
+            };
+            replay(&tree, &p, &job, options, hooks).unwrap()
+        })
+        .collect();
+        assert_eq!(ClusterOptions::with_workers(2).resolved_workers(64), 2);
+        for run in &runs[1..] {
+            assert_eq!(run.cost.edge_totals, runs[0].cost.edge_totals);
+            assert_eq!(run.supersteps, runs[0].supersteps);
+            assert_eq!(run.final_state, runs[0].final_state);
         }
     }
 }

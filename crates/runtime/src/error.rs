@@ -15,34 +15,16 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic>".into())
 }
 
-/// Errors raised while executing node programs on the cluster.
+/// Errors raised while selecting a backend or replaying a job on the
+/// cluster.
 ///
 /// `Eq` is deliberately absent: the link-degradation variant carries the
 /// `f64` degradation factor.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RuntimeError {
-    /// The programs did not all quiesce within the superstep limit.
-    SuperstepLimit {
-        /// The configured `ClusterOptions::max_supersteps`.
-        limit: usize,
-        /// The last superstep that executed before the run was abandoned.
-        round: usize,
-    },
-    /// A program addressed a message to a routing-only or nonexistent node.
-    SendToRouter(NodeId),
-    /// A node program panicked; the message is the panic payload. When
-    /// several programs panic in one superstep, the lowest-indexed node
-    /// is named, at every worker count (the rule
-    /// [`InjectedFault`](Self::InjectedFault) follows too).
-    WorkerPanic {
-        /// The panicking node.
-        node: NodeId,
-        /// Panic payload rendered to a string.
-        message: String,
-    },
     /// The job's schedule was not built for the tree it was executed on:
-    /// the node counts differ, or a send originates anywhere but at a
-    /// compute node of this tree. Raised by
+    /// the node counts differ, or a send originates at or is addressed to
+    /// anything but a compute node of this tree. Raised by
     /// [`ScheduleJob::check`](crate::jobs::ScheduleJob::check) on every
     /// backend, before anything runs.
     ScheduleMismatch {
@@ -66,11 +48,13 @@ pub enum RuntimeError {
     },
     /// An armed [`FaultPlan`](crate::fault::FaultPlan) fired: the worker
     /// on `node` was killed at superstep `round` and the run aborted.
+    /// When several nodes die in one superstep, the lowest-indexed one is
+    /// named, at every worker count.
     /// Recovery is re-execution on a healthy (disarmed) crew — the
     /// deterministic schedule makes the retry bit-identical to a
     /// fault-free run.
     InjectedFault {
-        /// The first (lowest-indexed) node whose program was killed.
+        /// The first (lowest-indexed) node that was killed.
         node: NodeId,
         /// The superstep at which it was killed.
         round: usize,
@@ -134,14 +118,6 @@ pub const VALID_BACKEND_SPECS: &[&str] = &["simulator", "sim", "pooled-cluster[:
 impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::SuperstepLimit { limit, round } => write!(
-                f,
-                "programs did not halt within {limit} supersteps (abandoned after superstep {round})"
-            ),
-            Self::SendToRouter(v) => write!(f, "message addressed to routing-only node {v}"),
-            Self::WorkerPanic { node, message } => {
-                write!(f, "program on node {node} panicked: {message}")
-            }
             Self::ScheduleMismatch { job, reason } => {
                 write!(f, "job `{job}` does not fit this tree: {reason}")
             }

@@ -34,7 +34,7 @@
 //! Faults target *logical* compute nodes, not OS threads: the pool's
 //! work-claiming makes crew threads interchangeable, so killing an OS
 //! thread is unobservable by design — the observable unit of failure is
-//! the node program.
+//! the node.
 //!
 //! Plans are **validated** against the topology before they can affect a
 //! run: a kill or stall on a router or out-of-range node, a detach of an
@@ -57,11 +57,10 @@ use crate::lock_ok;
 /// `Eq` is deliberately absent: the degradation factor is an `f64`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Fault {
-    /// Kill the worker (node program) on `node` at superstep `round`:
-    /// from that superstep on, the node executes nothing and the run
-    /// aborts.
+    /// Kill the worker on `node` at superstep `round`: from that
+    /// superstep on, the node absorbs nothing and the run aborts.
     KillWorker {
-        /// The compute node whose program dies.
+        /// The compute node that dies.
         node: NodeId,
         /// First superstep at which the node is dead.
         round: usize,
@@ -96,7 +95,7 @@ pub enum Fault {
     /// watchdog fires
     /// [`SuperstepTimeout`](crate::RuntimeError::SuperstepTimeout).
     StallWorker {
-        /// The compute node whose program straggles.
+        /// The compute node that straggles.
         node: NodeId,
         /// The superstep at which it stalls.
         round: usize,
@@ -177,7 +176,7 @@ impl FaultPlan {
                     }
                     if !tree.is_compute(node) {
                         return bad(format!(
-                            "kill_worker({node}, {round}): node is a router (no program to kill)"
+                            "kill_worker({node}, {round}): node is a router (no worker to kill)"
                         ));
                     }
                 }
@@ -187,7 +186,7 @@ impl FaultPlan {
                     }
                     if !tree.is_compute(node) {
                         return bad(format!(
-                            "stall_worker({node}, {round}): node is a router (no program to stall)"
+                            "stall_worker({node}, {round}): node is a router (no worker to stall)"
                         ));
                     }
                 }
@@ -280,7 +279,7 @@ pub(crate) struct ResolvedFaults {
 /// What kind of fault fired.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultKind {
-    /// A worker program was killed ([`Fault::KillWorker`] or
+    /// A node's worker was killed ([`Fault::KillWorker`] or
     /// [`Fault::DetachSubtree`]).
     WorkerKilled,
     /// A link lost bandwidth ([`Fault::DegradeEdge`]).

@@ -11,13 +11,10 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
-use tamp_simulator::{NodeState, Rel, Value};
+use tamp_simulator::{Rel, Value};
 use tamp_topology::{NodeId, Tree};
 
-use crate::cluster::NodeProgram;
 use crate::error::RuntimeError;
-use crate::message::{Outbox, Step};
-use crate::NodeCtx;
 
 /// One multicast of a precomputed communication [`Schedule`].
 #[derive(Clone, Debug, Hash)]
@@ -48,13 +45,14 @@ pub struct Schedule {
 
 /// Flat CSR index over a schedule: for `(node, round)`, the indices of
 /// the sends originating at `node` in that round — two flat arrays and a
-/// single counting-sort pass, so each distributed replay program touches
-/// only its own sends instead of scanning whole rounds every superstep.
+/// single counting-sort pass, so the cluster's coordinator walks each
+/// node's sends of a round without scanning the whole round.
 ///
 /// The index has one row of cells per node plus one more, row
-/// `num_nodes`, which collects the sends whose source is out of range:
-/// building never fails, and [`ScheduleJob::check`] refuses a job whose
-/// extra row is not empty.
+/// `num_nodes`, which collects the sends whose source is out of range;
+/// `addressed` likewise marks every destination, with one extra entry
+/// for the out-of-range ones. Building never fails, and
+/// [`ScheduleJob::check`] refuses a job whose extra row or entry is used.
 #[derive(Debug)]
 struct SrcIndex {
     num_nodes: usize,
@@ -64,6 +62,8 @@ struct SrcIndex {
     offsets: Vec<u32>,
     /// Send indices into `schedule.rounds[round]`, grouped by cell.
     items: Vec<u32>,
+    /// `addressed[v]`: some send names node `v` as a destination.
+    addressed: Vec<bool>,
 }
 
 impl SrcIndex {
@@ -71,9 +71,13 @@ impl SrcIndex {
         let n_rounds = schedule.rounds.len();
         let cell = |src: NodeId, r: usize| src.index().min(num_nodes) * n_rounds + r;
         let mut offsets = vec![0u32; (num_nodes + 1) * n_rounds + 1];
+        let mut addressed = vec![false; num_nodes + 1];
         for (r, round) in schedule.rounds.iter().enumerate() {
             for send in round {
                 offsets[cell(send.src, r) + 1] += 1;
+                for d in &send.dsts {
+                    addressed[d.index().min(num_nodes)] = true;
+                }
             }
         }
         for i in 1..offsets.len() {
@@ -93,6 +97,7 @@ impl SrcIndex {
             n_rounds,
             offsets,
             items,
+            addressed,
         }
     }
 
@@ -113,9 +118,9 @@ impl SrcIndex {
 
 /// A [`Schedule`] ready to replay on either engine: the simulator meters
 /// one [`Session`](tamp_simulator::Session) round per schedule round, the
-/// cluster hands each node a program emitting exactly its own sends
-/// superstep by superstep. Both move — and meter — bit-identical traffic,
-/// because they read the same schedule.
+/// cluster's coordinator meters and delivers one round per superstep
+/// while its workers absorb the deliveries. Both move — and meter —
+/// bit-identical traffic, because they read the same schedule.
 #[derive(Clone, Debug)]
 pub struct ScheduleJob {
     name: String,
@@ -144,8 +149,10 @@ impl ScheduleJob {
         &self.name
     }
 
-    /// Rounds in the underlying schedule. A replay halts after exactly
-    /// one superstep per round (plus the cluster's terminal barrier).
+    /// Rounds in the underlying schedule: one superstep each on the
+    /// simulator. The cluster runs `rounds() + 1` supersteps; the extra
+    /// one absorbs the last round's deliveries into the nodes' states. It
+    /// is not termination detection — the length is fixed here.
     pub fn rounds(&self) -> usize {
         self.schedule.rounds.len()
     }
@@ -154,8 +161,9 @@ impl ScheduleJob {
     /// whole schedule (round structure, endpoints, relation tags,
     /// payloads), so two jobs share a token only if their replays are
     /// interchangeable superstep for superstep. Every job is resumable —
-    /// a replaying node program reads only `ctx.round`, so fresh program
-    /// instances can continue a run restored from a mid-run snapshot.
+    /// a round's sends do not depend on what earlier rounds delivered, so
+    /// a run restored from a mid-run snapshot continues with the next
+    /// round.
     pub fn checkpoint_token(&self) -> u64 {
         *self.token.get_or_init(|| {
             let mut h = DefaultHasher::new();
@@ -165,13 +173,14 @@ impl ScheduleJob {
     }
 
     /// Refuse to run on a tree the schedule was not built for: the node
-    /// counts must agree and every send must originate at a compute node
-    /// of `tree` (destinations are checked by both engines as they
-    /// deliver). O(|V|) from the source index, never a walk over the
-    /// sends. Both backends call this before anything runs, so they
-    /// reject the same jobs with the same error.
+    /// counts must agree, and every send must originate at, and be
+    /// addressed to, compute nodes of `tree`. O(|V|) from the source
+    /// index's marks, never a walk over the sends. Both backends call
+    /// this before anything runs, so they reject the same jobs with the
+    /// same error.
     pub fn check(&self, tree: &Tree) -> Result<(), RuntimeError> {
         let built_for = self.by_src.num_nodes;
+        let routers = || tree.nodes().filter(|&v| !tree.is_compute(v));
         let reason = if built_for != tree.num_nodes() {
             format!(
                 "built for {built_for} nodes, run on a tree of {}",
@@ -179,11 +188,12 @@ impl ScheduleJob {
             )
         } else if self.by_src.originates(built_for) {
             format!("a send originates outside its {built_for} nodes")
-        } else if let Some(v) = tree
-            .nodes()
-            .find(|&v| !tree.is_compute(v) && self.by_src.originates(v.index()))
-        {
+        } else if self.by_src.addressed[built_for] {
+            format!("a send is addressed outside its {built_for} nodes")
+        } else if let Some(v) = routers().find(|v| self.by_src.originates(v.index())) {
             format!("a send originates at {v}, which is not a compute node")
+        } else if let Some(v) = routers().find(|v| self.by_src.addressed[v.index()]) {
+            format!("a send is addressed to {v}, which is not a compute node")
         } else {
             return Ok(());
         };
@@ -198,36 +208,14 @@ impl ScheduleJob {
         &self.schedule
     }
 
-    /// The cluster's program for compute node `v`: its own sends, round
-    /// by round.
-    pub(crate) fn replay_program(&self, v: NodeId) -> Box<dyn NodeProgram> {
-        Box::new(NodeReplay {
-            schedule: Arc::clone(&self.schedule),
-            by_src: Arc::clone(&self.by_src),
-            node: v,
-        })
-    }
-}
-
-/// Distributed replay: node `node` emits its own sends each superstep and
-/// halts once the schedule is exhausted.
-struct NodeReplay {
-    schedule: Arc<Schedule>,
-    by_src: Arc<SrcIndex>,
-    node: NodeId,
-}
-
-impl NodeProgram for NodeReplay {
-    fn round(&mut self, ctx: &NodeCtx<'_>, _state: &mut NodeState, out: &mut Outbox) -> Step {
-        if ctx.round < self.schedule.rounds.len() {
-            for &i in self.by_src.sends_of(self.node, ctx.round) {
-                let s = &self.schedule.rounds[ctx.round][i as usize];
-                out.send(&s.dsts, s.rel, Arc::clone(&s.values));
-            }
-            Step::Continue
-        } else {
-            Step::Halt
-        }
+    /// Node `v`'s sends of `round`, in issue order: what the cluster's
+    /// coordinator meters and delivers for `v`.
+    pub(crate) fn sends_of(&self, v: NodeId, round: usize) -> impl Iterator<Item = &ScheduleSend> {
+        let sends = &self.schedule.rounds[round];
+        self.by_src
+            .sends_of(v, round)
+            .iter()
+            .map(move |&i| &sends[i as usize])
     }
 }
 
@@ -238,7 +226,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use tamp_simulator::Placement;
+    use tamp_simulator::{NodeState, Placement};
     use tamp_topology::builders;
 
     #[test]
@@ -259,6 +247,7 @@ mod tests {
         assert_eq!(idx.sends_of(NodeId(0), 1), &[] as &[u32]);
         assert_eq!(idx.sends_of(NodeId(1), 2), &[0]);
         assert!(idx.originates(1) && !idx.originates(3));
+        assert_eq!(idx.addressed, [true, false, false, false]);
         // Built for two nodes, node 2's sends land in the extra row.
         let idx = super::SrcIndex::build(2, &schedule);
         assert_eq!(idx.sends_of(NodeId(2), 0), &[0, 2]);
@@ -267,9 +256,8 @@ mod tests {
 
     #[test]
     fn long_schedule_replay_outlives_the_default_runaway_cap() {
-        // A replay longer than the cluster's default `max_supersteps`
-        // (64) must run to completion, not be aborted as non-halting:
-        // the backend raises the cap to the job's `rounds() + 1`.
+        // An 80-round replay runs to completion: the cluster's superstep
+        // count is the job's length plus the absorbing superstep.
         let tree = builders::star(3, 1.0);
         let vc = tree.compute_nodes().to_vec();
         let rounds: Vec<Vec<ScheduleSend>> = (0..80u64)

@@ -1,6 +1,6 @@
 //! A persistent worker pool reusable across cluster runs.
 //!
-//! [`run_programs`](crate::cluster) spawns a scoped thread crew per
+//! [`replay`](crate::cluster) spawns a scoped thread crew per
 //! execution by default — fine for one-shot protocol runs, wasteful for a
 //! serving layer that executes thousands of small queries against the
 //! same backend. A [`WorkerPool`] keeps the crew alive: threads are

@@ -1,15 +1,16 @@
-//! A paper protocol as a *real* distributed program — the witness of the
-//! model's §2 premise.
+//! A paper protocol derived node by node — the witness of the model's §2
+//! premise.
 //!
-//! Every compute node logically runs its own program — it sees only its
-//! local fragment plus the §2 model knowledge and re-derives the shared
-//! plan locally; no coordinator hands it the answer. Physically, a
-//! bounded worker pool (default: available parallelism) executes the
-//! node programs, so the same code scales to thousands of nodes. The
-//! traffic each node generates is metered on the same ledger as the
-//! centralized simulator, and for the same seed the two agree to the
-//! bit. That is why everything else in the workspace ships an algorithm
-//! as a precomputed `Schedule` for either engine to replay.
+//! Every compute node derives its own sends — it sees only its local
+//! fragment plus the §2 model knowledge and re-derives the shared plan
+//! locally; no coordinator hands it the answer. The job that
+//! concatenates those independent derivations is replayed on the pooled
+//! cluster, where a bounded worker pool (default: available parallelism)
+//! absorbs the deliveries, so the same code scales to thousands of
+//! nodes. The traffic is metered on the same ledger as the centralized
+//! simulator, and for the same seed the two agree to the bit. That is why
+//! everything else in the workspace ships an algorithm as a precomputed
+//! `Schedule` for either engine to replay.
 //!
 //! ```text
 //! cargo run --release --example threaded_cluster
@@ -18,7 +19,7 @@
 use tamp::core::hashing::mix64;
 use tamp::core::intersection::TreeIntersect;
 use tamp::runtime::programs::DistributedTreeIntersect;
-use tamp::runtime::{run_cluster, ClusterOptions};
+use tamp::runtime::{ExecBackend, PooledClusterBackend};
 use tamp::simulator::{run_protocol, verify, Placement, Rel};
 use tamp::topology::builders;
 
@@ -40,13 +41,10 @@ fn main() {
     }
     let seed = 42;
     let sim = run_protocol(&tree, &p, &TreeIntersect::new(seed)).unwrap();
-    let rt = run_cluster(
-        &tree,
-        &p,
-        |_| Box::new(DistributedTreeIntersect::new(seed)),
-        ClusterOptions::default(),
-    )
-    .unwrap();
+    let job = DistributedTreeIntersect::new(seed).job(&tree, &p);
+    let rt = PooledClusterBackend::default()
+        .execute(&tree, &p, &job)
+        .unwrap();
     verify::check_intersection(&rt.final_state, &p.all_r(), &p.all_s()).unwrap();
     println!("set intersection (seed {seed}):");
     println!(
@@ -61,7 +59,7 @@ fn main() {
     println!("  per-edge traffic: IDENTICAL — the distributed per-node plan");
     println!("  derivation reproduces the centralized sends exactly");
     println!(
-        "  ({} supersteps: {} metered round + the silent termination step)",
+        "  ({} supersteps: {} metered round + the absorbing superstep)",
         rt.supersteps, sim.rounds
     );
 }

@@ -16,11 +16,12 @@
 //!   topology-agnostic baselines they generalize.
 //! - [`workloads`] — reproducible input and placement generators, including
 //!   the adversarial instances used in the paper's lower-bound proofs.
-//! - [`runtime`] — a pooled, message-passing BSP executor (a bounded
-//!   worker pool runs the per-node programs) and the `ExecBackend` layer:
-//!   an algorithm is a `Schedule`, replayed by the simulator or the
-//!   cluster with bit-identical ledgers; one hand-written per-node
-//!   program is kept as the cross-validated witness.
+//! - [`runtime`] — a pooled BSP executor (a bounded worker pool absorbs
+//!   each round's deliveries into the nodes' states) and the
+//!   `ExecBackend` layer: an algorithm is a `Schedule`, replayed by the
+//!   simulator or the cluster with bit-identical ledgers; one
+//!   hand-written per-node derivation is kept as the cross-validated
+//!   witness.
 //! - [`query`] — a distributed relational layer (filter / project / join /
 //!   order-by / group-by) whose operators map onto the paper's primitives,
 //!   with per-operator cost attribution.

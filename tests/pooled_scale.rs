@@ -1,42 +1,34 @@
 //! Scale tests for the pooled runtime: topologies with thousands of
 //! compute nodes must execute on a bounded worker pool — at most the
 //! machine's available parallelism worth of OS threads, never a thread
-//! per node — and the per-node witness program must hold its
-//! cross-validation guarantee at that scale.
-
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+//! per node (`ClusterOptions::resolved_workers` is the crew's width, and
+//! no caller code runs on it) — and the per-node witness derivation must
+//! hold its cross-validation guarantee at that scale.
 
 use tamp::core::hashing::mix64;
 use tamp::core::intersection::TreeIntersect;
 use tamp::runtime::programs::DistributedTreeIntersect;
-use tamp::runtime::{run_cluster, ClusterOptions, NodeCtx, NodeProgram, Outbox, Step};
-use tamp::simulator::{run_protocol, NodeState, Placement, Rel};
+use tamp::runtime::{
+    ClusterOptions, ExecBackend, PooledClusterBackend, Schedule, ScheduleJob, ScheduleSend,
+};
+use tamp::simulator::{run_protocol, Placement, Rel};
 use tamp::topology::graph::builders as graph_builders;
-use tamp::topology::{builders, NodeId, Tree};
+use tamp::topology::{builders, Tree};
 
 /// Each node sends one value around a ring of compute nodes for two
-/// rounds, recording which OS thread ran it.
-fn ring_program(
-    n_compute: usize,
-    threads: Arc<Mutex<HashSet<std::thread::ThreadId>>>,
-) -> impl Fn(NodeId) -> Box<dyn NodeProgram> {
-    move |v: NodeId| {
-        let threads = threads.clone();
-        Box::new(
-            move |ctx: &NodeCtx<'_>, _state: &mut NodeState, out: &mut Outbox| {
-                threads.lock().unwrap().insert(std::thread::current().id());
-                if ctx.round < 2 {
-                    let computes = ctx.tree.compute_nodes();
-                    let me = computes.iter().position(|&c| c == v).unwrap();
-                    let next = computes[(me + 1) % n_compute];
-                    out.send_to(next, Rel::R, vec![v.0 as u64]);
-                    return Step::Continue;
-                }
-                Step::Halt
-            },
-        ) as Box<dyn NodeProgram>
-    }
+/// rounds.
+fn ring_job(tree: &Tree) -> ScheduleJob {
+    let vc = tree.compute_nodes();
+    let round: Vec<ScheduleSend> = (0..vc.len())
+        .map(|i| ScheduleSend {
+            src: vc[i],
+            dsts: vec![vc[(i + 1) % vc.len()]],
+            rel: Rel::R,
+            values: vec![vc[i].0 as u64].into(),
+        })
+        .collect();
+    let rounds = vec![round.clone(), round];
+    ScheduleJob::new("ring", tree.num_nodes(), Schedule { rounds })
 }
 
 fn run_scale_check(tree: &Tree) {
@@ -46,10 +38,10 @@ fn run_scale_check(tree: &Tree) {
         "topology must have ≥ 2048 compute nodes, got {n}"
     );
     let placement = Placement::empty(tree);
-    let threads = Arc::new(Mutex::new(HashSet::new()));
-    let options = ClusterOptions::default();
-    let run = run_cluster(tree, &placement, ring_program(n, threads.clone()), options).unwrap();
-    // Two communicating supersteps plus the silent termination step.
+    let run = PooledClusterBackend::default()
+        .execute(tree, &placement, &ring_job(tree))
+        .unwrap();
+    // Two communicating supersteps plus the absorbing one.
     assert_eq!(run.supersteps, 3);
     assert_eq!(run.cost.per_round.len(), 2);
     assert_eq!(
@@ -60,14 +52,10 @@ fn run_scale_check(tree: &Tree) {
     for &v in tree.compute_nodes() {
         assert_eq!(run.final_state[v.index()].r.len(), 2, "node {v}");
     }
-    // The pool is bounded: at most `workers` distinct OS threads ran
-    // programs, for 2048+ logical nodes.
-    let used = threads.lock().unwrap().len();
-    let budget = options.resolved_workers(n);
-    assert!(
-        used <= budget,
-        "{used} program threads exceed the {budget}-worker pool"
-    );
+    // The pool is bounded: the crew is the machine's parallelism wide,
+    // for 2048+ logical nodes.
+    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert!(ClusterOptions::default().resolved_workers(n) <= hw);
 }
 
 #[test]
@@ -86,8 +74,8 @@ fn torus_spanning_tree_with_2048_computes_runs_on_a_bounded_pool() {
 #[test]
 fn cross_validation_holds_at_2048_nodes() {
     // The bit-identical-ledger guarantee is not a small-topology artifact:
-    // the centralized protocol on the simulator and the per-node program
-    // on the pooled cluster agree at 2048 compute nodes too.
+    // the centralized protocol on the simulator and the per-node
+    // derivation on the pooled cluster agree at 2048 compute nodes too.
     let tree = builders::random_tree(2048, 256, 0.5, 8.0, 7);
     let mut p = Placement::empty(&tree);
     let vc = tree.compute_nodes();
@@ -100,13 +88,9 @@ fn cross_validation_holds_at_2048_nodes() {
         );
     }
     let sim = run_protocol(&tree, &p, &TreeIntersect::new(11)).unwrap();
-    let rt = run_cluster(
-        &tree,
-        &p,
-        |_| Box::new(DistributedTreeIntersect::new(11)),
-        ClusterOptions::default(),
-    )
-    .unwrap();
+    let rt = PooledClusterBackend::default()
+        .execute(&tree, &p, &DistributedTreeIntersect::new(11).job(&tree, &p))
+        .unwrap();
     assert_eq!(rt.cost.edge_totals, sim.cost.edge_totals);
     assert_eq!(rt.cost.per_round.len(), sim.rounds);
     assert_eq!(rt.supersteps, sim.rounds + 1);

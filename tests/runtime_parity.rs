@@ -1,16 +1,17 @@
 //! The witness suite for the model's §2 premise: for any random tree,
-//! placement and seed, the one hand-written per-node program
-//! (`DistributedTreeIntersect` on `run_cluster`, every node deriving the
-//! plan alone) must move exactly the traffic the centralized
-//! `TreeIntersect` protocol moves on `run_protocol` — bit-identical
-//! `Cost` ledgers, equal metered round counts, and (for the cluster)
-//! exactly one extra silent superstep in which termination is detected.
+//! placement and seed, the one hand-written per-node derivation
+//! (`DistributedTreeIntersect::job`, every node deriving its sends alone,
+//! replayed on `PooledClusterBackend`) must move exactly the traffic the
+//! centralized `TreeIntersect` protocol moves on `run_protocol` —
+//! bit-identical `Cost` ledgers, equal metered round counts, and (for the
+//! cluster) exactly one extra superstep, the one that absorbs the last
+//! round's deliveries.
 
 use proptest::prelude::*;
 use tamp::core::hashing::mix64;
 use tamp::core::intersection::TreeIntersect;
 use tamp::runtime::programs::DistributedTreeIntersect;
-use tamp::runtime::{run_cluster, ClusterOptions, RuntimeRun};
+use tamp::runtime::{ExecBackend, ExecError, ExecOutcome, PooledClusterBackend};
 use tamp::simulator::{run_protocol, verify, Placement, Rel, Run, Value};
 use tamp::topology::{builders, Tree};
 
@@ -42,33 +43,29 @@ fn random_setup(topo_seed: u64, r: u64, s: u64, data_seed: u64) -> (Tree, Placem
     (tree, p)
 }
 
-/// The per-node program on a pool of `options`' width.
+/// The per-node derivation's job, replayed on `backend`.
 fn witness(
     tree: &Tree,
     p: &Placement,
     seed: u64,
-    options: ClusterOptions,
-) -> Result<RuntimeRun, tamp::runtime::RuntimeError> {
-    run_cluster(
-        tree,
-        p,
-        |_| Box::new(DistributedTreeIntersect::new(seed)),
-        options,
-    )
+    backend: PooledClusterBackend,
+) -> Result<ExecOutcome, ExecError> {
+    backend.execute(tree, p, &DistributedTreeIntersect::new(seed).job(tree, p))
 }
 
 /// Run the centralized protocol on the simulator and the per-node
-/// program on the pooled cluster and assert the engine-independent
+/// derivation on the pooled cluster and assert the engine-independent
 /// invariants: bit-identical ledgers (full per-edge totals *and*
 /// per-round costs), equal metered rounds, and the cluster's supersteps
-/// being rounds + 1 (the silent termination step).
+/// being rounds + 1 (the absorbing superstep).
 fn assert_parity(
     tree: &Tree,
     p: &Placement,
     seed: u64,
-) -> Result<(Run<Vec<Value>>, RuntimeRun), TestCaseError> {
+) -> Result<(Run<Vec<Value>>, ExecOutcome), TestCaseError> {
     let sim = run_protocol(tree, p, &TreeIntersect::new(seed)).map_err(TestCaseError::fail)?;
-    let rt = witness(tree, p, seed, ClusterOptions::default()).map_err(TestCaseError::fail)?;
+    let rt =
+        witness(tree, p, seed, PooledClusterBackend::default()).map_err(TestCaseError::fail)?;
     prop_assert_eq!(&rt.cost.edge_totals, &sim.cost.edge_totals);
     prop_assert_eq!(rt.cost.tuple_cost(), sim.cost.tuple_cost());
     prop_assert_eq!(
@@ -79,7 +76,7 @@ fn assert_parity(
     prop_assert_eq!(
         rt.supersteps,
         sim.rounds + 1,
-        "cluster detects termination in exactly one silent superstep"
+        "the cluster absorbs the last round in exactly one more superstep"
     );
     for (i, (a, b)) in rt
         .cost
@@ -127,9 +124,9 @@ proptest! {
         // ledgers and final states must be bit-identical — scheduling is
         // not allowed to leak into results.
         let (tree, p) = random_setup(topo_seed, r, s, topo_seed ^ 0x5A);
-        let narrow = witness(&tree, &p, hash_seed, ClusterOptions::with_workers(1))
+        let narrow = witness(&tree, &p, hash_seed, PooledClusterBackend::with_workers(1))
             .map_err(TestCaseError::fail)?;
-        let wide = witness(&tree, &p, hash_seed, ClusterOptions::with_workers(8))
+        let wide = witness(&tree, &p, hash_seed, PooledClusterBackend::with_workers(8))
             .map_err(TestCaseError::fail)?;
         prop_assert_eq!(narrow.supersteps, wide.supersteps);
         prop_assert_eq!(&narrow.cost.edge_totals, &wide.cost.edge_totals);
@@ -162,7 +159,7 @@ fn parity_holds_on_every_standard_topology() {
             );
         }
         let sim = run_protocol(&tree, &p, &TreeIntersect::new(seed)).unwrap();
-        let rt = witness(&tree, &p, seed, ClusterOptions::default()).unwrap();
+        let rt = witness(&tree, &p, seed, PooledClusterBackend::default()).unwrap();
         assert_eq!(rt.cost.edge_totals, sim.cost.edge_totals, "seed {seed}");
         assert_eq!(rt.cost.per_round.len(), sim.rounds, "seed {seed}");
         assert_eq!(rt.supersteps, sim.rounds + 1, "seed {seed}");
