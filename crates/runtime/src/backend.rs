@@ -1,19 +1,20 @@
 //! The engine-agnostic execution layer.
 //!
 //! The repository ships two executors for the same cost model: the
-//! centralized [`Session`] simulator and the pooled BSP cluster (compute
-//! nodes' states on a bounded worker pool). Both are interpreters of one
-//! thing, a [`ScheduleJob`] — every send of every round of an algorithm,
-//! fixed before anything runs — and [`ExecBackend`] puts one API in front
-//! of them, so the query layer, the experiment harness and the parity
-//! tests *select* an engine instead of hand-rolling two call paths.
-//! [`SimulatorBackend`] meters one [`Session`] round per schedule round;
-//! [`PooledClusterBackend`] replays one round per superstep: its workers
-//! absorb deliveries into node states, its coordinator meters and
-//! delivers the round. Because both read the
-//! same schedule and meter on the shared
-//! [`TrafficMeter`](tamp_simulator::TrafficMeter), their [`Cost`] ledgers
-//! are bit-identical.
+//! centralized simulator and the pooled BSP cluster (compute nodes'
+//! states on a bounded worker pool). Both are interpreters of one thing,
+//! a [`ScheduleJob`] — every send of every round of an algorithm, fixed
+//! before anything runs — and [`ExecBackend`] puts one API in front of
+//! them, so the query layer, the experiment harness and the parity tests
+//! *select* an engine instead of hand-rolling two call paths.
+//! [`SimulatorBackend`] appends every round's deliveries to a copy of the
+//! placement in one pass; [`PooledClusterBackend`] replays one round per
+//! superstep, its workers pulling each node's deliveries from the job.
+//! Both first [`check`](ScheduleJob::check) the job and validate the
+//! placement against the tree, so they refuse the same inputs with the
+//! same error, and both return the job's ledger: one [`Cost`], metered
+//! once per tree on the shared
+//! [`TrafficMeter`](tamp_simulator::TrafficMeter).
 //!
 //! # Adding a new algorithm against `ExecBackend`
 //!
@@ -27,7 +28,7 @@
 use std::sync::Arc;
 
 use tamp_simulator::cost::Cost;
-use tamp_simulator::{NodeState, Placement, Session, SimError};
+use tamp_simulator::{NodeState, Placement, SimError};
 use tamp_topology::Tree;
 
 use crate::checkpoint::{CheckpointSpec, CheckpointStore};
@@ -77,7 +78,8 @@ impl From<RuntimeError> for ExecError {
 pub struct ExecOutcome {
     /// Job name (for reports).
     pub job: String,
-    /// Metered cost, on the shared union-of-paths ledger.
+    /// Metered cost: the job's union-of-paths ledger on the tree it ran
+    /// on, the same on every backend.
     pub cost: Cost,
     /// Metered communication rounds (`cost.per_round.len()`).
     pub rounds: usize,
@@ -130,8 +132,8 @@ impl<B: ExecBackend + ?Sized> ExecBackend for Arc<B> {
     }
 }
 
-/// The centralized engine: meters one [`Session`] round per schedule
-/// round.
+/// The centralized engine: every round's deliveries appended to a copy
+/// of the placement, node by node, in the cluster's delivery order.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimulatorBackend;
 
@@ -147,23 +149,18 @@ impl ExecBackend for SimulatorBackend {
         job: &ScheduleJob,
     ) -> Result<ExecOutcome, ExecError> {
         job.check(tree)?;
-        // Session::new validates the placement.
-        let mut session = Session::new(tree, placement)?;
-        for round in &job.schedule().rounds {
-            session.round(|r| {
-                for s in round {
-                    r.send_shared(s.src, &s.dsts, s.rel, Arc::clone(&s.values))?;
-                }
-                Ok(())
-            })?;
+        placement.validate(tree)?;
+        let rounds = job.rounds();
+        let mut final_state = placement.fragments().to_vec();
+        for &v in tree.compute_nodes() {
+            job.deliver(v, 0..rounds, &mut final_state[v.index()]);
         }
-        let (cost, final_state, rounds) = session.into_parts();
         Ok(ExecOutcome {
             job: job.name().to_string(),
+            cost: job.ledger(tree),
             rounds,
             supersteps: rounds,
             resumed_from: None,
-            cost,
             final_state,
         })
     }
@@ -281,6 +278,7 @@ impl ExecBackend for PooledClusterBackend {
         job: &ScheduleJob,
     ) -> Result<ExecOutcome, ExecError> {
         job.check(tree)?;
+        placement.validate(tree)?;
         // Pin the crew for this run: an elastic resize after this point
         // affects the *next* run, never this one.
         let crew: Option<Arc<WorkerPool>> = match &self.crew {
@@ -433,6 +431,25 @@ mod tests {
                 "{}",
                 errs[0]
             );
+        }
+        // A job that fits, on a placement that does not: data at the hub,
+        // or too few fragments.
+        let job = two_sends(small.num_nodes(), 0, 1);
+        let mut at_hub = Placement::empty(&small);
+        at_hub.set_r(hub, vec![1]);
+        let short = Placement::from_fragments(vec![NodeState::default(); 2]);
+        let shape = SimError::PlacementShape {
+            expected: 4,
+            got: 2,
+        };
+        for (p, want) in [(at_hub, SimError::DataAtRouter(hub)), (short, shape)] {
+            let errs = [
+                SimulatorBackend.execute(&small, &p, &job).unwrap_err(),
+                PooledClusterBackend::with_workers(1)
+                    .execute(&small, &p, &job)
+                    .unwrap_err(),
+            ];
+            assert_eq!(errs, [ExecError::Sim(want.clone()), ExecError::Sim(want)]);
         }
     }
 

@@ -4,9 +4,10 @@
 //! aborted the run and the orchestrator replayed the *entire* schedule
 //! on a healthy crew. This module makes recovery incremental. At
 //! configurable superstep boundaries (every `k`-th barrier) the
-//! coordinator snapshots the whole cluster — per-node state,
-//! delivered-but-unabsorbed inboxes, and the traffic meter — into a
-//! checkpoint. If the run later aborts with a *recoverable* fault,
+//! coordinator snapshots every compute node's state into a checkpoint.
+//! Nothing else needs saving: the deliveries the next superstep absorbs
+//! are read from the job, and the run's ledger is the job's, priced per
+//! tree. If the run later aborts with a *recoverable* fault,
 //! the snapshot is parked in the shared [`CheckpointStore`] under the
 //! job's checkpoint token; the retry resumes from that superstep instead
 //! of round 0, replaying strictly fewer supersteps while producing
@@ -14,8 +15,8 @@
 //!
 //! - the snapshot is taken at a barrier, when every worker is parked at
 //!   the gate — it is a consistent cut by construction;
-//! - the meter snapshot is the exact metered prefix, so resumed cost
-//!   accounting continues as if the fault never happened;
+//! - the resumed superstep pulls the previous round's deliveries from
+//!   the job, exactly as the uninterrupted run would have;
 //! - every job is resumable: a
 //!   [`ScheduleJob`](crate::jobs::ScheduleJob) fixes each round's sends
 //!   up front, so a restored run simply continues with the next round.
@@ -31,10 +32,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use tamp_simulator::metering::TrafficMeter;
 use tamp_simulator::NodeState;
 
-use crate::cluster::Envelope;
 use crate::lock_ok;
 
 /// When to snapshot: every `every`-th superstep boundary.
@@ -71,14 +70,9 @@ pub(crate) struct Checkpoint {
     /// The superstep the restored run resumes at (one past the last
     /// completed superstep).
     pub resume_round: usize,
-    /// Per-slot node state, aligned with `tree.compute_nodes()`.
+    /// Per-slot node state after superstep `resume_round - 1`, aligned
+    /// with `tree.compute_nodes()`.
     pub states: Vec<NodeState>,
-    /// Per-slot delivered-but-unabsorbed inboxes (messages sent in
-    /// superstep `resume_round - 1`, absorbed in `resume_round`).
-    pub inboxes: Vec<Vec<Envelope>>,
-    /// The metered cost prefix up to and including superstep
-    /// `resume_round - 1`.
-    pub meter: TrafficMeter,
 }
 
 /// Counters describing a store's checkpoint traffic, for
@@ -159,8 +153,6 @@ mod tests {
         let cp = Checkpoint {
             resume_round: 4,
             states: Vec::new(),
-            inboxes: Vec::new(),
-            meter: TrafficMeter::new(&tamp_topology::builders::star(2, 1.0)),
         };
         store.put(7, cp.clone());
         store.put(9, cp);

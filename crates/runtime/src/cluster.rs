@@ -12,33 +12,31 @@
 //! global.
 //!
 //! A superstep is one wake and one barrier. The coordinator wakes the
-//! crew; a worker absorbs each slot it claims — appends the inbox to the
-//! node's state and leaves a report (absorbed or killed) in the slot —
-//! and sends one "drained" token when the queue is empty. Once every
-//! worker's token is in, the coordinator walks the slots in node-id
-//! order: it reads the reports, then charges each node's sends of the
-//! round (in issue order) on the *same* per-directed-edge, union-of-paths
-//! [`TrafficMeter`] the simulator uses and delivers them into the
-//! destination inboxes. Because reports, metering and delivery follow
-//! node-id order, results are bit-identical for *any* worker count, and
-//! the ledger is bit-identical to the simulator's. The inboxes live as
-//! long as the run and are cleared, not dropped, so a superstep allocates
-//! nothing per node once they have grown.
+//! crew; a worker absorbs each slot it claims — appends the node's
+//! deliveries of the previous round, read straight from the job's
+//! per-destination index, to its state, and leaves a report (absorbed or
+//! killed) in the slot — and sends one "drained" token when the queue is
+//! empty. Once every worker's token is in, the coordinator reads the
+//! reports in node-id order and takes a checkpoint if one is due. It
+//! neither meters nor delivers: every node appends its deliveries in the
+//! index's order (sources ascending, issue order within a source), so
+//! final states are bit-identical for *any* worker count, and the run's
+//! ledger is the job's, priced once per tree. A superstep allocates
+//! nothing per node once the fragments have grown.
 //!
 //! A job of `R` rounds takes `R + 1` supersteps. Superstep `i` absorbs
-//! what round `i − 1` delivered and then delivers round `i`; the last
-//! one, superstep `R`, only absorbs, because round `R − 1`'s data must
-//! land in the nodes' states before the run can hand them back. It moves
-//! no data, so it adds no round to the ledger. It is not termination
-//! detection: the job's length is known before the run starts.
+//! what round `i − 1` delivered; superstep 0 absorbs nothing, and the
+//! last one, superstep `R`, is needed because round `R − 1`'s data must
+//! land in the nodes' states before the run can hand them back. It adds
+//! no round to the ledger. It is not termination detection: the job's
+//! length is known before the run starts.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use tamp_simulator::metering::TrafficMeter;
-use tamp_simulator::{NodeState, Placement, Rel, Value};
+use tamp_simulator::{NodeState, Placement};
 use tamp_topology::Tree;
 
 use crate::backend::ExecOutcome;
@@ -47,18 +45,6 @@ use crate::error::RuntimeError;
 use crate::fault::{FaultEvent, FaultInjector, FaultKind, ResolvedFaults};
 use crate::jobs::ScheduleJob;
 use crate::pool::WorkerPool;
-
-/// A delivered payload, waiting in its destination's inbox for the next
-/// superstep to absorb it.
-#[derive(Clone, Debug)]
-pub(crate) struct Envelope {
-    /// Which relation fragment the payload extends.
-    pub rel: Rel,
-    /// The payload values, in send order. Shared (`Arc`) so a multicast
-    /// to thousands of destinations costs one allocation, not one per
-    /// destination.
-    pub values: Arc<[Value]>,
-}
 
 /// Execution options.
 #[derive(Clone, Copy, Debug, Default)]
@@ -103,14 +89,12 @@ impl ClusterOptions {
     }
 }
 
-/// One compute node's slot in the pool: its state, its inbox and this
-/// superstep's report. Workers claim slots by index; each slot is touched
-/// by exactly one worker per superstep, and by the coordinator only
-/// between supersteps.
+/// One compute node's slot in the pool: its state and this superstep's
+/// report. Workers claim slots by index; each slot is touched by exactly
+/// one worker per superstep, and by the coordinator only between
+/// supersteps.
 struct Slot {
     state: NodeState,
-    /// Payloads delivered for the next superstep; cleared once absorbed.
-    inbox: Vec<Envelope>,
     /// `None` until the node's superstep is done; the coordinator takes
     /// it after the barrier.
     report: Option<Report>,
@@ -118,7 +102,7 @@ struct Slot {
 
 /// How one node's superstep ended.
 enum Report {
-    /// The inbox landed in the node's state.
+    /// The previous round's deliveries landed in the node's state.
     Absorbed,
     /// An injected fault killed this node.
     Killed,
@@ -188,8 +172,9 @@ pub(crate) struct RunHooks<'a> {
 
 /// Replay `job` from `placement` on the pool: supersteps `0..=rounds`
 /// (see the module docs). The caller has
-/// [`check`](ScheduleJob::check)ed the job against `tree`, so every
-/// endpoint is a compute node.
+/// [`check`](ScheduleJob::check)ed the job and validated the placement
+/// against `tree`, so every endpoint is a compute node and the placement
+/// has one fragment per node.
 ///
 /// `hooks` attaches the optional machinery of the serving layer:
 ///
@@ -220,18 +205,11 @@ pub(crate) fn replay(
     let n = computes.len();
     let rounds = job.rounds();
 
-    // node id → slot index, for inbox delivery.
-    let mut slot_of = vec![usize::MAX; tree.num_nodes()];
-    for (i, &v) in computes.iter().enumerate() {
-        slot_of[v.index()] = i;
-    }
-
     let mut slots: Vec<Mutex<Slot>> = computes
         .iter()
         .map(|&v| {
             Mutex::new(Slot {
                 state: placement.node(v).clone(),
-                inbox: Vec::new(),
                 report: None,
             })
         })
@@ -254,25 +232,20 @@ pub(crate) fn replay(
     };
 
     // Partial restart: pop the snapshot a previous faulted run of this
-    // same schedule parked, restore states/inboxes/meter from it, and
-    // start the superstep loop where it left off.
+    // same schedule parked, restore the states from it, and start the
+    // superstep loop where it left off; that superstep pulls its
+    // deliveries from the job like any other.
     let mut latest_cp: Option<Checkpoint> = hooks
         .checkpoint
         .as_ref()
         .and_then(|h| h.store.take(h.token));
     let resume_round = latest_cp.as_ref().map_or(0, |cp| cp.resume_round);
     let resumed_from = latest_cp.as_ref().map(|cp| cp.resume_round);
-    let mut meter = match &latest_cp {
-        Some(cp) => {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                let s = slot.get_mut().unwrap();
-                s.state = cp.states[i].clone();
-                s.inbox = cp.inboxes[i].clone();
-            }
-            cp.meter.clone()
+    if let Some(cp) = &latest_cp {
+        for (slot, state) in slots.iter_mut().zip(&cp.states) {
+            slot.get_mut().unwrap().state = state.clone();
         }
-        None => TrafficMeter::new(tree),
-    };
+    }
 
     let workers = match hooks.pool {
         Some(p) => p.size(),
@@ -328,11 +301,7 @@ pub(crate) fn replay(
                 let end = (start + chunk).min(n);
                 for (claimed, node) in slots[start..end].iter().zip(&computes[start..end]) {
                     let mut slot = claimed.lock().unwrap();
-                    let Slot {
-                        state,
-                        inbox,
-                        report,
-                    } = &mut *slot;
+                    let Slot { state, report } = &mut *slot;
                     // An injected fault: from its fail round on, this
                     // node is dead and absorbs nothing. A stalled
                     // (straggling) node sleeps through its stall round
@@ -349,26 +318,16 @@ pub(crate) fn replay(
                             }
                         }
                     }
-                    // BSP: data sent in round i is state in i+1. Grow each
-                    // fragment once.
-                    let mut incoming = [0usize; 2];
-                    for env in inbox.iter() {
-                        incoming[env.rel as usize] += env.values.len();
-                    }
-                    state.r.reserve(incoming[0]);
-                    state.s.reserve(incoming[1]);
-                    for env in inbox.iter() {
-                        state.rel_mut(env.rel).extend_from_slice(&env.values);
-                    }
-                    inbox.clear();
+                    // BSP: data sent in round i is state in i+1.
+                    job.deliver(*node, round.saturating_sub(1)..round, state);
                     *report = Some(Report::Absorbed);
                 }
             }
         }
     };
 
-    // The coordinator: opens supersteps, gathers reports, meters and
-    // delivers; leaving it tears the crew down (persistent pool workers
+    // The coordinator: opens supersteps, gathers reports and takes
+    // checkpoints; leaving it tears the crew down (persistent pool workers
     // go back to sleep, scoped workers exit).
     let mut coordinator = || {
         let _stop = StopOnDrop(&gate, &gate_cv);
@@ -469,51 +428,20 @@ pub(crate) fn replay(
                 return;
             }
             if round == rounds {
-                return; // the absorbing superstep: nothing left to deliver
+                return; // the last round's deliveries have landed
             }
-
-            // Deterministic delivery: sources in node-id order, each
-            // source's sends in issue order, so metering and state are
-            // reproducible for any worker count.
-            for &src in computes {
-                for send in job.sends_of(src, round) {
-                    if send.values.is_empty() || send.dsts.is_empty() {
-                        continue;
-                    }
-                    meter.charge_multicast(src, &send.dsts, send.values.len() as u64);
-                    // The payload is already shared: destinations get
-                    // `Arc` clones of the schedule's single allocation.
-                    for dst in &send.dsts {
-                        slots[slot_of[dst.index()]]
-                            .lock()
-                            .unwrap()
-                            .inbox
-                            .push(Envelope {
-                                rel: send.rel,
-                                values: Arc::clone(&send.values),
-                            });
-                    }
-                }
-            }
-            meter.commit_round();
 
             // Superstep boundary: every worker is parked at the gate (one
             // drained token per worker was gathered), so the slots form a
             // consistent cut — snapshot them if the cadence says so.
             if let Some(h) = &hooks.checkpoint {
                 if (round + 1) % h.spec.every == 0 {
-                    let mut states = Vec::with_capacity(n);
-                    let mut inboxes = Vec::with_capacity(n);
-                    for slot in &slots {
-                        let s = slot.lock().unwrap();
-                        states.push(s.state.clone());
-                        inboxes.push(s.inbox.clone());
-                    }
                     latest_cp = Some(Checkpoint {
                         resume_round: round + 1,
-                        states,
-                        inboxes,
-                        meter: meter.clone(),
+                        states: slots
+                            .iter()
+                            .map(|s| s.lock().unwrap().state.clone())
+                            .collect(),
                     });
                 }
             }
@@ -554,7 +482,7 @@ pub(crate) fn replay(
     }
     Ok(ExecOutcome {
         job: job.name().to_string(),
-        cost: meter.finish(),
+        cost: job.ledger(tree),
         rounds,
         supersteps: rounds + 1,
         resumed_from,
@@ -569,6 +497,7 @@ mod tests {
     use crate::fault::FaultPlan;
     use crate::jobs::{Schedule, ScheduleSend};
     use std::panic::AssertUnwindSafe;
+    use tamp_simulator::Rel;
     use tamp_topology::{builders, NodeId};
 
     /// A ring schedule: in each of `rounds` rounds, compute node `v` sends

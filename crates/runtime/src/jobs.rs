@@ -3,15 +3,21 @@
 //! anything executes — wrapped as a [`ScheduleJob`].
 //!
 //! Planners (the query layer's physical strategies, the fixpoint driver)
-//! emit schedules; both engines replay them. Because the two replays read
-//! the same sends in the same order, their traffic — and therefore their
-//! metered [`Cost`](tamp_simulator::cost::Cost) — is bit-identical.
+//! emit schedules; both engines replay them. A schedule fixes who sends
+//! how many tuples to whom in every round, so its metered
+//! [`Cost`] is a function of the schedule and the tree alone: the job
+//! prices it once per tree (`ScheduleJob::ledger`) and both engines
+//! hand back that one ledger. What an engine does itself is move data:
+//! it appends each node's deliveries, read from the job's per-destination
+//! index, to the node's state.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use tamp_simulator::{Rel, Value};
+use tamp_simulator::cost::Cost;
+use tamp_simulator::{NodeState, Rel, TrafficMeter, Value};
 use tamp_topology::{NodeId, Tree};
 
 use crate::error::RuntimeError;
@@ -25,8 +31,8 @@ pub struct ScheduleSend {
     pub dsts: Vec<NodeId>,
     /// Relation tag.
     pub rel: Rel,
-    /// Shared payload; every replay and delivery clones the `Arc`, never
-    /// the data.
+    /// Shared payload; a replay reads it in place and copies it only into
+    /// the receiving fragments.
     pub values: Arc<[Value]>,
 }
 
@@ -34,27 +40,28 @@ pub struct ScheduleSend {
 /// every round, in order. This is the unit a *planner* produces — the
 /// query layer's physical strategies, for instance, each emit their
 /// exchanges as schedule rounds — and [`ScheduleJob`] replays it on any
-/// [`ExecBackend`](crate::backend::ExecBackend) with bit-identical
-/// metered ledgers.
+/// [`ExecBackend`](crate::backend::ExecBackend) with one metered ledger.
 #[derive(Clone, Debug, Default, Hash)]
 pub struct Schedule {
     /// Rounds in execution order; a round may be empty (silent rounds are
-    /// still metered, matching both engines).
+    /// still metered).
     pub rounds: Vec<Vec<ScheduleSend>>,
 }
 
-/// Flat CSR index over a schedule: for `(node, round)`, the indices of
-/// the sends originating at `node` in that round — two flat arrays and a
-/// single counting-sort pass, so the cluster's coordinator walks each
-/// node's sends of a round without scanning the whole round.
+/// Destination-major CSR index over a schedule: for `(node, round)`, the
+/// indices of the sends that deliver to `node` in that round, in delivery
+/// order — sources ascending, each source's sends in issue order, one
+/// entry per occurrence of `node` in a destination list. Two flat arrays,
+/// built by one counting-sort pass over the sends grouped by source.
 ///
 /// The index has one row of cells per node plus one more, row
-/// `num_nodes`, which collects the sends whose source is out of range;
-/// `addressed` likewise marks every destination, with one extra entry
-/// for the out-of-range ones. Building never fails, and
-/// [`ScheduleJob::check`] refuses a job whose extra row or entry is used.
+/// `num_nodes`, which collects the deliveries to out-of-range nodes;
+/// `sources` and `addressed` likewise mark every source and destination,
+/// with one extra entry for the out-of-range ones. Building never fails,
+/// and [`ScheduleJob::check`] refuses a job whose extra row or entry is
+/// used.
 #[derive(Debug)]
-struct SrcIndex {
+struct DeliveryIndex {
     num_nodes: usize,
     n_rounds: usize,
     /// `offsets[node * n_rounds + round] .. offsets[.. + 1]` bounds the
@@ -62,70 +69,87 @@ struct SrcIndex {
     offsets: Vec<u32>,
     /// Send indices into `schedule.rounds[round]`, grouped by cell.
     items: Vec<u32>,
+    /// `sources[v]`: some send originates at node `v`.
+    sources: Vec<bool>,
     /// `addressed[v]`: some send names node `v` as a destination.
     addressed: Vec<bool>,
 }
 
-impl SrcIndex {
+impl DeliveryIndex {
     fn build(num_nodes: usize, schedule: &Schedule) -> Self {
         let n_rounds = schedule.rounds.len();
-        let cell = |src: NodeId, r: usize| src.index().min(num_nodes) * n_rounds + r;
+        let row = |v: NodeId| v.index().min(num_nodes);
+        let cell = |v: NodeId, r: usize| row(v) * n_rounds + r;
+        let mut by_src = vec![0u32; num_nodes + 2];
         let mut offsets = vec![0u32; (num_nodes + 1) * n_rounds + 1];
         let mut addressed = vec![false; num_nodes + 1];
         for (r, round) in schedule.rounds.iter().enumerate() {
             for send in round {
-                offsets[cell(send.src, r) + 1] += 1;
-                for d in &send.dsts {
-                    addressed[d.index().min(num_nodes)] = true;
+                by_src[row(send.src) + 1] += 1;
+                for &d in &send.dsts {
+                    addressed[row(d)] = true;
+                    offsets[cell(d, r) + 1] += 1;
                 }
             }
         }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
+        let sources = by_src[1..].iter().map(|&c| c > 0).collect();
+        for counts in [&mut by_src, &mut offsets] {
+            for i in 1..counts.len() {
+                counts[i] += counts[i - 1];
+            }
+        }
+        // The sends grouped by source, each source's in `(round, issue)`
+        // order: filling the cells in this order puts every cell's
+        // sources ascending.
+        let mut grouped = vec![(0u32, 0u32); by_src[num_nodes + 1] as usize];
+        for (r, round) in schedule.rounds.iter().enumerate() {
+            for (i, send) in round.iter().enumerate() {
+                let slot = &mut by_src[row(send.src)];
+                grouped[*slot as usize] = (r as u32, i as u32);
+                *slot += 1;
+            }
         }
         let mut items = vec![0u32; *offsets.last().unwrap() as usize];
         let mut cursor = offsets.clone();
-        for (r, round) in schedule.rounds.iter().enumerate() {
-            for (i, send) in round.iter().enumerate() {
-                let cell = cell(send.src, r);
-                items[cursor[cell] as usize] = i as u32;
-                cursor[cell] += 1;
+        for (r, i) in grouped {
+            let r = r as usize;
+            for &d in &schedule.rounds[r][i as usize].dsts {
+                let c = &mut cursor[cell(d, r)];
+                items[*c as usize] = i;
+                *c += 1;
             }
         }
-        SrcIndex {
+        DeliveryIndex {
             num_nodes,
             n_rounds,
             offsets,
             items,
+            sources,
             addressed,
         }
     }
 
-    /// The sends of `node` in `round` (indices into the round's send
-    /// list, in issue order).
-    fn sends_of(&self, node: NodeId, round: usize) -> &[u32] {
+    /// The sends delivering to `node` in `round` (indices into the
+    /// round's send list, in delivery order).
+    fn to(&self, node: NodeId, round: usize) -> &[u32] {
         let cell = node.index() * self.n_rounds + round;
         let (lo, hi) = (self.offsets[cell] as usize, self.offsets[cell + 1] as usize);
         &self.items[lo..hi]
     }
-
-    /// Whether any send of any round falls in `row` (a node index, or
-    /// `num_nodes` for the out-of-range row): O(1) from the offsets.
-    fn originates(&self, row: usize) -> bool {
-        self.offsets[row * self.n_rounds] != self.offsets[(row + 1) * self.n_rounds]
-    }
 }
 
-/// A [`Schedule`] ready to replay on either engine: the simulator meters
-/// one [`Session`](tamp_simulator::Session) round per schedule round, the
-/// cluster's coordinator meters and delivers one round per superstep
-/// while its workers absorb the deliveries. Both move — and meter —
-/// bit-identical traffic, because they read the same schedule.
+/// A [`Schedule`] ready to replay on either engine: both append each
+/// node's deliveries from the job's per-destination index — the
+/// simulator every round at once, the cluster one round per superstep —
+/// and both return the job's ledger, metered once per tree.
 #[derive(Clone, Debug)]
 pub struct ScheduleJob {
     name: String,
     schedule: Arc<Schedule>,
-    by_src: Arc<SrcIndex>,
+    index: Arc<DeliveryIndex>,
+    /// The ledger on the first tree it was priced on, keyed by that
+    /// tree's [`Tree::fingerprint`]; clones share it.
+    ledger: Arc<OnceLock<(u64, Cost)>>,
     /// Content hash of the schedule — the checkpoint token, hashed on
     /// first request: only a backend with a checkpoint store ever asks.
     token: OnceLock<u64>,
@@ -138,8 +162,9 @@ impl ScheduleJob {
     pub fn new(name: impl Into<String>, num_nodes: usize, schedule: Schedule) -> Self {
         ScheduleJob {
             name: name.into(),
-            by_src: Arc::new(SrcIndex::build(num_nodes, &schedule)),
+            index: Arc::new(DeliveryIndex::build(num_nodes, &schedule)),
             schedule: Arc::new(schedule),
+            ledger: Arc::default(),
             token: OnceLock::new(),
         }
     }
@@ -167,32 +192,38 @@ impl ScheduleJob {
     pub fn checkpoint_token(&self) -> u64 {
         *self.token.get_or_init(|| {
             let mut h = DefaultHasher::new();
-            (self.by_src.num_nodes, &self.schedule).hash(&mut h);
+            (self.index.num_nodes, &self.schedule).hash(&mut h);
             h.finish()
         })
     }
 
     /// Refuse to run on a tree the schedule was not built for: the node
     /// counts must agree, and every send must originate at, and be
-    /// addressed to, compute nodes of `tree`. O(|V|) from the source
-    /// index's marks, never a walk over the sends. Both backends call
-    /// this before anything runs, so they reject the same jobs with the
-    /// same error.
+    /// addressed to, compute nodes of `tree`. O(|V|) from the index's
+    /// source and destination marks, never a walk over the sends. Both
+    /// backends call this before anything runs, so they reject the same
+    /// jobs with the same error.
     pub fn check(&self, tree: &Tree) -> Result<(), RuntimeError> {
-        let built_for = self.by_src.num_nodes;
+        let DeliveryIndex {
+            num_nodes,
+            sources,
+            addressed,
+            ..
+        } = &*self.index;
+        let built_for = *num_nodes;
         let routers = || tree.nodes().filter(|&v| !tree.is_compute(v));
         let reason = if built_for != tree.num_nodes() {
             format!(
                 "built for {built_for} nodes, run on a tree of {}",
                 tree.num_nodes()
             )
-        } else if self.by_src.originates(built_for) {
+        } else if sources[built_for] {
             format!("a send originates outside its {built_for} nodes")
-        } else if self.by_src.addressed[built_for] {
+        } else if addressed[built_for] {
             format!("a send is addressed outside its {built_for} nodes")
-        } else if let Some(v) = routers().find(|v| self.by_src.originates(v.index())) {
+        } else if let Some(v) = routers().find(|v| sources[v.index()]) {
             format!("a send originates at {v}, which is not a compute node")
-        } else if let Some(v) = routers().find(|v| self.by_src.addressed[v.index()]) {
+        } else if let Some(v) = routers().find(|v| addressed[v.index()]) {
             format!("a send is addressed to {v}, which is not a compute node")
         } else {
             return Ok(());
@@ -203,19 +234,53 @@ impl ScheduleJob {
         })
     }
 
-    /// The schedule, for the simulator's round loop.
-    pub(crate) fn schedule(&self) -> &Schedule {
-        &self.schedule
+    /// The schedule's metered ledger on `tree`: each send charged as one
+    /// union-of-paths multicast, every round committed, silent ones
+    /// included. It is a pure function of `(schedule, tree)`, so it is
+    /// metered once and cached under `tree`'s fingerprint; a run on
+    /// another tree (one a `degrade_link` re-weighted, say) meters afresh
+    /// and leaves the cached entry alone. The caller has
+    /// [`check`](Self::check)ed the job against `tree`.
+    pub(crate) fn ledger(&self, tree: &Tree) -> Cost {
+        let key = tree.fingerprint();
+        let (cached_for, cost) = self.ledger.get_or_init(|| (key, self.meter(tree)));
+        if *cached_for == key {
+            cost.clone()
+        } else {
+            self.meter(tree)
+        }
     }
 
-    /// Node `v`'s sends of `round`, in issue order: what the cluster's
-    /// coordinator meters and delivers for `v`.
-    pub(crate) fn sends_of(&self, v: NodeId, round: usize) -> impl Iterator<Item = &ScheduleSend> {
-        let sends = &self.schedule.rounds[round];
-        self.by_src
-            .sends_of(v, round)
-            .iter()
-            .map(move |&i| &sends[i as usize])
+    fn meter(&self, tree: &Tree) -> Cost {
+        let mut meter = TrafficMeter::new(tree);
+        for round in &self.schedule.rounds {
+            for send in round {
+                meter.charge_multicast(send.src, &send.dsts, send.values.len() as u64);
+            }
+            meter.commit_round();
+        }
+        meter.finish()
+    }
+
+    /// Append to `state` every payload delivered to node `v` in `rounds`,
+    /// rounds ascending and each round in delivery order (see
+    /// `DeliveryIndex`), growing each fragment once.
+    pub(crate) fn deliver(&self, v: NodeId, rounds: Range<usize>, state: &mut NodeState) {
+        let deliveries = || {
+            rounds.clone().flat_map(move |r| {
+                let sends = &self.schedule.rounds[r];
+                self.index.to(v, r).iter().map(move |&i| &sends[i as usize])
+            })
+        };
+        let mut incoming = [0usize; 2];
+        for send in deliveries() {
+            incoming[send.rel as usize] += send.values.len();
+        }
+        state.r.reserve(incoming[0]);
+        state.s.reserve(incoming[1]);
+        for send in deliveries() {
+            state.rel_mut(send.rel).extend_from_slice(&send.values);
+        }
     }
 }
 
@@ -226,32 +291,40 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use tamp_simulator::{NodeState, Placement};
-    use tamp_topology::builders;
+    use tamp_simulator::{run_protocol, Placement, Protocol, Session, SimError};
+    use tamp_topology::{builders, EdgeId};
 
     #[test]
-    fn src_index_groups_by_node_and_round() {
-        let mk = |src: u32, n: u64| ScheduleSend {
+    fn delivery_index_groups_by_destination_and_round() {
+        let mk = |src: u32, dsts: &[u32], n: u64| ScheduleSend {
             src: NodeId(src),
-            dsts: vec![NodeId(0)],
+            dsts: dsts.iter().map(|&d| NodeId(d)).collect(),
             rel: Rel::R,
             values: vec![n].into(),
         };
         let schedule = Schedule {
-            rounds: vec![vec![mk(2, 0), mk(0, 1), mk(2, 2)], vec![], vec![mk(1, 3)]],
+            rounds: vec![
+                vec![mk(2, &[0], 0), mk(0, &[0, 1, 0], 1), mk(2, &[1, 0], 2)],
+                vec![],
+                vec![mk(1, &[2], 3)],
+            ],
         };
-        let idx = super::SrcIndex::build(3, &schedule);
-        assert_eq!(idx.sends_of(NodeId(2), 0), &[0, 2]);
-        assert_eq!(idx.sends_of(NodeId(0), 0), &[1]);
-        assert_eq!(idx.sends_of(NodeId(1), 0), &[] as &[u32]);
-        assert_eq!(idx.sends_of(NodeId(0), 1), &[] as &[u32]);
-        assert_eq!(idx.sends_of(NodeId(1), 2), &[0]);
-        assert!(idx.originates(1) && !idx.originates(3));
-        assert_eq!(idx.addressed, [true, false, false, false]);
-        // Built for two nodes, node 2's sends land in the extra row.
-        let idx = super::SrcIndex::build(2, &schedule);
-        assert_eq!(idx.sends_of(NodeId(2), 0), &[0, 2]);
-        assert!(idx.originates(2));
+        let idx = super::DeliveryIndex::build(3, &schedule);
+        // Sources ascending, issue order within a source, one entry per
+        // occurrence.
+        assert_eq!(idx.to(NodeId(0), 0), &[1, 1, 0, 2]);
+        assert_eq!(idx.to(NodeId(1), 0), &[1, 2]);
+        assert_eq!(idx.to(NodeId(2), 0), &[] as &[u32]);
+        assert_eq!(idx.to(NodeId(0), 1), &[] as &[u32]);
+        assert_eq!(idx.to(NodeId(2), 2), &[0]);
+        assert_eq!(idx.sources, [true, true, true, false]);
+        assert_eq!(idx.addressed, [true, true, true, false]);
+        // Built for two nodes, node 2's sends and deliveries land in the
+        // extra row.
+        let idx = super::DeliveryIndex::build(2, &schedule);
+        assert_eq!(idx.to(NodeId(2), 2), &[0]);
+        assert_eq!(idx.sources, [true, true, true]);
+        assert_eq!(idx.addressed, [true, true, true]);
     }
 
     #[test]
@@ -342,38 +415,90 @@ mod tests {
         want
     }
 
-    fn sorted(state: &NodeState) -> (Vec<Value>, Vec<Value>) {
-        let (mut r, mut s) = (state.r.clone(), state.s.clone());
-        r.sort_unstable();
-        s.sort_unstable();
-        (r, s)
+    /// The schedule priced by a second path: a [`Session`] replaying
+    /// every send through `send`.
+    fn session_cost(tree: &Tree, p: &Placement, schedule: &Schedule) -> Cost {
+        struct Replay<'a>(&'a Schedule);
+        impl Protocol for Replay<'_> {
+            type Output = ();
+            fn name(&self) -> String {
+                "replay".into()
+            }
+            fn run(&self, session: &mut Session<'_>) -> Result<(), SimError> {
+                for round in &self.0.rounds {
+                    session.round(|r| {
+                        for s in round {
+                            r.send(s.src, &s.dsts, s.rel, &s.values)?;
+                        }
+                        Ok(())
+                    })?;
+                }
+                Ok(())
+            }
+        }
+        run_protocol(tree, p, &Replay(schedule)).unwrap().cost
+    }
+
+    #[test]
+    fn ledger_is_priced_per_tree() {
+        // Priced on T, on T with one edge scaled, then on T again: each
+        // ledger is that tree's, never a cached one of another tree.
+        let tree = builders::star(4, 1.0);
+        let send = |src: u32, dsts: &[NodeId], n: u64| ScheduleSend {
+            src: NodeId(src),
+            dsts: dsts.to_vec(),
+            rel: Rel::S,
+            values: (0..n).collect(),
+        };
+        let rounds = vec![
+            vec![send(0, tree.compute_nodes(), 5)],
+            vec![],
+            vec![send(2, &[NodeId(1)], 3)],
+        ];
+        let job = ScheduleJob::new("priced", tree.num_nodes(), Schedule { rounds });
+        let p = Placement::empty(&tree);
+        // Edge 0 is leaf 0's link, which round 0's broadcast crosses.
+        let mut scaled = tree.clone();
+        scaled.scale_bandwidth(EdgeId(0), 4.0).unwrap();
+        let runs: Vec<Cost> = [&tree, &scaled, &tree]
+            .into_iter()
+            .map(|t| {
+                let got = job.ledger(t);
+                let want = session_cost(t, &p, &job.schedule);
+                assert_eq!(got.per_round, want.per_round);
+                assert_eq!(got.edge_totals, want.edge_totals);
+                got
+            })
+            .collect();
+        assert!(runs[0].edge_totals.iter().any(|&t| t > 0));
+        assert_ne!(runs[1].per_round, runs[0].per_round);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Widths 1 and 3, and twice on one shared pool of 2: an inbox
-        /// or outbox that kept a previous superstep's contents delivers
-        /// twice and breaks the ordered comparison.
+        /// Widths 1 and 3, and twice on one shared pool of 2: a
+        /// superstep that kept a previous one's deliveries delivers twice
+        /// and breaks the ordered comparison. Both engines share the
+        /// job's ledger, so it is checked against a `Session` replay.
         #[test]
         fn cluster_delivery_matches_its_definition_at_every_width(seed in 0u64..1_000_000) {
             let (tree, p, job) = random_job(seed);
-            let want = delivered(&p, job.schedule());
-            let sim = SimulatorBackend.execute(&tree, &p, &job).unwrap();
+            let want = delivered(&p, &job.schedule);
+            let priced = session_cost(&tree, &p, &job.schedule);
             let shared = PooledClusterBackend::with_shared_pool(2);
-            for backend in [
-                PooledClusterBackend::with_workers(1),
-                PooledClusterBackend::with_workers(3),
-                shared.clone(),
-                shared,
-            ] {
+            let backends: [&dyn ExecBackend; 5] = [
+                &SimulatorBackend,
+                &PooledClusterBackend::with_workers(1),
+                &PooledClusterBackend::with_workers(3),
+                &shared,
+                &shared,
+            ];
+            for backend in backends {
                 let run = backend.execute(&tree, &p, &job).unwrap();
-                prop_assert_eq!(run.final_state, want);
-                prop_assert_eq!(run.cost.edge_totals, sim.cost.edge_totals);
-                prop_assert_eq!(run.cost.per_round, sim.cost.per_round);
-                for (got, sim) in run.final_state.iter().zip(&sim.final_state) {
-                    prop_assert_eq!(sorted(got), sorted(sim));
-                }
+                prop_assert_eq!(&run.final_state, &want);
+                prop_assert_eq!(&run.cost.edge_totals, &priced.edge_totals);
+                prop_assert_eq!(&run.cost.per_round, &priced.per_round);
             }
         }
     }

@@ -9,13 +9,14 @@
 //! (topology, bandwidths, initial cardinalities — exactly what §2 of the
 //! paper grants every algorithm) — wrapped in a [`ScheduleJob`]. The
 //! [`backend`] module's [`ExecBackend`] trait fronts its two
-//! interpreters, the centralized simulator and this pooled cluster, with
-//! bit-identical metered ledgers. On the cluster, a **bounded worker
-//! pool** (default: available parallelism) absorbs each compute node's
-//! deliveries into its state every superstep, so topologies with
-//! thousands of compute nodes execute with a handful of OS threads; the
-//! coordinator meters each round on the *same* union-of-paths ledger as
-//! the simulator and delivers it along the unique tree paths.
+//! interpreters, the centralized simulator and this pooled cluster. The
+//! job prices its schedule once per tree on the simulator's
+//! union-of-paths meter, and both engines return that one ledger; all
+//! they do themselves is move data. On the cluster, a **bounded worker
+//! pool** (default: available parallelism) appends each compute node's
+//! deliveries, read from the job's per-destination index, to its state
+//! every superstep, so topologies with thousands of compute nodes
+//! execute with a handful of OS threads.
 //!
 //! The [`programs`] module keeps one hand-written per-node derivation,
 //! [`DistributedTreeIntersect`](programs::DistributedTreeIntersect), as

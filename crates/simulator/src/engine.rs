@@ -15,26 +15,21 @@
 //!
 //! # Delivery
 //!
-//! A round's sends are not delivered as they are issued: they are logged
-//! in one round-scoped arena (`Pending`) and replayed, in send order,
-//! when the round commits. A borrowed payload ([`RoundCtx::send`],
-//! [`RoundCtx::send_via`]) is copied **once**, into the arena, however
-//! many destinations it has; an owned payload ([`RoundCtx::send_shared`])
-//! is not copied at all — the log keeps the caller's `Arc`, one per
-//! *send*. The only per-destination work is the final
+//! A round's sends are not delivered as they are issued: each payload is
+//! copied **once**, into one round-scoped arena (`Pending`), however many
+//! destinations it has, and the log is replayed in send order when the
+//! round commits. Commit first adds up what each fragment is about to
+//! receive and reserves it, so a fragment grows once per round however
+//! many sends reach it; the only per-destination work is the final
 //! `extend_from_slice` into the receiving fragment, which the model's
-//! copy semantics require anyway; commit first adds up what each
-//! fragment is about to receive and reserves it, so a fragment grows
-//! once per round however many sends reach it. Because the replay walks
-//! the log in order, a node's `r` (and `s`) grows by exactly its
-//! deliveries in the order they were sent — arrival order *is* send
-//! order — so a protocol whose send order is deterministic has a
-//! deterministic final state. An aborted round truncates the log; the
-//! buffers keep their capacity across rounds, so a steady-state round
-//! allocates nothing per send.
+//! copy semantics require anyway. Because the replay walks the log in
+//! order, a node's `r` (and `s`) grows by exactly its deliveries in the
+//! order they were sent — arrival order *is* send order — so a protocol
+//! whose send order is deterministic has a deterministic final state. An
+//! aborted round truncates the log; the buffers keep their capacity
+//! across rounds, so a steady-state round allocates nothing per send.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use tamp_topology::{NodeId, Tree};
 
@@ -108,7 +103,7 @@ pub struct Session<'t> {
 /// node state on commit (see the module docs).
 #[derive(Default)]
 struct Pending {
-    /// Payloads of the borrowed-slice sends, each appended once.
+    /// Payloads of all sends, each appended once.
     values: Vec<Value>,
     /// Destination lists of all sends, concatenated.
     dsts: Vec<NodeId>,
@@ -120,32 +115,21 @@ struct PendingSend {
     rel: Rel,
     /// This send's run of `Pending::dsts`.
     dsts: Range<usize>,
-    payload: Payload,
-}
-
-enum Payload {
-    /// A run of `Pending::values`.
-    Arena(Range<usize>),
-    /// The caller's own allocation, kept alive until commit.
-    Shared(Arc<[Value]>),
+    /// This send's run of `Pending::values`.
+    values: Range<usize>,
 }
 
 impl Pending {
-    fn push(&mut self, dsts: &[NodeId], rel: Rel, payload: Payload) {
-        let start = self.dsts.len();
+    /// Log a send: its payload's one copy, into the arena.
+    fn push(&mut self, dsts: &[NodeId], rel: Rel, values: &[Value]) {
+        let (dst_start, value_start) = (self.dsts.len(), self.values.len());
         self.dsts.extend_from_slice(dsts);
+        self.values.extend_from_slice(values);
         self.sends.push(PendingSend {
             rel,
-            dsts: start..self.dsts.len(),
-            payload,
+            dsts: dst_start..self.dsts.len(),
+            values: value_start..self.values.len(),
         });
-    }
-
-    /// Log a borrowed payload: its one copy, into the arena.
-    fn push_copy(&mut self, dsts: &[NodeId], rel: Rel, values: &[Value]) {
-        let start = self.values.len();
-        self.values.extend_from_slice(values);
-        self.push(dsts, rel, Payload::Arena(start..self.values.len()));
     }
 
     /// Drop everything logged; capacity stays.
@@ -177,10 +161,7 @@ impl Pending {
     /// Every `(relation, destination, payload)` logged, in send order.
     fn deliveries(&self) -> impl Iterator<Item = (Rel, NodeId, &[Value])> {
         self.sends.iter().flat_map(move |send| {
-            let values = match &send.payload {
-                Payload::Arena(run) => &self.values[run.clone()],
-                Payload::Shared(values) => &values[..],
-            };
+            let values = &self.values[send.values.clone()];
             let dsts = &self.dsts[send.dsts.clone()];
             dsts.iter().map(move |&dst| (send.rel, dst, values))
         })
@@ -263,11 +244,7 @@ impl<'t> Session<'t> {
     }
 
     /// Fold the ledger and hand back `(cost, final_state, rounds)`.
-    ///
-    /// This is how engine-agnostic drivers (the `ExecBackend` layer in
-    /// `tamp-runtime`) finish a session they ran outside
-    /// [`run_protocol`].
-    pub fn into_parts(self) -> (Cost, Vec<NodeState>, usize) {
+    pub(crate) fn into_parts(self) -> (Cost, Vec<NodeState>, usize) {
         let rounds = self.meter.rounds_committed();
         (self.meter.finish(), self.state, rounds)
     }
@@ -311,28 +288,7 @@ impl<'a, 't> RoundCtx<'a, 't> {
         }
         self.check_endpoints(src, dsts)?;
         self.meter.charge_multicast(src, dsts, values.len() as u64);
-        self.pending.push_copy(dsts, rel, values);
-        Ok(())
-    }
-
-    /// Zero-copy variant of [`RoundCtx::send`]: the round keeps the
-    /// caller's `Arc` until commit and delivers straight out of it, so
-    /// callers that already hold their payload in an `Arc` (e.g. the
-    /// query layer's exchange-trace replay) never copy it before the
-    /// receiving fragments do.
-    pub fn send_shared(
-        &mut self,
-        src: NodeId,
-        dsts: &[NodeId],
-        rel: Rel,
-        values: Arc<[Value]>,
-    ) -> Result<(), SimError> {
-        if values.is_empty() || dsts.is_empty() {
-            return Ok(());
-        }
-        self.check_endpoints(src, dsts)?;
-        self.meter.charge_multicast(src, dsts, values.len() as u64);
-        self.pending.push(dsts, rel, Payload::Shared(values));
+        self.pending.push(dsts, rel, values);
         Ok(())
     }
 
@@ -357,7 +313,7 @@ impl<'a, 't> RoundCtx<'a, 't> {
         // the relay, so they do not union with each other.
         self.meter.charge_via(src, relay, dsts, values.len() as u64);
         if !dsts.is_empty() {
-            self.pending.push_copy(dsts, rel, values);
+            self.pending.push(dsts, rel, values);
         }
         Ok(())
     }
@@ -554,14 +510,10 @@ mod tests {
         p.set_r(NodeId(0), vec![1, 2, 3]);
         let mut s = Session::new(&t, &p).unwrap();
         let err = s.round(|r| {
-            // One send of each kind is pending when the round fails.
+            // A unicast, a multicast and a relay are pending when the
+            // round fails.
             r.send(NodeId(0), &[NodeId(1)], Rel::R, &r.state(NodeId(0)).r)?; // charges 3 tuples
-            r.send_shared(
-                NodeId(1),
-                &[NodeId(0), NodeId(1)],
-                Rel::S,
-                vec![4, 5].into(),
-            )?;
+            r.send(NodeId(1), &[NodeId(0), NodeId(1)], Rel::S, &[4, 5])?;
             r.send_via(NodeId(0), NodeId(2), &[NodeId(1)], Rel::S, &[6])?;
             r.send(NodeId(0), &[NodeId(2)], Rel::R, &[9]) // hub: errors
         });
@@ -580,7 +532,7 @@ mod tests {
         assert!(state[0].s.is_empty() && state[1].s.is_empty());
     }
 
-    /// A random two-round mix of `send`, `send_shared` and `send_via` —
+    /// A random two-round mix of `send` and `send_via` —
     /// several destinations, repeated destinations, self-delivery, router
     /// relays — against the definition of delivery: a node's fragment is
     /// its initial fragment followed by every payload addressed to it,
@@ -619,9 +571,8 @@ mod tests {
                         let values: Vec<Value> =
                             (0..rng.random_range(0..4u64)).map(|i| next + i).collect();
                         next += 10;
-                        match rng.random_range(0..3u32) {
+                        match rng.random_range(0..2u32) {
                             0 => r.send(src, &dsts, rel, &values)?,
-                            1 => r.send_shared(src, &dsts, rel, values.as_slice().into())?,
                             _ => {
                                 let relay = all[rng.random_range(0..all.len())];
                                 r.send_via(src, relay, &dsts, rel, &values)?

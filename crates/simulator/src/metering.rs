@@ -1,12 +1,13 @@
 //! Shared traffic metering, computed **in aggregate over the tree**.
 //!
-//! Both execution engines — the centralized [`Session`](crate::Session)
-//! and the pooled BSP runtime in `tamp-runtime` — charge communication on
-//! the same ledger: per round and per *directed* edge, a value multicast
-//! to several destinations traverses each edge of the union of its
-//! routing paths exactly once. [`TrafficMeter`] is that accounting,
-//! extracted so the two engines cannot drift: identical sends produce
-//! bit-identical [`Cost`]s no matter which engine executed them.
+//! The centralized [`Session`](crate::Session) and `tamp-runtime`'s
+//! schedule jobs — which price a whole schedule once per tree for both
+//! of that crate's engines — charge communication on the same ledger:
+//! per round and per *directed* edge, a value multicast to several
+//! destinations traverses each edge of the union of its routing paths
+//! exactly once. [`TrafficMeter`] is that accounting, extracted so the
+//! two cannot drift: identical sends produce bit-identical [`Cost`]s
+//! whichever of them metered them.
 //!
 //! # Output-sensitive charging
 //!
@@ -38,11 +39,11 @@
 //! So one round of any mix of sends costs O(n + sends) instead of
 //! O(sends · depth). The meter keeps no copy of the rooting of its own:
 //! the index and the per-edge table are shared (`Arc`), so cloning a
-//! meter — every `stage()`, every cluster checkpoint — copies only the
-//! accumulators and the ledger. The pre-aggregation per-path walk
-//! survives only as the hidden [`oracle`] reference implementation (used
-//! by tests asserting bit-identical ledgers on random trees and send
-//! batches, and as the `x-scale` bench baseline).
+//! meter copies only the accumulators and the ledger. The
+//! pre-aggregation per-path walk survives only as the hidden [`oracle`]
+//! reference implementation (used by tests asserting bit-identical
+//! ledgers on random trees and send batches, and as the `x-scale` bench
+//! baseline).
 
 use std::sync::Arc;
 
