@@ -433,10 +433,9 @@ impl OrchestratorBuilder {
         self
     }
 
-    /// Enable superstep checkpointing: snapshot every `every`-th
-    /// superstep boundary so replay recovery resumes from the last
-    /// completed checkpoint instead of superstep 0 (floored at 1; see
-    /// [`tamp_runtime::checkpoint`]).
+    /// Enable superstep checkpointing: replay recovery resumes from the
+    /// last `every`-th superstep boundary the aborted run passed instead
+    /// of superstep 0 (floored at 1; see [`tamp_runtime::checkpoint`]).
     pub fn checkpoints(mut self, every: usize) -> Self {
         self.checkpoint_every = Some(every);
         self

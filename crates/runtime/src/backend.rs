@@ -8,8 +8,8 @@
 //! them, so the query layer, the experiment harness and the parity tests
 //! *select* an engine instead of hand-rolling two call paths.
 //! [`SimulatorBackend`] appends every round's deliveries to a copy of the
-//! placement in one pass; [`PooledClusterBackend`] replays one round per
-//! superstep, its workers pulling each node's deliveries from the job.
+//! placement in one pass; [`PooledClusterBackend`] replays them on a
+//! worker crew, its workers pulling each node's deliveries from the job.
 //! Both first [`check`](ScheduleJob::check) the job and validate the
 //! placement against the tree, so they refuse the same inputs with the
 //! same error, and both return the job's ledger: one [`Cost`], metered
@@ -83,8 +83,8 @@ pub struct ExecOutcome {
     pub cost: Cost,
     /// Metered communication rounds (`cost.per_round.len()`).
     pub rounds: usize,
-    /// BSP supersteps executed. For the simulator this equals `rounds`;
-    /// the cluster runs `rounds + 1`, the extra superstep absorbing the
+    /// Logical BSP supersteps, not crew wakes. For the simulator this is
+    /// `rounds`; the cluster runs `rounds + 1`, the extra one absorbing the
     /// last round's deliveries into the nodes' states (the job's length
     /// is fixed, so nothing is detected there). A checkpoint-resumed run
     /// counts from superstep 0, so the total stays comparable with a
@@ -179,8 +179,8 @@ enum Crew {
     Elastic(Arc<ElasticPool>),
 }
 
-/// The pooled cluster engine: the job's rounds replayed superstep by
-/// superstep on a bounded worker pool (see [`crate::cluster`]).
+/// The pooled cluster engine: the job's rounds replayed on a bounded
+/// worker pool, one wake per window of supersteps (see [`crate::cluster`]).
 ///
 /// By default each execution spawns its own scoped thread crew. For
 /// serving workloads that run many jobs back to back, construct the
@@ -251,10 +251,10 @@ impl PooledClusterBackend {
     }
 
     /// Attach superstep checkpointing (builder-style; clones share the
-    /// store): runs snapshot at every `spec.every` superstep boundary,
-    /// park the latest snapshot under the job's
-    /// [`checkpoint_token`](ScheduleJob::checkpoint_token) on a
-    /// recoverable fault, and resume from a parked snapshot on retry.
+    /// store): a run that aborts with a recoverable fault parks a snapshot
+    /// of its last `spec.every`-th boundary under the job's
+    /// [`checkpoint_token`](ScheduleJob::checkpoint_token) and its
+    /// placement's digest; a retry of both resumes from it.
     pub fn with_checkpoints(mut self, store: Arc<CheckpointStore>, spec: CheckpointSpec) -> Self {
         self.checkpoints = Some((store, spec));
         self

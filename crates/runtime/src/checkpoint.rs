@@ -2,16 +2,17 @@
 //!
 //! Recovery in the serving arc used to be all-or-nothing: any fault
 //! aborted the run and the orchestrator replayed the *entire* schedule
-//! on a healthy crew. This module makes recovery incremental. At
-//! configurable superstep boundaries (every `k`-th barrier) the
-//! coordinator snapshots every compute node's state into a checkpoint.
-//! Nothing else needs saving: the deliveries the next superstep absorbs
-//! are read from the job, and the run's ledger is the job's, priced per
-//! tree. If the run later aborts with a *recoverable* fault,
-//! the snapshot is parked in the shared [`CheckpointStore`] under the
-//! job's checkpoint token; the retry resumes from that superstep instead
-//! of round 0, replaying strictly fewer supersteps while producing
-//! bit-identical rows and `edge_totals`:
+//! on a healthy crew. This module makes recovery incremental: the
+//! coordinator snapshots every compute node's state at the last `k`-th
+//! superstep boundary before the run's planned kill or degradation, so a
+//! healthy run snapshots nothing (under a superstep watchdog, whose
+//! timeouts are not planned, at every `k`-th boundary). Nothing else
+//! needs saving: the deliveries the next superstep absorbs are read from
+//! the job, and the ledger is the job's, priced per tree. When the run
+//! aborts with a *recoverable* fault, the snapshot is parked in the
+//! shared [`CheckpointStore`]; the retry resumes from that superstep
+//! instead of round 0, replaying strictly fewer supersteps while
+//! producing bit-identical rows and `edge_totals`:
 //!
 //! - the snapshot is taken at a barrier, when every worker is parked at
 //!   the gate — it is a consistent cut by construction;
@@ -21,12 +22,13 @@
 //!   [`ScheduleJob`](crate::jobs::ScheduleJob) fixes each round's sends
 //!   up front, so a restored run simply continues with the next round.
 //!
-//! The token is a content hash of the job's deterministic schedule, so a
-//! parked snapshot can only ever be consumed by a retry executing the
-//! *same* schedule — for which it is exact by determinism. Taking a
-//! snapshot out of the store pops it (no double resume); a run that ends
-//! any other way than a recoverable fault drops its snapshot on the
-//! floor, so the store never leaks state across unrelated queries.
+//! A snapshot is parked under the job's checkpoint token, a content hash
+//! of its schedule, with a digest of the placement its run started from:
+//! the token names the sends, not the inputs. Only a retry of the same
+//! schedule on the same placement resumes from it — for which it is exact
+//! by determinism. Taking a snapshot out of the store pops it (no double
+//! resume); a run that ends any other way than a recoverable fault drops
+//! its snapshot, so the store never leaks state across unrelated queries.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,11 +38,11 @@ use tamp_simulator::NodeState;
 
 use crate::lock_ok;
 
-/// When to snapshot: every `every`-th superstep boundary.
+/// Where a retry may resume: at a multiple of `every`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckpointSpec {
-    /// Snapshot after supersteps `every - 1`, `2·every - 1`, … (i.e.
-    /// every `every`-th completed superstep). Always ≥ 1.
+    /// Snapshot boundaries are after supersteps `every - 1`,
+    /// `2·every - 1`, …; the last one before an abort is kept. Always ≥ 1.
     pub every: usize,
 }
 
@@ -91,7 +93,7 @@ pub struct CheckpointStats {
 /// checkpoint token (see the [module docs](self)).
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
-    parked: Mutex<HashMap<u64, Checkpoint>>,
+    parked: Mutex<HashMap<u64, (u64, Checkpoint)>>,
     saved: AtomicU64,
     resumed: AtomicU64,
 }
@@ -102,20 +104,22 @@ impl CheckpointStore {
         CheckpointStore::default()
     }
 
-    /// Pop the snapshot parked under `token`, if any. Popping prevents a
-    /// stale snapshot from resuming two different runs.
-    pub(crate) fn take(&self, token: u64) -> Option<Checkpoint> {
-        let cp = lock_ok(&self.parked).remove(&token);
-        if cp.is_some() {
-            self.resumed.fetch_add(1, Ordering::Relaxed);
+    /// Pop the snapshot parked under `token` if its run started from the
+    /// placement `placement` digests (called only if one is parked);
+    /// another placement's stays. Popping prevents a double resume.
+    pub(crate) fn take(&self, token: u64, placement: impl FnOnce() -> u64) -> Option<Checkpoint> {
+        let mut parked = lock_ok(&self.parked);
+        if parked.get(&token)?.0 != placement() {
+            return None;
         }
-        cp
+        self.resumed.fetch_add(1, Ordering::Relaxed);
+        parked.remove(&token).map(|(_, cp)| cp)
     }
 
-    /// Park `cp` under `token` for the next retry of the same schedule.
-    pub(crate) fn put(&self, token: u64, cp: Checkpoint) {
+    /// Park `cp` under `token`, with its run's `placement` digest.
+    pub(crate) fn put(&self, token: u64, placement: u64, cp: Checkpoint) {
         self.saved.fetch_add(1, Ordering::Relaxed);
-        lock_ok(&self.parked).insert(token, cp);
+        lock_ok(&self.parked).insert(token, (placement, cp));
     }
 
     /// Drop every parked snapshot.
@@ -147,21 +151,31 @@ mod tests {
     fn store_parks_pops_and_counts() {
         let store = CheckpointStore::new();
         assert_eq!(store.stats(), CheckpointStats::default());
-        assert!(store.take(7).is_none(), "empty store resumes nothing");
+        assert!(store.take(7, || 1).is_none(), "empty store resumes nothing");
         assert_eq!(store.stats().resumed, 0, "a miss is not a resume");
 
         let cp = Checkpoint {
             resume_round: 4,
             states: Vec::new(),
         };
-        store.put(7, cp.clone());
-        store.put(9, cp);
+        store.put(7, 1, cp.clone());
+        store.put(9, 1, cp);
         assert_eq!(store.stats().saved, 2);
         assert_eq!(store.stats().retained, 2);
 
-        let taken = store.take(7).expect("parked snapshot pops");
+        assert!(
+            store.take(7, || 2).is_none(),
+            "another placement's snapshot"
+        );
+        assert_eq!(store.stats().resumed, 0, "a mismatch is not a resume");
+        assert_eq!(store.stats().retained, 2, "and it stays parked");
+
+        let taken = store.take(7, || 1).expect("parked snapshot pops");
         assert_eq!(taken.resume_round, 4);
-        assert!(store.take(7).is_none(), "pop semantics: no double resume");
+        assert!(
+            store.take(7, || 1).is_none(),
+            "pop semantics: no double resume"
+        );
         assert_eq!(store.stats().resumed, 1);
         assert_eq!(store.stats().retained, 1);
 

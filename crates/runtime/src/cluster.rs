@@ -1,36 +1,42 @@
-//! The pooled BSP cluster: a [`ScheduleJob`] replayed superstep by
-//! superstep on a bounded worker pool.
+//! The pooled BSP cluster: a [`ScheduleJob`] replayed on a bounded worker
+//! pool, a window of supersteps per wake.
 //!
 //! A job fixes every send of every round before anything runs — the plan
 //! is a function of the shared knowledge §2 grants every node — so the
 //! cluster runs no per-node code: it only moves the job's data. Execution
 //! is a **bounded worker pool**, not a thread per node: a fixed crew of OS
 //! threads (default: available parallelism) claims compute-node slots
-//! from a shared queue each superstep, so a 2048-node — or 100k-node —
+//! from a shared queue each window, so a 2048-node — or 100k-node —
 //! topology runs on a laptop without 2048 stacks. Logical nodes are
-//! decoupled from OS-level resources; only the superstep barrier is
-//! global.
+//! decoupled from OS-level resources; only the window barrier is global.
 //!
-//! A superstep is one wake and one barrier. The coordinator wakes the
-//! crew; a worker absorbs each slot it claims — appends the node's
-//! deliveries of the previous round, read straight from the job's
-//! per-destination index, to its state, and leaves a report (absorbed or
-//! killed) in the slot — and sends one "drained" token when the queue is
-//! empty. Once every worker's token is in, the coordinator reads the
-//! reports in node-id order and takes a checkpoint if one is due. It
-//! neither meters nor delivers: every node appends its deliveries in the
-//! index's order (sources ascending, issue order within a source), so
-//! final states are bit-identical for *any* worker count, and the run's
-//! ledger is the job's, priced once per tree. A superstep allocates
-//! nothing per node once the fragments have grown.
+//! No node ever reads another node's state, so the crew is woken once
+//! per *window* of consecutive supersteps, cut at run start only where
+//! the coordinator must act: under a
+//! [`superstep_deadline`](ClusterOptions::superstep_deadline) every
+//! superstep is a window; otherwise the armed fault plan fixes the abort
+//! (before a degradation's superstep, or after a kill's, which is a
+//! window of its own), and a checkpointed run is also cut where its retry
+//! would resume. A healthy run is one window. A worker absorbs each slot
+//! it claims — appends the node's deliveries of the window's rounds, read
+//! from the job's per-destination index, to its state, and leaves a
+//! report (absorbed or killed) in the slot — and sends one "drained"
+//! token when the queue is empty. Then the coordinator reads the reports
+//! in node-id order and snapshots if the window ends on a due boundary.
+//! It neither meters nor delivers: every node appends its deliveries in
+//! the index's order (rounds, then sources, ascending), so final states
+//! are bit-identical for *any* worker count and window cut, and the
+//! run's ledger is the job's, priced once per tree.
 //!
-//! A job of `R` rounds takes `R + 1` supersteps. Superstep `i` absorbs
-//! what round `i − 1` delivered; superstep 0 absorbs nothing, and the
-//! last one, superstep `R`, is needed because round `R − 1`'s data must
-//! land in the nodes' states before the run can hand them back. It adds
-//! no round to the ledger. It is not termination detection: the job's
-//! length is known before the run starts.
+//! A job of `R` rounds takes `R + 1` logical supersteps. Superstep `i`
+//! absorbs what round `i − 1` delivered; superstep 0 absorbs nothing,
+//! and the last one, superstep `R`, lands round `R − 1`'s data in the
+//! nodes' states before the run hands them back. It adds no round to the
+//! ledger and is not termination detection: the job's length is known
+//! before the run starts.
 
+use std::collections::BTreeSet;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Condvar, Mutex};
@@ -43,7 +49,7 @@ use crate::backend::ExecOutcome;
 use crate::checkpoint::{Checkpoint, CheckpointSpec, CheckpointStore};
 use crate::error::RuntimeError;
 use crate::fault::{FaultEvent, FaultInjector, FaultKind, ResolvedFaults};
-use crate::jobs::ScheduleJob;
+use crate::jobs::{placement_digest, ScheduleJob};
 use crate::pool::WorkerPool;
 
 /// Execution options.
@@ -55,9 +61,9 @@ pub struct ClusterOptions {
     pub workers: Option<usize>,
     /// Straggler watchdog: abort a superstep that has not gathered every
     /// node report within this wall-clock deadline, with the typed
-    /// [`RuntimeError::SuperstepTimeout`]. `None` (the default) waits
-    /// forever — results are then bit-identical no matter how slow a
-    /// worker is.
+    /// [`RuntimeError::SuperstepTimeout`]; a watched run wakes the crew
+    /// once per superstep. `None` (the default) waits forever, one wake
+    /// per window — results are bit-identical however slow a worker is.
     pub superstep_deadline: Option<Duration>,
 }
 
@@ -89,31 +95,30 @@ impl ClusterOptions {
     }
 }
 
-/// One compute node's slot in the pool: its state and this superstep's
-/// report. Workers claim slots by index; each slot is touched by exactly
-/// one worker per superstep, and by the coordinator only between
-/// supersteps.
+/// One compute node's slot in the pool: its state and this window's
+/// report. Workers claim slots by index; each slot is touched by one
+/// worker per window, and by the coordinator only between windows.
 struct Slot {
     state: NodeState,
-    /// `None` until the node's superstep is done; the coordinator takes
+    /// `None` until the node's window is done; the coordinator takes
     /// it after the barrier.
     report: Option<Report>,
 }
 
-/// How one node's superstep ended.
+/// How one node's window ended.
 enum Report {
-    /// The previous round's deliveries landed in the node's state.
+    /// The window's deliveries landed in the node's state.
     Absorbed,
     /// An injected fault killed this node.
     Killed,
 }
 
-/// The superstep gate: workers sleep on it between rounds.
+/// The window gate: workers sleep on it between windows.
 struct Gate {
-    /// Bumped once per superstep; workers run when they see a fresh value.
+    /// Bumped once per window; workers run when they see a fresh value.
     generation: u64,
-    /// Current superstep number.
-    round: usize,
+    /// The supersteps of the current window.
+    window: Range<usize>,
     /// Set when the run is over and workers should exit.
     stop: bool,
 }
@@ -132,7 +137,7 @@ impl Drop for StopOnDrop<'_> {
 }
 
 /// Sends a worker's drained token when dropped. A worker holds one while
-/// it claims slots, so it reports in even if it unwinds mid-superstep;
+/// it claims slots, so it reports in even if it unwinds mid-window;
 /// the coordinator then finds a slot without a report, panics on it, and
 /// releases the crew through [`StopOnDrop`] instead of waiting at the
 /// barrier forever.
@@ -163,37 +168,42 @@ pub(crate) struct RunHooks<'a> {
     /// a persistent [`WorkerPool`]. Results are bit-identical either way.
     pub pool: Option<&'a WorkerPool>,
     /// The fault-injection arming point: the front armed plan is
-    /// consumed at run start.
+    /// consumed and validated at run start. Kills and degradations abort
+    /// the run with a typed recoverable error, stalls delay a worker (and
+    /// trip the watchdog under a deadline); fired faults are recorded.
     pub fault: Option<&'a FaultInjector>,
-    /// Superstep checkpointing, keyed by
-    /// [`ScheduleJob::checkpoint_token`].
+    /// On a recoverable abort, park a snapshot at the last `spec.every`-th
+    /// boundary the run passed; the next run with the same token and
+    /// placement resumes from it instead of superstep 0.
     pub checkpoint: Option<CheckpointHook<'a>>,
 }
 
+/// The windows the crew runs over supersteps `resume..=rounds`, one wake
+/// each (see the module docs): one per superstep when `watched`, else cut
+/// only where `faults` abort the run, which is where they stop, and at the
+/// last multiple of `every` up to the abort, the retry's resume point.
+fn windows(
+    resume: usize,
+    rounds: usize,
+    watched: bool,
+    faults: Option<&ResolvedFaults>,
+    every: Option<usize>,
+) -> Vec<Range<usize>> {
+    let abort = faults.and_then(|f| f.abort(resume, rounds));
+    let stop = abort.as_ref().map_or(rounds + 1, |a| a.end);
+    let at = abort.map(|a| a.start);
+    let snapshot = at.zip(every).map(|(a, k)| a / k * k);
+    let steps = (resume..stop).filter(|&c| watched || c == resume);
+    let cuts: BTreeSet<usize> = steps.chain(at).chain(snapshot).chain([stop]).collect();
+    let cuts: Vec<usize> = cuts.into_iter().filter(|&c| c >= resume).collect();
+    cuts.windows(2).map(|w| w[0]..w[1]).collect()
+}
+
 /// Replay `job` from `placement` on the pool: supersteps `0..=rounds`
-/// (see the module docs). The caller has
-/// [`check`](ScheduleJob::check)ed the job and validated the placement
-/// against `tree`, so every endpoint is a compute node and the placement
-/// has one fragment per node.
-///
-/// `hooks` attaches the optional machinery of the serving layer:
-///
-/// - [`RunHooks::pool`]: `None` spawns a scoped crew for this run (the
-///   default), `Some` dispatches the worker loop onto a persistent
-///   [`WorkerPool`] shared across runs. Results are bit-identical either
-///   way.
-/// - [`RunHooks::fault`]: the [`FaultInjector`] arming point. The front
-///   armed [`FaultPlan`](crate::fault::FaultPlan) is consumed at run
-///   start (validated against `tree` first); planned kills stop the
-///   affected nodes and abort the run with
-///   [`RuntimeError::InjectedFault`], planned degradations abort with
-///   [`RuntimeError::LinkDegraded`], planned stalls delay a worker (and
-///   trip the watchdog when a deadline is configured). Fired faults are
-///   recorded back into the injector's event log.
-/// - [`RunHooks::checkpoint`]: snapshot the cluster at every `spec.every`
-///   superstep boundary; on a *recoverable* abort the latest snapshot is
-///   parked in the store, and the next run with the same token resumes
-///   from it instead of superstep 0.
+/// (see the module docs), with the serving layer's optional [`RunHooks`].
+/// The caller has [`check`](ScheduleJob::check)ed the job and validated
+/// the placement against `tree`, so every endpoint is a compute node and
+/// the placement has one fragment per node.
 pub(crate) fn replay(
     tree: &Tree,
     placement: &Placement,
@@ -232,13 +242,13 @@ pub(crate) fn replay(
     };
 
     // Partial restart: pop the snapshot a previous faulted run of this
-    // same schedule parked, restore the states from it, and start the
-    // superstep loop where it left off; that superstep pulls its
-    // deliveries from the job like any other.
+    // same schedule and placement parked, restore the states from it, and
+    // start where it left off; that superstep pulls its deliveries from
+    // the job like any other.
     let mut latest_cp: Option<Checkpoint> = hooks
         .checkpoint
         .as_ref()
-        .and_then(|h| h.store.take(h.token));
+        .and_then(|h| h.store.take(h.token, || placement_digest(placement)));
     let resume_round = latest_cp.as_ref().map_or(0, |cp| cp.resume_round);
     let resumed_from = latest_cp.as_ref().map(|cp| cp.resume_round);
     if let Some(cp) = &latest_cp {
@@ -255,32 +265,37 @@ pub(crate) fn replay(
     // big topologies, fine enough to balance skewed per-node work.
     let chunk = (n / (workers * 8)).clamp(1, 64);
 
-    let cursor = AtomicUsize::new(n); // exhausted until the first round opens
+    // Every abort is planned at run start, so the windows are too.
+    let every = hooks.checkpoint.as_ref().map(|h| h.spec.every);
+    let watched = options.superstep_deadline.is_some();
+    let windows = windows(resume_round, rounds, watched, resolved.as_ref(), every);
+
+    let cursor = AtomicUsize::new(n); // exhausted until the first window opens
     let gate = Mutex::new(Gate {
         generation: 0,
-        round: 0,
+        window: 0..0,
         stop: false,
     });
     let gate_cv = Condvar::new();
-    // One token per worker per superstep: the worker found the claim
+    // One token per worker per window: the worker found the claim
     // queue exhausted and went back to the gate. The coordinator collects
     // every worker's before reading the slots or reopening the queue —
     // otherwise a straggler could re-claim nodes from the fresh queue
-    // under a stale round.
+    // under a stale window.
     let (drained_tx, drained_rx) = channel::<()>();
 
     let mut fired_events: Vec<FaultEvent> = Vec::new();
     let mut outcome: Result<(), RuntimeError> = Ok(());
 
-    // One worker's whole run: absorb claimed slots superstep by
-    // superstep until the coordinator raises the stop flag. Shared
-    // between the scoped per-run crew and the persistent pool — each pool
-    // thread runs this same closure.
+    // One worker's whole run: absorb claimed slots window by window until
+    // the coordinator raises the stop flag. Shared between the scoped
+    // per-run crew and the persistent pool — each pool thread runs this
+    // same closure.
     let worker_body = |_idx: usize| {
         let mut seen_generation = 0u64;
         loop {
-            // Sleep until the coordinator opens a new superstep.
-            let round = {
+            // Sleep until the coordinator opens a new window.
+            let window = {
                 let mut g = gate.lock().unwrap();
                 while g.generation == seen_generation && !g.stop {
                     g = gate_cv.wait(g).unwrap();
@@ -289,7 +304,7 @@ pub(crate) fn replay(
                     return;
                 }
                 seen_generation = g.generation;
-                g.round
+                g.window.clone()
             };
             let _drained = DrainedOnDrop(&drained_tx);
             // Claim and absorb slots until the queue drains.
@@ -303,65 +318,43 @@ pub(crate) fn replay(
                     let mut slot = claimed.lock().unwrap();
                     let Slot { state, report } = &mut *slot;
                     // An injected fault: from its fail round on, this
-                    // node is dead and absorbs nothing. A stalled
-                    // (straggling) node sleeps through its stall round
-                    // first — harmless without a watchdog deadline, fatal
-                    // with one.
+                    // node is dead and absorbs nothing (a kill's superstep
+                    // is a window of its own). A stalled (straggling) node
+                    // sleeps through its stall round first — harmless
+                    // without a watchdog deadline, fatal with one.
                     if let Some(res) = &resolved {
-                        if round >= res.fail[node.index()] {
+                        if res.fail[node.index()] < window.end {
                             *report = Some(Report::Killed);
                             continue;
                         }
                         if let Some((stall_round, delay)) = res.stall[node.index()] {
-                            if round == stall_round {
+                            if window.contains(&stall_round) {
                                 std::thread::sleep(delay);
                             }
                         }
                     }
                     // BSP: data sent in round i is state in i+1.
-                    job.deliver(*node, round.saturating_sub(1)..round, state);
+                    job.deliver(*node, window.start.saturating_sub(1)..window.end - 1, state);
                     *report = Some(Report::Absorbed);
                 }
             }
         }
     };
 
-    // The coordinator: opens supersteps, gathers reports and takes
+    // The coordinator: opens windows, gathers reports and takes
     // checkpoints; leaving it tears the crew down (persistent pool workers
     // go back to sleep, scoped workers exit).
     let mut coordinator = || {
         let _stop = StopOnDrop(&gate, &gate_cv);
-        for round in resume_round..=rounds {
-            // A planned link degradation fires *before* its superstep
-            // executes: the run aborts with the typed error so the
-            // serving layer can re-weight the topology and re-price,
-            // while the latest checkpoint covers every superstep up to
-            // the degradation point.
-            if let Some(res) = &resolved {
-                if let Some(&(edge, fault_round, factor)) =
-                    res.degrades.iter().find(|&&(_, r, _)| r <= round)
-                {
-                    fired_events.push(FaultEvent {
-                        node: tree.deeper_endpoint(edge),
-                        round: fault_round,
-                        kind: FaultKind::LinkDegraded { edge, factor },
-                    });
-                    outcome = Err(RuntimeError::LinkDegraded {
-                        edge,
-                        round: fault_round,
-                        factor,
-                    });
-                    return;
-                }
-            }
-
-            // Open the superstep: reset the claim queue, then wake the
-            // pool. The store is ordered before the wake by the gate lock.
+        for window in &windows {
+            // Open the window: reset the claim queue, then wake the pool.
+            // The store is ordered before the wake by the gate lock.
+            let round = window.start;
             cursor.store(0, Ordering::Relaxed);
             {
                 let mut g = gate.lock().unwrap();
                 g.generation += 1;
-                g.round = round;
+                g.window = window.clone();
             }
             gate_cv.notify_all();
 
@@ -427,17 +420,14 @@ pub(crate) fn replay(
                 });
                 return;
             }
-            if round == rounds {
-                return; // the last round's deliveries have landed
-            }
 
-            // Superstep boundary: every worker is parked at the gate (one
+            // Window boundary: every worker is parked at the gate (one
             // drained token per worker was gathered), so the slots form a
             // consistent cut — snapshot them if the cadence says so.
             if let Some(h) = &hooks.checkpoint {
-                if (round + 1) % h.spec.every == 0 {
+                if window.end <= rounds && window.end % h.spec.every == 0 {
                     latest_cp = Some(Checkpoint {
-                        resume_round: round + 1,
+                        resume_round: window.end,
                         states: slots
                             .iter()
                             .map(|s| s.lock().unwrap().state.clone())
@@ -445,6 +435,23 @@ pub(crate) fn replay(
                     });
                 }
             }
+        }
+
+        // Every window ran: a degradation planned inside the run fires
+        // before the superstep the windows stop short of, so the serving
+        // layer can re-weight and re-price; the snapshot covers the rest.
+        let planned = resolved.as_ref().and_then(|r| r.degrades.first());
+        if let Some(&(edge, round, factor)) = planned.filter(|d| d.1 <= rounds) {
+            fired_events.push(FaultEvent {
+                node: tree.deeper_endpoint(edge),
+                round,
+                kind: FaultKind::LinkDegraded { edge, factor },
+            });
+            outcome = Err(RuntimeError::LinkDegraded {
+                edge,
+                round,
+                factor,
+            });
         }
     };
 
@@ -470,7 +477,7 @@ pub(crate) fn replay(
     if let (Some(h), Err(e)) = (&hooks.checkpoint, &outcome) {
         if e.is_recoverable() {
             if let Some(cp) = latest_cp.take() {
-                h.store.put(h.token, cp);
+                h.store.put(h.token, placement_digest(placement), cp);
             }
         }
     }
@@ -496,9 +503,13 @@ mod tests {
     use crate::backend::{ExecBackend, ExecError, PooledClusterBackend, SimulatorBackend};
     use crate::fault::FaultPlan;
     use crate::jobs::{Schedule, ScheduleSend};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::panic::AssertUnwindSafe;
+    use std::sync::Arc;
     use tamp_simulator::Rel;
-    use tamp_topology::{builders, NodeId};
+    use tamp_topology::{builders, EdgeId, NodeId};
 
     /// A ring schedule: in each of `rounds` rounds, compute node `v` sends
     /// `[v*100 + round]` to its ring successor.
@@ -778,7 +789,7 @@ mod tests {
         // sees `stop` when the guard is dropped by a panic.
         let gate = Mutex::new(Gate {
             generation: 0,
-            round: 0,
+            window: 0..0,
             stop: false,
         });
         let cv = Condvar::new();
@@ -852,6 +863,163 @@ mod tests {
             assert_eq!(run.cost.edge_totals, runs[0].cost.edge_totals);
             assert_eq!(run.supersteps, runs[0].supersteps);
             assert_eq!(run.final_state, runs[0].final_state);
+        }
+    }
+
+    #[test]
+    #[allow(clippy::single_range_in_vec_init)] // one window is the point
+    fn windows_are_cut_only_where_the_coordinator_acts() {
+        let tree = builders::star(4, 1.0);
+        let (_, uplink) = tree.parent0(NodeId(2)).expect("leaf has uplink");
+        let cut = |resume, watched, plan: FaultPlan, every| {
+            windows(resume, 6, watched, Some(&plan.resolve(&tree)), every)
+        };
+        let kill = |round| FaultPlan::new().kill_worker(NodeId(2), round);
+        let degrade = |round| FaultPlan::new().degrade_edge(uplink, round, 2.0);
+
+        // A healthy run is one wake, checkpointed or not.
+        assert_eq!(windows(0, 6, false, None, None), [0..7]);
+        assert_eq!(windows(0, 6, false, None, Some(2)), [0..7]);
+        assert_eq!(cut(3, false, FaultPlan::new(), Some(2)), [3..7]);
+        assert_eq!(cut(0, false, kill(7), Some(2)), [0..7]);
+        let stall = FaultPlan::new().stall_worker(NodeId(1), 2, Duration::ZERO);
+        assert_eq!(cut(0, false, stall, Some(2)), [0..7]);
+        // A kill's superstep is a window of its own, after the boundary
+        // the retry resumes from.
+        assert_eq!(cut(0, false, kill(4), Some(2)), [0..4, 4..5]);
+        assert_eq!(cut(0, false, kill(5), Some(2)), [0..4, 4..5, 5..6]);
+        assert_eq!(cut(0, false, kill(5), None), [0..5, 5..6]);
+        assert_eq!(cut(0, false, kill(0), Some(2)), [0..1]);
+        // A degradation stops the run before its superstep.
+        assert_eq!(cut(0, false, degrade(3), Some(2)), [0..2, 2..3]);
+        assert_eq!(cut(0, false, degrade(3), None), [0..3]);
+        // A tie goes to the degradation: superstep 3 never runs.
+        let both = degrade(3).kill_worker(NodeId(1), 3);
+        assert_eq!(cut(0, false, both, None), [0..3]);
+        // A resume past the fault's round cuts at the resume.
+        assert_eq!(cut(4, false, kill(2), Some(2)), [4..5]);
+        assert_eq!(cut(4, false, degrade(2), Some(2)), []);
+        // A watched run has one window per superstep.
+        assert_eq!(windows(3, 6, true, None, None), [3..4, 4..5, 5..6, 6..7]);
+        assert_eq!(cut(2, true, kill(4), Some(2)), [2..3, 3..4, 4..5]);
+    }
+
+    #[test]
+    fn a_parked_checkpoint_resumes_only_its_own_placement() {
+        // The token names the schedule, not the placement: a snapshot
+        // parked by a run on A must not resume a run on B.
+        let tree = builders::star(4, 1.0);
+        let job = ring_job(&tree, 6);
+        let placement = |s0: u64| {
+            let mut p = Placement::empty(&tree);
+            p.set_s(NodeId(0), vec![s0]);
+            p
+        };
+        let (a, b) = (placement(111), placement(222));
+        let store = Arc::new(CheckpointStore::new());
+        let inj = Arc::new(FaultInjector::new());
+        let backend = PooledClusterBackend::default()
+            .with_fault_injector(Arc::clone(&inj))
+            .with_checkpoints(Arc::clone(&store), CheckpointSpec::every(2));
+        inj.arm(FaultPlan::new().kill_worker(NodeId(2), 4));
+        backend.execute(&tree, &a, &job).unwrap_err();
+        assert_eq!(store.stats().retained, 1);
+
+        let on_b = backend.execute(&tree, &b, &job).unwrap();
+        let healthy_b = SimulatorBackend.execute(&tree, &b, &job).unwrap();
+        assert_eq!(on_b.resumed_from, None);
+        assert_eq!(on_b.final_state, healthy_b.final_state);
+        assert_eq!(on_b.final_state[0].s[0], 222);
+        let stats = store.stats();
+        assert_eq!((stats.resumed, stats.retained), (0, 1), "A's stays parked");
+
+        let on_a = backend.execute(&tree, &a, &job).unwrap();
+        assert_eq!(on_a.resumed_from, Some(4));
+        let healthy_a = SimulatorBackend.execute(&tree, &a, &job).unwrap();
+        assert_eq!(on_a.final_state, healthy_a.final_state);
+        assert_eq!(store.stats().resumed, 1);
+    }
+
+    /// A ring job on a random tree with random fragments, and a random
+    /// plan of kills, detaches, degradations and short stalls, each
+    /// landing anywhere from superstep 0 to past the run's end.
+    fn random_faulted_ring(seed: u64) -> (Tree, Placement, ScheduleJob, FaultPlan) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tree = builders::random_tree(
+            rng.random_range(2..7usize),
+            rng.random_range(1..3usize),
+            0.5,
+            8.0,
+            seed ^ 0x5EED,
+        );
+        let vc = tree.compute_nodes().to_vec();
+        let mut p = Placement::empty(&tree);
+        for &v in &vc {
+            p.set_r(v, (0..rng.random_range(0..3u64)).collect());
+        }
+        let rounds = rng.random_range(1..8usize);
+        let job = ring_job(&tree, rounds);
+        let mut plan = FaultPlan::new();
+        for _ in 0..rng.random_range(0..4usize) {
+            let at = rng.random_range(0..rounds + 2);
+            let v = vc[rng.random_range(0..vc.len())];
+            plan = match rng.random_range(0..4u32) {
+                0 => plan.kill_worker(v, at),
+                1 => plan.detach_subtree(
+                    NodeId::from_index(rng.random_range(0..tree.num_nodes())),
+                    at,
+                ),
+                2 => plan.degrade_edge(
+                    EdgeId(rng.random_range(0..tree.num_edges()) as u32),
+                    at,
+                    2.0,
+                ),
+                _ => plan.stall_worker(v, at, Duration::from_micros(rng.random_range(0..2_000))),
+            };
+        }
+        (tree, p, job, plan)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// An unwatched run wakes once per window; the same plan under a
+        /// deadline no stall can reach takes the per-superstep path. Both
+        /// must fail the same way, fire the same events, park the same
+        /// snapshot and let the retry resume to the same states.
+        #[test]
+        fn unwatched_runs_match_the_per_superstep_path(seed in 0u64..1_000_000, every in 1usize..5) {
+            let (tree, p, job, plan) = random_faulted_ring(seed);
+            let shared = WorkerPool::new(2);
+            let watched = Duration::from_secs(60);
+            for (options, pool) in [
+                (ClusterOptions::with_workers(1), None),
+                (ClusterOptions::with_workers(3), None),
+                (ClusterOptions::default(), Some(&shared)),
+            ] {
+                let run_and_retry = |options: ClusterOptions| {
+                    let store = CheckpointStore::new();
+                    let inj = FaultInjector::new();
+                    inj.arm(plan.clone());
+                    let hooks = || RunHooks {
+                        pool,
+                        fault: Some(&inj),
+                        checkpoint: Some(CheckpointHook {
+                            store: &store,
+                            spec: CheckpointSpec::every(every),
+                            token: 1,
+                        }),
+                    };
+                    let outcome = |r: ExecOutcome| (r.resumed_from, r.final_state);
+                    let first = replay(&tree, &p, &job, options, hooks()).map(outcome);
+                    let fired = inj.fired();
+                    let stats = store.stats();
+                    let retry = replay(&tree, &p, &job, options, hooks()).map(outcome);
+                    (first, fired, stats, retry)
+                };
+                let oracle = run_and_retry(options.with_superstep_deadline(watched));
+                prop_assert_eq!(run_and_retry(options), oracle);
+            }
         }
     }
 }

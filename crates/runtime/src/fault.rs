@@ -44,6 +44,7 @@
 //! a silent no-op.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -274,6 +275,21 @@ pub(crate) struct ResolvedFaults {
     pub stall: Vec<Option<(usize, Duration)>>,
     /// Degradations as `(edge, round, factor)`, sorted by `(round, edge)`.
     pub degrades: Vec<(EdgeId, usize, f64)>,
+}
+
+impl ResolvedFaults {
+    /// Where this plan aborts a run over supersteps `resume..=last`:
+    /// `a..a + 1` if the first kill stops nodes at superstep `a`, `d..d`
+    /// if a degradation fires before superstep `d`, whichever is first
+    /// (a tie goes to the degradation); `None` if the run completes.
+    pub(crate) fn abort(&self, resume: usize, last: usize) -> Option<Range<usize>> {
+        let first = |r: Option<usize>| r.map(|r| r.max(resume)).filter(|&r| r <= last);
+        let kill = first(self.fail.iter().min().copied()).map(|a| a..a + 1);
+        let degrade = first(self.degrades.first().map(|d| d.1)).map(|d| d..d);
+        kill.into_iter()
+            .chain(degrade)
+            .min_by_key(|w| (w.start, w.end))
+    }
 }
 
 /// What kind of fault fired.

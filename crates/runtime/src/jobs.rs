@@ -17,7 +17,7 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use tamp_simulator::cost::Cost;
-use tamp_simulator::{NodeState, Rel, TrafficMeter, Value};
+use tamp_simulator::{NodeState, Placement, Rel, TrafficMeter, Value};
 use tamp_topology::{NodeId, Tree};
 
 use crate::error::RuntimeError;
@@ -140,7 +140,7 @@ impl DeliveryIndex {
 
 /// A [`Schedule`] ready to replay on either engine: both append each
 /// node's deliveries from the job's per-destination index — the
-/// simulator every round at once, the cluster one round per superstep —
+/// simulator every round at once, the cluster a window of rounds a wake —
 /// and both return the job's ledger, metered once per tree.
 #[derive(Clone, Debug)]
 pub struct ScheduleJob {
@@ -175,9 +175,9 @@ impl ScheduleJob {
     }
 
     /// Rounds in the underlying schedule: one superstep each on the
-    /// simulator. The cluster runs `rounds() + 1` supersteps; the extra
-    /// one absorbs the last round's deliveries into the nodes' states. It
-    /// is not termination detection — the length is fixed here.
+    /// simulator. The cluster runs `rounds() + 1` logical supersteps, not
+    /// wakes; the extra one absorbs the last round's deliveries. It is
+    /// not termination detection — the length is fixed here.
     pub fn rounds(&self) -> usize {
         self.schedule.rounds.len()
     }
@@ -282,6 +282,14 @@ impl ScheduleJob {
             state.rel_mut(send.rel).extend_from_slice(&send.values);
         }
     }
+}
+
+/// The digest of its run's placement a parked checkpoint is filed with:
+/// the token names the schedule, not the inputs it ran on.
+pub(crate) fn placement_digest(placement: &Placement) -> u64 {
+    let mut h = DefaultHasher::new();
+    placement.fragments().hash(&mut h);
+    h.finish()
 }
 
 #[cfg(test)]

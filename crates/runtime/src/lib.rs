@@ -15,7 +15,7 @@
 //! they do themselves is move data. On the cluster, a **bounded worker
 //! pool** (default: available parallelism) appends each compute node's
 //! deliveries, read from the job's per-destination index, to its state
-//! every superstep, so topologies with thousands of compute nodes
+//! a window of supersteps per wake, so topologies with thousands of nodes
 //! execute with a handful of OS threads.
 //!
 //! The [`programs`] module keeps one hand-written per-node derivation,

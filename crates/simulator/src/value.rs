@@ -18,7 +18,7 @@ pub enum Rel {
 
 /// The data held by one compute node: the local fragments of `R` and `S`,
 /// i.e. `X_i(v)` in the paper's notation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct NodeState {
     /// Local fragment of `R`.
     pub r: Vec<Value>,
