@@ -14,14 +14,32 @@
 use tamp_simulator::{SimError, Value};
 use tamp_topology::NodeId;
 
+/// Node ids below this pack into one 21-bit field of a [`packed`] key.
+const PACK_LIMIT: u32 = (1 << 21) - 1;
+
+/// A sort key whose numeric order is the lexicographic order of the
+/// destination vectors: `(d₀+1)<<42 | (d₁+1)<<21 | (d₂+1)`, 0 for an
+/// absent slot, so a prefix sorts first. `u64::MAX` (above every packed
+/// key) marks a vector of more than three nodes or an id of at least
+/// [`PACK_LIMIT`], which only the slice comparator can order.
+fn packed(dsts: &[NodeId]) -> u64 {
+    if dsts.len() > 3 || dsts.iter().any(|d| d.0 >= PACK_LIMIT) {
+        return u64::MAX;
+    }
+    (0..3).fold(0, |key, i| {
+        key << 21 | dsts.get(i).map_or(0, |d| u64::from(d.0) + 1)
+    })
+}
+
 /// Scratch for grouping one node's sends; reuse it across nodes.
 #[derive(Default)]
 pub(crate) struct SendGroups {
     /// Destination vectors of the pushed values, concatenated; each is
     /// sorted and duplicate-free.
     dsts: Vec<NodeId>,
-    /// Per pushed value: its run `start..end` of `dsts`, and the value.
-    entries: Vec<(u32, u32, Value)>,
+    /// Per pushed value: its destination vector's [`packed`] key, its run
+    /// `start..end` of `dsts`, and the value.
+    entries: Vec<(u64, u32, u32, Value)>,
     /// The values in emission order (rebuilt by [`SendGroups::drain`]).
     vals: Vec<Value>,
 }
@@ -42,7 +60,8 @@ impl SendGroups {
         }
         self.dsts.truncate(end);
         if end > start {
-            self.entries.push((start as u32, end as u32, value));
+            let key = packed(&self.dsts[start..]);
+            self.entries.push((key, start as u32, end as u32, value));
         }
     }
 
@@ -54,13 +73,19 @@ impl SendGroups {
         mut emit: impl FnMut(&[NodeId], &[Value]) -> Result<(), SimError>,
     ) -> Result<(), SimError> {
         let dsts = &self.dsts;
-        let key = |e: &(u32, u32, Value)| &dsts[e.0 as usize..e.1 as usize];
+        let key = |e: &(u64, u32, u32, Value)| &dsts[e.1 as usize..e.2 as usize];
         // `start` grows with every push, so it breaks ties in push order
-        // and an unstable (allocation-free) sort is deterministic.
-        self.entries
-            .sort_unstable_by(|a, b| key(a).cmp(key(b)).then(a.0.cmp(&b.0)));
+        // and an unstable (allocation-free) sort is deterministic. Packed
+        // keys order as their vectors, so they sort as integers unless a
+        // vector did not pack.
+        if self.entries.iter().all(|e| e.0 != u64::MAX) {
+            self.entries.sort_unstable_by_key(|e| (e.0, e.1));
+        } else {
+            self.entries
+                .sort_unstable_by(|a, b| key(a).cmp(key(b)).then(a.1.cmp(&b.1)));
+        }
         self.vals.clear();
-        self.vals.extend(self.entries.iter().map(|e| e.2));
+        self.vals.extend(self.entries.iter().map(|e| e.3));
         let mut start = 0;
         let result = self
             .entries
@@ -112,6 +137,51 @@ mod tests {
         assert!(drained(&mut g).is_empty());
         g.push(1, [NodeId(0)]);
         assert_eq!(drained(&mut g), vec![(vec![0], vec![1])]);
+    }
+
+    /// Random pushes of 0–5 destinations, drained against the slice
+    /// order: up to three small ids (every key packs), up to five (the
+    /// longer vectors do not), and ids up to and past the packing limit.
+    #[test]
+    fn packed_keys_drain_in_the_slice_order() {
+        use std::collections::BTreeMap;
+
+        let edge = [
+            PACK_LIMIT - 2,
+            PACK_LIMIT - 1,
+            PACK_LIMIT,
+            PACK_LIMIT + 1,
+            u32::MAX,
+        ];
+        let mut g = SendGroups::default();
+        for seed in 0..80u64 {
+            let rnd = |x: u64| crate::hashing::mix64(seed << 32 ^ x);
+            let (most, edges) = [(3, false), (5, false), (5, true), (3, true)][seed as usize % 4];
+            let pick = |x: u64| match rnd(x) % 9 {
+                k if edges && k < 5 => edge[k as usize],
+                k => k as u32,
+            };
+            let mut want: BTreeMap<Vec<u32>, Vec<Value>> = BTreeMap::new();
+            for i in 0..200u64 {
+                let mut dsts: Vec<u32> =
+                    (0..rnd(i) % (most + 1)).map(|j| pick(i << 3 | j)).collect();
+                g.push(i, dsts.iter().map(|&d| NodeId(d)));
+                dsts.sort_unstable();
+                dsts.dedup();
+                if !dsts.is_empty() {
+                    want.entry(dsts).or_default().push(i);
+                }
+            }
+            let all_pack = g.entries.iter().all(|e| e.0 != u64::MAX);
+            assert_eq!(all_pack, seed % 4 == 0, "seed {seed}");
+            let want: Vec<_> = want.into_iter().collect();
+            assert_eq!(drained(&mut g), want, "seed {seed}");
+        }
+        let keys = [&[][..], &[0, 5], &[0, 5, 7], &[1], &[PACK_LIMIT - 2; 3][..]]
+            .map(|d| packed(&d.iter().map(|&d| NodeId(d)).collect::<Vec<_>>()));
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        assert_eq!(packed(&[NodeId(PACK_LIMIT)]), u64::MAX);
+        assert_eq!(packed(&[NodeId(0); 4]), u64::MAX);
     }
 
     #[test]

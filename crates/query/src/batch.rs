@@ -2,8 +2,9 @@
 //!
 //! A [`RecordBatch`] stores a fixed number of columns as shared
 //! `Arc<[Value]>` allocations — the same zero-copy currency the exchange
-//! fabric ships in `ScheduleSend::values` — so replicating a batch to
-//! another node's fragment list is a reference-count bump, not a copy.
+//! fabric ships in `ScheduleSend::values`, as ranges of one buffer per
+//! exchange — so replicating a batch to another node's fragment list is a
+//! reference-count bump, not a copy.
 //! A registered table holds one batch per node, operators and strategies
 //! pass batch lists, and a query result keeps the batches its last
 //! operator produced; rows ([`Row`]) are built from them only when asked
@@ -13,12 +14,13 @@
 //! list is read as the concatenation of its batches, so batch boundaries
 //! carry no meaning — only the row sequence does. On the wire a payload
 //! is row-major: each row's values in column order, rows back to back
-//! ([`flatten_batches`], [`flatten_multi`]), and one payload is one send.
+//! ([`flatten_batches`], `flatten_multi`), and one payload is one send.
 
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
-use tamp_simulator::Value;
+use tamp_simulator::{SharedSlice, Value};
 
 use crate::row::Row;
 
@@ -226,7 +228,11 @@ pub fn head(batches: &[RecordBatch], n: usize) -> Vec<RecordBatch> {
 /// Select rows spanning a node's batch list: `idx` holds `(batch, row)`
 /// pairs in output order. Column slices are resolved once per column, and
 /// a one-batch list (what a scan leaves on a node) is indexed directly.
-pub fn gather_multi(batches: &[RecordBatch], idx: &[(u32, u32)], width: usize) -> RecordBatch {
+pub(crate) fn gather_multi(
+    batches: &[RecordBatch],
+    idx: &[(u32, u32)],
+    width: usize,
+) -> RecordBatch {
     let mut slices: Vec<&[Value]> = Vec::new();
     let cols = (0..width)
         .map(|c| {
@@ -248,15 +254,19 @@ pub fn gather_multi(batches: &[RecordBatch], idx: &[(u32, u32)], width: usize) -
     }
 }
 
-/// Row-major flatten of `rows` `(batch, row)` places into one zeroed,
-/// then filled allocation — the very one the send will share.
+/// Row-major flatten of the `rows` rows of `(batch, rows)` runs into one
+/// zeroed, then filled allocation (none if empty) — the one sends share.
 pub(crate) fn flatten<'a>(
     rows: usize,
-    places: impl Iterator<Item = (&'a RecordBatch, usize)>,
+    runs: impl Iterator<Item = (&'a RecordBatch, Range<usize>)>,
     width: usize,
 ) -> Arc<[Value]> {
+    if rows * width == 0 {
+        return Arc::default();
+    }
     let mut out: Arc<[Value]> = std::iter::repeat_n(0, rows * width).collect();
     let cells = Arc::get_mut(&mut out).expect("not shared yet");
+    let places = runs.flat_map(|(b, rows)| rows.map(move |r| (b, r)));
     for (row, (b, r)) in cells.chunks_exact_mut(width.max(1)).zip(places) {
         for (cell, c) in row.iter_mut().zip(0..) {
             *cell = b.col(c)[r];
@@ -268,17 +278,35 @@ pub(crate) fn flatten<'a>(
 /// Row-major flatten of whole batches, in batch then row order: the wire
 /// payload of a node's fragment.
 pub fn flatten_batches(batches: &[RecordBatch], width: usize) -> Arc<[Value]> {
-    let places = batches
-        .iter()
-        .flat_map(|b| (0..b.num_rows()).map(move |r| (b, r)));
-    flatten(batch_rows(batches), places, width)
+    flatten(batch_rows(batches), whole(batches), width)
+}
+
+/// Each batch of a list as one run of all its rows.
+pub(crate) fn whole(batches: &[RecordBatch]) -> impl Iterator<Item = (&RecordBatch, Range<usize>)> {
+    batches.iter().map(|b| (b, 0..b.num_rows()))
+}
+
+/// Cuts consecutive payloads of `n` `width`-wide rows off `buf`, a row-major
+/// buffer: the sends of one exchange, sharing it.
+pub(crate) fn cut(buf: Arc<[Value]>, width: usize) -> impl FnMut(usize) -> SharedSlice<Value> {
+    let mut at = 0;
+    move |n| {
+        at += n * width;
+        SharedSlice::new(buf.clone(), at - n * width..at)
+    }
 }
 
 /// Row-major flatten of the `(batch, row)` pairs in `idx`: the wire
 /// payload of the selected rows.
-pub fn flatten_multi(batches: &[RecordBatch], idx: &[(u32, u32)], width: usize) -> Arc<[Value]> {
-    let places = idx.iter().map(|&(b, i)| (&batches[b as usize], i as usize));
-    flatten(idx.len(), places, width)
+pub(crate) fn flatten_multi(
+    batches: &[RecordBatch],
+    idx: &[(u32, u32)],
+    width: usize,
+) -> Arc<[Value]> {
+    let runs = idx
+        .iter()
+        .map(|&(b, i)| (&batches[b as usize], i as usize..i as usize + 1));
+    flatten(idx.len(), runs, width)
 }
 
 /// Row ↔ batch conversions for tests, which state inputs and expected

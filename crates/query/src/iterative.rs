@@ -459,11 +459,12 @@ impl Fixpoint<'_> {
             rows += row.len() as u64;
             let width2 = (2 * row.len()) as f64;
             round.send(src, &[dst], width2);
+            let values: Vec<u64> = row.into_iter().flat_map(|(v, bits)| [v, bits]).collect();
             sends.push(ScheduleSend {
                 src,
-                dsts: vec![dst],
+                dsts: (&[dst]).into(),
                 rel: Rel::R,
-                values: row.into_iter().flat_map(|(v, bits)| [v, bits]).collect(),
+                values: values.into(),
             });
         }
         self.schedule.rounds.push(sends);
@@ -474,9 +475,9 @@ impl Fixpoint<'_> {
             for &(src, dst) in moves {
                 sends.push(ScheduleSend {
                     src,
-                    dsts: vec![dst],
+                    dsts: (&[dst]).into(),
                     rel: Rel::S,
-                    values: vec![iter as u64, partials[src.index()].to_bits()].into(),
+                    values: (&[iter as u64, partials[src.index()].to_bits()]).into(),
                 });
             }
             self.schedule.rounds.push(sends);

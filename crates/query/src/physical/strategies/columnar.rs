@@ -11,12 +11,10 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use tamp_simulator::{Rel, Value};
+use tamp_simulator::{Rel, SharedSlice, Value};
 use tamp_topology::{NodeId, Tree};
 
-use crate::batch::{
-    batch_rows, flatten, flatten_batches, gather_multi, BatchFragments, RecordBatch,
-};
+use crate::batch::{batch_rows, cut, flatten, gather_multi, whole, BatchFragments, RecordBatch};
 use crate::physical::strategy::TraceBuilder;
 use crate::plan::AggFunc;
 
@@ -65,14 +63,16 @@ pub(crate) fn batch_holders_of(tree: &Tree, frags: &BatchFragments) -> Vec<NodeI
 /// One counting scatter: a slot's one output batch holds, source after
 /// source, one contiguous run of each source's rows in scan order, filled
 /// a column at a time. A source sends each of its runs but the one it
-/// keeps, in ascending slot order, cut from the run.
+/// keeps, in ascending slot order. Every send is cut from two buffers:
+/// its payload from one row-major buffer of all sent runs, sized from the
+/// counts, and its one-node destination list from `slots`.
 pub(crate) fn exchange_batches(
     trace: &mut TraceBuilder,
     frags: &BatchFragments,
     width: usize,
     rel: Rel,
     sources: &[NodeId],
-    slots: &[NodeId],
+    slots: &Arc<[NodeId]>,
     route: &mut dyn FnMut(&RecordBatch, &mut Vec<u32>),
 ) -> BatchFragments {
     // Route and count: each row's `(slot, position)` and each source's
@@ -129,11 +129,14 @@ pub(crate) fn exchange_batches(
             new_frags[dst.index()].push(RecordBatch::from_cols_rows(set, n));
         }
     }
+    let sent = || runs.iter().filter(|run| slots[run.1] != run.0);
+    let places = sent().map(|(_, s, rows)| (&new_frags[slots[*s].index()][0], rows.clone()));
+    let rows = sent().map(|run| run.2.len()).sum();
+    let mut cut = cut(flatten(rows, places, width), width);
     trace.round(|round| {
-        for (src, s, rows) in runs.into_iter().filter(|run| slots[run.1] != run.0) {
-            let batch = &new_frags[slots[s].index()][0];
-            let payload = flatten(rows.len(), rows.map(|r| (batch, r)), width);
-            round.send(src, &[slots[s]], rel, payload);
+        for (src, s, rows) in sent() {
+            let dst = SharedSlice::new(slots.clone(), *s..*s + 1);
+            round.send(*src, dst, rel, cut(rows.len()));
         }
     });
     new_frags
@@ -151,7 +154,7 @@ pub(crate) fn shuffle_batches_by_key(
     rel: Rel,
     router: &dyn Fn(u64) -> NodeId,
 ) -> BatchFragments {
-    let by_index: Vec<NodeId> = tree.nodes().collect();
+    let by_index: Arc<[NodeId]> = tree.nodes().collect();
     exchange_batches(
         trace,
         frags,
@@ -163,23 +166,27 @@ pub(crate) fn shuffle_batches_by_key(
     )
 }
 
-/// One-round replication of `small_frags` to every holder: the multicast
-/// payload flattens once per source, and the replicated fragments are
+/// One-round replication of `small_frags` (relation `rel`) to every
+/// holder: each source's rows are one range of one row-major buffer, all
+/// sends share one destination list, and the replicated fragments are
 /// refcount bumps on the source columns — no row copies at all.
 pub(crate) fn broadcast_small_batches(
     trace: &mut TraceBuilder,
     tree: &Tree,
     small_frags: &BatchFragments,
     small_w: usize,
+    rel: Rel,
     holders: &[NodeId],
 ) -> BatchFragments {
+    let local = |v: &NodeId| &small_frags[v.index()];
+    let sources = tree.compute_nodes();
+    let rows = sources.iter().map(|v| batch_rows(local(v))).sum();
+    let all = sources.iter().flat_map(|v| whole(local(v)));
+    let mut cut = cut(flatten(rows, all, small_w), small_w);
+    let dsts = SharedSlice::from(holders);
     trace.round(|round| {
-        for &v in tree.compute_nodes() {
-            let local = &small_frags[v.index()];
-            if batch_rows(local) == 0 || holders.is_empty() {
-                continue;
-            }
-            round.send(v, holders, Rel::R, flatten_batches(local, small_w));
+        for v in sources {
+            round.send(*v, dsts.clone(), rel, cut(batch_rows(local(v))));
         }
     });
     let mut small_new = empty_batch_frags(tree);
@@ -345,7 +352,13 @@ mod tests {
     /// non-empty slot but its own. A third of the nodes hold nothing, the
     /// rest up to 19 rows in 1–4-row batches; a quarter of the rows stay
     /// on their source.
-    fn check_exchange(tree: &Tree, sources: &[NodeId], slots: &[NodeId], width: usize, seed: u64) {
+    fn check_exchange(
+        tree: &Tree,
+        sources: &[NodeId],
+        slots: &Arc<[NodeId]>,
+        width: usize,
+        seed: u64,
+    ) {
         let rnd = |x: u64| mix64(seed.wrapping_mul(0x9E37_79B9) ^ x);
         let rows: Vec<Vec<Row>> = tree
             .nodes()
@@ -426,7 +439,7 @@ mod tests {
             .all(|s| s.rel == Rel::S && !s.dsts.contains(&s.src)));
         let got_sends: Vec<_> = round
             .iter()
-            .map(|s| (s.src, s.dsts.clone(), s.values.to_vec()))
+            .map(|s| (s.src, s.dsts.to_vec(), s.values.to_vec()))
             .collect();
         assert_eq!(got_sends, want_sends, "{what}");
     }
@@ -435,8 +448,8 @@ mod tests {
     fn exchange_is_one_scatter_into_one_batch_per_destination() {
         let tree = tamp_topology::builders::fat_tree(2, 3, 1.0);
         // The hash shuffles' identity slot map, and the sort's `order`.
-        let identity: Vec<NodeId> = tree.nodes().collect();
-        let order = valid_order(&tree);
+        let identity: Arc<[NodeId]> = tree.nodes().collect();
+        let order: Arc<[NodeId]> = valid_order(&tree).into();
         for seed in 0..8 {
             for width in 0..4 {
                 check_exchange(&tree, tree.compute_nodes(), &identity, width, seed);

@@ -24,7 +24,7 @@ use tamp_core::cartesian::cartesian_lower_bound;
 use tamp_core::cartesian::grid::interval_segments;
 use tamp_core::cartesian::unequal::{plan_unequal, Rect};
 use tamp_core::ratio::LowerBound;
-use tamp_simulator::{Rel, Value};
+use tamp_simulator::{Rel, SharedSlice, Value};
 use tamp_topology::{DirEdgeId, NodeId, Tree};
 
 use crate::batch::{batch_rows, concat, flatten_batches, BatchFragments, RecordBatch};
@@ -165,13 +165,14 @@ impl PhysicalStrategy for BroadcastSmallCross {
         let l_total: usize = lfrags.iter().map(|b| batch_rows(b)).sum();
         let r_total: usize = rfrags.iter().map(|b| batch_rows(b)).sum();
         let left_is_small = l_total * lw <= r_total * rw;
-        let (small_frags, small_w, big_frags, big_w) = if left_is_small {
-            (&lfrags, lw, &rfrags, rw)
+        let (small_frags, small_w, small_rel, big_frags, big_w) = if left_is_small {
+            (&lfrags, lw, Rel::R, &rfrags, rw)
         } else {
-            (&rfrags, rw, &lfrags, lw)
+            (&rfrags, rw, Rel::S, &lfrags, lw)
         };
         let holders = batch_holders_of(tree, big_frags);
-        let small_new = broadcast_small_batches(&mut trace, tree, small_frags, small_w, &holders);
+        let small_new =
+            broadcast_small_batches(&mut trace, tree, small_frags, small_w, small_rel, &holders);
         // Each holder pairs its big rows, outermost, with the whole
         // small side.
         let mut out = empty_batch_frags(tree);
@@ -258,7 +259,8 @@ fn rect_cross_trace(
                 {
                     dsts.sort_unstable();
                     dsts.dedup();
-                    let payload = &flat[sub.start * width..sub.end * width];
+                    let payload =
+                        SharedSlice::new(flat.clone(), sub.start * width..sub.end * width);
                     round.send(v, &dsts, rel, payload);
                 }
             }

@@ -229,13 +229,14 @@ impl PhysicalStrategy for BroadcastSmallJoin {
         let l_total: usize = lfrags.iter().map(|b| batch_rows(b)).sum();
         let r_total: usize = rfrags.iter().map(|b| batch_rows(b)).sum();
         let left_is_small = l_total <= r_total;
-        let (small_frags, small_w, big_frags) = if left_is_small {
-            (&lfrags, lw, &rfrags)
+        let (small_frags, small_w, small_rel, big_frags) = if left_is_small {
+            (&lfrags, lw, Rel::R, &rfrags)
         } else {
-            (&rfrags, rw, &lfrags)
+            (&rfrags, rw, Rel::S, &lfrags)
         };
         let holders = batch_holders_of(tree, big_frags);
-        let small_new = broadcast_small_batches(&mut trace, tree, small_frags, small_w, &holders);
+        let small_new =
+            broadcast_small_batches(&mut trace, tree, small_frags, small_w, small_rel, &holders);
         let (l_new, r_new) = if left_is_small {
             (small_new, rfrags)
         } else {

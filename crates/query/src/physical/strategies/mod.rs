@@ -32,10 +32,10 @@ use std::sync::Arc;
 
 use tamp_core::hashing::{mix64, WeightedHash};
 use tamp_core::sorting::valid_order;
-use tamp_simulator::Rel;
+use tamp_simulator::{Rel, SharedSlice};
 use tamp_topology::NodeId;
 
-use crate::batch::{flatten_batches, head, sort_rows, BatchFragments, RecordBatch};
+use crate::batch::{batch_rows, cut, flatten, head, sort_rows, whole, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::physical::strategy::{
     CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
@@ -120,7 +120,7 @@ impl PhysicalStrategy for WeightedDistinct {
         };
         // Dedup locally first: duplicates never need to travel twice.
         let local: BatchFragments = input.iter().map(|b| sorted_distinct(b, width)).collect();
-        let by_index: Vec<NodeId> = tree.nodes().collect();
+        let by_index: Arc<[NodeId]> = tree.nodes().collect();
         let mut row_keys: Vec<u64> = Vec::new();
         let shuffled = exchange_batches(
             &mut trace,
@@ -214,18 +214,21 @@ impl PhysicalStrategy for GatherLimit {
             }
         };
         // Each node contributes at most n rows; the target cuts the
-        // node-order concatenation of the contributions the same way.
+        // node-order concatenation of the contributions the same way. The
+        // others' are ranges of one row-major buffer.
         let mut trace = TraceBuilder::default();
-        let mut gathered: Vec<RecordBatch> = Vec::new();
+        let locals: Vec<_> = order.iter().map(|v| first_n(&input[v.index()])).collect();
+        let sent = &locals[1..];
+        let rows = sent.iter().map(|l| batch_rows(l)).sum();
+        let all = sent.iter().flat_map(|l| whole(l));
+        let mut cut = cut(flatten(rows, all, width), width);
+        let dst = SharedSlice::from(&[target]);
         trace.round(|round| {
-            for &v in &order {
-                let local = first_n(&input[v.index()]);
-                if v != target {
-                    round.send(v, &[target], Rel::R, flatten_batches(&local, width));
-                }
-                gathered.extend(local);
+            for (&v, local) in order[1..].iter().zip(sent) {
+                round.send(v, dst.clone(), Rel::R, cut(batch_rows(local)));
             }
         });
+        let gathered: Vec<RecordBatch> = locals.into_iter().flatten().collect();
         let mut out = empty_batch_frags(tree);
         out[target.index()] = first_n(&gathered);
         Ok(OpTrace {
@@ -237,6 +240,7 @@ impl PhysicalStrategy for GatherLimit {
 
 #[cfg(test)]
 mod tests {
+    use tamp_runtime::jobs::ScheduleSend;
     use tamp_topology::builders;
 
     use super::*;
@@ -278,6 +282,96 @@ mod tests {
         assert_eq!((send.src, &send.dsts[..]), (source, &[target][..]));
         assert_eq!(*send.values, *rows.concat());
         assert_eq!(batches_to_rows(&traced.output)[target.index()], rows);
+    }
+
+    /// Every send of `round` is cut from one payload buffer and one
+    /// destination buffer, and the payloads, in send order, tile the
+    /// payload buffer.
+    fn assert_cut_from_one_buffer(what: &str, round: &[ScheduleSend]) {
+        assert!(round.len() > 1, "{what}: {} sends", round.len());
+        let (values, dsts) = (round[0].values.buffer(), round[0].dsts.buffer());
+        let mut at = values.as_ptr();
+        for send in round {
+            assert!(
+                Arc::ptr_eq(send.values.buffer(), values),
+                "{what}: payload buffers"
+            );
+            assert!(
+                Arc::ptr_eq(send.dsts.buffer(), dsts),
+                "{what}: destination buffers"
+            );
+            let cells = send.values.as_ptr_range();
+            assert_eq!(
+                cells.start, at,
+                "{what}: a payload leaves a gap or overlaps"
+            );
+            at = cells.end;
+        }
+        assert_eq!(
+            at,
+            values.as_ptr_range().end,
+            "{what}: the payloads stop short"
+        );
+    }
+
+    /// A send allocates nothing: the hash shuffle, the range shuffle's
+    /// sample round and its exchange, the limit gather and the small-side
+    /// broadcast each cut their round's sends from one buffer.
+    #[test]
+    fn an_exchange_cuts_its_sends_from_one_buffer() {
+        let tree = builders::fat_tree(2, 8, 1.0);
+        let vc = tree.compute_nodes();
+        let spread = |rows: Vec<Row>, width| {
+            let mut frags = empty_batch_frags(&tree);
+            for (i, chunk) in rows.chunks(7).enumerate() {
+                frags[vc[i % vc.len()].index()].push(RecordBatch::from_rows(chunk, width));
+            }
+            frags
+        };
+        let left = || {
+            spread(
+                (0..900).map(|i| vec![i, mix64(i) % 50, i % 97]).collect(),
+                3,
+            )
+        };
+        let right = || spread((0..50).map(|k| vec![k, 100 + k]).collect(), 2);
+        let join = || OpInput::Join {
+            left: left(),
+            right: right(),
+            left_key: 1,
+            right_key: 0,
+            left_width: 3,
+            right_width: 2,
+        };
+        let args = ExecArgs {
+            tree: &tree,
+            seed: 3,
+        };
+        let rounds =
+            |strategy: &dyn PhysicalStrategy, input| strategy.trace(&args, input).unwrap().rounds;
+
+        let shuffle = rounds(&join::WeightedRepartitionJoin, join());
+        assert_cut_from_one_buffer("hash shuffle, left", &shuffle[0]);
+        assert_cut_from_one_buffer("hash shuffle, right", &shuffle[1]);
+        let sort = OpInput::Sort {
+            input: left(),
+            key: 2,
+            width: 3,
+        };
+        let sort = rounds(&sort::RangeShuffleSort::weighted(), sort);
+        assert_cut_from_one_buffer("sample round", &sort[0]);
+        assert_cut_from_one_buffer("range shuffle", &sort[2]);
+        let limit = OpInput::Limit {
+            input: left(),
+            n: 5,
+            width: 3,
+            order_preserving: true,
+        };
+        assert_cut_from_one_buffer("gather", &rounds(&GatherLimit, limit)[0]);
+        let broadcast = rounds(&join::BroadcastSmallJoin, join());
+        assert_cut_from_one_buffer("broadcast-small", &broadcast[0]);
+        // The small side is the right one, and travels as `S`.
+        assert!(broadcast[0].iter().all(|send| send.rel == Rel::S));
     }
 }
 
@@ -332,22 +426,31 @@ mod soundness {
             .collect()
     }
 
-    /// Every width-`w` chunk of every payload the rounds deliver to `v`.
+    /// Every width-`w` chunk of every payload of relation `rel` the
+    /// rounds deliver to `v`. A left input travels as `R`, a right input
+    /// (and an aggregate's partials) as `S`: a side sent under the other
+    /// tag lands in the wrong fragment on replay.
     fn delivered(
         rounds: &[Vec<ScheduleSend>],
         v: NodeId,
-        w: usize,
+        (w, rel): (usize, Rel),
     ) -> impl Iterator<Item = &[Value]> {
         rounds
             .iter()
             .flatten()
-            .filter(move |s| s.dsts.contains(&v))
+            .filter(move |s| s.rel == rel && s.dsts.contains(&v))
             .flat_map(move |s| s.values.chunks_exact(w))
     }
 
-    /// What `v` knows at width `w`: its own rows plus what it was sent.
-    fn have(own: &[Row], rounds: &[Vec<ScheduleSend>], v: NodeId, w: usize) -> BTreeSet<Row> {
-        let sent = delivered(rounds, v, w).map(<[Value]>::to_vec);
+    /// What `v` knows of relation `rel` at width `w`: its own rows plus
+    /// what it was sent.
+    fn have(
+        own: &[Row],
+        rounds: &[Vec<ScheduleSend>],
+        v: NodeId,
+        w_rel: (usize, Rel),
+    ) -> BTreeSet<Row> {
+        let sent = delivered(rounds, v, w_rel).map(<[Value]>::to_vec);
         own.iter().cloned().chain(sent).collect()
     }
 
@@ -420,8 +523,8 @@ mod soundness {
             let (l_own, r_own) = (&l_own[v.index()], &r_own[v.index()]);
             match op {
                 OperatorKind::Join | OperatorKind::CrossJoin => {
-                    let l_have = have(l_own, rounds, v, LW);
-                    let r_have = have(r_own, rounds, v, RW);
+                    let l_have = have(l_own, rounds, v, (LW, Rel::R));
+                    let r_have = have(r_own, rounds, v, (RW, Rel::S));
                     for row in out {
                         assert!(
                             l_have.contains(&row[..LW]) && r_have.contains(&row[LW..]),
@@ -433,7 +536,7 @@ mod soundness {
                     let groups: BTreeSet<Value> = l_own
                         .iter()
                         .map(|r| r[L_KEY])
-                        .chain(delivered(rounds, v, 2).map(|partial| partial[0]))
+                        .chain(delivered(rounds, v, (2, Rel::S)).map(|partial| partial[0]))
                         .collect();
                     for row in out {
                         assert!(
@@ -444,7 +547,7 @@ mod soundness {
                     }
                 }
                 OperatorKind::Sort | OperatorKind::Distinct | OperatorKind::Limit => {
-                    let l_have = have(l_own, rounds, v, LW);
+                    let l_have = have(l_own, rounds, v, (LW, Rel::R));
                     for row in out {
                         assert!(
                             l_have.contains(row),

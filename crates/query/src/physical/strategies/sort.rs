@@ -10,14 +10,16 @@
 //! the data started — exactly the topology-blindness the paper's §5
 //! fixes. Lower bound: Theorem 6 on the estimated placement.
 
+use std::sync::Arc;
+
 use tamp_core::ratio::LowerBound;
 use tamp_core::sorting::{
     coin, proportional_splitters, sample_rate, sorting_lower_bound, uniform_splitters, valid_order,
 };
-use tamp_simulator::Rel;
+use tamp_simulator::{Rel, SharedSlice};
 use tamp_topology::NodeId;
 
-use crate::batch::{batch_rows, sort_rows};
+use crate::batch::{batch_rows, cut, sort_rows};
 use crate::error::QueryError;
 use crate::physical::strategy::{
     CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
@@ -50,7 +52,7 @@ impl RangeShuffleSort {
     fn broadcast_splitters(
         &self,
         trace: &mut TraceBuilder,
-        order: &[NodeId],
+        order: &Arc<[NodeId]>,
         mut samples: Vec<u64>,
         rows: impl Fn(NodeId) -> usize,
     ) -> Vec<u64> {
@@ -61,7 +63,7 @@ impl RangeShuffleSort {
         } else {
             uniform_splitters(&samples, order.len())
         };
-        trace.round(|round| round.send(order[0], order, Rel::S, &splitters[..]));
+        trace.round(|round| round.send(order[0], order.clone(), Rel::S, &splitters));
         splitters
     }
 }
@@ -137,7 +139,7 @@ impl PhysicalStrategy for RangeShuffleSort {
             unreachable!("registered for Sort");
         };
         let tree = a.tree;
-        let order = valid_order(tree);
+        let order: Arc<[NodeId]> = valid_order(tree).into();
         let total: usize = frags.iter().map(|b| batch_rows(b)).sum();
         if total == 0 {
             return Ok(OpTrace {
@@ -146,18 +148,24 @@ impl PhysicalStrategy for RangeShuffleSort {
             });
         }
         let mut trace = TraceBuilder::default();
-        let coordinator = order[0];
         let rho = sample_rate(order.len(), total as u64);
 
-        // Round 1: sample the key column to the coordinator.
+        // Round 1: sample the key column to the coordinator, `order[0]`;
+        // each node's samples are one range of one buffer.
         let mut all_samples: Vec<u64> = Vec::new();
-        trace.round(|round| {
-            for &v in &order {
-                let from = all_samples.len();
+        let counts: Vec<usize> = (order.iter())
+            .map(|&v| {
+                let before = all_samples.len();
                 for b in &frags[v.index()] {
                     all_samples.extend(b.col(ki).iter().filter(|&&x| coin(a.seed, x, rho)));
                 }
-                round.send(v, &[coordinator], Rel::S, &all_samples[from..]);
+                all_samples.len() - before
+            })
+            .collect();
+        let mut cut = cut(all_samples[..].into(), 1);
+        trace.round(|round| {
+            for (&v, &n) in order.iter().zip(&counts) {
+                round.send(v, SharedSlice::new(order.clone(), 0..1), Rel::S, cut(n));
             }
         });
 

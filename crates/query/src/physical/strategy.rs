@@ -80,6 +80,7 @@
 //!                     let batches = &frags[v.index()];
 //!                     batches.iter().for_each(|b| b.append_rows(all));
 //!                     if v != target {
+//!                         // `&[target]` is copied, the payload `Arc` shared.
 //!                         round.send(v, &[target], rel, flatten_batches(batches, width));
 //!                     }
 //!                 }
@@ -110,7 +111,7 @@ use std::sync::Arc;
 
 use tamp_core::ratio::LowerBound;
 use tamp_runtime::jobs::ScheduleSend;
-use tamp_simulator::{PlacementStats, Rel, Value};
+use tamp_simulator::{PlacementStats, Rel, SharedSlice, Value};
 use tamp_topology::{NodeId, Tree};
 
 use crate::batch::BatchFragments;
@@ -388,22 +389,24 @@ pub struct RoundSends {
 
 impl RoundSends {
     /// Queue a multicast: one payload is one send, however many rows it
-    /// carries. The payload is captured as one shared allocation — copied
-    /// once from a slice or `Vec`, taken over as-is from an
-    /// `Arc<[Value]>`. Empty payloads and destination sets are dropped,
-    /// mirroring both engines.
-    pub fn send<V>(&mut self, src: NodeId, dsts: &[NodeId], rel: Rel, values: V)
+    /// carries. `dsts` and `values` are kept as [`SharedSlice`]s: a slice
+    /// or `Vec` is copied, an `Arc<[_]>` or a `SharedSlice` is not — sends
+    /// cut from shared buffers allocate nothing. Empty payloads and
+    /// destination sets are dropped, mirroring both engines.
+    pub fn send<D, V>(&mut self, src: NodeId, dsts: D, rel: Rel, values: V)
     where
-        V: AsRef<[Value]> + Into<Arc<[Value]>>,
+        D: Into<SharedSlice<NodeId>>,
+        V: Into<SharedSlice<Value>>,
     {
-        if dsts.is_empty() || values.as_ref().is_empty() {
+        let (values, dsts) = (values.into(), dsts.into());
+        if dsts.is_empty() || values.is_empty() {
             return;
         }
         self.sends.push(ScheduleSend {
             src,
-            dsts: dsts.to_vec(),
+            dsts,
             rel,
-            values: values.into(),
+            values,
         });
     }
 }

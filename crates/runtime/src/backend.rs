@@ -360,9 +360,9 @@ mod tests {
     fn send(src: u32, dsts: &[NodeId]) -> ScheduleSend {
         ScheduleSend {
             src: NodeId(src),
-            dsts: dsts.to_vec(),
+            dsts: dsts.into(),
             rel: Rel::R,
-            values: (0..12).collect(),
+            values: (0..12).collect::<Vec<_>>().into(),
         }
     }
 

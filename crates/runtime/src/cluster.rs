@@ -520,7 +520,7 @@ mod tests {
                 (0..vc.len())
                     .map(|i| ScheduleSend {
                         src: vc[i],
-                        dsts: vec![vc[(i + 1) % vc.len()]],
+                        dsts: vec![vc[(i + 1) % vc.len()]].into(),
                         rel: Rel::R,
                         values: vec![u64::from(vc[i].0) * 100 + r as u64].into(),
                     })
@@ -703,9 +703,9 @@ mod tests {
         p.set_s(NodeId(0), (0..10).collect());
         let rounds = vec![vec![ScheduleSend {
             src: NodeId(0),
-            dsts: tree.compute_nodes().to_vec(),
+            dsts: tree.compute_nodes().into(),
             rel: Rel::S,
-            values: (0..10).collect(),
+            values: (0..10).collect::<Vec<_>>().into(),
         }]];
         let job = ScheduleJob::new("multicast", tree.num_nodes(), Schedule { rounds });
         let run = replay(
@@ -732,7 +732,7 @@ mod tests {
         let tree = builders::star(2, 1.0); // node 2 is the hub
         let rounds = vec![vec![ScheduleSend {
             src: NodeId(0),
-            dsts: vec![NodeId(2)],
+            dsts: vec![NodeId(2)].into(),
             rel: Rel::R,
             values: vec![1].into(),
         }]];
@@ -762,7 +762,7 @@ mod tests {
             let tree = builders::star(2, 1.0);
             let rounds = vec![vec![ScheduleSend {
                 src: NodeId(0),
-                dsts: vec![NodeId(99)],
+                dsts: vec![NodeId(99)].into(),
                 rel: Rel::R,
                 values: vec![1].into(),
             }]];

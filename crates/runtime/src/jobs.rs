@@ -9,7 +9,8 @@
 //! prices it once per tree (`ScheduleJob::ledger`) and both engines
 //! hand back that one ledger. What an engine does itself is move data:
 //! it appends each node's deliveries, read from the job's per-destination
-//! index, to the node's state.
+//! index, to the node's state. A send holds [`SharedSlice`]s, so a planner
+//! can cut a whole round's sends from shared buffers.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -17,7 +18,7 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use tamp_simulator::cost::Cost;
-use tamp_simulator::{NodeState, Placement, Rel, TrafficMeter, Value};
+use tamp_simulator::{NodeState, Placement, Rel, SharedSlice, TrafficMeter, Value};
 use tamp_topology::{NodeId, Tree};
 
 use crate::error::RuntimeError;
@@ -27,13 +28,14 @@ use crate::error::RuntimeError;
 pub struct ScheduleSend {
     /// Sending compute node.
     pub src: NodeId,
-    /// Destination compute nodes (charged along the union of tree paths).
-    pub dsts: Vec<NodeId>,
+    /// Destination compute nodes (charged along the union of tree paths),
+    /// a range of a buffer other sends may share.
+    pub dsts: SharedSlice<NodeId>,
     /// Relation tag.
     pub rel: Rel,
-    /// Shared payload; a replay reads it in place and copies it only into
-    /// the receiving fragments.
-    pub values: Arc<[Value]>,
+    /// Payload, a range of a buffer other sends may share; a replay reads
+    /// it in place and copies it only into the receiving fragments.
+    pub values: SharedSlice<Value>,
 }
 
 /// A complete, engine-independent communication schedule: every send of
@@ -86,7 +88,7 @@ impl DeliveryIndex {
         for (r, round) in schedule.rounds.iter().enumerate() {
             for send in round {
                 by_src[row(send.src) + 1] += 1;
-                for &d in &send.dsts {
+                for &d in send.dsts.iter() {
                     addressed[row(d)] = true;
                     offsets[cell(d, r) + 1] += 1;
                 }
@@ -113,7 +115,7 @@ impl DeliveryIndex {
         let mut cursor = offsets.clone();
         for (r, i) in grouped {
             let r = r as usize;
-            for &d in &schedule.rounds[r][i as usize].dsts {
+            for &d in schedule.rounds[r][i as usize].dsts.iter() {
                 let c = &mut cursor[cell(d, r)];
                 items[*c as usize] = i;
                 *c += 1;
@@ -306,7 +308,7 @@ mod tests {
     fn delivery_index_groups_by_destination_and_round() {
         let mk = |src: u32, dsts: &[u32], n: u64| ScheduleSend {
             src: NodeId(src),
-            dsts: dsts.iter().map(|&d| NodeId(d)).collect(),
+            dsts: dsts.iter().map(|&d| NodeId(d)).collect::<Vec<_>>().into(),
             rel: Rel::R,
             values: vec![n].into(),
         };
@@ -345,7 +347,7 @@ mod tests {
             .map(|r| {
                 vec![ScheduleSend {
                     src: vc[(r % 3) as usize],
-                    dsts: vec![vc[((r + 1) % 3) as usize]],
+                    dsts: vec![vc[((r + 1) % 3) as usize]].into(),
                     rel: Rel::R,
                     values: vec![r].into(),
                 }]
@@ -388,15 +390,17 @@ mod tests {
                 };
                 (0..sends)
                     .map(|_| {
-                        let dsts = (0..rng.random_range(0..5usize))
+                        let dsts: Vec<_> = (0..rng.random_range(0..5usize))
                             .map(|_| vc[rng.random_range(0..vc.len())])
                             .collect();
                         next += 10;
                         ScheduleSend {
                             src: vc[rng.random_range(0..vc.len())],
-                            dsts,
+                            dsts: dsts.into(),
                             rel: if rng.random_bool(0.5) { Rel::R } else { Rel::S },
-                            values: (next..next + rng.random_range(0..4u64)).collect(),
+                            values: (next..next + rng.random_range(0..4u64))
+                                .collect::<Vec<_>>()
+                                .into(),
                         }
                     })
                     .collect()
@@ -415,7 +419,7 @@ mod tests {
             let mut sends: Vec<&ScheduleSend> = round.iter().collect();
             sends.sort_by_key(|s| s.src.index()); // stable: issue order stays
             for s in sends {
-                for d in &s.dsts {
+                for d in s.dsts.iter() {
                     want[d.index()].rel_mut(s.rel).extend_from_slice(&s.values);
                 }
             }
@@ -447,6 +451,57 @@ mod tests {
         run_protocol(tree, p, &Replay(schedule)).unwrap().cost
     }
 
+    /// One schedule built two ways — a fresh `Vec` per send, and every
+    /// send cut from one payload buffer and one buffer of destinations —
+    /// has one checkpoint token and one replay.
+    #[test]
+    fn a_schedule_cut_from_shared_buffers_keeps_its_token() {
+        let tree = builders::star(4, 1.0);
+        let vc = tree.compute_nodes();
+        let payload: Arc<[Value]> = (0..14).collect();
+        let nodes: Arc<[NodeId]> = vc.into();
+        // Node i sends values 3i..3i+3 to node i+1; node 3 sends the
+        // last two to everyone.
+        let span = |i: usize| match i {
+            3 => (9..11, 0..4),
+            _ => (3 * i..3 * i + 3, i + 1..i + 2),
+        };
+        let per_send = |i: usize| {
+            let (cells, dsts) = span(i);
+            ScheduleSend {
+                src: vc[i],
+                dsts: vc[dsts].to_vec().into(),
+                rel: Rel::S,
+                values: payload[cells].to_vec().into(),
+            }
+        };
+        let shared = |i: usize| {
+            let (cells, dsts) = span(i);
+            ScheduleSend {
+                src: vc[i],
+                dsts: SharedSlice::new(nodes.clone(), dsts),
+                rel: Rel::S,
+                values: SharedSlice::new(payload.clone(), cells),
+            }
+        };
+        let job = |send: &dyn Fn(usize) -> ScheduleSend| {
+            let rounds = vec![(0..4).map(send).collect(), vec![], vec![send(1)]];
+            ScheduleJob::new("cut", tree.num_nodes(), Schedule { rounds })
+        };
+        let (owned, cut) = (job(&per_send), job(&shared));
+        assert_eq!(owned.checkpoint_token(), cut.checkpoint_token());
+        let p = Placement::empty(&tree);
+        let (a, b) = (
+            SimulatorBackend.execute(&tree, &p, &owned).unwrap(),
+            PooledClusterBackend::default()
+                .execute(&tree, &p, &cut)
+                .unwrap(),
+        );
+        assert_eq!(a.final_state, b.final_state);
+        assert_eq!(a.cost.edge_totals, b.cost.edge_totals);
+        assert_eq!(b.final_state[vc[2].index()].s, [3, 4, 5, 9, 10, 3, 4, 5]);
+    }
+
     #[test]
     fn ledger_is_priced_per_tree() {
         // Priced on T, on T with one edge scaled, then on T again: each
@@ -454,9 +509,9 @@ mod tests {
         let tree = builders::star(4, 1.0);
         let send = |src: u32, dsts: &[NodeId], n: u64| ScheduleSend {
             src: NodeId(src),
-            dsts: dsts.to_vec(),
+            dsts: dsts.into(),
             rel: Rel::S,
-            values: (0..n).collect(),
+            values: (0..n).collect::<Vec<_>>().into(),
         };
         let rounds = vec![
             vec![send(0, tree.compute_nodes(), 5)],

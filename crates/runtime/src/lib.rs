@@ -38,7 +38,7 @@
 //! let tree = builders::star(3, 1.0);
 //! let send = |src: u32, dsts: &[NodeId], values: Vec<u64>| ScheduleSend {
 //!     src: NodeId(src),
-//!     dsts: dsts.to_vec(),
+//!     dsts: dsts.into(),
 //!     rel: Rel::R,
 //!     values: values.into(),
 //! };

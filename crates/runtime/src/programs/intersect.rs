@@ -65,7 +65,7 @@ impl DistributedTreeIntersect {
 
         let send = |dsts: Vec<NodeId>, rel: Rel, vals: Vec<Value>| ScheduleSend {
             src: v,
-            dsts,
+            dsts: dsts.into(),
             rel,
             values: vals.into(),
         };

@@ -42,4 +42,4 @@ pub use error::SimError;
 pub use metering::TrafficMeter;
 pub use placement::{Placement, PlacementStats};
 pub use trace::RunReport;
-pub use value::{NodeState, Rel, Value};
+pub use value::{NodeState, Rel, SharedSlice, Value};

@@ -22,7 +22,7 @@ fn ring_job(tree: &Tree) -> ScheduleJob {
     let round: Vec<ScheduleSend> = (0..vc.len())
         .map(|i| ScheduleSend {
             src: vc[i],
-            dsts: vec![vc[(i + 1) % vc.len()]],
+            dsts: vec![vc[(i + 1) % vc.len()]].into(),
             rel: Rel::R,
             values: vec![vc[i].0 as u64].into(),
         })
