@@ -1,452 +1,286 @@
-//! Machine-readable experiment baselines.
-//!
-//! The experiment harness prints human-oriented tables; this module
-//! distills each suite into a few stable numbers — row counts, the
-//! median of the numeric cells (dominated by the metered costs, which
-//! are deterministic per seed), and the wall-clock time of the suite —
-//! and serializes them as JSON. Committing the emitted
-//! `BENCH_baseline.json` starts the performance trajectory: future PRs
-//! diff their run against the checked-in baseline to spot cost
-//! regressions (deterministic) and large timing shifts (indicative).
+//! The experiment baseline: `BENCH_baseline.json` (schema 2) holds every
+//! table cell of every suite, except [`Pin::Unpinned`] columns, one table
+//! row per line so `git diff` shows which cells moved. [`check`] compares
+//! cells keyed by suite, table, row and column: by exact text, except
+//! [`Pin::Ceiling`] cells, which pass at or below the stored value. No
+//! clock is read here; `benchmark/` measures wall time.
 
-/// Summary of one experiment suite.
-#[derive(Clone, Debug)]
-pub struct SuiteBaseline {
-    /// Experiment id (e.g. `t1-si`).
-    pub id: String,
-    /// Number of tables the suite produced.
-    pub tables: usize,
-    /// Total data rows across those tables.
-    pub rows: usize,
-    /// Count of numeric cells feeding the median.
-    pub numeric_cells: usize,
-    /// Median of the numeric cells in cost-like columns (headers
-    /// mentioning cost/ratio/bound/envelope/LB), falling back to all
-    /// numeric cells for tables without such columns. Deterministic per
-    /// seed, so a drift here is a real cost change.
-    pub median_numeric: f64,
-    /// Wall-clock milliseconds for the suite (machine-dependent).
-    pub wall_ms: f64,
+use std::collections::BTreeMap;
+
+use crate::table::{Pin, Table};
+
+/// Suites as `(id, tables)`, in run order.
+pub type Suites = Vec<(String, Vec<Table>)>;
+
+fn pinned(t: &Table) -> Vec<usize> {
+    (0..t.pins().len())
+        .filter(|&c| t.pins()[c] != Pin::Unpinned)
+        .collect()
 }
 
-/// `true` for column headers that carry metered costs or cost ratios
-/// (as opposed to seeds, sizes and trial counts).
-fn is_cost_header(h: &str) -> bool {
-    let h = h.to_ascii_lowercase();
-    ["cost", "ratio", "bound", "envelope", "lb"]
-        .iter()
-        .any(|k| h.contains(k))
+fn quote(cell: &str) -> String {
+    let plain = !cell.contains(['"', '\\']) && !cell.contains(char::is_control);
+    assert!(plain, "cell `{cell}` would need JSON escaping");
+    format!("\"{cell}\"")
 }
 
-/// `true` for column headers that carry wall-clock measurements —
-/// machine-dependent, so they must never feed the deterministic cost
-/// median (the `wall_ms` field tracks timing separately).
-fn is_timing_header(h: &str) -> bool {
-    let h = h.to_ascii_lowercase();
-    ["wall", "_ms", "_us", "/s", "sec"]
-        .iter()
-        .any(|k| h.contains(k))
-}
-
-/// Distill one finished suite (its tables plus measured wall time) into
-/// a baseline entry.
-pub fn summarize(id: &str, tables: &[crate::table::Table], wall_ms: f64) -> SuiteBaseline {
-    let mut rows = 0usize;
-    let mut cost_cells: Vec<f64> = Vec::new();
-    let mut all_cells: Vec<f64> = Vec::new();
-    for t in tables {
-        rows += t.num_rows();
-        cost_cells.extend(t.numeric_cells_in_columns(is_cost_header));
-        all_cells.extend(t.numeric_cells_in_columns(|h| !is_timing_header(h)));
-    }
-    // Median over the cost-like columns keeps the regression signal
-    // undiluted; tables with no such column fall back to all
-    // *deterministic* numbers (every column except wall-clock ones).
-    let mut cells = if cost_cells.is_empty() {
-        all_cells
-    } else {
-        cost_cells
-    };
-    SuiteBaseline {
-        id: id.to_string(),
-        tables: tables.len(),
-        rows,
-        numeric_cells: cells.len(),
-        median_numeric: median(&mut cells),
-        wall_ms,
-    }
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    // Total order (lint rule F1): a NaN cell must not panic the sort.
-    xs.sort_unstable_by(|a, b| a.total_cmp(b));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-fn json_f64(x: f64) -> String {
-    // JSON has no NaN/Infinity; encode them as null.
-    if x.is_finite() {
-        format!("{x:.6}")
-    } else {
-        "null".into()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serialize baselines as a stable, dependency-free JSON document.
-pub fn to_json(suites: &[SuiteBaseline]) -> String {
-    let mut out = String::from("{\n  \"schema_version\": 1,\n  \"suites\": [\n");
-    for (i, s) in suites.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"id\": \"{}\", \"tables\": {}, \"rows\": {}, \"numeric_cells\": {}, \
-             \"median_numeric\": {}, \"wall_ms\": {}}}{}\n",
-            json_escape(&s.id),
-            s.tables,
-            s.rows,
-            s.numeric_cells,
-            json_f64(s.median_numeric),
-            json_f64(s.wall_ms),
-            if i + 1 < suites.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Parse a baseline document produced by [`to_json`].
-///
-/// This is *not* a general JSON parser — the document is ours (flat
-/// objects, no nested braces, no commas inside strings), so a split-based
-/// reader is enough and keeps the crate dependency-free.
-pub fn from_json(text: &str) -> Result<Vec<SuiteBaseline>, String> {
-    let body = text
-        .split("\"suites\"")
-        .nth(1)
-        .ok_or("missing \"suites\" key")?;
-    let mut suites = Vec::new();
-    for obj in body.split('{').skip(1) {
-        let obj = obj.split('}').next().ok_or("unterminated suite object")?;
-        let mut id: Option<String> = None;
-        let (mut tables, mut rows, mut numeric_cells) = (0usize, 0usize, 0usize);
-        let (mut median_numeric, mut wall_ms) = (f64::NAN, f64::NAN);
-        for field in obj.split(',') {
-            let mut kv = field.splitn(2, ':');
-            let k = kv.next().unwrap_or("").trim().trim_matches('"').to_string();
-            let v = kv
-                .next()
-                .ok_or_else(|| format!("malformed field `{field}`"))?
-                .trim();
-            let num = |v: &str| -> Result<f64, String> {
-                if v == "null" {
-                    Ok(f64::NAN)
-                } else {
-                    v.parse().map_err(|e| format!("bad number `{v}`: {e}"))
-                }
+/// Serialize the pinned cells of `suites` as a schema-2 document, one
+/// table row per line. Panics on a cell that would need escaping.
+pub fn to_json(suites: &Suites) -> String {
+    let sep = |i: usize| if i == 0 { "" } else { "," };
+    let mut out = String::from("{\n  \"schema_version\": 2,\n  \"suites\": {");
+    for (i, (id, tables)) in suites.iter().enumerate() {
+        out += &format!("{}\n    {}: {{", sep(i), quote(id));
+        for (j, t) in tables.iter().enumerate() {
+            let cols = pinned(t);
+            let list = |row: &[String]| {
+                let cells: Vec<String> = cols.iter().map(|&c| quote(&row[c])).collect();
+                format!("[{}]", cells.join(", "))
             };
-            match k.as_str() {
-                "id" => id = Some(v.trim_matches('"').to_string()),
-                "tables" => tables = num(v)? as usize,
-                "rows" => rows = num(v)? as usize,
-                "numeric_cells" => numeric_cells = num(v)? as usize,
-                "median_numeric" => median_numeric = num(v)?,
-                "wall_ms" => wall_ms = num(v)?,
-                _ => {} // forward-compatible: ignore unknown keys
+            out += &format!("{}\n      {}: {{\n", sep(j), quote(t.title()));
+            out += &format!("        \"columns\": {},\n", list(t.headers()));
+            out += "        \"rows\": [";
+            for (k, row) in t.rows().iter().enumerate() {
+                out += &format!("{}\n          {}", sep(k), list(row));
             }
+            out += "\n        ]\n      }";
         }
-        suites.push(SuiteBaseline {
-            id: id.ok_or("suite object without id")?,
-            tables,
-            rows,
-            numeric_cells,
-            median_numeric,
-            wall_ms,
-        });
+        out += "\n    }";
+    }
+    out + "\n  }\n}\n"
+}
+
+fn strings(list: &str) -> Option<Vec<String>> {
+    if list == "[]" {
+        return Some(Vec::new());
+    }
+    let inner = list.strip_prefix("[\"")?.strip_suffix("\"]")?;
+    Some(inner.split("\", \"").map(str::to_string).collect())
+}
+
+/// Parse a document written by [`to_json`], line by line, into tables
+/// whose pins are all exact (the run side of [`check`] knows ceilings).
+/// A schema-1 file (medians and `wall_ms`) is refused.
+pub fn from_json(text: &str) -> Result<Suites, String> {
+    if !text.contains("\n  \"schema_version\": 2,\n") {
+        let hint = "not a schema-2 baseline: regenerate it with `experiments -- all --json`";
+        return Err(hint.into());
+    }
+    let mut suites: Suites = Vec::new();
+    let mut title = None;
+    for (n, line) in text.lines().enumerate() {
+        let bad = || format!("line {}: unexpected `{}`", n + 1, line.trim());
+        let body = line.trim().trim_end_matches(',');
+        let indent = line.len() - line.trim_start().len();
+        let key = body.strip_prefix('"').and_then(|b| b.strip_suffix("\": {"));
+        if let (4 | 6, Some(key)) = (indent, key) {
+            match indent {
+                4 => suites.push((key.to_string(), Vec::new())),
+                _ => title = Some(key.to_string()),
+            }
+        } else if let Some(list) = body.strip_prefix("\"columns\": ") {
+            let columns = strings(list).ok_or_else(bad)?;
+            let table = Table::new(&title.take().ok_or_else(bad)?, &columns);
+            suites.last_mut().ok_or_else(bad)?.1.push(table);
+        } else if indent == 10 {
+            let table = suites.last_mut().and_then(|s| s.1.last_mut());
+            let table = table.ok_or_else(bad)?;
+            let row = strings(body).filter(|r| r.len() == table.headers().len());
+            table.row(row.ok_or_else(bad)?);
+        }
     }
     Ok(suites)
 }
 
-/// The outcome of diffing a run against a committed baseline.
-#[derive(Clone, Debug, Default)]
-pub struct RegressionReport {
-    /// Informational lines (new suites, baseline-only suites).
-    pub notes: Vec<String>,
-    /// Hard failures: suites whose cost signal worsened beyond tolerance.
-    pub failures: Vec<String>,
-}
+/// Cell key `(table title, row, column)` with `(row label, cell, pin)`.
+type Cell<'a> = ((&'a str, usize, &'a str), (&'a str, &'a str, Pin));
 
-/// Ignore wall-clock drift on suites faster than this: timer noise and
-/// scheduling jitter dominate millisecond-scale runs.
-const WALL_FLOOR_MS: f64 = 50.0;
-
-/// The run-to-baseline machine-speed factor: the **median** of the
-/// per-suite `current / baseline` wall ratios over the suites the gate
-/// itself judges (baseline wall at or above [`WALL_FLOOR_MS`] —
-/// sub-floor suites are timer noise and would drown the signal). A
-/// uniformly slower machine (CI runner vs the laptop that committed the
-/// baseline) shifts every ratio, and the median with it; one suite
-/// regressing — or *improving*, the expected change in a perf-focused
-/// repo — moves only its own ratio, which the median ignores, so
-/// neither fails the gate for the unchanged suites. The deliberate
-/// trade-off: if a majority of the qualifying suites regress for one
-/// shared cause, the median reads it as a slower machine — that band of
-/// regression is left to the deterministic cost gate.
-fn machine_speed(current: &[SuiteBaseline], baseline: &[SuiteBaseline]) -> f64 {
-    let mut ratios: Vec<f64> = current
-        .iter()
-        .filter_map(|cur| {
-            let base = baseline.iter().find(|b| b.id == cur.id)?;
-            (base.wall_ms.is_finite() && base.wall_ms >= WALL_FLOOR_MS && cur.wall_ms.is_finite())
-                .then(|| cur.wall_ms / base.wall_ms)
-        })
-        .collect();
-    if ratios.is_empty() {
-        return 1.0; // no qualifying suites (the per-suite gate skips them all too)
+fn cells(tables: &[Table]) -> Vec<Cell<'_>> {
+    let mut out = Vec::new();
+    for (i, t) in tables.iter().enumerate() {
+        let twice = tables[..i].iter().any(|u| u.title() == t.title());
+        assert!(!twice, "two tables titled `{}`", t.title());
+        for (r, row) in t.rows().iter().enumerate() {
+            let label = row.first().map_or("", String::as_str);
+            for c in pinned(t) {
+                let key = (t.title(), r, t.headers()[c].as_str());
+                out.push((key, (label, row[c].as_str(), t.pins()[c])));
+            }
+        }
     }
-    median(&mut ratios)
+    out
 }
 
-/// Diff `current` against `baseline`. A suite **fails** when
-///
-/// - its `median_numeric` — the deterministic cost signal — worsens
-///   (grows) by more than `tolerance` (`0.10` = 10%), or
-/// - its `wall_ms` worsens by more than `wall_tolerance` (`0.50` = 50%)
-///   after normalizing by the overall machine-speed factor (the median
-///   of qualifying per-suite wall ratios, so neither a uniformly slower
-///   machine nor a single-suite speedup produces false failures);
-///   suites under 50 ms in the baseline are exempt (pure timer noise).
-///
-/// Suites only present on one side are reported as notes, never
-/// failures.
-pub fn check_regressions(
-    current: &[SuiteBaseline],
-    baseline: &[SuiteBaseline],
-    tolerance: f64,
-    wall_tolerance: f64,
-) -> RegressionReport {
-    let mut report = RegressionReport::default();
-    let speed = machine_speed(current, baseline);
-    for cur in current {
-        let Some(base) = baseline.iter().find(|b| b.id == cur.id) else {
-            report
-                .notes
-                .push(format!("{}: new suite (no baseline entry)", cur.id));
+/// One line per moved, new or missing cell of the suites in `run`, and
+/// with `ran_all` one per file suite that `run` lacks.
+pub fn check(run: &Suites, file: &Suites, ran_all: bool) -> Vec<String> {
+    let mut out = Vec::new();
+    for (id, tables) in run {
+        let Some((_, stored)) = file.iter().find(|(f, _)| f == id) else {
+            out.push(format!("{id}: new suite, not in the baseline"));
             continue;
         };
-        if !base.median_numeric.is_nan() {
-            if cur.median_numeric.is_nan() {
-                // The suite used to have a cost signal and now has none —
-                // that is a regression of the gate itself, not a free pass.
-                report.failures.push(format!(
-                    "{}: median_numeric vanished (NaN) but baseline has {:.6}",
-                    cur.id, base.median_numeric,
-                ));
-            } else {
-                let allowed = base.median_numeric * (1.0 + tolerance) + 1e-9;
-                if cur.median_numeric > allowed {
-                    report.failures.push(format!(
-                        "{}: median_numeric {:.6} worsened >{:.0}% over baseline {:.6}",
-                        cur.id,
-                        cur.median_numeric,
-                        tolerance * 100.0,
-                        base.median_numeric,
-                    ));
-                }
+        let at =
+            |(t, r, c): (&str, usize, &str), label| format!("{id} / {t} / row {r} {label} / {c}");
+        let mut old: BTreeMap<_, _> = cells(stored).into_iter().collect();
+        for (key, (label, now, pin)) in cells(tables) {
+            match old.remove(&key) {
+                None => out.push(format!("{}: new cell {now}", at(key, label))),
+                Some((_, was, _)) if was == now || (pin == Pin::Ceiling && below(now, was)) => {}
+                Some((_, was, _)) => out.push(format!("{}: {was} → {now}", at(key, label))),
             }
         }
-        // Wall-clock gate: speed-normalized, floored, generous.
-        if base.wall_ms.is_finite() && base.wall_ms >= WALL_FLOOR_MS && cur.wall_ms.is_finite() {
-            let allowed = base.wall_ms * speed * (1.0 + wall_tolerance) + WALL_FLOOR_MS;
-            if cur.wall_ms > allowed {
-                report.failures.push(format!(
-                    "{}: wall_ms {:.1} worsened >{:.0}% over baseline {:.1} \
-                     (machine-speed factor {:.2})",
-                    cur.id,
-                    cur.wall_ms,
-                    wall_tolerance * 100.0,
-                    base.wall_ms,
-                    speed,
-                ));
-            }
+        for (key, (label, was, _)) in old {
+            out.push(format!("{}: {was} → missing", at(key, label)));
         }
     }
-    for base in baseline {
-        if !current.iter().any(|c| c.id == base.id) {
-            report
-                .notes
-                .push(format!("{}: in baseline but not in this run", base.id));
-        }
+    let ran = |f: &String| run.iter().any(|(r, _)| r == f);
+    for (id, _) in file.iter().filter(|(f, _)| ran_all && !ran(f)) {
+        out.push(format!("{id}: in the baseline but not in this run"));
     }
-    report
+    out
+}
+
+fn below(now: &str, ceiling: &str) -> bool {
+    matches!((now.parse::<f64>(), ceiling.parse::<f64>()), (Ok(n), Ok(c)) if n <= c)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn suite(id: &str, median: f64) -> SuiteBaseline {
-        SuiteBaseline {
-            id: id.into(),
-            tables: 1,
-            rows: 2,
-            numeric_cells: 4,
-            median_numeric: median,
-            wall_ms: 1.0,
+    fn demo(cost: &str, identical: &str, verdict: &str) -> Table {
+        let headers = ["topology", "cost", "identical", "verdict", "wall_ms"];
+        let mut t = Table::new("demo", &headers).unpinned(&["wall_ms"]);
+        t.row(vec![
+            "star".into(),
+            "1.5".into(),
+            "yes".into(),
+            "PASS".into(),
+            "3.0".into(),
+        ]);
+        t.row(vec![
+            "tree".into(),
+            cost.into(),
+            identical.into(),
+            verdict.into(),
+            "9.9".into(),
+        ]);
+        t
+    }
+
+    fn run(tables: Vec<(&str, Table)>) -> Suites {
+        tables
+            .into_iter()
+            .map(|(id, t)| (id.to_string(), vec![t]))
+            .collect()
+    }
+
+    fn file(tables: Vec<(&str, Table)>) -> Suites {
+        from_json(&to_json(&run(tables))).unwrap()
+    }
+
+    #[test]
+    fn each_moved_cell_fails_with_one_named_line() {
+        let base = file(vec![("x-demo", demo("2.25", "yes", "PASS"))]);
+        let same = run(vec![("x-demo", demo("2.25", "yes", "PASS"))]);
+        assert!(check(&same, &base, true).is_empty());
+        for (moved, want) in [
+            (demo("2.26", "yes", "PASS"), "cost: 2.25 → 2.26"),
+            (demo("2.25", "no", "PASS"), "identical: yes → no"),
+            (demo("2.25", "yes", "FAIL"), "verdict: PASS → FAIL"),
+        ] {
+            let diffs = check(&run(vec![("x-demo", moved)]), &base, true);
+            assert_eq!(diffs, vec![format!("x-demo / demo / row 1 tree / {want}")]);
         }
+    }
+
+    #[test]
+    fn missing_and_new_cells_and_suites_fail() {
+        let base = file(vec![
+            ("a", demo("2", "yes", "PASS")),
+            ("b", demo("2", "yes", "PASS")),
+        ]);
+        let mut longer = demo("2", "yes", "PASS");
+        longer.row(vec![
+            "ring".into(),
+            "4".into(),
+            "yes".into(),
+            "PASS".into(),
+            "1".into(),
+        ]);
+        let diffs = check(
+            &run(vec![("a", longer), ("c", demo("2", "yes", "PASS"))]),
+            &base,
+            true,
+        );
+        assert_eq!(diffs.len(), 6, "{diffs:#?}"); // four new cells, a new suite, a lost suite
+        assert_eq!(diffs[0], "a / demo / row 2 ring / topology: new cell ring");
+        assert_eq!(diffs[4], "c: new suite, not in the baseline");
+        assert_eq!(diffs[5], "b: in the baseline but not in this run");
+
+        // A subset run: suite `b` is not compared, row 1 of `a` is missing.
+        let mut shorter = Table::new("demo", &["topology", "cost", "identical", "verdict"]);
+        shorter.row(vec![
+            "star".into(),
+            "1.5".into(),
+            "yes".into(),
+            "PASS".into(),
+        ]);
+        let diffs = check(&run(vec![("a", shorter)]), &base, false);
+        assert_eq!(diffs.len(), 4, "{diffs:#?}");
+        assert!(diffs.contains(&"a / demo / row 1 tree / cost: 2 → missing".to_string()));
+    }
+
+    #[test]
+    fn ceilings_may_fall_but_not_rise() {
+        let sized = |lines: &str| {
+            let mut t = Table::new("size", &["crate", "lines"]).ceilings(&["lines"]);
+            t.row(vec!["core".into(), lines.into()]);
+            t
+        };
+        let base = file(vec![("x-size", sized("100"))]);
+        assert!(check(&run(vec![("x-size", sized("99"))]), &base, false).is_empty());
+        let diffs = check(&run(vec![("x-size", sized("101"))]), &base, false);
+        assert_eq!(diffs, vec!["x-size / size / row 0 core / lines: 100 → 101"]);
+    }
+
+    #[test]
+    fn a_schema_1_file_is_refused_with_a_hint() {
+        let v1 = "{\n  \"schema_version\": 1,\n  \"suites\": [\n    {\"id\": \"f2\", \
+                  \"median_numeric\": 9.000000, \"wall_ms\": 1.3}\n  ]\n}\n";
+        assert!(from_json(v1).unwrap_err().contains("regenerate"));
     }
 
     #[test]
     fn json_roundtrips() {
-        let suites = vec![suite("t1-si", 0.9), suite("x-plan", 123.456)];
-        let parsed = from_json(&to_json(&suites)).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].id, "t1-si");
-        assert!((parsed[0].median_numeric - 0.9).abs() < 1e-9);
-        assert_eq!(parsed[1].id, "x-plan");
-        assert!((parsed[1].median_numeric - 123.456).abs() < 1e-9);
-        assert_eq!(parsed[1].rows, 2);
-    }
-
-    #[test]
-    fn regression_check_flags_only_worsening() {
-        let baseline = vec![suite("a", 100.0), suite("gone", 5.0)];
-        let current = vec![
-            suite("a", 109.9),  // +9.9% — within the 10% envelope
-            suite("new", 50.0), // no baseline — note only
-        ];
-        let report = check_regressions(&current, &baseline, 0.10, 0.50);
-        assert!(report.failures.is_empty(), "{:?}", report.failures);
-        assert_eq!(report.notes.len(), 2);
-
-        let worse = vec![suite("a", 111.0)];
-        let report = check_regressions(&worse, &baseline, 0.10, 0.50);
-        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
-
-        // Improvements never fail.
-        let better = vec![suite("a", 20.0)];
-        assert!(check_regressions(&better, &baseline, 0.10, 0.50)
-            .failures
-            .is_empty());
-
-        // A cost signal that vanishes (NaN vs finite baseline) fails —
-        // otherwise a suite degenerating to zero numeric cells would
-        // bypass the gate entirely.
-        let vanished = vec![suite("a", f64::NAN)];
-        let report = check_regressions(&vanished, &baseline, 0.10, 0.50);
-        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
-        assert!(report.failures[0].contains("vanished"));
-    }
-
-    fn timed(id: &str, wall: f64) -> SuiteBaseline {
-        SuiteBaseline {
-            wall_ms: wall,
-            ..suite(id, 1.0)
-        }
-    }
-
-    #[test]
-    fn wall_gate_flags_relative_regressions_only() {
-        let baseline = vec![
-            timed("a", 200.0),
-            timed("b", 400.0),
-            timed("c", 800.0),
-            timed("tiny", 2.0),
-        ];
-        // A uniformly 3× slower machine: every ratio shifts together, the
-        // speed factor absorbs it, nothing fails.
-        let slower: Vec<SuiteBaseline> = baseline
-            .iter()
-            .map(|s| timed(&s.id, s.wall_ms * 3.0))
-            .collect();
-        let report = check_regressions(&slower, &baseline, 0.10, 0.50);
-        assert!(report.failures.is_empty(), "{:?}", report.failures);
-
-        // One suite blowing up 5× on an otherwise steady machine fails.
-        let blowup = vec![
-            timed("a", 200.0),
-            timed("b", 2000.0),
-            timed("c", 800.0),
-            timed("tiny", 2.0),
-        ];
-        let report = check_regressions(&blowup, &baseline, 0.10, 0.50);
-        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
-        assert!(report.failures[0].contains("b: wall_ms"));
-
-        // A genuine speedup in one suite must not fail the gate for the
-        // unchanged suites (perf improvements are the expected change
-        // here): the median speed factor ignores the improved outlier.
-        let one_faster = vec![
-            timed("a", 200.0),
-            timed("b", 400.0),
-            timed("c", 80.0), // 10× faster, others unchanged
-            timed("tiny", 2.0),
-        ];
-        let report = check_regressions(&one_faster, &baseline, 0.10, 0.50);
-        assert!(report.failures.is_empty(), "{:?}", report.failures);
-
-        // Sub-floor suites never fail on wall time, however noisy —
-        // and their jitter never skews the speed factor.
-        let noisy_tiny = vec![
-            timed("a", 200.0),
-            timed("b", 400.0),
-            timed("c", 800.0),
-            timed("tiny", 40.0),
-        ];
-        let report = check_regressions(&noisy_tiny, &baseline, 0.10, 0.50);
-        assert!(report.failures.is_empty(), "{:?}", report.failures);
-    }
-
-    #[test]
-    fn median_is_robust() {
-        assert_eq!(median(&mut [3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&mut [4.0, 1.0, 2.0, 3.0]), 2.5);
-        assert!(median(&mut []).is_nan());
+        let mut tables = crate::suite::f2();
+        tables.extend(crate::xsize::x_size());
+        let emitted = vec![("f2+x-size".to_string(), tables)];
+        let parsed = from_json(&to_json(&emitted)).unwrap();
+        assert!(check(&emitted, &parsed, true).is_empty());
+        assert_eq!(parsed[0].1.len(), 2);
+        assert!(!parsed[0].1[1].headers().contains(&"files".to_string()));
     }
 
     #[test]
     fn json_shape_is_valid() {
-        let suites = vec![SuiteBaseline {
-            id: "t1-si".into(),
-            tables: 1,
-            rows: 24,
-            numeric_cells: 96,
-            median_numeric: 5.5,
-            wall_ms: 12.0,
-        }];
+        let mut t = Table::new("empty", &["a"]).unpinned(&["a"]);
+        t.row(vec!["x".into()]);
+        let suites = run(vec![("x-demo", demo("2", "yes", "PASS")), ("x-empty", t)]);
         let j = to_json(&suites);
-        assert!(j.contains("\"schema_version\": 1"));
-        assert!(j.contains("\"id\": \"t1-si\""));
-        assert!(j.contains("\"median_numeric\": 5.500000"));
-        // No trailing comma before the closing bracket.
-        assert!(!j.contains(",\n  ]"));
+        assert!(j.starts_with("{\n  \"schema_version\": 2,\n  \"suites\": {\n    \"x-demo\": {"));
+        assert!(j.contains("\n          [\"star\", \"1.5\", \"yes\", \"PASS\"],\n"));
+        assert!(j.contains("\"columns\": [],\n        \"rows\": [\n          []\n        ]"));
+        assert!(!j.contains("wall_ms") && !j.contains(",\n  }") && !j.contains(",\n    }"));
+        assert!(check(&suites, &from_json(&j).unwrap(), true).is_empty());
     }
 
     #[test]
-    fn summarize_distills_a_real_suite() {
-        let tables = crate::suite::run_experiment("abl-partition").unwrap();
-        let s = summarize("abl-partition", &tables, 1.0);
-        assert_eq!(s.id, "abl-partition");
-        assert!(s.tables >= 1 && s.rows >= 1 && s.numeric_cells >= 1);
-        assert!(s.median_numeric.is_finite());
-        assert_eq!(s.wall_ms, 1.0);
+    #[should_panic(expected = "would need JSON escaping")]
+    fn a_cell_that_needs_escaping_is_refused() {
+        let mut t = Table::new("quoted", &["a"]);
+        t.row(vec!["say \"hi\"".into()]);
+        to_json(&run(vec![("x-demo", t)]));
     }
 }

@@ -7,21 +7,25 @@
 //! cargo run --release -p tamp-bench --bin experiments -- --list
 //! cargo run --release -p tamp-bench --bin experiments -- all --json
 //! cargo run --release -p tamp-bench --bin experiments -- all --json=out.json
+//! cargo run --release -p tamp-bench --bin experiments -- all --check=BENCH_baseline.json
 //! ```
 //!
-//! With `--json` (or `--json=PATH`), a machine-readable per-suite
-//! summary (median costs and wall-clock timings) is written to `PATH`
-//! (default `BENCH_baseline.json`) in addition to the printed tables.
-//! The `=` form is deliberate: a free-standing operand after `--json`
-//! would be ambiguous with a (possibly typo'd) experiment id.
+//! Every id is resolved before any suite runs: an unknown id or flag
+//! exits 2 having run nothing.
 //!
-//! With `--check=PATH`, the run is additionally diffed against the
-//! committed baseline at `PATH`: the process exits non-zero if any
-//! suite's `median_numeric` (the deterministic cost signal) worsened by
-//! more than 10%, or any suite's `wall_ms` worsened by more than 50%
-//! after machine-speed normalization — the CI bench-regression gate.
-
-use std::time::Instant;
+//! With `--json` (or `--json=PATH`), every pinned cell of every table
+//! the run printed is also written to `PATH` (default
+//! `BENCH_baseline.json`), one table row per line; see
+//! [`tamp_bench::baseline`]. The `=` form is deliberate: a free-standing
+//! operand after `--json` would be ambiguous with a (possibly typo'd)
+//! experiment id.
+//!
+//! With `--check=PATH`, the run is compared with the baseline at `PATH`
+//! cell by cell, and the process exits 1 after printing one line per
+//! moved, new or missing cell. Cells compare by exact text, except the
+//! `x-size` / `x-lint` counts, which are ceilings that may only fall. A
+//! subset run compares only the suites it ran. Nothing here reads a
+//! clock: wall time is measured by `benchmark/`.
 
 use tamp_bench::baseline;
 use tamp_bench::suite::{run_experiment, ALL_EXPERIMENTS};
@@ -52,7 +56,7 @@ fn main() {
                 std::process::exit(2);
             }
             check_path = Some(path.to_string());
-        } else if arg.starts_with("--") && arg != "--list" {
+        } else if arg.starts_with("--") {
             eprintln!("unknown flag: {arg}");
             std::process::exit(2);
         } else {
@@ -64,59 +68,53 @@ fn main() {
     } else {
         ids
     };
+    if let Some(id) = ids.iter().find(|id| !ALL_EXPERIMENTS.contains(id)) {
+        eprintln!("unknown experiment id: {id} (try --list)");
+        std::process::exit(2);
+    }
+    let committed = check_path.map(|path| {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("failed to read baseline {path}: {e}");
+            std::process::exit(1);
+        });
+        let suites = baseline::from_json(&text).unwrap_or_else(|e| {
+            eprintln!("failed to parse baseline {path}: {e}");
+            std::process::exit(1);
+        });
+        (path, suites)
+    });
     println!("tamp experiment harness — PODS 2021 topology-aware MPC reproduction");
     let mut suites = Vec::new();
-    for id in ids {
-        let start = Instant::now();
-        match run_experiment(id) {
-            Some(tables) => {
-                let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-                for table in &tables {
-                    println!("{table}");
-                }
-                suites.push(baseline::summarize(id, &tables, wall_ms));
-            }
-            None => {
-                eprintln!("unknown experiment id: {id} (try --list)");
-                std::process::exit(2);
-            }
+    for &id in &ids {
+        let tables = run_experiment(id).expect("ids are resolved above");
+        for table in &tables {
+            println!("{table}");
         }
+        suites.push((id.to_string(), tables));
     }
     if let Some(path) = json_path {
         if let Err(e) = std::fs::write(&path, baseline::to_json(&suites)) {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         }
-        println!("wrote per-suite baseline to {path}");
+        println!("wrote the pinned table cells to {path}");
     }
-    if let Some(path) = check_path {
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("failed to read baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let committed = match baseline::from_json(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("failed to parse baseline {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let report = baseline::check_regressions(&suites, &committed, 0.10, 0.50);
-        for note in &report.notes {
-            println!("baseline note: {note}");
-        }
-        if report.failures.is_empty() {
+    if let Some((path, committed)) = committed {
+        let ran_all = ALL_EXPERIMENTS.iter().all(|id| ids.contains(id));
+        let diffs = baseline::check(&suites, &committed, ran_all);
+        if diffs.is_empty() {
             println!(
-                "bench-regression check passed against {path} ({} suites compared)",
+                "baseline check passed against {path} ({} suites)",
                 suites.len()
             );
         } else {
-            for failure in &report.failures {
-                eprintln!("bench REGRESSION: {failure}");
+            for diff in &diffs {
+                eprintln!("baseline moved: {diff}");
             }
+            eprintln!(
+                "baseline check failed against {path} ({} differences)",
+                diffs.len()
+            );
             std::process::exit(1);
         }
     }

@@ -16,16 +16,14 @@
 //! Every mode runs the *same* total query count and every result is
 //! checked bit-identical (canonical rows and metered ledger) to the
 //! serial reference — concurrency and caching change throughput, never
-//! answers. The shared engine here is the centralized simulator (the
-//! cheapest replay, so the plan-cache signal dominates the measurement
-//! even on a single-core machine); the serving stress suite drives the
-//! same `QueryService` through the shared-crew pooled cluster. The
-//! `cost` column (the workload's total metered tuple cost) is the
-//! deterministic baseline signal; wall/qps columns are
-//! machine-dependent.
+//! answers. The shared engine here is the centralized simulator; the
+//! serving stress suite drives the same `QueryService` through the
+//! shared-crew pooled cluster. The `cost` column is the workload's total
+//! metered tuple cost. Throughput is not measured here: `benchmark/`'s
+//! `query.service.hit_us` / `miss_us` time a cached and an uncached
+//! serve.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use tamp_query::prelude::*;
 use tamp_query::service::QueryService;
@@ -98,90 +96,42 @@ fn workload() -> Vec<LogicalPlan> {
     ]
 }
 
-/// One mode's measurement: wall time for `SERVE_QUERIES` queries, plus
-/// whether every result matched the serial reference bit for bit.
-struct ModeRun {
-    wall: Duration,
-    identical: bool,
-}
-
 fn check(result: &QueryResult, want: &QueryResult) -> bool {
     result.rows(false) == want.rows(false) && result.cost.edge_totals == want.cost.edge_totals
 }
 
-/// `threads` clients, each serving its share of `SERVE_QUERIES` fresh
-/// `prepare()` calls (no cache) against the shared backend.
-fn run_uncached(
-    ctx: &QueryContext,
-    backend: &Arc<dyn ExecBackend + Send + Sync>,
-    queries: &[LogicalPlan],
-    reference: &[QueryResult],
+/// `threads` clients, each serving its share of `SERVE_QUERIES` through
+/// `serve(k)` (query `k` of the workload); `true` when every result
+/// matched the serial reference bit for bit.
+fn run_clients(
     threads: usize,
-) -> ModeRun {
+    reference: &[QueryResult],
+    serve: impl Fn(usize) -> QueryResult + Sync,
+) -> bool {
     let per_thread = SERVE_QUERIES / threads;
-    let start = Instant::now();
-    let identical = std::thread::scope(|scope| {
+    let serve = &serve;
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 scope.spawn(move || {
-                    let mut ok = true;
-                    for i in 0..per_thread {
-                        let k = (t + i) % queries.len();
-                        let result = ctx.prepare(&queries[k]).unwrap().run_on(backend).unwrap();
-                        ok &= check(&result, &reference[k]);
-                    }
-                    ok
+                    (0..per_thread).fold(true, |ok, i| {
+                        let k = (t + i) % reference.len();
+                        check(&serve(k), &reference[k]) && ok
+                    })
                 })
             })
             .collect();
         handles.into_iter().all(|h| h.join().unwrap())
-    });
-    ModeRun {
-        wall: start.elapsed(),
-        identical,
-    }
+    })
 }
 
-/// `threads` clients through one shared [`QueryService`] (plan cache +
-/// FIFO admission), same total query count.
-fn run_cached(
-    service: &QueryService,
-    queries: &[LogicalPlan],
-    reference: &[QueryResult],
-    threads: usize,
-) -> ModeRun {
-    let per_thread = SERVE_QUERIES / threads;
-    let start = Instant::now();
-    let identical = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut ok = true;
-                    for i in 0..per_thread {
-                        let k = (t + i) % queries.len();
-                        let served = service.serve(&queries[k]).unwrap();
-                        ok &= check(&served.result, &reference[k]);
-                    }
-                    ok
-                })
-            })
-            .collect();
-        handles.into_iter().all(|h| h.join().unwrap())
-    });
-    ModeRun {
-        wall: start.elapsed(),
-        identical,
-    }
-}
-
-/// The four modes of one scenario, measured. Returns
-/// `(mode label, threads, run)` rows plus the workload's deterministic
-/// total metered cost.
+/// The four modes of one scenario, checked, plus the workload's total
+/// metered cost.
 pub struct ServeMeasurement {
-    /// `(mode, threads, wall, identical)` in presentation order.
-    pub modes: Vec<(&'static str, usize, Duration, bool)>,
+    /// `(mode, threads, identical)` in presentation order.
+    pub modes: Vec<(&'static str, usize, bool)>,
     /// Total metered tuple cost of one pass over the workload
-    /// (deterministic: the baseline signal).
+    /// (deterministic).
     pub workload_cost: f64,
 }
 
@@ -200,50 +150,40 @@ pub fn measure(tree: &Tree) -> ServeMeasurement {
     let service = QueryService::new(serving_context(tree), Arc::clone(&backend))
         .with_max_inflight(SERVE_THREADS)
         .unwrap();
-    // Warm the plan cache so the cached modes measure steady-state
-    // serving, not first-arrival planning.
+    // Warm the plan cache so the cached modes serve steady-state hits,
+    // not first-arrival planning.
     for q in &queries {
         service.serve(q).unwrap();
     }
 
-    let serial_uncached = run_uncached(&ctx, &backend, &queries, &reference, 1);
-    let serial_cached = run_cached(&service, &queries, &reference, 1);
-    let conc_uncached = run_uncached(&ctx, &backend, &queries, &reference, SERVE_THREADS);
-    let conc_cached = run_cached(&service, &queries, &reference, SERVE_THREADS);
-
+    // A fresh `prepare()` per query (no cache), or one shared service.
+    let uncached = |threads| {
+        run_clients(threads, &reference, |k| {
+            ctx.prepare(&queries[k]).unwrap().run_on(&*backend).unwrap()
+        })
+    };
+    let cached = |threads| {
+        run_clients(threads, &reference, |k| {
+            service.serve(&queries[k]).unwrap().result
+        })
+    };
     ServeMeasurement {
         modes: vec![
-            (
-                "serial / uncached",
-                1,
-                serial_uncached.wall,
-                serial_uncached.identical,
-            ),
-            (
-                "serial / cached",
-                1,
-                serial_cached.wall,
-                serial_cached.identical,
-            ),
+            ("serial / uncached", 1, uncached(1)),
+            ("serial / cached", 1, cached(1)),
             (
                 "8 threads / uncached",
                 SERVE_THREADS,
-                conc_uncached.wall,
-                conc_uncached.identical,
+                uncached(SERVE_THREADS),
             ),
-            (
-                "8 threads / cached",
-                SERVE_THREADS,
-                conc_cached.wall,
-                conc_cached.identical,
-            ),
+            ("8 threads / cached", SERVE_THREADS, cached(SERVE_THREADS)),
         ],
         workload_cost,
     }
 }
 
-/// X-SERVE — concurrent serving throughput: cached vs uncached, serial
-/// vs 8 threads, all bit-identical to single-session execution.
+/// X-SERVE — concurrent serving: cached vs uncached, serial vs 8
+/// threads, all bit-identical to single-session execution.
 pub fn x_serve() -> Vec<Table> {
     let mut t = Table::new(
         "X-SERVE  QueryService: threads \u{d7} queries, plan cache on/off, one shared backend",
@@ -253,36 +193,27 @@ pub fn x_serve() -> Vec<Table> {
             "threads",
             "queries",
             "cost",
-            "wall_ms",
-            "q/s",
-            "speedup",
             "identical",
         ],
     );
     for (name, tree) in scenarios() {
         let m = measure(&tree);
-        let base_wall = m.modes[0].2.as_secs_f64();
-        for (mode, threads, wall, identical) in &m.modes {
-            let secs = wall.as_secs_f64().max(1e-9);
+        for (mode, threads, identical) in &m.modes {
             t.row(vec![
                 name.into(),
                 (*mode).into(),
                 threads.to_string(),
                 SERVE_QUERIES.to_string(),
                 fnum(m.workload_cost),
-                fnum(secs * 1e3),
-                fnum(SERVE_QUERIES as f64 / secs),
-                fnum(base_wall / secs),
                 if *identical { "yes" } else { "NO" }.into(),
             ]);
         }
     }
     t.note(
         "Expected shape: every mode bit-identical to serial single-session execution \
-         (identical = yes); the plan cache and concurrency only move wall/q\u{2044}s, \
-         which are reported, not gated: a plan-cache miss is measured by \
-         benchmark/'s query.service.miss_us against hit_us. `cost` is the \
-         deterministic per-workload metered signal.",
+         (identical = yes); the plan cache and concurrency move only wall time, \
+         which benchmark/ measures (query.service.miss_us against hit_us). \
+         `cost` is the per-workload metered tuple cost.",
     );
     vec![t]
 }
@@ -297,7 +228,7 @@ mod tests {
         let t = &tables[0];
         assert_eq!(t.num_rows(), 8); // 2 topologies × 4 modes
         for i in 0..t.num_rows() {
-            assert_eq!(t.cell(i, 8), "yes", "{} / {}", t.cell(i, 0), t.cell(i, 1));
+            assert_eq!(t.cell(i, 5), "yes", "{} / {}", t.cell(i, 0), t.cell(i, 1));
         }
         // The cost signal is per-topology constant across modes.
         for base in [0, 4] {

@@ -2,24 +2,59 @@
 
 use std::fmt;
 
+/// How the baseline (`crate::baseline`) treats a column's cells.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Pin {
+    /// Pinned by exact text (every column starts here).
+    Exact,
+    /// A count that may fall but not rise above its pinned value.
+    Ceiling,
+    /// Printed, never pinned: the cell reads a clock or depends on
+    /// thread timing.
+    Unpinned,
+}
+
 /// A text table: headers plus rows, rendered with aligned columns.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
+    pins: Vec<Pin>,
     rows: Vec<Vec<String>>,
     notes: Vec<String>,
 }
 
 impl Table {
     /// Create a table with a title and column headers.
-    pub fn new(title: &str, headers: &[&str]) -> Self {
+    pub fn new(title: &str, headers: &[impl AsRef<str>]) -> Self {
         Table {
             title: title.to_string(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.iter().map(|s| s.as_ref().to_string()).collect(),
+            pins: vec![Pin::Exact; headers.len()],
             rows: Vec::new(),
             notes: Vec::new(),
         }
+    }
+
+    /// Declare `columns` unpinned (see [`Pin::Unpinned`]). Panics if the
+    /// table has no such column.
+    pub fn unpinned(self, columns: &[&str]) -> Self {
+        self.pin(columns, Pin::Unpinned)
+    }
+
+    /// Declare `columns` ceilings (see [`Pin::Ceiling`]). Panics if the
+    /// table has no such column.
+    pub fn ceilings(self, columns: &[&str]) -> Self {
+        self.pin(columns, Pin::Ceiling)
+    }
+
+    fn pin(mut self, columns: &[&str], pin: Pin) -> Self {
+        for c in columns {
+            let i = self.headers.iter().position(|h| h == c);
+            let i = i.unwrap_or_else(|| panic!("table `{}` has no column `{c}`", self.title));
+            self.pins[i] = pin;
+        }
+        self
     }
 
     /// Append a row (must match the header arity).
@@ -53,34 +88,14 @@ impl Table {
         &self.headers
     }
 
-    /// Every cell that parses as a finite number, in row-major order —
-    /// the raw material for machine-readable baselines.
-    pub fn numeric_cells(&self) -> Vec<f64> {
-        self.rows
-            .iter()
-            .flatten()
-            .filter_map(|c| c.parse::<f64>().ok())
-            .filter(|x| x.is_finite())
-            .collect()
+    /// How the baseline treats each column, in header order.
+    pub fn pins(&self) -> &[Pin] {
+        &self.pins
     }
 
-    /// Finite numeric cells restricted to the columns selected by
-    /// `keep(header)` — lets baselines target cost-like columns instead
-    /// of diluting medians with seeds and size parameters.
-    pub fn numeric_cells_in_columns(&self, keep: impl Fn(&str) -> bool) -> Vec<f64> {
-        let cols: Vec<usize> = self
-            .headers
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| keep(h))
-            .map(|(i, _)| i)
-            .collect();
-        self.rows
-            .iter()
-            .flat_map(|row| cols.iter().map(move |&c| &row[c]))
-            .filter_map(|c| c.parse::<f64>().ok())
-            .filter(|x| x.is_finite())
-            .collect()
+    /// The data rows.
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
     }
 }
 
@@ -155,6 +170,12 @@ mod tests {
         assert_eq!(fnum(42.42), "42.4");
         assert_eq!(fnum(12345.6), "12346");
         assert_eq!(fnum(f64::INFINITY), "inf");
+    }
+
+    #[test]
+    #[should_panic(expected = "table `x` has no column `wall_ms`")]
+    fn pinning_a_missing_column_panics() {
+        let _ = Table::new("x", &["a", "b"]).unpinned(&["wall_ms"]);
     }
 
     #[test]

@@ -18,14 +18,12 @@
 //! The release gate sweeps [`GATE_SEEDS`] seeds; the debug test a small
 //! prefix.
 
-use std::time::{Duration, Instant};
-
 use tamp_query::orchestrator::chaos::{self, ChaosSpec};
 use tamp_query::orchestrator::Orchestrator;
 use tamp_query::prelude::*;
 use tamp_topology::builders;
 
-use crate::table::{fnum, Table};
+use crate::table::Table;
 
 /// Seeds swept by the release gate (and `experiments -- x-chaos`).
 pub const GATE_SEEDS: u64 = 64;
@@ -78,8 +76,6 @@ pub struct ChaosMeasurement {
     /// Every partial restart replayed strictly fewer supersteps than the
     /// whole query (replayed + skipped = total, skipped > 0).
     pub strictly_fewer: bool,
-    /// Wall time for the whole sweep.
-    pub wall: Duration,
 }
 
 /// Sweep `seeds` seeded chaos schedules, checking every answer and every
@@ -102,7 +98,6 @@ pub fn measure(seeds: u64) -> ChaosMeasurement {
     let mut identical = true;
     let mut strictly_fewer = true;
 
-    let start = Instant::now();
     for seed in 0..seeds {
         let orch = Orchestrator::builder(chaos_context())
             .tenant(TenantSpec::new("chaos", 1, 64))
@@ -148,7 +143,6 @@ pub fn measure(seeds: u64) -> ChaosMeasurement {
         supersteps_skipped,
         identical,
         strictly_fewer,
-        wall: start.elapsed(),
     }
 }
 
@@ -168,7 +162,6 @@ pub fn x_chaos() -> Vec<Table> {
             "supersteps_skipped",
             "identical",
             "strictly_fewer",
-            "wall_ms",
         ],
     );
     t.row(vec![
@@ -180,14 +173,13 @@ pub fn x_chaos() -> Vec<Table> {
         m.supersteps_skipped.to_string(),
         if m.identical { "yes" } else { "NO" }.into(),
         if m.strictly_fewer { "yes" } else { "NO" }.into(),
-        fnum(m.wall.as_secs_f64() * 1e3),
     ]);
     t.note(
         "Expected shape: identical = yes (every answer under every seeded schedule \
          matches the fault-free serial run bit for bit) and strictly_fewer = yes \
          (every checkpointed resume replays replayed < replayed + skipped supersteps, \
          skipped > 0, read from the RecoveryEvent ledger). Fault/recovery counts are \
-         deterministic per seed set; wall time is machine-dependent.",
+         deterministic per seed set.",
     );
     vec![t]
 }

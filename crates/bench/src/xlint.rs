@@ -6,11 +6,10 @@
 //! determinism/safety invariants, and the count creeping upward is the
 //! early signal that exceptions are becoming the norm. This suite runs
 //! the same workspace scan as `tests/lint.rs` and tabulates per-rule
-//! violation/allow counts into the bench baseline, so
-//! `BENCH_baseline.json` pins the budget and `--check` flags drift.
-//!
-//! All cells are deterministic (counts over the checked-in sources), so
-//! they feed the baseline's cost median directly.
+//! violation/allow counts. `BENCH_baseline.json` stores the violation
+//! and allow counts as ceilings: `--check` and the `size_ratchet` test
+//! fail when one rises. `files_scanned` grows with tests, so it is
+//! printed but not pinned.
 
 use tamp_lint::{scan_workspace, workspace_root, Report, RuleId};
 
@@ -27,7 +26,8 @@ pub fn tables(report: &Report) -> Vec<Table> {
     let mut per_rule = Table::new(
         "X-LINT: per-rule violation/allow counts",
         &["rule", "violations", "allows"],
-    );
+    )
+    .ceilings(&["violations", "allows"]);
     for (rule, (violations, allows)) in report.rule_counts() {
         per_rule.row(vec![
             rule.id().to_string(),
@@ -43,7 +43,9 @@ pub fn tables(report: &Report) -> Vec<Table> {
     let mut totals = Table::new(
         "X-LINT: workspace totals",
         &["files_scanned", "violations", "allow_sites"],
-    );
+    )
+    .unpinned(&["files_scanned"])
+    .ceilings(&["violations", "allow_sites"]);
     totals.row(vec![
         report.files.to_string(),
         report.diagnostics.len().to_string(),

@@ -158,7 +158,8 @@ fn throughput_table() -> Table {
             "speedup",
             "tuple cost",
         ],
-    );
+    )
+    .unpinned(&["agg ms", "agg sends/ms", "oracle ms", "speedup"]);
     let rounds = ROUNDS;
     // Tree 1: 4^6 = 4096 compute leaves, 5461 nodes, leaf-to-leaf paths
     // up to 12 hops in the internal rooting. The all-to-all runs the
@@ -293,9 +294,9 @@ mod tests {
 
     /// The wall-clock half. Ignored by default: it runs the full
     /// 4096-compute workloads (~30 s unoptimized) and asserts a timing
-    /// ratio, which belongs in the release-mode experiment gate (the CI
-    /// `--check` run gates `x-scale`'s wall_ms), not in every
-    /// `cargo test`. Run explicitly with `cargo test -- --ignored`.
+    /// ratio, so it runs in release in CI's `--ignored` step, not in
+    /// every `cargo test`. The baseline does not pin these columns.
+    /// Run explicitly with `cargo test -- --ignored`.
     #[test]
     #[ignore = "wall-clock microbench; run with --ignored or via `experiments -- x-scale`"]
     fn x_scale_speedup_meets_acceptance_bar() {

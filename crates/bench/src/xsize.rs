@@ -8,8 +8,11 @@
 //! `#[cfg(test)]` scoping ([`tamp_lint::size`]) so comments, strings and
 //! test modules are told apart the same way the rules tell them apart.
 //!
-//! All cells are deterministic (counts over the checked-in sources), so
-//! `BENCH_baseline.json` pins them and a PR's effect on size is a diff.
+//! All cells are deterministic counts over the checked-in sources.
+//! `BENCH_baseline.json` stores non-test lines, `pub` items, `unsafe`
+//! sites and lint allows as ceilings: `--check` and the `size_ratchet`
+//! test fail when one rises, and lowering one is free. `files` and
+//! `lines` grow with tests, so they are printed but not pinned.
 
 use std::collections::BTreeMap;
 
@@ -61,7 +64,9 @@ pub fn x_size() -> Vec<Table> {
             "unsafe",
             "lint_allows",
         ],
-    );
+    )
+    .unpinned(&["files", "lines"])
+    .ceilings(&["non_test_lines", "pub_items", "unsafe", "lint_allows"]);
     let mut total = (0, SourceSize::default(), 0);
     for (name, (files, size, allows)) in per_crate {
         t.row(row(&name, files, size, allows));

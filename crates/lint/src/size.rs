@@ -4,7 +4,7 @@
 //! module are, not by a second tokenizer.
 //!
 //! The `x-size` experiment suite (`crates/bench`) sums these per crate
-//! into `BENCH_baseline.json`.
+//! into `BENCH_baseline.json`, where every count but `lines` is a ceiling.
 
 use std::ops::AddAssign;
 

@@ -331,11 +331,6 @@ impl<'c> DataFrame<'c> {
     pub fn collect(&self) -> Result<QueryResult, QueryError> {
         self.prepare()?.run()
     }
-
-    /// Prepare and run on an explicit backend.
-    pub fn collect_on(&self, backend: &dyn ExecBackend) -> Result<QueryResult, QueryError> {
-        self.prepare()?.run_on(backend)
-    }
 }
 
 impl From<DataFrame<'_>> for LogicalPlan {

@@ -235,11 +235,6 @@ impl IterativeJob {
         self.spec
     }
 
-    /// Number of vertices (`owners.len()`).
-    pub fn num_vertices(&self) -> usize {
-        self.owners.len()
-    }
-
     fn validate(&self, tree: &Tree) -> Result<(), QueryError> {
         let n = self.owners.len();
         if n == 0 {

@@ -176,12 +176,6 @@ impl RetryPolicy {
             backoff: Backoff::None,
         }
     }
-
-    /// Builder-style: set the backoff between attempts.
-    pub fn with_backoff(mut self, backoff: Backoff) -> Self {
-        self.backoff = backoff;
-        self
-    }
 }
 
 /// One recoverable fault hitting a served query, in arrival order. The
@@ -783,11 +777,6 @@ impl Orchestrator {
     /// is enabled via [`OrchestratorBuilder::checkpoints`].
     pub fn checkpoint_stats(&self) -> Option<CheckpointStats> {
         self.checkpoints.as_ref().map(|store| store.stats())
-    }
-
-    /// The configured replay-recovery policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Every fault that actually fired, in firing order.

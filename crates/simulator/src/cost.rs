@@ -12,11 +12,6 @@
 
 use tamp_topology::{DirEdgeId, Tree};
 
-/// Number of bits used to represent one element when converting tuple costs
-/// to bit costs. The paper charges `O(log N)` bits per element; we default
-/// to the machine representation.
-pub const DEFAULT_BITS_PER_TUPLE: u64 = 64;
-
 /// Per-round traffic ledger, stored **sparsely**: each round keeps only
 /// the `(directed edge, tuples)` pairs it actually touched, sorted by
 /// edge id. A 4096-node repartition round on a 5461-node fat-tree

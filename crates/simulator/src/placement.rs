@@ -69,11 +69,6 @@ impl Placement {
         &self.fragments
     }
 
-    /// Consume into per-node fragments.
-    pub fn into_fragments(self) -> Vec<NodeState> {
-        self.fragments
-    }
-
     /// Check shape and that routers hold no data.
     pub fn validate(&self, tree: &Tree) -> Result<(), SimError> {
         if self.fragments.len() != tree.num_nodes() {

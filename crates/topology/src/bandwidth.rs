@@ -18,9 +18,6 @@ impl Bandwidth {
     /// Infinite bandwidth: traffic over this link is free.
     pub const INF: Bandwidth = Bandwidth(f64::INFINITY);
 
-    /// Unit bandwidth.
-    pub const ONE: Bandwidth = Bandwidth(1.0);
-
     /// Create a bandwidth, validating that it is positive and not NaN.
     pub fn new(w: f64) -> Result<Self, TopologyError> {
         if w.is_nan() || w <= 0.0 {

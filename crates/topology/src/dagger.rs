@@ -213,13 +213,6 @@ impl Dagger {
         }
         rec(self, self.root, limit)
     }
-
-    /// The cover one level below the root: all children of the root. This is
-    /// the canonical `U ≠ {r}` cover required by Theorem 4 (when the root
-    /// has children).
-    pub fn root_children_cover(&self) -> Vec<NodeId> {
-        self.children[self.root.index()].clone()
-    }
 }
 
 #[cfg(test)]

@@ -71,12 +71,6 @@ impl Graph {
         }
         deg
     }
-
-    /// The graph as a width-2 edge relation (`[src, dst]` rows), ready
-    /// for a `DistributedTable` or an iterative job.
-    pub fn edge_rows(&self) -> Vec<Vec<u64>> {
-        self.arcs.iter().map(|&(u, v)| vec![u, v]).collect()
-    }
 }
 
 /// Seeded specification of a graph workload. `generate(seed)` is
