@@ -735,3 +735,72 @@ fn spec_selected_backends_agree() {
         assert_eq!(pair[0].2, pair[1].2, "{} vs {}", pair[0].0, pair[1].0);
     }
 }
+
+/// The three x-serve plans (`crates/bench/src/serving.rs`), over the
+/// `grps` table [`explain_context`] adds.
+fn serving_plans() -> [LogicalPlan; 3] {
+    [
+        LogicalPlan::scan("facts")
+            .filter(col("x").lt(lit(700)))
+            .join_on(LogicalPlan::scan("dims"), "g", "g")
+            .join_on(LogicalPlan::scan("grps"), "tier", "tier")
+            .aggregate("band", AggFunc::Sum, "x")
+            .order_by("band"),
+        LogicalPlan::scan("facts")
+            .join_on(LogicalPlan::scan("dims"), "g", "g")
+            .order_by("x")
+            .limit(20),
+        LogicalPlan::scan("facts")
+            .project(vec![("g", col("g")), ("b", col("x").div(lit(128)))])
+            .distinct()
+            .aggregate("g", AggFunc::Count, "b")
+            .order_by("g"),
+    ]
+}
+
+/// The pinned instance (`make_context(2, 90, 6, 60)`) plus a `grps`
+/// table keyed by `dims.tier`, for the serving plans.
+fn explain_context() -> QueryContext {
+    let mut ctx = make_context(2, 90, 6, 60);
+    let grps = DistributedTable::round_robin(
+        "grps",
+        Schema::new(vec!["tier", "band"]).unwrap(),
+        (0..5).map(|t| vec![t, t % 4]).collect(),
+        ctx.tree(),
+    );
+    ctx.register(grps).unwrap();
+    ctx
+}
+
+/// EXPLAIN, byte for byte: every [`plans`] entry under the cost-based
+/// choice, every [`strategy_matrix`] entry under its forced strategy and
+/// the three serving plans, on one fixed tree and catalog under seed 3,
+/// against the checked-in `golden/explain.txt`. Labels, candidate
+/// listings, estimates, lower bounds and row estimates are all in the
+/// text, so a planner change that moves any of them fails here.
+#[test]
+fn explain_text_matches_the_golden_fixture() {
+    let base = explain_context();
+    let mut sections = Vec::new();
+    let auto = QueryContext::with_catalog(base.catalog().clone()).with_seed(3);
+    for (i, q) in plans(100, 7).iter().enumerate() {
+        sections.push((format!("plans[{i}]"), auto.prepare(q).unwrap().explain()));
+    }
+    for (i, (op, name, q)) in strategy_matrix().into_iter().enumerate() {
+        let ctx = forced(&base, 3, op, name);
+        let text = ctx.prepare(&q).unwrap().explain();
+        sections.push((format!("strategy_matrix[{i}] {op} {name}"), text));
+    }
+    for (i, q) in serving_plans().iter().enumerate() {
+        sections.push((format!("serving[{i}]"), auto.prepare(q).unwrap().explain()));
+    }
+    let got: String = sections
+        .iter()
+        .map(|(title, text)| format!("== {title}\n{text}\n"))
+        .collect();
+    let want = include_str!("golden/explain.txt");
+    for ((g, w), n) in got.lines().zip(want.lines()).zip(1..) {
+        assert_eq!(g, w, "golden/explain.txt line {n}");
+    }
+    assert_eq!(got, want, "golden/explain.txt length");
+}
