@@ -417,7 +417,7 @@ fn join_strategy_name(plan: &PhysicalPlan) -> Option<&'static str> {
             return Some(k);
         }
     }
-    if plan.label().starts_with("HashJoin") {
+    if plan.label.starts_with("HashJoin") {
         return plan.exchange().map(|x| x.name());
     }
     None
@@ -473,7 +473,7 @@ pub fn x_plan() -> Vec<Table> {
                 strategies_by_label(child, out);
             }
             if let Some(x) = plan.exchange() {
-                out.push((plan.label(), x.name()));
+                out.push((plan.label.clone(), x.name()));
             }
         }
         let mut exchange_kinds = Vec::new();

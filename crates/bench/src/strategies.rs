@@ -212,7 +212,7 @@ fn find_exchange<'p>(plan: &'p PhysicalPlan, prefix: &str) -> Option<&'p Exchang
             return Some(x);
         }
     }
-    if plan.label().starts_with(prefix) {
+    if plan.label.starts_with(prefix) {
         return plan.exchange();
     }
     None

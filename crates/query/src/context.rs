@@ -17,16 +17,13 @@
 //! ))
 //! .unwrap();
 //!
-//! // DataFrame-style chaining…
-//! let result = ctx
-//!     .table("t")
+//! // Build a plan fluently, then prepare → explain → run.
+//! let q = LogicalPlan::scan("t")
 //!     .filter(col("x").gt(lit(50)))
-//!     .aggregate("g", AggFunc::Count, "id")
-//!     .collect()
-//!     .unwrap();
+//!     .aggregate("g", AggFunc::Count, "id");
+//! let result = ctx.prepare(&q).unwrap().run().unwrap();
 //! assert_eq!(result.schema.columns(), &["g", "count_id"]);
 //!
-//! // …or explicit prepare → explain → run.
 //! let prepared = ctx
 //!     .prepare(&LogicalPlan::scan("t").order_by("x"))
 //!     .unwrap();
@@ -46,10 +43,9 @@ use tamp_topology::{EdgeId, Tree};
 
 use crate::error::QueryError;
 use crate::exec::{self, ExecOptions, QueryResult};
-use crate::expr::Expr;
 use crate::physical::strategy::{OperatorKind, PhysicalStrategy, StrategyRegistry};
 use crate::physical::{self, PhysicalPlan};
-use crate::plan::{AggFunc, LogicalPlan};
+use crate::plan::LogicalPlan;
 use crate::reference;
 use crate::schema::Schema;
 use crate::table::{Catalog, DistributedTable};
@@ -157,29 +153,17 @@ impl QueryContext {
         self.catalog.tree()
     }
 
-    /// Start a DataFrame-style chain from a named table. Name resolution
-    /// is lazy: unknown tables surface as errors at
-    /// [`DataFrame::prepare`]/[`DataFrame::collect`] time.
-    pub fn table(&self, name: &str) -> DataFrame<'_> {
-        DataFrame {
-            ctx: self,
-            plan: LogicalPlan::scan(name),
-        }
-    }
-
     /// Plan `plan` into a [`PreparedQuery`]: validate, lower to a
     /// [`PhysicalPlan`], and price every registered strategy candidate
     /// of every exchange, keeping the cheapest (or the one
     /// [`with_strategy`](Self::with_strategy) forces).
     pub fn prepare(&self, plan: &LogicalPlan) -> Result<PreparedQuery<'_>, QueryError> {
-        let (physical, schema) =
-            physical::lower(plan, &self.catalog, self.options, &self.registry)?;
+        let physical = physical::lower(plan, &self.catalog, self.options, &self.registry)?;
         Ok(PreparedQuery {
             catalog: &self.catalog,
             options: self.options,
             logical: plan.clone(),
             physical,
-            schema,
         })
     }
 
@@ -198,13 +182,12 @@ pub struct PreparedQuery<'c> {
     options: ExecOptions,
     logical: LogicalPlan,
     physical: PhysicalPlan,
-    schema: Schema,
 }
 
 impl PreparedQuery<'_> {
     /// The output schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.physical.schema
     }
 
     /// The logical plan this query was prepared from.
@@ -248,101 +231,11 @@ impl PreparedQuery<'_> {
     }
 }
 
-/// A lazily-built logical plan bound to a [`QueryContext`] — the
-/// DataFrame-style face of the API.
-#[derive(Clone, Debug)]
-pub struct DataFrame<'c> {
-    ctx: &'c QueryContext,
-    plan: LogicalPlan,
-}
-
-impl<'c> DataFrame<'c> {
-    /// The logical plan built so far.
-    pub fn logical_plan(&self) -> &LogicalPlan {
-        &self.plan
-    }
-
-    fn map(self, f: impl FnOnce(LogicalPlan) -> LogicalPlan) -> Self {
-        DataFrame {
-            ctx: self.ctx,
-            plan: f(self.plan),
-        }
-    }
-
-    /// Keep rows where `predicate` is nonzero.
-    pub fn filter(self, predicate: Expr) -> Self {
-        self.map(|p| p.filter(predicate))
-    }
-
-    /// Compute named expressions.
-    pub fn project(self, exprs: Vec<(&str, Expr)>) -> Self {
-        self.map(|p| p.project(exprs))
-    }
-
-    /// Equi-join with `right` on `left_key = right_key`.
-    pub fn join_on(self, right: impl Into<LogicalPlan>, left_key: &str, right_key: &str) -> Self {
-        let right = right.into();
-        self.map(|p| p.join_on(right, left_key, right_key))
-    }
-
-    /// Cartesian product with `right`.
-    pub fn cross(self, right: impl Into<LogicalPlan>) -> Self {
-        let right = right.into();
-        self.map(|p| p.cross(right))
-    }
-
-    /// Globally sort by `key`.
-    pub fn order_by(self, key: &str) -> Self {
-        self.map(|p| p.order_by(key))
-    }
-
-    /// Group by `group_by` and aggregate `measure` with `agg`.
-    pub fn aggregate(self, group_by: &str, agg: AggFunc, measure: &str) -> Self {
-        self.map(|p| p.aggregate(group_by, agg, measure))
-    }
-
-    /// Keep at most `n` rows.
-    pub fn limit(self, n: usize) -> Self {
-        self.map(|p| p.limit(n))
-    }
-
-    /// Remove duplicate rows.
-    pub fn distinct(self) -> Self {
-        self.map(LogicalPlan::distinct)
-    }
-
-    /// Bag union with `right` (schemas must match exactly).
-    pub fn union_all(self, right: impl Into<LogicalPlan>) -> Self {
-        let right = right.into();
-        self.map(|p| p.union_all(right))
-    }
-
-    /// Plan the chain into a [`PreparedQuery`].
-    pub fn prepare(&self) -> Result<PreparedQuery<'c>, QueryError> {
-        self.ctx.prepare(&self.plan)
-    }
-
-    /// Render the plan's `EXPLAIN` (prepare + explain).
-    pub fn explain(&self) -> Result<String, QueryError> {
-        Ok(self.prepare()?.explain())
-    }
-
-    /// Prepare and run on the default (simulator) backend.
-    pub fn collect(&self) -> Result<QueryResult, QueryError> {
-        self.prepare()?.run()
-    }
-}
-
-impl From<DataFrame<'_>> for LogicalPlan {
-    fn from(df: DataFrame<'_>) -> LogicalPlan {
-        df.plan
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
+    use crate::plan::AggFunc;
     use crate::reference;
     use tamp_runtime::PooledClusterBackend;
     use tamp_topology::builders;
@@ -370,14 +263,13 @@ mod tests {
     #[test]
     fn dataframe_chain_matches_reference() {
         let ctx = ctx();
-        let df = ctx
-            .table("facts")
+        let q = LogicalPlan::scan("facts")
             .filter(col("x").lt(lit(250)))
-            .join_on(ctx.table("dims"), "g", "g")
+            .join_on(LogicalPlan::scan("dims"), "g", "g")
             .aggregate("tier", AggFunc::Sum, "x")
             .order_by("tier");
-        let res = df.collect().unwrap();
-        let want = reference::evaluate(df.logical_plan(), ctx.catalog()).unwrap();
+        let res = ctx.execute(&q).unwrap();
+        let want = reference::evaluate(&q, ctx.catalog()).unwrap();
         assert_eq!(res.rows(true), want);
     }
 
@@ -419,7 +311,7 @@ mod tests {
     #[test]
     fn unknown_tables_surface_at_prepare_time() {
         let ctx = ctx();
-        let err = ctx.table("nope").collect().unwrap_err();
+        let err = ctx.prepare(&LogicalPlan::scan("nope")).unwrap_err();
         assert!(matches!(err, QueryError::UnknownTable(_)));
     }
 

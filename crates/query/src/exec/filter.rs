@@ -2,25 +2,22 @@
 
 use crate::batch::BatchFragments;
 use crate::error::QueryError;
-use crate::exec::columnar::eval::{eval, Sel};
+use crate::exec::eval::{eval, Sel};
 use crate::expr::Expr;
-use crate::schema::Schema;
 
-/// Keep rows matching `predicate` (bound once against `schema`): one
-/// vectorized predicate evaluation plus one gather per batch. Fully
-/// selected batches pass through untouched (a refcount bump per column).
+/// Keep rows matching the bound `predicate`: one vectorized predicate
+/// evaluation plus one gather per batch. Fully selected batches pass
+/// through untouched (a refcount bump per column).
 pub(crate) fn filter(
-    schema: &Schema,
     frags: BatchFragments,
     predicate: &Expr,
 ) -> Result<BatchFragments, QueryError> {
-    let bound = predicate.bind(schema)?;
     let mut out = Vec::with_capacity(frags.len());
     let mut idx = Vec::new();
     for node in frags {
         let mut kept = Vec::new();
         for b in node {
-            let v = eval(&bound, &b, &Sel::All(b.num_rows()))?;
+            let v = eval(predicate, &b, &Sel::All(b.num_rows()))?;
             // The nonzero positions, branch-free: write every position,
             // advance the cursor past the kept ones only.
             idx.clear();
@@ -47,7 +44,6 @@ mod tests {
     use super::*;
     use crate::batch::convert::batches_to_rows;
     use crate::batch::RecordBatch;
-    use crate::expr::col;
     use crate::row::Row;
 
     /// Nothing, everything, every other row and an irregular mix: the
@@ -55,13 +51,12 @@ mod tests {
     /// through shared and empty ones vanish.
     #[test]
     fn keeps_the_matching_rows_at_any_selectivity() {
-        let schema = Schema::new(vec!["id", "keep"]).unwrap();
         let patterns: [fn(u64) -> u64; 4] = [|_| 0, |_| u64::MAX, |i| i % 2, |i| (i * i) % 3];
         for keep in patterns {
             let rows: Vec<Row> = (0..9).map(|i| vec![i, keep(i)]).collect();
             let batch = RecordBatch::from_rows(&rows, 2);
             let frags = vec![vec![batch.clone()], Vec::new()];
-            let out = filter(&schema, frags, &col("keep")).unwrap();
+            let out = filter(frags, &Expr::ColIdx(1)).unwrap();
             let want: Vec<Row> = rows.iter().filter(|r| r[1] != 0).cloned().collect();
             assert_eq!(batches_to_rows(&out), vec![want.clone(), Vec::new()]);
             assert_eq!(out[0].len(), !want.is_empty() as usize);

@@ -1,20 +1,26 @@
 //! The backend-generic distributed executor.
 //!
 //! Execution happens in two stages. First the executor walks a
-//! [`PhysicalPlan`] over the catalog's fragments; every communicating
-//! operator is executed by the [`PhysicalStrategy`] its exchange chose at
-//! plan time, which computes the operator's output *and* emits its
-//! communication schedule — per round, the exact `(src, dsts, rel,
-//! payload)` sends (see [`crate::physical::strategy`]). Local operators
-//! (`Filter` / `Project` / `UnionAll`) move no data and record no rounds.
+//! [`PhysicalPlan`] over the catalog's fragments. Lowering bound the plan
+//! once — expressions address columns by index, every exchange carries
+//! its resolved [`OpParams`], every node its output schema and label —
+//! so the walk resolves no name. Each exchange is executed by the
+//! [`PhysicalStrategy`] it chose at plan time, which computes the
+//! operator's output *and* emits its communication schedule — per round,
+//! the exact `(src, dsts, rel, payload)` sends (see
+//! [`crate::physical::strategy`]). Local operators (`Filter` / `Project`
+//! / `UnionAll`) move no data and record no rounds.
 //!
-//! The walk (the `columnar` module) threads
-//! [`RecordBatch`](crate::batch::RecordBatch)es through vectorized
-//! per-operator kernels — one tight loop per expression node — and
-//! through the strategies' columnar exchanges, so there is no per-row
-//! allocation from scan to result: the [`QueryResult`] keeps the last
-//! operator's batches, and rows are built only if
-//! [`QueryResult::rows`] is called.
+//! The walk threads [`RecordBatch`](crate::batch::RecordBatch)es
+//! through vectorized per-operator kernels ([`filter`], [`project`],
+//! both over [`eval`]: one tight loop per expression node) and through
+//! the strategies' columnar exchanges — groups fold out of the group and
+//! measure columns into one reusable table, sorts are an index
+//! permutation plus one gather per column, shuffles scatter each column
+//! into one batch per destination, products repeat and tile column
+//! slices — so there is no per-row allocation from scan to result: the
+//! [`QueryResult`] keeps the last operator's batches, and rows are built
+//! only if [`QueryResult::rows`] is called.
 //!
 //! Then the concatenated schedule replays through any
 //! [`ExecBackend`] as a [`tamp_runtime::ScheduleJob`] — the centralized
@@ -31,9 +37,12 @@
 //! registered and forced.
 //!
 //! [`PhysicalStrategy`]: crate::physical::strategy::PhysicalStrategy
+//! [`OpParams`]: crate::physical::strategy::OpParams
 
-pub(crate) mod columnar;
+mod eval;
+mod filter;
 mod options;
+mod project;
 mod result;
 
 pub use options::{ExecOptions, StrategyForce};
@@ -48,28 +57,28 @@ use tamp_topology::Tree;
 use crate::batch::BatchFragments;
 use crate::error::QueryError;
 use crate::physical::strategy::{ExecArgs, OpInput};
-use crate::physical::{Exchange, PhysicalPlan};
+use crate::physical::{Exchange, PhysicalOp, PhysicalPlan};
 use crate::table::Catalog;
 
 /// Shared state of one plan walk: the catalog, the options, the schedule
 /// being accumulated, and the operator marks for cost attribution.
-pub(crate) struct ExecCtx<'a> {
-    pub catalog: &'a Catalog,
-    pub tree: &'a Tree,
-    pub options: ExecOptions,
+struct ExecCtx<'a> {
+    catalog: &'a Catalog,
+    tree: &'a Tree,
+    options: ExecOptions,
     rounds: Vec<Vec<ScheduleSend>>,
-    marks: Vec<Mark>,
+    marks: Vec<Mark<'a>>,
 }
 
-struct Mark {
-    op: String,
+struct Mark<'a> {
+    op: &'a str,
     strategy: Option<&'static str>,
     estimated: f64,
     lower_bound: Option<f64>,
     upto: usize,
 }
 
-impl ExecCtx<'_> {
+impl<'a> ExecCtx<'a> {
     fn exec_args(&self) -> ExecArgs<'_> {
         ExecArgs {
             tree: self.tree,
@@ -79,7 +88,7 @@ impl ExecCtx<'_> {
 
     /// Run `exchange`'s strategy on `input`, appending its rounds to the
     /// query's schedule.
-    pub(crate) fn run_strategy(
+    fn run_strategy(
         &mut self,
         exchange: &Exchange,
         input: OpInput,
@@ -90,16 +99,50 @@ impl ExecCtx<'_> {
     }
 
     /// Record that `plan`'s operator finished at the current round count.
-    pub(crate) fn mark(&mut self, plan: &PhysicalPlan) {
+    fn mark(&mut self, plan: &'a PhysicalPlan) {
+        let exchange = plan.exchange();
         self.marks.push(Mark {
-            op: plan.label(),
-            strategy: plan.exchange().map(|x| x.name()),
-            estimated: plan.exchange().map_or(0.0, |x| x.estimate.tuple_cost),
-            lower_bound: plan
-                .exchange()
-                .and_then(|x| x.lower_bound.map(|b| b.value())),
+            op: &plan.label,
+            strategy: exchange.map(|x| x.name()),
+            estimated: exchange.map_or(0.0, |x| x.estimate.tuple_cost),
+            lower_bound: exchange.and_then(|x| x.lower_bound.map(|b| b.value())),
             upto: self.rounds.len(),
         });
+    }
+
+    /// Execute `plan` post-order on batch fragments, recording each
+    /// operator's rounds and mark.
+    fn exec_batches(&mut self, plan: &'a PhysicalPlan) -> Result<BatchFragments, QueryError> {
+        let frags = match &plan.op {
+            PhysicalOp::TableScan { table } => self.catalog.table(table)?.scan_batches(),
+            PhysicalOp::Filter { input, predicate } => {
+                filter::filter(self.exec_batches(input)?, predicate)?
+            }
+            PhysicalOp::Project { input, exprs } => {
+                project::project(&self.exec_batches(input)?, exprs)?
+            }
+            PhysicalOp::UnionAll { left, right } => {
+                let mut frags = self.exec_batches(left)?;
+                for (f, r) in frags.iter_mut().zip(self.exec_batches(right)?) {
+                    f.extend(r);
+                }
+                frags
+            }
+            PhysicalOp::Exchange {
+                inputs,
+                exchange,
+                params,
+            } => {
+                let inputs = inputs
+                    .iter()
+                    .map(|input| self.exec_batches(input))
+                    .collect::<Result<_, _>>()?;
+                let params = *params;
+                self.run_strategy(exchange, OpInput { params, inputs })?
+            }
+        };
+        self.mark(plan);
+        Ok(frags)
     }
 }
 
@@ -118,7 +161,7 @@ pub(crate) fn run_physical(
         rounds: Vec::new(),
         marks: Vec::new(),
     };
-    let (schema, fragments) = columnar::exec_batches(&mut ctx, physical)?;
+    let fragments = ctx.exec_batches(physical)?;
     let job = ScheduleJob::new(
         "query",
         catalog.tree().num_nodes(),
@@ -137,7 +180,7 @@ pub(crate) fn run_physical(
             .iter()
             .fold(0.0, |sum, r| sum + r.tuple_cost);
         operator_costs.push(OperatorCost {
-            op: m.op,
+            op: m.op.to_string(),
             strategy: m.strategy,
             estimated: m.estimated,
             actual,
@@ -147,7 +190,7 @@ pub(crate) fn run_physical(
         prev = m.upto;
     }
     Ok(QueryResult {
-        schema,
+        schema: physical.schema.clone(),
         fragments,
         cost: outcome.cost,
         operator_costs,

@@ -1,5 +1,7 @@
 //! Execution options: strategy forcing and seeding.
 
+use crate::physical::strategy::OperatorKind;
+
 /// Per-operator forced strategy names (`None` = cost-based choice). The
 /// names resolve against the session's registry at plan time; unknown
 /// names surface as
@@ -14,6 +16,20 @@ pub struct StrategyForce {
     pub sort: Option<&'static str>,
     /// Force the aggregate strategy.
     pub aggregate: Option<&'static str>,
+}
+
+impl StrategyForce {
+    /// The name forced for `op`, if any (`distinct` and `limit` have a
+    /// single built-in strategy and are never forced).
+    pub(crate) fn get(self, op: OperatorKind) -> Option<&'static str> {
+        match op {
+            OperatorKind::Join => self.join,
+            OperatorKind::CrossJoin => self.cross,
+            OperatorKind::Sort => self.sort,
+            OperatorKind::Aggregate => self.aggregate,
+            OperatorKind::Distinct | OperatorKind::Limit => None,
+        }
+    }
 }
 
 /// Execution options.

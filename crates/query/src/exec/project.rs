@@ -6,26 +6,20 @@ use tamp_simulator::Value;
 
 use crate::batch::{BatchFragments, RecordBatch};
 use crate::error::QueryError;
-use crate::exec::columnar::eval::{eval, Sel};
+use crate::exec::eval::{eval, Sel};
 use crate::expr::Expr;
-use crate::schema::Schema;
 
-/// Evaluate named expressions column-at-a-time: a kept column is a
+/// Evaluate bound expressions column-at-a-time: a kept column is a
 /// refcount bump, any other one vectorized evaluation over the batch.
 pub(crate) fn project(
-    schema: &Schema,
     frags: &BatchFragments,
-    exprs: &[(String, Expr)],
-) -> Result<(Schema, BatchFragments), QueryError> {
-    let bound: Vec<Expr> = exprs
-        .iter()
-        .map(|(_, e)| e.bind(schema))
-        .collect::<Result<_, _>>()?;
+    exprs: &[Expr],
+) -> Result<BatchFragments, QueryError> {
     let mut out = Vec::with_capacity(frags.len());
     for node in frags {
         let mut batches = Vec::with_capacity(node.len());
         for b in node {
-            let cols: Vec<Arc<[Value]>> = bound
+            let cols: Vec<Arc<[Value]>> = exprs
                 .iter()
                 .map(|e| match e {
                     Expr::ColIdx(i) if *i < b.width() => Ok(b.col_arc(*i).clone()),
@@ -36,27 +30,20 @@ pub(crate) fn project(
         }
         out.push(batches);
     }
-    let out_schema = Schema::new(exprs.iter().map(|(n, _)| n.clone()).collect())?;
-    Ok((out_schema, out))
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{col, lit};
+    use crate::expr::lit;
 
     #[test]
     fn a_kept_column_is_shared_and_a_computed_one_is_not() {
-        let schema = Schema::new(vec!["a", "b"]).unwrap();
         let rows: Vec<Vec<Value>> = (0..5u64).map(|i| vec![i, 10 * i]).collect();
         let frags = vec![vec![RecordBatch::from_rows(&rows, 2)], Vec::new()];
-        let exprs = [
-            ("b".to_string(), col("b")),
-            ("a1".to_string(), col("a").add(lit(1))),
-            ("two".to_string(), lit(2)),
-        ];
-        let (out_schema, out) = project(&schema, &frags, &exprs).unwrap();
-        assert_eq!(out_schema, Schema::new(vec!["b", "a1", "two"]).unwrap());
+        let exprs = [Expr::ColIdx(1), Expr::ColIdx(0).add(lit(1)), lit(2)];
+        let out = project(&frags, &exprs).unwrap();
         assert!(Arc::ptr_eq(out[0][0].col_arc(0), frags[0][0].col_arc(1)));
         let want: Vec<Vec<Value>> = (0..5u64).map(|i| vec![10 * i, i + 1, 2]).collect();
         assert_eq!(out[0][0].to_rows(), want);

@@ -52,13 +52,11 @@
 //! ))
 //! .unwrap();
 //!
-//! // DataFrame-style chaining, collected on the default engine:
-//! let result = ctx
-//!     .table("t")
+//! // A fluent plan, run once on the default engine:
+//! let q = LogicalPlan::scan("t")
 //!     .filter(col("x").gt(lit(50)))
-//!     .aggregate("g", AggFunc::Count, "id")
-//!     .collect()
-//!     .unwrap();
+//!     .aggregate("g", AggFunc::Count, "id");
+//! let result = ctx.execute(&q).unwrap();
 //! assert_eq!(result.schema.columns(), &["g", "count_id"]);
 //!
 //! // Or prepare once, inspect the EXPLAIN, run anywhere:
@@ -115,7 +113,7 @@ pub mod table;
 pub mod prelude {
     pub use crate::admission::{Priority, TenantSpec};
     pub use crate::batch::RecordBatch;
-    pub use crate::context::{DataFrame, PreparedQuery, QueryContext};
+    pub use crate::context::{PreparedQuery, QueryContext};
     pub use crate::exec::{ExecOptions, OperatorCost, QueryResult, StrategyForce};
     pub use crate::expr::{col, lit, Expr};
     pub use crate::iterative::{
@@ -124,7 +122,7 @@ pub mod prelude {
     };
     pub use crate::optimizer::optimize;
     pub use crate::orchestrator::{
-        Backoff, Orchestrator, RetryPolicy, ScalingSpec, ServedIterative, TenantStats,
+        Orchestrator, RetryPolicy, ScalingSpec, ServedIterative, TenantStats,
     };
     pub use crate::physical::strategy::{
         Candidate, CostEstimate, OperatorKind, PhysicalStrategy, StrategyRegistry,
@@ -138,7 +136,7 @@ pub mod prelude {
 
 pub use admission::{Priority, TenantSpec};
 pub use batch::RecordBatch;
-pub use context::{DataFrame, PreparedQuery, QueryContext};
+pub use context::{PreparedQuery, QueryContext};
 pub use error::QueryError;
 pub use exec::{ExecOptions, OperatorCost, QueryResult, StrategyForce};
 pub use iterative::{
@@ -146,7 +144,7 @@ pub use iterative::{
     PreparedIterative,
 };
 pub use orchestrator::{
-    Backoff, Orchestrator, RecoveryEvent, RetryPolicy, ScalingSpec, ServedIterative, TenantStats,
+    Orchestrator, RecoveryEvent, RetryPolicy, ScalingSpec, ServedIterative, TenantStats,
 };
 pub use physical::strategy::{OperatorKind, PhysicalStrategy, StrategyRegistry};
 pub use physical::{Exchange, PhysicalPlan};

@@ -113,67 +113,31 @@ pub use scaling::{decide, ScaleDecision, ScalingEvent, ScalingObservation, Scali
 /// Recent queue waits feeding the rolling-latency scaling signal.
 const ROLLING_WINDOW: usize = 32;
 
-/// Backoff between recovery attempts.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Backoff {
-    /// Retry immediately (the default — replay on the healthy crew is
-    /// the recovery, there is usually nothing to wait out).
-    #[default]
-    None,
-    /// A fixed delay before every retry.
-    Fixed(Duration),
-    /// `base · 2^(attempt-1)`: doubling delays for flaky environments
-    /// where back-to-back retries would hit the same transient fault.
-    Exponential {
-        /// Delay before the first retry.
-        base: Duration,
-    },
-}
-
-impl Backoff {
-    /// Delay before retry number `attempt` (1-based).
-    pub fn delay(&self, attempt: u32) -> Duration {
-        match *self {
-            Backoff::None => Duration::ZERO,
-            Backoff::Fixed(d) => d,
-            Backoff::Exponential { base } => base.saturating_mul(
-                1u32.checked_shl(attempt.saturating_sub(1))
-                    .unwrap_or(u32::MAX),
-            ),
-        }
-    }
-}
-
-/// Bound and pacing for replay recovery — replaces the old hardcoded
-/// four-recovery loop. `max_attempts` counts *total executions* (initial
+/// Bound for replay recovery — replaces the old hardcoded four-recovery
+/// loop. `max_attempts` counts *total executions* (initial
 /// run included), so an adversarial re-arming loop terminates with a
 /// typed [`QueryError::RecoveryExhausted`] after exactly `max_attempts`
 /// failures.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total executions allowed per query (floored at 1).
+    /// Total executions allowed per query (floored at 1). A retry
+    /// replays at once: the healthy crew is the recovery, there is
+    /// nothing to wait out.
     pub max_attempts: u32,
-    /// Delay policy between attempts.
-    pub backoff: Backoff,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         // The historical behavior: one initial run plus four recoveries.
-        RetryPolicy {
-            max_attempts: 5,
-            backoff: Backoff::None,
-        }
+        RetryPolicy { max_attempts: 5 }
     }
 }
 
 impl RetryPolicy {
-    /// A policy allowing `max_attempts` total executions (floored at 1),
-    /// with no backoff.
+    /// A policy allowing `max_attempts` total executions (floored at 1).
     pub fn new(max_attempts: u32) -> Self {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
-            backoff: Backoff::None,
         }
     }
 }
@@ -420,8 +384,8 @@ impl OrchestratorBuilder {
         self
     }
 
-    /// Replay-recovery bound and backoff (default:
-    /// [`RetryPolicy::default`], five total executions, no backoff).
+    /// Replay-recovery bound (default: [`RetryPolicy::default`], five
+    /// total executions).
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
         self
@@ -497,10 +461,7 @@ impl OrchestratorBuilder {
             pool,
             injector,
             checkpoints: checkpoints.map(|(store, _)| store),
-            retry: RetryPolicy {
-                max_attempts: self.retry.max_attempts.max(1),
-                ..self.retry
-            },
+            retry: RetryPolicy::new(self.retry.max_attempts),
             scaling: self.scaling,
             pending_timeouts: AtomicUsize::new(0),
             scaler: Mutex::new(ScalerState {
@@ -662,10 +623,6 @@ impl Orchestrator {
                     attempts,
                     last: Box::new(e),
                 });
-            }
-            let delay = self.retry.backoff.delay(attempts);
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
             }
             // The faulted run consumed its armed plan (FIFO one-shot), so
             // this replay sees the next armed plan if the chaos schedule

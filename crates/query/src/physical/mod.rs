@@ -23,6 +23,15 @@
 //! shows the winner *and* the rejected alternatives, each with its
 //! estimate and its ratio to the lower bound.
 //!
+//! Lowering is also where every name is resolved, once
+//! ([`LogicalPlan`]'s per-operator `bind`, which schema inference shares):
+//! each node stores its output [`Schema`] and EXPLAIN label, filters and
+//! projections hold their expressions bound to column indices, and each
+//! exchange holds its operator's [`OpParams`] — key indices and row
+//! widths — which the executor hands to the strategy with the child
+//! fragments on every run. A prepared plan therefore cannot fail on a
+//! name at run time.
+//!
 //! Cardinality estimation is deliberately simple and documented:
 //! base-table counts are exact (`|X_0(v)|` is model knowledge granted by
 //! §2), filters apply standard selectivity heuristics (equality 0.15,
@@ -34,6 +43,7 @@
 //!
 //! [`PhysicalStrategy`]: strategy::PhysicalStrategy
 //! [`StrategyRegistry`]: strategy::StrategyRegistry
+//! [`OpParams`]: strategy::OpParams
 
 pub mod cost;
 pub(crate) mod strategies;
@@ -48,14 +58,13 @@ use tamp_topology::Tree;
 use crate::error::QueryError;
 use crate::exec::ExecOptions;
 use crate::expr::Expr;
-use crate::plan::{AggFunc, LogicalPlan};
-use crate::reference;
+use crate::plan::{BoundOp, LogicalPlan};
 use crate::schema::Schema;
 use crate::table::Catalog;
 
 use cost::{CostModel, NodeCounts};
 use strategy::{
-    Candidate, CostEstimate, OperatorKind, PhysicalStrategy, PlanArgs, PlanSide, StrategyRegistry,
+    Candidate, CostEstimate, OpParams, PhysicalStrategy, PlanArgs, PlanSide, StrategyRegistry,
 };
 
 /// An explicit data movement step attached to a physical operator: the
@@ -100,18 +109,25 @@ impl PartialEq for Exchange {
 }
 
 /// A physical operator tree: the logical algebra with every exchange made
-/// explicit and priced.
+/// explicit and priced, and every name resolved.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhysicalPlan {
     /// The operator.
     pub op: PhysicalOp,
+    /// The operator's output schema.
+    pub schema: Schema,
+    /// The operator's label in EXPLAIN and in
+    /// [`OperatorCost::op`](crate::exec::OperatorCost); stable across the
+    /// logical and physical layers.
+    pub label: String,
     /// Estimated output rows (cardinality estimate, not a guarantee).
     pub rows_est: f64,
 }
 
-/// Physical operators. Local operators (`TableScan`, `Filter`,
-/// `Project`, `UnionAll`) move no data; every other operator names the
-/// [`Exchange`] it executes.
+/// Physical operators, bound: expressions address columns by index and
+/// exchange parameters are resolved. Local operators (`TableScan`,
+/// `Filter`, `Project`, `UnionAll`) move no data; every other operator is
+/// an `Exchange` run by its chosen strategy.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PhysicalOp {
     /// Read a base table's fragments in place.
@@ -123,78 +139,15 @@ pub enum PhysicalOp {
     Filter {
         /// Input plan.
         input: Box<PhysicalPlan>,
-        /// Predicate (nonzero ⇒ keep).
+        /// Bound predicate (nonzero ⇒ keep).
         predicate: Expr,
     },
     /// Local expression evaluation (free under §2).
     Project {
         /// Input plan.
         input: Box<PhysicalPlan>,
-        /// `(output name, expression)` pairs.
-        exprs: Vec<(String, Expr)>,
-    },
-    /// Equi-join: exchange both sides, then probe locally.
-    HashJoin {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// Join column on the left schema.
-        left_key: String,
-        /// Join column on the right schema.
-        right_key: String,
-        /// The strategy-chosen exchange moving the two sides.
-        exchange: Exchange,
-    },
-    /// Cartesian product.
-    CrossJoin {
-        /// Left input.
-        left: Box<PhysicalPlan>,
-        /// Right input.
-        right: Box<PhysicalPlan>,
-        /// The strategy-chosen exchange (broadcast or grid rectangles).
-        exchange: Exchange,
-    },
-    /// Global sort: range shuffle along the valid compute-node order.
-    Sort {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-        /// Sort column.
-        key: String,
-        /// The sample/splitter/shuffle exchange.
-        exchange: Exchange,
-    },
-    /// Grouped aggregation: local partials, then the chosen exchange.
-    HashAggregate {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-        /// Grouping column.
-        group_by: String,
-        /// Aggregate function.
-        agg: AggFunc,
-        /// Measured column.
-        measure: String,
-        /// The partial-moving exchange.
-        exchange: Exchange,
-    },
-    /// Keep the first `n` rows via a bounded gather.
-    Limit {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-        /// Row budget.
-        n: usize,
-        /// Whether the input's fragment order is globally meaningful
-        /// (downstream of a `Sort`), decided at plan time.
-        order_preserving: bool,
-        /// The gather to the first compute node.
-        exchange: Exchange,
-    },
-    /// Duplicate elimination: co-locate equal rows, dedup locally.
-    Distinct {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-        /// The whole-row hash shuffle.
-        exchange: Exchange,
+        /// Bound output expressions, in output-column order.
+        exprs: Vec<Expr>,
     },
     /// Bag union (free: fragments concatenate in place).
     UnionAll {
@@ -203,39 +156,23 @@ pub enum PhysicalOp {
         /// Right input.
         right: Box<PhysicalPlan>,
     },
+    /// A communicating operator — join, cross join, sort, aggregate,
+    /// distinct or limit — executed by its strategy-chosen exchange.
+    Exchange {
+        /// Input plans, left to right.
+        inputs: Vec<PhysicalPlan>,
+        /// The chosen strategy, its estimate and the rejected candidates.
+        exchange: Exchange,
+        /// The operator's parameters, handed to the strategy on every run.
+        params: OpParams,
+    },
 }
 
 impl PhysicalPlan {
-    /// The operator label used for per-operator cost attribution; stable
-    /// across the logical and physical layers.
-    pub fn label(&self) -> String {
-        match &self.op {
-            PhysicalOp::TableScan { table } => format!("Scan {table}"),
-            PhysicalOp::Filter { predicate, .. } => format!("Filter {predicate}"),
-            PhysicalOp::Project { .. } => "Project".into(),
-            PhysicalOp::HashJoin {
-                left_key,
-                right_key,
-                ..
-            } => format!("HashJoin {left_key}={right_key}"),
-            PhysicalOp::CrossJoin { .. } => "CrossJoin".into(),
-            PhysicalOp::Sort { key, .. } => format!("OrderBy {key}"),
-            PhysicalOp::HashAggregate { agg, .. } => format!("Aggregate {}", agg.name()),
-            PhysicalOp::Limit { n, .. } => format!("Limit {n}"),
-            PhysicalOp::Distinct { .. } => "Distinct".into(),
-            PhysicalOp::UnionAll { .. } => "UnionAll".into(),
-        }
-    }
-
     /// The operator's exchange, if it has one.
     pub fn exchange(&self) -> Option<&Exchange> {
         match &self.op {
-            PhysicalOp::HashJoin { exchange, .. }
-            | PhysicalOp::CrossJoin { exchange, .. }
-            | PhysicalOp::Sort { exchange, .. }
-            | PhysicalOp::HashAggregate { exchange, .. }
-            | PhysicalOp::Limit { exchange, .. }
-            | PhysicalOp::Distinct { exchange, .. } => Some(exchange),
+            PhysicalOp::Exchange { exchange, .. } => Some(exchange),
             _ => None,
         }
     }
@@ -244,15 +181,9 @@ impl PhysicalPlan {
     pub fn children(&self) -> Vec<&PhysicalPlan> {
         match &self.op {
             PhysicalOp::TableScan { .. } => vec![],
-            PhysicalOp::Filter { input, .. }
-            | PhysicalOp::Project { input, .. }
-            | PhysicalOp::Sort { input, .. }
-            | PhysicalOp::HashAggregate { input, .. }
-            | PhysicalOp::Limit { input, .. }
-            | PhysicalOp::Distinct { input, .. } => vec![input],
-            PhysicalOp::HashJoin { left, right, .. }
-            | PhysicalOp::CrossJoin { left, right, .. }
-            | PhysicalOp::UnionAll { left, right } => vec![left, right],
+            PhysicalOp::Filter { input, .. } | PhysicalOp::Project { input, .. } => vec![input],
+            PhysicalOp::UnionAll { left, right } => vec![left, right],
+            PhysicalOp::Exchange { inputs, .. } => inputs.iter().collect(),
         }
     }
 
@@ -293,7 +224,7 @@ impl PhysicalPlan {
 
     fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
         let pad = "  ".repeat(indent);
-        write!(f, "{pad}{}", self.label())?;
+        write!(f, "{pad}{}", self.label)?;
         if let Some(x) = self.exchange() {
             write!(
                 f,
@@ -344,25 +275,20 @@ impl fmt::Display for PhysicalPlan {
     }
 }
 
-/// Lower a [`LogicalPlan`] into a [`PhysicalPlan`] (plus its inferred
-/// output [`Schema`], so callers that need both do one walk): price every
-/// candidate `registry` holds on the §2 cost model and resolve each
-/// operator's exchange cost-based (or as forced by [`ExecOptions`]).
+/// Lower a [`LogicalPlan`] into a [`PhysicalPlan`]: resolve every name
+/// once, price every candidate `registry` holds on the §2 cost model and
+/// resolve each operator's exchange cost-based (or as forced by
+/// [`ExecOptions`]).
 ///
-/// Lowering validates the plan (schema inference runs as part of the
-/// walk), so a lowered plan is known to execute without name errors.
+/// Lowering validates the plan as it binds it, so a lowered plan
+/// executes without name errors.
 pub(crate) fn lower(
     plan: &LogicalPlan,
     catalog: &Catalog,
     options: ExecOptions,
     registry: &StrategyRegistry,
-) -> Result<(PhysicalPlan, Schema), QueryError> {
-    // Validate up front (expression binding included) so lowering can
-    // assume well-formed inputs.
-    plan.schema(catalog)?;
-    let mut planner = Planner::new(catalog, options, registry);
-    let (plan, _, schema) = planner.lower_node(plan)?;
-    Ok((plan, schema))
+) -> Result<PhysicalPlan, QueryError> {
+    Ok(Planner::new(catalog, options, registry).lower_node(plan)?.0)
 }
 
 /// Filter selectivity heuristics (standard textbook constants; see the
@@ -405,259 +331,125 @@ impl<'c> Planner<'c> {
         }
     }
 
-    /// Assemble the plan-time view of one operator's inputs.
-    fn args(&self, left: (NodeCounts, usize), right: Option<(NodeCounts, usize)>) -> PlanArgs<'_> {
-        PlanArgs {
-            model: &self.model,
-            seed: self.options.seed,
-            left: PlanSide {
-                counts: left.0,
-                width: left.1,
-            },
-            right: right.map(|(counts, width)| PlanSide { counts, width }),
-            groups: 0.0,
-            limit: 0,
-        }
+    /// Lower `plan` bottom-up: its physical plan and its estimated
+    /// output rows per node.
+    fn lower_node(&self, plan: &LogicalPlan) -> Result<(PhysicalPlan, NodeCounts), QueryError> {
+        let (inputs, counts): (Vec<PhysicalPlan>, Vec<NodeCounts>) = plan
+            .inputs()
+            .into_iter()
+            .map(|input| self.lower_node(input))
+            .collect::<Result<_, _>>()?;
+        let schemas: Vec<&Schema> = inputs.iter().map(|p| &p.schema).collect();
+        let (schema, bound) = plan.bind(self.catalog, &schemas)?;
+        let mut inputs = inputs.into_iter();
+        let mut input = || Box::new(inputs.next().expect("a local operator's input"));
+        let (op, counts, out_total) = match bound {
+            BoundOp::Scan(table) => {
+                let t = self.catalog.table(table)?;
+                let counts = t.row_counts().iter().map(|&n| n as f64).collect();
+                let table = table.to_string();
+                (PhysicalOp::TableScan { table }, counts, None)
+            }
+            BoundOp::Filter(predicate) => {
+                let s = selectivity(&predicate).clamp(0.0, 1.0);
+                let counts = counts[0].iter().map(|n| n * s).collect();
+                let input = input();
+                (PhysicalOp::Filter { input, predicate }, counts, None)
+            }
+            BoundOp::Project(exprs) => {
+                let input = input();
+                (
+                    PhysicalOp::Project { input, exprs },
+                    counts[0].clone(),
+                    None,
+                )
+            }
+            BoundOp::Union => {
+                let counts = counts[0].iter().zip(&counts[1]).map(|(a, b)| a + b);
+                let (left, right) = (input(), input());
+                (PhysicalOp::UnionAll { left, right }, counts.collect(), None)
+            }
+            BoundOp::Exchange(params) => {
+                let (exchange, counts, out_total) = self.exchange(params, counts)?;
+                let inputs = inputs.collect();
+                let op = PhysicalOp::Exchange {
+                    inputs,
+                    exchange,
+                    params,
+                };
+                (op, counts, Some(out_total))
+            }
+        };
+        let plan = PhysicalPlan {
+            op,
+            schema,
+            label: plan.label(),
+            rows_est: out_total.unwrap_or_else(|| counts.iter().sum()),
+        };
+        Ok((plan, counts))
     }
 
-    fn lower_node(
-        &mut self,
-        plan: &LogicalPlan,
-    ) -> Result<(PhysicalPlan, NodeCounts, Schema), QueryError> {
-        match plan {
-            LogicalPlan::Scan { table } => {
-                let t = self.catalog.table(table)?;
-                let counts: NodeCounts = t.row_counts().iter().map(|&n| n as f64).collect();
-                let rows_est: f64 = counts.iter().sum();
-                Ok((
-                    PhysicalPlan {
-                        op: PhysicalOp::TableScan {
-                            table: table.clone(),
-                        },
-                        rows_est,
-                    },
-                    counts,
-                    t.schema.clone(),
-                ))
+    /// Price every registered candidate for an exchanging operator over
+    /// its inputs' estimated `counts`: the chosen exchange and the
+    /// operator's estimated output rows, per node and in total.
+    fn exchange(
+        &self,
+        params: OpParams,
+        counts: Vec<NodeCounts>,
+    ) -> Result<(Exchange, NodeCounts, f64), QueryError> {
+        let widths = match params {
+            OpParams::Join {
+                left_width,
+                right_width,
+                ..
             }
-            LogicalPlan::Filter { input, predicate } => {
-                let (child, counts, schema) = self.lower_node(input)?;
-                let s = selectivity(predicate).clamp(0.0, 1.0);
-                let counts: NodeCounts = counts.iter().map(|n| n * s).collect();
-                let rows_est: f64 = counts.iter().sum();
-                Ok((
-                    PhysicalPlan {
-                        op: PhysicalOp::Filter {
-                            input: Box::new(child),
-                            predicate: predicate.clone(),
-                        },
-                        rows_est,
-                    },
-                    counts,
-                    schema,
-                ))
-            }
-            LogicalPlan::Project { input, exprs } => {
-                let (child, counts, _) = self.lower_node(input)?;
-                let rows_est: f64 = counts.iter().sum();
-                let schema = Schema::new(exprs.iter().map(|(n, _)| n.clone()).collect())?;
-                Ok((
-                    PhysicalPlan {
-                        op: PhysicalOp::Project {
-                            input: Box::new(child),
-                            exprs: exprs.clone(),
-                        },
-                        rows_est,
-                    },
-                    counts,
-                    schema,
-                ))
-            }
-            LogicalPlan::HashJoin {
-                left,
-                right,
-                left_key,
-                right_key,
-            } => {
-                let (lp, lc, ls) = self.lower_node(left)?;
-                let (rp, rc, rs) = self.lower_node(right)?;
-                let args = self.args((lc, ls.width()), Some((rc, rs.width())));
-                let exchange =
-                    self.registry
-                        .plan(OperatorKind::Join, self.options.force.join, &args)?;
-                // Output estimate: key/foreign-key shape, placed by the
-                // winning strategy.
-                let (l_tot, r_tot) = (
-                    args.left.total(),
-                    args.right.as_ref().expect("two inputs").total(),
-                );
-                let out_total = if l_tot == 0.0 || r_tot == 0.0 {
-                    0.0
-                } else {
-                    l_tot.max(r_tot)
-                };
-                let shares = exchange.strategy.output_shares(&args);
-                let out_counts = self.model.distributed(out_total, &shares);
-                let schema = ls.join(&rs, "r_")?;
-                Ok((
-                    PhysicalPlan {
-                        op: PhysicalOp::HashJoin {
-                            left: Box::new(lp),
-                            right: Box::new(rp),
-                            left_key: left_key.clone(),
-                            right_key: right_key.clone(),
-                            exchange,
-                        },
-                        rows_est: out_total,
-                    },
-                    out_counts,
-                    schema,
-                ))
-            }
-            LogicalPlan::CrossJoin { left, right } => {
-                let (lp, lc, ls) = self.lower_node(left)?;
-                let (rp, rc, rs) = self.lower_node(right)?;
-                let args = self.args((lc, ls.width()), Some((rc, rs.width())));
-                let exchange =
-                    self.registry
-                        .plan(OperatorKind::CrossJoin, self.options.force.cross, &args)?;
-                let out_total =
-                    args.left.total() * args.right.as_ref().expect("two inputs").total();
-                let shares = exchange.strategy.output_shares(&args);
-                let out_counts = self.model.distributed(out_total, &shares);
-                Ok((
-                    PhysicalPlan {
-                        op: PhysicalOp::CrossJoin {
-                            left: Box::new(lp),
-                            right: Box::new(rp),
-                            exchange,
-                        },
-                        rows_est: out_total,
-                    },
-                    out_counts,
-                    ls.join(&rs, "r_")?,
-                ))
-            }
-            LogicalPlan::OrderBy { input, key } => {
-                let (child, counts, schema) = self.lower_node(input)?;
-                let total: f64 = counts.iter().sum();
-                let args = self.args((counts, schema.width()), None);
-                let exchange =
-                    self.registry
-                        .plan(OperatorKind::Sort, self.options.force.sort, &args)?;
-                let shares = exchange.strategy.output_shares(&args);
-                let out_counts = self.model.distributed(total, &shares);
-                Ok((
-                    PhysicalPlan {
-                        op: PhysicalOp::Sort {
-                            input: Box::new(child),
-                            key: key.clone(),
-                            exchange,
-                        },
-                        rows_est: total,
-                    },
-                    out_counts,
-                    schema,
-                ))
-            }
-            LogicalPlan::Aggregate {
-                input,
-                group_by,
-                agg,
-                measure,
-            } => {
-                let (child, counts, _) = self.lower_node(input)?;
-                let total: f64 = counts.iter().sum();
+            | OpParams::CrossJoin {
+                left_width,
+                right_width,
+            } => [left_width, right_width],
+            // Partials are `(group, measure)` pairs.
+            OpParams::Aggregate { .. } => [2, 0],
+            OpParams::Sort { width, .. }
+            | OpParams::Distinct { width }
+            | OpParams::Limit { width, .. } => [width, 0],
+        };
+        let mut sides = counts
+            .into_iter()
+            .zip(widths)
+            .map(|(counts, width)| PlanSide { counts, width });
+        let mut args = PlanArgs {
+            model: &self.model,
+            seed: self.options.seed,
+            left: sides.next().expect("an exchange has an input"),
+            right: sides.next(),
+            groups: 0.0,
+            limit: 0,
+        };
+        let total = args.left.total();
+        let right_total = args.right.as_ref().map_or(0.0, PlanSide::total);
+        let out_total = match params {
+            // Key/foreign-key shape, placed by the winning strategy.
+            OpParams::Join { .. } if total == 0.0 || right_total == 0.0 => 0.0,
+            OpParams::Join { .. } => total.max(right_total),
+            OpParams::CrossJoin { .. } => total * right_total,
+            OpParams::Aggregate { .. } => {
                 // Distinct-group heuristic: √n groups (module docs).
-                let groups = total.sqrt().ceil().max(if total > 0.0 { 1.0 } else { 0.0 });
-                let mut args = self.args((counts, 2), None);
-                args.groups = groups;
-                let exchange = self.registry.plan(
-                    OperatorKind::Aggregate,
-                    self.options.force.aggregate,
-                    &args,
-                )?;
-                let shares = exchange.strategy.output_shares(&args);
-                let out_counts = self.model.distributed(groups, &shares);
-                Ok((
-                    PhysicalPlan {
-                        op: PhysicalOp::HashAggregate {
-                            input: Box::new(child),
-                            group_by: group_by.clone(),
-                            agg: *agg,
-                            measure: measure.clone(),
-                            exchange,
-                        },
-                        rows_est: groups,
-                    },
-                    out_counts,
-                    Schema::new(vec![
-                        group_by.clone(),
-                        format!("{}_{}", agg.name(), measure),
-                    ])?,
-                ))
+                args.groups = total.sqrt().ceil().max(if total > 0.0 { 1.0 } else { 0.0 });
+                args.groups
             }
-            LogicalPlan::Limit { input, n } => {
-                let order_preserving = reference::preserves_order(input);
-                let (child, counts, schema) = self.lower_node(input)?;
-                let total: f64 = counts.iter().sum();
-                let mut args = self.args((counts, schema.width()), None);
-                args.limit = *n;
-                let exchange = self.registry.plan(OperatorKind::Limit, None, &args)?;
-                let out_total = total.min(*n as f64);
-                let shares = exchange.strategy.output_shares(&args);
-                let out_counts = self.model.distributed(out_total, &shares);
-                Ok((
-                    PhysicalPlan {
-                        op: PhysicalOp::Limit {
-                            input: Box::new(child),
-                            n: *n,
-                            order_preserving,
-                            exchange,
-                        },
-                        rows_est: out_total,
-                    },
-                    out_counts,
-                    schema,
-                ))
+            OpParams::Limit { n, .. } => {
+                args.limit = n;
+                total.min(n as f64)
             }
-            LogicalPlan::Distinct { input } => {
-                let (child, counts, schema) = self.lower_node(input)?;
-                let total: f64 = counts.iter().sum();
-                let args = self.args((counts, schema.width()), None);
-                let exchange = self.registry.plan(OperatorKind::Distinct, None, &args)?;
-                let shares = exchange.strategy.output_shares(&args);
-                let out_counts = self.model.distributed(total, &shares);
-                Ok((
-                    PhysicalPlan {
-                        op: PhysicalOp::Distinct {
-                            input: Box::new(child),
-                            exchange,
-                        },
-                        rows_est: total,
-                    },
-                    out_counts,
-                    schema,
-                ))
-            }
-            LogicalPlan::UnionAll { left, right } => {
-                let (lp, lc, ls) = self.lower_node(left)?;
-                let (rp, rc, _) = self.lower_node(right)?;
-                let counts: NodeCounts = lc.iter().zip(&rc).map(|(a, b)| a + b).collect();
-                let rows_est: f64 = counts.iter().sum();
-                Ok((
-                    PhysicalPlan {
-                        op: PhysicalOp::UnionAll {
-                            left: Box::new(lp),
-                            right: Box::new(rp),
-                        },
-                        rows_est,
-                    },
-                    counts,
-                    ls,
-                ))
-            }
-        }
+            OpParams::Sort { .. } | OpParams::Distinct { .. } => total,
+        };
+        let kind = params.kind();
+        let exchange = self
+            .registry
+            .plan(kind, self.options.force.get(kind), &args)?;
+        let shares = exchange.strategy.output_shares(&args);
+        let out_counts = self.model.distributed(out_total, &shares);
+        Ok((exchange, out_counts, out_total))
     }
 }
 
@@ -667,8 +459,10 @@ mod tests {
     use crate::context::QueryContext;
     use crate::exec::StrategyForce;
     use crate::expr::{col, lit};
+    use crate::plan::AggFunc;
     use crate::row::Row;
     use crate::table::DistributedTable;
+    use strategy::OperatorKind;
     use tamp_topology::{builders, Tree};
 
     /// Lower against the built-in strategies, plan only.
@@ -677,7 +471,7 @@ mod tests {
         catalog: &Catalog,
         options: ExecOptions,
     ) -> Result<PhysicalPlan, QueryError> {
-        super::lower(plan, catalog, options, &StrategyRegistry::with_defaults()).map(|(p, _)| p)
+        super::lower(plan, catalog, options, &StrategyRegistry::with_defaults())
     }
 
     fn star_catalog(facts: u64, dims: u64) -> Catalog {
@@ -708,7 +502,11 @@ mod tests {
         let q = LogicalPlan::scan("facts").join_on(LogicalPlan::scan("dims"), "g", "g");
         let p = lower(&q, &c, ExecOptions::default()).unwrap();
         match &p.op {
-            PhysicalOp::HashJoin { exchange, .. } => {
+            PhysicalOp::Exchange {
+                exchange,
+                params: OpParams::Join { .. },
+                ..
+            } => {
                 assert_eq!(exchange.name(), "broadcast-small");
                 assert_eq!(exchange.candidates.len(), 4);
                 assert!(exchange.estimate.tuple_cost > 0.0);
@@ -869,7 +667,7 @@ mod tests {
     /// Pre-order `(operator label, chosen strategy)` of every exchange.
     fn choices(plan: &PhysicalPlan, out: &mut Vec<(String, &'static str)>) {
         if let Some(x) = plan.exchange() {
-            out.push((plan.label(), x.name()));
+            out.push((plan.label.clone(), x.name()));
         }
         for child in plan.children() {
             choices(child, out);

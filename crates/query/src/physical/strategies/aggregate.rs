@@ -29,7 +29,7 @@ use tamp_topology::NodeId;
 use crate::batch::{batch_rows, flatten_batches, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
+    CostEstimate, ExecArgs, OpInput, OpParams, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
     TraceBuilder,
 };
 use crate::plan::AggFunc;
@@ -38,12 +38,14 @@ use super::columnar::{batch_frag_weights, empty_batch_frags, fold_groups, shuffl
 use super::group_table::GroupTable;
 
 fn agg_input(input: OpInput) -> (BatchFragments, usize, usize, AggFunc) {
-    let OpInput::Aggregate {
-        input,
-        group,
-        measure,
-        agg,
-    } = input
+    let (
+        OpParams::Aggregate {
+            group,
+            measure,
+            agg,
+        },
+        Ok([input]),
+    ) = (input.params, <[_; 1]>::try_from(input.inputs))
     else {
         unreachable!("registered for Aggregate");
     };

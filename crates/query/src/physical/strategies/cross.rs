@@ -30,19 +30,20 @@ use tamp_topology::{DirEdgeId, NodeId, Tree};
 use crate::batch::{batch_rows, concat, flatten_batches, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs, PlanSide,
-    TraceBuilder,
+    CostEstimate, ExecArgs, OpInput, OpParams, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
+    PlanSide, TraceBuilder,
 };
 
 use super::columnar::{batch_holders_of, broadcast_small_batches, empty_batch_frags};
 
 fn cross_input(input: OpInput) -> (BatchFragments, BatchFragments, usize, usize) {
-    let OpInput::CrossJoin {
-        left,
-        right,
-        left_width,
-        right_width,
-    } = input
+    let (
+        OpParams::CrossJoin {
+            left_width,
+            right_width,
+        },
+        Ok([left, right]),
+    ) = (input.params, <[_; 2]>::try_from(input.inputs))
     else {
         unreachable!("registered for CrossJoin");
     };

@@ -33,7 +33,7 @@ use tamp_topology::NodeId;
 use crate::batch::{batch_rows, flatten_multi, gather_multi, BatchFragments};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
+    CostEstimate, ExecArgs, OpInput, OpParams, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
     TraceBuilder,
 };
 
@@ -43,14 +43,15 @@ use super::columnar::{
 };
 
 fn join_input(input: OpInput) -> (BatchFragments, BatchFragments, usize, usize, usize, usize) {
-    let OpInput::Join {
-        left,
-        right,
-        left_key,
-        right_key,
-        left_width,
-        right_width,
-    } = input
+    let (
+        OpParams::Join {
+            left_key,
+            right_key,
+            left_width,
+            right_width,
+        },
+        Ok([left, right]),
+    ) = (input.params, <[_; 2]>::try_from(input.inputs))
     else {
         unreachable!("registered for Join");
     };

@@ -38,7 +38,7 @@ use tamp_topology::NodeId;
 use crate::batch::{batch_rows, cut, flatten, head, sort_rows, whole, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
+    CostEstimate, ExecArgs, OpInput, OpParams, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
     TraceBuilder,
 };
 
@@ -106,7 +106,9 @@ impl PhysicalStrategy for WeightedDistinct {
     }
 
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
-        let OpInput::Distinct { input, width } = input else {
+        let (OpParams::Distinct { width }, Ok([input])) =
+            (input.params, <[_; 1]>::try_from(input.inputs))
+        else {
             unreachable!("registered for Distinct");
         };
         let tree = a.tree;
@@ -192,12 +194,14 @@ impl PhysicalStrategy for GatherLimit {
     }
 
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
-        let OpInput::Limit {
-            input,
-            n,
-            width,
-            order_preserving,
-        } = input
+        let (
+            OpParams::Limit {
+                n,
+                width,
+                order_preserving,
+            },
+            Ok([input]),
+        ) = (input.params, <[_; 1]>::try_from(input.inputs))
         else {
             unreachable!("registered for Limit");
         };
@@ -265,11 +269,13 @@ mod tests {
         let traced = GatherLimit
             .trace(
                 &args,
-                OpInput::Limit {
-                    input,
-                    n: rows.len(),
-                    width: 2,
-                    order_preserving: true,
+                OpInput {
+                    params: OpParams::Limit {
+                        n: rows.len(),
+                        width: 2,
+                        order_preserving: true,
+                    },
+                    inputs: vec![input],
                 },
             )
             .unwrap();
@@ -335,13 +341,14 @@ mod tests {
             )
         };
         let right = || spread((0..50).map(|k| vec![k, 100 + k]).collect(), 2);
-        let join = || OpInput::Join {
-            left: left(),
-            right: right(),
-            left_key: 1,
-            right_key: 0,
-            left_width: 3,
-            right_width: 2,
+        let join = || OpInput {
+            params: OpParams::Join {
+                left_key: 1,
+                right_key: 0,
+                left_width: 3,
+                right_width: 2,
+            },
+            inputs: vec![left(), right()],
         };
         let args = ExecArgs {
             tree: &tree,
@@ -353,19 +360,20 @@ mod tests {
         let shuffle = rounds(&join::WeightedRepartitionJoin, join());
         assert_cut_from_one_buffer("hash shuffle, left", &shuffle[0]);
         assert_cut_from_one_buffer("hash shuffle, right", &shuffle[1]);
-        let sort = OpInput::Sort {
-            input: left(),
-            key: 2,
-            width: 3,
+        let sort = OpInput {
+            params: OpParams::Sort { key: 2, width: 3 },
+            inputs: vec![left()],
         };
         let sort = rounds(&sort::RangeShuffleSort::weighted(), sort);
         assert_cut_from_one_buffer("sample round", &sort[0]);
         assert_cut_from_one_buffer("range shuffle", &sort[2]);
-        let limit = OpInput::Limit {
-            input: left(),
-            n: 5,
-            width: 3,
-            order_preserving: true,
+        let limit = OpInput {
+            params: OpParams::Limit {
+                n: 5,
+                width: 3,
+                order_preserving: true,
+            },
+            inputs: vec![left()],
         };
         assert_cut_from_one_buffer("gather", &rounds(&GatherLimit, limit)[0]);
         let broadcast = rounds(&join::BroadcastSmallJoin, join());
@@ -462,47 +470,47 @@ mod soundness {
         right: &BatchFragments,
         seed: u64,
     ) -> Vec<OpInput> {
-        let (left, right) = (left.clone(), right.clone());
-        match op {
-            OperatorKind::Join => vec![OpInput::Join {
-                left,
-                right,
+        let params = match op {
+            OperatorKind::Join => vec![OpParams::Join {
                 left_key: L_KEY,
                 right_key: R_KEY,
                 left_width: LW,
                 right_width: RW,
             }],
-            OperatorKind::CrossJoin => vec![OpInput::CrossJoin {
-                left,
-                right,
+            OperatorKind::CrossJoin => vec![OpParams::CrossJoin {
                 left_width: LW,
                 right_width: RW,
             }],
-            OperatorKind::Sort => vec![OpInput::Sort {
-                input: left,
+            OperatorKind::Sort => vec![OpParams::Sort {
                 key: seed as usize % LW,
                 width: LW,
             }],
-            OperatorKind::Aggregate => vec![OpInput::Aggregate {
-                input: left,
+            OperatorKind::Aggregate => vec![OpParams::Aggregate {
                 group: L_KEY,
                 measure: 2,
                 agg: [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max][seed as usize % 4],
             }],
-            OperatorKind::Distinct => vec![OpInput::Distinct {
-                input: left,
-                width: LW,
-            }],
+            OperatorKind::Distinct => vec![OpParams::Distinct { width: LW }],
             OperatorKind::Limit => [false, true]
                 .into_iter()
-                .map(|order_preserving| OpInput::Limit {
-                    input: left.clone(),
+                .map(|order_preserving| OpParams::Limit {
                     n: 7,
                     width: LW,
                     order_preserving,
                 })
                 .collect(),
-        }
+        };
+        let inputs = match op {
+            OperatorKind::Join | OperatorKind::CrossJoin => vec![left.clone(), right.clone()],
+            _ => vec![left.clone()],
+        };
+        params
+            .into_iter()
+            .map(|params| OpInput {
+                params,
+                inputs: inputs.clone(),
+            })
+            .collect()
     }
 
     /// Check one trace's output at every node; returns the rows checked.

@@ -22,7 +22,7 @@ use tamp_topology::NodeId;
 use crate::batch::{batch_rows, cut, sort_rows};
 use crate::error::QueryError;
 use crate::physical::strategy::{
-    CostEstimate, ExecArgs, OpInput, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
+    CostEstimate, ExecArgs, OpInput, OpParams, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
     TraceBuilder,
 };
 
@@ -130,11 +130,8 @@ impl PhysicalStrategy for RangeShuffleSort {
     }
 
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
-        let OpInput::Sort {
-            input: frags,
-            key: ki,
-            width,
-        } = input
+        let (OpParams::Sort { key: ki, width }, Ok([frags])) =
+            (input.params, <[_; 1]>::try_from(input.inputs))
         else {
             unreachable!("registered for Sort");
         };

@@ -60,8 +60,8 @@
 //!         CostEstimate { tuple_cost: cost, rounds: 1 }
 //!     }
 //!     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
-//!         let OpInput::Join { left, right, left_key, right_key, left_width, right_width } =
-//!             input
+//!         let (OpParams::Join { left_key, right_key, left_width, right_width }, Ok([left, right])) =
+//!             (input.params, <[_; 2]>::try_from(input.inputs))
 //!         else {
 //!             unreachable!("registered for Join");
 //!         };
@@ -278,17 +278,13 @@ pub struct ExecArgs<'a> {
     pub seed: u64,
 }
 
-/// The operator-specific execution input: the materialized child
-/// fragments — per-node [`RecordBatch`](crate::batch::RecordBatch) lists
-/// — plus the operator's parameters, all in resolved (index) form.
-#[derive(Debug)]
-pub enum OpInput {
+/// An exchanging operator's parameters in resolved (index) form: what
+/// lowering binds once and stores in the plan's exchange, and what the
+/// strategy receives next to the child fragments on every run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OpParams {
     /// Equi-join.
     Join {
-        /// Left fragments.
-        left: BatchFragments,
-        /// Right fragments.
-        right: BatchFragments,
         /// Key column index on the left.
         left_key: usize,
         /// Key column index on the right.
@@ -300,10 +296,6 @@ pub enum OpInput {
     },
     /// Cartesian product.
     CrossJoin {
-        /// Left fragments.
-        left: BatchFragments,
-        /// Right fragments.
-        right: BatchFragments,
         /// Left row width.
         left_width: usize,
         /// Right row width.
@@ -311,8 +303,6 @@ pub enum OpInput {
     },
     /// Global sort.
     Sort {
-        /// Input fragments.
-        input: BatchFragments,
         /// Sort column index.
         key: usize,
         /// Row width.
@@ -320,8 +310,6 @@ pub enum OpInput {
     },
     /// Grouped aggregation.
     Aggregate {
-        /// Input fragments.
-        input: BatchFragments,
         /// Grouping column index.
         group: usize,
         /// Measure column index.
@@ -331,15 +319,11 @@ pub enum OpInput {
     },
     /// Duplicate elimination.
     Distinct {
-        /// Input fragments.
-        input: BatchFragments,
         /// Row width.
         width: usize,
     },
     /// First `n` rows.
     Limit {
-        /// Input fragments.
-        input: BatchFragments,
         /// Row budget.
         n: usize,
         /// Row width.
@@ -347,6 +331,32 @@ pub enum OpInput {
         /// Whether fragment order is globally meaningful.
         order_preserving: bool,
     },
+}
+
+impl OpParams {
+    /// The operator whose strategies execute these parameters.
+    pub(crate) fn kind(self) -> OperatorKind {
+        match self {
+            OpParams::Join { .. } => OperatorKind::Join,
+            OpParams::CrossJoin { .. } => OperatorKind::CrossJoin,
+            OpParams::Sort { .. } => OperatorKind::Sort,
+            OpParams::Aggregate { .. } => OperatorKind::Aggregate,
+            OpParams::Distinct { .. } => OperatorKind::Distinct,
+            OpParams::Limit { .. } => OperatorKind::Limit,
+        }
+    }
+}
+
+/// The execution input of one exchange: the operator's parameters and
+/// the materialized child fragments — per-node
+/// [`RecordBatch`](crate::batch::RecordBatch) lists.
+#[derive(Debug)]
+pub struct OpInput {
+    /// The operator's parameters.
+    pub params: OpParams,
+    /// The child fragments, left to right: two for a join or cross
+    /// join, one for every other operator.
+    pub inputs: Vec<BatchFragments>,
 }
 
 /// What a strategy's execution produces: its exchange-trace rounds (ready

@@ -24,6 +24,8 @@ use std::fmt;
 
 use crate::error::QueryError;
 use crate::expr::Expr;
+use crate::physical::strategy::OpParams;
+use crate::reference;
 use crate::schema::Schema;
 use crate::table::Catalog;
 
@@ -242,68 +244,144 @@ impl LogicalPlan {
     /// Infer the output schema against a catalog, validating every column
     /// reference along the way.
     pub fn schema(&self, catalog: &Catalog) -> Result<Schema, QueryError> {
+        let inputs = self
+            .inputs()
+            .into_iter()
+            .map(|input| input.schema(catalog))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(self.bind(catalog, &inputs.iter().collect::<Vec<_>>())?.0)
+    }
+
+    /// The input plans, left to right.
+    pub(crate) fn inputs(&self) -> Vec<&LogicalPlan> {
         match self {
-            LogicalPlan::Scan { table } => Ok(catalog.table(table)?.schema.clone()),
-            LogicalPlan::Filter { input, predicate } => {
-                let schema = input.schema(catalog)?;
-                predicate.bind(&schema)?; // validate references
-                Ok(schema)
+            LogicalPlan::Scan { .. } => vec![],
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::OrderBy { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Distinct { input } => vec![input],
+            LogicalPlan::HashJoin { left, right, .. }
+            | LogicalPlan::CrossJoin { left, right }
+            | LogicalPlan::UnionAll { left, right } => vec![left, right],
+        }
+    }
+
+    /// Resolve this operator's names against its inputs' schemas (in
+    /// [`inputs`](Self::inputs) order): its output schema and its
+    /// parameters in index form. The one home of the naming rules — a
+    /// join prefixes clashing right-side columns with `r_`, an aggregate
+    /// names its result `{agg}_{measure}` — for schema inference and
+    /// lowering alike.
+    pub(crate) fn bind(
+        &self,
+        catalog: &Catalog,
+        inputs: &[&Schema],
+    ) -> Result<(Schema, BoundOp<'_>), QueryError> {
+        Ok(match self {
+            LogicalPlan::Scan { table } => {
+                (catalog.table(table)?.schema.clone(), BoundOp::Scan(table))
             }
-            LogicalPlan::Project { input, exprs } => {
-                let schema = input.schema(catalog)?;
-                for (_, e) in exprs {
-                    e.bind(&schema)?;
-                }
-                Schema::new(exprs.iter().map(|(n, _)| n.clone()).collect())
+            LogicalPlan::Filter { predicate, .. } => (
+                inputs[0].clone(),
+                BoundOp::Filter(predicate.bind(inputs[0])?),
+            ),
+            LogicalPlan::Project { exprs, .. } => {
+                let bound = exprs
+                    .iter()
+                    .map(|(_, e)| e.bind(inputs[0]))
+                    .collect::<Result<_, _>>()?;
+                let names = exprs.iter().map(|(n, _)| n.clone()).collect();
+                (Schema::new(names)?, BoundOp::Project(bound))
             }
             LogicalPlan::HashJoin {
-                left,
-                right,
                 left_key,
                 right_key,
+                ..
             } => {
-                let ls = left.schema(catalog)?;
-                let rs = right.schema(catalog)?;
-                ls.index_of(left_key)?;
-                rs.index_of(right_key)?;
-                ls.join(&rs, "r_")
+                let (ls, rs) = (inputs[0], inputs[1]);
+                let params = OpParams::Join {
+                    left_key: ls.index_of(left_key)?,
+                    right_key: rs.index_of(right_key)?,
+                    left_width: ls.width(),
+                    right_width: rs.width(),
+                };
+                (ls.join(rs, "r_")?, BoundOp::Exchange(params))
             }
-            LogicalPlan::CrossJoin { left, right } => {
-                let ls = left.schema(catalog)?;
-                let rs = right.schema(catalog)?;
-                ls.join(&rs, "r_")
+            LogicalPlan::CrossJoin { .. } => {
+                let (ls, rs) = (inputs[0], inputs[1]);
+                let params = OpParams::CrossJoin {
+                    left_width: ls.width(),
+                    right_width: rs.width(),
+                };
+                (ls.join(rs, "r_")?, BoundOp::Exchange(params))
             }
-            LogicalPlan::OrderBy { input, key } => {
-                let schema = input.schema(catalog)?;
-                schema.index_of(key)?;
-                Ok(schema)
+            LogicalPlan::OrderBy { key, .. } => {
+                let params = OpParams::Sort {
+                    key: inputs[0].index_of(key)?,
+                    width: inputs[0].width(),
+                };
+                (inputs[0].clone(), BoundOp::Exchange(params))
             }
             LogicalPlan::Aggregate {
-                input,
                 group_by,
                 agg,
                 measure,
+                ..
             } => {
-                let schema = input.schema(catalog)?;
-                schema.index_of(group_by)?;
-                schema.index_of(measure)?;
-                Schema::new(vec![
-                    group_by.clone(),
-                    format!("{}_{}", agg.name(), measure),
-                ])
+                let params = OpParams::Aggregate {
+                    group: inputs[0].index_of(group_by)?,
+                    measure: inputs[0].index_of(measure)?,
+                    agg: *agg,
+                };
+                let names = vec![group_by.clone(), format!("{}_{}", agg.name(), measure)];
+                (Schema::new(names)?, BoundOp::Exchange(params))
             }
-            LogicalPlan::Limit { input, .. } => input.schema(catalog),
-            LogicalPlan::Distinct { input } => input.schema(catalog),
-            LogicalPlan::UnionAll { left, right } => {
-                let ls = left.schema(catalog)?;
-                let rs = right.schema(catalog)?;
+            LogicalPlan::Limit { input, n } => {
+                let params = OpParams::Limit {
+                    n: *n,
+                    width: inputs[0].width(),
+                    order_preserving: reference::preserves_order(input),
+                };
+                (inputs[0].clone(), BoundOp::Exchange(params))
+            }
+            LogicalPlan::Distinct { .. } => {
+                let params = OpParams::Distinct {
+                    width: inputs[0].width(),
+                };
+                (inputs[0].clone(), BoundOp::Exchange(params))
+            }
+            LogicalPlan::UnionAll { .. } => {
+                let (ls, rs) = (inputs[0], inputs[1]);
                 if ls != rs {
                     return Err(QueryError::Plan(format!(
                         "UNION ALL schema mismatch: {ls} vs {rs}"
                     )));
                 }
-                Ok(ls)
+                (ls.clone(), BoundOp::Union)
             }
+        })
+    }
+
+    /// The operator's label in EXPLAIN and per-operator cost
+    /// attribution, in its unbound names.
+    pub(crate) fn label(&self) -> String {
+        match self {
+            LogicalPlan::Scan { table } => format!("Scan {table}"),
+            LogicalPlan::Filter { predicate, .. } => format!("Filter {predicate}"),
+            LogicalPlan::Project { .. } => "Project".into(),
+            LogicalPlan::HashJoin {
+                left_key,
+                right_key,
+                ..
+            } => format!("HashJoin {left_key}={right_key}"),
+            LogicalPlan::CrossJoin { .. } => "CrossJoin".into(),
+            LogicalPlan::OrderBy { key, .. } => format!("OrderBy {key}"),
+            LogicalPlan::Aggregate { agg, .. } => format!("Aggregate {}", agg.name()),
+            LogicalPlan::Limit { n, .. } => format!("Limit {n}"),
+            LogicalPlan::Distinct { .. } => "Distinct".into(),
+            LogicalPlan::UnionAll { .. } => "UnionAll".into(),
         }
     }
 
@@ -367,6 +445,22 @@ impl LogicalPlan {
             }
         }
     }
+}
+
+/// One operator's work with its names resolved (see
+/// [`LogicalPlan::bind`]).
+#[derive(Debug)]
+pub(crate) enum BoundOp<'p> {
+    /// Read the named base table.
+    Scan(&'p str),
+    /// Keep rows where the bound predicate is nonzero.
+    Filter(Expr),
+    /// Evaluate the bound output expressions.
+    Project(Vec<Expr>),
+    /// Concatenate the two inputs' fragments.
+    Union,
+    /// Run an exchanging operator's strategy.
+    Exchange(OpParams),
 }
 
 impl fmt::Display for LogicalPlan {

@@ -16,7 +16,12 @@ use crate::table::Catalog;
 /// Evaluate `plan` centrally and return its rows in canonical
 /// (lexicographic) order — except [`LogicalPlan::OrderBy`] prefixes and
 /// [`LogicalPlan::Limit`], whose semantic order is preserved.
+///
+/// The whole plan is validated first ([`LogicalPlan::schema`]), so a
+/// plan the engine refuses to prepare is refused here with the same
+/// error.
 pub fn evaluate(plan: &LogicalPlan, catalog: &Catalog) -> Result<Vec<Row>, QueryError> {
+    plan.schema(catalog)?;
     let mut rows = eval_inner(plan, catalog)?;
     if !preserves_order(plan) {
         canonicalize(&mut rows);
@@ -151,6 +156,7 @@ fn eval_inner(plan: &LogicalPlan, catalog: &Catalog) -> Result<Vec<Row>, QueryEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::QueryContext;
     use crate::expr::{col, lit};
     use crate::plan::AggFunc;
     use crate::schema::Schema;
@@ -215,6 +221,34 @@ mod tests {
         let q = LogicalPlan::scan("t").order_by("x").limit(3);
         let rows = evaluate(&q, &c).unwrap();
         assert_eq!(rows.iter().map(|r| r[2]).collect::<Vec<_>>(), vec![0, 3, 6]);
+    }
+
+    /// A plan the engine refuses to prepare — mismatched union sides, a
+    /// repeated output name, a join whose `r_` prefix clashes — the
+    /// reference refuses with the same error instead of evaluating it.
+    #[test]
+    fn rejects_what_the_engine_rejects() {
+        let c = catalog();
+        let ctx = QueryContext::with_catalog(c.clone());
+        let t = || LogicalPlan::scan("t");
+        for (q, want) in [
+            (
+                t().union_all(t().aggregate("g", AggFunc::Sum, "x")),
+                "UNION ALL schema mismatch",
+            ),
+            (
+                t().project(vec![("a", col("id")), ("a", col("x"))]),
+                "duplicate column name `a`",
+            ),
+            (
+                t().join_on(t(), "id", "id").join_on(t(), "id", "id"),
+                "duplicate column name `r_id`",
+            ),
+        ] {
+            let engine = ctx.execute(&q).unwrap_err();
+            assert_eq!(evaluate(&q, &c).unwrap_err(), engine, "{q}");
+            assert!(engine.to_string().contains(want), "{engine}");
+        }
     }
 
     #[test]

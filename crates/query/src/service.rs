@@ -109,7 +109,6 @@ use crate::lock_ok;
 use crate::physical::strategy::PhysicalStrategy;
 use crate::physical::{self, PhysicalPlan};
 use crate::plan::LogicalPlan;
-use crate::schema::Schema;
 use crate::table::DistributedTable;
 
 /// One immutable generation of the service's session state. A query
@@ -129,18 +128,11 @@ pub(crate) struct Snapshot {
     tree_fp: u64,
 }
 
-/// A cached prepared plan: the lowered physical plan plus its inferred
-/// output schema, shared by every query that hits the entry.
-pub(crate) struct CachedPlan {
-    physical: PhysicalPlan,
-    schema: Schema,
-}
-
 /// A prepared plan of either kind, next to the exact logical form it was
 /// prepared from: the fingerprint key is 64 bits, so the stored form
 /// (with the slot's catalog version) rules out collisions on lookup.
 enum Entry {
-    Plan(LogicalPlan, ExecOptions, Arc<CachedPlan>),
+    Plan(LogicalPlan, ExecOptions, Arc<PhysicalPlan>),
     Fixpoint(IterativeJob, Arc<PreparedIterative>),
 }
 
@@ -217,8 +209,7 @@ pub struct ServiceStats {
     pub plan: Duration,
     /// Time spent computing fragments and replaying the exchange
     /// schedule on the backend — the successful attempt only: attempts
-    /// killed by a fault, and the backoff sleeps between them, are not
-    /// counted.
+    /// killed by a fault are not counted.
     pub exec: Duration,
     /// Whether the prepared plan came from the cache.
     pub cache_hit: bool,
@@ -420,13 +411,10 @@ impl QueryService {
     pub(crate) fn run_plan(
         &self,
         snapshot: &Snapshot,
-        plan: &CachedPlan,
+        plan: &PhysicalPlan,
     ) -> Result<QueryResult, QueryError> {
         let ctx = &snapshot.ctx;
-        let result =
-            exec::run_physical(ctx.catalog(), &plan.physical, ctx.options(), &self.backend)?;
-        debug_assert_eq!(result.schema, plan.schema);
-        Ok(result)
+        exec::run_physical(ctx.catalog(), plan, ctx.options(), &self.backend)
     }
 
     /// Serve and return just the result (stats dropped).
@@ -441,7 +429,7 @@ impl QueryService {
     pub fn explain(&self, plan: &LogicalPlan) -> Result<String, QueryError> {
         let snapshot = self.snapshot();
         let (cached, _) = self.plan_on(&snapshot, plan)?;
-        let text = cached.physical.explain(snapshot.ctx.options().seed);
+        let text = cached.explain(snapshot.ctx.options().seed);
         Ok(format!("catalog v{}\n{text}", snapshot.version))
     }
 
@@ -484,7 +472,7 @@ impl QueryService {
         &self,
         snapshot: &Snapshot,
         plan: &LogicalPlan,
-    ) -> Result<(Arc<CachedPlan>, bool), QueryError> {
+    ) -> Result<(Arc<PhysicalPlan>, bool), QueryError> {
         let ctx = &snapshot.ctx;
         let options = ctx.options();
         self.through_cache(
@@ -495,10 +483,8 @@ impl QueryService {
                 _ => None,
             },
             || {
-                let (physical, schema) =
-                    physical::lower(plan, ctx.catalog(), options, ctx.strategies())?;
-                let cached = Arc::new(CachedPlan { physical, schema });
-                Ok(Entry::Plan(plan.clone(), options, cached))
+                let physical = physical::lower(plan, ctx.catalog(), options, ctx.strategies())?;
+                Ok(Entry::Plan(plan.clone(), options, Arc::new(physical)))
             },
         )
     }
@@ -1049,17 +1035,14 @@ mod tests {
         let mut ctx = ctx();
         ctx.register_strategy(Arc::new(NeverWinsJoin));
         let q = queries()[1].clone();
-        // QueryContext::prepare and DataFrame::prepare …
+        // QueryContext::prepare …
         priced(ctx.prepare(&q).unwrap().physical_plan());
-        let df = ctx.table("facts").join_on(ctx.table("dims"), "g", "g");
-        assert_eq!(df.logical_plan(), &q);
-        priced(df.prepare().unwrap().physical_plan());
         // … and the plan QueryService::serve lowered, cached and ran.
         let service = QueryService::with_default_backend(ctx);
         assert!(!service.serve(&q).unwrap().stats.cache_hit);
         let (served_plan, hit) = service.plan_on(&service.snapshot(), &q).unwrap();
         assert!(hit);
-        priced(&served_plan.physical);
+        priced(&served_plan);
     }
 
     #[test]

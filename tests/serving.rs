@@ -335,14 +335,15 @@ fn custom_strategy_registration_invalidates_the_cache() {
             }
         }
         fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
-            let OpInput::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-                left_width,
-                right_width,
-            } = input
+            let (
+                OpParams::Join {
+                    left_key,
+                    right_key,
+                    left_width,
+                    right_width,
+                },
+                Ok([left, right]),
+            ) = (input.params, <[_; 2]>::try_from(input.inputs))
             else {
                 unreachable!("registered for Join");
             };
