@@ -1,14 +1,18 @@
 //! Columnar record batches: the storage, the wire and the result.
 //!
-//! A [`RecordBatch`] stores a fixed number of columns as shared
-//! `Arc<[Value]>` allocations — the same zero-copy currency the exchange
-//! fabric ships in `ScheduleSend::values`, as ranges of one buffer per
-//! exchange — so replicating a batch to another node's fragment list is a
-//! reference-count bump, not a copy.
-//! A registered table holds one batch per node, operators and strategies
-//! pass batch lists, and a query result keeps the batches its last
-//! operator produced; rows ([`Row`]) are built from them only when asked
-//! for ([`RecordBatch::append_rows`]).
+//! A [`RecordBatch`] is one shared list of columns, each a
+//! [`SharedSlice`] — a range of a shared `Arc<[Value]>` buffer, the same
+//! zero-copy currency the exchange fabric ships in `ScheduleSend::values`
+//! — so cloning a batch, or replicating it to another node's fragment
+//! list, is one reference-count bump, not a copy.
+//! A kernel that writes every node's output allocates per column, not per
+//! node: it fills one buffer per output column (`new_columns`) and each
+//! node's batch views a range of it (`RecordBatch::view`). A registered
+//! table holds one batch per node, cut the same way; operators and
+//! strategies pass batch lists, and a query result keeps the batches its
+//! last operator produced; rows ([`Row`]) are built from them only when
+//! asked for ([`RecordBatch::append_rows`]). Equality, ordering and
+//! `Debug` read values, never which buffer holds them.
 //!
 //! A node's fragment is a *list* of batches ([`BatchFragments`]); the
 //! list is read as the concatenation of its batches, so batch boundaries
@@ -25,37 +29,20 @@ use tamp_simulator::{SharedSlice, Value};
 use crate::row::Row;
 
 /// A column-major batch of rows: `width()` columns, each `num_rows()`
-/// values long, individually shared.
+/// values long and each a range of a shared buffer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecordBatch {
-    cols: Vec<Arc<[Value]>>,
+    cols: Arc<[SharedSlice<Value>]>,
     rows: usize,
 }
 
 impl RecordBatch {
-    /// An empty batch of the given width.
-    pub fn empty(width: usize) -> Self {
-        RecordBatch {
-            cols: (0..width).map(|_| Arc::from(Vec::new())).collect(),
-            rows: 0,
-        }
-    }
-
-    /// Build a batch from equal-length columns.
-    ///
-    /// # Panics
-    /// If the columns disagree on length.
-    pub fn from_cols(cols: Vec<Arc<[Value]>>) -> Self {
-        let rows = cols.first().map_or(0, |c| c.len());
-        Self::from_cols_rows(cols, rows)
-    }
-
     /// Build a batch from columns with an explicit row count — required
     /// for width-0 batches, which cannot otherwise carry their length.
     ///
     /// # Panics
     /// If a column's length differs from `rows`.
-    pub fn from_cols_rows(cols: Vec<Arc<[Value]>>, rows: usize) -> Self {
+    pub fn from_cols_rows(cols: Arc<[SharedSlice<Value>]>, rows: usize) -> Self {
         assert!(
             cols.iter().all(|c| c.len() == rows),
             "RecordBatch columns must have equal length"
@@ -63,17 +50,21 @@ impl RecordBatch {
         RecordBatch { cols, rows }
     }
 
+    /// Rows `range` of one buffer per column: a node's share of a kernel's
+    /// output.
+    pub(crate) fn view(cols: &[Arc<[Value]>], range: Range<usize>) -> Self {
+        let col = |buf: &Arc<[Value]>| SharedSlice::new(buf.clone(), range.clone());
+        RecordBatch::from_cols_rows(cols.iter().map(col).collect(), range.len())
+    }
+
     /// Transpose `width`-wide rows into a batch (lossless; see
     /// [`RecordBatch::to_rows`] for the inverse).
     pub fn from_rows(rows: &[Row], width: usize) -> Self {
         debug_assert!(rows.iter().all(|r| r.len() == width));
-        let cols = (0..width)
-            .map(|c| rows.iter().map(|r| r[c]).collect())
-            .collect();
-        RecordBatch {
-            cols,
-            rows: rows.len(),
-        }
+        let cols = new_columns(width, rows.len(), |c, col| {
+            col.iter_mut().zip(rows).for_each(|(x, r)| *x = r[c]);
+        });
+        RecordBatch::view(&cols, 0..rows.len())
     }
 
     /// Number of rows.
@@ -91,8 +82,9 @@ impl RecordBatch {
         &self.cols[c]
     }
 
-    /// The shared allocation of column `c` (a clone is a refcount bump).
-    pub fn col_arc(&self, c: usize) -> &Arc<[Value]> {
+    /// Column `c` as a range of its shared buffer (a clone is a refcount
+    /// bump).
+    pub fn col_shared(&self, c: usize) -> &SharedSlice<Value> {
         &self.cols[c]
     }
 
@@ -114,15 +106,11 @@ impl RecordBatch {
     /// Select the rows at `idx` (in order, duplicates allowed) into a new
     /// batch.
     pub fn gather(&self, idx: &[usize]) -> RecordBatch {
-        let cols = self
-            .cols
-            .iter()
-            .map(|c| idx.iter().map(|&i| c[i]).collect())
-            .collect();
-        RecordBatch {
-            cols,
-            rows: idx.len(),
-        }
+        let cols = new_columns(self.width(), idx.len(), |c, col| {
+            let src = self.col(c);
+            col.iter_mut().zip(idx).for_each(|(x, &i)| *x = src[i]);
+        });
+        RecordBatch::view(&cols, 0..idx.len())
     }
 
     /// Lexicographic whole-row comparison of rows `a` and `b` — the order
@@ -136,6 +124,43 @@ impl RecordBatch {
     }
 }
 
+/// `width` buffers of `rows` values, column `c` zero-filled and then
+/// written by `fill(c, ..)`: the one allocation per output column a kernel
+/// makes for every node's rows together.
+pub(crate) fn new_columns(
+    width: usize,
+    rows: usize,
+    mut fill: impl FnMut(usize, &mut [Value]),
+) -> Vec<Arc<[Value]>> {
+    let column = |c| {
+        let mut col: Arc<[Value]> = std::iter::repeat_n(0, rows).collect();
+        fill(c, Arc::get_mut(&mut col).expect("not shared yet"));
+        col
+    };
+    (0..width).map(column).collect()
+}
+
+/// Where each run of `lens` starts when the runs sit back to back.
+pub(crate) fn starts(lens: &[usize]) -> Vec<usize> {
+    let ends = lens
+        .iter()
+        .scan(0, |end, n| Some(std::mem::replace(end, *end + n)));
+    ends.collect()
+}
+
+/// Consecutive runs of `cols`' rows, `lens[i]` rows for run `i`, as one
+/// batch each (`None` for an empty run).
+pub(crate) fn views<'a>(
+    cols: &'a [Arc<[Value]>],
+    lens: impl IntoIterator<Item = usize> + 'a,
+) -> impl Iterator<Item = Option<RecordBatch>> + 'a {
+    let mut at = 0;
+    lens.into_iter().map(move |n| {
+        at += n;
+        (n > 0).then(|| RecordBatch::view(cols, at - n..at))
+    })
+}
+
 /// Per-node batch lists, indexed by node id: the fragments operators and
 /// strategies exchange.
 pub type BatchFragments = Vec<Vec<RecordBatch>>;
@@ -145,68 +170,84 @@ pub fn batch_rows(batches: &[RecordBatch]) -> usize {
     batches.iter().map(RecordBatch::num_rows).sum()
 }
 
-/// Concatenate a node's batch list into one batch of the given width.
+/// Concatenate a node's batch list into one batch of the given width; a
+/// one-batch list is shared, not copied.
 pub fn concat(batches: &[RecordBatch], width: usize) -> RecordBatch {
-    if batches.len() == 1 {
-        return batches[0].clone();
+    if let [only] = batches {
+        return only.clone();
     }
     let rows = batch_rows(batches);
-    let cols = (0..width)
-        .map(|c| {
-            let mut col = Vec::with_capacity(rows);
-            for b in batches {
-                col.extend_from_slice(b.col(c));
-            }
-            Arc::from(col)
-        })
-        .collect();
-    RecordBatch { cols, rows }
+    let cols = new_columns(width, rows, |c, col| {
+        let mut at = 0;
+        for b in batches {
+            col[at..at + b.rows].copy_from_slice(b.col(c));
+            at += b.rows;
+        }
+    });
+    RecordBatch::view(&cols, 0..rows)
 }
 
-/// The permutation behind [`sort_rows`]. Rows that compare equal are
-/// identical, so the gathered result does not depend on how the sort
-/// places them.
-fn sort_permutation(batch: &RecordBatch, lead: Option<usize>) -> Vec<usize> {
-    if batch.width() == 0 {
-        return (0..batch.num_rows()).collect();
-    }
-    // Carry the leading key next to the index: most comparisons are
-    // decided on it without touching the columns.
-    let mut keyed: Vec<(Value, usize)> = batch
-        .col(lead.unwrap_or(0))
-        .iter()
-        .copied()
-        .zip(0..)
-        .collect();
-    keyed.sort_unstable_by(|x, y| x.0.cmp(&y.0).then_with(|| batch.cmp_rows(x.1, y.1)));
-    keyed.into_iter().map(|(_, i)| i).collect()
+/// What a sort keeps of a segment's sorted rows: all, distinct, or the first `n`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Keep {
+    All,
+    Distinct,
+    First(usize),
 }
 
-/// A batch list's rows sorted by column `lead` (if any), ties broken by
-/// the whole row — with `None`, the order of [`crate::row::canonicalize`]
-/// — as at most one batch: one index sort, then one gather per column.
-/// `keep` may thin the sorted permutation first (cut it, drop duplicates)
-/// so rows it rejects are never gathered.
-pub fn sort_rows(
-    batches: &[RecordBatch],
+/// Each segment's rows — a segment is one node's batch list — sorted by
+/// column `lead` (if any), ties broken by the whole row (with `None`, the
+/// order of [`crate::row::canonicalize`]), thinned by `keep`, as at most
+/// one batch per segment. One key buffer serves every segment, each
+/// sorted on its own where it sits, then one gather per column fills the
+/// buffer the segments' batches view. Rows that compare equal are
+/// identical, so the result does not depend on how the sort places them.
+pub(crate) fn sort_segments<S: AsRef<[RecordBatch]>>(
+    segments: &[S],
     width: usize,
     lead: Option<usize>,
-    keep: impl FnOnce(&RecordBatch, &mut Vec<usize>),
-) -> Vec<RecordBatch> {
-    if batch_rows(batches) == 0 {
-        return Vec::new();
+    keep: Keep,
+) -> BatchFragments {
+    // `(leading key, (part, row))`: most comparisons are decided on the
+    // key without touching the columns.
+    let rows = segments.iter().map(|s| batch_rows(s.as_ref())).sum();
+    let (mut keyed, mut parts, mut kept) = (Vec::with_capacity(rows), Vec::new(), Vec::new());
+    for s in segments.iter().map(S::as_ref) {
+        if batch_rows(s) == 0 {
+            kept.push(0);
+            continue;
+        }
+        let (b, start, p) = (concat(s, width), keyed.len(), parts.len() as u32);
+        let rows = (0..b.rows as u32).map(|i| (p, i));
+        match width {
+            0 => keyed.extend(rows.map(|at| (0, at))),
+            _ => keyed.extend(b.col(lead.unwrap_or(0)).iter().copied().zip(rows)),
+        }
+        let rows = |x: (u32, u32), y: (u32, u32)| b.cmp_rows(x.1 as usize, y.1 as usize);
+        let seg = &mut keyed[start..];
+        seg.sort_unstable_by(|x, y| x.0.cmp(&y.0).then_with(|| rows(x.1, y.1)));
+        let n = match keep {
+            Keep::All => seg.len(),
+            Keep::First(n) => n.min(seg.len()),
+            Keep::Distinct => (0..seg.len()).fold(0, |n, i| {
+                let new = n == 0 || rows(seg[n - 1].1, seg[i].1).is_ne();
+                seg[n] = seg[i];
+                n + new as usize
+            }),
+        };
+        keyed.truncate(start + n);
+        parts.push(b);
+        kept.push(n);
     }
-    let all = concat(batches, width);
-    let mut perm = sort_permutation(&all, lead);
-    keep(&all, &mut perm);
-    if perm.is_empty() {
-        return Vec::new();
-    }
-    vec![all.gather(&perm)]
+    let picks: Vec<(u32, u32)> = keyed.iter().map(|k| k.1).collect();
+    let cols = gather_runs(width, || std::iter::once((&parts[..], &picks[..])));
+    let out = views(&cols, kept).map(|b| b.into_iter().collect());
+    out.collect()
 }
 
-/// The first `n` rows of a batch list; batches that fit whole are shared,
-/// not copied.
+/// The first `n` rows of a batch list. A batch that fits whole is shared
+/// if it spans its buffers and copied like a partial cut otherwise, so
+/// the cut keeps no rows alive but its own.
 pub fn head(batches: &[RecordBatch], n: usize) -> Vec<RecordBatch> {
     let mut out = Vec::new();
     let mut left = n;
@@ -214,44 +255,52 @@ pub fn head(batches: &[RecordBatch], n: usize) -> Vec<RecordBatch> {
         if left == 0 {
             break;
         }
-        if b.num_rows() <= left {
-            out.push(b.clone());
-        } else {
-            let first: Vec<usize> = (0..left).collect();
-            out.push(b.gather(&first));
-        }
-        left -= b.num_rows().min(left);
+        let take = b.rows.min(left);
+        let spans = b.cols.iter().all(|c| c.len() == c.buffer().len());
+        out.push(match take == b.rows && spans {
+            true => b.clone(),
+            false => b.gather(&(0..take).collect::<Vec<_>>()),
+        });
+        left -= take;
     }
     out
 }
 
-/// Select rows spanning a node's batch list: `idx` holds `(batch, row)`
-/// pairs in output order. Column slices are resolved once per column, and
-/// a one-batch list (what a scan leaves on a node) is indexed directly.
+/// One buffer per column holding, run after run, each run's picks: the
+/// `(batch, row)` pairs it selects from its batch list. A run's column
+/// slices are resolved once; a one-batch list (what a scan leaves on a
+/// node) is indexed directly.
+pub(crate) fn gather_runs<'a, I>(width: usize, runs: impl Fn() -> I) -> Vec<Arc<[Value]>>
+where
+    I: Iterator<Item = (&'a [RecordBatch], &'a [(u32, u32)])>,
+{
+    let (rows, mut slices) = (runs().map(|run| run.1.len()).sum(), Vec::new());
+    new_columns(width, rows, |c, col| {
+        let mut at = 0;
+        for (batches, picks) in runs() {
+            let cells = col[at..at + picks.len()].iter_mut().zip(picks);
+            at += picks.len();
+            if let [only] = batches {
+                let src = only.col(c);
+                cells.for_each(|(x, &(_, i))| *x = src[i as usize]);
+                continue;
+            }
+            slices.clear();
+            slices.extend(batches.iter().map(|b| b.col(c)));
+            cells.for_each(|(x, &(b, i))| *x = slices[b as usize][i as usize]);
+        }
+    })
+}
+
+/// Select rows spanning a node's batch list into a new batch: `idx` holds
+/// `(batch, row)` pairs in output order.
 pub(crate) fn gather_multi(
     batches: &[RecordBatch],
     idx: &[(u32, u32)],
     width: usize,
 ) -> RecordBatch {
-    let mut slices: Vec<&[Value]> = Vec::new();
-    let cols = (0..width)
-        .map(|c| {
-            if let [only] = batches {
-                debug_assert!(idx.iter().all(|&(b, _)| b == 0));
-                let col = only.col(c);
-                return idx.iter().map(|&(_, i)| col[i as usize]).collect();
-            }
-            slices.clear();
-            slices.extend(batches.iter().map(|b| b.col(c)));
-            idx.iter()
-                .map(|&(b, i)| slices[b as usize][i as usize])
-                .collect()
-        })
-        .collect();
-    RecordBatch {
-        cols,
-        rows: idx.len(),
-    }
+    let cols = gather_runs(width, || std::iter::once((batches, idx)));
+    RecordBatch::view(&cols, 0..idx.len())
 }
 
 /// Row-major flatten of the `rows` rows of `(batch, rows)` runs into one
@@ -357,7 +406,7 @@ mod tests {
 
     #[test]
     fn empty_and_zero_width_batches() {
-        let b = RecordBatch::empty(4);
+        let b = RecordBatch::from_rows(&[], 4);
         assert_eq!(b.num_rows(), 0);
         assert_eq!(b.width(), 4);
         assert!(b.to_rows().is_empty());
@@ -399,22 +448,55 @@ mod tests {
             vec![u64::MAX, 0, 3],
         ];
         let batches = rows_to_batches(&rows, 3, 4);
+        let sort = |batches: &[RecordBatch], width, lead, keep| {
+            let mut out = sort_segments(&[batches], width, lead, keep);
+            assert_eq!(out.len(), 1);
+            out.pop().unwrap()
+        };
         // Lead column 1, ties on the whole row — the row sort's order.
-        let by_lead = sort_rows(&batches, 3, Some(1), |_, _| {});
+        let by_lead = sort(&batches, 3, Some(1), Keep::All);
         rows.sort_by(|x, y| x[1].cmp(&y[1]).then_with(|| x.cmp(y)));
         assert_eq!(concat(&by_lead, 3).to_rows(), rows);
         // No lead: canonical order; `keep` thins before the gather.
-        let distinct = sort_rows(&batches, 3, None, |all, perm| {
-            perm.dedup_by(|x, y| all.cmp_rows(*x, *y).is_eq())
-        });
+        let distinct = sort(&batches, 3, None, Keep::Distinct);
         crate::row::canonicalize(&mut rows);
         rows.dedup();
         assert_eq!(concat(&distinct, 3).to_rows(), rows);
-        assert!(sort_rows(&batches, 3, None, |_, perm| perm.clear()).is_empty());
-        assert!(sort_rows(&[], 3, Some(0), |_, _| {}).is_empty());
-        // Width-0 rows are all equal: any order is sorted.
-        let unit = RecordBatch::from_cols_rows(Vec::new(), 3);
-        assert_eq!(sort_permutation(&unit, None), vec![0, 1, 2]);
+        assert_eq!(
+            concat(&sort(&batches, 3, None, Keep::First(2)), 3).to_rows(),
+            rows[..2]
+        );
+        assert!(sort(&batches, 3, None, Keep::First(0)).is_empty());
+        assert!(sort(&[], 3, Some(0), Keep::All).is_empty());
+        // Width-0 rows are all equal: any order is sorted, one is distinct.
+        let unit = RecordBatch::from_cols_rows(Vec::new().into(), 3);
+        assert_eq!(
+            batch_rows(&sort(std::slice::from_ref(&unit), 0, None, Keep::All)),
+            3
+        );
+        assert_eq!(batch_rows(&sort(&[unit], 0, Some(0), Keep::Distinct)), 1);
+    }
+
+    /// Segments sort on their own, and their batches view one buffer per
+    /// column; an empty segment yields no batch.
+    #[test]
+    fn a_segmented_sort_sorts_each_segment_into_one_buffer_per_column() {
+        let seg = |xs: &[u64]| -> Vec<RecordBatch> {
+            let rows: Vec<Row> = xs.iter().map(|&x| vec![x % 3, x]).collect();
+            rows_to_batches(&rows, 2, 2)
+        };
+        let segments = [seg(&[5, 1, 4, 1]), Vec::new(), seg(&[9, 2, 6, 2, 3])];
+        let out = sort_segments(&segments, 2, Some(0), Keep::Distinct);
+        assert_eq!(out.len(), 3);
+        let rows = |b: &[RecordBatch]| concat(b, 2).to_rows();
+        assert_eq!(rows(&out[0]), [[1, 1], [1, 4], [2, 5]]);
+        assert!(out[1].is_empty());
+        assert_eq!(rows(&out[2]), [[0, 3], [0, 6], [0, 9], [2, 2]]);
+        for c in 0..2 {
+            let (a, b) = (out[0][0].col_shared(c), out[2][0].col_shared(c));
+            assert!(Arc::ptr_eq(a.buffer(), b.buffer()));
+            assert_eq!(a.buffer().len(), 7);
+        }
     }
 
     #[test]
@@ -423,9 +505,45 @@ mod tests {
         let batches = rows_to_batches(&rows, 1, 3);
         let cut = head(&batches, 5);
         assert_eq!(cut.len(), 2);
-        assert!(Arc::ptr_eq(cut[0].col_arc(0), batches[0].col_arc(0)));
+        assert!(Arc::ptr_eq(&cut[0].cols, &batches[0].cols));
         assert_eq!(concat(&cut, 1).to_rows(), rows[..5]);
         assert!(head(&batches, 0).is_empty());
         assert_eq!(batch_rows(&head(&batches, 100)), 7);
+        // A whole batch cut from a larger buffer is copied, not shared:
+        // the cut keeps only its own rows alive.
+        let cols = new_columns(1, 7, |_, col| col.copy_from_slice(&[0, 1, 2, 3, 4, 5, 6]));
+        let part = RecordBatch::view(&cols, 2..4);
+        let [kept] = &head(std::slice::from_ref(&part), 5)[..] else {
+            panic!("one batch");
+        };
+        assert_eq!(kept, &part);
+        assert_eq!(kept.col_shared(0).buffer().len(), 2);
+    }
+
+    /// Equality and `Debug` read values, not buffers: two batches viewing
+    /// equal rows of different buffers are equal and print alike.
+    #[test]
+    fn batches_compare_and_print_by_value() {
+        let a = new_columns(2, 5, |c, col| {
+            col.copy_from_slice(&[[9, 1, 2, 3, 9], [9, 4, 5, 6, 9]][c]);
+        });
+        let b = RecordBatch::from_rows(&[vec![1, 4], vec![2, 5], vec![3, 6]], 2);
+        let a = RecordBatch::view(&a, 1..4);
+        assert!(!Arc::ptr_eq(
+            a.col_shared(0).buffer(),
+            b.col_shared(0).buffer()
+        ));
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_ne!(a, RecordBatch::from_rows(&[vec![1, 4], vec![2, 5]], 2));
+    }
+
+    /// A clone is one refcount bump: it shares the column list itself.
+    #[test]
+    fn a_batch_clone_shares_its_column_list() {
+        let b = RecordBatch::from_rows(&[vec![1, 2, 3]], 3);
+        let copy = b.clone();
+        assert!(Arc::ptr_eq(&b.cols, &copy.cols));
+        assert_eq!(Arc::strong_count(&b.cols), 2);
     }
 }

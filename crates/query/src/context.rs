@@ -190,11 +190,6 @@ impl PreparedQuery<'_> {
         &self.physical.schema
     }
 
-    /// The logical plan this query was prepared from.
-    pub fn logical_plan(&self) -> &LogicalPlan {
-        &self.logical
-    }
-
     /// The lowered physical plan with its exchanges and estimates.
     pub fn physical_plan(&self) -> &PhysicalPlan {
         &self.physical

@@ -1,42 +1,67 @@
 //! The columnar filter kernel.
 
-use crate::batch::BatchFragments;
+use tamp_simulator::Value;
+
+use crate::batch::{new_columns, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::exec::eval::{eval, Sel};
 use crate::expr::Expr;
 
 /// Keep rows matching the bound `predicate`: one vectorized predicate
-/// evaluation plus one gather per batch. Fully selected batches pass
-/// through untouched (a refcount bump per column).
+/// evaluation per batch, then one gather per column into one buffer that
+/// every partly kept batch views a range of. Fully selected batches pass
+/// through untouched (a refcount bump); empty results vanish.
 pub(crate) fn filter(
     frags: BatchFragments,
     predicate: &Expr,
 ) -> Result<BatchFragments, QueryError> {
-    let mut out = Vec::with_capacity(frags.len());
-    let mut idx = Vec::new();
-    for node in frags {
-        let mut kept = Vec::new();
-        for b in node {
-            let v = eval(predicate, &b, &Sel::All(b.num_rows()))?;
-            // The nonzero positions, branch-free: write every position,
-            // advance the cursor past the kept ones only.
-            idx.clear();
-            idx.resize(v.len(), 0);
-            let mut hits = 0;
-            for (k, &x) in v.iter().enumerate() {
-                idx[hits] = k;
-                hits += (x != 0) as usize;
-            }
-            idx.truncate(hits);
-            match idx.len() {
-                0 => {}
-                all if all == b.num_rows() => kept.push(b),
-                _ => kept.push(b.gather(&idx)),
-            }
+    // Each batch's kept row positions, written over its predicate values.
+    let mut picks = Vec::new();
+    for b in frags.iter().flatten() {
+        let mut v = eval(predicate, b, &Sel::All(b.num_rows()))?;
+        // The nonzero positions, branch-free and in place: write every
+        // position, advance the cursor past the kept ones only.
+        let mut n = 0;
+        for k in 0..v.len() {
+            let x = v[k];
+            v[n] = k as Value;
+            n += (x != 0) as usize;
         }
-        out.push(kept);
+        v.truncate(n);
+        picks.push(v);
     }
-    Ok(out)
+    let partly = |b: &RecordBatch, idx: &Vec<Value>| (1..b.num_rows()).contains(&idx.len());
+    let picked = || {
+        frags
+            .iter()
+            .flatten()
+            .zip(&picks)
+            .filter(|(b, i)| partly(b, i))
+    };
+    let width = frags.iter().flatten().next().map_or(0, RecordBatch::width);
+    let cols = new_columns(width, picked().map(|(_, i)| i.len()).sum(), |c, col| {
+        let mut at = 0;
+        for (b, idx) in picked() {
+            let (src, dst) = (b.col(c), &mut col[at..at + idx.len()]);
+            dst.iter_mut()
+                .zip(idx)
+                .for_each(|(x, &i)| *x = src[i as usize]);
+            at += idx.len();
+        }
+    });
+    let (mut at, mut picks) = (0, picks.iter());
+    let out = frags.into_iter().map(|node| {
+        let kept = node.into_iter().filter_map(|b| {
+            let idx = picks.next().expect("picks per batch");
+            if !partly(&b, idx) {
+                return (!idx.is_empty()).then_some(b);
+            }
+            at += idx.len();
+            Some(RecordBatch::view(&cols, at - idx.len()..at))
+        });
+        kept.collect()
+    });
+    Ok(out.collect())
 }
 
 #[cfg(test)]
@@ -61,10 +86,7 @@ mod tests {
             assert_eq!(batches_to_rows(&out), vec![want.clone(), Vec::new()]);
             assert_eq!(out[0].len(), !want.is_empty() as usize);
             if want.len() == rows.len() {
-                assert!(std::sync::Arc::ptr_eq(
-                    out[0][0].col_arc(0),
-                    batch.col_arc(0)
-                ));
+                assert!(std::ptr::eq(out[0][0].col(0), batch.col(0)));
             }
         }
     }

@@ -15,12 +15,13 @@
 //! through vectorized per-operator kernels ([`filter`], [`project`],
 //! both over [`eval`]: one tight loop per expression node) and through
 //! the strategies' columnar exchanges — groups fold out of the group and
-//! measure columns into one reusable table, sorts are an index
-//! permutation plus one gather per column, shuffles scatter each column
-//! into one batch per destination, products repeat and tile column
-//! slices — so there is no per-row allocation from scan to result: the
-//! [`QueryResult`] keeps the last operator's batches, and rows are built
-//! only if [`QueryResult::rows`] is called.
+//! measure columns into one reusable table, sorts are one segmented index
+//! sort over every node plus one gather per column, shuffles scatter each
+//! column into one buffer that each destination's batch views a range
+//! of, products repeat and tile column slices. A kernel allocates per
+//! output column, not per node or row: the [`QueryResult`] keeps the last
+//! operator's batches, and rows are built only if [`QueryResult::rows`]
+//! is called.
 //!
 //! Then the concatenated schedule replays through any
 //! [`ExecBackend`] as a [`tamp_runtime::ScheduleJob`] — the centralized
@@ -48,11 +49,9 @@ mod result;
 pub use options::{ExecOptions, StrategyForce};
 pub use result::{OperatorCost, QueryResult};
 
-use tamp_core::sorting::valid_order;
 use tamp_runtime::backend::ExecBackend;
 use tamp_runtime::jobs::{Schedule, ScheduleJob, ScheduleSend};
 use tamp_simulator::Placement;
-use tamp_topology::Tree;
 
 use crate::batch::BatchFragments;
 use crate::error::QueryError;
@@ -64,7 +63,6 @@ use crate::table::Catalog;
 /// being accumulated, and the operator marks for cost attribution.
 struct ExecCtx<'a> {
     catalog: &'a Catalog,
-    tree: &'a Tree,
     options: ExecOptions,
     rounds: Vec<Vec<ScheduleSend>>,
     marks: Vec<Mark<'a>>,
@@ -81,8 +79,9 @@ struct Mark<'a> {
 impl<'a> ExecCtx<'a> {
     fn exec_args(&self) -> ExecArgs<'_> {
         ExecArgs {
-            tree: self.tree,
+            tree: self.catalog.tree(),
             seed: self.options.seed,
+            order: self.catalog.order().clone(),
         }
     }
 
@@ -156,7 +155,6 @@ pub(crate) fn run_physical(
 ) -> Result<QueryResult, QueryError> {
     let mut ctx = ExecCtx {
         catalog,
-        tree: catalog.tree(),
         options,
         rounds: Vec::new(),
         marks: Vec::new(),
@@ -198,7 +196,7 @@ pub(crate) fn run_physical(
         rounds: outcome.rounds,
         supersteps: outcome.supersteps,
         resumed_from: outcome.resumed_from,
-        node_order: valid_order(catalog.tree()),
+        node_order: catalog.order().clone(),
     })
 }
 
@@ -214,7 +212,7 @@ mod tests {
     use crate::schema::Schema;
     use crate::table::DistributedTable;
     use tamp_core::hashing::mix64;
-    use tamp_topology::builders;
+    use tamp_topology::{builders, Tree};
 
     /// A session over `facts` (`n` rows) and a 7-row `dims`.
     fn session(tree: Tree, n: u64) -> QueryContext {
@@ -572,5 +570,194 @@ mod distinct_union_tests {
         let res = ctx.execute(&LogicalPlan::scan("e").distinct()).unwrap();
         assert_eq!(res.num_rows(), 0);
         assert_eq!(res.cost.tuple_cost(), 0.0);
+    }
+}
+
+/// Allocation per column, not per node: every kernel that writes each
+/// node's output fills one buffer per output column, which each node's
+/// batches view a range of.
+#[cfg(test)]
+mod buffer_tests {
+    use std::collections::BTreeSet;
+    use std::sync::Arc;
+
+    use tamp_core::hashing::mix64;
+    use tamp_core::sorting::valid_order;
+    use tamp_simulator::{Rel, Value};
+    use tamp_topology::{builders, Tree};
+
+    use super::*;
+    use crate::batch::RecordBatch;
+    use crate::context::QueryContext;
+    use crate::expr::{lit, Expr};
+    use crate::physical::strategies::aggregate::HashAggregate;
+    use crate::physical::strategies::columnar::shuffle_batches_by_key;
+    use crate::physical::strategies::join::RepartitionJoin;
+    use crate::physical::strategies::sort::RangeShuffleSort;
+    use crate::physical::strategies::WeightedDistinct;
+    use crate::physical::strategy::{OpParams, PhysicalStrategy, TraceBuilder};
+    use crate::plan::{AggFunc, LogicalPlan};
+    use crate::reference;
+    use crate::row::Row;
+    use crate::schema::Schema;
+    use crate::table::DistributedTable;
+
+    /// Checks that each column of `frags`, across every node, views one
+    /// buffer, and that more than one node holds rows; returns how many
+    /// distinct buffers the batches view.
+    fn column_buffers(what: &str, frags: &BatchFragments) -> usize {
+        let batches: Vec<&RecordBatch> = frags.iter().flatten().collect();
+        let holders = frags.iter().filter(|f| !f.is_empty()).count();
+        assert!(holders > 1, "{what}: {holders} nodes hold rows");
+        for c in 0..batches[0].width() {
+            let first = batches[0].col_shared(c).buffer();
+            for b in &batches {
+                let buf = b.col_shared(c).buffer();
+                assert!(
+                    Arc::ptr_eq(buf, first),
+                    "{what}: column {c} views two buffers"
+                );
+            }
+        }
+        let bufs = batches
+            .iter()
+            .flat_map(|b| (0..b.width()).map(|c| b.col_shared(c).buffer().as_ptr()));
+        bufs.collect::<BTreeSet<*const Value>>().len()
+    }
+
+    /// Each kernel's distinct output buffers on `tree`.
+    fn buffers_per_kernel(tree: &Tree) -> Vec<(&'static str, usize)> {
+        let scan = |rows: Vec<Row>, names: Vec<&str>| {
+            let schema = Schema::new(names).unwrap();
+            DistributedTable::round_robin("t", schema, rows, tree).scan_batches()
+        };
+        // `(id, g, x)`; every key `g` of `dims` twice, so no left row
+        // matches exactly once and the probe shares no left column.
+        let facts = (0..2_000).map(|i| vec![i, mix64(i) % 40, mix64(i ^ 7) % 100]);
+        let left = scan(facts.collect(), vec!["id", "g", "x"]);
+        let dims = (0..80).map(|k| vec![k % 40, 100 + k]);
+        let right = scan(dims.collect(), vec!["g", "label"]);
+        let args = ExecArgs {
+            tree,
+            seed: 5,
+            order: valid_order(tree).into(),
+        };
+        let output = |strategy: &dyn PhysicalStrategy, params, inputs| {
+            let input = OpInput { params, inputs };
+            strategy.trace(&args, input).unwrap().output
+        };
+        let vc = tree.compute_nodes();
+        let router = |k: u64| vc[(mix64(k) % vc.len() as u64) as usize];
+        let mut trace = TraceBuilder::default();
+        let kernels = [
+            (
+                "hash shuffle",
+                shuffle_batches_by_key(&mut trace, tree, &left, 1, 3, Rel::R, &router),
+            ),
+            (
+                "range sort",
+                output(
+                    &RangeShuffleSort::weighted(),
+                    OpParams::Sort { key: 2, width: 3 },
+                    vec![left.clone()],
+                ),
+            ),
+            (
+                "distinct",
+                output(
+                    &WeightedDistinct,
+                    OpParams::Distinct { width: 3 },
+                    vec![left.clone()],
+                ),
+            ),
+            (
+                "filter",
+                filter::filter(left.clone(), &Expr::ColIdx(2).lt(lit(50))).unwrap(),
+            ),
+            (
+                "project",
+                project::project(&left, &[Expr::ColIdx(0), Expr::ColIdx(2).mul(lit(3))]).unwrap(),
+            ),
+            (
+                "probe join",
+                output(
+                    &RepartitionJoin::weighted(),
+                    OpParams::Join {
+                        left_key: 1,
+                        right_key: 0,
+                        left_width: 3,
+                        right_width: 2,
+                    },
+                    vec![left.clone(), right],
+                ),
+            ),
+            (
+                "group fold",
+                output(
+                    &HashAggregate::weighted(),
+                    OpParams::Aggregate {
+                        group: 1,
+                        measure: 2,
+                        agg: AggFunc::Sum,
+                    },
+                    vec![left.clone()],
+                ),
+            ),
+        ];
+        (kernels.iter())
+            .map(|(what, out)| (*what, column_buffers(what, out)))
+            .collect()
+    }
+
+    /// The kernels allocate per column on a 64-compute fat-tree, and the
+    /// count of buffers does not grow with the node count.
+    #[test]
+    fn every_kernel_fills_one_buffer_per_output_column() {
+        let big = buffers_per_kernel(&builders::fat_tree(2, 8, 1.0));
+        assert_eq!(
+            big,
+            [
+                ("hash shuffle", 3),
+                ("range sort", 3),
+                ("distinct", 3),
+                ("filter", 3),
+                ("project", 2),
+                ("probe join", 5),
+                ("group fold", 2),
+            ]
+        );
+        assert_eq!(buffers_per_kernel(&builders::star(4, 1.0)), big);
+    }
+
+    /// A limit's result keeps no buffer larger than its own rows: whatever
+    /// the sort below it allocated for every node, a batch it keeps whole
+    /// is shared only if it spans its buffers.
+    #[test]
+    fn a_limit_result_holds_no_buffer_larger_than_its_rows() {
+        let tree = builders::star(4, 1.0);
+        let heavy = tree.compute_nodes()[2];
+        let mut ctx = QueryContext::new(tree);
+        // Most rows on one node, so the others' sorted batches are short
+        // ranges of the sort's one buffer per column.
+        let rows: Vec<Row> = (0..10_000).map(|i| vec![i, mix64(i) % 100_000]).collect();
+        let schema = Schema::new(vec!["id", "x"]).unwrap();
+        let t = DistributedTable::skewed("t", schema, rows, ctx.tree(), heavy, 0.97);
+        ctx.register(t).unwrap();
+        for n in [1, 20, 250, 500, 5_000] {
+            for q in [
+                LogicalPlan::scan("t").order_by("x").limit(n),
+                LogicalPlan::scan("t").limit(n),
+            ] {
+                let res = ctx.execute(&q).unwrap();
+                let want = reference::evaluate(&q, ctx.catalog()).unwrap();
+                assert_eq!(res.rows(reference::preserves_order(&q)), want, "{q}");
+                for b in res.fragments.iter().flatten() {
+                    for c in 0..b.width() {
+                        let held = b.col_shared(c).buffer().len();
+                        assert!(held <= n, "{q}: a {held}-row buffer");
+                    }
+                }
+            }
+        }
     }
 }

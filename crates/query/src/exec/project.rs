@@ -1,42 +1,54 @@
 //! The columnar projection kernel.
 
-use std::sync::Arc;
+use tamp_simulator::SharedSlice;
 
-use tamp_simulator::Value;
-
-use crate::batch::{BatchFragments, RecordBatch};
+use crate::batch::{new_columns, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::exec::eval::{eval, Sel};
 use crate::expr::Expr;
 
 /// Evaluate bound expressions column-at-a-time: a kept column is a
-/// refcount bump, any other one vectorized evaluation over the batch.
+/// refcount bump, any other one vectorized evaluation per batch into one
+/// buffer per expression that every batch views a range of.
 pub(crate) fn project(
     frags: &BatchFragments,
     exprs: &[Expr],
 ) -> Result<BatchFragments, QueryError> {
-    let mut out = Vec::with_capacity(frags.len());
-    for node in frags {
-        let mut batches = Vec::with_capacity(node.len());
-        for b in node {
-            let cols: Vec<Arc<[Value]>> = exprs
-                .iter()
-                .map(|e| match e {
-                    Expr::ColIdx(i) if *i < b.width() => Ok(b.col_arc(*i).clone()),
-                    _ => eval(e, b, &Sel::All(b.num_rows())).map(Arc::from),
-                })
-                .collect::<Result<_, _>>()?;
-            batches.push(RecordBatch::from_cols_rows(cols, b.num_rows()));
+    let batches = || frags.iter().flatten();
+    let width = batches().next().map_or(0, RecordBatch::width);
+    let kept = |e: &Expr| matches!(e, Expr::ColIdx(i) if *i < width);
+    let computed: Vec<&Expr> = exprs.iter().filter(|e| !kept(e)).collect();
+    let (rows, mut failed) = (batches().map(RecordBatch::num_rows).sum(), Ok(()));
+    let bufs = new_columns(computed.len(), rows, |c, col| {
+        let mut at = 0;
+        for b in batches() {
+            match eval(computed[c], b, &Sel::All(b.num_rows())) {
+                Ok(v) => col[at..at + v.len()].copy_from_slice(&v),
+                Err(e) => failed = failed.clone().and(Err(e)),
+            }
+            at += b.num_rows();
         }
-        out.push(batches);
-    }
-    Ok(out)
+    });
+    failed?;
+    let mut at = 0;
+    let mut batch = |b: &RecordBatch| {
+        let (rows, mut bufs) = (at..at + b.num_rows(), bufs.iter());
+        at = rows.end;
+        let col = |e| match e {
+            &Expr::ColIdx(i) if kept(e) => b.col_shared(i).clone(),
+            _ => SharedSlice::new(bufs.next().expect("computed").clone(), rows.clone()),
+        };
+        RecordBatch::from_cols_rows(exprs.iter().map(col).collect(), b.num_rows())
+    };
+    let out = frags.iter().map(|n| n.iter().map(&mut batch).collect());
+    Ok(out.collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::lit;
+    use tamp_simulator::Value;
 
     #[test]
     fn a_kept_column_is_shared_and_a_computed_one_is_not() {
@@ -44,7 +56,7 @@ mod tests {
         let frags = vec![vec![RecordBatch::from_rows(&rows, 2)], Vec::new()];
         let exprs = [Expr::ColIdx(1), Expr::ColIdx(0).add(lit(1)), lit(2)];
         let out = project(&frags, &exprs).unwrap();
-        assert!(Arc::ptr_eq(out[0][0].col_arc(0), frags[0][0].col_arc(1)));
+        assert!(std::ptr::eq(out[0][0].col(0), frags[0][0].col(1)));
         let want: Vec<Vec<Value>> = (0..5u64).map(|i| vec![10 * i, i + 1, 2]).collect();
         assert_eq!(out[0][0].to_rows(), want);
         assert!(out[1].is_empty());

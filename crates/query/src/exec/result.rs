@@ -57,7 +57,7 @@ pub struct QueryResult {
     /// The compute-node order along which `OrderBy` range-partitions (the
     /// tree's valid left-to-right order); order-preserving row collection
     /// concatenates fragments along it.
-    pub node_order: Vec<NodeId>,
+    pub node_order: std::sync::Arc<[NodeId]>,
 }
 
 impl QueryResult {
@@ -66,7 +66,7 @@ impl QueryResult {
     /// order; anything else is canonicalized for stable comparisons.
     pub fn rows(&self, order_preserving: bool) -> Vec<Row> {
         let mut rows = Vec::with_capacity(self.num_rows());
-        for &v in &self.node_order {
+        for &v in self.node_order.iter() {
             for b in &self.fragments[v.index()] {
                 b.append_rows(&mut rows);
             }

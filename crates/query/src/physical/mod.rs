@@ -420,6 +420,7 @@ impl<'c> Planner<'c> {
         let mut args = PlanArgs {
             model: &self.model,
             seed: self.options.seed,
+            order: self.catalog.order().clone(),
             left: sides.next().expect("an exchange has an input"),
             right: sides.next(),
             groups: 0.0,

@@ -20,13 +20,10 @@
 //! scaled by the width-2 partial rows the query layer ships.
 
 use tamp_core::aggregate::protocols::combining_schedule;
-use tamp_core::hashing::{mix64, WeightedHash};
 use tamp_core::ratio::LowerBound;
-use tamp_core::sorting::valid_order;
 use tamp_simulator::Rel;
-use tamp_topology::NodeId;
 
-use crate::batch::{batch_rows, flatten_batches, BatchFragments, RecordBatch};
+use crate::batch::{batch_rows, flatten_batches, BatchFragments};
 use crate::error::QueryError;
 use crate::physical::strategy::{
     CostEstimate, ExecArgs, OpInput, OpParams, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
@@ -34,7 +31,9 @@ use crate::physical::strategy::{
 };
 use crate::plan::AggFunc;
 
-use super::columnar::{batch_frag_weights, empty_batch_frags, fold_groups, shuffle_batches_by_key};
+use super::columnar::{
+    batch_frag_weights, empty_batch_frags, fold_groups, key_router, shuffle_batches_by_key,
+};
 use super::group_table::GroupTable;
 
 fn agg_input(input: OpInput) -> (BatchFragments, usize, usize, AggFunc) {
@@ -96,33 +95,13 @@ pub(crate) struct HashAggregate {
 
 impl HashAggregate {
     /// Distribution-weighted group owners.
-    pub fn weighted() -> Self {
+    pub(crate) fn weighted() -> Self {
         HashAggregate { weighted: true }
     }
 
     /// Uniform group owners (the MPC baseline).
-    pub fn uniform() -> Self {
+    pub(crate) fn uniform() -> Self {
         HashAggregate { weighted: false }
-    }
-
-    /// The group → owner map: the hash weighted by `weights` (current
-    /// per-node row counts; `None` when there are no rows to weigh), or
-    /// the uniform hash.
-    fn router(
-        &self,
-        a: &ExecArgs<'_>,
-        weights: impl FnOnce() -> Vec<(NodeId, u64)>,
-    ) -> Option<Box<dyn Fn(u64) -> NodeId>> {
-        if self.weighted {
-            let hash = WeightedHash::new(a.seed, &weights())?;
-            Some(Box::new(move |g| hash.pick(g)))
-        } else {
-            let vc: Vec<NodeId> = a.tree.compute_nodes().to_vec();
-            let seed = a.seed;
-            Some(Box::new(move |g| {
-                vc[(mix64(g ^ seed) % vc.len() as u64) as usize]
-            }))
-        }
     }
 }
 
@@ -145,12 +124,7 @@ impl PhysicalStrategy for HashAggregate {
 
     fn estimate(&self, a: &PlanArgs<'_>) -> CostEstimate {
         // Each node ships at most min(n_v, G) partials of width 2.
-        let partials = groups_per_node(a);
-        let shares = if self.weighted {
-            a.model.proportional_shares(&a.left.counts)
-        } else {
-            a.model.uniform_shares()
-        };
+        let (partials, shares) = (groups_per_node(a), self.output_shares(a));
         CostEstimate {
             tuple_cost: a.model.repartition_cost(&partials, 2, &shares),
             rounds: 1,
@@ -173,8 +147,8 @@ impl PhysicalStrategy for HashAggregate {
         let (frags, gi, mi, agg) = agg_input(input);
         let tree = a.tree;
         let mut trace = TraceBuilder::default();
-        let weights = || batch_frag_weights(tree, &frags, &empty_batch_frags(tree));
-        let Some(router) = self.router(a, weights) else {
+        let weights = || batch_frag_weights(tree, &[&frags]);
+        let Some(router) = key_router(a, self.weighted, weights) else {
             return Ok(OpTrace {
                 rounds: trace.into_rounds(),
                 output: empty_batch_frags(tree),
@@ -184,26 +158,9 @@ impl PhysicalStrategy for HashAggregate {
         // batch; partials then shuffle to their owners like any keyed
         // rows, and each owner folds what arrived.
         let mut table = GroupTable::new();
-        let mut partials = empty_batch_frags(tree);
-        for &v in tree.compute_nodes() {
-            partials[v.index()].extend(fold_groups(
-                &mut table,
-                &frags[v.index()],
-                gi,
-                mi,
-                agg,
-                true,
-            ));
-        }
+        let partials = fold_groups(&mut table, &frags, gi, mi, agg, true);
         let arrived = shuffle_batches_by_key(&mut trace, tree, &partials, 0, 2, Rel::S, &*router);
-        let output = arrived
-            .iter()
-            .map(|batches| {
-                fold_groups(&mut table, batches, 0, 1, agg, false)
-                    .into_iter()
-                    .collect()
-            })
-            .collect();
+        let output = fold_groups(&mut table, &arrived, 0, 1, agg, false);
         Ok(OpTrace {
             rounds: trace.into_rounds(),
             output,
@@ -232,7 +189,7 @@ impl PhysicalStrategy for CombiningTreeAggregate {
 
     fn estimate(&self, a: &PlanArgs<'_>) -> CostEstimate {
         let tree = a.model.tree();
-        let target = valid_order(tree)[0];
+        let target = a.order[0];
         let weights: Vec<u64> = a.left.counts.iter().map(|c| c.round() as u64).collect();
         let schedule = combining_schedule(tree, &weights, target);
         let mut g: Vec<f64> = groups_per_node(a);
@@ -260,7 +217,7 @@ impl PhysicalStrategy for CombiningTreeAggregate {
     }
 
     fn output_shares(&self, a: &PlanArgs<'_>) -> Vec<f64> {
-        let target = valid_order(a.model.tree())[0];
+        let target = a.order[0];
         let mut shares = a.model.zero_counts();
         shares[target.index()] = 1.0;
         shares
@@ -269,40 +226,37 @@ impl PhysicalStrategy for CombiningTreeAggregate {
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
         let (frags, gi, mi, agg) = agg_input(input);
         let tree = a.tree;
-        let target = valid_order(tree)[0];
+        let target = a.order[0];
         let weights: Vec<u64> = frags.iter().map(|b| batch_rows(b) as u64).collect();
         let schedule = combining_schedule(tree, &weights, target);
 
-        // Each node's running partials: one sorted width-2 batch.
+        // Each node's running partials: at most one sorted width-2 batch.
         let mut table = GroupTable::new();
-        let mut acc: Vec<Option<RecordBatch>> = vec![None; tree.num_nodes()];
-        for &v in tree.compute_nodes() {
-            acc[v.index()] = fold_groups(&mut table, &frags[v.index()], gi, mi, agg, true);
-        }
+        let mut acc = fold_groups(&mut table, &frags, gi, mi, agg, true);
 
         let mut trace = TraceBuilder::default();
         for moves in schedule {
             trace.round(|round| {
                 for &(src, dst) in &moves {
-                    if let Some(partials) = &acc[src.index()] {
-                        let payload = flatten_batches(std::slice::from_ref(partials), 2);
-                        round.send(src, &[dst], Rel::S, payload);
-                    }
+                    let payload = flatten_batches(&acc[src.index()], 2);
+                    round.send(src, &[dst], Rel::S, payload);
                 }
             });
             for (src, dst) in moves {
-                let Some(moved) = acc[src.index()].take() else {
-                    continue;
-                };
-                acc[dst.index()] = match acc[dst.index()].take() {
-                    Some(held) => fold_groups(&mut table, &[held, moved], 0, 1, agg, false),
-                    None => Some(moved),
+                let moved = std::mem::take(&mut acc[src.index()]);
+                let held = std::mem::take(&mut acc[dst.index()]);
+                acc[dst.index()] = match held.is_empty() || moved.is_empty() {
+                    true => held.into_iter().chain(moved).collect(),
+                    false => {
+                        let both = [[held, moved].concat()];
+                        fold_groups(&mut table, &both, 0, 1, agg, false).remove(0)
+                    }
                 };
             }
         }
 
         let mut out = empty_batch_frags(tree);
-        out[target.index()].extend(acc[target.index()].take());
+        out[target.index()] = std::mem::take(&mut acc[target.index()]);
         Ok(OpTrace {
             rounds: trace.into_rounds(),
             output: out,
@@ -353,6 +307,7 @@ mod tests {
             let args = PlanArgs {
                 model: &model,
                 seed: 0,
+                order: tamp_core::sorting::valid_order(&tree).into(),
                 left: PlanSide {
                     counts: (0..n).map(|_| rng.random_range(0.0..9.0)).collect(),
                     width: 3,

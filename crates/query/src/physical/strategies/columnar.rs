@@ -1,7 +1,8 @@
 //! Exchange kernels shared by the built-in strategies.
 //!
-//! Routing scans columns, a shuffle is one counting scatter into one batch
-//! per destination, and replication is a refcount bump per column. The
+//! Routing scans columns, a shuffle is one counting scatter into one
+//! buffer per column that each destination's batch views a range of, and
+//! replication is a refcount bump per batch. The
 //! exchanges all keep one order: per destination, rows arrive in source
 //! order, each source's in its scan order, and the rows a source keeps
 //! for itself sit at that source's own position. Sends leave in the same
@@ -11,11 +12,15 @@
 use std::ops::Range;
 use std::sync::Arc;
 
+use tamp_core::hashing::{mix64, WeightedHash};
 use tamp_simulator::{Rel, SharedSlice, Value};
 use tamp_topology::{NodeId, Tree};
 
-use crate::batch::{batch_rows, cut, flatten, gather_multi, whole, BatchFragments, RecordBatch};
-use crate::physical::strategy::TraceBuilder;
+use crate::batch::{
+    batch_rows, cut, flatten, gather_runs, new_columns, starts, views, whole, BatchFragments,
+    RecordBatch,
+};
+use crate::physical::strategy::{ExecArgs, TraceBuilder};
 use crate::plan::AggFunc;
 
 use super::group_table::{GroupTable, KeyTable};
@@ -25,21 +30,16 @@ pub(crate) fn empty_batch_frags(tree: &Tree) -> BatchFragments {
     vec![Vec::new(); tree.num_nodes()]
 }
 
-/// Current per-node row counts, as weights for distribution-aware
-/// hashing.
-pub(crate) fn batch_frag_weights(
-    tree: &Tree,
-    frags: &BatchFragments,
-    extra: &BatchFragments,
-) -> Vec<(NodeId, u64)> {
-    tree.compute_nodes()
-        .iter()
-        .map(|&v| {
-            (
-                v,
-                (batch_rows(&frags[v.index()]) + batch_rows(&extra[v.index()])) as u64,
-            )
-        })
+/// Current per-node row counts of all `sides`, as weights for
+/// distribution-aware hashing.
+pub(crate) fn batch_frag_weights(tree: &Tree, sides: &[&BatchFragments]) -> Vec<(NodeId, u64)> {
+    let rows = |v: NodeId| {
+        (sides.iter())
+            .map(|f| batch_rows(&f[v.index()]) as u64)
+            .sum()
+    };
+    (tree.compute_nodes().iter())
+        .map(|&v| (v, rows(v)))
         .collect()
 }
 
@@ -61,11 +61,11 @@ pub(crate) fn batch_holders_of(tree: &Tree, frags: &BatchFragments) -> Vec<NodeI
 /// splitter bucket for the range shuffle.
 ///
 /// One counting scatter: a slot's one output batch holds, source after
-/// source, one contiguous run of each source's rows in scan order, filled
-/// a column at a time. A source sends each of its runs but the one it
-/// keeps, in ascending slot order. Every send is cut from two buffers:
-/// its payload from one row-major buffer of all sent runs, sized from the
-/// counts, and its one-node destination list from `slots`.
+/// source, one contiguous run of each source's rows in scan order — a
+/// range of one buffer per column, filled a column at a time. A source
+/// sends each of its runs but the one it keeps, in ascending slot order:
+/// its payload cut from one row-major buffer of all sent runs (sized from
+/// the counts), its one-node destination list from `slots`.
 pub(crate) fn exchange_batches(
     trace: &mut TraceBuilder,
     frags: &BatchFragments,
@@ -101,39 +101,27 @@ pub(crate) fn exchange_batches(
         }
         runs[first..].sort_unstable_by_key(|run| run.1);
     }
-    // One zero-filled column set per slot (none for an empty slot), then
-    // one mutable view per slot and column.
-    let zeroed = |n| std::iter::repeat_n(0, n).collect::<Arc<[Value]>>();
-    let mut cols: Vec<Vec<Arc<[Value]>>> = (counts.iter())
-        .map(|&n| (0..width).filter(|_| n > 0).map(|_| zeroed(n)).collect())
-        .collect();
-    for c in 0..width {
-        let mut views: Vec<&mut [Value]> = (cols.iter_mut())
-            .map(|set| {
-                set.get_mut(c).map_or(&mut [][..], |col| {
-                    Arc::get_mut(col).expect("not shared yet")
-                })
-            })
-            .collect();
+    // Slot `s`'s rows are `start[s]..start[s] + counts[s]` of one buffer
+    // per column.
+    let start = starts(&counts);
+    let cols = new_columns(width, total, |c, col| {
         let mut at = 0;
         for b in sources.iter().flat_map(|v| &frags[v.index()]) {
             for (&x, &(s, p)) in b.col(c).iter().zip(&place[at..]) {
-                views[s as usize][p as usize] = x;
+                col[start[s as usize] + p as usize] = x;
             }
             at += b.num_rows();
         }
-    }
+    });
     let mut new_frags: BatchFragments = vec![Vec::new(); frags.len()];
-    for ((&dst, set), n) in slots.iter().zip(cols).zip(counts) {
-        if n > 0 {
-            new_frags[dst.index()].push(RecordBatch::from_cols_rows(set, n));
-        }
+    for (&dst, b) in slots.iter().zip(views(&cols, counts)) {
+        new_frags[dst.index()].extend(b);
     }
     let sent = || runs.iter().filter(|run| slots[run.1] != run.0);
     let places = sent().map(|(_, s, rows)| (&new_frags[slots[*s].index()][0], rows.clone()));
     let rows = sent().map(|run| run.2.len()).sum();
     let mut cut = cut(flatten(rows, places, width), width);
-    trace.round(|round| {
+    trace.round_with_capacity(sent().count(), |round| {
         for (src, s, rows) in sent() {
             let dst = SharedSlice::new(slots.clone(), *s..*s + 1);
             round.send(*src, dst, rel, cut(rows.len()));
@@ -166,6 +154,23 @@ pub(crate) fn shuffle_batches_by_key(
     )
 }
 
+/// The key → owner map of a hash exchange: the hash weighted by
+/// `weights` (current per-node row counts; `None` when there are no rows
+/// to weigh), or the uniform MPC hash.
+pub(crate) fn key_router(
+    a: &ExecArgs<'_>,
+    weighted: bool,
+    weights: impl FnOnce() -> Vec<(NodeId, u64)>,
+) -> Option<Box<dyn Fn(u64) -> NodeId>> {
+    if weighted {
+        let hash = WeightedHash::new(a.seed, &weights())?;
+        return Some(Box::new(move |key| hash.pick(key)));
+    }
+    let (vc, seed) = (a.tree.compute_nodes().to_vec(), a.seed);
+    let pick = move |k: u64| vc[(mix64(k ^ seed) % vc.len() as u64) as usize];
+    Some(Box::new(pick))
+}
+
 /// One-round replication of `small_frags` (relation `rel`) to every
 /// holder: each source's rows are one range of one row-major buffer, all
 /// sends share one destination list, and the replicated fragments are
@@ -184,16 +189,14 @@ pub(crate) fn broadcast_small_batches(
     let all = sources.iter().flat_map(|v| whole(local(v)));
     let mut cut = cut(flatten(rows, all, small_w), small_w);
     let dsts = SharedSlice::from(holders);
-    trace.round(|round| {
+    trace.round_with_capacity(sources.len(), |round| {
         for v in sources {
             round.send(*v, dsts.clone(), rel, cut(batch_rows(local(v))));
         }
     });
     let mut small_new = empty_batch_frags(tree);
     for &h in holders {
-        for frag in small_frags.iter() {
-            small_new[h.index()].extend(frag.iter().cloned());
-        }
+        small_new[h.index()] = small_frags.concat();
     }
     small_new
 }
@@ -243,9 +246,10 @@ impl JoinBuild {
 }
 
 /// Local probe join of co-located batch fragments: build on the right,
-/// probe in left order, emit one output batch per node as column gathers
-/// — `left ++ right` rows, left scan order outermost, each left row's
-/// matches in right scan order.
+/// probe in left order — `left ++ right` rows, left scan order outermost,
+/// each left row's matches in right scan order — then one gather per
+/// output column into one buffer that every node's output batch views a
+/// range of.
 ///
 /// `right_replicated` says every non-empty `r_new[v]` is the same batch
 /// list (a broadcast right side): the build then happens once and every
@@ -261,9 +265,13 @@ pub(crate) fn probe_join_batches(
     rw: usize,
     right_replicated: bool,
 ) -> BatchFragments {
-    let mut out = empty_batch_frags(tree);
     let mut shared: Option<JoinBuild> = None;
-    let (mut l_picks, mut r_picks) = (Vec::new(), Vec::new());
+    // Every node's matches, back to back: `(node, left picks, right picks)`.
+    // While every row of a one-batch left side matches exactly once (a
+    // foreign-key join) its picks are implicit: its columns are shared.
+    let l_rows = l_new.iter().map(|b| batch_rows(b)).sum();
+    let (mut l_picks, mut r_picks) = (Vec::new(), Vec::with_capacity(l_rows));
+    let mut nodes = Vec::new();
     for &v in tree.compute_nodes() {
         let rbatches = &r_new[v.index()];
         let lbatches = &l_new[v.index()];
@@ -275,63 +283,76 @@ pub(crate) fn probe_join_batches(
         }
         let build = shared.get_or_insert_with(|| JoinBuild::new(rbatches, ri));
         // Probe in left scan order.
-        l_picks.clear();
-        r_picks.clear();
+        let (l_start, r_start, mut fk) = (l_picks.len(), r_picks.len(), lbatches.len() == 1);
         for (bi, b) in lbatches.iter().enumerate() {
             for (lr, &key) in b.col(li).iter().enumerate() {
-                for &loc in build.get(key) {
-                    l_picks.push((bi as u32, lr as u32));
+                let found = build.get(key);
+                if fk && found.len() != 1 {
+                    fk = false;
+                    l_picks.extend((0..lr as u32).map(|r| (0, r)));
+                }
+                for &loc in found {
+                    l_picks.extend((!fk).then_some((bi as u32, lr as u32)));
                     r_picks.push(loc);
                 }
             }
         }
-        if l_picks.is_empty() {
-            continue;
+        if r_picks.len() > r_start {
+            nodes.push((v, l_start..l_picks.len(), r_start..r_picks.len()));
         }
-        let left_part = match lbatches.as_slice() {
-            // Every row of the one left batch matched exactly once (a
-            // foreign-key join): its columns are the output's.
-            [only] if l_picks.iter().map(|p| p.1).eq(0..only.num_rows() as u32) => only.clone(),
-            _ => gather_multi(lbatches, &l_picks, lw),
+    }
+    // One gather per column over every node's picks.
+    type Run = (NodeId, Range<usize>, Range<usize>);
+    let l_run = |(v, l, _): &Run| (&l_new[v.index()][..], &l_picks[l.clone()]);
+    let r_run = |(v, _, r): &Run| (&r_new[v.index()][..], &r_picks[r.clone()]);
+    let l_cols = gather_runs(lw, || nodes.iter().map(l_run));
+    let r_cols = gather_runs(rw, || nodes.iter().map(r_run));
+    let mut out = empty_batch_frags(tree);
+    for (v, l, r) in nodes {
+        let left = |c: usize| match l.is_empty() {
+            true => l_new[v.index()][0].col_shared(c).clone(),
+            false => SharedSlice::new(l_cols[c].clone(), l.clone()),
         };
-        let right_part = gather_multi(rbatches, &r_picks, rw);
-        let mut cols = Vec::with_capacity(lw + rw);
-        cols.extend((0..lw).map(|c| left_part.col_arc(c).clone()));
-        cols.extend((0..rw).map(|c| right_part.col_arc(c).clone()));
-        out[v.index()].push(RecordBatch::from_cols_rows(cols, l_picks.len()));
+        let right = |c: usize| SharedSlice::new(r_cols[c].clone(), r.clone());
+        let cols = (0..lw).map(left).chain((0..rw).map(right)).collect();
+        out[v.index()].push(RecordBatch::from_cols_rows(cols, r.len()));
     }
     out
 }
 
-/// Fold the `(group, measure)` column pairs of `batches` into one
-/// width-2 batch of `(group, partial)` rows in ascending group order, or
-/// `None` when there are no rows.
+/// Fold the `(group, measure)` column pairs of each segment's batches —
+/// a segment is one node's batch list — into one width-2 batch of
+/// `(group, partial)` rows in ascending group order (none for a segment
+/// without rows); the batches view one buffer per column.
 /// `lift` tells raw measures (local pre-aggregation) from partials that
 /// were lifted already (merging shipped partials).
 pub(crate) fn fold_groups(
     table: &mut GroupTable,
-    batches: &[RecordBatch],
+    segments: &[Vec<RecordBatch>],
     group: usize,
     measure: usize,
     agg: AggFunc,
     lift: bool,
-) -> Option<RecordBatch> {
-    for b in batches {
-        let pairs = b.col(group).iter().zip(b.col(measure));
-        if lift {
-            pairs.for_each(|(&g, &m)| table.merge(agg, g, agg.lift(m)));
-        } else {
-            pairs.for_each(|(&g, &m)| table.merge(agg, g, m));
+) -> BatchFragments {
+    let (mut pairs, mut lens) = (Vec::new(), Vec::with_capacity(segments.len()));
+    for batches in segments {
+        for b in batches {
+            let pairs = b.col(group).iter().zip(b.col(measure));
+            if lift {
+                pairs.for_each(|(&g, &m)| table.merge(agg, g, agg.lift(m)));
+            } else {
+                pairs.for_each(|(&g, &m)| table.merge(agg, g, m));
+            }
         }
+        lens.push(table.drain_sorted(|sorted| {
+            pairs.extend_from_slice(sorted);
+            sorted.len()
+        }));
     }
-    table.drain_sorted(|sorted| {
-        (!sorted.is_empty()).then(|| {
-            RecordBatch::from_cols(vec![
-                sorted.iter().map(|e| e.0).collect(),
-                sorted.iter().map(|e| e.1).collect(),
-            ])
-        })
-    })
+    let col = |c: usize| pairs.iter().map(|e| [e.0, e.1][c]).collect();
+    let cols: [Arc<[Value]>; 2] = [col(0), col(1)];
+    let out = views(&cols, lens).map(|b| b.into_iter().collect());
+    out.collect()
 }
 
 #[cfg(test)]
@@ -517,7 +538,7 @@ mod tests {
         let left: Vec<Row> = (0..50u64).map(|i| vec![i % 10, 100 + i]).collect();
         let dims: Vec<Row> = (0..10u64).rev().map(|k| vec![k, k * k]).collect();
         let shares_left = |(input, out): &(Vec<RecordBatch>, Vec<RecordBatch>)| {
-            (0..2).all(|c| Arc::ptr_eq(out[0].col_arc(c), input[0].col_arc(c)))
+            (0..2).all(|c| std::ptr::eq(out[0].col(c), input[0].col(c)))
         };
         // Every left row matches once, one batch: shared, and right.
         let fk = probe(&left, usize::MAX, &dims);

@@ -1,6 +1,6 @@
 //! Cartesian-product strategies.
 //!
-//! - [`WhcGridCross`] — the §4 weighted-HyperCube idea generalized to
+//! - [`RectCross::whc`] — the §4 weighted-HyperCube idea generalized to
 //!   `|L| ≠ |R|` via the Appendix A.1 rectangle packing
 //!   (`tamp_core::cartesian::unequal::plan_unequal`): rows and columns of
 //!   the `|L| × |R|` output grid are globally labelled, every node is
@@ -9,7 +9,7 @@
 //!   span (one round, interval multicasts);
 //! - [`BroadcastSmallCross`] — replicate the smaller side (by values) to
 //!   every node holding rows of the larger side;
-//! - [`UniformHyperCubeCross`] — the classic HyperCube/shares baseline: a
+//! - [`RectCross::hypercube`] — the classic HyperCube/shares baseline: a
 //!   near-square `p₁ × p₂` node grid with uniform row/column bands,
 //!   blind to bandwidths and placement.
 //!
@@ -18,16 +18,15 @@
 //! placement.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use tamp_core::cartesian::cartesian_lower_bound;
 use tamp_core::cartesian::grid::interval_segments;
 use tamp_core::cartesian::unequal::{plan_unequal, Rect};
 use tamp_core::ratio::LowerBound;
-use tamp_simulator::{Rel, SharedSlice, Value};
+use tamp_simulator::{Rel, SharedSlice};
 use tamp_topology::{DirEdgeId, NodeId, Tree};
 
-use crate::batch::{batch_rows, concat, flatten_batches, BatchFragments, RecordBatch};
+use crate::batch::{batch_rows, concat, flatten_batches, new_columns, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::physical::strategy::{
     CostEstimate, ExecArgs, OpInput, OpParams, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
@@ -61,28 +60,23 @@ fn product(
     r: Range<usize>,
     right_outer: bool,
 ) -> RecordBatch {
-    let rows = l.len() * r.len();
-    let column = |col: &[Value], outer: bool, other: usize| -> Arc<[Value]> {
-        let mut out = Vec::with_capacity(rows);
-        if outer {
-            for &x in col {
-                out.extend(std::iter::repeat_n(x, other));
-            }
+    let (rows, lw) = (l.len() * r.len(), left.width());
+    let cols = new_columns(lw + right.width(), rows, |c, out| {
+        let (col, outer, other) = match c < lw {
+            true => (&left.col(c)[l.clone()], !right_outer, r.len()),
+            false => (&right.col(c - lw)[r.clone()], right_outer, l.len()),
+        };
+        if rows == 0 {
+        } else if outer {
+            // Each value repeats over one pass of the other side.
+            let runs = out.chunks_exact_mut(other).zip(col);
+            runs.for_each(|(run, &x)| run.fill(x));
         } else {
-            for _ in 0..other {
-                out.extend_from_slice(col);
-            }
+            let passes = out.chunks_exact_mut(col.len());
+            passes.for_each(|pass| pass.copy_from_slice(col));
         }
-        out.into()
-    };
-    let mut cols = Vec::with_capacity(left.width() + right.width());
-    for c in 0..left.width() {
-        cols.push(column(&left.col(c)[l.clone()], !right_outer, r.len()));
-    }
-    for c in 0..right.width() {
-        cols.push(column(&right.col(c)[r.clone()], right_outer, l.len()));
-    }
-    RecordBatch::from_cols_rows(cols, rows)
+    });
+    RecordBatch::view(&cols, 0..rows)
 }
 
 fn cross_lower_bound(a: &PlanArgs<'_>) -> Option<LowerBound> {
@@ -131,14 +125,8 @@ impl PhysicalStrategy for BroadcastSmallCross {
         } else {
             (right, &a.left)
         };
-        let holders: Vec<NodeId> = a
-            .model
-            .tree()
-            .compute_nodes()
-            .iter()
-            .copied()
-            .filter(|&v| big.counts[v.index()] > 0.0)
-            .collect();
+        let vc = a.model.tree().compute_nodes().iter().copied();
+        let holders: Vec<NodeId> = vc.filter(|&v| big.counts[v.index()] > 0.0).collect();
         CostEstimate {
             tuple_cost: a.model.multicast_cost(&small.counts, small.width, &holders),
             rounds: 1,
@@ -221,7 +209,7 @@ fn clip(rects: &[Rect], l_total: u64, r_total: u64) -> Vec<Rect> {
 fn rect_cross_trace(
     a: &ExecArgs<'_>,
     input: OpInput,
-    plan: fn(&Tree, u64, u64) -> Vec<Rect>,
+    plan: impl Fn(&Tree, u64, u64) -> Vec<Rect>,
 ) -> OpTrace {
     let (lfrags, rfrags, lw, rw) = cross_input(input);
     let (lfrags, rfrags) = (&lfrags, &rfrags);
@@ -318,72 +306,32 @@ fn rect_cross_estimate(a: &PlanArgs<'_>, rects: &[Rect], left: &PlanSide, right:
     round.cost()
 }
 
-/// The §4 wHC / Appendix A.1 rectangle strategy.
+/// A rectangle cover of the `|L| × |R|` output grid: the §4 wHC /
+/// Appendix A.1 rectangles sized to link bandwidths, or the classic
+/// HyperCube/shares near-square node grid with uniform bands.
 #[derive(Debug)]
-pub(crate) struct WhcGridCross;
+pub(crate) struct RectCross {
+    whc: bool,
+}
 
-impl WhcGridCross {
-    fn plan(tree: &Tree, l_total: u64, r_total: u64) -> Vec<Rect> {
+impl RectCross {
+    /// The §4 wHC / A.1 rectangle packing.
+    pub(crate) fn whc() -> Self {
+        RectCross { whc: true }
+    }
+
+    /// The uniform HyperCube baseline.
+    pub(crate) fn hypercube() -> Self {
+        RectCross { whc: false }
+    }
+
+    fn plan(&self, tree: &Tree, l_total: u64, r_total: u64) -> Vec<Rect> {
         if l_total == 0 || r_total == 0 {
             return Vec::new();
         }
-        let plan = plan_unequal(l_total, r_total, &capacities(tree));
-        clip(&plan.rects, l_total, r_total)
-    }
-}
-
-impl PhysicalStrategy for WhcGridCross {
-    fn name(&self) -> &'static str {
-        "whc-grid"
-    }
-
-    fn operator(&self) -> OperatorKind {
-        OperatorKind::CrossJoin
-    }
-
-    fn algorithm(&self) -> Option<&'static str> {
-        Some("§4 wHC / A.1 rectangles")
-    }
-
-    fn estimate(&self, a: &PlanArgs<'_>) -> CostEstimate {
-        let right = a.right.as_ref().expect("cross join has two inputs");
-        let (l_total, r_total) = (a.left.total().round() as u64, right.total().round() as u64);
-        let rects = Self::plan(a.model.tree(), l_total, r_total);
-        CostEstimate {
-            tuple_cost: rect_cross_estimate(a, &rects, &a.left, right),
-            rounds: 1,
-        }
-    }
-
-    fn lower_bound(&self, a: &PlanArgs<'_>) -> Option<LowerBound> {
-        cross_lower_bound(a)
-    }
-
-    fn output_shares(&self, a: &PlanArgs<'_>) -> Vec<f64> {
-        let right = a.right.as_ref().expect("cross join has two inputs");
-        let (l_total, r_total) = (a.left.total().round() as u64, right.total().round() as u64);
-        let rects = Self::plan(a.model.tree(), l_total, r_total);
-        let mut shares = a.model.zero_counts();
-        let grid = (l_total as f64 * r_total as f64).max(1.0);
-        for r in &rects {
-            shares[r.owner.index()] += (r.h as f64 * r.w as f64) / grid;
-        }
-        shares
-    }
-
-    fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
-        Ok(rect_cross_trace(a, input, Self::plan))
-    }
-}
-
-/// The classic HyperCube/shares baseline on a near-square node grid.
-#[derive(Debug)]
-pub(crate) struct UniformHyperCubeCross;
-
-impl UniformHyperCubeCross {
-    fn plan(tree: &Tree, l_total: u64, r_total: u64) -> Vec<Rect> {
-        if l_total == 0 || r_total == 0 {
-            return Vec::new();
+        if self.whc {
+            let plan = plan_unequal(l_total, r_total, &capacities(tree));
+            return clip(&plan.rects, l_total, r_total);
         }
         let computes = tree.compute_nodes();
         let p = computes.len() as u64;
@@ -407,23 +355,40 @@ impl UniformHyperCubeCross {
         }
         clip(&rects, l_total, r_total)
     }
+
+    /// The cover of the estimated grid, and its sides.
+    fn planned(&self, a: &PlanArgs<'_>) -> (Vec<Rect>, u64, u64) {
+        let right = a.right.as_ref().expect("cross join has two inputs");
+        let (l_total, r_total) = (a.left.total().round() as u64, right.total().round() as u64);
+        (
+            self.plan(a.model.tree(), l_total, r_total),
+            l_total,
+            r_total,
+        )
+    }
 }
 
-impl PhysicalStrategy for UniformHyperCubeCross {
+impl PhysicalStrategy for RectCross {
     fn name(&self) -> &'static str {
-        "uniform-hypercube"
+        if self.whc {
+            "whc-grid"
+        } else {
+            "uniform-hypercube"
+        }
     }
 
     fn operator(&self) -> OperatorKind {
         OperatorKind::CrossJoin
     }
 
+    fn algorithm(&self) -> Option<&'static str> {
+        self.whc.then_some("§4 wHC / A.1 rectangles")
+    }
+
     fn estimate(&self, a: &PlanArgs<'_>) -> CostEstimate {
         let right = a.right.as_ref().expect("cross join has two inputs");
-        let (l_total, r_total) = (a.left.total().round() as u64, right.total().round() as u64);
-        let rects = Self::plan(a.model.tree(), l_total, r_total);
         CostEstimate {
-            tuple_cost: rect_cross_estimate(a, &rects, &a.left, right),
+            tuple_cost: rect_cross_estimate(a, &self.planned(a).0, &a.left, right),
             rounds: 1,
         }
     }
@@ -433,10 +398,21 @@ impl PhysicalStrategy for UniformHyperCubeCross {
     }
 
     fn output_shares(&self, a: &PlanArgs<'_>) -> Vec<f64> {
-        a.model.uniform_shares()
+        if !self.whc {
+            return a.model.uniform_shares();
+        }
+        let (rects, l_total, r_total) = self.planned(a);
+        let mut shares = a.model.zero_counts();
+        let grid = (l_total as f64 * r_total as f64).max(1.0);
+        for r in &rects {
+            shares[r.owner.index()] += (r.h as f64 * r.w as f64) / grid;
+        }
+        shares
     }
 
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
-        Ok(rect_cross_trace(a, input, Self::plan))
+        Ok(rect_cross_trace(a, input, |tree, l, r| {
+            self.plan(tree, l, r)
+        }))
     }
 }

@@ -4,9 +4,9 @@
 //! All four execute as *exchange + local probe*; they differ only in how
 //! the exchange routes rows:
 //!
-//! - [`WeightedRepartitionJoin`] — both sides repartition under one hash
-//!   weighted by each node's current data (the Algorithm 2 idea at the
-//!   row level): co-located skew stays put;
+//! - [`RepartitionJoin::weighted`] — both sides repartition under one
+//!   hash weighted by each node's current data (the Algorithm 2 idea at
+//!   the row level): co-located skew stays put;
 //! - [`TreePartitionJoin`] — the §3 `TreeIntersect` routing: a balanced
 //!   partition (Definition 1 / Algorithm 3) splits the compute nodes into
 //!   blocks each holding at least the small side's weight; small rows
@@ -15,7 +15,7 @@
 //!   cross β-edges;
 //! - [`BroadcastSmallJoin`] — replicate the small side to every node
 //!   holding big rows (the `V_β` idea of Algorithm 1);
-//! - [`UniformRepartitionJoin`] — the classic MPC uniform hash, blind to
+//! - [`RepartitionJoin::uniform`] — the classic MPC uniform hash, blind to
 //!   both topology and distribution.
 //!
 //! Every strategy's lower bound is Theorem 1 evaluated on the estimated
@@ -24,7 +24,6 @@
 
 use std::collections::BTreeMap;
 
-use tamp_core::hashing::{mix64, WeightedHash};
 use tamp_core::intersection::intersection_lower_bound;
 use tamp_core::ratio::LowerBound;
 use tamp_simulator::Rel;
@@ -38,7 +37,7 @@ use crate::physical::strategy::{
 };
 
 use super::columnar::{
-    batch_frag_weights, batch_holders_of, broadcast_small_batches, empty_batch_frags,
+    batch_frag_weights, batch_holders_of, broadcast_small_batches, empty_batch_frags, key_router,
     probe_join_batches, shuffle_batches_by_key,
 };
 
@@ -65,13 +64,32 @@ fn join_lower_bound(a: &PlanArgs<'_>) -> Option<LowerBound> {
     Some(intersection_lower_bound(a.model.tree(), &a.value_stats()))
 }
 
-/// Repartition both sides under one distribution-weighted hash.
+/// Repartition both sides under one hash: weighted by each node's current
+/// data (the Algorithm 2 idea), or the uniform MPC hash.
 #[derive(Debug)]
-pub(crate) struct WeightedRepartitionJoin;
+pub(crate) struct RepartitionJoin {
+    weighted: bool,
+}
 
-impl PhysicalStrategy for WeightedRepartitionJoin {
+impl RepartitionJoin {
+    /// Distribution-weighted key owners.
+    pub(crate) fn weighted() -> Self {
+        RepartitionJoin { weighted: true }
+    }
+
+    /// Uniform key owners (the MPC baseline).
+    pub(crate) fn uniform() -> Self {
+        RepartitionJoin { weighted: false }
+    }
+}
+
+impl PhysicalStrategy for RepartitionJoin {
     fn name(&self) -> &'static str {
-        "weighted-repartition"
+        if self.weighted {
+            "weighted-repartition"
+        } else {
+            "uniform-repartition"
+        }
     }
 
     fn operator(&self) -> OperatorKind {
@@ -79,63 +97,12 @@ impl PhysicalStrategy for WeightedRepartitionJoin {
     }
 
     fn algorithm(&self) -> Option<&'static str> {
-        Some("Alg 2 weighted hash")
+        self.weighted.then_some("Alg 2 weighted hash")
     }
 
     fn estimate(&self, a: &PlanArgs<'_>) -> CostEstimate {
         let right = a.right.as_ref().expect("join has two inputs");
-        let shares = a.model.proportional_shares(&a.combined_counts());
-        CostEstimate {
-            tuple_cost: a
-                .model
-                .repartition_cost(&a.left.counts, a.left.width, &shares)
-                + a.model
-                    .repartition_cost(&right.counts, right.width, &shares),
-            rounds: 2,
-        }
-    }
-
-    fn lower_bound(&self, a: &PlanArgs<'_>) -> Option<LowerBound> {
-        join_lower_bound(a)
-    }
-
-    fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
-        let (lfrags, rfrags, li, ri, lw, rw) = join_input(input);
-        let tree = a.tree;
-        let mut trace = TraceBuilder::default();
-        let weights = batch_frag_weights(tree, &lfrags, &rfrags);
-        let Some(hash) = WeightedHash::new(a.seed, &weights) else {
-            return Ok(OpTrace {
-                rounds: trace.into_rounds(),
-                output: empty_batch_frags(tree),
-            });
-        };
-        let router = |key: u64| hash.pick(key);
-        let l_new = shuffle_batches_by_key(&mut trace, tree, &lfrags, li, lw, Rel::R, &router);
-        let r_new = shuffle_batches_by_key(&mut trace, tree, &rfrags, ri, rw, Rel::S, &router);
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw, false),
-        })
-    }
-}
-
-/// Repartition both sides under the uniform MPC hash.
-#[derive(Debug)]
-pub(crate) struct UniformRepartitionJoin;
-
-impl PhysicalStrategy for UniformRepartitionJoin {
-    fn name(&self) -> &'static str {
-        "uniform-repartition"
-    }
-
-    fn operator(&self) -> OperatorKind {
-        OperatorKind::Join
-    }
-
-    fn estimate(&self, a: &PlanArgs<'_>) -> CostEstimate {
-        let right = a.right.as_ref().expect("join has two inputs");
-        let shares = a.model.uniform_shares();
+        let shares = self.output_shares(a);
         CostEstimate {
             tuple_cost: a
                 .model
@@ -151,18 +118,26 @@ impl PhysicalStrategy for UniformRepartitionJoin {
     }
 
     fn output_shares(&self, a: &PlanArgs<'_>) -> Vec<f64> {
-        a.model.uniform_shares()
+        if self.weighted {
+            a.model.proportional_shares(&a.combined_counts())
+        } else {
+            a.model.uniform_shares()
+        }
     }
 
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
         let (lfrags, rfrags, li, ri, lw, rw) = join_input(input);
         let tree = a.tree;
         let mut trace = TraceBuilder::default();
-        let vc: Vec<NodeId> = tree.compute_nodes().to_vec();
-        let seed = a.seed;
-        let router = move |key: u64| vc[(mix64(key ^ seed) % vc.len() as u64) as usize];
-        let l_new = shuffle_batches_by_key(&mut trace, tree, &lfrags, li, lw, Rel::R, &router);
-        let r_new = shuffle_batches_by_key(&mut trace, tree, &rfrags, ri, rw, Rel::S, &router);
+        let weights = || batch_frag_weights(tree, &[&lfrags, &rfrags]);
+        let Some(router) = key_router(a, self.weighted, weights) else {
+            return Ok(OpTrace {
+                rounds: trace.into_rounds(),
+                output: empty_batch_frags(tree),
+            });
+        };
+        let l_new = shuffle_batches_by_key(&mut trace, tree, &lfrags, li, lw, Rel::R, &*router);
+        let r_new = shuffle_batches_by_key(&mut trace, tree, &rfrags, ri, rw, Rel::S, &*router);
         Ok(OpTrace {
             rounds: trace.into_rounds(),
             output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw, false),
@@ -195,14 +170,8 @@ impl PhysicalStrategy for BroadcastSmallJoin {
         } else {
             (right, &a.left)
         };
-        let holders: Vec<NodeId> = a
-            .model
-            .tree()
-            .compute_nodes()
-            .iter()
-            .copied()
-            .filter(|&v| big.counts[v.index()] > 0.0)
-            .collect();
+        let vc = a.model.tree().compute_nodes().iter().copied();
+        let holders: Vec<NodeId> = vc.filter(|&v| big.counts[v.index()] > 0.0).collect();
         CostEstimate {
             tuple_cost: a.model.multicast_cost(&small.counts, small.width, &holders),
             rounds: 1,

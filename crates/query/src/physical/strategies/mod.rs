@@ -31,11 +31,12 @@
 use std::sync::Arc;
 
 use tamp_core::hashing::{mix64, WeightedHash};
-use tamp_core::sorting::valid_order;
 use tamp_simulator::{Rel, SharedSlice};
 use tamp_topology::NodeId;
 
-use crate::batch::{batch_rows, cut, flatten, head, sort_rows, whole, BatchFragments, RecordBatch};
+use crate::batch::{
+    batch_rows, cut, flatten, head, sort_segments, whole, BatchFragments, Keep, RecordBatch,
+};
 use crate::error::QueryError;
 use crate::physical::strategy::{
     CostEstimate, ExecArgs, OpInput, OpParams, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
@@ -57,14 +58,14 @@ pub(crate) mod sort;
 pub(crate) fn defaults() -> Vec<Arc<dyn PhysicalStrategy>> {
     vec![
         // Joins.
-        Arc::new(join::WeightedRepartitionJoin),
+        Arc::new(join::RepartitionJoin::weighted()),
         Arc::new(join::BroadcastSmallJoin),
         Arc::new(join::TreePartitionJoin),
-        Arc::new(join::UniformRepartitionJoin),
+        Arc::new(join::RepartitionJoin::uniform()),
         // Cross joins.
-        Arc::new(cross::WhcGridCross),
+        Arc::new(cross::RectCross::whc()),
         Arc::new(cross::BroadcastSmallCross),
-        Arc::new(cross::UniformHyperCubeCross),
+        Arc::new(cross::RectCross::hypercube()),
         // Sorts.
         Arc::new(sort::RangeShuffleSort::weighted()),
         Arc::new(sort::RangeShuffleSort::uniform()),
@@ -112,7 +113,7 @@ impl PhysicalStrategy for WeightedDistinct {
             unreachable!("registered for Distinct");
         };
         let tree = a.tree;
-        let weights = batch_frag_weights(tree, &input, &empty_batch_frags(tree));
+        let weights = batch_frag_weights(tree, &[&input]);
         let mut trace = TraceBuilder::default();
         let Some(hash) = WeightedHash::new(a.seed ^ 0xD157, &weights) else {
             return Ok(OpTrace {
@@ -121,7 +122,7 @@ impl PhysicalStrategy for WeightedDistinct {
             });
         };
         // Dedup locally first: duplicates never need to travel twice.
-        let local: BatchFragments = input.iter().map(|b| sorted_distinct(b, width)).collect();
+        let local = sort_segments(&input, width, None, Keep::Distinct);
         let by_index: Arc<[NodeId]> = tree.nodes().collect();
         let mut row_keys: Vec<u64> = Vec::new();
         let shuffled = exchange_batches(
@@ -145,16 +146,9 @@ impl PhysicalStrategy for WeightedDistinct {
         );
         Ok(OpTrace {
             rounds: trace.into_rounds(),
-            output: shuffled.iter().map(|b| sorted_distinct(b, width)).collect(),
+            output: sort_segments(&shuffled, width, None, Keep::Distinct),
         })
     }
-}
-
-/// A batch list's distinct rows in canonical order, as at most one batch.
-fn sorted_distinct(batches: &[RecordBatch], width: usize) -> Vec<RecordBatch> {
-    sort_rows(batches, width, None, |all, perm| {
-        perm.dedup_by(|x, y| all.cmp_rows(*x, *y).is_eq())
-    })
 }
 
 /// Limit: a bounded gather to the first compute node — each node
@@ -173,7 +167,7 @@ impl PhysicalStrategy for GatherLimit {
     }
 
     fn estimate(&self, a: &PlanArgs<'_>) -> CostEstimate {
-        let target = valid_order(a.model.tree())[0];
+        let target = a.order[0];
         let contributions: Vec<f64> = a
             .left
             .counts
@@ -187,7 +181,7 @@ impl PhysicalStrategy for GatherLimit {
     }
 
     fn output_shares(&self, a: &PlanArgs<'_>) -> Vec<f64> {
-        let target = valid_order(a.model.tree())[0];
+        let target = a.order[0];
         let mut shares = a.model.zero_counts();
         shares[target.index()] = 1.0;
         shares
@@ -205,36 +199,35 @@ impl PhysicalStrategy for GatherLimit {
         else {
             unreachable!("registered for Limit");
         };
-        let tree = a.tree;
-        let order = valid_order(tree);
+        let (tree, order) = (a.tree, &a.order);
         let target = order[0];
-        // The first `n` rows of a batch list — in list order when that
+        // The first `n` rows of each batch list — in list order when that
         // order is meaningful, in canonical order otherwise.
-        let first_n = |batches: &[RecordBatch]| {
-            if order_preserving {
-                head(batches, n)
-            } else {
-                sort_rows(batches, width, None, |_, perm| perm.truncate(n))
+        let first_n = |lists: &[&[RecordBatch]]| -> BatchFragments {
+            match order_preserving {
+                true => lists.iter().map(|batches| head(batches, n)).collect(),
+                false => sort_segments(lists, width, None, Keep::First(n)),
             }
         };
         // Each node contributes at most n rows; the target cuts the
         // node-order concatenation of the contributions the same way. The
         // others' are ranges of one row-major buffer.
         let mut trace = TraceBuilder::default();
-        let locals: Vec<_> = order.iter().map(|v| first_n(&input[v.index()])).collect();
+        let lists: Vec<&[RecordBatch]> = order.iter().map(|v| &input[v.index()][..]).collect();
+        let locals = first_n(&lists);
         let sent = &locals[1..];
         let rows = sent.iter().map(|l| batch_rows(l)).sum();
         let all = sent.iter().flat_map(|l| whole(l));
         let mut cut = cut(flatten(rows, all, width), width);
         let dst = SharedSlice::from(&[target]);
-        trace.round(|round| {
+        trace.round_with_capacity(sent.len(), |round| {
             for (&v, local) in order[1..].iter().zip(sent) {
                 round.send(v, dst.clone(), Rel::R, cut(batch_rows(local)));
             }
         });
         let gathered: Vec<RecordBatch> = locals.into_iter().flatten().collect();
         let mut out = empty_batch_frags(tree);
-        out[target.index()] = first_n(&gathered);
+        out[target.index()] = first_n(&[&gathered]).remove(0);
         Ok(OpTrace {
             rounds: trace.into_rounds(),
             output: out,
@@ -244,6 +237,7 @@ impl PhysicalStrategy for GatherLimit {
 
 #[cfg(test)]
 mod tests {
+    use tamp_core::sorting::valid_order;
     use tamp_runtime::jobs::ScheduleSend;
     use tamp_topology::builders;
 
@@ -265,6 +259,7 @@ mod tests {
         let args = ExecArgs {
             tree: &tree,
             seed: 0,
+            order: valid_order(&tree).into(),
         };
         let traced = GatherLimit
             .trace(
@@ -353,11 +348,12 @@ mod tests {
         let args = ExecArgs {
             tree: &tree,
             seed: 3,
+            order: valid_order(&tree).into(),
         };
         let rounds =
             |strategy: &dyn PhysicalStrategy, input| strategy.trace(&args, input).unwrap().rounds;
 
-        let shuffle = rounds(&join::WeightedRepartitionJoin, join());
+        let shuffle = rounds(&join::RepartitionJoin::weighted(), join());
         assert_cut_from_one_buffer("hash shuffle, left", &shuffle[0]);
         assert_cut_from_one_buffer("hash shuffle, right", &shuffle[1]);
         let sort = OpInput {
@@ -591,7 +587,8 @@ mod soundness {
                     let left = skewed(tree, l_rows, LW, seed);
                     let right = skewed(tree, r_rows, RW, seed + 1);
                     let own = (batches_to_rows(&left), batches_to_rows(&right));
-                    let args = ExecArgs { tree, seed };
+                    let order = tamp_core::sorting::valid_order(tree).into();
+                    let args = ExecArgs { tree, seed, order };
                     for op in OPERATORS {
                         for strategy in registry.candidates(op) {
                             for input in inputs(op, &left, &right, seed) {

@@ -14,12 +14,12 @@ use std::sync::Arc;
 
 use tamp_core::ratio::LowerBound;
 use tamp_core::sorting::{
-    coin, proportional_splitters, sample_rate, sorting_lower_bound, uniform_splitters, valid_order,
+    coin, proportional_splitters, sample_rate, sorting_lower_bound, uniform_splitters,
 };
 use tamp_simulator::{Rel, SharedSlice};
 use tamp_topology::NodeId;
 
-use crate::batch::{batch_rows, cut, sort_rows};
+use crate::batch::{batch_rows, cut, sort_segments, Keep};
 use crate::error::QueryError;
 use crate::physical::strategy::{
     CostEstimate, ExecArgs, OpInput, OpParams, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
@@ -37,12 +37,12 @@ pub(crate) struct RangeShuffleSort {
 
 impl RangeShuffleSort {
     /// Proportional (wTS, §5.2) splitters.
-    pub fn weighted() -> Self {
+    pub(crate) fn weighted() -> Self {
         RangeShuffleSort { weighted: true }
     }
 
     /// Uniform (classic TeraSort) splitters.
-    pub fn uniform() -> Self {
+    pub(crate) fn uniform() -> Self {
         RangeShuffleSort { weighted: false }
     }
 
@@ -90,7 +90,7 @@ impl PhysicalStrategy for RangeShuffleSort {
         let counts = &a.left.counts;
         let width = a.left.width;
         let total: f64 = counts.iter().sum();
-        let order = valid_order(model.tree());
+        let order = &a.order;
         let coordinator = order[0];
         // Sample round: ~ρ·n_v keys (width 1) to the coordinator.
         let rho = sample_rate(order.len(), total.round() as u64);
@@ -99,15 +99,10 @@ impl PhysicalStrategy for RangeShuffleSort {
         // Splitter broadcast: k−1 values from the coordinator.
         let mut splitters = model.zero_counts();
         splitters[coordinator.index()] = order.len().saturating_sub(1) as f64;
-        let split_cost = model.multicast_cost(&splitters, 1, &order);
+        let split_cost = model.multicast_cost(&splitters, 1, order);
         // Shuffle: proportional splitters mean each node keeps roughly
         // its current share; uniform splitters level every node to N/k.
-        let shares = if self.weighted {
-            model.proportional_shares(counts)
-        } else {
-            model.uniform_shares()
-        };
-        let shuffle_cost = model.repartition_cost(counts, width, &shares);
+        let shuffle_cost = model.repartition_cost(counts, width, &self.output_shares(a));
         CostEstimate {
             tuple_cost: sample_cost + split_cost + shuffle_cost,
             rounds: 3,
@@ -135,8 +130,7 @@ impl PhysicalStrategy for RangeShuffleSort {
         else {
             unreachable!("registered for Sort");
         };
-        let tree = a.tree;
-        let order: Arc<[NodeId]> = valid_order(tree).into();
+        let order = &a.order;
         let total: usize = frags.iter().map(|b| batch_rows(b)).sum();
         if total == 0 {
             return Ok(OpTrace {
@@ -160,14 +154,14 @@ impl PhysicalStrategy for RangeShuffleSort {
             })
             .collect();
         let mut cut = cut(all_samples[..].into(), 1);
-        trace.round(|round| {
+        trace.round_with_capacity(order.len(), |round| {
             for (&v, &n) in order.iter().zip(&counts) {
                 round.send(v, SharedSlice::new(order.clone(), 0..1), Rel::S, cut(n));
             }
         });
 
         // Round 2: the coordinator picks and broadcasts splitters.
-        let splitters = self.broadcast_splitters(&mut trace, &order, all_samples, |v| {
+        let splitters = self.broadcast_splitters(&mut trace, order, all_samples, |v| {
             batch_rows(&frags[v.index()])
         });
 
@@ -179,8 +173,8 @@ impl PhysicalStrategy for RangeShuffleSort {
             &frags,
             width,
             Rel::R,
-            &order,
-            &order,
+            order,
+            order,
             &mut |b, out| {
                 out.extend(
                     b.col(ki)
@@ -189,11 +183,9 @@ impl PhysicalStrategy for RangeShuffleSort {
                 )
             },
         );
-        // Local finish: sort by key, then whole row.
-        let output = shuffled
-            .iter()
-            .map(|batches| sort_rows(batches, width, Some(ki), |_, _| {}))
-            .collect();
+        // Local finish: every node sorts by key, then whole row, in one
+        // segmented sort.
+        let output = sort_segments(&shuffled, width, Some(ki), Keep::All);
         Ok(OpTrace {
             rounds: trace.into_rounds(),
             output,

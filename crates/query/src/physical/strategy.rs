@@ -180,6 +180,8 @@ pub struct PlanArgs<'a> {
     pub model: &'a CostModel<'a>,
     /// The session's hashing/sampling seed.
     pub seed: u64,
+    /// The tree's valid compute order, computed once per catalog tree.
+    pub order: Arc<[NodeId]>,
     /// The (left) input.
     pub left: PlanSide,
     /// The right input, for two-input operators.
@@ -276,6 +278,8 @@ pub struct ExecArgs<'a> {
     pub tree: &'a Tree,
     /// The session's hashing/sampling seed.
     pub seed: u64,
+    /// The tree's valid compute order, computed once per catalog tree.
+    pub order: Arc<[NodeId]>,
 }
 
 /// An exchanging operator's parameters in resolved (index) form: what
@@ -380,7 +384,14 @@ impl TraceBuilder {
     /// Rounds with no sends are still recorded (silent rounds are
     /// metered, matching both engines).
     pub fn round<F: FnOnce(&mut RoundSends)>(&mut self, f: F) {
-        let mut rec = RoundSends { sends: Vec::new() };
+        self.round_with_capacity(0, f);
+    }
+
+    /// [`round`](Self::round), with room reserved for `sends` sends.
+    pub(crate) fn round_with_capacity(&mut self, sends: usize, f: impl FnOnce(&mut RoundSends)) {
+        let mut rec = RoundSends {
+            sends: Vec::with_capacity(sends),
+        };
         f(&mut rec);
         self.rounds.push(rec.sends);
     }
@@ -671,6 +682,7 @@ mod tests {
         let args = PlanArgs {
             model: &model,
             seed: 0,
+            order: tamp_core::sorting::valid_order(&tree).into(),
             left: PlanSide {
                 counts: vec![10.0; tree.num_nodes()],
                 width: 2,

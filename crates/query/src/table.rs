@@ -1,19 +1,20 @@
 //! Distributed base tables and the catalog.
 //!
 //! A [`DistributedTable`] holds one [`RecordBatch`] per node — the
-//! `{X_0(v)}` partition of §2 — and nothing else: a scan, or a clone of
-//! the catalog, is a refcount bump per column. Partitioning helpers write
-//! rows straight into those columns, for the placements the experiments
+//! `{X_0(v)}` partition of §2 — and nothing else: every node's batch views
+//! a range of one buffer per column, and a scan, or a clone of the
+//! catalog, is a refcount bump per batch. Partitioning helpers write rows
+//! straight into those buffers, for the placements the experiments
 //! need: round-robin (uniform), hash-by-column (co-location), skewed (one
 //! node holds a share `α`), and single-node (maximally lopsided).
 
 use std::sync::Arc;
 
 use tamp_core::hashing::mix64;
-use tamp_simulator::Value;
+use tamp_core::sorting::valid_order;
 use tamp_topology::{EdgeId, NodeId, Tree};
 
-use crate::batch::{BatchFragments, RecordBatch};
+use crate::batch::{new_columns, starts, views, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::row::Row;
 use crate::schema::Schema;
@@ -31,9 +32,9 @@ pub struct DistributedTable {
 
 impl DistributedTable {
     /// Place row `i` of `rows` on node `place(i, row)`, writing the rows
-    /// straight into per-node columns: one pass checks every row's width
-    /// and counts each node's rows, the second moves each row into its
-    /// node's preallocated columns and drops it.
+    /// straight into one buffer per column that every node's batch views
+    /// a range of: one pass checks every row's width and counts each
+    /// node's rows, then each row's cell is fixed and each column filled.
     fn partitioned(
         name: &str,
         schema: Schema,
@@ -52,35 +53,24 @@ impl DistributedTable {
             }
             counts[place(i, row).index()] += 1;
         }
-        let mut cols: Vec<Vec<Arc<[Value]>>> = counts
-            .iter()
-            .map(|&n| {
-                (0..width)
-                    .map(|_| std::iter::repeat_n(0, n).collect())
-                    .collect()
-            })
-            .collect();
-        let mut cells: Vec<Vec<&mut [Value]>> = cols
-            .iter_mut()
-            .map(|node| {
-                node.iter_mut()
-                    .map(|c| Arc::get_mut(c).expect("not shared yet"))
-                    .collect()
-            })
-            .collect();
-        let mut filled = vec![0usize; counts.len()];
-        for (i, row) in rows.into_iter().enumerate() {
-            let v = place(i, &row).index();
-            for (col, x) in cells[v].iter_mut().zip(row) {
-                col[filled[v]] = x;
-            }
-            filled[v] += 1;
-        }
-        let batches = cols
-            .into_iter()
-            .zip(counts)
-            .map(|(cols, n)| RecordBatch::from_cols_rows(cols, n))
-            .collect();
+        // Each row's cell: node `v`'s rows fill its range of every column,
+        // node ranges in id order.
+        let mut at = starts(&counts);
+        let cell = |(i, row)| {
+            let v = place(i, row).index();
+            at[v] += 1;
+            at[v] - 1
+        };
+        let cells: Vec<usize> = rows.iter().enumerate().map(cell).collect();
+        let cols = new_columns(width, rows.len(), |c, col| {
+            rows.iter()
+                .zip(&cells)
+                .for_each(|(row, &at)| col[at] = row[c]);
+        });
+        // Empty nodes share one empty batch.
+        let empty = RecordBatch::view(&cols, 0..0);
+        let or_empty = |b: Option<RecordBatch>| b.unwrap_or_else(|| empty.clone());
+        let batches = views(&cols, counts).map(or_empty).collect();
         Ok(DistributedTable {
             name: name.to_string(),
             schema,
@@ -88,7 +78,8 @@ impl DistributedTable {
         })
     }
 
-    /// The table as batch fragments: each non-empty node's batch, shared.
+    /// The table as batch fragments: each non-empty node's batch, shared
+    /// (a refcount bump; the only allocation is the node's list).
     pub(crate) fn scan_batches(&self) -> BatchFragments {
         self.batches
             .iter()
@@ -180,6 +171,9 @@ impl DistributedTable {
 #[derive(Clone, Debug)]
 pub struct Catalog {
     tree: Tree,
+    /// The tree's valid compute order, computed once: it depends on the
+    /// tree's shape only, which no catalog mutation changes.
+    order: Arc<[NodeId]>,
     tables: Vec<DistributedTable>,
 }
 
@@ -187,6 +181,7 @@ impl Catalog {
     /// An empty catalog over `tree`.
     pub fn new(tree: Tree) -> Self {
         Catalog {
+            order: valid_order(&tree).into(),
             tree,
             tables: Vec::new(),
         }
@@ -195,6 +190,12 @@ impl Catalog {
     /// The topology this catalog's tables live on.
     pub fn tree(&self) -> &Tree {
         &self.tree
+    }
+
+    /// The tree's valid left-to-right compute order
+    /// ([`tamp_core::sorting::valid_order`]), shared.
+    pub(crate) fn order(&self) -> &Arc<[NodeId]> {
+        &self.order
     }
 
     /// Re-weight edge `e` of the bound topology in place, dividing both
@@ -354,7 +355,7 @@ mod tests {
         let (a, b) = (&a.unwrap().batches, &b.unwrap().batches);
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
-            assert!((0..x.width()).all(|c| Arc::ptr_eq(x.col_arc(c), y.col_arc(c))));
+            assert!((0..x.width()).all(|c| std::ptr::eq(x.col(c), y.col(c))));
         }
     }
 
