@@ -365,15 +365,9 @@ impl WeightedAdmission {
         None
     }
 
-    /// Total queries currently queued (the autoscaler's queue-depth
-    /// signal).
+    /// Total queries currently queued.
     pub(crate) fn queue_depth(&self) -> usize {
         lock_ok(&self.state).queued_total
-    }
-
-    /// Total queries currently executing.
-    pub(crate) fn inflight(&self) -> usize {
-        lock_ok(&self.state).running_total
     }
 
     /// The global in-flight bound.

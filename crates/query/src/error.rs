@@ -115,7 +115,8 @@ pub enum QueryError {
     /// A tenant spec is invalid (empty name, duplicate name, zero weight
     /// or zero quota).
     InvalidTenantSpec(String),
-    /// A scaling spec is invalid (zero min, min > max).
+    /// A crew-width spec is invalid (a zero width, or `min != max`:
+    /// the orchestrator's crew is fixed).
     InvalidScalingSpec(String),
     /// An iterative fixpoint (see [`crate::iterative`]) failed to
     /// converge within its iteration budget. Carries the budget, the

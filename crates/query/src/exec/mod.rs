@@ -12,8 +12,8 @@
 //! / `UnionAll`) move no data and record no rounds.
 //!
 //! The walk threads [`RecordBatch`](crate::batch::RecordBatch)es
-//! through vectorized per-operator kernels ([`filter`], [`project`],
-//! both over [`eval`]: one tight loop per expression node) and through
+//! through vectorized per-operator kernels (`filter`, `project`,
+//! both over `eval`: one tight loop per expression node) and through
 //! the strategies' columnar exchanges — groups fold out of the group and
 //! measure columns into one reusable table, sorts are one segmented index
 //! sort over every node plus one gather per column, shuffles scatter each

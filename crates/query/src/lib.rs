@@ -80,9 +80,9 @@
 //! prepared-plan cache and **one admission gate** ([`admission`]:
 //! deficit-weighted round-robin over tenants — with the service's single
 //! implicit tenant that is plain arrival order); the [`Orchestrator`]
-//! declares real tenants on the same gate and adds autoscaling, fault
-//! injection and replay recovery around **one serve loop** that
-//! relational queries and iterative jobs both run through.
+//! declares real tenants on the same gate and adds fault injection and
+//! replay recovery on one fixed worker crew around **one serve loop**
+//! that relational queries and iterative jobs both run through.
 //!
 //! Results carry per-operator *estimated vs. metered* cost pairs
 //! ([`QueryResult::operator_costs`]), so planning quality is observable

@@ -36,7 +36,7 @@ use crate::cluster::{replay, CheckpointHook, ClusterOptions, RunHooks};
 use crate::error::RuntimeError;
 use crate::fault::FaultInjector;
 use crate::jobs::ScheduleJob;
-use crate::pool::{ElasticPool, WorkerPool};
+use crate::pool::WorkerPool;
 
 /// Errors from engine-agnostic execution: either engine's failure mode.
 ///
@@ -174,9 +174,6 @@ enum Crew {
     Scoped,
     /// A fixed persistent crew, spawned once and reused by every run.
     Shared(Arc<WorkerPool>),
-    /// An elastic crew whose width a control loop may change between
-    /// runs; each `execute` pins the crew current at its start.
-    Elastic(Arc<ElasticPool>),
 }
 
 /// The pooled cluster engine: the job's rounds replayed on a bounded
@@ -187,12 +184,10 @@ enum Crew {
 /// backend with [`with_shared_pool`](Self::with_shared_pool): the crew is
 /// spawned once and reused across every `execute` call (jobs serialize on
 /// the pool; results stay bit-identical). An orchestration layer that
-/// wants to *resize* that crew between queries uses
-/// [`with_elastic_pool`](Self::with_elastic_pool) instead, and one that
 /// wants to kill workers mid-query attaches a [`FaultInjector`] with
 /// [`with_fault_injector`](Self::with_fault_injector). Results are
-/// bit-identical across every crew mode and width — only wall-clock
-/// changes — so none of these knobs invalidates cached plans.
+/// bit-identical across both crew modes and every width — only
+/// wall-clock changes — so the crew never invalidates a cached plan.
 #[derive(Clone, Debug, Default)]
 pub struct PooledClusterBackend {
     /// Pool and superstep options.
@@ -231,17 +226,6 @@ impl PooledClusterBackend {
         }
     }
 
-    /// A pooled backend executing on an [`ElasticPool`]: each run pins
-    /// the crew current at its start, so a control loop can
-    /// [`resize`](ElasticPool::resize) the pool between queries without
-    /// disturbing in-flight ones. Clones share the same elastic pool.
-    pub fn with_elastic_pool(pool: Arc<ElasticPool>) -> Self {
-        PooledClusterBackend {
-            crew: Crew::Elastic(pool),
-            ..PooledClusterBackend::default()
-        }
-    }
-
     /// Attach a [`FaultInjector`]: every subsequent `execute` call checks
     /// it for an armed [`FaultPlan`](crate::fault::FaultPlan) at run
     /// start (builder-style; clones share the injector).
@@ -265,7 +249,6 @@ impl ExecBackend for PooledClusterBackend {
     fn name(&self) -> String {
         match (&self.crew, self.options.workers) {
             (Crew::Shared(p), _) => format!("pooled-cluster(shared {})", p.size()),
-            (Crew::Elastic(p), _) => format!("pooled-cluster(elastic {})", p.width()),
             (Crew::Scoped, Some(w)) => format!("pooled-cluster({w})"),
             (Crew::Scoped, None) => "pooled-cluster".into(),
         }
@@ -279,12 +262,9 @@ impl ExecBackend for PooledClusterBackend {
     ) -> Result<ExecOutcome, ExecError> {
         job.check(tree)?;
         placement.validate(tree)?;
-        // Pin the crew for this run: an elastic resize after this point
-        // affects the *next* run, never this one.
-        let crew: Option<Arc<WorkerPool>> = match &self.crew {
+        let crew = match &self.crew {
             Crew::Scoped => None,
-            Crew::Shared(p) => Some(Arc::clone(p)),
-            Crew::Elastic(p) => Some(p.snapshot()),
+            Crew::Shared(p) => Some(&**p),
         };
         // The token is a content hash: only asked for when there is a
         // store to key.
@@ -297,7 +277,7 @@ impl ExecBackend for PooledClusterBackend {
                 token: job.checkpoint_token(),
             });
         let hooks = RunHooks {
-            pool: crew.as_deref(),
+            pool: crew,
             fault: self.injector.as_deref(),
             checkpoint,
         };

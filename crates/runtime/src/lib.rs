@@ -82,7 +82,7 @@ pub use cluster::ClusterOptions;
 pub use error::{RuntimeError, VALID_BACKEND_SPECS};
 pub use fault::{Fault, FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use jobs::{Schedule, ScheduleJob, ScheduleSend};
-pub use pool::{ElasticPool, WorkerPool};
+pub use pool::WorkerPool;
 
 /// Recover a usable guard from a possibly-poisoned mutex: the runtime
 /// must survive a panicking job (the panic is re-raised on the

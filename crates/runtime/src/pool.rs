@@ -16,7 +16,8 @@
 //! on an internal lock (FIFO fairness at this level is provided by the
 //! callers' own admission control; the pool only guarantees mutual
 //! exclusion). Results are unaffected by the pool — cluster execution is
-//! bit-identical for any worker count and any crew lifetime.
+//! bit-identical for any worker count and any crew lifetime, so a pool
+//! keeps the width it was spawned with.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -163,70 +164,6 @@ impl WorkerPool {
     }
 }
 
-/// An elastically resizable crew: a [`WorkerPool`] behind a swap point.
-///
-/// [`WorkerPool`] is deliberately fixed-width — its soundness argument
-/// leans on a crew whose size never changes under a job. Elastic scaling
-/// therefore happens one level up: an `ElasticPool` holds the *current*
-/// crew behind a mutex, and [`resize`](Self::resize) swaps in a freshly
-/// spawned crew of the target width. Executions snapshot the crew
-/// ([`snapshot`](Self::snapshot)) once at run start, so
-///
-/// - in-flight runs keep the crew they started on (the old crew's
-///   threads exit once the last such run drops its `Arc`), and
-/// - results are unaffected by scaling — cluster execution is
-///   bit-identical for any worker count, so growing or shrinking the
-///   crew between queries can never change an answer.
-///
-/// This is the scaling actuator the query orchestration layer drives
-/// from its control loop (via
-/// [`PooledClusterBackend::with_elastic_pool`](crate::PooledClusterBackend::with_elastic_pool)).
-pub struct ElasticPool {
-    current: Mutex<Arc<WorkerPool>>,
-}
-
-impl std::fmt::Debug for ElasticPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ElasticPool")
-            .field("width", &self.width())
-            .finish()
-    }
-}
-
-impl ElasticPool {
-    /// Spawn an elastic pool whose initial crew has `width` workers
-    /// (floored at 1).
-    pub fn new(width: usize) -> Self {
-        ElasticPool {
-            current: Mutex::new(Arc::new(WorkerPool::new(width))),
-        }
-    }
-
-    /// The current crew width.
-    pub fn width(&self) -> usize {
-        lock_ok(&self.current).size()
-    }
-
-    /// The current crew, pinned: runs execute on the snapshot they take,
-    /// unaffected by later resizes.
-    pub fn snapshot(&self) -> Arc<WorkerPool> {
-        Arc::clone(&lock_ok(&self.current))
-    }
-
-    /// Swap in a freshly spawned crew of `width` workers (floored at 1);
-    /// returns the previous width. A no-op when the width is unchanged.
-    /// In-flight runs finish on the crew they snapshotted.
-    pub fn resize(&self, width: usize) -> usize {
-        let width = width.max(1);
-        let mut current = lock_ok(&self.current);
-        let previous = current.size();
-        if width != previous {
-            *current = Arc::new(WorkerPool::new(width));
-        }
-        previous
-    }
-}
-
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
@@ -339,38 +276,5 @@ mod tests {
         let pool = WorkerPool::new(0);
         assert_eq!(pool.size(), 1);
         assert_eq!(pool.run_with(&|_| {}, || 1), 1);
-    }
-
-    #[test]
-    fn elastic_pool_resizes_between_snapshots() {
-        let pool = ElasticPool::new(2);
-        assert_eq!(pool.width(), 2);
-        let old_crew = pool.snapshot();
-        assert_eq!(pool.resize(4), 2);
-        assert_eq!(pool.width(), 4);
-        // The pinned snapshot still works at its original width while the
-        // swapped-in crew serves new runs at the new width.
-        let hits = AtomicUsize::new(0);
-        old_crew.run_with(
-            &|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            },
-            || (),
-        );
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
-        let hits = AtomicUsize::new(0);
-        pool.snapshot().run_with(
-            &|_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            },
-            || (),
-        );
-        assert_eq!(hits.load(Ordering::Relaxed), 4);
-        // Same-width resizes keep the crew; zero floors to one.
-        let same = pool.snapshot();
-        assert_eq!(pool.resize(4), 4);
-        assert!(Arc::ptr_eq(&same, &pool.snapshot()));
-        assert_eq!(pool.resize(0), 4);
-        assert_eq!(pool.width(), 1);
     }
 }

@@ -1,4 +1,4 @@
-//! An orchestration-layer walkthrough: three tenants, an elastic crew,
+//! An orchestration-layer walkthrough: three tenants on one fixed crew,
 //! and a worker killed mid-query that recovers by deterministic replay.
 //!
 //! The serving example showed one shared `QueryService` behind FIFO
@@ -8,9 +8,9 @@
 //!    weights (and one in the `Interactive` priority class) share a
 //!    deliberately small admission capacity, so grants interleave by
 //!    weight instead of arrival order;
-//! 2. **elastic autoscaling** — the worker crew starts at the spec
-//!    minimum and the control loop grows it as the queue builds, logging
-//!    every resize with the full observation it was decided on;
+//! 2. **one fixed crew** — every query replays on the same two-worker
+//!    shared crew; its width changes wall time only, never a row or a
+//!    ledger;
 //! 3. **one plan cache** — the batch tenant serves a PageRank twice:
 //!    the second call is a cache hit that replays the prepared fixpoint;
 //! 4. **fault injection + recovery** — a `FaultPlan` kills a worker at
@@ -25,7 +25,6 @@
 
 use std::time::Instant;
 
-use tamp::query::orchestrator::{decide, Orchestrator, ScalingSpec};
 use tamp::query::prelude::*;
 use tamp::runtime::FaultPlan;
 use tamp::topology::builders;
@@ -65,18 +64,14 @@ fn main() {
         .tenant(TenantSpec::new("batch", 1, 64))
         .tenant(TenantSpec::new("dashboard", 2, 64).with_priority(Priority::Interactive))
         .capacity(2)
-        .scaling(
-            ScalingSpec::new(1, 8)
-                .with_target_queue_depth(3)
-                .with_cooldown(2),
-        )
+        .scaling(ScalingSpec::new(2, 2))
         .checkpoints(1)
         .build()
         .unwrap();
     println!(
-        "orchestrator: capacity {}, crew starts at width {} (elastic 1..=8)\n",
+        "orchestrator: capacity {}, crew {}\n",
         orch.capacity(),
-        orch.pool_width()
+        orch.service().backend().name()
     );
 
     // Serial single-session ground truth for the bit-identity checks.
@@ -179,27 +174,6 @@ fn main() {
         println!(
             "checkpoints: {} saved, {} resumed, {} still parked",
             cp.saved, cp.resumed, cp.retained
-        );
-    }
-
-    // The scaling event log, replayed through the pure control law.
-    let spec = orch.scaling_spec().unwrap();
-    println!(
-        "\nscaling log ({} resizes, crew now {}):",
-        orch.scaling_events().len(),
-        orch.pool_width()
-    );
-    for e in orch.scaling_events() {
-        let replayed = decide(spec, &e.observation);
-        assert_eq!(replayed, (e.decision, e.reason), "scaling log must replay");
-        println!(
-            "  tick {:>3}: width {} queue {} inflight {} -> {:?} ({}) [replays: ok]",
-            e.observation.tick,
-            e.observation.width,
-            e.observation.queue_depth,
-            e.observation.inflight,
-            e.decision,
-            e.reason
         );
     }
 

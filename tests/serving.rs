@@ -141,7 +141,8 @@ fn eight_threads_of_fixpoint_jobs_share_two_cached_plans() {
         .map(|j| j.prepare(&tree).unwrap().run(&tree).unwrap())
         .collect();
 
-    // One orchestrator: its elastic crew is the shared cluster backend.
+    // One orchestrator: its fixed two-worker crew is the shared cluster
+    // backend.
     let orch = Orchestrator::builder(serving_context())
         .tenant(TenantSpec::new("graphs", 1, THREADS).with_priority(Priority::Batch))
         .scaling(ScalingSpec::new(2, 2))
