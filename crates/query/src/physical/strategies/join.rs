@@ -341,20 +341,13 @@ impl PhysicalStrategy for TreePartitionJoin {
                 // ascending order.
                 let small = &small_frags[v.index()];
                 let mut by_dsts: BTreeMap<Vec<NodeId>, Vec<(u32, u32)>> = BTreeMap::new();
-                // One reused key buffer; a destination set is copied
-                // into the map only the first time it is seen.
-                let mut dsts: Vec<NodeId> = Vec::new();
                 for (bi, b) in small.iter().enumerate() {
                     for (r, &key) in b.col(small_key).iter().enumerate() {
-                        dsts.clear();
-                        dsts.extend(hashes.iter().flatten().map(|h| h.pick(key)));
+                        let mut dsts: Vec<NodeId> =
+                            hashes.iter().flatten().map(|h| h.pick(key)).collect();
                         dsts.sort_unstable();
                         dsts.dedup();
-                        let pick = (bi as u32, r as u32);
-                        match by_dsts.get_mut(dsts.as_slice()) {
-                            Some(picks) => picks.push(pick),
-                            None => by_dsts.entry(dsts.clone()).or_default().push(pick),
-                        }
+                        by_dsts.entry(dsts).or_default().push((bi as u32, r as u32));
                     }
                 }
                 for (dsts, picks) in by_dsts {
