@@ -20,11 +20,12 @@
 //!   visited once per rotation, which is the no-starvation guarantee;
 //! - queries within one tenant stay FIFO.
 //!
-//! The [`Orchestrator`](crate::orchestrator::Orchestrator) declares its
-//! tenants; a plain [`QueryService`](crate::service::QueryService)
-//! admits through the same gate with one implicit tenant (weight 1,
-//! unbounded quota) — DRR over a single tenant *is* strict FIFO, so its
-//! tickets are arrival-ordered.
+//! The gate belongs to a [`QueryService`](crate::service::QueryService).
+//! A plain service gives it one implicit tenant (weight 1, unbounded
+//! quota) — DRR over a single tenant *is* strict FIFO, so its tickets
+//! are arrival-ordered; an
+//! [`Orchestrator`](crate::orchestrator::Orchestrator) builds its
+//! service on a gate over the tenants it declares.
 //!
 //! The fairness telemetry is deliberately structural rather than
 //! wall-clock: every grant records how many *other* grants happened
@@ -116,16 +117,25 @@ impl TenantSpec {
     }
 }
 
-/// What [`WeightedAdmission::acquire`] returns once the query is granted.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Grant {
+/// What [`WeightedAdmission::acquire`] returns once the query is granted:
+/// its slot, released on drop even if the query errors or the serving
+/// thread panics.
+pub(crate) struct Grant<'a> {
+    admission: &'a WeightedAdmission,
+    tenant: usize,
     /// Global grant sequence number (the orchestrator's ticket).
-    pub ticket: u64,
+    pub(crate) ticket: u64,
     /// Grants to *other* queries between this query's enqueue and its own
     /// grant — the structural fairness metric (see the module docs).
-    pub waited_grants: u64,
+    pub(crate) waited_grants: u64,
     /// Wall-clock time spent queued.
-    pub queued: Duration,
+    pub(crate) queued: Duration,
+}
+
+impl Drop for Grant<'_> {
+    fn drop(&mut self) {
+        self.admission.release(self.tenant);
+    }
 }
 
 /// One tenant's scheduler state (its [`TenantSpec`] lives beside the
@@ -162,16 +172,13 @@ impl TenantState {
 }
 
 /// Point-in-time per-tenant admission counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TenantAdmission {
-    /// Queries granted so far.
-    pub granted: u64,
+pub(crate) struct TenantAdmission {
     /// Submits rejected at the tenant's quota.
-    pub rejected: u64,
+    pub(crate) rejected: u64,
     /// Queries currently queued.
-    pub queued: usize,
+    pub(crate) queued: usize,
     /// Queries currently executing.
-    pub running: usize,
+    pub(crate) running: usize,
 }
 
 struct SchedState {
@@ -186,9 +193,8 @@ struct SchedState {
     grants_total: u64,
 }
 
-/// The weighted-fair admission gate (crate-internal: the
-/// [`Orchestrator`](crate::orchestrator::Orchestrator) and
-/// [`QueryService`](crate::service::QueryService) are its public faces).
+/// The weighted-fair admission gate (crate-internal: its one owner is a
+/// [`QueryService`](crate::service::QueryService)).
 pub(crate) struct WeightedAdmission {
     capacity: usize,
     /// The tenants' contracts, immutable and in declaration order — a
@@ -196,19 +202,6 @@ pub(crate) struct WeightedAdmission {
     specs: Vec<TenantSpec>,
     state: Mutex<SchedState>,
     cv: Condvar,
-}
-
-/// Releases a granted slot even if the query errors or the serving
-/// thread panics.
-pub(crate) struct SlotGuard<'a> {
-    pub(crate) admission: &'a WeightedAdmission,
-    pub(crate) tenant: usize,
-}
-
-impl Drop for SlotGuard<'_> {
-    fn drop(&mut self) {
-        self.admission.release(self.tenant);
-    }
 }
 
 impl WeightedAdmission {
@@ -261,7 +254,7 @@ impl WeightedAdmission {
 
     /// Block until tenant `i`'s next queued query is granted. Rejects
     /// (without queuing) when the tenant is at quota.
-    pub(crate) fn acquire(&self, i: usize) -> Result<Grant, QueryError> {
+    pub(crate) fn acquire(&self, i: usize) -> Result<Grant<'_>, QueryError> {
         let arrived = Instant::now();
         let mut s = lock_ok(&self.state);
         let spec = &self.specs[i];
@@ -289,6 +282,8 @@ impl WeightedAdmission {
             .remove(&seq)
             .expect("grant recorded a wait for every seq");
         Ok(Grant {
+            admission: self,
+            tenant: i,
             ticket,
             waited_grants,
             queued: Instant::now().saturating_duration_since(arrived),
@@ -296,7 +291,7 @@ impl WeightedAdmission {
     }
 
     /// Release a finished (or failed) query's slot.
-    pub(crate) fn release(&self, i: usize) {
+    fn release(&self, i: usize) {
         let mut s = lock_ok(&self.state);
         s.tenants[i].running = s.tenants[i].running.saturating_sub(1);
         s.running_total = s.running_total.saturating_sub(1);
@@ -388,7 +383,6 @@ impl WeightedAdmission {
         s.tenants
             .iter()
             .map(|t| TenantAdmission {
-                granted: t.granted,
                 rejected: t.rejected,
                 queued: t.queued(),
                 running: t.running,
@@ -420,7 +414,7 @@ mod tests {
 
     #[test]
     fn unknown_tenants_and_quota_overflow_are_rejected() {
-        let adm = WeightedAdmission::new(1, vec![TenantSpec::new("a", 1, 2)]);
+        let adm = Arc::new(WeightedAdmission::new(1, vec![TenantSpec::new("a", 1, 2)]));
         assert!(matches!(
             adm.tenant_index("nobody"),
             Err(QueryError::UnknownTenant(_))
@@ -431,16 +425,15 @@ mod tests {
         let g = adm.acquire(0).unwrap();
         assert_eq!(g.ticket, 0);
         assert_eq!(g.waited_grants, 0);
-        let adm = Arc::new(adm);
         let adm2 = Arc::clone(&adm);
         let waiter = std::thread::spawn(move || adm2.acquire(0).map(|g| g.ticket));
         // Wait until the waiter is queued, then the quota (2) is full.
         while adm.queue_depth() == 0 {
             std::thread::yield_now();
         }
-        let err = adm.acquire(0).unwrap_err();
+        let err = adm.acquire(0).err().expect("the quota is full");
         assert!(matches!(err, QueryError::TenantQueueFull { quota: 2, .. }));
-        adm.release(0);
+        drop(g);
         assert_eq!(waiter.join().unwrap().unwrap(), 1);
     }
 
@@ -467,7 +460,6 @@ mod tests {
                         queued.fetch_add(1, Ordering::SeqCst);
                         let g = adm.acquire(ix).unwrap();
                         order.lock().unwrap().push((tenant, g.waited_grants));
-                        adm.release(ix);
                     });
                 }
             }
@@ -496,7 +488,7 @@ mod tests {
             ],
         ));
         let (fg_ix, bg_ix) = (0, 1);
-        let _hold = adm.acquire(bg_ix).unwrap();
+        let hold = adm.acquire(bg_ix).unwrap();
         let adm_bg = Arc::clone(&adm);
         let bg = std::thread::spawn(move || {
             let g = adm_bg.acquire(bg_ix).unwrap();
@@ -508,16 +500,13 @@ mod tests {
         let adm_fg = Arc::clone(&adm);
         let fg = std::thread::spawn(move || {
             let g = adm_fg.acquire(fg_ix).unwrap();
-            let at = std::time::Instant::now();
-            adm_fg.release(fg_ix);
-            (g.ticket, at)
+            (g.ticket, std::time::Instant::now())
         });
         while adm.queue_depth() < 2 {
             std::thread::yield_now();
         }
-        adm.release(bg_ix); // frees the slot: fg must win it
+        drop(hold); // frees the slot: fg must win it
         let (fg_ticket, fg_at) = fg.join().unwrap();
-        adm.release(bg_ix); // let bg finish
         let (bg_ticket, bg_at) = bg.join().unwrap();
         assert!(fg_ticket < bg_ticket, "interactive granted first");
         assert!(fg_at <= bg_at);

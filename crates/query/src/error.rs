@@ -1,9 +1,8 @@
 //! Error type for query planning and execution.
 
 use std::fmt;
-use std::time::Duration;
 
-use tamp_topology::{EdgeId, NodeId};
+use tamp_runtime::{ExecError, RuntimeError};
 
 /// Errors raised while building schemas, planning or executing queries.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,10 +31,15 @@ pub enum QueryError {
     },
     /// Division by zero during expression evaluation.
     DivideByZero,
-    /// The underlying simulator rejected the execution.
-    Simulator(String),
-    /// The selected execution backend failed or cannot run queries.
-    Backend(String),
+    /// The execution engine failed, with the engine's own typed error:
+    /// a simulator error, a backend spec or schedule the runtime refused,
+    /// an invalid fault target, or a fault that aborted the run. An
+    /// injected kill, a link degradation and a superstep timeout are
+    /// recoverable ([`is_recoverable`](Self::is_recoverable)): the
+    /// orchestration layer replays the deterministic schedule on the
+    /// healthy crew, so they surface only when a query is served without
+    /// a recovery layer.
+    Exec(ExecError),
     /// Plan construction error (e.g. aggregate of a non-existent column).
     Plan(String),
     /// A forced physical strategy name is not registered for the
@@ -53,45 +57,6 @@ pub enum QueryError {
     /// instead of deadlocking the first submit (mirror of the runtime's
     /// `InvalidPoolWidth` fix).
     InvalidAdmissionLimit,
-    /// An injected fault killed the query mid-execution (see
-    /// [`tamp_runtime::FaultPlan`]). The orchestration layer recovers by
-    /// deterministic replay on a healthy crew; this surfaces only when a
-    /// query is served without a recovery layer.
-    FaultInjected {
-        /// The failed compute node.
-        node: NodeId,
-        /// The superstep at which it failed.
-        round: usize,
-    },
-    /// An injected link degradation aborted the query mid-execution. Like
-    /// [`FaultInjected`](Self::FaultInjected) this is recoverable: replay
-    /// (from the last checkpoint, if any) re-executes the deterministic
-    /// schedule. Re-pricing plans for the degraded network is a separate,
-    /// explicit step ([`degrade_link`](crate::service::QueryService::degrade_link)).
-    LinkDegraded {
-        /// The degraded edge.
-        edge: EdgeId,
-        /// The superstep at which the degradation fired.
-        round: usize,
-        /// Bandwidth division factor (> 1 slows the link).
-        factor: f64,
-    },
-    /// A superstep exceeded the configured watchdog deadline. The node is
-    /// the deterministically-attributed straggler (first unreported
-    /// compute node). Recoverable by replay.
-    SuperstepTimeout {
-        /// The straggler.
-        node: NodeId,
-        /// The superstep that timed out.
-        round: usize,
-        /// The configured deadline it exceeded.
-        deadline: Duration,
-    },
-    /// A [`FaultPlan`](tamp_runtime::FaultPlan) named an impossible
-    /// target (router or out-of-range node, unknown edge, non-finite
-    /// degradation factor). Rejected with this typed error instead of
-    /// silently not firing.
-    InvalidFaultTarget(String),
     /// Replay recovery gave up: every one of the policy's
     /// `max_attempts` executions failed with a recoverable fault. Carries
     /// the final attempt's error.
@@ -152,8 +117,14 @@ impl fmt::Display for QueryError {
                 write!(f, "column index {index} out of range for width-{width} row")
             }
             Self::DivideByZero => write!(f, "division by zero"),
-            Self::Simulator(msg) => write!(f, "simulator error: {msg}"),
-            Self::Backend(msg) => write!(f, "execution backend error: {msg}"),
+            Self::Exec(ExecError::Sim(e)) => write!(f, "simulator error: {e}"),
+            Self::Exec(e @ ExecError::Runtime(RuntimeError::ScheduleMismatch { .. })) => {
+                write!(f, "execution backend error: {e}")
+            }
+            Self::Exec(ExecError::Runtime(
+                e @ (RuntimeError::UnknownBackend { .. } | RuntimeError::InvalidPoolWidth { .. }),
+            )) => write!(f, "execution backend error: {e}"),
+            Self::Exec(ExecError::Runtime(e)) => write!(f, "{e}"),
             Self::Plan(msg) => write!(f, "plan error: {msg}"),
             Self::UnknownStrategy {
                 operator,
@@ -173,35 +144,6 @@ impl fmt::Display for QueryError {
             Self::InvalidAdmissionLimit => {
                 write!(f, "max_inflight must be at least 1 (got 0)")
             }
-            Self::FaultInjected { node, round } => {
-                write!(
-                    f,
-                    "injected fault: worker on node {node} killed at superstep {round}"
-                )
-            }
-            Self::LinkDegraded {
-                edge,
-                round,
-                factor,
-            } => {
-                write!(
-                    f,
-                    "injected fault: link {} degraded by {factor}x at superstep {round}",
-                    edge.index()
-                )
-            }
-            Self::SuperstepTimeout {
-                node,
-                round,
-                deadline,
-            } => {
-                write!(
-                    f,
-                    "superstep {round} exceeded the {deadline:?} watchdog deadline \
-                     (straggler: node {node})"
-                )
-            }
-            Self::InvalidFaultTarget(msg) => write!(f, "invalid fault target: {msg}"),
             Self::RecoveryExhausted { attempts, last } => {
                 write!(f, "recovery exhausted after {attempts} attempts: {last}")
             }
@@ -227,67 +169,17 @@ impl fmt::Display for QueryError {
 }
 
 impl QueryError {
-    /// `true` for faults the orchestration layer recovers from by replay:
-    /// injected kills, link degradations and straggler timeouts. Mirrors
-    /// `RuntimeError::is_recoverable`.
+    /// `true` for the engine faults the orchestration layer recovers from
+    /// by replay ([`RuntimeError::is_recoverable`]).
     pub fn is_recoverable(&self) -> bool {
-        matches!(
-            self,
-            QueryError::FaultInjected { .. }
-                | QueryError::LinkDegraded { .. }
-                | QueryError::SuperstepTimeout { .. }
-        )
+        matches!(self, QueryError::Exec(ExecError::Runtime(e)) if e.is_recoverable())
     }
 }
 
 impl std::error::Error for QueryError {}
 
-impl From<tamp_simulator::SimError> for QueryError {
-    fn from(e: tamp_simulator::SimError) -> Self {
-        QueryError::Simulator(e.to_string())
-    }
-}
-
-impl From<tamp_runtime::ExecError> for QueryError {
-    fn from(e: tamp_runtime::ExecError) -> Self {
-        match e {
-            tamp_runtime::ExecError::Sim(e) => QueryError::from(e),
-            // Injected faults keep their typed identity: the orchestration
-            // layer matches on this to trigger replay recovery.
-            tamp_runtime::ExecError::Runtime(tamp_runtime::RuntimeError::InjectedFault {
-                node,
-                round,
-            }) => QueryError::FaultInjected { node, round },
-            tamp_runtime::ExecError::Runtime(tamp_runtime::RuntimeError::LinkDegraded {
-                edge,
-                round,
-                factor,
-            }) => QueryError::LinkDegraded {
-                edge,
-                round,
-                factor,
-            },
-            tamp_runtime::ExecError::Runtime(tamp_runtime::RuntimeError::SuperstepTimeout {
-                node,
-                round,
-                deadline,
-            }) => QueryError::SuperstepTimeout {
-                node,
-                round,
-                deadline,
-            },
-            tamp_runtime::ExecError::Runtime(tamp_runtime::RuntimeError::InvalidFaultTarget {
-                fault,
-            }) => QueryError::InvalidFaultTarget(fault),
-            other => QueryError::Backend(other.to_string()),
-        }
-    }
-}
-
-impl From<tamp_runtime::RuntimeError> for QueryError {
-    fn from(e: tamp_runtime::RuntimeError) -> Self {
-        // Backend selection/config errors (unknown specs, zero-width
-        // pools) surface with their typed runtime message intact.
-        QueryError::Backend(e.to_string())
+impl From<RuntimeError> for QueryError {
+    fn from(e: RuntimeError) -> Self {
+        QueryError::Exec(ExecError::Runtime(e))
     }
 }

@@ -168,7 +168,7 @@ pub(crate) fn run_physical(
     let placement = Placement::empty(catalog.tree());
     let outcome = backend
         .execute(catalog.tree(), &placement, &job)
-        .map_err(QueryError::from)?;
+        .map_err(QueryError::Exec)?;
     // Attribute per-round costs to operators via the recorded marks.
     let mut operator_costs = Vec::with_capacity(ctx.marks.len());
     let mut prev = 0usize;

@@ -760,7 +760,9 @@ impl PreparedIterative {
                     .into(),
             ));
         }
-        let outcome = backend.execute(tree, &Placement::empty(tree), &self.job)?;
+        let outcome = backend
+            .execute(tree, &Placement::empty(tree), &self.job)
+            .map_err(QueryError::Exec)?;
         // Every iteration is `rounds_per_iteration` ledger rounds.
         let mut iterations = self.plans.clone();
         let mut cumulative = 0.0;

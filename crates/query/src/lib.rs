@@ -77,12 +77,12 @@
 //!
 //! The serving stack on top says each thing once, too. A
 //! [`QueryService`] shares one session across client threads behind a
-//! prepared-plan cache and **one admission gate** ([`admission`]:
-//! deficit-weighted round-robin over tenants — with the service's single
-//! implicit tenant that is plain arrival order); the [`Orchestrator`]
-//! declares real tenants on the same gate and adds fault injection and
-//! replay recovery on one fixed worker crew around **one serve loop**
-//! that relational queries and iterative jobs both run through.
+//! prepared-plan cache, **one admission gate** ([`admission`]: weighted
+//! round-robin; one implicit tenant is arrival order) and **one serve loop**
+//! for relational queries and iterative jobs. The [`Orchestrator`] builds
+//! its service on real tenants, one fixed worker crew and fault hooks, so
+//! replay recovery runs in that loop. An engine failure stays the
+//! engine's own typed error, carried as [`QueryError::Exec`].
 //!
 //! Results carry per-operator *estimated vs. metered* cost pairs
 //! ([`QueryResult::operator_costs`]), so planning quality is observable

@@ -3,30 +3,28 @@
 //! plane over [`QueryService`] on one fixed worker crew.
 //!
 //! ```text
-//!        submit(tenant, plan)
+//!        serve_as(tenant, plan) / serve_iterative(tenant, job)
 //!              │
+//!   ┌──────────▼─────────────── QueryService ────────────────────────┐
+//!   │  WeightedAdmission     reject: UnknownTenant / TenantQueueFull │
+//!   │  (DRR over tenants)    grant order: strict priority, then DRR  │
+//!   │        │ grant (ticket, queue time); pin the snapshot          │
+//!   │        ▼                                                       │
+//!   │  plan (cache) → execute ──▶ recoverable fault? replay the      │
+//!   │                             pinned schedule on the healthy     │
+//!   │                             crew, log RecoveryEvent (rows +    │
+//!   │                             edge_totals bit-identical)         │
+//!   └──────────┬─────────────────────────────────────────────────────┘
 //!              ▼
-//!   ┌─────────────────────┐  reject: UnknownTenant / TenantQueueFull
-//!   │  WeightedAdmission   │  grant order: strict priority, then
-//!   │  (DRR over tenants)  │  deficit-weighted round-robin
-//!   └─────────┬───────────┘
-//!             │ grant (ticket, queue time)
-//!             ▼
-//!   ┌─────────────────────┐   FaultInjected error?
-//!   │  QueryService        │──▶ replay the deterministic schedule on
-//!   │  (plan cache + exec) │   the now-healthy crew, log RecoveryEvent
-//!   └─────────┬───────────┘   (rows + edge_totals bit-identical)
-//!             │
-//!             ▼
 //!        ServedQuery + per-tenant stats
 //! ```
 //!
-//! That pipeline exists once: `serve_as` and `serve_iterative` are thin
-//! callers of one private loop and differ only in how they prepare, how
-//! they run one attempt, and what they wrap the result in. The gate at
-//! the top is the serving stack's only one — a plain [`QueryService`]
-//! admits through the same [`crate::admission`] scheduler with a single
-//! implicit tenant.
+//! The orchestrator owns no gate and no serve loop: it declares the
+//! tenants, the crew and the fault hooks and builds its [`QueryService`]
+//! on them. `serve_as`, `serve_iterative` and that service's own
+//! [`serve`](QueryService::serve) (the first declared tenant) run the
+//! service's one loop and differ only in how they prepare, how they run
+//! one attempt, and what they wrap the result in.
 //!
 //! The crew is fixed for the orchestrator's lifetime
 //! ([`PooledClusterBackend::with_shared_pool`]): a round's price
@@ -43,11 +41,12 @@
 //!   per queued position — a structural bound, asserted by tests, that
 //!   no adversarial burst can break.
 //! - **Bit-identical recovery.** Queries compile to deterministic
-//!   exchange schedules, so after an injected fault
-//!   ([`FaultPlan`] → typed
-//!   [`QueryError::FaultInjected`]) the orchestrator simply re-executes
-//!   the schedule on the (auto-disarmed, hence healthy) crew: rows *and*
-//!   metered `edge_totals` equal the fault-free run by construction.
+//!   exchange schedules, so after an injected fault ([`FaultPlan`] → a
+//!   recoverable [`QueryError::Exec`], such as
+//!   [`RuntimeError::InjectedFault`](tamp_runtime::RuntimeError::InjectedFault))
+//!   the service simply re-executes the schedule on the (auto-disarmed,
+//!   hence healthy) crew: rows *and* metered `edge_totals` equal the
+//!   fault-free run by construction.
 //!
 //! # Serving three tenants
 //!
@@ -83,23 +82,20 @@
 
 pub mod chaos;
 
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use tamp_runtime::{
-    CheckpointSpec, CheckpointStats, CheckpointStore, FaultEvent, FaultInjector, FaultKind,
-    FaultPlan, PooledClusterBackend, RuntimeError,
+    CheckpointSpec, CheckpointStats, CheckpointStore, FaultEvent, FaultInjector, FaultPlan,
+    PooledClusterBackend,
 };
-use tamp_topology::{EdgeId, Tree};
 
-use crate::admission::{Priority, SlotGuard, TenantSpec, WeightedAdmission};
+use crate::admission::{Priority, TenantSpec, WeightedAdmission};
 use crate::context::QueryContext;
 use crate::error::QueryError;
-use crate::exec::QueryResult;
 use crate::iterative::{IterativeJob, IterativeOutcome};
-use crate::lock_ok;
 use crate::plan::LogicalPlan;
-use crate::service::{QueryService, ServedQuery, ServiceStats, Snapshot};
+use crate::service::{QueryService, Recovery, ServedQuery, ServiceStats};
 
 /// The orchestrator's crew width: `ScalingSpec::new(w, w)` serves on a
 /// fixed crew of `w` workers. The crew never resizes, so a spec whose
@@ -256,98 +252,21 @@ pub struct TenantStats {
     pub max_waited_grants: u64,
 }
 
-/// Queue waits in a fixed log-bucket histogram: four buckets per power
-/// of two of microseconds (a reported quantile is within 25 % of the
-/// exact one), constant memory however many queries are served.
-struct WaitHistogram {
-    counts: [u64; WaitHistogram::BUCKETS],
-    total: u64,
-}
-
-impl Default for WaitHistogram {
-    fn default() -> Self {
-        WaitHistogram {
-            counts: [0; WaitHistogram::BUCKETS],
-            total: 0,
-        }
-    }
-}
-
-impl WaitHistogram {
-    /// `bucket(u64::MAX) + 1`.
-    const BUCKETS: usize = 252;
-
-    /// 0‥3 µs map to themselves; above, the octave `e = ⌊log2 us⌋` and
-    /// the two bits below its leading one pick the bucket.
-    fn bucket(us: u64) -> usize {
-        if us < 4 {
-            return us as usize;
-        }
-        let e = 63 - us.leading_zeros() as usize;
-        ((e - 1) << 2) | ((us >> (e - 2)) & 3) as usize
-    }
-
-    /// The smallest wait that lands in bucket `b` (inverse of `bucket`).
-    fn floor_of(b: usize) -> u64 {
-        if b < 4 {
-            return b as u64;
-        }
-        (4 | (b as u64 & 3)) << ((b >> 2) - 1)
-    }
-
-    fn record(&mut self, wait: Duration) {
-        self.counts[Self::bucket(wait.as_micros() as u64)] += 1;
-        self.total += 1;
-    }
-
-    /// `p`-th percentile (nearest-rank on the inclusive index scale, as
-    /// the floor of its bucket; zero for an empty histogram).
-    fn percentile(&self, p: u64) -> Duration {
-        let rank = self.total.saturating_sub(1) * p / 100;
-        let mut seen = 0;
-        for (b, &n) in self.counts.iter().enumerate() {
-            seen += n;
-            if seen > rank {
-                return Duration::from_micros(Self::floor_of(b));
-            }
-        }
-        Duration::ZERO
-    }
-}
-
-/// Per-tenant timing accumulators (wall-clock side of [`TenantStats`]).
-#[derive(Default)]
-struct TenantTimings {
-    queue: WaitHistogram,
-    plan: Duration,
-    exec: Duration,
-    served: u64,
-    recovered: u64,
-    timeouts: u64,
-    supersteps_skipped: u64,
-    cache_hits: u64,
-    iteration_limits: u64,
-    max_waited_grants: u64,
-}
-
 /// The orchestration control plane. Build one with
 /// [`Orchestrator::builder`]; see the [module docs](self) for the
 /// control-flow diagram and guarantees.
 pub struct Orchestrator {
+    /// The service on the tenants' gate, with replay recovery.
     service: QueryService,
-    admission: WeightedAdmission,
     injector: Arc<FaultInjector>,
     checkpoints: Option<Arc<CheckpointStore>>,
-    retry: RetryPolicy,
-    timings: Mutex<Vec<TenantTimings>>,
-    recoveries: Mutex<Vec<RecoveryEvent>>,
 }
 
 impl std::fmt::Debug for Orchestrator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Orchestrator")
-            .field("tenants", &self.admission.specs().len())
-            .field("capacity", &self.admission.capacity())
+            .field("tenants", &self.service.admission.specs().len())
+            .field("capacity", &self.capacity())
             .field("backend", &self.service.backend().name())
             .finish()
     }
@@ -369,12 +288,6 @@ impl OrchestratorBuilder {
     /// Declare one tenant (builder-style).
     pub fn tenant(mut self, spec: TenantSpec) -> Self {
         self.tenants.push(spec);
-        self
-    }
-
-    /// Declare many tenants at once.
-    pub fn tenants(mut self, specs: impl IntoIterator<Item = TenantSpec>) -> Self {
-        self.tenants.extend(specs);
         self
     }
 
@@ -409,7 +322,8 @@ impl OrchestratorBuilder {
 
     /// Arm the superstep watchdog: a superstep exceeding `deadline`
     /// aborts with a recoverable
-    /// [`QueryError::SuperstepTimeout`] naming the straggler, which the
+    /// [`RuntimeError::SuperstepTimeout`](tamp_runtime::RuntimeError::SuperstepTimeout)
+    /// naming the straggler, which the
     /// recovery loop replays and [`TenantStats::timeouts`] counts.
     pub fn superstep_deadline(mut self, deadline: Duration) -> Self {
         self.superstep_deadline = Some(deadline);
@@ -418,7 +332,8 @@ impl OrchestratorBuilder {
 
     /// Validate every spec and assemble the orchestrator: a
     /// [`FaultInjector`], a [`PooledClusterBackend`] on one fixed shared
-    /// crew wired to it, and a [`QueryService`] over that backend.
+    /// crew wired to it, and a [`QueryService`] over that backend that
+    /// admits through the tenants' gate and recovers by replay.
     pub fn build(self) -> Result<Orchestrator, QueryError> {
         if self.tenants.is_empty() {
             return Err(QueryError::InvalidTenantSpec(
@@ -448,24 +363,22 @@ impl OrchestratorBuilder {
         let mut backend = PooledClusterBackend::with_shared_pool(width)
             .with_fault_injector(Arc::clone(&injector));
         backend.options.superstep_deadline = self.superstep_deadline;
-        let checkpoints = self.checkpoint_every.map(|every| {
-            (
-                Arc::new(CheckpointStore::new()),
-                CheckpointSpec::every(every),
-            )
-        });
-        if let Some((store, spec)) = &checkpoints {
-            backend = backend.with_checkpoints(Arc::clone(store), *spec);
+        let checkpoints = self
+            .checkpoint_every
+            .map(|_| Arc::new(CheckpointStore::new()));
+        if let (Some(store), Some(every)) = (&checkpoints, self.checkpoint_every) {
+            backend = backend.with_checkpoints(Arc::clone(store), CheckpointSpec::every(every));
         }
-        let n_tenants = self.tenants.len();
-        Ok(Orchestrator {
-            service: QueryService::new(self.ctx, Arc::new(backend)),
-            admission: WeightedAdmission::new(capacity, self.tenants),
-            injector,
-            checkpoints: checkpoints.map(|(store, _)| store),
+        let mut service = QueryService::new(self.ctx, Arc::new(backend))
+            .with_gate(WeightedAdmission::new(capacity, self.tenants));
+        service.recovery = Some(Recovery {
             retry: RetryPolicy::new(self.retry.max_attempts),
-            timings: Mutex::new((0..n_tenants).map(|_| TenantTimings::default()).collect()),
-            recoveries: Mutex::new(Vec::new()),
+            injector: Arc::clone(&injector),
+        });
+        Ok(Orchestrator {
+            service,
+            injector,
+            checkpoints,
         })
     }
 }
@@ -492,13 +405,8 @@ impl Orchestrator {
     /// Results are bit-identical (rows **and** metered `edge_totals`) to
     /// a fault-free single-session execution of the same plan.
     pub fn serve_as(&self, tenant: &str, plan: &LogicalPlan) -> Result<ServedQuery, QueryError> {
-        let (result, stats) = self.serve_with(
-            tenant,
-            |pinned| self.service.plan_on(pinned, plan),
-            |pinned, cached| self.service.run_plan(pinned, cached),
-            |result: &QueryResult| (result.supersteps, result.resumed_from),
-        )?;
-        Ok(ServedQuery { result, stats })
+        let tenant = self.service.admission.tenant_index(tenant)?;
+        self.service.serve_plan(tenant, plan)
     }
 
     /// Serve one iterative fixpoint job (see [`crate::iterative`]) on
@@ -522,139 +430,14 @@ impl Orchestrator {
         tenant: &str,
         job: &IterativeJob,
     ) -> Result<ServedIterative, QueryError> {
-        let backend = self.service.backend();
-        let (outcome, stats) = self.serve_with(
-            tenant,
-            |pinned| self.service.prepare_fixpoint_on(pinned, job),
-            |pinned, prepared| prepared.run_on(pinned.ctx.tree(), backend),
+        let service = &self.service;
+        let (outcome, stats) = service.serve_with(
+            service.admission.tenant_index(tenant)?,
+            |pinned| service.prepare_fixpoint_on(pinned, job),
+            |pinned, prepared| prepared.run_on(pinned.ctx.tree(), service.backend()),
             |outcome: &IterativeOutcome| (outcome.supersteps, outcome.resumed_from),
         )?;
         Ok(ServedIterative { outcome, stats })
-    }
-
-    /// The one serve loop behind [`serve_as`](Self::serve_as) and
-    /// [`serve_iterative`](Self::serve_iterative) — the module-docs
-    /// diagram, top to bottom: admit → fairness stat → pin →
-    /// `prepare` → `attempt` until it succeeds, a non-recoverable error
-    /// ends it, or the [`RetryPolicy`] is exhausted → patch the replay
-    /// bookkeeping (`replay_of` reads `(supersteps, resumed_from)` off the
-    /// result) → roll up timings.
-    ///
-    /// The serving generation is pinned **once**: `prepare` and every
-    /// `attempt` get the same [`Snapshot`], so each retry replays the
-    /// same deterministic schedule on the same tree and catalog — and a
-    /// checkpointed ledger resumes against the weights it was built on —
-    /// even if a concurrent `register` / `degrade_link` swaps the serving
-    /// generation mid-recovery. `prepare` also reports whether its plan
-    /// came from the cache.
-    fn serve_with<P, T>(
-        &self,
-        tenant: &str,
-        prepare: impl FnOnce(&Snapshot) -> Result<(P, bool), QueryError>,
-        mut attempt: impl FnMut(&Snapshot, &P) -> Result<T, QueryError>,
-        replay_of: impl FnOnce(&T) -> (usize, Option<usize>),
-    ) -> Result<(T, ServiceStats), QueryError> {
-        let tenant_ix = self.admission.tenant_index(tenant)?;
-        let grant = self.admission.acquire(tenant_ix)?;
-        let _slot = SlotGuard {
-            admission: &self.admission,
-            tenant: tenant_ix,
-        };
-        {
-            // The structural fairness metric: grants to other queries
-            // between this one's enqueue and its own grant.
-            let t = &mut lock_ok(&self.timings)[tenant_ix];
-            t.max_waited_grants = t.max_waited_grants.max(grant.waited_grants);
-        }
-
-        let pinned = self.service.snapshot();
-        // Whatever ends the query early also drops any fault plan still
-        // armed for it, instead of leaking it into the next, unrelated
-        // execution.
-        let fail = |e: QueryError| {
-            self.injector.clear_armed();
-            Err(e)
-        };
-        let planning = Instant::now();
-        let (prepared, cache_hit) = match prepare(&pinned) {
-            Ok(p) => p,
-            Err(e) => {
-                if matches!(e, QueryError::IterationLimit { .. }) {
-                    lock_ok(&self.timings)[tenant_ix].iteration_limits += 1;
-                }
-                return fail(e);
-            }
-        };
-        let plan = planning.elapsed();
-
-        let mut attempts = 1u32;
-        let (output, exec) = loop {
-            let executing = Instant::now();
-            let e = match attempt(&pinned, &prepared) {
-                Ok(output) => break (output, executing.elapsed()),
-                Err(e) if e.is_recoverable() => e,
-                Err(e) => return fail(e),
-            };
-            if matches!(e, QueryError::SuperstepTimeout { .. }) {
-                lock_ok(&self.timings)[tenant_ix].timeouts += 1;
-            }
-            lock_ok(&self.recoveries).push(RecoveryEvent {
-                tenant: tenant.to_string(),
-                ticket: grant.ticket,
-                fault: fault_event_of(&e, pinned.ctx.tree()),
-                attempt: attempts,
-                resumed_from: None,
-                replayed_supersteps: None,
-                skipped_supersteps: 0,
-            });
-            if attempts >= self.retry.max_attempts {
-                // Total loss (or an adversarial re-arming loop): give up
-                // with a typed error after exactly `max_attempts`
-                // executions.
-                return fail(QueryError::RecoveryExhausted {
-                    attempts,
-                    last: Box::new(e),
-                });
-            }
-            // The faulted run consumed its armed plan (FIFO one-shot), so
-            // this replay sees the next armed plan if the chaos schedule
-            // re-armed, or a healthy crew.
-            attempts += 1;
-        };
-
-        let mut skipped = 0;
-        if attempts > 1 {
-            // Patch the replay bookkeeping onto this query's last fault
-            // event, now that the successful attempt is known.
-            let (supersteps, resumed_from) = replay_of(&output);
-            skipped = resumed_from.unwrap_or(0);
-            let mut recs = lock_ok(&self.recoveries);
-            if let Some(last) = recs
-                .iter_mut()
-                .rev()
-                .find(|r| r.ticket == grant.ticket && r.tenant == tenant)
-            {
-                last.resumed_from = resumed_from;
-                last.replayed_supersteps = Some(supersteps - skipped);
-                last.skipped_supersteps = skipped;
-            }
-        }
-        let t = &mut lock_ok(&self.timings)[tenant_ix];
-        t.served += 1;
-        t.recovered += u64::from(attempts > 1);
-        t.supersteps_skipped += skipped as u64;
-        t.cache_hits += u64::from(cache_hit);
-        t.queue.record(grant.queued);
-        t.plan += plan;
-        t.exec += exec;
-        let stats = ServiceStats {
-            ticket: grant.ticket,
-            queued: grant.queued,
-            plan,
-            exec,
-            cache_hit,
-        };
-        Ok((output, stats))
     }
 
     /// Arm a [`FaultPlan`] for the next query execution. Plans queue
@@ -664,24 +447,12 @@ impl Orchestrator {
     /// The plan is validated against the serving topology first — a
     /// kill/stall naming a router or out-of-range node, or a degrade
     /// naming an unknown edge, is a typed
-    /// [`QueryError::InvalidFaultTarget`], never a silent no-op.
+    /// [`RuntimeError::InvalidFaultTarget`](tamp_runtime::RuntimeError::InvalidFaultTarget),
+    /// never a silent no-op.
     pub fn inject_faults(&self, plan: FaultPlan) -> Result<(), QueryError> {
-        plan.validate(self.service.context().tree())
-            .map_err(|e| match e {
-                RuntimeError::InvalidFaultTarget { fault } => QueryError::InvalidFaultTarget(fault),
-                other => QueryError::Backend(other.to_string()),
-            })?;
+        plan.validate(self.service.context().tree())?;
         self.injector.arm(plan);
         Ok(())
-    }
-
-    /// Degrade one link of the serving topology (divide both directed
-    /// bandwidths of `edge` by `factor`): plan-cache invalidation via the
-    /// topology fingerprint, catalog version bump, re-pricing on every
-    /// subsequent query — see
-    /// [`QueryService::degrade_link`]. Returns the new catalog version.
-    pub fn degrade_link(&self, edge: EdgeId, factor: f64) -> Result<u64, QueryError> {
-        self.service.degrade_link(edge, factor)
     }
 
     /// Checkpoint counters (saved/resumed/retained), when checkpointing
@@ -697,21 +468,24 @@ impl Orchestrator {
 
     /// Every replay recovery, in arrival order.
     pub fn recovery_events(&self) -> Vec<RecoveryEvent> {
-        lock_ok(&self.recoveries).clone()
+        self.service.recovery_events()
     }
 
     /// Global concurrent-queries bound.
     pub fn capacity(&self) -> usize {
-        self.admission.capacity()
+        self.service.admission.capacity()
     }
 
     /// Queries currently queued across all tenants.
     pub fn queue_depth(&self) -> usize {
-        self.admission.queue_depth()
+        self.service.admission.queue_depth()
     }
 
     /// The underlying serving layer (plan cache, catalog versioning,
-    /// `register` / `register_strategy`).
+    /// `register` / `register_strategy`). It admits through the
+    /// orchestrator's gate and recovers like it: its
+    /// [`serve`](QueryService::serve) is the first declared tenant's
+    /// [`serve_as`](Self::serve_as).
     pub fn service(&self) -> &QueryService {
         &self.service
     }
@@ -719,64 +493,7 @@ impl Orchestrator {
     /// Per-tenant serving report, in declaration order: queue/plan/exec
     /// timings, p50/p99 queue time, fairness and recovery counters.
     pub fn stats(&self) -> Vec<TenantStats> {
-        let admission = self.admission.tenant_admission();
-        let timings = lock_ok(&self.timings);
-        self.admission
-            .specs()
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let adm = &admission[i];
-                let t = &timings[i];
-                TenantStats {
-                    tenant: spec.name.clone(),
-                    weight: spec.weight,
-                    priority: spec.priority,
-                    served: t.served,
-                    rejected: adm.rejected,
-                    recovered: t.recovered,
-                    timeouts: t.timeouts,
-                    supersteps_skipped: t.supersteps_skipped,
-                    cache_hits: t.cache_hits,
-                    iteration_limits: t.iteration_limits,
-                    queued_now: adm.queued,
-                    running_now: adm.running,
-                    queue_p50: t.queue.percentile(50),
-                    queue_p99: t.queue.percentile(99),
-                    plan_total: t.plan,
-                    exec_total: t.exec,
-                    max_waited_grants: t.max_waited_grants,
-                }
-            })
-            .collect()
-    }
-}
-
-/// Translate a recoverable [`QueryError`] into the [`FaultEvent`]
-/// recorded on its [`RecoveryEvent`]. Degradations attribute the deeper
-/// endpoint of the edge, matching the runtime's own fired-event log.
-fn fault_event_of(e: &QueryError, tree: &Tree) -> FaultEvent {
-    match *e {
-        QueryError::FaultInjected { node, round } => FaultEvent {
-            node,
-            round,
-            kind: FaultKind::WorkerKilled,
-        },
-        QueryError::LinkDegraded {
-            edge,
-            round,
-            factor,
-        } => FaultEvent {
-            node: tree.deeper_endpoint(edge),
-            round,
-            kind: FaultKind::LinkDegraded { edge, factor },
-        },
-        QueryError::SuperstepTimeout { node, round, .. } => FaultEvent {
-            node,
-            round,
-            kind: FaultKind::Straggler,
-        },
-        _ => unreachable!("fault_event_of is only called on recoverable errors"),
+        self.service.tenant_stats()
     }
 }
 
@@ -786,7 +503,8 @@ mod tests {
     use crate::plan::AggFunc;
     use crate::schema::Schema;
     use crate::table::DistributedTable;
-    use tamp_topology::{builders, NodeId};
+    use tamp_runtime::{ExecError, FaultKind, RuntimeError};
+    use tamp_topology::{builders, EdgeId, NodeId};
 
     fn ctx() -> QueryContext {
         let tree = builders::star(4, 1.0);
@@ -861,6 +579,88 @@ mod tests {
     }
 
     #[test]
+    fn the_service_admits_through_the_orchestrators_one_gate() {
+        let orch = Orchestrator::builder(ctx())
+            .tenant(TenantSpec::new("a", 1, 4))
+            .tenant(TenantSpec::new("b", 1, 4))
+            .capacity(1)
+            .build()
+            .unwrap();
+        assert_eq!(
+            orch.service().admission_stats().max_inflight,
+            orch.capacity()
+        );
+        // `service().serve` is the first tenant's `serve_as`: one ticket
+        // sequence, one count of admissions, one set of tenant rows.
+        let first = orch.service().serve(&query()).unwrap();
+        let second = orch.serve_as("b", &query()).unwrap();
+        assert_eq!((first.stats.ticket, second.stats.ticket), (0, 1));
+        assert_eq!(orch.service().admission_stats().admitted, 2);
+        let stats = orch.stats();
+        assert_eq!((stats[0].served, stats[1].served), (1, 1));
+        // … and it recovers like `serve_as`: an armed kill is replayed,
+        // not returned.
+        let victim = orch.service().context().tree().compute_nodes()[1];
+        orch.inject_faults(FaultPlan::new().kill_worker(victim, 0))
+            .unwrap();
+        let recovered = orch.service().serve(&query()).unwrap();
+        assert_eq!(recovered.result.rows(false), first.result.rows(false));
+        let recs = orch.recovery_events();
+        assert_eq!((recs.len(), recs[0].tenant.as_str()), (1, "a"));
+        assert_eq!(orch.stats()[0].recovered, 1);
+    }
+
+    #[test]
+    fn recovery_events_attribute_each_fault_as_the_fired_log_does() {
+        // Two racks of two: EdgeId(0) is a rack's core uplink, so the
+        // degrade's node is a router, the edge's deeper endpoint.
+        let tree = builders::rack_tree(&[(2, 1.0, 2.0), (2, 1.0, 2.0)], 1.0);
+        let mut ctx = QueryContext::new(tree.clone()).with_seed(5);
+        let rows: Vec<Vec<u64>> = (0..80).map(|i| vec![i, i % 4, i * 7 % 90]).collect();
+        let schema = Schema::new(vec!["id", "g", "x"]).unwrap();
+        ctx.register(DistributedTable::round_robin("t", schema, rows, &tree))
+            .unwrap();
+        let orch = Orchestrator::builder(ctx)
+            .tenant(TenantSpec::new("a", 1, 4))
+            .superstep_deadline(Duration::from_millis(100))
+            .build()
+            .unwrap();
+        let (victim, uplink) = (tree.compute_nodes()[1], EdgeId(0));
+        let router = tree.deeper_endpoint(uplink);
+        assert!(!tree.is_compute(router));
+        let plans = [
+            FaultPlan::new().kill_worker(victim, 0),
+            FaultPlan::new().degrade_edge(uplink, 0, 4.0),
+            FaultPlan::new().stall_worker(victim, 0, Duration::from_millis(400)),
+        ];
+        for plan in plans {
+            orch.inject_faults(plan).unwrap();
+            orch.serve_as("a", &query()).unwrap();
+        }
+        let event = |node, kind| FaultEvent {
+            node,
+            round: 0,
+            kind,
+        };
+        let degraded = FaultKind::LinkDegraded {
+            edge: uplink,
+            factor: 4.0,
+        };
+        let fired = orch.fault_events();
+        assert_eq!(
+            fired,
+            [
+                event(victim, FaultKind::WorkerKilled),
+                event(router, degraded),
+                event(victim, FaultKind::Straggler),
+            ]
+        );
+        let recovered: Vec<FaultEvent> = orch.recovery_events().iter().map(|r| r.fault).collect();
+        assert_eq!(recovered, fired);
+        assert_eq!(orch.stats()[0].timeouts, 1);
+    }
+
+    #[test]
     fn injected_faults_recover_bit_identically_and_are_logged() {
         let orch = Orchestrator::builder(ctx())
             .tenant(TenantSpec::new("a", 1, 4))
@@ -911,7 +711,13 @@ mod tests {
         let err = orch
             .inject_faults(FaultPlan::new().kill_worker(hub, 0))
             .unwrap_err();
-        assert!(matches!(err, QueryError::InvalidFaultTarget(_)), "{err}");
+        assert!(
+            matches!(
+                err,
+                QueryError::Exec(ExecError::Runtime(RuntimeError::InvalidFaultTarget { .. }))
+            ),
+            "{err}"
+        );
         assert!(err.to_string().contains("router"), "{err}");
         // Nothing was armed: the next serve runs fault-free.
         let served = orch.serve_as("a", &query()).unwrap();
@@ -938,7 +744,10 @@ mod tests {
         match err {
             QueryError::RecoveryExhausted { attempts, last } => {
                 assert_eq!(attempts, 3);
-                assert!(matches!(*last, QueryError::FaultInjected { .. }));
+                assert!(matches!(
+                    *last,
+                    QueryError::Exec(ExecError::Runtime(RuntimeError::InjectedFault { .. }))
+                ));
             }
             other => panic!("expected RecoveryExhausted, got {other:?}"),
         }
@@ -1063,46 +872,6 @@ mod tests {
     }
 
     #[test]
-    fn wait_histogram_is_constant_size_and_within_one_bucket_of_exact() {
-        // Bucket arithmetic: contiguous, monotone, and `floor_of` is the
-        // inverse of `bucket` over the whole `u64` range.
-        assert_eq!(WaitHistogram::bucket(u64::MAX) + 1, WaitHistogram::BUCKETS);
-        for b in 0..WaitHistogram::BUCKETS {
-            let lo = WaitHistogram::floor_of(b);
-            assert_eq!(WaitHistogram::bucket(lo), b);
-            assert!(b == 0 || WaitHistogram::bucket(lo - 1) == b - 1);
-        }
-        let mut h = WaitHistogram::default();
-        assert_eq!(h.percentile(99), Duration::ZERO);
-        // 1M waits from a seeded LCG, log-uniform over ~1 µs‥1 s: the
-        // structure is a fixed array (no heap, same size before and
-        // after), and every reported quantile sits within one bucket of
-        // the exact nearest-rank one.
-        let before = std::mem::size_of_val(&h);
-        let mut exact = Vec::with_capacity(1_000_000);
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for _ in 0..1_000_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let us = (x >> 33) >> ((x >> 8) % 30);
-            h.record(Duration::from_micros(us));
-            exact.push(us);
-        }
-        assert_eq!(std::mem::size_of_val(&h), before);
-        assert_eq!(h.total, 1_000_000);
-        exact.sort_unstable();
-        for p in [0, 50, 90, 99, 100] {
-            let want = exact[(exact.len() - 1) * p as usize / 100];
-            let got = h.percentile(p).as_micros() as u64;
-            let (wb, gb) = (WaitHistogram::bucket(want), WaitHistogram::bucket(got));
-            assert!(wb.abs_diff(gb) <= 1, "p{p}: exact {want} vs reported {got}");
-            assert!(got <= want, "a quantile is reported as its bucket's floor");
-        }
-        assert!(h.percentile(50) <= h.percentile(99));
-    }
-
-    #[test]
     fn every_attempt_runs_on_the_generation_pinned_at_admission() {
         // Drive the shared loop with an attempt that swaps the serving
         // generation — a `degrade_link` re-weights the live tree — and
@@ -1118,18 +887,20 @@ mod tests {
         let victim = orch.service().context().tree().compute_nodes()[0];
         let mut seen = Vec::new();
         let (attempts, stats) = orch
+            .service
             .serve_with(
-                "a",
+                0,
                 |pinned| Ok((pinned.ctx.tree().fingerprint(), false)),
                 |pinned, prepared_on| {
                     seen.push(pinned.ctx.tree().fingerprint());
                     assert_eq!(seen.last(), Some(prepared_on));
                     if seen.len() == 1 {
-                        orch.degrade_link(EdgeId(0), 4.0).unwrap();
-                        return Err(QueryError::FaultInjected {
+                        orch.service().degrade_link(EdgeId(0), 4.0).unwrap();
+                        return Err(RuntimeError::InjectedFault {
                             node: victim,
                             round: 0,
-                        });
+                        }
+                        .into());
                     }
                     Ok(seen.len())
                 },

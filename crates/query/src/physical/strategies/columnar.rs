@@ -334,7 +334,7 @@ pub(crate) fn fold_groups(
     agg: AggFunc,
     lift: bool,
 ) -> BatchFragments {
-    let (mut pairs, mut lens) = (Vec::new(), Vec::with_capacity(segments.len()));
+    let mut lens = Vec::with_capacity(segments.len());
     for batches in segments {
         for b in batches {
             let pairs = b.col(group).iter().zip(b.col(measure));
@@ -344,13 +344,13 @@ pub(crate) fn fold_groups(
                 pairs.for_each(|(&g, &m)| table.merge(agg, g, m));
             }
         }
-        lens.push(table.drain_sorted(|sorted| {
-            pairs.extend_from_slice(sorted);
-            sorted.len()
-        }));
+        lens.push(table.seal_sorted());
     }
-    let col = |c: usize| pairs.iter().map(|e| [e.0, e.1][c]).collect();
-    let cols: [Arc<[Value]>; 2] = [col(0), col(1)];
+    // Every segment's pairs sit sealed in the table, back to back.
+    let cols: [Arc<[Value]>; 2] = table.drain_sorted(|pairs| {
+        let col = |c: usize| pairs.iter().map(|e| [e.0, e.1][c]).collect();
+        [col(0), col(1)]
+    });
     let out = views(&cols, lens).map(|b| b.into_iter().collect());
     out.collect()
 }

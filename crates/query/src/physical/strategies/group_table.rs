@@ -23,10 +23,15 @@ pub(crate) struct KeyTable<V> {
     slots: Vec<u32>,
     /// `(key, value)` pairs in id order.
     entries: Vec<(u64, V)>,
+    /// Where the open segment starts: entries before it were sealed and
+    /// no slot refers to them.
+    sealed: usize,
 }
 
-/// One table serves every node of a trace: it is emptied between nodes,
-/// never reallocated.
+/// One table serves every node of a trace: `fold_groups` seals one
+/// segment per node ([`seal_sorted`](KeyTable::seal_sorted)) and fills
+/// its output columns from the entry list; the slots are emptied between
+/// nodes, never reallocated.
 pub(crate) type GroupTable = KeyTable<u64>;
 
 impl<V> KeyTable<V> {
@@ -34,6 +39,7 @@ impl<V> KeyTable<V> {
         KeyTable {
             slots: vec![VACANT; 16],
             entries: Vec::new(),
+            sealed: 0,
         }
     }
 
@@ -84,12 +90,12 @@ impl<V> KeyTable<V> {
         assert!(self.entries.len() < VACANT as usize, "key table full");
         self.slots[slot] = self.entries.len() as u32;
         self.entries.push((key, fresh));
-        if self.entries.len() * 2 > self.slots.len() {
+        if (self.entries.len() - self.sealed) * 2 > self.slots.len() {
             let doubled = self.slots.len() * 2;
             self.slots.clear();
             self.slots.resize(doubled, VACANT);
             // Distinct keys, so each probe ends on a vacancy.
-            for e in 0..self.entries.len() {
+            for e in self.sealed..self.entries.len() {
                 let slot = self.probe(self.entries[e].0);
                 self.slots[slot] = e as u32;
             }
@@ -101,13 +107,25 @@ impl<V> KeyTable<V> {
         self.entries.iter_mut().map(|e| &mut e.1)
     }
 
-    /// Hand `f` the entries in ascending key order, then empty the table,
-    /// keeping its allocations for the next node.
+    /// Sort the open segment's entries in ascending key order and seal
+    /// them: they stay in the entry list, the slots forget them, and the
+    /// next key opens a new segment. Returns the sealed segment's length.
+    pub(crate) fn seal_sorted(&mut self) -> usize {
+        self.entries[self.sealed..].sort_unstable_by_key(|e| e.0);
+        let len = self.entries.len() - self.sealed;
+        self.sealed = self.entries.len();
+        self.slots.fill(VACANT);
+        len
+    }
+
+    /// Seal the open segment, hand `f` every segment's entries back to
+    /// back, then empty the table, keeping its allocations for the next
+    /// node.
     pub(crate) fn drain_sorted<R>(&mut self, f: impl FnOnce(&[(u64, V)]) -> R) -> R {
-        self.entries.sort_unstable_by_key(|e| e.0);
+        self.seal_sorted();
         let out = f(&self.entries);
         self.entries.clear();
-        self.slots.fill(VACANT);
+        self.sealed = 0;
         out
     }
 }
@@ -272,6 +290,25 @@ mod tests {
         assert!(table.slots.len() <= 32, "{}", table.slots.len());
         let want: Vec<(u64, u32)> = (0..8).map(|k| (k, 12_500)).collect();
         assert_eq!(table.entries, want);
+    }
+
+    #[test]
+    fn sealed_segments_drain_back_to_back_each_sorted() {
+        let mut table = GroupTable::new();
+        // Key 7 in both segments: the second must not see the first's.
+        for (g, m) in [(7, 1), (3, 2), (7, 4)] {
+            table.merge(AggFunc::Sum, g, m);
+        }
+        assert_eq!(table.seal_sorted(), 2);
+        assert_eq!(table.seal_sorted(), 0);
+        for g in (0..40).rev() {
+            table.merge(AggFunc::Sum, g % 20 + 5, 1);
+        }
+        assert_eq!(table.seal_sorted(), 20);
+        let mut want = vec![(3, 2), (7, 5)];
+        want.extend((5..25).map(|g| (g, 2)));
+        assert_eq!(table.drain_sorted(|s| s.to_vec()), want);
+        assert_eq!((table.entries.len(), table.sealed), (0, 0));
     }
 
     #[test]

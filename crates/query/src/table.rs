@@ -203,11 +203,13 @@ impl Catalog {
     /// mutation. Table fragments are untouched (rows do not move when a
     /// link slows down); only subsequent plan pricing observes the new
     /// weights. Invalid targets (unknown edge, non-finite or non-positive
-    /// factor) surface as [`QueryError::InvalidFaultTarget`].
+    /// factor) surface as
+    /// [`RuntimeError::InvalidFaultTarget`](tamp_runtime::RuntimeError::InvalidFaultTarget).
     pub fn scale_bandwidth(&mut self, e: EdgeId, factor: f64) -> Result<(), QueryError> {
-        self.tree
-            .scale_bandwidth(e, factor)
-            .map_err(|err| QueryError::InvalidFaultTarget(err.to_string()))
+        self.tree.scale_bandwidth(e, factor).map_err(|err| {
+            let fault = err.to_string();
+            tamp_runtime::RuntimeError::InvalidFaultTarget { fault }.into()
+        })
     }
 
     /// Register a table. Replaces any table with the same name.

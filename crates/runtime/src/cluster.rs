@@ -48,7 +48,7 @@ use tamp_topology::Tree;
 use crate::backend::ExecOutcome;
 use crate::checkpoint::{Checkpoint, CheckpointSpec, CheckpointStore};
 use crate::error::RuntimeError;
-use crate::fault::{FaultEvent, FaultInjector, FaultKind, ResolvedFaults};
+use crate::fault::{FaultEvent, FaultInjector, ResolvedFaults};
 use crate::jobs::{placement_digest, ScheduleJob};
 use crate::pool::WorkerPool;
 
@@ -385,16 +385,13 @@ pub(crate) fn replay(
                         .iter()
                         .position(|s| !matches!(s.try_lock(), Ok(s) if s.report.is_some()))
                         .map_or(computes[0], |i| computes[i]);
-                    fired_events.push(FaultEvent {
-                        node: straggler,
-                        round,
-                        kind: FaultKind::Straggler,
-                    });
-                    outcome = Err(RuntimeError::SuperstepTimeout {
+                    let timeout = RuntimeError::SuperstepTimeout {
                         node: straggler,
                         round,
                         deadline,
-                    });
+                    };
+                    fired_events.extend(timeout.fault_event(tree));
+                    outcome = Err(timeout);
                     return;
                 }
             }
@@ -402,22 +399,17 @@ pub(crate) fn replay(
             // Read the reports in node-id order, so the lowest-indexed
             // killed node names the run's outcome regardless of claim
             // order, and the event log is sorted the same way.
-            let first_killed = fired_events.len();
-            for (slot, &node) in slots.iter().zip(computes) {
-                let report = slot.lock().unwrap().report.take();
-                if let Report::Killed = report.expect("a drained crew absorbed every node") {
-                    fired_events.push(FaultEvent {
-                        node,
-                        round,
-                        kind: FaultKind::WorkerKilled,
-                    });
-                }
-            }
-            if let Some(first) = fired_events.get(first_killed) {
-                outcome = Err(RuntimeError::InjectedFault {
-                    node: first.node,
-                    round,
-                });
+            let kills: Vec<RuntimeError> = (slots.iter().zip(computes))
+                .filter_map(|(slot, &node)| {
+                    let report = slot.lock().unwrap().report.take();
+                    let report = report.expect("a drained crew absorbed every node");
+                    matches!(report, Report::Killed)
+                        .then_some(RuntimeError::InjectedFault { node, round })
+                })
+                .collect();
+            fired_events.extend(kills.iter().filter_map(|kill| kill.fault_event(tree)));
+            if let Some(first) = kills.into_iter().next() {
+                outcome = Err(first);
                 return;
             }
 
@@ -442,16 +434,13 @@ pub(crate) fn replay(
         // layer can re-weight and re-price; the snapshot covers the rest.
         let planned = resolved.as_ref().and_then(|r| r.degrades.first());
         if let Some(&(edge, round, factor)) = planned.filter(|d| d.1 <= rounds) {
-            fired_events.push(FaultEvent {
-                node: tree.deeper_endpoint(edge),
-                round,
-                kind: FaultKind::LinkDegraded { edge, factor },
-            });
-            outcome = Err(RuntimeError::LinkDegraded {
+            let degraded = RuntimeError::LinkDegraded {
                 edge,
                 round,
                 factor,
-            });
+            };
+            fired_events.extend(degraded.fault_event(tree));
+            outcome = Err(degraded);
         }
     };
 
@@ -501,7 +490,7 @@ pub(crate) fn replay(
 mod tests {
     use super::*;
     use crate::backend::{ExecBackend, ExecError, PooledClusterBackend, SimulatorBackend};
-    use crate::fault::FaultPlan;
+    use crate::fault::{FaultKind, FaultPlan};
     use crate::jobs::{Schedule, ScheduleSend};
     use proptest::prelude::*;
     use rand::rngs::StdRng;

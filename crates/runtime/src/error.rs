@@ -3,7 +3,9 @@
 use std::fmt;
 use std::time::Duration;
 
-use tamp_topology::{EdgeId, NodeId};
+use tamp_topology::{EdgeId, NodeId, Tree};
+
+use crate::fault::{FaultEvent, FaultKind};
 
 /// Render a caught panic payload for error reporting: the `&str` or
 /// `String` message when the panic carried one, a placeholder otherwise.
@@ -108,6 +110,27 @@ impl RuntimeError {
             self,
             Self::InjectedFault { .. } | Self::LinkDegraded { .. } | Self::SuperstepTimeout { .. }
         )
+    }
+
+    /// The [`FaultEvent`] a recoverable error stands for, attributed as
+    /// the run's fired-event log attributes it: the killed worker, the
+    /// straggler, or a degraded edge's deeper endpoint on `tree`. `None`
+    /// for a hard error.
+    pub fn fault_event(&self, tree: &Tree) -> Option<FaultEvent> {
+        let (node, round, kind) = match *self {
+            Self::InjectedFault { node, round } => (node, round, FaultKind::WorkerKilled),
+            Self::SuperstepTimeout { node, round, .. } => (node, round, FaultKind::Straggler),
+            Self::LinkDegraded {
+                edge,
+                round,
+                factor,
+            } => {
+                let kind = FaultKind::LinkDegraded { edge, factor };
+                (tree.deeper_endpoint(edge), round, kind)
+            }
+            _ => return None,
+        };
+        Some(FaultEvent { node, round, kind })
     }
 }
 

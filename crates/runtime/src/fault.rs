@@ -29,7 +29,9 @@
 //!   [`LinkDegraded`](crate::RuntimeError::LinkDegraded), or
 //!   [`SuperstepTimeout`](crate::RuntimeError::SuperstepTimeout)) and
 //!   the injector records a [`FaultEvent`] per failed node in its
-//!   [`fired`](FaultInjector::fired) log.
+//!   [`fired`](FaultInjector::fired) log
+//!   ([`RuntimeError::fault_event`](crate::RuntimeError::fault_event)
+//!   maps the error to the event it names).
 //!
 //! Faults target *logical* compute nodes, not OS threads: the pool's
 //! work-claiming makes crew threads interchangeable, so killing an OS
@@ -348,31 +350,17 @@ impl FaultInjector {
         lock_ok(&self.armed).push_back(plan);
     }
 
-    /// `true` while at least one plan is armed and not yet consumed.
-    pub fn is_armed(&self) -> bool {
-        !lock_ok(&self.armed).is_empty()
-    }
-
-    /// Number of armed plans not yet consumed.
-    pub fn armed_len(&self) -> usize {
-        lock_ok(&self.armed).len()
-    }
-
     /// Remove and return the front armed plan, if any — called by the
     /// cluster at run start (this is what makes each plan one-shot).
     pub fn disarm(&self) -> Option<FaultPlan> {
         lock_ok(&self.armed).pop_front()
     }
 
-    /// Drop every armed plan and return how many were dropped. The
-    /// orchestrator calls this when an execution errors out *before* any
-    /// armed fault could fire (or recovery gives up), so a stale plan
-    /// never leaks into the next, unrelated query.
-    pub fn clear_armed(&self) -> usize {
-        let mut q = lock_ok(&self.armed);
-        let n = q.len();
-        q.clear();
-        n
+    /// Drop every armed plan. The serving layer calls this when a query
+    /// errors out *before* any armed fault could fire (or recovery gives
+    /// up), so a stale plan never leaks into the next, unrelated query.
+    pub fn clear_armed(&self) {
+        lock_ok(&self.armed).clear();
     }
 
     /// Every fault that has fired through this injector, in firing order.
@@ -477,11 +465,10 @@ mod tests {
     #[test]
     fn arming_is_a_fifo_queue() {
         let inj = FaultInjector::new();
-        assert!(!inj.is_armed());
+        assert!(inj.disarm().is_none());
         inj.arm(FaultPlan::new().kill_worker(NodeId(0), 0));
         inj.arm(FaultPlan::new().kill_worker(NodeId(1), 2));
-        assert!(inj.is_armed());
-        assert_eq!(inj.armed_len(), 2);
+        inj.arm(FaultPlan::new().kill_worker(NodeId(2), 1));
         let first = inj.disarm().unwrap();
         assert_eq!(
             first.faults,
@@ -491,10 +478,8 @@ mod tests {
             }],
             "plans pop in arming order"
         );
-        assert_eq!(inj.armed_len(), 1);
-        assert_eq!(inj.clear_armed(), 1, "clear drops the leftover plan");
-        assert!(!inj.is_armed());
-        assert!(inj.disarm().is_none());
+        inj.clear_armed();
+        assert!(inj.disarm().is_none(), "clear drops both leftover plans");
 
         inj.record([FaultEvent {
             node: NodeId(0),

@@ -211,7 +211,7 @@ fn worker_loop(shared: &Shared, index: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn runs_every_worker_and_reuses_threads() {
@@ -269,6 +269,73 @@ mod tests {
         // The pool survives for the next job.
         let ok = pool.run_with(&|_| {}, || 7);
         assert_eq!(ok, 7);
+    }
+
+    /// The lifetime laundering in `run_with` under contention: four
+    /// callers share one 3-worker crew, and every job's worker closure
+    /// writes into its caller's stack frame. A frame is reused at once
+    /// after each `run_with` returns, so a worker still running a job
+    /// after it returned would write into the next job's counters.
+    #[test]
+    fn callers_share_the_crew_and_no_borrow_outlives_its_job() {
+        const WORKERS: usize = 3;
+        const JOBS: usize = 100;
+        let pool = WorkerPool::new(WORKERS);
+        std::thread::scope(|scope| {
+            for caller in 0..4usize {
+                let pool = &pool;
+                scope.spawn(move || {
+                    for job in 0..JOBS {
+                        let hits: [AtomicUsize; WORKERS] = Default::default();
+                        let r = pool.run_with(
+                            &|i| {
+                                hits[i].fetch_add(1, Ordering::Relaxed);
+                            },
+                            || caller * JOBS + job,
+                        );
+                        assert_eq!(r, caller * JOBS + job);
+                        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+                    }
+                });
+            }
+        });
+        // `main` panics while every worker still holds the borrow: each
+        // worker touches the frame only once `main` is unwinding, and the
+        // panic surfaces only after each one finished with it.
+        struct SetOnDrop<'a>(&'a AtomicBool);
+        impl Drop for SetOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let unwinding = AtomicBool::new(false);
+        let done: [AtomicUsize; WORKERS] = Default::default();
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run_with(
+                &|i| {
+                    while !unwinding.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    done[i].fetch_add(1, Ordering::SeqCst);
+                },
+                || {
+                    let _signal = SetOnDrop(&unwinding);
+                    panic!("main gave up");
+                },
+            )
+        }))
+        .unwrap_err();
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"main gave up"));
+        assert!(done.iter().all(|d| d.load(Ordering::SeqCst) == 1));
+        // The crew serves the next job.
+        let hits = AtomicUsize::new(0);
+        let r = pool.run_with(
+            &|_| {
+                hits.fetch_add(1, Ordering::Relaxed);
+            },
+            || 9,
+        );
+        assert_eq!((r, hits.load(Ordering::Relaxed)), (9, WORKERS));
     }
 
     #[test]
