@@ -29,6 +29,11 @@
 
 use tamp_bench::baseline;
 use tamp_bench::suite::{run_experiment, ALL_EXPERIMENTS};
+use tamp_bench::xalloc::Counting;
+
+/// `x-alloc` counts this binary's allocations.
+#[global_allocator]
+static ALLOC: Counting = Counting;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -13,7 +13,7 @@
 //! or a single experiment by id (`t1-si`, `t1-cp`, `t1-sort`, `f1`–`f5`,
 //! `a1`, `x-mpc`, `x-cross`, `x-agg`, `x-groupby`, `x-general`,
 //! `x-runtime`, `x-query`, `x-scale`, `x-serve`, `x-tenant`, `x-chaos`,
-//! `x-uneq-tree`, `x-iter`, `x-lint`, `x-size`,
+//! `x-uneq-tree`, `x-iter`, `x-alloc`, `x-lint`, `x-size`,
 //! `abl-partition`, `abl-pow2`, `abl-splitters`, `abl-treepack`,
 //! `abl-drift`).
 
@@ -27,6 +27,7 @@ pub mod serving;
 pub mod strategies;
 pub mod suite;
 pub mod table;
+pub mod xalloc;
 pub mod xchaos;
 pub mod xiter;
 pub mod xlint;

@@ -76,7 +76,7 @@ fn serving_context(tree: &Tree) -> QueryContext {
 /// Serving-shaped queries: multi-operator analytics plans whose
 /// planning (candidate pricing per exchange) is a substantial share of
 /// their cost — the regime where a prepared-plan cache pays.
-fn workload() -> Vec<LogicalPlan> {
+pub(crate) fn workload() -> Vec<LogicalPlan> {
     vec![
         LogicalPlan::scan("facts")
             .filter(col("x").lt(lit(700)))

@@ -813,6 +813,7 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "abl-drift",
     "x-uneq-tree",
     "x-iter",
+    "x-alloc",
     "x-lint",
     "x-size",
 ];
@@ -849,6 +850,7 @@ pub fn run_experiment(id: &str) -> Option<Vec<Table>> {
         "abl-drift" => crate::extensions::abl_drift(),
         "x-uneq-tree" => crate::extensions::x_unequal_tree(),
         "x-iter" => crate::xiter::x_iter(),
+        "x-alloc" => crate::xalloc::x_alloc(),
         "x-lint" => crate::xlint::x_lint(),
         "x-size" => crate::xsize::x_size(),
         _ => return None,

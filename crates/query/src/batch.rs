@@ -1,60 +1,44 @@
 //! Columnar record batches: the storage, the wire and the result.
 //!
-//! A [`RecordBatch`] is one shared list of columns, each a
-//! [`SharedSlice`] — a range of a shared `Arc<[Value]>` buffer, the same
-//! zero-copy currency the exchange fabric ships in `ScheduleSend::values`
-//! — so cloning a batch, or replicating it to another node's fragment
-//! list, is one reference-count bump, not a copy.
-//! A kernel that writes every node's output allocates per column, not per
-//! node: it fills one buffer per output column (`new_columns`) and each
-//! node's batch views a range of it (`RecordBatch::view`). A registered
-//! table holds one batch per node, cut the same way; operators and
-//! strategies pass batch lists, and a query result keeps the batches its
-//! last operator produced; rows ([`Row`]) are built from them only when
-//! asked for ([`RecordBatch::append_rows`]). Equality, ordering and
-//! `Debug` read values, never which buffer holds them.
+//! A [`RecordBatch`] is a row range of a shared *column list*, one
+//! `Arc<[Value]>` buffer per column; a clone is one reference-count bump.
+//! A kernel allocates per operator, not per node: it fills one column list
+//! for its whole output (`new_columns`), every node's batch views a range
+//! of it, and it evaluates an expression once per run of consecutive rows
+//! of one list (`runs`). Rows ([`Row`]) are built only when asked for
+//! ([`RecordBatch::append_rows`]); equality and `Debug` read values.
 //!
-//! A node's fragment is a *list* of batches ([`BatchFragments`]); the
-//! list is read as the concatenation of its batches, so batch boundaries
-//! carry no meaning — only the row sequence does. On the wire a payload
-//! is row-major: each row's values in column order, rows back to back
-//! ([`flatten_batches`], `flatten_multi`), and one payload is one send.
+//! [`BatchFragments`] holds every node's batches in one vector: `frags[v]`
+//! is node `v`'s `&[RecordBatch]`, read as their concatenation. On the
+//! wire a payload is row-major ([`flatten_batches`]), one send each.
 
 use std::cmp::Ordering;
-use std::ops::Range;
+use std::fmt;
+use std::ops::{Index, Range};
 use std::sync::Arc;
 
 use tamp_simulator::{SharedSlice, Value};
 
 use crate::row::Row;
 
-/// A column-major batch of rows: `width()` columns, each `num_rows()`
-/// values long and each a range of a shared buffer.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One buffer per column, each as long as any batch that views it needs.
+pub(crate) type Columns = Arc<[Arc<[Value]>]>;
+
+/// A column-major batch of rows: a row range of a shared column list.
+#[derive(Clone)]
 pub struct RecordBatch {
-    cols: Arc<[SharedSlice<Value>]>,
-    rows: usize,
+    /// The column list this batch views; each column covers `rows`.
+    pub(crate) cols: Columns,
+    rows: Range<usize>,
 }
 
 impl RecordBatch {
-    /// Build a batch from columns with an explicit row count — required
-    /// for width-0 batches, which cannot otherwise carry their length.
-    ///
-    /// # Panics
-    /// If a column's length differs from `rows`.
-    pub fn from_cols_rows(cols: Arc<[SharedSlice<Value>]>, rows: usize) -> Self {
-        assert!(
-            cols.iter().all(|c| c.len() == rows),
-            "RecordBatch columns must have equal length"
-        );
+    /// Rows `rows` of the column list `cols`: a node's share of a
+    /// kernel's output.
+    pub(crate) fn view(cols: &Columns, rows: Range<usize>) -> Self {
+        debug_assert!(cols.iter().all(|c| rows.end <= c.len()));
+        let cols = cols.clone();
         RecordBatch { cols, rows }
-    }
-
-    /// Rows `range` of one buffer per column: a node's share of a kernel's
-    /// output.
-    pub(crate) fn view(cols: &[Arc<[Value]>], range: Range<usize>) -> Self {
-        let col = |buf: &Arc<[Value]>| SharedSlice::new(buf.clone(), range.clone());
-        RecordBatch::from_cols_rows(cols.iter().map(col).collect(), range.len())
     }
 
     /// Transpose `width`-wide rows into a batch (lossless; see
@@ -69,7 +53,7 @@ impl RecordBatch {
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.rows
+        self.rows.len()
     }
 
     /// Number of columns.
@@ -79,19 +63,31 @@ impl RecordBatch {
 
     /// The values of column `c`.
     pub fn col(&self, c: usize) -> &[Value] {
-        &self.cols[c]
+        &self.cols[c][self.range()]
     }
 
-    /// Column `c` as a range of its shared buffer (a clone is a refcount
-    /// bump).
-    pub fn col_shared(&self, c: usize) -> &SharedSlice<Value> {
-        &self.cols[c]
+    /// The rows of its column list this batch views.
+    pub(crate) fn range(&self) -> Range<usize> {
+        self.rows.clone()
+    }
+
+    /// Rows `range` of this batch, sharing its column list.
+    pub(crate) fn slice(&self, range: Range<usize>) -> Self {
+        let at = self.rows.start;
+        RecordBatch::view(&self.cols, at + range.start..at + range.end)
+    }
+
+    /// This batch and `next` as one, if `next` views the rows right after
+    /// it in the same column list.
+    fn join(&self, next: &RecordBatch) -> Option<RecordBatch> {
+        let follows = Arc::ptr_eq(&self.cols, &next.cols) && self.rows.end == next.rows.start;
+        follows.then(|| RecordBatch::view(&self.cols, self.rows.start..next.rows.end))
     }
 
     /// Transpose back into rows, appending to `out`.
     pub fn append_rows(&self, out: &mut Vec<Row>) {
-        out.reserve(self.rows);
-        for i in 0..self.rows {
+        out.reserve(self.num_rows());
+        for i in self.range() {
             out.push(self.cols.iter().map(|c| c[i]).collect());
         }
     }
@@ -103,35 +99,43 @@ impl RecordBatch {
         out
     }
 
-    /// Select the rows at `idx` (in order, duplicates allowed) into a new
-    /// batch.
-    pub fn gather(&self, idx: &[usize]) -> RecordBatch {
-        let cols = new_columns(self.width(), idx.len(), |c, col| {
-            let src = self.col(c);
-            col.iter_mut().zip(idx).for_each(|(x, &i)| *x = src[i]);
-        });
-        RecordBatch::view(&cols, 0..idx.len())
-    }
-
-    /// Lexicographic whole-row comparison of rows `a` and `b` — the order
-    /// of [`crate::row::canonicalize`].
-    pub fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
-        self.cols
-            .iter()
-            .map(|c| c[a].cmp(&c[b]))
+    /// Lexicographic whole-row comparison of row `a` with row `b` of
+    /// `other` — the order of [`crate::row::canonicalize`].
+    pub(crate) fn cmp_row(&self, a: usize, other: &RecordBatch, b: usize) -> Ordering {
+        let (a, b) = (self.rows.start + a, other.rows.start + b);
+        (self.cols.iter().zip(other.cols.iter()))
+            .map(|(x, y)| x[a].cmp(&y[b]))
             .find(|o| o.is_ne())
             .unwrap_or(Ordering::Equal)
     }
 }
 
+impl PartialEq for RecordBatch {
+    fn eq(&self, other: &Self) -> bool {
+        (self.width(), self.num_rows()) == (other.width(), other.num_rows())
+            && (0..self.width()).all(|c| self.col(c) == other.col(c))
+    }
+}
+
+impl Eq for RecordBatch {}
+
+impl fmt::Debug for RecordBatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let cols: Vec<&[Value]> = (0..self.width()).map(|c| self.col(c)).collect();
+        let rows = self.num_rows();
+        write!(f, "RecordBatch {{ cols: {cols:?}, rows: {rows} }}")
+    }
+}
+
 /// `width` buffers of `rows` values, column `c` zero-filled and then
-/// written by `fill(c, ..)`: the one allocation per output column a kernel
-/// makes for every node's rows together.
-pub(crate) fn new_columns(
+/// written by `fill(c, ..)`, collected (as a column list, mostly): the one
+/// allocation per output column a kernel makes for every node's rows
+/// together.
+pub(crate) fn new_columns<C: FromIterator<Arc<[Value]>>>(
     width: usize,
     rows: usize,
     mut fill: impl FnMut(usize, &mut [Value]),
-) -> Vec<Arc<[Value]>> {
+) -> C {
     let column = |c| {
         let mut col: Arc<[Value]> = std::iter::repeat_n(0, rows).collect();
         fill(c, Arc::get_mut(&mut col).expect("not shared yet"));
@@ -140,18 +144,21 @@ pub(crate) fn new_columns(
     (0..width).map(column).collect()
 }
 
-/// Where each run of `lens` starts when the runs sit back to back.
-pub(crate) fn starts(lens: &[usize]) -> Vec<usize> {
-    let ends = lens
-        .iter()
-        .scan(0, |end, n| Some(std::mem::replace(end, *end + n)));
-    ends.collect()
+/// Where each run of `lens` starts when the runs sit back to back, and
+/// where the last one ends.
+pub(crate) fn starts(lens: impl IntoIterator<Item = usize>) -> Vec<usize> {
+    let mut end = 0;
+    let ends = lens.into_iter().map(|n| {
+        end += n;
+        end
+    });
+    std::iter::once(0).chain(ends).collect()
 }
 
 /// Consecutive runs of `cols`' rows, `lens[i]` rows for run `i`, as one
 /// batch each (`None` for an empty run).
 pub(crate) fn views<'a>(
-    cols: &'a [Arc<[Value]>],
+    cols: &'a Columns,
     lens: impl IntoIterator<Item = usize> + 'a,
 ) -> impl Iterator<Item = Option<RecordBatch>> + 'a {
     let mut at = 0;
@@ -161,27 +168,110 @@ pub(crate) fn views<'a>(
     })
 }
 
+/// The maximal runs of `batches` that view consecutive rows of one column
+/// list, each as one batch (empty batches dropped): what a kernel
+/// evaluates an expression over, once per run. Also each batch's run (an
+/// empty batch's is the last run before it, or 0).
+pub(crate) fn runs(batches: &[RecordBatch]) -> (Vec<RecordBatch>, Vec<usize>) {
+    let (mut out, mut run_of) = (Vec::<RecordBatch>::new(), Vec::with_capacity(batches.len()));
+    for b in batches {
+        if b.num_rows() > 0 {
+            match out.last().and_then(|run| run.join(b)) {
+                Some(run) => *out.last_mut().expect("a run") = run,
+                None => out.push(b.clone()),
+            }
+        }
+        run_of.push(out.len().saturating_sub(1));
+    }
+    (out, run_of)
+}
+
 /// Per-node batch lists, indexed by node id: the fragments operators and
-/// strategies exchange.
-pub type BatchFragments = Vec<Vec<RecordBatch>>;
+/// strategies exchange. One vector holds every node's batches, node after
+/// node; `frags[v]` is node `v`'s `&[RecordBatch]`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct BatchFragments {
+    batches: Vec<RecordBatch>,
+    ends: Vec<usize>,
+}
+
+impl BatchFragments {
+    /// The fragments of nodes `0..nodes`, node `v` holding the batches
+    /// `f(v)` yields.
+    pub fn from_fn<I>(nodes: usize, mut f: impl FnMut(usize) -> I) -> Self
+    where
+        I: IntoIterator<Item = RecordBatch>,
+    {
+        let (mut batches, mut ends) = (Vec::new(), Vec::with_capacity(nodes));
+        for v in 0..nodes {
+            for b in f(v) {
+                batches.reserve(nodes - v);
+                batches.push(b);
+            }
+            ends.push(batches.len());
+        }
+        BatchFragments { batches, ends }
+    }
+
+    /// `(node, batch)` pairs as the fragments of nodes `0..nodes`; each
+    /// node's batches keep their order in `pairs`.
+    pub(crate) fn scatter(nodes: usize, mut pairs: Vec<(usize, RecordBatch)>) -> Self {
+        pairs.sort_by_key(|p| p.0);
+        let ends = (0..nodes).map(|v| pairs.partition_point(|p| p.0 <= v));
+        let ends = ends.collect();
+        let batches = pairs.into_iter().map(|p| p.1).collect();
+        BatchFragments { batches, ends }
+    }
+
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Every node's batches, node after node.
+    pub(crate) fn batches(&self) -> &[RecordBatch] {
+        &self.batches
+    }
+
+    /// Each node's batch list, in node-id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[RecordBatch]> + Clone {
+        (0..self.len()).map(|v| &self[v])
+    }
+}
+
+impl Index<usize> for BatchFragments {
+    type Output = [RecordBatch];
+
+    fn index(&self, v: usize) -> &[RecordBatch] {
+        let start = v.checked_sub(1).map_or(0, |u| self.ends[u]);
+        &self.batches[start..self.ends[v]]
+    }
+}
 
 /// Total rows across a node's batch list.
-pub fn batch_rows(batches: &[RecordBatch]) -> usize {
+pub(crate) fn batch_rows(batches: &[RecordBatch]) -> usize {
     batches.iter().map(RecordBatch::num_rows).sum()
 }
 
-/// Concatenate a node's batch list into one batch of the given width; a
-/// one-batch list is shared, not copied.
-pub fn concat(batches: &[RecordBatch], width: usize) -> RecordBatch {
-    if let [only] = batches {
-        return only.clone();
+/// Concatenate a batch list into one batch of the given width; a list
+/// that views consecutive rows of one column list is shared, not copied.
+pub(crate) fn concat(batches: &[RecordBatch], width: usize) -> RecordBatch {
+    let mut live = batches.iter().filter(|b| b.num_rows() > 0);
+    let first = live.next().cloned();
+    match first.and_then(|first| live.try_fold(first, |run, b| run.join(b))) {
+        Some(run) => run,
+        None => copy(batches, width),
     }
+}
+
+/// A batch list's rows, copied into a column list of their own.
+pub(crate) fn copy(batches: &[RecordBatch], width: usize) -> RecordBatch {
     let rows = batch_rows(batches);
     let cols = new_columns(width, rows, |c, col| {
         let mut at = 0;
         for b in batches {
-            col[at..at + b.rows].copy_from_slice(b.col(c));
-            at += b.rows;
+            col[at..at + b.num_rows()].copy_from_slice(b.col(c));
+            at += b.num_rows();
         }
     });
     RecordBatch::view(&cols, 0..rows)
@@ -198,32 +288,35 @@ pub(crate) enum Keep {
 /// Each segment's rows — a segment is one node's batch list — sorted by
 /// column `lead` (if any), ties broken by the whole row (with `None`, the
 /// order of [`crate::row::canonicalize`]), thinned by `keep`, as at most
-/// one batch per segment. One key buffer serves every segment, each
-/// sorted on its own where it sits, then one gather per column fills the
-/// buffer the segments' batches view. Rows that compare equal are
-/// identical, so the result does not depend on how the sort places them.
-pub(crate) fn sort_segments<S: AsRef<[RecordBatch]>>(
-    segments: &[S],
+/// one batch per segment (fragment `i` is segment `i`). One key buffer
+/// serves every segment, each sorted on its own where it sits, then one
+/// gather per column fills the column list the segments' batches view.
+/// Rows that compare equal are identical, so the result does not depend on
+/// how the sort places them.
+pub(crate) fn sort_segments<'a>(
+    segments: impl Iterator<Item = &'a [RecordBatch]> + Clone,
     width: usize,
     lead: Option<usize>,
     keep: Keep,
 ) -> BatchFragments {
-    // `(leading key, (part, row))`: most comparisons are decided on the
+    // `(leading key, (batch, row))`: most comparisons are decided on the
     // key without touching the columns.
-    let rows = segments.iter().map(|s| batch_rows(s.as_ref())).sum();
+    let rows = segments.clone().map(batch_rows).sum();
     let (mut keyed, mut parts, mut kept) = (Vec::with_capacity(rows), Vec::new(), Vec::new());
-    for s in segments.iter().map(S::as_ref) {
-        if batch_rows(s) == 0 {
-            kept.push(0);
-            continue;
+    for s in segments {
+        let start = keyed.len();
+        for b in s {
+            let rows = (0..b.num_rows() as u32).map(|i| (parts.len() as u32, i));
+            match width {
+                0 => keyed.extend(rows.map(|at| (0, at))),
+                _ => keyed.extend(b.col(lead.unwrap_or(0)).iter().copied().zip(rows)),
+            }
+            parts.push(b.clone());
         }
-        let (b, start, p) = (concat(s, width), keyed.len(), parts.len() as u32);
-        let rows = (0..b.rows as u32).map(|i| (p, i));
-        match width {
-            0 => keyed.extend(rows.map(|at| (0, at))),
-            _ => keyed.extend(b.col(lead.unwrap_or(0)).iter().copied().zip(rows)),
-        }
-        let rows = |x: (u32, u32), y: (u32, u32)| b.cmp_rows(x.1 as usize, y.1 as usize);
+        let rows = |x: (u32, u32), y: (u32, u32)| {
+            let (a, b) = (&parts[x.0 as usize], &parts[y.0 as usize]);
+            a.cmp_row(x.1 as usize, b, y.1 as usize)
+        };
         let seg = &mut keyed[start..];
         seg.sort_unstable_by(|x, y| x.0.cmp(&y.0).then_with(|| rows(x.1, y.1)));
         let n = match keep {
@@ -236,50 +329,39 @@ pub(crate) fn sort_segments<S: AsRef<[RecordBatch]>>(
             }),
         };
         keyed.truncate(start + n);
-        parts.push(b);
         kept.push(n);
     }
     let picks: Vec<(u32, u32)> = keyed.iter().map(|k| k.1).collect();
-    let cols = gather_runs(width, || std::iter::once((&parts[..], &picks[..])));
-    let out = views(&cols, kept).map(|b| b.into_iter().collect());
-    out.collect()
+    let once = || std::iter::once((&parts[..], &picks[..], 0));
+    let cols = gather_runs(width, picks.len(), once);
+    let mut out = views(&cols, kept.iter().copied());
+    BatchFragments::from_fn(kept.len(), |_| out.next().flatten())
 }
 
-/// The first `n` rows of a batch list. A batch that fits whole is shared
-/// if it spans its buffers and copied like a partial cut otherwise, so
-/// the cut keeps no rows alive but its own.
-pub fn head(batches: &[RecordBatch], n: usize) -> Vec<RecordBatch> {
-    let mut out = Vec::new();
+/// The first `n` rows of a batch list, as views of its batches.
+pub(crate) fn head(batches: &[RecordBatch], n: usize) -> impl Iterator<Item = RecordBatch> + '_ {
     let mut left = n;
-    for b in batches {
-        if left == 0 {
-            break;
-        }
-        let take = b.rows.min(left);
-        let spans = b.cols.iter().all(|c| c.len() == c.buffer().len());
-        out.push(match take == b.rows && spans {
-            true => b.clone(),
-            false => b.gather(&(0..take).collect::<Vec<_>>()),
-        });
+    let cut = move |b: &RecordBatch| {
+        let take = b.num_rows().min(left);
         left -= take;
-    }
-    out
+        (take > 0).then(|| b.slice(0..take))
+    };
+    batches.iter().filter(|b| b.num_rows() > 0).map_while(cut)
 }
 
-/// One buffer per column holding, run after run, each run's picks: the
-/// `(batch, row)` pairs it selects from its batch list. A run's column
-/// slices are resolved once; a one-batch list (what a scan leaves on a
-/// node) is indexed directly.
-pub(crate) fn gather_runs<'a, I>(width: usize, runs: impl Fn() -> I) -> Vec<Arc<[Value]>>
+/// One column list of `len` rows holding each run's picks — the
+/// `(batch, row)` pairs it selects from its batch list — from row `at`
+/// on. A run's column slices are resolved once; a one-batch list (what a
+/// scan leaves on a node) is indexed directly.
+pub(crate) fn gather_runs<'a, I, C>(width: usize, len: usize, runs: impl Fn() -> I) -> C
 where
-    I: Iterator<Item = (&'a [RecordBatch], &'a [(u32, u32)])>,
+    I: Iterator<Item = (&'a [RecordBatch], &'a [(u32, u32)], usize)>,
+    C: FromIterator<Arc<[Value]>>,
 {
-    let (rows, mut slices) = (runs().map(|run| run.1.len()).sum(), Vec::new());
-    new_columns(width, rows, |c, col| {
-        let mut at = 0;
-        for (batches, picks) in runs() {
+    let mut slices = Vec::new();
+    new_columns(width, len, |c, col| {
+        for (batches, picks, at) in runs() {
             let cells = col[at..at + picks.len()].iter_mut().zip(picks);
-            at += picks.len();
             if let [only] = batches {
                 let src = only.col(c);
                 cells.for_each(|(x, &(_, i))| *x = src[i as usize]);
@@ -290,17 +372,6 @@ where
             cells.for_each(|(x, &(b, i))| *x = slices[b as usize][i as usize]);
         }
     })
-}
-
-/// Select rows spanning a node's batch list into a new batch: `idx` holds
-/// `(batch, row)` pairs in output order.
-pub(crate) fn gather_multi(
-    batches: &[RecordBatch],
-    idx: &[(u32, u32)],
-    width: usize,
-) -> RecordBatch {
-    let cols = gather_runs(width, || std::iter::once((batches, idx)));
-    RecordBatch::view(&cols, 0..idx.len())
 }
 
 /// Row-major flatten of the `rows` rows of `(batch, rows)` runs into one
@@ -345,19 +416,6 @@ pub(crate) fn cut(buf: Arc<[Value]>, width: usize) -> impl FnMut(usize) -> Share
     }
 }
 
-/// Row-major flatten of the `(batch, row)` pairs in `idx`: the wire
-/// payload of the selected rows.
-pub(crate) fn flatten_multi(
-    batches: &[RecordBatch],
-    idx: &[(u32, u32)],
-    width: usize,
-) -> Arc<[Value]> {
-    let runs = idx
-        .iter()
-        .map(|&(b, i)| (&batches[b as usize], i as usize..i as usize + 1));
-    flatten(idx.len(), runs, width)
-}
-
 /// Row ↔ batch conversions for tests, which state inputs and expected
 /// outputs as rows.
 #[cfg(test)]
@@ -370,6 +428,11 @@ pub(crate) mod convert {
         rows.chunks(batch.max(1))
             .map(|chunk| RecordBatch::from_rows(chunk, width))
             .collect()
+    }
+
+    /// Fragments of `nodes` nodes, node `v` holding `batches`.
+    pub(crate) fn on_node(nodes: usize, v: usize, batches: Vec<RecordBatch>) -> BatchFragments {
+        BatchFragments::scatter(nodes, batches.into_iter().map(|b| (v, b)).collect())
     }
 
     /// Each node's rows, in batch then row order.
@@ -385,6 +448,12 @@ pub(crate) mod convert {
 mod tests {
     use super::convert::rows_to_batches;
     use super::*;
+
+    /// The `(batch, row)` picks `idx` of `batches`, gathered in order.
+    fn gather(batches: &[RecordBatch], idx: &[(u32, u32)], width: usize) -> RecordBatch {
+        let cols = gather_runs(width, idx.len(), || std::iter::once((batches, idx, 0)));
+        RecordBatch::view(&cols, 0..idx.len())
+    }
 
     #[test]
     fn rows_roundtrip_losslessly() {
@@ -417,7 +486,7 @@ mod tests {
     fn gather_and_flatten_follow_index_order() {
         let rows: Vec<Row> = (0..6u64).map(|i| vec![i, 10 + i]).collect();
         let b = RecordBatch::from_rows(&rows, 2);
-        let g = b.gather(&[4, 1, 1]);
+        let g = gather(&[b], &[(0, 4), (0, 1), (0, 1)], 2);
         assert_eq!(g.to_rows(), vec![vec![4, 14], vec![1, 11], vec![1, 11]]);
     }
 
@@ -425,9 +494,10 @@ mod tests {
     fn multi_batch_gather_spans_boundaries() {
         let rows: Vec<Row> = (0..7u64).map(|i| vec![i]).collect();
         let batches = rows_to_batches(&rows, 1, 3);
-        let g = gather_multi(&batches, &[(2, 0), (0, 1), (1, 2)], 1);
+        let g = gather(&batches, &[(2, 0), (0, 1), (1, 2)], 1);
         assert_eq!(g.to_rows(), vec![vec![6], vec![1], vec![5]]);
-        assert_eq!(*flatten_multi(&batches, &[(2, 0), (0, 1)], 1), [6, 1]);
+        let runs = [(&batches[2], 0..1), (&batches[0], 1..3)];
+        assert_eq!(*flatten(3, runs.into_iter(), 1), [6, 1, 2]);
         // Whole-list flatten is row-major across batch boundaries.
         let wide: Vec<Row> = (0..5u64).map(|i| vec![i, 10 + i]).collect();
         assert_eq!(
@@ -449,9 +519,9 @@ mod tests {
         ];
         let batches = rows_to_batches(&rows, 3, 4);
         let sort = |batches: &[RecordBatch], width, lead, keep| {
-            let mut out = sort_segments(&[batches], width, lead, keep);
+            let out = sort_segments(std::iter::once(batches), width, lead, keep);
             assert_eq!(out.len(), 1);
-            out.pop().unwrap()
+            out[0].to_vec()
         };
         // Lead column 1, ties on the whole row — the row sort's order.
         let by_lead = sort(&batches, 3, Some(1), Keep::All);
@@ -468,8 +538,12 @@ mod tests {
         );
         assert!(sort(&batches, 3, None, Keep::First(0)).is_empty());
         assert!(sort(&[], 3, Some(0), Keep::All).is_empty());
+        assert_eq!(
+            sort_segments(std::iter::empty(), 3, None, Keep::All).len(),
+            0
+        );
         // Width-0 rows are all equal: any order is sorted, one is distinct.
-        let unit = RecordBatch::from_cols_rows(Vec::new().into(), 3);
+        let unit = RecordBatch::view(&Columns::from(Vec::new()), 0..3);
         assert_eq!(
             batch_rows(&sort(std::slice::from_ref(&unit), 0, None, Keep::All)),
             3
@@ -477,8 +551,8 @@ mod tests {
         assert_eq!(batch_rows(&sort(&[unit], 0, Some(0), Keep::Distinct)), 1);
     }
 
-    /// Segments sort on their own, and their batches view one buffer per
-    /// column; an empty segment yields no batch.
+    /// Segments sort on their own, and their batches view one column
+    /// list; an empty segment yields no batch.
     #[test]
     fn a_segmented_sort_sorts_each_segment_into_one_buffer_per_column() {
         let seg = |xs: &[u64]| -> Vec<RecordBatch> {
@@ -486,38 +560,69 @@ mod tests {
             rows_to_batches(&rows, 2, 2)
         };
         let segments = [seg(&[5, 1, 4, 1]), Vec::new(), seg(&[9, 2, 6, 2, 3])];
-        let out = sort_segments(&segments, 2, Some(0), Keep::Distinct);
+        let out = sort_segments(
+            segments.iter().map(Vec::as_slice),
+            2,
+            Some(0),
+            Keep::Distinct,
+        );
         assert_eq!(out.len(), 3);
         let rows = |b: &[RecordBatch]| concat(b, 2).to_rows();
         assert_eq!(rows(&out[0]), [[1, 1], [1, 4], [2, 5]]);
         assert!(out[1].is_empty());
         assert_eq!(rows(&out[2]), [[0, 3], [0, 6], [0, 9], [2, 2]]);
-        for c in 0..2 {
-            let (a, b) = (out[0][0].col_shared(c), out[2][0].col_shared(c));
-            assert!(Arc::ptr_eq(a.buffer(), b.buffer()));
-            assert_eq!(a.buffer().len(), 7);
-        }
+        assert!(Arc::ptr_eq(&out[0][0].cols, &out[2][0].cols));
+        assert!(out[0][0].cols.iter().all(|c| c.len() == 7));
     }
 
     #[test]
     fn head_cuts_across_batches_and_shares_whole_ones() {
         let rows: Vec<Row> = (0..7u64).map(|i| vec![i]).collect();
         let batches = rows_to_batches(&rows, 1, 3);
-        let cut = head(&batches, 5);
+        let cut: Vec<RecordBatch> = head(&batches, 5).collect();
         assert_eq!(cut.len(), 2);
-        assert!(Arc::ptr_eq(&cut[0].cols, &batches[0].cols));
+        assert!(cut
+            .iter()
+            .zip(&batches)
+            .all(|(c, b)| Arc::ptr_eq(&c.cols, &b.cols)));
         assert_eq!(concat(&cut, 1).to_rows(), rows[..5]);
-        assert!(head(&batches, 0).is_empty());
-        assert_eq!(batch_rows(&head(&batches, 100)), 7);
-        // A whole batch cut from a larger buffer is copied, not shared:
-        // the cut keeps only its own rows alive.
-        let cols = new_columns(1, 7, |_, col| col.copy_from_slice(&[0, 1, 2, 3, 4, 5, 6]));
-        let part = RecordBatch::view(&cols, 2..4);
-        let [kept] = &head(std::slice::from_ref(&part), 5)[..] else {
-            panic!("one batch");
-        };
-        assert_eq!(kept, &part);
-        assert_eq!(kept.col_shared(0).buffer().len(), 2);
+        assert_eq!(head(&batches, 0).count(), 0);
+        assert_eq!(head(&batches, 100).map(|b| b.num_rows()).sum::<usize>(), 7);
+    }
+
+    /// Fragments index by node; a scatter keeps each node's batches in
+    /// the order they came; `runs` merges consecutive views of one list
+    /// and `concat` shares them.
+    #[test]
+    fn fragments_index_by_node_and_runs_merge_consecutive_views() {
+        let cols = new_columns(1, 6, |_, col| col.copy_from_slice(&[0, 1, 2, 3, 4, 5]));
+        let view = |r: Range<usize>| RecordBatch::view(&cols, r);
+        let frags = BatchFragments::scatter(
+            4,
+            vec![
+                (2, view(3..4)),
+                (0, view(0..2)),
+                (2, view(4..6)),
+                (0, view(2..3)),
+            ],
+        );
+        assert_eq!(frags.len(), 4);
+        let rows = |b: &[RecordBatch]| concat(b, 1).to_rows();
+        assert_eq!(rows(&frags[0]), [[0], [1], [2]]);
+        assert!(frags[1].is_empty() && frags[3].is_empty());
+        assert_eq!(rows(&frags[2]), [[3], [4], [5]]);
+        let (all, run_of) = runs(frags.batches());
+        assert_eq!((all.len(), run_of), (1, vec![0; 4]));
+        assert_eq!((all[0].range(), concat(&frags[2], 1).range()), (0..6, 3..6));
+        let gap = [view(0..2), view(3..3), view(3..4), view(4..5)];
+        let (gap_runs, run_of) = runs(&gap);
+        let ranges: Vec<_> = gap_runs.iter().map(RecordBatch::range).collect();
+        assert_eq!((ranges, run_of), (vec![0..2, 3..5], vec![0, 0, 1, 1]));
+        let per_node = BatchFragments::from_fn(3, |v| (v != 1).then(|| view(v..v + 1)));
+        assert_eq!(
+            per_node,
+            BatchFragments::scatter(3, vec![(0, view(0..1)), (2, view(2..3))])
+        );
     }
 
     /// Equality and `Debug` read values, not buffers: two batches viewing
@@ -529,10 +634,7 @@ mod tests {
         });
         let b = RecordBatch::from_rows(&[vec![1, 4], vec![2, 5], vec![3, 6]], 2);
         let a = RecordBatch::view(&a, 1..4);
-        assert!(!Arc::ptr_eq(
-            a.col_shared(0).buffer(),
-            b.col_shared(0).buffer()
-        ));
+        assert!(!Arc::ptr_eq(&a.cols, &b.cols));
         assert_eq!(a, b);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         assert_ne!(a, RecordBatch::from_rows(&[vec![1, 4], vec![2, 5]], 2));

@@ -2,73 +2,67 @@
 
 use tamp_simulator::Value;
 
-use crate::batch::{new_columns, BatchFragments, RecordBatch};
+use crate::batch::{batch_rows, new_columns, runs, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::exec::eval::{eval, Sel};
 use crate::expr::Expr;
 
-/// Keep rows matching the bound `predicate`: one vectorized predicate
-/// evaluation per batch, then one gather per column into one buffer that
-/// every partly kept batch views a range of. Fully selected batches pass
-/// through untouched (a refcount bump); empty results vanish.
+/// Keep rows matching the bound `predicate`: one vectorized evaluation per
+/// run of consecutive rows of one column list, then (unless every row is
+/// kept and the input passes through) one gather per column into one
+/// column list, each node's kept rows one range of it.
 pub(crate) fn filter(
     frags: BatchFragments,
     predicate: &Expr,
 ) -> Result<BatchFragments, QueryError> {
-    // Each batch's kept row positions, written over its predicate values.
-    let mut picks = Vec::new();
-    for b in frags.iter().flatten() {
-        let mut v = eval(predicate, b, &Sel::All(b.num_rows()))?;
+    // Each run's kept rows, list positions written over its predicates.
+    let (runs, run_of) = runs(frags.batches());
+    let mut kept = Vec::with_capacity(runs.len());
+    for run in &runs {
+        let mut v = eval(predicate, run, &Sel::All(run.num_rows()))?;
         // The nonzero positions, branch-free and in place: write every
         // position, advance the cursor past the kept ones only.
         let mut n = 0;
         for k in 0..v.len() {
             let x = v[k];
-            v[n] = k as Value;
+            v[n] = (run.range().start + k) as Value;
             n += (x != 0) as usize;
         }
         v.truncate(n);
-        picks.push(v);
+        kept.push(v);
     }
-    let partly = |b: &RecordBatch, idx: &Vec<Value>| (1..b.num_rows()).contains(&idx.len());
-    let picked = || {
-        frags
-            .iter()
-            .flatten()
-            .zip(&picks)
-            .filter(|(b, i)| partly(b, i))
-    };
-    let width = frags.iter().flatten().next().map_or(0, RecordBatch::width);
-    let cols = new_columns(width, picked().map(|(_, i)| i.len()).sum(), |c, col| {
+    let rows = kept.iter().map(Vec::len).sum();
+    if rows == batch_rows(frags.batches()) {
+        return Ok(frags);
+    }
+    let cols = new_columns(runs[0].width(), rows, |c, col| {
         let mut at = 0;
-        for (b, idx) in picked() {
-            let (src, dst) = (b.col(c), &mut col[at..at + idx.len()]);
+        for (run, idx) in runs.iter().zip(&kept) {
+            let src = &run.cols[c];
+            let dst = &mut col[at..at + idx.len()];
             dst.iter_mut()
                 .zip(idx)
                 .for_each(|(x, &i)| *x = src[i as usize]);
             at += idx.len();
         }
     });
-    let (mut at, mut picks) = (0, picks.iter());
-    let out = frags.into_iter().map(|node| {
-        let kept = node.into_iter().filter_map(|b| {
-            let idx = picks.next().expect("picks per batch");
-            if !partly(&b, idx) {
-                return (!idx.is_empty()).then_some(b);
-            }
-            at += idx.len();
-            Some(RecordBatch::view(&cols, at - idx.len()..at))
-        });
-        kept.collect()
-    });
-    Ok(out.collect())
+    // A batch's kept rows: its run's kept positions within its rows.
+    let count = |(b, &run): (&RecordBatch, &usize)| {
+        let below = |at: usize| kept[run].partition_point(|&i| (i as usize) < at);
+        below(b.range().end) - below(b.range().start)
+    };
+    let (mut at, mut run_of) = (0, run_of.iter());
+    Ok(BatchFragments::from_fn(frags.len(), |v| {
+        let n: usize = frags[v].iter().zip(run_of.by_ref()).map(count).sum();
+        at += n;
+        (n > 0).then(|| RecordBatch::view(&cols, at - n..at))
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::convert::batches_to_rows;
-    use crate::batch::RecordBatch;
     use crate::row::Row;
 
     /// Nothing, everything, every other row and an irregular mix: the
@@ -80,7 +74,7 @@ mod tests {
         for keep in patterns {
             let rows: Vec<Row> = (0..9).map(|i| vec![i, keep(i)]).collect();
             let batch = RecordBatch::from_rows(&rows, 2);
-            let frags = vec![vec![batch.clone()], Vec::new()];
+            let frags = BatchFragments::from_fn(2, |v| (v == 0).then(|| batch.clone()));
             let out = filter(frags, &Expr::ColIdx(1)).unwrap();
             let want: Vec<Row> = rows.iter().filter(|r| r[1] != 0).cloned().collect();
             assert_eq!(batches_to_rows(&out), vec![want.clone(), Vec::new()]);

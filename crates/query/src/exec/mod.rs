@@ -11,17 +11,19 @@
 //! [`crate::physical::strategy`]). Local operators (`Filter` / `Project`
 //! / `UnionAll`) move no data and record no rounds.
 //!
-//! The walk threads [`RecordBatch`](crate::batch::RecordBatch)es
-//! through vectorized per-operator kernels (`filter`, `project`,
-//! both over `eval`: one tight loop per expression node) and through
-//! the strategies' columnar exchanges — groups fold out of the group and
-//! measure columns into one reusable table, sorts are one segmented index
-//! sort over every node plus one gather per column, shuffles scatter each
-//! column into one buffer that each destination's batch views a range
-//! of, products repeat and tile column slices. A kernel allocates per
-//! output column, not per node or row: the [`QueryResult`] keeps the last
-//! operator's batches, and rows are built only if [`QueryResult::rows`]
-//! is called.
+//! The walk threads [`BatchFragments`] — every node's
+//! [`RecordBatch`](crate::batch::RecordBatch)es in one vector — through
+//! vectorized per-operator kernels (`filter`, `project`, both over `eval`:
+//! one tight loop per expression node, run once per run of consecutive
+//! rows of one column list) and through the strategies' columnar
+//! exchanges — groups fold out of the group and measure columns into one
+//! reusable table, sorts are one segmented index sort over every node
+//! plus one gather per column, shuffles scatter each column into one
+//! buffer, products repeat and tile column slices. A kernel allocates per
+//! operator, not per node or row: it fills one column list, and each
+//! node's output batch views a range of it. The [`QueryResult`] keeps the
+//! last operator's batches, and rows are built only if
+//! [`QueryResult::rows`] is called.
 //!
 //! Then the concatenated schedule replays through any
 //! [`ExecBackend`] as a [`tamp_runtime::ScheduleJob`] — the centralized
@@ -121,11 +123,9 @@ impl<'a> ExecCtx<'a> {
                 project::project(&self.exec_batches(input)?, exprs)?
             }
             PhysicalOp::UnionAll { left, right } => {
-                let mut frags = self.exec_batches(left)?;
-                for (f, r) in frags.iter_mut().zip(self.exec_batches(right)?) {
-                    f.extend(r);
-                }
-                frags
+                let (left, right) = (self.exec_batches(left)?, self.exec_batches(right)?);
+                let both = |v| left[v].iter().chain(&right[v]).cloned();
+                BatchFragments::from_fn(left.len(), both)
             }
             PhysicalOp::Exchange {
                 inputs,
@@ -416,6 +416,48 @@ mod tests {
         );
     }
 
+    /// A small scanned left side reaches several probing nodes as the same
+    /// rows of one column list, and every left row matches exactly one
+    /// right row on each: each node still keeps its own right rows.
+    #[test]
+    fn nodes_sharing_a_left_side_keep_their_own_right_rows() {
+        let one = |bw| (1, bw, 1.0);
+        for tree in [
+            builders::star(2, 1.0),
+            builders::star(3, 1.0),
+            builders::rack_tree(&[one(1.0), one(2.0)], 1.0),
+            builders::rack_tree(&[one(1.0), one(1.0), one(1.0)], 1.0),
+        ] {
+            let p = tree.compute_nodes().len() as u64;
+            let mut ctx = QueryContext::new(tree);
+            // Node `j` holds facts `j` (g = 0) and `j + p` (g = 1).
+            let facts: Vec<Row> = (0..2 * p).map(|i| vec![i, i / p]).collect();
+            let schema = Schema::new(vec!["id", "g"]).unwrap();
+            let t = DistributedTable::round_robin("facts", schema, facts, ctx.tree());
+            ctx.register(t).unwrap();
+            // One source, so every node gets the same one run of dims.
+            let (dims, v) = (
+                (0..2).map(|g| vec![g, 100 + g]).collect(),
+                ctx.tree().compute_nodes()[0],
+            );
+            let schema = Schema::new(vec!["g", "label"]).unwrap();
+            let t = DistributedTable::single_node("dims", schema, dims, ctx.tree(), v);
+            ctx.register(t).unwrap();
+            let (facts, dims) = (LogicalPlan::scan("facts"), LogicalPlan::scan("dims"));
+            for q in [
+                dims.clone().join_on(facts.clone(), "g", "g"),
+                facts.join_on(dims, "g", "g"),
+            ] {
+                for name in ["broadcast-small", "tree-partition"] {
+                    for seed in 0..4 {
+                        let forced = ctx.clone().with_seed(seed).with_strategy(Join, name);
+                        check_against_reference(&forced, &q);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn errors_surface_cleanly() {
         let ctx = session(builders::star(2, 1.0), 10);
@@ -573,9 +615,9 @@ mod distinct_union_tests {
     }
 }
 
-/// Allocation per column, not per node: every kernel that writes each
-/// node's output fills one buffer per output column, which each node's
-/// batches view a range of.
+/// Allocation per operator, not per node: every kernel that writes each
+/// node's output fills one buffer per output column and one column list,
+/// which each node's batches view a range of.
 #[cfg(test)]
 mod buffer_tests {
     use std::collections::BTreeSet;
@@ -587,12 +629,14 @@ mod buffer_tests {
     use tamp_topology::{builders, Tree};
 
     use super::*;
-    use crate::batch::RecordBatch;
     use crate::context::QueryContext;
     use crate::expr::{lit, Expr};
     use crate::physical::strategies::aggregate::HashAggregate;
     use crate::physical::strategies::columnar::shuffle_batches_by_key;
-    use crate::physical::strategies::join::RepartitionJoin;
+    use crate::physical::strategies::cross::{BroadcastSmallCross, RectCross};
+    use crate::physical::strategies::join::{
+        BroadcastSmallJoin, RepartitionJoin, TreePartitionJoin,
+    };
     use crate::physical::strategies::sort::RangeShuffleSort;
     use crate::physical::strategies::WeightedDistinct;
     use crate::physical::strategy::{OpParams, PhysicalStrategy, TraceBuilder};
@@ -602,26 +646,18 @@ mod buffer_tests {
     use crate::schema::Schema;
     use crate::table::DistributedTable;
 
-    /// Checks that each column of `frags`, across every node, views one
-    /// buffer, and that more than one node holds rows; returns how many
-    /// distinct buffers the batches view.
+    /// Checks that every batch of `frags`, across every node, views one
+    /// column list, and that more than one node holds rows; returns how
+    /// many distinct buffers the list holds.
     fn column_buffers(what: &str, frags: &BatchFragments) -> usize {
-        let batches: Vec<&RecordBatch> = frags.iter().flatten().collect();
         let holders = frags.iter().filter(|f| !f.is_empty()).count();
         assert!(holders > 1, "{what}: {holders} nodes hold rows");
-        for c in 0..batches[0].width() {
-            let first = batches[0].col_shared(c).buffer();
-            for b in &batches {
-                let buf = b.col_shared(c).buffer();
-                assert!(
-                    Arc::ptr_eq(buf, first),
-                    "{what}: column {c} views two buffers"
-                );
-            }
+        let list = &frags.batches()[0].cols;
+        for b in frags.batches() {
+            let one = Arc::ptr_eq(&b.cols, list);
+            assert!(one, "{what}: its batches view more than one column list");
         }
-        let bufs = batches
-            .iter()
-            .flat_map(|b| (0..b.width()).map(|c| b.col_shared(c).buffer().as_ptr()));
+        let bufs = list.iter().map(|c| c.as_ptr());
         bufs.collect::<BTreeSet<*const Value>>().len()
     }
 
@@ -637,6 +673,16 @@ mod buffer_tests {
         let left = scan(facts.collect(), vec!["id", "g", "x"]);
         let dims = (0..80).map(|k| vec![k % 40, 100 + k]);
         let right = scan(dims.collect(), vec!["g", "label"]);
+        let join = OpParams::Join {
+            left_key: 1,
+            right_key: 0,
+            left_width: 3,
+            right_width: 2,
+        };
+        let cross = OpParams::CrossJoin {
+            left_width: 2,
+            right_width: 2,
+        };
         let args = ExecArgs {
             tree,
             seed: 5,
@@ -650,6 +696,7 @@ mod buffer_tests {
         let router = |k: u64| vc[(mix64(k) % vc.len() as u64) as usize];
         let mut trace = TraceBuilder::default();
         let kernels = [
+            ("scan", left.clone()),
             (
                 "hash shuffle",
                 shuffle_batches_by_key(&mut trace, tree, &left, 1, 3, Rel::R, &router),
@@ -682,13 +729,28 @@ mod buffer_tests {
                 "probe join",
                 output(
                     &RepartitionJoin::weighted(),
-                    OpParams::Join {
-                        left_key: 1,
-                        right_key: 0,
-                        left_width: 3,
-                        right_width: 2,
-                    },
-                    vec![left.clone(), right],
+                    join,
+                    vec![left.clone(), right.clone()],
+                ),
+            ),
+            (
+                "broadcast join",
+                output(&BroadcastSmallJoin, join, vec![left.clone(), right.clone()]),
+            ),
+            (
+                "tree-partition join",
+                output(&TreePartitionJoin, join, vec![left.clone(), right.clone()]),
+            ),
+            (
+                "grid product",
+                output(&RectCross::whc(), cross, vec![right.clone(), right.clone()]),
+            ),
+            (
+                "broadcast product",
+                output(
+                    &BroadcastSmallCross,
+                    cross,
+                    vec![right.clone(), right.clone()],
                 ),
             ),
             (
@@ -709,20 +771,26 @@ mod buffer_tests {
             .collect()
     }
 
-    /// The kernels allocate per column on a 64-compute fat-tree, and the
-    /// count of buffers does not grow with the node count.
+    /// The kernels allocate per operator on a 64-compute fat-tree — every
+    /// output batch views one column list — and the count of buffers does
+    /// not grow with the node count.
     #[test]
     fn every_kernel_fills_one_buffer_per_output_column() {
         let big = buffers_per_kernel(&builders::fat_tree(2, 8, 1.0));
         assert_eq!(
             big,
             [
+                ("scan", 3),
                 ("hash shuffle", 3),
                 ("range sort", 3),
                 ("distinct", 3),
                 ("filter", 3),
                 ("project", 2),
                 ("probe join", 5),
+                ("broadcast join", 5),
+                ("tree-partition join", 5),
+                ("grid product", 4),
+                ("broadcast product", 4),
                 ("group fold", 2),
             ]
         );
@@ -751,9 +819,8 @@ mod buffer_tests {
                 let res = ctx.execute(&q).unwrap();
                 let want = reference::evaluate(&q, ctx.catalog()).unwrap();
                 assert_eq!(res.rows(reference::preserves_order(&q)), want, "{q}");
-                for b in res.fragments.iter().flatten() {
-                    for c in 0..b.width() {
-                        let held = b.col_shared(c).buffer().len();
+                for b in res.fragments.batches() {
+                    for held in b.cols.iter().map(|c| c.len()) {
                         assert!(held <= n, "{q}: a {held}-row buffer");
                     }
                 }

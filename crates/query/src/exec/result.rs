@@ -79,6 +79,6 @@ impl QueryResult {
 
     /// Total number of output rows.
     pub fn num_rows(&self) -> usize {
-        self.fragments.iter().map(|b| batch_rows(b)).sum()
+        batch_rows(self.fragments.batches())
     }
 }

@@ -19,11 +19,14 @@
 //! synthetic placement spreading the estimated per-node group counts,
 //! scaled by the width-2 partial rows the query layer ships.
 
+use std::sync::Arc;
+
 use tamp_core::aggregate::protocols::combining_schedule;
 use tamp_core::ratio::LowerBound;
-use tamp_simulator::Rel;
+use tamp_simulator::{Rel, SharedSlice};
+use tamp_topology::NodeId;
 
-use crate::batch::{batch_rows, flatten_batches, BatchFragments};
+use crate::batch::{batch_rows, cut, flatten, whole, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::physical::strategy::{
     CostEstimate, ExecArgs, OpInput, OpParams, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
@@ -32,7 +35,7 @@ use crate::physical::strategy::{
 use crate::plan::AggFunc;
 
 use super::columnar::{
-    batch_frag_weights, empty_batch_frags, fold_groups, key_router, shuffle_batches_by_key,
+    batch_frag_weights, empty_trace, fold_groups, key_router, shuffle_batches_by_key,
 };
 use super::group_table::GroupTable;
 
@@ -149,22 +152,16 @@ impl PhysicalStrategy for HashAggregate {
         let mut trace = TraceBuilder::default();
         let weights = || batch_frag_weights(tree, &[&frags]);
         let Some(router) = key_router(a, self.weighted, weights) else {
-            return Ok(OpTrace {
-                rounds: trace.into_rounds(),
-                output: empty_batch_frags(tree),
-            });
+            return empty_trace(tree);
         };
         // Local pre-aggregation leaves each node one sorted partial
         // batch; partials then shuffle to their owners like any keyed
         // rows, and each owner folds what arrived.
         let mut table = GroupTable::new();
-        let partials = fold_groups(&mut table, &frags, gi, mi, agg, true);
+        let partials = fold_groups(&mut table, frags.iter(), gi, mi, agg, true);
         let arrived = shuffle_batches_by_key(&mut trace, tree, &partials, 0, 2, Rel::S, &*router);
-        let output = fold_groups(&mut table, &arrived, 0, 1, agg, false);
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output,
-        })
+        let output = fold_groups(&mut table, arrived.iter(), 0, 1, agg, false);
+        trace.finish(output)
     }
 }
 
@@ -232,35 +229,42 @@ impl PhysicalStrategy for CombiningTreeAggregate {
 
         // Each node's running partials: at most one sorted width-2 batch.
         let mut table = GroupTable::new();
-        let mut acc = fold_groups(&mut table, &frags, gi, mi, agg, true);
+        let partials = fold_groups(&mut table, frags.iter(), gi, mi, agg, true);
+        let mut acc: Vec<Option<RecordBatch>> =
+            partials.iter().map(|b| b.first().cloned()).collect();
 
         let mut trace = TraceBuilder::default();
         for moves in schedule {
-            trace.round(|round| {
-                for &(src, dst) in &moves {
-                    let payload = flatten_batches(&acc[src.index()], 2);
-                    round.send(src, &[dst], Rel::S, payload);
+            // A level's sources and receivers are disjoint: every payload
+            // is cut from one buffer, and the receivers fold what they held
+            // and all that arrived in one fold.
+            let from = |(src, _): &(NodeId, NodeId)| acc[src.index()].as_slice();
+            let rows = moves.iter().map(|m| batch_rows(from(m))).sum();
+            let all = moves.iter().flat_map(|m| whole(from(m)));
+            let (mut cut, dsts) = (cut(flatten(rows, all, 2), 2), moves.iter().map(|m| m.1));
+            let dsts: Arc<[NodeId]> = dsts.collect();
+            trace.round_with_capacity(moves.len(), |round| {
+                for (i, m) in moves.iter().enumerate() {
+                    let dst = SharedSlice::new(dsts.clone(), i..i + 1);
+                    round.send(m.0, dst, Rel::S, cut(batch_rows(from(m))));
                 }
             });
-            for (src, dst) in moves {
-                let moved = std::mem::take(&mut acc[src.index()]);
-                let held = std::mem::take(&mut acc[dst.index()]);
-                acc[dst.index()] = match held.is_empty() || moved.is_empty() {
-                    true => held.into_iter().chain(moved).collect(),
-                    false => {
-                        let both = [[held, moved].concat()];
-                        fold_groups(&mut table, &both, 0, 1, agg, false).remove(0)
-                    }
-                };
+            let mut receivers = dsts.to_vec();
+            receivers.sort_unstable();
+            receivers.dedup();
+            let arrived = receivers.iter().map(|&d| {
+                let moved = moves.iter().filter(move |m| m.1 == d).flat_map(from);
+                acc[d.index()].iter().chain(moved)
+            });
+            let folded = fold_groups(&mut table, arrived, 0, 1, agg, false);
+            moves.iter().for_each(|m| acc[m.0.index()] = None);
+            for (d, b) in receivers.iter().zip(folded.iter()) {
+                acc[d.index()] = b.first().cloned();
             }
         }
 
-        let mut out = empty_batch_frags(tree);
-        out[target.index()] = std::mem::take(&mut acc[target.index()]);
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: out,
-        })
+        let at_target = |v: usize| acc[v].clone().filter(|_| v == target.index());
+        trace.finish(BatchFragments::from_fn(acc.len(), at_target))
     }
 }
 

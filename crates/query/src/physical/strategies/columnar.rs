@@ -1,13 +1,13 @@
 //! Exchange kernels shared by the built-in strategies.
 //!
 //! Routing scans columns, a shuffle is one counting scatter into one
-//! buffer per column that each destination's batch views a range of, and
-//! replication is a refcount bump per batch. The
-//! exchanges all keep one order: per destination, rows arrive in source
-//! order, each source's in its scan order, and the rows a source keeps
-//! for itself sit at that source's own position. Sends leave in the same
-//! source-then-destination order, which the schedule's content hash —
-//! the checkpoint token — covers.
+//! column list that each destination's batch views a range of, and
+//! replication shares the source batches. The exchanges all keep one
+//! order: per destination, rows arrive in source order, each source's in
+//! its scan order, and the rows a source keeps for itself sit at that
+//! source's own position. Sends leave in the same source-then-destination
+//! order, which the schedule's content hash — the checkpoint token —
+//! covers.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -17,17 +17,18 @@ use tamp_simulator::{Rel, SharedSlice, Value};
 use tamp_topology::{NodeId, Tree};
 
 use crate::batch::{
-    batch_rows, cut, flatten, gather_runs, new_columns, starts, views, whole, BatchFragments,
-    RecordBatch,
+    batch_rows, cut, flatten, gather_runs, new_columns, runs, starts, views, whole, BatchFragments,
+    Columns, RecordBatch,
 };
-use crate::physical::strategy::{ExecArgs, TraceBuilder};
+use crate::error::QueryError;
+use crate::physical::strategy::{ExecArgs, OpTrace, TraceBuilder};
 use crate::plan::AggFunc;
 
 use super::group_table::{GroupTable, KeyTable};
 
-/// Empty batch fragments for `tree`.
-pub(crate) fn empty_batch_frags(tree: &Tree) -> BatchFragments {
-    vec![Vec::new(); tree.num_nodes()]
+/// The trace of an exchange with no rows to move: no rounds, no output.
+pub(crate) fn empty_trace(tree: &Tree) -> Result<OpTrace, QueryError> {
+    TraceBuilder::default().finish(BatchFragments::from_fn(tree.num_nodes(), |_| None))
 }
 
 /// Current per-node row counts of all `sides`, as weights for
@@ -52,40 +53,31 @@ pub(crate) fn batch_holders_of(tree: &Tree, frags: &BatchFragments) -> Vec<NodeI
         .collect()
 }
 
-/// One-round exchange of batch fragments among destination *slots*.
-///
-/// Each source, in `sources` order, splits its rows by slot — `route`
-/// appends one slot per row of the batch it is shown — and slot `s`
-/// delivers to node `slots[s]`, no two slots to one node — whatever a
-/// slot stands for: the destination node for the hash shuffles, the
-/// splitter bucket for the range shuffle.
-///
-/// One counting scatter: a slot's one output batch holds, source after
-/// source, one contiguous run of each source's rows in scan order — a
-/// range of one buffer per column, filled a column at a time. A source
-/// sends each of its runs but the one it keeps, in ascending slot order:
-/// its payload cut from one row-major buffer of all sent runs (sized from
-/// the counts), its one-node destination list from `slots`.
-pub(crate) fn exchange_batches(
-    trace: &mut TraceBuilder,
+/// A source's rows bound for one slot: `(source, slot, rows of the list)`.
+pub(crate) type Run = (NodeId, usize, Range<usize>);
+
+/// Scatter `sources`' rows into slots (`route` appends one per row of the
+/// source batch it is shown): slot `s` is `starts[s]..starts[s + 1]` of
+/// one column list, each source's run in turn. Returns the list, `starts`
+/// and every source's runs, in `sources` order, slots ascending.
+pub(crate) fn counting_scatter(
     frags: &BatchFragments,
     width: usize,
-    rel: Rel,
     sources: &[NodeId],
-    slots: &Arc<[NodeId]>,
-    route: &mut dyn FnMut(&RecordBatch, &mut Vec<u32>),
-) -> BatchFragments {
+    slots: usize,
+    route: &mut dyn FnMut(NodeId, &RecordBatch, &mut Vec<u32>),
+) -> (Columns, Vec<usize>, Vec<Run>) {
     // Route and count: each row's `(slot, position)` and each source's
-    // `(src, slot, rows)` runs; `seen[s]` is the last source to touch `s`.
-    let (mut counts, mut seen) = (vec![0; slots.len()], vec![usize::MAX; slots.len()]);
+    // runs; `seen[s]` is the last source to touch `s`.
+    let (mut counts, mut seen) = (vec![0; slots], vec![usize::MAX; slots]);
     let total = sources.iter().map(|v| batch_rows(&frags[v.index()])).sum();
     let (mut row_slots, mut place) = (Vec::new(), Vec::<(u32, u32)>::with_capacity(total));
-    let mut runs: Vec<(NodeId, usize, Range<usize>)> = Vec::new();
+    let mut runs: Vec<Run> = Vec::new();
     for (i, &v) in sources.iter().enumerate() {
         let first = runs.len();
         row_slots.clear();
         for b in &frags[v.index()] {
-            route(b, &mut row_slots);
+            route(v, b, &mut row_slots);
         }
         debug_assert_eq!(row_slots.len(), batch_rows(&frags[v.index()]));
         for &s in &row_slots {
@@ -101,9 +93,8 @@ pub(crate) fn exchange_batches(
         }
         runs[first..].sort_unstable_by_key(|run| run.1);
     }
-    // Slot `s`'s rows are `start[s]..start[s] + counts[s]` of one buffer
-    // per column.
-    let start = starts(&counts);
+    // Slot `s`'s rows are `start[s]..start[s + 1]` of the list.
+    let start = starts(counts);
     let cols = new_columns(width, total, |c, col| {
         let mut at = 0;
         for b in sources.iter().flat_map(|v| &frags[v.index()]) {
@@ -113,21 +104,60 @@ pub(crate) fn exchange_batches(
             at += b.num_rows();
         }
     });
-    let mut new_frags: BatchFragments = vec![Vec::new(); frags.len()];
-    for (&dst, b) in slots.iter().zip(views(&cols, counts)) {
-        new_frags[dst.index()].extend(b);
+    for (_, s, rows) in &mut runs {
+        *rows = start[*s] + rows.start..start[*s] + rows.end;
     }
+    (cols, start, runs)
+}
+
+/// The payloads of `runs` of `cols`, in order: consecutive cuts of one
+/// row-major buffer of all their rows.
+pub(crate) fn payloads<'a>(
+    cols: &Columns,
+    runs: impl Iterator<Item = &'a Run> + Clone,
+    width: usize,
+) -> impl FnMut(usize) -> SharedSlice<Value> {
+    let all = RecordBatch::view(cols, 0..cols.first().map_or(0, |c| c.len()));
+    let rows = runs.clone().map(|run| run.2.len()).sum();
+    let places = runs.map(|run| (&all, run.2.clone()));
+    cut(flatten(rows, places, width), width)
+}
+
+/// One-round exchange of batch fragments among destination *slots*.
+///
+/// Each source, in `sources` order, splits its rows by slot (`route` as
+/// in [`counting_scatter`]), and slot `s` delivers to node `slots[s]`, no
+/// two slots to one node — whatever a slot stands for: the destination
+/// node for the hash shuffles, the splitter bucket for the range shuffle.
+///
+/// A slot's one output batch is a range of the scatter's column list. A
+/// source sends each of its runs but the one it keeps, in ascending slot
+/// order: its payload cut from one row-major buffer of all sent runs, its
+/// one-node destination list from `slots`.
+pub(crate) fn exchange_batches(
+    trace: &mut TraceBuilder,
+    frags: &BatchFragments,
+    width: usize,
+    rel: Rel,
+    sources: &[NodeId],
+    slots: &Arc<[NodeId]>,
+    route: &mut dyn FnMut(NodeId, &RecordBatch, &mut Vec<u32>),
+) -> BatchFragments {
+    let (cols, at, runs) = counting_scatter(frags, width, sources, slots.len(), route);
     let sent = || runs.iter().filter(|run| slots[run.1] != run.0);
-    let places = sent().map(|(_, s, rows)| (&new_frags[slots[*s].index()][0], rows.clone()));
-    let rows = sent().map(|run| run.2.len()).sum();
-    let mut cut = cut(flatten(rows, places, width), width);
+    let mut cut = payloads(&cols, sent(), width);
     trace.round_with_capacity(sent().count(), |round| {
         for (src, s, rows) in sent() {
             let dst = SharedSlice::new(slots.clone(), *s..*s + 1);
             round.send(*src, dst, rel, cut(rows.len()));
         }
     });
-    new_frags
+    let held = slots
+        .iter()
+        .zip(at.windows(2))
+        .filter(|(_, at)| at[0] < at[1]);
+    let held = held.map(|(dst, at)| (dst.index(), RecordBatch::view(&cols, at[0]..at[1])));
+    BatchFragments::scatter(frags.len(), held.collect())
 }
 
 /// One-round repartition of batch fragments by a key router: one key-column
@@ -150,7 +180,7 @@ pub(crate) fn shuffle_batches_by_key(
         rel,
         tree.compute_nodes(),
         &by_index,
-        &mut |b, out| out.extend(b.col(key_idx).iter().map(|&key| router(key).index() as u32)),
+        &mut |_, b, out| out.extend(b.col(key_idx).iter().map(|&k| router(k).index() as u32)),
     )
 }
 
@@ -173,8 +203,8 @@ pub(crate) fn key_router(
 
 /// One-round replication of `small_frags` (relation `rel`) to every
 /// holder: each source's rows are one range of one row-major buffer, all
-/// sends share one destination list, and the replicated fragments are
-/// refcount bumps on the source columns — no row copies at all.
+/// sends share one destination list, and every holder's fragment is the
+/// small side's runs, shared — no row copies at all.
 pub(crate) fn broadcast_small_batches(
     trace: &mut TraceBuilder,
     tree: &Tree,
@@ -194,13 +224,12 @@ pub(crate) fn broadcast_small_batches(
             round.send(*v, dsts.clone(), rel, cut(batch_rows(local(v))));
         }
     });
-    let mut small_new = empty_batch_frags(tree);
-    for &h in holders {
-        small_new[h.index()] = small_frags.concat();
-    }
-    small_new
+    let (small, mut holders) = (&runs(small_frags.batches()).0, holders.iter().peekable());
+    BatchFragments::from_fn(small_frags.len(), move |v| {
+        let held = holders.next_if(|h| h.index() == v).is_some();
+        small.iter().filter(move |_| held).cloned()
+    })
 }
-
 /// A join build side: a multimap from join key to the `(batch, row)`
 /// locations holding it, in scan order per key — all the join output
 /// depends on, so nothing downstream sees where the table put a key.
@@ -245,11 +274,14 @@ impl JoinBuild {
     }
 }
 
+/// A probing node and its output rows.
+type Probe = (NodeId, Range<usize>);
+
 /// Local probe join of co-located batch fragments: build on the right,
 /// probe in left order — `left ++ right` rows, left scan order outermost,
 /// each left row's matches in right scan order — then one gather per
-/// output column into one buffer that every node's output batch views a
-/// range of.
+/// output column into one column list that every node's output batch
+/// views a range of.
 ///
 /// `right_replicated` says every non-empty `r_new[v]` is the same batch
 /// list (a broadcast right side): the build then happens once and every
@@ -266,15 +298,20 @@ pub(crate) fn probe_join_batches(
     right_replicated: bool,
 ) -> BatchFragments {
     let mut shared: Option<JoinBuild> = None;
-    // Every node's matches, back to back: `(node, left picks, right picks)`.
-    // While every row of a one-batch left side matches exactly once (a
-    // foreign-key join) its picks are implicit: its columns are shared.
-    let l_rows = l_new.iter().map(|b| batch_rows(b)).sum();
-    let (mut l_picks, mut r_picks) = (Vec::new(), Vec::with_capacity(l_rows));
-    let mut nodes = Vec::new();
+    // Every node's matches back to back, a left and a right pick per output
+    // row. While each probing node's left side is one batch of a list all
+    // view, past the previous node's rows (the right columns are written at
+    // those rows), and each row matches once (a foreign-key join), left
+    // picks stay implicit and the output shares its columns; `spell` writes
+    // them out.
+    let (mut fk, mut fk_list, mut fk_end) = (true, None, 0);
+    let (mut l_picks, mut r_picks) = (Vec::new(), Vec::with_capacity(batch_rows(l_new.batches())));
+    let mut nodes: Vec<Probe> = Vec::new();
+    let spell = |l_picks: &mut Vec<(u32, u32)>, lens: &mut dyn Iterator<Item = usize>| {
+        lens.for_each(|n| l_picks.extend((0..n as u32).map(|r| (0, r))));
+    };
     for &v in tree.compute_nodes() {
-        let rbatches = &r_new[v.index()];
-        let lbatches = &l_new[v.index()];
+        let (lbatches, rbatches) = (&l_new[v.index()], &r_new[v.index()]);
         if batch_rows(rbatches) == 0 || batch_rows(lbatches) == 0 {
             continue;
         }
@@ -282,14 +319,22 @@ pub(crate) fn probe_join_batches(
             shared = None;
         }
         let build = shared.get_or_insert_with(|| JoinBuild::new(rbatches, ri));
+        let (list, rows) = (&lbatches[0].cols, lbatches[0].range());
+        let fits = fk_list.is_none_or(|l| Arc::ptr_eq(l, list)) && rows.start >= fk_end;
+        if fk && (lbatches.len() > 1 || !fits) {
+            fk = false;
+            spell(&mut l_picks, &mut nodes.iter().map(|n| n.1.len()));
+        }
+        (fk_list, fk_end) = (fk_list.or(Some(list)), rows.end);
         // Probe in left scan order.
-        let (l_start, r_start, mut fk) = (l_picks.len(), r_picks.len(), lbatches.len() == 1);
+        let start = r_picks.len();
         for (bi, b) in lbatches.iter().enumerate() {
             for (lr, &key) in b.col(li).iter().enumerate() {
                 let found = build.get(key);
                 if fk && found.len() != 1 {
                     fk = false;
-                    l_picks.extend((0..lr as u32).map(|r| (0, r)));
+                    let done = nodes.iter().map(|n| n.1.len());
+                    spell(&mut l_picks, &mut done.chain([lr]));
                 }
                 for &loc in found {
                     l_picks.extend((!fk).then_some((bi as u32, lr as u32)));
@@ -297,38 +342,41 @@ pub(crate) fn probe_join_batches(
                 }
             }
         }
-        if r_picks.len() > r_start {
-            nodes.push((v, l_start..l_picks.len(), r_start..r_picks.len()));
+        if r_picks.len() > start {
+            nodes.push((v, start..r_picks.len()));
         }
     }
-    // One gather per column over every node's picks.
-    type Run = (NodeId, Range<usize>, Range<usize>);
-    let l_run = |(v, l, _): &Run| (&l_new[v.index()][..], &l_picks[l.clone()]);
-    let r_run = |(v, _, r): &Run| (&r_new[v.index()][..], &r_picks[r.clone()]);
-    let l_cols = gather_runs(lw, || nodes.iter().map(l_run));
-    let r_cols = gather_runs(rw, || nodes.iter().map(r_run));
-    let mut out = empty_batch_frags(tree);
-    for (v, l, r) in nodes {
-        let left = |c: usize| match l.is_empty() {
-            true => l_new[v.index()][0].col_shared(c).clone(),
-            false => SharedSlice::new(l_cols[c].clone(), l.clone()),
-        };
-        let right = |c: usize| SharedSlice::new(r_cols[c].clone(), r.clone());
-        let cols = (0..lw).map(left).chain((0..rw).map(right)).collect();
-        out[v.index()].push(RecordBatch::from_cols_rows(cols, r.len()));
-    }
-    out
+    // One gather per column over every node's picks: at the node's left
+    // rows of the shared list, or back to back.
+    let left = |v: NodeId| l_new[v.index()][0].range();
+    let at = |(v, rows): &Probe| if fk { left(*v) } else { rows.clone() };
+    let len = nodes.iter().map(|n| at(n).end).max().unwrap_or(0);
+    let r_run = |n: &Probe| (&r_new[n.0.index()][..], &r_picks[n.1.clone()], at(n).start);
+    let right: Vec<Arc<[Value]>> = gather_runs(rw, len, || nodes.iter().map(r_run));
+    let cols: Columns = match (fk, fk_list) {
+        (true, Some(list)) => list.iter().cloned().chain(right).collect(),
+        _ => {
+            let l_run = |n: &Probe| (&l_new[n.0.index()][..], &l_picks[n.1.clone()], n.1.start);
+            let left: Vec<Arc<[Value]>> = gather_runs(lw, len, || nodes.iter().map(l_run));
+            left.into_iter().chain(right).collect()
+        }
+    };
+    let mut nodes = nodes.iter().peekable();
+    BatchFragments::from_fn(l_new.len(), |v| {
+        let n = nodes.next_if(|n| n.0.index() == v)?;
+        Some(RecordBatch::view(&cols, at(n)))
+    })
 }
 
 /// Fold the `(group, measure)` column pairs of each segment's batches —
 /// a segment is one node's batch list — into one width-2 batch of
 /// `(group, partial)` rows in ascending group order (none for a segment
-/// without rows); the batches view one buffer per column.
-/// `lift` tells raw measures (local pre-aggregation) from partials that
-/// were lifted already (merging shipped partials).
-pub(crate) fn fold_groups(
+/// without rows); the batches view one column list, and fragment `i` is
+/// segment `i`. `lift` tells raw measures (local pre-aggregation) from
+/// partials that were lifted already (merging shipped partials).
+pub(crate) fn fold_groups<'a, S: IntoIterator<Item = &'a RecordBatch>>(
     table: &mut GroupTable,
-    segments: &[Vec<RecordBatch>],
+    segments: impl ExactSizeIterator<Item = S>,
     group: usize,
     measure: usize,
     agg: AggFunc,
@@ -347,12 +395,12 @@ pub(crate) fn fold_groups(
         lens.push(table.seal_sorted());
     }
     // Every segment's pairs sit sealed in the table, back to back.
-    let cols: [Arc<[Value]>; 2] = table.drain_sorted(|pairs| {
+    let cols: Columns = table.drain_sorted(|pairs| {
         let col = |c: usize| pairs.iter().map(|e| [e.0, e.1][c]).collect();
-        [col(0), col(1)]
+        Arc::from([col(0), col(1)])
     });
-    let out = views(&cols, lens).map(|b| b.into_iter().collect());
-    out.collect()
+    let mut out = views(&cols, lens.iter().copied());
+    BatchFragments::from_fn(lens.len(), |_| out.next().flatten())
 }
 
 #[cfg(test)]
@@ -363,7 +411,7 @@ mod tests {
     use tamp_core::sorting::valid_order;
 
     use super::*;
-    use crate::batch::convert::{batches_to_rows, rows_to_batches};
+    use crate::batch::convert::{batches_to_rows, on_node, rows_to_batches};
     use crate::row::Row;
 
     /// `exchange_batches` on seeded inputs against its row-level
@@ -392,9 +440,9 @@ mod tests {
                     .collect()
             })
             .collect();
-        let frags: BatchFragments = (rows.iter().zip(0..))
-            .map(|(rows, i)| rows_to_batches(rows, width, 1 + rnd(i) as usize % 4))
-            .collect();
+        let frags = BatchFragments::from_fn(rows.len(), |v| {
+            rows_to_batches(&rows[v], width, 1 + rnd(v as u64) as usize % 4)
+        });
         let mut row_slots: Vec<u32> = Vec::new();
         for &v in sources {
             let stay = slots.iter().position(|&s| s == v).unwrap() as u64;
@@ -441,7 +489,7 @@ mod tests {
             Rel::S,
             sources,
             slots,
-            &mut |b, out| {
+            &mut |_, b, out| {
                 out.extend(&row_slots[at..at + b.num_rows()]);
                 at += b.num_rows();
             },
@@ -516,12 +564,10 @@ mod tests {
     fn probe(left: &[Row], batch: usize, right: &[Row]) -> (Vec<RecordBatch>, Vec<RecordBatch>) {
         let tree = tamp_topology::builders::star(1, 1.0);
         let v = tree.compute_nodes()[0].index();
-        let mut l = empty_batch_frags(&tree);
-        let mut r = empty_batch_frags(&tree);
-        l[v] = rows_to_batches(left, 2, batch);
-        r[v] = rows_to_batches(right, 2, usize::MAX);
+        let l = on_node(tree.num_nodes(), v, rows_to_batches(left, 2, batch));
+        let r = on_node(tree.num_nodes(), v, rows_to_batches(right, 2, usize::MAX));
         let out = probe_join_batches(&tree, &l, &r, 0, 0, 2, 2, false);
-        (std::mem::take(&mut l[v]), out[v].clone())
+        (l[v].to_vec(), out[v].to_vec())
     }
 
     /// The nested-loop join the kernel must equal, left order outermost.

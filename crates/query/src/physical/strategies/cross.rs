@@ -26,14 +26,16 @@ use tamp_core::ratio::LowerBound;
 use tamp_simulator::{Rel, SharedSlice};
 use tamp_topology::{DirEdgeId, NodeId, Tree};
 
-use crate::batch::{batch_rows, concat, flatten_batches, new_columns, BatchFragments, RecordBatch};
+use crate::batch::{
+    batch_rows, concat, flatten_batches, new_columns, starts, views, BatchFragments, RecordBatch,
+};
 use crate::error::QueryError;
 use crate::physical::strategy::{
     CostEstimate, ExecArgs, OpInput, OpParams, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
     PlanSide, TraceBuilder,
 };
 
-use super::columnar::{batch_holders_of, broadcast_small_batches, empty_batch_frags};
+use super::columnar::{batch_holders_of, broadcast_small_batches};
 
 fn cross_input(input: OpInput) -> (BatchFragments, BatchFragments, usize, usize) {
     let (
@@ -49,34 +51,44 @@ fn cross_input(input: OpInput) -> (BatchFragments, BatchFragments, usize, usize)
     (left, right, left_width, right_width)
 }
 
-/// The product of `left`'s rows `l` with `right`'s rows `r` as one batch
-/// of `left ++ right` rows, outer side outermost: each outer row repeats
-/// over one full pass of the inner rows. The left side is the outer one
-/// unless `right_outer`.
-fn product(
-    left: &RecordBatch,
-    l: Range<usize>,
-    right: &RecordBatch,
-    r: Range<usize>,
+/// The products `left × right` of `pieces` — `(node, left, right)` — as
+/// `left ++ right` rows, back to back in one column list, piece `i`'s on
+/// node `pieces[i].0`: each outer row repeats over one full pass of the
+/// inner rows. The left side is the outer one unless `right_outer`.
+fn products(
+    nodes: usize,
+    pieces: Vec<(usize, RecordBatch, RecordBatch)>,
     right_outer: bool,
-) -> RecordBatch {
-    let (rows, lw) = (l.len() * r.len(), left.width());
-    let cols = new_columns(lw + right.width(), rows, |c, out| {
-        let (col, outer, other) = match c < lw {
-            true => (&left.col(c)[l.clone()], !right_outer, r.len()),
-            false => (&right.col(c - lw)[r.clone()], right_outer, l.len()),
-        };
-        if rows == 0 {
-        } else if outer {
-            // Each value repeats over one pass of the other side.
-            let runs = out.chunks_exact_mut(other).zip(col);
-            runs.for_each(|(run, &x)| run.fill(x));
-        } else {
-            let passes = out.chunks_exact_mut(col.len());
-            passes.for_each(|pass| pass.copy_from_slice(col));
+) -> BatchFragments {
+    let lens: Vec<usize> = (pieces.iter())
+        .map(|(_, l, r)| l.num_rows() * r.num_rows())
+        .collect();
+    let (lw, width) = pieces
+        .first()
+        .map_or((0, 0), |(_, l, r)| (l.width(), l.width() + r.width()));
+    let cols = new_columns(width, lens.iter().sum(), |c, out| {
+        let mut at = 0;
+        for (_, left, right) in &pieces {
+            let (l, r) = (left.num_rows(), right.num_rows());
+            let out = &mut out[at..at + l * r];
+            at += out.len();
+            let (col, outer, other) = match c < lw {
+                true => (left.col(c), !right_outer, r),
+                false => (right.col(c - lw), right_outer, l),
+            };
+            if out.is_empty() {
+            } else if outer {
+                // Each value repeats over one pass of the other side.
+                let runs = out.chunks_exact_mut(other).zip(col);
+                runs.for_each(|(run, &x)| run.fill(x));
+            } else {
+                let passes = out.chunks_exact_mut(col.len());
+                passes.for_each(|pass| pass.copy_from_slice(col));
+            }
         }
     });
-    RecordBatch::view(&cols, 0..rows)
+    let at = pieces.iter().zip(views(&cols, lens.iter().copied()));
+    BatchFragments::scatter(nodes, at.filter_map(|(p, b)| Some((p.0, b?))).collect())
 }
 
 fn cross_lower_bound(a: &PlanArgs<'_>) -> Option<LowerBound> {
@@ -151,8 +163,8 @@ impl PhysicalStrategy for BroadcastSmallCross {
         let (lfrags, rfrags, lw, rw) = cross_input(input);
         let tree = a.tree;
         let mut trace = TraceBuilder::default();
-        let l_total: usize = lfrags.iter().map(|b| batch_rows(b)).sum();
-        let r_total: usize = rfrags.iter().map(|b| batch_rows(b)).sum();
+        let l_total = batch_rows(lfrags.batches());
+        let r_total = batch_rows(rfrags.batches());
         let left_is_small = l_total * lw <= r_total * rw;
         let (small_frags, small_w, small_rel, big_frags, big_w) = if left_is_small {
             (&lfrags, lw, Rel::R, &rfrags, rw)
@@ -164,29 +176,19 @@ impl PhysicalStrategy for BroadcastSmallCross {
             broadcast_small_batches(&mut trace, tree, small_frags, small_w, small_rel, &holders);
         // Each holder pairs its big rows, outermost, with the whole
         // small side.
-        let mut out = empty_batch_frags(tree);
-        if l_total.min(r_total) > 0 {
-            for &h in &holders {
-                let small = concat(&small_new[h.index()], small_w);
-                let big = concat(&big_frags[h.index()], big_w);
-                let (l, r) = if left_is_small {
-                    (&small, &big)
-                } else {
-                    (&big, &small)
-                };
-                out[h.index()].push(product(
-                    l,
-                    0..l.num_rows(),
-                    r,
-                    0..r.num_rows(),
-                    left_is_small,
-                ));
+        let piece = |h: &NodeId| {
+            let small = concat(&small_new[h.index()], small_w);
+            let big = concat(&big_frags[h.index()], big_w);
+            match left_is_small {
+                true => (h.index(), small, big),
+                false => (h.index(), big, small),
             }
-        }
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: out,
-        })
+        };
+        let pieces = match l_total.min(r_total) {
+            0 => Vec::new(),
+            _ => holders.iter().map(piece).collect(),
+        };
+        trace.finish(products(tree.num_nodes(), pieces, left_is_small))
     }
 }
 
@@ -210,71 +212,51 @@ fn rect_cross_trace(
     a: &ExecArgs<'_>,
     input: OpInput,
     plan: impl Fn(&Tree, u64, u64) -> Vec<Rect>,
-) -> OpTrace {
+) -> Result<OpTrace, QueryError> {
     let (lfrags, rfrags, lw, rw) = cross_input(input);
     let (lfrags, rfrags) = (&lfrags, &rfrags);
     let tree = a.tree;
     let mut trace = TraceBuilder::default();
-    // Global labels: concatenate fragments in compute-node order.
+    // Global labels: fragments concatenated in compute-node order, which
+    // is node-id order; each side's rows row-major in one buffer that
+    // every payload is a range of.
     let order = tree.compute_nodes();
-    let mut l_start = vec![0u64; tree.num_nodes()];
-    let mut r_start = vec![0u64; tree.num_nodes()];
-    let (mut l_acc, mut r_acc) = (0u64, 0u64);
-    for &v in order {
-        l_start[v.index()] = l_acc;
-        r_start[v.index()] = r_acc;
-        l_acc += batch_rows(&lfrags[v.index()]) as u64;
-        r_acc += batch_rows(&rfrags[v.index()]) as u64;
-    }
-    let rects = plan(tree, l_acc, r_acc);
-    let l_recipients: Vec<(NodeId, Range<u64>)> = rects
-        .iter()
-        .map(|r| (r.owner, r.row..r.row + r.h))
-        .collect();
-    let r_recipients: Vec<(NodeId, Range<u64>)> = rects
-        .iter()
-        .map(|r| (r.owner, r.col..r.col + r.w))
-        .collect();
+    let start = |f: &BatchFragments| starts(f.iter().map(batch_rows));
+    let (l_start, r_start) = (start(lfrags), start(rfrags));
+    let total = |f: &BatchFragments| batch_rows(f.batches()) as u64;
+    let rects = plan(tree, total(lfrags), total(rfrags));
+    let l_recipients = rects.iter().map(|r| (r.owner, r.row..r.row + r.h));
+    let l_recipients: Vec<(NodeId, Range<u64>)> = l_recipients.collect();
+    let r_recipients = rects.iter().map(|r| (r.owner, r.col..r.col + r.w));
+    let r_recipients: Vec<(NodeId, Range<u64>)> = r_recipients.collect();
+    let l_flat = flatten_batches(lfrags.batches(), lw);
+    let r_flat = flatten_batches(rfrags.batches(), rw);
     trace.round(|round| {
         for &v in order {
-            for (frags, width, start, recipients, rel) in [
-                (lfrags, lw, &l_start, &l_recipients, Rel::R),
-                (rfrags, rw, &r_start, &r_recipients, Rel::S),
+            for (frags, width, flat, start, recipients, rel) in [
+                (lfrags, lw, &l_flat, &l_start, &l_recipients, Rel::R),
+                (rfrags, rw, &r_flat, &r_start, &r_recipients, Rel::S),
             ] {
-                let local = &frags[v.index()];
-                let flat = flatten_batches(local, width);
-                for (mut dsts, sub) in
-                    interval_segments(batch_rows(local), start[v.index()], recipients)
-                {
+                let (rows, at) = (batch_rows(&frags[v.index()]), start[v.index()]);
+                for (mut dsts, sub) in interval_segments(rows, at as u64, recipients) {
                     dsts.sort_unstable();
                     dsts.dedup();
-                    let payload =
-                        SharedSlice::new(flat.clone(), sub.start * width..sub.end * width);
-                    round.send(v, &dsts, rel, payload);
+                    let cells = (at + sub.start) * width..(at + sub.end) * width;
+                    round.send(v, &dsts, rel, SharedSlice::new(flat.clone(), cells));
                 }
             }
         }
     });
     // Output from model knowledge: every owner enumerates its rectangles
     // over the globally labelled rows — exactly the data it was sent.
-    let global = |frags: &BatchFragments, width| {
-        let all: Vec<RecordBatch> = order
-            .iter()
-            .flat_map(|&v| frags[v.index()].iter().cloned())
-            .collect();
-        concat(&all, width)
-    };
-    let (l_global, r_global) = (global(lfrags, lw), global(rfrags, rw));
-    let mut out = empty_batch_frags(tree);
-    for rect in &rects {
+    let (l, r) = (concat(lfrags.batches(), lw), concat(rfrags.batches(), rw));
+    let piece = |rect: &Rect| {
         let rows = rect.row as usize..(rect.row + rect.h) as usize;
         let cols = rect.col as usize..(rect.col + rect.w) as usize;
-        out[rect.owner.index()].push(product(&l_global, rows, &r_global, cols, false));
-    }
-    OpTrace {
-        rounds: trace.into_rounds(),
-        output: out,
-    }
+        (rect.owner.index(), l.slice(rows), r.slice(cols))
+    };
+    let pieces = rects.iter().map(piece).collect();
+    trace.finish(products(tree.num_nodes(), pieces, false))
 }
 
 /// Price a rectangle cover: each source ships its interval overlaps to
@@ -411,8 +393,6 @@ impl PhysicalStrategy for RectCross {
     }
 
     fn trace(&self, a: &ExecArgs<'_>, input: OpInput) -> Result<OpTrace, QueryError> {
-        Ok(rect_cross_trace(a, input, |tree, l, r| {
-            self.plan(tree, l, r)
-        }))
+        rect_cross_trace(a, input, |tree, l, r| self.plan(tree, l, r))
     }
 }

@@ -23,13 +23,14 @@
 //! `EXPLAIN` shows each candidate's Table-1 ratio.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use tamp_core::intersection::intersection_lower_bound;
 use tamp_core::ratio::LowerBound;
-use tamp_simulator::Rel;
+use tamp_simulator::{Rel, SharedSlice};
 use tamp_topology::NodeId;
 
-use crate::batch::{batch_rows, flatten_multi, gather_multi, BatchFragments};
+use crate::batch::{batch_rows, views, BatchFragments, RecordBatch};
 use crate::error::QueryError;
 use crate::physical::strategy::{
     CostEstimate, ExecArgs, OpInput, OpParams, OpTrace, OperatorKind, PhysicalStrategy, PlanArgs,
@@ -37,8 +38,8 @@ use crate::physical::strategy::{
 };
 
 use super::columnar::{
-    batch_frag_weights, batch_holders_of, broadcast_small_batches, empty_batch_frags, key_router,
-    probe_join_batches, shuffle_batches_by_key,
+    batch_frag_weights, batch_holders_of, broadcast_small_batches, counting_scatter, empty_trace,
+    key_router, payloads, probe_join_batches, shuffle_batches_by_key, Run,
 };
 
 fn join_input(input: OpInput) -> (BatchFragments, BatchFragments, usize, usize, usize, usize) {
@@ -131,17 +132,12 @@ impl PhysicalStrategy for RepartitionJoin {
         let mut trace = TraceBuilder::default();
         let weights = || batch_frag_weights(tree, &[&lfrags, &rfrags]);
         let Some(router) = key_router(a, self.weighted, weights) else {
-            return Ok(OpTrace {
-                rounds: trace.into_rounds(),
-                output: empty_batch_frags(tree),
-            });
+            return empty_trace(tree);
         };
         let l_new = shuffle_batches_by_key(&mut trace, tree, &lfrags, li, lw, Rel::R, &*router);
         let r_new = shuffle_batches_by_key(&mut trace, tree, &rfrags, ri, rw, Rel::S, &*router);
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw, false),
-        })
+        let output = probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw, false);
+        trace.finish(output)
     }
 }
 
@@ -196,8 +192,8 @@ impl PhysicalStrategy for BroadcastSmallJoin {
         let (lfrags, rfrags, li, ri, lw, rw) = join_input(input);
         let tree = a.tree;
         let mut trace = TraceBuilder::default();
-        let l_total: usize = lfrags.iter().map(|b| batch_rows(b)).sum();
-        let r_total: usize = rfrags.iter().map(|b| batch_rows(b)).sum();
+        let l_total = batch_rows(lfrags.batches());
+        let r_total = batch_rows(rfrags.batches());
         let left_is_small = l_total <= r_total;
         let (small_frags, small_w, small_rel, big_frags) = if left_is_small {
             (&lfrags, lw, Rel::R, &rfrags)
@@ -214,10 +210,8 @@ impl PhysicalStrategy for BroadcastSmallJoin {
         };
         // A replicated right side is the same batch list at every holder:
         // one build serves them all.
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw, !left_is_small),
-        })
+        let output = probe_join_batches(tree, &l_new, &r_new, li, ri, lw, rw, !left_is_small);
+        trace.finish(output)
     }
 }
 
@@ -301,101 +295,110 @@ impl PhysicalStrategy for TreePartitionJoin {
         let (lfrags, rfrags, li, ri, lw, rw) = join_input(input);
         let tree = a.tree;
         let mut trace = TraceBuilder::default();
-        let l_total: usize = lfrags.iter().map(|b| batch_rows(b)).sum();
-        let r_total: usize = rfrags.iter().map(|b| batch_rows(b)).sum();
+        let l_total = batch_rows(lfrags.batches());
+        let r_total = batch_rows(rfrags.batches());
         let left_is_small = l_total <= r_total;
         let small_total = l_total.min(r_total) as u64;
         if small_total == 0 {
-            return Ok(OpTrace {
-                rounds: trace.into_rounds(),
-                output: empty_batch_frags(tree),
-            });
+            return empty_trace(tree);
         }
         // Per-node value weights (`N_v`), the balanced-partition input.
         let n: Vec<u64> = lfrags
             .iter()
-            .zip(&rfrags)
+            .zip(rfrags.iter())
             .map(|(l, r)| (batch_rows(l) + batch_rows(r)) as u64)
             .collect();
         let (partition, hashes) =
             tamp_core::intersection::partition::partition_hashes(tree, &n, small_total, a.seed);
         let block_of = partition.block_of(tree.num_nodes());
 
-        let (small_frags, small_key, small_w, small_rel) = if left_is_small {
-            (&lfrags, li, lw, Rel::R)
-        } else {
-            (&rfrags, ri, rw, Rel::S)
-        };
-        let (big_frags, big_key, big_w, big_rel) = if left_is_small {
-            (&rfrags, ri, rw, Rel::S)
-        } else {
-            (&lfrags, li, lw, Rel::R)
-        };
+        let sides = [(&lfrags, li, lw, Rel::R), (&rfrags, ri, rw, Rel::S)];
+        let [(small_frags, small_key, small_w, small_rel), (big_frags, big_key, big_w, big_rel)] = [
+            sides[usize::from(!left_is_small)],
+            sides[usize::from(left_is_small)],
+        ];
 
-        let mut small_new = empty_batch_frags(tree);
-        let mut big_new = empty_batch_frags(tree);
+        // Route once. A small row goes to every block's pick for its key;
+        // rows sharing a destination list form one group, ranked in list
+        // order, and each source sends its groups in rank order. A big row
+        // goes to its own block's pick only.
+        let computes = tree.compute_nodes();
+        let mut groups: BTreeMap<Vec<NodeId>, u32> = BTreeMap::new();
+        let (mut dsts, mut ranks) = (Vec::new(), Vec::new());
+        for b in computes.iter().flat_map(|v| &small_frags[v.index()]) {
+            for &key in b.col(small_key) {
+                dsts.clear();
+                dsts.extend(hashes.iter().flatten().map(|h| h.pick(key)));
+                dsts.sort_unstable();
+                dsts.dedup();
+                if !groups.contains_key(&dsts[..]) {
+                    groups.insert(dsts.clone(), groups.len() as u32);
+                }
+                ranks.push(groups[&dsts[..]]);
+            }
+        }
+        let mut rank_of = vec![0; groups.len()];
+        for (&g, rank) in groups.values().zip(0..) {
+            rank_of[g as usize] = rank;
+        }
+        ranks.iter_mut().for_each(|g| *g = rank_of[*g as usize]);
+        let lists: Vec<Arc<[NodeId]>> = groups.into_keys().map(Arc::from).collect();
+        let mut at = 0;
+        let mut by_rank = |_, b: &RecordBatch, out: &mut Vec<u32>| {
+            out.extend(&ranks[at..at + b.num_rows()]);
+            at += b.num_rows();
+        };
+        let (small, _, small_runs) =
+            counting_scatter(small_frags, small_w, computes, lists.len(), &mut by_rank);
+        let hash_of = |v: NodeId| hashes.get(block_of[v.index()]).and_then(Option::as_ref);
+        let mut sources = computes.to_vec();
+        sources.retain(|&v| hash_of(v).is_some());
+        let mut by_pick = |v, b: &RecordBatch, out: &mut Vec<u32>| {
+            let h = hash_of(v).expect("a source's block has a hash");
+            out.extend(b.col(big_key).iter().map(|&key| h.pick(key).index() as u32));
+        };
+        let (big, big_slots, big_runs) =
+            counting_scatter(big_frags, big_w, &sources, tree.num_nodes(), &mut by_pick);
+
+        // One round: each source's small groups, then its big runs, each
+        // payload cut from one buffer per side.
+        let small_sent = |run: &&Run| *lists[run.1] != [run.0];
+        let big_sent = |run: &&Run| run.1 != run.0.index();
+        let mut small_cut = payloads(&small, small_runs.iter().filter(small_sent), small_w);
+        let mut big_cut = payloads(&big, big_runs.iter().filter(big_sent), big_w);
+        let by_index: Arc<[NodeId]> = tree.nodes().collect();
+        let (mut small_at, mut big_at) = (small_runs.iter().peekable(), big_runs.iter().peekable());
         trace.round(|round| {
-            for &v in tree.compute_nodes() {
-                // Small rows: multicast to {h_i(key)} over all blocks,
-                // one send per distinct destination vector, vectors in
-                // ascending order.
-                let small = &small_frags[v.index()];
-                let mut by_dsts: BTreeMap<Vec<NodeId>, Vec<(u32, u32)>> = BTreeMap::new();
-                for (bi, b) in small.iter().enumerate() {
-                    for (r, &key) in b.col(small_key).iter().enumerate() {
-                        let mut dsts: Vec<NodeId> =
-                            hashes.iter().flatten().map(|h| h.pick(key)).collect();
-                        dsts.sort_unstable();
-                        dsts.dedup();
-                        by_dsts.entry(dsts).or_default().push((bi as u32, r as u32));
+            for &v in computes {
+                while let Some(run) = small_at.next_if(|run| run.0 == v) {
+                    if small_sent(&run) {
+                        let payload = small_cut(run.2.len());
+                        round.send(v, lists[run.1].clone(), small_rel, payload);
                     }
                 }
-                for (dsts, picks) in by_dsts {
-                    // One gather per group; every destination shares its
-                    // columns.
-                    let rows = gather_multi(small, &picks, small_w);
-                    for &d in &dsts {
-                        small_new[d.index()].push(rows.clone());
-                    }
-                    if dsts != [v] {
-                        let payload = flatten_multi(small, &picks, small_w);
-                        round.send(v, &dsts, small_rel, payload);
-                    }
-                }
-                // Big rows: hash within the owner's block only.
-                let block = block_of[v.index()];
-                if block == usize::MAX {
-                    continue;
-                }
-                let Some(h) = &hashes[block] else { continue };
-                let big = &big_frags[v.index()];
-                let mut by_dst: BTreeMap<NodeId, Vec<(u32, u32)>> = BTreeMap::new();
-                for (bi, b) in big.iter().enumerate() {
-                    for (r, &key) in b.col(big_key).iter().enumerate() {
-                        by_dst
-                            .entry(h.pick(key))
-                            .or_default()
-                            .push((bi as u32, r as u32));
-                    }
-                }
-                for (dst, picks) in by_dst {
-                    big_new[dst.index()].push(gather_multi(big, &picks, big_w));
-                    if dst != v {
-                        let payload = flatten_multi(big, &picks, big_w);
-                        round.send(v, &[dst], big_rel, payload);
+                while let Some(run) = big_at.next_if(|run| run.0 == v) {
+                    if big_sent(&run) {
+                        let dst = SharedSlice::new(by_index.clone(), run.1..run.1 + 1);
+                        round.send(v, dst, big_rel, big_cut(run.2.len()));
                     }
                 }
             }
         });
+        let mut small_at = Vec::new();
+        for run in &small_runs {
+            let at = |d: &NodeId| (d.index(), RecordBatch::view(&small, run.2.clone()));
+            small_at.extend(lists[run.1].iter().map(at));
+        }
+        let small_new = BatchFragments::scatter(tree.num_nodes(), small_at);
+        let mut big_at = views(&big, big_slots.windows(2).map(|at| at[1] - at[0]));
+        let big_new = BatchFragments::from_fn(tree.num_nodes(), |_| big_at.next().flatten());
 
         let (l_new, r_new) = if left_is_small {
             (&small_new, &big_new)
         } else {
             (&big_new, &small_new)
         };
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: probe_join_batches(tree, l_new, r_new, li, ri, lw, rw, false),
-        })
+        let output = probe_join_batches(tree, l_new, r_new, li, ri, lw, rw, false);
+        trace.finish(output)
     }
 }

@@ -35,7 +35,7 @@ use tamp_simulator::{Rel, SharedSlice};
 use tamp_topology::NodeId;
 
 use crate::batch::{
-    batch_rows, cut, flatten, head, sort_segments, whole, BatchFragments, Keep, RecordBatch,
+    batch_rows, concat, copy, cut, flatten, head, sort_segments, whole, BatchFragments, Keep,
 };
 use crate::error::QueryError;
 use crate::physical::strategy::{
@@ -43,7 +43,7 @@ use crate::physical::strategy::{
     TraceBuilder,
 };
 
-use columnar::{batch_frag_weights, empty_batch_frags, exchange_batches};
+use columnar::{batch_frag_weights, empty_trace, exchange_batches};
 
 pub(crate) mod aggregate;
 pub(crate) mod columnar;
@@ -116,13 +116,10 @@ impl PhysicalStrategy for WeightedDistinct {
         let weights = batch_frag_weights(tree, &[&input]);
         let mut trace = TraceBuilder::default();
         let Some(hash) = WeightedHash::new(a.seed ^ 0xD157, &weights) else {
-            return Ok(OpTrace {
-                rounds: trace.into_rounds(),
-                output: empty_batch_frags(tree),
-            });
+            return empty_trace(tree);
         };
         // Dedup locally first: duplicates never need to travel twice.
-        let local = sort_segments(&input, width, None, Keep::Distinct);
+        let local = sort_segments(input.iter(), width, None, Keep::Distinct);
         let by_index: Arc<[NodeId]> = tree.nodes().collect();
         let mut row_keys: Vec<u64> = Vec::new();
         let shuffled = exchange_batches(
@@ -133,7 +130,7 @@ impl PhysicalStrategy for WeightedDistinct {
             tree.compute_nodes(),
             &by_index,
             // A whole-row hash, folded a column at a time.
-            &mut |b, out| {
+            &mut |_, b, out| {
                 row_keys.clear();
                 row_keys.resize(b.num_rows(), 0xCBF29CE484222325);
                 for c in 0..width {
@@ -144,10 +141,7 @@ impl PhysicalStrategy for WeightedDistinct {
                 out.extend(row_keys.iter().map(|&h| hash.pick(h).index() as u32));
             },
         );
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: sort_segments(&shuffled, width, None, Keep::Distinct),
-        })
+        trace.finish(sort_segments(shuffled.iter(), width, None, Keep::Distinct))
     }
 }
 
@@ -201,37 +195,38 @@ impl PhysicalStrategy for GatherLimit {
         };
         let (tree, order) = (a.tree, &a.order);
         let target = order[0];
-        // The first `n` rows of each batch list — in list order when that
-        // order is meaningful, in canonical order otherwise.
-        let first_n = |lists: &[&[RecordBatch]]| -> BatchFragments {
-            match order_preserving {
-                true => lists.iter().map(|batches| head(batches, n)).collect(),
-                false => sort_segments(lists, width, None, Keep::First(n)),
-            }
+        // Each node contributes at most its first `n` rows, in `order` — in
+        // list order when that order is meaningful (views of its batches),
+        // in canonical order otherwise; the others' are ranges of one
+        // row-major buffer.
+        let mut lists = order.iter().map(|v| &input[v.index()]);
+        let locals = match order_preserving {
+            true => BatchFragments::from_fn(order.len(), |_| head(lists.next().unwrap(), n)),
+            false => sort_segments(lists, width, None, Keep::First(n)),
         };
-        // Each node contributes at most n rows; the target cuts the
-        // node-order concatenation of the contributions the same way. The
-        // others' are ranges of one row-major buffer.
         let mut trace = TraceBuilder::default();
-        let lists: Vec<&[RecordBatch]> = order.iter().map(|v| &input[v.index()][..]).collect();
-        let locals = first_n(&lists);
-        let sent = &locals[1..];
-        let rows = sent.iter().map(|l| batch_rows(l)).sum();
-        let all = sent.iter().flat_map(|l| whole(l));
+        let sent = || order.iter().zip(locals.iter()).skip(1);
+        let rows = sent().map(|(_, l)| batch_rows(l)).sum();
+        let all = sent().flat_map(|(_, l)| whole(l));
         let mut cut = cut(flatten(rows, all, width), width);
         let dst = SharedSlice::from(&[target]);
-        trace.round_with_capacity(sent.len(), |round| {
-            for (&v, local) in order[1..].iter().zip(sent) {
+        trace.round_with_capacity(order.len() - 1, |round| {
+            for (&v, local) in sent() {
                 round.send(v, dst.clone(), Rel::R, cut(batch_rows(local)));
             }
         });
-        let gathered: Vec<RecordBatch> = locals.into_iter().flatten().collect();
-        let mut out = empty_batch_frags(tree);
-        out[target.index()] = first_n(&[&gathered]).remove(0);
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output: out,
-        })
+        // The target cuts the order concatenation of the contributions the
+        // same way, and copies only the rows it keeps.
+        let gathered = locals.batches();
+        let kept = match order_preserving {
+            true => copy(&head(gathered, n).collect::<Vec<_>>(), width),
+            false => {
+                let sorted = sort_segments(std::iter::once(gathered), width, None, Keep::First(n));
+                concat(&sorted[0], width)
+            }
+        };
+        let at_target = |v| (v == target.index() && kept.num_rows() > 0).then(|| kept.clone());
+        trace.finish(BatchFragments::from_fn(tree.num_nodes(), at_target))
     }
 }
 
@@ -242,7 +237,8 @@ mod tests {
     use tamp_topology::builders;
 
     use super::*;
-    use crate::batch::convert::{batches_to_rows, rows_to_batches};
+    use crate::batch::convert::{batches_to_rows, on_node, rows_to_batches};
+    use crate::batch::RecordBatch;
     use crate::row::Row;
 
     /// One payload is one send, however many rows it carries: a gather
@@ -254,8 +250,11 @@ mod tests {
         let target = valid_order(&tree)[0];
         let source = *tree.compute_nodes().iter().find(|&&v| v != target).unwrap();
         let rows: Vec<Row> = (0..5_000u64).map(|i| vec![i, i * 7]).collect();
-        let mut input = empty_batch_frags(&tree);
-        input[source.index()] = rows_to_batches(&rows, 2, 1_000);
+        let input = on_node(
+            tree.num_nodes(),
+            source.index(),
+            rows_to_batches(&rows, 2, 1_000),
+        );
         let args = ExecArgs {
             tree: &tree,
             seed: 0,
@@ -323,11 +322,10 @@ mod tests {
         let tree = builders::fat_tree(2, 8, 1.0);
         let vc = tree.compute_nodes();
         let spread = |rows: Vec<Row>, width| {
-            let mut frags = empty_batch_frags(&tree);
-            for (i, chunk) in rows.chunks(7).enumerate() {
-                frags[vc[i % vc.len()].index()].push(RecordBatch::from_rows(chunk, width));
-            }
-            frags
+            let chunks = rows.chunks(7).enumerate();
+            let at =
+                chunks.map(|(i, c)| (vc[i % vc.len()].index(), RecordBatch::from_rows(c, width)));
+            BatchFragments::scatter(tree.num_nodes(), at.collect())
         };
         let left = || {
             spread(
@@ -425,9 +423,7 @@ mod soundness {
         let schema = Schema::new(["a", "b", "c"][..width].to_vec()).unwrap();
         let table = DistributedTable::skewed("t", schema, rows, tree, heavy, 0.6);
         let own = batches_to_rows(&table.scan_batches());
-        own.iter()
-            .map(|rows| rows_to_batches(rows, width, 5))
-            .collect()
+        BatchFragments::from_fn(own.len(), |v| rows_to_batches(&own[v], width, 5))
     }
 
     /// Every width-`w` chunk of every payload of relation `rel` the

@@ -131,12 +131,9 @@ impl PhysicalStrategy for RangeShuffleSort {
             unreachable!("registered for Sort");
         };
         let order = &a.order;
-        let total: usize = frags.iter().map(|b| batch_rows(b)).sum();
+        let total = batch_rows(frags.batches());
         if total == 0 {
-            return Ok(OpTrace {
-                rounds: Vec::new(),
-                output: frags,
-            });
+            return TraceBuilder::default().finish(frags);
         }
         let mut trace = TraceBuilder::default();
         let rho = sample_rate(order.len(), total as u64);
@@ -175,7 +172,7 @@ impl PhysicalStrategy for RangeShuffleSort {
             Rel::R,
             order,
             order,
-            &mut |b, out| {
+            &mut |_, b, out| {
                 out.extend(
                     b.col(ki)
                         .iter()
@@ -185,10 +182,7 @@ impl PhysicalStrategy for RangeShuffleSort {
         );
         // Local finish: every node sorts by key, then whole row, in one
         // segmented sort.
-        let output = sort_segments(&shuffled, width, Some(ki), Keep::All);
-        Ok(OpTrace {
-            rounds: trace.into_rounds(),
-            output,
-        })
+        let output = sort_segments(shuffled.iter(), width, Some(ki), Keep::All);
+        trace.finish(output)
     }
 }

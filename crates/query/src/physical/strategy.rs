@@ -33,7 +33,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tamp_query::batch::flatten_batches;
+//! use tamp_query::batch::{flatten_batches, BatchFragments};
 //! use tamp_query::physical::cost::CostModel;
 //! use tamp_query::physical::strategy::*;
 //! use tamp_query::prelude::*;
@@ -67,8 +67,8 @@
 //!         };
 //!         let target = a.tree.compute_nodes()[0];
 //!         let mut trace = TraceBuilder::default();
-//!         // Fragments are per-node lists of column batches; this strategy
-//!         // thinks in rows, so it transposes what the target gathers.
+//!         // Fragments index by node, each node holding column batches;
+//!         // this strategy thinks in rows, so it transposes what it gathers.
 //!         let mut l_all: Vec<Row> = Vec::new();
 //!         let mut r_all: Vec<Row> = Vec::new();
 //!         trace.round(|round| {
@@ -92,9 +92,10 @@
 //!                 joined.push([&l[..], &r[..]].concat());
 //!             }
 //!         }
-//!         let mut out = vec![Vec::new(); a.tree.num_nodes()];
-//!         out[target.index()] = vec![RecordBatch::from_rows(&joined, left_width + right_width)];
-//!         Ok(OpTrace { rounds: trace.into_rounds(), output: out })
+//!         let joined = RecordBatch::from_rows(&joined, left_width + right_width);
+//!         let at_target = |v| (v == target.index()).then(|| joined.clone());
+//!         let output = BatchFragments::from_fn(a.tree.num_nodes(), at_target);
+//!         Ok(OpTrace { rounds: trace.into_rounds(), output })
 //!     }
 //! }
 //!
@@ -399,6 +400,12 @@ impl TraceBuilder {
     /// Finish recording.
     pub fn into_rounds(self) -> Vec<Vec<ScheduleSend>> {
         self.rounds
+    }
+
+    /// Finish recording: the trace of an operator whose output is `output`.
+    pub(crate) fn finish(self, output: BatchFragments) -> Result<OpTrace, QueryError> {
+        let rounds = self.rounds;
+        Ok(OpTrace { rounds, output })
     }
 }
 

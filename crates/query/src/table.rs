@@ -1,9 +1,11 @@
 //! Distributed base tables and the catalog.
 //!
-//! A [`DistributedTable`] holds one [`RecordBatch`] per node — the
-//! `{X_0(v)}` partition of §2 — and nothing else: every node's batch views
-//! a range of one buffer per column, and a scan, or a clone of the
-//! catalog, is a refcount bump per batch. Partitioning helpers write rows
+//! A [`DistributedTable`] holds its rows as batch fragments — the
+//! `{X_0(v)}` partition of §2, at most one
+//! [`RecordBatch`](crate::batch::RecordBatch) per node — and
+//! nothing else: every node's batch views a range of one column list, and a
+//! scan, or a clone of the catalog, copies the fragments' one batch vector
+//! (a refcount bump per batch), never a row. Partitioning helpers write rows
 //! straight into those buffers, for the placements the experiments
 //! need: round-robin (uniform), hash-by-column (co-location), skewed (one
 //! node holds a share `α`), and single-node (maximally lopsided).
@@ -14,7 +16,7 @@ use tamp_core::hashing::mix64;
 use tamp_core::sorting::valid_order;
 use tamp_topology::{EdgeId, NodeId, Tree};
 
-use crate::batch::{new_columns, starts, views, BatchFragments, RecordBatch};
+use crate::batch::{batch_rows, new_columns, starts, views, BatchFragments};
 use crate::error::QueryError;
 use crate::row::Row;
 use crate::schema::Schema;
@@ -26,14 +28,14 @@ pub struct DistributedTable {
     pub name: String,
     /// Column schema.
     pub schema: Schema,
-    // One batch per node id; router batches stay empty.
-    batches: Vec<RecordBatch>,
+    // At most one batch per node id; routers and empty nodes hold none.
+    batches: BatchFragments,
 }
 
 impl DistributedTable {
     /// Place row `i` of `rows` on node `place(i, row)`, writing the rows
-    /// straight into one buffer per column that every node's batch views
-    /// a range of: one pass checks every row's width and counts each
+    /// straight into one column list that every node's batch views a
+    /// range of: one pass checks every row's width and counts each
     /// node's rows, then each row's cell is fixed and each column filled.
     fn partitioned(
         name: &str,
@@ -55,7 +57,7 @@ impl DistributedTable {
         }
         // Each row's cell: node `v`'s rows fill its range of every column,
         // node ranges in id order.
-        let mut at = starts(&counts);
+        let mut at = starts(counts.iter().copied());
         let cell = |(i, row)| {
             let v = place(i, row).index();
             at[v] += 1;
@@ -67,10 +69,8 @@ impl DistributedTable {
                 .zip(&cells)
                 .for_each(|(row, &at)| col[at] = row[c]);
         });
-        // Empty nodes share one empty batch.
-        let empty = RecordBatch::view(&cols, 0..0);
-        let or_empty = |b: Option<RecordBatch>| b.unwrap_or_else(|| empty.clone());
-        let batches = views(&cols, counts).map(or_empty).collect();
+        let mut views = views(&cols, counts);
+        let batches = BatchFragments::from_fn(tree.num_nodes(), |_| views.next().flatten());
         Ok(DistributedTable {
             name: name.to_string(),
             schema,
@@ -78,16 +78,9 @@ impl DistributedTable {
         })
     }
 
-    /// The table as batch fragments: each non-empty node's batch, shared
-    /// (a refcount bump; the only allocation is the node's list).
+    /// The table as batch fragments, shared: a refcount bump per batch.
     pub(crate) fn scan_batches(&self) -> BatchFragments {
-        self.batches
-            .iter()
-            .map(|b| match b.num_rows() {
-                0 => Vec::new(),
-                _ => vec![b.clone()],
-            })
-            .collect()
+        self.batches.clone()
     }
 
     /// Partition `rows` round-robin over the compute nodes.
@@ -149,13 +142,13 @@ impl DistributedTable {
 
     /// Total number of rows.
     pub fn num_rows(&self) -> usize {
-        self.batches.iter().map(RecordBatch::num_rows).sum()
+        batch_rows(self.batches.batches())
     }
 
     /// All rows, concatenated in node-id order.
     pub fn all_rows(&self) -> Vec<Row> {
         let mut rows = Vec::with_capacity(self.num_rows());
-        for b in &self.batches {
+        for b in self.batches.batches() {
             b.append_rows(&mut rows);
         }
         rows
@@ -163,7 +156,7 @@ impl DistributedTable {
 
     /// Per-node row counts (the `|X_0(v)|` statistics).
     pub fn row_counts(&self) -> Vec<u64> {
-        self.batches.iter().map(|b| b.num_rows() as u64).collect()
+        self.batches.iter().map(|b| batch_rows(b) as u64).collect()
     }
 }
 
@@ -223,7 +216,7 @@ impl Catalog {
             )));
         }
         for (i, b) in table.batches.iter().enumerate() {
-            if b.num_rows() > 0 && !self.tree.is_compute(NodeId(i as u32)) {
+            if !b.is_empty() && !self.tree.is_compute(NodeId(i as u32)) {
                 return Err(QueryError::Plan(format!(
                     "table `{}` places rows on router node {i}",
                     table.name
@@ -273,7 +266,7 @@ mod tests {
         // Columns keep each node's rows in input order.
         let first = tree.compute_nodes()[0].index();
         assert_eq!(
-            t.batches[first].col(0),
+            t.batches[first][0].col(0),
             [0, 4, 8, 12, 16, 20, 24, 28, 32, 36]
         );
     }
@@ -288,7 +281,7 @@ mod tests {
         // Equal keys land on equal nodes.
         for key in 0..20 {
             let home: Vec<usize> = (0..t.batches.len())
-                .filter(|&i| t.batches[i].col(0).contains(&key))
+                .filter(|&i| t.batches[i].iter().any(|b| b.col(0).contains(&key)))
                 .collect();
             assert_eq!(home.len(), 1, "key {key} on nodes {home:?}");
         }
@@ -356,7 +349,7 @@ mod tests {
         let (a, b) = (ctx.catalog().table("t"), copy.catalog().table("t"));
         let (a, b) = (&a.unwrap().batches, &b.unwrap().batches);
         assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
+        for (x, y) in a.batches().iter().zip(b.batches()) {
             assert!((0..x.width()).all(|c| std::ptr::eq(x.col(c), y.col(c))));
         }
     }

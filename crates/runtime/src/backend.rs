@@ -38,23 +38,28 @@ use crate::fault::FaultInjector;
 use crate::jobs::ScheduleJob;
 use crate::pool::WorkerPool;
 
-/// Errors from engine-agnostic execution: either engine's failure mode.
+/// Errors from engine-agnostic execution: a model error or a runtime
+/// error, from either engine.
 ///
 /// `Eq` is deliberately absent: [`RuntimeError`]'s link-degradation
 /// variant carries an `f64` factor.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
-    /// The centralized engine failed.
+    /// A model error ([`SimError`]): a placement or send the model
+    /// rejects.
     Sim(SimError),
-    /// The cluster engine failed.
+    /// A runtime error: a job that does not fit the tree, a fault, a
+    /// timeout, a bad backend spec.
     Runtime(RuntimeError),
 }
 
+/// The variant names the error's type, not the engine that raised it
+/// (both engines raise both), so the text names no engine.
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExecError::Sim(e) => write!(f, "simulator backend: {e}"),
-            ExecError::Runtime(e) => write!(f, "cluster backend: {e}"),
+            ExecError::Sim(e) => write!(f, "{e}"),
+            ExecError::Runtime(e) => write!(f, "{e}"),
         }
     }
 }
@@ -411,6 +416,12 @@ mod tests {
                 "{}",
                 errs[0]
             );
+            // Both engines raise it, so its text names neither.
+            let text = errs[0].to_string();
+            assert!(
+                !text.contains("cluster") && !text.contains("simulator"),
+                "{text}"
+            );
         }
         // A job that fits, on a placement that does not: data at the hub,
         // or too few fragments.
@@ -429,6 +440,7 @@ mod tests {
                     .execute(&small, &p, &job)
                     .unwrap_err(),
             ];
+            assert!(!errs[1].to_string().contains("simulator"), "{}", errs[1]);
             assert_eq!(errs, [ExecError::Sim(want.clone()), ExecError::Sim(want)]);
         }
     }

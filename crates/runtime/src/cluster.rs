@@ -20,7 +20,7 @@
 //! would resume. A healthy run is one window. A worker absorbs each slot
 //! it claims — appends the node's deliveries of the window's rounds, read
 //! from the job's per-destination index, to its state, and leaves a
-//! report (absorbed or killed) in the slot — and sends one "drained"
+//! report (absorbed or killed) in the slot — and counts one "drained"
 //! token when the queue is empty. Then the coordinator reads the reports
 //! in node-id order and snapshots if the window ends on a due boundary.
 //! It neither meters nor delivers: every node appends its deliveries in
@@ -38,7 +38,6 @@
 use std::collections::BTreeSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -136,16 +135,21 @@ impl Drop for StopOnDrop<'_> {
     }
 }
 
-/// Sends a worker's drained token when dropped. A worker holds one while
+/// The window barrier: drained tokens counted so far, and the
+/// coordinator's wake-up. Counting allocates nothing, whoever waits.
+type Barrier = (Mutex<usize>, Condvar);
+
+/// Counts a worker's drained token when dropped. A worker holds one while
 /// it claims slots, so it reports in even if it unwinds mid-window;
 /// the coordinator then finds a slot without a report, panics on it, and
 /// releases the crew through [`StopOnDrop`] instead of waiting at the
 /// barrier forever.
-struct DrainedOnDrop<'a>(&'a Sender<()>);
+struct DrainedOnDrop<'a>(&'a Barrier);
 
 impl Drop for DrainedOnDrop<'_> {
     fn drop(&mut self) {
-        let _ = self.0.send(());
+        *crate::lock_ok(&self.0 .0) += 1;
+        self.0 .1.notify_one();
     }
 }
 
@@ -282,7 +286,7 @@ pub(crate) fn replay(
     // every worker's before reading the slots or reopening the queue —
     // otherwise a straggler could re-claim nodes from the fresh queue
     // under a stale window.
-    let (drained_tx, drained_rx) = channel::<()>();
+    let barrier: Barrier = (Mutex::new(0), Condvar::new());
 
     let mut fired_events: Vec<FaultEvent> = Vec::new();
     let mut outcome: Result<(), RuntimeError> = Ok(());
@@ -306,7 +310,7 @@ pub(crate) fn replay(
                 seen_generation = g.generation;
                 g.window.clone()
             };
-            let _drained = DrainedOnDrop(&drained_tx);
+            let _drained = DrainedOnDrop(&barrier);
             // Claim and absorb slots until the queue drains.
             loop {
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
@@ -366,34 +370,43 @@ pub(crate) fn replay(
             // SuperstepTimeout fault, and recovery replays the pinned
             // schedule, so answers stay bit-identical across replays.
             let round_started = Instant::now();
-            for _ in 0..workers {
-                let received = match options.superstep_deadline {
-                    None => drained_rx.recv().ok(),
-                    Some(deadline) => deadline
-                        .checked_sub(round_started.elapsed())
-                        .and_then(|remaining| drained_rx.recv_timeout(remaining).ok()),
-                };
-                if received.is_none() {
-                    // The watchdog fired. The straggler is attributed
-                    // deterministically: the lowest-indexed node whose
-                    // slot held no report when the deadline expired (a
-                    // slot its worker still locks has none yet).
-                    let deadline = options
-                        .superstep_deadline
-                        .expect("timeouts require a deadline");
-                    let straggler = slots
-                        .iter()
-                        .position(|s| !matches!(s.try_lock(), Ok(s) if s.report.is_some()))
-                        .map_or(computes[0], |i| computes[i]);
-                    let timeout = RuntimeError::SuperstepTimeout {
-                        node: straggler,
-                        round,
-                        deadline,
-                    };
-                    fired_events.extend(timeout.fault_event(tree));
-                    outcome = Err(timeout);
-                    return;
+            let (drained, woken) = &barrier;
+            let short = |n: &mut usize| *n < workers;
+            let mut tokens = crate::lock_ok(drained);
+            match options.superstep_deadline {
+                None => tokens = woken.wait_while(tokens, short).unwrap(),
+                Some(deadline) => {
+                    if let Some(remaining) = deadline.checked_sub(round_started.elapsed()) {
+                        tokens = woken
+                            .wait_timeout_while(tokens, remaining, short)
+                            .unwrap()
+                            .0;
+                    }
                 }
+            }
+            let received = !short(&mut tokens);
+            *tokens = 0;
+            drop(tokens);
+            if !received {
+                // The watchdog fired. The straggler is attributed
+                // deterministically: the lowest-indexed node whose
+                // slot held no report when the deadline expired (a
+                // slot its worker still locks has none yet).
+                let deadline = options
+                    .superstep_deadline
+                    .expect("timeouts require a deadline");
+                let straggler = slots
+                    .iter()
+                    .position(|s| !matches!(s.try_lock(), Ok(s) if s.report.is_some()))
+                    .map_or(computes[0], |i| computes[i]);
+                let timeout = RuntimeError::SuperstepTimeout {
+                    node: straggler,
+                    round,
+                    deadline,
+                };
+                fired_events.extend(timeout.fault_event(tree));
+                outcome = Err(timeout);
+                return;
             }
 
             // Read the reports in node-id order, so the lowest-indexed
@@ -746,7 +759,7 @@ mod tests {
         // never strand a scoped crew parked at the gate while
         // `thread::scope` joins it forever. Run under a watchdog: a hang
         // fails the test.
-        let (tx, rx) = channel();
+        let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let tree = builders::star(2, 1.0);
             let rounds = vec![vec![ScheduleSend {
@@ -802,13 +815,13 @@ mod tests {
     fn a_worker_that_unwinds_still_reports_in() {
         // The drained guard alone: a worker that panics mid-superstep
         // still sends its token, so the barrier completes.
-        let (tx, rx) = channel::<()>();
+        let barrier: Barrier = (Mutex::new(0), Condvar::new());
         let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _drained = DrainedOnDrop(&tx);
+            let _drained = DrainedOnDrop(&barrier);
             panic!("worker bug");
         }));
         assert!(unwound.is_err());
-        assert_eq!(rx.try_recv(), Ok(()));
+        assert_eq!(*barrier.0.lock().unwrap(), 1);
     }
 
     #[test]

@@ -19,6 +19,7 @@ use tamp::runtime::{
 use tamp::simulator::Placement;
 use tamp::topology::{builders, Tree};
 use tamp::workloads::{GraphSpec, PlacementStrategy, VertexPartition};
+use tamp_bench::xalloc::strategy_matrix;
 
 fn make_context(tree_pick: u8, fact_rows: u64, groups: u64, skew_percent: u8) -> QueryContext {
     let tree = match tree_pick % 4 {
@@ -121,63 +122,6 @@ proptest! {
             prop_assert!((legacy.cost.tuple_cost() - cluster.cost.tuple_cost()).abs() < eps);
         }
     }
-}
-
-/// Every registered strategy name per pluggable operator, with the
-/// queries exercising it: cross joins with equal sides and with the big
-/// side on either hand, all four aggregate functions under every
-/// aggregate strategy, sorts on a near-unique key and on a key with heavy
-/// duplicates (the whole-row tie-break decides), `limit` with and without
-/// a meaningful input order, and `distinct`.
-fn strategy_matrix() -> Vec<(OperatorKind, &'static str, LogicalPlan)> {
-    let facts = || LogicalPlan::scan("facts");
-    let dims = || LogicalPlan::scan("dims");
-    let join = facts().join_on(dims(), "g", "g");
-    let mut out = Vec::new();
-    for name in [
-        "weighted-repartition",
-        "tree-partition",
-        "broadcast-small",
-        "uniform-repartition",
-    ] {
-        out.push((OperatorKind::Join, name, join.clone()));
-    }
-    // Equal sides, then the big side on the left and on the right.
-    for name in ["whc-grid", "broadcast-small", "uniform-hypercube"] {
-        out.push((OperatorKind::CrossJoin, name, dims().cross(dims())));
-        out.push((OperatorKind::CrossJoin, name, facts().cross(dims())));
-        out.push((OperatorKind::CrossJoin, name, dims().cross(facts())));
-    }
-    for name in ["weighted-range-shuffle", "uniform-range-shuffle"] {
-        out.push((OperatorKind::Sort, name, facts().order_by("x")));
-        out.push((OperatorKind::Sort, name, facts().order_by("g")));
-    }
-    for name in [
-        "weighted-repartition",
-        "combining-tree",
-        "uniform-repartition",
-    ] {
-        for agg in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
-            out.push((
-                OperatorKind::Aggregate,
-                name,
-                facts().aggregate("g", agg, "x"),
-            ));
-        }
-    }
-    out.push((
-        OperatorKind::Limit,
-        "gather",
-        facts().order_by("x").limit(7),
-    ));
-    out.push((OperatorKind::Limit, "gather", facts().limit(7)));
-    let pairs = facts().project(vec![("g", col("g")), ("x", col("x").div(lit(64)))]);
-    out.push((
-        OperatorKind::Distinct,
-        "weighted-repartition",
-        pairs.distinct(),
-    ));
-    out
 }
 
 /// `base`'s catalog under `seed` with `op` pinned to strategy `name`.

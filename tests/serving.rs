@@ -308,7 +308,7 @@ fn concurrent_strategy_registration_keeps_inflight_queries_bit_identical() {
 
 #[test]
 fn custom_strategy_registration_invalidates_the_cache() {
-    use tamp::query::batch::flatten_batches;
+    use tamp::query::batch::{flatten_batches, BatchFragments};
     use tamp::query::physical::strategy::*;
     use tamp::query::row::Row;
     use tamp::query::QueryError;
@@ -350,8 +350,8 @@ fn custom_strategy_registration_invalidates_the_cache() {
             };
             let target = a.tree.compute_nodes()[0];
             let mut trace = TraceBuilder::default();
-            // Fragments are per-node lists of column batches; this strategy
-            // thinks in rows, so it transposes what the target gathers.
+            // Fragments index by node, each node holding column batches;
+            // this strategy thinks in rows, so it transposes what it gathers.
             let mut l_all: Vec<Row> = Vec::new();
             let mut r_all: Vec<Row> = Vec::new();
             trace.round(|round| {
@@ -374,11 +374,11 @@ fn custom_strategy_registration_invalidates_the_cache() {
                     joined.push([&l[..], &r[..]].concat());
                 }
             }
-            let mut out = vec![Vec::new(); a.tree.num_nodes()];
-            out[target.index()] = vec![RecordBatch::from_rows(&joined, left_width + right_width)];
+            let joined = RecordBatch::from_rows(&joined, left_width + right_width);
+            let at_target = |v| (v == target.index()).then(|| joined.clone());
             Ok(OpTrace {
                 rounds: trace.into_rounds(),
-                output: out,
+                output: BatchFragments::from_fn(a.tree.num_nodes(), at_target),
             })
         }
     }
