@@ -2,7 +2,7 @@
 //!
 //! For each seed, [`chaos::schedule`] generates a deterministic fault
 //! plan queue (worker kills, subtree detaches, link degradations and
-//! stalls over valid targets), arms it on an orchestrator with
+//! stalls over valid targets), arms it on a multi-tenant service with
 //! per-superstep checkpointing, and streams a mixed workload through the
 //! recovery loop. The two degraded-mode guarantees are asserted per
 //! seed:
@@ -18,8 +18,7 @@
 //! The release gate sweeps [`GATE_SEEDS`] seeds; the debug test a small
 //! prefix.
 
-use tamp_query::orchestrator::chaos::{self, ChaosSpec};
-use tamp_query::orchestrator::Orchestrator;
+use tamp_query::chaos::{self, ChaosSpec};
 use tamp_query::prelude::*;
 use tamp_topology::builders;
 
@@ -63,9 +62,10 @@ pub struct ChaosMeasurement {
     pub seeds: u64,
     /// Queries served across all seeds.
     pub serves: u64,
-    /// Faults that actually fired mid-execution.
+    /// Nodes felled mid-execution: the recovery events' `faults`,
+    /// summed (a detach at a subtree root fells several in one attempt).
     pub faults_fired: u64,
-    /// Replay recoveries (one per fired recoverable fault).
+    /// Replay recoveries (one per killed attempt).
     pub recoveries: u64,
     /// Recoveries that resumed from a superstep checkpoint.
     pub partial_restarts: u64,
@@ -99,29 +99,29 @@ pub fn measure(seeds: u64) -> ChaosMeasurement {
     let mut strictly_fewer = true;
 
     for seed in 0..seeds {
-        let orch = Orchestrator::builder(chaos_context())
+        let service = QueryService::builder(chaos_context())
             .tenant(TenantSpec::new("chaos", 1, 64))
             .checkpoints(1)
             .build()
             .unwrap();
-        let tree = orch.service().context().tree().clone();
+        let tree = service.context().tree().clone();
         let spec = ChaosSpec::new(seed)
             .with_plans(PLANS_PER_SEED)
             .with_max_round(3);
         for plan in chaos::schedule(&tree, &spec) {
-            orch.inject_faults(plan).unwrap();
+            service.inject_faults(plan).unwrap();
         }
         for i in 0..SERVES_PER_SEED {
             let k = i % queries.len();
-            let served = orch
+            let served = service
                 .serve_as("chaos", &queries[k])
                 .unwrap_or_else(|e| panic!("seed {seed}: serve failed: {e}"));
             serves += 1;
             identical &= served.result.rows(false) == reference[k].rows(false)
                 && served.result.cost.edge_totals == reference[k].cost.edge_totals;
         }
-        faults_fired += orch.fault_events().len() as u64;
-        for rec in orch.recovery_events() {
+        for rec in service.recovery_events() {
+            faults_fired += rec.faults.len() as u64;
             recoveries += 1;
             if let Some(from) = rec.resumed_from {
                 partial_restarts += 1;

@@ -1,7 +1,7 @@
 //! X-TENANT — the orchestration layer under adversarial multi-tenant
 //! load, measured.
 //!
-//! One [`Orchestrator`] over a star topology serves **1,041 sessions
+//! One multi-tenant [`QueryService`] over a star topology serves **1,041 sessions
 //! across 9 tenants**: a weight-1 "burst" tenant flooding from 16
 //! threads (the adversary) against eight weight-4 "polite" tenants
 //! submitting steadily (the victims), through a deliberately small
@@ -22,7 +22,6 @@
 //! Per-tenant waits, cache hits and fault counts depend on thread
 //! timing, so their columns are printed but not pinned by the baseline.
 
-use tamp_query::orchestrator::{Orchestrator, ScalingSpec, TenantStats};
 use tamp_query::prelude::*;
 use tamp_query::QueryError;
 use tamp_runtime::FaultPlan;
@@ -77,9 +76,9 @@ pub struct TenantMeasurement {
     /// (rows and metered `edge_totals`) — including fault-recovered
     /// queries.
     pub identical: bool,
-    /// Faults that actually fired mid-run.
+    /// Faults that fired mid-run: the recovery events' `faults`, summed.
     pub faults_fired: usize,
-    /// Replay recoveries performed (one per fired fault).
+    /// Replay recoveries performed (one per killed attempt).
     pub recoveries: usize,
     /// Deterministic metered tuple cost of one workload pass.
     pub workload_cost: f64,
@@ -90,12 +89,12 @@ pub struct TenantMeasurement {
 /// retry budget; exhaustion drains the armed queue, so retrying the
 /// serve is bounded and lands on a healthy crew.
 fn serve_tolerating_exhaustion(
-    orch: &Orchestrator,
+    service: &QueryService,
     tenant: &str,
     plan: &tamp_query::LogicalPlan,
 ) -> tamp_query::ServedQuery {
     loop {
-        match orch.serve_as(tenant, plan) {
+        match service.serve_as(tenant, plan) {
             Ok(served) => return served,
             Err(QueryError::RecoveryExhausted { .. }) => continue,
             Err(e) => panic!("serve_as failed non-recoverably: {e}"),
@@ -116,25 +115,25 @@ pub fn measure() -> TenantMeasurement {
     };
     let workload_cost: f64 = serial.iter().map(|r| r.cost.tuple_cost()).sum();
 
-    let mut builder = Orchestrator::builder(tenant_context())
+    let mut builder = QueryService::builder(tenant_context())
         .tenant(TenantSpec::new("burst", 1, 1024))
         .capacity(CAPACITY)
-        .scaling(ScalingSpec::new(2, 2));
+        .crew(2);
     for p in 0..POLITE_TENANTS {
         builder = builder.tenant(TenantSpec::new(format!("polite-{p}"), 4, 64));
     }
-    let orch = builder.build().unwrap();
-    let computes = orch.service().context().tree().compute_nodes().to_vec();
+    let service = builder.build().unwrap();
+    let computes = service.context().tree().compute_nodes().to_vec();
 
     let identical = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..BURST_THREADS {
-            let (orch, queries, serial) = (&orch, &queries, &serial);
+            let (service, queries, serial) = (&service, &queries, &serial);
             handles.push(scope.spawn(move || {
                 let mut ok = true;
                 for i in 0..BURST_QUERIES {
                     let k = (t + i) % queries.len();
-                    let served = serve_tolerating_exhaustion(orch, "burst", &queries[k]);
+                    let served = serve_tolerating_exhaustion(service, "burst", &queries[k]);
                     ok &= served.result.rows(false) == serial[k].rows(false)
                         && served.result.cost.edge_totals == serial[k].cost.edge_totals;
                 }
@@ -142,13 +141,13 @@ pub fn measure() -> TenantMeasurement {
             }));
         }
         for p in 0..POLITE_TENANTS {
-            let (orch, queries, serial) = (&orch, &queries, &serial);
+            let (service, queries, serial) = (&service, &queries, &serial);
             handles.push(scope.spawn(move || {
                 let tenant = format!("polite-{p}");
                 let mut ok = true;
                 for i in 0..POLITE_QUERIES {
                     let k = (p + i) % queries.len();
-                    let served = serve_tolerating_exhaustion(orch, &tenant, &queries[k]);
+                    let served = serve_tolerating_exhaustion(service, &tenant, &queries[k]);
                     ok &= served.result.rows(false) == serial[k].rows(false)
                         && served.result.cost.edge_totals == serial[k].cost.edge_totals;
                 }
@@ -160,12 +159,12 @@ pub fn measure() -> TenantMeasurement {
         // can fell several consecutive attempts of one run — the serving
         // threads tolerate retry exhaustion above.
         {
-            let (orch, computes) = (&orch, &computes);
+            let (service, computes) = (&service, &computes);
             handles.push(scope.spawn(move || {
                 for round in 0..16 {
                     let victim = computes[round % computes.len()];
-                    orch.inject_faults(FaultPlan::new().kill_worker(victim, round % 2))
-                        .unwrap();
+                    let kill = FaultPlan::new().kill_worker(victim, round % 2);
+                    service.inject_faults(kill).unwrap();
                     std::thread::yield_now();
                 }
                 true
@@ -176,18 +175,19 @@ pub fn measure() -> TenantMeasurement {
 
     // Final guaranteed fault → recovery cycle (also drains any plan the
     // chaos thread left armed): kill at round 0 cannot be missed.
-    orch.inject_faults(FaultPlan::new().kill_worker(computes[0], 0))
-        .unwrap();
-    let served = serve_tolerating_exhaustion(&orch, "burst", &queries[0]);
+    let kill = FaultPlan::new().kill_worker(computes[0], 0);
+    service.inject_faults(kill).unwrap();
+    let served = serve_tolerating_exhaustion(&service, "burst", &queries[0]);
     let identical = identical
         && served.result.rows(false) == serial[0].rows(false)
         && served.result.cost.edge_totals == serial[0].cost.edge_totals;
 
+    let recoveries = service.recovery_events();
     TenantMeasurement {
-        stats: orch.stats(),
+        stats: service.tenant_stats(),
         identical,
-        faults_fired: orch.fault_events().len(),
-        recoveries: orch.recovery_events().len(),
+        faults_fired: recoveries.iter().map(|r| r.faults.len()).sum(),
+        recoveries: recoveries.len(),
         workload_cost,
     }
 }

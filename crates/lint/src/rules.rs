@@ -4,7 +4,7 @@
 //! | Rule | Invariant | Motivating bug |
 //! |------|-----------|----------------|
 //! | `D1` | No unordered `HashMap`/`HashSet` iteration in schedule-emission / trace-building modules | PR 8's drain-order fix: strategies emitted sends by iterating grouping `HashMap`s, so two executions of the same pinned plan hashed to different schedule tokens and a faulted run could never match its parked checkpoint |
-//! | `D2` | No wall-clock, thread-identity, or environment reads in result-affecting modules | the straggler watchdog reads `Instant::now` legitimately — but the same call inside a strategy or the meter would make replays diverge; the allow-listed timing paths (`service.rs`, `admission.rs`, `orchestrator/`) are excluded by scope, everything else must stay ledger-driven |
+//! | `D2` | No wall-clock, thread-identity, or environment reads in result-affecting modules | the straggler watchdog reads `Instant::now` legitimately — but the same call inside a strategy or the meter would make replays diverge; the allow-listed timing paths (`service.rs`, `admission.rs`) are excluded by scope, everything else must stay ledger-driven |
 //! | `D3` | No unseeded RNG construction outside `compat`/test code | every generator in the workspace is `seed_from_u64`-seeded; one `thread_rng()` in a workload generator would break `(spec, seed) → identical arcs+owners` determinism |
 //! | `S1` | Every `unsafe` block / `unsafe impl` carries a `// SAFETY:` comment | `pool.rs`'s lifetime-laundered job dispatch is sound only because `run_with` joins the crew before returning — an argument that lives in its `SAFETY` comments and must never silently disappear |
 //! | `F1` | No `.partial_cmp(..).unwrap()` / `.expect(..)` on floats outside tests | float cost comparators must use the `f64::total_cmp` total order: a NaN cost (e.g. an empty estimate) panics the comparator mid-plan instead of losing the tie-break deterministically |
@@ -120,8 +120,8 @@ impl RuleId {
             }
             RuleId::D2 => {
                 "derive the value from metered ledgers or plumb it in as data; clocks, thread ids \
-                 and env vars differ across replays (timing stats belong in service/admission/\
-                 orchestrator, which are allow-listed by scope)"
+                 and env vars differ across replays (timing stats belong in service/admission, \
+                 which are allow-listed by scope)"
             }
             RuleId::D3 => "seed it: StdRng::seed_from_u64(seed); unseeded RNGs break replay",
             RuleId::S1 => "add `// SAFETY: <why the invariant holds>` on the line(s) above",
@@ -357,13 +357,12 @@ pub fn d1_in_scope(path: &str) -> bool {
 }
 
 /// Result-affecting crates/modules; the timing-stats paths
-/// (`service.rs`, `admission.rs`, `orchestrator/`) are allow-listed by
-/// exclusion, per the scoping model in the module docs.
+/// (`service.rs`, `admission.rs`) are allow-listed by exclusion, per the
+/// scoping model in the module docs.
 pub fn d2_in_scope(path: &str) -> bool {
-    const ALLOW_LISTED: [&str; 3] = [
+    const ALLOW_LISTED: [&str; 2] = [
         "crates/query/src/service.rs",
         "crates/query/src/admission.rs",
-        "crates/query/src/orchestrator/",
     ];
     const SCOPE: [&str; 6] = [
         "crates/core/src/",

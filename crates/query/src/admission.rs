@@ -23,9 +23,9 @@
 //! The gate belongs to a [`QueryService`](crate::service::QueryService).
 //! A plain service gives it one implicit tenant (weight 1, unbounded
 //! quota) — DRR over a single tenant *is* strict FIFO, so its tickets
-//! are arrival-ordered; an
-//! [`Orchestrator`](crate::orchestrator::Orchestrator) builds its
-//! service on a gate over the tenants it declares.
+//! are arrival-ordered; a service from
+//! [`QueryService::builder`](crate::service::QueryService::builder) gets
+//! a gate over the tenants it declares.
 //!
 //! The fairness telemetry is deliberately structural rather than
 //! wall-clock: every grant records how many *other* grants happened
@@ -123,7 +123,7 @@ impl TenantSpec {
 pub(crate) struct Grant<'a> {
     admission: &'a WeightedAdmission,
     tenant: usize,
-    /// Global grant sequence number (the orchestrator's ticket).
+    /// Global grant sequence number (the query's ticket).
     pub(crate) ticket: u64,
     /// Grants to *other* queries between this query's enqueue and its own
     /// grant — the structural fairness metric (see the module docs).
@@ -360,11 +360,6 @@ impl WeightedAdmission {
         None
     }
 
-    /// Total queries currently queued.
-    pub(crate) fn queue_depth(&self) -> usize {
-        lock_ok(&self.state).queued_total
-    }
-
     /// The global in-flight bound.
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
@@ -396,6 +391,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+
+    impl WeightedAdmission {
+        /// Total queries currently queued (tests wait on it).
+        pub(crate) fn queue_depth(&self) -> usize {
+            lock_ok(&self.state).queued_total
+        }
+    }
 
     #[test]
     fn specs_validate() {

@@ -4,10 +4,11 @@
 //! A chaos run arms a queue of single-fault [`FaultPlan`]s drawn from a
 //! seeded RNG over the topology's *valid* targets — worker kills,
 //! subtree detaches, link degradations and worker stalls — then serves
-//! queries through the orchestrator's recovery loop. Because the
-//! injector is a FIFO, one armed plan is consumed per execution attempt:
-//! arming several plans re-arms faults *across recovery retries*, which
-//! is exactly the adversarial shape the retry bound exists for.
+//! queries through a [`QueryService`](crate::QueryService)'s recovery
+//! loop. Because the injector is a FIFO, one armed plan is consumed per
+//! execution attempt: arming several plans re-arms faults *across
+//! recovery retries*, which is exactly the adversarial shape the retry
+//! bound exists for.
 //!
 //! Two properties make the harness assertable:
 //!
@@ -83,8 +84,9 @@ fn one_plan(tree: &Tree, rng: &mut StdRng, max_round: usize) -> FaultPlan {
     let round = rng.random_range(0..max_round);
     match rng.random_range(0..4u32) {
         0 => FaultPlan::new().kill_worker(victim, round),
-        // Detaching a compute leaf's (singleton) subtree is always a
-        // valid detach and never severs the whole cluster.
+        // Any compute node is a valid detach root. Under the internal
+        // rooting at node 0 that is one leaf, except node 0 itself (the
+        // first compute of `star(n)`), whose detach fells every compute.
         1 => FaultPlan::new().detach_subtree(victim, round),
         2 => {
             let edge = EdgeId(rng.random_range(0..tree.num_edges() as u32));

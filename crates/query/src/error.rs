@@ -35,10 +35,10 @@ pub enum QueryError {
     /// a simulator error, a backend spec or schedule the runtime refused,
     /// an invalid fault target, or a fault that aborted the run. An
     /// injected kill, a link degradation and a superstep timeout are
-    /// recoverable ([`is_recoverable`](Self::is_recoverable)): the
-    /// orchestration layer replays the deterministic schedule on the
-    /// healthy crew, so they surface only when a query is served without
-    /// a recovery layer.
+    /// recoverable ([`is_recoverable`](Self::is_recoverable)): a service
+    /// built with `QueryService::builder` replays the deterministic
+    /// schedule on the healthy crew, so they surface only when a query is
+    /// served without recovery (or its retries ran out).
     Exec(ExecError),
     /// Plan construction error (e.g. aggregate of a non-existent column).
     Plan(String),
@@ -66,7 +66,7 @@ pub enum QueryError {
         /// The error that killed the last attempt.
         last: Box<QueryError>,
     },
-    /// A query named a tenant the orchestrator has no spec for.
+    /// A query named a tenant the service has no spec for.
     UnknownTenant(String),
     /// A tenant is at its quota (max in-flight + queued); the submit is
     /// rejected instead of queued so one tenant cannot grow the queue
@@ -80,15 +80,16 @@ pub enum QueryError {
     /// A tenant spec is invalid (empty name, duplicate name, zero weight
     /// or zero quota).
     InvalidTenantSpec(String),
-    /// A crew-width spec is invalid (a zero width, or `min != max`:
-    /// the orchestrator's crew is fixed).
-    InvalidScalingSpec(String),
+    /// Faults were armed on a plain service (`QueryService::new`), which
+    /// has no fault hooks: only a service from `QueryService::builder`
+    /// owns the crew an armed plan would strike.
+    NoFaultHooks,
     /// An iterative fixpoint (see [`crate::iterative`]) failed to
     /// converge within its iteration budget. Carries the budget, the
     /// iterations actually run, and the final residual so callers can
     /// re-submit with a larger budget or loosened tolerance. *Not*
     /// recoverable by replay — the fixpoint is deterministic, so a
-    /// replay would fail identically; the orchestrator rolls these up
+    /// replay would fail identically; the service rolls these up
     /// per tenant instead of retrying.
     IterationLimit {
         /// The configured `IterativeSpec::max_iters`.
@@ -152,7 +153,7 @@ impl fmt::Display for QueryError {
                 write!(f, "tenant `{tenant}` is at its quota of {quota} queries")
             }
             Self::InvalidTenantSpec(msg) => write!(f, "invalid tenant spec: {msg}"),
-            Self::InvalidScalingSpec(msg) => write!(f, "invalid scaling spec: {msg}"),
+            Self::NoFaultHooks => write!(f, "no fault hooks: build with `QueryService::builder`"),
             Self::IterationLimit {
                 limit,
                 completed,
@@ -169,7 +170,7 @@ impl fmt::Display for QueryError {
 }
 
 impl QueryError {
-    /// `true` for the engine faults the orchestration layer recovers from
+    /// `true` for the engine faults the serving layer recovers from
     /// by replay ([`RuntimeError::is_recoverable`]).
     pub fn is_recoverable(&self) -> bool {
         matches!(self, QueryError::Exec(ExecError::Runtime(e)) if e.is_recoverable())

@@ -55,7 +55,7 @@
 //!
 //! A fixpoint that fails to converge within `max_iters` surfaces as the
 //! typed [`QueryError::IterationLimit`] from `prepare` — nothing is
-//! scheduled, and the orchestrator rolls the failure up per tenant.
+//! scheduled, and the serving layer rolls the failure up per tenant.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet};

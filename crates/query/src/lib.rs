@@ -75,14 +75,16 @@
 //! via [`QueryContext::with_strategy`](context::QueryContext::with_strategy))
 //! on it is seen by every path that plans for it.
 //!
-//! The serving stack on top says each thing once, too. A
-//! [`QueryService`] shares one session across client threads behind a
+//! The serving stack on top says each thing once, too. One type, the
+//! [`QueryService`], shares one session across client threads behind a
 //! prepared-plan cache, **one admission gate** ([`admission`]: weighted
 //! round-robin; one implicit tenant is arrival order) and **one serve loop**
-//! for relational queries and iterative jobs. The [`Orchestrator`] builds
-//! its service on real tenants, one fixed worker crew and fault hooks, so
-//! replay recovery runs in that loop. An engine failure stays the
-//! engine's own typed error, carried as [`QueryError::Exec`].
+//! for relational queries and iterative jobs.
+//! [`QueryService::builder`] gives it real tenants, one fixed worker crew
+//! and fault hooks, so replay recovery runs in that loop and each killed
+//! attempt is one [`RecoveryEvent`]; [`chaos`] draws seeded fault
+//! schedules against it. An engine failure stays the engine's own typed
+//! error, carried as [`QueryError::Exec`].
 //!
 //! Results carry per-operator *estimated vs. metered* cost pairs
 //! ([`QueryResult::operator_costs`]), so planning quality is observable
@@ -94,13 +96,13 @@
 
 pub mod admission;
 pub mod batch;
+pub mod chaos;
 pub mod context;
 pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod iterative;
 pub mod optimizer;
-pub mod orchestrator;
 pub mod physical;
 pub mod plan;
 pub mod reference;
@@ -121,17 +123,22 @@ pub mod prelude {
         PreparedIterative,
     };
     pub use crate::optimizer::optimize;
-    pub use crate::orchestrator::{
-        Orchestrator, RetryPolicy, ScalingSpec, ServedIterative, TenantStats,
-    };
     pub use crate::physical::strategy::{
         Candidate, CostEstimate, OperatorKind, PhysicalStrategy, StrategyRegistry,
     };
     pub use crate::physical::{Exchange, PhysicalPlan};
     pub use crate::plan::{AggFunc, LogicalPlan};
     pub use crate::schema::Schema;
-    pub use crate::service::{AdmissionStats, CacheStats, QueryService, ServedQuery, ServiceStats};
+    pub use crate::service::{
+        AdmissionStats, CacheStats, QueryService, RetryPolicy, ScalingSpec, ServedIterative,
+        ServedQuery, ServiceStats, TenantStats,
+    };
     pub use crate::table::{Catalog, DistributedTable};
+
+    /// The multi-tenant service's former name, kept while the benchmark
+    /// harness still builds with it: `Orchestrator::builder(ctx)` is
+    /// [`QueryService::builder`].
+    pub type Orchestrator = QueryService;
 }
 
 pub use admission::{Priority, TenantSpec};
@@ -143,14 +150,14 @@ pub use iterative::{
     IterMode, IterValues, IterationCost, IterativeJob, IterativeOutcome, IterativeSpec,
     PreparedIterative,
 };
-pub use orchestrator::{
-    Orchestrator, RecoveryEvent, RetryPolicy, ScalingSpec, ServedIterative, TenantStats,
-};
 pub use physical::strategy::{OperatorKind, PhysicalStrategy, StrategyRegistry};
 pub use physical::{Exchange, PhysicalPlan};
 pub use plan::{AggFunc, LogicalPlan};
 pub use schema::Schema;
-pub use service::{AdmissionStats, CacheStats, QueryService, ServedQuery, ServiceStats};
+pub use service::{
+    AdmissionStats, CacheStats, QueryService, RecoveryEvent, RetryPolicy, ScalingSpec,
+    ServedIterative, ServedQuery, ServiceBuilder, ServiceStats, TenantStats,
+};
 pub use table::{Catalog, DistributedTable};
 
 /// Recover a guard from a possibly-poisoned mutex: the serving stack must

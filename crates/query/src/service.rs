@@ -1,5 +1,6 @@
-//! The concurrent serving layer: one [`QueryService`] fronting many
-//! client sessions.
+//! The serving layer: one [`QueryService`] fronting many client
+//! sessions, from a plain one-tenant service to weighted-fair tenants on
+//! one fixed worker crew with fault injection and replay recovery.
 //!
 //! [`QueryContext`] is a single-session API: one caller prepares one plan
 //! and runs it. A serving deployment looks different — many clients fire
@@ -25,27 +26,42 @@
 //!   a fixpoint's `estimated` / `lower_bound` columns.
 //! - **One gate, one serve loop.** In-flight queries are bounded by the
 //!   serving stack's one gate ([`crate::admission`]). A plain service
-//!   gives it a single implicit tenant
-//!   ([`with_max_inflight`](QueryService::with_max_inflight)): waiting
-//!   queries are admitted in arrival order, so a burst cannot starve
-//!   earlier arrivals. An [`Orchestrator`] builds its service on its
-//!   tenants' weighted-fair gate with replay recovery; there
-//!   [`serve`](QueryService::serve) admits as the first declared tenant.
-//!   Every way in — `serve`, `Orchestrator::serve_as`,
-//!   `Orchestrator::serve_iterative` — runs the same loop: admit, pin the
-//!   snapshot, plan through the cache, execute, and (orchestrated only)
-//!   replay the pinned schedule after a recoverable fault. Every served
-//!   query reports queue / plan / exec timings in its [`ServiceStats`].
-//! - **Shared backend.** The service holds an
-//!   `Arc<dyn ExecBackend + Send + Sync>`; the pooled cluster backend can
-//!   additionally share one persistent worker crew across all queries
-//!   ([`PooledClusterBackend::with_shared_pool`]).
+//!   ([`new`](QueryService::new),
+//!   [`with_max_inflight`](QueryService::with_max_inflight)) gives it a
+//!   single implicit tenant, so waiting queries are admitted in arrival
+//!   order. A service from [`QueryService::builder`] admits its declared
+//!   tenants by weighted-fair round-robin, runs on one fixed shared crew
+//!   ([`PooledClusterBackend::with_shared_pool`]) and recovers by
+//!   replay; there [`serve`](QueryService::serve) admits as the first
+//!   tenant. Every way in — `serve`, [`serve_as`](QueryService::serve_as),
+//!   [`serve_iterative`](QueryService::serve_iterative) — runs the same
+//!   loop: admit, pin the snapshot, plan through the cache, execute,
+//!   and (built services only) replay the pinned schedule after a
+//!   recoverable fault, reporting queue / plan / exec timings in its
+//!   [`ServiceStats`].
 //!
-//! Results are **bit-identical to single-session execution**: a query
-//! served concurrently through the cache returns the same rows and the
-//! same metered `edge_totals` as a fresh
-//! [`QueryContext::prepare`]`().run()` — the serving stress suite asserts
-//! exactly that.
+//! The guarantees, and where they come from:
+//!
+//! - **Bit-identical to single-session execution.** A query served
+//!   concurrently through the cache returns the same rows and the same
+//!   metered `edge_totals` as a fresh
+//!   [`QueryContext::prepare`]`().run()` — the serving stress suite
+//!   asserts exactly that.
+//! - **No starvation.** Deficit-weighted round-robin within strict
+//!   priority classes bounds the foreign grants a backlogged tenant
+//!   waits through ([`crate::admission`]), whatever a burst queues.
+//! - **Bit-identical recovery.** Queries compile to deterministic
+//!   exchange schedules, so after an injected fault
+//!   ([`inject_faults`](QueryService::inject_faults) → a recoverable
+//!   [`QueryError::Exec`], such as
+//!   [`RuntimeError::InjectedFault`])
+//!   the service simply re-executes the schedule on the (auto-disarmed,
+//!   hence healthy) crew: rows *and* metered `edge_totals` equal the
+//!   fault-free run by construction. The crew is fixed for the
+//!   service's lifetime: a round's price `max_e |Y_i(e)|/w_e` does not
+//!   depend on how many threads replay it, so nothing resizes it. One
+//!   killed attempt is one [`RecoveryEvent`], whose `faults` name every
+//!   node the fault felled.
 //!
 //! # A multi-threaded session
 //!
@@ -96,7 +112,6 @@
 //!
 //! [`PooledClusterBackend::with_shared_pool`]:
 //!     tamp_runtime::PooledClusterBackend::with_shared_pool
-//! [`Orchestrator`]: crate::orchestrator::Orchestrator
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -105,30 +120,32 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use tamp_runtime::backend::{ExecBackend, SimulatorBackend};
-use tamp_runtime::{backend_from_spec, ExecError, FaultInjector, FaultKind};
+use tamp_runtime::{
+    CheckpointSpec, CheckpointStats, CheckpointStore, ExecError, FaultEvent, FaultInjector,
+    FaultKind, FaultPlan, PooledClusterBackend, RuntimeError,
+};
 use tamp_topology::EdgeId;
 
-use crate::admission::WeightedAdmission;
+use crate::admission::{Priority, TenantSpec, WeightedAdmission};
 use crate::context::QueryContext;
 use crate::error::QueryError;
 use crate::exec::{self, ExecOptions, QueryResult};
-use crate::iterative::{IterativeJob, PreparedIterative};
+use crate::iterative::{IterativeJob, IterativeOutcome, PreparedIterative};
 use crate::lock_ok;
-use crate::orchestrator::{RecoveryEvent, RetryPolicy, TenantStats};
 use crate::physical::strategy::PhysicalStrategy;
 use crate::physical::{self, PhysicalPlan};
 use crate::plan::LogicalPlan;
 use crate::table::DistributedTable;
 
 /// One immutable generation of the service's session state. A query
-/// takes the snapshot once and plans, executes — and, under the
-/// orchestrator, retries — against it even if a concurrent `register` or
+/// takes the snapshot once and plans, executes — and, on a built
+/// service, retries — against it even if a concurrent `register` or
 /// [`degrade_link`](QueryService::degrade_link) swaps in the next
 /// generation: that pinning is what makes recovered results
 /// bit-identical by construction.
 #[derive(Clone)]
-pub(crate) struct Snapshot {
-    pub(crate) ctx: Arc<QueryContext>,
+struct Snapshot {
+    ctx: Arc<QueryContext>,
     version: u64,
     /// Fingerprint of the snapshot's topology (weights included): part
     /// of the plan-cache key, so an in-place bandwidth mutation
@@ -210,7 +227,7 @@ pub struct AdmissionStats {
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceStats {
     /// Grant sequence number — arrival order through a plain
-    /// [`QueryService`], DRR grant order through the orchestrator.
+    /// [`QueryService`], DRR grant order through a built one.
     pub ticket: u64,
     /// Time spent waiting for admission.
     pub queued: Duration,
@@ -292,40 +309,308 @@ impl WaitHistogram {
     }
 }
 
-/// Per-tenant timing accumulators (wall-clock side of [`TenantStats`]).
-#[derive(Default)]
-struct TenantTimings {
+/// One tenant's running record: its report's counters and totals, kept
+/// in place, and the queue-wait histogram its percentiles are read from.
+struct TenantRow {
     queue: WaitHistogram,
-    plan: Duration,
-    exec: Duration,
-    served: u64,
-    recovered: u64,
-    timeouts: u64,
-    supersteps_skipped: u64,
-    cache_hits: u64,
-    iteration_limits: u64,
-    max_waited_grants: u64,
+    stats: TenantStats,
 }
 
-/// How an orchestrated service recovers: the retry bound, and the
-/// injector whose still-armed plans fall with a query that fails.
-pub(crate) struct Recovery {
-    pub(crate) retry: RetryPolicy,
-    pub(crate) injector: Arc<FaultInjector>,
+/// A fresh row per tenant of `admission`.
+fn tenant_rows(admission: &WeightedAdmission) -> Mutex<Vec<TenantRow>> {
+    let rows = admission.specs().iter().map(|spec| TenantRow {
+        queue: WaitHistogram::default(),
+        stats: TenantStats {
+            tenant: spec.name.clone(),
+            weight: spec.weight,
+            priority: spec.priority,
+            ..TenantStats::default()
+        },
+    });
+    Mutex::new(rows.collect())
+}
+
+/// Bound for replay recovery. `max_attempts` counts *total executions*
+/// (initial run included), so an adversarial re-arming loop terminates
+/// with a typed [`QueryError::RecoveryExhausted`] after exactly
+/// `max_attempts` failures.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Total executions allowed per query (floored at 1). A retry
+    /// replays at once: the healthy crew is the recovery, there is
+    /// nothing to wait out.
+    pub max_attempts: u32,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        // One initial run plus four recoveries.
+        RetryPolicy { max_attempts: 5 }
+    }
+}
+
+impl RetryPolicy {
+    /// A policy allowing `max_attempts` total executions (floored at 1).
+    pub fn new(max_attempts: u32) -> Self {
+        RetryPolicy {
+            max_attempts: max_attempts.max(1),
+        }
+    }
+}
+
+/// A crew width as a `(min, max)` pair for [`ServiceBuilder::scaling`]:
+/// the crew never resizes, so any pair but `min == max` is width 0. Kept
+/// while the benchmark harness builds with it; new code calls `crew`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScalingSpec {
+    min: usize,
+    max: usize,
+}
+
+impl ScalingSpec {
+    /// A crew of `min` workers if `min == max`.
+    pub fn new(min: usize, max: usize) -> Self {
+        ScalingSpec { min, max }
+    }
+}
+
+/// One execution attempt killed by a recoverable fault, in arrival
+/// order. The replay bookkeeping fields (`resumed_from`,
+/// `replayed_supersteps`, `skipped_supersteps`) describe the *following*
+/// attempt and are filled in when it succeeds; they stay empty/zero if
+/// that attempt also faulted (the next fault gets its own event) or
+/// recovery was exhausted.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RecoveryEvent {
+    /// The tenant whose query was hit.
+    pub tenant: String,
+    /// The query's admission ticket.
+    pub ticket: u64,
+    /// What killed the attempt, as its error names it: one event per
+    /// worker killed in the superstep (ascending node id), or the one
+    /// straggler, or the degraded link's deeper endpoint.
+    pub faults: Vec<FaultEvent>,
+    /// 1-based execution attempt that the fault killed.
+    pub attempt: u32,
+    /// Checkpoint superstep the successful replay resumed from (`None`
+    /// for a from-scratch replay).
+    pub resumed_from: Option<usize>,
+    /// Supersteps the successful replay actually executed
+    /// (`total - skipped`); with checkpointing enabled this is strictly
+    /// fewer than a whole-query replay whenever a snapshot existed.
+    pub replayed_supersteps: Option<usize>,
+    /// Supersteps the successful replay skipped thanks to the checkpoint
+    /// (= `resumed_from`, or 0 without one).
+    pub skipped_supersteps: usize,
+}
+
+/// A served iterative fixpoint job: the [`IterativeOutcome`] (values,
+/// per-iteration cost table, metered ledger) plus the same serving
+/// telemetry a relational query gets. Iterative jobs are long
+/// multi-round batch work — declare their tenant with
+/// [`Priority::Batch`] so the weighted-fair admission keeps interactive
+/// queries ahead of them.
+#[derive(Clone, Debug)]
+pub struct ServedIterative {
+    /// The fixpoint result — bit-identical to a standalone
+    /// `PreparedIterative::run_on` of the same job.
+    pub outcome: IterativeOutcome,
+    /// Queue/plan/exec timings and cache provenance: `plan` is the local
+    /// fixpoint preparation on a miss, a plan-cache probe on a hit.
+    pub stats: ServiceStats,
+}
+
+/// Per-tenant serving report returned by
+/// [`QueryService::tenant_stats`].
+#[derive(Clone, Debug, Default)]
+pub struct TenantStats {
+    /// Tenant name.
+    pub tenant: String,
+    /// Configured DRR weight.
+    pub weight: u32,
+    /// Configured priority class.
+    pub priority: Priority,
+    /// Queries served to completion.
+    pub served: u64,
+    /// Submits rejected at the tenant's quota.
+    pub rejected: u64,
+    /// Queries that needed replay recovery after an injected fault.
+    pub recovered: u64,
+    /// Straggler watchdog timeouts hit by this tenant's queries (each
+    /// also counts toward `recovered` when the replay succeeds).
+    pub timeouts: u64,
+    /// Supersteps this tenant's replays skipped thanks to checkpoint
+    /// resume (0 without checkpointing).
+    pub supersteps_skipped: u64,
+    /// Served queries and fixpoint jobs whose plan came from the cache.
+    pub cache_hits: u64,
+    /// Iterative jobs rejected because their fixpoint failed to converge
+    /// within `max_iters` ([`QueryError::IterationLimit`]). These are
+    /// deterministic non-convergences, not faults: they are never
+    /// retried.
+    pub iteration_limits: u64,
+    /// Queries currently queued.
+    pub queued_now: usize,
+    /// Queries currently executing.
+    pub running_now: usize,
+    /// Median queue wait across served queries (from a log-bucket
+    /// histogram: within 25 % below the exact value).
+    pub queue_p50: Duration,
+    /// 99th-percentile queue wait across served queries (same
+    /// resolution; never below `queue_p50`).
+    pub queue_p99: Duration,
+    /// Total time spent planning (≈0 on cache hits).
+    pub plan_total: Duration,
+    /// Total time spent executing.
+    pub exec_total: Duration,
+    /// Largest number of foreign grants any of this tenant's queries
+    /// waited through — the structural no-starvation bound.
+    pub max_waited_grants: u64,
+}
+
+/// Builder for a multi-tenant [`QueryService`] (see
+/// [`QueryService::builder`]): declare tenants, the crew width, the
+/// admission capacity and the recovery hooks, then
+/// [`build`](Self::build).
+pub struct ServiceBuilder {
+    ctx: QueryContext,
+    tenants: Vec<TenantSpec>,
+    crew: Option<usize>,
+    capacity: Option<usize>,
+    retry: RetryPolicy,
+    checkpoint_every: Option<usize>,
+    superstep_deadline: Option<Duration>,
+}
+
+impl ServiceBuilder {
+    /// Declare one tenant (builder-style).
+    pub fn tenant(mut self, spec: TenantSpec) -> Self {
+        self.tenants.push(spec);
+        self
+    }
+
+    /// Serve on a fixed crew of `width` workers. Without it the crew is
+    /// as wide as the machine's available parallelism; a width of 0 is
+    /// refused by [`build`](Self::build).
+    pub fn crew(mut self, width: usize) -> Self {
+        self.crew = Some(width);
+        self
+    }
+
+    /// [`crew`](Self::crew) from a `(min, max)` pair (see
+    /// [`ScalingSpec`]).
+    pub fn scaling(self, spec: ScalingSpec) -> Self {
+        self.crew(if spec.min == spec.max { spec.min } else { 0 })
+    }
+
+    /// Global concurrent-queries bound across all tenants (defaults to
+    /// the crew width, floored at 2).
+    pub fn capacity(mut self, capacity: usize) -> Self {
+        self.capacity = Some(capacity);
+        self
+    }
+
+    /// Replay-recovery bound (default: [`RetryPolicy::default`], five
+    /// total executions).
+    pub fn retry(mut self, policy: RetryPolicy) -> Self {
+        self.retry = policy;
+        self
+    }
+
+    /// Enable superstep checkpointing: replay recovery resumes from the
+    /// last `every`-th superstep boundary the aborted run passed instead
+    /// of superstep 0 (floored at 1; see [`tamp_runtime::checkpoint`]).
+    pub fn checkpoints(mut self, every: usize) -> Self {
+        self.checkpoint_every = Some(every);
+        self
+    }
+
+    /// Arm the superstep watchdog: a superstep exceeding `deadline`
+    /// aborts with a recoverable
+    /// [`RuntimeError::SuperstepTimeout`] naming the straggler, which the
+    /// recovery loop replays and [`TenantStats::timeouts`] counts.
+    pub fn superstep_deadline(mut self, deadline: Duration) -> Self {
+        self.superstep_deadline = Some(deadline);
+        self
+    }
+
+    /// Validate every spec and assemble the service: a
+    /// [`FaultInjector`], a [`PooledClusterBackend`] on one fixed shared
+    /// crew wired to it (and to a [`CheckpointStore`] if asked), and a
+    /// [`QueryService`] over that backend that admits through the
+    /// tenants' gate and recovers by replay.
+    ///
+    /// No tenant, or a duplicate or invalid one, is a
+    /// [`QueryError::InvalidTenantSpec`]; a crew width of 0 is the
+    /// runtime's [`RuntimeError::InvalidPoolWidth`], as for a
+    /// `"cluster:0"` backend spec; a capacity of 0 is
+    /// [`QueryError::InvalidAdmissionLimit`].
+    pub fn build(self) -> Result<QueryService, QueryError> {
+        if self.tenants.is_empty() {
+            return Err(QueryError::InvalidTenantSpec(
+                "a multi-tenant service needs at least one tenant".into(),
+            ));
+        }
+        for (i, spec) in self.tenants.iter().enumerate() {
+            spec.validate()?;
+            if self.tenants[..i].iter().any(|s| s.name == spec.name) {
+                return Err(QueryError::InvalidTenantSpec(format!(
+                    "duplicate tenant name `{}`",
+                    spec.name
+                )));
+            }
+        }
+        let width = self.crew.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(2)
+        });
+        if width == 0 {
+            let spec = "crew:0".into();
+            return Err(RuntimeError::InvalidPoolWidth { spec }.into());
+        }
+        if self.capacity == Some(0) {
+            return Err(QueryError::InvalidAdmissionLimit);
+        }
+        let capacity = self.capacity.unwrap_or_else(|| width.max(2));
+        let injector = Arc::new(FaultInjector::new());
+        let mut backend = PooledClusterBackend::with_shared_pool(width)
+            .with_fault_injector(Arc::clone(&injector));
+        backend.options.superstep_deadline = self.superstep_deadline;
+        let checkpoints = self
+            .checkpoint_every
+            .map(|_| Arc::new(CheckpointStore::new()));
+        if let (Some(store), Some(every)) = (&checkpoints, self.checkpoint_every) {
+            backend = backend.with_checkpoints(Arc::clone(store), CheckpointSpec::every(every));
+        }
+        let mut service = QueryService::new(self.ctx, Arc::new(backend))
+            .with_gate(WeightedAdmission::new(capacity, self.tenants));
+        service.retry = RetryPolicy::new(self.retry.max_attempts);
+        service.injector = Some(injector);
+        service.checkpoints = checkpoints;
+        Ok(service)
+    }
 }
 
 /// A thread-safe query-serving layer: shared catalog, shared backend,
-/// prepared-plan cache, bounded admission. See the [module docs](self).
+/// prepared-plan cache, one admission gate and, when built with
+/// [`QueryService::builder`], tenants, fault hooks and replay recovery.
+/// See the [module docs](self).
 pub struct QueryService {
     snapshot: RwLock<Snapshot>,
     backend: Arc<dyn ExecBackend + Send + Sync>,
     cache: Mutex<PlanCache>,
     /// The serving stack's one gate.
-    pub(crate) admission: WeightedAdmission,
+    admission: WeightedAdmission,
     /// One row per tenant of the gate.
-    timings: Mutex<Vec<TenantTimings>>,
-    /// `None` on a plain service: every error is returned as it is.
-    pub(crate) recovery: Option<Recovery>,
+    tenants: Mutex<Vec<TenantRow>>,
+    /// The recovery bound of a built service.
+    retry: RetryPolicy,
+    /// The crew's fault-arming point. `None` on a plain service, which
+    /// arms nothing and returns every error as it is.
+    injector: Option<Arc<FaultInjector>>,
+    /// Parked superstep snapshots, when checkpointing is enabled.
+    checkpoints: Option<Arc<CheckpointStore>>,
     /// Every replay recovery, in arrival order.
     recoveries: Mutex<Vec<RecoveryEvent>>,
 }
@@ -334,6 +619,7 @@ impl std::fmt::Debug for QueryService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryService")
             .field("backend", &self.backend.name())
+            .field("tenants", &self.admission.specs().len())
             .field("catalog_version", &self.catalog_version())
             .field("cache", &self.cache_stats())
             .finish()
@@ -350,6 +636,7 @@ impl QueryService {
             .map(|n| n.get())
             .unwrap_or(1)
             .max(2);
+        let admission = WeightedAdmission::single_tenant(default_inflight);
         QueryService {
             snapshot: RwLock::new(Snapshot {
                 ctx: Arc::new(ctx),
@@ -358,17 +645,63 @@ impl QueryService {
             }),
             backend,
             cache: Mutex::new(PlanCache::default()),
-            admission: WeightedAdmission::single_tenant(default_inflight),
-            timings: Mutex::new(vec![TenantTimings::default()]),
-            recovery: None,
+            tenants: tenant_rows(&admission),
+            admission,
+            retry: RetryPolicy::default(),
+            injector: None,
+            checkpoints: None,
             recoveries: Mutex::new(Vec::new()),
         }
     }
 
+    /// Start declaring a multi-tenant service over `ctx`: weighted-fair
+    /// tenants on one fixed worker crew, with fault injection and replay
+    /// recovery (see [`ServiceBuilder`]).
+    ///
+    /// ```
+    /// use tamp_query::prelude::*;
+    /// use tamp_topology::builders;
+    ///
+    /// let mut ctx = QueryContext::new(builders::star(4, 1.0)).with_seed(7);
+    /// let rows: Vec<Vec<u64>> = (0..90).map(|i| vec![i, i % 4, i * 3]).collect();
+    /// ctx.register(DistributedTable::round_robin(
+    ///     "t",
+    ///     Schema::new(vec!["id", "g", "x"]).unwrap(),
+    ///     rows,
+    ///     ctx.tree(),
+    /// ))
+    /// .unwrap();
+    ///
+    /// let service = QueryService::builder(ctx)
+    ///     .tenant(TenantSpec::new("dashboards", 4, 16).with_priority(Priority::Interactive))
+    ///     .tenant(TenantSpec::new("analysts", 2, 16))
+    ///     .tenant(TenantSpec::new("batch", 1, 16))
+    ///     .crew(2)
+    ///     .build()
+    ///     .unwrap();
+    ///
+    /// let q = LogicalPlan::scan("t").aggregate("g", AggFunc::Sum, "x");
+    /// let served = service.serve_as("analysts", &q).unwrap();
+    /// assert!(!served.result.rows(false).is_empty());
+    /// let stats = service.tenant_stats();
+    /// assert_eq!(stats.len(), 3);
+    /// assert_eq!(stats.iter().find(|t| t.tenant == "analysts").unwrap().served, 1);
+    /// ```
+    pub fn builder(ctx: QueryContext) -> ServiceBuilder {
+        ServiceBuilder {
+            ctx,
+            tenants: Vec::new(),
+            crew: None,
+            capacity: None,
+            retry: RetryPolicy::default(),
+            checkpoint_every: None,
+            superstep_deadline: None,
+        }
+    }
+
     /// Admit through `admission` instead, with fresh per-tenant counters.
-    pub(crate) fn with_gate(mut self, admission: WeightedAdmission) -> Self {
-        let timings = admission.specs().iter().map(|_| TenantTimings::default());
-        self.timings = Mutex::new(timings.collect());
+    fn with_gate(mut self, admission: WeightedAdmission) -> Self {
+        self.tenants = tenant_rows(&admission);
         self.admission = admission;
         self
     }
@@ -376,16 +709,6 @@ impl QueryService {
     /// A service over the default centralized engine.
     pub fn with_default_backend(ctx: QueryContext) -> Self {
         QueryService::new(ctx, Arc::new(SimulatorBackend))
-    }
-
-    /// A service whose engine is resolved from a backend spec string
-    /// (`"simulator"`, `"pooled-cluster:8"`, … — see
-    /// [`backend_from_spec`]). Invalid specs surface as typed errors:
-    /// unknown engines and zero-width pools are rejected here, not at
-    /// first query.
-    pub fn from_backend_spec(ctx: QueryContext, spec: &str) -> Result<Self, QueryError> {
-        let backend: Arc<dyn ExecBackend + Send + Sync> = Arc::from(backend_from_spec(spec)?);
-        Ok(QueryService::new(ctx, backend))
     }
 
     /// Builder-style: bound concurrent in-flight queries (the gate's
@@ -479,9 +802,9 @@ impl QueryService {
     }
 
     /// Serve one query: admission → plan (cached) → execute on the shared
-    /// backend. Blocks while the service is at its in-flight bound. On an
-    /// orchestrator's service this is the first declared tenant's
-    /// [`Orchestrator::serve_as`](crate::orchestrator::Orchestrator::serve_as).
+    /// backend. Blocks while the service is at its in-flight bound. On a
+    /// built service this is the first declared tenant's
+    /// [`serve_as`](Self::serve_as).
     ///
     /// The result is bit-identical (rows **and** metered `edge_totals`)
     /// to `QueryContext::prepare(plan)?.run_on(backend)` against the same
@@ -490,12 +813,49 @@ impl QueryService {
         self.serve_plan(0, plan)
     }
 
-    /// [`serve`](Self::serve) as tenant `tenant` of the gate.
-    pub(crate) fn serve_plan(
+    /// Serve one query on behalf of `tenant`: weighted-fair admission →
+    /// plan (cached) + execute, with replay recovery if an injected fault
+    /// kills the run. An undeclared tenant is a typed
+    /// [`QueryError::UnknownTenant`].
+    ///
+    /// Results are bit-identical (rows **and** metered `edge_totals`) to
+    /// a fault-free single-session execution of the same plan.
+    pub fn serve_as(&self, tenant: &str, plan: &LogicalPlan) -> Result<ServedQuery, QueryError> {
+        self.serve_plan(self.admission.tenant_index(tenant)?, plan)
+    }
+
+    /// Serve one iterative fixpoint job (see [`crate::iterative`]) on
+    /// behalf of `tenant`, through the same loop as relational queries:
+    /// weighted-fair admission → plan (the local fixpoint, cached per
+    /// job, tree and catalog generation) → schedule replay on the serving
+    /// backend, with replay recovery if an injected fault kills the run:
+    /// every retry replays the one pinned prepared job. With
+    /// checkpointing enabled ([`ServiceBuilder::checkpoints`] at the
+    /// job's `rounds_per_iteration`), a killed fixpoint resumes from the
+    /// last iteration barrier instead of round 0.
+    ///
+    /// Iterative jobs are multi-round batch work: admit them under a
+    /// [`Priority::Batch`] tenant so interactive queries keep jumping
+    /// the queue. A fixpoint that does not converge surfaces as
+    /// [`QueryError::IterationLimit`] — counted in the tenant's
+    /// [`TenantStats::iteration_limits`]; it takes no cache slot and is
+    /// never retried (replay would re-diverge identically).
+    pub fn serve_iterative(
         &self,
-        tenant: usize,
-        plan: &LogicalPlan,
-    ) -> Result<ServedQuery, QueryError> {
+        tenant: &str,
+        job: &IterativeJob,
+    ) -> Result<ServedIterative, QueryError> {
+        let (outcome, stats) = self.serve_with(
+            self.admission.tenant_index(tenant)?,
+            |pinned| self.prepare_fixpoint_on(pinned, job),
+            |pinned, prepared| prepared.run_on(pinned.ctx.tree(), &self.backend),
+            |outcome: &IterativeOutcome| (outcome.supersteps, outcome.resumed_from),
+        )?;
+        Ok(ServedIterative { outcome, stats })
+    }
+
+    /// [`serve`](Self::serve) as tenant `tenant` of the gate.
+    fn serve_plan(&self, tenant: usize, plan: &LogicalPlan) -> Result<ServedQuery, QueryError> {
         let (result, stats) = self.serve_with(
             tenant,
             |pinned| self.plan_on(pinned, plan),
@@ -512,8 +872,9 @@ impl QueryService {
     /// succeeds, an error ends it, or the [`RetryPolicy`] is exhausted →
     /// patch the replay bookkeeping (`replay_of` reads `(supersteps,
     /// resumed_from)` off the result) → roll up the tenant's counters.
-    /// Only an orchestrated service retries, and only after a recoverable
-    /// fault.
+    /// Only a built service retries, and only after a recoverable fault;
+    /// each killed attempt logs one [`RecoveryEvent`] naming what its
+    /// error names.
     ///
     /// The serving generation is pinned **once**: `prepare` and every
     /// `attempt` get the same [`Snapshot`], so each retry replays the
@@ -528,7 +889,7 @@ impl QueryService {
     /// consecutive boundaries with `saturating_duration_since`, so a
     /// coarse or non-monotone platform clock can underflow none of them.
     /// `exec` is the successful attempt's.
-    pub(crate) fn serve_with<P, T>(
+    fn serve_with<P, T>(
         &self,
         tenant: usize,
         prepare: impl FnOnce(&Snapshot) -> Result<(P, bool), QueryError>,
@@ -539,7 +900,7 @@ impl QueryService {
         {
             // The structural fairness metric: grants to other queries
             // between this one's enqueue and its own grant.
-            let t = &mut lock_ok(&self.timings)[tenant];
+            let t = &mut lock_ok(&self.tenants)[tenant].stats;
             t.max_waited_grants = t.max_waited_grants.max(grant.waited_grants);
         }
 
@@ -549,11 +910,11 @@ impl QueryService {
         // armed for it, instead of leaking it into the next, unrelated
         // execution.
         let fail = |e: QueryError| {
-            if let Some(recovery) = &self.recovery {
-                recovery.injector.clear_armed();
+            if let Some(injector) = &self.injector {
+                injector.clear_armed();
             }
             if matches!(e, QueryError::IterationLimit { .. }) {
-                lock_ok(&self.timings)[tenant].iteration_limits += 1;
+                lock_ok(&self.tenants)[tenant].stats.iteration_limits += 1;
             }
             Err(e)
         };
@@ -570,26 +931,26 @@ impl QueryService {
                 Ok(output) => break output,
                 Err(e) => e,
             };
-            let fault = match &e {
-                QueryError::Exec(ExecError::Runtime(r)) => r.fault_event(pinned.ctx.tree()),
-                _ => None,
+            let faults = match &e {
+                QueryError::Exec(ExecError::Runtime(r)) => r.fault_events(pinned.ctx.tree()),
+                _ => Vec::new(),
             };
-            let (Some(recovery), Some(fault)) = (&self.recovery, fault) else {
+            if self.injector.is_none() || faults.is_empty() {
                 return fail(e);
-            };
-            if fault.kind == FaultKind::Straggler {
-                lock_ok(&self.timings)[tenant].timeouts += 1;
+            }
+            if faults.iter().any(|f| f.kind == FaultKind::Straggler) {
+                lock_ok(&self.tenants)[tenant].stats.timeouts += 1;
             }
             lock_ok(&self.recoveries).push(RecoveryEvent {
                 tenant: self.admission.specs()[tenant].name.clone(),
                 ticket: grant.ticket,
-                fault,
+                faults,
                 attempt: attempts,
                 resumed_from: None,
                 replayed_supersteps: None,
                 skipped_supersteps: 0,
             });
-            if attempts >= recovery.retry.max_attempts {
+            if attempts >= self.retry.max_attempts {
                 // Total loss (or an adversarial re-arming loop): give up
                 // with a typed error after exactly `max_attempts`
                 // executions.
@@ -619,14 +980,15 @@ impl QueryService {
                 last.skipped_supersteps = skipped;
             }
         }
-        let t = &mut lock_ok(&self.timings)[tenant];
+        let row = &mut lock_ok(&self.tenants)[tenant];
+        row.queue.record(grant.queued);
+        let t = &mut row.stats;
         t.served += 1;
         t.recovered += u64::from(attempts > 1);
         t.supersteps_skipped += skipped as u64;
         t.cache_hits += u64::from(cache_hit);
-        t.queue.record(grant.queued);
-        t.plan += plan;
-        t.exec += exec;
+        t.plan_total += plan;
+        t.exec_total += exec;
         let stats = ServiceStats {
             ticket: grant.ticket,
             queued: grant.queued,
@@ -637,35 +999,47 @@ impl QueryService {
         Ok((output, stats))
     }
 
-    /// Every replay recovery, in arrival order.
-    pub(crate) fn recovery_events(&self) -> Vec<RecoveryEvent> {
+    /// Arm a [`FaultPlan`] for the next query execution. Plans queue
+    /// FIFO: arming several queues one per execution attempt, which is
+    /// how the chaos harness re-arms faults across recovery retries.
+    ///
+    /// The plan is validated against the serving topology first — a
+    /// kill/stall naming a router or out-of-range node, or a degrade
+    /// naming an unknown edge, is a typed
+    /// [`RuntimeError::InvalidFaultTarget`], never a silent no-op. A
+    /// plain service has no crew to arm: it refuses every plan with
+    /// [`QueryError::NoFaultHooks`].
+    pub fn inject_faults(&self, plan: FaultPlan) -> Result<(), QueryError> {
+        let injector = self.injector.as_ref().ok_or(QueryError::NoFaultHooks)?;
+        plan.validate(self.context().tree())?;
+        injector.arm(plan);
+        Ok(())
+    }
+
+    /// Checkpoint counters (saved/resumed/retained), when checkpointing
+    /// is enabled via [`ServiceBuilder::checkpoints`].
+    pub fn checkpoint_stats(&self) -> Option<CheckpointStats> {
+        self.checkpoints.as_ref().map(|store| store.stats())
+    }
+
+    /// Every attempt killed by a recoverable fault, in arrival order.
+    pub fn recovery_events(&self) -> Vec<RecoveryEvent> {
         lock_ok(&self.recoveries).clone()
     }
 
-    /// Per-tenant serving report, in declaration order.
-    pub(crate) fn tenant_stats(&self) -> Vec<TenantStats> {
+    /// Per-tenant serving report, in declaration order: queue/plan/exec
+    /// timings, p50/p99 queue time, fairness and recovery counters.
+    pub fn tenant_stats(&self) -> Vec<TenantStats> {
         let admission = self.admission.tenant_admission();
-        let timings = lock_ok(&self.timings);
-        let specs = self.admission.specs().iter();
-        let rows = specs.zip(admission).zip(timings.iter());
-        rows.map(|((spec, adm), t)| TenantStats {
-            tenant: spec.name.clone(),
-            weight: spec.weight,
-            priority: spec.priority,
-            served: t.served,
+        let rows = lock_ok(&self.tenants);
+        let rows = rows.iter().zip(admission);
+        rows.map(|(row, adm)| TenantStats {
             rejected: adm.rejected,
-            recovered: t.recovered,
-            timeouts: t.timeouts,
-            supersteps_skipped: t.supersteps_skipped,
-            cache_hits: t.cache_hits,
-            iteration_limits: t.iteration_limits,
             queued_now: adm.queued,
             running_now: adm.running,
-            queue_p50: t.queue.percentile(50),
-            queue_p99: t.queue.percentile(99),
-            plan_total: t.plan,
-            exec_total: t.exec,
-            max_waited_grants: t.max_waited_grants,
+            queue_p50: row.queue.percentile(50),
+            queue_p99: row.queue.percentile(99),
+            ..row.stats.clone()
         })
         .collect()
     }
@@ -682,7 +1056,7 @@ impl QueryService {
     }
 
     /// The newest generation of the session state.
-    pub(crate) fn snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         match self.snapshot.read() {
             Ok(s) => s.clone(),
             Err(poisoned) => poisoned.into_inner().clone(),
@@ -716,7 +1090,7 @@ impl QueryService {
     /// Plan `plan` against `snapshot` through the cache, lowering (and
     /// inserting) on a miss. Returns the shared prepared plan and whether
     /// it was a hit.
-    pub(crate) fn plan_on(
+    fn plan_on(
         &self,
         snapshot: &Snapshot,
         plan: &LogicalPlan,
@@ -740,7 +1114,7 @@ impl QueryService {
     /// [`plan_on`](Self::plan_on)'s fixpoint counterpart: prepare `job`
     /// on `snapshot`'s tree through the cache. A job that fails to
     /// prepare (`IterationLimit`, `Plan`) is never cached.
-    pub(crate) fn prepare_fixpoint_on(
+    fn prepare_fixpoint_on(
         &self,
         snapshot: &Snapshot,
         job: &IterativeJob,
@@ -1334,21 +1708,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_specs_resolve_and_zero_width_pools_are_rejected() {
-        let ok = QueryService::from_backend_spec(ctx(), "pooled-cluster:2").unwrap();
-        assert_eq!(ok.backend().name(), "pooled-cluster(2)");
-        let err = QueryService::from_backend_spec(ctx(), "pooled-cluster:0").unwrap_err();
-        assert!(
-            matches!(
-                err,
-                QueryError::Exec(ExecError::Runtime(RuntimeError::InvalidPoolWidth { .. }))
-            ),
-            "{err:?}"
-        );
-        assert!(err.to_string().contains("zero-width"), "{err}");
-    }
-
-    #[test]
     fn degrading_an_uplink_invalidates_the_cache_and_flips_the_explain_winner() {
         // Two racks (4 + 2 computes) behind a fat core. Healthy, the
         // one-round partial repartition wins the aggregate. Degrade the
@@ -1405,5 +1764,560 @@ mod tests {
         assert!(invalid(&bw_err), "{bw_err:?}");
         assert_eq!(service.cache_stats().invalidations, 1);
         assert!(service.serve(&q).unwrap().stats.cache_hit);
+    }
+
+    // The multi-tenant service: tenants, one fixed crew, fault hooks and
+    // replay recovery, on a star of four computes.
+
+    fn star_ctx() -> QueryContext {
+        let tree = builders::star(4, 1.0);
+        let mut ctx = QueryContext::new(tree.clone()).with_seed(5);
+        let rows: Vec<Vec<u64>> = (0..80).map(|i| vec![i, i % 4, i * 7 % 90]).collect();
+        ctx.register(DistributedTable::round_robin(
+            "t",
+            Schema::new(vec!["id", "g", "x"]).unwrap(),
+            rows,
+            &tree,
+        ))
+        .unwrap();
+        ctx
+    }
+
+    fn star_query() -> LogicalPlan {
+        LogicalPlan::scan("t").aggregate("g", AggFunc::Sum, "x")
+    }
+
+    /// A built service with one tenant `a`.
+    fn one_tenant() -> QueryService {
+        QueryService::builder(star_ctx())
+            .tenant(TenantSpec::new("a", 1, 4))
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn builder_validates_everything() {
+        let no_tenants = QueryService::builder(star_ctx()).build();
+        assert!(matches!(no_tenants, Err(QueryError::InvalidTenantSpec(_))));
+        let dup = QueryService::builder(star_ctx())
+            .tenant(TenantSpec::new("a", 1, 4))
+            .tenant(TenantSpec::new("a", 2, 4))
+            .build();
+        assert!(matches!(dup, Err(QueryError::InvalidTenantSpec(_))));
+        // The crew is fixed: a width of 0, or a (min, max) pair asking
+        // for growth, is the runtime's zero-width pool error, as for a
+        // "cluster:0" backend spec.
+        let widths = [(8, 2), (1, 4), (0, 0)].map(|(min, max)| ScalingSpec::new(min, max));
+        let builders = widths
+            .into_iter()
+            .map(|spec| QueryService::builder(star_ctx()).scaling(spec))
+            .chain([QueryService::builder(star_ctx()).crew(0)]);
+        for builder in builders {
+            let bad_width = builder.tenant(TenantSpec::new("a", 1, 4)).build();
+            assert!(
+                matches!(
+                    bad_width,
+                    Err(QueryError::Exec(ExecError::Runtime(
+                        RuntimeError::InvalidPoolWidth { .. }
+                    )))
+                ),
+                "{bad_width:?}"
+            );
+        }
+        for fixed in [
+            QueryService::builder(star_ctx()).crew(2),
+            QueryService::builder(star_ctx()).scaling(ScalingSpec::new(2, 2)),
+        ] {
+            let fixed = fixed.tenant(TenantSpec::new("a", 1, 4)).build().unwrap();
+            assert_eq!(fixed.backend().name(), "pooled-cluster(shared 2)");
+            assert_eq!(fixed.admission_stats().max_inflight, 2);
+        }
+        let zero_cap = QueryService::builder(star_ctx())
+            .tenant(TenantSpec::new("a", 1, 4))
+            .capacity(0)
+            .build();
+        assert!(matches!(zero_cap, Err(QueryError::InvalidAdmissionLimit)));
+    }
+
+    #[test]
+    fn serves_unknown_tenants_a_typed_error_and_known_ones_their_rows() {
+        let service = one_tenant();
+        assert!(matches!(
+            service.serve_as("nobody", &star_query()),
+            Err(QueryError::UnknownTenant(_))
+        ));
+        let want = star_ctx().prepare(&star_query()).unwrap().run().unwrap();
+        let served = service.serve_as("a", &star_query()).unwrap();
+        assert_eq!(served.result.rows(false), want.rows(false));
+        assert_eq!(served.result.cost.edge_totals, want.cost.edge_totals);
+        let stats = service.tenant_stats();
+        assert_eq!(stats[0].served, 1);
+        assert_eq!(stats[0].recovered, 0);
+    }
+
+    #[test]
+    fn serve_is_the_first_tenants_serve_as_through_the_one_gate() {
+        let service = QueryService::builder(star_ctx())
+            .tenant(TenantSpec::new("a", 1, 4))
+            .tenant(TenantSpec::new("b", 1, 4))
+            .capacity(1)
+            .build()
+            .unwrap();
+        assert_eq!(service.admission_stats().max_inflight, 1);
+        // `serve` is the first tenant's `serve_as`: one ticket sequence,
+        // one count of admissions, one set of tenant rows.
+        let first = service.serve(&star_query()).unwrap();
+        let second = service.serve_as("b", &star_query()).unwrap();
+        assert_eq!((first.stats.ticket, second.stats.ticket), (0, 1));
+        assert_eq!(service.admission_stats().admitted, 2);
+        let stats = service.tenant_stats();
+        assert_eq!((stats[0].served, stats[1].served), (1, 1));
+        // … and it recovers like `serve_as`: an armed kill is replayed,
+        // not returned.
+        let victim = service.context().tree().compute_nodes()[1];
+        service
+            .inject_faults(FaultPlan::new().kill_worker(victim, 0))
+            .unwrap();
+        let recovered = service.serve(&star_query()).unwrap();
+        assert_eq!(recovered.result.rows(false), first.result.rows(false));
+        let recs = service.recovery_events();
+        assert_eq!((recs.len(), recs[0].tenant.as_str()), (1, "a"));
+        assert_eq!(service.tenant_stats()[0].recovered, 1);
+    }
+
+    #[test]
+    fn recovery_events_attribute_each_fault_to_its_node() {
+        // Two racks of two: EdgeId(0) is a rack's core uplink, so the
+        // degrade's node is a router, the edge's deeper endpoint.
+        let tree = builders::rack_tree(&[(2, 1.0, 2.0), (2, 1.0, 2.0)], 1.0);
+        let mut ctx = QueryContext::new(tree.clone()).with_seed(5);
+        let rows: Vec<Vec<u64>> = (0..80).map(|i| vec![i, i % 4, i * 7 % 90]).collect();
+        let schema = Schema::new(vec!["id", "g", "x"]).unwrap();
+        ctx.register(DistributedTable::round_robin("t", schema, rows, &tree))
+            .unwrap();
+        let service = QueryService::builder(ctx)
+            .tenant(TenantSpec::new("a", 1, 4))
+            .superstep_deadline(Duration::from_millis(100))
+            .build()
+            .unwrap();
+        let (victim, uplink) = (tree.compute_nodes()[1], EdgeId(0));
+        let router = tree.deeper_endpoint(uplink);
+        assert!(!tree.is_compute(router));
+        let plans = [
+            FaultPlan::new().kill_worker(victim, 0),
+            FaultPlan::new().degrade_edge(uplink, 0, 4.0),
+            FaultPlan::new().stall_worker(victim, 0, Duration::from_millis(400)),
+        ];
+        for plan in plans {
+            service.inject_faults(plan).unwrap();
+            service.serve_as("a", &star_query()).unwrap();
+        }
+        let event = |node, kind| FaultEvent {
+            node,
+            round: 0,
+            kind,
+        };
+        let degraded = FaultKind::LinkDegraded {
+            edge: uplink,
+            factor: 4.0,
+        };
+        let recovered: Vec<Vec<FaultEvent>> = service
+            .recovery_events()
+            .into_iter()
+            .map(|r| r.faults)
+            .collect();
+        assert_eq!(
+            recovered,
+            [
+                vec![event(victim, FaultKind::WorkerKilled)],
+                vec![event(router, degraded)],
+                vec![event(victim, FaultKind::Straggler)],
+            ]
+        );
+        assert_eq!(service.tenant_stats()[0].timeouts, 1);
+    }
+
+    #[test]
+    fn a_detach_is_one_recovery_naming_every_felled_node() {
+        // star(4) is rooted internally at compute node 0, so detaching
+        // node 0 fells all four computes in one superstep: one killed
+        // attempt, one event, four nodes — on the pooled crew.
+        let service = QueryService::builder(star_ctx())
+            .tenant(TenantSpec::new("a", 1, 4))
+            .crew(2)
+            .build()
+            .unwrap();
+        assert_eq!(service.backend().name(), "pooled-cluster(shared 2)");
+        let want = service.serve_as("a", &star_query()).unwrap();
+        let computes = service.context().tree().compute_nodes().to_vec();
+        service
+            .inject_faults(FaultPlan::new().detach_subtree(computes[0], 1))
+            .unwrap();
+        let recovered = service.serve_as("a", &star_query()).unwrap();
+        assert_eq!(recovered.result.rows(false), want.result.rows(false));
+        let recs = service.recovery_events();
+        assert_eq!(recs.len(), 1);
+        let felled: Vec<NodeId> = recs[0].faults.iter().map(|f| f.node).collect();
+        assert_eq!(felled, computes);
+        assert!(recs[0]
+            .faults
+            .iter()
+            .all(|f| (f.round, f.kind) == (1, FaultKind::WorkerKilled)));
+        assert_eq!(service.tenant_stats()[0].recovered, 1);
+    }
+
+    #[test]
+    fn a_plain_service_refuses_faults_and_arms_nothing() {
+        let tree = builders::star(4, 1.0);
+        let backend = PooledClusterBackend::with_shared_pool(2);
+        let service = QueryService::new(star_ctx(), Arc::new(backend));
+        let err = service
+            .inject_faults(FaultPlan::new().kill_worker(tree.compute_nodes()[0], 0))
+            .unwrap_err();
+        assert_eq!(err, QueryError::NoFaultHooks);
+        assert!(err.to_string().contains("QueryService::builder"), "{err}");
+        assert_eq!(service.checkpoint_stats(), None);
+        let served = service.serve(&star_query()).unwrap();
+        let want = star_ctx().prepare(&star_query()).unwrap().run().unwrap();
+        assert_eq!(served.result.rows(false), want.rows(false));
+        assert!(service.recovery_events().is_empty());
+        assert_eq!(service.tenant_stats()[0].recovered, 0);
+    }
+
+    #[test]
+    fn injected_faults_recover_bit_identically_and_are_logged() {
+        let service = one_tenant();
+        let want = service.serve_as("a", &star_query()).unwrap(); // fault-free
+        let victim = service.context().tree().compute_nodes()[1];
+        service
+            .inject_faults(FaultPlan::new().kill_worker(victim, 0))
+            .unwrap();
+        let recovered = service.serve_as("a", &star_query()).unwrap();
+        assert_eq!(recovered.result.rows(false), want.result.rows(false));
+        assert_eq!(
+            recovered.result.cost.edge_totals,
+            want.result.cost.edge_totals
+        );
+        let recs = service.recovery_events();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(recs[0].attempt, 1);
+        // No checkpointing configured: the successful replay ran from
+        // scratch and the bookkeeping says so.
+        assert_eq!(recs[0].resumed_from, None);
+        assert_eq!(recs[0].skipped_supersteps, 0);
+        assert_eq!(
+            recs[0].replayed_supersteps,
+            Some(recovered.result.supersteps)
+        );
+        assert_eq!(
+            recs[0].faults,
+            vec![FaultEvent {
+                node: victim,
+                round: 0,
+                kind: FaultKind::WorkerKilled
+            }]
+        );
+        assert_eq!(service.tenant_stats()[0].recovered, 1);
+    }
+
+    #[test]
+    fn invalid_fault_targets_are_typed_errors_not_silent_noops() {
+        let service = one_tenant();
+        // star(4): node 4 is the hub — a router with no worker to kill.
+        let hub = NodeId(4);
+        let err = service
+            .inject_faults(FaultPlan::new().kill_worker(hub, 0))
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                QueryError::Exec(ExecError::Runtime(RuntimeError::InvalidFaultTarget { .. }))
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("router"), "{err}");
+        // Nothing was armed: the next serve runs fault-free.
+        let served = service.serve_as("a", &star_query()).unwrap();
+        assert!(service.recovery_events().is_empty());
+        assert!(!served.result.rows(false).is_empty());
+    }
+
+    #[test]
+    fn recovery_exhausts_after_exactly_max_attempts() {
+        let service = QueryService::builder(star_ctx())
+            .tenant(TenantSpec::new("a", 1, 4))
+            .retry(RetryPolicy::new(3))
+            .build()
+            .unwrap();
+        let victim = service.context().tree().compute_nodes()[0];
+        // Queue more kill plans than the policy allows attempts: the
+        // query must give up after exactly 3 executions, leaving no
+        // armed plan behind to poison the next query.
+        for _ in 0..5 {
+            service
+                .inject_faults(FaultPlan::new().kill_worker(victim, 0))
+                .unwrap();
+        }
+        let err = service.serve_as("a", &star_query()).unwrap_err();
+        match err {
+            QueryError::RecoveryExhausted { attempts, last } => {
+                assert_eq!(attempts, 3);
+                assert!(matches!(
+                    *last,
+                    QueryError::Exec(ExecError::Runtime(RuntimeError::InjectedFault { .. }))
+                ));
+            }
+            other => panic!("expected RecoveryExhausted, got {other:?}"),
+        }
+        let fired = |s: &QueryService| -> usize {
+            s.recovery_events().iter().map(|r| r.faults.len()).sum()
+        };
+        assert_eq!(service.recovery_events().len(), 3);
+        assert_eq!(fired(&service), 3);
+        // The two surplus plans were dropped with the failed query.
+        let served = service.serve_as("a", &star_query()).unwrap();
+        assert!(!served.result.rows(false).is_empty());
+        assert_eq!(fired(&service), 3, "no leaked fault plans");
+    }
+
+    #[test]
+    fn checkpointed_recovery_replays_strictly_fewer_supersteps() {
+        // A multi-round query (aggregate + order_by) with checkpoints
+        // every superstep: a kill late in the schedule must resume from
+        // the last boundary and replay strictly fewer supersteps than a
+        // whole-query replay — asserted from the RecoveryEvent, with rows
+        // and edge_totals bit-identical to the fault-free run.
+        let q = LogicalPlan::scan("t")
+            .aggregate("g", AggFunc::Sum, "x")
+            .order_by("sum_x");
+        let service = QueryService::builder(star_ctx())
+            .tenant(TenantSpec::new("a", 1, 4))
+            .checkpoints(1)
+            .build()
+            .unwrap();
+        let want = service.serve_as("a", &q).unwrap();
+        let total = want.result.supersteps;
+        assert!(total >= 3, "need a multi-superstep schedule, got {total}");
+
+        let victim = service.context().tree().compute_nodes()[2];
+        let kill_round = total - 2; // late: several boundaries behind it
+        service
+            .inject_faults(FaultPlan::new().kill_worker(victim, kill_round))
+            .unwrap();
+        let recovered = service.serve_as("a", &q).unwrap();
+        assert_eq!(recovered.result.rows(false), want.result.rows(false));
+        assert_eq!(
+            recovered.result.cost.edge_totals,
+            want.result.cost.edge_totals
+        );
+        let recs = service.recovery_events();
+        assert_eq!(recs.len(), 1);
+        let rec = &recs[0];
+        assert_eq!(rec.resumed_from, Some(kill_round));
+        assert_eq!(rec.skipped_supersteps, kill_round);
+        assert_eq!(rec.replayed_supersteps, Some(total - kill_round));
+        assert!(
+            rec.replayed_supersteps.unwrap() < total,
+            "partial restart must replay strictly fewer supersteps than full replay"
+        );
+        let cp = service.checkpoint_stats().unwrap();
+        assert_eq!((cp.saved, cp.resumed, cp.retained), (1, 1, 0));
+        assert_eq!(
+            service.tenant_stats()[0].supersteps_skipped,
+            kill_round as u64
+        );
+    }
+
+    #[test]
+    fn checkpoint_resume_is_deterministic_across_strategy_paths() {
+        // Exchange emission must be byte-identical across executions of
+        // the same pinned plan (`drain_sorted` in the strategies):
+        // otherwise the schedule-content checkpoint token differs per
+        // attempt and the retry can never consume the snapshot its own
+        // faulted run parked. A self-join and a grouped aggregate cover
+        // the map-grouped emission paths; each must *resume*, not
+        // merely recover.
+        let plans = [
+            LogicalPlan::scan("t").join_on(LogicalPlan::scan("t"), "id", "id"),
+            LogicalPlan::scan("t")
+                .aggregate("g", AggFunc::Sum, "x")
+                .order_by("sum_x"),
+        ];
+        for q in plans {
+            let service = QueryService::builder(star_ctx())
+                .tenant(TenantSpec::new("a", 1, 4))
+                .checkpoints(1)
+                .build()
+                .unwrap();
+            let want = service.serve_as("a", &q).unwrap();
+            let total = want.result.supersteps;
+            if total < 2 {
+                continue; // no boundary can sit behind the kill
+            }
+            let victim = service.context().tree().compute_nodes()[0];
+            service
+                .inject_faults(FaultPlan::new().kill_worker(victim, total - 1))
+                .unwrap();
+            let recovered = service.serve_as("a", &q).unwrap();
+            assert_eq!(recovered.result.rows(false), want.result.rows(false));
+            assert_eq!(
+                recovered.result.cost.edge_totals,
+                want.result.cost.edge_totals
+            );
+            let recs = service.recovery_events();
+            let rec = recs.last().unwrap();
+            assert_eq!(
+                rec.resumed_from,
+                Some(total - 1),
+                "retry must hit the parked snapshot (token-stable schedule) for {q:?}"
+            );
+            let cp = service.checkpoint_stats().unwrap();
+            assert_eq!((cp.saved, cp.resumed, cp.retained), (1, 1, 0));
+        }
+    }
+
+    #[test]
+    fn stats_report_all_tenants_with_percentiles() {
+        let service = QueryService::builder(star_ctx())
+            .tenant(TenantSpec::new("fast", 4, 8).with_priority(Priority::Interactive))
+            .tenant(TenantSpec::new("slow", 1, 8))
+            .build()
+            .unwrap();
+        for _ in 0..5 {
+            service.serve_as("fast", &star_query()).unwrap();
+        }
+        service.serve_as("slow", &star_query()).unwrap();
+        let stats = service.tenant_stats();
+        assert_eq!(stats.len(), 2);
+        let fast = &stats[0];
+        assert_eq!((fast.served, fast.weight), (5, 4));
+        assert_eq!(fast.priority, Priority::Interactive);
+        assert!(fast.queue_p50 <= fast.queue_p99);
+        assert_eq!(fast.cache_hits, 4); // first serve was the miss
+        assert_eq!(stats[1].served, 1);
+    }
+
+    #[test]
+    fn every_attempt_runs_on_the_generation_pinned_at_admission() {
+        // Drive the shared loop with an attempt that swaps the serving
+        // generation — a `degrade_link` re-weights the live tree — and
+        // then fails recoverably. The retry must still see the tree the
+        // query was admitted on: re-reading `service.context()` per
+        // attempt would meter the retry against different weights than
+        // the ledger a checkpoint resumes.
+        let service = one_tenant();
+        let admitted_on = service.context().tree().fingerprint();
+        let victim = service.context().tree().compute_nodes()[0];
+        let mut seen = Vec::new();
+        let (attempts, stats) = service
+            .serve_with(
+                0,
+                |pinned| Ok((pinned.ctx.tree().fingerprint(), false)),
+                |pinned, prepared_on| {
+                    seen.push(pinned.ctx.tree().fingerprint());
+                    assert_eq!(seen.last(), Some(prepared_on));
+                    if seen.len() == 1 {
+                        service.degrade_link(EdgeId(0), 4.0).unwrap();
+                        return Err(RuntimeError::InjectedFault {
+                            nodes: vec![victim],
+                            round: 0,
+                        }
+                        .into());
+                    }
+                    Ok(seen.len())
+                },
+                |_| (1, None),
+            )
+            .unwrap();
+        assert_eq!(attempts, 2);
+        assert_eq!(seen, vec![admitted_on, admitted_on]);
+        // The swap did land — on the *next* query's generation.
+        assert_ne!(service.context().tree().fingerprint(), admitted_on);
+        assert!(!stats.cache_hit);
+        let recs = service.recovery_events();
+        assert_eq!(recs.len(), 1);
+        assert_eq!((recs[0].attempt, recs[0].faults[0].node), (1, victim));
+        assert_eq!(recs[0].replayed_supersteps, Some(1));
+        assert_eq!(service.tenant_stats()[0].recovered, 1);
+    }
+
+    /// A 6-cycle over the star's leaves (every vertex pair of adjacent
+    /// owners exchanges), usable against the `star_ctx()` topology.
+    fn cycle_graph(ctx: &QueryContext) -> (Vec<(u64, u64)>, Vec<NodeId>) {
+        let vc = ctx.tree().compute_nodes().to_vec();
+        let n = 6u64;
+        let mut arcs = Vec::new();
+        for u in 0..n {
+            arcs.push((u, (u + 1) % n));
+            arcs.push(((u + 1) % n, u));
+        }
+        let owners = (0..n).map(|u| vc[(u % 3) as usize]).collect();
+        (arcs, owners)
+    }
+
+    #[test]
+    fn serves_iterative_jobs_as_batch_sessions() {
+        let c = star_ctx();
+        let (arcs, owners) = cycle_graph(&c);
+        let job = IterativeJob::bfs(arcs, owners, 0, IterativeSpec::frontier(10, 0.0));
+        let want = job.prepare(c.tree()).unwrap();
+
+        let service = QueryService::builder(star_ctx())
+            .tenant(TenantSpec::new("graphs", 1, 4).with_priority(Priority::Batch))
+            .build()
+            .unwrap();
+        assert!(matches!(
+            service.serve_iterative("nobody", &job),
+            Err(QueryError::UnknownTenant(_))
+        ));
+        let served = service.serve_iterative("graphs", &job).unwrap();
+        // Bit-identical to a standalone run of the same prepared job.
+        let standalone = want.run(c.tree()).unwrap();
+        assert_eq!(served.outcome.values, standalone.values);
+        assert_eq!(served.outcome.cost.edge_totals, standalone.cost.edge_totals);
+        // The first serve prepares the fixpoint, the second finds it in
+        // the plan cache — and replays to the same result.
+        assert!(!served.stats.cache_hit, "first serve is the miss");
+        let again = service.serve_iterative("graphs", &job).unwrap();
+        assert!(again.stats.cache_hit, "second serve is a hit");
+        assert_eq!(again.outcome.values, standalone.values);
+        assert_eq!(again.outcome.iterations, standalone.iterations);
+        assert_eq!(again.outcome.cost.edge_totals, standalone.cost.edge_totals);
+        let cache = service.cache_stats();
+        assert_eq!((cache.hits, cache.misses, cache.entries), (1, 1, 1));
+        let stats = service.tenant_stats();
+        assert_eq!((stats[0].served, stats[0].cache_hits), (2, 1));
+        assert_eq!(stats[0].priority, Priority::Batch);
+        assert_eq!(stats[0].iteration_limits, 0);
+    }
+
+    #[test]
+    fn iteration_limits_roll_up_per_tenant() {
+        let c = star_ctx();
+        let (arcs, owners) = cycle_graph(&c);
+        // BFS around the cycle needs 4 iterations; cap at 1.
+        let job = IterativeJob::bfs(arcs, owners, 0, IterativeSpec::frontier(1, 0.0));
+        let service = QueryService::builder(star_ctx())
+            .tenant(TenantSpec::new("graphs", 1, 4).with_priority(Priority::Batch))
+            .build()
+            .unwrap();
+        let err = service.serve_iterative("graphs", &job).unwrap_err();
+        assert!(matches!(err, QueryError::IterationLimit { limit: 1, .. }));
+        let err = service.serve_iterative("graphs", &job).unwrap_err();
+        assert!(matches!(err, QueryError::IterationLimit { .. }));
+        let stats = service.tenant_stats();
+        assert_eq!(stats[0].iteration_limits, 2);
+        assert_eq!(stats[0].served, 0, "non-converged jobs are not served");
+        let cache = service.cache_stats();
+        assert_eq!(
+            (cache.hits, cache.misses, cache.entries),
+            (0, 2, 0),
+            "a failed prepare is redone every time and takes no cache slot"
+        );
+        assert_eq!(
+            service.recovery_events().len(),
+            0,
+            "non-convergence is not a fault and is never retried"
+        );
     }
 }

@@ -188,7 +188,7 @@ enum Crew {
 /// serving workloads that run many jobs back to back, construct the
 /// backend with [`with_shared_pool`](Self::with_shared_pool): the crew is
 /// spawned once and reused across every `execute` call (jobs serialize on
-/// the pool; results stay bit-identical). An orchestration layer that
+/// the pool; results stay bit-identical). A serving layer that
 /// wants to kill workers mid-query attaches a [`FaultInjector`] with
 /// [`with_fault_injector`](Self::with_fault_injector). Results are
 /// bit-identical across both crew modes and every width — only
@@ -199,7 +199,7 @@ pub struct PooledClusterBackend {
     pub options: ClusterOptions,
     /// Where executions get their thread crew.
     crew: Crew,
-    /// Fault-injection arming point shared with an orchestration layer.
+    /// Fault-injection arming point shared with a serving layer.
     injector: Option<Arc<FaultInjector>>,
     /// Superstep checkpointing: the shared snapshot store and cadence.
     checkpoints: Option<(Arc<CheckpointStore>, CheckpointSpec)>,

@@ -1,7 +1,7 @@
 //! Superstep checkpointing for partial restart.
 //!
 //! Recovery in the serving arc used to be all-or-nothing: any fault
-//! aborted the run and the orchestrator replayed the *entire* schedule
+//! aborted the run and the serving layer replayed the *entire* schedule
 //! on a healthy crew. This module makes recovery incremental: the
 //! coordinator snapshots every compute node's state at the last `k`-th
 //! superstep boundary before the run's planned kill or degradation, so a
@@ -77,8 +77,8 @@ pub(crate) struct Checkpoint {
     pub states: Vec<NodeState>,
 }
 
-/// Counters describing a store's checkpoint traffic, for
-/// `Orchestrator::stats()` and the chaos harness.
+/// Counters describing a store's checkpoint traffic, for the serving
+/// layer's `QueryService::checkpoint_stats` and the chaos harness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
     /// Snapshots parked after a recoverable fault.

@@ -42,12 +42,12 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tamp_simulator::{NodeState, Placement};
-use tamp_topology::Tree;
+use tamp_topology::{NodeId, Tree};
 
 use crate::backend::ExecOutcome;
 use crate::checkpoint::{Checkpoint, CheckpointSpec, CheckpointStore};
 use crate::error::RuntimeError;
-use crate::fault::{FaultEvent, FaultInjector, ResolvedFaults};
+use crate::fault::{FaultInjector, ResolvedFaults};
 use crate::jobs::{placement_digest, ScheduleJob};
 use crate::pool::WorkerPool;
 
@@ -174,7 +174,7 @@ pub(crate) struct RunHooks<'a> {
     /// The fault-injection arming point: the front armed plan is
     /// consumed and validated at run start. Kills and degradations abort
     /// the run with a typed recoverable error, stalls delay a worker (and
-    /// trip the watchdog under a deadline); fired faults are recorded.
+    /// trip the watchdog under a deadline); the run's error names what fired.
     pub fault: Option<&'a FaultInjector>,
     /// On a recoverable abort, park a snapshot at the last `spec.every`-th
     /// boundary the run passed; the next run with the same token and
@@ -288,7 +288,6 @@ pub(crate) fn replay(
     // under a stale window.
     let barrier: Barrier = (Mutex::new(0), Condvar::new());
 
-    let mut fired_events: Vec<FaultEvent> = Vec::new();
     let mut outcome: Result<(), RuntimeError> = Ok(());
 
     // One worker's whole run: absorb claimed slots window by window until
@@ -404,25 +403,21 @@ pub(crate) fn replay(
                     round,
                     deadline,
                 };
-                fired_events.extend(timeout.fault_event(tree));
                 outcome = Err(timeout);
                 return;
             }
 
-            // Read the reports in node-id order, so the lowest-indexed
-            // killed node names the run's outcome regardless of claim
-            // order, and the event log is sorted the same way.
-            let kills: Vec<RuntimeError> = (slots.iter().zip(computes))
+            // Read the reports in node-id order, so the error names every
+            // killed node in ascending order regardless of claim order.
+            let nodes: Vec<NodeId> = (slots.iter().zip(computes))
                 .filter_map(|(slot, &node)| {
                     let report = slot.lock().unwrap().report.take();
                     let report = report.expect("a drained crew absorbed every node");
-                    matches!(report, Report::Killed)
-                        .then_some(RuntimeError::InjectedFault { node, round })
+                    matches!(report, Report::Killed).then_some(node)
                 })
                 .collect();
-            fired_events.extend(kills.iter().filter_map(|kill| kill.fault_event(tree)));
-            if let Some(first) = kills.into_iter().next() {
-                outcome = Err(first);
+            if !nodes.is_empty() {
+                outcome = Err(RuntimeError::InjectedFault { nodes, round });
                 return;
             }
 
@@ -452,7 +447,6 @@ pub(crate) fn replay(
                 round,
                 factor,
             };
-            fired_events.extend(degraded.fault_event(tree));
             outcome = Err(degraded);
         }
     };
@@ -465,12 +459,6 @@ pub(crate) fn replay(
             }
             coordinator();
         }),
-    }
-
-    if !fired_events.is_empty() {
-        if let Some(inj) = hooks.fault {
-            inj.record(fired_events);
-        }
     }
 
     // Park the latest snapshot for the retry — but only on a
@@ -567,7 +555,7 @@ mod tests {
         assert_eq!(
             err,
             RuntimeError::InjectedFault {
-                node: NodeId(2),
+                nodes: vec![NodeId(2)],
                 round: 4
             }
         );
@@ -621,7 +609,7 @@ mod tests {
             }
         );
         assert!(err.is_recoverable());
-        let fired = inj.fired();
+        let fired = err.fault_events(&tree);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].node, tree.deeper_endpoint(uplink));
         assert_eq!(fired[0].round, 2);
@@ -661,7 +649,6 @@ mod tests {
         };
         let slow = run(&tree, &job, ClusterOptions::default(), hooks()).unwrap();
         assert_eq!(slow.cost.edge_totals, healthy.cost.edge_totals);
-        assert!(inj.fired().is_empty(), "a mere slowdown is not a fault");
 
         // The same stall against a much tighter deadline trips the
         // watchdog, which attributes the straggler deterministically.
@@ -678,7 +665,7 @@ mod tests {
             }
         );
         assert!(err.is_recoverable());
-        let fired = inj.fired();
+        let fired = err.fault_events(&tree);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, FaultKind::Straggler);
         assert_eq!(fired[0].node, NodeId(1));
@@ -696,6 +683,52 @@ mod tests {
         let err = run(&tree, &ring_job(&tree, 2), ClusterOptions::default(), hooks).unwrap_err();
         assert!(matches!(err, RuntimeError::InvalidFaultTarget { .. }));
         assert!(!err.is_recoverable());
+    }
+
+    #[test]
+    fn a_kill_names_every_node_felled_in_its_superstep() {
+        // Detaching the internal root (node 0) fells every compute node;
+        // detaching a rack's router fells that rack. The one error names
+        // them all, ascending, whatever the crew's width or claim order.
+        let star = builders::star(5, 1.0);
+        let rack = builders::rack_tree(&[(2, 1.0, 1.0), (3, 1.0, 1.0)], 1.0);
+        let inner = *rack.compute_nodes().last().unwrap();
+        let (router, _) = rack.parent0(inner).expect("a rack leaf has a router");
+        let shared = WorkerPool::new(2);
+        for (tree, root) in [(&star, NodeId(0)), (&rack, router)] {
+            let felled: Vec<NodeId> = (tree.compute_nodes().iter().copied())
+                .filter(|&v| tree.in_subtree0(v, root))
+                .collect();
+            assert!(felled.len() >= 2, "{felled:?}");
+            let job = ring_job(tree, 3);
+            for (options, pool) in [
+                (ClusterOptions::with_workers(1), None),
+                (ClusterOptions::with_workers(3), None),
+                (ClusterOptions::default(), Some(&shared)),
+            ] {
+                let inj = FaultInjector::new();
+                inj.arm(FaultPlan::new().detach_subtree(root, 1));
+                let hooks = RunHooks {
+                    pool,
+                    fault: Some(&inj),
+                    checkpoint: None,
+                };
+                let err = run(tree, &job, options, hooks).unwrap_err();
+                assert_eq!(
+                    err,
+                    RuntimeError::InjectedFault {
+                        nodes: felled.clone(),
+                        round: 1
+                    }
+                );
+                let events = err.fault_events(tree);
+                let named: Vec<NodeId> = events.iter().map(|e| e.node).collect();
+                assert_eq!(named, felled);
+                assert!(events
+                    .iter()
+                    .all(|e| (e.round, e.kind) == (1, FaultKind::WorkerKilled)));
+            }
+        }
     }
 
     #[test]
@@ -987,8 +1020,9 @@ mod tests {
 
         /// An unwatched run wakes once per window; the same plan under a
         /// deadline no stall can reach takes the per-superstep path. Both
-        /// must fail the same way, fire the same events, park the same
-        /// snapshot and let the retry resume to the same states.
+        /// must fail the same way (the error names every killed node),
+        /// park the same snapshot and let the retry resume to the same
+        /// states.
         #[test]
         fn unwatched_runs_match_the_per_superstep_path(seed in 0u64..1_000_000, every in 1usize..5) {
             let (tree, p, job, plan) = random_faulted_ring(seed);
@@ -1014,10 +1048,9 @@ mod tests {
                     };
                     let outcome = |r: ExecOutcome| (r.resumed_from, r.final_state);
                     let first = replay(&tree, &p, &job, options, hooks()).map(outcome);
-                    let fired = inj.fired();
                     let stats = store.stats();
                     let retry = replay(&tree, &p, &job, options, hooks()).map(outcome);
-                    (first, fired, stats, retry)
+                    (first, stats, retry)
                 };
                 let oracle = run_and_retry(options.with_superstep_deadline(watched));
                 prop_assert_eq!(run_and_retry(options), oracle);

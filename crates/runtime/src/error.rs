@@ -48,17 +48,17 @@ pub enum RuntimeError {
         /// The offending spec, verbatim.
         spec: String,
     },
-    /// An armed [`FaultPlan`](crate::fault::FaultPlan) fired: the worker
-    /// on `node` was killed at superstep `round` and the run aborted.
-    /// When several nodes die in one superstep, the lowest-indexed one is
-    /// named, at every worker count.
+    /// An armed [`FaultPlan`](crate::fault::FaultPlan) fired: the workers
+    /// on `nodes` were killed at superstep `round` and the run aborted.
+    /// Every node killed in that superstep is named, in ascending id
+    /// order, at every worker count.
     /// Recovery is re-execution on a healthy (disarmed) crew — the
     /// deterministic schedule makes the retry bit-identical to a
     /// fault-free run.
     InjectedFault {
-        /// The first (lowest-indexed) node that was killed.
-        node: NodeId,
-        /// The superstep at which it was killed.
+        /// Every node killed in the superstep, ascending (never empty).
+        nodes: Vec<NodeId>,
+        /// The superstep at which they were killed.
         round: usize,
     },
     /// An armed [`FaultPlan`](crate::fault::FaultPlan) degraded a link:
@@ -101,7 +101,7 @@ pub enum RuntimeError {
 }
 
 impl RuntimeError {
-    /// Whether the orchestrator's recovery loop may retry after this
+    /// Whether the serving layer's recovery loop may retry after this
     /// error. Injected kills, link degradations, and straggler timeouts
     /// are recoverable (the deterministic schedule replays bit-identically
     /// on a healthy crew); everything else is a hard error.
@@ -112,25 +112,29 @@ impl RuntimeError {
         )
     }
 
-    /// The [`FaultEvent`] a recoverable error stands for, attributed as
-    /// the run's fired-event log attributes it: the killed worker, the
-    /// straggler, or a degraded edge's deeper endpoint on `tree`. `None`
-    /// for a hard error.
-    pub fn fault_event(&self, tree: &Tree) -> Option<FaultEvent> {
-        let (node, round, kind) = match *self {
-            Self::InjectedFault { node, round } => (node, round, FaultKind::WorkerKilled),
-            Self::SuperstepTimeout { node, round, .. } => (node, round, FaultKind::Straggler),
+    /// The [`FaultEvent`]s a recoverable error stands for: one per killed
+    /// worker (ascending), the straggler, or a degraded edge's deeper
+    /// endpoint on `tree`. Empty for a hard error.
+    pub fn fault_events(&self, tree: &Tree) -> Vec<FaultEvent> {
+        let event = |node, round, kind| FaultEvent { node, round, kind };
+        match *self {
+            Self::InjectedFault { ref nodes, round } => nodes
+                .iter()
+                .map(|&node| event(node, round, FaultKind::WorkerKilled))
+                .collect(),
+            Self::SuperstepTimeout { node, round, .. } => {
+                vec![event(node, round, FaultKind::Straggler)]
+            }
             Self::LinkDegraded {
                 edge,
                 round,
                 factor,
             } => {
                 let kind = FaultKind::LinkDegraded { edge, factor };
-                (tree.deeper_endpoint(edge), round, kind)
+                vec![event(tree.deeper_endpoint(edge), round, kind)]
             }
-            _ => return None,
-        };
-        Some(FaultEvent { node, round, kind })
+            _ => Vec::new(),
+        }
     }
 }
 
@@ -161,10 +165,12 @@ impl fmt::Display for RuntimeError {
                     "backend spec `{spec}` requests a zero-width worker pool (need N \u{2265} 1)"
                 )
             }
-            Self::InjectedFault { node, round } => {
+            Self::InjectedFault { nodes, round } => {
+                let nodes: Vec<String> = nodes.iter().map(|v| v.to_string()).collect();
+                let nodes = nodes.join(", ");
                 write!(
                     f,
-                    "injected fault: worker on node {node} killed at superstep {round}"
+                    "injected fault: worker(s) on node(s) {nodes} killed at superstep {round}"
                 )
             }
             Self::LinkDegraded {

@@ -1,6 +1,6 @@
 //! Fault injection for the pooled cluster: kill a worker mid-query,
 //! detach a whole subtree, degrade a link's bandwidth, stall a worker
-//! past a deadline — and observe what fired.
+//! past a deadline — and read what fired off the run's error.
 //!
 //! The serving arc's recovery story rests on a property the trace/replay
 //! split provides *by construction*: every query is a deterministic
@@ -19,19 +19,19 @@
 //!   a wall-clock delay at superstep `r`
 //!   ([`stall_worker`](FaultPlan::stall_worker), which trips the
 //!   superstep watchdog when one is configured);
-//! - a [`FaultInjector`] is shared between the orchestration layer and a
+//! - a [`FaultInjector`] is shared between the serving layer and a
 //!   [`PooledClusterBackend`](crate::PooledClusterBackend): the
-//!   orchestrator [`arm`](FaultInjector::arm)s plans (a FIFO queue, so a
+//!   service [`arm`](FaultInjector::arm)s plans (a FIFO queue, so a
 //!   chaos schedule can re-arm faults across recovery retries), and each
 //!   cluster execution consumes the front plan at run start;
 //! - when a fault fires, the run aborts with a typed recoverable error
-//!   ([`InjectedFault`](crate::RuntimeError::InjectedFault),
+//!   ([`InjectedFault`](crate::RuntimeError::InjectedFault), naming every
+//!   node killed in its superstep,
 //!   [`LinkDegraded`](crate::RuntimeError::LinkDegraded), or
-//!   [`SuperstepTimeout`](crate::RuntimeError::SuperstepTimeout)) and
-//!   the injector records a [`FaultEvent`] per failed node in its
-//!   [`fired`](FaultInjector::fired) log
-//!   ([`RuntimeError::fault_event`](crate::RuntimeError::fault_event)
-//!   maps the error to the event it names).
+//!   [`SuperstepTimeout`](crate::RuntimeError::SuperstepTimeout)), and
+//!   that error is the one record of what fired:
+//!   [`RuntimeError::fault_events`](crate::RuntimeError::fault_events)
+//!   maps it to one [`FaultEvent`] per failed node.
 //!
 //! Faults target *logical* compute nodes, not OS threads: the pool's
 //! work-claiming makes crew threads interchangeable, so killing an OS
@@ -311,7 +311,8 @@ pub enum FaultKind {
     Straggler,
 }
 
-/// One fault that actually fired during a run.
+/// One fault that actually fired during a run (see
+/// [`RuntimeError::fault_events`](crate::RuntimeError::fault_events)).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultEvent {
     /// The node attributed to the fault: the failed worker for kills and
@@ -330,13 +331,12 @@ pub struct FaultEvent {
 /// Armed plans form a **FIFO queue**: each cluster execution through a
 /// backend holding this injector pops the front plan at run start, so a
 /// chaos schedule can queue several plans and have faults re-fire across
-/// the orchestrator's recovery retries. With a single armed plan this
+/// the service's recovery retries. With a single armed plan this
 /// degenerates to the classic one-shot behavior: exactly one run is
 /// affected and the recovery re-execution is clean by construction.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
     armed: Mutex<VecDeque<FaultPlan>>,
-    fired: Mutex<Vec<FaultEvent>>,
 }
 
 impl FaultInjector {
@@ -361,16 +361,6 @@ impl FaultInjector {
     /// up), so a stale plan never leaks into the next, unrelated query.
     pub fn clear_armed(&self) {
         lock_ok(&self.armed).clear();
-    }
-
-    /// Every fault that has fired through this injector, in firing order.
-    pub fn fired(&self) -> Vec<FaultEvent> {
-        lock_ok(&self.fired).clone()
-    }
-
-    /// Record faults that fired during a run.
-    pub(crate) fn record(&self, events: impl IntoIterator<Item = FaultEvent>) {
-        lock_ok(&self.fired).extend(events);
     }
 }
 
@@ -480,12 +470,5 @@ mod tests {
         );
         inj.clear_armed();
         assert!(inj.disarm().is_none(), "clear drops both leftover plans");
-
-        inj.record([FaultEvent {
-            node: NodeId(0),
-            round: 0,
-            kind: FaultKind::WorkerKilled,
-        }]);
-        assert_eq!(inj.fired().len(), 1);
     }
 }

@@ -1,8 +1,8 @@
-//! An orchestration-layer walkthrough: three tenants on one fixed crew,
+//! A multi-tenant serving walkthrough: three tenants on one fixed crew,
 //! and a worker killed mid-query that recovers by deterministic replay.
 //!
 //! The serving example showed one shared `QueryService` behind FIFO
-//! admission. This example layers the orchestrator on top:
+//! admission. Built with `QueryService::builder`, the same type adds:
 //!
 //! 1. **weighted-fair admission** — three tenants with different DRR
 //!    weights (and one in the `Interactive` priority class) share a
@@ -14,7 +14,7 @@
 //! 3. **one plan cache** — the batch tenant serves a PageRank twice:
 //!    the second call is a cache hit that replays the prepared fixpoint;
 //! 4. **fault injection + recovery** — a `FaultPlan` kills a worker at
-//!    superstep 1 mid-query; the orchestrator resumes the prepared plan
+//!    superstep 1 mid-query; the service resumes the prepared plan
 //!    from the last superstep checkpoint on the healthy crew and the
 //!    answer stays bit-identical, with the recovery log recording how
 //!    many supersteps were replayed vs skipped.
@@ -59,19 +59,19 @@ fn workload() -> Vec<LogicalPlan> {
 fn main() {
     // Three tenants: a heavy analytics tenant, a light batch tenant, and
     // an interactive dashboard that jumps the queue by priority class.
-    let orch = Orchestrator::builder(context())
+    let service = QueryService::builder(context())
         .tenant(TenantSpec::new("analytics", 4, 64))
         .tenant(TenantSpec::new("batch", 1, 64))
         .tenant(TenantSpec::new("dashboard", 2, 64).with_priority(Priority::Interactive))
         .capacity(2)
-        .scaling(ScalingSpec::new(2, 2))
+        .crew(2)
         .checkpoints(1)
         .build()
         .unwrap();
     println!(
-        "orchestrator: capacity {}, crew {}\n",
-        orch.capacity(),
-        orch.service().backend().name()
+        "service: capacity {}, crew {}\n",
+        service.admission_stats().max_inflight,
+        service.backend().name()
     );
 
     // Serial single-session ground truth for the bit-identity checks.
@@ -84,20 +84,20 @@ fn main() {
 
     // Kill the worker on the first compute node at superstep 1, armed
     // before the streams start: some in-flight query will hit it.
-    let victim = orch.service().context().tree().compute_nodes()[0];
-    orch.inject_faults(FaultPlan::new().kill_worker(victim, 1))
-        .unwrap();
+    let victim = service.context().tree().compute_nodes()[0];
+    let kill = FaultPlan::new().kill_worker(victim, 1);
+    service.inject_faults(kill).unwrap();
     println!("armed fault: kill worker on node {victim} at superstep 1\n");
 
     let start = Instant::now();
     std::thread::scope(|scope| {
         for tenant in ["analytics", "batch", "dashboard"] {
             for c in 0..CLIENTS_PER_TENANT {
-                let (orch, queries, reference) = (&orch, &queries, &reference);
+                let (service, queries, reference) = (&service, &queries, &reference);
                 scope.spawn(move || {
                     for i in 0..QUERIES_PER_TENANT / CLIENTS_PER_TENANT {
                         let k = (c + i) % queries.len();
-                        let served = orch.serve_as(tenant, &queries[k]).unwrap();
+                        let served = service.serve_as(tenant, &queries[k]).unwrap();
                         assert_eq!(
                             served.result.rows(false),
                             reference[k].rows(false),
@@ -119,19 +119,19 @@ fn main() {
         wall.as_secs_f64() * 1e3
     );
 
-    // A fixpoint job goes through the same control plane and the same
+    // A fixpoint job goes through the same serve loop and the same
     // plan cache: the first serve prepares the PageRank (runs it locally
     // to convergence and builds its replay schedule), the second is a
     // cache hit that only replays it.
-    let vc = orch.service().context().tree().compute_nodes().to_vec();
+    let vc = service.context().tree().compute_nodes().to_vec();
     let n = 32u64;
     let arcs = (0..n)
         .flat_map(|u| [(u, (u + 1) % n), (u, (u * u + 1) % n)])
         .collect();
     let owners = (0..n).map(|v| vc[(v % 8) as usize]).collect();
     let pagerank = IterativeJob::pagerank(arcs, owners, 0.85, IterativeSpec::jacobi(60, 1e-6));
-    let first = orch.serve_iterative("batch", &pagerank).unwrap();
-    let second = orch.serve_iterative("batch", &pagerank).unwrap();
+    let first = service.serve_iterative("batch", &pagerank).unwrap();
+    let second = service.serve_iterative("batch", &pagerank).unwrap();
     assert_eq!(first.outcome.values, second.outcome.values);
     assert_eq!(
         first.outcome.cost.edge_totals,
@@ -148,11 +148,11 @@ fn main() {
     }
     println!();
 
-    // The fault + recovery log: every fired kill triggered one replay,
-    // and the recovery event records the partial restart — which
+    // The recovery log: every killed attempt is one event naming the
+    // nodes its fault felled, and records the partial restart — which
     // checkpointed superstep it resumed from, and how many supersteps
     // were replayed vs skipped.
-    for (fault, rec) in orch.fault_events().iter().zip(orch.recovery_events()) {
+    for rec in service.recovery_events() {
         let restart = match rec.resumed_from {
             Some(r) => format!(
                 "resumed from checkpointed superstep {r} ({} replayed, {} skipped)",
@@ -161,16 +161,18 @@ fn main() {
             ),
             None => "replayed from superstep 0".to_string(),
         };
-        println!(
-            "fault fired: node {} killed at superstep {} -> tenant '{}' \
-             (ticket #{}, attempt {}): {restart}, recovered bit-identical",
-            fault.node, fault.round, rec.tenant, rec.ticket, rec.attempt
-        );
+        for fault in &rec.faults {
+            println!(
+                "fault fired: node {} killed at superstep {} -> tenant '{}' \
+                 (ticket #{}, attempt {}): {restart}, recovered bit-identical",
+                fault.node, fault.round, rec.tenant, rec.ticket, rec.attempt
+            );
+        }
     }
-    if orch.fault_events().is_empty() {
+    if service.recovery_events().is_empty() {
         println!("(fault did not fire: every query finished before superstep 1)");
     }
-    if let Some(cp) = orch.checkpoint_stats() {
+    if let Some(cp) = service.checkpoint_stats() {
         println!(
             "checkpoints: {} saved, {} resumed, {} still parked",
             cp.saved, cp.resumed, cp.retained
@@ -192,7 +194,7 @@ fn main() {
         "p99 queue",
         "waited_max"
     );
-    for t in orch.stats() {
+    for t in service.tenant_stats() {
         println!(
             "  {:<10} {:>6} {:>5} {:>6} {:>9} {:>7} {:>11} {:>11} {:>10}",
             t.tenant,

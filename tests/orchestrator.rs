@@ -1,4 +1,4 @@
-//! Integration tests for the orchestration layer: weighted-fair
+//! Integration tests for the multi-tenant service (`QueryService::builder`): weighted-fair
 //! admission under adversarial bursts, fault injection with bit-identical
 //! replay recovery, and a prepared plan's width-invariance across fixed
 //! crews.
@@ -15,12 +15,12 @@ use tamp::topology::builders;
 /// retry budget; the exhausting serve drains the queue, so retrying is
 /// bounded and lands on a healthy crew.
 fn serve_tolerating_exhaustion(
-    orch: &Orchestrator,
+    service: &QueryService,
     tenant: &str,
     plan: &LogicalPlan,
 ) -> tamp::query::ServedQuery {
     loop {
-        match orch.serve_as(tenant, plan) {
+        match service.serve_as(tenant, plan) {
             Ok(served) => return served,
             Err(QueryError::RecoveryExhausted { .. }) => continue,
             Err(e) => panic!("serve_as failed non-recoverably: {e}"),
@@ -59,14 +59,14 @@ fn adversarial_burst_cannot_starve_polite_tenants() {
     const POLITE_TENANTS: usize = 4;
     const POLITE_QUERIES: usize = 8;
 
-    let mut builder = Orchestrator::builder(orch_context())
+    let mut builder = QueryService::builder(orch_context())
         .tenant(TenantSpec::new("burst", 1, 512))
         .capacity(2)
-        .scaling(ScalingSpec::new(2, 2));
+        .crew(2);
     for p in 0..POLITE_TENANTS {
         builder = builder.tenant(TenantSpec::new(format!("polite-{p}"), 4, 64));
     }
-    let orch = Arc::new(builder.build().unwrap());
+    let service = Arc::new(builder.build().unwrap());
 
     let queries = workload();
     let serial: Vec<QueryResult> = queries
@@ -77,11 +77,11 @@ fn adversarial_burst_cannot_starve_polite_tenants() {
     std::thread::scope(|scope| {
         // The adversary: six threads flooding the weight-1 tenant.
         for t in 0..BURST_THREADS {
-            let (orch, queries, serial) = (&orch, &queries, &serial);
+            let (service, queries, serial) = (&service, &queries, &serial);
             scope.spawn(move || {
                 for i in 0..BURST_QUERIES {
                     let k = (t + i) % queries.len();
-                    let served = orch.serve_as("burst", &queries[k]).unwrap();
+                    let served = service.serve_as("burst", &queries[k]).unwrap();
                     assert_eq!(served.result.rows(false), serial[k].rows(false));
                     assert_eq!(served.result.cost.edge_totals, serial[k].cost.edge_totals);
                 }
@@ -89,12 +89,12 @@ fn adversarial_burst_cannot_starve_polite_tenants() {
         }
         // The victims: four weight-4 tenants submitting politely.
         for p in 0..POLITE_TENANTS {
-            let (orch, queries, serial) = (&orch, &queries, &serial);
+            let (service, queries, serial) = (&service, &queries, &serial);
             scope.spawn(move || {
                 let tenant = format!("polite-{p}");
                 for i in 0..POLITE_QUERIES {
                     let k = (p + i) % queries.len();
-                    let served = orch.serve_as(&tenant, &queries[k]).unwrap();
+                    let served = service.serve_as(&tenant, &queries[k]).unwrap();
                     assert_eq!(served.result.rows(false), serial[k].rows(false));
                     assert_eq!(served.result.cost.edge_totals, serial[k].cost.edge_totals);
                 }
@@ -102,7 +102,7 @@ fn adversarial_burst_cannot_starve_polite_tenants() {
         }
     });
 
-    let stats = orch.stats();
+    let stats = service.tenant_stats();
     let total_weight: u64 = stats.iter().map(|t| u64::from(t.weight)).sum();
     for t in &stats {
         let want = if t.tenant == "burst" {
@@ -130,8 +130,8 @@ fn adversarial_burst_cannot_starve_polite_tenants() {
 
 #[test]
 fn injected_faults_mid_stream_recover_bit_identically() {
-    let orch = Arc::new(
-        Orchestrator::builder(orch_context())
+    let service = Arc::new(
+        QueryService::builder(orch_context())
             .tenant(TenantSpec::new("a", 2, 64))
             .tenant(TenantSpec::new("b", 1, 64))
             .capacity(2)
@@ -143,15 +143,15 @@ fn injected_faults_mid_stream_recover_bit_identically() {
         .iter()
         .map(|q| orch_context().prepare(q).unwrap().run().unwrap())
         .collect();
-    let computes = orch.service().context().tree().compute_nodes().to_vec();
+    let computes = service.context().tree().compute_nodes().to_vec();
 
     std::thread::scope(|scope| {
         for (ti, tenant) in ["a", "b"].into_iter().enumerate() {
-            let (orch, queries, serial) = (&orch, &queries, &serial);
+            let (service, queries, serial) = (&service, &queries, &serial);
             scope.spawn(move || {
                 for i in 0..24 {
                     let k = (ti + i) % queries.len();
-                    let served = serve_tolerating_exhaustion(orch, tenant, &queries[k]);
+                    let served = serve_tolerating_exhaustion(service, tenant, &queries[k]);
                     assert_eq!(
                         served.result.rows(false),
                         serial[k].rows(false),
@@ -169,11 +169,12 @@ fn injected_faults_mid_stream_recover_bit_identically() {
         // execution attempt — so a burst of arms can fell several
         // consecutive attempts of one run; the serving threads tolerate
         // retry exhaustion above.
-        let (orch, computes) = (&orch, &computes);
+        let (service, computes) = (&service, &computes);
         scope.spawn(move || {
             for round in 0..12 {
                 let victim = computes[round % computes.len()];
-                orch.inject_faults(FaultPlan::new().kill_worker(victim, round % 2))
+                service
+                    .inject_faults(FaultPlan::new().kill_worker(victim, round % 2))
                     .unwrap();
                 std::thread::yield_now();
             }
@@ -183,21 +184,22 @@ fn injected_faults_mid_stream_recover_bit_identically() {
     // Drain any plan still armed after the streams stopped, then verify
     // one guaranteed fault → recovery cycle end to end.
     let victim = computes[1];
-    orch.inject_faults(FaultPlan::new().kill_worker(victim, 0))
+    service
+        .inject_faults(FaultPlan::new().kill_worker(victim, 0))
         .unwrap();
-    let served = serve_tolerating_exhaustion(&orch, "a", &queries[0]);
+    let served = serve_tolerating_exhaustion(&service, "a", &queries[0]);
     assert_eq!(served.result.rows(false), serial[0].rows(false));
     assert_eq!(served.result.cost.edge_totals, serial[0].cost.edge_totals);
 
-    let recoveries = orch.recovery_events();
+    let recoveries = service.recovery_events();
     assert!(!recoveries.is_empty(), "at least the final fault fired");
-    let fired = orch.fault_events();
+    let fired: usize = recoveries.iter().map(|r| r.faults.len()).sum();
     assert_eq!(
-        fired.len(),
+        fired,
         recoveries.len(),
-        "every fired fault triggered exactly one replay recovery"
+        "every fired one-node kill triggered exactly one replay recovery"
     );
-    let recovered_total: u64 = orch.stats().iter().map(|t| t.recovered).sum();
+    let recovered_total: u64 = service.tenant_stats().iter().map(|t| t.recovered).sum();
     assert!(recovered_total >= 1);
 }
 

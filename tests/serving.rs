@@ -141,21 +141,21 @@ fn eight_threads_of_fixpoint_jobs_share_two_cached_plans() {
         .map(|j| j.prepare(&tree).unwrap().run(&tree).unwrap())
         .collect();
 
-    // One orchestrator: its fixed two-worker crew is the shared cluster
+    // One built service: its fixed two-worker crew is the shared cluster
     // backend.
-    let orch = Orchestrator::builder(serving_context())
+    let service = QueryService::builder(serving_context())
         .tenant(TenantSpec::new("graphs", 1, THREADS).with_priority(Priority::Batch))
-        .scaling(ScalingSpec::new(2, 2))
+        .crew(2)
         .capacity(THREADS)
         .build()
         .unwrap();
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let (orch, jobs, serial) = (&orch, &jobs, &serial);
+            let (service, jobs, serial) = (&service, &jobs, &serial);
             scope.spawn(move || {
                 for i in 0..CALLS_PER_THREAD {
                     let k = (t + i) % jobs.len();
-                    let got = orch.serve_iterative("graphs", &jobs[k]).unwrap().outcome;
+                    let got = service.serve_iterative("graphs", &jobs[k]).unwrap().outcome;
                     let want = &serial[k];
                     assert_eq!(got.values, want.values, "thread {t} job {k}");
                     assert_eq!(got.iterations, want.iterations, "thread {t} job {k}");
@@ -167,7 +167,7 @@ fn eight_threads_of_fixpoint_jobs_share_two_cached_plans() {
     });
 
     let calls = (THREADS * CALLS_PER_THREAD) as u64;
-    let cache = orch.service().cache_stats();
+    let cache = service.cache_stats();
     assert_eq!(cache.hits + cache.misses, calls);
     // At worst every thread races the cold start of every job.
     assert!(
@@ -175,7 +175,7 @@ fn eight_threads_of_fixpoint_jobs_share_two_cached_plans() {
         "{cache:?}"
     );
     assert!(cache.entries <= jobs.len(), "{cache:?}");
-    let stats = &orch.stats()[0];
+    let stats = &service.tenant_stats()[0];
     assert_eq!((stats.served, stats.cache_hits), (calls, cache.hits));
 }
 
