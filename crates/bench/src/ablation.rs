@@ -14,7 +14,7 @@ use tamp_topology::NodeId;
 /// 1's property 4, so β-edges can carry far more than `|R|` — the bound
 /// Theorem 2's analysis needs.
 #[derive(Clone, Debug)]
-pub struct GlobalWeightedHashJoin {
+pub(crate) struct GlobalWeightedHashJoin {
     seed: u64,
 }
 

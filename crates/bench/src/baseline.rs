@@ -1,8 +1,8 @@
 //! The experiment baseline: `BENCH_baseline.json` (schema 2) holds every
-//! table cell of every suite, except [`Pin::Unpinned`] columns, one table
-//! row per line so `git diff` shows which cells moved. [`check`] compares
-//! cells keyed by suite, table, row and column: by exact text, except
-//! [`Pin::Ceiling`] cells, which pass at or below the stored value. No
+//! table cell of every suite, except unpinned columns, one table row per
+//! line so `git diff` shows which cells moved. [`check`] compares cells
+//! keyed by suite, table, row and column: by exact text, except ceiling
+//! cells, which pass at or below the stored value. No
 //! clock is read here; `benchmark/` measures wall time.
 
 use std::collections::BTreeMap;

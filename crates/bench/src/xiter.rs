@@ -49,18 +49,18 @@ const SPEC: IterativeSpec = IterativeSpec {
 
 /// One placement comparison on one scenario.
 #[derive(Debug)]
-pub struct IterMeasurement {
+struct IterMeasurement {
     /// Scenario label.
-    pub scenario: &'static str,
+    pub(crate) scenario: &'static str,
     /// Iterations to convergence (identical for both placements — the
     /// fixpoint does not depend on where vertices live).
     pub iterations: usize,
     /// Cross-owner rows the topology-aware placement exchanged in total.
-    pub aware_rows: u64,
+    aware_rows: u64,
     /// Total metered cost, topology-aware (blocked, degree-balanced).
-    pub aware_cost: f64,
+    aware_cost: f64,
     /// Total metered cost, topology-agnostic (uniform hash).
-    pub agnostic_cost: f64,
+    agnostic_cost: f64,
 }
 
 impl IterMeasurement {
@@ -82,7 +82,7 @@ fn run_pagerank(tree: &Tree, graph: &GraphSpec, part: VertexPartition) -> Iterat
 
 /// PageRank on `graph` over `tree`, topology-aware (blocked proportional
 /// to bandwidth) vs agnostic (uniform hash).
-pub fn measure_pagerank(scenario: &'static str, tree: &Tree, graph: &GraphSpec) -> IterMeasurement {
+fn measure_pagerank(scenario: &'static str, tree: &Tree, graph: &GraphSpec) -> IterMeasurement {
     let aware = run_pagerank(
         tree,
         graph,
@@ -114,7 +114,7 @@ fn skewed_tree() -> Tree {
 /// graph on the heterogeneous fat-tree. The aware placement parks the
 /// hub blocks' degree mass behind the fat rack; hash spreads it
 /// uniformly, so the thin leaf links become the per-round bottleneck.
-pub fn skewed_fat_tree() -> IterMeasurement {
+fn skewed_fat_tree() -> IterMeasurement {
     measure_pagerank(
         "skewed fat-tree",
         &skewed_tree(),
@@ -123,14 +123,14 @@ pub fn skewed_fat_tree() -> IterMeasurement {
 }
 
 /// The torus-embedded grid scenario.
-pub fn torus_grid() -> IterMeasurement {
+fn torus_grid() -> IterMeasurement {
     let tree = builders::caterpillar(4, 2, 1.0);
     measure_pagerank("torus grid", &tree, &GraphSpec::grid(18, 20))
 }
 
 /// Frontier-mode BFS from the power-law hub: the per-iteration exchange
 /// volumes (combined rows) whose strict decrease the gate asserts.
-pub fn frontier_bfs() -> IterativeOutcome {
+fn frontier_bfs() -> IterativeOutcome {
     let tree = builders::fat_tree(2, 3, 1.0);
     let g = GraphSpec::power_law(360, 5200, 1.2).generate(SEED);
     let owners = VertexPartition::Blocked(PlacementStrategy::ProportionalToBandwidth)
@@ -148,7 +148,7 @@ pub fn frontier_bfs() -> IterativeOutcome {
 }
 
 /// `true` iff per-iteration exchange volume strictly decreases.
-pub fn strictly_decreasing(out: &IterativeOutcome) -> bool {
+fn strictly_decreasing(out: &IterativeOutcome) -> bool {
     out.iterations
         .windows(2)
         .all(|w| w[1].exchanged_rows < w[0].exchanged_rows)
@@ -156,7 +156,7 @@ pub fn strictly_decreasing(out: &IterativeOutcome) -> bool {
 
 /// X-ITER — topology-aware vs agnostic iterative placement, and frontier
 /// exchange shrinkage.
-pub fn x_iter() -> Vec<Table> {
+pub(crate) fn x_iter() -> Vec<Table> {
     let mut placement = Table::new(
         "X-ITER  PageRank: topology-aware (blocked) vs agnostic (hash) placement",
         &[

@@ -271,7 +271,7 @@ fn parity_table() -> Table {
 }
 
 /// The throughput + parity suite. See the module docs.
-pub fn x_scale() -> Vec<Table> {
+pub(crate) fn x_scale() -> Vec<Table> {
     vec![throughput_table(), parity_table()]
 }
 

@@ -38,11 +38,11 @@ pub const POLITE_TENANTS: usize = 8;
 /// Sessions per polite tenant.
 pub const POLITE_QUERIES: usize = 50;
 /// Shared admission capacity (small on purpose: queues must build).
-pub const CAPACITY: usize = 3;
+const CAPACITY: usize = 3;
 
 /// Total sessions the scenario serves (incl. the final guaranteed
 /// fault-recovery session): 16×40 + 8×50 + 1 = 1,041.
-pub const SESSIONS: usize = BURST_THREADS * BURST_QUERIES + POLITE_TENANTS * POLITE_QUERIES + 1;
+const SESSIONS: usize = BURST_THREADS * BURST_QUERIES + POLITE_TENANTS * POLITE_QUERIES + 1;
 
 fn tenant_context() -> QueryContext {
     let tree = builders::star(8, 1.0);
@@ -75,13 +75,13 @@ pub struct TenantMeasurement {
     /// Every served result matched the serial reference bit for bit
     /// (rows and metered `edge_totals`) — including fault-recovered
     /// queries.
-    pub identical: bool,
+    pub(crate) identical: bool,
     /// Faults that fired mid-run: the recovery events' `faults`, summed.
-    pub faults_fired: usize,
+    pub(crate) faults_fired: usize,
     /// Replay recoveries performed (one per killed attempt).
     pub recoveries: usize,
     /// Deterministic metered tuple cost of one workload pass.
-    pub workload_cost: f64,
+    pub(crate) workload_cost: f64,
 }
 
 /// Serve under active chaos. The injector is a FIFO, so a chaos thread
@@ -195,7 +195,7 @@ pub fn measure() -> TenantMeasurement {
 /// X-TENANT — weighted-fair multi-tenant orchestration: adversarial
 /// burst vs polite tenants and chaos faults on one fixed crew, all
 /// bit-identical.
-pub fn x_tenant() -> Vec<Table> {
+pub(crate) fn x_tenant() -> Vec<Table> {
     let m = measure();
 
     let mut per = Table::new(

@@ -73,17 +73,6 @@ pub mod strategy {
         }
     }
 
-    /// A strategy that always yields clones of one value.
-    #[derive(Clone, Debug)]
-    pub struct Just<T: Clone>(pub T);
-
-    impl<T: Clone> Strategy for Just<T> {
-        type Value = T;
-        fn sample(&self, _rng: &mut StdRng) -> T {
-            self.0.clone()
-        }
-    }
-
     macro_rules! impl_range_strategy {
         ($($t:ty),*) => {$(
             impl Strategy for core::ops::Range<$t> {
@@ -182,11 +171,6 @@ pub mod test_runner {
         pub fn fail<M: core::fmt::Display>(reason: M) -> Self {
             TestCaseError::Fail(reason.to_string())
         }
-
-        /// Build a rejection from any displayable reason.
-        pub fn reject<M: core::fmt::Display>(reason: M) -> Self {
-            TestCaseError::Reject(reason.to_string())
-        }
     }
 
     impl core::fmt::Display for TestCaseError {
@@ -209,7 +193,7 @@ pub mod test_runner {
     #[derive(Clone, Debug)]
     pub struct ProptestConfig {
         /// Number of random cases to run per property.
-        pub cases: u32,
+        cases: u32,
     }
 
     impl ProptestConfig {
@@ -271,9 +255,9 @@ pub mod test_runner {
 /// Everything a property test needs in scope.
 pub mod prelude {
     pub use crate::collection;
-    pub use crate::strategy::{BoxedStrategy, Just, Strategy};
+    pub use crate::strategy::{BoxedStrategy, Strategy};
     pub use crate::test_runner::{ProptestConfig, TestCaseError, TestRunner};
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, proptest};
 }
 
 /// Define property tests: each `fn name(arg in strategy, ...) { body }`
@@ -345,15 +329,6 @@ macro_rules! prop_assert_eq {
             l == r,
             "assertion failed: {:?} != {:?}: {}", l, r, format!($($fmt)*)
         );
-    }};
-}
-
-/// Assert inequality inside a property.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(l != r, "assertion failed: {:?} == {:?}", l, r);
     }};
 }
 

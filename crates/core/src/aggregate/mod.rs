@@ -30,12 +30,12 @@
 //!
 //! The simulator's element type is `u64`. An aggregation input tuple is a
 //! `(group, measure)` pair packed by [`encode`] into one value: the high
-//! [`GROUP_BITS`] bits carry the group key, the low [`MEASURE_BITS`] bits
-//! the measure. Partials reuse the same encoding, so a partial is charged
-//! like any other tuple. `Sum` saturates at [`MEASURE_MAX`] rather than
+//! 24 bits carry the group key, the low 40 bits the measure. Partials
+//! reuse the same encoding, so a partial is charged like any other
+//! tuple. `Sum` saturates at the largest 40-bit measure rather than
 //! corrupting the group bits.
 
-pub mod groupby;
+mod groupby;
 pub mod lower_bound;
 pub mod protocols;
 
@@ -50,13 +50,13 @@ use std::collections::BTreeMap;
 use tamp_simulator::Value;
 
 /// Number of high bits holding the group key.
-pub const GROUP_BITS: u32 = 24;
+const GROUP_BITS: u32 = 24;
 /// Number of low bits holding the measure.
-pub const MEASURE_BITS: u32 = 40;
+const MEASURE_BITS: u32 = 40;
 /// Largest encodable group key.
-pub const GROUP_MAX: u64 = (1 << GROUP_BITS) - 1;
+const GROUP_MAX: u64 = (1 << GROUP_BITS) - 1;
 /// Largest encodable measure; `Sum` saturates here.
-pub const MEASURE_MAX: u64 = (1 << MEASURE_BITS) - 1;
+const MEASURE_MAX: u64 = (1 << MEASURE_BITS) - 1;
 
 /// Pack a `(group, measure)` pair into a simulator value.
 ///
@@ -78,7 +78,7 @@ pub fn encode(group: u64, measure: u64) -> Value {
 
 /// Unpack a simulator value into its `(group, measure)` pair.
 #[inline]
-pub fn decode(value: Value) -> (u64, u64) {
+pub(crate) fn decode(value: Value) -> (u64, u64) {
     (value >> MEASURE_BITS, value & MEASURE_MAX)
 }
 
@@ -88,7 +88,7 @@ pub fn decode(value: Value) -> (u64, u64) {
 pub enum Aggregator {
     /// Number of input tuples per group (measures are ignored).
     Count,
-    /// Sum of measures per group, saturating at [`MEASURE_MAX`].
+    /// Sum of measures per group, saturating at `2^40 − 1`.
     Sum,
     /// Minimum measure per group.
     Min,
@@ -128,7 +128,7 @@ impl Aggregator {
 }
 
 /// Fold a slice of encoded tuples into per-group partials.
-pub fn partials_of(values: &[Value], agg: Aggregator) -> BTreeMap<u64, u64> {
+pub(crate) fn partials_of(values: &[Value], agg: Aggregator) -> BTreeMap<u64, u64> {
     let mut out: BTreeMap<u64, u64> = BTreeMap::new();
     for &v in values {
         let (g, m) = decode(v);
@@ -141,7 +141,7 @@ pub fn partials_of(values: &[Value], agg: Aggregator) -> BTreeMap<u64, u64> {
 }
 
 /// Merge encoded *partials* (not raw tuples) into per-group partials.
-pub fn merge_partials(values: &[Value], agg: Aggregator) -> BTreeMap<u64, u64> {
+pub(crate) fn merge_partials(values: &[Value], agg: Aggregator) -> BTreeMap<u64, u64> {
     let mut out: BTreeMap<u64, u64> = BTreeMap::new();
     for &v in values {
         let (g, m) = decode(v);
@@ -153,7 +153,7 @@ pub fn merge_partials(values: &[Value], agg: Aggregator) -> BTreeMap<u64, u64> {
 }
 
 /// Encode a partial map back into simulator values, in group order.
-pub fn encode_partials(partials: &BTreeMap<u64, u64>) -> Vec<Value> {
+pub(crate) fn encode_partials(partials: &BTreeMap<u64, u64>) -> Vec<Value> {
     partials.iter().map(|(&g, &m)| encode(g, m)).collect()
 }
 

@@ -13,7 +13,7 @@ use tamp_topology::{NodeId, Tree};
 
 /// Global index offsets per node for both relations.
 #[derive(Clone, Debug)]
-pub struct Labels {
+pub(crate) struct Labels {
     r_offset: Vec<u64>,
     s_offset: Vec<u64>,
     /// `|R|`.
@@ -99,7 +99,7 @@ pub fn interval_segments(
 ///
 /// With `relay = Some(r)`, each segment is routed `src → r → dsts`
 /// (the §4.4 pattern); otherwise directly.
-pub fn distribute_intervals(
+pub(crate) fn distribute_intervals(
     round: &mut RoundCtx<'_, '_>,
     src: NodeId,
     rel: Rel,

@@ -11,7 +11,7 @@ use crate::ratio::LowerBound;
 /// If fewer than `min{…}` tuples cross a cut, some `R`-element never leaves
 /// its side, forcing all of `S` to visit it — either way the cut carries
 /// the min side.
-pub fn cartesian_lower_bound_cut(tree: &Tree, stats: &PlacementStats) -> LowerBound {
+fn cartesian_lower_bound_cut(tree: &Tree, stats: &PlacementStats) -> LowerBound {
     tree.require_symmetric()
         .expect("Theorem 3 requires a symmetric tree");
     let cuts = CutWeights::compute(tree, &stats.n);
@@ -34,7 +34,7 @@ pub fn cartesian_lower_bound_cut(tree: &Tree, stats: &PlacementStats) -> LowerBo
 /// `C_LB = N / w̃_r`. Returns `None` when the root of `G†` is a compute
 /// node (then routing everything to the root is already optimal by
 /// Theorem 3 and the counting bound is not needed).
-pub fn cartesian_lower_bound_cover(tree: &Tree, stats: &PlacementStats) -> Option<LowerBound> {
+fn cartesian_lower_bound_cover(tree: &Tree, stats: &PlacementStats) -> Option<LowerBound> {
     tree.require_symmetric()
         .expect("Theorem 4 requires a symmetric tree");
     let dagger = Dagger::build(tree, &stats.n);

@@ -23,8 +23,9 @@
 //!   through the root of `G†`, with squares packed bottom-up along `G†`
 //!   by Algorithm 5 (`BalancedPackingTree`);
 //! - [`unequal`] — Appendix A.1: `|R| ≠ |S|` on stars;
-//! - [`unequal_tree`] — §4.5's open problem: `|R| ≠ |S|` on general trees
-//!   (best-of-three heuristic, no matching lower bound known);
+//! - [`UnequalTreeCartesianProduct`] — §4.5's open problem: `|R| ≠ |S|`
+//!   on general trees (best-of-three heuristic, no matching lower bound
+//!   known);
 //! - [`UniformHyperCube`] / [`AllToOne`] — topology-agnostic baselines.
 
 mod baseline;
@@ -34,17 +35,15 @@ pub mod packing;
 mod star;
 mod tree;
 pub mod unequal;
-pub mod unequal_tree;
+mod unequal_tree;
 mod whc;
 
 pub use baseline::{AllToOne, UniformHyperCube};
-pub use lower_bound::{
-    cartesian_lower_bound, cartesian_lower_bound_cover, cartesian_lower_bound_cut,
-};
+pub use lower_bound::cartesian_lower_bound;
 pub use star::StarCartesianProduct;
 pub use tree::{plan_tree_packing, TreeCartesianProduct, TreePlan};
 pub use unequal_tree::{
-    choose_strategy, cost_all_to_node, cost_broadcast_small, estimate_padded_squares,
-    unequal_tree_lower_bound, UnequalTreeCartesianProduct, UnequalTreeStrategy,
+    cost_all_to_node, cost_broadcast_small, unequal_tree_lower_bound, UnequalTreeCartesianProduct,
+    UnequalTreeStrategy,
 };
 pub use whc::{plan_whc, WeightedHyperCube, WhcPlan};

@@ -55,7 +55,7 @@ impl SquareSet {
     }
 
     /// A single square of side `2^level` owned by `owner`.
-    pub fn singleton(owner: NodeId, level: u32) -> Self {
+    pub(crate) fn singleton(owner: NodeId, level: u32) -> Self {
         let mut by_level = BTreeMap::new();
         by_level.insert(level, vec![Item::Leaf(owner)]);
         SquareSet { by_level }
@@ -67,12 +67,13 @@ impl SquareSet {
     }
 
     /// Largest level present (`i*`), if any.
-    pub fn max_level(&self) -> Option<u32> {
+    pub(crate) fn max_level(&self) -> Option<u32> {
         self.by_level.keys().next_back().copied()
     }
 
     /// Total area `Σ dᵢ²` of the squares.
-    pub fn total_area(&self) -> u128 {
+    #[cfg(test)]
+    fn total_area(&self) -> u128 {
         self.by_level
             .iter()
             .map(|(&l, items)| (items.len() as u128) << (2 * l as u128))
@@ -191,7 +192,7 @@ impl SquareSet {
 }
 
 /// Check that `squares` are pairwise disjoint.
-pub fn check_no_overlap(squares: &[PlacedSquare]) -> Result<(), String> {
+fn check_no_overlap(squares: &[PlacedSquare]) -> Result<(), String> {
     for (i, a) in squares.iter().enumerate() {
         for b in &squares[i + 1..] {
             let disjoint = a.x + a.side <= b.x

@@ -52,13 +52,11 @@ pub struct UnequalPlan {
     pub rects: Vec<Rect>,
     /// The scale `C` actually used (`≥ L*`; doubled on packing retries).
     pub c: f64,
-    /// How many times the scale was doubled to achieve coverage.
-    pub retries: u32,
 }
 
 /// Solve equation (2): the least `C ≥ 0` with
 /// `Σ_v min{C·w_v, r_total} · C·w_v ≥ r_total · s_total`.
-pub fn solve_l_star(r_total: u64, s_total: u64, caps: &[f64]) -> f64 {
+fn solve_l_star(r_total: u64, s_total: u64, caps: &[f64]) -> f64 {
     let need = r_total as f64 * s_total as f64;
     if need == 0.0 || caps.is_empty() {
         return 0.0;
@@ -160,7 +158,6 @@ pub fn plan_unequal(r_total: u64, s_total: u64, caps: &[(NodeId, f64)]) -> Unequ
         return UnequalPlan {
             rects: Vec::new(),
             c: 0.0,
-            retries: 0,
         };
     }
     let ws: Vec<f64> = caps.iter().map(|&(_, w)| w).collect();
@@ -169,13 +166,9 @@ pub fn plan_unequal(r_total: u64, s_total: u64, caps: &[(NodeId, f64)]) -> Unequ
     sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
 
     let mut c = l_star.max(1.0 / sorted[0].1.max(f64::MIN_POSITIVE));
-    for retry in 0..16u32 {
+    for _ in 0..16 {
         if let Some(rects) = try_pack(r_total, s_total, &sorted, c) {
-            return UnequalPlan {
-                rects,
-                c,
-                retries: retry,
-            };
+            return UnequalPlan { rects, c };
         }
         c *= 2.0;
     }
@@ -258,7 +251,7 @@ fn try_pack(r_total: u64, s_total: u64, sorted: &[(NodeId, f64)], c: f64) -> Opt
 /// Theorem 8: `C ≥ max{ max_{v∈V_α} min{N_v, N−N_v}/w_v,
 /// max_{v∈V_β} |R|/w_v }` on a symmetric star, where
 /// `V_α = {v : min{N_v, N−N_v} < |R|}`.
-pub fn unequal_lower_bound_thm8(tree: &Tree, stats: &tamp_simulator::PlacementStats) -> LowerBound {
+fn unequal_lower_bound_thm8(tree: &Tree, stats: &tamp_simulator::PlacementStats) -> LowerBound {
     let r_total = stats.total_r.min(stats.total_s);
     let n_total = stats.total_n();
     let mut best = LowerBound::zero();
@@ -279,7 +272,7 @@ pub fn unequal_lower_bound_thm8(tree: &Tree, stats: &tamp_simulator::PlacementSt
 /// Theorem 9: when `max_v N_v ≤ N/2`,
 /// `C ≥ min{ |S|/max_v w_v, Σ_{V_α}|S_v| / (2·Σ_{V_β} w_v),
 /// L(R, ⋃_{V_α} S_v, V_α) }`. Returns `None` when the premise fails.
-pub fn unequal_lower_bound_thm9(
+fn unequal_lower_bound_thm9(
     tree: &Tree,
     stats: &tamp_simulator::PlacementStats,
 ) -> Option<LowerBound> {
@@ -427,7 +420,7 @@ impl Protocol for GeneralizedStarCartesianProduct {
 
 /// Run one specific Algorithm-8 strategy (used for planning and ablation).
 #[derive(Clone, Copy, Debug)]
-pub struct FixedStrategy(pub UnequalStrategy);
+struct FixedStrategy(UnequalStrategy);
 
 impl Protocol for FixedStrategy {
     type Output = ();
@@ -620,7 +613,10 @@ mod tests {
                 .collect();
             let plan = plan_unequal(r, s, &caps);
             coverage_of(&plan.rects, r, s).unwrap_or_else(|e| panic!("{r}×{s}: {e}"));
-            assert!(plan.retries <= 6, "{r}×{s} took {} retries", plan.retries);
+            // At most six doublings of the starting scale.
+            let ws: Vec<f64> = caps.iter().map(|&(_, w)| w).collect();
+            let start = solve_l_star(r, s, &ws).max(1.0 / 8.0);
+            assert!(plan.c <= start * 64.0, "{r}×{s} needed scale {}", plan.c);
         }
     }
 

@@ -114,7 +114,7 @@ pub fn cost_broadcast_small(tree: &Tree, stats: &PlacementStats) -> f64 {
 /// `max{ max_v N_v / w_v , 2·max(|R|,|S|) / √(Σ_v w_v²) }` where `w_v` is
 /// each compute leaf's adjacent bandwidth. An estimate, not a guarantee —
 /// used only to rank strategies.
-pub fn estimate_padded_squares(tree: &Tree, stats: &PlacementStats) -> f64 {
+fn estimate_padded_squares(tree: &Tree, stats: &PlacementStats) -> f64 {
     let mut send = 0.0f64;
     let mut sum_w2 = 0.0f64;
     for &v in tree.compute_nodes() {
@@ -134,7 +134,7 @@ pub fn estimate_padded_squares(tree: &Tree, stats: &PlacementStats) -> f64 {
 /// Pick a strategy by comparing analytic costs: the heavy-node rule first
 /// (provably best by the Theorem 3 argument), then the cheaper of the
 /// exact broadcast cost and the padded-square estimate.
-pub fn choose_strategy(tree: &Tree, stats: &PlacementStats) -> (UnequalTreeStrategy, NodeId) {
+fn choose_strategy(tree: &Tree, stats: &PlacementStats) -> (UnequalTreeStrategy, NodeId) {
     let n = stats.total_n();
     let heaviest = tree
         .compute_nodes()

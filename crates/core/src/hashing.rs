@@ -63,11 +63,6 @@ impl WeightedHash {
         let i = self.cum.partition_point(|&c| c <= h);
         self.nodes[i]
     }
-
-    /// The nodes with positive weight.
-    pub fn support(&self) -> &[NodeId] {
-        &self.nodes
-    }
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ impl Protocol for KeyedEquiJoin {
 
 /// The join pairs the nodes can collectively emit: for each node, hash its
 /// known `R` tuples by key and probe with its known `S` tuples.
-pub fn emit_join(states: &[NodeState], payload_bits: u32) -> Vec<(Value, Value)> {
+fn emit_join(states: &[NodeState], payload_bits: u32) -> Vec<(Value, Value)> {
     let mut out: Vec<(Value, Value)> = Vec::new();
     for st in states {
         let mut by_key: HashMap<Value, Vec<Value>> = HashMap::new();
@@ -84,7 +84,8 @@ pub fn emit_join(states: &[NodeState], payload_bits: u32) -> Vec<(Value, Value)>
 }
 
 /// Ground truth: all `(r, s)` pairs with matching keys.
-pub fn true_join(r: &[Value], s: &[Value], payload_bits: u32) -> Vec<(Value, Value)> {
+#[cfg(test)]
+fn true_join(r: &[Value], s: &[Value], payload_bits: u32) -> Vec<(Value, Value)> {
     let mut by_key: HashMap<Value, Vec<Value>> = HashMap::new();
     for &x in r {
         by_key.entry(x >> payload_bits).or_default().push(x);

@@ -47,7 +47,7 @@ impl BalancedPartition {
 
 /// Classify each edge as α (`true`) or β (`false`) against threshold
 /// `small_total = |R|`.
-pub fn classify_alpha_edges(tree: &Tree, cuts: &CutWeights, small_total: u64) -> Vec<bool> {
+fn classify_alpha_edges(tree: &Tree, cuts: &CutWeights, small_total: u64) -> Vec<bool> {
     tree.edges()
         .map(|e| cuts.min_side(e) < small_total)
         .collect()

@@ -25,5 +25,5 @@ mod wts;
 pub use lower_bound::{adversarial_placement, sorting_lower_bound};
 pub use proportional::proportional_split;
 pub use splitters::{proportional_splitters, uniform_splitters};
-pub use terasort::{bucketize, coin, sample_rate, valid_order, TeraSort};
+pub use terasort::{coin, sample_rate, valid_order, TeraSort};
 pub use wts::WeightedTeraSort;

@@ -60,7 +60,8 @@ fn bucket_of(x: Value, splitters: &[Value], buckets: usize) -> usize {
 }
 
 /// Partition `data` into buckets by splitters (`b_i ≤ x < b_{i+1}`).
-pub fn bucketize(data: &[Value], splitters: &[Value], buckets: usize) -> Vec<Vec<Value>> {
+#[cfg(test)]
+fn bucketize(data: &[Value], splitters: &[Value], buckets: usize) -> Vec<Vec<Value>> {
     let mut out = vec![Vec::new(); buckets];
     for &x in data {
         out[bucket_of(x, splitters, buckets)].push(x);

@@ -21,6 +21,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use crate::census::{self, PubItem, Reach};
 use crate::lexer::Lexed;
 use crate::rules::{self, FileCtx, Finding, RuleId};
 
@@ -34,7 +35,7 @@ pub struct Diagnostic {
     /// The rule that fired.
     pub rule: RuleId,
     /// The offending source line, trimmed.
-    pub excerpt: String,
+    excerpt: String,
 }
 
 /// One live `// lint: allow(..)` suppression.
@@ -59,6 +60,9 @@ pub struct Report {
     pub allows: Vec<AllowSite>,
     /// Number of `.rs` files scanned.
     pub files: usize,
+    /// The U1 census of every `pub` item (filled by [`scan_workspace`]
+    /// only: it needs every file).
+    pub census: Vec<PubItem>,
 }
 
 impl Report {
@@ -112,6 +116,9 @@ impl Report {
                 ));
             }
         }
+        if !self.census.is_empty() {
+            out.push_str(&census::render_text(&self.census));
+        }
         out.push_str(&format!(
             "tamp-lint: {} violation{}, {} allow site{}, {} file{} scanned\n",
             self.diagnostics.len(),
@@ -141,6 +148,20 @@ impl Report {
             .map(|(r, (v, a))| format!("\"{}\": {{\"violations\": {v}, \"allows\": {a}}}", r.id()))
             .collect();
         out.push_str(&entries.join(", "));
+        out.push_str("},\n  \"census\": {");
+        let classes: Vec<String> = [
+            Reach::Used,
+            Reach::TestsOnly,
+            Reach::OwnCrate,
+            Reach::Nowhere,
+        ]
+        .iter()
+        .map(|&r| {
+            let n = self.census.iter().filter(|i| i.reach == r).count();
+            format!("\"{}\": {n}", r.label())
+        })
+        .collect();
+        out.push_str(&classes.join(", "));
         out.push_str("},\n  \"diagnostics\": [\n");
         let diags: Vec<String> = self
             .diagnostics
@@ -352,21 +373,44 @@ fn allow_target_line(ctx: &FileCtx<'_>, line: u32) -> u32 {
 }
 
 /// Scan every workspace `.rs` file under `root` (skipping `target/`,
-/// hidden directories, and the lint's own `fixtures/` corpus).
+/// hidden directories, and the lint's own `fixtures/` corpus), then
+/// census the `pub` surface across all of them: each [`Reach::Nowhere`]
+/// item is a [`RuleId::U1`] violation.
 pub fn scan_workspace(root: &Path) -> std::io::Result<Report> {
-    let files = crate::walk::rust_files(root)?;
-    let mut merged = Report::default();
-    for path in &files {
-        let src = std::fs::read_to_string(path)?;
+    let mut sources = Vec::new();
+    for path in crate::walk::rust_files(root)? {
+        let src = std::fs::read_to_string(&path)?;
         let rel = path
             .strip_prefix(root)
-            .unwrap_or(path)
+            .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        let r = scan_source(&rel, &src);
+        sources.push((rel, src));
+    }
+    let mut merged = Report::default();
+    for (rel, src) in &sources {
+        let r = scan_source(rel, src);
         merged.diagnostics.extend(r.diagnostics);
         merged.allows.extend(r.allows);
         merged.files += 1;
+    }
+    merged.census = census::census(&sources);
+    for item in merged.census.iter().filter(|i| i.reach == Reach::Nowhere) {
+        let (_, src) = sources
+            .iter()
+            .find(|(rel, _)| *rel == item.file)
+            .expect("censused file");
+        merged.diagnostics.push(Diagnostic {
+            file: item.file.clone(),
+            line: item.line,
+            rule: RuleId::U1,
+            excerpt: src
+                .lines()
+                .nth(item.line as usize - 1)
+                .unwrap_or("")
+                .trim()
+                .to_string(),
+        });
     }
     merged
         .diagnostics

@@ -64,7 +64,7 @@ pub struct Tok {
 
 impl Tok {
     /// `true` for tokens rules should skip (whitespace and comments).
-    pub fn is_trivia(&self) -> bool {
+    pub(crate) fn is_trivia(&self) -> bool {
         matches!(
             self.kind,
             TokKind::Whitespace | TokKind::LineComment | TokKind::BlockComment

@@ -17,6 +17,13 @@
 //! `HashMap` in a doc string never fires) and runs the [`rules`] over
 //! the token stream.
 //!
+//! One rule, U1, reads the whole workspace at once: the [`census`]
+//! classes every unrestricted `pub` item by who names it outside its
+//! file (another crate's code, tests and examples only, its own crate
+//! only, or nowhere). A *nowhere* item is a violation; the text report
+//! lists the *own crate only* and *tests/examples only* items below the
+//! allow inventory.
+//!
 //! The rule table, scoping model, and how to add a rule live in the
 //! [`rules`] module docs. Suppression syntax and the allow-budget
 //! mechanics live in the [`engine`] module docs.
@@ -25,7 +32,7 @@
 //!
 //! - `cargo run -p tamp-lint` — the CLI (add `--json` for tooling);
 //!   exits non-zero on any violation and always prints the allow-site
-//!   inventory,
+//!   inventory and the U1 census,
 //! - `tests/lint.rs` at the workspace root — the tier-1 gate asserting
 //!   zero violations,
 //! - the `x-lint` experiment suite — violation/allow counts stored as
@@ -34,16 +41,18 @@
 //!
 //! The same token stream and test scoping also feed the [`size`]
 //! counters (non-test lines, `pub` items, `unsafe` sites) that the
-//! `x-size` suite tracks per crate.
+//! `x-size` suite tracks per crate, next to the census classes.
 //!
 //! The lint itself is regression-tested against a fixture corpus of
 //! known-bad snippets with golden diagnostics (`fixtures/`, exercised
-//! by `tests/fixtures.rs`), and the lexer's span arithmetic is pinned
+//! by `tests/fixtures.rs`; U1's is a mini-workspace with a golden
+//! census), and the lexer's span arithmetic is pinned
 //! by a lex-then-rejoin roundtrip proptest (`tests/lexer_roundtrip.rs`).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod census;
 pub mod engine;
 pub mod lexer;
 pub mod rules;

@@ -7,8 +7,10 @@
 //! ```
 //!
 //! Exit status: `0` when the workspace is clean, `1` on any violation,
-//! `2` on usage errors. The allow-site inventory is always printed, so
-//! the suppression budget stays visible in CI logs.
+//! `2` on usage errors (a `pub` item named nowhere outside its file is
+//! a U1 violation). The allow-site inventory and the U1 census are
+//! always printed, so the suppression budget and the unused corners of
+//! the API stay visible in CI logs.
 
 use std::path::PathBuf;
 

@@ -8,6 +8,7 @@
 //! | `D3` | No unseeded RNG construction outside `compat`/test code | every generator in the workspace is `seed_from_u64`-seeded; one `thread_rng()` in a workload generator would break `(spec, seed) → identical arcs+owners` determinism |
 //! | `S1` | Every `unsafe` block / `unsafe impl` carries a `// SAFETY:` comment | `pool.rs`'s lifetime-laundered job dispatch is sound only because `run_with` joins the crew before returning — an argument that lives in its `SAFETY` comments and must never silently disappear |
 //! | `F1` | No `.partial_cmp(..).unwrap()` / `.expect(..)` on floats outside tests | float cost comparators must use the `f64::total_cmp` total order: a NaN cost (e.g. an empty estimate) panics the comparator mid-plan instead of losing the tie-break deterministically |
+//! | `U1` | Every unrestricted `pub` item outside test code is named in some other file (the [`census`](crate::census) classes it *nowhere*, *own crate only*, *tests/examples only* or *used*; only *nowhere* fails) | its first run found 95 `pub` items nothing outside their file named and 116 that only their own crate did: `pub` had stopped meaning "something calls this", and once they were narrowed rustc found about 30 of them dead (code it could not flag while it stayed `pub`) |
 //!
 //! Two bookkeeping rules police the suppression mechanism itself:
 //! `A0` fires on a `// lint: allow(..)` without a reason, and `A1`
@@ -21,16 +22,22 @@
 //! while leaving timing-stats and harness code free to read clocks:
 //!
 //! - `D1` scans the schedule-emission and trace-building modules
-//!   ([`d1_in_scope`]); `drain_sorted` or a same-statement sorted
+//!   (`d1_in_scope`); `drain_sorted` or a same-statement sorted
 //!   collect (`sort*` / `BTreeMap` / `BTreeSet`) is the sanctioned
 //!   route.
 //! - `D2` scans the result-affecting crates (`tamp-core`,
 //!   `tamp-simulator`, `tamp-topology`, `tamp-workloads`,
 //!   `tamp-runtime`, and `tamp-query` minus the allow-listed
-//!   timing-stats modules) — see [`d2_in_scope`].
+//!   timing-stats modules) — see `d2_in_scope`.
 //! - `D3` scans everything except `crates/compat/` and test code.
 //! - `S1` scans everything.
 //! - `F1` scans everything except `crates/compat/` and test code.
+//! - `U1` is the one workspace-wide rule: [`scan_workspace`](crate::scan_workspace)
+//!   censuses every crate's `pub` items against the uses in every
+//!   crate, `tests/`, `examples/` and `benchmark/src`, so a single-file
+//!   [`scan_source`](crate::scan_source) never reports it and an
+//!   `allow(U1)` suppresses nothing (`A1`): the fix is to narrow the
+//!   item.
 //!
 //! Test code means `tests/` directories, `#[cfg(test)]` modules
 //! (detected in the token stream), and the lint's own fixture corpus.
@@ -39,10 +46,10 @@
 //!
 //! 1. Add a variant to [`RuleId`] with its id, summary, and fix hint.
 //! 2. Write a checker `fn check_xx(f: &FileCtx) -> Vec<Finding>` over
-//!    the significant-token stream (use [`FileCtx::sig_text`]; trivia,
+//!    the significant-token stream (use `FileCtx::sig_text`; trivia,
 //!    strings, and attribute interiors are already filtered or
 //!    flagged).
-//! 3. Call it from [`check_file`] behind its scope predicate.
+//! 3. Call it from `check_file` behind its scope predicate.
 //! 4. Add a known-bad fixture + golden `.expected` under `fixtures/`
 //!    so the rule itself is regression-tested.
 
@@ -61,6 +68,8 @@ pub enum RuleId {
     S1,
     /// `.partial_cmp(..).unwrap()`-style float comparison.
     F1,
+    /// A `pub` item that no other file names.
+    U1,
     /// Malformed suppression: `// lint: allow(..)` without a reason.
     A0,
     /// Stale suppression: an allow that suppresses nothing.
@@ -69,12 +78,13 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 7] = [
+    pub const ALL: [RuleId; 8] = [
         RuleId::D1,
         RuleId::D2,
         RuleId::D3,
         RuleId::S1,
         RuleId::F1,
+        RuleId::U1,
         RuleId::A0,
         RuleId::A1,
     ];
@@ -88,6 +98,7 @@ impl RuleId {
             RuleId::D3 => "D3",
             RuleId::S1 => "S1",
             RuleId::F1 => "F1",
+            RuleId::U1 => "U1",
             RuleId::A0 => "A0",
             RuleId::A1 => "A1",
         }
@@ -106,6 +117,7 @@ impl RuleId {
             RuleId::D3 => "unseeded RNG construction",
             RuleId::S1 => "unsafe without a SAFETY rationale",
             RuleId::F1 => "partial_cmp().unwrap() on floats",
+            RuleId::U1 => "pub item named nowhere outside its file",
             RuleId::A0 => "lint allow without a reason",
             RuleId::A1 => "lint allow that suppresses nothing",
         }
@@ -129,6 +141,10 @@ impl RuleId {
                 "use the total order: f64::total_cmp (optionally .then_with(..) tie-breaks) \
                  instead of partial_cmp().unwrap()/expect() — a NaN panics mid-plan"
             }
+            RuleId::U1 => {
+                "make it private; if rustc then finds it dead, delete it (or move a test \
+                 oracle under #[cfg(test)])"
+            }
             RuleId::A0 => "write `// lint: allow(<rule>) — <reason>`; the reason is mandatory",
             RuleId::A1 => "remove the stale allow (or fix its rule id): it suppresses nothing",
         }
@@ -137,7 +153,7 @@ impl RuleId {
 
 /// One rule violation inside a single file (pre-suppression).
 #[derive(Clone, Debug)]
-pub struct Finding {
+pub(crate) struct Finding {
     /// 1-based line of the offending token.
     pub line: u32,
     /// Which rule fired.
@@ -147,18 +163,18 @@ pub struct Finding {
 /// A lexed file plus the derived context every checker needs.
 pub struct FileCtx<'a> {
     /// Workspace-relative path, `/`-normalized.
-    pub rel_path: &'a str,
+    pub(crate) rel_path: &'a str,
     /// The token cover.
     pub lexed: &'a Lexed<'a>,
     /// Indices (into `lexed.toks()`) of significant tokens — everything
     /// except whitespace and comments.
-    pub sig: Vec<usize>,
+    sig: Vec<usize>,
     /// `in_attr[k]` is `true` when significant token `k` sits inside a
     /// `#[…]` / `#![…]` attribute (so `#[doc = "HashMap"]` never fires).
-    pub in_attr: Vec<bool>,
+    pub(crate) in_attr: Vec<bool>,
     /// Inclusive line ranges covered by `#[cfg(test)] mod … { … }`,
     /// attribute line included.
-    pub test_ranges: Vec<(u32, u32)>,
+    test_ranges: Vec<(u32, u32)>,
 }
 
 impl<'a> FileCtx<'a> {
@@ -179,12 +195,12 @@ impl<'a> FileCtx<'a> {
     }
 
     /// The significant token at index `k`, if any.
-    pub fn sig_tok(&self, k: usize) -> Option<&Tok> {
+    pub(crate) fn sig_tok(&self, k: usize) -> Option<&Tok> {
         self.sig.get(k).map(|&i| &self.lexed.toks()[i])
     }
 
     /// The text of significant token `k` (empty past the end).
-    pub fn sig_text(&self, k: usize) -> &'a str {
+    pub(crate) fn sig_text(&self, k: usize) -> &'a str {
         match self.sig.get(k) {
             Some(&i) => self.lexed.text(&self.lexed.toks()[i]),
             None => "",
@@ -192,12 +208,12 @@ impl<'a> FileCtx<'a> {
     }
 
     /// Number of significant tokens.
-    pub fn sig_len(&self) -> usize {
+    pub(crate) fn sig_len(&self) -> usize {
         self.sig.len()
     }
 
     /// `true` when line `l` is inside a `#[cfg(test)]` module.
-    pub fn in_test_lines(&self, l: u32) -> bool {
+    pub(crate) fn in_test_lines(&self, l: u32) -> bool {
         self.test_ranges.iter().any(|&(a, b)| l >= a && l <= b)
     }
 
@@ -324,18 +340,18 @@ impl<'a> FileCtx<'a> {
 // ---------------------------------------------------------------------
 
 /// Test code by *path*: integration test dirs and the fixture corpus.
-pub fn is_test_path(path: &str) -> bool {
+pub(crate) fn is_test_path(path: &str) -> bool {
     path.starts_with("tests/") || path.contains("/tests/") || path.contains("/fixtures/")
 }
 
 /// The offline crates-io stand-ins.
-pub fn is_compat_path(path: &str) -> bool {
+fn is_compat_path(path: &str) -> bool {
     path.starts_with("crates/compat/")
 }
 
 /// Schedule-emission and trace-building modules: the code whose output
 /// order feeds checkpoint tokens and cross-backend parity.
-pub fn d1_in_scope(path: &str) -> bool {
+fn d1_in_scope(path: &str) -> bool {
     const SCOPE: [&str; 11] = [
         // The hash-routing protocols: their send order is every
         // receiver's arrival order, hence the ordered final state.
@@ -359,7 +375,7 @@ pub fn d1_in_scope(path: &str) -> bool {
 /// Result-affecting crates/modules; the timing-stats paths
 /// (`service.rs`, `admission.rs`) are allow-listed by exclusion, per the
 /// scoping model in the module docs.
-pub fn d2_in_scope(path: &str) -> bool {
+fn d2_in_scope(path: &str) -> bool {
     const ALLOW_LISTED: [&str; 2] = [
         "crates/query/src/service.rs",
         "crates/query/src/admission.rs",
@@ -377,12 +393,12 @@ pub fn d2_in_scope(path: &str) -> bool {
 
 /// Everywhere except the compat stand-ins (which wrap "real" RNG API)
 /// and test code.
-pub fn d3_in_scope(path: &str) -> bool {
+fn d3_in_scope(path: &str) -> bool {
     !is_compat_path(path) && !is_test_path(path)
 }
 
 /// Everywhere except compat and test code.
-pub fn f1_in_scope(path: &str) -> bool {
+fn f1_in_scope(path: &str) -> bool {
     !is_compat_path(path) && !is_test_path(path)
 }
 
@@ -392,7 +408,7 @@ pub fn f1_in_scope(path: &str) -> bool {
 
 /// Run every applicable rule over one file. Suppressions are handled by
 /// the engine, not here.
-pub fn check_file(f: &FileCtx<'_>) -> Vec<Finding> {
+pub(crate) fn check_file(f: &FileCtx<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     if d1_in_scope(f.rel_path) && !is_test_path(f.rel_path) {
         out.extend(check_d1(f));
@@ -413,7 +429,7 @@ pub fn check_file(f: &FileCtx<'_>) -> Vec<Finding> {
 
 /// Should this finding be skipped as test-module code? (`S1` is exempt:
 /// unsafe in tests still needs a rationale.)
-pub fn finding_in_test_module(f: &FileCtx<'_>, finding: &Finding) -> bool {
+pub(crate) fn finding_in_test_module(f: &FileCtx<'_>, finding: &Finding) -> bool {
     finding.rule != RuleId::S1 && f.in_test_lines(finding.line)
 }
 
@@ -450,7 +466,7 @@ const SORTED_ROUTES: [&str; 9] = [
 /// - `m.iter() / keys / values / drain / into_iter / …`, unless the
 ///   *same statement* routes through a sorted collect,
 /// - `for x in m { .. }` (including `&m` / `&mut m`).
-pub fn check_d1(f: &FileCtx<'_>) -> Vec<Finding> {
+fn check_d1(f: &FileCtx<'_>) -> Vec<Finding> {
     let marked = hash_typed_idents(f);
     if marked.is_empty() {
         return Vec::new();
@@ -634,7 +650,7 @@ fn for_loop_expr(f: &FileCtx<'_>, k: usize) -> Option<(usize, usize)> {
 }
 
 /// D2 — wall-clock / thread-identity / environment reads.
-pub fn check_d2(f: &FileCtx<'_>) -> Vec<Finding> {
+fn check_d2(f: &FileCtx<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     for k in 0..f.sig_len() {
         if f.in_attr.get(k).copied().unwrap_or(false) {
@@ -668,7 +684,7 @@ pub fn check_d2(f: &FileCtx<'_>) -> Vec<Finding> {
 }
 
 /// D3 — unseeded RNG construction.
-pub fn check_d3(f: &FileCtx<'_>) -> Vec<Finding> {
+fn check_d3(f: &FileCtx<'_>) -> Vec<Finding> {
     const UNSEEDED: [&str; 5] = [
         "thread_rng",
         "from_entropy",
@@ -694,7 +710,7 @@ pub fn check_d3(f: &FileCtx<'_>) -> Vec<Finding> {
 
 /// S1 — `unsafe` blocks and `unsafe impl`s need a `// SAFETY:` comment
 /// on the line(s) directly above (or trailing on the same line).
-pub fn check_s1(f: &FileCtx<'_>) -> Vec<Finding> {
+fn check_s1(f: &FileCtx<'_>) -> Vec<Finding> {
     let mut out = Vec::new();
     for k in 0..f.sig_len() {
         if f.sig_text(k) != "unsafe" || f.in_attr.get(k).copied().unwrap_or(false) {
@@ -748,7 +764,7 @@ fn has_safety_comment_above(f: &FileCtx<'_>, line: u32) -> bool {
 
 /// F1 — `.partial_cmp(..)` chained straight into `.unwrap()` /
 /// `.expect(..)`.
-pub fn check_f1(f: &FileCtx<'_>) -> Vec<Finding> {
+fn check_f1(f: &FileCtx<'_>) -> Vec<Finding> {
     let n = f.sig_len();
     let mut out = Vec::new();
     for k in 0..n {

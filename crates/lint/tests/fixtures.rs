@@ -1,12 +1,15 @@
 //! Golden self-test: every fixture in `crates/lint/fixtures/` is
 //! scanned under a virtual in-scope path and its diagnostics must match
-//! the `.expected` sidecar exactly. This is the regression harness for
+//! the `.expected` sidecar exactly; the `u1_census/` mini-workspace is
+//! scanned as a workspace and its `pub` census matches
+//! `u1_census.expected`. This is the regression harness for
 //! the lint itself — seeding any of these snippets into a real crate
 //! must reproduce the same `line:rule` findings.
 
 use std::path::PathBuf;
 
-use tamp_lint::scan_source;
+use tamp_lint::census::Reach;
+use tamp_lint::{scan_source, scan_workspace, RuleId};
 
 fn fixtures_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures")
@@ -133,4 +136,34 @@ fn json_rendering_counts_agree() {
         json.contains("\"D2\": {\"violations\": 4, \"allows\": 0}"),
         "{json}"
     );
+}
+
+#[test]
+fn u1_census_matches_golden() {
+    let dir = fixtures_dir();
+    let report = scan_workspace(&dir.join("u1_census")).expect("scan the fixture workspace");
+    let got: Vec<String> = report
+        .census
+        .iter()
+        .map(|i| format!("{}:{} {} {}", i.file, i.line, i.reach.label(), i.name))
+        .collect();
+    let golden = std::fs::read_to_string(dir.join("u1_census.expected")).unwrap();
+    assert_eq!(got, parse_expected(&golden), "\n{}", report.render_text());
+    // Only the nowhere class fails: one U1 diagnostic per item.
+    let nowhere: Vec<(String, u32)> = report
+        .census
+        .iter()
+        .filter(|i| i.reach == Reach::Nowhere)
+        .map(|i| (i.file.clone(), i.line))
+        .collect();
+    let diagnostics: Vec<(String, u32)> = report
+        .diagnostics
+        .iter()
+        .map(|d| {
+            assert_eq!(d.rule, RuleId::U1, "{}", report.render_text());
+            (d.file.clone(), d.line)
+        })
+        .collect();
+    assert_eq!(diagnostics, nowhere);
+    assert!(!report.is_clean());
 }

@@ -63,8 +63,8 @@ impl Priority {
     pub const ALL: [Priority; 3] = [Priority::Interactive, Priority::Normal, Priority::Batch];
 }
 
-/// One tenant's admission contract. See the [module docs](self) for how
-/// the three knobs interact.
+/// One tenant's admission contract: a weight, a quota and a priority
+/// class (the `admission` module docs say how they interact).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TenantSpec {
     /// Unique tenant name (the key queries are submitted under).
@@ -75,7 +75,7 @@ pub struct TenantSpec {
     pub weight: u32,
     /// Max in-flight + queued queries (≥ 1); submits beyond it are
     /// rejected with [`QueryError::TenantQueueFull`].
-    pub quota: usize,
+    pub(crate) quota: usize,
     /// Strict priority class.
     pub priority: Priority,
 }
@@ -169,16 +169,6 @@ impl TenantState {
     fn occupancy(&self) -> usize {
         self.queued() + self.running
     }
-}
-
-/// Point-in-time per-tenant admission counters.
-pub(crate) struct TenantAdmission {
-    /// Submits rejected at the tenant's quota.
-    pub(crate) rejected: u64,
-    /// Queries currently queued.
-    pub(crate) queued: usize,
-    /// Queries currently executing.
-    pub(crate) running: usize,
 }
 
 struct SchedState {
@@ -372,16 +362,13 @@ impl WeightedAdmission {
         (s.grants_total, s.running_peak)
     }
 
-    /// Point-in-time per-tenant counters, in declaration order.
-    pub(crate) fn tenant_admission(&self) -> Vec<TenantAdmission> {
-        let s = lock_ok(&self.state);
-        s.tenants
+    /// Submits each tenant had rejected at its quota, in declaration
+    /// order.
+    pub(crate) fn rejected(&self) -> Vec<u64> {
+        lock_ok(&self.state)
+            .tenants
             .iter()
-            .map(|t| TenantAdmission {
-                rejected: t.rejected,
-                queued: t.queued(),
-                running: t.running,
-            })
+            .map(|t| t.rejected)
             .collect()
     }
 }

@@ -41,8 +41,7 @@ impl RecordBatch {
         RecordBatch { cols, rows }
     }
 
-    /// Transpose `width`-wide rows into a batch (lossless; see
-    /// [`RecordBatch::to_rows`] for the inverse).
+    /// Transpose `width`-wide rows into a batch (lossless).
     pub fn from_rows(rows: &[Row], width: usize) -> Self {
         debug_assert!(rows.iter().all(|r| r.len() == width));
         let cols = new_columns(width, rows.len(), |c, col| {
@@ -93,7 +92,8 @@ impl RecordBatch {
     }
 
     /// Transpose back into rows.
-    pub fn to_rows(&self) -> Vec<Row> {
+    #[cfg(test)]
+    pub(crate) fn to_rows(&self) -> Vec<Row> {
         let mut out = Vec::new();
         self.append_rows(&mut out);
         out

@@ -40,7 +40,7 @@ pub struct ChaosSpec {
     pub plans: usize,
     /// Fault trigger supersteps are drawn from `0..max_round` (floored
     /// at 1).
-    pub max_round: usize,
+    max_round: usize,
 }
 
 impl ChaosSpec {

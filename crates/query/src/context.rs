@@ -39,7 +39,7 @@
 use std::sync::Arc;
 
 use tamp_runtime::backend::{ExecBackend, SimulatorBackend};
-use tamp_topology::{EdgeId, Tree};
+use tamp_topology::Tree;
 
 use crate::error::QueryError;
 use crate::exec::{self, ExecOptions, QueryResult};
@@ -141,10 +141,14 @@ impl QueryContext {
     /// Degrade one link of the session's topology in place: divide both
     /// directed bandwidths of `edge` by `factor`. Every subsequent
     /// `prepare` prices its strategy candidates against the degraded
-    /// network — the plan that wins can genuinely flip (see the serving
-    /// layer's [`degrade_link`](crate::service::QueryService::degrade_link),
-    /// which adds cache invalidation on top).
-    pub fn degrade_link(&mut self, edge: EdgeId, factor: f64) -> Result<(), QueryError> {
+    /// network, so the plan that wins can flip (the service's test-only
+    /// `degrade_link` adds cache invalidation on top).
+    #[cfg(test)]
+    pub(crate) fn degrade_link(
+        &mut self,
+        edge: tamp_topology::EdgeId,
+        factor: f64,
+    ) -> Result<(), QueryError> {
         self.catalog.scale_bandwidth(edge, factor)
     }
 

@@ -195,7 +195,7 @@ mod tests {
             col("a").sub(lit(4)),
             col("a").lt(col("b")).and(col("b").rem(lit(3)).eq(lit(0))),
             col("a").ge(lit(4)).or(col("b").le(lit(2))),
-            col("a").eq(lit(2)).not(),
+            Expr::Not(Box::new(col("a").eq(lit(2)))),
         ] {
             let bound = e.bind(&s).unwrap();
             let got = eval(&bound, &b, &Sel::All(b.num_rows())).unwrap();

@@ -57,7 +57,7 @@ pub struct QueryResult {
     /// The compute-node order along which `OrderBy` range-partitions (the
     /// tree's valid left-to-right order); order-preserving row collection
     /// concatenates fragments along it.
-    pub node_order: std::sync::Arc<[NodeId]>,
+    pub(crate) node_order: std::sync::Arc<[NodeId]>,
 }
 
 impl QueryResult {

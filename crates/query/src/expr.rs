@@ -105,15 +105,9 @@ binop_builder! {
 }
 
 impl Expr {
-    /// `!self`.
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(self) -> Expr {
-        Expr::Not(Box::new(self))
-    }
-
     /// Resolve all named column references against `schema`, producing a
     /// bound expression that evaluates by index.
-    pub fn bind(&self, schema: &Schema) -> Result<Expr, QueryError> {
+    pub(crate) fn bind(&self, schema: &Schema) -> Result<Expr, QueryError> {
         let b = |e: &Expr| -> Result<Box<Expr>, QueryError> { Ok(Box::new(e.bind(schema)?)) };
         Ok(match self {
             Expr::Col(name) => Expr::ColIdx(schema.index_of(name)?),
@@ -142,7 +136,7 @@ impl Expr {
     ///
     /// [`QueryError::ColumnOutOfRange`] for stray indices (or unbound
     /// `Col`), [`QueryError::DivideByZero`] for zero divisors.
-    pub fn eval(&self, row: &[Value]) -> Result<Value, QueryError> {
+    pub(crate) fn eval(&self, row: &[Value]) -> Result<Value, QueryError> {
         Ok(match self {
             Expr::Col(name) => {
                 return Err(QueryError::UnknownColumn(format!("{name} (unbound)")));
@@ -187,7 +181,7 @@ impl Expr {
     }
 
     /// The set of column *names* this (unbound) expression references.
-    pub fn referenced_columns(&self) -> Vec<&str> {
+    pub(crate) fn referenced_columns(&self) -> Vec<&str> {
         let mut out = Vec::new();
         self.visit(&mut |e| {
             if let Expr::Col(name) = e {
@@ -322,7 +316,7 @@ mod tests {
         let s = schema();
         let p = col("a")
             .gt(lit(0))
-            .and(col("b").eq(lit(7)).not())
+            .and(Expr::Not(Box::new(col("b").eq(lit(7)))))
             .bind(&s)
             .unwrap();
         assert!(p.matches(&[1, 8]).unwrap());

@@ -26,8 +26,11 @@
 //!   `prepare` builds the [`ScheduleJob`] once and
 //!   [`PreparedIterative::run_on`] hands that same job to the backend on
 //!   every replay (so the cluster's checkpoint/recovery machinery
-//!   applies: with [`PreparedIterative::checkpoint_spec`] the snapshot
-//!   cadence lands exactly on iteration barriers). That is what makes it
+//!   applies: a service built with
+//!   [`ServiceBuilder::checkpoints`](crate::service::ServiceBuilder::checkpoints)
+//!   at the job's [`rounds_per_iteration`](PreparedIterative::rounds_per_iteration)
+//!   snapshots exactly on iteration barriers, so a killed fixpoint resumes
+//!   from the last completed iteration). That is what makes it
 //!   cacheable — the serving layer keys it on the job's fingerprint and
 //!   the tree's (see [`crate::service`]) — and why it replays only on
 //!   the tree it was prepared on: any other tree is a typed error.
@@ -65,7 +68,7 @@ use std::sync::Arc;
 use tamp_core::aggregate::protocols::combining_schedule;
 use tamp_core::sorting::valid_order;
 use tamp_runtime::SimulatorBackend;
-use tamp_runtime::{CheckpointSpec, ExecBackend, Schedule, ScheduleJob, ScheduleSend};
+use tamp_runtime::{ExecBackend, Schedule, ScheduleJob, ScheduleSend};
 use tamp_simulator::cost::Cost;
 use tamp_simulator::{Placement, Rel};
 use tamp_topology::{NodeId, Tree};
@@ -724,19 +727,6 @@ impl PreparedIterative {
         &self.values
     }
 
-    /// The residual after the final iteration.
-    pub fn final_residual(&self) -> f64 {
-        self.plans.last().map_or(0.0, |p| p.residual)
-    }
-
-    /// The checkpoint cadence that lands snapshots exactly on iteration
-    /// barriers, so a chaos-killed run resumes mid-fixpoint from the
-    /// last completed iteration (see
-    /// [`CheckpointSpec::at_iteration_barriers`]).
-    pub fn checkpoint_spec(&self) -> CheckpointSpec {
-        CheckpointSpec::at_iteration_barriers(self.rounds_per_iteration)
-    }
-
     /// Replay on the centralized simulator.
     pub fn run(&self, tree: &Tree) -> Result<IterativeOutcome, QueryError> {
         self.run_on(tree, &SimulatorBackend)
@@ -798,7 +788,7 @@ pub struct IterationCost {
     /// The metered cost of this iteration's rounds.
     pub metered: f64,
     /// Running metered total through this iteration.
-    pub cumulative: f64,
+    cumulative: f64,
     /// The per-cut counting lower bound on this iteration's scatter.
     pub lower_bound: f64,
     /// The convergence residual the convergecast delivered.
@@ -919,7 +909,7 @@ mod tests {
         for &r in ranks {
             assert!((r - 1.0 / 6.0).abs() < 1e-6);
         }
-        assert!(prepared.final_residual() <= 1e-9);
+        assert!(prepared.plans.last().is_some_and(|p| p.residual <= 1e-9));
     }
 
     #[test]
@@ -1119,21 +1109,5 @@ mod tests {
             assert_eq!(sim, cluster);
             assert!(sim.to_string().contains("prepared on"), "{sim}");
         }
-    }
-
-    #[test]
-    fn checkpoint_spec_lands_on_iteration_barriers() {
-        let (tree, arcs, owners) = cycle_job();
-        let prepared = IterativeJob::pagerank(arcs, owners, 0.5, IterativeSpec::jacobi(50, 1e-6))
-            .prepare(&tree)
-            .unwrap();
-        assert_eq!(
-            prepared.checkpoint_spec().every,
-            prepared.rounds_per_iteration()
-        );
-        assert!(
-            prepared.rounds_per_iteration() >= 2,
-            "scatter + convergecast"
-        );
     }
 }

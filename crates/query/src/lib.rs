@@ -14,7 +14,7 @@
 //! 1. **[`LogicalPlan`]** ([`plan`]) — the relational algebra (filter /
 //!    project / equi-join / cross join / order-by / group-by / limit /
 //!    distinct / union-all) over named [`DistributedTable`]s, with
-//!    schema inference and a rewrite [`optimizer`] (constant folding,
+//!    schema inference and a rewrite optimizer (constant folding,
 //!    conjunction splitting, filter pushdown).
 //! 2. **[`PhysicalPlan`]** ([`physical`]) — the same operators with
 //!    every exchange *explicit, strategy-chosen and priced*: each
@@ -102,7 +102,7 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 pub mod iterative;
-pub mod optimizer;
+mod optimizer;
 pub mod physical;
 pub mod plan;
 pub mod reference;

@@ -71,7 +71,7 @@ impl<'t> CostModel<'t> {
     }
 
     /// A zeroed per-node count vector.
-    pub fn zero_counts(&self) -> NodeCounts {
+    pub(crate) fn zero_counts(&self) -> NodeCounts {
         vec![0.0; self.tree.num_nodes()]
     }
 
@@ -98,7 +98,7 @@ impl<'t> CostModel<'t> {
     /// One-round cost of repartitioning `counts` (rows of `width` values)
     /// so destination `u` receives a `shares[u]` fraction; rows already at
     /// their destination do not travel.
-    pub fn repartition_cost(&self, counts: &[f64], width: usize, shares: &[f64]) -> f64 {
+    pub(crate) fn repartition_cost(&self, counts: &[f64], width: usize, shares: &[f64]) -> f64 {
         let mut round = self.round();
         round.repartition(self.tree.compute_nodes(), counts, width, shares);
         round.cost()
@@ -107,7 +107,7 @@ impl<'t> CostModel<'t> {
     /// One-round cost of every node multicasting its `counts` rows to all
     /// of `dsts`, charged along the union of tree paths (like the
     /// engines' multicast metering).
-    pub fn multicast_cost(&self, counts: &[f64], width: usize, dsts: &[NodeId]) -> f64 {
+    pub(crate) fn multicast_cost(&self, counts: &[f64], width: usize, dsts: &[NodeId]) -> f64 {
         let mut value = vec![(0.0, false); self.links.len()];
         for &v in self.tree.compute_nodes() {
             value[v.index()].0 = (counts[v.index()] * width as f64).max(0.0);
@@ -132,7 +132,7 @@ impl<'t> CostModel<'t> {
 
     /// Destination shares proportional to `weights` over compute nodes
     /// (the weighted hash's expected routing).
-    pub fn proportional_shares(&self, weights: &[f64]) -> NodeCounts {
+    pub(crate) fn proportional_shares(&self, weights: &[f64]) -> NodeCounts {
         let total: f64 = self
             .tree
             .compute_nodes()
@@ -150,7 +150,7 @@ impl<'t> CostModel<'t> {
     }
 
     /// Uniform destination shares (the MPC hash's expected routing).
-    pub fn uniform_shares(&self) -> NodeCounts {
+    pub(crate) fn uniform_shares(&self) -> NodeCounts {
         let k = self.tree.num_compute().max(1) as f64;
         let mut shares = self.zero_counts();
         for &v in self.tree.compute_nodes() {
@@ -160,7 +160,7 @@ impl<'t> CostModel<'t> {
     }
 
     /// Redistribute `total` rows according to `shares`.
-    pub fn distributed(&self, total: f64, shares: &[f64]) -> NodeCounts {
+    pub(crate) fn distributed(&self, total: f64, shares: &[f64]) -> NodeCounts {
         let mut counts = self.zero_counts();
         for &v in self.tree.compute_nodes() {
             counts[v.index()] = total * shares[v.index()];
@@ -171,8 +171,7 @@ impl<'t> CostModel<'t> {
 
 /// One round's estimated traffic, accumulated in aggregate over the tree
 /// (see the [module docs](self)): any mix of [`send`](Self::send) and
-/// [`repartition`](Self::repartition) calls, then one
-/// [`cost`](Self::cost).
+/// `repartition` calls, then one [`cost`](Self::cost).
 #[derive(Debug)]
 pub struct RoundLoad<'m, 't> {
     model: &'m CostModel<'t>,
@@ -218,7 +217,13 @@ impl RoundLoad<'_, '_> {
     /// its `counts[v] · width` values so that `u` receives a `shares[u]`
     /// fraction (shares need not sum to 1; non-positive entries
     /// contribute nothing).
-    pub fn repartition(&mut self, among: &[NodeId], counts: &[f64], width: usize, shares: &[f64]) {
+    pub(crate) fn repartition(
+        &mut self,
+        among: &[NodeId],
+        counts: &[f64],
+        width: usize,
+        shares: &[f64],
+    ) {
         let mut value = vec![(0.0, 0.0); self.load.len()];
         for &v in among {
             let (n, s) = (counts[v.index()] * width as f64, shares[v.index()]);

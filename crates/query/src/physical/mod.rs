@@ -121,7 +121,7 @@ pub struct PhysicalPlan {
     /// logical and physical layers.
     pub label: String,
     /// Estimated output rows (cardinality estimate, not a guarantee).
-    pub rows_est: f64,
+    rows_est: f64,
 }
 
 /// Physical operators, bound: expressions address columns by index and
@@ -198,7 +198,7 @@ impl PhysicalPlan {
     }
 
     /// Total estimated communication rounds.
-    pub fn estimated_rounds(&self) -> usize {
+    fn estimated_rounds(&self) -> usize {
         let own = self.exchange().map_or(0, |x| x.estimate.rounds);
         own + self
             .children()

@@ -197,7 +197,7 @@ impl PlanArgs<'_> {
     /// Whether the tree is symmetric — the precondition of the
     /// `tamp_core` lower-bound theorems. Strategies return `None` from
     /// [`PhysicalStrategy::lower_bound`] on asymmetric trees.
-    pub fn symmetric(&self) -> bool {
+    pub(crate) fn symmetric(&self) -> bool {
         self.model.tree().require_symmetric().is_ok()
     }
 
@@ -206,7 +206,7 @@ impl PlanArgs<'_> {
     /// plays `S`. Scaling by width keeps the `tamp_core` lower bounds —
     /// stated in transported tuples — comparable to the value-denominated
     /// exchange estimates.
-    pub fn value_stats(&self) -> PlacementStats {
+    pub(crate) fn value_stats(&self) -> PlacementStats {
         let n_nodes = self.left.counts.len();
         let mut r = vec![0u64; n_nodes];
         let mut s = vec![0u64; n_nodes];
@@ -231,7 +231,7 @@ impl PlanArgs<'_> {
 
     /// Combined per-node row counts of both inputs (weighted-hash
     /// weights).
-    pub fn combined_counts(&self) -> NodeCounts {
+    pub(crate) fn combined_counts(&self) -> NodeCounts {
         match &self.right {
             Some(right) => self
                 .left
@@ -261,7 +261,7 @@ pub struct Candidate {
     /// Strategy name.
     pub name: &'static str,
     /// The paper algorithm the strategy adapts, if any.
-    pub algorithm: Option<&'static str>,
+    pub(crate) algorithm: Option<&'static str>,
     /// Estimated cost in values.
     pub cost: f64,
     /// Estimated rounds.
@@ -502,8 +502,8 @@ const TIE_EPSILON: f64 = 1e-9;
 
 /// The set of registered strategies, by operator.
 ///
-/// A fresh registry ([`StrategyRegistry::with_defaults`]) holds every
-/// built-in strategy; sessions clone it and
+/// A fresh registry (the one a new `QueryContext` starts with) holds
+/// every built-in strategy; sessions clone it and
 /// [`register`](StrategyRegistry::register) third-party implementations
 /// on top. The planner's choice is deterministic: the cheapest estimate
 /// wins, and every candidate within a relative `1e-9` (`TIE_EPSILON`)
@@ -529,7 +529,7 @@ impl StrategyRegistry {
 
     /// The built-in strategies: for each operator, the paper algorithm(s)
     /// and the topology-agnostic baseline(s).
-    pub fn with_defaults() -> Self {
+    pub(crate) fn with_defaults() -> Self {
         let mut r = StrategyRegistry::empty();
         for s in super::strategies::defaults() {
             r.register(s);

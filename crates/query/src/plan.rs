@@ -234,7 +234,8 @@ impl LogicalPlan {
     }
 
     /// Bag union with `right` (schemas must match exactly).
-    pub fn union_all(self, right: LogicalPlan) -> LogicalPlan {
+    #[cfg(test)]
+    pub(crate) fn union_all(self, right: LogicalPlan) -> LogicalPlan {
         LogicalPlan::UnionAll {
             left: Box::new(self),
             right: Box::new(right),

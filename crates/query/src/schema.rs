@@ -43,16 +43,11 @@ impl Schema {
     }
 
     /// Index of a column by name.
-    pub fn index_of(&self, name: &str) -> Result<usize, QueryError> {
+    pub(crate) fn index_of(&self, name: &str) -> Result<usize, QueryError> {
         self.columns
             .iter()
             .position(|c| c == name)
             .ok_or_else(|| QueryError::UnknownColumn(name.to_string()))
-    }
-
-    /// Name of the column at `idx`.
-    pub fn name_of(&self, idx: usize) -> Option<&str> {
-        self.columns.get(idx).map(String::as_str)
     }
 
     /// The schema of `self × other`, prefixing clashing right-side names
@@ -85,7 +80,6 @@ mod tests {
         let s = Schema::new(vec!["a", "b", "c"]).unwrap();
         assert_eq!(s.width(), 3);
         assert_eq!(s.index_of("b").unwrap(), 1);
-        assert_eq!(s.name_of(2), Some("c"));
         assert!(s.index_of("z").is_err());
     }
 

@@ -19,11 +19,11 @@
 //!   LRU bound and the counters
 //!   ([`cache_stats`](QueryService::cache_stats)). Invalidation is global
 //!   until per-table versions (ROADMAP 5(b)):
-//!   [`register`](QueryService::register),
-//!   [`register_strategy`](QueryService::register_strategy) and
-//!   [`degrade_link`](QueryService::degrade_link) clear every entry, and
-//!   the topology fingerprint in the key guarantees a degrade re-prices
-//!   a fixpoint's `estimated` / `lower_bound` columns.
+//!   [`register`](QueryService::register) and
+//!   [`register_strategy`](QueryService::register_strategy) clear every
+//!   entry, and the topology fingerprint in the key guarantees that a
+//!   re-weighted tree re-prices a fixpoint's `estimated` /
+//!   `lower_bound` columns.
 //! - **One gate, one serve loop.** In-flight queries are bounded by the
 //!   serving stack's one gate ([`crate::admission`]). A plain service
 //!   ([`new`](QueryService::new),
@@ -124,7 +124,6 @@ use tamp_runtime::{
     CheckpointSpec, CheckpointStats, CheckpointStore, ExecError, FaultEvent, FaultInjector,
     FaultKind, FaultPlan, PooledClusterBackend, RuntimeError,
 };
-use tamp_topology::EdgeId;
 
 use crate::admission::{Priority, TenantSpec, WeightedAdmission};
 use crate::context::QueryContext;
@@ -139,18 +138,16 @@ use crate::table::DistributedTable;
 
 /// One immutable generation of the service's session state. A query
 /// takes the snapshot once and plans, executes — and, on a built
-/// service, retries — against it even if a concurrent `register` or
-/// [`degrade_link`](QueryService::degrade_link) swaps in the next
-/// generation: that pinning is what makes recovered results
-/// bit-identical by construction.
+/// service, retries — against it even if a concurrent `register` (or,
+/// in tests, `degrade_link`) swaps in the next generation: that pinning
+/// is what makes recovered results bit-identical by construction.
 #[derive(Clone)]
 struct Snapshot {
     ctx: Arc<QueryContext>,
     version: u64,
     /// Fingerprint of the snapshot's topology (weights included): part
-    /// of the plan-cache key, so an in-place bandwidth mutation
-    /// ([`QueryService::degrade_link`]) can never serve a plan priced on
-    /// the healthy network.
+    /// of the plan-cache key, so an in-place bandwidth mutation can never
+    /// serve a plan priced on the healthy network.
     tree_fp: u64,
 }
 
@@ -178,7 +175,7 @@ struct CacheSlot {
 /// cap only protects a long-lived service against a stream of
 /// never-repeating ad-hoc plans growing memory without bound. On
 /// overflow the least-recently-used entry is evicted.
-pub const PLAN_CACHE_CAPACITY: usize = 1024;
+const PLAN_CACHE_CAPACITY: usize = 1024;
 
 #[derive(Default)]
 struct PlanCache {
@@ -204,8 +201,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Queries that had to lower and price their plan.
     pub misses: u64,
-    /// Cache invalidation events (`register` / `register_strategy` /
-    /// `degrade_link`).
+    /// Cache invalidation events (`register` / `register_strategy`).
     pub invalidations: u64,
     /// Entries currently cached.
     pub entries: usize,
@@ -376,8 +372,8 @@ impl ScalingSpec {
 
 /// One execution attempt killed by a recoverable fault, in arrival
 /// order. The replay bookkeeping fields (`resumed_from`,
-/// `replayed_supersteps`, `skipped_supersteps`) describe the *following*
-/// attempt and are filled in when it succeeds; they stay empty/zero if
+/// `replayed_supersteps`) describe the *following* attempt and are
+/// filled in when it succeeds; they stay empty if
 /// that attempt also faulted (the next fault gets its own event) or
 /// recovery was exhausted.
 #[derive(Clone, Debug, PartialEq)]
@@ -393,15 +389,13 @@ pub struct RecoveryEvent {
     /// 1-based execution attempt that the fault killed.
     pub attempt: u32,
     /// Checkpoint superstep the successful replay resumed from (`None`
-    /// for a from-scratch replay).
+    /// for a from-scratch replay): the supersteps before it were
+    /// skipped.
     pub resumed_from: Option<usize>,
-    /// Supersteps the successful replay actually executed
-    /// (`total - skipped`); with checkpointing enabled this is strictly
+    /// Supersteps the successful replay actually executed (the total
+    /// less `resumed_from`); with checkpointing enabled this is strictly
     /// fewer than a whole-query replay whenever a snapshot existed.
     pub replayed_supersteps: Option<usize>,
-    /// Supersteps the successful replay skipped thanks to the checkpoint
-    /// (= `resumed_from`, or 0 without one).
-    pub skipped_supersteps: usize,
 }
 
 /// A served iterative fixpoint job: the [`IterativeOutcome`] (values,
@@ -438,7 +432,7 @@ pub struct TenantStats {
     pub recovered: u64,
     /// Straggler watchdog timeouts hit by this tenant's queries (each
     /// also counts toward `recovered` when the replay succeeds).
-    pub timeouts: u64,
+    timeouts: u64,
     /// Supersteps this tenant's replays skipped thanks to checkpoint
     /// resume (0 without checkpointing).
     pub supersteps_skipped: u64,
@@ -448,21 +442,13 @@ pub struct TenantStats {
     /// within `max_iters` ([`QueryError::IterationLimit`]). These are
     /// deterministic non-convergences, not faults: they are never
     /// retried.
-    pub iteration_limits: u64,
-    /// Queries currently queued.
-    pub queued_now: usize,
-    /// Queries currently executing.
-    pub running_now: usize,
+    iteration_limits: u64,
     /// Median queue wait across served queries (from a log-bucket
     /// histogram: within 25 % below the exact value).
     pub queue_p50: Duration,
     /// 99th-percentile queue wait across served queries (same
     /// resolution; never below `queue_p50`).
     pub queue_p99: Duration,
-    /// Total time spent planning (≈0 on cache hits).
-    pub plan_total: Duration,
-    /// Total time spent executing.
-    pub exec_total: Duration,
     /// Largest number of foreign grants any of this tenant's queries
     /// waited through — the structural no-starvation bound.
     pub max_waited_grants: u64,
@@ -519,7 +505,7 @@ impl ServiceBuilder {
 
     /// Enable superstep checkpointing: replay recovery resumes from the
     /// last `every`-th superstep boundary the aborted run passed instead
-    /// of superstep 0 (floored at 1; see [`tamp_runtime::checkpoint`]).
+    /// of superstep 0 (floored at 1; see [`tamp_runtime::CheckpointSpec`]).
     pub fn checkpoints(mut self, every: usize) -> Self {
         self.checkpoint_every = Some(every);
         self
@@ -528,7 +514,7 @@ impl ServiceBuilder {
     /// Arm the superstep watchdog: a superstep exceeding `deadline`
     /// aborts with a recoverable
     /// [`RuntimeError::SuperstepTimeout`] naming the straggler, which the
-    /// recovery loop replays and [`TenantStats::timeouts`] counts.
+    /// recovery loop replays (and counts per tenant).
     pub fn superstep_deadline(mut self, deadline: Duration) -> Self {
         self.superstep_deadline = Some(deadline);
         self
@@ -793,11 +779,10 @@ impl QueryService {
     /// invalidation (the topology fingerprint in the cache key moves, so
     /// even a colliding entry can never serve a stale-priced plan), and
     /// in-flight queries finishing on the snapshot they started with.
-    ///
-    /// Every subsequent query re-prices its strategy candidates against
-    /// the degraded network; `EXPLAIN` shows the (possibly flipped)
-    /// winner. Returns the new catalog version.
-    pub fn degrade_link(&self, edge: EdgeId, factor: f64) -> Result<u64, QueryError> {
+    /// Tests use it to move the topology under a running service.
+    /// Returns the new catalog version.
+    #[cfg(test)]
+    fn degrade_link(&self, edge: tamp_topology::EdgeId, factor: f64) -> Result<u64, QueryError> {
         self.update_snapshot(|ctx| ctx.degrade_link(edge, factor))
     }
 
@@ -837,8 +822,8 @@ impl QueryService {
     /// Iterative jobs are multi-round batch work: admit them under a
     /// [`Priority::Batch`] tenant so interactive queries keep jumping
     /// the queue. A fixpoint that does not converge surfaces as
-    /// [`QueryError::IterationLimit`] — counted in the tenant's
-    /// [`TenantStats::iteration_limits`]; it takes no cache slot and is
+    /// [`QueryError::IterationLimit`] — counted per tenant; it takes no
+    /// cache slot and is
     /// never retried (replay would re-diverge identically).
     pub fn serve_iterative(
         &self,
@@ -880,7 +865,7 @@ impl QueryService {
     /// `attempt` get the same [`Snapshot`], so each retry replays the
     /// same deterministic schedule on the same tree and catalog — and a
     /// checkpointed ledger resumes against the weights it was built on —
-    /// even if a concurrent `register` / `degrade_link` swaps the serving
+    /// even if a concurrent `register` swaps the serving
     /// generation mid-recovery. `prepare` also reports whether its plan
     /// came from the cache.
     ///
@@ -948,7 +933,6 @@ impl QueryService {
                 attempt: attempts,
                 resumed_from: None,
                 replayed_supersteps: None,
-                skipped_supersteps: 0,
             });
             if attempts >= self.retry.max_attempts {
                 // Total loss (or an adversarial re-arming loop): give up
@@ -977,7 +961,6 @@ impl QueryService {
             if let Some(last) = recs.iter_mut().rev().find(|r| r.ticket == grant.ticket) {
                 last.resumed_from = resumed_from;
                 last.replayed_supersteps = Some(supersteps - skipped);
-                last.skipped_supersteps = skipped;
             }
         }
         let row = &mut lock_ok(&self.tenants)[tenant];
@@ -987,8 +970,6 @@ impl QueryService {
         t.recovered += u64::from(attempts > 1);
         t.supersteps_skipped += skipped as u64;
         t.cache_hits += u64::from(cache_hit);
-        t.plan_total += plan;
-        t.exec_total += exec;
         let stats = ServiceStats {
             ticket: grant.ticket,
             queued: grant.queued,
@@ -1030,13 +1011,11 @@ impl QueryService {
     /// Per-tenant serving report, in declaration order: queue/plan/exec
     /// timings, p50/p99 queue time, fairness and recovery counters.
     pub fn tenant_stats(&self) -> Vec<TenantStats> {
-        let admission = self.admission.tenant_admission();
+        let rejected = self.admission.rejected();
         let rows = lock_ok(&self.tenants);
-        let rows = rows.iter().zip(admission);
-        rows.map(|(row, adm)| TenantStats {
-            rejected: adm.rejected,
-            queued_now: adm.queued,
-            running_now: adm.running,
+        let rows = rows.iter().zip(rejected);
+        rows.map(|(row, rejected)| TenantStats {
+            rejected,
             queue_p50: row.queue.percentile(50),
             queue_p99: row.queue.percentile(99),
             ..row.stats.clone()
@@ -1209,7 +1188,7 @@ mod tests {
     use crate::schema::Schema;
     use tamp_runtime::{ExecOutcome, PooledClusterBackend, RuntimeError, ScheduleJob};
     use tamp_simulator::Placement;
-    use tamp_topology::{builders, NodeId, Tree};
+    use tamp_topology::{builders, EdgeId, NodeId, Tree};
 
     fn ctx() -> QueryContext {
         let tree = builders::rack_tree(&[(3, 1.0, 2.0), (2, 2.0, 1.0)], 1.0);
@@ -2004,7 +1983,6 @@ mod tests {
         // No checkpointing configured: the successful replay ran from
         // scratch and the bookkeeping says so.
         assert_eq!(recs[0].resumed_from, None);
-        assert_eq!(recs[0].skipped_supersteps, 0);
         assert_eq!(
             recs[0].replayed_supersteps,
             Some(recovered.result.supersteps)
@@ -2114,7 +2092,6 @@ mod tests {
         assert_eq!(recs.len(), 1);
         let rec = &recs[0];
         assert_eq!(rec.resumed_from, Some(kill_round));
-        assert_eq!(rec.skipped_supersteps, kill_round);
         assert_eq!(rec.replayed_supersteps, Some(total - kill_round));
         assert!(
             rec.replayed_supersteps.unwrap() < total,

@@ -12,7 +12,6 @@
 
 use std::sync::Arc;
 
-use tamp_core::hashing::mix64;
 use tamp_core::sorting::valid_order;
 use tamp_topology::{EdgeId, NodeId, Tree};
 
@@ -90,23 +89,6 @@ impl DistributedTable {
             .expect("rows must match the schema")
     }
 
-    /// Partition `rows` by hashing the named column — co-locates equal
-    /// keys, the classic pre-partitioned layout.
-    pub fn hash_partitioned(
-        name: &str,
-        schema: Schema,
-        rows: Vec<Row>,
-        column: &str,
-        tree: &Tree,
-        seed: u64,
-    ) -> Result<Self, QueryError> {
-        let idx = schema.index_of(column)?;
-        let vc = tree.compute_nodes();
-        Self::partitioned(name, schema, rows, tree, |_, row| {
-            vc[(mix64(row[idx] ^ seed) % vc.len() as u64) as usize]
-        })
-    }
-
     /// Skewed placement: node `heavy` receives a fraction `alpha` of the
     /// rows, the rest round-robin over the other compute nodes.
     pub fn skewed(
@@ -146,7 +128,7 @@ impl DistributedTable {
     }
 
     /// All rows, concatenated in node-id order.
-    pub fn all_rows(&self) -> Vec<Row> {
+    pub(crate) fn all_rows(&self) -> Vec<Row> {
         let mut rows = Vec::with_capacity(self.num_rows());
         for b in self.batches.batches() {
             b.append_rows(&mut rows);
@@ -155,7 +137,7 @@ impl DistributedTable {
     }
 
     /// Per-node row counts (the `|X_0(v)|` statistics).
-    pub fn row_counts(&self) -> Vec<u64> {
+    pub(crate) fn row_counts(&self) -> Vec<u64> {
         self.batches.iter().map(|b| batch_rows(b) as u64).collect()
     }
 }
@@ -235,11 +217,6 @@ impl Catalog {
             .find(|t| t.name == name)
             .ok_or_else(|| QueryError::UnknownTable(name.to_string()))
     }
-
-    /// Names of all registered tables.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.iter().map(|t| t.name.as_str()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -272,22 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_partition_colocates_keys() {
-        let tree = builders::star(3, 1.0);
-        let mut dup = rows(20);
-        dup.extend(rows(20)); // every key twice
-        let t = DistributedTable::hash_partitioned("t", schema(), dup, "k", &tree, 7).unwrap();
-        assert_eq!(t.num_rows(), 40);
-        // Equal keys land on equal nodes.
-        for key in 0..20 {
-            let home: Vec<usize> = (0..t.batches.len())
-                .filter(|&i| t.batches[i].iter().any(|b| b.col(0).contains(&key)))
-                .collect();
-            assert_eq!(home.len(), 1, "key {key} on nodes {home:?}");
-        }
-    }
-
-    #[test]
     fn skewed_gives_heavy_its_share() {
         let tree = builders::star(4, 1.0);
         let heavy = tree.compute_nodes()[1];
@@ -313,7 +274,7 @@ mod tests {
         c.register(t).unwrap();
         assert_eq!(c.table("t").unwrap().num_rows(), 4);
         assert!(c.table("u").is_err());
-        assert_eq!(c.table_names(), vec!["t"]);
+        assert_eq!(c.tables.len(), 1);
         // Re-registering replaces.
         let t2 = DistributedTable::round_robin("t", schema(), rows(8), c.tree());
         c.register(t2).unwrap();
@@ -336,7 +297,7 @@ mod tests {
         // A table built for another node count is rejected too.
         let t = DistributedTable::round_robin("t", schema(), rows(2), &builders::star(3, 1.0));
         assert!(matches!(c.register(t), Err(QueryError::Plan(_))));
-        assert!(c.table_names().is_empty());
+        assert!(c.tables.is_empty());
     }
 
     #[test]

@@ -53,17 +53,6 @@ impl CheckpointSpec {
             every: every.max(1),
         }
     }
-
-    /// Snapshot cadence for fixpoint jobs whose schedule repeats a
-    /// constant block of `rounds_per_iteration` rounds per iteration
-    /// (the iterative driver's shape): with `every =
-    /// rounds_per_iteration`, every snapshot lands exactly on an
-    /// iteration barrier, so a killed run resumes from the last
-    /// *completed iteration* — never mid-iteration — and the resume
-    /// superstep is always a multiple of the iteration length.
-    pub fn at_iteration_barriers(rounds_per_iteration: usize) -> Self {
-        CheckpointSpec::every(rounds_per_iteration)
-    }
 }
 
 /// A consistent cut of one cluster run at a superstep barrier.
@@ -71,7 +60,7 @@ impl CheckpointSpec {
 pub(crate) struct Checkpoint {
     /// The superstep the restored run resumes at (one past the last
     /// completed superstep).
-    pub resume_round: usize,
+    pub(crate) resume_round: usize,
     /// Per-slot node state after superstep `resume_round - 1`, aligned
     /// with `tree.compute_nodes()`.
     pub states: Vec<NodeState>,
@@ -90,7 +79,8 @@ pub struct CheckpointStats {
 }
 
 /// Shared parking lot for crash-consistent snapshots, keyed by the job's
-/// checkpoint token (see the [module docs](self)).
+/// checkpoint token: a snapshot parks only on a recoverable abort and
+/// resumes only the same job's retry on the same placement.
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
     parked: Mutex<HashMap<u64, (u64, Checkpoint)>>,

@@ -57,7 +57,7 @@ pub struct ClusterOptions {
     /// Worker threads in the pool. `None` (the default) uses the
     /// machine's available parallelism. The pool never exceeds the number
     /// of compute nodes.
-    pub workers: Option<usize>,
+    pub(crate) workers: Option<usize>,
     /// Straggler watchdog: abort a superstep that has not gathered every
     /// node report within this wall-clock deadline, with the typed
     /// [`RuntimeError::SuperstepTimeout`]; a watched run wakes the crew
@@ -73,12 +73,6 @@ impl ClusterOptions {
             workers: Some(workers),
             ..ClusterOptions::default()
         }
-    }
-
-    /// Builder-style: set the straggler watchdog deadline.
-    pub fn with_superstep_deadline(mut self, deadline: Duration) -> Self {
-        self.superstep_deadline = Some(deadline);
-        self
     }
 
     /// The pool size this configuration resolves to for `n_nodes` compute
@@ -179,7 +173,7 @@ pub(crate) struct RunHooks<'a> {
     /// On a recoverable abort, park a snapshot at the last `spec.every`-th
     /// boundary the run passed; the next run with the same token and
     /// placement resumes from it instead of superstep 0.
-    pub checkpoint: Option<CheckpointHook<'a>>,
+    pub(crate) checkpoint: Option<CheckpointHook<'a>>,
 }
 
 /// The windows the crew runs over supersteps `resume..=rounds`, one wake
@@ -654,7 +648,10 @@ mod tests {
         // watchdog, which attributes the straggler deterministically.
         inj.arm(FaultPlan::new().stall_worker(NodeId(1), 1, Duration::from_millis(500)));
         let deadline = Duration::from_millis(40);
-        let options = ClusterOptions::default().with_superstep_deadline(deadline);
+        let options = ClusterOptions {
+            superstep_deadline: Some(deadline),
+            ..ClusterOptions::default()
+        };
         let err = run(&tree, &job, options, hooks()).unwrap_err();
         assert_eq!(
             err,
@@ -1052,7 +1049,10 @@ mod tests {
                     let retry = replay(&tree, &p, &job, options, hooks()).map(outcome);
                     (first, stats, retry)
                 };
-                let oracle = run_and_retry(options.with_superstep_deadline(watched));
+                let oracle = run_and_retry(ClusterOptions {
+                    superstep_deadline: Some(watched),
+                    ..options
+                });
                 prop_assert_eq!(run_and_retry(options), oracle);
             }
         }

@@ -106,41 +106,47 @@ impl RuntimeError {
     /// are recoverable (the deterministic schedule replays bit-identically
     /// on a healthy crew); everything else is a hard error.
     pub fn is_recoverable(&self) -> bool {
-        matches!(
-            self,
-            Self::InjectedFault { .. } | Self::LinkDegraded { .. } | Self::SuperstepTimeout { .. }
-        )
+        self.fault().is_some()
     }
 
     /// The [`FaultEvent`]s a recoverable error stands for: one per killed
     /// worker (ascending), the straggler, or a degraded edge's deeper
     /// endpoint on `tree`. Empty for a hard error.
     pub fn fault_events(&self, tree: &Tree) -> Vec<FaultEvent> {
-        let event = |node, round, kind| FaultEvent { node, round, kind };
-        match *self {
-            Self::InjectedFault { ref nodes, round } => nodes
-                .iter()
-                .map(|&node| event(node, round, FaultKind::WorkerKilled))
-                .collect(),
-            Self::SuperstepTimeout { node, round, .. } => {
-                vec![event(node, round, FaultKind::Straggler)]
+        let Some((kind, round, nodes)) = self.fault() else {
+            return Vec::new();
+        };
+        let event = |node| FaultEvent { node, round, kind };
+        match kind {
+            FaultKind::LinkDegraded { edge, .. } => vec![event(tree.deeper_endpoint(edge))],
+            _ => nodes.iter().map(|&node| event(node)).collect(),
+        }
+    }
+
+    /// The one list of recoverable variants: each one's fault kind,
+    /// superstep and felled nodes (none for a degraded link, whose
+    /// deeper endpoint takes a tree to name). `None` for a hard error.
+    fn fault(&self) -> Option<(FaultKind, usize, &[NodeId])> {
+        Some(match *self {
+            Self::InjectedFault { ref nodes, round } => {
+                (FaultKind::WorkerKilled, round, &nodes[..])
             }
+            Self::SuperstepTimeout {
+                ref node, round, ..
+            } => (FaultKind::Straggler, round, std::slice::from_ref(node)),
             Self::LinkDegraded {
                 edge,
                 round,
                 factor,
-            } => {
-                let kind = FaultKind::LinkDegraded { edge, factor };
-                vec![event(tree.deeper_endpoint(edge), round, kind)]
-            }
-            _ => Vec::new(),
-        }
+            } => (FaultKind::LinkDegraded { edge, factor }, round, &[][..]),
+            _ => return None,
+        })
     }
 }
 
 /// The specs [`backend_from_spec`](crate::backend::backend_from_spec)
 /// recognizes, for error messages and `--help` text.
-pub const VALID_BACKEND_SPECS: &[&str] = &["simulator", "sim", "pooled-cluster[:N]", "cluster[:N]"];
+const VALID_BACKEND_SPECS: &[&str] = &["simulator", "sim", "pooled-cluster[:N]", "cluster[:N]"];
 
 impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -202,3 +208,65 @@ impl fmt::Display for RuntimeError {
 }
 
 impl std::error::Error for RuntimeError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One value of every variant. The exhaustive match makes a new
+    /// variant a compile error here until it is listed.
+    fn every_variant() -> Vec<RuntimeError> {
+        let all = vec![
+            RuntimeError::ScheduleMismatch {
+                job: "j".into(),
+                reason: "r".into(),
+            },
+            RuntimeError::UnknownBackend { spec: "x".into() },
+            RuntimeError::InvalidPoolWidth {
+                spec: "cluster:0".into(),
+            },
+            RuntimeError::InjectedFault {
+                nodes: vec![NodeId(0), NodeId(1)],
+                round: 2,
+            },
+            RuntimeError::LinkDegraded {
+                edge: EdgeId(0),
+                round: 1,
+                factor: 2.0,
+            },
+            RuntimeError::SuperstepTimeout {
+                node: NodeId(1),
+                round: 3,
+                deadline: Duration::from_millis(5),
+            },
+            RuntimeError::InvalidFaultTarget { fault: "f".into() },
+        ];
+        for e in &all {
+            match e {
+                RuntimeError::ScheduleMismatch { .. }
+                | RuntimeError::UnknownBackend { .. }
+                | RuntimeError::InvalidPoolWidth { .. }
+                | RuntimeError::InjectedFault { .. }
+                | RuntimeError::LinkDegraded { .. }
+                | RuntimeError::SuperstepTimeout { .. }
+                | RuntimeError::InvalidFaultTarget { .. } => {}
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn a_variant_is_recoverable_exactly_when_it_names_fault_events() {
+        let tree = tamp_topology::builders::star(2, 1.0);
+        let all = every_variant();
+        for e in &all {
+            assert_eq!(
+                e.is_recoverable(),
+                !e.fault_events(&tree).is_empty(),
+                "{e:?}"
+            );
+        }
+        let recoverable = all.iter().filter(|e| e.is_recoverable()).count();
+        assert_eq!(recoverable, 3);
+    }
+}

@@ -274,9 +274,9 @@ pub(crate) struct ResolvedFaults {
     /// never).
     pub fail: Vec<usize>,
     /// Per node index: the earliest `(round, delay)` stall, if any.
-    pub stall: Vec<Option<(usize, Duration)>>,
+    pub(crate) stall: Vec<Option<(usize, Duration)>>,
     /// Degradations as `(edge, round, factor)`, sorted by `(round, edge)`.
-    pub degrades: Vec<(EdgeId, usize, f64)>,
+    pub(crate) degrades: Vec<(EdgeId, usize, f64)>,
 }
 
 impl ResolvedFaults {
@@ -352,7 +352,7 @@ impl FaultInjector {
 
     /// Remove and return the front armed plan, if any — called by the
     /// cluster at run start (this is what makes each plan one-shot).
-    pub fn disarm(&self) -> Option<FaultPlan> {
+    pub(crate) fn disarm(&self) -> Option<FaultPlan> {
         lock_ok(&self.armed).pop_front()
     }
 

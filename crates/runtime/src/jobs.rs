@@ -240,7 +240,7 @@ impl ScheduleJob {
     /// union-of-paths multicast, every round committed, silent ones
     /// included. It is a pure function of `(schedule, tree)`, so it is
     /// metered once and cached under `tree`'s fingerprint; a run on
-    /// another tree (one a `degrade_link` re-weighted, say) meters afresh
+    /// another tree (a re-weighted one, say) meters afresh
     /// and leaves the cached entry alone. The caller has
     /// [`check`](Self::check)ed the job against `tree`.
     pub(crate) fn ledger(&self, tree: &Tree) -> Cost {

@@ -66,7 +66,7 @@
 #![warn(clippy::all)]
 
 pub mod backend;
-pub mod checkpoint;
+pub(crate) mod checkpoint;
 pub mod cluster;
 pub mod error;
 pub mod fault;
@@ -79,7 +79,7 @@ pub use backend::{
 };
 pub use checkpoint::{CheckpointSpec, CheckpointStats, CheckpointStore};
 pub use cluster::ClusterOptions;
-pub use error::{RuntimeError, VALID_BACKEND_SPECS};
+pub use error::RuntimeError;
 pub use fault::{Fault, FaultEvent, FaultInjector, FaultKind, FaultPlan};
 pub use jobs::{Schedule, ScheduleJob, ScheduleSend};
 pub use pool::WorkerPool;

@@ -46,10 +46,6 @@ impl Ledger {
         self.rounds.push(traffic);
     }
 
-    pub(crate) fn num_dir_edges(&self) -> usize {
-        self.bandwidth.len()
-    }
-
     pub(crate) fn num_rounds(&self) -> usize {
         self.rounds.len()
     }
@@ -119,16 +115,6 @@ impl Cost {
         self.per_round.iter().fold(0.0, |sum, r| sum + r.tuple_cost)
     }
 
-    /// The same cost in bits, at `bits` bits per tuple.
-    pub fn bit_cost(&self, bits: u64) -> f64 {
-        self.tuple_cost() * bits as f64
-    }
-
-    /// Number of rounds in which any data moved.
-    pub fn active_rounds(&self) -> usize {
-        self.per_round.iter().filter(|r| r.total_tuples > 0).count()
-    }
-
     /// Total tuples moved across all edges and rounds (volume, not cost).
     pub fn total_tuples(&self) -> u64 {
         self.per_round.iter().map(|r| r.total_tuples).sum()
@@ -157,10 +143,8 @@ mod tests {
         assert_eq!(cost.per_round[0].tuple_cost, 10.0); // max(10/1, 10/2)
         assert_eq!(cost.per_round[1].tuple_cost, 3.0);
         assert_eq!(cost.tuple_cost(), 13.0);
-        assert_eq!(cost.bit_cost(64), 13.0 * 64.0);
         assert_eq!(cost.total_tuples(), 26);
         assert_eq!(cost.edge_total(DirEdgeId(2)), 16);
-        assert_eq!(cost.active_rounds(), 2);
         assert_eq!(cost.per_round[0].bottleneck, Some(DirEdgeId(0)));
     }
 
@@ -169,7 +153,7 @@ mod tests {
         let t = builders::mpc_star(2);
         let mut ledger = Ledger::new(&t);
         // Load every edge; only finite (hub→leaf) directions should cost.
-        let n = ledger.num_dir_edges();
+        let n = ledger.bandwidth.len();
         ledger.push_round((0..n as u32).map(|d| (d, 8)).collect());
         let cost = ledger.finish();
         assert_eq!(cost.per_round[0].tuple_cost, 8.0);

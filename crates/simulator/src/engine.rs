@@ -212,12 +212,6 @@ impl<'t> Session<'t> {
         &mut self.state[v.index()]
     }
 
-    /// Number of rounds executed so far.
-    #[inline]
-    pub fn rounds_executed(&self) -> usize {
-        self.meter.rounds_committed()
-    }
-
     /// Execute one communication round. All sends issued inside the closure
     /// observe round-start state; deliveries are applied on return.
     pub fn round<F>(&mut self, f: F) -> Result<(), SimError>
@@ -472,7 +466,7 @@ mod tests {
                 let vals = r.state(NodeId(1)).r.clone();
                 r.send(NodeId(1), &[NodeId(0)], Rel::R, &vals)
             })?;
-            Ok(s.rounds_executed())
+            Ok(s.meter.rounds_committed())
         }
     }
 
@@ -518,7 +512,7 @@ mod tests {
             r.send(NodeId(0), &[NodeId(2)], Rel::R, &[9]) // hub: errors
         });
         assert_eq!(err.unwrap_err(), SimError::SendToRouter(NodeId(2)));
-        assert_eq!(s.rounds_executed(), 0);
+        assert_eq!(s.meter.rounds_committed(), 0);
         s.round(|r| r.send(NodeId(0), &[NodeId(1)], Rel::R, &[7]))
             .unwrap();
         let (cost, state, rounds) = s.into_parts();

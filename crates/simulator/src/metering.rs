@@ -101,13 +101,8 @@ impl TrafficMeter {
         }
     }
 
-    /// Number of directed edges being metered.
-    pub fn num_dir_edges(&self) -> usize {
-        self.ledger.num_dir_edges()
-    }
-
     /// Number of committed rounds.
-    pub fn rounds_committed(&self) -> usize {
+    pub(crate) fn rounds_committed(&self) -> usize {
         self.ledger.num_rounds()
     }
 
@@ -217,7 +212,7 @@ impl TrafficMeter {
     /// Discard the accumulated charges of the round in progress — for
     /// callers abandoning a failed round so its partial sends don't leak
     /// into the next committed round.
-    pub fn abort_round(&mut self) {
+    pub(crate) fn abort_round(&mut self) {
         self.acc.fill([0; 2]);
         self.dirty = false;
     }
@@ -519,8 +514,8 @@ mod tests {
         m.charge_unicast(v, v, 3);
         m.charge_multicast(v, &[v, v], 3);
         m.commit_round();
-        assert_eq!(m.num_dir_edges(), 0);
         let cost = m.finish();
+        assert!(cost.edge_totals.is_empty());
         assert_eq!(cost.per_round.len(), 1);
         assert_eq!(cost.total_tuples(), 0);
     }

@@ -12,7 +12,7 @@ use crate::value::{NodeState, Value};
 
 /// The intersection a single node can emit from what it holds:
 /// `set(R_known) ∩ set(S_known)`.
-pub fn local_intersection(state: &NodeState) -> BTreeSet<Value> {
+fn local_intersection(state: &NodeState) -> BTreeSet<Value> {
     let r: BTreeSet<Value> = state.r.iter().copied().collect();
     state.s.iter().copied().filter(|v| r.contains(v)).collect()
 }

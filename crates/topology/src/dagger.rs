@@ -41,7 +41,7 @@ impl Dagger {
     }
 
     /// As [`Dagger::build`], reusing precomputed cut weights.
-    pub fn build_with_cuts(tree: &Tree, cw: &CutWeights) -> Self {
+    fn build_with_cuts(tree: &Tree, cw: &CutWeights) -> Self {
         let n = tree.num_nodes();
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
         let mut parent_edge: Vec<Option<EdgeId>> = vec![None; n];
@@ -175,44 +175,6 @@ impl Dagger {
             !self.is_cover(&reduced)
         })
     }
-
-    /// Enumerate minimal covers of `G†`, up to `limit` of them.
-    ///
-    /// Minimal covers are exactly the antichains that cover every leaf;
-    /// they are generated recursively: the cover of a subtree is either the
-    /// subtree root itself or a combination of covers of its children.
-    pub fn minimal_covers(&self, limit: usize) -> Vec<Vec<NodeId>> {
-        fn rec(d: &Dagger, v: NodeId, limit: usize) -> Vec<Vec<NodeId>> {
-            let mut out = vec![vec![v]];
-            let kids = d.children(v);
-            if !kids.is_empty() {
-                // Cartesian product of children's cover lists.
-                let mut combos: Vec<Vec<NodeId>> = vec![Vec::new()];
-                for &c in kids {
-                    let child_covers = rec(d, c, limit);
-                    let mut next = Vec::new();
-                    for base in &combos {
-                        for cc in &child_covers {
-                            let mut merged = base.clone();
-                            merged.extend_from_slice(cc);
-                            next.push(merged);
-                            if next.len() >= limit {
-                                break;
-                            }
-                        }
-                        if next.len() >= limit {
-                            break;
-                        }
-                    }
-                    combos = next;
-                }
-                out.extend(combos);
-            }
-            out.truncate(limit);
-            out
-        }
-        rec(self, self.root, limit)
-    }
 }
 
 #[cfg(test)]
@@ -298,19 +260,6 @@ mod tests {
         assert!(!d.is_minimal_cover(&both));
         // Missing a leaf is not a cover.
         assert!(!d.is_cover(&leaves[1..]));
-    }
-
-    #[test]
-    fn minimal_cover_enumeration() {
-        let t = builders::rack_tree(&[(2, 1.0, 4.0), (2, 1.0, 4.0)], 8.0);
-        let d = Dagger::build(&t, &uniform_weights(&t, 10));
-        let covers = d.minimal_covers(64);
-        assert!(!covers.is_empty());
-        for c in &covers {
-            assert!(d.is_minimal_cover(c), "cover {c:?} not minimal");
-        }
-        // The trivial cover {root} is among them.
-        assert!(covers.iter().any(|c| c == &vec![d.root()]));
     }
 
     #[test]

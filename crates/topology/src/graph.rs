@@ -88,7 +88,7 @@ impl GraphBuilder {
     }
 
     /// Add a link with direction-dependent bandwidths.
-    pub fn link_asym(
+    pub(crate) fn link_asym(
         &mut self,
         u: NodeId,
         v: NodeId,
@@ -607,23 +607,6 @@ pub mod builders {
         }
         b.build().expect("random graph is connected")
     }
-
-    /// View a [`Tree`] as a [`Graph`] (identity embedding).
-    pub fn from_tree(tree: &Tree) -> Graph {
-        let kinds: Vec<NodeKind> = (0..tree.num_nodes())
-            .map(|i| tree.kind(NodeId(i as u32)))
-            .collect();
-        let edges: Vec<(usize, usize, f64, f64)> = tree
-            .edges()
-            .map(|e| {
-                let (u, v) = tree.endpoints(e);
-                let fwd = tree.bandwidth(DirEdgeId::new(e, false)).get();
-                let rev = tree.bandwidth(DirEdgeId::new(e, true)).get();
-                (u.index(), v.index(), fwd, rev)
-            })
-            .collect();
-        Graph::from_parts(kinds, edges).expect("a tree is a connected graph")
-    }
 }
 
 #[cfg(test)]
@@ -757,7 +740,7 @@ mod tests {
         assert_eq!(t.num_edges(), 8);
         // Every node is within 2 hops of the center in the BFS tree.
         for v in 0..9 {
-            assert!(t.distance(NodeId(4), NodeId(v)) <= 2);
+            assert!(t.path(NodeId(4), NodeId(v)).len() <= 2);
         }
     }
 
@@ -816,16 +799,6 @@ mod tests {
         assert_eq!(g3.num_nodes(), 10);
         // Tree edges (9) plus up to 5 chords.
         assert!(g1.num_edges() >= 9 && g1.num_edges() <= 14);
-    }
-
-    #[test]
-    fn from_tree_roundtrip() {
-        let t = crate::builders::rack_tree(&[(2, 1.0, 2.0), (3, 2.0, 1.0)], 1.0);
-        let g = from_tree(&t);
-        assert_eq!(g.num_nodes(), t.num_nodes());
-        assert_eq!(g.num_edges(), t.num_edges());
-        let t2 = g.max_bandwidth_spanning_tree().unwrap();
-        assert_eq!(t2.num_edges(), t.num_edges());
     }
 
     #[test]

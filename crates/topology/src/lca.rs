@@ -7,8 +7,8 @@
 //! path decomposes in constant time. There is no Euler tour and no depth
 //! comparison; everything lives in **preorder coordinates**:
 //!
-//! - `tin(v)` is `v`'s index in [`Tree::dfs_order`] (the rooting at node
-//!   0), so every subtree is a contiguous run of positions and a parent
+//! - `tin(v)` is `v`'s position in the tree's DFS preorder (rooted at
+//!   node 0), so every subtree is a contiguous run of positions and a parent
 //!   sits at a smaller position than its children;
 //! - `parent_pos[i]` is the position of the parent of the node at
 //!   position `i` (the root, position 0, points at itself);
@@ -138,7 +138,7 @@ impl LcaIndex {
         self.depth[v.index()]
     }
 
-    /// DFS preorder position of `v`: its index in [`Tree::dfs_order`].
+    /// DFS preorder position of `v` (rooted at node 0).
     /// Sorting nodes by `tin` yields the order virtual-tree constructions
     /// need: every subtree is a contiguous run.
     #[inline]
@@ -202,7 +202,7 @@ impl LcaIndex {
 
     /// Number of hops on the unique path `a → b`, in O(1).
     #[inline]
-    pub fn dist(&self, a: NodeId, b: NodeId) -> u32 {
+    fn dist(&self, a: NodeId, b: NodeId) -> u32 {
         let l = self.lca(a, b);
         self.depth(a) + self.depth(b) - 2 * self.depth(l)
     }

@@ -43,7 +43,7 @@ impl DirEdgeId {
 
     /// `true` if this is the reverse (`v → u`) direction.
     #[inline]
-    pub fn is_reverse(self) -> bool {
+    pub(crate) fn is_reverse(self) -> bool {
         self.0 & 1 == 1
     }
 
@@ -120,7 +120,7 @@ impl TreeBuilder {
     }
 
     /// Add a link with direction-dependent bandwidths.
-    pub fn link_asym(
+    pub(crate) fn link_asym(
         &mut self,
         u: NodeId,
         v: NodeId,
@@ -306,7 +306,7 @@ impl Tree {
 
     /// `true` if `v` is a leaf (degree ≤ 1).
     #[inline]
-    pub fn is_leaf(&self, v: NodeId) -> bool {
+    pub(crate) fn is_leaf(&self, v: NodeId) -> bool {
         self.degree(v) <= 1
     }
 
@@ -468,7 +468,7 @@ impl Tree {
 
     /// Nodes in DFS (pre)order of the internal rooting at node 0.
     #[inline]
-    pub fn dfs_order(&self) -> &[NodeId] {
+    pub(crate) fn dfs_order(&self) -> &[NodeId] {
         &self.dfs_order
     }
 
@@ -529,12 +529,6 @@ impl Tree {
         down.reverse();
         up.extend(down);
         up
-    }
-
-    /// Number of hops between `a` and `b`.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> usize {
-        // Depth arithmetic via the path (trees are small; clarity first).
-        self.path(a, b).len()
     }
 
     /// Directed edge id of `e` oriented *away from* endpoint `from`.

@@ -221,8 +221,8 @@ pub enum VertexPartition {
     Hash,
     /// Contiguous vertex blocks, one per compute node, sized so each
     /// node's block carries a share of the total *degree mass*
-    /// proportional to the strategy's
-    /// [`node_weights`](PlacementStrategy::node_weights). Degree-aware
+    /// proportional to the strategy's node weights (the shares
+    /// [`PlacementStrategy::place`] gives each node). Degree-aware
     /// (a hub-heavy block stays small) and topology-aware (with
     /// [`PlacementStrategy::ProportionalToBandwidth`], heavy blocks sit
     /// behind fat links); contiguity preserves the id-locality of

@@ -76,7 +76,7 @@ impl PlacementStrategy {
 
     /// Per-compute-node placement weights (aligned with
     /// `tree.compute_nodes()`).
-    pub fn node_weights(&self, tree: &Tree) -> Vec<f64> {
+    pub(crate) fn node_weights(&self, tree: &Tree) -> Vec<f64> {
         let vc = tree.compute_nodes();
         match *self {
             PlacementStrategy::Uniform | PlacementStrategy::Separated => vec![1.0; vc.len()],

@@ -87,7 +87,7 @@ pub struct SortSpec {
     /// Number of elements.
     pub n: usize,
     /// Fraction of duplicated values in `[0, 1)`.
-    pub duplicate_fraction: f64,
+    duplicate_fraction: f64,
 }
 
 impl SortSpec {

@@ -155,9 +155,8 @@ fn main() {
     for rec in service.recovery_events() {
         let restart = match rec.resumed_from {
             Some(r) => format!(
-                "resumed from checkpointed superstep {r} ({} replayed, {} skipped)",
+                "resumed from checkpointed superstep {r} ({} replayed, {r} skipped)",
                 rec.replayed_supersteps.unwrap_or(0),
-                rec.skipped_supersteps
             ),
             None => "replayed from superstep 0".to_string(),
         };

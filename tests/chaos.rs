@@ -88,12 +88,10 @@ proptest! {
             );
         }
         // Every recovery that resumed from a checkpoint replayed only
-        // the tail: replayed + skipped = that run's supersteps, with a
-        // strictly positive skip.
+        // the tail: it skipped a strictly positive prefix.
         for rec in service.recovery_events() {
             if let (Some(from), Some(replayed)) = (rec.resumed_from, rec.replayed_supersteps) {
                 prop_assert!(from > 0);
-                prop_assert_eq!(rec.skipped_supersteps, from);
                 prop_assert!(replayed > 0);
             }
         }
@@ -152,8 +150,7 @@ proptest! {
 #[test]
 fn killed_pagerank_resumes_from_the_last_iteration_checkpoint() {
     // An iterative job checkpointed at its iteration barriers
-    // (`checkpoints(rounds_per_iteration)` ≡
-    // `CheckpointSpec::at_iteration_barriers`): a worker killed
+    // (`checkpoints(rounds_per_iteration)`): a worker killed
     // mid-fixpoint resumes from the last completed iteration, replays
     // strictly fewer supersteps than a from-scratch run, and still lands
     // on bit-identical final ranks and ledger.
@@ -199,7 +196,6 @@ fn killed_pagerank_resumes_from_the_last_iteration_checkpoint() {
         from > 0 && from.is_multiple_of(rpi),
         "resume superstep {from} is not an iteration barrier (rpi {rpi})"
     );
-    assert_eq!(recs[0].skipped_supersteps, from);
     let replayed = recs[0].replayed_supersteps.expect("successful replay");
     assert!(
         replayed < served.outcome.supersteps,
