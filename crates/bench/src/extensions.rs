@@ -8,7 +8,6 @@ use tamp_core::aggregate::{
     FlatPartialAggregate, HashGroupBy, NaiveAggregate,
 };
 use tamp_core::cartesian::TreeCartesianProduct;
-use tamp_core::general::{graph_intersection_lower_bound, run_on_graph, TreeExtraction};
 use tamp_core::hashing::mix64;
 use tamp_core::intersection::TreeIntersect;
 use tamp_core::ratio::ratio;
@@ -18,7 +17,6 @@ use tamp_query::prelude::*;
 use tamp_runtime::programs::DistributedTreeIntersect;
 use tamp_runtime::{ExecBackend, PooledClusterBackend};
 use tamp_simulator::{run_protocol, Placement, Rel};
-use tamp_topology::graph::builders as gb;
 use tamp_topology::{builders, Tree};
 
 use crate::table::{fnum, Table};
@@ -125,55 +123,6 @@ pub(crate) fn x_groupby() -> Vec<Table> {
         t.row(vec![name, fnum(cost), fnum(lb), fnum(ratio(cost, lb))]);
     }
     t.note("Expected shape: cost within a small factor of the cut bound everywhere.");
-    vec![t]
-}
-
-/// X-GENERAL — §7 future work: the paper's tree algorithms on grids,
-/// tori and hypercubes via spanning-tree extraction, against per-cut
-/// lower bounds; max-bandwidth vs BFS extraction as an ablation.
-pub(crate) fn x_general() -> Vec<Table> {
-    let mut t = Table::new(
-        "X-GENERAL: set intersection on non-tree topologies via tree extraction",
-        &["graph", "extraction", "cost", "graph LB", "cost/LB"],
-    );
-    let graphs: Vec<(&str, tamp_topology::Graph)> = vec![
-        ("grid-4x4", gb::grid(4, 4, 1.0)),
-        ("torus-4x4", gb::torus(4, 4, 1.0)),
-        ("hypercube-4d", gb::hypercube(4, 1.0)),
-        ("random-12+8", gb::random_connected(12, 8, 0.5, 4.0, 42)),
-    ];
-    for (name, graph) in &graphs {
-        let vc = graph.compute_nodes();
-        let mut frags = vec![tamp_simulator::NodeState::default(); graph.num_nodes()];
-        for a in 0..400u64 {
-            frags[vc[(mix64(a) % vc.len() as u64) as usize].index()]
-                .r
-                .push(a);
-            frags[vc[(mix64(a ^ 0xF) % vc.len() as u64) as usize].index()]
-                .s
-                .push(200 + a);
-        }
-        let p = Placement::from_fragments(frags);
-        for (how, how_name) in [
-            (TreeExtraction::MaxBandwidth, "max-bw"),
-            (TreeExtraction::BfsFromFirstCompute, "bfs"),
-        ] {
-            let (run, tree) = run_on_graph(graph, &p, &TreeIntersect::new(3), how).unwrap();
-            let lb = graph_intersection_lower_bound(graph, &tree, &p.stats()).value();
-            t.row(vec![
-                name.to_string(),
-                how_name.to_string(),
-                fnum(run.cost.tuple_cost()),
-                fnum(lb),
-                fnum(ratio(run.cost.tuple_cost(), lb)),
-            ]);
-        }
-    }
-    t.note(
-        "Expected shape: single-tree routing is within a moderate factor of the \
-         per-cut bound on cut-dominated graphs, and the gap grows on expanders \
-         (hypercube) — exactly why §7 calls general topologies challenging.",
-    );
     vec![t]
 }
 
@@ -621,71 +570,6 @@ fn x_plan_scenarios() -> Vec<(String, Catalog)> {
     out
 }
 
-/// X-UNEQ-TREE — §4.5's open problem: unequal sizes on general trees.
-/// Best-of-three heuristic vs the (possibly loose) Theorem-8-style bound,
-/// sweeping the size ratio.
-pub(crate) fn x_unequal_tree() -> Vec<Table> {
-    use tamp_core::cartesian::{
-        unequal_tree_lower_bound, UnequalTreeCartesianProduct, UnequalTreeStrategy,
-    };
-    let mut t = Table::new(
-        "X-UNEQ-TREE: |R| ≠ |S| cartesian product on a 2-rack tree (auto vs forced strategies)",
-        &[
-            "|R|:|S|",
-            "auto picks",
-            "auto",
-            "all-to-node",
-            "broadcast",
-            "padded-squares",
-            "LB",
-            "auto/LB",
-        ],
-    );
-    let tree = builders::rack_tree(&[(3, 2.0, 4.0), (3, 1.0, 2.0)], 1.0);
-    for &(r, s) in &[
-        (8u64, 512u64),
-        (32, 512),
-        (128, 512),
-        (256, 512),
-        (512, 512),
-    ] {
-        let p = scatter(&tree, r, s, 13);
-        let stats = p.stats();
-        let lb = unequal_tree_lower_bound(&tree, &stats).value();
-        let auto_run = run_protocol(&tree, &p, &UnequalTreeCartesianProduct::new()).unwrap();
-        let forced: Vec<f64> = [
-            UnequalTreeStrategy::AllToNode,
-            UnequalTreeStrategy::BroadcastSmall,
-            UnequalTreeStrategy::PaddedSquares,
-        ]
-        .into_iter()
-        .map(|st| {
-            run_protocol(&tree, &p, &UnequalTreeCartesianProduct::with_strategy(st))
-                .unwrap()
-                .cost
-                .tuple_cost()
-        })
-        .collect();
-        t.row(vec![
-            format!("{r}:{s}"),
-            format!("{:?}", auto_run.output),
-            fnum(auto_run.cost.tuple_cost()),
-            fnum(forced[0]),
-            fnum(forced[1]),
-            fnum(forced[2]),
-            fnum(lb),
-            fnum(ratio(auto_run.cost.tuple_cost(), lb)),
-        ]);
-    }
-    t.note(
-        "Expected shape: broadcast wins at extreme ratios (cost ≈ |R|), padded \
-         squares take over as sizes converge, and the auto rule tracks the best \
-         column. No matching lower bound is known in the middle — the measured \
-         auto/LB gap quantifies §4.5's open problem.",
-    );
-    vec![t]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,31 +641,6 @@ mod tests {
             let actual: f64 = t.cell(i, 4).parse().unwrap();
             assert!(est > 0.0, "row {i}: {} est {est}", t.cell(i, 1));
             assert!(actual >= 0.0, "row {i} actual {actual}");
-        }
-    }
-
-    #[test]
-    fn x_general_rows_are_finite() {
-        let t = &x_general()[0];
-        assert_eq!(t.num_rows(), 8);
-        for i in 0..t.num_rows() {
-            let r: f64 = t.cell(i, 4).parse().unwrap();
-            assert!(r.is_finite() && r >= 0.9, "row {i} ratio {r}");
-        }
-    }
-
-    #[test]
-    fn x_uneq_tree_auto_tracks_best() {
-        let t = &x_unequal_tree()[0];
-        for i in 0..t.num_rows() {
-            let auto: f64 = t.cell(i, 2).parse().unwrap();
-            let best = (3..6)
-                .map(|c| t.cell(i, c).parse::<f64>().unwrap())
-                .fold(f64::INFINITY, f64::min);
-            assert!(
-                auto <= 2.0 * best + 1e-9,
-                "row {i}: auto {auto} vs best {best}"
-            );
         }
     }
 

@@ -1,8 +1,8 @@
 //! # tamp-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! paper (see the experiment index in `DESIGN.md`), plus the ablation
-//! protocols used to justify individual design choices.
+//! paper, plus the ablation protocols used to justify individual design
+//! choices.
 //!
 //! Run everything with:
 //!
@@ -11,11 +11,10 @@
 //! ```
 //!
 //! or a single experiment by id (`t1-si`, `t1-cp`, `t1-sort`, `f1`–`f5`,
-//! `a1`, `x-mpc`, `x-cross`, `x-agg`, `x-groupby`, `x-general`,
-//! `x-runtime`, `x-query`, `x-scale`, `x-serve`, `x-tenant`, `x-chaos`,
-//! `x-uneq-tree`, `x-iter`, `x-alloc`, `x-lint`, `x-size`,
-//! `abl-partition`, `abl-pow2`, `abl-splitters`, `abl-treepack`,
-//! `abl-drift`).
+//! `a1`, `x-mpc`, `x-cross`, `x-agg`, `x-groupby`, `x-runtime`,
+//! `x-query`, `x-plan`, `x-strategy`, `x-scale`, `x-serve`, `x-tenant`,
+//! `x-chaos`, `x-iter`, `x-alloc`, `x-lint`, `x-size`, `abl-partition`,
+//! `abl-pow2`, `abl-splitters`, `abl-treepack`, `abl-drift`).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -801,7 +801,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "abl-treepack",
     "x-agg",
     "x-groupby",
-    "x-general",
     "x-runtime",
     "x-query",
     "x-plan",
@@ -811,7 +810,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "x-tenant",
     "x-chaos",
     "abl-drift",
-    "x-uneq-tree",
     "x-iter",
     "x-alloc",
     "x-lint",
@@ -838,7 +836,6 @@ pub fn run_experiment(id: &str) -> Option<Vec<Table>> {
         "abl-treepack" => abl_treepack(),
         "x-agg" => crate::extensions::x_agg(),
         "x-groupby" => crate::extensions::x_groupby(),
-        "x-general" => crate::extensions::x_general(),
         "x-runtime" => crate::extensions::x_runtime(),
         "x-query" => crate::extensions::x_query(),
         "x-plan" => crate::extensions::x_plan(),
@@ -848,7 +845,6 @@ pub fn run_experiment(id: &str) -> Option<Vec<Table>> {
         "x-tenant" => crate::xtenant::x_tenant(),
         "x-chaos" => crate::xchaos::x_chaos(),
         "abl-drift" => crate::extensions::abl_drift(),
-        "x-uneq-tree" => crate::extensions::x_unequal_tree(),
         "x-iter" => crate::xiter::x_iter(),
         "x-alloc" => crate::xalloc::x_alloc(),
         "x-lint" => crate::xlint::x_lint(),

@@ -11,15 +11,18 @@
 //!    *and* metered `edge_totals`) equals the fault-free serial run's,
 //!    whatever the schedule threw at the crew;
 //! 2. **Partial restart** — every recovery that resumed from a
-//!    checkpoint replayed *strictly fewer* supersteps than the whole
-//!    query (replayed + skipped = total, skipped > 0), straight from the
-//!    [`RecoveryEvent`](tamp_query::RecoveryEvent) ledger.
+//!    checkpoint replayed *strictly fewer* supersteps (the
+//!    [`RecoveryEvent`](tamp_query::RecoveryEvent)'s
+//!    `replayed_supersteps`) than the fault-free reference run of the
+//!    query it served executed.
 //!
 //! The release gate sweeps [`GATE_SEEDS`] seeds; the debug test a small
 //! prefix.
 
 use tamp_query::chaos::{self, ChaosSpec};
 use tamp_query::prelude::*;
+use tamp_query::RecoveryEvent;
+use tamp_runtime::PooledClusterBackend;
 use tamp_topology::builders;
 
 use crate::table::Table;
@@ -74,19 +77,28 @@ pub struct ChaosMeasurement {
     /// Every served answer matched the fault-free serial run bit for bit.
     pub(crate) identical: bool,
     /// Every partial restart replayed strictly fewer supersteps than the
-    /// whole query (replayed + skipped = total, skipped > 0).
+    /// fault-free run of its query.
     strictly_fewer: bool,
+}
+
+/// Whether a resumed recovery replayed strictly fewer supersteps than
+/// `whole`, the superstep count of a fault-free run of its query.
+fn replays_fewer(rec: &RecoveryEvent, whole: usize) -> bool {
+    rec.replayed_supersteps.is_some_and(|n| n < whole)
 }
 
 /// Sweep `seeds` seeded chaos schedules, checking every answer and every
 /// recovery event.
 pub fn measure(seeds: u64) -> ChaosMeasurement {
     let queries = workload();
+    // On a crew, like the service's, so that `supersteps` counts what a
+    // whole-query replay executes.
     let reference: Vec<QueryResult> = {
         let ctx = chaos_context();
+        let crew = PooledClusterBackend::with_workers(1);
         queries
             .iter()
-            .map(|q| ctx.prepare(q).unwrap().run().unwrap())
+            .map(|q| ctx.prepare(q).unwrap().run_on(&crew).unwrap())
             .collect()
     };
 
@@ -111,6 +123,7 @@ pub fn measure(seeds: u64) -> ChaosMeasurement {
         for plan in chaos::schedule(&tree, &spec) {
             service.inject_faults(plan).unwrap();
         }
+        let mut seen = 0;
         for i in 0..SERVES_PER_SEED {
             let k = i % queries.len();
             let served = service
@@ -119,18 +132,18 @@ pub fn measure(seeds: u64) -> ChaosMeasurement {
             serves += 1;
             identical &= served.result.rows(false) == reference[k].rows(false)
                 && served.result.cost.edge_totals == reference[k].cost.edge_totals;
-        }
-        for rec in service.recovery_events() {
-            faults_fired += rec.faults.len() as u64;
-            recoveries += 1;
-            if let Some(from) = rec.resumed_from {
-                partial_restarts += 1;
-                // The replay skipped the supersteps before `from`: the
-                // whole query is replayed + skipped supersteps, so a
-                // successful partial restart with `from > 0` beats it.
-                supersteps_skipped += from as u64;
-                strictly_fewer &= from > 0 && rec.replayed_supersteps.is_some();
+            // The events this serve appended are its own query's.
+            let events = service.recovery_events();
+            for rec in &events[seen..] {
+                faults_fired += rec.faults.len() as u64;
+                recoveries += 1;
+                if let Some(from) = rec.resumed_from {
+                    partial_restarts += 1;
+                    supersteps_skipped += from as u64;
+                    strictly_fewer &= replays_fewer(rec, reference[k].supersteps);
+                }
             }
+            seen = events.len();
         }
     }
     ChaosMeasurement {
@@ -176,9 +189,9 @@ pub(crate) fn x_chaos() -> Vec<Table> {
     t.note(
         "Expected shape: identical = yes (every answer under every seeded schedule \
          matches the fault-free serial run bit for bit) and strictly_fewer = yes \
-         (every checkpointed resume replays replayed < replayed + skipped supersteps, \
-         skipped > 0, read from the RecoveryEvent ledger). Fault/recovery counts are \
-         deterministic per seed set.",
+         (every checkpointed resume's RecoveryEvent replayed fewer supersteps than \
+         the fault-free reference run of its query executed). Fault/recovery counts \
+         are deterministic per seed set.",
     );
     vec![t]
 }
@@ -186,6 +199,23 @@ pub(crate) fn x_chaos() -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_whole_query_replay_is_not_strictly_fewer() {
+        let rec = |from, replayed| RecoveryEvent {
+            tenant: "chaos".into(),
+            ticket: 0,
+            faults: Vec::new(),
+            attempt: 1,
+            resumed_from: Some(from),
+            replayed_supersteps: Some(replayed),
+        };
+        // A fault-free run of 4 supersteps, resumed after 1: 3 replayed.
+        assert!(replays_fewer(&rec(1, 3), 4));
+        // A resume that nonetheless replayed all 4 reads NO.
+        assert!(!replays_fewer(&rec(0, 4), 4));
+        assert!(!replays_fewer(&rec(1, 4), 4));
+    }
 
     #[test]
     fn small_chaos_sweep_is_identical_with_partial_restarts() {

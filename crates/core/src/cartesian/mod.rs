@@ -22,10 +22,8 @@
 //! - [`TreeCartesianProduct`] — the §4.4 protocol: everything routes
 //!   through the root of `G†`, with squares packed bottom-up along `G†`
 //!   by Algorithm 5 (`BalancedPackingTree`);
-//! - [`unequal`] — Appendix A.1: `|R| ≠ |S|` on stars;
-//! - [`UnequalTreeCartesianProduct`] — §4.5's open problem: `|R| ≠ |S|`
-//!   on general trees (best-of-three heuristic, no matching lower bound
-//!   known);
+//! - [`unequal`] — Appendix A.1: `|R| ≠ |S|` on stars (on general trees
+//!   the case is §4.5's open problem, not implemented here);
 //! - [`UniformHyperCube`] / [`AllToOne`] — topology-agnostic baselines.
 
 mod baseline;
@@ -35,15 +33,10 @@ pub mod packing;
 mod star;
 mod tree;
 pub mod unequal;
-mod unequal_tree;
 mod whc;
 
 pub use baseline::{AllToOne, UniformHyperCube};
 pub use lower_bound::cartesian_lower_bound;
 pub use star::StarCartesianProduct;
 pub use tree::{plan_tree_packing, TreeCartesianProduct, TreePlan};
-pub use unequal_tree::{
-    cost_all_to_node, cost_broadcast_small, unequal_tree_lower_bound, UnequalTreeCartesianProduct,
-    UnequalTreeStrategy,
-};
 pub use whc::{plan_whc, WeightedHyperCube, WhcPlan};

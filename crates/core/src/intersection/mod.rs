@@ -23,14 +23,12 @@
 //! and the initial cardinalities (the paper's closing remark of §3.3).
 
 mod baseline;
-pub mod join;
 mod lower_bound;
 pub mod partition;
 mod star;
 mod tree;
 
 pub use baseline::UniformHashJoin;
-pub use join::KeyedEquiJoin;
 pub use lower_bound::intersection_lower_bound;
 pub use partition::{balanced_partition, verify_balanced_partition, BalancedPartition};
 pub use star::StarIntersect;

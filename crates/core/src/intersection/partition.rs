@@ -176,8 +176,7 @@ pub fn balanced_partition(tree: &Tree, n: &[u64], small_total: u64) -> BalancedP
 /// The Algorithm-2 routing plan: the balanced partition plus one
 /// distribution-weighted hash per block (`Pr[h_i(a) = v] = N_v / Σ_{u ∈
 /// V_Cⁱ} N_u`), seeded per block. This is the exact plan
-/// [`TreeIntersect`](super::TreeIntersect) and
-/// [`KeyedEquiJoin`](super::KeyedEquiJoin) derive internally; it is
+/// [`TreeIntersect`](super::TreeIntersect) derives internally; it is
 /// exposed so other layers (the query planner's tree-partition join
 /// strategy) can route — and therefore meter — identically. A block's
 /// hash is `None` only when the block holds no data.

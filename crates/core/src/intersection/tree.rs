@@ -37,21 +37,14 @@ impl Protocol for TreeIntersect {
     }
 
     fn run(&self, session: &mut Session<'_>) -> Result<Self::Output, SimError> {
-        route_by_partition(session, self.seed, 0)?;
+        route_by_partition(session, self.seed)?;
         Ok(emit_intersection(session))
     }
 }
 
-/// The routing round of Algorithm 2, hashing every tuple `a` by its key
-/// `a >> key_shift` ([`TreeIntersect`] hashes the value itself; the
-/// [`KeyedEquiJoin`](super::KeyedEquiJoin) hashes the bits above the
-/// payload). Silent — no round at all — when the smaller relation is
-/// empty.
-pub(crate) fn route_by_partition(
-    session: &mut Session<'_>,
-    seed: u64,
-    key_shift: u32,
-) -> Result<(), SimError> {
+/// The routing round of Algorithm 2. Silent — no round at all — when the
+/// smaller relation is empty.
+fn route_by_partition(session: &mut Session<'_>, seed: u64) -> Result<(), SimError> {
     let tree = session.tree();
     tree.require_symmetric()
         .map_err(|e| SimError::Protocol(e.to_string()))?;
@@ -76,8 +69,7 @@ pub(crate) fn route_by_partition(
             // Small-relation tuples: multicast to {h_i(a)} over all
             // blocks with one send per distinct destination vector.
             for &a in round.state(v).rel(small) {
-                let key = a >> key_shift;
-                groups.push(a, hashes.iter().flatten().map(|h| h.pick(key)));
+                groups.push(a, hashes.iter().flatten().map(|h| h.pick(a)));
             }
             groups.drain(|dsts, vals| round.send(v, dsts, small, vals))?;
             // Big-relation tuples: hash within the owner's block only.
@@ -87,7 +79,7 @@ pub(crate) fn route_by_partition(
             }
             if let Some(h) = &hashes[bi] {
                 for &a in round.state(v).rel(big) {
-                    groups.push(a, [h.pick(a >> key_shift)]);
+                    groups.push(a, [h.pick(a)]);
                 }
                 groups.drain(|dsts, vals| round.send(v, dsts, big, vals))?;
             }

@@ -9,9 +9,13 @@
 //! |---------------|--------|
 //! | §3 set intersection (Thm 1, Algs 1–3) | [`intersection`] |
 //! | §4 cartesian product (Thms 3–5, wHC, Alg 5) | [`cartesian`] |
-//! | §4.5 + App. A.1 unequal cartesian product | [`cartesian::unequal`] |
+//! | App. A.1 unequal cartesian product on stars | [`cartesian::unequal`] |
 //! | §5 sorting (Thm 6, weighted TeraSort) | [`sorting`] |
+//! | §3.3 closing remark: bandwidth-oblivious routing | [`robustness`] |
 //! | §6 related work: distribution-aware aggregation (extension) | [`aggregate`] |
+//!
+//! The paper's open problems — unequal cartesian products on general
+//! trees (§4.5) and non-tree topologies (§7) — are not implemented.
 //!
 //! Each task module also ships the **topology-agnostic baseline** its
 //! algorithm generalizes (uniform hash join, the classic HyperCube, classic
@@ -25,7 +29,6 @@
 
 pub mod aggregate;
 pub mod cartesian;
-pub mod general;
 pub mod hashing;
 pub mod intersection;
 pub mod ratio;

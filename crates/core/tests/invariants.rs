@@ -1,17 +1,12 @@
 //! Property tests for the core planning primitives added by the
-//! extensions: interval segmentation, the convergecast merge schedule,
-//! bandwidth perturbation, and the unequal-size strategy chooser.
+//! extensions: interval segmentation, the convergecast merge schedule
+//! and bandwidth perturbation.
 
 use proptest::prelude::*;
 use tamp_core::aggregate::combining_schedule;
 use tamp_core::cartesian::grid::interval_segments;
-use tamp_core::cartesian::{
-    cost_all_to_node, cost_broadcast_small, unequal_tree_lower_bound, UnequalTreeCartesianProduct,
-    UnequalTreeStrategy,
-};
 use tamp_core::hashing::mix64;
 use tamp_core::robustness::perturb_bandwidths;
-use tamp_simulator::{run_protocol, Placement, Rel};
 use tamp_topology::{builders, NodeId};
 
 proptest! {
@@ -134,68 +129,5 @@ proptest! {
             let ratio = a.sym_bandwidth(e).get() / tree.sym_bandwidth(e).get();
             prop_assert!(ratio >= 1.0 / spread - 1e-9 && ratio <= spread + 1e-9);
         }
-    }
-
-    /// The unequal-size chooser's analytic costs match the meter exactly,
-    /// on arbitrary trees and placements.
-    #[test]
-    fn unequal_analytic_costs_match_meter(
-        topo_seed in 0u64..150,
-        r in 1u64..80,
-        s in 1u64..200,
-        data_seed in 0u64..500,
-    ) {
-        let tree = builders::random_tree(
-            3 + (topo_seed % 5) as usize,
-            1 + (topo_seed % 3) as usize,
-            0.5,
-            4.0,
-            topo_seed,
-        );
-        let mut p = Placement::empty(&tree);
-        let vc = tree.compute_nodes();
-        for a in 0..r {
-            p.push(vc[(mix64(a ^ data_seed) % vc.len() as u64) as usize], Rel::R, a);
-        }
-        for a in 0..s {
-            p.push(
-                vc[(mix64(a ^ data_seed ^ 0x5) % vc.len() as u64) as usize],
-                Rel::S,
-                10_000 + a,
-            );
-        }
-        let stats = p.stats();
-        let heaviest = vc.iter().copied().max_by_key(|&v| stats.n_v(v)).unwrap();
-
-        let predicted = cost_all_to_node(&tree, &stats, heaviest);
-        let measured = run_protocol(
-            &tree,
-            &p,
-            &UnequalTreeCartesianProduct::with_strategy(UnequalTreeStrategy::AllToNode),
-        )
-        .unwrap()
-        .cost
-        .tuple_cost();
-        prop_assert!((predicted - measured).abs() < 1e-9, "{} vs {}", predicted, measured);
-
-        let predicted = cost_broadcast_small(&tree, &stats);
-        let measured = run_protocol(
-            &tree,
-            &p,
-            &UnequalTreeCartesianProduct::with_strategy(UnequalTreeStrategy::BroadcastSmall),
-        )
-        .unwrap()
-        .cost
-        .tuple_cost();
-        prop_assert!((predicted - measured).abs() < 1e-9, "{} vs {}", predicted, measured);
-
-        // And the auto protocol always respects the lower bound sanity
-        // direction (cost can undercut Ω constants but not by 10×).
-        let auto = run_protocol(&tree, &p, &UnequalTreeCartesianProduct::new())
-            .unwrap()
-            .cost
-            .tuple_cost();
-        let lb = unequal_tree_lower_bound(&tree, &stats).value();
-        prop_assert!(auto >= lb / 10.0 - 1e-9);
     }
 }

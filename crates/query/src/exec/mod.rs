@@ -48,7 +48,7 @@ mod options;
 mod project;
 mod result;
 
-pub use options::{ExecOptions, StrategyForce};
+pub use options::ExecOptions;
 pub use result::{OperatorCost, QueryResult};
 
 use tamp_runtime::backend::ExecBackend;

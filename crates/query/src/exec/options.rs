@@ -7,7 +7,7 @@ use crate::physical::strategy::OperatorKind;
 /// names surface as
 /// [`QueryError::UnknownStrategy`](crate::error::QueryError).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct StrategyForce {
+pub(crate) struct StrategyForce {
     /// Force the equi-join strategy.
     pub join: Option<&'static str>,
     /// Force the cross-join strategy.
@@ -38,5 +38,5 @@ pub struct ExecOptions {
     /// Seed for hashing and sampling.
     pub seed: u64,
     /// Per-operator forced strategies (by registry name).
-    pub force: StrategyForce,
+    pub(crate) force: StrategyForce,
 }

@@ -10,7 +10,7 @@
 //! loop so it runs on any [`ExecBackend`] with bit-identical results:
 //!
 //! - [`IterativeJob`] describes the fixpoint: an edge relation, a vertex
-//!   → owner map (see `tamp_workloads::graphs` for generators), an
+//!   → owner map (see `tamp_workloads::GraphSpec` for generators), an
 //!   algorithm, and an [`IterativeSpec`] (iteration budget, tolerance,
 //!   [`IterMode`]).
 //! - [`IterativeJob::prepare`] runs the whole fixpoint *locally and
@@ -143,7 +143,7 @@ enum Algo {
 /// its [`IterativeSpec`].
 ///
 /// The job is plain, immutable data — it does not depend on any workload
-/// crate, so edges can come from `tamp_workloads::graphs`, a
+/// crate, so edges can come from `tamp_workloads::GraphSpec`, a
 /// `DistributedTable`, or by hand — with an identity (a content
 /// fingerprint and exact equality), which is what lets the serving layer
 /// cache the [`PreparedIterative`] that [`prepare`](Self::prepare) turns

@@ -116,7 +116,7 @@ pub mod prelude {
     pub use crate::admission::{Priority, TenantSpec};
     pub use crate::batch::RecordBatch;
     pub use crate::context::{PreparedQuery, QueryContext};
-    pub use crate::exec::{ExecOptions, OperatorCost, QueryResult, StrategyForce};
+    pub use crate::exec::{ExecOptions, OperatorCost, QueryResult};
     pub use crate::expr::{col, lit, Expr};
     pub use crate::iterative::{
         IterMode, IterValues, IterationCost, IterativeJob, IterativeOutcome, IterativeSpec,
@@ -145,7 +145,7 @@ pub use admission::{Priority, TenantSpec};
 pub use batch::RecordBatch;
 pub use context::{PreparedQuery, QueryContext};
 pub use error::QueryError;
-pub use exec::{ExecOptions, OperatorCost, QueryResult, StrategyForce};
+pub use exec::{ExecOptions, OperatorCost, QueryResult};
 pub use iterative::{
     IterMode, IterValues, IterationCost, IterativeJob, IterativeOutcome, IterativeSpec,
     PreparedIterative,

@@ -458,7 +458,6 @@ impl<'c> Planner<'c> {
 mod tests {
     use super::*;
     use crate::context::QueryContext;
-    use crate::exec::StrategyForce;
     use crate::expr::{col, lit};
     use crate::plan::AggFunc;
     use crate::row::Row;
@@ -572,24 +571,14 @@ mod tests {
             "broadcast-small",
             "uniform-repartition",
         ] {
-            let opts = ExecOptions {
-                force: StrategyForce {
-                    join: Some(name),
-                    ..StrategyForce::default()
-                },
-                ..ExecOptions::default()
-            };
+            let mut opts = ExecOptions::default();
+            opts.force.join = Some(name);
             let p = lower(&q, &c, opts).unwrap();
             assert_eq!(p.exchange().unwrap().name(), name);
         }
         // An unknown name is a typed error listing the alternatives.
-        let opts = ExecOptions {
-            force: StrategyForce {
-                join: Some("nope"),
-                ..StrategyForce::default()
-            },
-            ..ExecOptions::default()
-        };
+        let mut opts = ExecOptions::default();
+        opts.force.join = Some("nope");
         match lower(&q, &c, opts) {
             Err(QueryError::UnknownStrategy {
                 operator,

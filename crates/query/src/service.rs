@@ -122,7 +122,7 @@ use std::time::{Duration, Instant};
 use tamp_runtime::backend::{ExecBackend, SimulatorBackend};
 use tamp_runtime::{
     CheckpointSpec, CheckpointStats, CheckpointStore, ExecError, FaultEvent, FaultInjector,
-    FaultKind, FaultPlan, PooledClusterBackend, RuntimeError,
+    FaultPlan, PooledClusterBackend, RuntimeError,
 };
 
 use crate::admission::{Priority, TenantSpec, WeightedAdmission};
@@ -430,19 +430,11 @@ pub struct TenantStats {
     pub rejected: u64,
     /// Queries that needed replay recovery after an injected fault.
     pub recovered: u64,
-    /// Straggler watchdog timeouts hit by this tenant's queries (each
-    /// also counts toward `recovered` when the replay succeeds).
-    timeouts: u64,
     /// Supersteps this tenant's replays skipped thanks to checkpoint
     /// resume (0 without checkpointing).
     pub supersteps_skipped: u64,
     /// Served queries and fixpoint jobs whose plan came from the cache.
     pub cache_hits: u64,
-    /// Iterative jobs rejected because their fixpoint failed to converge
-    /// within `max_iters` ([`QueryError::IterationLimit`]). These are
-    /// deterministic non-convergences, not faults: they are never
-    /// retried.
-    iteration_limits: u64,
     /// Median queue wait across served queries (from a log-bucket
     /// histogram: within 25 % below the exact value).
     pub queue_p50: Duration,
@@ -898,9 +890,6 @@ impl QueryService {
             if let Some(injector) = &self.injector {
                 injector.clear_armed();
             }
-            if matches!(e, QueryError::IterationLimit { .. }) {
-                lock_ok(&self.tenants)[tenant].stats.iteration_limits += 1;
-            }
             Err(e)
         };
         let (prepared, cache_hit) = match prepare(&pinned) {
@@ -922,9 +911,6 @@ impl QueryService {
             };
             if self.injector.is_none() || faults.is_empty() {
                 return fail(e);
-            }
-            if faults.iter().any(|f| f.kind == FaultKind::Straggler) {
-                lock_ok(&self.tenants)[tenant].stats.timeouts += 1;
             }
             lock_ok(&self.recoveries).push(RecoveryEvent {
                 tenant: self.admission.specs()[tenant].name.clone(),
@@ -1186,7 +1172,7 @@ mod tests {
     use crate::iterative::{IterationCost, IterativeOutcome, IterativeSpec};
     use crate::plan::AggFunc;
     use crate::schema::Schema;
-    use tamp_runtime::{ExecOutcome, PooledClusterBackend, RuntimeError, ScheduleJob};
+    use tamp_runtime::{ExecOutcome, FaultKind, PooledClusterBackend, RuntimeError, ScheduleJob};
     use tamp_simulator::Placement;
     use tamp_topology::{builders, EdgeId, NodeId, Tree};
 
@@ -1913,7 +1899,6 @@ mod tests {
                 vec![event(victim, FaultKind::Straggler)],
             ]
         );
-        assert_eq!(service.tenant_stats()[0].timeouts, 1);
     }
 
     #[test]
@@ -2265,7 +2250,6 @@ mod tests {
         let stats = service.tenant_stats();
         assert_eq!((stats[0].served, stats[0].cache_hits), (2, 1));
         assert_eq!(stats[0].priority, Priority::Batch);
-        assert_eq!(stats[0].iteration_limits, 0);
     }
 
     #[test]
@@ -2283,7 +2267,6 @@ mod tests {
         let err = service.serve_iterative("graphs", &job).unwrap_err();
         assert!(matches!(err, QueryError::IterationLimit { .. }));
         let stats = service.tenant_stats();
-        assert_eq!(stats[0].iteration_limits, 2);
         assert_eq!(stats[0].served, 0, "non-converged jobs are not served");
         let cache = service.cache_stats();
         assert_eq!(

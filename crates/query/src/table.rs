@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use tamp_core::sorting::valid_order;
-use tamp_topology::{EdgeId, NodeId, Tree};
+use tamp_topology::{NodeId, Tree};
 
 use crate::batch::{batch_rows, new_columns, starts, views, BatchFragments};
 use crate::error::QueryError;
@@ -180,7 +180,12 @@ impl Catalog {
     /// weights. Invalid targets (unknown edge, non-finite or non-positive
     /// factor) surface as
     /// [`RuntimeError::InvalidFaultTarget`](tamp_runtime::RuntimeError::InvalidFaultTarget).
-    pub fn scale_bandwidth(&mut self, e: EdgeId, factor: f64) -> Result<(), QueryError> {
+    #[cfg(test)]
+    pub(crate) fn scale_bandwidth(
+        &mut self,
+        e: tamp_topology::EdgeId,
+        factor: f64,
+    ) -> Result<(), QueryError> {
         self.tree.scale_bandwidth(e, factor).map_err(|err| {
             let fault = err.to_string();
             tamp_runtime::RuntimeError::InvalidFaultTarget { fault }.into()

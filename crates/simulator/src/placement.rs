@@ -31,14 +31,6 @@ impl Placement {
         }
     }
 
-    /// An empty placement for a topology of `n` nodes. Useful when the
-    /// topology is a general graph rather than a [`Tree`].
-    pub fn empty_sized(n: usize) -> Self {
-        Placement {
-            fragments: vec![NodeState::default(); n],
-        }
-    }
-
     /// Build from per-node fragments (indexed by node id).
     pub fn from_fragments(fragments: Vec<NodeState>) -> Self {
         Placement { fragments }

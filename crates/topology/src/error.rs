@@ -26,8 +26,6 @@ pub enum TopologyError {
         /// Head of the offending edge.
         v: usize,
     },
-    /// The operation requires every compute node to be a leaf.
-    ComputeNotLeaf(usize),
 }
 
 impl fmt::Display for TopologyError {
@@ -43,7 +41,6 @@ impl fmt::Display for TopologyError {
             Self::NotSymmetric { u, v } => {
                 write!(f, "edge ({u}, {v}) has direction-dependent bandwidth")
             }
-            Self::ComputeNotLeaf(v) => write!(f, "compute node {v} is not a leaf"),
         }
     }
 }

@@ -24,10 +24,7 @@
 //! - [`builders`] — constructors for the topology families discussed in the
 //!   paper: stars, rack trees (Fig. 1b), fat-trees, caterpillars, random
 //!   trees, and the asymmetric star that embeds the classic MPC model
-//!   (Section 2.2);
-//! - [`graph`] — general (non-tree) topologies from §7's future work:
-//!   grids, tori, hypercubes, widest-path routing, spanning-tree
-//!   extraction and per-cut lower-bound capacities.
+//!   (Section 2.2).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -37,7 +34,6 @@ pub mod builders;
 pub mod cut;
 pub mod dagger;
 pub mod error;
-pub mod graph;
 pub mod lca;
 pub mod node;
 pub mod normalize;
@@ -47,7 +43,6 @@ pub use bandwidth::Bandwidth;
 pub use cut::CutWeights;
 pub use dagger::Dagger;
 pub use error::TopologyError;
-pub use graph::{Graph, GraphBuilder};
 pub use lca::LcaIndex;
 pub use node::{NodeId, NodeKind};
 pub use tree::{DirEdgeId, EdgeId, Tree, TreeBuilder};

@@ -15,7 +15,7 @@
 //! - **Relational** ([`sets`]): seeded value sets and sort instances for
 //!   the one-shot §2 protocols and the query layer, placed by a
 //!   [`PlacementStrategy`].
-//! - **Graph** ([`graphs`]): seeded edge relations ([`GraphSpec`] —
+//! - **Graph**: seeded edge relations ([`GraphSpec`] —
 //!   uniform random, power-law/skewed, grid-like) plus degree-aware
 //!   vertex partitions ([`VertexPartition`]) for the iterative
 //!   fixpoint driver in `tamp_query::iterative`.
@@ -23,7 +23,7 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod graphs;
+mod graphs;
 pub mod placement;
 pub mod sets;
 

@@ -7,7 +7,7 @@ use tamp::core::cartesian::{
     cartesian_lower_bound, AllToOne, TreeCartesianProduct, UniformHyperCube,
 };
 use tamp::core::intersection::{
-    intersection_lower_bound, KeyedEquiJoin, StarIntersect, TreeIntersect, UniformHashJoin,
+    intersection_lower_bound, StarIntersect, TreeIntersect, UniformHashJoin,
 };
 use tamp::core::ratio::ratio;
 use tamp::core::sorting::{sorting_lower_bound, TeraSort, WeightedTeraSort};
@@ -180,10 +180,10 @@ fn costs_scale_linearly_with_input() {
 /// per-node state: a node's fragment is its deliveries in send order,
 /// and the hash-routing protocols emit their sends in a fixed order
 /// (ascending destination vector) rather than in `HashMap` order, which
-/// `RandomState` reshuffled on every run. The multicasting three
-/// (`TreeIntersect`, `KeyedEquiJoin`, `StarIntersect` with a β node)
-/// showed that in their final states; the one-destination two only in
-/// their send order, and are here so that it stays that way.
+/// `RandomState` reshuffled on every run. The multicasting two
+/// (`TreeIntersect`, `StarIntersect` with a β node) showed that in their
+/// final states; the one-destination two only in their send order, and
+/// are here so that it stays that way.
 #[test]
 fn hash_routed_final_states_repeat_run_to_run() {
     fn twice<P: Protocol>(tree: &Tree, p: &Placement, protocol: &P) -> [Vec<NodeState>; 2] {
@@ -200,8 +200,6 @@ fn hash_routed_final_states_repeat_run_to_run() {
         let p = PlacementStrategy::Zipf { alpha: 1.0 }.place(tree, &w, 11);
         let [a, b] = twice(tree, &p, &TreeIntersect::new(7));
         assert_eq!(a, b, "{tname}: TreeIntersect");
-        let [a, b] = twice(tree, &p, &KeyedEquiJoin::new(7, 8));
-        assert_eq!(a, b, "{tname}: KeyedEquiJoin");
         let [a, b] = twice(tree, &p, &UniformHashJoin::new(7));
         assert_eq!(a, b, "{tname}: UniformHashJoin");
         // 61 groups on every node, so each node routes to several owners.

@@ -12,8 +12,7 @@ use tamp::runtime::{
     ClusterOptions, ExecBackend, PooledClusterBackend, Schedule, ScheduleJob, ScheduleSend,
 };
 use tamp::simulator::{run_protocol, Placement, Rel};
-use tamp::topology::graph::builders as graph_builders;
-use tamp::topology::{builders, Tree};
+use tamp::topology::{builders, Tree, TreeBuilder};
 
 /// Each node sends one value around a ring of compute nodes for two
 /// rounds.
@@ -64,10 +63,25 @@ fn random_tree_with_2048_computes_runs_on_a_bounded_pool() {
     run_scale_check(&tree);
 }
 
+/// A shape `random_tree` does not give: every node computes, interior
+/// ones included, and the diameter is long — a 32-compute spine with a
+/// 64-compute path hanging from each spine node (2,080 computes).
 #[test]
-fn torus_spanning_tree_with_2048_computes_runs_on_a_bounded_pool() {
-    let torus = graph_builders::torus(32, 64, 1.0);
-    let tree = torus.max_bandwidth_spanning_tree().unwrap();
+fn spine_of_paths_with_2048_computes_runs_on_a_bounded_pool() {
+    let mut b = TreeBuilder::new();
+    let spine = b.computes(32);
+    for (i, &v) in spine.iter().enumerate() {
+        if i > 0 {
+            b.link(spine[i - 1], v, 1.0).unwrap();
+        }
+        let mut tail = v;
+        for u in b.computes(64) {
+            b.link(tail, u, 1.0).unwrap();
+            tail = u;
+        }
+    }
+    let tree = b.build().unwrap();
+    assert!(!tree.compute_nodes_are_leaves());
     run_scale_check(&tree);
 }
 
